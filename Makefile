@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke ci experiments tools clean
+.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke ci experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
 # path plus the io/fs bridge (vfs/osfs bridge-vs-direct overhead).
@@ -29,6 +29,13 @@ test:
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/...
 
+# Flake hunt: the packages with wall-clock, socket or goroutine-order
+# exposure, ten times each at 1, 2 and 4 Ps. A test that only passes at
+# the baseline box's core count or speed fails here, at the builder's
+# desk, instead of at the next reviewer's.
+flake:
+	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/...
+
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
 # plain `go test` already; this also exercises fresh mutations.
@@ -41,15 +48,17 @@ fuzz-smoke:
 # Hot-path microbenchmarks at 1, 4 and 8 simulated CPUs, then the
 # control-plane fleet benchmarks; the raw `go test -json` event streams
 # land in BENCH_stage.json / BENCH_control.json so runs can be diffed
-# against the committed baselines. The fleet benchmarks run at the
-# default CPU count only: they measure wall-clock rounds over live
-# sockets, not CPU-parallel hot paths. -count=3 gives the baseline the
+# against the committed baselines. The fleet benchmarks are pinned to
+# -cpu=1: they measure wall-clock rounds over live sockets, not
+# CPU-parallel hot paths, and the pin keeps benchmark names free of a
+# -N suffix, so the baseline compares on a host of any core count.
+# -count=3 gives the baseline the
 # same minimum-of-three estimate bench-diff uses on the fresh side, so
 # the gate never compares against a single unlucky (or lucky) sample.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1,4,8 -count=3 -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -raw BENCH_stage.json
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -json $(BENCH_CONTROL_PKGS) \
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1 -count=3 -json $(BENCH_CONTROL_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -raw BENCH_control.json
 
 bench-all:
@@ -71,7 +80,7 @@ bench-all:
 # 1.1x (stat/walk/readfile); the limits leave noise margin while still
 # catching any real regression, which costs microseconds, not percent.
 bench-diff:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -json $(BENCH_CONTROL_PKGS) \
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1 -count=3 -json $(BENCH_CONTROL_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -diff BENCH_control.json -ns-tolerance 0.5
 	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -cpu=4 -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -diff BENCH_stage.json -ns-tolerance 0.5 \

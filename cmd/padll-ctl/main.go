@@ -1,6 +1,7 @@
 // Command padll-ctl is the administrator CLI for a running data-plane
 // stage: it inspects queue statistics and installs, retunes, or removes
-// QoS rules over the stage's control RPC service.
+// QoS rules over the stage's control RPC service. Every mutating command
+// is one Stage.Batch round trip (a single operation is a one-op batch).
 //
 // Usage:
 //
@@ -54,18 +55,28 @@ func main() {
 	}
 	defer h.Close()
 
-	switch args[0] {
-	case "ping":
-		info, err := h.Ping()
+	// exec ships ops in one batch and returns the first op's Found.
+	exec := func(ops ...rpcio.StageOp) bool {
+		res, _, err := h.Exec(ops, nil, false)
 		if err != nil {
 			fatal(err)
 		}
+		return res[0].Found
+	}
+
+	switch args[0] {
+	case "ping":
+		health, err := h.Health(1)
+		if err != nil {
+			fatal(err)
+		}
+		info := health.Info
 		fmt.Printf("stage %s job=%s host=%s pid=%d user=%s\n",
 			info.StageID, info.JobID, info.Hostname, info.PID, info.User)
 
 	case "stats":
-		st, err := h.Collect()
-		if err != nil {
+		var st stage.Stats
+		if err := h.CollectDeltaInto(&st); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("stage %s (job %s): %d queues, %d passthrough requests\n",
@@ -97,9 +108,7 @@ func main() {
 			ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: rule})
 			rules = append(rules, rule)
 		}
-		if _, _, err := h.ExecBatch(ops, false); err != nil {
-			fatal(err)
-		}
+		exec(ops...)
 		for _, rule := range rules {
 			fmt.Println("applied", rule.String())
 		}
@@ -113,11 +122,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		found, err := h.SetRate(args[1], rule.Rate)
-		if err != nil {
-			fatal(err)
-		}
-		if !found {
+		if !exec(rpcio.StageOp{Kind: rpcio.OpSetRate, ID: args[1], Rate: rule.Rate}) {
 			fatal(fmt.Errorf("no rule %q on the stage", args[1]))
 		}
 		fmt.Printf("rule %s -> %.0f/s\n", args[1], rule.Rate)
@@ -126,11 +131,7 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		removed, err := h.RemoveRule(args[1])
-		if err != nil {
-			fatal(err)
-		}
-		if !removed {
+		if !exec(rpcio.StageOp{Kind: rpcio.OpRemoveRule, ID: args[1]}) {
 			fatal(fmt.Errorf("no rule %q on the stage", args[1]))
 		}
 		fmt.Println("removed", args[1])
@@ -148,9 +149,7 @@ func main() {
 		default:
 			usage()
 		}
-		if err := h.SetMode(m); err != nil {
-			fatal(err)
-		}
+		exec(rpcio.StageOp{Kind: rpcio.OpSetMode, Mode: m})
 		fmt.Println("mode set to", args[1])
 
 	default:

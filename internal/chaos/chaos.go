@@ -23,7 +23,6 @@ import (
 
 	"padll/internal/clock"
 	"padll/internal/control"
-	"padll/internal/policy"
 	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
@@ -55,11 +54,6 @@ type Config struct {
 	Reservations map[string]float64
 	// Algorithm defaults to control.StaticEqualShare{}.
 	Algorithm control.Algorithm
-	// Batched runs the control plane over the batched delta protocol
-	// (an in-process rpcio.StageService per stage) instead of per-call
-	// pushes. Fault injection gates whole round trips: a batch with ops
-	// consumes one push-budget unit, a collect one collect-budget unit.
-	Batched bool
 	// BorrowBudget > 0 enables decentralized token borrowing inside
 	// every aggregator added with AddAggregator: sibling stages under
 	// one shard share a borrow pool with this per-member debt budget
@@ -80,9 +74,9 @@ type StageNode struct {
 	Job string
 	Stg *stage.Stage
 
-	conn control.StageConn
-	// frames is the binary-codec transport under a batched node's handle;
-	// nil in per-call mode. Frame-granular faults hook here.
+	conn *chaosConn
+	// frames is the binary-codec transport under the node's handle;
+	// frame-granular faults hook here.
 	frames      *rpcio.EncodedLoopback
 	partitioned atomic.Bool
 	crashed     atomic.Bool
@@ -139,6 +133,12 @@ func New(cfg Config) *Harness {
 	if cfg.Algorithm == nil {
 		cfg.Algorithm = control.StaticEqualShare{}
 	}
+	// The harness owns its reservation table (SetReservation edits it).
+	own := make(map[string]float64, len(cfg.Reservations))
+	for job, rate := range cfg.Reservations {
+		own[job] = rate
+	}
+	cfg.Reservations = own
 	h := &Harness{
 		cfg:      cfg,
 		clk:      clock.NewSim(time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)),
@@ -187,17 +187,12 @@ func (h *Harness) AddStage(id, job string) *StageNode {
 		Stg: stage.New(stage.Info{StageID: id, JobID: job}, h.clk),
 	}
 	n.collectBudget.Store(-1)
-	base := chaosConn{LocalConn: control.LocalConn{Stg: n.Stg}, h: h, node: n}
-	if h.cfg.Batched {
-		// Batched nodes speak the real binary frame codec end to end
-		// (EncodedLoopback): every chaos exchange encodes and decodes
-		// actual frames, so codec bugs and frame-level faults are inside
-		// the deterministic loop.
-		n.frames = rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
-		n.conn = &chaosBatchConn{chaosConn: base, handle: rpcio.NewStageHandle(n.frames)}
-	} else {
-		n.conn = &base
-	}
+	// Every node speaks the real binary frame codec end to end
+	// (EncodedLoopback): each chaos exchange encodes and decodes actual
+	// frames, so codec bugs and frame-level faults are inside the
+	// deterministic loop.
+	n.frames = rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
+	n.conn = &chaosConn{h: h, node: n, handle: rpcio.NewStageHandle(n.frames)}
 	if err := h.ctl.Register(n.conn); err != nil {
 		h.logf("stage %s registration error: %v", id, err)
 	}
@@ -269,6 +264,14 @@ func (h *Harness) CrashController() {
 	h.logf("controller crashed")
 }
 
+// SetReservation changes a job's reserved rate, both on the live
+// controller and in the configuration a restarted controller boots from.
+func (h *Harness) SetReservation(job string, rate float64) {
+	h.cfg.Reservations[job] = rate
+	h.ctl.SetReservation(job, rate)
+	h.logf("job %s reservation set to %.0f", job, rate)
+}
+
 // ArmMidRoundCrash makes the controller die after n more successful rate
 // pushes — i.e. partway through a RunOnce push phase, so some stages have
 // the new rates and others still enforce the old ones.
@@ -336,18 +339,13 @@ func (h *Harness) ArmStageCrashAfterCollects(id string, n int) {
 	h.logf("stage %s armed to crash after %d collects", id, n)
 }
 
-// DropNextBatchReply arms a one-shot frame fault on a batched node: the
-// next Stage.Batch reply frame is lost after the service applied the
+// DropNextBatchReply arms a one-shot frame fault on a node: the next
+// Stage.Batch reply frame is lost after the service applied the
 // exchange. The node's state (rules, delta generation) advances but the
 // controller never learns, so the delta protocol must detect the stale
-// acknowledgement and resync with a full snapshot. Only meaningful with
-// Config.Batched; a per-call node has no frame transport to fault.
+// acknowledgement and resync with a full snapshot.
 func (h *Harness) DropNextBatchReply(id string) {
 	n := h.nodes[id]
-	if n.frames == nil {
-		h.logf("stage %s has no frame transport; drop-reply ignored", id)
-		return
-	}
 	armed := true
 	n.frames.SetFault(func(dir rpcio.FrameDir, method string) error {
 		// Single-threaded under the loopback's lock; armed needs no
@@ -465,21 +463,49 @@ func RuleRate(s *stage.Stage, id string) float64 {
 
 // ---- the faulty transport ----
 
-// chaosConn wraps the in-process stage connection with the harness's
-// failure state. Collect runs inside the controller's bounded worker
-// pool, so every flag it reads is atomic.
+// chaosConn is the controller's (and the aggregators') connection to
+// one node: the batched delta protocol over the node's EncodedLoopback,
+// with the harness's failure state gating whole round trips. A batch
+// carrying ops consumes one push-budget unit and a collect one
+// collect-budget unit — the crash granularity is a round trip, matching
+// what a real controller would observe. Exec runs inside bounded worker
+// pools, so every flag it reads is atomic.
 type chaosConn struct {
-	control.LocalConn
-	h    *Harness
-	node *StageNode
+	h      *Harness
+	node   *StageNode
+	handle *rpcio.StageHandle
 }
 
-func (c *chaosConn) Collect() (stage.Stats, error) {
-	if err := c.collectGate(); err != nil {
-		return stage.Stats{}, err
+var _ control.StageConn = (*chaosConn)(nil)
+
+func (c *chaosConn) Info() stage.Info { return c.node.Stg.Info() }
+
+func (c *chaosConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	if len(ops) > 0 {
+		if err := c.pushGate(); err != nil {
+			return nil, false, err
+		}
 	}
-	return c.LocalConn.Collect()
+	if dst != nil {
+		if c.h.controllerDown {
+			return nil, false, ErrControllerDown
+		}
+		if err := c.collectGate(); err != nil {
+			return nil, false, err
+		}
+	}
+	return c.handle.Exec(ops, dst, held)
 }
+
+func (c *chaosConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
+
+// Close keeps the loopback open: the harness re-registers the same
+// connection after a heal or a controller restart.
+func (c *chaosConn) Close() error { return nil }
+
+// LocalStage lets an aggregator with borrowing wire the node's bucket
+// into its shard pool, as it would for a control.LocalConn.
+func (c *chaosConn) LocalStage() *stage.Stage { return c.node.Stg }
 
 // collectGate applies the collect-side failure state: unreachable nodes
 // fail, and an armed collect budget crashes the node when it hits zero.
@@ -497,39 +523,25 @@ func (c *chaosConn) collectGate() error {
 	return nil
 }
 
-func (c *chaosConn) SetRate(id string, rate float64) (bool, error) {
-	if ok, err := c.reachable(); !ok {
-		return false, err
-	}
-	return c.LocalConn.SetRate(id, rate)
-}
-
-func (c *chaosConn) ApplyRule(r policy.Rule) error {
-	if ok, err := c.reachable(); !ok {
-		return err
-	}
-	return c.LocalConn.ApplyRule(r)
-}
-
-// reachable gates every controller->stage push, and is where an armed
+// pushGate gates every controller->stage push, and is where an armed
 // mid-round crash fires: pushes run sequentially on the control loop's
 // goroutine, so the budget decides deterministically which stages saw
 // the new rates before the controller died.
-func (c *chaosConn) reachable() (bool, error) {
+func (c *chaosConn) pushGate() error {
 	if c.h.controllerDown {
-		return false, ErrControllerDown
+		return ErrControllerDown
 	}
 	if c.node.crashed.Load() || c.node.partitioned.Load() {
-		return false, ErrUnreachable
+		return ErrUnreachable
 	}
 	if b := c.h.pushBudget.Load(); b >= 0 {
 		if b == 0 {
 			c.h.CrashController()
-			return false, ErrControllerDown
+			return ErrControllerDown
 		}
 		c.h.pushBudget.Store(b - 1)
 	}
-	return true, nil
+	return nil
 }
 
 // chaosAggConn gates the controller's channel to one aggregator shard
@@ -557,53 +569,6 @@ func (c *chaosAggConn) Round(grants []rpcio.JobGrant, collect bool, reply *rpcio
 	return c.inner.Round(grants, collect, reply)
 }
 
+func (c *chaosAggConn) WireStats() rpcio.WireStats { return c.inner.WireStats() }
+
 func (c *chaosAggConn) Close() error { return nil }
-
-// chaosBatchConn speaks the batched delta protocol to an in-process
-// rpcio.StageService, with the same failure state gating whole round
-// trips instead of individual calls. It satisfies control.BatchConn, so
-// the controller drives it exactly like a remote batched stage.
-type chaosBatchConn struct {
-	chaosConn
-	handle *rpcio.StageHandle
-}
-
-var _ control.BatchConn = (*chaosBatchConn)(nil)
-
-// Collect rides the incremental protocol: after the first exchange only
-// changed queues cross the (simulated) wire.
-func (c *chaosBatchConn) Collect() (stage.Stats, error) {
-	if err := c.collectGate(); err != nil {
-		return stage.Stats{}, err
-	}
-	return c.handle.CollectDelta()
-}
-
-// CollectInto rides the incremental protocol under the same gating,
-// deliberately opting the batched conn into control.CollectIntoConn.
-func (c *chaosBatchConn) CollectInto(dst *stage.Stats) error {
-	if err := c.collectGate(); err != nil {
-		return err
-	}
-	return c.handle.CollectDeltaInto(dst)
-}
-
-// ExecBatch implements control.BatchConn. A batch carrying ops consumes
-// one push-budget unit — the mid-round crash granularity is a round
-// trip, matching what a real batched controller would observe.
-func (c *chaosBatchConn) ExecBatch(ops []rpcio.StageOp, collect bool) ([]rpcio.OpResult, stage.Stats, error) {
-	if len(ops) > 0 {
-		if ok, err := c.reachable(); !ok {
-			return nil, stage.Stats{}, err
-		}
-	}
-	if collect {
-		if c.h.controllerDown {
-			return nil, stage.Stats{}, ErrControllerDown
-		}
-		if err := c.collectGate(); err != nil {
-			return nil, stage.Stats{}, err
-		}
-	}
-	return c.handle.ExecBatch(ops, collect)
-}

@@ -51,10 +51,29 @@ func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 			t.Errorf("stage %s drifted during the outage: %v -> %v (limits must freeze)", id, rate, during[id])
 		}
 	}
-	// Reconciled: back under management at sane rates.
+	// The crash cut the push phase short: the stages the controller
+	// reached before dying froze at the raised per-stage rates, the rest
+	// at the old ones.
+	oldRate := map[string]float64{"job1": 15_000, "job2": 25_000}
+	newRate := map[string]float64{"job1": raisedJob1 / 2, "job2": raisedJob2 / 2}
+	var pushed, missed int
+	for id, rate := range frozen {
+		switch job := h.Node(id).Job; rate {
+		case newRate[job]:
+			pushed++
+		case oldRate[job]:
+			missed++
+		default:
+			t.Errorf("stage %s froze at %v, neither its old nor its raised rate", id, rate)
+		}
+	}
+	if pushed == 0 || missed == 0 {
+		t.Errorf("no partial push observed: %d stages at the raised rate, %d at the old", pushed, missed)
+	}
+	// Reconciled: the restarted controller finishes the rollout.
 	for id, rate := range after {
-		if rate <= 0 {
-			t.Errorf("stage %s not reconciled after restart: rate %v", id, rate)
+		if want := newRate[h.Node(id).Job]; rate != want {
+			t.Errorf("stage %s not reconciled after restart: rate %v, want %v", id, rate, want)
 		}
 	}
 	log := h.Log()
@@ -223,11 +242,7 @@ func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 
 	var deltas uint64
 	for _, id := range h.ids {
-		bc, ok := h.Node(id).conn.(*chaosBatchConn)
-		if !ok {
-			t.Fatalf("stage %s is not running a batched conn", id)
-		}
-		fulls, ds := bc.handle.CollectCounts()
+		fulls, ds := h.Node(id).conn.handle.CollectCounts()
 		if fulls == 0 {
 			t.Errorf("stage %s never took a full snapshot (first collect must be full)", id)
 		}
@@ -252,16 +267,12 @@ func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 // answer the next exchange with a full-snapshot resync — and the fleet
 // must hold its allocations throughout.
 func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
-	h := smallCluster(7, 0, true)
+	h := smallCluster(7, 0)
 	offerDemand(h, 20*time.Second)
 	h.At(5*time.Second+h.Interval()/2, "drop-reply", func(h *Harness) { h.DropNextBatchReply("s1") })
 	h.Run(20 * time.Second)
 
-	bc, ok := h.Node("s1").conn.(*chaosBatchConn)
-	if !ok {
-		t.Fatal("s1 is not running a batched conn")
-	}
-	fulls, deltas := bc.handle.CollectCounts()
+	fulls, deltas := h.Node("s1").conn.handle.CollectCounts()
 	if fulls < 2 {
 		t.Errorf("s1 took %d full snapshots, want >= 2 (initial + post-drop resync)", fulls)
 	}
@@ -269,8 +280,7 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 		t.Error("s1 never collected incrementally")
 	}
 	// Untouched peers must not have been forced to resync.
-	other := h.Node("s3").conn.(*chaosBatchConn)
-	if otherFulls, _ := other.handle.CollectCounts(); otherFulls != 1 {
+	if otherFulls, _ := h.Node("s3").conn.handle.CollectCounts(); otherFulls != 1 {
 		t.Errorf("s3 took %d full snapshots, want exactly the initial one", otherFulls)
 	}
 

@@ -7,18 +7,24 @@ import (
 	"padll/internal/posix"
 )
 
+// raisedJob1 and raisedJob2 are the reservations ControllerCrashMidRun
+// raises job1 (from 30k) and job2 (from 50k) to just before its crash.
+const (
+	raisedJob1 = 36_000
+	raisedJob2 = 60_000
+)
+
 // The canonical scenarios below build a small cluster (two jobs, two
 // stages each, reservations on both jobs) and schedule one failure
 // storyline. Every random choice comes from the harness's seeded rng,
 // so a scenario is fully determined by its seed.
 
-func smallCluster(seed int64, evictAfter int, batched bool) *Harness {
+func smallCluster(seed int64, evictAfter int) *Harness {
 	h := New(Config{
 		Seed:       seed,
 		Interval:   time.Second,
 		Limit:      100_000,
 		EvictAfter: evictAfter,
-		Batched:    batched,
 		// Priority (fixed rates): each job is granted its reservation
 		// verbatim, so expected rates are exact regardless of demand.
 		Algorithm: control.FixedRates{},
@@ -58,8 +64,13 @@ func offerDemand(h *Harness, until time.Duration) {
 // did not), stays dead for a seed-chosen outage, then restarts with an
 // empty registry. Stages must freeze their limits while degraded and
 // reconcile within one control interval of the restart.
+//
+// A steady FixedRates fleet has nothing to push — the loop skips every
+// stage already at its rate — so the arming event also raises both
+// jobs' reservations: the crashing round then carries four real
+// retunes for the budget to cut short.
 func ControllerCrashMidRun(seed int64) *Harness {
-	h := smallCluster(seed, 0, false)
+	h := smallCluster(seed, 0)
 	offerDemand(h, 30*time.Second)
 	// Crash between rounds 5 and 9, after 1..3 of the round's pushes;
 	// recover 6..10 intervals later.
@@ -67,7 +78,11 @@ func ControllerCrashMidRun(seed int64) *Harness {
 	h.OutageStart = time.Duration(crashRound)*h.Interval() - h.Interval()/2
 	h.OutageEnd = h.OutageStart + time.Duration(6+h.rng.Intn(5))*h.Interval()
 	pushes := 1 + h.rng.Intn(3)
-	h.At(h.OutageStart, "arm-mid-round-crash", func(h *Harness) { h.ArmMidRoundCrash(pushes) })
+	h.At(h.OutageStart, "arm-mid-round-crash", func(h *Harness) {
+		h.SetReservation("job1", raisedJob1)
+		h.SetReservation("job2", raisedJob2)
+		h.ArmMidRoundCrash(pushes)
+	})
 	h.At(h.OutageEnd, "restart-controller", func(h *Harness) { h.RestartController() })
 	return h
 }
@@ -76,7 +91,7 @@ func ControllerCrashMidRun(seed int64) *Harness {
 // collect fan-out. With eviction enabled the controller must sweep the
 // corpse and re-grant its share to the job's surviving stage.
 func StageCrashMidCollect(seed int64) *Harness {
-	h := smallCluster(seed, 2, false)
+	h := smallCluster(seed, 2)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
 	at := time.Duration(4+h.rng.Intn(4))*h.Interval() - h.Interval()/2
@@ -90,7 +105,7 @@ func StageCrashMidCollect(seed int64) *Harness {
 // the link. The stage must re-register and be folded back into the
 // allocation within one control interval of the heal.
 func PartitionHeal(seed int64) *Harness {
-	h := smallCluster(seed, 3, false)
+	h := smallCluster(seed, 3)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
 	from := time.Duration(3+h.rng.Intn(3))*h.Interval() + h.Interval()/2
@@ -102,12 +117,11 @@ func PartitionHeal(seed int64) *Harness {
 }
 
 // BatchedOutage drives the batched delta protocol through a partition/
-// heal followed by a full controller outage and restart. The mid-round
-// push crash stays a per-call scenario: in batch mode an unchanged rate
-// skips the push round trip entirely, so a FixedRates steady state has
-// no pushes to arm a budget against.
+// heal followed by a full controller outage and restart: faults must
+// not wedge the fleet, and steady-state collects must stay incremental
+// across both recoveries.
 func BatchedOutage(seed int64) *Harness {
-	h := smallCluster(seed, 3, true)
+	h := smallCluster(seed, 3)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
 	pFrom := time.Duration(3+h.rng.Intn(3))*h.Interval() + h.Interval()/2
@@ -193,12 +207,12 @@ func AggregatorLoss(seed int64) *Harness {
 	return h
 }
 
-// FrameLoss drops Stage.Batch reply frames on seed-chosen batched nodes
+// FrameLoss drops Stage.Batch reply frames on seed-chosen nodes
 // at seed-chosen rounds: each loss leaves the stage's delta generation
 // ahead of the controller's acknowledgement, forcing a full-snapshot
 // resync on the next exchange while the fleet keeps its allocations.
 func FrameLoss(seed int64) *Harness {
-	h := smallCluster(seed, 0, true)
+	h := smallCluster(seed, 0)
 	offerDemand(h, 30*time.Second)
 	drops := 2 + h.rng.Intn(3)
 	for i := 0; i < drops; i++ {

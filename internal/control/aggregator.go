@@ -38,8 +38,10 @@ import (
 // that embed LocalConn (fault injectors) inherit it.
 func (c *LocalConn) LocalStage() *stage.Stage { return c.Stg }
 
-// localStager is the optional StageConn extension borrowing needs:
-// direct access to an in-process stage's bucket wiring. Remote members
+// localStager is the one capability the aggregator asserts a StageConn
+// for. It stays outside the contract because it is not a control
+// exchange: a borrow pool links token buckets that live in this
+// process's memory, which no wire operation can express. Remote members
 // don't satisfy it and simply never join a pool.
 type localStager interface {
 	LocalStage() *stage.Stage
@@ -135,8 +137,8 @@ type Aggregator struct {
 	buf         []stage.Stats
 	errs        []error
 	probes      []stageProbe
-	fresh       []bool    // buf[i] holds a live materialization a DeltaConn may keep current
-	changed     []bool    // member i's collect reported a change (or failed) this round
+	fresh       []bool    // member i filled buf[i] under scratchTopo, and nothing else writes it
+	changed     []bool    // member i's collect rewrote buf[i] (or failed) this round
 	rates       []float64 // per-job target member rate this round
 	hasRate     []bool
 	rows        []rpcio.AggJobDelta
@@ -319,39 +321,27 @@ func (a *Aggregator) Round(args *rpcio.AggRoundArgs, reply *rpcio.AggRoundReply)
 		chg[i] = false
 		if j := topo.rowOf[i]; hasRate[j] {
 			// The latest collect probed each member's enforced limit; a
-			// member already at the target rate costs no push RPC — the
-			// same steady-state skip the flat loop gets from its collect
-			// probes. (Probes are only written in the fold, so this
-			// concurrent read is race-free under roundMu.)
-			if p := probes[i]; !(p.ok && p.hasCtl && p.ctlLimit == rates[j]) {
-				found, err := conn.SetRate(ControlRuleID, rates[j])
-				if err == nil && !found {
-					// The member lost its managed queue (restart): reinstall.
-					err = conn.ApplyRule(a.managedRule(topo.jobs[j], rates[j]))
-				}
-				if err != nil {
-					errs[i] = err
-					chg[i] = true // excluded from the fold: rows must rebuild
-					return
-				}
+			// member already at the target rate costs no push — the same
+			// probe-and-skip, retune and reinstall the flat loop does.
+			// (Probes are only written in the fold, so this concurrent
+			// read is race-free under roundMu.)
+			if _, err := pushRate(conn, probes[i], a.managedRule(topo.jobs[j], rates[j])); err != nil {
+				errs[i] = err
+				chg[i] = true // excluded from the fold: rows must rebuild
+				return
 			}
 		}
 		if args.Collect {
-			// A DeltaConn with a live slot materialization answers the
-			// steady state with "unchanged" and buf[i] is left as-is —
-			// no snapshot copy, and if the whole shard is unchanged the
-			// fold below is skipped too. First contact (or any conn
-			// without the capability) takes the materializing path.
-			if dc, ok := conn.(DeltaConn); ok && fresh[i] {
-				changed, err := dc.CollectChangedInto(&buf[i])
-				errs[i] = err
-				chg[i] = changed || err != nil
-			} else {
-				errs[i] = collectConn(conn, &buf[i])
-				chg[i] = true
-				if errs[i] == nil {
-					fresh[i] = true
-				}
+			// buf[i] is member i's slot for as long as the topology
+			// stands, so once the member has filled it the aggregator can
+			// promise it is still held: an unchanged member leaves the
+			// slot as it is — no snapshot copy — and if the whole shard
+			// is unchanged the fold below is skipped too.
+			var rewrote bool
+			_, rewrote, errs[i] = conn.Exec(nil, &buf[i], fresh[i])
+			chg[i] = rewrote || errs[i] != nil
+			if errs[i] == nil {
+				fresh[i] = true
 			}
 		}
 	})
@@ -453,6 +443,9 @@ type AggConn interface {
 	// is set the merged per-job delta lands in reply (fully
 	// overwritten).
 	Round(grants []rpcio.JobGrant, collect bool, reply *rpcio.AggRoundReply) error
+	// WireStats reports the connection's cumulative traffic (zero for
+	// connections that never serialize).
+	WireStats() rpcio.WireStats
 	// Close releases the connection.
 	Close() error
 }
@@ -476,6 +469,9 @@ func (c *LocalAggConn) Round(grants []rpcio.JobGrant, collect bool, reply *rpcio
 	return c.Agg.Round(&args, reply)
 }
 
+// WireStats implements AggConn: nothing is serialized.
+func (c *LocalAggConn) WireStats() rpcio.WireStats { return rpcio.WireStats{} }
+
 // Close implements AggConn without closing the aggregator's members:
 // an in-process aggregator's lifecycle belongs to whoever built it.
 func (c *LocalAggConn) Close() error { return nil }
@@ -486,10 +482,7 @@ type RemoteAggConn struct {
 	handle *rpcio.AggHandle
 }
 
-var (
-	_ AggConn     = (*RemoteAggConn)(nil)
-	_ WireStatser = (*RemoteAggConn)(nil)
-)
+var _ AggConn = (*RemoteAggConn)(nil)
 
 // NewRemoteAggConn attaches to the aggregator behind handle, learning
 // its identity from the Agg.Attach handshake.
@@ -509,7 +502,7 @@ func (c *RemoteAggConn) Round(grants []rpcio.JobGrant, collect bool, reply *rpci
 	return c.handle.Round(grants, collect, reply)
 }
 
-// WireStats implements WireStatser.
+// WireStats implements AggConn.
 func (c *RemoteAggConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
 
 // Close implements AggConn.
@@ -699,13 +692,7 @@ func (c *Controller) aggScratch(n int) ([]rpcio.AggRoundReply, []error) {
 // enforcing frozen rates, and shard-local borrowing keeps them
 // work-conserving); it re-joins the loop the moment it answers again.
 func (c *Controller) runOnceTree() map[string]float64 {
-	c.mu.Lock()
-	alg := c.algorithm
-	if c.limitAdapter != nil {
-		c.clusterLimit = c.limitAdapter.AdjustLimit(c.clusterLimit)
-	}
-	limit := c.clusterLimit
-	c.mu.Unlock()
+	alg, limit := c.roundStart()
 	if alg == nil {
 		return nil
 	}
@@ -713,7 +700,7 @@ func (c *Controller) runOnceTree() map[string]float64 {
 	aggs, reservations, lastAlloc, workers, pushWorkers := c.aggRoundSetup()
 	start := c.clk.Now()
 	rs := RoundStats{Aggregators: len(aggs)}
-	wireConns, wireBefore := c.aggWireSample(aggs)
+	wireBefore := wireSample(aggs)
 
 	c.roundMu.Lock()
 	replies, errs := c.aggScratch(len(aggs))
@@ -767,13 +754,7 @@ func (c *Controller) runOnceTree() map[string]float64 {
 	sort.Strings(order)
 	jobs := make([]JobState, 0, len(order))
 	for _, job := range order {
-		s := snapBy[job]
-		jobs = append(jobs, JobState{
-			JobID:       s.JobID,
-			Demand:      s.Demand,
-			Reservation: s.Reservation,
-			Stages:      s.Stages,
-		})
+		jobs = append(jobs, snapBy[job].state())
 	}
 	alloc := alg.Allocate(limit, jobs)
 
@@ -828,31 +809,7 @@ func (c *Controller) runOnceTree() map[string]float64 {
 	c.roundMu.Unlock()
 
 	rs.Duration = c.clk.Now().Sub(start)
-	for i, w := range wireConns {
-		after := w.WireStats()
-		rs.BytesRead += after.BytesRead - wireBefore[i].BytesRead
-		rs.BytesWritten += after.BytesWritten - wireBefore[i].BytesWritten
-	}
-	c.mu.Lock()
-	c.lastAlloc = alloc
-	c.lastRound = rs
-	c.haveRound = true
-	c.mu.Unlock()
+	wireSince(aggs, wireBefore, &rs)
+	c.roundEnd(alloc, rs)
 	return alloc
-}
-
-// aggWireSample snapshots traffic counters of aggregator connections
-// that expose them.
-func (c *Controller) aggWireSample(aggs []AggConn) ([]WireStatser, []rpcio.WireStats) {
-	var ws []WireStatser
-	for _, conn := range aggs {
-		if w, ok := conn.(WireStatser); ok {
-			ws = append(ws, w)
-		}
-	}
-	before := make([]rpcio.WireStats, len(ws))
-	for i, w := range ws {
-		before[i] = w.WireStats()
-	}
-	return ws, before
 }

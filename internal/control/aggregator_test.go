@@ -106,11 +106,8 @@ func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 // deadConn fails every exchange, simulating an unreachable member.
 type deadConn struct{ LocalConn }
 
-func (d *deadConn) SetRate(string, float64) (bool, error) {
-	return false, errors.New("member unreachable")
-}
-func (d *deadConn) Collect() (stage.Stats, error) {
-	return stage.Stats{}, errors.New("member unreachable")
+func (d *deadConn) Exec([]rpcio.StageOp, *stage.Stats, bool) ([]rpcio.OpResult, bool, error) {
+	return nil, false, errors.New("member unreachable")
 }
 
 func TestAggregatorReportsFailedStages(t *testing.T) {
@@ -370,4 +367,122 @@ func (f *failingAggConn) ID() string { return f.id }
 func (f *failingAggConn) Round([]rpcio.JobGrant, bool, *rpcio.AggRoundReply) error {
 	return errors.New("aggregator unreachable")
 }
-func (f *failingAggConn) Close() error { return nil }
+func (f *failingAggConn) WireStats() rpcio.WireStats { return rpcio.WireStats{} }
+func (f *failingAggConn) Close() error               { return nil }
+
+// memberKinds builds the two kinds of aggregator member — in-process and
+// over the frame codec — the one Exec contract must serve alike.
+var memberKinds = map[string]func(*stage.Stage) StageConn{
+	"local": func(s *stage.Stage) StageConn { return &LocalConn{Stg: s} },
+	"wire": func(s *stage.Stage) StageConn {
+		return NewRemoteConn(s.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(s)))
+	},
+}
+
+// TestAggregatorQuiescentRoundTouchesNothing proves the shard fast path
+// through the one Exec contract, for in-process and wire members alike:
+// once every member is quiet, a collect round re-materializes no slot
+// and re-folds no row. The proof is a poison: a member slot is
+// scribbled on between rounds, and a quiescent round must neither
+// repair it (that would be a re-materialization) nor let it leak into
+// the reply (that would be a re-fold). Traffic on one member then
+// rewrites exactly that member's slot and rebuilds the rows.
+func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
+	for name, mkConn := range memberKinds {
+		clk := clock.NewSim(epoch)
+		agg := NewAggregator("agg-quiet", WithAggWorkers(1))
+		stages := make(map[string]*stage.Stage)
+		for _, id := range []string{"s1", "s2"} {
+			stg, _ := localStage(id, "job1", clk)
+			stages[id] = stg
+			agg.AddMember(mkConn(stg))
+		}
+		round := func(grants []rpcio.JobGrant) rpcio.AggRoundReply {
+			t.Helper()
+			var reply rpcio.AggRoundReply
+			if err := agg.Round(&rpcio.AggRoundArgs{Grants: grants, Collect: true}, &reply); err != nil {
+				t.Fatal(err)
+			}
+			return reply
+		}
+		round([]rpcio.JobGrant{{JobID: "job1", Rate: 1000}}) // install + first (full) collect
+		offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
+		round(nil)
+		clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
+		round(nil)
+		settled := round(nil)
+
+		const poison = 12345.5
+		agg.buf[0].Queues[0].DemandRate = poison
+		quiet := round(nil)
+		if got := agg.buf[0].Queues[0].DemandRate; got != poison {
+			t.Errorf("%s: quiescent round re-materialized member 0's slot (DemandRate %v)", name, got)
+		}
+		if len(quiet.Jobs) != 1 || quiet.Jobs[0] != settled.Jobs[0] {
+			t.Errorf("%s: quiescent round re-folded: rows %+v, want %+v", name, quiet.Jobs, settled.Jobs)
+		}
+		for i, c := range agg.changed[:2] {
+			if c {
+				t.Errorf("%s: member %d reported a change in a quiescent round", name, i)
+			}
+		}
+
+		// Traffic on s2 only: its slot is rewritten and the rows rebuild
+		// (reading member 0's still-poisoned slot, which proves s1 was
+		// again left alone).
+		offerTo(clk, stages, map[string]float64{"s2": 70})
+		busy := round(nil)
+		if agg.changed[0] || !agg.changed[1] {
+			t.Errorf("%s: changed = %v, want only member 1", name, agg.changed[:2])
+		}
+		if want := poison + 70; busy.Jobs[0].Demand != want {
+			t.Errorf("%s: rebuilt demand = %v, want %v", name, busy.Jobs[0].Demand, want)
+		}
+	}
+}
+
+// TestAggregatorSlotSurvivesForeignCollector: a member connection may
+// have a second collector — the controller's own CollectAll (the
+// monitor's path) runs over the same connections a WithTopology shard
+// holds. The foreign collect consumes the "changed" signal, so the
+// aggregator's held promise alone would leave its slot stale; the
+// connection must notice that its last fill went elsewhere and rewrite
+// the slot.
+func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
+	for name, mkConn := range memberKinds {
+		clk := clock.NewSim(epoch)
+		stg, _ := localStage("s1", "job1", clk)
+		conn := mkConn(stg)
+		agg := NewAggregator("agg-shared", WithAggWorkers(1))
+		agg.AddMember(conn)
+		var reply rpcio.AggRoundReply
+		collect := func() {
+			t.Helper()
+			reply = rpcio.AggRoundReply{}
+			if err := agg.Round(&rpcio.AggRoundArgs{Collect: true}, &reply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := agg.Round(&rpcio.AggRoundArgs{Grants: []rpcio.JobGrant{{JobID: "job1", Rate: 1000}}}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		collect()
+		collect() // the slot is now held and quiet
+
+		// Traffic, then quiet again — and the foreign collector sees the
+		// new totals first.
+		offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
+		clk.Advance(5 * time.Second)
+		var foreign stage.Stats
+		if _, _, err := conn.Exec(nil, &foreign, false); err != nil {
+			t.Fatal(err)
+		}
+		if foreign.Queues[0].TotalDemand != 100 {
+			t.Fatalf("%s: foreign collect saw TotalDemand %d, want 100", name, foreign.Queues[0].TotalDemand)
+		}
+		collect()
+		if got := agg.buf[0].Queues[0].TotalDemand; got != 100 {
+			t.Errorf("%s: aggregator slot stale after a foreign collect: TotalDemand %d, want 100", name, got)
+		}
+	}
+}

@@ -14,13 +14,10 @@ import (
 )
 
 // The fleet benchmarks measure one feedback-loop round (RunOnce) at
-// increasing stage counts, over the two wire protocols:
-//
-//   - batched (RemoteConn): one Stage.Batch round trip per stage carrying
-//     the collect; steady-state collects are incremental deltas and
-//     unchanged rates skip the push round trip entirely.
-//   - per-call (PerCallConn): the pre-batch protocol — a full-snapshot
-//     Collect RPC plus a SetRate RPC per stage per round.
+// increasing stage counts over the batched protocol (RemoteConn): one
+// Stage.Batch round trip per stage carrying the collect; steady-state
+// collects are incremental deltas and unchanged rates skip the push
+// round trip entirely.
 //
 // Each stage carries a realistic rule set (the managed control queue
 // plus benchRulesPerStage administrator rules), so a full snapshot has
@@ -53,13 +50,8 @@ func benchStage(i int) *stage.Stage {
 // benchController builds the controller the fleet registers with:
 // FixedRates with a reservation per job, so every round allocates the
 // same nonzero rates — the steady state a long-lived fleet sits in.
-func benchController(opts ...Option) *Controller {
-	ctl := New(nil,
-		append([]Option{
-			WithClusterLimit(1_000_000),
-			WithAlgorithm(FixedRates{}),
-		}, opts...)...,
-	)
+func benchController() *Controller {
+	ctl := New(nil, WithClusterLimit(1_000_000), WithAlgorithm(FixedRates{}))
 	for j := 0; j < benchJobs; j++ {
 		ctl.SetReservation(fmt.Sprintf("job%02d", j), float64(1000*(j+1)))
 	}
@@ -67,8 +59,8 @@ func benchController(opts ...Option) *Controller {
 }
 
 // benchFleetTCP serves n stages over real TCP (each on its own loopback
-// listener, as deployed fleets do) and registers them through mkConn.
-func benchFleetTCP(b *testing.B, n int, mkConn func(stage.Info, *rpcio.StageHandle) StageConn, opts ...rpcio.DialOption) *Controller {
+// listener, as deployed fleets do) and registers them.
+func benchFleetTCP(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 	b.Helper()
 	ctl := benchController()
 	for i := 0; i < n; i++ {
@@ -84,7 +76,7 @@ func benchFleetTCP(b *testing.B, n int, mkConn func(stage.Info, *rpcio.StageHand
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { h.Close() })
-		if err := ctl.Register(mkConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(NewRemoteConn(stg.Info(), h)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,9 +88,9 @@ func benchFleetTCP(b *testing.B, n int, mkConn func(stage.Info, *rpcio.StageHand
 // binary wire codec with exact frame-byte accounting — which is what
 // lets a single machine hold a 1024-stage fleet and still report a
 // truthful wireB/round.
-func benchFleetLoopback(b *testing.B, n int, opts ...Option) *Controller {
+func benchFleetLoopback(b *testing.B, n int) *Controller {
 	b.Helper()
-	ctl := benchController(opts...)
+	ctl := benchController()
 	for i := 0; i < n; i++ {
 		stg := benchStage(i)
 		h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
@@ -203,26 +195,15 @@ func runRounds(b *testing.B, ctl *Controller) {
 }
 
 func BenchmarkControllerRunOnce64(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 64, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewRemoteConn(info, h)
-	}))
+	runRounds(b, benchFleetTCP(b, 64))
 }
 
 func BenchmarkControllerRunOnce256(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 256, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewRemoteConn(info, h)
-	}))
+	runRounds(b, benchFleetTCP(b, 256))
 }
 
 func BenchmarkControllerRunOnce1024(b *testing.B) {
 	runRounds(b, benchFleetLoopback(b, 1024))
-}
-
-// ...Pipelined fuses push and collect into one exchange per stage per
-// round (WithPipelinedRounds): the rpcs/round metric should read ~1024
-// against the two-phase loop's collect+push total.
-func BenchmarkControllerRunOnce1024Pipelined(b *testing.B) {
-	runRounds(b, benchFleetLoopback(b, 1024, WithPipelinedRounds()))
 }
 
 // ...Tree1024 runs the same 1024-stage fleet as RunOnce1024 through the
@@ -244,16 +225,4 @@ func BenchmarkControllerRunOnceTree10240(b *testing.B) {
 // deployment shape — instead of 256 sockets.
 func BenchmarkControllerRunOnceMux256(b *testing.B) {
 	runRounds(b, benchFleetMux(b, 256))
-}
-
-func BenchmarkControllerRunOncePerCall64(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 64, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewPerCallConn(info, h)
-	}))
-}
-
-func BenchmarkControllerRunOncePerCall256(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 256, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewPerCallConn(info, h)
-	}))
 }

@@ -1,36 +1,50 @@
 package control
 
 import (
-	"padll/internal/policy"
+	"sync"
+
 	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
 
-// StageConn abstracts the control plane's channel to one data-plane
-// stage. Remote stages use the net/rpc transport (rpcio); the cluster
-// simulator and tests drive in-process stages directly. Either way the
-// control plane's logic is identical — the property that lets the same
-// control algorithms run against live and simulated clusters.
+// StageConn is the control plane's one channel to a data-plane stage.
+// Remote stages speak the batched frame protocol (RemoteConn); the
+// cluster simulator, single-process deployments and tests drive
+// in-process stages directly (LocalConn). Either way the control
+// plane's logic is identical — the property that lets the same control
+// algorithms run against live and simulated clusters.
 type StageConn interface {
 	// Info returns the stage's registration identity.
 	Info() stage.Info
-	// ApplyRule installs or updates a rule/queue.
-	ApplyRule(r policy.Rule) error
-	// RemoveRule deletes a rule, reporting whether it existed.
-	RemoveRule(id string) (bool, error)
-	// SetRate retunes a queue, reporting whether the rule existed.
-	SetRate(id string, rate float64) (bool, error)
-	// Collect snapshots the stage's statistics.
-	Collect() (stage.Stats, error)
-	// SetMode switches Enforce/Passthrough.
-	SetMode(m stage.Mode) error
+	// Exec is one exchange with the stage: ops apply in order (results
+	// has one entry per op; a single operation is a one-op call), then,
+	// when dst is non-nil, the stage's statistics are collected into
+	// caller-owned dst — every field overwritten, capacity reused.
+	//
+	// held is the caller's promise that nobody has written dst since
+	// this connection last filled it. Then, if the statistics have not
+	// changed since that fill, dst is left untouched — it already holds
+	// the current snapshot — and changed reports false. Without the
+	// promise dst is always rewritten and changed is true.
+	Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) (results []rpcio.OpResult, changed bool, err error)
+	// WireStats reports the connection's cumulative traffic (zero for
+	// connections that never serialize).
+	WireStats() rpcio.WireStats
 	// Close releases the connection.
 	Close() error
 }
 
-// LocalConn drives an in-process stage directly.
+// LocalConn drives an in-process stage directly, with no protocol in
+// between.
 type LocalConn struct {
 	Stg *stage.Stage
+
+	// mu guards the collect bookkeeping behind an honest changed: the
+	// buffer last filled and the stage's quiescence token from that
+	// fill (zero when the stage was not at a fixed point).
+	mu     sync.Mutex
+	filled *stage.Stats
+	tok    uint64
 }
 
 var _ StageConn = (*LocalConn)(nil)
@@ -38,109 +52,42 @@ var _ StageConn = (*LocalConn)(nil)
 // Info implements StageConn.
 func (c *LocalConn) Info() stage.Info { return c.Stg.Info() }
 
-// ApplyRule implements StageConn.
-func (c *LocalConn) ApplyRule(r policy.Rule) error {
-	c.Stg.ApplyRule(r)
-	return nil
+// Exec implements StageConn directly on the stage. An unchanged collect
+// is one the stage's quiescence token vouches for (see
+// stage.CollectQuietInto), so it touches no counter.
+func (c *LocalConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	results, err := rpcio.ApplyOps(c.Stg, ops, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	if dst == nil {
+		return results, false, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if held && dst == c.filled && c.tok != 0 && c.Stg.QuietSince(c.tok) {
+		return results, false, nil
+	}
+	c.tok = c.Stg.CollectQuietInto(dst)
+	c.filled = dst
+	return results, true, nil
 }
 
-// RemoveRule implements StageConn.
-func (c *LocalConn) RemoveRule(id string) (bool, error) {
-	return c.Stg.RemoveRule(id), nil
-}
-
-// SetRate implements StageConn.
-func (c *LocalConn) SetRate(id string, rate float64) (bool, error) {
-	return c.Stg.SetRate(id, rate), nil
-}
-
-// Collect implements StageConn.
-func (c *LocalConn) Collect() (stage.Stats, error) {
-	return c.Stg.Collect(), nil
-}
-
-// SetMode implements StageConn.
-func (c *LocalConn) SetMode(m stage.Mode) error {
-	c.Stg.SetMode(m)
-	return nil
-}
+// WireStats implements StageConn: nothing is serialized.
+func (c *LocalConn) WireStats() rpcio.WireStats { return rpcio.WireStats{} }
 
 // Close implements StageConn.
 func (c *LocalConn) Close() error { return nil }
 
-// BatchConn is the optional StageConn extension for peers speaking the
-// batched delta protocol: a round's operations (and optionally a
-// statistics collect) execute in one round trip. The controller type-
-// asserts for it and falls back to per-call RPCs, so wrappers that hide
-// it (fault injectors, legacy adapters) transparently select the
-// per-call path.
-type BatchConn interface {
-	StageConn
-	// ExecBatch executes ops (and an incremental collect when collect
-	// is set) in one round trip; st is the merged full snapshot.
-	ExecBatch(ops []rpcio.StageOp, collect bool) (results []rpcio.OpResult, st stage.Stats, err error)
-}
-
-// BatchIntoConn extends BatchConn with caller-owned collect storage,
-// the shape the pipelined round loop wants: one fused push+collect
-// exchange that materializes into a reusable buffer.
-type BatchIntoConn interface {
-	BatchConn
-	// ExecBatchInto is ExecBatch writing the merged snapshot into dst
-	// (fully overwritten, capacity reused); dst may be nil when collect
-	// is false.
-	ExecBatchInto(ops []rpcio.StageOp, collect bool, dst *stage.Stats) ([]rpcio.OpResult, error)
-}
-
-// WireStatser is the optional StageConn extension for transports that
-// account their traffic; the controller sums it into RoundStats.
-type WireStatser interface {
-	WireStats() rpcio.WireStats
-}
-
-// CollectIntoConn is the optional StageConn extension for peers that can
-// materialize a collect into caller-owned storage. The controller's
-// round loop uses it with per-slot reusable buffers, so a steady-state
-// thousand-stage collect allocates nothing; conns without it fall back
-// to Collect. Like BatchConn, wrappers that embed an implementation and
-// override Collect to inject failures hide it only if they don't embed
-// a CollectIntoConn — which is why LocalConn deliberately omits it:
-// interface promotion would otherwise route the controller around every
-// embedding wrapper's Collect override.
-type CollectIntoConn interface {
-	// CollectInto overwrites dst with the stage's statistics, reusing
-	// dst's backing capacity.
-	CollectInto(dst *stage.Stats) error
-}
-
-// DeltaConn is the optional StageConn extension for peers whose collect
-// can report "nothing changed since your last collect" and skip
-// re-materializing. The caller must keep dst alive between calls: when
-// changed is false, dst is left holding the previous materialization,
-// which is exactly the current snapshot. The aggregator uses it with
-// its persistent per-member stats slots, so a steady-state shard round
-// re-copies no stats and re-folds no rows. Like BatchConn, LocalConn
-// deliberately omits it so fault-injecting wrappers aren't bypassed.
-type DeltaConn interface {
-	CollectChangedInto(dst *stage.Stats) (changed bool, err error)
-}
-
-// RemoteConn drives a stage over the RPC transport, using the batched
-// delta protocol: Collect rides Stage.Batch and after the first
-// exchange only changed queues cross the wire.
+// RemoteConn drives a stage over the frame transport: every exchange is
+// one Stage.Batch round trip, and after the first collect only changed
+// queues cross the wire.
 type RemoteConn struct {
 	info   stage.Info
 	handle *rpcio.StageHandle
 }
 
-var (
-	_ StageConn       = (*RemoteConn)(nil)
-	_ BatchConn       = (*RemoteConn)(nil)
-	_ BatchIntoConn   = (*RemoteConn)(nil)
-	_ WireStatser     = (*RemoteConn)(nil)
-	_ CollectIntoConn = (*RemoteConn)(nil)
-	_ DeltaConn       = (*RemoteConn)(nil)
-)
+var _ StageConn = (*RemoteConn)(nil)
 
 // NewRemoteConn wraps a dialed stage handle with its registered identity.
 func NewRemoteConn(info stage.Info, handle *rpcio.StageHandle) *RemoteConn {
@@ -150,92 +97,13 @@ func NewRemoteConn(info stage.Info, handle *rpcio.StageHandle) *RemoteConn {
 // Info implements StageConn.
 func (c *RemoteConn) Info() stage.Info { return c.info }
 
-// ApplyRule implements StageConn.
-func (c *RemoteConn) ApplyRule(r policy.Rule) error { return c.handle.ApplyRule(r) }
-
-// RemoveRule implements StageConn.
-func (c *RemoteConn) RemoveRule(id string) (bool, error) { return c.handle.RemoveRule(id) }
-
-// SetRate implements StageConn.
-func (c *RemoteConn) SetRate(id string, rate float64) (bool, error) {
-	return c.handle.SetRate(id, rate)
+// Exec implements StageConn.
+func (c *RemoteConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	return c.handle.Exec(ops, dst, held)
 }
 
-// Collect implements StageConn over the incremental protocol.
-func (c *RemoteConn) Collect() (stage.Stats, error) { return c.handle.CollectDelta() }
-
-// CollectInto implements CollectIntoConn over the incremental protocol.
-func (c *RemoteConn) CollectInto(dst *stage.Stats) error {
-	return c.handle.CollectDeltaInto(dst)
-}
-
-// CollectChangedInto implements DeltaConn over the incremental protocol.
-func (c *RemoteConn) CollectChangedInto(dst *stage.Stats) (bool, error) {
-	_, changed, err := c.handle.ExecBatchChangedInto(nil, true, dst)
-	return changed, err
-}
-
-// ExecBatch implements BatchConn.
-func (c *RemoteConn) ExecBatch(ops []rpcio.StageOp, collect bool) ([]rpcio.OpResult, stage.Stats, error) {
-	return c.handle.ExecBatch(ops, collect)
-}
-
-// ExecBatchInto implements BatchIntoConn.
-func (c *RemoteConn) ExecBatchInto(ops []rpcio.StageOp, collect bool, dst *stage.Stats) ([]rpcio.OpResult, error) {
-	return c.handle.ExecBatchInto(ops, collect, dst)
-}
-
-// WireStats implements WireStatser.
+// WireStats implements StageConn.
 func (c *RemoteConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
-
-// SetMode implements StageConn.
-func (c *RemoteConn) SetMode(m stage.Mode) error { return c.handle.SetMode(m) }
 
 // Close implements StageConn.
 func (c *RemoteConn) Close() error { return c.handle.Close() }
-
-// PerCallConn drives a stage with the PR-4-era per-call protocol: one
-// RPC per operation and full-snapshot collects. It exists as the
-// measured baseline for the batched protocol (experiments, benchmarks)
-// and as an escape hatch against stages running an older service.
-type PerCallConn struct {
-	info   stage.Info
-	handle *rpcio.StageHandle
-}
-
-var (
-	_ StageConn   = (*PerCallConn)(nil)
-	_ WireStatser = (*PerCallConn)(nil)
-)
-
-// NewPerCallConn wraps a dialed stage handle with its registered
-// identity, speaking only per-call RPCs.
-func NewPerCallConn(info stage.Info, handle *rpcio.StageHandle) *PerCallConn {
-	return &PerCallConn{info: info, handle: handle}
-}
-
-// Info implements StageConn.
-func (c *PerCallConn) Info() stage.Info { return c.info }
-
-// ApplyRule implements StageConn.
-func (c *PerCallConn) ApplyRule(r policy.Rule) error { return c.handle.ApplyRule(r) }
-
-// RemoveRule implements StageConn.
-func (c *PerCallConn) RemoveRule(id string) (bool, error) { return c.handle.RemoveRule(id) }
-
-// SetRate implements StageConn.
-func (c *PerCallConn) SetRate(id string, rate float64) (bool, error) {
-	return c.handle.SetRate(id, rate)
-}
-
-// Collect implements StageConn with a full-snapshot RPC.
-func (c *PerCallConn) Collect() (stage.Stats, error) { return c.handle.Collect() }
-
-// WireStats implements WireStatser.
-func (c *PerCallConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
-
-// SetMode implements StageConn.
-func (c *PerCallConn) SetMode(m stage.Mode) error { return c.handle.SetMode(m) }
-
-// Close implements StageConn.
-func (c *PerCallConn) Close() error { return c.handle.Close() }

@@ -72,13 +72,6 @@ type Controller struct {
 	adminRules   map[string]map[string]policy.Rule
 	clusterRules map[string]policy.Rule
 
-	// pipelined fuses each round's pushes with its collect
-	// (WithPipelinedRounds); prevProbes carries the latest round's
-	// probes across rounds so the fused push can skip stages already at
-	// target.
-	pipelined  bool
-	prevProbes map[string]stageProbe
-
 	// roundMu serializes collect rounds; it single-owns the scratch
 	// below and is never held while taking mu (the fold inside takes mu
 	// briefly via noteMiss/noteOK, so the order is roundMu then mu).
@@ -188,19 +181,6 @@ func WithEvictAfter(n int) Option {
 	return func(c *Controller) { c.evictAfter = n }
 }
 
-// WithPipelinedRounds fuses each RunOnce's push phase with its collect:
-// the allocation computed at the end of round N rides round N+1's
-// Stage.Batch exchange alongside the incremental collect, so a
-// steady-state round costs one round trip per stage instead of two.
-// The price is one round of staleness (a rate computed this round is
-// enforced next round) and a coarser failure signal (a dead stage
-// accrues one eviction mark per round, not two), which is why the
-// two-phase loop stays the default — the chaos harness depends on its
-// fault interleavings.
-func WithPipelinedRounds() Option {
-	return func(c *Controller) { c.pipelined = true }
-}
-
 // New returns a controller. A nil clk defaults to the wall clock (the
 // loop timestamps its round accounting even when the caller never
 // starts Run).
@@ -273,36 +253,27 @@ func (c *Controller) Register(conn StageConn) error {
 		// new connection is already installed.
 		_ = old.Close()
 	}
+	// The managed control rule plus the whole replay set travel in one
+	// exchange — what keeps a re-registration storm (every stage
+	// reconnecting after a controller restart) from multiplying into
+	// rules×stages round trips.
+	ops := make([]rpcio.StageOp, 0, 1+len(replay))
 	if alg != nil {
 		// Without a recorded allocation, start at a conservative equal
 		// share; the next loop iteration assigns the real rate.
 		if !haveAlloc {
 			rate = c.initialRate()
 		}
-		rule := c.managedRuleFor(key, rate)
-		if bc, ok := conn.(BatchConn); ok {
-			// Control rule plus the whole replay set in one round trip —
-			// what keeps a re-registration storm (every stage reconnecting
-			// after a controller restart) from multiplying into
-			// rules×stages RPCs.
-			ops := make([]rpcio.StageOp, 0, 1+len(replay))
-			ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: rule})
-			for _, r := range replay {
-				ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
-			}
-			if _, _, err := bc.ExecBatch(ops, false); err != nil {
-				return fmt.Errorf("control: install rules on %s: %w", id, err)
-			}
-			return nil
-		}
-		if err := conn.ApplyRule(rule); err != nil {
-			return fmt.Errorf("control: install control rule on %s: %w", id, err)
-		}
+		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: c.managedRuleFor(key, rate)})
 	}
 	for _, r := range replay {
-		if err := conn.ApplyRule(r); err != nil {
-			c.onError(id, fmt.Errorf("control: replay rule %s: %w", r.ID, err))
-		}
+		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	if _, _, err := conn.Exec(ops, nil, false); err != nil {
+		return fmt.Errorf("control: install rules on %s: %w", id, err)
 	}
 	return nil
 }
@@ -521,12 +492,18 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("control: no stages for job %q", jobID)
 	}
-	perStage := r
+	return installSplit(conns, r)
+}
+
+// installSplit installs r on every connection as a one-op batch, its
+// rate split equally among them.
+func installSplit(conns []StageConn, r policy.Rule) error {
 	if r.Rate != policy.Unlimited && len(conns) > 1 {
-		perStage.Rate = r.Rate / float64(len(conns))
+		r.Rate /= float64(len(conns))
 	}
+	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
 	for _, conn := range conns {
-		if err := conn.ApplyRule(perStage); err != nil {
+		if _, _, err := conn.Exec(ops, nil, false); err != nil {
 			return err
 		}
 	}
@@ -567,16 +544,7 @@ func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("control: no registered stages")
 	}
-	perStage := r
-	if r.Rate != policy.Unlimited && len(conns) > 1 {
-		perStage.Rate = r.Rate / float64(len(conns))
-	}
-	for _, conn := range conns {
-		if err := conn.ApplyRule(perStage); err != nil {
-			return err
-		}
-	}
-	return nil
+	return installSplit(conns, r)
 }
 
 // SetReservation records a job's reserved/priority rate used by
@@ -675,7 +643,8 @@ type stageProbe struct {
 // eviction, and skipped: the loop runs on partial snapshots rather than
 // blocking behind a dead peer.
 func (c *Controller) CollectAll() []JobSnapshot {
-	snaps, _ := c.collectRound(nil)
+	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
+	snaps, _ := c.collectRound(conns, reservations, lastAlloc, groupBy, workers, nil)
 	return snaps
 }
 
@@ -715,30 +684,20 @@ func (c *Controller) roundScratch(n int) ([]stage.Stats, []error) {
 	return c.collectBuf[:n], c.collectErr[:n]
 }
 
-// collectConn gathers one stage's statistics into caller-owned dst,
-// using the allocation-free CollectInto extension when the connection
-// offers it.
-func collectConn(conn StageConn, dst *stage.Stats) error {
-	if ci, ok := conn.(CollectIntoConn); ok {
-		return ci.CollectInto(dst)
-	}
-	st, err := conn.Collect()
-	if err == nil {
-		*dst = st
-	}
-	return err
-}
-
-// collectRound is CollectAll plus the per-stage probes RunOnce's push
-// phase wants; rs (when non-nil) accumulates round accounting.
-func (c *Controller) collectRound(rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
-
+// collectRound collects every connection roundSetup returned and folds
+// the results: CollectAll's snapshots plus the per-stage probes
+// RunOnce's push phase wants; rs (when non-nil) accumulates round
+// accounting.
+func (c *Controller) collectRound(conns []StageConn, reservations, lastAlloc map[string]float64,
+	groupBy func(stage.Info) string, workers int, rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	buf, errs := c.roundScratch(len(conns))
 	runBounded(len(conns), workers, func(i int) {
-		errs[i] = collectConn(conns[i], &buf[i])
+		// Positional slots shift whenever the registry changes, so the
+		// flat loop never promises a slot is still its stage's: every
+		// collect rewrites it.
+		_, _, errs[i] = conns[i].Exec(nil, &buf[i], false)
 	})
 	return c.foldCollect(conns, buf, errs, reservations, lastAlloc, groupBy, rs)
 }
@@ -830,8 +789,7 @@ type RoundStats struct {
 	CollectCalls    int
 	CollectFailures int
 	// PushCalls counts push-phase round trips; PushOps the operations
-	// they carried (a reinstall adds an op without a round trip on the
-	// batched path).
+	// they carried.
 	PushCalls int
 	PushOps   int
 	// PushesSkipped counts stages whose collect probe showed the target
@@ -841,7 +799,7 @@ type RoundStats struct {
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
 	// BytesRead/BytesWritten are the controller-side wire traffic this
-	// round across connections that account it (TCP transports).
+	// round (zero across connections that never serialize).
 	BytesRead    uint64
 	BytesWritten uint64
 	// Aggregators is the shard count of a tree-mode round (0 in flat
@@ -864,23 +822,29 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 	return c.lastRound, c.haveRound
 }
 
-// wireSample snapshots the traffic counters of every registered
-// connection that exposes them, so a round's byte cost is the
-// difference of two samples.
-func (c *Controller) wireSample() ([]WireStatser, []rpcio.WireStats) {
-	c.mu.Lock()
-	var ws []WireStatser
-	for _, conn := range c.stages {
-		if w, ok := conn.(WireStatser); ok {
-			ws = append(ws, w)
-		}
+// wireCounter is what the round accounting samples: stage and
+// aggregator connections alike.
+type wireCounter interface {
+	WireStats() rpcio.WireStats
+}
+
+// wireSample snapshots the traffic counters of conns, so a round's byte
+// cost is the difference against a later wireSince over the same set.
+func wireSample[C wireCounter](conns []C) []rpcio.WireStats {
+	before := make([]rpcio.WireStats, len(conns))
+	for i, conn := range conns {
+		before[i] = conn.WireStats()
 	}
-	c.mu.Unlock()
-	before := make([]rpcio.WireStats, len(ws))
-	for i, w := range ws {
-		before[i] = w.WireStats()
+	return before
+}
+
+// wireSince adds the traffic conns moved since before into rs.
+func wireSince[C wireCounter](conns []C, before []rpcio.WireStats, rs *RoundStats) {
+	for i, conn := range conns {
+		after := conn.WireStats()
+		rs.BytesRead += after.BytesRead - before[i].BytesRead
+		rs.BytesWritten += after.BytesWritten - before[i].BytesWritten
 	}
-	return ws, before
 }
 
 // pushPlan is one stage's intent for a round's push phase.
@@ -922,129 +886,106 @@ func (c *Controller) buildPushPlans(alloc map[string]float64) []pushPlan {
 	return plans
 }
 
-// pushOpFor chooses the batched push operation for one stage given its
-// latest probe: skip when the probe already shows the target rate
-// enforced, reinstall when the stage answered collect without the
-// managed queue (restarted), retune otherwise.
-func (c *Controller) pushOpFor(probe stageProbe, jobID string, rate float64) (op rpcio.StageOp, skip bool) {
-	if probe.ok && probe.hasCtl && probe.ctlLimit == rate {
-		return rpcio.StageOp{}, true
+// pushRate brings one stage's managed queue to managed.Rate given the
+// stage's latest collect probe, and reports the round trips it cost:
+// none when the probe already shows the rate enforced (the collect just
+// proved it, so nothing needs to cross the wire); a reinstall of the
+// managed rule when the stage answered collect without the queue
+// (restarted); a retune otherwise — chased by a reinstall when the
+// retune finds the queue gone because a restart raced the probe. Every
+// call is a one-op batch. The flat loop and the aggregator both push
+// through here.
+func pushRate(conn StageConn, probe stageProbe, managed policy.Rule) (calls int, err error) {
+	if probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate {
+		return 0, nil
 	}
+	reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+	op := rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
 	if probe.ok && !probe.hasCtl {
-		return rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: c.managedRuleFor(jobID, rate)}, false
+		op = reinstall
 	}
-	return rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: rate}, false
+	res, _, err := conn.Exec([]rpcio.StageOp{op}, nil, false)
+	if err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
+		_, _, err = conn.Exec([]rpcio.StageOp{reinstall}, nil, false)
+		return 2, err
+	}
+	return 1, err
+}
+
+// roundStart begins a feedback iteration: it applies the limit adapter
+// and returns the algorithm and cluster limit the round runs under.
+func (c *Controller) roundStart() (Algorithm, float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.limitAdapter != nil {
+		c.clusterLimit = c.limitAdapter.AdjustLimit(c.clusterLimit)
+	}
+	return c.algorithm, c.clusterLimit
+}
+
+// roundEnd records a finished iteration's allocation and accounting.
+func (c *Controller) roundEnd(alloc map[string]float64, rs RoundStats) {
+	c.mu.Lock()
+	c.lastAlloc = alloc
+	c.lastRound = rs
+	c.haveRound = true
+	c.mu.Unlock()
 }
 
 // RunOnce executes one feedback-loop iteration: collect, allocate, and
 // push per-stage rates. It returns the per-job allocation for reporting.
 // It is a no-op (returning nil) when no algorithm is installed.
 //
-// Both wire-heavy phases are fleet-scale aware: collects use the
-// incremental delta protocol on connections that support it, and pushes
-// run under a bounded worker pool (WithPushConcurrency), batch their
-// operations per stage, and are skipped outright for stages whose
-// collect probe shows the target rate already enforced. Push outcomes
-// are folded in sorted job/stage order regardless of the concurrency
-// bound, preserving the determinism contract the chaos harness checks.
-// Under WithPipelinedRounds the two phases fuse into one round trip per
-// stage; see runOncePipelined.
+// Both wire-heavy phases are fleet-scale aware: collects are incremental
+// (one exchange per stage, only changed queues on the wire), and pushes
+// run under a bounded worker pool (WithPushConcurrency) and are skipped
+// outright for stages whose collect probe shows the target rate already
+// enforced — in-process stages included, so a steady round leaves a
+// stage's rule snapshot (and its classification cache) untouched. Push
+// outcomes are folded in sorted job/stage order regardless of the
+// concurrency bound, preserving the determinism contract the chaos
+// harness checks.
 func (c *Controller) RunOnce() map[string]float64 {
 	if c.treeEnabled() {
 		return c.runOnceTree()
 	}
-	c.mu.Lock()
-	pipelined := c.pipelined
-	c.mu.Unlock()
-	if pipelined {
-		return c.runOncePipelined()
-	}
-
-	c.mu.Lock()
-	alg := c.algorithm
-	if c.limitAdapter != nil {
-		c.clusterLimit = c.limitAdapter.AdjustLimit(c.clusterLimit)
-	}
-	limit := c.clusterLimit
-	pushWorkers := c.pushWorkers
-	stages := len(c.stages)
-	c.mu.Unlock()
+	alg, limit := c.roundStart()
 	if alg == nil {
 		return nil
 	}
 
 	start := c.clk.Now()
-	rs := RoundStats{Stages: stages}
-	wireConns, wireBefore := c.wireSample()
+	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
+	rs := RoundStats{Stages: len(conns)}
+	wireBefore := wireSample(conns)
 
-	snaps, probes := c.collectRound(&rs)
+	snaps, probes := c.collectRound(conns, reservations, lastAlloc, groupBy, workers, &rs)
 	// Sweep before allocating: stages past the eviction threshold leave
 	// the registry now, so the per-stage split below divides a job's
 	// grant among its live stages only instead of letting a dead one
 	// hold its share.
 	c.EvictDead()
 	jobs := make([]JobState, 0, len(snaps))
-	for _, s := range snaps {
-		jobs = append(jobs, JobState{
-			JobID:       s.JobID,
-			Demand:      s.Demand,
-			Reservation: s.Reservation,
-			Stages:      s.Stages,
-		})
+	for i := range snaps {
+		jobs = append(jobs, snaps[i].state())
 	}
 	alloc := alg.Allocate(limit, jobs)
 
 	c.mu.Lock()
 	c.lastAlloc = alloc
+	pushWorkers := c.pushWorkers
 	c.mu.Unlock()
 	plans := c.buildPushPlans(alloc)
 
 	type pushOutcome struct {
-		err     error
-		calls   int
-		ops     int
-		skipped bool
+		calls int
+		err   error
 	}
 	outcomes := make([]pushOutcome, len(plans))
 	runBounded(len(plans), pushWorkers, func(i int) {
 		p := plans[i]
-		bc, batched := p.conn.(BatchConn)
-		if !batched {
-			// Per-call path: exactly the pre-batch protocol, including a
-			// push every round (its own liveness signal for conns without
-			// probes).
-			found, err := p.conn.SetRate(ControlRuleID, p.rate)
-			out := pushOutcome{err: err, calls: 1, ops: 1}
-			if err == nil && !found {
-				// The stage lost its managed queue (e.g. restarted):
-				// reinstall it.
-				out.err = p.conn.ApplyRule(c.managedRuleFor(p.jobID, p.rate))
-				out.calls++
-				out.ops++
-			}
-			outcomes[i] = out
-			return
-		}
-		op, skip := c.pushOpFor(probes[p.stageID], p.jobID, p.rate)
-		if skip {
-			// The collect half of this round's batch already proved the
-			// stage enforces exactly this rate: nothing needs to cross
-			// the wire.
-			outcomes[i] = pushOutcome{skipped: true}
-			return
-		}
-		res, _, err := bc.ExecBatch([]rpcio.StageOp{op}, false)
-		out := pushOutcome{err: err, calls: 1, ops: 1}
-		if err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-			// Lost a race with a stage restart between collect and push:
-			// reinstall.
-			reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: c.managedRuleFor(p.jobID, p.rate)}
-			_, _, err = bc.ExecBatch([]rpcio.StageOp{reinstall}, false)
-			out.err = err
-			out.calls++
-			out.ops++
-		}
-		outcomes[i] = out
+		o := &outcomes[i]
+		o.calls, o.err = pushRate(p.conn, probes[p.stageID], c.managedRuleFor(p.jobID, p.rate))
 	})
 
 	// Fold outcomes in plan (sorted) order: error reporting and eviction
@@ -1052,10 +993,9 @@ func (c *Controller) RunOnce() map[string]float64 {
 	for i, p := range plans {
 		o := outcomes[i]
 		rs.PushCalls += o.calls
-		rs.PushOps += o.ops
-		if o.skipped {
+		rs.PushOps += o.calls // every push round trip is a one-op batch
+		if o.calls == 0 {
 			rs.PushesSkipped++
-			continue
 		}
 		if o.err != nil {
 			c.onError(p.stageID, o.err)
@@ -1064,174 +1004,14 @@ func (c *Controller) RunOnce() map[string]float64 {
 	}
 
 	rs.Duration = c.clk.Now().Sub(start)
-	for i, w := range wireConns {
-		after := w.WireStats()
-		rs.BytesRead += after.BytesRead - wireBefore[i].BytesRead
-		rs.BytesWritten += after.BytesWritten - wireBefore[i].BytesWritten
-	}
-	c.mu.Lock()
-	c.lastRound = rs
-	c.haveRound = true
-	c.mu.Unlock()
+	wireSince(conns, wireBefore, &rs)
+	c.roundEnd(alloc, rs)
 	return alloc
 }
 
-// execBatchCollect runs a fused push+collect exchange, materializing
-// the snapshot into caller-owned dst when the connection supports it.
-func execBatchCollect(bc BatchConn, ops []rpcio.StageOp, dst *stage.Stats) ([]rpcio.OpResult, error) {
-	if bi, ok := bc.(BatchIntoConn); ok {
-		return bi.ExecBatchInto(ops, true, dst)
-	}
-	res, st, err := bc.ExecBatch(ops, true)
-	if err == nil {
-		*dst = st
-	}
-	return res, err
-}
-
-// runOncePipelined is RunOnce with the push and collect phases fused:
-// the allocation computed at the end of the previous round rides this
-// round's Stage.Batch exchange alongside the incremental collect, so a
-// steady-state round costs one round trip per stage instead of two.
-//
-// Accounting in fused mode: the fused exchange counts as a collect
-// call; PushOps counts the operations it carried; PushCalls counts only
-// the extra round trips (reinstall retries, per-call fallbacks);
-// PushesSkipped keeps its meaning. A stage whose fused exchange fails
-// accrues one eviction mark for the round (the two-phase loop charges
-// two: one per phase).
-func (c *Controller) runOncePipelined() map[string]float64 {
-	c.mu.Lock()
-	alg := c.algorithm
-	if c.limitAdapter != nil {
-		c.clusterLimit = c.limitAdapter.AdjustLimit(c.clusterLimit)
-	}
-	limit := c.clusterLimit
-	stages := len(c.stages)
-	prevAlloc := make(map[string]float64, len(c.lastAlloc))
-	for k, v := range c.lastAlloc {
-		prevAlloc[k] = v
-	}
-	prevProbes := c.prevProbes
-	c.mu.Unlock()
-	if alg == nil {
-		return nil
-	}
-
-	start := c.clk.Now()
-	rs := RoundStats{Stages: stages}
-	wireConns, wireBefore := c.wireSample()
-
-	// This round enacts the allocation the previous round computed; the
-	// first round has none and is collect-only.
-	plans := c.buildPushPlans(prevAlloc)
-	planBy := make(map[string]pushPlan, len(plans))
-	for _, p := range plans {
-		planBy[p.stageID] = p
-	}
-
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
-
-	type fusedOutcome struct {
-		pushErr error
-		calls   int // extra round trips beyond the fused exchange
-		ops     int
-		skipped bool
-	}
-	outcomes := make([]fusedOutcome, len(conns))
-	c.roundMu.Lock()
-	buf, errs := c.roundScratch(len(conns))
-	runBounded(len(conns), workers, func(i int) {
-		conn := conns[i]
-		id := conn.Info().StageID
-		p, hasPlan := planBy[id]
-		out := &outcomes[i]
-		bc, batched := conn.(BatchConn)
-		if !batched {
-			// Per-call peers can't fuse: push then collect, two round
-			// trips in one loop slot.
-			if hasPlan {
-				found, err := conn.SetRate(ControlRuleID, p.rate)
-				out.calls, out.ops = 1, 1
-				if err == nil && !found {
-					err = conn.ApplyRule(c.managedRuleFor(p.jobID, p.rate))
-					out.calls++
-					out.ops++
-				}
-				out.pushErr = err
-			}
-			errs[i] = collectConn(conn, &buf[i])
-			return
-		}
-		var ops []rpcio.StageOp
-		var op rpcio.StageOp
-		if hasPlan {
-			var skip bool
-			op, skip = c.pushOpFor(prevProbes[id], p.jobID, p.rate)
-			if skip {
-				out.skipped = true
-			} else {
-				ops = append(ops, op)
-				out.ops++
-			}
-		}
-		res, err := execBatchCollect(bc, ops, &buf[i])
-		errs[i] = err
-		if err == nil && len(ops) == 1 && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-			// Lost a race with a stage restart since the probe was
-			// taken: reinstall in an extra round trip.
-			reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: c.managedRuleFor(p.jobID, p.rate)}
-			_, _, rerr := bc.ExecBatch([]rpcio.StageOp{reinstall}, false)
-			out.pushErr = rerr
-			out.calls++
-			out.ops++
-		}
-	})
-	snaps, probes := c.foldCollect(conns, buf, errs, reservations, lastAlloc, groupBy, &rs)
-	c.roundMu.Unlock()
-
-	// Fold fused outcomes in sorted (conns) order, mirroring the
-	// two-phase loop's determinism contract.
-	for i, conn := range conns {
-		o := outcomes[i]
-		rs.PushCalls += o.calls
-		rs.PushOps += o.ops
-		if o.skipped {
-			rs.PushesSkipped++
-			continue
-		}
-		if o.pushErr != nil {
-			id := conn.Info().StageID
-			c.onError(id, o.pushErr)
-			c.noteMiss(id)
-		}
-	}
-
-	c.EvictDead()
-	jobs := make([]JobState, 0, len(snaps))
-	for _, s := range snaps {
-		jobs = append(jobs, JobState{
-			JobID:       s.JobID,
-			Demand:      s.Demand,
-			Reservation: s.Reservation,
-			Stages:      s.Stages,
-		})
-	}
-	alloc := alg.Allocate(limit, jobs)
-
-	rs.Duration = c.clk.Now().Sub(start)
-	for i, w := range wireConns {
-		after := w.WireStats()
-		rs.BytesRead += after.BytesRead - wireBefore[i].BytesRead
-		rs.BytesWritten += after.BytesWritten - wireBefore[i].BytesWritten
-	}
-	c.mu.Lock()
-	c.lastAlloc = alloc
-	c.prevProbes = probes
-	c.lastRound = rs
-	c.haveRound = true
-	c.mu.Unlock()
-	return alloc
+// state projects a collected snapshot onto the algorithm's input.
+func (s *JobSnapshot) state() JobState {
+	return JobState{JobID: s.JobID, Demand: s.Demand, Reservation: s.Reservation, Stages: s.Stages}
 }
 
 // Run executes the feedback loop every interval until Stop is called.

@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,11 +251,15 @@ func TestCollectAllAggregatesPerJob(t *testing.T) {
 	}
 }
 
-// failingConn simulates a dead stage.
+// failingConn simulates a dead stage: it accepts pushes (so it can
+// register) but never answers a collect.
 type failingConn struct{ LocalConn }
 
-func (f *failingConn) Collect() (stage.Stats, error) {
-	return stage.Stats{}, errors.New("stage unreachable")
+func (f *failingConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	if dst != nil {
+		return nil, false, errors.New("stage unreachable")
+	}
+	return f.LocalConn.Exec(ops, nil, held)
 }
 
 func TestCollectSkipsDeadStages(t *testing.T) {
@@ -504,5 +509,112 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 	snaps := c.CollectAll()
 	if len(snaps) != 2 || snaps[0].JobID != "alice" || snaps[0].Stages != 2 {
 		t.Errorf("snapshots = %+v", snaps)
+	}
+}
+
+// TestSteadyRoundLeavesLocalStageUntouched: probe-and-skip covers
+// in-process stages too. At a fixed allocation, rounds after the first
+// push nothing, so the stage's rule snapshot — and with it the
+// classification cache and the quiescence proof — survives the control
+// interval instead of being republished by a same-rate SetRate.
+func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
+	c.SetReservation("jobA", 3000)
+	stg, conn := localStage("s1", "jobA", clk)
+	if err := c.Register(conn); err != nil {
+		t.Fatal(err)
+	}
+	c.RunOnce() // retunes the registration-time equal share to the reservation
+	if got := ruleRate(stg, ControlRuleID); got != 3000 {
+		t.Fatalf("rate after first round = %v, want 3000", got)
+	}
+	var st stage.Stats
+	token := stg.CollectQuietInto(&st)
+	if token == 0 {
+		t.Fatal("idle stage produced no quiescence token")
+	}
+	for round := 2; round <= 3; round++ {
+		c.RunOnce()
+		rs, _ := c.LastRound()
+		if rs.PushesSkipped != 1 || rs.PushCalls != 0 {
+			t.Errorf("round %d: PushesSkipped=%d PushCalls=%d, want 1/0", round, rs.PushesSkipped, rs.PushCalls)
+		}
+		if !stg.QuietSince(token) {
+			t.Errorf("round %d republished the stage's rule snapshot", round)
+		}
+	}
+}
+
+// TestRegistrarOverFrames drives the registration endpoint end to end
+// over the frame codec: a registration makes the controller dial back
+// and install the managed rule plus the replayed administrator rules in
+// one batch; the liveness probe answers; deregistration removes the
+// stage; and a registration the controller cannot honour surfaces its
+// error text at the stage.
+func TestRegistrarOverFrames(t *testing.T) {
+	clk := clock.NewReal()
+	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
+	srv, err := ctl.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	info := stage.Info{StageID: "reg-s1", JobID: "reg-job", Hostname: "h", PID: 1, User: "u"}
+	serve := func() (*stage.Stage, *rpcio.StageService, string, func()) {
+		stg := stage.New(info, clk)
+		svc := rpcio.NewStageService(stg)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stg, svc, l.Addr().String(), rpcio.ServeService(l, svc)
+	}
+
+	_, _, addr, stop := serve()
+	if err := rpcio.RegisterWithController(srv.Addr(), info, addr); err != nil {
+		t.Fatal(err)
+	}
+	// Record administrator intent, then restart the stage: the fresh
+	// registration must replay it together with the managed rule.
+	if err := ctl.ApplyRuleToJob("reg-job", policy.Rule{ID: "open-cap", Rate: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.ApplyRuleCluster(policy.Rule{ID: "floor", Rate: 9000}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	fresh, svc, addr, stop := serve()
+	defer stop()
+	if err := rpcio.RegisterWithController(srv.Addr(), info, addr); err != nil {
+		t.Fatal(err)
+	}
+	// The register exchange returns only after the dial-back installed
+	// the rules, so there is nothing to wait for.
+	for id, want := range map[string]float64{ControlRuleID: 5000, "open-cap": 1000, "floor": 9000} {
+		if got := ruleRate(fresh, id); got != want {
+			t.Errorf("rule %s at %v after re-registration, want %v", id, got, want)
+		}
+	}
+	if served := svc.Served(); served.Calls != 1 || served.BatchedOps != 3 {
+		t.Errorf("registration cost %d calls / %d ops, want one batch of 3", served.Calls, served.BatchedOps)
+	}
+
+	if err := rpcio.ProbeController(srv.Addr(), time.Second); err != nil {
+		t.Errorf("probe of serving controller: %v", err)
+	}
+	if err := rpcio.DeregisterFromController(srv.Addr(), info.StageID); err != nil {
+		t.Fatal(err)
+	}
+	if stages := ctl.Stages(); len(stages) != 0 {
+		t.Errorf("stages after deregistration = %v", stages)
+	}
+
+	// Nothing listens at the announced address: the dial-back fails, and
+	// the stage must learn why.
+	err = rpcio.RegisterWithController(srv.Addr(), info, "127.0.0.1:1")
+	if err == nil || !strings.Contains(err.Error(), "dial stage 127.0.0.1:1") {
+		t.Errorf("registration with a dead address = %v, want the controller's dial error", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"padll/internal/clock"
 	"padll/internal/policy"
+	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
 
@@ -152,21 +153,21 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 	}
 }
 
-// flakyConn fails Collect on demand.
+// flakyConn fails collects on demand.
 type flakyConn struct {
 	LocalConn
 	mu   sync.Mutex
 	fail bool
 }
 
-func (f *flakyConn) Collect() (stage.Stats, error) {
+func (f *flakyConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
 	f.mu.Lock()
 	fail := f.fail
 	f.mu.Unlock()
-	if fail {
-		return stage.Stats{}, errors.New("injected collect failure")
+	if fail && dst != nil {
+		return nil, false, errors.New("injected collect failure")
 	}
-	return f.LocalConn.Collect()
+	return f.LocalConn.Exec(ops, dst, held)
 }
 
 func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
@@ -261,8 +262,8 @@ func TestReRegistrationReplaysLastKnownRules(t *testing.T) {
 }
 
 func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
-	// A stage that accepts Collect but fails SetRate must not abort the
-	// round for the others. It also must NOT be evicted: it still
+	// A stage that answers collects but fails rate pushes must not abort
+	// the round for the others. It also must NOT be evicted: it still
 	// answers Collect, so it is alive — each successful collect clears
 	// the miss its failed push recorded.
 	clk := clock.NewSim(epoch)
@@ -279,10 +280,13 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 	live, liveConn := localStage("s1", "jobA", clk)
 	pushDeadStg, _ := localStage("s2", "jobB", clk)
 	pushDead := &setRateFailingConn{LocalConn{Stg: pushDeadStg}}
-	if err := c.Register(liveConn); err != nil {
+	// pushDead registers while it is the only job, so its managed queue
+	// starts at the whole limit: every later round finds it off its
+	// 4000 share and must retune it — the push that fails.
+	if err := c.Register(pushDead); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(pushDead); err != nil {
+	if err := c.Register(liveConn); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -301,9 +305,14 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 	}
 }
 
-// setRateFailingConn collects fine but refuses rate pushes.
+// setRateFailingConn collects fine but refuses rate retunes.
 type setRateFailingConn struct{ LocalConn }
 
-func (f *setRateFailingConn) SetRate(string, float64) (bool, error) {
-	return false, errors.New("injected push failure")
+func (f *setRateFailingConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	for _, op := range ops {
+		if op.Kind == rpcio.OpSetRate {
+			return nil, false, errors.New("injected push failure")
+		}
+	}
+	return f.LocalConn.Exec(ops, dst, held)
 }

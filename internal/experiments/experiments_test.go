@@ -526,33 +526,31 @@ func TestFleetScaleProtocolWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	// Small points only: the full sweep is padll-experiments territory.
-	perCall, err := fleetPoint(16, false, false)
+	// Small point only: the full sweep is padll-experiments territory.
+	row, err := fleetPoint(16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := fleetPoint(16, true, false)
+	// Steady state: one Batch per stage, and every unchanged-rate push
+	// skipped outright.
+	if row.RPCs != 16 || row.PushesSkipped != 16 {
+		t.Errorf("steady round = %d rpcs / %d skipped pushes, want 16 / 16", row.RPCs, row.PushesSkipped)
+	}
+	// Incremental collects: a steady round moves a small fraction of
+	// what the full-snapshot first round did.
+	if row.WireBytes == 0 || row.WireBytes*4 > row.FirstRoundBytes {
+		t.Errorf("steady round moved %d B vs %d B for the full-snapshot round, want < 1/4", row.WireBytes, row.FirstRoundBytes)
+	}
+	ops, calls, err := fleetManagementRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Steady state: per-call pays collect+setrate per stage, batched pays
-	// one Batch per stage and skips unchanged-rate pushes.
-	if perCall.RPCs != 32 || batched.RPCs != 16 {
-		t.Errorf("rpcs/round = %d per-call / %d batched, want 32 / 16", perCall.RPCs, batched.RPCs)
+	if ops != 6 || calls != 1 {
+		t.Errorf("management round = %d ops in %d RPCs, want 6 in 1", ops, calls)
 	}
-	if batched.WireBytes >= perCall.WireBytes {
-		t.Errorf("batched wire bytes %d not below per-call %d", batched.WireBytes, perCall.WireBytes)
-	}
-	pc, bc, err := fleetManagementRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc != 6 || bc != 1 {
-		t.Errorf("management round = %d per-call / %d batched RPCs, want 6 / 1", pc, bc)
-	}
-	r := FleetResult{Rows: []FleetRow{perCall, batched}, PerCallMgmtRPCs: pc, BatchedMgmtRPCs: bc}
+	r := FleetResult{Rows: []FleetRow{row}, MgmtOps: ops, MgmtRPCs: calls}
 	out := r.Render()
-	if !strings.Contains(out, "fleet-scale wire protocol") || !strings.Contains(out, "6x fewer round trips") {
+	if !strings.Contains(out, "fleet-scale wire protocol") || !strings.Contains(out, "6 operations in 1 RPC") {
 		t.Errorf("render missing sections:\n%s", out)
 	}
 }

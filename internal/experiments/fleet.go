@@ -17,35 +17,34 @@ import (
 // E13 — fleet-scale wire protocol. The batched delta protocol folds a
 // round's collect and rate pushes into one Stage.Batch round trip per
 // stage and returns incremental per-queue deltas; this experiment
-// measures what that buys at increasing fleet sizes against the
-// pre-batch per-call protocol (one full-snapshot Collect RPC plus a
-// SetRate RPC per stage per round).
+// measures what a steady-state round costs at increasing fleet sizes.
 
-// FleetRow is one measured point of the protocol sweep.
+// FleetRow is one measured point of the fleet sweep.
 type FleetRow struct {
-	// Protocol is "batched" (RemoteConn) or "per-call" (PerCallConn).
-	Protocol string
-	// Transport is "tcp" or "loopback".
+	// Transport is "tcp" or "loopback" (the frame codec in process).
 	Transport string
 	// Stages is the registered fleet size.
 	Stages int
 	// RoundLatency is the mean wall time of one steady-state RunOnce.
 	RoundLatency time.Duration
-	// RPCs and WireBytes are per-round totals from the controller's
-	// round accounting (WireBytes is zero over the loopback transport,
-	// which has no socket).
-	RPCs      int
-	WireBytes uint64
+	// RPCs, PushesSkipped and WireBytes are per-round totals from the
+	// controller's accounting of the last steady-state round;
+	// FirstRoundBytes is what the warm-up round (full snapshots plus the
+	// initial rate pushes) moved.
+	RPCs            int
+	PushesSkipped   int
+	WireBytes       uint64
+	FirstRoundBytes uint64
 }
 
 // FleetResult is the full E13 output.
 type FleetResult struct {
 	Rows []FleetRow
-	// Management-round comparison on one stage: the RPC count for a
-	// controller round that collects stats, retunes the control rate,
-	// and installs fleetMgmtRules policy rules.
-	PerCallMgmtRPCs int
-	BatchedMgmtRPCs int
+	// Management round on one stage — collect stats, retune a rate, and
+	// install fleetMgmtRules policy rules: the operations it carried and
+	// the round trips the stage service counted for them.
+	MgmtOps  int
+	MgmtRPCs int
 }
 
 const (
@@ -74,7 +73,7 @@ func fleetStage(i int, clk clock.Clock) *stage.Stage {
 }
 
 // fleetPoint registers n stages and times steady-state control rounds.
-func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
+func fleetPoint(n int, loopback bool) (FleetRow, error) {
 	clk := clock.NewReal()
 	ctl := control.New(clk,
 		control.WithClusterLimit(1_000_000),
@@ -94,7 +93,7 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 		stg := fleetStage(i, clk)
 		var h *rpcio.StageHandle
 		if loopback {
-			h = rpcio.LoopbackStage(rpcio.NewStageService(stg))
+			h = rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
 		} else {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -108,106 +107,68 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 			}
 			cleanups = append(cleanups, func() { _ = h.Close(); stop() })
 		}
-		var conn control.StageConn
-		if batched {
-			conn = control.NewRemoteConn(stg.Info(), h)
-		} else {
-			conn = control.NewPerCallConn(stg.Info(), h)
-		}
-		if err := ctl.Register(conn); err != nil {
+		if err := ctl.Register(control.NewRemoteConn(stg.Info(), h)); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)
 	}
 
+	row := FleetRow{
+		Transport: map[bool]string{true: "loopback", false: "tcp"}[loopback],
+		Stages:    n,
+	}
 	// First round pays the one-time full snapshots and initial pushes;
 	// the measured rounds are the steady state a long-lived fleet is in.
 	ctl.RunOnce()
+	if rs, ok := ctl.LastRound(); ok {
+		row.FirstRoundBytes = rs.BytesRead + rs.BytesWritten
+	}
 	start := clk.Now()
 	for i := 0; i < fleetIters; i++ {
 		ctl.RunOnce()
 	}
-	mean := clk.Now().Sub(start) / fleetIters
-
-	row := FleetRow{
-		Protocol:     map[bool]string{true: "batched", false: "per-call"}[batched],
-		Transport:    map[bool]string{true: "loopback", false: "tcp"}[loopback],
-		Stages:       n,
-		RoundLatency: mean,
-	}
+	row.RoundLatency = clk.Now().Sub(start) / fleetIters
 	if rs, ok := ctl.LastRound(); ok {
 		row.RPCs = rs.RPCs()
+		row.PushesSkipped = rs.PushesSkipped
 		row.WireBytes = rs.BytesRead + rs.BytesWritten
 	}
 	return row, nil
 }
 
-// fleetManagementRound counts the RPC round trips one stage costs for a
-// management round — collect stats, retune the control rate, install
-// fleetMgmtRules rules — under each protocol. The counts come from the
-// stage service itself, not from protocol arithmetic.
-func fleetManagementRound() (perCall, batchedCalls int, err error) {
-	mgmtRules := func() []policy.Rule {
-		rules := make([]policy.Rule, fleetMgmtRules)
-		for i := range rules {
-			rules[i] = policy.Rule{ID: fmt.Sprintf("mgmt-%d", i), Rate: float64(1000 * (i + 1))}
-		}
-		return rules
+// fleetManagementRound runs one management round against one stage —
+// collect stats, retune a rate, install fleetMgmtRules rules — and
+// reports the operations it carried and the round trips the stage
+// service itself counted for them.
+func fleetManagementRound() (ops, calls int, err error) {
+	svc := rpcio.NewStageService(fleetStage(0, clock.NewReal()))
+	batch := []rpcio.StageOp{{Kind: rpcio.OpSetRate, ID: "admin-00", Rate: 2000}}
+	for i := 0; i < fleetMgmtRules; i++ {
+		batch = append(batch, rpcio.StageOp{Kind: rpcio.OpApplyRule,
+			Rule: policy.Rule{ID: fmt.Sprintf("mgmt-%d", i), Rate: float64(1000 * (i + 1))}})
 	}
-
-	clk := clock.NewReal()
-
-	// Per-call protocol: one RPC per operation.
-	svc := rpcio.NewStageService(fleetStage(0, clk))
-	h := rpcio.LoopbackStage(svc)
-	if _, err = h.Collect(); err != nil {
+	var st stage.Stats
+	if _, _, err = rpcio.EncodedLoopbackStage(svc).Exec(batch, &st, false); err != nil {
 		return 0, 0, err
 	}
-	if _, err = h.SetRate("admin-00", 2000); err != nil {
-		return 0, 0, err
-	}
-	for _, r := range mgmtRules() {
-		if err = h.ApplyRule(r); err != nil {
-			return 0, 0, err
-		}
-	}
-	perCall = int(svc.Served().Calls)
-
-	// Batched protocol: the same round as one Stage.Batch RPC.
-	svc2 := rpcio.NewStageService(fleetStage(1, clk))
-	h2 := rpcio.LoopbackStage(svc2)
-	ops := []rpcio.StageOp{{Kind: rpcio.OpSetRate, ID: "admin-00", Rate: 2000}}
-	for _, r := range mgmtRules() {
-		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
-	}
-	if _, _, err = h2.ExecBatch(ops, true); err != nil {
-		return 0, 0, err
-	}
-	return perCall, int(svc2.Served().Calls), nil
+	return len(batch) + 1, int(svc.Served().Calls), nil // +1: the collect
 }
 
-// FleetScale runs the E13 sweep: both protocols over TCP at 16/64/256
-// stages, plus a 1024-stage batched point over the in-process loopback
-// transport (a single machine cannot hold 1024 live TCP stage services
-// comfortably, and loopback runs the identical protocol).
+// FleetScale runs the E13 sweep: TCP fleets of 16/64/256 stages, plus a
+// 1024-stage point over the in-process encoded loopback (a single
+// machine cannot hold 1024 live TCP stage services comfortably, and the
+// loopback runs the identical codec).
 func FleetScale() (FleetResult, error) {
 	var res FleetResult
-	for _, n := range []int{16, 64, 256} {
-		for _, batched := range []bool{false, true} {
-			row, err := fleetPoint(n, batched, false)
-			if err != nil {
-				return FleetResult{}, err
-			}
-			res.Rows = append(res.Rows, row)
+	for _, n := range []int{16, 64, 256, 1024} {
+		row, err := fleetPoint(n, n == 1024)
+		if err != nil {
+			return FleetResult{}, err
 		}
+		res.Rows = append(res.Rows, row)
 	}
-	row, err := fleetPoint(1024, true, true)
-	if err != nil {
-		return FleetResult{}, err
-	}
-	res.Rows = append(res.Rows, row)
-
-	res.PerCallMgmtRPCs, res.BatchedMgmtRPCs, err = fleetManagementRound()
+	var err error
+	res.MgmtOps, res.MgmtRPCs, err = fleetManagementRound()
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -217,22 +178,17 @@ func FleetScale() (FleetResult, error) {
 // Render formats the E13 tables.
 func (r FleetResult) Render() string {
 	var b strings.Builder
-	b.WriteString("E13 — fleet-scale wire protocol: batched deltas vs per-call RPCs\n")
-	fmt.Fprintf(&b, "  %-9s %-9s %7s %14s %11s %13s\n",
-		"protocol", "transport", "stages", "round latency", "rpcs/round", "wire B/round")
+	b.WriteString("E13 — fleet-scale wire protocol: one batched delta exchange per stage per round\n")
+	fmt.Fprintf(&b, "  %-9s %7s %14s %11s %9s %13s %14s\n",
+		"transport", "stages", "round latency", "rpcs/round", "skipped", "wire B/round", "first round B")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %-9s %7d %14v %11d %13d\n",
-			row.Protocol, row.Transport, row.Stages,
-			row.RoundLatency.Round(time.Microsecond), row.RPCs, row.WireBytes)
+		fmt.Fprintf(&b, "  %-9s %7d %14v %11d %9d %13d %14d\n",
+			row.Transport, row.Stages, row.RoundLatency.Round(time.Microsecond),
+			row.RPCs, row.PushesSkipped, row.WireBytes, row.FirstRoundBytes)
 	}
 	fmt.Fprintf(&b, "  management round (collect + set-rate + %d rule installs) on one stage:\n", fleetMgmtRules)
-	ratio := "n/a"
-	if r.BatchedMgmtRPCs > 0 {
-		ratio = fmt.Sprintf("%.0fx fewer round trips", float64(r.PerCallMgmtRPCs)/float64(r.BatchedMgmtRPCs))
-	}
-	fmt.Fprintf(&b, "    per-call: %d RPCs   batched: %d RPC   (%s)\n",
-		r.PerCallMgmtRPCs, r.BatchedMgmtRPCs, ratio)
-	b.WriteString("  (steady-state batched rounds skip unchanged-rate pushes entirely and\n")
-	b.WriteString("   collect incremental deltas, so wire bytes stay flat as rules grow)\n")
+	fmt.Fprintf(&b, "    %d operations in %d RPC\n", r.MgmtOps, r.MgmtRPCs)
+	b.WriteString("  (steady-state rounds skip unchanged-rate pushes entirely and collect\n")
+	b.WriteString("   incremental deltas, so wire bytes stay flat as rules grow)\n")
 	return b.String()
 }

@@ -20,10 +20,10 @@
 //     they statically call, must not allocate (no composite literals,
 //     append, map writes, capturing closures, boxing conversions, defer,
 //     or fmt) unless the callee is annotated //lint:coldpath <reason>.
-//   - wirecheck: gob wire types stay gob-safe (no unexported fields, no
-//     maps with interface values) and reused decode targets are zeroed
-//     before every Decode — gob's zero-field elision leaves stale state
-//     behind otherwise.
+//   - wirecheck: control-protocol wire structs carry only exported,
+//     concretely typed fields (no unexported fields, no interface
+//     values, channels or funcs) — the frame codec cannot move anything
+//     else.
 //   - leakcheck: every go statement in non-test code is tied to a
 //     visible shutdown path (sync.WaitGroup, stop channel, or context).
 //

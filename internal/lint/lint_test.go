@@ -3,6 +3,10 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,6 +23,33 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	if res.Packages < 20 {
 		t.Errorf("analyzed %d packages, expected the full module (>= 20); pattern expansion regressed", res.Packages)
+	}
+}
+
+// TestNoReflectionWireImports guards the one-wire rule: the frame codec
+// is the module's only serialization, so no Go file anywhere — tests and
+// lint fixtures included — may import net/rpc or encoding/gob again.
+func TestNoReflectionWireImports(t *testing.T) {
+	// Spelled in halves so this file passes its own scan (and a plain
+	// grep for the quoted import paths prints nothing).
+	banned := map[string]bool{"net/" + "rpc": true, "encoding/" + "gob": true}
+	err := filepath.WalkDir(repoRoot(t), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if banned[strings.Trim(imp.Path.Value, `"`)] {
+				t.Errorf("%s imports %s; the frame codec (internal/rpcio/wirecodec.go) is the only wire", path, imp.Path.Value)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

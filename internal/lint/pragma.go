@@ -8,7 +8,7 @@ import "strings"
 //	//lint:allow <analyzer> <reason>   suppress a finding, with justification
 //	//lint:hotpath                     function (and its static callees) must not allocate
 //	//lint:coldpath <reason>           deliberate slow path; hotpathcheck stops here
-//	//lint:wire <reason optional>      type is part of the gob wire surface
+//	//lint:wire <reason optional>      type is part of the control wire surface
 //
 // Parsing is tolerant of comment style: `//lint:allow`, `// lint:allow`
 // and tab-indented forms (`//\tlint:allow`) are all accepted, as are
@@ -154,7 +154,7 @@ func parseFuncAnnotations(lines []string) funcAnnotations {
 }
 
 // isWireAnnotation reports whether a comment marks a type declaration
-// as part of the gob wire surface.
+// as part of the control wire surface.
 func isWireAnnotation(text string) bool {
 	d, _, verbOK, ok := parseDirective(text)
 	return ok && verbOK && d.kind == directiveWire

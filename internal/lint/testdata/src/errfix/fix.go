@@ -7,7 +7,6 @@ package errfix
 import (
 	"os"
 
-	"padll/internal/policy"
 	"padll/internal/posix"
 	"padll/internal/rpcio"
 )
@@ -37,7 +36,7 @@ func dropApply(fs fakeFS, req *posix.Request, rep *posix.Reply) {
 }
 
 func dropRPC(h *rpcio.StageHandle) {
-	h.ApplyRule(policy.Rule{}) // want `rpcio\.ApplyRule error discarded`
+	h.CollectDeltaInto(nil) // want `rpcio\.CollectDeltaInto error discarded`
 }
 
 func explicitDiscard(f *os.File) {

@@ -7,7 +7,7 @@ import (
 )
 
 // WireCheck guards the control protocol's wire-struct surface. The
-// binary frame codec (like gob before it) only moves exported fields,
+// binary frame codec only moves exported fields,
 // and cannot carry interface values, channels or funcs — a field of one
 // of those shapes silently vanishes from (or breaks) the wire. Wire
 // structs must therefore keep every field exported and concretely

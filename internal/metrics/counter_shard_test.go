@@ -8,12 +8,27 @@ import (
 	"padll/internal/clock"
 )
 
+// openingClock is the wall clock, remembering the first instant it
+// handed out — which, for a counter built on it, is the instant the
+// counter's first window opened.
+type openingClock struct {
+	clock.Clock
+	once   sync.Once
+	opened time.Time
+}
+
+func (c *openingClock) Now() time.Time {
+	now := c.Clock.Now()
+	c.once.Do(func() { c.opened = now })
+	return now
+}
+
 // TestRateCounterConcurrentAddsConserveTotal hammers the sharded fast
 // path from many goroutines (run under -race) and checks no event is
 // lost: the lifetime total and the sum over all window samples plus the
 // open window must equal the number of adds.
 func TestRateCounterConcurrentAddsConserveTotal(t *testing.T) {
-	clk := clock.NewReal()
+	clk := &openingClock{Clock: clock.NewReal()}
 	rc := NewRateCounter("c", clk, 10*time.Millisecond)
 	const (
 		workers = 8
@@ -55,20 +70,20 @@ func TestRateCounterConcurrentAddsConserveTotal(t *testing.T) {
 		t.Fatalf("Total = %d, want %d", got, workers*perG)
 	}
 	// Every event must land in exactly one sample: closed windows plus
-	// the flushed partial tail.
+	// the flushed partial tail. A sample is a rate over the span since
+	// the previous sample (since the first window opened, for the first
+	// one), so each width comes from the series itself — however many
+	// windows the host happened to need for the adds, even none: a fast
+	// host finishes inside the first window and the only sample is the
+	// partial tail. Float accumulation keeps the sum exact well within
+	// 0.5 for 160k events.
 	s := rc.Flush()
 	var events float64
-	prev := time.Time{}
-	for i, p := range s.Points {
-		width := rc.window.Seconds()
-		if i > 0 {
-			width = p.T.Sub(prev).Seconds()
-		}
-		events += p.Value * width
+	prev := clk.opened
+	for _, p := range s.Points {
+		events += p.Value * p.T.Sub(prev).Seconds()
 		prev = p.T
 	}
-	// The first sample's width is one full window by construction; float
-	// accumulation keeps this exact well within 0.5 for 160k events.
 	if diff := events - float64(workers*perG); diff > 0.5 || diff < -0.5 {
 		t.Fatalf("window samples account for %.1f events, want %d", events, workers*perG)
 	}

@@ -113,7 +113,9 @@ func (h *Histogram) Max() float64 {
 }
 
 // Quantile returns an upper-bound estimate for the q-th quantile
-// (0 < q <= 1) using the bucket upper bound containing the rank.
+// (0 < q <= 1): the upper bound of the bucket containing the rank,
+// capped at the largest observation so estimates never exceed
+// Quantile(1) and stay monotone in q.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.obs.Load() == 0 {
 		return 0 // never observed: what the locked path would answer
@@ -151,7 +153,7 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		cum += c
 		if cum >= rank {
 			if i < len(h.bounds) {
-				return h.bounds[i]
+				return math.Min(h.bounds[i], h.max)
 			}
 			return h.max
 		}

@@ -19,8 +19,7 @@
 //
 // Aggregator services are hosted on the same FrameServer mux as stage
 // services: the attach handshake resolves an aggregator ID to a channel
-// exactly as it does a stage ID. The protocol is frames-only; there is
-// no gob form.
+// exactly as it does a stage ID.
 package rpcio
 
 import (

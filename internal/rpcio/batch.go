@@ -1,12 +1,11 @@
-// The batched, delta-encoded control protocol.
+// The batched, delta-encoded control protocol — the only stage protocol.
 //
-// The per-call protocol costs one round trip per operation per stage
-// per control round, and every collect ships the stage's full Stats
-// blob even when nothing moved — at fleet scale the controller's
-// feedback loop (§III-C) is then bounded by the wire, not by the
-// allocation algorithm. Stage.Batch collapses a round's worth of
-// operations for one stage into a single RPC, and its collect half is
-// incremental: the stage remembers, per client, the last snapshot that
+// One round trip per operation per stage per control round, with every
+// collect shipping the stage's full Stats blob even when nothing moved,
+// bounds the controller's feedback loop (§III-C) by the wire instead of
+// the allocation algorithm. Stage.Batch therefore carries a round's
+// worth of operations for one stage in a single RPC (a single operation
+// is a one-op batch), and its collect half is incremental: the stage remembers, per client, the last snapshot that
 // client merged (identified by an epoch+generation pair) and sends only
 // the queues that changed since. A client whose acknowledgment doesn't
 // match —
@@ -53,10 +52,9 @@ type StageOp struct {
 	Mode stage.Mode  // OpSetMode
 }
 
-// OpResult reports one op's outcome. Found mirrors the per-call
-// protocol's booleans: whether the rule existed for OpRemoveRule (it
-// was removed) and OpSetRate (it was retuned); always true for
-// OpApplyRule and OpSetMode.
+// OpResult reports one op's outcome. Found is whether the rule existed
+// for OpRemoveRule (it was removed) and OpSetRate (it was retuned);
+// always true for OpApplyRule and OpSetMode.
 //
 //lint:wire
 type OpResult struct {
@@ -142,13 +140,13 @@ var epochFallback atomic.Uint64
 // ServiceStats counts what a StageService has served, for observability
 // (the replayer prints them at shutdown).
 type ServiceStats struct {
-	// Calls is the number of control RPCs served (batched or not).
+	// Calls is the number of control RPCs served (batches and health
+	// probes).
 	Calls uint64
 	// BatchedOps is the number of operations that arrived inside
 	// Stage.Batch calls.
 	BatchedOps uint64
-	// DeltaCollects and FullCollects split batched collects by reply
-	// form; per-call Stage.Collect RPCs count as FullCollects.
+	// DeltaCollects and FullCollects split collects by reply form.
 	DeltaCollects uint64
 	FullCollects  uint64
 }
@@ -216,42 +214,40 @@ func (s *StageService) tracker(clientID uint64) *deltaTracker {
 	return t
 }
 
-// validateOps rejects a malformed batch before any op applies, so a bad
-// batch is all-or-nothing instead of partially executed.
-func validateOps(ops []StageOp) error {
+// ApplyOps applies ops to stg in order, appending one result per op to
+// results. A malformed batch is rejected before any op applies, so it
+// is all-or-nothing instead of partially executed.
+func ApplyOps(stg *stage.Stage, ops []StageOp, results []OpResult) ([]OpResult, error) {
 	for i, op := range ops {
-		switch op.Kind {
-		case OpApplyRule, OpRemoveRule, OpSetRate, OpSetMode:
-		default:
-			return fmt.Errorf("rpcio: batch op %d: unknown kind %d", i, op.Kind)
+		if op.Kind < OpApplyRule || op.Kind > OpSetMode {
+			return results, fmt.Errorf("rpcio: batch op %d: unknown kind %d", i, op.Kind)
 		}
 	}
-	return nil
+	for _, op := range ops {
+		res := OpResult{Found: true}
+		switch op.Kind {
+		case OpApplyRule:
+			stg.ApplyRule(op.Rule)
+		case OpRemoveRule:
+			res.Found = stg.RemoveRule(op.ID)
+		case OpSetRate:
+			res.Found = stg.SetRate(op.ID, op.Rate)
+		case OpSetMode:
+			stg.SetMode(op.Mode)
+		}
+		results = append(results, res)
+	}
+	return results, nil
 }
 
 // Batch executes a round's operations and optional incremental collect
 // in one round trip.
-func (s *StageService) Batch(args BatchArgs, reply *BatchReply) error {
-	if err := validateOps(args.Ops); err != nil {
+func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
+	if reply.Results, err = ApplyOps(s.stg, args.Ops, reply.Results[:0]); err != nil {
 		return err
 	}
 	s.calls.Add(1)
 	s.batchedOps.Add(uint64(len(args.Ops)))
-	reply.Results = reply.Results[:0]
-	for _, op := range args.Ops {
-		res := OpResult{Found: true}
-		switch op.Kind {
-		case OpApplyRule:
-			s.stg.ApplyRule(op.Rule)
-		case OpRemoveRule:
-			res.Found = s.stg.RemoveRule(op.ID)
-		case OpSetRate:
-			res.Found = s.stg.SetRate(op.ID, op.Rate)
-		case OpSetMode:
-			s.stg.SetMode(op.Mode)
-		}
-		reply.Results = append(reply.Results, res)
-	}
 	if args.Collect {
 		s.collectDelta(args.ClientID, args.AckEpoch, args.AckGen, &reply.Delta)
 	}
@@ -261,9 +257,9 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) error {
 // collectDelta snapshots the stage and encodes it as a delta against
 // the client's acknowledged generation, or a full snapshot when the ack
 // doesn't match. The reply owns its data: queue values are copied out
-// of the tracker's scratch buffer, never aliased, because net/rpc
-// encodes the reply after this method returns and may serve a
-// concurrent call that rewrites the scratch.
+// of the tracker's scratch buffer, never aliased, because the reply is
+// encoded after this method returns, when a concurrent call from
+// another connection may already be rewriting the scratch.
 func (s *StageService) collectDelta(clientID, ackEpoch, ackGen uint64, d *StatsDelta) {
 	t := s.tracker(clientID)
 	t.mu.Lock()
@@ -373,8 +369,7 @@ func (ds *DeltaState) find(id string) (int, bool) {
 // snapshot differs from what it was before this reply — false exactly
 // when a materialization from before the call is still current. Queue
 // entries may arrive in any order and may repeat within a reply (later
-// entries win, matching the map semantics this held before); the merged
-// state stays sorted.
+// entries win); the merged state stays sorted.
 func (ds *DeltaState) Apply(d *StatsDelta) (changed bool) {
 	changed = d.Full || len(d.Queues) > 0 || len(d.Removed) > 0 ||
 		d.Passthrough != ds.passthrough || d.Degraded != ds.degraded ||
@@ -407,16 +402,9 @@ func (ds *DeltaState) Apply(d *StatsDelta) (changed bool) {
 	return changed
 }
 
-// Snapshot materializes the merged state as a stage.Stats equal to what
-// a direct Collect at the same instant would have returned (queues
-// sorted by rule ID). The returned value owns its Queues slice.
-func (ds *DeltaState) Snapshot() stage.Stats {
-	var out stage.Stats
-	ds.SnapshotInto(&out)
-	return out
-}
-
-// SnapshotInto is Snapshot writing into a caller-owned buffer: every
+// SnapshotInto materializes the merged state into a caller-owned
+// buffer, equal to what a direct Collect at the same instant would have
+// returned (queues sorted by rule ID): every
 // field of dst is overwritten and dst.Queues is rebuilt in place, so a
 // caller reusing dst across rounds pays no allocations once capacities
 // warm up. The merged state is kept sorted on apply, so this is one
@@ -435,11 +423,10 @@ func (ds *DeltaState) CollectCounts() (fulls, deltas uint64) { return ds.fulls, 
 // ---- handle-side batched API ----
 
 // resetReply zeroes the handle's reusable reply in place while keeping
-// slice capacity. Under the retired gob wire this was a correctness
-// requirement (absent fields were left untouched on decode); the binary
-// codec overwrites every schema field, so today the reset guarantees a
-// clean reply even on error paths that decode nothing, and clears
-// residue past the decoded length in backing arrays the decoder reuses.
+// slice capacity: the codec overwrites every schema field it decodes,
+// so the reset guarantees a clean reply on error paths that decode
+// nothing, and clears residue past the decoded length in backing arrays
+// the decoder reuses.
 func resetReply(r *BatchReply) {
 	results := r.Results[:cap(r.Results)]
 	for i := range results {
@@ -458,38 +445,24 @@ func resetReply(r *BatchReply) {
 	r.Delta.Removed = removed[:0]
 }
 
-// ExecBatch performs ops and, when collect is set, an incremental
-// statistics collect, all in one round trip. The stats are the merged
-// full snapshot (the handle tracks generations internally); results has
-// one entry per op. Batched calls on one handle serialize with each
-// other, so interleaved collectors (controller loop and monitor) merge
-// deltas consistently.
-func (h *StageHandle) ExecBatch(ops []StageOp, collect bool) (results []OpResult, st stage.Stats, err error) {
-	results, err = h.ExecBatchInto(ops, collect, &st)
-	return results, st, err
-}
-
-// ExecBatchInto is ExecBatch materializing the merged snapshot into a
-// caller-owned dst (fully overwritten, capacity reused): the form the
-// controller's collect loop uses so a thousand-stage steady-state round
-// allocates nothing per stage. dst may be nil when collect is false.
-func (h *StageHandle) ExecBatchInto(ops []StageOp, collect bool, dst *stage.Stats) (results []OpResult, err error) {
-	results, _, err = h.execBatch(ops, collect, dst, false)
-	return results, err
-}
-
-// ExecBatchChangedInto is ExecBatchInto for a caller that keeps dst
-// alive between collects: when the reply shows nothing changed since
-// this handle's previous collect, dst is left untouched — it still
-// holds the previous materialization, which is exactly the current
-// snapshot — and changed reports false. The contract requires dst to be
-// the same logical buffer across calls on this handle; an aggregator's
-// per-member stats slot is the intended shape.
-func (h *StageHandle) ExecBatchChangedInto(ops []StageOp, collect bool, dst *stage.Stats) (results []OpResult, changed bool, err error) {
-	return h.execBatch(ops, collect, dst, true)
-}
-
-func (h *StageHandle) execBatch(ops []StageOp, collect bool, dst *stage.Stats, skipUnchanged bool) (results []OpResult, changed bool, err error) {
+// Exec is the handle's one stage exchange: it performs ops in order and,
+// when dst is non-nil, an incremental statistics collect taken after
+// the ops applied — all in one Stage.Batch round trip. results has one
+// entry per op.
+//
+// The collect materializes the merged full snapshot (the handle tracks
+// generations internally) into caller-owned dst: every field is
+// overwritten and capacity reused, so a steady-state collect allocates
+// nothing. held is the caller's promise that nobody has written dst
+// since this handle last filled it; then a reply showing nothing
+// changed since that fill leaves dst untouched — it already is the
+// current snapshot — and changed reports false. Without the promise
+// (or when the handle last filled some other buffer) dst is always
+// rewritten and changed is true.
+//
+// Exchanges on one handle serialize with each other, so interleaved
+// collectors (controller loop and monitor) merge deltas consistently.
+func (h *StageHandle) Exec(ops []StageOp, dst *stage.Stats, held bool) (results []OpResult, changed bool, err error) {
 	h.bmu.Lock()
 	defer h.bmu.Unlock()
 	if h.bargs.ClientID == 0 {
@@ -499,7 +472,7 @@ func (h *StageHandle) execBatch(ops []StageOp, collect bool, dst *stage.Stats, s
 		h.bargs.ClientID = newEpoch()
 	}
 	h.bargs.Ops = ops
-	h.bargs.Collect = collect
+	h.bargs.Collect = dst != nil
 	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.Ack()
 	resetReply(&h.breply)
 	err = h.t.Call("Stage.Batch", &h.bargs, &h.breply)
@@ -511,28 +484,23 @@ func (h *StageHandle) execBatch(ops []StageOp, collect bool, dst *stage.Stats, s
 		results = make([]OpResult, len(h.breply.Results))
 		copy(results, h.breply.Results)
 	}
-	if collect {
-		changed = h.dstate.Apply(&h.breply.Delta)
-		if changed || !skipUnchanged {
+	if dst != nil {
+		moved := h.dstate.Apply(&h.breply.Delta)
+		if changed = moved || !held || dst != h.filled; changed {
 			h.dstate.SnapshotInto(dst)
+			h.filled = dst
 		}
 	}
 	return results, changed, nil
 }
 
-// CollectDelta fetches the stage's statistics over the batched
-// incremental protocol: after the first (full) exchange, only changed
-// queues cross the wire each round.
-func (h *StageHandle) CollectDelta() (stage.Stats, error) {
-	_, st, err := h.ExecBatch(nil, true)
-	return st, err
-}
-
-// CollectDeltaInto is CollectDelta writing into a caller-owned buffer;
-// the steady-state path (empty delta, warm capacities) is
-// allocation-free end to end.
+// CollectDeltaInto fetches the stage's statistics into a caller-owned
+// buffer over the incremental protocol: after the first (full)
+// exchange, only changed queues cross the wire each round, and the
+// steady-state path (empty delta, warm capacities) is allocation-free
+// end to end.
 func (h *StageHandle) CollectDeltaInto(dst *stage.Stats) error {
-	_, err := h.ExecBatchInto(nil, true, dst)
+	_, _, err := h.Exec(nil, dst, false)
 	return err
 }
 

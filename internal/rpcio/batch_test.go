@@ -2,7 +2,6 @@ package rpcio
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"reflect"
@@ -15,21 +14,12 @@ import (
 	"padll/internal/stage"
 )
 
-// gobBytes encodes v with a fresh encoder so two values are comparable
-// byte-for-byte (gob streams are self-describing; sharing an encoder
-// would make the second value's bytes depend on the first).
-func gobBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	return buf.Bytes()
-}
-
+// TestBatchOpsMatchPerCallSemantics pins each op kind's outcome inside
+// one batch to what that operation does on its own: ops apply in order
+// and Found reports whether the named rule existed.
 func TestBatchOpsMatchPerCallSemantics(t *testing.T) {
 	stg, h := servedStage(t)
-	results, _, err := h.ExecBatch([]StageOp{
+	results, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100, Burst: 5}},
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "b", Rate: 200}},
 		{Kind: OpSetRate, ID: "a", Rate: 150},
@@ -37,7 +27,7 @@ func TestBatchOpsMatchPerCallSemantics(t *testing.T) {
 		{Kind: OpRemoveRule, ID: "b"},
 		{Kind: OpRemoveRule, ID: "b"},
 		{Kind: OpSetMode, Mode: stage.Passthrough},
-	}, false)
+	}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +51,10 @@ func TestBatchOpsMatchPerCallSemantics(t *testing.T) {
 
 func TestBatchRejectsUnknownOpKindAtomically(t *testing.T) {
 	stg, h := servedStage(t)
-	_, _, err := h.ExecBatch([]StageOp{
+	_, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "x", Rate: 100}},
 		{Kind: OpKind(99)},
-	}, false)
+	}, nil, false)
 	if err == nil {
 		t.Fatal("batch with unknown op kind succeeded")
 	}
@@ -77,14 +67,14 @@ func TestBatchRejectsUnknownOpKindAtomically(t *testing.T) {
 
 // TestDeltaCollectMatchesDirectCollect is the core property of the
 // incremental protocol: at every point in a random op/traffic history,
-// the client's merged snapshot is gob-byte-identical to what a direct
+// the client's merged snapshot is codec-byte-identical to what a direct
 // Collect on the stage returns at the same instant.
 func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 	for _, seed := range []int64{1, 7, 2022} {
 		clk := clock.NewSim(epoch)
 		stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
 		svc := NewStageService(stg)
-		h := LoopbackStage(svc)
+		h := EncodedLoopbackStage(svc)
 		rng := rand.New(rand.NewSource(seed))
 
 		ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
@@ -111,12 +101,12 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 			}
 			clk.Advance(time.Second)
 
-			merged, err := h.CollectDelta()
+			merged, err := collect(h)
 			if err != nil {
 				t.Fatal(err)
 			}
 			direct := stg.Collect()
-			if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+			if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
 				t.Fatalf("seed %d round %d: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v",
 					seed, round, merged, direct)
 			}
@@ -154,11 +144,11 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	stg1 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg1.ApplyRule(policy.Rule{ID: "old-only", Rate: 100})
 	stg1.ApplyRule(policy.Rule{ID: "shared", Rate: 200})
-	sw := &switchableTransport{inner: NewLoopback(NewStageService(stg1))}
+	sw := &switchableTransport{inner: NewEncodedLoopback(NewStageService(stg1))}
 	h := NewStageHandle(sw)
 
 	for i := 0; i < 3; i++ {
-		if _, err := h.CollectDelta(); err != nil {
+		if _, err := collect(h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,14 +156,14 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	// The stage process restarts: fresh state, fresh service epoch.
 	stg2 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
-	sw.inner = NewLoopback(NewStageService(stg2))
+	sw.inner = NewEncodedLoopback(NewStageService(stg2))
 
-	merged, err := h.CollectDelta()
+	merged, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := stg2.Collect()
-	if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+	if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
 		t.Fatalf("merged snapshot after restart diverged:\nmerged: %+v\ndirect: %+v", merged, direct)
 	}
 	for _, q := range merged.Queues {
@@ -198,19 +188,19 @@ func TestDeltaTrackerPerClientBaselines(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	a, b := LoopbackStage(svc), LoopbackStage(svc)
+	a, b := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
 
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: "j1"}, 100, time.Second)
 		clk.Advance(time.Second)
 		for _, h := range []*StageHandle{a, b} {
-			merged, err := h.CollectDelta()
+			merged, err := collect(h)
 			if err != nil {
 				t.Fatal(err)
 			}
 			direct := stg.Collect()
-			if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+			if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
 				t.Fatalf("round %d: interleaved client diverged\nmerged: %+v\ndirect: %+v", i, merged, direct)
 			}
 		}
@@ -236,20 +226,20 @@ func TestDeltaTrackerEvictionFallsBackToFull(t *testing.T) {
 	stg.ApplyRule(policy.Rule{ID: "q", Rate: 500})
 	svc := NewStageService(stg)
 
-	first := LoopbackStage(svc)
-	if _, err := first.CollectDelta(); err != nil {
+	first := EncodedLoopbackStage(svc)
+	if _, err := collect(first); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxDeltaTrackers; i++ {
-		if _, err := LoopbackStage(svc).CollectDelta(); err != nil {
+		if _, err := collect(EncodedLoopbackStage(svc)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	merged, err := first.CollectDelta()
+	merged, err := collect(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gobBytes(t, merged), gobBytes(t, stg.Collect())) {
+	if !bytes.Equal(statsBytes(merged), statsBytes(stg.Collect())) {
 		t.Fatal("evicted client's merged snapshot diverged from direct collect")
 	}
 	if fulls, _ := first.CollectCounts(); fulls != 2 {
@@ -304,12 +294,11 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 }
 
 // TestDeltaCollectOverWire runs the incremental protocol over the real
-// TCP/gob transport (ServeService + DialStage) instead of a Loopback.
-// This is the regression test for reply reuse: gob omits zero-valued
-// fields on encode and leaves absent fields untouched on decode, so a
-// handle that reuses its reply without zeroing it would decode every
-// post-full incremental reply (Full=false omitted on the wire) with a
-// stale Full=true and wipe unchanged queues from the merged snapshot.
+// TCP transport (ServeService + DialStage) instead of a loopback. This
+// is the regression test for reply reuse: a handle reuses one reply
+// struct across exchanges, so a decoder that merged instead of
+// overwrote would read every post-full incremental reply with a stale
+// Full=true and wipe unchanged queues from the merged snapshot.
 func TestDeltaCollectOverWire(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
@@ -331,12 +320,12 @@ func TestDeltaCollectOverWire(t *testing.T) {
 
 	check := func(round string) stage.Stats {
 		t.Helper()
-		merged, err := h.CollectDelta()
+		merged, err := collect(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		direct := stg.Collect()
-		if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+		if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
 			t.Fatalf("%s: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v", round, merged, direct)
 		}
 		return merged
@@ -369,26 +358,26 @@ func TestDeltaCollectOverWire(t *testing.T) {
 	}
 }
 
-// TestBatchResultsOverWireDropStaleFound: gob omits Found=false on
-// encode, so a reused reply would leave a previous round's Found=true in
-// place. Over the real transport, ops that fail after ops that succeeded
-// must still decode as Found=false.
+// TestBatchResultsOverWireDropStaleFound: the handle reuses its reply,
+// so a decoder that left slots untouched would keep a previous round's
+// Found=true in place. Over the real transport, ops that fail after ops
+// that succeeded must still decode as Found=false.
 func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 	_, h := servedStage(t)
-	results, _, err := h.ExecBatch([]StageOp{
+	results, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100}},
 		{Kind: OpRemoveRule, ID: "a"},
-	}, false)
+	}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !results[0].Found || !results[1].Found {
 		t.Fatalf("first batch results = %+v, want both Found", results)
 	}
-	results, _, err = h.ExecBatch([]StageOp{
+	results, _, err = h.Exec([]StageOp{
 		{Kind: OpRemoveRule, ID: "a"},
 		{Kind: OpSetRate, ID: "ghost", Rate: 1},
-	}, false)
+	}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,15 +389,16 @@ func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 func TestServiceStatsCountBatchTraffic(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	svc := NewStageService(stg)
-	h := LoopbackStage(svc)
+	h := EncodedLoopbackStage(svc)
 
-	if _, _, err := h.ExecBatch([]StageOp{
+	var st stage.Stats
+	if _, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100}},
 		{Kind: OpSetRate, ID: "a", Rate: 200},
-	}, true); err != nil {
+	}, &st, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.CollectDelta(); err != nil {
+	if _, err := collect(h); err != nil {
 		t.Fatal(err)
 	}
 	got := svc.Served()
@@ -440,23 +430,6 @@ func BenchmarkCollectDeltaSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.CollectDeltaInto(&st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCollectFullSnapshot is the same round over the per-call
-// protocol (full Stats every time), for comparison with the delta path.
-func BenchmarkCollectFullSnapshot(b *testing.B) {
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
-	for _, id := range []string{"a", "b", "c", "d"} {
-		stg.ApplyRule(policy.Rule{ID: id, Rate: 1000})
-	}
-	h := LoopbackStage(NewStageService(stg))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Collect(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,7 +128,7 @@ func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
 	// client must hit its per-call deadline, redial, and retry.
 	_, h := flakyServedStage(t, Flakiness{DropEvery: 2})
 	for i := 0; i < 6; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestRedialAfterConnectionDeath(t *testing.T) {
 	// must keep succeeding by redialing.
 	_, h := flakyServedStage(t, Flakiness{FailAfter: 6})
 	for i := 0; i < 10; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -150,11 +150,11 @@ func TestDuplicatedResponsesDoNotBreakCalls(t *testing.T) {
 	// discarded as an unknown stream ID; calls must keep succeeding via
 	// redial either way.
 	stg, h := flakyServedStage(t, Flakiness{DupEvery: 1})
-	if err := h.ApplyRule(policy.Rule{ID: "cap", Rate: 100}); err != nil {
+	if err := applyRule(h, policy.Rule{ID: "cap", Rate: 100}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 	_ = l.Close()
 
 	start := time.Now()
-	if _, err := h.Ping(); err == nil {
+	if _, err := ping(h); err == nil {
 		t.Fatal("Ping against a dead stage succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
@@ -270,7 +270,7 @@ func TestStageStatsDegradedSurvivesWire(t *testing.T) {
 
 	stg.SetDegraded(true)
 	clk.Advance(30 * time.Second)
-	st, err := h.Collect()
+	st, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +280,8 @@ func TestStageStatsDegradedSurvivesWire(t *testing.T) {
 }
 
 func TestServerSideErrorsAreNotRetried(t *testing.T) {
-	// An rpc.ServerError means the wire worked; retrying it would mask
-	// real service refusals (and triple every failure's latency).
+	// A RemoteError means the wire worked; retrying it would mask real
+	// service refusals (and triple every failure's latency).
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ var ErrInjectedFailure = errors.New("rpcio: injected connection failure")
 // counter-based (every Nth chunk), so a single-connection exchange
 // misbehaves identically on every run; waits run on the injected clock.
 //
-// net/rpc frames one request or response per Write, so "chunk" here is a
+// Both frame peers write one whole frame per Write, so "chunk" here is a
 // message for the purposes of dropping, duplicating, and delaying.
 type Flakiness struct {
 	// DropEvery silently discards every Nth written chunk (0 = never):

@@ -1,19 +1,16 @@
 // Server half of the multiplexed frame transport.
 //
-// A FrameServer hosts any number of StageServices behind one listener:
-// clients address a service by channel number, resolved once per
-// connection per stage via the attach handshake (methodAttach with the
-// stage ID as payload). Each accepted connection is served by one
+// A FrameServer hosts any number of services behind one listener —
+// stage services, aggregator services, or the control plane's
+// registrar: clients address a service by channel number, resolved once
+// per connection per stage via the attach handshake (methodAttach with
+// the stage ID as payload). Each accepted connection is served by one
 // goroutine that processes frames strictly in arrival order — requests
 // pipeline (a client may have many in flight; none waits for a network
 // round trip behind another) but replies never reorder, and the
 // per-connection decode buffers and reply structs are reused across
 // frames, so a steady-state collect allocates nothing on the server
 // side either.
-//
-// The frame protocol is the listener's only wire: the legacy gob
-// compatibility sniffing was removed when that path's one-release
-// migration window closed.
 package rpcio
 
 import (
@@ -23,15 +20,47 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-
-	"padll/internal/stage"
 )
 
-// frameTarget is one mux channel's service: a stage service or an
-// aggregator service, never both.
+// frameTarget is one mux channel's service: exactly one field is set.
 type frameTarget struct {
 	stage *StageService
 	agg   *AggService
+	reg   *registrar
+}
+
+// The kinds of service a channel can host, as mismatch errors name them.
+const (
+	stageService     = "a stage"
+	aggService       = "an aggregator"
+	registrarService = "the registrar"
+)
+
+// hosts names the kind of service the channel serves.
+func (t frameTarget) hosts() string {
+	switch {
+	case t.stage != nil:
+		return stageService
+	case t.agg != nil:
+		return aggService
+	default:
+		return registrarService
+	}
+}
+
+// serviceOf names the kind of service a call method belongs to ("" for
+// a method number this build does not know).
+func serviceOf(m methodID) string {
+	switch m {
+	case methodHealth, methodBatch:
+		return stageService
+	case methodAggAttach, methodAggRound:
+		return aggService
+	case methodRegister, methodDeregister, methodRegistrarPing:
+		return registrarService
+	default:
+		return ""
+	}
 }
 
 // FrameServer routes frames to the services multiplexed behind one
@@ -114,18 +143,13 @@ type frameSession struct {
 	payload []byte
 	wbuf    []byte
 
-	applyArgs     ApplyRuleArgs
-	removeArgs    RemoveRuleArgs
-	rateArgs      SetRateArgs
-	modeArgs      SetModeArgs
-	probeArgs     HealthProbe
+	probe         HealthProbe // Health and Registrar.Ping args; the ping's echo
 	batchArgs     BatchArgs
 	aggAttachArgs AggAttachArgs
 	aggRoundArgs  AggRoundArgs
+	registration  Registration
+	stageID       string // Registrar.Deregister args
 
-	boolReply    bool
-	statsReply   stage.Stats
-	infoReply    stage.Info
 	healthReply  StageHealth
 	batchReply   BatchReply
 	aggInfoReply AggInfo
@@ -199,89 +223,52 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 	if !ok {
 		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no service on channel %d", h.channel)), frameError
 	}
-	if h.method == methodAggAttach || h.method == methodAggRound {
-		return fs.handleAggCall(tgt.agg, s, h, reply)
-	}
-	svc := tgt.stage
-	if svc == nil {
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: channel %d hosts an aggregator, not a stage", h.channel)), frameError
+	// Each method belongs to one kind of service; a call addressed to a
+	// channel hosting another kind fails loudly rather than misdispatch.
+	switch want := serviceOf(h.method); {
+	case want == "":
+		return appendErrorPayload(reply, fmt.Sprintf("rpcio: unknown method %d", h.method)), frameError
+	case want != tgt.hosts():
+		return appendErrorPayload(reply, fmt.Sprintf("rpcio: channel %d hosts %s, not %s", h.channel, tgt.hosts(), want)), frameError
 	}
 	var (
 		err error
-		out []byte
+		out = reply
 	)
 	switch h.method {
-	case methodApplyRule:
-		if err = readCallArgs(h.method, s.payload, &s.applyArgs); err == nil {
-			err = svc.ApplyRule(s.applyArgs, &struct{}{})
-		}
-		out = reply
-	case methodRemoveRule:
-		if err = readCallArgs(h.method, s.payload, &s.removeArgs); err == nil {
-			err = svc.RemoveRule(s.removeArgs, &s.boolReply)
-		}
-		out = appendBool(reply, s.boolReply)
-	case methodSetRate:
-		if err = readCallArgs(h.method, s.payload, &s.rateArgs); err == nil {
-			err = svc.SetRate(s.rateArgs, &s.boolReply)
-		}
-		out = appendBool(reply, s.boolReply)
-	case methodCollect:
-		if err = readCallArgs(h.method, s.payload, &struct{}{}); err == nil {
-			err = svc.Collect(struct{}{}, &s.statsReply)
-		}
-		out = appendStats(reply, &s.statsReply)
-	case methodSetMode:
-		if err = readCallArgs(h.method, s.payload, &s.modeArgs); err == nil {
-			err = svc.SetMode(s.modeArgs, &struct{}{})
-		}
-		out = reply
-	case methodPing:
-		if err = readCallArgs(h.method, s.payload, &struct{}{}); err == nil {
-			err = svc.Ping(struct{}{}, &s.infoReply)
-		}
-		out = appendInfo(reply, &s.infoReply)
 	case methodHealth:
-		if err = readCallArgs(h.method, s.payload, &s.probeArgs); err == nil {
-			err = svc.Health(s.probeArgs, &s.healthReply)
+		if err = readCallArgs(h.method, s.payload, &s.probe); err == nil {
+			err = tgt.stage.Health(s.probe, &s.healthReply)
 		}
 		out = appendStageHealth(reply, &s.healthReply)
 	case methodBatch:
 		if err = readCallArgs(h.method, s.payload, &s.batchArgs); err == nil {
-			err = svc.Batch(s.batchArgs, &s.batchReply)
+			err = tgt.stage.Batch(s.batchArgs, &s.batchReply)
 		}
 		out = appendBatchReply(reply, &s.batchReply)
-	default:
-		err = fmt.Errorf("rpcio: unknown method %d", h.method)
-		out = reply
-	}
-	if err != nil {
-		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError
-	}
-	return out, frameReply
-}
-
-// handleAggCall dispatches one aggregator-tier method; svc is nil when
-// the addressed channel hosts a stage service instead.
-func (fs *FrameServer) handleAggCall(svc *AggService, s *frameSession, h frameHeader, reply []byte) ([]byte, uint8) {
-	if svc == nil {
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no aggregator on channel %d", h.channel)), frameError
-	}
-	var (
-		err error
-		out []byte
-	)
-	switch h.method {
 	case methodAggAttach:
 		if err = readCallArgs(h.method, s.payload, &s.aggAttachArgs); err == nil {
-			err = svc.Attach(s.aggAttachArgs, &s.aggInfoReply)
+			err = tgt.agg.Attach(s.aggAttachArgs, &s.aggInfoReply)
 		}
 		out = appendAggInfo(reply, &s.aggInfoReply)
 	case methodAggRound:
 		if err = readCallArgs(h.method, s.payload, &s.aggRoundArgs); err == nil {
-			err = svc.Round(s.aggRoundArgs, &s.aggRndReply)
+			err = tgt.agg.Round(s.aggRoundArgs, &s.aggRndReply)
 		}
 		out = appendAggRoundReply(reply, &s.aggRndReply)
+	case methodRegister:
+		if err = readCallArgs(h.method, s.payload, &s.registration); err == nil {
+			err = tgt.reg.onRegister(s.registration)
+		}
+	case methodDeregister:
+		if err = readCallArgs(h.method, s.payload, &s.stageID); err == nil && tgt.reg.onDeregister != nil {
+			tgt.reg.onDeregister(s.stageID)
+		}
+	case methodRegistrarPing:
+		// Echo the probe: stages use it as the controller liveness check
+		// behind their degraded-mode detection.
+		err = readCallArgs(h.method, s.payload, &s.probe)
+		out = appendHealthProbe(reply, &s.probe)
 	}
 	if err != nil {
 		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError

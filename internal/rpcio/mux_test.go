@@ -4,10 +4,10 @@
 package rpcio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +117,7 @@ func TestMuxManyStagesShareOneConnection(t *testing.T) {
 		return cl
 	})
 	for i, h := range handles {
-		info, err := h.Ping()
+		info, err := ping(h)
 		if err != nil {
 			t.Fatalf("ping m%d: %v", i, err)
 		}
@@ -126,7 +126,7 @@ func TestMuxManyStagesShareOneConnection(t *testing.T) {
 		}
 	}
 	// A mutation through one handle must touch only its stage.
-	if err := handles[2].ApplyRule(policy.Rule{ID: "only-m2", Rate: 100}); err != nil {
+	if err := applyRule(handles[2], policy.Rule{ID: "only-m2", Rate: 100}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range stages {
@@ -157,7 +157,7 @@ func TestMuxInterleavedRepliesRouteCorrectly(t *testing.T) {
 				defer wg.Done()
 				want := fmt.Sprintf("m%d", i)
 				for k := 0; k < 25; k++ {
-					info, err := h.Ping()
+					info, err := ping(h)
 					if err != nil {
 						errs <- fmt.Errorf("ping %s: %w", want, err)
 						return
@@ -197,7 +197,7 @@ func TestMuxAttachUnknownStageFailsFast(t *testing.T) {
 	}
 	defer func() { _ = h.Close() }()
 	start := time.Now()
-	_, err = h.Ping()
+	_, err = ping(h)
 	if err == nil {
 		t.Fatal("call to unattachable stage succeeded")
 	}
@@ -223,21 +223,21 @@ func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
 	}, WithBackoff(Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Attempts: 5}))
 	stg, h := stages[0], handles[0]
 
-	if _, err := h.CollectDelta(); err != nil { // initial full snapshot
+	if _, err := collect(h); err != nil { // initial full snapshot
 		t.Fatal(err)
 	}
 	stg.ApplyRule(policy.Rule{ID: "r1", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}}, Rate: 100})
-	if _, err := h.CollectDelta(); err != nil { // incremental
+	if _, err := collect(h); err != nil { // incremental
 		t.Fatal(err)
 	}
 
 	stg.SetRate("r1", 250)
 	arm.Store(true) // next reply frame dies halfway across
-	got, err := h.CollectDelta()
+	got, err := collect(h)
 	if err != nil {
 		t.Fatalf("collect across a mid-frame drop: %v", err)
 	}
-	if !reflect.DeepEqual(gobBytes(t, got), gobBytes(t, stg.Collect())) {
+	if !bytes.Equal(statsBytes(got), statsBytes(stg.Collect())) {
 		t.Errorf("post-drop snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 	fulls, deltas := h.CollectCounts()
@@ -251,11 +251,11 @@ func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
 	// The connection must be healthy again: further mutations flow
 	// incrementally.
 	stg.SetRate("r1", 300)
-	got, err = h.CollectDelta()
+	got, err = collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gobBytes(t, got), gobBytes(t, stg.Collect())) {
+	if !bytes.Equal(statsBytes(got), statsBytes(stg.Collect())) {
 		t.Errorf("post-recovery snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 }
@@ -273,7 +273,7 @@ func TestMuxSurvivesFlakyFrameBoundaries(t *testing.T) {
 
 	for round := 0; round < 8; round++ {
 		for i, h := range handles {
-			info, err := h.Ping()
+			info, err := ping(h)
 			if err != nil {
 				t.Fatalf("round %d ping m%d: %v", round, i, err)
 			}
@@ -282,7 +282,7 @@ func TestMuxSurvivesFlakyFrameBoundaries(t *testing.T) {
 			}
 		}
 	}
-	if err := handles[1].ApplyRule(policy.Rule{ID: "flaky-rule", Rate: 7}); err != nil {
+	if err := applyRule(handles[1], policy.Rule{ID: "flaky-rule", Rate: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(stages[1].Rules()); got != 1 {
@@ -302,7 +302,7 @@ func TestMuxDuplicatedReplyFramesAreDiscarded(t *testing.T) {
 	})
 	for i, h := range handles {
 		for k := 0; k < 6; k++ {
-			info, err := h.Ping()
+			info, err := ping(h)
 			if err != nil {
 				t.Fatalf("ping m%d: %v", i, err)
 			}
@@ -311,7 +311,7 @@ func TestMuxDuplicatedReplyFramesAreDiscarded(t *testing.T) {
 			}
 		}
 	}
-	if err := handles[0].ApplyRule(policy.Rule{ID: "dup", Rate: 3}); err != nil {
+	if err := applyRule(handles[0], policy.Rule{ID: "dup", Rate: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(stages[0].Rules()); got != 1 {

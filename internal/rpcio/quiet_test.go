@@ -15,23 +15,23 @@ import (
 // quiescence token for a client's baseline, that client's collects are
 // answered without snapshotting the stage or diffing — an empty delta
 // that still advances the generation. The merged client view must stay
-// byte-identical to a direct Collect through skip rounds, traffic, and
+// codec-byte-identical to a direct Collect through skip rounds, traffic, and
 // the transition back to quiet.
 func TestQuietSkipKeepsClientViewExact(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	h := LoopbackStage(svc)
+	h := EncodedLoopbackStage(svc)
 
 	check := func(round string) stage.Stats {
 		t.Helper()
-		merged, err := h.CollectDelta()
+		merged, err := collect(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		direct := stg.Collect()
-		if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+		if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
 			t.Fatalf("%s: merged view diverged\nmerged: %+v\ndirect: %+v", round, merged, direct)
 		}
 		return merged

@@ -81,9 +81,8 @@ func (b Backoff) Delays() []time.Duration {
 	return delays
 }
 
-// retrier hands out one backoff schedule's delays sequentially; it exists
-// so a long-lived StageHandle can restart the schedule per logical
-// operation while drawing jitter from one seeded stream.
+// retrier hands out one backoff schedule's delays sequentially: each
+// logical operation (one Transport.Call, one Retry) starts a fresh one.
 type retrier struct {
 	mu     sync.Mutex
 	b      Backoff
@@ -95,13 +94,6 @@ type retrier struct {
 func newRetrier(b Backoff) *retrier {
 	b = b.withDefaults()
 	return &retrier{b: b, rng: rand.New(rand.NewSource(b.Seed)), next: b.Base, remain: b.Attempts - 1}
-}
-
-func (r *retrier) reset() {
-	r.mu.Lock()
-	r.next = r.b.Base
-	r.remain = r.b.Attempts - 1
-	r.mu.Unlock()
 }
 
 // delay returns the next backoff delay and true, or false when the

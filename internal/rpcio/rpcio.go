@@ -1,24 +1,22 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
-// uses a versioned binary frame protocol over TCP (wirecodec.go) for
-// stage and aggregator traffic, with stdlib net/rpc kept for the
-// low-rate registrar channel. The structure is the same: every stage
-// exposes a typed control
-// service (install rule, retune rate, collect statistics), and the
-// control plane exposes a registration service stages dial when their job
-// starts (§III-B "orchestrating stages from the same job").
+// uses one versioned binary frame protocol over TCP (wirecodec.go) for
+// stage, aggregator and registrar traffic. The structure is the same:
+// every stage exposes a typed control service (install rule, retune
+// rate, collect statistics — all carried by Stage.Batch), and the
+// control plane exposes a registration service stages dial when their
+// job starts (§III-B "orchestrating stages from the same job").
 package rpcio
 
 import (
 	"fmt"
+	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
-	"padll/internal/policy"
 	"padll/internal/stage"
 )
 
@@ -36,7 +34,7 @@ type Registration struct {
 // ---- stage-side control service ----
 
 // StageService exposes a stage's control operations over RPC: the
-// per-call methods below plus the batched delta protocol (batch.go).
+// batched delta protocol (batch.go) and the health probe below.
 type StageService struct {
 	stg *stage.Stage
 	// epoch identifies this service instance to delta-collect clients;
@@ -56,7 +54,7 @@ type StageService struct {
 }
 
 // NewStageService wraps a stage for serving, either over a listener
-// (ServeService) or in process (NewLoopback).
+// (ServeService) or in process (NewEncodedLoopback).
 func NewStageService(stg *stage.Stage) *StageService {
 	return &StageService{stg: stg, epoch: newEpoch()}
 }
@@ -69,73 +67,6 @@ func (s *StageService) Served() ServiceStats {
 		DeltaCollects: s.deltaCollects.Load(),
 		FullCollects:  s.fullCollects.Load(),
 	}
-}
-
-// ApplyRuleArgs carries a rule to install or update.
-//
-//lint:wire
-type ApplyRuleArgs struct{ Rule policy.Rule }
-
-// ApplyRule installs or updates a rule on the stage.
-func (s *StageService) ApplyRule(args ApplyRuleArgs, _ *struct{}) error {
-	s.calls.Add(1)
-	s.stg.ApplyRule(args.Rule)
-	return nil
-}
-
-// RemoveRuleArgs names a rule to delete.
-//
-//lint:wire
-type RemoveRuleArgs struct{ ID string }
-
-// RemoveRule deletes a rule; Removed reports whether it existed.
-func (s *StageService) RemoveRule(args RemoveRuleArgs, removed *bool) error {
-	s.calls.Add(1)
-	*removed = s.stg.RemoveRule(args.ID)
-	return nil
-}
-
-// SetRateArgs retunes one queue's rate.
-//
-//lint:wire
-type SetRateArgs struct {
-	ID   string
-	Rate float64
-}
-
-// SetRate retunes a live queue; Found reports whether the rule existed.
-func (s *StageService) SetRate(args SetRateArgs, found *bool) error {
-	s.calls.Add(1)
-	*found = s.stg.SetRate(args.ID, args.Rate)
-	return nil
-}
-
-// Collect snapshots the stage's statistics (the per-call, full-snapshot
-// protocol; Batch carries the incremental form).
-func (s *StageService) Collect(_ struct{}, reply *stage.Stats) error {
-	s.calls.Add(1)
-	s.fullCollects.Add(1)
-	s.stg.CollectInto(reply)
-	return nil
-}
-
-// SetModeArgs switches enforcement mode.
-//
-//lint:wire
-type SetModeArgs struct{ Mode stage.Mode }
-
-// SetMode switches the stage between Enforce and Passthrough.
-func (s *StageService) SetMode(args SetModeArgs, _ *struct{}) error {
-	s.calls.Add(1)
-	s.stg.SetMode(args.Mode)
-	return nil
-}
-
-// Ping is a liveness probe; it echoes the stage's identity.
-func (s *StageService) Ping(_ struct{}, reply *stage.Info) error {
-	s.calls.Add(1)
-	*reply = s.stg.Info()
-	return nil
 }
 
 // HealthProbe is the liveness-check request both services accept. Seq is
@@ -241,6 +172,10 @@ func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop fu
 				defer wg.Done()
 				defer func() { <-sem }()
 				handler(conn)
+				// The handler is done with the peer (it hung up, or sent
+				// unusable framing): release the socket now rather than
+				// leaving the peer to run into its own deadline.
+				_ = conn.Close()
 				mu.Lock()
 				delete(live, conn)
 				mu.Unlock()
@@ -254,8 +189,8 @@ func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop fu
 		mu.Lock()
 		stopped = true
 		for conn := range live {
-			// Force in-flight connections down; ServeConn returns once
-			// its transport dies, and handler goroutines drain.
+			// Force in-flight connections down; each frame loop returns
+			// once its connection dies, and handler goroutines drain.
 			_ = conn.Close()
 		}
 		mu.Unlock()
@@ -273,17 +208,11 @@ func ServeStage(l net.Listener, stg *stage.Stage, opts ...ServeOption) (stop fun
 
 // ServeService is ServeStage for a caller-built StageService — the form
 // to use when the caller also wants the service (for Served counters or
-// a Loopback transport onto the same generation state). The listener
-// speaks the binary frame protocol only; the legacy gob wire's
-// compatibility window has closed.
+// an EncodedLoopback onto the same generation state).
 func ServeService(l net.Listener, svc *StageService, opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	fs := NewFrameServer()
 	fs.Add(svc)
-	return serveBounded(l, func(conn net.Conn) { fs.serveFrameConn(conn) }, cfg.maxConns)
+	return ServeMux(l, fs, opts...)
 }
 
 // ServeMux serves many stages' services behind one listener over the
@@ -296,7 +225,7 @@ func ServeMux(l net.Listener, fs *FrameServer, opts ...ServeOption) (stop func()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return serveBounded(l, func(conn net.Conn) { fs.serveFrameConn(conn) }, cfg.maxConns)
+	return serveBounded(l, fs.serveFrameConn, cfg.maxConns)
 }
 
 // Default deadlines for control-plane RPCs. A single hung peer must
@@ -307,20 +236,21 @@ const (
 )
 
 // StageHandle is the control plane's typed client for one stage,
-// layered over a Transport: TCP/gob with redial, deadlines and seeded
-// backoff for remote stages (DialStage), or direct in-process dispatch
-// (LoopbackStage). Besides the per-call methods mirroring the wire
-// protocol, the handle owns the client half of the batched delta
-// protocol (ExecBatch/CollectDelta in batch.go).
+// layered over a Transport: frames over TCP with redial, deadlines and
+// seeded backoff for remote stages (DialStage), or the same codec in
+// process (EncodedLoopbackStage). The handle owns the client half of
+// the batched delta protocol (Exec in batch.go).
 type StageHandle struct {
 	t Transport
 
 	// bmu guards the batched-protocol state: the reusable args/reply
-	// buffers and the merged delta-collect snapshot.
+	// buffers, the merged delta-collect snapshot, and the buffer that
+	// snapshot was last materialized into.
 	bmu    sync.Mutex
 	bargs  BatchArgs
 	breply BatchReply
 	dstate DeltaState
+	filled *stage.Stats
 }
 
 // DialStage connects to a stage's control service over TCP. The wire is
@@ -340,13 +270,6 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	return &StageHandle{t: t}, nil
 }
 
-// LoopbackStage returns a handle driving svc directly in process: no
-// socket, no serialization, same protocol semantics (including
-// generation-tracked incremental collects against svc's state).
-func LoopbackStage(svc *StageService) *StageHandle {
-	return &StageHandle{t: NewLoopback(svc)}
-}
-
 // NewStageHandle wraps an arbitrary transport (tests inject faulty
 // ones).
 func NewStageHandle(t Transport) *StageHandle { return &StageHandle{t: t} }
@@ -356,45 +279,6 @@ func (h *StageHandle) Addr() string { return h.t.Addr() }
 
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
-
-// ApplyRule installs or updates a rule on the remote stage.
-func (h *StageHandle) ApplyRule(r policy.Rule) error {
-	return h.t.Call("Stage.ApplyRule", &ApplyRuleArgs{Rule: r}, &struct{}{})
-}
-
-// RemoveRule deletes a rule on the remote stage.
-func (h *StageHandle) RemoveRule(id string) (bool, error) {
-	var removed bool
-	err := h.t.Call("Stage.RemoveRule", &RemoveRuleArgs{ID: id}, &removed)
-	return removed, err
-}
-
-// SetRate retunes a queue on the remote stage.
-func (h *StageHandle) SetRate(id string, rate float64) (bool, error) {
-	var found bool
-	err := h.t.Call("Stage.SetRate", &SetRateArgs{ID: id, Rate: rate}, &found)
-	return found, err
-}
-
-// Collect fetches the remote stage's statistics as a full snapshot in
-// one dedicated RPC. CollectDelta is the incremental form.
-func (h *StageHandle) Collect() (stage.Stats, error) {
-	var st stage.Stats
-	err := h.t.Call("Stage.Collect", &struct{}{}, &st)
-	return st, err
-}
-
-// SetMode switches the remote stage's mode.
-func (h *StageHandle) SetMode(m stage.Mode) error {
-	return h.t.Call("Stage.SetMode", &SetModeArgs{Mode: m}, &struct{}{})
-}
-
-// Ping probes liveness.
-func (h *StageHandle) Ping() (stage.Info, error) {
-	var info stage.Info
-	err := h.t.Call("Stage.Ping", &struct{}{}, &info)
-	return info, err
-}
 
 // Health fetches the stage's health report.
 func (h *StageHandle) Health(seq uint64) (StageHealth, error) {
@@ -409,82 +293,83 @@ func (h *StageHandle) Close() error { return h.t.Close() }
 
 // ---- controller-side registration service ----
 
-// RegistrarService accepts stage registrations on the control plane.
-type RegistrarService struct {
+// registrar is the control plane's registration service: the target of
+// the three Registrar.* frame methods (dispatched in frameserver.go).
+type registrar struct {
 	onRegister   func(Registration) error
 	onDeregister func(stageID string)
 }
 
-// Register announces a new stage. The control plane connects back to the
-// stage's control service and begins orchestrating it.
-func (r *RegistrarService) Register(reg Registration, _ *struct{}) error {
-	return r.onRegister(reg)
-}
-
-// Deregister announces a stage's shutdown (job completion).
-func (r *RegistrarService) Deregister(stageID string, _ *struct{}) error {
-	if r.onDeregister != nil {
-		r.onDeregister(stageID)
-	}
-	return nil
-}
-
-// Ping echoes the probe. Stages use it as the controller liveness check
-// behind their degraded-mode detection.
-func (r *RegistrarService) Ping(probe HealthProbe, reply *HealthProbe) error {
-	*reply = probe
-	return nil
-}
-
 // ServeRegistrar serves a registration endpoint on l, invoking onRegister
-// for each arriving stage and onDeregister (may be nil) on departures.
+// for each arriving stage — its error travels back to the stage as the
+// call's error — and onDeregister (may be nil) on departures.
 // Connection handling is bounded and stop is deterministic; see
 // ServeStage.
 func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string), opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Registrar", &RegistrarService{onRegister: onRegister, onDeregister: onDeregister}); err != nil {
-		panic(fmt.Sprintf("rpcio: register registrar service: %v", err))
-	}
-	return serveBounded(l, func(conn net.Conn) { srv.ServeConn(conn) }, cfg.maxConns)
+	fs := NewFrameServer()
+	fs.add("registrar", frameTarget{reg: &registrar{onRegister: onRegister, onDeregister: onDeregister}})
+	return ServeMux(l, fs, opts...)
 }
 
-// registrarCall dials the control plane's registrar with a bounded dial
-// and I/O deadline, performs one call, and closes the connection. The
-// deadline keeps a stage's startup/shutdown path from hanging on a dead
-// controller.
-func registrarCall(controllerAddr, method string, args, reply interface{}) error {
-	conn, err := net.DialTimeout("tcp", controllerAddr, DefaultDialTimeout)
+// registrarCall performs one exchange with the control plane's
+// registrar: dial, one request frame, one reply frame, close. The dial
+// and the whole exchange are bounded, which keeps a stage's startup,
+// shutdown and heartbeat paths from hanging on a dead controller.
+func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
+	conn, err := net.DialTimeout("tcp", addr, dialTO)
 	if err != nil {
-		return fmt.Errorf("rpcio: dial controller %s: %w", controllerAddr, err)
+		return fmt.Errorf("rpcio: dial controller %s: %w", addr, err)
 	}
+	// One-shot connection: once the exchange is over (or failed) its
+	// close error carries no information.
+	defer func() { _ = conn.Close() }()
 	// Absolute wall-clock deadline for the whole exchange: registrar
 	// calls run on real deployments' startup paths, never under sim.
-	if derr := conn.SetDeadline(clock.NewReal().Now().Add(DefaultCallTimeout)); derr != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rpcio: controller %s: set deadline: %w", controllerAddr, derr)
+	if err := conn.SetDeadline(clock.NewReal().Now().Add(callTO)); err != nil {
+		return fmt.Errorf("rpcio: controller %s: set deadline: %w", addr, err)
 	}
-	client := rpc.NewClient(conn)
-	callErr := client.Call(method, args, reply)
-	if cerr := client.Close(); callErr == nil && cerr != nil {
-		callErr = fmt.Errorf("rpcio: close registrar connection: %w", cerr)
+	m := methodIDs[method]
+	frame, err := appendCallArgs(frameStart(nil), m, args)
+	if err != nil {
+		return err
 	}
-	return callErr
+	putFrameHeader(frame[:frameHeaderLen], frameHeader{
+		kind:   frameRequest,
+		method: m,
+		stream: 1,
+		length: uint32(len(frame) - frameHeaderLen),
+	})
+	if _, err := conn.Write(frame); err != nil {
+		return fmt.Errorf("rpcio: controller %s: write %s: %w", addr, method, err)
+	}
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return fmt.Errorf("rpcio: controller %s: read %s reply: %w", addr, method, err)
+	}
+	h, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return err
+	}
+	payload := make([]byte, h.length)
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		return fmt.Errorf("rpcio: controller %s: read %s reply: %w", addr, method, err)
+	}
+	if h.kind == frameError {
+		return RemoteError(payload)
+	}
+	return readCallReply(m, payload, reply)
 }
 
 // RegisterWithController dials the control plane's registrar and announces
 // a stage served at stageAddr.
 func RegisterWithController(controllerAddr string, info stage.Info, stageAddr string) error {
-	return registrarCall(controllerAddr, "Registrar.Register",
-		Registration{Info: info, Addr: stageAddr}, &struct{}{})
+	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, "Registrar.Register",
+		&Registration{Info: info, Addr: stageAddr}, nil)
 }
 
 // DeregisterFromController announces a stage's departure.
 func DeregisterFromController(controllerAddr, stageID string) error {
-	return registrarCall(controllerAddr, "Registrar.Deregister", stageID, &struct{}{})
+	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, "Registrar.Deregister", &stageID, nil)
 }
 
 // ProbeController performs one bounded controller liveness check: dial
@@ -494,22 +379,9 @@ func ProbeController(controllerAddr string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	conn, err := net.DialTimeout("tcp", controllerAddr, timeout)
-	if err != nil {
-		return fmt.Errorf("rpcio: probe controller %s: %w", controllerAddr, err)
-	}
-	if derr := conn.SetDeadline(clock.NewReal().Now().Add(timeout)); derr != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rpcio: probe controller %s: set deadline: %w", controllerAddr, derr)
-	}
-	client := rpc.NewClient(conn)
 	var echo HealthProbe
-	callErr := client.Call("Registrar.Ping", HealthProbe{Seq: 1}, &echo)
-	if cerr := client.Close(); callErr == nil && cerr != nil {
-		callErr = cerr
-	}
-	if callErr != nil {
-		return fmt.Errorf("rpcio: probe controller %s: %w", controllerAddr, callErr)
+	if err := registrarCall(controllerAddr, timeout, timeout, "Registrar.Ping", &HealthProbe{Seq: 1}, &echo); err != nil {
+		return fmt.Errorf("rpcio: probe controller: %w", err)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package rpcio
 
 import (
+	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +16,50 @@ import (
 )
 
 var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
+
+// The helpers below spell single operations the way every client does:
+// as one-op batches (and the liveness probe as Stage.Health).
+
+func execOp(h *StageHandle, op StageOp) (found bool, err error) {
+	res, _, err := h.Exec([]StageOp{op}, nil, false)
+	if err != nil {
+		return false, err
+	}
+	return res[0].Found, nil
+}
+
+func applyRule(h *StageHandle, r policy.Rule) error {
+	_, err := execOp(h, StageOp{Kind: OpApplyRule, Rule: r})
+	return err
+}
+
+func setRate(h *StageHandle, id string, rate float64) (bool, error) {
+	return execOp(h, StageOp{Kind: OpSetRate, ID: id, Rate: rate})
+}
+
+func removeRule(h *StageHandle, id string) (bool, error) {
+	return execOp(h, StageOp{Kind: OpRemoveRule, ID: id})
+}
+
+func setMode(h *StageHandle, m stage.Mode) error {
+	_, err := execOp(h, StageOp{Kind: OpSetMode, Mode: m})
+	return err
+}
+
+func collect(h *StageHandle) (stage.Stats, error) {
+	var st stage.Stats
+	err := h.CollectDeltaInto(&st)
+	return st, err
+}
+
+func ping(h *StageHandle) (stage.Info, error) {
+	st, err := h.Health(1)
+	return st.Info, err
+}
+
+// statsBytes is the canonical encoding two snapshots are compared
+// under: codec-byte-identical means field-for-field identical.
+func statsBytes(st stage.Stats) []byte { return appendStats(nil, &st) }
 
 // servedStage spins up a stage with its RPC service on loopback.
 func servedStage(t *testing.T) (*stage.Stage, *StageHandle) {
@@ -34,7 +81,7 @@ func servedStage(t *testing.T) (*stage.Stage, *StageHandle) {
 
 func TestPingRoundTrip(t *testing.T) {
 	_, h := servedStage(t)
-	info, err := h.Ping()
+	info, err := ping(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +98,7 @@ func TestApplyRuleOverRPC(t *testing.T) {
 		Rate:  5000,
 		Burst: 100,
 	}
-	if err := h.ApplyRule(rule); err != nil {
+	if err := applyRule(h, rule); err != nil {
 		t.Fatal(err)
 	}
 	rules := stg.Rules()
@@ -59,23 +106,23 @@ func TestApplyRuleOverRPC(t *testing.T) {
 		t.Errorf("installed rules = %+v", rules)
 	}
 	if len(rules[0].Match.Ops) != 1 || rules[0].Match.Ops[0] != posix.OpOpen {
-		t.Errorf("matcher lost over gob: %+v", rules[0].Match)
+		t.Errorf("matcher lost over the wire: %+v", rules[0].Match)
 	}
 }
 
 func TestSetRateOverRPC(t *testing.T) {
 	stg, h := servedStage(t)
-	if err := h.ApplyRule(policy.Rule{ID: "q", Rate: 100}); err != nil {
+	if err := applyRule(h, policy.Rule{ID: "q", Rate: 100}); err != nil {
 		t.Fatal(err)
 	}
-	found, err := h.SetRate("q", 250)
+	found, err := setRate(h, "q", 250)
 	if err != nil || !found {
 		t.Fatalf("SetRate = %v, %v", found, err)
 	}
 	if got := stg.Rules()[0].Rate; got != 250 {
 		t.Errorf("rate = %v, want 250", got)
 	}
-	found, err = h.SetRate("ghost", 1)
+	found, err = setRate(h, "ghost", 1)
 	if err != nil || found {
 		t.Errorf("SetRate(ghost) = %v, %v; want false, nil", found, err)
 	}
@@ -83,14 +130,14 @@ func TestSetRateOverRPC(t *testing.T) {
 
 func TestRemoveRuleOverRPC(t *testing.T) {
 	_, h := servedStage(t)
-	if err := h.ApplyRule(policy.Rule{ID: "q", Rate: 100}); err != nil {
+	if err := applyRule(h, policy.Rule{ID: "q", Rate: 100}); err != nil {
 		t.Fatal(err)
 	}
-	removed, err := h.RemoveRule("q")
+	removed, err := removeRule(h, "q")
 	if err != nil || !removed {
 		t.Fatalf("RemoveRule = %v, %v", removed, err)
 	}
-	removed, err = h.RemoveRule("q")
+	removed, err = removeRule(h, "q")
 	if err != nil || removed {
 		t.Errorf("second RemoveRule = %v, %v; want false, nil", removed, err)
 	}
@@ -98,7 +145,7 @@ func TestRemoveRuleOverRPC(t *testing.T) {
 
 func TestCollectOverRPC(t *testing.T) {
 	stg, h := servedStage(t)
-	if err := h.ApplyRule(policy.Rule{ID: "meta", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: policy.Unlimited}); err != nil {
+	if err := applyRule(h, policy.Rule{ID: "meta", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: policy.Unlimited}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
@@ -106,7 +153,7 @@ func TestCollectOverRPC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := h.Collect()
+	st, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +167,7 @@ func TestCollectOverRPC(t *testing.T) {
 
 func TestSetModeOverRPC(t *testing.T) {
 	stg, h := servedStage(t)
-	if err := h.SetMode(stage.Passthrough); err != nil {
+	if err := setMode(h, stage.Passthrough); err != nil {
 		t.Fatal(err)
 	}
 	if stg.Mode() != stage.Passthrough {
@@ -167,6 +214,81 @@ func TestRegistrarFlow(t *testing.T) {
 	}
 }
 
+// TestRegistrarRejectsMalformedFrames sends the registrar what a broken
+// or outdated stage would: a Registration payload cut short (answered
+// with an error frame, onRegister never runs) and a frame from a
+// WireVersion 2 peer (connection dropped without a reply). Neither may
+// panic the endpoint, which must keep serving afterwards.
+func TestRegistrarRejectsMalformedFrames(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs atomic.Int32
+	stop := ServeRegistrar(l, func(Registration) error { regs.Add(1); return nil }, nil)
+	defer stop()
+
+	// exchange writes one raw request frame and reads one reply frame.
+	exchange := func(frame []byte) (frameHeader, []byte, error) {
+		conn, err := net.DialTimeout("tcp", l.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [frameHeaderLen]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return frameHeader{}, nil, err
+		}
+		h, err := parseFrameHeader(hdr[:])
+		if err != nil {
+			return frameHeader{}, nil, err
+		}
+		body := make([]byte, h.length)
+		_, err = io.ReadFull(conn, body)
+		return h, body, err
+	}
+	request := func(cut int) []byte {
+		frame, err := appendCallArgs(frameStart(nil), methodRegister,
+			&Registration{Info: stage.Info{StageID: "sX", JobID: "jY"}, Addr: "127.0.0.1:9999"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = frame[:len(frame)-cut]
+		putFrameHeader(frame[:frameHeaderLen], frameHeader{
+			kind: frameRequest, method: methodRegister, stream: 1,
+			length: uint32(len(frame) - frameHeaderLen),
+		})
+		return frame
+	}
+
+	h, body, err := exchange(request(5))
+	if err != nil {
+		t.Fatalf("truncated registration: no reply: %v", err)
+	}
+	if h.kind != frameError || !strings.Contains(string(body), "decode") {
+		t.Errorf("truncated registration answered kind=%d %q, want a decode error frame", h.kind, body)
+	}
+
+	old := request(0)
+	old[4] = 2
+	if _, _, err := exchange(old); err == nil {
+		t.Error("WireVersion 2 frame was answered; want the connection dropped")
+	}
+
+	if got := regs.Load(); got != 0 {
+		t.Errorf("onRegister ran %d times on malformed input, want 0", got)
+	}
+	if err := ProbeController(l.Addr().String(), time.Second); err != nil {
+		t.Errorf("registrar stopped serving after malformed frames: %v", err)
+	}
+}
+
 func TestDialStageFailure(t *testing.T) {
 	if _, err := DialStage("127.0.0.1:1"); err == nil {
 		t.Error("dial to closed port succeeded")
@@ -181,7 +303,7 @@ func TestClosedHandleErrors(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if _, err := h.Ping(); err == nil {
+	if _, err := ping(h); err == nil {
 		t.Error("Ping on closed handle succeeded")
 	}
 }
@@ -202,7 +324,7 @@ func TestEndToEndEnforcementViaRPC(t *testing.T) {
 	}
 	defer h.Close()
 
-	if err := h.ApplyRule(policy.Rule{ID: "cap", Rate: 1000, Burst: 10}); err != nil {
+	if err := applyRule(h, policy.Rule{ID: "cap", Rate: 1000, Burst: 10}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -214,7 +336,7 @@ func TestEndToEndEnforcementViaRPC(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
 		t.Errorf("200 ops at 1000/s burst 10 finished in %v; RPC-installed rule not enforced", elapsed)
 	}
-	st, err := h.Collect()
+	st, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +346,8 @@ func TestEndToEndEnforcementViaRPC(t *testing.T) {
 }
 
 func TestWaitPercentilesSurviveGob(t *testing.T) {
-	// QueueStats gained WaitP50/P95/P99; make sure the gob-encoded RPC
-	// reply carries them rather than silently zeroing the new fields.
+	// QueueStats gained WaitP50/P95/P99; make sure the collect reply
+	// carries them rather than silently zeroing the new fields.
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -259,7 +381,7 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := h.Collect()
+	st, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +390,7 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 	}
 	q := st.Queues[0]
 	if q.WaitP99 <= 0 {
-		t.Errorf("WaitP99 = %v, want > 0: percentiles lost over gob (%+v)", q.WaitP99, q)
+		t.Errorf("WaitP99 = %v, want > 0: percentiles lost over the wire (%+v)", q.WaitP99, q)
 	}
 	if q.WaitP50 > q.WaitP95 || q.WaitP95 > q.WaitP99 {
 		t.Errorf("percentiles not monotone over the wire: %+v", q)
@@ -278,7 +400,7 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 func TestRuleActionSurvivesGob(t *testing.T) {
 	stg, h := servedStage(t)
 	rule := policy.Rule{ID: "police", Rate: 100, Burst: 5, Action: policy.ActionDrop}
-	if err := h.ApplyRule(rule); err != nil {
+	if err := applyRule(h, rule); err != nil {
 		t.Fatal(err)
 	}
 	got := stg.Rules()[0]

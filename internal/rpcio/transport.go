@@ -6,19 +6,18 @@
 // typed StageHandle API, the batched delta protocol, the controller —
 // only needs "issue one named call, get one reply". Transport captures
 // that contract so the same control plane can run over a real socket
-// (frameTransport) or dispatch straight into an in-process StageService
-// (Loopback) with zero serialization, which is what sim-clock tests,
-// the chaos harness, and thousand-stage benchmarks want.
+// (frameTransport) or through the same codec in process
+// (EncodedLoopback), which is what the chaos harness and thousand-stage
+// benchmarks want. Callers that want no protocol at all drive the stage
+// directly (control.LocalConn).
 package rpcio
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
-	"padll/internal/stage"
 )
 
 // Transport moves one typed RPC to a stage's control service and back.
@@ -36,8 +35,7 @@ type Transport interface {
 }
 
 // WireStats is a transport's cumulative traffic accounting. Calls counts
-// round trips issued (including retries); bytes are zero on transports
-// that never serialize (Loopback).
+// round trips issued (including retries); bytes are exact frame bytes.
 type WireStats struct {
 	Calls        uint64
 	BytesRead    uint64
@@ -95,37 +93,8 @@ func WithMuxStage(stageID string) DialOption {
 	return func(c *dialConfig) { c.stageID = stageID }
 }
 
-// LoopbackAddr is what Loopback transports report from Addr.
+// LoopbackAddr is what EncodedLoopback transports report from Addr.
 const LoopbackAddr = "loopback"
-
-// Loopback is the in-process transport: calls dispatch directly into a
-// StageService with no socket, no gob, and no goroutine handoff. The
-// reply the caller hands in is filled by the service itself, so the
-// steady-state path allocates nothing — what a 1,000-stage sim-clock
-// experiment needs to measure the control plane instead of the wire.
-type Loopback struct {
-	svc    *StageService
-	calls  atomic.Uint64
-	closed atomic.Bool
-}
-
-// NewLoopback returns an in-process transport bound to svc.
-func NewLoopback(svc *StageService) *Loopback { return &Loopback{svc: svc} }
-
-// Addr implements Transport.
-func (l *Loopback) Addr() string { return LoopbackAddr }
-
-// WireStats implements Transport. Loopback never serializes, so only
-// Calls is meaningful.
-func (l *Loopback) WireStats() WireStats {
-	return WireStats{Calls: l.calls.Load()}
-}
-
-// Close implements Transport.
-func (l *Loopback) Close() error {
-	l.closed.Store(true)
-	return nil
-}
 
 // FrameDir distinguishes the two directions a fault hook can intercept
 // on an EncodedLoopback.
@@ -150,8 +119,8 @@ type FrameFault func(dir FrameDir, method string) error
 // decode into the service's reusable session, dispatch, encode the
 // reply, decode into the caller's value — with exact frame-byte
 // accounting but no socket and no goroutine handoff. Deterministic and
-// single-threaded per call, it is what the chaos harness's batched mode
-// and the thousand-stage benchmarks run on: the codec's cost and its
+// single-threaded per call, it is what the chaos harness and the
+// thousand-stage benchmarks run on: the codec's cost and its
 // bugs are in the loop, the kernel's are not. A FrameFault hook injects
 // losses at frame granularity.
 type EncodedLoopback struct {
@@ -274,33 +243,4 @@ func (l *EncodedLoopback) Call(method string, args, reply any) error {
 		return RemoteError(string(rep[frameHeaderLen:]))
 	}
 	return readCallReply(m, rep[frameHeaderLen:], reply)
-}
-
-// Call implements Transport by direct dispatch: the same service
-// methods net/rpc would invoke, minus the codec.
-func (l *Loopback) Call(method string, args, reply any) error {
-	if l.closed.Load() {
-		return fmt.Errorf("rpcio: stage %s: connection closed", LoopbackAddr)
-	}
-	l.calls.Add(1)
-	switch method {
-	case "Stage.ApplyRule":
-		return l.svc.ApplyRule(*args.(*ApplyRuleArgs), reply.(*struct{}))
-	case "Stage.RemoveRule":
-		return l.svc.RemoveRule(*args.(*RemoveRuleArgs), reply.(*bool))
-	case "Stage.SetRate":
-		return l.svc.SetRate(*args.(*SetRateArgs), reply.(*bool))
-	case "Stage.Collect":
-		return l.svc.Collect(struct{}{}, reply.(*stage.Stats))
-	case "Stage.SetMode":
-		return l.svc.SetMode(*args.(*SetModeArgs), reply.(*struct{}))
-	case "Stage.Ping":
-		return l.svc.Ping(struct{}{}, reply.(*stage.Info))
-	case "Stage.Health":
-		return l.svc.Health(*args.(*HealthProbe), reply.(*StageHealth))
-	case "Stage.Batch":
-		return l.svc.Batch(*args.(*BatchArgs), reply.(*BatchReply))
-	default:
-		return fmt.Errorf("rpcio: loopback: unknown method %q", method)
-	}
 }

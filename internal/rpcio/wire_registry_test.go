@@ -14,24 +14,17 @@ import (
 
 // wireRegistry locks the field sets of every struct that crosses the
 // control-plane wire, directly (Call args/replies) or transitively
-// (types embedded in them). gob identifies fields by name, elides zero
-// values on encode, and silently ignores unknown names on decode — so
-// renaming, retyping, or removing a field does not fail loudly, it
-// quietly desynchronizes old and new peers. The contract is therefore
-// append-only: new fields may be added at the end (old decoders ignore
-// them, new decoders see zero values from old encoders), but the fields
-// recorded here must never change.
+// (types embedded in them). The codec moves fields positionally, so a
+// rename is harmless but a retype, reorder, or removal desynchronizes
+// peers; the fields recorded here must therefore never change within a
+// WireVersion, and any appended field is a new version.
 //
-// Only exported fields are registered: gob never encodes unexported
+// Only exported fields are registered: the codec never moves unexported
 // ones (see policy.Matcher.prefixSlash, a receiver-side cache).
 var wireRegistry = map[string][]string{
-	// rpcio.go: per-call protocol.
-	"rpcio.Registration":   {"Info stage.Info", "Addr string"},
-	"rpcio.ApplyRuleArgs":  {"Rule policy.Rule"},
-	"rpcio.RemoveRuleArgs": {"ID string"},
-	"rpcio.SetRateArgs":    {"ID string", "Rate float64"},
-	"rpcio.SetModeArgs":    {"Mode stage.Mode"},
-	"rpcio.HealthProbe":    {"Seq uint64"},
+	// rpcio.go: registration and health.
+	"rpcio.Registration": {"Info stage.Info", "Addr string"},
+	"rpcio.HealthProbe":  {"Seq uint64"},
 	"rpcio.StageHealth": {
 		"Seq uint64", "Info stage.Info", "Degraded bool",
 		"DegradedSeconds float64", "Rules int",
@@ -99,8 +92,7 @@ var wireRegistry = map[string][]string{
 // wireTypes instantiates one value of every registered type, in a fixed
 // order matching wireRegistry's keys.
 var wireTypes = []any{
-	Registration{}, ApplyRuleArgs{}, RemoveRuleArgs{}, SetRateArgs{},
-	SetModeArgs{}, HealthProbe{}, StageHealth{},
+	Registration{}, HealthProbe{}, StageHealth{},
 	StageOp{}, OpResult{}, BatchArgs{}, BatchReply{}, StatsDelta{},
 	AggAttachArgs{}, AggInfo{}, JobGrant{}, AggRoundArgs{},
 	AggJobDelta{}, AggRoundReply{},
@@ -122,7 +114,7 @@ func exportedFields(t reflect.Type) []string {
 	return out
 }
 
-// TestWireRegistryIsAppendOnly enforces the gob compatibility contract:
+// TestWireRegistryIsAppendOnly enforces the wire compatibility contract:
 // every field recorded in wireRegistry must still exist, at the same
 // position, with the same name and type. Fields appended after the
 // recorded set fail with a reminder to register them, so the registry
@@ -142,11 +134,11 @@ func TestWireRegistryIsAppendOnly(t *testing.T) {
 		got := exportedFields(rt)
 		for i, w := range want {
 			if i >= len(got) {
-				t.Errorf("%s: registered field %q removed — this breaks gob wire compatibility with deployed peers", name, w)
+				t.Errorf("%s: registered field %q removed — this breaks wire compatibility with deployed peers", name, w)
 				continue
 			}
 			if got[i] != w {
-				t.Errorf("%s: field %d changed from %q to %q — gob matches fields by name, so renames/retypes silently desynchronize peers; wire fields are append-only", name, i, w, got[i])
+				t.Errorf("%s: field %d changed from %q to %q — the codec moves fields positionally, so retypes/reorders silently desynchronize peers; wire fields are append-only", name, i, w, got[i])
 			}
 		}
 		for _, g := range got[min(len(want), len(got)):] {
@@ -225,9 +217,7 @@ func TestWireSchemaFingerprintMatchesVersion(t *testing.T) {
 // runtime contract can't drift apart.
 func TestWireRegistryCoversAnnotatedTypes(t *testing.T) {
 	annotated := []string{
-		"rpcio.Registration", "rpcio.ApplyRuleArgs", "rpcio.RemoveRuleArgs",
-		"rpcio.SetRateArgs", "rpcio.SetModeArgs", "rpcio.HealthProbe",
-		"rpcio.StageHealth", "rpcio.StageOp", "rpcio.OpResult",
+		"rpcio.Registration", "rpcio.HealthProbe", "rpcio.StageHealth", "rpcio.StageOp", "rpcio.OpResult",
 		"rpcio.BatchArgs", "rpcio.BatchReply", "rpcio.StatsDelta",
 		"rpcio.AggAttachArgs", "rpcio.AggInfo", "rpcio.JobGrant",
 		"rpcio.AggRoundArgs", "rpcio.AggJobDelta", "rpcio.AggRoundReply",

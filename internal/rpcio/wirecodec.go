@@ -1,13 +1,9 @@
-// The hand-rolled binary wire codec.
+// The hand-rolled binary wire codec: the control plane's only wire.
 //
-// gob served the control plane through PR 5, but it priced every
-// collect in reflection and allocations, and its zero-field elision
-// (absent fields left untouched on decode) already caused one silent
-// correctness bug — the stale-reply merge resetReply exists to prevent.
-// This codec removes both failure classes by construction: every field
-// of every wire struct is explicitly encoded and explicitly decoded, in
-// declaration order, with no reflection and no optional fields. A
-// decoded struct never contains residue from a previous decode.
+// Every field of every wire struct is explicitly encoded and explicitly
+// decoded, in declaration order, with no reflection and no optional
+// fields, so a decoded struct never contains residue from a previous
+// decode and a steady-state exchange allocates nothing.
 //
 // Frame layout (all integers little-endian):
 //
@@ -50,15 +46,13 @@ import (
 )
 
 // wireMagic is the first four bytes of every frame: "PDLL" read as a
-// little-endian uint32. It doubles as the protocol sniff byte sequence
-// ServeService uses to route a fresh connection to the frame handler
-// instead of net/rpc.
+// little-endian uint32.
 const wireMagic uint32 = 0x4C4C4450
 
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 2
+const WireVersion = 3
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -69,6 +63,9 @@ var wireSchemaFingerprints = map[int]string{
 	1: "sha256:201892b0bea5b6b7b65eb6fc63cfe170d216c310bd060ae6459ed5ecb531b237",
 	// v2: aggregator tier (Agg.Attach, Agg.Round and their six structs).
 	2: "sha256:379b1c97969b14109043ab048a227896457789d1e7ed75395796cfa5cd1c6081",
+	// v3: per-call stage methods and their four args structs removed;
+	// registration moved onto the frame codec (no new structs).
+	3: "sha256:e229beb791c43c21eb2abb355f4d1afa6f53c236c5565c431b543cc088efd1c0",
 }
 
 // Frame kinds.
@@ -76,8 +73,8 @@ const (
 	frameRequest uint8 = 1
 	frameReply   uint8 = 2
 	// frameError carries a service-side application error as a string
-	// payload. Like rpc.ServerError it means the wire worked and the
-	// peer answered; transports do not retry it.
+	// payload: the wire worked and the peer answered, so transports do
+	// not retry it.
 	frameError uint8 = 3
 )
 
@@ -89,33 +86,39 @@ const (
 	// stage-ID bytes, reply payload is the uvarint channel to address
 	// that stage's service on this listener.
 	methodAttach methodID = iota + 1
-	methodApplyRule
-	methodRemoveRule
-	methodSetRate
-	methodCollect
-	methodSetMode
-	methodPing
+	// 2-7 were the per-call stage methods (ApplyRule, RemoveRule,
+	// SetRate, Collect, SetMode, Ping), retired in wire v3: a single
+	// operation is a one-op Stage.Batch. The numbers stay reserved so
+	// the surviving methods keep their byte values.
+	_
+	_
+	_
+	_
+	_
+	_
 	methodHealth
 	methodBatch
 	// Aggregator-tier methods (agg.go), dispatched to AggServices on the
 	// same mux.
 	methodAggAttach
 	methodAggRound
+	// Registrar methods, served by the control plane's registration
+	// endpoint (ServeRegistrar).
+	methodRegister
+	methodDeregister
+	methodRegistrarPing
 )
 
-// methodIDs maps the Transport.Call method strings (shared with the
-// net/rpc codec) to wire method numbers.
+// methodIDs maps the Transport.Call method strings to wire method
+// numbers.
 var methodIDs = map[string]methodID{
-	"Stage.ApplyRule":  methodApplyRule,
-	"Stage.RemoveRule": methodRemoveRule,
-	"Stage.SetRate":    methodSetRate,
-	"Stage.Collect":    methodCollect,
-	"Stage.SetMode":    methodSetMode,
-	"Stage.Ping":       methodPing,
-	"Stage.Health":     methodHealth,
-	"Stage.Batch":      methodBatch,
-	"Agg.Attach":       methodAggAttach,
-	"Agg.Round":        methodAggRound,
+	"Stage.Health":         methodHealth,
+	"Stage.Batch":          methodBatch,
+	"Agg.Attach":           methodAggAttach,
+	"Agg.Round":            methodAggRound,
+	"Registrar.Register":   methodRegister,
+	"Registrar.Deregister": methodDeregister,
+	"Registrar.Ping":       methodRegistrarPing,
 }
 
 const (
@@ -463,8 +466,8 @@ func appendMatcher(b []byte, v *policy.Matcher) []byte {
 }
 
 func readMatcher(r *wireReader, v *policy.Matcher) {
-	// Like gob, the codec only moves exported fields; the receiver's
-	// matcher recomputes its unexported prefix cache on first use.
+	// The codec only moves exported fields; the receiver's matcher
+	// recomputes its unexported prefix cache on first use.
 	nOps := r.count(minVarintEnc)
 	v.Ops = v.Ops[:0]
 	for i := 0; i < nOps && r.err == nil; i++ {
@@ -506,41 +509,6 @@ func appendRegistration(b []byte, v *Registration) []byte {
 func readRegistration(r *wireReader, v *Registration) {
 	readInfo(r, &v.Info)
 	v.Addr = r.str()
-}
-
-func appendApplyRuleArgs(b []byte, v *ApplyRuleArgs) []byte {
-	return appendRule(b, &v.Rule)
-}
-
-func readApplyRuleArgs(r *wireReader, v *ApplyRuleArgs) {
-	readRule(r, &v.Rule)
-}
-
-func appendRemoveRuleArgs(b []byte, v *RemoveRuleArgs) []byte {
-	return appendString(b, v.ID)
-}
-
-func readRemoveRuleArgs(r *wireReader, v *RemoveRuleArgs) {
-	v.ID = r.str()
-}
-
-func appendSetRateArgs(b []byte, v *SetRateArgs) []byte {
-	b = appendString(b, v.ID)
-	b = appendF64(b, v.Rate)
-	return b
-}
-
-func readSetRateArgs(r *wireReader, v *SetRateArgs) {
-	v.ID = r.str()
-	v.Rate = r.f64()
-}
-
-func appendSetModeArgs(b []byte, v *SetModeArgs) []byte {
-	return binary.AppendVarint(b, int64(v.Mode))
-}
-
-func readSetModeArgs(r *wireReader, v *SetModeArgs) {
-	v.Mode = stage.Mode(r.varint())
 }
 
 func appendHealthProbe(b []byte, v *HealthProbe) []byte {
@@ -805,17 +773,7 @@ func readAggRoundReply(r *wireReader, v *AggRoundReply) {
 // pointer forms Transport.Call receives.
 func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 	switch m {
-	case methodApplyRule:
-		return appendApplyRuleArgs(b, args.(*ApplyRuleArgs)), nil
-	case methodRemoveRule:
-		return appendRemoveRuleArgs(b, args.(*RemoveRuleArgs)), nil
-	case methodSetRate:
-		return appendSetRateArgs(b, args.(*SetRateArgs)), nil
-	case methodCollect, methodPing:
-		return b, nil // no arguments
-	case methodSetMode:
-		return appendSetModeArgs(b, args.(*SetModeArgs)), nil
-	case methodHealth:
+	case methodHealth, methodRegistrarPing:
 		return appendHealthProbe(b, args.(*HealthProbe)), nil
 	case methodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
@@ -823,6 +781,10 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 		return appendAggAttachArgs(b, args.(*AggAttachArgs)), nil
 	case methodAggRound:
 		return appendAggRoundArgs(b, args.(*AggRoundArgs)), nil
+	case methodRegister:
+		return appendRegistration(b, args.(*Registration)), nil
+	case methodDeregister:
+		return appendString(b, *args.(*string)), nil // the stage ID
 	default:
 		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
 	}
@@ -833,17 +795,7 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 func readCallArgs(m methodID, payload []byte, args any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodApplyRule:
-		readApplyRuleArgs(&r, args.(*ApplyRuleArgs))
-	case methodRemoveRule:
-		readRemoveRuleArgs(&r, args.(*RemoveRuleArgs))
-	case methodSetRate:
-		readSetRateArgs(&r, args.(*SetRateArgs))
-	case methodCollect, methodPing:
-		// no arguments
-	case methodSetMode:
-		readSetModeArgs(&r, args.(*SetModeArgs))
-	case methodHealth:
+	case methodHealth, methodRegistrarPing:
 		readHealthProbe(&r, args.(*HealthProbe))
 	case methodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
@@ -851,6 +803,10 @@ func readCallArgs(m methodID, payload []byte, args any) error {
 		readAggAttachArgs(&r, args.(*AggAttachArgs))
 	case methodAggRound:
 		readAggRoundArgs(&r, args.(*AggRoundArgs))
+	case methodRegister:
+		readRegistration(&r, args.(*Registration))
+	case methodDeregister:
+		*args.(*string) = r.str()
 	default:
 		return fmt.Errorf("rpcio: decode: unknown method %d", m)
 	}
@@ -860,14 +816,10 @@ func readCallArgs(m methodID, payload []byte, args any) error {
 // appendCallReply encodes one method's reply.
 func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 	switch m {
-	case methodApplyRule, methodSetMode:
+	case methodRegister, methodDeregister:
 		return b, nil // empty reply
-	case methodRemoveRule, methodSetRate:
-		return appendBool(b, *reply.(*bool)), nil
-	case methodCollect:
-		return appendStats(b, reply.(*stage.Stats)), nil
-	case methodPing:
-		return appendInfo(b, reply.(*stage.Info)), nil
+	case methodRegistrarPing:
+		return appendHealthProbe(b, reply.(*HealthProbe)), nil
 	case methodHealth:
 		return appendStageHealth(b, reply.(*StageHealth)), nil
 	case methodBatch:
@@ -886,14 +838,10 @@ func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 func readCallReply(m methodID, payload []byte, reply any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodApplyRule, methodSetMode:
+	case methodRegister, methodDeregister:
 		// empty reply
-	case methodRemoveRule, methodSetRate:
-		*reply.(*bool) = r.boolv()
-	case methodCollect:
-		readStats(&r, reply.(*stage.Stats))
-	case methodPing:
-		readInfo(&r, reply.(*stage.Info))
+	case methodRegistrarPing:
+		readHealthProbe(&r, reply.(*HealthProbe))
 	case methodHealth:
 		readStageHealth(&r, reply.(*StageHealth))
 	case methodBatch:
@@ -914,35 +862,30 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 // a wire struct without extending its codec (and bumping WireVersion)
 // fails the build's tests rather than silently truncating frames.
 var codecFieldCoverage = map[string]int{
-	"rpcio.Registration":   2,
-	"rpcio.ApplyRuleArgs":  1,
-	"rpcio.RemoveRuleArgs": 1,
-	"rpcio.SetRateArgs":    2,
-	"rpcio.SetModeArgs":    1,
-	"rpcio.HealthProbe":    1,
-	"rpcio.StageHealth":    5,
-	"rpcio.StageOp":        5,
-	"rpcio.OpResult":       1,
-	"rpcio.BatchArgs":      5,
-	"rpcio.BatchReply":     2,
-	"rpcio.StatsDelta":     9,
-	"rpcio.AggAttachArgs":  1,
-	"rpcio.AggInfo":        4,
-	"rpcio.JobGrant":       2,
-	"rpcio.AggRoundArgs":   2,
-	"rpcio.AggJobDelta":    7,
-	"rpcio.AggRoundReply":  6,
-	"stage.Info":           5,
-	"stage.Stats":          5,
-	"stage.QueueStats":     12,
-	"policy.Rule":          5,
-	"policy.Matcher":       5,
+	"rpcio.Registration":  2,
+	"rpcio.HealthProbe":   1,
+	"rpcio.StageHealth":   5,
+	"rpcio.StageOp":       5,
+	"rpcio.OpResult":      1,
+	"rpcio.BatchArgs":     5,
+	"rpcio.BatchReply":    2,
+	"rpcio.StatsDelta":    9,
+	"rpcio.AggAttachArgs": 1,
+	"rpcio.AggInfo":       4,
+	"rpcio.JobGrant":      2,
+	"rpcio.AggRoundArgs":  2,
+	"rpcio.AggJobDelta":   7,
+	"rpcio.AggRoundReply": 6,
+	"stage.Info":          5,
+	"stage.Stats":         5,
+	"stage.QueueStats":    12,
+	"policy.Rule":         5,
+	"policy.Matcher":      5,
 }
 
 // RemoteError is a service-side application error carried back over a
 // frame connection: the wire worked, the stage answered, and the answer
-// was "no". Transports treat it like rpc.ServerError — returned to the
-// caller, never retried.
+// was "no". Transports return it to the caller and never retry it.
 type RemoteError string
 
 // Error implements error.

@@ -3,24 +3,18 @@ package rpcio
 import (
 	"bytes"
 	"testing"
-
-	"padll/internal/stage"
 )
 
 // fuzzArgsDst returns a fresh decode destination for a method's args
 // (nil when the method takes none).
 func fuzzArgsDst(m methodID) any {
 	switch m {
-	case methodApplyRule:
-		return &ApplyRuleArgs{}
-	case methodRemoveRule:
-		return &RemoveRuleArgs{}
-	case methodSetRate:
-		return &SetRateArgs{}
-	case methodSetMode:
-		return &SetModeArgs{}
-	case methodHealth:
+	case methodHealth, methodRegistrarPing:
 		return &HealthProbe{}
+	case methodRegister:
+		return &Registration{}
+	case methodDeregister:
+		return new(string)
 	case methodBatch:
 		return &BatchArgs{}
 	case methodAggAttach:
@@ -36,12 +30,8 @@ func fuzzArgsDst(m methodID) any {
 // (nil when the reply is empty).
 func fuzzReplyDst(m methodID) any {
 	switch m {
-	case methodRemoveRule, methodSetRate:
-		return new(bool)
-	case methodCollect:
-		return &stage.Stats{}
-	case methodPing:
-		return &stage.Info{}
+	case methodRegistrarPing:
+		return &HealthProbe{}
 	case methodHealth:
 		return &StageHealth{}
 	case methodBatch:
@@ -85,8 +75,8 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	// A well-formed header seed so mutations explore the parser's arms.
 	hdr := make([]byte, frameHeaderLen)
-	putFrameHeader(hdr, frameHeader{kind: frameRequest, method: methodCollect, stream: 1, length: 0})
-	f.Add(uint8(methodCollect), true, hdr)
+	putFrameHeader(hdr, frameHeader{kind: frameRequest, method: methodBatch, stream: 1, length: 0})
+	f.Add(uint8(methodBatch), true, hdr)
 
 	f.Fuzz(func(t *testing.T, mRaw uint8, isReply bool, data []byte) {
 		// Surface 1: the frame header parser. Errors are expected for

@@ -1,6 +1,7 @@
 package rpcio
 
 import (
+	"bytes"
 	"net"
 	"reflect"
 	"testing"
@@ -58,45 +59,10 @@ type callFixture struct {
 }
 
 func callFixtures() []callFixture {
-	removed := true
-	found := false
 	st := maxStats()
 	info := stage.Info{StageID: "sX", JobID: "jX", Hostname: "hX", PID: -3, User: "uX"}
+	deregID := "sX"
 	return []callFixture{
-		{
-			method:  "Stage.ApplyRule",
-			args:    &ApplyRuleArgs{Rule: maxRule("apply-1")},
-			argsDst: &ApplyRuleArgs{},
-		},
-		{
-			method:   "Stage.RemoveRule",
-			args:     &RemoveRuleArgs{ID: "kill-me"},
-			argsDst:  &RemoveRuleArgs{},
-			reply:    &removed,
-			replyDst: new(bool),
-		},
-		{
-			method:   "Stage.SetRate",
-			args:     &SetRateArgs{ID: "q1", Rate: 777.125},
-			argsDst:  &SetRateArgs{},
-			reply:    &found,
-			replyDst: new(bool),
-		},
-		{
-			method:   "Stage.Collect",
-			reply:    &st,
-			replyDst: &stage.Stats{},
-		},
-		{
-			method:  "Stage.SetMode",
-			args:    &SetModeArgs{Mode: stage.Passthrough},
-			argsDst: &SetModeArgs{},
-		},
-		{
-			method:   "Stage.Ping",
-			reply:    &info,
-			replyDst: &stage.Info{},
-		},
 		{
 			method:  "Stage.Health",
 			args:    &HealthProbe{Seq: 1 << 60},
@@ -134,6 +100,42 @@ func callFixtures() []callFixture {
 				},
 			},
 			replyDst: &BatchReply{},
+		},
+		{
+			// The steady-state collect: no ops, a matching ack, an empty
+			// incremental delta.
+			method:  "Stage.Batch",
+			args:    &BatchArgs{Collect: true, ClientID: 7, AckEpoch: 9, AckGen: 41},
+			argsDst: &BatchArgs{},
+			reply: &BatchReply{Delta: StatsDelta{
+				Epoch: 9, Gen: 42, Passthrough: 3,
+			}},
+			replyDst: &BatchReply{},
+		},
+		{
+			// A single operation is a one-op batch with no collect.
+			method:   "Stage.Batch",
+			args:     &BatchArgs{Ops: []StageOp{{Kind: OpSetRate, ID: "q1", Rate: 777.125}}, ClientID: 7},
+			argsDst:  &BatchArgs{},
+			reply:    &BatchReply{Results: []OpResult{{Found: false}}},
+			replyDst: &BatchReply{},
+		},
+		{
+			method:  "Registrar.Register",
+			args:    &Registration{Info: info, Addr: "10.0.0.7:7171"},
+			argsDst: &Registration{},
+		},
+		{
+			method:  "Registrar.Deregister",
+			args:    &deregID,
+			argsDst: new(string),
+		},
+		{
+			method:   "Registrar.Ping",
+			args:     &HealthProbe{Seq: 1 << 33},
+			argsDst:  &HealthProbe{},
+			reply:    &HealthProbe{Seq: 1 << 33},
+			replyDst: &HealthProbe{},
 		},
 		{
 			method:  "Agg.Attach",
@@ -228,12 +230,10 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 		Info:   stage.Info{StageID: "tiny"},
 		Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}},
 	}
-	buf, err := appendCallReply(nil, methodCollect, &small)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dirty := maxStats() // longer queue slice, every scalar non-zero
-	if err := readCallReply(methodCollect, buf, &dirty); err != nil {
+	r := wireReader{buf: appendStats(nil, &small)}
+	readStats(&r, &dirty)
+	if err := r.done(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(small, dirty) {
@@ -266,11 +266,11 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 	good := make([]byte, frameHeaderLen)
 	putFrameHeader(good, frameHeader{
-		kind: frameRequest, method: methodCollect, stream: 7, channel: 1, length: 10,
+		kind: frameRequest, method: methodBatch, stream: 7, channel: 1, length: 10,
 	})
 	if h, err := parseFrameHeader(good); err != nil {
 		t.Fatalf("valid header rejected: %v", err)
-	} else if h.kind != frameRequest || h.method != methodCollect || h.stream != 7 || h.channel != 1 || h.length != 10 {
+	} else if h.kind != frameRequest || h.method != methodBatch || h.stream != 7 || h.channel != 1 || h.length != 10 {
 		t.Fatalf("valid header misparsed: %+v", h)
 	}
 
@@ -331,13 +331,24 @@ func TestDecoderRejectsTruncatedPayloads(t *testing.T) {
 // TestDecoderRejectsTrailingGarbage appends bytes after a valid payload;
 // done() must flag the leftovers as a schema disagreement.
 func TestDecoderRejectsTrailingGarbage(t *testing.T) {
-	buf, err := appendCallArgs(nil, methodSetRate, &SetRateArgs{ID: "q", Rate: 1})
+	buf, err := appendCallArgs(nil, methodRegister, &Registration{Addr: "a:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = append(buf, 0x00)
-	if err := readCallArgs(methodSetRate, buf, &SetRateArgs{}); err == nil {
+	if err := readCallArgs(methodRegister, buf, &Registration{}); err == nil {
 		t.Error("trailing byte after args payload decoded without error")
+	}
+}
+
+// TestEmptyDeltaEncodesSmall: a steady-state incremental delta (no queue
+// changes, no removals) must encode to only a handful of bytes — the
+// property the fleet-scale collect path is built on. The bound is
+// generous; the point is "tens of bytes, not a serialized Stats blob".
+func TestEmptyDeltaEncodesSmall(t *testing.T) {
+	d := StatsDelta{Epoch: ^uint64(0), Gen: 1 << 62, Passthrough: 1 << 40}
+	if n := len(appendStatsDelta(nil, &d)); n > 64 {
+		t.Errorf("steady-state empty delta encodes to %d bytes, want <= 64", n)
 	}
 }
 
@@ -346,7 +357,7 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 // independent handles collecting it (each with its own delta state over
 // the shared multiplexed connection), and a direct in-process Collect
 // as ground truth. After every mutation all three snapshots must be
-// byte-identical under a canonical encoding. Halfway through, the
+// codec-byte-identical. Halfway through, the
 // server is torn down and rebuilt on the same port with a fresh stage
 // (same ID): both live handles must redial, detect the epoch change,
 // resync with a full snapshot, and converge again.
@@ -374,26 +385,26 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 
 	checkConverged := func(step string) {
 		t.Helper()
-		want := gobBytes(t, stg.Collect())
-		stBin, err := hBin.CollectDelta()
+		want := statsBytes(stg.Collect())
+		stBin, err := collect(hBin)
 		if err != nil {
 			t.Fatalf("%s: binary collect: %v", step, err)
 		}
-		stAlt, err := hAlt.CollectDelta()
+		stAlt, err := collect(hAlt)
 		if err != nil {
 			t.Fatalf("%s: second-handle collect: %v", step, err)
 		}
-		if got := gobBytes(t, stBin); !reflect.DeepEqual(got, want) {
+		if got := statsBytes(stBin); !bytes.Equal(got, want) {
 			t.Fatalf("%s: binary snapshot diverged from direct Collect:\nbin:    %+v\ndirect: %+v", step, stBin, stg.Collect())
 		}
-		if got := gobBytes(t, stAlt); !reflect.DeepEqual(got, want) {
+		if got := statsBytes(stAlt); !bytes.Equal(got, want) {
 			t.Fatalf("%s: second handle diverged from direct Collect:\nalt:    %+v\ndirect: %+v", step, stAlt, stg.Collect())
 		}
 	}
 
 	mutate := []func(){
 		func() {
-			if err := hBin.ApplyRule(maxRule("r1")); err != nil {
+			if err := applyRule(hBin, maxRule("r1")); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -402,22 +413,22 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 			clk.Advance(2 * time.Second)
 		},
 		func() {
-			if _, err := hAlt.SetRate("r1", 999); err != nil {
+			if _, err := setRate(hAlt, "r1", 999); err != nil {
 				t.Fatal(err)
 			}
 		},
 		func() {
-			if err := hAlt.ApplyRule(maxRule("r2")); err != nil {
+			if err := applyRule(hAlt, maxRule("r2")); err != nil {
 				t.Fatal(err)
 			}
 		},
 		func() {
-			if _, err := hBin.RemoveRule("r2"); err != nil {
+			if _, err := removeRule(hBin, "r2"); err != nil {
 				t.Fatal(err)
 			}
 		},
 		func() {
-			if err := hBin.SetMode(stage.Passthrough); err != nil {
+			if err := setMode(hBin, stage.Passthrough); err != nil {
 				t.Fatal(err)
 			}
 			stg.Offer(&posix.Request{Op: posix.OpStat, JobID: "other"}, 50, time.Second)

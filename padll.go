@@ -130,9 +130,8 @@ const (
 var ErrRateLimited = stage.ErrRateLimited
 
 // WireVersion is the binary frame protocol version this build speaks —
-// the control plane's only wire since the legacy gob path's one-release
-// compatibility window closed. Decoders reject frames from any other
-// version rather than guessing at field layouts.
+// the control plane's only wire, registration included. Decoders reject
+// frames from any other version rather than guessing at field layouts.
 const WireVersion = rpcio.WireVersion
 
 // NewVFS wraps any FileSystem — a raw backend, a DataPlane, or a full
@@ -456,13 +455,6 @@ func WithCollectConcurrency(n int) ControlOption { return control.WithCollectCon
 // pushes rates to in parallel each round (default 8; 1 forces
 // sequential, deterministic-order pushes).
 func WithPushConcurrency(n int) ControlOption { return control.WithPushConcurrency(n) }
-
-// WithPipelinedRounds fuses each feedback round's push phase into the
-// next round's batched collect exchange, halving steady-state round
-// trips per stage at the cost of one round of enactment staleness (the
-// rate computed in round N is enforced by round N+1's exchange). The
-// classic two-phase loop stays the default.
-func WithPipelinedRounds() ControlOption { return control.WithPipelinedRounds() }
 
 // WithGroupBy overrides the feedback loop's orchestration granularity:
 // the default groups stages per job; GroupByUser shares one allocation
