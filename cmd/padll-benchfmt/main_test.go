@@ -242,7 +242,18 @@ func TestRatioGates(t *testing.T) {
 	if n, err := gateRatios(specs, fresh); err != nil || n != 1 {
 		t.Errorf("gateRatios = %d exceeded, err %v; want 1", n, err)
 	}
+	// "<=inf" reports the quotient and never gates it.
+	report, err := parseRatios("BenchC/BenchB<=inf")
+	if err != nil {
+		t.Fatalf("parseRatios(<=inf): %v", err)
+	}
+	if n, err := gateRatios(report, fresh); err != nil || n != 0 {
+		t.Errorf("report-only ratio = %d exceeded, err %v; want 0", n, err)
+	}
 	delete(fresh, "BenchC")
+	if _, err := gateRatios(report, fresh); err == nil {
+		t.Error("report-only ratio with a missing benchmark passed; want an error")
+	}
 	if _, err := gateRatios(specs, fresh); err == nil {
 		t.Error("gateRatios with a missing benchmark passed; want an error")
 	}

@@ -1,11 +1,14 @@
 package interpose
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"padll/internal/clock"
 	"padll/internal/localfs"
+	"padll/internal/metrics"
 	"padll/internal/mount"
 	"padll/internal/policy"
 	"padll/internal/posix"
@@ -266,5 +269,133 @@ func TestConcurrentInterposition(t *testing.T) {
 	qs := stg.Collect().Queues[0]
 	if qs.Total != want {
 		t.Errorf("queue total = %d, want %d", qs.Total, want)
+	}
+}
+
+// TestStripedCountersConserveCalls drives controlled, bypassed and
+// policed-away calls from several goroutines at once (run under -race):
+// the per-stripe cells must add up to exactly the calls issued, in
+// total, by disposition and per operation.
+func TestStripedCountersConserveCalls(t *testing.T) {
+	shim, c, stg := rig(t, clock.NewReal(), stage.Enforce)
+	// Police opens on the PFS with a bucket that runs dry at once, so
+	// most of them are refused with ErrRateLimited.
+	stg.ApplyRule(policy.Rule{ID: "police", Match: policy.Matcher{
+		Ops: []posix.Op{posix.OpOpen},
+	}, Rate: 1e-6, Burst: 3, Action: policy.ActionDrop})
+	for _, p := range []string{"/pfs/f", "/local-f"} {
+		fd, err := c.Creat(p, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const setup = 4 // 2 × creat+close
+
+	const goroutines, perG = 8, 600
+	var wg sync.WaitGroup
+	var dropped atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				switch i % 3 {
+				case 0: // controlled
+					if _, err := c.GetAttr("/pfs/f"); err != nil {
+						t.Errorf("getattr: %v", err)
+						return
+					}
+				case 1: // bypassed
+					if _, err := c.Stat("/local-f"); err != nil {
+						t.Errorf("stat: %v", err)
+						return
+					}
+				case 2: // controlled, mostly dropped by the policing rule
+					fd, err := c.Open("/pfs/f", posix.ORdOnly, 0)
+					if err == stage.ErrRateLimited {
+						dropped.Add(1)
+						continue
+					}
+					if err != nil {
+						t.Errorf("open: %v", err)
+						return
+					}
+					// An admitted open is followed by its close: one
+					// more controlled call.
+					if err := c.Close(fd); err != nil {
+						t.Errorf("close: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	const third = goroutines * perG / 3
+	opens := int64(third)
+	closes := opens - dropped.Load()
+	if dropped.Load() == 0 || closes == 0 {
+		t.Fatalf("fixture: %d opens dropped, %d admitted; want both", dropped.Load(), closes)
+	}
+	st := shim.Stats()
+	wantCalls := int64(setup+3*third) + closes
+	if st.Intercepted != wantCalls || st.Controlled+st.Bypassed != wantCalls {
+		t.Errorf("intercepted %d, controlled %d + bypassed %d; want %d calls", st.Intercepted, st.Controlled, st.Bypassed, wantCalls)
+	}
+	if want := int64(third + 2); st.Bypassed != want { // stats + the local creat/close
+		t.Errorf("bypassed = %d, want %d", st.Bypassed, want)
+	}
+	var perOp int64
+	for _, n := range st.PerOp {
+		perOp += n
+	}
+	if perOp != wantCalls {
+		t.Errorf("per-op counts sum to %d, want %d", perOp, wantCalls)
+	}
+	if st.PerOp[posix.OpOpen] != opens || st.PerOp[posix.OpGetAttr] != third || st.PerOp[posix.OpClose] != closes+2 {
+		t.Errorf("per-op = %v; want open %d getattr %d close %d", st.PerOp, opens, third, closes+2)
+	}
+	if got := stg.Collect().Queues[0].Dropped; got != dropped.Load() {
+		t.Errorf("stage dropped %d, callers saw %d", got, dropped.Load())
+	}
+}
+
+// TestLatencySamplingStaysOneIn64 keeps the end-to-end latency sample
+// honest now that each stripe samples off its own count: 64,000
+// controlled calls from four goroutines must leave 1,000 samples, short
+// by at most one per stripe (a stripe's trailing partial run of 64).
+func TestLatencySamplingStaysOneIn64(t *testing.T) {
+	clk := clock.NewReal()
+	nop := posix.FileSystemFunc(func(*posix.Request, *posix.Reply) error { return nil })
+	shim := New(nop, stage.New(stage.Info{StageID: "s"}, clk), clk)
+	const goroutines, perG = 4, 16000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, rep := posix.GetRequest(), posix.GetReply()
+			defer posix.PutRequest(req)
+			defer posix.PutReply(rep)
+			req.Op, req.Path = posix.OpGetAttr, "/f"
+			for i := 0; i < perG; i++ {
+				if err := shim.Apply(req, rep); err != nil {
+					t.Errorf("Apply: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const want = goroutines * perG / 64
+	if got := shim.latency.Count(); got > want || got <= want-metrics.Stripes {
+		t.Errorf("%d latency samples of %d controlled calls, want %d (less at most one per stripe)", got, goroutines*perG, want)
+	}
+	if got := shim.Stats().Controlled; got != goroutines*perG {
+		t.Errorf("controlled = %d, want %d", got, goroutines*perG)
 	}
 }

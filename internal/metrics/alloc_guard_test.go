@@ -32,3 +32,13 @@ func TestRateCounterAddZeroAllocs(t *testing.T) {
 		t.Errorf("Add allocates %.3f allocs/op, want 0", avg)
 	}
 }
+
+// TestObserveZeroZeroAllocs is the runtime half of the //lint:hotpath
+// contract on the histogram's lock-free zero-wait record.
+func TestObserveZeroZeroAllocs(t *testing.T) {
+	h := NewLatencyHistogram()
+	h.ObserveZero() // first call allocates the cells
+	if avg := testing.AllocsPerRun(1000, h.ObserveZero); avg != 0 {
+		t.Errorf("ObserveZero allocates %.3f allocs/op, want 0", avg)
+	}
+}

@@ -5,22 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"padll/internal/clock"
 )
-
-// rcShardCount is the number of in-window counter cells. Sixteen shards
-// is enough to spread the replayer's rank threads without bloating the
-// fold loop that runs at every window close.
-const rcShardCount = 16
-
-// rcShard is one in-window event cell, padded so neighbouring shards do
-// not share a cache line (64B on every target we run on).
-type rcShard struct {
-	n atomic.Int64
-	_ [56]byte
-}
 
 // RateCounter measures the throughput of a request stream over fixed
 // sampling windows. It is the statistic a PADLL data-plane stage exposes
@@ -49,12 +36,9 @@ type RateCounter struct {
 	// `<` mirrors rollLocked's `>=` close condition, so an instant that
 	// lands exactly on the boundary takes the slow path and rolls.
 	winEndNano atomic.Int64
-	// shards is allocated on the first Add. A counter that has never
-	// counted keeps no cells at all: its sweeps are a nil check, and a
-	// fleet's many idle queues cost ~1KB less each — which is what keeps
-	// a thousand-stage collect round inside the cache instead of walking
-	// 16 padded lines per idle counter.
-	shards atomic.Pointer[[rcShardCount]rcShard]
+	// shards holds the open window's counts, allocated on the first Add
+	// (see striped).
+	shards striped
 
 	// seq/pubTotal/pubRate back the lock-free read path of
 	// TotalAndLastRateAt. seq is a seqlock generation: odd while a
@@ -101,37 +85,6 @@ func (rc *RateCounter) SetMaxSamples(n int) {
 	rc.maxSamples = n
 }
 
-// shard picks the calling goroutine's counter cell, allocating the cell
-// array on first use. Goroutine stacks live in distinct allocations, so
-// the address of a stack variable separates concurrent adders without
-// any shared state; the pointer is only folded into an index, never
-// dereferenced or converted back. Which shard a count lands in never
-// affects totals or window sums (integer addition commutes), so this
-// has no bearing on determinism. A lost CAS race re-loads the winner's
-// array, so no add ever lands in an orphaned cell.
-func (rc *RateCounter) shard() *rcShard {
-	arr := rc.shards.Load()
-	if arr == nil {
-		arr = rc.allocShards()
-	}
-	var probe byte
-	h := uintptr(unsafe.Pointer(&probe))
-	return &arr[(h>>11)&(rcShardCount-1)]
-}
-
-// allocShards publishes the cell array on a counter's first-ever Add. A
-// lost CAS race re-loads the winner's array, so no add ever lands in an
-// orphaned cell.
-//
-//lint:coldpath runs at most once per counter lifetime: first-add cell allocation
-func (rc *RateCounter) allocShards() *[rcShardCount]rcShard {
-	fresh := new([rcShardCount]rcShard)
-	if rc.shards.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return rc.shards.Load()
-}
-
 // Add records n events at the current instant, closing any elapsed
 // windows first.
 //
@@ -146,34 +99,20 @@ func (rc *RateCounter) Add(n int64) { rc.AddAt(n, rc.clk.Now()) }
 //lint:hotpath
 func (rc *RateCounter) AddAt(n int64, now time.Time) {
 	if now.UnixNano() < rc.winEndNano.Load() {
-		rc.shard().n.Add(n)
+		rc.shards.add(n)
 		return
 	}
 	rc.mu.Lock()
 	rc.rollLocked(now)
-	rc.shard().n.Add(n)
+	rc.shards.add(n)
 	rc.mu.Unlock()
-}
-
-// liveLocked sums the open window's shard cells (0 when no add has ever
-// allocated them).
-func (rc *RateCounter) liveLocked() int64 {
-	arr := rc.shards.Load()
-	if arr == nil {
-		return 0
-	}
-	var sum int64
-	for i := range arr {
-		sum += arr[i].n.Load()
-	}
-	return sum
 }
 
 // Total returns the lifetime event count.
 func (rc *RateCounter) Total() int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.totalClosed + rc.liveLocked()
+	return rc.totalClosed + rc.shards.sum()
 }
 
 // CurrentRate returns the rate (events/second) accumulated so far in the
@@ -188,7 +127,7 @@ func (rc *RateCounter) CurrentRate() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(rc.liveLocked()) / elapsed
+	return float64(rc.shards.sum()) / elapsed
 }
 
 // TotalAndLastRate returns the lifetime event count and the most
@@ -227,12 +166,7 @@ func (rc *RateCounter) TotalAndLastRateAt(now time.Time) (total int64, lastRate 
 func (rc *RateCounter) CollectAt(now time.Time) (total int64, lastRate float64, quiet bool) {
 	if now.UnixNano() < rc.winEndNano.Load() {
 		if s := rc.seq.Load(); s&1 == 0 {
-			var live int64
-			if arr := rc.shards.Load(); arr != nil {
-				for i := range arr {
-					live += arr[i].n.Load()
-				}
-			}
+			live := rc.shards.sum()
 			total = rc.pubTotal.Load() + live
 			lastRate = math.Float64frombits(rc.pubRate.Load())
 			if rc.seq.Load() == s {
@@ -243,7 +177,7 @@ func (rc *RateCounter) CollectAt(now time.Time) (total int64, lastRate float64, 
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.rollLocked(now)
-	live := rc.liveLocked()
+	live := rc.shards.sum()
 	total = rc.totalClosed + live
 	lastRate = 0
 	if rc.series.Len() > 0 {
@@ -304,14 +238,7 @@ func (rc *RateCounter) snapshotLocked() *Series {
 // immaterial for the sums recorded (integer addition commutes) but keeps
 // the fold itself deterministic.
 func (rc *RateCounter) drainLocked() int64 {
-	arr := rc.shards.Load()
-	if arr == nil {
-		return 0
-	}
-	var sum int64
-	for i := range arr {
-		sum += arr[i].n.Swap(0)
-	}
+	sum := rc.shards.drain()
 	rc.totalClosed += sum
 	rc.pubTotal.Store(rc.totalClosed)
 	return sum

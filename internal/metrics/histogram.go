@@ -14,20 +14,31 @@ import (
 // and supports approximate quantiles. PADLL stages use it for per-queue
 // service latency; the overhead experiment (§IV-A) uses it to compare
 // baseline against passthrough interposition.
+//
+// A stage queue observes one wait per admitted request, and on a queue
+// whose limit is not binding nearly all of them are zero: the token was
+// in hand, and tokens in hand is not a wait. ObserveZero records those
+// without the mutex, into striped cells that every reader folds into the
+// bucket holding 0 before it answers — so n×ObserveZero is
+// indistinguishable from n×Observe(0) to any reader, at any moment.
 type Histogram struct {
 	// obs mirrors total so readers can detect "never observed" without
 	// the mutex: a fleet collect reads three quantiles per queue per
 	// round, and most queues on most stages are idle — their histograms
-	// answer with one atomic load instead of a lock and a bucket walk.
+	// answer with two atomic loads instead of a lock and a bucket walk.
 	obs atomic.Int64
+	// zeros holds the zero-length observations not yet folded into the
+	// locked state below; allocated on the first ObserveZero.
+	zeros striped
 
-	mu     sync.Mutex
-	bounds []float64 // upper bound (seconds) of each bucket, ascending
-	counts []int64   // len(bounds)+1, last bucket is overflow
-	total  int64
-	sum    float64
-	min    float64
-	max    float64
+	mu      sync.Mutex
+	bounds  []float64 // upper bound (seconds) of each bucket, ascending
+	zeroIdx int       // index of the bucket an observation of 0 lands in
+	counts  []int64   // len(bounds)+1, last bucket is overflow
+	total   int64
+	sum     float64
+	min     float64
+	max     float64
 }
 
 // NewLatencyHistogram returns a histogram with exponentially spaced
@@ -46,10 +57,42 @@ func NewHistogram(bounds []float64) *Histogram {
 	copy(cp, bounds)
 	sort.Float64s(cp)
 	return &Histogram{
-		bounds: cp,
-		counts: make([]int64, len(cp)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
+		bounds:  cp,
+		zeroIdx: sort.SearchFloat64s(cp, 0),
+		counts:  make([]int64, len(cp)+1),
+		min:     math.Inf(1),
+		max:     math.Inf(-1),
+	}
+}
+
+// ObserveZero records one observation of zero length. It takes no lock
+// and writes only the calling goroutine's stripe; readers account for it
+// exactly as for Observe(0).
+//
+//lint:hotpath
+func (h *Histogram) ObserveZero() { h.zeros.add(1) }
+
+// idle reports that nothing was ever observed, without the mutex.
+func (h *Histogram) idle() bool {
+	return h.obs.Load() == 0 && h.zeros.cells.Load() == nil
+}
+
+// foldLocked moves the pending zero-length observations into the locked
+// state, as that many Observe(0) calls would have. Every reader calls it
+// first, so none can tell the two apart. Caller holds h.mu.
+func (h *Histogram) foldLocked() {
+	z := h.zeros.drain()
+	if z == 0 {
+		return
+	}
+	h.counts[h.zeroIdx] += z
+	h.total += z
+	h.obs.Store(h.total)
+	if 0 < h.min {
+		h.min = 0
+	}
+	if 0 > h.max {
+		h.max = 0
 	}
 }
 
@@ -79,6 +122,7 @@ func (h *Histogram) ObserveSeconds(v float64) {
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	return h.total
 }
 
@@ -86,6 +130,7 @@ func (h *Histogram) Count() int64 {
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -96,6 +141,7 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -106,6 +152,7 @@ func (h *Histogram) Min() float64 {
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -117,23 +164,25 @@ func (h *Histogram) Max() float64 {
 // capped at the largest observation so estimates never exceed
 // Quantile(1) and stay monotone in q.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.obs.Load() == 0 {
+	if h.idle() {
 		return 0 // never observed: what the locked path would answer
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	return h.quantileLocked(q)
 }
 
 // Quantiles3 answers three quantile queries in one lock acquisition —
 // the shape of a queue-stats snapshot (p50/p95/p99) — and answers a
-// never-observed histogram with zeros for the cost of one atomic load.
+// never-observed histogram with zeros for the cost of two atomic loads.
 func (h *Histogram) Quantiles3(q1, q2, q3 float64) (v1, v2, v3 float64) {
-	if h.obs.Load() == 0 {
+	if h.idle() {
 		return 0, 0, 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.foldLocked()
 	return h.quantileLocked(q1), h.quantileLocked(q2), h.quantileLocked(q3)
 }
 

@@ -33,8 +33,11 @@ type Mount struct {
 // Router routes requests to mounted backends. It implements
 // posix.FileSystem and is safe for concurrent use.
 type Router struct {
-	mu     sync.RWMutex
-	mounts []Mount // sorted by descending prefix length for longest match
+	// mounts is sorted by descending prefix length for longest match and
+	// immutable after NewRouter, so path resolution takes no lock.
+	mounts []Mount
+
+	mu     sync.RWMutex // guards the descriptor table only
 	fds    map[int]fdEntry
 	nextFD int
 }
@@ -85,13 +88,8 @@ func normalize(p string) string {
 }
 
 // Resolve returns the mount serving path, or nil when no mount matches.
+// It reads only the immutable mount table: no lock, no shared write.
 func (r *Router) Resolve(path string) *Mount {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolveLocked(path)
-}
-
-func (r *Router) resolveLocked(path string) *Mount {
 	if !strings.HasPrefix(path, "/") {
 		path = "/" + path
 	}
@@ -100,7 +98,9 @@ func (r *Router) resolveLocked(path string) *Mount {
 		if m.Prefix == "/" {
 			return m
 		}
-		if path == m.Prefix || strings.HasPrefix(path, m.Prefix+"/") {
+		// path is m.Prefix itself or lies under "m.Prefix/".
+		if strings.HasPrefix(path, m.Prefix) &&
+			(len(path) == len(m.Prefix) || path[len(m.Prefix)] == '/') {
 			return m
 		}
 	}
@@ -111,13 +111,13 @@ func (r *Router) resolveLocked(path string) *Mount {
 // path-based operations, by descriptor for fd-based ones. The second
 // result reports whether resolution succeeded.
 func (r *Router) ResolveRequest(req *posix.Request) (*Mount, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if req.Path != "" {
-		m := r.resolveLocked(req.Path)
+		m := r.Resolve(req.Path)
 		return m, m != nil
 	}
+	r.mu.RLock()
 	e, ok := r.fds[req.FD]
+	r.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
@@ -161,9 +161,7 @@ func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
 	*fwd = *req // shallow copy; we rewrite Path/NewPath/FD
 
 	if req.Path != "" {
-		r.mu.RLock()
-		m = r.resolveLocked(req.Path)
-		r.mu.RUnlock()
+		m = r.Resolve(req.Path)
 		if m == nil {
 			posix.PutRequest(fwd)
 			return posix.ErrNotExist
@@ -219,8 +217,6 @@ func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
 
 // Mounts returns a copy of the mount table (longest prefix first).
 func (r *Router) Mounts() []Mount {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]Mount(nil), r.mounts...)
 }
 

@@ -3,6 +3,7 @@ package mount
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -281,6 +282,65 @@ func TestConcurrentRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if r.OpenFDs() != 0 {
+		t.Errorf("leaked %d fds", r.OpenFDs())
+	}
+}
+
+// TestConcurrentResolveBesideFDChurn runs lock-free path resolution —
+// Resolve, ResolveRequest by path, and path requests through Apply —
+// beside goroutines that churn the descriptor table with open/close
+// (run under -race): the mount table is immutable and shares nothing
+// with the table the lock still guards.
+func TestConcurrentResolveBesideFDChurn(t *testing.T) {
+	r, _, _ := twoMounts(t)
+	c := posix.NewClient(r)
+	for _, p := range []string{"/lustre/f", "/local-f"} {
+		fd, err := c.Creat(p, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) { // fd-table churn
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				fd, err := c.Open("/lustre/f", posix.ORdOnly, 0)
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				if m, ok := r.ResolveRequest(&posix.Request{Op: posix.OpFStat, FD: fd}); !ok || m.Name != "pfs" {
+					t.Errorf("ResolveRequest(fd %d) = %v, %v", fd, m, ok)
+				}
+				if err := c.Close(fd); err != nil {
+					t.Errorf("close: %v", err)
+					return
+				}
+			}
+		}(g)
+		go func(g int) { // path resolution
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if m := r.Resolve("/lustre/f"); m == nil || m.Name != "pfs" {
+					t.Errorf("Resolve(/lustre/f) = %v", m)
+				}
+				if m, ok := r.ResolveRequest(&posix.Request{Op: posix.OpStat, Path: "/local-f"}); !ok || m.Name != "local" {
+					t.Errorf("ResolveRequest(/local-f) = %v, %v", m, ok)
+				}
+				if _, err := c.Stat("/local-f"); err != nil {
+					t.Errorf("stat: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 	if r.OpenFDs() != 0 {
 		t.Errorf("leaked %d fds", r.OpenFDs())
 	}

@@ -28,7 +28,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -512,26 +512,25 @@ func (o *FS) rmdir(p string, rep *posix.Reply) error {
 	return nil
 }
 
-// appendDir appends f's entries onto entries, sorted by name. The
+// sortEntries orders a listing by name, the order both opendir snapshots
+// and path readdirs report in.
+func sortEntries(entries []posix.DirEntry) {
+	slices.SortFunc(entries, func(a, b posix.DirEntry) int { return strings.Compare(a.Name, b.Name) })
+}
+
+// snapshotDir reads and sorts a directory's entries into an owned slice
+// (opendir handles retain their snapshot across readdir calls). The
 // platform listing (raw getdents64 on Linux) reports names, types and
 // inodes in one pass, so no per-entry stat is paid; it also fails with
 // ENOTDIR on non-directory targets, which is why neither opendir nor the
 // path readdir needs a verifying stat of its own.
-func appendDir(entries []posix.DirEntry, f *os.File) ([]posix.DirEntry, error) {
-	base := len(entries)
-	entries, err := appendDirents(entries, f)
-	if err != nil {
-		return entries, mapErr(err)
-	}
-	tail := entries[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Name < tail[j].Name })
-	return entries, nil
-}
-
-// snapshotDir reads and sorts a directory's entries into an owned slice
-// (opendir handles retain their snapshot across readdir calls).
 func snapshotDir(f *os.File) ([]posix.DirEntry, error) {
-	return appendDir(nil, f)
+	entries, err := appendDirents(nil, f)
+	if err != nil {
+		return nil, mapErr(err)
+	}
+	sortEntries(entries)
+	return entries, nil
 }
 
 func (o *FS) opendir(p string, rep *posix.Reply) error {
@@ -556,17 +555,11 @@ func (o *FS) opendir(p string, rep *posix.Reply) error {
 // (one entry per call, as libc readdir does).
 func (o *FS) readdir(req *posix.Request, rep *posix.Reply) error {
 	if req.Path != "" {
-		f, err := os.Open(o.resolve(req.Path))
+		entries, err := o.appendDirentsAt(rep.Entries[:0], clean(req.Path))
 		if err != nil {
 			return mapErr(err)
 		}
-		entries, derr := appendDir(rep.Entries[:0], f)
-		if cerr := f.Close(); derr == nil && cerr != nil {
-			derr = mapErr(cerr)
-		}
-		if derr != nil {
-			return derr
-		}
+		sortEntries(entries)
 		rep.Entries = entries
 		return nil
 	}

@@ -17,6 +17,20 @@ const hasFastStat = false
 
 func statInto([]byte, bool, *posix.FileInfo) error { return posix.ErrNotSupported }
 
+// appendDirentsAt appends the entries of the directory at the cleaned
+// virtual path p (unsorted), through a short-lived *os.File.
+func (o *FS) appendDirentsAt(entries []posix.DirEntry, p string) ([]posix.DirEntry, error) {
+	f, err := os.Open(o.resolve(p))
+	if err != nil {
+		return entries, err
+	}
+	entries, err = appendDirents(entries, f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = cerr
+	}
+	return entries, err
+}
+
 // appendDirents appends f's directory entries (unsorted) via the
 // portable ReadDir, paying one Info stat per entry for the inode.
 func appendDirents(entries []posix.DirEntry, f *os.File) ([]posix.DirEntry, error) {

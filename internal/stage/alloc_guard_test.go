@@ -35,6 +35,27 @@ func TestEnforceZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEnforceShapedZeroAllocs guards the token-in-hand branch: a finite
+// limit that is not binding (the controller's managed rule), admitted
+// through TakeAt and the zero-wait record.
+func TestEnforceShapedZeroAllocs(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	s := New(Info{StageID: "alloc", JobID: "job1"}, clk, WithMode(Enforce))
+	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})
+	req := &posix.Request{Op: posix.OpGetAttr, Path: "/pfs/job1/f", JobID: "job1", User: "u1"}
+
+	if err := s.Enforce(req); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := s.Enforce(req); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Enforce (finite limit, token in hand) allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
 // TestEnforcePassthroughZeroAllocs guards the unmatched/passthrough
 // branch of the same hot path.
 func TestEnforcePassthroughZeroAllocs(t *testing.T) {

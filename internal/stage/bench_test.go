@@ -37,8 +37,22 @@ func benchReq() *posix.Request {
 // BenchmarkStageEnforceSerial measures the single-caller admit path with
 // unlimited rules (the passthrough configuration of §IV-A).
 func BenchmarkStageEnforceSerial(b *testing.B) {
-	s := benchStage(Enforce)
-	req := benchReq()
+	enforceSerial(b, benchStage(Enforce), benchReq())
+}
+
+// BenchmarkStageEnforceParallel measures the multi-rank admit path: many
+// replayer threads pushing through one stage, the contention profile the
+// paper's 512-job scale-out produces. Run with -cpu 1,4,8.
+func BenchmarkStageEnforceParallel(b *testing.B) {
+	enforceParallel(b, benchStage(Enforce), benchReq)
+}
+
+// enforceSerial and enforceParallel are the two halves of every admit
+// path's benchmark pair: the same stage and request from one caller, and
+// from GOMAXPROCS callers at once. A path that writes no shared cache
+// line costs no more per call in parallel than serially, on any number
+// of cores — the quotient `make bench-diff` gates.
+func enforceSerial(b *testing.B, s *Stage, req *posix.Request) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,15 +62,11 @@ func BenchmarkStageEnforceSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkStageEnforceParallel measures the multi-rank admit path: many
-// replayer threads pushing through one stage, the contention profile the
-// paper's 512-job scale-out produces. Run with -cpu 1,4,8.
-func BenchmarkStageEnforceParallel(b *testing.B) {
-	s := benchStage(Enforce)
+func enforceParallel(b *testing.B, s *Stage, mk func() *posix.Request) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := benchReq()
+		req := mk()
 		for pb.Next() {
 			if err := s.Enforce(req); err != nil {
 				b.Fatal(err)
@@ -65,43 +75,62 @@ func BenchmarkStageEnforceParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkStageEnforcePassthroughMode measures Passthrough mode with a
-// finite-rate rule installed (count-but-never-throttle, §IV-A setup).
-func BenchmarkStageEnforcePassthroughMode(b *testing.B) {
+// passthroughModeStage is Passthrough mode with a finite-rate rule
+// installed (count-but-never-throttle, §IV-A setup).
+func passthroughModeStage() *Stage {
 	s := New(Info{StageID: "bench", JobID: "job1"}, clock.NewReal(), WithMode(Passthrough))
 	s.ApplyRule(policy.Rule{ID: "meta", Match: policy.Matcher{
 		Classes: []posix.Class{posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr},
 	}, Rate: 1, Burst: 1})
-	req := benchReq()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := s.Enforce(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	return s
 }
 
-// BenchmarkStageEnforceUnmatched measures requests matching no rule (the
-// not-subject-to-QoS path: one passthrough counter bump).
-func BenchmarkStageEnforceUnmatched(b *testing.B) {
-	s := benchStage(Enforce)
-	req := &posix.Request{Op: posix.OpGetAttr, Path: "/other/f", JobID: "job9"}
-	// Only job-scoped below; the bench rule set matches every op, so use a
-	// stage with narrow rules instead.
-	s = New(Info{StageID: "bench", JobID: "job1"}, clock.NewReal())
+func BenchmarkStageEnforcePassthroughModeSerial(b *testing.B) {
+	enforceSerial(b, passthroughModeStage(), benchReq())
+}
+
+func BenchmarkStageEnforcePassthroughMode(b *testing.B) {
+	enforceParallel(b, passthroughModeStage(), benchReq)
+}
+
+// unmatchedStage carries only a rule scoped to another job, so the
+// bench request matches nothing (the not-subject-to-QoS path: one
+// passthrough counter bump).
+func unmatchedStage() *Stage {
+	s := New(Info{StageID: "bench", JobID: "job1"}, clock.NewReal())
 	s.ApplyRule(policy.Rule{ID: "j2", Match: policy.Matcher{JobID: "job2"}, Rate: policy.Unlimited})
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := s.Enforce(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	return s
+}
+
+func unmatchedReq() *posix.Request {
+	return &posix.Request{Op: posix.OpGetAttr, Path: "/other/f", JobID: "job9"}
+}
+
+func BenchmarkStageEnforceUnmatchedSerial(b *testing.B) {
+	enforceSerial(b, unmatchedStage(), unmatchedReq())
+}
+
+func BenchmarkStageEnforceUnmatched(b *testing.B) {
+	enforceParallel(b, unmatchedStage(), unmatchedReq)
+}
+
+// shapedStage carries the controller's managed rule — metadata-like
+// classes scoped to the job — at a finite rate that never binds: the
+// common production case, admitted through TakeAt with the token in
+// hand. The bucket's critical section is the one shared write left on
+// this path; the Parallel/Serial quotient of this pair is its price.
+func shapedStage() *Stage {
+	s := New(Info{StageID: "bench", JobID: "job1"}, clock.NewReal())
+	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})
+	return s
+}
+
+func BenchmarkStageEnforceShapedSerial(b *testing.B) {
+	enforceSerial(b, shapedStage(), benchReq())
+}
+
+func BenchmarkStageEnforceShapedParallel(b *testing.B) {
+	enforceParallel(b, shapedStage(), benchReq)
 }
 
 // BenchmarkStageEnforceDrop measures the policing path (TryTake per

@@ -25,7 +25,12 @@ var (
 	cachePrefixes = []string{
 		"", "/a", "/a/", "/a/b", "/a/bb", "/a/b/c", "/scratch", "/scratch/job1",
 	}
-	cachePaths = []string{
+	// cacheSparsePrefixes makes most rules path-free, so that rule sets
+	// mix ops whose candidates all ignore the path (memo keyed without
+	// the directory) with ops where one path-bearing candidate brings the
+	// directory back — and a mutation flips an op between the two.
+	cacheSparsePrefixes = []string{"", "", "", "", "", "/a", "/a/b", "/scratch/job1"}
+	cachePaths          = []string{
 		"", "noslash", "/", "/a", "/a/", "/a/b", "/a/bb", "/a/x",
 		"/a/b/c", "/a/b/cc", "/a/b/c/d", "/scratch/x", "/scratch/job1/f", "/x",
 	}
@@ -33,7 +38,7 @@ var (
 	cacheUsers = []string{"", "alice", "bob"}
 )
 
-func randomRule(rng *rand.Rand, id int) policy.Rule {
+func randomRule(rng *rand.Rand, id int, prefixes []string) policy.Rule {
 	r := policy.Rule{ID: fmt.Sprintf("r%d", id), Rate: policy.Unlimited}
 	if rng.Intn(3) == 0 {
 		r.Match.Ops = []posix.Op{cacheOps[rng.Intn(len(cacheOps))]}
@@ -41,7 +46,7 @@ func randomRule(rng *rand.Rand, id int) policy.Rule {
 	if rng.Intn(3) == 0 {
 		r.Match.Classes = []posix.Class{[]posix.Class{posix.ClassMetadata, posix.ClassData}[rng.Intn(2)]}
 	}
-	r.Match.PathPrefix = cachePrefixes[rng.Intn(len(cachePrefixes))]
+	r.Match.PathPrefix = prefixes[rng.Intn(len(prefixes))]
 	r.Match.JobID = cacheJobs[rng.Intn(len(cacheJobs))]
 	r.Match.User = cacheUsers[rng.Intn(len(cacheUsers))]
 	return r
@@ -58,14 +63,21 @@ func randomRequest(rng *rand.Rand, req *posix.Request) {
 // for any snapshot, classifyCached must return exactly the entry
 // classify returns — and classify must agree with the rule set's direct
 // Select — on the first call (fill), the second call (hit), and after
-// every control-plane mutation (fresh snapshot, fresh cache).
+// every control-plane mutation (fresh snapshot, fresh cache). Odd trials
+// draw mostly path-free rules, so memo keys with and without the
+// directory are both exercised, side by side and across mutations.
 func TestClassifyCacheEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var keyedByDir, keyedWithoutDir int // requests classified under each key shape
 	for trial := 0; trial < 200; trial++ {
+		prefixes := cachePrefixes
+		if trial%2 == 1 {
+			prefixes = cacheSparsePrefixes
+		}
 		s := New(Info{StageID: "cache"}, clock.NewSim(time.Unix(0, 0)))
 		var rules []policy.Rule
 		for i, n := 0, rng.Intn(6); i < n; i++ {
-			rules = append(rules, randomRule(rng, i))
+			rules = append(rules, randomRule(rng, i, prefixes))
 			s.ApplyRule(rules[i])
 		}
 		ref := policy.NewRuleSet(rules...)
@@ -74,6 +86,13 @@ func TestClassifyCacheEquivalence(t *testing.T) {
 			randomRequest(rng, req)
 			sn := s.snap.Load()
 			want := sn.classify(req)
+			if len(sn.perOp[req.Op]) > 0 {
+				if sn.pathFree[req.Op] {
+					keyedWithoutDir++
+				} else {
+					keyedByDir++
+				}
+			}
 			for pass := 0; pass < 2; pass++ { // fill, then hit
 				if got := sn.classifyCached(req); got != want {
 					t.Fatalf("trial %d step %d pass %d: classifyCached(%+v) = %v, classify = %v (rules %v)",
@@ -95,12 +114,56 @@ func TestClassifyCacheEquivalence(t *testing.T) {
 					s.RemoveRule(victim.ID)
 					ref.Remove(victim.ID)
 				} else {
-					victim.Match.PathPrefix = cachePrefixes[rng.Intn(len(cachePrefixes))]
+					victim.Match.PathPrefix = prefixes[rng.Intn(len(prefixes))]
 					s.ApplyRule(victim)
 					ref.Upsert(victim)
 				}
 			}
 		}
+	}
+	if keyedByDir < 1000 || keyedWithoutDir < 1000 {
+		t.Errorf("fixture lost its mix: %d requests keyed by directory, %d without", keyedByDir, keyedWithoutDir)
+	}
+}
+
+// TestClassifyCachePathFreeOneSlot is what dropping the directory buys:
+// under rules with no path constraint a sweep over 2,000 directories
+// fills one memo slot, so after the first request Enforce neither
+// allocates nor misses — where keys that carried the directory thrashed
+// the 512 slots with one allocation per miss.
+func TestClassifyCachePathFreeOneSlot(t *testing.T) {
+	s := New(Info{StageID: "sweep", JobID: "job1"}, clock.NewSim(time.Unix(0, 0)))
+	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})
+	s.ApplyRule(policy.Rule{ID: "meta", Match: policy.Matcher{
+		Classes: []posix.Class{posix.ClassMetadata},
+	}, Rate: policy.Unlimited})
+	paths := make([]string, 2000)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/pfs/d%04d/f", i)
+	}
+	req := &posix.Request{Op: posix.OpGetAttr, Path: paths[0], JobID: "job1", User: "u1"}
+	if err := s.Enforce(req); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(len(paths), func() {
+		req.Path = paths[i%len(paths)]
+		i++
+		if err := s.Enforce(req); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Enforce over %d distinct directories allocates %.3f allocs/op, want 0", len(paths), avg)
+	}
+	filled := 0
+	sn := s.snap.Load()
+	for i := range sn.cache {
+		if sn.cache[i].Load() != nil {
+			filled++
+		}
+	}
+	if filled != 1 {
+		t.Errorf("%d memo slots filled by one (op, job, user), want 1", filled)
 	}
 }
 
@@ -147,7 +210,7 @@ func TestClassifyCacheConcurrentChurn(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0, 1:
-				s.ApplyRule(randomRule(rng, rng.Intn(4)))
+				s.ApplyRule(randomRule(rng, rng.Intn(4), cacheSparsePrefixes))
 			case 2:
 				s.RemoveRule(fmt.Sprintf("r%d", rng.Intn(4)))
 			case 3:

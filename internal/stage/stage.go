@@ -16,8 +16,10 @@
 // rebuild the snapshot copy-on-write under s.mu; the per-request path
 // (Enforce/Offer — hot, every intercepted syscall) classifies against the
 // current snapshot and bumps sharded/atomic counters without taking any
-// lock. Only the shaping path (a bucket with queued waiters) blocks, and
-// only inside the token bucket itself.
+// lock. A request under a finite limit whose token is in hand takes it in
+// one short critical section on the bucket — the only shared-written
+// state the admit path touches; only a request that finds the bucket dry
+// blocks, and only inside the token bucket itself.
 package stage
 
 import (
@@ -94,7 +96,9 @@ type QueueStats struct {
 	// Waiting is the number of requests currently blocked in the queue.
 	Waiting int
 	// WaitP50, WaitP95 and WaitP99 are percentiles of the queue's shaping
-	// wait latency, in seconds (0 when the queue has never blocked).
+	// wait, in seconds, over every request the bucket admitted. A request
+	// that found its token in hand waited 0 — tokens in hand is not a
+	// wait — so a queue whose limit never binds reports 0 throughout.
 	WaitP50 float64
 	WaitP95 float64
 	WaitP99 float64
@@ -139,10 +143,15 @@ type snapshot struct {
 	// perOp[op] lists the entries whose op/class constraints op can
 	// satisfy, in selection order — the hot-path dispatch index.
 	perOp [posix.NumOps][]*entry
+	// pathFree[op] records that no candidate in perOp[op] constrains the
+	// path, so op's classification cannot depend on the directory and
+	// its memo keys drop it: a sweep over any number of directories
+	// occupies one slot per (op, job, user).
+	pathFree [posix.NumOps]bool
 	// byID indexes entries by rule ID for Collect/QueueSeries.
 	byID map[string]*entry
 	// cache memoizes classification results keyed by (op, job, user,
-	// parent directory). Its generation tag is the snapshot itself:
+	// parent directory — "" for pathFree ops). Its generation tag is the snapshot itself:
 	// every control-plane mutation publishes a fresh snapshot with a
 	// fresh empty cache, so entries are valid exactly as long as the
 	// snapshot is the published one — invalidation by construction,
@@ -203,14 +212,19 @@ func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
 // path — and the path only through its directory prefix, except when a
 // rule's PathPrefix names an entry directly inside that directory
 // (Matcher.SplitsDir); such keys are classified directly and never
-// memoized. A hit is one hash and one atomic load: no lock, no
+// memoized. When no candidate rule for the op has a path constraint at
+// all (pathFree) the directory cannot matter and the key carries "" in
+// its place. A hit is one hash and one atomic load: no lock, no
 // allocation, and no rule-list walk.
 //
 //lint:hotpath
 func (sn *snapshot) classifyCached(req *posix.Request) *entry {
-	dir, ok := dirOf(req.Path)
-	if !ok {
-		return sn.classify(req)
+	var dir string
+	if !req.Op.Valid() || !sn.pathFree[req.Op] {
+		var ok bool
+		if dir, ok = dirOf(req.Path); !ok {
+			return sn.classify(req)
+		}
 	}
 	slot := &sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)]
 	if ce := slot.Load(); ce != nil &&
@@ -269,10 +283,6 @@ func (sn *snapshot) classify(req *posix.Request) *entry {
 type Stage struct {
 	info Info
 	clk  clock.Clock
-	// realClk gates the amortized wall-clock sampling below; simulated
-	// clocks are always read exactly so experiment runs stay
-	// deterministic.
-	realClk bool
 
 	// mode is read on every intercepted request; atomic keeps the hot
 	// path lock-free.
@@ -293,12 +303,14 @@ type Stage struct {
 
 	// Amortized wall-clock sampling: reading the real clock costs more
 	// than the rest of the admit path combined, so the hot path reuses
-	// the last read and refreshes every clockStride-th request. Counter
-	// instants may therefore lag by a few requests at a window edge —
-	// harmless for wall-clock statistics, and never applied to simulated
-	// clocks.
-	clockTick atomic.Uint64
-	clockNano atomic.Int64
+	// its stripe's last read and refreshes it every clockStride-th
+	// request on that stripe — per stripe, so that concurrent callers
+	// share no written line. Counter instants may therefore lag by a few
+	// requests at a window edge — harmless for wall-clock statistics and
+	// for TakeAt, which can only under-refill from a stale instant. nil
+	// for simulated clocks, which are always read exactly so experiment
+	// runs stay deterministic.
+	hotClock *[metrics.Stripes]clockStripe
 
 	// ptRem carries Offer's fractional passthrough credit between ticks.
 	ptMu  sync.Mutex
@@ -337,9 +349,17 @@ type Stage struct {
 	quietEpoch uint64
 }
 
-// clockStride is how many amortized hot-path clock reads share one real
-// clock sample (power of two).
+// clockStride is how many amortized hot-path clock reads on one stripe
+// share one real clock sample (power of two).
 const clockStride = 64
+
+// clockStripe is one stripe's amortized clock sample, padded to a cache
+// line of its own.
+type clockStripe struct {
+	tick atomic.Uint64
+	nano atomic.Int64
+	_    [48]byte
+}
 
 type queue struct {
 	bucket   *tokenbucket.Bucket
@@ -386,8 +406,7 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 		window: time.Second,
 	}
 	if _, ok := clk.(clock.Real); ok {
-		s.realClk = true
-		s.clockNano.Store(clk.Now().UnixNano())
+		s.hotClock = new([metrics.Stripes]clockStripe)
 	}
 	for _, o := range opts {
 		o(s)
@@ -399,18 +418,21 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 
 // hotNow returns the instant hot-path counters stamp events with. For
 // simulated clocks this is always the exact clock read (determinism);
-// for the real clock it is an amortized sample refreshed every
-// clockStride-th call.
+// for the real clock it is the calling stripe's amortized sample,
+// refreshed on the stripe's first call and every clockStride-th after.
+//
+//lint:hotpath
 func (s *Stage) hotNow() time.Time {
-	if !s.realClk {
+	if s.hotClock == nil {
 		return s.clk.Now()
 	}
-	if s.clockTick.Add(1)&(clockStride-1) == 1 {
+	c := &s.hotClock[metrics.StripeIndex()]
+	if c.tick.Add(1)&(clockStride-1) == 1 {
 		now := s.clk.Now()
-		s.clockNano.Store(now.UnixNano())
+		c.nano.Store(now.UnixNano())
 		return now
 	}
-	return time.Unix(0, s.clockNano.Load())
+	return time.Unix(0, c.nano.Load())
 }
 
 // Info returns the stage's identity.
@@ -457,9 +479,13 @@ func (s *Stage) publishLocked() {
 	sn.collect = append(sn.collect, sn.all...)
 	sort.Slice(sn.collect, func(i, j int) bool { return sn.collect[i].rule.ID < sn.collect[j].rule.ID })
 	for op := 0; op < posix.NumOps; op++ {
+		sn.pathFree[op] = true
 		for _, e := range sn.all {
 			if e.rule.Match.CouldMatchOp(posix.Op(op)) {
 				sn.perOp[op] = append(sn.perOp[op], e)
+				if e.rule.Match.PathPrefix != "" {
+					sn.pathFree[op] = false
+				}
 			}
 		}
 	}
@@ -580,8 +606,11 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 
 // Enforce classifies req and blocks until its queue's token bucket admits
 // it. Requests matching no rule, and all requests in Passthrough mode,
-// return immediately. The admit path takes no locks: classification reads
-// the published snapshot, counters are sharded atomics.
+// return immediately. The admit path writes no shared state of the
+// stage's own: classification reads the published snapshot, and counters,
+// the zero-wait record and the amortized clock are per-stripe cells. Under
+// a finite limit the bucket's own critical section is the one shared
+// write, and only a request that finds the bucket dry goes on to block.
 //
 //lint:hotpath
 func (s *Stage) Enforce(req *posix.Request) error {
@@ -616,7 +645,21 @@ func (s *Stage) Enforce(req *posix.Request) error {
 		return ErrRateLimited
 	}
 
-	// Shaping: block in the bucket. Exact clock reads here — the wait
+	// Shaping, token in hand: nothing to wait for, so nothing to time —
+	// one instant stamps both counters and the wait is recorded as zero,
+	// which is what the exact path below measures on a simulated clock
+	// (end == start). A stale amortized instant can only under-refill the
+	// bucket and send the request down the exact path.
+	now := s.hotNow()
+	if q.bucket.TakeAt(1, now) {
+		q.demand.AddAt(1, now)
+		q.admitted.AddAt(1, now)
+		q.latency.ObserveZero()
+		s.markActive()
+		return nil
+	}
+
+	// Shaping, bucket dry: block in it. Exact clock reads here — the wait
 	// duration is a reported statistic, and simulated-clock waiters must
 	// interleave deterministically with the sim's event loop.
 	start := s.clk.Now()

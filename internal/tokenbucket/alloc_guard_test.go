@@ -37,3 +37,18 @@ func TestTryTakeZeroAllocs(t *testing.T) {
 		t.Errorf("TryTake (finite-rate path) allocates %.3f allocs/op, want 0", avg)
 	}
 }
+
+// TestTakeAtZeroAllocs guards the stage's shaped admit primitive the
+// same way.
+func TestTakeAtZeroAllocs(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	limited := New(clk, 1e12, 1e12)
+	now := clk.Now()
+	if avg := testing.AllocsPerRun(1000, func() {
+		if !limited.TakeAt(1, now) {
+			t.Fatal("TakeAt refused")
+		}
+	}); avg != 0 {
+		t.Errorf("TakeAt allocates %.3f allocs/op, want 0", avg)
+	}
+}

@@ -5,12 +5,16 @@
 // (or, for data operations, one token per byte) before being submitted to
 // the file system.
 //
-// The bucket supports three admission styles:
+// The bucket supports four admission styles:
 //
 //   - Wait: block the calling goroutine until tokens are available (the
 //     enforcement path used by live stages);
 //   - TryTake: non-blocking admission (used for policing, tests, and
 //     drop-based policies);
+//   - TakeAt: TryTake at a caller-supplied instant, never borrowing (the
+//     stage's admit path tries it before Wait, so a request that finds
+//     its token in hand reads no clock and touches nothing but the
+//     bucket);
 //   - Grant: fluid admission over a time window (used by the discrete-tick
 //     cluster simulator to model thousands of requests per tick without a
 //     goroutine per request).
@@ -120,10 +124,15 @@ func NewUnlimited(clk clock.Clock) *Bucket {
 }
 
 // refillLocked accrues tokens for the time elapsed since the last refill.
+// The refill cursor never runs backwards: an instant at or before last
+// accrues nothing and leaves last where it is, so a caller holding a
+// stale instant (TakeAt) can only under-refill.
 func (b *Bucket) refillLocked(now time.Time) {
 	if b.rate == Infinite {
 		b.tokens = Infinite
-		b.last = now
+		if now.After(b.last) {
+			b.last = now
+		}
 		return
 	}
 	dt := now.Sub(b.last).Seconds()
@@ -267,6 +276,42 @@ func (b *Bucket) TryTake(n float64) bool {
 	}
 	// Dry bucket with siblings: borrow the deficit and retry once.
 	return b.takeBorrowed(pool, n, need)
+}
+
+// TakeAt is TryTake against a caller-supplied instant: it refills up to
+// now, takes n tokens if the bucket holds them, and otherwise reports
+// false without borrowing from siblings or blocking. now may lag the
+// clock (hot paths amortize clock reads): refill never runs backwards,
+// so a stale instant can only leave tokens unaccrued — the caller then
+// falls back to Wait, which reads the clock exactly. Granted stays exact
+// either way.
+//
+//lint:hotpath
+func (b *Bucket) TakeAt(n float64, now time.Time) bool {
+	if n <= 0 {
+		return true
+	}
+	// Unlimited fast path; see TryTake.
+	if b.unlimitedA.Load() {
+		if b.closedA.Load() {
+			return false
+		}
+		b.addGranted(n)
+		return true
+	}
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return false
+	}
+	b.refillLocked(now)
+	ok := b.tokens >= n
+	if ok {
+		b.tokens -= n
+		b.addGranted(n)
+	}
+	b.mu.Unlock()
+	return ok
 }
 
 // Wait blocks until n tokens are available and takes them. It returns
