@@ -53,7 +53,8 @@ race:
 # desk, instead of at the next reviewer's.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
-		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/...
+		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
+		./internal/clock/...
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
@@ -88,8 +89,12 @@ bench-all:
 # BENCH_stage.json baselines (refresh with `make bench`). This is the
 # tripwire that keeps the binary codec's wire wins and the alloc-free
 # request path locked in. The deterministic units — allocs/op and
-# wireB/round — are gated strictly at 15%. Wall-clock ns/op swings
-# tens of percent between steal/thermal windows on a shared box
+# wireB/round — are gated strictly at 15%, and a baseline of zero is a
+# contract: BenchmarkFrameExchange (one steady-state collect over
+# loopback TCP) and BenchmarkStageSetRate (the feedback loop's retune)
+# allocate nothing, and one allocation in either fails the gate.
+# Wall-clock ns/op swings tens of percent between steal/thermal windows
+# on a shared box
 # (-count=3 keeping the fastest run filters in-window noise, not
 # cross-window drift), so cross-window ns/op is a
 # catastrophic-regression tripwire at 50%, and the interposition-tax
@@ -144,9 +149,10 @@ fix-smoke:
 # The full gate: formatting, vet, padll-lint (plus self-lint and the
 # -fix dry-run smoke), build, race-enabled tests, a plain-mode pass
 # over the packages whose AllocsPerRun guards skip under -race (race
-# instrumentation defeats escape analysis, so alloc counts only mean
-# anything uninstrumented), the doubled control-plane race pass, and a
-# one-iteration benchmark smoke so the hot-path benches can't rot.
+# instrumentation defeats escape analysis and randomizes sync.Pool, so
+# alloc counts only mean anything uninstrumented), the doubled
+# control-plane race pass, and a one-iteration benchmark smoke so the
+# hot-path benches can't rot.
 ci:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -157,7 +163,7 @@ ci:
 	$(MAKE) fix-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/...
+	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/... ./internal/rpcio/...
 	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff

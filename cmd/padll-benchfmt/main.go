@@ -276,7 +276,18 @@ func diff(basePath string, fresh map[string]map[string]float64, tolerance, nsTol
 		for _, unit := range diffUnits {
 			b, okB := baseM[unit]
 			fr, okF := freshM[unit]
-			if !okB || !okF || b == 0 {
+			if !okB || !okF {
+				continue
+			}
+			if b == 0 {
+				// No ratio against zero. A deterministic unit that was
+				// zero is a contract (an allocation-free path): any
+				// count at all breaks it. A zero ns/op is no measurement.
+				if unit != "ns/op" && fr > 0 {
+					compared++
+					regressions++
+					fmt.Printf("  %-44s %-12s %14.0f -> %-14.0f %8s  REGRESSED\n", name, unit, b, fr, "")
+				}
 				continue
 			}
 			compared++

@@ -137,6 +137,27 @@ func TestDiffFlagsRegressionsOnly(t *testing.T) {
 	}
 }
 
+// TestDiffZeroBaselineIsAContract: a deterministic unit whose baseline
+// is zero (an allocation-free path) regresses on any count at all,
+// where a ratio against zero would have skipped it.
+func TestDiffZeroBaselineIsAContract(t *testing.T) {
+	baseline := stream(t, map[string]string{
+		"BenchmarkFree": "  100\t  1000 ns/op\t  0 B/op\t  0 allocs/op",
+	})
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := map[string]map[string]float64{"BenchmarkFree": {"ns/op": 1000, "allocs/op": 0}}
+	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 0 {
+		t.Errorf("still allocation-free: diff = %d regressions, err %v; want 0, nil", n, err)
+	}
+	fresh["BenchmarkFree"]["allocs/op"] = 1
+	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
+		t.Errorf("0 -> 1 allocs/op: diff = %d regressions, err %v; want 1, nil", n, err)
+	}
+}
+
 // TestDiffNsNoiseFloor pins the absolute slack on ns/op: a sub-10ns
 // wobble on a single-digit-ns benchmark is timer noise and must not
 // trip the gate, while a delta past the floor still does — and the

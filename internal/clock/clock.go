@@ -21,6 +21,28 @@ type Clock interface {
 	// After returns a channel that receives the then-current time once d
 	// has elapsed.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a stopped, reusable deadline timer on this clock.
+	NewTimer() Timer
+}
+
+// Timer is a reusable one-shot deadline for a single owner: where After
+// costs a channel and a parked waiter per use — and leaves both behind
+// until the deadline passes even when nobody is listening any more — a
+// Timer is armed and disarmed in place, so a caller that bounds every
+// operation with a deadline that almost never expires pays no
+// allocation for it. It is not safe for concurrent use; only its owner
+// receives from C.
+type Timer interface {
+	// C is the channel the expiry is delivered on; it is the same
+	// channel for the timer's whole life.
+	C() <-chan time.Time
+	// Reset arms the timer to fire once d from now, replacing any
+	// pending deadline and discarding an expiry not yet received.
+	Reset(d time.Duration)
+	// Stop disarms the timer and discards an expiry not yet received:
+	// after Stop, C stays empty until the next Reset fires. It reports
+	// whether the timer was still pending.
+	Stop() bool
 }
 
 // Real is a Clock backed by the wall clock.
@@ -38,6 +60,37 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
+// NewTimer implements Clock.
+func (Real) NewTimer() Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return realTimer{t}
+}
+
+// realTimer is a Timer on a time.Timer. go.mod's language version
+// predates go1.23's timer channels, so an expiry may already sit in the
+// channel when the timer is stopped: Stop drains it, and Reset stops
+// first.
+type realTimer struct{ t *time.Timer }
+
+func (r realTimer) C() <-chan time.Time { return r.t.C }
+
+func (r realTimer) Reset(d time.Duration) {
+	r.Stop()
+	r.t.Reset(d)
+}
+
+func (r realTimer) Stop() bool {
+	pending := r.t.Stop()
+	if !pending {
+		select {
+		case <-r.t.C:
+		default:
+		}
+	}
+	return pending
+}
+
 // Sim is a manually advanced simulated clock. Goroutines that Sleep or
 // select on After are parked in a waiter queue ordered by deadline and are
 // released when Advance (or AdvanceTo) moves the clock past their deadline.
@@ -48,17 +101,43 @@ type Sim struct {
 	now     time.Time
 	waiters waiterHeap
 	seq     int64 // tiebreaker so equal deadlines release FIFO
+	// parked is signalled whenever a waiter joins the heap (BlockUntil).
+	parked sync.Cond
 }
 
 // NewSim returns a simulated clock whose current instant is start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	s := &Sim{now: start}
+	s.parked.L = &s.mu
+	return s
+}
+
+// parkLocked adds w to the waiter heap. Caller holds s.mu.
+func (s *Sim) parkLocked(w *waiter) {
+	s.seq++
+	w.seq = s.seq
+	heap.Push(&s.waiters, w)
+	s.parked.Broadcast()
+}
+
+// BlockUntil blocks the caller until at least n waiters are parked on
+// the clock: the event a test waits for before it advances the clock
+// under a goroutine it expects to be sleeping.
+func (s *Sim) BlockUntil(n int) {
+	s.mu.Lock()
+	for len(s.waiters) < n {
+		s.parked.Wait() //lint:allow lockcheck Cond.Wait releases s.mu for as long as it blocks
+	}
+	s.mu.Unlock()
 }
 
 type waiter struct {
 	deadline time.Time
 	seq      int64
 	ch       chan time.Time
+	// idx is the waiter's position in the heap (-1 when not parked), so
+	// a timer can withdraw its waiter before the deadline.
+	idx int
 }
 
 type waiterHeap []*waiter
@@ -70,14 +149,22 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].deadline.Before(h[j].deadline)
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *waiterHeap) Push(x interface{}) {
+	w := x.(*waiter)
+	w.idx = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	w.idx = -1
 	return w
 }
 
@@ -106,9 +193,56 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 		ch <- s.now //lint:allow lockcheck ch is freshly made with capacity 1; the send cannot block
 		return ch
 	}
-	s.seq++
-	heap.Push(&s.waiters, &waiter{deadline: s.now.Add(d), seq: s.seq, ch: ch})
+	s.parkLocked(&waiter{deadline: s.now.Add(d), ch: ch})
 	return ch
+}
+
+// NewTimer implements Clock. The timer parks on the same waiter heap
+// as Sleep and After — an armed timer counts in PendingWaiters and
+// NextDeadline, and fires in deadline order with them — but reuses one
+// waiter and one channel for its whole life.
+func (s *Sim) NewTimer() Timer {
+	return &simTimer{s: s, w: waiter{ch: make(chan time.Time, 1), idx: -1}}
+}
+
+type simTimer struct {
+	s *Sim
+	w waiter
+}
+
+func (t *simTimer) C() <-chan time.Time { return t.w.ch }
+
+func (t *simTimer) Reset(d time.Duration) {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	t.stopLocked()
+	if d <= 0 {
+		t.w.ch <- t.s.now //lint:allow lockcheck ch has capacity 1 and stopLocked just emptied it; the send cannot block
+		return
+	}
+	t.w.deadline = t.s.now.Add(d)
+	t.s.parkLocked(&t.w)
+}
+
+func (t *simTimer) Stop() bool {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	return t.stopLocked()
+}
+
+// stopLocked withdraws the waiter if it is parked and empties the
+// channel if it already fired. Caller holds s.mu, which every firing
+// also holds, so the two cases are exclusive.
+func (t *simTimer) stopLocked() bool {
+	if t.w.idx >= 0 {
+		heap.Remove(&t.s.waiters, t.w.idx)
+		return true
+	}
+	select {
+	case <-t.w.ch:
+	default:
+	}
+	return false
 }
 
 // Advance moves the clock forward by d, releasing every waiter whose

@@ -74,7 +74,7 @@ type Controller struct {
 
 	// roundMu serializes collect rounds; it single-owns the scratch
 	// below and is never held while taking mu (the fold inside takes mu
-	// briefly via noteMiss/noteOK, so the order is roundMu then mu).
+	// once via noteCollect, so the order is roundMu then mu).
 	roundMu sync.Mutex
 	// collectBuf/collectErr are positional per-stage scratch reused
 	// across rounds: slot i is fully overwritten each round, so a
@@ -410,20 +410,32 @@ func (c *Controller) EvictDead() []string {
 	return ids
 }
 
-// noteMiss marks one failed exchange with a stage; noteOK clears the
-// mark.
+// noteMiss marks one failed exchange with a stage.
 func (c *Controller) noteMiss(stageID string) {
 	c.mu.Lock()
-	if _, ok := c.stages[stageID]; ok {
-		c.misses[stageID]++
-	}
+	c.noteMissLocked(stageID)
 	c.mu.Unlock()
 }
 
-func (c *Controller) noteOK(stageID string) {
+func (c *Controller) noteMissLocked(stageID string) {
+	if _, ok := c.stages[stageID]; ok {
+		c.misses[stageID]++
+	}
+}
+
+// noteCollect records a collect round's outcome for every stage in one
+// critical section: a failed exchange raises the stage's mark, an
+// answered one clears it.
+func (c *Controller) noteCollect(conns []StageConn, errs []error) {
 	c.mu.Lock()
-	delete(c.misses, stageID)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for i, conn := range conns {
+		if errs[i] != nil {
+			c.noteMissLocked(conn.Info().StageID)
+		} else if len(c.misses) > 0 {
+			delete(c.misses, conn.Info().StageID)
+		}
+	}
 }
 
 // Stages returns the registered stage identities, sorted by StageID.
@@ -643,33 +655,58 @@ type stageProbe struct {
 // eviction, and skipped: the loop runs on partial snapshots rather than
 // blocking behind a dead peer.
 func (c *Controller) CollectAll() []JobSnapshot {
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
-	snaps, _ := c.collectRound(conns, reservations, lastAlloc, groupBy, workers, nil)
+	snaps, _ := c.collectRound(c.roundSetup(), nil)
 	return snaps
+}
+
+// roundInputs is everything a round reads from the registry, copied out
+// from under its lock once.
+type roundInputs struct {
+	// conns is the registry sorted by StageID; rev is the registry
+	// revision it was read at.
+	conns        []StageConn
+	rev          int
+	reservations map[string]float64
+	lastAlloc    map[string]float64
+	groupBy      func(stage.Info) string
+	workers      int
 }
 
 // roundSetup snapshots everything a collect round needs from under the
 // registry lock: the sorted connection list and copies of the maps the
 // fold reads.
-func (c *Controller) roundSetup() (conns []StageConn, reservations, lastAlloc map[string]float64, groupBy func(stage.Info) string, workers int) {
+func (c *Controller) roundSetup() roundInputs {
 	c.mu.Lock()
-	conns = make([]StageConn, 0, len(c.stages))
+	in := roundInputs{
+		conns:        c.connsLocked(),
+		rev:          c.registryRev,
+		reservations: make(map[string]float64, len(c.reservations)),
+		lastAlloc:    make(map[string]float64, len(c.lastAlloc)),
+		groupBy:      c.groupBy,
+		workers:      c.collectWorkers,
+	}
+	for k, v := range c.reservations {
+		in.reservations[k] = v
+	}
+	for k, v := range c.lastAlloc {
+		in.lastAlloc[k] = v
+	}
+	c.mu.Unlock()
+	sortConns(in.conns)
+	return in
+}
+
+// connsLocked copies the registry's connections out, unordered.
+func (c *Controller) connsLocked() []StageConn {
+	conns := make([]StageConn, 0, len(c.stages))
 	for _, conn := range c.stages {
 		conns = append(conns, conn)
 	}
-	reservations = make(map[string]float64, len(c.reservations))
-	for k, v := range c.reservations {
-		reservations[k] = v
-	}
-	lastAlloc = make(map[string]float64, len(c.lastAlloc))
-	for k, v := range c.lastAlloc {
-		lastAlloc[k] = v
-	}
-	groupBy = c.groupBy
-	workers = c.collectWorkers
-	c.mu.Unlock()
+	return conns
+}
+
+func sortConns(conns []StageConn) {
 	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
-	return conns, reservations, lastAlloc, groupBy, workers
 }
 
 // roundScratch sizes the positional collect scratch for n stages.
@@ -688,18 +725,18 @@ func (c *Controller) roundScratch(n int) ([]stage.Stats, []error) {
 // the results: CollectAll's snapshots plus the per-stage probes
 // RunOnce's push phase wants; rs (when non-nil) accumulates round
 // accounting.
-func (c *Controller) collectRound(conns []StageConn, reservations, lastAlloc map[string]float64,
-	groupBy func(stage.Info) string, workers int, rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
+func (c *Controller) collectRound(in roundInputs, rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
+	conns := in.conns
 	buf, errs := c.roundScratch(len(conns))
-	runBounded(len(conns), workers, func(i int) {
+	runBounded(len(conns), in.workers, func(i int) {
 		// Positional slots shift whenever the registry changes, so the
 		// flat loop never promises a slot is still its stage's: every
 		// collect rewrites it.
 		_, _, errs[i] = conns[i].Exec(nil, &buf[i], false)
 	})
-	return c.foldCollect(conns, buf, errs, reservations, lastAlloc, groupBy, rs)
+	return c.foldCollect(in, buf, errs, rs)
 }
 
 // foldCollect aggregates a round's per-stage results (positional in
@@ -707,18 +744,18 @@ func (c *Controller) collectRound(conns []StageConn, reservations, lastAlloc map
 // StageID order so the output is deterministic whatever the worker
 // interleaving was. Failures are reported, marked for eviction, and
 // skipped.
-func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []error,
-	reservations, lastAlloc map[string]float64, groupBy func(stage.Info) string,
+func (c *Controller) foldCollect(in roundInputs, buf []stage.Stats, errs []error,
 	rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
+	conns := in.conns
+	c.noteCollect(conns, errs)
 	probes := make(map[string]stageProbe, len(conns))
 	agg := map[string]*JobSnapshot{}
 	failed := map[string]int{}
 	for i, conn := range conns {
 		info := conn.Info()
-		key := groupBy(info)
+		key := in.groupBy(info)
 		if err := errs[i]; err != nil {
 			c.onError(info.StageID, err)
-			c.noteMiss(info.StageID)
 			failed[key]++
 			if rs != nil {
 				rs.CollectCalls++
@@ -726,7 +763,6 @@ func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []er
 			}
 			continue
 		}
-		c.noteOK(info.StageID)
 		if rs != nil {
 			rs.CollectCalls++
 		}
@@ -736,8 +772,8 @@ func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []er
 		if !ok {
 			snap = &JobSnapshot{
 				JobID:       key,
-				Reservation: reservations[key],
-				Allocated:   lastAlloc[key],
+				Reservation: in.reservations[key],
+				Allocated:   in.lastAlloc[key],
 			}
 			agg[key] = snap
 		}
@@ -856,30 +892,42 @@ type pushPlan struct {
 }
 
 // buildPushPlans materializes the per-stage push intents for an
-// allocation, in sorted job order (stagesOfJobLocked already sorts
-// within a job): a crash mid-push then partitions the fleet the same
-// way on every same-seed run, which the chaos determinism tests rely
-// on.
-func (c *Controller) buildPushPlans(alloc map[string]float64) []pushPlan {
+// allocation over the stages registered now, in sorted job order and
+// StageID order within a job: a crash mid-push then partitions the
+// fleet the same way on every same-seed run, which the chaos
+// determinism tests rely on. The round's own StageID-sorted connection
+// list is that registry unless it moved since roundSetup (an eviction,
+// a late registration), so the steady state is one grouping pass.
+func (c *Controller) buildPushPlans(alloc map[string]float64, in roundInputs) []pushPlan {
+	conns := in.conns
 	c.mu.Lock()
-	plansByJob := make(map[string][]StageConn, len(alloc))
-	for jobID := range alloc {
-		plansByJob[jobID] = c.stagesOfJobLocked(jobID)
+	moved := c.registryRev != in.rev
+	if moved {
+		conns = c.connsLocked()
 	}
 	c.mu.Unlock()
-	jobIDs := make([]string, 0, len(plansByJob))
-	for jobID := range plansByJob {
+	if moved {
+		sortConns(conns)
+	}
+	byJob := make(map[string][]StageConn, len(alloc))
+	n := 0
+	for _, conn := range conns {
+		jobID := in.groupBy(conn.Info())
+		if _, ok := alloc[jobID]; ok {
+			byJob[jobID] = append(byJob[jobID], conn)
+			n++
+		}
+	}
+	jobIDs := make([]string, 0, len(byJob))
+	for jobID := range byJob {
 		jobIDs = append(jobIDs, jobID)
 	}
 	sort.Strings(jobIDs)
-	var plans []pushPlan
+	plans := make([]pushPlan, 0, n)
 	for _, jobID := range jobIDs {
-		conns := plansByJob[jobID]
-		if len(conns) == 0 {
-			continue
-		}
-		perStage := alloc[jobID] / float64(len(conns))
-		for _, conn := range conns {
+		members := byJob[jobID]
+		perStage := alloc[jobID] / float64(len(members))
+		for _, conn := range members {
 			plans = append(plans, pushPlan{conn: conn, stageID: conn.Info().StageID, jobID: jobID, rate: perStage})
 		}
 	}
@@ -955,11 +1003,12 @@ func (c *Controller) RunOnce() map[string]float64 {
 	}
 
 	start := c.clk.Now()
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
+	in := c.roundSetup()
+	conns := in.conns
 	rs := RoundStats{Stages: len(conns)}
 	wireBefore := wireSample(conns)
 
-	snaps, probes := c.collectRound(conns, reservations, lastAlloc, groupBy, workers, &rs)
+	snaps, probes := c.collectRound(in, &rs)
 	// Sweep before allocating: stages past the eviction threshold leave
 	// the registry now, so the per-stage split below divides a job's
 	// grant among its live stages only instead of letting a dead one
@@ -975,7 +1024,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	c.lastAlloc = alloc
 	pushWorkers := c.pushWorkers
 	c.mu.Unlock()
-	plans := c.buildPushPlans(alloc)
+	plans := c.buildPushPlans(alloc, in)
 
 	type pushOutcome struct {
 		calls int

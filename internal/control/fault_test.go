@@ -316,3 +316,74 @@ func (f *setRateFailingConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bo
 	}
 	return f.LocalConn.Exec(ops, dst, held)
 }
+
+// pushLogConn records the order push-phase exchanges reach it in, and
+// runs a hook inside its first collect.
+type pushLogConn struct {
+	LocalConn
+	log       *[]string
+	onCollect func()
+}
+
+func (p *pushLogConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+	if dst != nil && p.onCollect != nil {
+		hook := p.onCollect
+		p.onCollect = nil
+		hook()
+	}
+	if len(ops) > 0 {
+		*p.log = append(*p.log, p.Stg.Info().StageID)
+	}
+	return p.LocalConn.Exec(ops, dst, held)
+}
+
+// TestPushPlansFollowTheLiveRegistry: pushes go out in sorted job order
+// and StageID order within a job, to the stages registered when the
+// push is planned — one that joined while the round was collecting is
+// counted in its job's split and pushed in its place.
+func TestPushPlansFollowTheLiveRegistry(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))
+	var log []string
+	stages := map[string]*stage.Stage{}
+	conn := func(id, job string) *pushLogConn {
+		stg, _ := localStage(id, job, clk)
+		stages[id] = stg
+		return &pushLogConn{LocalConn: LocalConn{Stg: stg}, log: &log}
+	}
+	// StageID order interleaves the jobs; push order must not.
+	a1, b2, a3 := conn("s1", "jobA"), conn("s2", "jobB"), conn("s3", "jobA")
+	late := conn("s0", "jobB")
+	a3.onCollect = func() {
+		if err := c.Register(late); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, pc := range []*pushLogConn{a3, b2, a1} {
+		if err := c.Register(pc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log = nil // registration installed the managed rule; only the round's pushes count
+
+	c.RunOnce()
+	// The first entry is the late joiner's own registration exchange.
+	if want := []string{"s0", "s1", "s3", "s0", "s2"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("exchanges with ops %v, want %v (pushes in sorted job, then StageID order, late joiner included)", log, want)
+	}
+	for id, want := range map[string]float64{"s1": 2000, "s3": 2000, "s0": 2000, "s2": 2000} {
+		if got := ruleRate(stages[id], ControlRuleID); got != want {
+			t.Errorf("stage %s rate = %v, want %v", id, got, want)
+		}
+	}
+
+	// Steady state: the registry did not move, nothing needs a push.
+	log = nil
+	c.RunOnce()
+	if len(log) != 0 {
+		t.Errorf("steady round pushed to %v", log)
+	}
+	if rs, _ := c.LastRound(); rs.PushesSkipped != 4 || rs.PushCalls != 0 {
+		t.Errorf("steady round: %d pushes, %d skipped, want 0/4", rs.PushCalls, rs.PushesSkipped)
+	}
+}

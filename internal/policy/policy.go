@@ -14,6 +14,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +55,12 @@ func (m *Matcher) compile() {
 	} else {
 		m.prefixSlash = ""
 	}
+}
+
+// equal reports whether o constrains requests exactly as m does.
+func (m *Matcher) equal(o *Matcher) bool {
+	return m.PathPrefix == o.PathPrefix && m.JobID == o.JobID && m.User == o.User &&
+		slices.Equal(m.Ops, o.Ops) && slices.Equal(m.Classes, o.Classes)
 }
 
 // Matches reports whether the request satisfies every constraint.
@@ -246,14 +253,18 @@ type Rule struct {
 }
 
 // EffectiveBurst resolves the default burst sizing.
-func (r *Rule) EffectiveBurst() float64 {
-	if r.Burst > 0 {
-		return r.Burst
+func (r *Rule) EffectiveBurst() float64 { return EffectiveBurst(r.Rate, r.Burst) }
+
+// EffectiveBurst is the bucket capacity a rule with the given rate and
+// configured burst enforces: the burst when set, else max(1, rate/10).
+func EffectiveBurst(rate, burst float64) float64 {
+	if burst > 0 {
+		return burst
 	}
-	if r.Rate <= 0 {
+	if rate <= 0 {
 		return 1
 	}
-	b := r.Rate / 10
+	b := rate / 10
 	if b < 1 {
 		b = 1
 	}
@@ -313,6 +324,36 @@ func (rs *RuleSet) Upsert(r Rule) {
 	rs.rules = append(rs.rules, r)
 	rs.sortLocked()
 	rs.reindex()
+}
+
+// SetRate changes the rate of the rule with the given ID in place.
+// Neither selection order nor the dispatch index depends on a rate, so
+// nothing is rebuilt. An unknown ID is a no-op.
+func (rs *RuleSet) SetRate(id string, rate float64) {
+	for i := range rs.rules {
+		if rs.rules[i].ID == id {
+			rs.rules[i].Rate = rate
+			return
+		}
+	}
+}
+
+// Retune is Upsert for a rule that differs from the installed rule of
+// the same ID in at most rate and burst: it stores both in place and
+// reports true. When no such rule is installed, or its matcher or action
+// differ from r's, it changes nothing and reports false — the caller
+// then needs Upsert.
+func (rs *RuleSet) Retune(r Rule) bool {
+	for i := range rs.rules {
+		if cur := &rs.rules[i]; cur.ID == r.ID {
+			if cur.Action != r.Action || !cur.Match.equal(&r.Match) {
+				return false
+			}
+			cur.Rate, cur.Burst = r.Rate, r.Burst
+			return true
+		}
+	}
+	return false
 }
 
 // Remove deletes the rule with the given ID, reporting whether it existed.

@@ -131,6 +131,36 @@ func TestRuleSetUpsertReplaces(t *testing.T) {
 	}
 }
 
+func TestRuleSetRetuneInPlace(t *testing.T) {
+	open := Matcher{Ops: []posix.Op{posix.OpOpen}, JobID: "j1"}
+	rs := NewRuleSet(Rule{ID: "a", Match: open, Rate: 10, Burst: 4}, Rule{ID: "b", Rate: 20})
+	rs.SetRate("a", 99)
+	rs.SetRate("missing", 1)
+	if got := rs.Rules(); len(got) != 2 || got[0].Rate != 99 || got[0].Burst != 4 || got[1].Rate != 20 {
+		t.Fatalf("after SetRate(a, 99): %+v", got)
+	}
+	if !rs.Retune(Rule{ID: "a", Match: Matcher{Ops: []posix.Op{posix.OpOpen}, JobID: "j1"}, Rate: 7, Burst: 2}) {
+		t.Fatal("Retune refused a rule differing only in rate and burst")
+	}
+	if got := rs.Select(req(posix.OpOpen, "/f", "j1", "")); got == nil || got.ID != "a" || got.Rate != 7 || got.Burst != 2 {
+		t.Fatalf("after Retune, Select = %+v", got)
+	}
+	for name, r := range map[string]Rule{
+		"unknown ID":      {ID: "c", Match: open, Rate: 1},
+		"changed matcher": {ID: "a", Match: Matcher{Ops: []posix.Op{posix.OpOpen}, JobID: "j2"}, Rate: 1},
+		"changed ops":     {ID: "a", Match: Matcher{Ops: []posix.Op{posix.OpClose}, JobID: "j1"}, Rate: 1},
+		"changed classes": {ID: "a", Match: Matcher{Ops: open.Ops, Classes: []posix.Class{posix.ClassData}, JobID: "j1"}, Rate: 1},
+		"changed action":  {ID: "a", Match: open, Rate: 1, Action: ActionDrop},
+	} {
+		if rs.Retune(r) {
+			t.Errorf("Retune accepted a rule with %s", name)
+		}
+	}
+	if got := rs.Rules()[0]; got.Rate != 7 || got.Burst != 2 || got.Action != ActionShape {
+		t.Errorf("a refused Retune changed the rule: %+v", got)
+	}
+}
+
 func TestRuleSetRemove(t *testing.T) {
 	rs := NewRuleSet(Rule{ID: "a", Rate: 10}, Rule{ID: "b", Rate: 20})
 	if !rs.Remove("a") {

@@ -426,16 +426,15 @@ func (ds *DeltaState) CollectCounts() (fulls, deltas uint64) { return ds.fulls, 
 // slice capacity: the codec overwrites every schema field it decodes,
 // so the reset guarantees a clean reply on error paths that decode
 // nothing, and clears residue past the decoded length in backing arrays
-// the decoder reuses.
+// the decoder reuses — except the queue rows, which the decoder
+// overwrites whole and whose rule IDs it keeps when the next reply
+// names the same rule (readQueueStatsSlice).
 func resetReply(r *BatchReply) {
 	results := r.Results[:cap(r.Results)]
 	for i := range results {
 		results[i] = OpResult{}
 	}
-	queues := r.Delta.Queues[:cap(r.Delta.Queues)]
-	for i := range queues {
-		queues[i] = stage.QueueStats{}
-	}
+	queues := r.Delta.Queues
 	removed := r.Delta.Removed[:cap(r.Delta.Removed)]
 	for i := range removed {
 		removed[i] = ""

@@ -2,8 +2,11 @@ package rpcio
 
 import (
 	"errors"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,65 +50,141 @@ func TestBackoffDelaysAreDeterministic(t *testing.T) {
 	}
 }
 
+// sleepRecorder is a clock whose Sleep returns at once and records what
+// it was asked to sleep: a retry loop runs to completion on the calling
+// goroutine, and the test reads the schedule it walked.
+type sleepRecorder struct {
+	clock.Clock
+	mu    sync.Mutex
+	slept []time.Duration
+}
+
+func newSleepRecorder() *sleepRecorder { return &sleepRecorder{Clock: clock.NewSim(epoch)} }
+
+func (c *sleepRecorder) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.slept = append(c.slept, d)
+	c.mu.Unlock()
+}
+
+func (c *sleepRecorder) take() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.slept
+	c.slept = nil
+	return out
+}
+
 func TestRetrySleepsOnInjectedClock(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	var calls atomic.Int32
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(clk, Backoff{Base: time.Second, Factor: 2, Max: time.Minute, Attempts: 3}, func() error {
-			if calls.Add(1) < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		})
-	}()
-	// Two failures -> two parked sleeps (1s then 2s) before success.
-	for _, step := range []time.Duration{time.Second, 2 * time.Second} {
-		deadline := time.Now().Add(5 * time.Second)
-		for clk.PendingWaiters() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("Retry never parked on the simulated clock")
-			}
-			time.Sleep(time.Millisecond)
+	clk := newSleepRecorder()
+	calls := 0
+	err := Retry(clk, Backoff{Base: time.Second, Factor: 2, Max: time.Minute, Attempts: 3}, func() error {
+		if calls++; calls < 3 {
+			return errors.New("transient")
 		}
-		clk.Advance(step)
-	}
-	if err := <-done; err != nil {
+		return nil
+	})
+	if err != nil {
 		t.Fatalf("Retry = %v", err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("fn ran %d times, want 3", got)
+	if calls != 3 {
+		t.Fatalf("fn ran %d times, want 3", calls)
+	}
+	// Two failures -> two sleeps (1s then 2s) before success.
+	if got, want := clk.take(), []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(got, want) {
+		t.Fatalf("slept %v, want %v", got, want)
 	}
 }
 
 func TestRetryReturnsLastErrorWhenExhausted(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	go func() {
-		// Drain the two backoff sleeps so Retry can finish.
-		for i := 0; i < 2; i++ {
-			for clk.PendingWaiters() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			clk.Advance(time.Hour)
-		}
-	}()
+	clk := newSleepRecorder()
 	wantErr := errors.New("still down")
 	err := Retry(clk, Backoff{Base: time.Second, Attempts: 3}, func() error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("Retry = %v, want %v", err, wantErr)
 	}
+	if got := clk.take(); len(got) != 2 {
+		t.Fatalf("slept %v, want the schedule's two delays", got)
+	}
+}
+
+// TestRetrySleepsAreTheBackoffSchedule is the property that let the
+// per-call jitter PRNG go: whatever the schedule, Retry and a
+// transport's Call sleep exactly Backoff.Delays(), in order — all of it
+// when every attempt fails, a prefix when one succeeds — and a second
+// Call on the same transport starts the schedule over.
+func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
+	// A port nothing listens on: every attempt fails at the dial.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	_ = l.Close()
+
+	rng := rand.New(rand.NewSource(1))
+	for seed := int64(0); seed < 40; seed++ {
+		b := Backoff{
+			Base:     time.Duration(1+rng.Intn(50)) * time.Millisecond,
+			Max:      time.Duration(20+rng.Intn(200)) * time.Millisecond,
+			Factor:   1 + 2*rng.Float64(),
+			Jitter:   rng.Float64(),
+			Attempts: 1 + rng.Intn(6),
+			Seed:     seed,
+		}
+		want := b.Delays()
+		if len(want) != b.Attempts-1 {
+			t.Fatalf("seed %d: %d delays for %d attempts", seed, len(want), b.Attempts)
+		}
+
+		clk := newSleepRecorder()
+		failing := errors.New("down")
+		if err := Retry(clk, b, func() error { return failing }); !errors.Is(err, failing) {
+			t.Fatalf("seed %d: Retry = %v", seed, err)
+		}
+		if got := clk.take(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Retry slept %v, want Delays() = %v", seed, got, want)
+		}
+		succeedAt := rng.Intn(b.Attempts)
+		n := 0
+		if err := Retry(clk, b, func() error {
+			if n++; n <= succeedAt {
+				return failing
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("seed %d: Retry = %v", seed, err)
+		}
+		if got := clk.take(); !slices.Equal(got, want[:succeedAt]) {
+			t.Fatalf("seed %d: Retry succeeding at attempt %d slept %v, want %v", seed, succeedAt+1, got, want[:succeedAt])
+		}
+
+		cfg := defaultDialConfig()
+		cfg.clk, cfg.backoff, cfg.dialer = clk, b, &frameDialer{}
+		tr := newFrameTransport(dead, cfg)
+		for call := 0; call < 2; call++ {
+			if err := tr.Call("Stage.Health", &HealthProbe{}, &StageHealth{}); err == nil {
+				t.Fatalf("seed %d: Call to a dead port succeeded", seed)
+			}
+			if got := clk.take(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: Call %d slept %v, want Delays() = %v", seed, call, got, want)
+			}
+		}
+		_ = tr.Close()
+	}
 }
 
 // flakyServedStage serves a stage behind a FlakyListener and returns a
-// hardened handle with fast timeouts.
-func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage.Stage, *StageHandle) {
+// hardened handle with fast timeouts, plus the listener counting its accepted connections.
+func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage.Stage, *StageHandle, *countingListener) {
 	t.Helper()
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeStage(&FlakyListener{Listener: l, Flaky: flaky}, stg)
+	cl := &countingListener{Listener: l}
+	stop := ServeStage(&FlakyListener{Listener: cl, Flaky: flaky}, stg)
 	t.Cleanup(stop)
 	base := []DialOption{
 		WithCallTimeout(150 * time.Millisecond),
@@ -120,13 +199,13 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 		// Closing a handle whose last connection already died is fine.
 		_ = h.Close()
 	})
-	return stg, h
+	return stg, h, cl
 }
 
 func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
 	// Every second response the server writes is silently dropped: the
 	// client must hit its per-call deadline, redial, and retry.
-	_, h := flakyServedStage(t, Flakiness{DropEvery: 2})
+	_, h, _ := flakyServedStage(t, Flakiness{DropEvery: 2})
 	for i := 0; i < 6; i++ {
 		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
@@ -136,12 +215,22 @@ func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
 
 func TestRedialAfterConnectionDeath(t *testing.T) {
 	// The server side kills each connection after 6 chunks; the handle
-	// must keep succeeding by redialing.
-	_, h := flakyServedStage(t, Flakiness{FailAfter: 6})
+	// must keep succeeding by redialing. FlakyConn counts a chunk per
+	// Read and per Write call, and the server reads a whole request
+	// through its buffered reader, so an exchange is two chunks — read,
+	// write — and the script is R W R W R W, then the seventh chunk (the
+	// read for a fourth request) kills the connection: three pings per
+	// connection, four connections for the ten below. (When the server
+	// read header and payload separately an exchange was three chunks,
+	// and the same script allowed two pings per connection.)
+	_, h, l := flakyServedStage(t, Flakiness{FailAfter: 6})
 	for i := 0; i < 10; i++ {
 		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
+	}
+	if got := l.accepted.Load(); got != 4 {
+		t.Errorf("ten pings used %d connections, want 4 at three exchanges each", got)
 	}
 }
 
@@ -149,7 +238,7 @@ func TestDuplicatedResponsesDoNotBreakCalls(t *testing.T) {
 	// A duplicated response either desynchronizes the frame stream or is
 	// discarded as an unknown stream ID; calls must keep succeeding via
 	// redial either way.
-	stg, h := flakyServedStage(t, Flakiness{DupEvery: 1})
+	stg, h, _ := flakyServedStage(t, Flakiness{DupEvery: 1})
 	if err := applyRule(h, policy.Rule{ID: "cap", Rate: 100}); err != nil {
 		t.Fatal(err)
 	}

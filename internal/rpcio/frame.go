@@ -9,12 +9,14 @@
 // by a flaky wire, or stragglers from a timed-out call — are consumed
 // and dropped, never misdelivered.
 //
-// Failure handling: every call runs under the
-// transport's deadline on its injected clock, a timeout or I/O error
-// kills the whole connection (completing every pending call with the
-// error), and the next call redials under seeded backoff. RemoteError
-// — the peer answered with an application error — is returned without
-// retry. Frames are written with a single Write call, so fault
+// Failure handling: every call runs under the transport's deadline on
+// its injected clock — a timer the pooled call owns and re-arms, so a
+// deadline that almost never expires costs no allocation. A timeout or
+// I/O error kills the whole connection (completing every pending call
+// with the error), and the next call redials under the transport's
+// backoff schedule, materialized once when the transport was built.
+// RemoteError — the peer answered with an application error — is
+// returned without retry. Frames are written with a single Write call, so fault
 // injectors operating at write granularity (FlakyConn) drop or
 // duplicate whole frames, never fragments.
 package rpcio
@@ -41,6 +43,9 @@ type frameCall struct {
 	buf  []byte // reply payload (reused)
 	wbuf []byte // request frame assembly (reused)
 	err  error
+	// deadline is the call's reusable timeout timer, made on first use
+	// and always stopped before the call returns to the pool.
+	deadline clock.Timer
 }
 
 // frameConn is one multiplexed connection shared by every transport
@@ -305,7 +310,9 @@ type frameTransport struct {
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
-	backoff Backoff
+	// delays is the backoff schedule's retry sleeps (Backoff.Delays):
+	// every Call walks the same sequence from the start.
+	delays []time.Duration
 
 	calls        atomic.Uint64
 	bytesRead    atomic.Uint64
@@ -330,7 +337,7 @@ func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
 		clk:     cfg.clk,
 		timeout: cfg.timeout,
 		dialTO:  cfg.dialTO,
-		backoff: cfg.backoff,
+		delays:  cfg.backoff.Delays(),
 	}
 }
 
@@ -438,15 +445,17 @@ func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, c
 	t.bytesWritten.Add(uint64(len(frame)))
 
 	if t.timeout > 0 {
+		if call.deadline == nil {
+			call.deadline = t.clk.NewTimer()
+		}
+		call.deadline.Reset(t.timeout)
 		select {
 		case <-call.ch:
-		case <-t.clk.After(t.timeout):
+			call.deadline.Stop()
+		case <-call.deadline.C():
 			fc.kill(fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(m), t.timeout))
 			<-call.ch // kill (or the racing reader) completes the call
-			if call.err == nil {
-				break // the reply raced the deadline and won
-			}
-			return call.err
+			// A nil error here means the reply raced the deadline and won.
 		}
 	} else {
 		<-call.ch
@@ -500,15 +509,14 @@ func (t *frameTransport) callOnce(fc *frameConn, m methodID, args, reply any) er
 
 // Call implements Transport with redial + retry:
 // transport errors invalidate the connection and retry
-// under seeded backoff; RemoteError (the peer answered "no") is
-// returned as-is.
+// after the schedule's next delay; RemoteError (the peer answered "no")
+// is returned as-is.
 func (t *frameTransport) Call(method string, args, reply any) error {
 	m, ok := methodIDs[method]
 	if !ok {
 		return fmt.Errorf("rpcio: unknown method %q", method)
 	}
-	r := newRetrier(t.backoff)
-	for {
+	for attempt := 0; ; attempt++ {
 		fc, err := t.ensureConn()
 		if err == nil {
 			err = t.callOnce(fc, m, args, reply)
@@ -522,14 +530,10 @@ func (t *frameTransport) Call(method string, args, reply any) error {
 			}
 			fc.kill(err)
 		}
-		if t.isClosed() {
+		if attempt == len(t.delays) || t.isClosed() {
 			return err
 		}
-		d, ok := r.delay()
-		if !ok {
-			return err
-		}
-		t.clk.Sleep(d)
+		t.clk.Sleep(t.delays[attempt])
 	}
 }
 

@@ -14,6 +14,7 @@
 package rpcio
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -157,12 +158,15 @@ type frameSession struct {
 }
 
 // serveFrameConn runs one connection's frame loop until the connection
-// dies. Frames are handled in order; each reply is written with a
+// dies. Frames are handled in order. Requests are read through the
+// session's buffered reader — a frame's header and payload arrive in
+// one read of the socket, not two — and each reply is written with a
 // single Write so write-granular fault injection drops whole frames.
 func (fs *FrameServer) serveFrameConn(conn net.Conn) {
 	var s frameSession
+	br := bufio.NewReader(conn)
 	for {
-		if _, err := io.ReadFull(conn, s.hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, s.hdr[:]); err != nil {
 			return // peer hung up (or the listener stopped and closed us)
 		}
 		h, err := parseFrameHeader(s.hdr[:])
@@ -173,7 +177,7 @@ func (fs *FrameServer) serveFrameConn(conn net.Conn) {
 			s.payload = make([]byte, h.length)
 		}
 		s.payload = s.payload[:h.length]
-		if _, err := io.ReadFull(conn, s.payload); err != nil {
+		if _, err := io.ReadFull(br, s.payload); err != nil {
 			return
 		}
 		if h.kind != frameRequest {

@@ -2,7 +2,6 @@ package rpcio
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"padll/internal/clock"
@@ -55,7 +54,9 @@ func (b Backoff) withDefaults() Backoff {
 
 // Delays materializes the full retry-delay sequence (Attempts-1 entries),
 // jitter included. For a given Backoff value the result is always the
-// same slice: the schedule is a pure function of its fields.
+// same slice: the schedule is a pure function of its fields, so callers
+// that retry often compute it once and index into it — seeding the
+// jitter PRNG costs more than a steady-state exchange.
 func (b Backoff) Delays() []time.Duration {
 	b = b.withDefaults()
 	if b.Attempts <= 1 {
@@ -81,58 +82,16 @@ func (b Backoff) Delays() []time.Duration {
 	return delays
 }
 
-// retrier hands out one backoff schedule's delays sequentially: each
-// logical operation (one Transport.Call, one Retry) starts a fresh one.
-type retrier struct {
-	mu     sync.Mutex
-	b      Backoff
-	rng    *rand.Rand
-	next   time.Duration
-	remain int
-}
-
-func newRetrier(b Backoff) *retrier {
-	b = b.withDefaults()
-	return &retrier{b: b, rng: rand.New(rand.NewSource(b.Seed)), next: b.Base, remain: b.Attempts - 1}
-}
-
-// delay returns the next backoff delay and true, or false when the
-// attempt budget is spent.
-func (r *retrier) delay() (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.remain <= 0 {
-		return 0, false
-	}
-	r.remain--
-	step := r.next
-	if step > r.b.Max {
-		step = r.b.Max
-	}
-	if r.b.Jitter > 0 {
-		step += time.Duration(r.b.Jitter * float64(step) * r.rng.Float64())
-	}
-	r.next = time.Duration(float64(r.next) * r.b.Factor)
-	if r.next > r.b.Max {
-		r.next = r.b.Max
-	}
-	return step, true
-}
-
 // Retry runs fn until it succeeds or b's attempt budget is exhausted,
-// sleeping the backoff delays on clk between failures. It returns the
+// sleeping b.Delays() in order on clk between failures. It returns the
 // last error (nil on success).
 func Retry(clk clock.Clock, b Backoff, fn func() error) error {
-	r := newRetrier(b)
-	for {
+	delays := b.Delays()
+	for attempt := 0; ; attempt++ {
 		err := fn()
-		if err == nil {
-			return nil
-		}
-		d, ok := r.delay()
-		if !ok {
+		if err == nil || attempt == len(delays) {
 			return err
 		}
-		clk.Sleep(d)
+		clk.Sleep(delays[attempt])
 	}
 }

@@ -369,13 +369,7 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- stg.Enforce(req) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(1) // the request is parked in its bucket
 	clk.Advance(200 * time.Millisecond)
 	if err := <-done; err != nil {
 		t.Fatal(err)

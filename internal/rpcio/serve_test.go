@@ -49,7 +49,9 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 // but its calls go unanswered until the first client releases the slot.
 // The second client gets a private frame dialer: the default pool would
 // share the first client's multiplexed connection (the mux's whole
-// point), and this test needs two real sockets.
+// point), and this test needs two real sockets. Its deadline runs on a
+// simulated clock, so "goes unanswered" is the deadline the test fires,
+// and "served once the slot frees up" is a call that simply returns.
 func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -67,31 +69,35 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const timeout = 200 * time.Millisecond
+	clk := clock.NewSim(epoch)
 	b, err := DialStage(l.Addr().String(),
-		WithCallTimeout(200*time.Millisecond),
+		WithHandleClock(clk),
+		WithCallTimeout(timeout),
 		WithBackoff(Backoff{Attempts: 1}),
 		func(c *dialConfig) { c.dialer = &frameDialer{} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := ping(b); err == nil {
+	unanswered := make(chan error, 1)
+	go func() {
+		_, err := ping(b)
+		unanswered <- err
+	}()
+	clk.BlockUntil(1) // b's request is written and waiting on its deadline
+	clk.Advance(timeout)
+	if err := <-unanswered; err == nil {
 		t.Fatal("second client served while the only slot was held")
 	}
 
-	// Releasing the slot lets the accept loop reach the queued client.
+	// Releasing the slot lets the accept loop reach the queued client:
+	// its next call redials and is answered.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := ping(b); err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second client never served after the slot freed up")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := ping(b); err != nil {
+		t.Fatalf("second client not served after the slot freed up: %v", err)
 	}
 }
 

@@ -400,7 +400,7 @@ func appendQueueStats(b []byte, v *stage.QueueStats) []byte {
 }
 
 func readQueueStats(r *wireReader, v *stage.QueueStats) {
-	v.RuleID = r.str()
+	v.RuleID = r.strSame(v.RuleID)
 	v.Limit = r.f64()
 	v.Burst = r.f64()
 	v.ThroughputRate = r.f64()
@@ -424,11 +424,16 @@ func appendQueueStatsSlice(b []byte, qs []stage.QueueStats) []byte {
 
 func readQueueStatsSlice(r *wireReader, dst []stage.QueueStats) []stage.QueueStats {
 	n := r.count(minQueueStatsEnc)
+	// Decode in place: a slot kept within capacity still holds last
+	// frame's row, letting strSame reuse its RuleID.
 	dst = dst[:0]
 	for i := 0; i < n && r.err == nil; i++ {
-		var q stage.QueueStats
-		readQueueStats(r, &q)
-		dst = append(dst, q)
+		if i < cap(dst) {
+			dst = dst[:i+1]
+		} else {
+			dst = append(dst, stage.QueueStats{})
+		}
+		readQueueStats(r, &dst[i])
 	}
 	return dst
 }
@@ -548,7 +553,7 @@ func appendStageOp(b []byte, v *StageOp) []byte {
 func readStageOp(r *wireReader, v *StageOp) {
 	v.Kind = OpKind(r.uvarint())
 	readRule(r, &v.Rule)
-	v.ID = r.str()
+	v.ID = r.strSame(v.ID)
 	v.Rate = r.f64()
 	v.Mode = stage.Mode(r.varint())
 }
@@ -575,12 +580,19 @@ func appendBatchArgs(b []byte, v *BatchArgs) []byte {
 
 func readBatchArgs(r *wireReader, v *BatchArgs) {
 	n := r.count(minStageOpEnc)
-	v.Ops = v.Ops[:0]
+	ops := v.Ops[:0]
 	for i := 0; i < n && r.err == nil; i++ {
+		// Only the slot's previous ID carries over for strSame to reuse:
+		// the stage keeps an applied rule's matcher slices, so a rule is
+		// never decoded over the last frame's.
 		var op StageOp
+		if i < cap(ops) {
+			op.ID = ops[:i+1][i].ID
+		}
 		readStageOp(r, &op)
-		v.Ops = append(v.Ops, op)
+		ops = append(ops, op)
 	}
+	v.Ops = ops
 	v.Collect = r.boolv()
 	v.ClientID = r.uvarint()
 	v.AckEpoch = r.uvarint()

@@ -440,7 +440,10 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 	}
 
 	// Restart: new stage (fresh service epoch) behind the same address.
-	// The listener may need a few dial attempts to rebind on slow hosts.
+	// The listener may need a few attempts to rebind on slow hosts: the
+	// port is the kernel's to release, on a schedule no clock we inject
+	// and no signal we could wait on describes, so this wall-clock
+	// retry pause stays.
 	stop()
 	stg = stage.New(info, clk)
 	var l2 net.Listener

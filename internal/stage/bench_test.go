@@ -181,3 +181,16 @@ func BenchmarkStageCollect(b *testing.B) {
 		s.Collect()
 	}
 }
+
+// BenchmarkStageSetRate measures the feedback loop's retune: a new rate
+// stored in place under a live rule set, with no snapshot rebuild
+// behind it. 0 allocs/op is the contract (TestSetRateZeroAllocs).
+func BenchmarkStageSetRate(b *testing.B) {
+	s := benchStage(Enforce)
+	s.ApplyRule(policy.Rule{ID: "managed", Match: policy.Matcher{JobID: "job1"}, Rate: 1000})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SetRate("managed", float64(1000+(i&1023)))
+	}
+}

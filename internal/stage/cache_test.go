@@ -103,8 +103,8 @@ func TestClassifyCacheEquivalence(t *testing.T) {
 			switch {
 			case want == nil && wantRule != nil:
 				t.Fatalf("trial %d: classify missed rule %s for %+v", trial, wantRule.ID, req)
-			case want != nil && (wantRule == nil || want.rule.ID != wantRule.ID):
-				t.Fatalf("trial %d: classify chose %s, Select chose %v for %+v", trial, want.rule.ID, wantRule, req)
+			case want != nil && (wantRule == nil || want.id != wantRule.ID):
+				t.Fatalf("trial %d: classify chose %s, Select chose %v for %+v", trial, want.id, wantRule, req)
 			}
 			// Occasionally mutate mid-stream: the next snapshot must
 			// not see stale memos.
@@ -179,9 +179,9 @@ func TestClassifyCacheSplitsDirRefusal(t *testing.T) {
 	miss := &posix.Request{Op: posix.OpGetAttr, Path: "/a/x"}
 	for i := 0; i < 3; i++ { // repeated: a wrongly-cached miss would poison the hit
 		if e := sn.classifyCached(miss); e != nil {
-			t.Fatalf("iteration %d: /a/x classified as %s, want passthrough", i, e.rule.ID)
+			t.Fatalf("iteration %d: /a/x classified as %s, want passthrough", i, e.id)
 		}
-		if e := sn.classifyCached(hit); e == nil || e.rule.ID != "leaf" {
+		if e := sn.classifyCached(hit); e == nil || e.id != "leaf" {
 			t.Fatalf("iteration %d: /a/b not matched by leaf rule (got %v)", i, e)
 		}
 	}

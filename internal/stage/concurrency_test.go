@@ -305,11 +305,11 @@ func TestSnapshotClassifyMatchesRuleSetSelect(t *testing.T) {
 					got := sn.classify(req)
 					switch {
 					case want == nil && got != nil:
-						t.Fatalf("%v: classify found %q, Select found none", reqLabel(req), got.rule.ID)
+						t.Fatalf("%v: classify found %q, Select found none", reqLabel(req), got.id)
 					case want != nil && got == nil:
 						t.Fatalf("%v: classify found none, Select found %q", reqLabel(req), want.ID)
-					case want != nil && got.rule.ID != want.ID:
-						t.Fatalf("%v: classify=%q Select=%q", reqLabel(req), got.rule.ID, want.ID)
+					case want != nil && got.id != want.ID:
+						t.Fatalf("%v: classify=%q Select=%q", reqLabel(req), got.id, want.ID)
 					}
 				}
 			}

@@ -11,9 +11,13 @@
 // remotely by the control plane.
 //
 // Concurrency model (see DESIGN.md §7): the classification state is an
-// immutable snapshot published through an atomic pointer. Control-plane
-// mutations (ApplyRule/RemoveRule/SetRate — cold, feedback-loop cadence)
-// rebuild the snapshot copy-on-write under s.mu; the per-request path
+// immutable snapshot published through an atomic pointer. Rule-set
+// mutations (ApplyRule with a new or re-matched rule, RemoveRule — cold,
+// administrator cadence) rebuild the snapshot copy-on-write under s.mu. A
+// queue's rate and burst are not part of it: the feedback loop retunes
+// them every round (SetRate), so they live on the queue, stored in place,
+// and a retune leaves the snapshot — and its classification cache —
+// alone. The per-request path
 // (Enforce/Offer — hot, every intercepted syscall) classifies against the
 // current snapshot and bumps sharded/atomic counters without taking any
 // lock. A request under a finite limit whose token is in hand takes it in
@@ -24,6 +28,7 @@ package stage
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -119,18 +124,22 @@ type Stats struct {
 	DegradedSeconds float64
 }
 
-// entry pairs one rule with its queue inside a published snapshot. The
-// rule is a value copy (immutable once published); opDecides caches
-// rule.Match.OpDecides() so index candidates whose matcher has no
+// entry pairs one rule's classification half — its ID, matcher and
+// action, value copies immutable once published — with its queue inside a
+// published snapshot. The rule's rate and burst are the queue's (see
+// Stage.setLimit): they change without a republish. opDecides caches
+// match.OpDecides() so index candidates whose matcher has no
 // path/job/user constraint skip the full Matches call.
 type entry struct {
-	rule      policy.Rule
+	id        string
+	match     policy.Matcher
+	action    policy.Action
 	q         *queue
 	opDecides bool
 }
 
 // snapshot is the immutable classification state Enforce/Offer run
-// against. A new snapshot is built for every control-plane mutation and
+// against. A new snapshot is built for every rule-set mutation and
 // published atomically; readers never see a half-updated rule set.
 type snapshot struct {
 	// all lists entries in selection (descending-specificity) order.
@@ -152,10 +161,11 @@ type snapshot struct {
 	byID map[string]*entry
 	// cache memoizes classification results keyed by (op, job, user,
 	// parent directory — "" for pathFree ops). Its generation tag is the snapshot itself:
-	// every control-plane mutation publishes a fresh snapshot with a
+	// every rule-set mutation publishes a fresh snapshot with a
 	// fresh empty cache, so entries are valid exactly as long as the
 	// snapshot is the published one — invalidation by construction,
-	// with no per-entry version counters on the request path.
+	// with no per-entry version counters on the request path. A rate
+	// retune changes no classification and keeps the cache.
 	cache [cacheSlots]atomic.Pointer[cacheEntry]
 }
 
@@ -246,7 +256,7 @@ func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Reque
 		candidates = sn.perOp[req.Op]
 	}
 	for _, cand := range candidates {
-		if cand.rule.Match.SplitsDir(dir) {
+		if cand.match.SplitsDir(dir) {
 			return e // two leaves in dir may classify differently
 		}
 	}
@@ -265,14 +275,14 @@ func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Reque
 func (sn *snapshot) classify(req *posix.Request) *entry {
 	if req.Op.Valid() {
 		for _, e := range sn.perOp[req.Op] {
-			if e.opDecides || e.rule.Match.Matches(req) {
+			if e.opDecides || e.match.Matches(req) {
 				return e
 			}
 		}
 		return nil
 	}
 	for _, e := range sn.all {
-		if e.rule.Match.Matches(req) {
+		if e.match.Matches(req) {
 			return e
 		}
 	}
@@ -366,6 +376,20 @@ type queue struct {
 	admitted *metrics.RateCounter
 	demand   *metrics.RateCounter
 	latency  *metrics.Histogram
+
+	// rate and burst are the governing rule's current limit and
+	// configured burst (float64 bits), stored in place by setLimit. The
+	// admit path reads only rate, and only to test it against
+	// policy.Unlimited; Collect reads the pair under collectMu, which
+	// setLimit also holds, so it never reports halves of two retunes.
+	rate  atomic.Uint64
+	burst atomic.Uint64
+
+	// Everything above is written at control-plane cadence and read by
+	// every request; a full line of padding keeps it, at any alignment
+	// of the struct, off the line that requests which drop or wait
+	// write below.
+	_ [64]byte
 
 	// dropped and waiting are the only bookkeeping not derivable from
 	// the rate counters; plain atomics keep the request path lock-free.
@@ -472,57 +496,88 @@ func (s *Stage) publishLocked() {
 		if !ok {
 			continue // unreachable: every rule gets a queue on install
 		}
-		e := &entry{rule: rules[i], q: q, opDecides: rules[i].Match.OpDecides()}
+		r := &rules[i]
+		e := &entry{id: r.ID, match: r.Match, action: r.Action, q: q, opDecides: r.Match.OpDecides()}
 		sn.all = append(sn.all, e)
-		sn.byID[e.rule.ID] = e
+		sn.byID[e.id] = e
 	}
 	sn.collect = append(sn.collect, sn.all...)
-	sort.Slice(sn.collect, func(i, j int) bool { return sn.collect[i].rule.ID < sn.collect[j].rule.ID })
+	sort.Slice(sn.collect, func(i, j int) bool { return sn.collect[i].id < sn.collect[j].id })
 	for op := 0; op < posix.NumOps; op++ {
 		sn.pathFree[op] = true
 		for _, e := range sn.all {
-			if e.rule.Match.CouldMatchOp(posix.Op(op)) {
+			if e.match.CouldMatchOp(posix.Op(op)) {
 				sn.perOp[op] = append(sn.perOp[op], e)
-				if e.rule.Match.PathPrefix != "" {
+				if e.match.PathPrefix != "" {
 					sn.pathFree[op] = false
 				}
 			}
 		}
 	}
 	s.snap.Store(sn)
-	// Every rule mutation republishes, so this is the single epoch bump
-	// point for rule/rate changes (bumped after the mutation lands: a
-	// concurrent collect that read the old epoch re-collects next round).
+	// Bumped after the mutation lands: a concurrent collect that read
+	// the old epoch re-collects next round.
 	s.epoch.Add(1)
 }
 
+// setLimit retunes q to rate and the configured burst (0 = the default
+// sizing; see policy.EffectiveBurst) in place: the bucket — whose
+// waiters wake to recompute or, on a retune to Unlimited, leave — then
+// the pair the admit path and Collect read. A request racing the two
+// steps is admitted under the old limit or the new one, as it was when
+// it raced a snapshot swap. Nothing is allocated and the snapshot is
+// untouched. Caller holds s.mu and bumps the epoch.
+func (s *Stage) setLimit(q *queue, rate, burst float64) {
+	if rate == policy.Unlimited {
+		q.bucket.Set(tokenbucket.Infinite, tokenbucket.Infinite)
+	} else {
+		q.bucket.Set(rate, policy.EffectiveBurst(rate, burst))
+	}
+	s.collectMu.Lock()
+	q.rate.Store(math.Float64bits(rate))
+	q.burst.Store(math.Float64bits(burst))
+	s.collectMu.Unlock()
+}
+
+// limit is the queue's current rate, for the admit path's unlimited
+// test.
+//
+//lint:hotpath
+func (q *queue) limit() float64 { return math.Float64frombits(q.rate.Load()) }
+
 // ApplyRule installs or updates a rule and its queue. Updating an
-// existing rule retunes the live bucket without disturbing waiters.
+// existing rule retunes the live bucket without disturbing waiters, and
+// when only the rate or burst changed it is a retune and nothing more:
+// the snapshot is republished only if the matcher or action moved.
 func (s *Stage) ApplyRule(r policy.Rule) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rules.Upsert(r)
 	if q, ok := s.queues[r.ID]; ok {
-		if r.Rate == policy.Unlimited {
-			q.bucket.Set(tokenbucket.Infinite, tokenbucket.Infinite)
-		} else {
-			q.bucket.Set(r.Rate, r.EffectiveBurst())
+		s.setLimit(q, r.Rate, r.Burst)
+		if s.rules.Retune(r) {
+			s.epoch.Add(1)
+			return
 		}
+		s.rules.Upsert(r)
 		s.publishLocked()
 		return
 	}
+	s.rules.Upsert(r)
 	var b *tokenbucket.Bucket
 	if r.Rate == policy.Unlimited {
 		b = tokenbucket.NewUnlimited(s.clk)
 	} else {
 		b = tokenbucket.New(s.clk, r.Rate, r.EffectiveBurst())
 	}
-	s.queues[r.ID] = &queue{
+	q := &queue{
 		bucket:   b,
 		admitted: metrics.NewRateCounter("admitted:"+r.ID, s.clk, s.window),
 		demand:   metrics.NewRateCounter("demand:"+r.ID, s.clk, s.window),
 		latency:  metrics.NewLatencyHistogram(),
 	}
+	q.rate.Store(math.Float64bits(r.Rate))
+	q.burst.Store(math.Float64bits(r.Burst))
+	s.queues[r.ID] = q
 	if p, ok := s.borrowPools[r.ID]; ok {
 		p.Attach(b)
 	}
@@ -578,7 +633,8 @@ func (s *Stage) RemoveRule(id string) bool {
 
 // SetRate retunes one queue's rate in place; used by the control plane's
 // feedback loop, which adjusts rates far more often than it changes the
-// rule structure.
+// rule structure. It allocates nothing and republishes nothing: the
+// snapshot and its classification cache survive control rounds.
 func (s *Stage) SetRate(ruleID string, rate float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -586,21 +642,9 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 	if !ok {
 		return false
 	}
-	var rule policy.Rule
-	for _, r := range s.rules.Rules() {
-		if r.ID == ruleID {
-			rule = r
-			break
-		}
-	}
-	rule.Rate = rate
-	s.rules.Upsert(rule)
-	if rate == policy.Unlimited {
-		q.bucket.Set(tokenbucket.Infinite, tokenbucket.Infinite)
-	} else {
-		q.bucket.Set(rate, rule.EffectiveBurst())
-	}
-	s.publishLocked()
+	s.rules.SetRate(ruleID, rate)
+	s.setLimit(q, rate, math.Float64frombits(q.burst.Load()))
+	s.epoch.Add(1)
 	return true
 }
 
@@ -622,7 +666,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	}
 	q := e.q
 
-	if Mode(s.mode.Load()) == Passthrough || e.rule.Rate == policy.Unlimited {
+	if Mode(s.mode.Load()) == Passthrough || q.limit() == policy.Unlimited {
 		// Fast path: one clock read feeds both counters.
 		now := s.hotNow()
 		q.demand.AddAt(1, now)
@@ -632,7 +676,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	}
 
 	// Policing: reject immediately instead of queueing.
-	if e.rule.Action == policy.ActionDrop {
+	if e.action == policy.ActionDrop {
 		now := s.hotNow()
 		q.demand.AddAt(1, now)
 		if q.bucket.TryTake(1) {
@@ -722,7 +766,7 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 	q.offerMu.Unlock()
 	q.demand.AddAt(demN, now)
 	var served float64
-	if Mode(s.mode.Load()) == Passthrough || e.rule.Rate == policy.Unlimited {
+	if Mode(s.mode.Load()) == Passthrough || q.limit() == policy.Unlimited {
 		served = n
 	} else {
 		served = q.bucket.Grant(n, dt)
@@ -796,10 +840,12 @@ func (s *Stage) CollectQuietInto(out *Stats) uint64 {
 		// In-flight waiters will observe a latency sample and an
 		// admission on release, with no new arrival to signal it.
 		quiet = quiet && admQuiet && demQuiet && waiting == 0
+		// collectMu is held, so the pair is one retune's (see setLimit).
+		limit := q.limit()
 		out.Queues = append(out.Queues, QueueStats{
-			RuleID:         e.rule.ID,
-			Limit:          e.rule.Rate,
-			Burst:          e.rule.EffectiveBurst(),
+			RuleID:         e.id,
+			Limit:          limit,
+			Burst:          policy.EffectiveBurst(limit, math.Float64frombits(q.burst.Load())),
 			ThroughputRate: thrRate,
 			DemandRate:     demRate,
 			Total:          totalAdm,

@@ -52,3 +52,18 @@ func TestTakeAtZeroAllocs(t *testing.T) {
 		t.Errorf("TakeAt allocates %.3f allocs/op, want 0", avg)
 	}
 }
+
+// TestSetZeroAllocsWithNoWaiter: a retune with nobody parked in Wait has
+// no one to wake and makes no fresh broadcast channel — the control
+// plane retunes every round, waiters are the exception.
+func TestSetZeroAllocsWithNoWaiter(t *testing.T) {
+	b := New(clock.NewSim(time.Unix(0, 0)), 100, 10)
+	rates := [...]float64{200, Infinite, 50}
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		b.Set(rates[i%len(rates)], 10)
+		i++
+	}); avg != 0 {
+		t.Errorf("Set (no waiter parked) allocates %.3f allocs/op, want 0", avg)
+	}
+}

@@ -58,7 +58,11 @@ type Bucket struct {
 	closed   bool
 	// waiters receive a broadcast when tokens become available sooner
 	// than previously computed (rate increase or capacity change).
+	// parked counts the Wait calls that captured retune and have not yet
+	// come back for the lock: at zero nobody can be listening, and a
+	// broadcast has nothing to close.
 	retune chan struct{}
+	parked int
 	// pool, when set, links this bucket to its siblings for
 	// decentralized token borrowing (borrow.go); guarded by mu, and
 	// never called into while mu is held (pool locks order before
@@ -234,6 +238,9 @@ func (b *Bucket) Set(rate, capacity float64) {
 
 // broadcastLocked wakes all waiters so they recompute their deadline.
 func (b *Bucket) broadcastLocked() {
+	if b.parked == 0 {
+		return
+	}
 	close(b.retune)
 	b.retune = make(chan struct{})
 }
@@ -333,8 +340,9 @@ func (b *Bucket) Wait(n float64) error {
 		b.addGranted(n)
 		return nil
 	}
-	for {
+	for parked := 0; ; parked = 1 {
 		b.mu.Lock()
+		b.parked -= parked // back from the select below
 		if b.closed {
 			b.mu.Unlock()
 			return ErrClosed
@@ -366,6 +374,7 @@ func (b *Bucket) Wait(n float64) error {
 			waitDur = time.Nanosecond
 		}
 		retune := b.retune
+		b.parked++
 		b.mu.Unlock()
 
 		select {
