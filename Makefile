@@ -152,7 +152,9 @@ fix-smoke:
 # instrumentation defeats escape analysis and randomizes sync.Pool, so
 # alloc counts only mean anything uninstrumented), the doubled
 # control-plane race pass, and a one-iteration benchmark smoke so the
-# hot-path benches can't rot.
+# hot-path benches can't rot. The two cross-builds compile the platform
+# seam no native gate does: osfs's arm64 trap file, and the stub that
+# stands in for osfs off Linux (both offline, standard library only).
 ci:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -162,6 +164,8 @@ ci:
 	$(MAKE) lint-self
 	$(MAKE) fix-smoke
 	$(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/osfs/...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/... ./internal/rpcio/...
 	$(MAKE) race

@@ -1,86 +1,103 @@
+//go:build linux && (amd64 || arm64)
+
 // Package osfs implements the interposed POSIX boundary against a real
 // operating-system directory tree: every posix.Request lands as actual
-// syscalls on the kernel file system hosting the root. It is the
+// system calls on the kernel file system hosting the root. It is the
 // "real-workload onramp" backend — mounted beside localfs and the PFS
 // model, it lets unmodified applications drive PADLL's rate-limited
 // stage with genuine I/O, so passthrough overhead (§IV-A) can be
 // measured against the kernel instead of an in-memory model.
 //
-// The file system is rooted: virtual paths are cleaned lexically (".."
-// cannot climb above the root, exactly like localfs and os.DirFS) and
-// then joined onto the host root. Absolute symlink targets are rewritten
-// into the root on creation and back out on readlink, so a link to
-// "/shared/data" stays inside the sandbox. Relative symlink targets are
-// stored verbatim and — as with os.DirFS — a hostile pre-existing tree
-// could use them to escape; roots handed to New should be trusted
-// directories.
+// The package talks to the kernel, not to package os. New opens the root
+// directory once and every path operation is one *at system call
+// relative to that descriptor, on the lexically cleaned virtual path
+// minus its leading "/" (".." cannot climb above the root, exactly like
+// localfs and os.DirFS): openat, fstatat, renameat, unlinkat and so on,
+// with the kernel's own refusals (EISDIR from unlinkat of a directory,
+// ENOTDIR from unlinkat(AT_REMOVEDIR) of a file) instead of a stat
+// followed by the act. The six calls Linux gives no *at form before 6.13
+// — truncate and the path xattr calls — name the same root-relative path
+// through /proc/self/fd/<root>. Every descriptor operation is the raw
+// call on the kernel descriptor, which is also the descriptor the
+// boundary reports: the handle table (table.go) is a slab indexed by it.
+// This is the Linux amd64/arm64 implementation; elsewhere New reports
+// posix.ErrNotSupported.
 //
-// Descriptors are virtualized through an fd table exactly like
-// mount.Router's: the application sees small integers allocated here,
-// never the kernel's, so fd-based follow-ups (read, fstat, readdir
-// streaming, close) translate to the right *os.File.
+// What is and is not guaranteed about symlinks: absolute targets are
+// rewritten into the root on creation and back out on readlink, so a
+// link to "/shared/data" stays inside the sandbox and resolves there.
+// Relative targets are stored verbatim, and the kernel resolves them: a
+// relative link planted inside the tree ("../../etc") still leads out of
+// it, as with os.DirFS, so roots handed to New should be trusted
+// directories. Closing that needs openat2(RESOLVE_BENEATH), which rejects
+// the absolute targets pinned today; with every operation already
+// relative to the root descriptor it is a change of symlink-target
+// representation plus one flag.
 package osfs
 
 import (
-	"errors"
-	"io"
-	"io/fs"
-	"os"
+	"bytes"
 	"path"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
-	"sync"
+	"syscall"
+	"unsafe"
 
 	"padll/internal/clock"
 	"padll/internal/posix"
 )
 
-// handle is one virtual-descriptor-table entry.
-type handle struct {
-	f     *os.File
-	name  string // display name for fstat (base of the virtual path)
-	isDir bool
-	// dirSnapshot holds the entry list captured at opendir time, for
-	// fd-based one-at-a-time readdir streaming.
-	dirSnapshot []posix.DirEntry
-	dirPos      int
-}
-
 // FS executes interposed requests against a rooted OS directory. It is
-// safe for concurrent use: the lock guards only the fd table, and all
-// I/O happens outside it on the kernel's own synchronization.
+// safe for concurrent use: the request path takes no lock, and all I/O
+// runs on the kernel's own synchronization.
 type FS struct {
-	root string
-	clk  clock.Clock
-
-	mu     sync.Mutex
-	fds    map[int]*handle
-	nextFD int
+	root    string // host path of the root: Root, pinned symlink targets, the root's display name
+	rootFD  int    // what every path operation is relative to
+	proc    string // "/proc/self/fd/<rootFD>", for the calls with no *at form
+	clk     clock.Clock
+	handles table
 }
 
 var _ posix.FileSystem = (*FS)(nil)
 
 // New returns a file system rooted at dir, which must exist and be a
 // directory. The clock stamps modification times the boundary sets
-// explicitly (utime), keeping simulated-clock runs deterministic.
+// explicitly (utime), keeping simulated-clock runs deterministic. The
+// root descriptor, and any descriptor the application leaked, is closed
+// when the FS becomes unreachable.
 func New(dir string, clk clock.Clock) (*FS, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	info, err := os.Stat(abs)
+	fd, err := syscall.Open(abs, oPath|syscall.O_DIRECTORY|syscall.O_CLOEXEC, 0)
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	if !info.IsDir() {
-		return nil, posix.ErrNotDir
-	}
-	return &FS{root: abs, clk: clk, fds: make(map[int]*handle), nextFD: 3}, nil
+	o := &FS{root: abs, rootFD: fd, proc: "/proc/self/fd/" + strconv.Itoa(fd), clk: clk}
+	runtime.SetFinalizer(o, (*FS).closeAll)
+	return o, nil
+}
+
+// closeAll closes everything the FS still holds. Nothing can be in
+// flight on an unreachable FS, so the reference counts are not consulted.
+func (o *FS) closeAll() {
+	o.handles.each(func(fd int) { _ = syscall.Close(fd) })
+	_ = syscall.Close(o.rootFD)
 }
 
 // Root returns the host directory backing the virtual namespace.
 func (o *FS) Root() string { return o.root }
+
+// OpenFDs reports the number of live descriptors (leak tests).
+func (o *FS) OpenFDs() int {
+	n := 0
+	o.handles.each(func(int) { n++ })
+	return n
+}
 
 // clean canonicalizes a virtual path; empty and relative paths are
 // rooted at "/". path.Clean resolves every ".." lexically, so the result
@@ -90,37 +107,14 @@ func clean(p string) string {
 		return "/"
 	}
 	if !strings.HasPrefix(p, "/") {
+		//lint:allow hotpathcheck relative paths only; every layer above sends rooted ones
 		p = "/" + p
 	}
 	return path.Clean(p)
 }
 
-// resolve maps a virtual path onto the host tree.
-func (o *FS) resolve(p string) string {
-	p = clean(p)
-	if p == "/" {
-		return o.root
-	}
-	return filepath.Join(o.root, filepath.FromSlash(p[1:]))
-}
-
-// pathBufs pools NUL-terminated host-path scratch for the raw-syscall
-// fast paths, so a steady-state stat costs zero allocations.
-var pathBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// appendHost appends the NUL-terminated host path for the cleaned
-// virtual path p into buf (for raw syscalls that want a C string). Only
-// used on platforms where the virtual separator is the host separator.
-func (o *FS) appendHost(buf []byte, p string) []byte {
-	buf = append(buf[:0], o.root...)
-	if p != "/" {
-		buf = append(buf, p...)
-	}
-	return append(buf, 0)
-}
-
-// leafName returns the display name of the cleaned virtual path p: the
-// base of the host path it resolves to, without allocating.
+// leafName returns the display name of the cleaned virtual path p
+// without allocating.
 func (o *FS) leafName(p string) string {
 	if p == "/" {
 		return filepath.Base(o.root)
@@ -128,166 +122,72 @@ func (o *FS) leafName(p string) string {
 	return p[strings.LastIndexByte(p, '/')+1:]
 }
 
-// virtualize maps a host path back into the virtual namespace when it
-// lies under the root; ok is false otherwise.
-func (o *FS) virtualize(host string) (string, bool) {
-	if host == o.root {
-		return "/", true
-	}
-	prefix := o.root + string(filepath.Separator)
-	if !strings.HasPrefix(host, prefix) {
-		return "", false
-	}
-	return "/" + filepath.ToSlash(host[len(prefix):]), true
-}
-
-// openFlags translates boundary open flags to the os package's.
-func openFlags(flags int) int {
-	var out int
-	switch flags & (posix.ORdOnly | posix.OWrOnly | posix.ORdWr) {
-	case posix.OWrOnly:
-		out = os.O_WRONLY
-	case posix.ORdWr:
-		out = os.O_RDWR
-	default:
-		out = os.O_RDONLY
-	}
-	if flags&posix.OCreate != 0 {
-		out |= os.O_CREATE
-	}
-	if flags&posix.OExcl != 0 {
-		out |= os.O_EXCL
-	}
-	if flags&posix.OTrunc != 0 {
-		out |= os.O_TRUNC
-	}
-	if flags&posix.OAppend != 0 {
-		out |= os.O_APPEND
-	}
-	return out
-}
-
-// mapErr lowers an OS error onto the boundary sentinels, preserving the
-// detailed message and both error identities (see posix.FromFSError).
-func mapErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	switch {
-	case isErrno(err, errnoNotDir):
-		return posix.ErrNotDir
-	case isErrno(err, errnoIsDir):
-		return posix.ErrIsDir
-	case isErrno(err, errnoNotEmpty):
-		return posix.ErrNotEmpty
-	case isErrno(err, errnoXDev):
-		return posix.ErrCrossDevice
-	case isErrno(err, errnoNoSpace):
-		return posix.ErrNoSpace
-	case isErrno(err, errnoNoAttr):
-		return posix.ErrNoAttr
-	}
-	return posix.FromFSError(err)
-}
-
-// lookupFD resolves a virtual descriptor.
-func (o *FS) lookupFD(fd int) (*handle, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	h, ok := o.fds[fd]
-	if !ok {
-		return nil, posix.ErrBadFD
-	}
-	return h, nil
-}
-
-// insertFD allocates a virtual descriptor for h.
-func (o *FS) insertFD(h *handle) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	fd := o.nextFD
-	o.nextFD++
-	o.fds[fd] = h
-	return fd
-}
-
-// removeFD releases a virtual descriptor, returning its handle.
-func (o *FS) removeFD(fd int) (*handle, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	h, ok := o.fds[fd]
-	if !ok {
-		return nil, posix.ErrBadFD
-	}
-	delete(o.fds, fd)
-	return h, nil
-}
-
-// OpenFDs reports the number of live virtual descriptors (leak tests).
-func (o *FS) OpenFDs() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.fds)
-}
-
-// infoFor converts one os.FileInfo, filling the platform fields (inode,
-// nlink, uid, gid) where the host exposes them.
-func infoFor(info fs.FileInfo) posix.FileInfo {
-	fi := posix.FileInfoFromFS(info)
-	ino, nlink, uid, gid, ok := sysFields(info)
-	if ok {
-		fi.Inode, fi.Nlink, fi.UID, fi.GID = ino, nlink, uid, gid
-	}
-	return fi
-}
+// viaProc names the virtual path p for a system call that takes no
+// directory descriptor.
+func (o *FS) viaProc(p string) string { return o.proc + clean(p) }
 
 // Apply implements posix.FileSystem, dispatching all 42 operations onto
 // the kernel.
 func (o *FS) Apply(req *posix.Request, rep *posix.Reply) error {
+	err := o.apply(req, rep)
+	runtime.KeepAlive(o) // the finalizer must not close the root under a call in flight
+	return err
+}
+
+func (o *FS) apply(req *posix.Request, rep *posix.Reply) error {
 	switch req.Op {
 	// ---- metadata ----
 	case posix.OpOpen, posix.OpOpen64, posix.OpCreat:
-		return o.open(req, rep)
+		return o.open(req.Path, req.Flags, req.Mode, rep)
 	case posix.OpClose, posix.OpClosedir:
-		return o.close(req.FD, rep)
+		return o.handles.close(req.FD)
 	case posix.OpStat, posix.OpGetAttr:
-		return o.stat(req.Path, true, rep)
+		return o.stat(req.Path, 0, rep)
 	case posix.OpLStat:
-		return o.stat(req.Path, false, rep)
+		return o.stat(req.Path, atSymlinkNofollow, rep)
 	case posix.OpFStat:
 		return o.fstat(req.FD, rep)
 	case posix.OpSetAttr, posix.OpChmod:
-		return o.chmod(req.Path, req.Mode, rep)
+		return o.pathOp(syscall.SYS_FCHMODAT, req.Path, uintptr(req.Mode.Perm()), 0, 0)
 	case posix.OpChown:
-		return o.chown(req, rep)
+		// uid/gid travel in the spare numeric fields, as all backends expect.
+		return o.pathOp(syscall.SYS_FCHOWNAT, req.Path, uintptr(req.Offset), uintptr(req.Size), 0)
 	case posix.OpUtime:
-		return o.utime(req.Path, rep)
-	case posix.OpStatFS, posix.OpFStatFS:
-		return o.statfs(rep)
+		return o.utime(req.Path)
+	case posix.OpStatFS:
+		return statfsInto(o.rootFD, &rep.Stat)
+	case posix.OpFStatFS:
+		return o.fdOp(req.FD, func(fd int) error { return statfsInto(fd, &rep.Stat) })
 	case posix.OpRename:
-		return o.rename(req.Path, req.NewPath, rep)
+		return o.at2(syscall.SYS_RENAMEAT, clean(req.Path), clean(req.NewPath), 0)
 	case posix.OpUnlink:
-		return o.unlink(req.Path, rep)
+		// unlinkat refuses directories itself (EISDIR), and with
+		// AT_REMOVEDIR refuses everything else (ENOTDIR): no stat first,
+		// so no window between the check and the act.
+		return o.pathOp(syscall.SYS_UNLINKAT, req.Path, 0, 0, 0)
 	case posix.OpLink:
-		return o.link(req.Path, req.NewPath, rep)
+		return o.at2(syscall.SYS_LINKAT, clean(req.Path), clean(req.NewPath), 0)
 	case posix.OpSymlink:
-		return o.symlink(req.Path, req.NewPath, rep)
+		return o.symlink(req.Path, req.NewPath)
 	case posix.OpReadlink:
 		return o.readlink(req.Path, rep)
 	case posix.OpAccess:
-		return o.access(req.Path, rep)
+		return o.pathOp(syscall.SYS_FACCESSAT, req.Path, 0, 0, 0) // F_OK
 	case posix.OpMknod:
-		return o.mknod(req.Path, req.Mode, rep)
+		return o.pathOp(syscall.SYS_MKNODAT, req.Path, uintptr(syscall.S_IFREG|req.Mode.Perm()), 0, 0)
 
 	// ---- directory management ----
 	case posix.OpMkdir:
-		return o.mkdir(req.Path, req.Mode, rep)
+		return o.pathOp(syscall.SYS_MKDIRAT, req.Path, uintptr(req.Mode.Perm()), 0, 0)
 	case posix.OpRmdir:
-		return o.rmdir(req.Path, rep)
+		return o.pathOp(syscall.SYS_UNLINKAT, req.Path, atRemoveDir, 0, 0)
 	case posix.OpOpendir:
 		return o.opendir(req.Path, rep)
 	case posix.OpReaddir:
-		return o.readdir(req, rep)
+		if req.Path != "" {
+			return o.readdirPath(req.Path, rep)
+		}
+		return o.readdirFD(req.FD, rep)
 
 	// ---- data ----
 	case posix.OpRead:
@@ -301,214 +201,189 @@ func (o *FS) Apply(req *posix.Request, rep *posix.Reply) error {
 	case posix.OpLSeek:
 		return o.lseek(req.FD, req.Offset, req.Flags, rep)
 	case posix.OpFSync, posix.OpFDataSync:
-		return o.fsync(req.FD, rep)
+		return o.fdOp(req.FD, syscall.Fsync)
 	case posix.OpSync:
 		return nil // kernel-wide sync is out of scope
 	case posix.OpTruncate:
-		return o.truncate(req.Path, req.Size, rep)
+		if req.Size < 0 {
+			return posix.ErrInvalid
+		}
+		return mapErr(syscall.Truncate(o.viaProc(req.Path), req.Size))
 	case posix.OpFTruncate:
-		return o.ftruncate(req.FD, req.Size, rep)
+		if req.Size < 0 {
+			return posix.ErrInvalid
+		}
+		return o.fdOp(req.FD, func(fd int) error { return syscall.Ftruncate(fd, req.Size) })
 
 	// ---- extended attributes ----
 	case posix.OpSetXAttr:
-		return o.setxattr(req.Path, req.Name, req.Value, rep)
+		return mapErr(syscall.Setxattr(o.viaProc(req.Path), req.Name, req.Value, 0))
 	case posix.OpGetXAttr, posix.OpLGetXAttr:
-		return o.getxattr(req.Path, req.Name, rep)
+		host := o.viaProc(req.Path)
+		var err error
+		rep.Data, err = sized(func(buf []byte) (int, error) { return syscall.Getxattr(host, req.Name, buf) })
+		return err
 	case posix.OpFGetXAttr:
-		return o.fgetxattr(req.FD, req.Name, rep)
+		return o.fdOp(req.FD, func(fd int) (err error) {
+			rep.Data, err = sized(func(buf []byte) (int, error) { return fgetxattr(fd, req.Name, buf) })
+			return err
+		})
 	case posix.OpListXAttr:
 		return o.listxattr(req.Path, rep)
 	case posix.OpRemoveXAttr:
-		return o.removexattr(req.Path, req.Name, rep)
+		return mapErr(syscall.Removexattr(o.viaProc(req.Path), req.Name))
 	}
 	return posix.ErrNotSupported
 }
 
-func (o *FS) open(req *posix.Request, rep *posix.Reply) error {
-	p := clean(req.Path)
-	f, err := os.OpenFile(o.resolve(p), openFlags(req.Flags), os.FileMode(req.Mode.Perm()))
-	if err != nil {
-		return mapErr(err)
-	}
-	fd := o.insertFD(&handle{f: f, name: o.leafName(p)})
-	rep.FD = fd
-	return nil
+// pathOp runs a path system call that returns nothing but its verdict.
+//
+//lint:hotpath
+func (o *FS) pathOp(trap uintptr, p string, a, b, c uintptr) error {
+	_, err := o.at(trap, clean(p), a, b, c)
+	return err
 }
 
-func (o *FS) close(fd int, rep *posix.Reply) error {
-	h, err := o.removeFD(fd)
+// fdOp runs a descriptor call that returns nothing but its verdict,
+// holding a reference on the handle for its duration and retrying
+// interrupted calls.
+func (o *FS) fdOp(fd int, call func(fd int) error) error {
+	h, err := o.handles.acquire(fd)
 	if err != nil {
 		return err
 	}
-	if cerr := h.f.Close(); cerr != nil {
-		return mapErr(cerr)
+	for {
+		if err = call(fd); err != syscall.EINTR {
+			break
+		}
 	}
+	h.release(fd)
+	return mapErr(err)
+}
+
+// openFlags translates boundary open flags to the kernel's.
+func openFlags(flags int) int {
+	out := syscall.O_CLOEXEC
+	switch flags & (posix.ORdOnly | posix.OWrOnly | posix.ORdWr) {
+	case posix.OWrOnly:
+		out |= syscall.O_WRONLY
+	case posix.ORdWr:
+		out |= syscall.O_RDWR
+	}
+	if flags&posix.OCreate != 0 {
+		out |= syscall.O_CREAT
+	}
+	if flags&posix.OExcl != 0 {
+		out |= syscall.O_EXCL
+	}
+	if flags&posix.OTrunc != 0 {
+		out |= syscall.O_TRUNC
+	}
+	if flags&posix.OAppend != 0 {
+		out |= syscall.O_APPEND
+	}
+	return out
+}
+
+//lint:hotpath
+func (o *FS) open(p string, flags int, mode posix.FileMode, rep *posix.Reply) error {
+	p = clean(p)
+	fd, err := o.at(syscall.SYS_OPENAT, p, uintptr(openFlags(flags)), uintptr(mode.Perm()), 0)
+	if err != nil {
+		return err
+	}
+	o.handles.install(int(fd), o.leafName(p), false, nil)
+	rep.FD = int(fd)
 	return nil
 }
 
-// stat resolves and stats p; follow selects stat(2) vs lstat(2)
-// semantics. On Linux it runs as one raw fstatat on pooled path scratch
-// — no allocations — which is what keeps the bridged-Stat budget at the
-// two unavoidable caller-side allocations.
-func (o *FS) stat(p string, follow bool, rep *posix.Reply) error {
-	if hasFastStat {
-		p = clean(p)
-		bp := pathBufs.Get().(*[]byte)
-		*bp = o.appendHost(*bp, p)
-		err := statInto(*bp, follow, &rep.Info)
-		pathBufs.Put(bp)
-		if err != nil {
-			return mapErr(err)
-		}
-		rep.Info.Name = o.leafName(p)
-		return nil
+// stat is one fstatat; flags selects stat(2) or lstat(2) semantics.
+//
+//lint:hotpath
+func (o *FS) stat(p string, flags uintptr, rep *posix.Reply) error {
+	p = clean(p)
+	var st syscall.Stat_t
+	if _, err := o.atPtr(sysFstatat, p, unsafe.Pointer(&st), flags); err != nil {
+		return err
 	}
-	statf := os.Stat
-	if !follow {
-		statf = os.Lstat
-	}
-	info, err := statf(o.resolve(p))
-	if err != nil {
-		return mapErr(err)
-	}
-	rep.Info = infoFor(info)
+	fillInfo(&rep.Info, &st)
+	rep.Info.Name = o.leafName(p)
 	return nil
 }
 
 func (o *FS) fstat(fd int, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
+	h, err := o.handles.acquire(fd)
 	if err != nil {
 		return err
 	}
-	if hasRawFstat {
-		if ferr := fstatInto(h.f.Fd(), &rep.Info); ferr != nil {
-			return mapErr(ferr)
-		}
+	var st syscall.Stat_t
+	if err = syscall.Fstat(fd, &st); err == nil {
+		fillInfo(&rep.Info, &st)
 		rep.Info.Name = h.name
-		return nil
 	}
-	info, serr := h.f.Stat()
-	if serr != nil {
-		return mapErr(serr)
-	}
-	rep.Info = infoFor(info)
-	return nil
+	h.release(fd)
+	return mapErr(err)
 }
 
-func (o *FS) chmod(p string, mode posix.FileMode, rep *posix.Reply) error {
-	if err := os.Chmod(o.resolve(p), os.FileMode(mode.Perm())); err != nil {
-		return mapErr(err)
-	}
-	return nil
+func (o *FS) utime(p string) error {
+	ts := syscall.NsecToTimespec(o.clk.Now().UnixNano())
+	times := [2]syscall.Timespec{ts, ts}
+	_, err := o.atPtr(syscall.SYS_UTIMENSAT, clean(p), unsafe.Pointer(&times), 0)
+	return err
 }
 
-func (o *FS) chown(req *posix.Request, rep *posix.Reply) error {
-	// uid/gid travel in the spare numeric fields, as all backends expect.
-	if err := os.Chown(o.resolve(req.Path), int(req.Offset), int(req.Size)); err != nil {
-		return mapErr(err)
+func (o *FS) symlink(target, linkP string) error {
+	linkP = clean(linkP)
+	if strings.IndexByte(target, 0) >= 0 || strings.IndexByte(linkP, 0) >= 0 {
+		return posix.ErrInvalid
 	}
-	return nil
-}
-
-func (o *FS) utime(p string, rep *posix.Reply) error {
-	now := o.clk.Now()
-	if err := os.Chtimes(o.resolve(p), now, now); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) rename(oldP, newP string, rep *posix.Reply) error {
-	if err := os.Rename(o.resolve(oldP), o.resolve(newP)); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) unlink(p string, rep *posix.Reply) error {
-	host := o.resolve(p)
-	info, err := os.Lstat(host)
-	if err != nil {
-		return mapErr(err)
-	}
-	if info.IsDir() {
-		return posix.ErrIsDir // unlink(2) refuses directories
-	}
-	if rerr := os.Remove(host); rerr != nil {
-		return mapErr(rerr)
-	}
-	return nil
-}
-
-func (o *FS) link(oldP, newP string, rep *posix.Reply) error {
-	if err := os.Link(o.resolve(oldP), o.resolve(newP)); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) symlink(target, linkP string, rep *posix.Reply) error {
+	bp := pathBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
 	// Absolute virtual targets are pinned inside the root; relative
 	// targets are stored verbatim, as ln -s would.
-	host := target
 	if strings.HasPrefix(target, "/") {
-		host = o.resolve(target)
+		buf = append(buf, o.root...)
+		if target = clean(target); target == "/" {
+			target = ""
+		}
 	}
-	if err := os.Symlink(host, o.resolve(linkP)); err != nil {
-		return mapErr(err)
+	buf = append(append(buf, target...), 0)
+	link := len(buf)
+	buf = appendRel(buf, linkP)
+	_, _, errno := syscall.Syscall(syscall.SYS_SYMLINKAT, uintptr(unsafe.Pointer(&buf[0])),
+		uintptr(o.rootFD), uintptr(unsafe.Pointer(&buf[link])))
+	*bp = buf
+	pathBufs.Put(bp)
+	if errno != 0 {
+		return mapErr(errno)
 	}
 	return nil
 }
 
 func (o *FS) readlink(p string, rep *posix.Reply) error {
-	target, err := os.Readlink(o.resolve(p))
-	if err != nil {
-		return mapErr(err)
+	p = clean(p)
+	buf := rep.Data[:cap(rep.Data)]
+	if len(buf) < 256 {
+		buf = make([]byte, 256)
 	}
-	if v, ok := o.virtualize(target); ok {
-		target = v // undo the absolute-target pinning
+	for {
+		n, err := o.atPtr(syscall.SYS_READLINKAT, p, unsafe.Pointer(&buf[0]), uintptr(len(buf)))
+		if err != nil {
+			return err
+		}
+		if int(n) < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf)) // filled to the brim: possibly truncated
 	}
-	rep.Data = []byte(target)
-	return nil
-}
-
-func (o *FS) access(p string, rep *posix.Reply) error {
-	if _, err := os.Stat(o.resolve(p)); err != nil {
-		return mapErr(err)
+	// Undo the absolute-target pinning.
+	if r := len(o.root); len(buf) >= r && string(buf[:r]) == o.root && (len(buf) == r || buf[r] == '/') {
+		if buf = buf[:copy(buf, buf[r:])]; len(buf) == 0 {
+			buf = append(buf, '/')
+		}
 	}
-	return nil
-}
-
-func (o *FS) mknod(p string, mode posix.FileMode, rep *posix.Reply) error {
-	f, err := os.OpenFile(o.resolve(p), os.O_CREATE|os.O_EXCL|os.O_WRONLY, os.FileMode(mode.Perm()))
-	if err != nil {
-		return mapErr(err)
-	}
-	if cerr := f.Close(); cerr != nil {
-		return mapErr(cerr)
-	}
-	return nil
-}
-
-func (o *FS) mkdir(p string, mode posix.FileMode, rep *posix.Reply) error {
-	if err := os.Mkdir(o.resolve(p), os.FileMode(mode.Perm())); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) rmdir(p string, rep *posix.Reply) error {
-	host := o.resolve(p)
-	info, err := os.Lstat(host)
-	if err != nil {
-		return mapErr(err)
-	}
-	if !info.IsDir() {
-		return posix.ErrNotDir
-	}
-	if rerr := os.Remove(host); rerr != nil {
-		return mapErr(rerr)
-	}
+	rep.Data = buf
 	return nil
 }
 
@@ -518,75 +393,75 @@ func sortEntries(entries []posix.DirEntry) {
 	slices.SortFunc(entries, func(a, b posix.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 }
 
-// snapshotDir reads and sorts a directory's entries into an owned slice
-// (opendir handles retain their snapshot across readdir calls). The
-// platform listing (raw getdents64 on Linux) reports names, types and
-// inodes in one pass, so no per-entry stat is paid; it also fails with
-// ENOTDIR on non-directory targets, which is why neither opendir nor the
-// path readdir needs a verifying stat of its own.
-func snapshotDir(f *os.File) ([]posix.DirEntry, error) {
-	entries, err := appendDirents(nil, f)
+// listDir opens the directory at p and appends its sorted entries,
+// returning the descriptor still open. O_DIRECTORY makes a
+// non-directory fail with ENOTDIR at the open, so no verifying stat is
+// paid; a symlink to a directory is followed.
+func (o *FS) listDir(p string, entries []posix.DirEntry) (int, []posix.DirEntry, error) {
+	r, err := o.at(syscall.SYS_OPENAT, p, syscall.O_RDONLY|syscall.O_DIRECTORY|syscall.O_CLOEXEC, 0, 0)
 	if err != nil {
-		return nil, mapErr(err)
+		return -1, entries, err
+	}
+	fd := int(r)
+	if entries, err = appendDirents(entries, fd); err != nil {
+		_ = syscall.Close(fd)
+		return -1, entries, err
 	}
 	sortEntries(entries)
-	return entries, nil
+	return fd, entries, nil
 }
 
+// opendir snapshots the listing for fd-based one-at-a-time streaming.
 func (o *FS) opendir(p string, rep *posix.Reply) error {
 	p = clean(p)
-	f, err := os.Open(o.resolve(p))
+	fd, entries, err := o.listDir(p, nil)
 	if err != nil {
-		return mapErr(err)
+		return err
 	}
-	// No verifying stat: listing a non-directory fails with ENOTDIR,
-	// which maps to the same refusal one syscall cheaper.
-	snap, derr := snapshotDir(f)
-	if derr != nil {
-		_ = f.Close()
-		return derr
-	}
-	fd := o.insertFD(&handle{f: f, name: o.leafName(p), isDir: true, dirSnapshot: snap})
+	o.handles.install(fd, o.leafName(p), true, entries)
 	rep.FD = fd
 	return nil
 }
 
-// readdir supports both path-based full listing and fd-based streaming
-// (one entry per call, as libc readdir does).
-func (o *FS) readdir(req *posix.Request, rep *posix.Reply) error {
-	if req.Path != "" {
-		entries, err := o.appendDirentsAt(rep.Entries[:0], clean(req.Path))
-		if err != nil {
-			return mapErr(err)
-		}
-		sortEntries(entries)
-		rep.Entries = entries
-		return nil
+// readdirPath lists a directory in full: openat, getdents64, close.
+func (o *FS) readdirPath(p string, rep *posix.Reply) error {
+	fd, entries, err := o.listDir(clean(p), rep.Entries[:0])
+	if err != nil {
+		return err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	h, ok := o.fds[req.FD]
-	if !ok || !h.isDir {
-		return posix.ErrBadFD
-	}
-	if h.dirPos >= len(h.dirSnapshot) {
-		return nil // end of directory
-	}
-	e := h.dirSnapshot[h.dirPos]
-	h.dirPos++
-	rep.Entries = append(rep.Entries[:0], e)
-	return nil
+	rep.Entries = entries
+	return mapErr(syscall.Close(fd))
 }
 
+// readdirFD streams one entry per call, as libc readdir does; an empty
+// reply is the end of the directory.
+func (o *FS) readdirFD(fd int, rep *posix.Reply) error {
+	h, err := o.handles.acquire(fd)
+	if err != nil {
+		return err
+	}
+	if !h.isDir {
+		err = posix.ErrBadFD
+	} else if i := h.pos.Add(1) - 1; i < int64(len(h.entries)) {
+		rep.Entries = append(rep.Entries[:0], h.entries[i])
+	}
+	h.release(fd)
+	return err
+}
+
+// read is one read(2) or pread(2) (offset >= 0) into the reply's buffer;
+// end of file is N == 0, not an error (libc semantics).
 func (o *FS) read(fd int, size, offset int64, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
+	h, err := o.handles.acquire(fd)
 	if err != nil {
 		return err
 	}
 	if h.isDir {
+		h.release(fd)
 		return posix.ErrBadFD
 	}
 	if size <= 0 {
+		h.release(fd)
 		return nil
 	}
 	if need := int(size); cap(rep.Data) >= need {
@@ -594,141 +469,99 @@ func (o *FS) read(fd int, size, offset int64, rep *posix.Reply) error {
 	} else {
 		rep.Data = make([]byte, need)
 	}
-	var n int
-	var rerr error
-	if offset < 0 {
-		n, rerr = h.f.Read(rep.Data)
-	} else {
-		n, rerr = h.f.ReadAt(rep.Data, offset)
+	n := 0
+	for {
+		if offset < 0 {
+			n, err = syscall.Read(fd, rep.Data)
+		} else {
+			n, err = syscall.Pread(fd, rep.Data, offset)
+		}
+		if err != syscall.EINTR {
+			break
+		}
 	}
-	if rerr != nil && !errors.Is(rerr, io.EOF) {
+	h.release(fd)
+	if err != nil {
 		rep.Data = rep.Data[:0]
-		return mapErr(rerr)
+		return mapErr(err)
 	}
 	rep.N = int64(n)
 	rep.Data = rep.Data[:n]
 	return nil
 }
 
+// zeros is the payload of size-only writes.
+var zeros [64 << 10]byte
+
+// write issues write(2) or pwrite(2) (offset >= 0) until the payload is
+// out, continuing short writes as os.File did. A nil payload with a size
+// is size-only modelling: zeros of that length, so workload generators
+// need not materialize buffers.
 func (o *FS) write(fd int, data []byte, size, offset int64, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
+	h, err := o.handles.acquire(fd)
 	if err != nil {
 		return err
 	}
 	if h.isDir {
+		h.release(fd)
 		return posix.ErrBadFD
 	}
+	total := int64(len(data))
 	if data == nil && size > 0 {
-		// Size-only modelling: synthesize a zero payload of the given
-		// size so workload generators need not materialize buffers.
-		data = make([]byte, size)
+		total = size
 	}
-	var n int
-	var werr error
-	if offset < 0 {
-		n, werr = h.f.Write(data)
-	} else {
-		n, werr = h.f.WriteAt(data, offset)
+	var done int64
+	for {
+		chunk := zeros[:min(total-done, int64(len(zeros)))]
+		if data != nil {
+			chunk = data[done:]
+		}
+		var n int
+		if offset < 0 {
+			n, err = syscall.Write(fd, chunk)
+		} else {
+			n, err = syscall.Pwrite(fd, chunk, offset+done)
+		}
+		if err == syscall.EINTR {
+			continue
+		}
+		if err == nil && n == 0 && len(chunk) > 0 {
+			err = posix.ErrIO // no progress and no reason
+		}
+		if done += int64(n); err != nil || done >= total {
+			break
+		}
 	}
-	if werr != nil {
-		return mapErr(werr)
+	h.release(fd)
+	if err != nil {
+		return mapErr(err)
 	}
-	rep.N = int64(n)
+	rep.N = done
 	return nil
 }
 
 func (o *FS) lseek(fd int, offset int64, whence int, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
-	if err != nil {
+	return o.fdOp(fd, func(fd int) (err error) {
+		if whence < 0 || whence > 2 {
+			return posix.ErrInvalid
+		}
+		rep.N, err = syscall.Seek(fd, offset, whence)
 		return err
-	}
-	if whence < io.SeekStart || whence > io.SeekEnd {
-		return posix.ErrInvalid
-	}
-	np, serr := h.f.Seek(offset, whence)
-	if serr != nil {
-		return mapErr(serr)
-	}
-	rep.N = np
-	return nil
-}
-
-func (o *FS) fsync(fd int, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
-	if err != nil {
-		return err
-	}
-	if serr := h.f.Sync(); serr != nil {
-		return mapErr(serr)
-	}
-	return nil
-}
-
-func (o *FS) truncate(p string, size int64, rep *posix.Reply) error {
-	if size < 0 {
-		return posix.ErrInvalid
-	}
-	if err := os.Truncate(o.resolve(p), size); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) ftruncate(fd int, size int64, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
-	if err != nil {
-		return err
-	}
-	if size < 0 {
-		return posix.ErrInvalid
-	}
-	if terr := h.f.Truncate(size); terr != nil {
-		return mapErr(terr)
-	}
-	return nil
-}
-
-func (o *FS) setxattr(p, name string, value []byte, rep *posix.Reply) error {
-	if err := setxattr(o.resolve(p), name, value); err != nil {
-		return mapErr(err)
-	}
-	return nil
-}
-
-func (o *FS) getxattr(p, name string, rep *posix.Reply) error {
-	v, err := getxattr(o.resolve(p), name)
-	if err != nil {
-		return mapErr(err)
-	}
-	rep.Data = v
-	return nil
-}
-
-func (o *FS) fgetxattr(fd int, name string, rep *posix.Reply) error {
-	h, err := o.lookupFD(fd)
-	if err != nil {
-		return err
-	}
-	v, xerr := getxattr(h.f.Name(), name)
-	if xerr != nil {
-		return mapErr(xerr)
-	}
-	rep.Data = v
-	return nil
+	})
 }
 
 func (o *FS) listxattr(p string, rep *posix.Reply) error {
-	names, err := listxattr(o.resolve(p))
+	host := o.viaProc(p)
+	list, err := sized(func(buf []byte) (int, error) { return syscall.Listxattr(host, buf) })
 	if err != nil {
-		return mapErr(err)
+		return err
 	}
-	rep.Names = names
-	return nil
-}
-
-func (o *FS) removexattr(p, name string, rep *posix.Reply) error {
-	if err := removexattr(o.resolve(p), name); err != nil {
-		return mapErr(err)
+	// The kernel returns NUL-terminated names back to back.
+	rep.Names = rep.Names[:0]
+	for _, name := range bytes.Split(list, []byte{0}) {
+		if len(name) > 0 {
+			rep.Names = append(rep.Names, string(name))
+		}
 	}
 	return nil
 }

@@ -82,11 +82,17 @@ func TestSizeOnlyWriteSynthesizesZeros(t *testing.T) {
 	if err != nil || rep.N != 128 {
 		t.Fatalf("size-only write: n=%d err=%v", rep.N, err)
 	}
+	// A payload longer than the zero page goes out in several writes.
+	const long = int64(3*len(zeros) + 17)
+	rep, err = posix.Do(o, &posix.Request{Op: posix.OpPWrite, FD: fd.FD, Size: long, Offset: 100})
+	if err != nil || rep.N != long {
+		t.Fatalf("long size-only pwrite: n=%d err=%v", rep.N, err)
+	}
 	if _, err := posix.Do(o, &posix.Request{Op: posix.OpClose, FD: fd.FD}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(filepath.Join(root, "z"))
-	if err != nil || info.Size() != 128 {
+	if err != nil || info.Size() != 100+long {
 		t.Fatalf("host size: %v err=%v", info, err)
 	}
 }
@@ -360,6 +366,47 @@ func TestXattrs(t *testing.T) {
 	}
 	if _, err := c.GetXAttr("/x", "user.padll"); !errors.Is(err, posix.ErrNoAttr) {
 		t.Errorf("get after remove: %v", err)
+	}
+}
+
+// TestFGetXAttrFollowsTheDescriptor: fgetxattr reads the open file, not
+// whatever the path it was opened by names now.
+func TestFGetXAttrFollowsTheDescriptor(t *testing.T) {
+	o, _ := newFS(t)
+	c := posix.NewClient(o)
+	fd, err := c.Creat("/x", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetXAttr("/x", "user.padll", []byte("v1")); err != nil {
+		if errors.Is(err, posix.ErrNotSupported) {
+			t.Skip("xattrs unsupported on this filesystem")
+		}
+		t.Fatalf("setxattr: %v", err)
+	}
+	fget := func(when string) {
+		rep, err := posix.Do(o, &posix.Request{Op: posix.OpFGetXAttr, FD: fd, Name: "user.padll"})
+		if err != nil || string(rep.Data) != "v1" {
+			t.Errorf("fgetxattr %s: %v, want v1", when, err)
+		}
+	}
+	if err := c.Rename("/x", "/y"); err != nil {
+		t.Fatal(err)
+	}
+	fget("after a rename")
+	if fd2, err := c.Creat("/x", 0o644); err != nil || c.Close(fd2) != nil {
+		t.Fatal(err)
+	}
+	fget("with another file under the old name")
+	if err := c.Unlink("/y"); err != nil {
+		t.Fatal(err)
+	}
+	fget("after the unlink")
+	if _, err := posix.Do(o, &posix.Request{Op: posix.OpFGetXAttr, FD: fd, Name: "user.absent"}); !errors.Is(err, posix.ErrNoAttr) {
+		t.Errorf("fgetxattr of a missing attribute: %v, want ErrNoAttr", err)
+	}
+	if err := c.Close(fd); err != nil {
+		t.Fatal(err)
 	}
 }
 

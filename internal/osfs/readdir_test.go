@@ -63,6 +63,7 @@ func TestPathReaddirLeaksNoDescriptors(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts descriptors through /proc/self/fd")
 	}
+	collectDropped()
 	o, root := newFS(t)
 	c := posix.NewClient(o)
 	if err := os.Mkdir(filepath.Join(root, "d"), 0o755); err != nil {
