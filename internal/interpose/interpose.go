@@ -15,6 +15,7 @@ package interpose
 
 import (
 	"sync/atomic"
+	"time"
 
 	"padll/internal/clock"
 	"padll/internal/metrics"
@@ -23,16 +24,15 @@ import (
 	"padll/internal/stage"
 )
 
-// ControlDecider reports whether a request targets a controlled file
-// system (and therefore must pass through the stage's queues).
-type ControlDecider func(req *posix.Request) bool
-
 // Shim is the interposition layer. It implements posix.FileSystem.
 type Shim struct {
 	backend posix.FileSystem
-	stg     *stage.Stage
-	clk     clock.Clock
-	decide  ControlDecider
+	// router is backend when it is a *mount.Router, else nil: the shim
+	// then resolves each request's mount once, reads Controlled off it
+	// and hands the route back to the router to forward on.
+	router *mount.Router
+	stg    *stage.Stage
+	clk    clock.Clock
 
 	// stripes holds the interception counters, one padded cell per
 	// stripe (metrics.StripeIndex), so concurrent callers write no common
@@ -43,84 +43,87 @@ type Shim struct {
 }
 
 // shimStripe is one stripe's share of the interception counters. Every
-// call is either controlled or bypassed, so the intercepted total is
-// their sum and needs no counter of its own.
+// call is counted exactly once, by disposition and operation; totals and
+// the per-operation view are sums over these cells. Slot posix.NumOps
+// takes operations outside the table.
 type shimStripe struct {
-	controlled atomic.Int64
-	bypassed   atomic.Int64
-	perOp      [posix.NumOps]atomic.Int64
-	_          [(64 - (2+posix.NumOps)*8%64) % 64]byte // whole cache lines
+	controlled [posix.NumOps + 1]atomic.Int64
+	bypassed   [posix.NumOps + 1]atomic.Int64
+	_          [(64 - 2*(posix.NumOps+1)*8%64) % 64]byte // whole cache lines
 }
 
 var _ posix.FileSystem = (*Shim)(nil)
 
-// Option configures a Shim.
-type Option func(*Shim)
-
-// WithDecider overrides how the shim decides which requests to control.
-func WithDecider(d ControlDecider) Option {
-	return func(s *Shim) { s.decide = d }
-}
-
 // New returns a shim interposing on backend with the given data-plane
-// stage. When the backend is a *mount.Router the default decider controls
-// exactly the requests that resolve to a Controlled mount (requests to
+// stage. When the backend is a *mount.Router the shim controls exactly
+// the requests that resolve to a Controlled mount (requests to
 // xfs/NFS-like mounts bypass throttling, as in the paper); for any other
 // backend every request is controlled.
-func New(backend posix.FileSystem, stg *stage.Stage, clk clock.Clock, opts ...Option) *Shim {
-	s := &Shim{
+func New(backend posix.FileSystem, stg *stage.Stage, clk clock.Clock) *Shim {
+	router, _ := backend.(*mount.Router)
+	return &Shim{
 		backend: backend,
+		router:  router,
 		stg:     stg,
 		clk:     clk,
 		stripes: new([metrics.Stripes]shimStripe),
 		latency: metrics.NewLatencyHistogram(),
 	}
-	if r, ok := backend.(*mount.Router); ok {
-		s.decide = func(req *posix.Request) bool {
-			m, ok := r.ResolveRequest(req)
-			return ok && m.Controlled
-		}
-	} else {
-		s.decide = func(*posix.Request) bool { return true }
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
+// sampleEvery is the stride of the end-to-end latency sample (power of
+// two): the histogram is diagnostic, and a clock read costs more than
+// everything else the shim does for a request.
+const sampleEvery = 64
+
 // Apply implements posix.FileSystem: intercept, differentiate, throttle,
-// submit. The shim adds no allocations of its own on top of the backend.
+// submit. The shim adds no allocations of its own on top of the backend,
+// counts the call with one atomic add, and reads the clock only for the
+// calls it samples.
 //
 //lint:hotpath
 func (s *Shim) Apply(req *posix.Request, rep *posix.Reply) error {
 	st := &s.stripes[metrics.StripeIndex()]
+	op := posix.NumOps
 	if req.Op.Valid() {
-		st.perOp[req.Op].Add(1)
-	}
-	if req.Issued.IsZero() {
-		req.Issued = s.clk.Now()
+		op = int(req.Op)
 	}
 
-	if !s.decide(req) {
-		// Requests to file systems other than the PFS are submitted
-		// directly, without any throttling (§III-A).
-		st.bypassed.Add(1)
-		return s.backend.Apply(req, rep)
+	var rt mount.Route
+	if s.router != nil {
+		var err error
+		rt, err = s.router.Route(req)
+		if err != nil {
+			// No mount serves it: nothing to throttle, nothing to forward.
+			st.bypassed[op].Add(1)
+			return err
+		}
+		if !rt.Mount.Controlled {
+			// Requests to file systems other than the PFS are submitted
+			// directly, without any throttling (§III-A).
+			st.bypassed[op].Add(1)
+			return s.router.Forward(rt, req, rep)
+		}
 	}
 
-	n := st.controlled.Add(1)
+	// Each cell samples off its own count, so the aggregate stays 1 in
+	// sampleEvery of all controlled calls (to within one sample per cell).
+	sampled := st.controlled[op].Add(1)&(sampleEvery-1) == 0
+	var start time.Time
+	if sampled {
+		start = s.clk.Now()
+	}
 	if err := s.stg.Enforce(req); err != nil {
 		return err
 	}
-	err := s.backend.Apply(req, rep)
-	// Sample end-to-end latency 1-in-64: the histogram is diagnostic,
-	// and an extra clock read per call would dominate the interposition
-	// cost the overhead experiment measures. Each stripe samples off its
-	// own count, so the aggregate stays 1-in-64 of all controlled calls
-	// (to within one sample per stripe).
-	if n&63 == 0 {
-		s.latency.Observe(s.clk.Now().Sub(req.Issued))
+	var err error
+	if s.router != nil {
+		err = s.router.Forward(rt, req, rep)
+	} else {
+		err = s.backend.Apply(req, rep)
+	}
+	if sampled {
+		s.latency.Observe(s.clk.Now().Sub(start))
 	}
 	return err
 }
@@ -148,11 +151,12 @@ func (s *Shim) Stats() Stats {
 	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		out.Controlled += st.controlled.Load()
-		out.Bypassed += st.bypassed.Load()
-		for op := range st.perOp {
-			if n := st.perOp[op].Load(); n > 0 {
-				out.PerOp[posix.Op(op)] += n
+		for op := range st.controlled {
+			c, b := st.controlled[op].Load(), st.bypassed[op].Load()
+			out.Controlled += c
+			out.Bypassed += b
+			if c+b > 0 && op < posix.NumOps {
+				out.PerOp[posix.Op(op)] += c + b
 			}
 		}
 	}

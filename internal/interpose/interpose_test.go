@@ -171,22 +171,6 @@ func TestPerOpCounters(t *testing.T) {
 	}
 }
 
-func TestCustomDecider(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	fs := localfs.New(clk)
-	stg := stage.New(stage.Info{StageID: "s"}, clk)
-	onlyRenames := func(req *posix.Request) bool { return req.Op == posix.OpRename }
-	shim := New(fs, stg, clk, WithDecider(onlyRenames))
-	c := posix.NewClient(shim)
-	fd, _ := c.Creat("/f", 0o644)
-	c.Close(fd)
-	c.Rename("/f", "/g")
-	st := shim.Stats()
-	if st.Controlled != 1 || st.Bypassed != 2 {
-		t.Errorf("controlled/bypassed = %d/%d, want 1/2", st.Controlled, st.Bypassed)
-	}
-}
-
 func TestNonRouterBackendControlsEverything(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	fs := localfs.New(clk)
@@ -200,24 +184,104 @@ func TestNonRouterBackendControlsEverything(t *testing.T) {
 	}
 }
 
-func TestIssuedTimestampStamped(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	fs := localfs.New(clk)
-	stg := stage.New(stage.Info{StageID: "s"}, clk)
-	var seen time.Time
-	probe := posix.FileSystemFunc(func(req *posix.Request, rep *posix.Reply) error {
-		seen = req.Issued
-		return fs.Apply(req, rep)
+// countingClock counts the reads of a simulated clock.
+type countingClock struct {
+	*clock.Sim
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.Sim.Now()
+}
+
+// TestClockReadOnlyForSampledCalls pins what the shim samples: the
+// end-to-end latency of one controlled call in sampleEvery, timed with
+// two clock reads of its own, and no clock read for any other call —
+// controlled, bypassed or unroutable.
+func TestClockReadOnlyForSampledCalls(t *testing.T) {
+	const step = 250 * time.Microsecond
+	sim := clock.NewSim(epoch)
+	clk := &countingClock{Sim: sim}
+	// Each backend call takes exactly step of simulated time.
+	slow := posix.FileSystemFunc(func(*posix.Request, *posix.Reply) error {
+		sim.Advance(step)
+		return nil
 	})
-	shim := New(probe, stg, clk)
-	c := posix.NewClient(shim)
-	fd, err := c.Creat("/f", 0o644)
+	router, err := mount.NewRouter(
+		mount.Mount{Prefix: "/pfs", FS: slow, Controlled: true},
+		mount.Mount{Prefix: "/tmp", FS: slow},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close(fd)
-	if !seen.Equal(epoch) {
-		t.Errorf("Issued = %v, want %v", seen, epoch)
+	// The stage reads its own clock, so clk counts the shim's reads alone.
+	shim := New(router, stage.New(stage.Info{StageID: "s"}, sim), clk)
+	c := posix.NewClient(shim)
+
+	for i := 0; i < 100; i++ {
+		if _, err := c.GetAttr("/tmp/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.GetAttr("/nowhere/f"); err != posix.ErrNotExist {
+		t.Fatalf("unrouted getattr = %v, want ErrNotExist", err)
+	}
+	if err := c.Close(99); err != posix.ErrBadFD {
+		t.Fatalf("close of an unknown fd = %v, want ErrBadFD", err)
+	}
+	if clk.reads != 0 {
+		t.Errorf("%d clock reads for calls that bypass the stage, want 0", clk.reads)
+	}
+
+	// Controlled calls sample off their stripe's count. Which stripe a
+	// goroutine lands on follows its stack, which may still grow over the
+	// first calls, so those are a warm-up; after it every call lands on
+	// one cell, and any run of 2×sampleEvery consecutive counts holds
+	// exactly two multiples of sampleEvery.
+	const warmUp, calls = 100, 2 * sampleEvery
+	getattrs := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.GetAttr("/pfs/f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	getattrs(warmUp)
+	samples0, reads0 := shim.latency.Count(), clk.reads
+	getattrs(calls)
+	if got := shim.latency.Count() - samples0; got != calls/sampleEvery {
+		t.Errorf("%d latency samples of %d controlled calls, want %d", got, calls, calls/sampleEvery)
+	}
+	if got := clk.reads - reads0; got != 2*calls/sampleEvery {
+		t.Errorf("%d clock reads, want two per sample (%d)", got, 2*calls/sampleEvery)
+	}
+	st := shim.Stats()
+	if st.MeanLatencySeconds != step.Seconds() {
+		t.Errorf("mean latency = %gs, want the backend's %gs", st.MeanLatencySeconds, step.Seconds())
+	}
+	if st.Controlled != warmUp+calls || st.Bypassed != 102 || st.Intercepted != warmUp+calls+102 {
+		t.Errorf("controlled/bypassed/intercepted = %d/%d/%d, want %d/102/%d", st.Controlled, st.Bypassed, st.Intercepted, warmUp+calls, warmUp+calls+102)
+	}
+}
+
+// TestStatsOutsideTheOpTable: an operation the table does not know is
+// still intercepted and counted by disposition; only the per-operation
+// view, which has no name for it, leaves it out.
+func TestStatsOutsideTheOpTable(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	nop := posix.FileSystemFunc(func(*posix.Request, *posix.Reply) error { return nil })
+	shim := New(nop, stage.New(stage.Info{StageID: "s"}, clk), clk)
+	if err := shim.Apply(&posix.Request{Op: posix.Op(posix.NumOps + 7), Path: "/f"}, new(posix.Reply)); err != nil {
+		t.Fatal(err)
+	}
+	if err := shim.Apply(&posix.Request{Op: posix.OpStat, Path: "/f"}, new(posix.Reply)); err != nil {
+		t.Fatal(err)
+	}
+	st := shim.Stats()
+	if st.Intercepted != 2 || st.Controlled != 2 || len(st.PerOp) != 1 || st.PerOp[posix.OpStat] != 1 {
+		t.Errorf("stats = %+v, want 2 intercepted and controlled, 1 stat", st)
 	}
 }
 
@@ -333,7 +397,32 @@ func TestStripedCountersConserveCalls(t *testing.T) {
 			}
 		}()
 	}
+	// A reader snapshots while the callers run: every snapshot is a sum of
+	// cells each read once, so the identities hold in it whatever is in
+	// flight.
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			st := shim.Stats()
+			var perOp int64
+			for _, n := range st.PerOp {
+				perOp += n
+			}
+			if st.Intercepted != st.Controlled+st.Bypassed || perOp != st.Intercepted {
+				t.Errorf("mid-run snapshot: intercepted %d, controlled %d + bypassed %d, per-op sum %d", st.Intercepted, st.Controlled, st.Bypassed, perOp)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-readerDone
 
 	const third = goroutines * perG / 3
 	opens := int64(third)
@@ -365,9 +454,9 @@ func TestStripedCountersConserveCalls(t *testing.T) {
 }
 
 // TestLatencySamplingStaysOneIn64 keeps the end-to-end latency sample
-// honest now that each stripe samples off its own count: 64,000
-// controlled calls from four goroutines must leave 1,000 samples, short
-// by at most one per stripe (a stripe's trailing partial run of 64).
+// honest with each stripe sampling off its own count: 64,000 controlled
+// calls of one operation from four goroutines must leave 1,000 samples,
+// short by at most one per stripe (a stripe's trailing partial run of 64).
 func TestLatencySamplingStaysOneIn64(t *testing.T) {
 	clk := clock.NewReal()
 	nop := posix.FileSystemFunc(func(*posix.Request, *posix.Reply) error { return nil })

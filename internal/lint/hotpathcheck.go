@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotPathCheck enforces the 0-alloc contract on annotated hot paths.
@@ -20,6 +21,14 @@ import (
 //   - string concatenation
 //   - defer and go statements
 //   - calls into fmt
+//
+// It also flags a read of the injected clock (Now on an internal/clock
+// type): on the request path a clock read costs more than everything
+// around it, so a hot path takes its instants from a caller or reads the
+// clock for a sample of its calls only. A read is accepted under a
+// sampling guard — inside an if whose condition is a mask test
+// (x&m == k), directly or through a bool assigned from one — or with a
+// //lint:allow hotpathcheck <reason>.
 //
 // Traversal stops at functions annotated //lint:coldpath <reason> — the
 // deliberate amortized or blocking slow paths (window rolls, queue
@@ -93,6 +102,7 @@ func (w *hotWalker) checkBody(pkg *Package, fn string, body *ast.BlockStmt) {
 	where := func(construct string) string {
 		return "hot path (root " + w.root + "): " + construct + " in " + fn
 	}
+	sampled := sampledRanges(pkg, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.CompositeLit:
@@ -119,10 +129,101 @@ func (w *hotWalker) checkBody(pkg *Package, fn string, body *ast.BlockStmt) {
 				w.reportf(node.Pos(), "%s allocates the joined string", where("string concatenation"))
 			}
 		case *ast.CallExpr:
+			if isClockNow(pkg, node) && !sampled.contains(node.Pos()) {
+				w.reportf(node.Pos(), "%s reads the clock on every call; take the instant from the caller, read it under a sampling guard (if n&mask == k), or //lint:allow hotpathcheck <reason>", where("clock read"))
+			}
 			w.checkCall(pkg, fn, node, where)
 		}
 		return true
 	})
+}
+
+// isClockNow reports whether call is Now on the injected clock: a method
+// declared in internal/clock, on the Clock interface or an implementation.
+func isClockNow(pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Now" {
+		return false
+	}
+	fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/clock")
+}
+
+// posRanges is a set of source extents.
+type posRanges [][2]token.Pos
+
+func (r posRanges) contains(p token.Pos) bool {
+	for _, x := range r {
+		if x[0] <= p && p < x[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// sampledRanges returns the bodies of the sampling guards in body: the
+// then-branch of every if whose condition is a mask test, or a bool
+// variable every assignment to which is one.
+func sampledRanges(pkg *Package, body *ast.BlockStmt) posRanges {
+	// flags maps a bool variable to whether all its assignments so far
+	// are mask tests.
+	flags := make(map[types.Object]bool)
+	note := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return
+		}
+		obj := pkg.TypesInfo.ObjectOf(id)
+		if obj == nil {
+			return
+		}
+		prev, seen := flags[obj]
+		flags[obj] = isMaskTest(pkg, rhs) && (prev || !seen)
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i := range as.Lhs {
+				note(as.Lhs[i], as.Rhs[i])
+			}
+		}
+		return true
+	})
+	var out posRanges
+	ast.Inspect(body, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		cond := ast.Unparen(ifs.Cond)
+		guarded := isMaskTest(pkg, cond)
+		if id, ok := cond.(*ast.Ident); ok {
+			guarded = flags[pkg.TypesInfo.ObjectOf(id)]
+		}
+		if guarded {
+			out = append(out, [2]token.Pos{ifs.Body.Pos(), ifs.Body.End()})
+		}
+		return true
+	})
+	return out
+}
+
+// isMaskTest reports the 1-in-N idiom: x&m == k or x&m != k with a
+// constant on either side of the mask.
+func isMaskTest(pkg *Package, e ast.Expr) bool {
+	cmp, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
+		return false
+	}
+	for _, side := range []ast.Expr{cmp.X, cmp.Y} {
+		and, ok := ast.Unparen(side).(*ast.BinaryExpr)
+		if !ok || and.Op != token.AND {
+			continue
+		}
+		if pkg.TypesInfo.Types[and.X].Value != nil || pkg.TypesInfo.Types[and.Y].Value != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // checkCall classifies one call on the hot path: allocation builtins,

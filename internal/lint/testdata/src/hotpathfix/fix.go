@@ -2,7 +2,12 @@
 // constructs inside //lint:hotpath functions and their static callees.
 package hotpathfix
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+
+	"padll/internal/clock"
+)
 
 type item struct{ n int }
 
@@ -65,4 +70,58 @@ func fastClean(s *sink, now int64) int64 {
 	}
 	coldHelper()
 	return now
+}
+
+// shim is the case the clock rule exists for: an interposition layer
+// that stamped every request with the clock although only its 1-in-64
+// latency sample ever read the stamp.
+type shim struct {
+	clk     clock.Clock
+	sim     *clock.Sim
+	calls   int64
+	latency time.Duration
+}
+
+//lint:hotpath
+func (s *shim) stampEveryCall() time.Time {
+	s.calls++
+	return s.clk.Now() // want `clock read`
+}
+
+//lint:hotpath
+func (s *shim) sampleOneIn64(backend func()) {
+	s.calls++
+	sampled := s.calls&63 == 0
+	var start time.Time
+	if sampled {
+		start = s.clk.Now() // under the guard: one call in 64 pays
+	}
+	backend()
+	if sampled {
+		s.latency = s.clk.Now().Sub(start)
+	}
+	if s.calls&(1<<10-1) == 1 {
+		_ = s.sim.Now() // a mask test in the condition itself guards too
+	} else {
+		_ = s.sim.Now() // want `clock read`
+	}
+}
+
+//lint:hotpath
+func (s *shim) notAGuard(verbose bool) {
+	timed := s.calls&63 == 0
+	timed = verbose // reassigned from something that is no mask test
+	if timed {
+		_ = s.clk.Now() // want `clock read`
+	}
+	if verbose {
+		_ = s.clk.Now() // want `clock read`
+	}
+	_ = s.clk.Now() //lint:allow hotpathcheck fixture: an exact read with its reason stated
+	s.stampCallee()
+}
+
+// stampCallee is reached from a hot root; its clock read counts.
+func (s *shim) stampCallee() {
+	_ = s.clk.Now() // want `clock read`
 }

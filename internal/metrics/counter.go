@@ -36,8 +36,8 @@ type RateCounter struct {
 	// `<` mirrors rollLocked's `>=` close condition, so an instant that
 	// lands exactly on the boundary takes the slow path and rolls.
 	winEndNano atomic.Int64
-	// shards holds the open window's counts, allocated on the first Add
-	// (see striped).
+	// shards holds the open window's counts, allocated on the first add
+	// to its Lines.
 	shards striped
 
 	// seq/pubTotal/pubRate back the lock-free read path of
@@ -63,6 +63,12 @@ type RateCounter struct {
 // NewRateCounter returns a counter sampling over the given window. The
 // first window opens at the clock's current instant.
 func NewRateCounter(name string, clk clock.Clock, window time.Duration) *RateCounter {
+	return NewRateCounterOn(new(Lines), 0, name, clk, window)
+}
+
+// NewRateCounterOn is NewRateCounter counting into column col of lines,
+// which the caller shares with the other counters the same events bump.
+func NewRateCounterOn(lines *Lines, col int, name string, clk clock.Clock, window time.Duration) *RateCounter {
 	if window <= 0 {
 		window = time.Second
 	}
@@ -71,6 +77,7 @@ func NewRateCounter(name string, clk clock.Clock, window time.Duration) *RateCou
 		window:   window,
 		winStart: clk.Now(),
 		series:   NewSeries(name),
+		shards:   striped{lines: lines, col: col},
 	}
 	rc.winEndNano.Store(rc.winStart.Add(window).UnixNano())
 	return rc
@@ -89,7 +96,9 @@ func (rc *RateCounter) SetMaxSamples(n int) {
 // windows first.
 //
 //lint:hotpath
-func (rc *RateCounter) Add(n int64) { rc.AddAt(n, rc.clk.Now()) }
+func (rc *RateCounter) Add(n int64) {
+	rc.AddAt(n, rc.clk.Now()) //lint:allow hotpathcheck Add is the exact-instant form; request paths share one read through AddAt
+}
 
 // AddAt records n events at a caller-supplied instant, letting hot paths
 // share one clock read across several counters. Instants may lag the
@@ -97,14 +106,20 @@ func (rc *RateCounter) Add(n int64) { rc.AddAt(n, rc.clk.Now()) }
 // earlier than the open window is attributed to the open window.
 //
 //lint:hotpath
-func (rc *RateCounter) AddAt(n int64, now time.Time) {
+func (rc *RateCounter) AddAt(n int64, now time.Time) { rc.AddAtStripe(n, now, StripeIndex()) }
+
+// AddAtStripe is AddAt for a caller that already holds its StripeIndex
+// and shares it between the counters one request bumps.
+//
+//lint:hotpath
+func (rc *RateCounter) AddAtStripe(n int64, now time.Time, stripe int) {
 	if now.UnixNano() < rc.winEndNano.Load() {
-		rc.shards.add(n)
+		rc.shards.add(n, stripe)
 		return
 	}
 	rc.mu.Lock()
 	rc.rollLocked(now)
-	rc.shards.add(n)
+	rc.shards.add(n, stripe)
 	rc.mu.Unlock()
 }
 

@@ -7,14 +7,17 @@ import (
 )
 
 // routerApply issues path requests (no descriptor-table traffic) through
-// a two-mount router over a backend that does nothing.
+// a two-mount router over a backend that does nothing, each on fresh
+// pooled scratch the way posix.Client issues them: a request reused
+// across iterations would hide whatever routing does once per request.
 func routerApply(b *testing.B, r *Router, next func() bool) {
-	req, rep := posix.GetRequest(), posix.GetReply()
-	defer posix.PutRequest(req)
-	defer posix.PutReply(rep)
-	req.Op, req.Path = posix.OpGetAttr, "/lustre/job1/f"
 	for next() {
-		if err := r.Apply(req, rep); err != nil {
+		req, rep := posix.GetRequest(), posix.GetReply()
+		req.Op, req.Path = posix.OpGetAttr, "/lustre/job1/f"
+		err := r.Apply(req, rep)
+		posix.PutRequest(req)
+		posix.PutReply(rep)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,14 +37,9 @@ type Router struct {
 	// immutable after NewRouter, so path resolution takes no lock.
 	mounts []Mount
 
-	mu     sync.RWMutex // guards the descriptor table only
-	fds    map[int]fdEntry
+	mu     sync.RWMutex  // guards the descriptor table only
+	fds    map[int]Route // virtual descriptor → mount and backend descriptor
 	nextFD int
-}
-
-type fdEntry struct {
-	mount     *Mount
-	backendFD int
 }
 
 var _ posix.FileSystem = (*Router)(nil)
@@ -52,7 +47,7 @@ var _ posix.FileSystem = (*Router)(nil)
 // NewRouter returns a router with the given mounts. Prefixes are
 // normalized; duplicate prefixes are an error.
 func NewRouter(mounts ...Mount) (*Router, error) {
-	r := &Router{fds: make(map[int]fdEntry), nextFD: 3}
+	r := &Router{fds: make(map[int]Route), nextFD: 3}
 	seen := map[string]bool{}
 	for _, m := range mounts {
 		m.Prefix = normalize(m.Prefix)
@@ -91,7 +86,7 @@ func normalize(p string) string {
 // It reads only the immutable mount table: no lock, no shared write.
 func (r *Router) Resolve(path string) *Mount {
 	if !strings.HasPrefix(path, "/") {
-		path = "/" + path
+		path = "/" + path //lint:allow hotpathcheck only a relative path pays; every client issues rooted ones
 	}
 	for i := range r.mounts {
 		m := &r.mounts[i]
@@ -107,21 +102,34 @@ func (r *Router) Resolve(path string) *Mount {
 	return nil
 }
 
-// ResolveRequest returns the mount a request targets: by path for
-// path-based operations, by descriptor for fd-based ones. The second
-// result reports whether resolution succeeded.
-func (r *Router) ResolveRequest(req *posix.Request) (*Mount, bool) {
+// Route is a request's resolved target: the mount serving it and, for a
+// descriptor operation, the backend's own descriptor. It is valid for the
+// one request it was resolved for.
+type Route struct {
+	Mount *Mount
+	fd    int
+}
+
+// Route resolves the mount a request targets: by path for path-based
+// operations (no lock), by descriptor for fd-based ones. It fails with
+// posix.ErrNotExist for a path no mount serves and posix.ErrBadFD for a
+// descriptor the router did not issue. A layer that needs the mount
+// before forwarding (the shim reads Controlled) resolves once here and
+// hands the route to Forward.
+func (r *Router) Route(req *posix.Request) (rt Route, err error) {
 	if req.Path != "" {
-		m := r.Resolve(req.Path)
-		return m, m != nil
+		if rt.Mount = r.Resolve(req.Path); rt.Mount == nil {
+			return rt, posix.ErrNotExist
+		}
+		return rt, nil
 	}
 	r.mu.RLock()
-	e, ok := r.fds[req.FD]
+	rt, ok := r.fds[req.FD]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, false
+		return rt, posix.ErrBadFD
 	}
-	return e.mount, true
+	return rt, nil
 }
 
 // relativize rewrites a full path to the backend's namespace: the mount
@@ -151,65 +159,58 @@ func closesFD(op posix.Op) bool {
 	return op == posix.OpClose || op == posix.OpClosedir
 }
 
-// Apply implements posix.FileSystem: it resolves the target mount,
-// rewrites paths and descriptors, forwards the request, and maintains the
-// virtual descriptor table. The rewritten copy lives on pooled scratch so
-// routing adds no per-call allocation.
+// Apply implements posix.FileSystem: resolve the target mount, forward.
 func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
-	var m *Mount
-	fwd := posix.GetRequest()
-	*fwd = *req // shallow copy; we rewrite Path/NewPath/FD
+	rt, err := r.Route(req)
+	if err != nil {
+		return err
+	}
+	return r.Forward(rt, req, rep)
+}
 
-	if req.Path != "" {
-		m = r.Resolve(req.Path)
-		if m == nil {
-			posix.PutRequest(fwd)
-			return posix.ErrNotExist
-		}
-		fwd.Path = relativize(m, req.Path)
-		if req.NewPath != "" {
-			nm := r.Resolve(req.NewPath)
+// Forward sends req to the mount rt resolved for it and maintains the
+// virtual descriptor table. The request is forwarded in place: for the
+// duration of the backend call its Path and NewPath are relative to the
+// mount and its FD is the backend's, and all three hold the caller's
+// values again on every return (posix.FileSystem's ownership contract) —
+// no copy, no scratch.
+func (r *Router) Forward(rt Route, req *posix.Request, rep *posix.Reply) error {
+	m := rt.Mount
+	path, newPath, fd := req.Path, req.NewPath, req.FD
+	if path != "" {
+		if newPath != "" {
+			nm := r.Resolve(newPath)
 			if nm == nil {
-				posix.PutRequest(fwd)
 				return posix.ErrNotExist
 			}
 			if nm != m {
 				// rename/link across mounts is EXDEV, as in POSIX.
-				posix.PutRequest(fwd)
 				return posix.ErrCrossDevice
 			}
-			fwd.NewPath = relativize(m, req.NewPath)
+			req.NewPath = relativize(m, newPath)
 		}
+		req.Path = relativize(m, path)
 	} else {
-		r.mu.RLock()
-		e, ok := r.fds[req.FD]
-		r.mu.RUnlock()
-		if !ok {
-			posix.PutRequest(fwd)
-			return posix.ErrBadFD
-		}
-		m = e.mount
-		fwd.FD = e.backendFD
+		req.FD = rt.fd
 	}
-
-	err := m.FS.Apply(fwd, rep)
-	posix.PutRequest(fwd)
+	err := m.FS.Apply(req, rep)
+	req.Path, req.NewPath, req.FD = path, newPath, fd
 	if err != nil {
 		return err
 	}
 
+	// The descriptor table changes under its lock: an open pays one map
+	// write and a close one delete, by design.
 	if opensFD(req.Op) {
 		r.mu.Lock()
 		vfd := r.nextFD
 		r.nextFD++
-		r.fds[vfd] = fdEntry{mount: m, backendFD: rep.FD}
+		r.fds[vfd] = Route{Mount: m, fd: rep.FD} //lint:allow hotpathcheck open installs its descriptor
 		r.mu.Unlock()
 		rep.FD = vfd // virtualize in place; the backend fd stays private
-		return nil
-	}
-	if closesFD(req.Op) {
+	} else if closesFD(req.Op) {
 		r.mu.Lock()
-		delete(r.fds, req.FD)
+		delete(r.fds, fd) //lint:allow hotpathcheck close releases its descriptor
 		r.mu.Unlock()
 	}
 	return nil

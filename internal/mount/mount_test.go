@@ -175,16 +175,16 @@ func TestResolveRequestByFD(t *testing.T) {
 	r, _, _ := twoMounts(t)
 	c := posix.NewClient(r)
 	fd, _ := c.Creat("/lustre/f", 0o644)
-	m, ok := r.ResolveRequest(&posix.Request{Op: posix.OpRead, FD: fd})
-	if !ok || m.Name != "pfs" {
-		t.Errorf("ResolveRequest by fd = %v, %v", m, ok)
+	rt, err := r.Route(&posix.Request{Op: posix.OpRead, FD: fd})
+	if err != nil || rt.Mount.Name != "pfs" {
+		t.Errorf("Route by fd = %+v, %v", rt, err)
 	}
-	if _, ok := r.ResolveRequest(&posix.Request{Op: posix.OpRead, FD: 9999}); ok {
-		t.Error("unknown fd resolved")
+	if _, err := r.Route(&posix.Request{Op: posix.OpRead, FD: 9999}); err != posix.ErrBadFD {
+		t.Errorf("unknown fd routed: %v", err)
 	}
-	m, ok = r.ResolveRequest(&posix.Request{Op: posix.OpStat, Path: "/tmp/x"})
-	if !ok || m.Name != "local" {
-		t.Errorf("ResolveRequest by path = %v, %v", m, ok)
+	rt, err = r.Route(&posix.Request{Op: posix.OpStat, Path: "/tmp/x"})
+	if err != nil || rt.Mount.Name != "local" {
+		t.Errorf("Route by path = %+v, %v", rt, err)
 	}
 }
 
@@ -288,7 +288,7 @@ func TestConcurrentRouting(t *testing.T) {
 }
 
 // TestConcurrentResolveBesideFDChurn runs lock-free path resolution —
-// Resolve, ResolveRequest by path, and path requests through Apply —
+// Resolve, Route by path, and path requests through Apply —
 // beside goroutines that churn the descriptor table with open/close
 // (run under -race): the mount table is immutable and shares nothing
 // with the table the lock still guards.
@@ -315,8 +315,8 @@ func TestConcurrentResolveBesideFDChurn(t *testing.T) {
 					t.Errorf("open: %v", err)
 					return
 				}
-				if m, ok := r.ResolveRequest(&posix.Request{Op: posix.OpFStat, FD: fd}); !ok || m.Name != "pfs" {
-					t.Errorf("ResolveRequest(fd %d) = %v, %v", fd, m, ok)
+				if rt, err := r.Route(&posix.Request{Op: posix.OpFStat, FD: fd}); err != nil || rt.Mount.Name != "pfs" {
+					t.Errorf("Route(fd %d) = %+v, %v", fd, rt, err)
 				}
 				if err := c.Close(fd); err != nil {
 					t.Errorf("close: %v", err)
@@ -330,8 +330,8 @@ func TestConcurrentResolveBesideFDChurn(t *testing.T) {
 				if m := r.Resolve("/lustre/f"); m == nil || m.Name != "pfs" {
 					t.Errorf("Resolve(/lustre/f) = %v", m)
 				}
-				if m, ok := r.ResolveRequest(&posix.Request{Op: posix.OpStat, Path: "/local-f"}); !ok || m.Name != "local" {
-					t.Errorf("ResolveRequest(/local-f) = %v, %v", m, ok)
+				if rt, err := r.Route(&posix.Request{Op: posix.OpStat, Path: "/local-f"}); err != nil || rt.Mount.Name != "local" {
+					t.Errorf("Route(/local-f) = %+v, %v", rt, err)
 				}
 				if _, err := c.Stat("/local-f"); err != nil {
 					t.Errorf("stat: %v", err)

@@ -95,9 +95,6 @@ type Request struct {
 	User   string
 	PID    int
 	Tenant string
-
-	// Issued is stamped by the shim when the request is intercepted.
-	Issued time.Time
 }
 
 // Reply is the result of executing a Request.
@@ -172,7 +169,9 @@ func (r *Reply) Reset() {
 //   - The caller owns req and rep for the duration of the call; rep
 //     arrives Reset (zero scalar fields, zero-length slices). The callee
 //     must not retain either pointer — or any slice reachable from them —
-//     past its return.
+//     past its return. A forwarding layer may rewrite the routing fields
+//     (Path, NewPath, FD) in place for the layer below, provided they
+//     hold the caller's values again when it returns.
 //   - The callee fills reply slices by appending into the caller's
 //     scratch (rep.Entries = append(rep.Entries[:0], ...)); it must never
 //     alias backend-owned memory into rep, because the caller may mutate
@@ -205,8 +204,8 @@ func (f FileSystemFunc) Apply(req *Request, rep *Reply) error { return f(req, re
 // Request/Reply scratch pools. Interface dispatch makes every *Request
 // and *Reply escape at the FileSystem boundary, so per-call stack
 // allocation is off the table; pooling is the next best thing and keeps
-// the steady-state request path at zero allocations. Exported so layers
-// that forward rewritten copies (mount.Router) share the same scratch.
+// the steady-state request path at zero allocations. Exported for
+// callers that issue raw requests the way Client does.
 var (
 	requestPool = sync.Pool{New: func() any { return new(Request) }}
 	replyPool   = sync.Pool{New: func() any { return new(Reply) }}

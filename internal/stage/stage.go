@@ -174,13 +174,23 @@ type snapshot struct {
 const cacheSlots = 512
 
 // cacheEntry is one memoized classification. e == nil records the
-// (valid) result "no rule matches requests with this key".
+// (valid) result "no rule matches requests with this key". sn is the
+// snapshot that derived it: a stripe's last entry outlives a republish
+// (the memo slots do not), so a hit there checks it too.
 type cacheEntry struct {
+	sn    *snapshot
 	op    posix.Op
 	jobID string
 	user  string
 	dir   string
 	e     *entry
+}
+
+// is reports whether the entry memoizes exactly this key.
+//
+//lint:hotpath
+func (ce *cacheEntry) is(req *posix.Request, dir string) bool {
+	return ce.op == req.Op && ce.dir == dir && ce.jobID == req.JobID && ce.user == req.User
 }
 
 // dirOf returns p's directory prefix including the trailing slash; ok
@@ -224,11 +234,13 @@ func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
 // (Matcher.SplitsDir); such keys are classified directly and never
 // memoized. When no candidate rule for the op has a path constraint at
 // all (pathFree) the directory cannot matter and the key carries "" in
-// its place. A hit is one hash and one atomic load: no lock, no
-// allocation, and no rule-list walk.
+// its place. An application's next request mostly repeats the key of its
+// last, so the calling stripe's last entry is compared first: a repeat
+// costs one atomic load and no hash. Any other hit is one hash and one
+// more load: no lock, no allocation, and no rule-list walk.
 //
 //lint:hotpath
-func (sn *snapshot) classifyCached(req *posix.Request) *entry {
+func (sn *snapshot) classifyCached(req *posix.Request, last *atomic.Pointer[cacheEntry]) *entry {
 	var dir string
 	if !req.Op.Valid() || !sn.pathFree[req.Op] {
 		var ok bool
@@ -236,20 +248,23 @@ func (sn *snapshot) classifyCached(req *posix.Request) *entry {
 			return sn.classify(req)
 		}
 	}
-	slot := &sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)]
-	if ce := slot.Load(); ce != nil &&
-		ce.op == req.Op && ce.dir == dir && ce.jobID == req.JobID && ce.user == req.User {
+	if ce := last.Load(); ce != nil && ce.sn == sn && ce.is(req, dir) {
 		return ce.e
 	}
-	return sn.fillCache(slot, req, dir)
+	slot := &sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)]
+	if ce := slot.Load(); ce != nil && ce.is(req, dir) {
+		last.Store(ce)
+		return ce.e
+	}
+	return sn.fillCache(slot, last, req, dir)
 }
 
 // fillCache classifies req directly and, when sound, memoizes the
-// result into slot. Losing a racing store is fine: both entries are
-// derived from this same immutable snapshot.
+// result into slot and last. Losing a racing store is fine: both entries
+// are derived from this same immutable snapshot.
 //
 //lint:coldpath one allocation per (snapshot, key); amortized across every subsequent hit
-func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
+func (sn *snapshot) fillCache(slot, last *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
 	e := sn.classify(req)
 	candidates := sn.all
 	if req.Op.Valid() {
@@ -260,14 +275,17 @@ func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Reque
 			return e // two leaves in dir may classify differently
 		}
 	}
-	slot.Store(&cacheEntry{
+	ce := &cacheEntry{
+		sn:    sn,
 		op:    req.Op,
 		jobID: req.JobID,
 		user:  req.User,
 		// Clone: dir aliases req.Path, whose backing the caller owns.
 		dir: strings.Clone(dir),
 		e:   e,
-	})
+	}
+	slot.Store(ce)
+	last.Store(ce)
 	return e
 }
 
@@ -311,16 +329,21 @@ type Stage struct {
 	// a rule reinstalled after removal rejoins its pool automatically.
 	borrowPools map[string]*tokenbucket.BorrowPool
 
+	// stripes is the admit path's private state, one line per stripe
+	// (metrics.StripeIndex) so that concurrent callers share no written
+	// line. A request picks its stripe once and uses it for this, for the
+	// counters and for the zero-wait record alike.
+	//
 	// Amortized wall-clock sampling: reading the real clock costs more
 	// than the rest of the admit path combined, so the hot path reuses
 	// its stripe's last read and refreshes it every clockStride-th
-	// request on that stripe — per stripe, so that concurrent callers
-	// share no written line. Counter instants may therefore lag by a few
+	// request on that stripe. Counter instants may therefore lag by a few
 	// requests at a window edge — harmless for wall-clock statistics and
-	// for TakeAt, which can only under-refill from a stale instant. nil
-	// for simulated clocks, which are always read exactly so experiment
-	// runs stay deterministic.
-	hotClock *[metrics.Stripes]clockStripe
+	// for TakeAt, which can only under-refill from a stale instant.
+	// Simulated clocks (amortize false) are always read exactly so
+	// experiment runs stay deterministic.
+	stripes  *[metrics.Stripes]stripe
+	amortize bool
 
 	// ptRem carries Offer's fractional passthrough credit between ticks.
 	ptMu  sync.Mutex
@@ -363,13 +386,22 @@ type Stage struct {
 // share one real clock sample (power of two).
 const clockStride = 64
 
-// clockStripe is one stripe's amortized clock sample, padded to a cache
-// line of its own.
-type clockStripe struct {
+// stripe is one stripe's amortized clock sample and last classification
+// (see classifyCached), padded to a cache line of its own.
+type stripe struct {
 	tick atomic.Uint64
 	nano atomic.Int64
-	_    [48]byte
+	last atomic.Pointer[cacheEntry]
+	_    [40]byte
 }
+
+// Columns of a queue's statistics lines (metrics.Lines): what one
+// admission bumps sits on one line per stripe.
+const (
+	colDemand = iota
+	colAdmitted
+	colZeroWait
+)
 
 type queue struct {
 	bucket   *tokenbucket.Bucket
@@ -423,15 +455,14 @@ func WithMode(m Mode) Option {
 // unthrottled until the control plane installs rules.
 func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 	s := &Stage{
-		info:   info,
-		clk:    clk,
-		rules:  policy.NewRuleSet(),
-		queues: make(map[string]*queue),
-		window: time.Second,
+		info:    info,
+		clk:     clk,
+		rules:   policy.NewRuleSet(),
+		queues:  make(map[string]*queue),
+		window:  time.Second,
+		stripes: new([metrics.Stripes]stripe),
 	}
-	if _, ok := clk.(clock.Real); ok {
-		s.hotClock = new([metrics.Stripes]clockStripe)
-	}
+	_, s.amortize = clk.(clock.Real)
 	for _, o := range opts {
 		o(s)
 	}
@@ -446,11 +477,10 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 // refreshed on the stripe's first call and every clockStride-th after.
 //
 //lint:hotpath
-func (s *Stage) hotNow() time.Time {
-	if s.hotClock == nil {
-		return s.clk.Now()
+func (s *Stage) hotNow(c *stripe) time.Time {
+	if !s.amortize {
+		return s.clk.Now() //lint:allow hotpathcheck simulated clocks are read exactly; the real clock takes the amortized branch below
 	}
-	c := &s.hotClock[metrics.StripeIndex()]
 	if c.tick.Add(1)&(clockStride-1) == 1 {
 		now := s.clk.Now()
 		c.nano.Store(now.UnixNano())
@@ -569,11 +599,12 @@ func (s *Stage) ApplyRule(r policy.Rule) {
 	} else {
 		b = tokenbucket.New(s.clk, r.Rate, r.EffectiveBurst())
 	}
+	lines := new(metrics.Lines)
 	q := &queue{
 		bucket:   b,
-		admitted: metrics.NewRateCounter("admitted:"+r.ID, s.clk, s.window),
-		demand:   metrics.NewRateCounter("demand:"+r.ID, s.clk, s.window),
-		latency:  metrics.NewLatencyHistogram(),
+		admitted: metrics.NewRateCounterOn(lines, colAdmitted, "admitted:"+r.ID, s.clk, s.window),
+		demand:   metrics.NewRateCounterOn(lines, colDemand, "demand:"+r.ID, s.clk, s.window),
+		latency:  metrics.NewLatencyHistogramOn(lines, colZeroWait),
 	}
 	q.rate.Store(math.Float64bits(r.Rate))
 	q.burst.Store(math.Float64bits(r.Burst))
@@ -651,16 +682,19 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 // Enforce classifies req and blocks until its queue's token bucket admits
 // it. Requests matching no rule, and all requests in Passthrough mode,
 // return immediately. The admit path writes no shared state of the
-// stage's own: classification reads the published snapshot, and counters,
-// the zero-wait record and the amortized clock are per-stripe cells. Under
-// a finite limit the bucket's own critical section is the one shared
+// stage's own: classification reads the published snapshot, and the
+// counters, the zero-wait record, the amortized clock and the last
+// classification are cells of the one stripe the request picks on entry.
+// Under a finite limit the bucket's own critical section is the one shared
 // write, and only a request that finds the bucket dry goes on to block.
 //
 //lint:hotpath
 func (s *Stage) Enforce(req *posix.Request) error {
-	e := s.snap.Load().classifyCached(req)
+	i := metrics.StripeIndex()
+	st := &s.stripes[i]
+	e := s.snap.Load().classifyCached(req, &st.last)
 	if e == nil {
-		s.passthrough.AddAt(1, s.hotNow())
+		s.passthrough.AddAtStripe(1, s.hotNow(st), i)
 		s.markActive()
 		return nil
 	}
@@ -668,19 +702,19 @@ func (s *Stage) Enforce(req *posix.Request) error {
 
 	if Mode(s.mode.Load()) == Passthrough || q.limit() == policy.Unlimited {
 		// Fast path: one clock read feeds both counters.
-		now := s.hotNow()
-		q.demand.AddAt(1, now)
-		q.admitted.AddAt(1, now)
+		now := s.hotNow(st)
+		q.demand.AddAtStripe(1, now, i)
+		q.admitted.AddAtStripe(1, now, i)
 		s.markActive()
 		return nil
 	}
 
 	// Policing: reject immediately instead of queueing.
 	if e.action == policy.ActionDrop {
-		now := s.hotNow()
-		q.demand.AddAt(1, now)
+		now := s.hotNow(st)
+		q.demand.AddAtStripe(1, now, i)
 		if q.bucket.TryTake(1) {
-			q.admitted.AddAt(1, now)
+			q.admitted.AddAtStripe(1, now, i)
 			s.markActive()
 			return nil
 		}
@@ -692,13 +726,14 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// Shaping, token in hand: nothing to wait for, so nothing to time —
 	// one instant stamps both counters and the wait is recorded as zero,
 	// which is what the exact path below measures on a simulated clock
-	// (end == start). A stale amortized instant can only under-refill the
-	// bucket and send the request down the exact path.
-	now := s.hotNow()
+	// (end == start); the three counts land on the stripe's one line of
+	// the queue's statistics. A stale amortized instant can only
+	// under-refill the bucket and send the request down the exact path.
+	now := s.hotNow(st)
 	if q.bucket.TakeAt(1, now) {
-		q.demand.AddAt(1, now)
-		q.admitted.AddAt(1, now)
-		q.latency.ObserveZero()
+		q.demand.AddAtStripe(1, now, i)
+		q.admitted.AddAtStripe(1, now, i)
+		q.latency.ObserveZeroStripe(i)
 		s.markActive()
 		return nil
 	}
@@ -706,8 +741,8 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// Shaping, bucket dry: block in it. Exact clock reads here — the wait
 	// duration is a reported statistic, and simulated-clock waiters must
 	// interleave deterministically with the sim's event loop.
-	start := s.clk.Now()
-	q.demand.AddAt(1, start)
+	start := s.clk.Now() //lint:allow hotpathcheck the request is about to block; its wait is timed exactly
+	q.demand.AddAtStripe(1, start, i)
 	q.waiting.Add(1)
 	// Raise the flag at arrival, not just at release: the wait below can
 	// outlast many collect rounds, and the queued demand must not hide
@@ -719,9 +754,9 @@ func (s *Stage) Enforce(req *posix.Request) error {
 		s.markActive()
 		return err
 	}
-	end := s.clk.Now()
+	end := s.clk.Now() //lint:allow hotpathcheck the request has just blocked; its wait is timed exactly
 	q.latency.Observe(end.Sub(start))
-	q.admitted.AddAt(1, end)
+	q.admitted.AddAtStripe(1, end, i)
 	s.markActive()
 	return nil
 }
@@ -750,17 +785,18 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 	if n <= 0 {
 		return 0
 	}
-	e := s.snap.Load().classifyCached(req)
+	st := &s.stripes[metrics.StripeIndex()]
+	e := s.snap.Load().classifyCached(req, &st.last)
 	if e == nil {
 		s.ptMu.Lock()
 		add := carry(&s.ptRem, n)
 		s.ptMu.Unlock()
-		s.passthrough.AddAt(add, s.hotNow())
+		s.passthrough.AddAt(add, s.hotNow(st))
 		s.markActive()
 		return n
 	}
 	q := e.q
-	now := s.hotNow()
+	now := s.hotNow(st)
 	q.offerMu.Lock()
 	demN := carry(&q.demRem, n)
 	q.offerMu.Unlock()

@@ -269,7 +269,7 @@ func (b *Bucket) TryTake(n float64) bool {
 		b.mu.Unlock()
 		return false
 	}
-	b.refillLocked(b.clk.Now())
+	b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck TryTake refills to the exact instant; callers that amortize the clock use TakeAt
 	if b.tokens >= n {
 		b.tokens -= n
 		b.addGranted(n)

@@ -45,7 +45,7 @@ func TestBridgedStatAllocBudget(t *testing.T) {
 }
 
 // TestBridgedReadAtZeroAllocs guards the full streaming chain — vfs
-// file → stamper → client → osfs — with a caller-owned buffer: reply
+// file → client → osfs — with a caller-owned buffer: reply
 // scratch is pooled and the backend reads straight into the caller's
 // array, so a steady-state positioned read allocates nothing.
 func TestBridgedReadAtZeroAllocs(t *testing.T) {

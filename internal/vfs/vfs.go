@@ -28,7 +28,6 @@ import (
 	"strings"
 	"sync"
 
-	"padll/internal/clock"
 	"padll/internal/posix"
 )
 
@@ -51,17 +50,11 @@ var (
 type Option func(*config)
 
 type config struct {
-	clk    clock.Clock
 	jobID  string
 	user   string
 	pid    int
 	tenant string
 }
-
-// WithClock stamps Request.Issued on every request the bridge emits.
-// Needed only when the bridge sits directly on a raw backend; through
-// the shim the interposition point stamps arrival itself.
-func WithClock(clk clock.Clock) Option { return func(c *config) { c.clk = clk } }
 
 // WithJob stamps job differentiation context (§III-A) onto every
 // request, so per-job stage rules classify the bridged traffic.
@@ -72,33 +65,13 @@ func WithJob(jobID, user string, pid int) Option {
 // WithTenant stamps the tenant label onto every request.
 func WithTenant(tenant string) Option { return func(c *config) { c.tenant = tenant } }
 
-// stamper injects Issued timestamps below the typed client.
-type stamper struct {
-	target posix.FileSystem
-	clk    clock.Clock
-}
-
-// Apply stamps Issued and forwards; it adds zero allocations.
-//
-//lint:hotpath
-func (s stamper) Apply(req *posix.Request, rep *posix.Reply) error {
-	if s.clk != nil && req.Issued.IsZero() {
-		req.Issued = s.clk.Now()
-	}
-	return s.target.Apply(req, rep)
-}
-
 // New wraps target as an io/fs file system.
 func New(target posix.FileSystem, opts ...Option) *FS {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var inner posix.FileSystem = target
-	if cfg.clk != nil {
-		inner = stamper{target: target, clk: cfg.clk}
-	}
-	c := posix.NewClient(inner)
+	c := posix.NewClient(target)
 	c.JobID, c.User, c.PID, c.Tenant = cfg.jobID, cfg.user, cfg.pid, cfg.tenant
 	return &FS{c: c, prefix: "/"}
 }

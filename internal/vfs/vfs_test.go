@@ -199,25 +199,6 @@ func TestDirStreamingReadDir(t *testing.T) {
 	}
 }
 
-// TestIssuedStamping verifies WithClock stamps Request.Issued when the
-// bridge sits on a raw backend.
-func TestIssuedStamping(t *testing.T) {
-	start := time.Unix(1700000000, 0)
-	clk := clock.NewSim(start)
-	var seen []time.Time
-	spy := applyFunc(func(req *posix.Request, rep *posix.Reply) error {
-		seen = append(seen, req.Issued)
-		return localfs.New(clk).Apply(req, rep)
-	})
-	v := New(spy, WithClock(clk), WithJob("job-a", "alice", 42))
-	if _, err := v.Stat("."); err != nil {
-		t.Fatalf("stat: %v", err)
-	}
-	if len(seen) == 0 || !seen[0].Equal(start) {
-		t.Errorf("Issued not stamped from injected clock: %v", seen)
-	}
-}
-
 type applyFunc func(*posix.Request, *posix.Reply) error
 
 func (f applyFunc) Apply(req *posix.Request, rep *posix.Reply) error { return f(req, rep) }
