@@ -28,8 +28,10 @@ import (
 type Shim struct {
 	backend posix.FileSystem
 	// router is backend when it is a *mount.Router, else nil: the shim
-	// then resolves each request's mount once, reads Controlled off it
-	// and hands the route back to the router to forward on.
+	// then resolves each request's mount, reads Controlled off it and
+	// hands it back to the router to forward on — a path is matched
+	// against the mount table once; a descriptor is looked up again when
+	// it is forwarded, since Enforce may block in between.
 	router *mount.Router
 	stg    *stage.Stage
 	clk    clock.Clock
@@ -89,20 +91,20 @@ func (s *Shim) Apply(req *posix.Request, rep *posix.Reply) error {
 		op = int(req.Op)
 	}
 
-	var rt mount.Route
+	var m *mount.Mount
 	if s.router != nil {
 		var err error
-		rt, err = s.router.Route(req)
+		m, err = s.router.Route(req)
 		if err != nil {
 			// No mount serves it: nothing to throttle, nothing to forward.
 			st.bypassed[op].Add(1)
 			return err
 		}
-		if !rt.Mount.Controlled {
+		if !m.Controlled {
 			// Requests to file systems other than the PFS are submitted
 			// directly, without any throttling (§III-A).
 			st.bypassed[op].Add(1)
-			return s.router.Forward(rt, req, rep)
+			return s.router.Forward(m, req, rep)
 		}
 	}
 
@@ -118,7 +120,7 @@ func (s *Shim) Apply(req *posix.Request, rep *posix.Reply) error {
 	}
 	var err error
 	if s.router != nil {
-		err = s.router.Forward(rt, req, rep)
+		err = s.router.Forward(m, req, rep)
 	} else {
 		err = s.backend.Apply(req, rep)
 	}

@@ -488,3 +488,62 @@ func TestLatencySamplingStaysOneIn64(t *testing.T) {
 		t.Errorf("controlled = %d, want %d", got, goroutines*perG)
 	}
 }
+
+// opCounter counts the calls of one operation that reach the backend.
+type opCounter struct {
+	posix.FileSystem
+	op posix.Op
+	n  atomic.Int64
+}
+
+func (b *opCounter) Apply(req *posix.Request, rep *posix.Reply) error {
+	if req.Op == b.op {
+		b.n.Add(1)
+	}
+	return b.FileSystem.Apply(req, rep)
+}
+
+// A descriptor closed while a request on it waits in the stage must fail
+// with ErrBadFD at the router, not reach the backend: the backend fd the
+// descriptor mapped to when the request was intercepted may by then be
+// another caller's file (osfs hands out recycled kernel numbers).
+func TestCloseDuringThrottleWaitIsBadFD(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	backend := &opCounter{FileSystem: localfs.New(clk), op: posix.OpFStat}
+	router, err := mount.NewRouter(mount.Mount{Prefix: "/pfs", FS: backend, Controlled: true, Name: "pfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
+	stg.ApplyRule(policy.Rule{ID: "fstat-cap", Match: policy.Matcher{Ops: []posix.Op{posix.OpFStat}}, Rate: 1, Burst: 1})
+	c := posix.NewClient(New(router, stg, clk)).WithJob("j1", "alice", 42)
+
+	fd, err := c.Creat("/pfs/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FStat(fd); err != nil { // takes the burst token
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.FStat(fd)
+		blocked <- err
+	}()
+	clk.BlockUntil(1) // the second fstat is parked in the bucket
+	if err := c.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second)
+	select {
+	case err := <-blocked:
+		if err != posix.ErrBadFD {
+			t.Errorf("fstat on a descriptor closed during its wait = %v, want ErrBadFD", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("throttled fstat never returned")
+	}
+	if got := backend.n.Load(); got != 1 {
+		t.Errorf("backend saw %d fstat calls, want 1: the stale descriptor was forwarded", got)
+	}
+}

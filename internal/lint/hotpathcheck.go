@@ -27,7 +27,8 @@ import (
 // around it, so a hot path takes its instants from a caller or reads the
 // clock for a sample of its calls only. A read is accepted under a
 // sampling guard — inside an if whose condition is a mask test
-// (x&m == k), directly or through a bool assigned from one — or with a
+// (x&m == k), directly or through a bool assigned from one, or in the
+// else of its negation (x&m != k) — or with a
 // //lint:allow hotpathcheck <reason>.
 //
 // Traversal stops at functions annotated //lint:coldpath <reason> — the
@@ -162,8 +163,9 @@ func (r posRanges) contains(p token.Pos) bool {
 }
 
 // sampledRanges returns the bodies of the sampling guards in body: the
-// then-branch of every if whose condition is a mask test, or a bool
-// variable every assignment to which is one.
+// then-branch of every if whose condition is a mask test x&m == k, or a
+// bool variable every assignment to which is one, and the else-branch of
+// every if on x&m != k (whose then-branch is the 63 calls in 64).
 func sampledRanges(pkg *Package, body *ast.BlockStmt) posRanges {
 	// flags maps a bool variable to whether all its assignments so far
 	// are mask tests.
@@ -178,7 +180,7 @@ func sampledRanges(pkg *Package, body *ast.BlockStmt) posRanges {
 			return
 		}
 		prev, seen := flags[obj]
-		flags[obj] = isMaskTest(pkg, rhs) && (prev || !seen)
+		flags[obj] = maskTest(pkg, rhs) == token.EQL && (prev || !seen)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
@@ -195,24 +197,28 @@ func sampledRanges(pkg *Package, body *ast.BlockStmt) posRanges {
 			return true
 		}
 		cond := ast.Unparen(ifs.Cond)
-		guarded := isMaskTest(pkg, cond)
-		if id, ok := cond.(*ast.Ident); ok {
-			guarded = flags[pkg.TypesInfo.ObjectOf(id)]
+		op := maskTest(pkg, cond)
+		if id, ok := cond.(*ast.Ident); ok && flags[pkg.TypesInfo.ObjectOf(id)] {
+			op = token.EQL
 		}
-		if guarded {
+		switch {
+		case op == token.EQL:
 			out = append(out, [2]token.Pos{ifs.Body.Pos(), ifs.Body.End()})
+		case op == token.NEQ && ifs.Else != nil:
+			out = append(out, [2]token.Pos{ifs.Else.Pos(), ifs.Else.End()})
 		}
 		return true
 	})
 	return out
 }
 
-// isMaskTest reports the 1-in-N idiom: x&m == k or x&m != k with a
-// constant on either side of the mask.
-func isMaskTest(pkg *Package, e ast.Expr) bool {
+// maskTest recognises the 1-in-N idiom, x&m == k with a constant on
+// either side of the mask, and its negation x&m != k: it returns the
+// comparison's operator, or token.ILLEGAL for any other expression.
+func maskTest(pkg *Package, e ast.Expr) token.Token {
 	cmp, ok := ast.Unparen(e).(*ast.BinaryExpr)
 	if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
-		return false
+		return token.ILLEGAL
 	}
 	for _, side := range []ast.Expr{cmp.X, cmp.Y} {
 		and, ok := ast.Unparen(side).(*ast.BinaryExpr)
@@ -220,10 +226,10 @@ func isMaskTest(pkg *Package, e ast.Expr) bool {
 			continue
 		}
 		if pkg.TypesInfo.Types[and.X].Value != nil || pkg.TypesInfo.Types[and.Y].Value != nil {
-			return true
+			return cmp.Op
 		}
 	}
-	return false
+	return token.ILLEGAL
 }
 
 // checkCall classifies one call on the hot path: allocation builtins,

@@ -121,6 +121,21 @@ func (s *shim) notAGuard(verbose bool) {
 	s.stampCallee()
 }
 
+//lint:hotpath
+func (s *shim) negatedMask() {
+	// x&m != k holds on 63 calls in 64: its then-branch is no sample,
+	// its else-branch is.
+	if s.calls&63 != 0 {
+		_ = s.clk.Now() // want `clock read`
+	} else {
+		_ = s.clk.Now()
+	}
+	skipped := s.calls&63 != 0
+	if skipped {
+		_ = s.clk.Now() // want `clock read`
+	}
+}
+
 // stampCallee is reached from a hot root; its clock read counts.
 func (s *shim) stampCallee() {
 	_ = s.clk.Now() // want `clock read`

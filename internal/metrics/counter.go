@@ -36,8 +36,8 @@ type RateCounter struct {
 	// `<` mirrors rollLocked's `>=` close condition, so an instant that
 	// lands exactly on the boundary takes the slow path and rolls.
 	winEndNano atomic.Int64
-	// shards holds the open window's counts, allocated on the first add
-	// to its Lines.
+	// shards holds the open window's counts, allocated on the first Add
+	// (see striped).
 	shards striped
 
 	// seq/pubTotal/pubRate back the lock-free read path of
@@ -63,12 +63,6 @@ type RateCounter struct {
 // NewRateCounter returns a counter sampling over the given window. The
 // first window opens at the clock's current instant.
 func NewRateCounter(name string, clk clock.Clock, window time.Duration) *RateCounter {
-	return NewRateCounterOn(new(Lines), 0, name, clk, window)
-}
-
-// NewRateCounterOn is NewRateCounter counting into column col of lines,
-// which the caller shares with the other counters the same events bump.
-func NewRateCounterOn(lines *Lines, col int, name string, clk clock.Clock, window time.Duration) *RateCounter {
 	if window <= 0 {
 		window = time.Second
 	}
@@ -77,7 +71,6 @@ func NewRateCounterOn(lines *Lines, col int, name string, clk clock.Clock, windo
 		window:   window,
 		winStart: clk.Now(),
 		series:   NewSeries(name),
-		shards:   striped{lines: lines, col: col},
 	}
 	rc.winEndNano.Store(rc.winStart.Add(window).UnixNano())
 	return rc
@@ -106,20 +99,14 @@ func (rc *RateCounter) Add(n int64) {
 // earlier than the open window is attributed to the open window.
 //
 //lint:hotpath
-func (rc *RateCounter) AddAt(n int64, now time.Time) { rc.AddAtStripe(n, now, StripeIndex()) }
-
-// AddAtStripe is AddAt for a caller that already holds its StripeIndex
-// and shares it between the counters one request bumps.
-//
-//lint:hotpath
-func (rc *RateCounter) AddAtStripe(n int64, now time.Time, stripe int) {
+func (rc *RateCounter) AddAt(n int64, now time.Time) {
 	if now.UnixNano() < rc.winEndNano.Load() {
-		rc.shards.add(n, stripe)
+		rc.shards.add(n)
 		return
 	}
 	rc.mu.Lock()
 	rc.rollLocked(now)
-	rc.shards.add(n, stripe)
+	rc.shards.add(n)
 	rc.mu.Unlock()
 }
 

@@ -28,7 +28,7 @@ type Histogram struct {
 	// answer with two atomic loads instead of a lock and a bucket walk.
 	obs atomic.Int64
 	// zeros holds the zero-length observations not yet folded into the
-	// locked state below; allocated on the first add to its Lines.
+	// locked state below; allocated on the first ObserveZero.
 	zeros striped
 
 	mu      sync.Mutex
@@ -43,30 +43,20 @@ type Histogram struct {
 
 // NewLatencyHistogram returns a histogram with exponentially spaced
 // bucket bounds from 100 ns to ~100 s (factor 2 per bucket).
-func NewLatencyHistogram() *Histogram { return NewLatencyHistogramOn(new(Lines), 0) }
-
-// NewLatencyHistogramOn is NewLatencyHistogram keeping its zero-length
-// observations in column col of lines, which the caller shares with the
-// other counters the same events bump.
-func NewLatencyHistogramOn(lines *Lines, col int) *Histogram {
+func NewLatencyHistogram() *Histogram {
 	var bounds []float64
 	for b := 100e-9; b < 100; b *= 2 {
 		bounds = append(bounds, b)
 	}
-	return newHistogram(bounds, striped{lines: lines, col: col})
+	return NewHistogram(bounds)
 }
 
 // NewHistogram returns a histogram with the given ascending upper bounds.
 func NewHistogram(bounds []float64) *Histogram {
-	return newHistogram(bounds, striped{lines: new(Lines)})
-}
-
-func newHistogram(bounds []float64, zeros striped) *Histogram {
 	cp := make([]float64, len(bounds))
 	copy(cp, bounds)
 	sort.Float64s(cp)
 	return &Histogram{
-		zeros:   zeros,
 		bounds:  cp,
 		zeroIdx: sort.SearchFloat64s(cp, 0),
 		counts:  make([]int64, len(cp)+1),
@@ -80,17 +70,11 @@ func newHistogram(bounds []float64, zeros striped) *Histogram {
 // exactly as for Observe(0).
 //
 //lint:hotpath
-func (h *Histogram) ObserveZero() { h.zeros.add(1, StripeIndex()) }
-
-// ObserveZeroStripe is ObserveZero for a caller that already holds its
-// StripeIndex.
-//
-//lint:hotpath
-func (h *Histogram) ObserveZeroStripe(stripe int) { h.zeros.add(1, stripe) }
+func (h *Histogram) ObserveZero() { h.zeros.add(1) }
 
 // idle reports that nothing was ever observed, without the mutex.
 func (h *Histogram) idle() bool {
-	return h.obs.Load() == 0 && h.zeros.untouched()
+	return h.obs.Load() == 0 && h.zeros.cells.Load() == nil
 }
 
 // foldLocked moves the pending zero-length observations into the locked

@@ -44,67 +44,55 @@ func stripeOf(addr uintptr) int {
 	return int(x & (Stripes - 1))
 }
 
-// lineCells is how many counters fit one stripe's cache line (64B on
-// every target we run on).
-const lineCells = 8
-
-// Lines is a lazily allocated array of Stripes cache lines, each holding
-// eight counters. A striped counter owns one column (0–7) of a Lines:
-// cell i of the counter is column col of line i. Counters built on
-// different columns of one Lines (NewRateCounterOn, NewLatencyHistogramOn)
-// put what one event bumps together — a stage queue's demand, admitted
-// and zero-wait counts — on one line per stripe instead of one line per
-// counter, while each still sums and drains only its own column. The zero
-// value is ready to use. Lines that have never counted keep no cells at
-// all: their sweeps are a nil check, and a fleet's many idle queues cost
-// ~1KB less each — which is what keeps a thousand-stage collect round
-// inside the cache instead of walking 16 padded lines per idle counter.
-type Lines struct {
-	arr atomic.Pointer[[Stripes][lineCells]atomic.Int64]
+// cell is one event counter, padded so neighbouring stripes do not share
+// a cache line (64B on every target we run on).
+type cell struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
-// alloc publishes the line array on the first-ever add. A lost CAS race
-// re-loads the winner's array, so no add ever lands in an orphaned cell.
-//
-//lint:coldpath runs at most once per Lines lifetime: first-add cell allocation
-func (l *Lines) alloc() *[Stripes][lineCells]atomic.Int64 {
-	fresh := new([Stripes][lineCells]atomic.Int64)
-	if l.arr.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return l.arr.Load()
-}
-
-// striped is one column of a Lines: a counter of Stripes cells.
+// striped is a lazily allocated array of Stripes cells. A counter that
+// has never counted keeps no cells at all: its sweeps are a nil check,
+// and a fleet's many idle queues cost ~1KB less each — which is what
+// keeps a thousand-stage collect round inside the cache instead of
+// walking 16 padded lines per idle counter.
 type striped struct {
-	lines *Lines
-	col   int
+	cells atomic.Pointer[[Stripes]cell]
 }
 
-// add adds n to cell i (the caller's StripeIndex), allocating the lines
-// on first use.
+// add adds n to the calling goroutine's cell, allocating the array on
+// first use.
 //
 //lint:hotpath
-func (s striped) add(n int64, i int) {
-	arr := s.lines.arr.Load()
+func (s *striped) add(n int64) {
+	arr := s.cells.Load()
 	if arr == nil {
-		arr = s.lines.alloc()
+		arr = s.alloc()
 	}
-	arr[i][s.col].Add(n)
+	arr[StripeIndex()].n.Add(n)
 }
 
-// untouched reports that no counter on the lines has ever counted.
-func (s striped) untouched() bool { return s.lines.arr.Load() == nil }
+// alloc publishes the cell array on the first-ever add. A lost CAS race
+// re-loads the winner's array, so no add ever lands in an orphaned cell.
+//
+//lint:coldpath runs at most once per counter lifetime: first-add cell allocation
+func (s *striped) alloc() *[Stripes]cell {
+	fresh := new([Stripes]cell)
+	if s.cells.CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return s.cells.Load()
+}
 
 // sum returns the cells' total (0 when no add has ever allocated them).
-func (s striped) sum() int64 {
-	arr := s.lines.arr.Load()
+func (s *striped) sum() int64 {
+	arr := s.cells.Load()
 	if arr == nil {
 		return 0
 	}
 	var sum int64
 	for i := range arr {
-		sum += arr[i][s.col].Load()
+		sum += arr[i].n.Load()
 	}
 	return sum
 }
@@ -112,15 +100,15 @@ func (s striped) sum() int64 {
 // drain moves every cell's count out and returns the total. Cells are
 // visited in fixed index order, and an empty cell is only read, so a
 // sweep over idle stripes leaves their lines shared.
-func (s striped) drain() int64 {
-	arr := s.lines.arr.Load()
+func (s *striped) drain() int64 {
+	arr := s.cells.Load()
 	if arr == nil {
 		return 0
 	}
 	var sum int64
 	for i := range arr {
-		if c := &arr[i][s.col]; c.Load() != 0 {
-			sum += c.Swap(0)
+		if arr[i].n.Load() != 0 {
+			sum += arr[i].n.Swap(0)
 		}
 	}
 	return sum

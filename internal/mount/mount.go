@@ -37,9 +37,14 @@ type Router struct {
 	// immutable after NewRouter, so path resolution takes no lock.
 	mounts []Mount
 
-	mu     sync.RWMutex  // guards the descriptor table only
-	fds    map[int]Route // virtual descriptor → mount and backend descriptor
+	mu     sync.RWMutex // guards the descriptor table only
+	fds    map[int]fdEntry
 	nextFD int
+}
+
+type fdEntry struct {
+	mount     *Mount
+	backendFD int
 }
 
 var _ posix.FileSystem = (*Router)(nil)
@@ -47,7 +52,7 @@ var _ posix.FileSystem = (*Router)(nil)
 // NewRouter returns a router with the given mounts. Prefixes are
 // normalized; duplicate prefixes are an error.
 func NewRouter(mounts ...Mount) (*Router, error) {
-	r := &Router{fds: make(map[int]Route), nextFD: 3}
+	r := &Router{fds: make(map[int]fdEntry), nextFD: 3}
 	seen := map[string]bool{}
 	for _, m := range mounts {
 		m.Prefix = normalize(m.Prefix)
@@ -102,34 +107,27 @@ func (r *Router) Resolve(path string) *Mount {
 	return nil
 }
 
-// Route is a request's resolved target: the mount serving it and, for a
-// descriptor operation, the backend's own descriptor. It is valid for the
-// one request it was resolved for.
-type Route struct {
-	Mount *Mount
-	fd    int
-}
-
 // Route resolves the mount a request targets: by path for path-based
 // operations (no lock), by descriptor for fd-based ones. It fails with
 // posix.ErrNotExist for a path no mount serves and posix.ErrBadFD for a
 // descriptor the router did not issue. A layer that needs the mount
-// before forwarding (the shim reads Controlled) resolves once here and
-// hands the route to Forward.
-func (r *Router) Route(req *posix.Request) (rt Route, err error) {
+// before forwarding (the shim reads Controlled) resolves here and hands
+// the mount to Forward.
+func (r *Router) Route(req *posix.Request) (*Mount, error) {
 	if req.Path != "" {
-		if rt.Mount = r.Resolve(req.Path); rt.Mount == nil {
-			return rt, posix.ErrNotExist
+		m := r.Resolve(req.Path)
+		if m == nil {
+			return nil, posix.ErrNotExist
 		}
-		return rt, nil
+		return m, nil
 	}
 	r.mu.RLock()
-	rt, ok := r.fds[req.FD]
+	e, ok := r.fds[req.FD]
 	r.mu.RUnlock()
 	if !ok {
-		return rt, posix.ErrBadFD
+		return nil, posix.ErrBadFD
 	}
-	return rt, nil
+	return e.mount, nil
 }
 
 // relativize rewrites a full path to the backend's namespace: the mount
@@ -161,21 +159,28 @@ func closesFD(op posix.Op) bool {
 
 // Apply implements posix.FileSystem: resolve the target mount, forward.
 func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
-	rt, err := r.Route(req)
-	if err != nil {
-		return err
+	var m *Mount
+	if req.Path != "" {
+		if m = r.Resolve(req.Path); m == nil {
+			return posix.ErrNotExist
+		}
 	}
-	return r.Forward(rt, req, rep)
+	return r.Forward(m, req, rep)
 }
 
-// Forward sends req to the mount rt resolved for it and maintains the
-// virtual descriptor table. The request is forwarded in place: for the
-// duration of the backend call its Path and NewPath are relative to the
-// mount and its FD is the backend's, and all three hold the caller's
-// values again on every return (posix.FileSystem's ownership contract) —
-// no copy, no scratch.
-func (r *Router) Forward(rt Route, req *posix.Request, rep *posix.Reply) error {
-	m := rt.Mount
+// Forward sends req to its mount and maintains the virtual descriptor
+// table. For a path request m is the mount Route resolved for it, so the
+// path is matched against the table once. A descriptor request is looked
+// up here, at the moment it is forwarded, whatever m says: the caller may
+// have blocked since Route (the shim does, in the stage), the descriptor
+// may have been closed meanwhile, and backends reuse descriptor numbers —
+// a stale one would land on another caller's file.
+//
+// The request is forwarded in place: for the duration of the backend call
+// its Path and NewPath are relative to the mount and its FD is the
+// backend's, and all three hold the caller's values again on every return
+// (posix.FileSystem's ownership contract) — no copy, no scratch.
+func (r *Router) Forward(m *Mount, req *posix.Request, rep *posix.Reply) error {
 	path, newPath, fd := req.Path, req.NewPath, req.FD
 	if path != "" {
 		if newPath != "" {
@@ -191,7 +196,14 @@ func (r *Router) Forward(rt Route, req *posix.Request, rep *posix.Reply) error {
 		}
 		req.Path = relativize(m, path)
 	} else {
-		req.FD = rt.fd
+		r.mu.RLock()
+		e, ok := r.fds[fd]
+		r.mu.RUnlock()
+		if !ok {
+			return posix.ErrBadFD
+		}
+		m = e.mount
+		req.FD = e.backendFD
 	}
 	err := m.FS.Apply(req, rep)
 	req.Path, req.NewPath, req.FD = path, newPath, fd
@@ -205,7 +217,7 @@ func (r *Router) Forward(rt Route, req *posix.Request, rep *posix.Reply) error {
 		r.mu.Lock()
 		vfd := r.nextFD
 		r.nextFD++
-		r.fds[vfd] = Route{Mount: m, fd: rep.FD} //lint:allow hotpathcheck open installs its descriptor
+		r.fds[vfd] = fdEntry{mount: m, backendFD: rep.FD} //lint:allow hotpathcheck open installs its descriptor
 		r.mu.Unlock()
 		rep.FD = vfd // virtualize in place; the backend fd stays private
 	} else if closesFD(req.Op) {

@@ -176,14 +176,14 @@ func TestResolveRequestByFD(t *testing.T) {
 	c := posix.NewClient(r)
 	fd, _ := c.Creat("/lustre/f", 0o644)
 	rt, err := r.Route(&posix.Request{Op: posix.OpRead, FD: fd})
-	if err != nil || rt.Mount.Name != "pfs" {
+	if err != nil || rt.Name != "pfs" {
 		t.Errorf("Route by fd = %+v, %v", rt, err)
 	}
 	if _, err := r.Route(&posix.Request{Op: posix.OpRead, FD: 9999}); err != posix.ErrBadFD {
 		t.Errorf("unknown fd routed: %v", err)
 	}
 	rt, err = r.Route(&posix.Request{Op: posix.OpStat, Path: "/tmp/x"})
-	if err != nil || rt.Mount.Name != "local" {
+	if err != nil || rt.Name != "local" {
 		t.Errorf("Route by path = %+v, %v", rt, err)
 	}
 }
@@ -315,7 +315,7 @@ func TestConcurrentResolveBesideFDChurn(t *testing.T) {
 					t.Errorf("open: %v", err)
 					return
 				}
-				if rt, err := r.Route(&posix.Request{Op: posix.OpFStat, FD: fd}); err != nil || rt.Mount.Name != "pfs" {
+				if rt, err := r.Route(&posix.Request{Op: posix.OpFStat, FD: fd}); err != nil || rt.Name != "pfs" {
 					t.Errorf("Route(fd %d) = %+v, %v", fd, rt, err)
 				}
 				if err := c.Close(fd); err != nil {
@@ -330,7 +330,7 @@ func TestConcurrentResolveBesideFDChurn(t *testing.T) {
 				if m := r.Resolve("/lustre/f"); m == nil || m.Name != "pfs" {
 					t.Errorf("Resolve(/lustre/f) = %v", m)
 				}
-				if rt, err := r.Route(&posix.Request{Op: posix.OpStat, Path: "/local-f"}); err != nil || rt.Mount.Name != "local" {
+				if rt, err := r.Route(&posix.Request{Op: posix.OpStat, Path: "/local-f"}); err != nil || rt.Name != "local" {
 					t.Errorf("Route(/local-f) = %+v, %v", rt, err)
 				}
 				if _, err := c.Stat("/local-f"); err != nil {

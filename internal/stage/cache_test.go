@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,10 +82,6 @@ func TestClassifyCacheEquivalence(t *testing.T) {
 		}
 		ref := policy.NewRuleSet(rules...)
 		req := new(posix.Request)
-		// One "last entry" cell for the whole trial, as a stripe's is: it
-		// outlives every republish below and must never answer for a
-		// snapshot that did not derive it.
-		var last atomic.Pointer[cacheEntry]
 		for step := 0; step < 100; step++ {
 			randomRequest(rng, req)
 			sn := s.snap.Load()
@@ -99,7 +94,7 @@ func TestClassifyCacheEquivalence(t *testing.T) {
 				}
 			}
 			for pass := 0; pass < 2; pass++ { // fill, then hit
-				if got := sn.classifyCached(req, &last); got != want {
+				if got := sn.classifyCached(req); got != want {
 					t.Fatalf("trial %d step %d pass %d: classifyCached(%+v) = %v, classify = %v (rules %v)",
 						trial, step, pass, req, got, want, rules)
 				}
@@ -182,12 +177,11 @@ func TestClassifyCacheSplitsDirRefusal(t *testing.T) {
 	sn := s.snap.Load()
 	hit := &posix.Request{Op: posix.OpGetAttr, Path: "/a/b"}
 	miss := &posix.Request{Op: posix.OpGetAttr, Path: "/a/x"}
-	last := &s.stripes[0].last
 	for i := 0; i < 3; i++ { // repeated: a wrongly-cached miss would poison the hit
-		if e := sn.classifyCached(miss, last); e != nil {
+		if e := sn.classifyCached(miss); e != nil {
 			t.Fatalf("iteration %d: /a/x classified as %s, want passthrough", i, e.id)
 		}
-		if e := sn.classifyCached(hit, last); e == nil || e.id != "leaf" {
+		if e := sn.classifyCached(hit); e == nil || e.id != "leaf" {
 			t.Fatalf("iteration %d: /a/b not matched by leaf rule (got %v)", i, e)
 		}
 	}
@@ -236,9 +230,7 @@ func TestClassifyCacheConcurrentChurn(t *testing.T) {
 				randomRequest(rng, req)
 				sn := s.snap.Load()
 				want := sn.classify(req)
-				// All readers share one last-entry cell, as goroutines
-				// that fold onto one stripe do.
-				if got := sn.classifyCached(req, &s.stripes[0].last); got != want {
+				if got := sn.classifyCached(req); got != want {
 					select {
 					case errs <- fmt.Errorf("classifyCached = %v, classify = %v for %+v", got, want, req):
 					default:

@@ -107,7 +107,7 @@ func TestSetRateKeepsClassificationCache(t *testing.T) {
 	if s.snap.Load() == sn {
 		t.Fatal("ApplyRule with a changed matcher did not republish")
 	}
-	if e := s.snap.Load().classifyCached(req, &s.stripes[0].last); e != nil {
+	if e := s.snap.Load().classifyCached(req); e != nil {
 		t.Fatalf("job1 request still classified under %q after the rule moved to job2", e.id)
 	}
 	sn = s.snap.Load()

@@ -174,23 +174,13 @@ type snapshot struct {
 const cacheSlots = 512
 
 // cacheEntry is one memoized classification. e == nil records the
-// (valid) result "no rule matches requests with this key". sn is the
-// snapshot that derived it: a stripe's last entry outlives a republish
-// (the memo slots do not), so a hit there checks it too.
+// (valid) result "no rule matches requests with this key".
 type cacheEntry struct {
-	sn    *snapshot
 	op    posix.Op
 	jobID string
 	user  string
 	dir   string
 	e     *entry
-}
-
-// is reports whether the entry memoizes exactly this key.
-//
-//lint:hotpath
-func (ce *cacheEntry) is(req *posix.Request, dir string) bool {
-	return ce.op == req.Op && ce.dir == dir && ce.jobID == req.JobID && ce.user == req.User
 }
 
 // dirOf returns p's directory prefix including the trailing slash; ok
@@ -234,13 +224,11 @@ func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
 // (Matcher.SplitsDir); such keys are classified directly and never
 // memoized. When no candidate rule for the op has a path constraint at
 // all (pathFree) the directory cannot matter and the key carries "" in
-// its place. An application's next request mostly repeats the key of its
-// last, so the calling stripe's last entry is compared first: a repeat
-// costs one atomic load and no hash. Any other hit is one hash and one
-// more load: no lock, no allocation, and no rule-list walk.
+// its place. A hit is one hash and one atomic load: no lock, no
+// allocation, and no rule-list walk.
 //
 //lint:hotpath
-func (sn *snapshot) classifyCached(req *posix.Request, last *atomic.Pointer[cacheEntry]) *entry {
+func (sn *snapshot) classifyCached(req *posix.Request) *entry {
 	var dir string
 	if !req.Op.Valid() || !sn.pathFree[req.Op] {
 		var ok bool
@@ -248,23 +236,20 @@ func (sn *snapshot) classifyCached(req *posix.Request, last *atomic.Pointer[cach
 			return sn.classify(req)
 		}
 	}
-	if ce := last.Load(); ce != nil && ce.sn == sn && ce.is(req, dir) {
-		return ce.e
-	}
 	slot := &sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)]
-	if ce := slot.Load(); ce != nil && ce.is(req, dir) {
-		last.Store(ce)
+	if ce := slot.Load(); ce != nil &&
+		ce.op == req.Op && ce.dir == dir && ce.jobID == req.JobID && ce.user == req.User {
 		return ce.e
 	}
-	return sn.fillCache(slot, last, req, dir)
+	return sn.fillCache(slot, req, dir)
 }
 
 // fillCache classifies req directly and, when sound, memoizes the
-// result into slot and last. Losing a racing store is fine: both entries
-// are derived from this same immutable snapshot.
+// result into slot. Losing a racing store is fine: both entries are
+// derived from this same immutable snapshot.
 //
 //lint:coldpath one allocation per (snapshot, key); amortized across every subsequent hit
-func (sn *snapshot) fillCache(slot, last *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
+func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
 	e := sn.classify(req)
 	candidates := sn.all
 	if req.Op.Valid() {
@@ -275,17 +260,14 @@ func (sn *snapshot) fillCache(slot, last *atomic.Pointer[cacheEntry], req *posix
 			return e // two leaves in dir may classify differently
 		}
 	}
-	ce := &cacheEntry{
-		sn:    sn,
+	slot.Store(&cacheEntry{
 		op:    req.Op,
 		jobID: req.JobID,
 		user:  req.User,
 		// Clone: dir aliases req.Path, whose backing the caller owns.
 		dir: strings.Clone(dir),
 		e:   e,
-	}
-	slot.Store(ce)
-	last.Store(ce)
+	})
 	return e
 }
 
@@ -329,21 +311,16 @@ type Stage struct {
 	// a rule reinstalled after removal rejoins its pool automatically.
 	borrowPools map[string]*tokenbucket.BorrowPool
 
-	// stripes is the admit path's private state, one line per stripe
-	// (metrics.StripeIndex) so that concurrent callers share no written
-	// line. A request picks its stripe once and uses it for this, for the
-	// counters and for the zero-wait record alike.
-	//
 	// Amortized wall-clock sampling: reading the real clock costs more
 	// than the rest of the admit path combined, so the hot path reuses
 	// its stripe's last read and refreshes it every clockStride-th
-	// request on that stripe. Counter instants may therefore lag by a few
+	// request on that stripe — per stripe, so that concurrent callers
+	// share no written line. Counter instants may therefore lag by a few
 	// requests at a window edge — harmless for wall-clock statistics and
-	// for TakeAt, which can only under-refill from a stale instant.
-	// Simulated clocks (amortize false) are always read exactly so
-	// experiment runs stay deterministic.
-	stripes  *[metrics.Stripes]stripe
-	amortize bool
+	// for TakeAt, which can only under-refill from a stale instant. nil
+	// for simulated clocks, which are always read exactly so experiment
+	// runs stay deterministic.
+	hotClock *[metrics.Stripes]clockStripe
 
 	// ptRem carries Offer's fractional passthrough credit between ticks.
 	ptMu  sync.Mutex
@@ -386,22 +363,13 @@ type Stage struct {
 // share one real clock sample (power of two).
 const clockStride = 64
 
-// stripe is one stripe's amortized clock sample and last classification
-// (see classifyCached), padded to a cache line of its own.
-type stripe struct {
+// clockStripe is one stripe's amortized clock sample, padded to a cache
+// line of its own.
+type clockStripe struct {
 	tick atomic.Uint64
 	nano atomic.Int64
-	last atomic.Pointer[cacheEntry]
-	_    [40]byte
+	_    [48]byte
 }
-
-// Columns of a queue's statistics lines (metrics.Lines): what one
-// admission bumps sits on one line per stripe.
-const (
-	colDemand = iota
-	colAdmitted
-	colZeroWait
-)
 
 type queue struct {
 	bucket   *tokenbucket.Bucket
@@ -455,14 +423,15 @@ func WithMode(m Mode) Option {
 // unthrottled until the control plane installs rules.
 func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 	s := &Stage{
-		info:    info,
-		clk:     clk,
-		rules:   policy.NewRuleSet(),
-		queues:  make(map[string]*queue),
-		window:  time.Second,
-		stripes: new([metrics.Stripes]stripe),
+		info:   info,
+		clk:    clk,
+		rules:  policy.NewRuleSet(),
+		queues: make(map[string]*queue),
+		window: time.Second,
 	}
-	_, s.amortize = clk.(clock.Real)
+	if _, ok := clk.(clock.Real); ok {
+		s.hotClock = new([metrics.Stripes]clockStripe)
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -477,10 +446,11 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 // refreshed on the stripe's first call and every clockStride-th after.
 //
 //lint:hotpath
-func (s *Stage) hotNow(c *stripe) time.Time {
-	if !s.amortize {
+func (s *Stage) hotNow() time.Time {
+	if s.hotClock == nil {
 		return s.clk.Now() //lint:allow hotpathcheck simulated clocks are read exactly; the real clock takes the amortized branch below
 	}
+	c := &s.hotClock[metrics.StripeIndex()]
 	if c.tick.Add(1)&(clockStride-1) == 1 {
 		now := s.clk.Now()
 		c.nano.Store(now.UnixNano())
@@ -599,12 +569,11 @@ func (s *Stage) ApplyRule(r policy.Rule) {
 	} else {
 		b = tokenbucket.New(s.clk, r.Rate, r.EffectiveBurst())
 	}
-	lines := new(metrics.Lines)
 	q := &queue{
 		bucket:   b,
-		admitted: metrics.NewRateCounterOn(lines, colAdmitted, "admitted:"+r.ID, s.clk, s.window),
-		demand:   metrics.NewRateCounterOn(lines, colDemand, "demand:"+r.ID, s.clk, s.window),
-		latency:  metrics.NewLatencyHistogramOn(lines, colZeroWait),
+		admitted: metrics.NewRateCounter("admitted:"+r.ID, s.clk, s.window),
+		demand:   metrics.NewRateCounter("demand:"+r.ID, s.clk, s.window),
+		latency:  metrics.NewLatencyHistogram(),
 	}
 	q.rate.Store(math.Float64bits(r.Rate))
 	q.burst.Store(math.Float64bits(r.Burst))
@@ -682,19 +651,16 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 // Enforce classifies req and blocks until its queue's token bucket admits
 // it. Requests matching no rule, and all requests in Passthrough mode,
 // return immediately. The admit path writes no shared state of the
-// stage's own: classification reads the published snapshot, and the
-// counters, the zero-wait record, the amortized clock and the last
-// classification are cells of the one stripe the request picks on entry.
-// Under a finite limit the bucket's own critical section is the one shared
+// stage's own: classification reads the published snapshot, and counters,
+// the zero-wait record and the amortized clock are per-stripe cells. Under
+// a finite limit the bucket's own critical section is the one shared
 // write, and only a request that finds the bucket dry goes on to block.
 //
 //lint:hotpath
 func (s *Stage) Enforce(req *posix.Request) error {
-	i := metrics.StripeIndex()
-	st := &s.stripes[i]
-	e := s.snap.Load().classifyCached(req, &st.last)
+	e := s.snap.Load().classifyCached(req)
 	if e == nil {
-		s.passthrough.AddAtStripe(1, s.hotNow(st), i)
+		s.passthrough.AddAt(1, s.hotNow())
 		s.markActive()
 		return nil
 	}
@@ -702,19 +668,19 @@ func (s *Stage) Enforce(req *posix.Request) error {
 
 	if Mode(s.mode.Load()) == Passthrough || q.limit() == policy.Unlimited {
 		// Fast path: one clock read feeds both counters.
-		now := s.hotNow(st)
-		q.demand.AddAtStripe(1, now, i)
-		q.admitted.AddAtStripe(1, now, i)
+		now := s.hotNow()
+		q.demand.AddAt(1, now)
+		q.admitted.AddAt(1, now)
 		s.markActive()
 		return nil
 	}
 
 	// Policing: reject immediately instead of queueing.
 	if e.action == policy.ActionDrop {
-		now := s.hotNow(st)
-		q.demand.AddAtStripe(1, now, i)
+		now := s.hotNow()
+		q.demand.AddAt(1, now)
 		if q.bucket.TryTake(1) {
-			q.admitted.AddAtStripe(1, now, i)
+			q.admitted.AddAt(1, now)
 			s.markActive()
 			return nil
 		}
@@ -726,14 +692,13 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// Shaping, token in hand: nothing to wait for, so nothing to time —
 	// one instant stamps both counters and the wait is recorded as zero,
 	// which is what the exact path below measures on a simulated clock
-	// (end == start); the three counts land on the stripe's one line of
-	// the queue's statistics. A stale amortized instant can only
-	// under-refill the bucket and send the request down the exact path.
-	now := s.hotNow(st)
+	// (end == start). A stale amortized instant can only under-refill the
+	// bucket and send the request down the exact path.
+	now := s.hotNow()
 	if q.bucket.TakeAt(1, now) {
-		q.demand.AddAtStripe(1, now, i)
-		q.admitted.AddAtStripe(1, now, i)
-		q.latency.ObserveZeroStripe(i)
+		q.demand.AddAt(1, now)
+		q.admitted.AddAt(1, now)
+		q.latency.ObserveZero()
 		s.markActive()
 		return nil
 	}
@@ -742,7 +707,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// duration is a reported statistic, and simulated-clock waiters must
 	// interleave deterministically with the sim's event loop.
 	start := s.clk.Now() //lint:allow hotpathcheck the request is about to block; its wait is timed exactly
-	q.demand.AddAtStripe(1, start, i)
+	q.demand.AddAt(1, start)
 	q.waiting.Add(1)
 	// Raise the flag at arrival, not just at release: the wait below can
 	// outlast many collect rounds, and the queued demand must not hide
@@ -756,7 +721,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	}
 	end := s.clk.Now() //lint:allow hotpathcheck the request has just blocked; its wait is timed exactly
 	q.latency.Observe(end.Sub(start))
-	q.admitted.AddAtStripe(1, end, i)
+	q.admitted.AddAt(1, end)
 	s.markActive()
 	return nil
 }
@@ -785,18 +750,17 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 	if n <= 0 {
 		return 0
 	}
-	st := &s.stripes[metrics.StripeIndex()]
-	e := s.snap.Load().classifyCached(req, &st.last)
+	e := s.snap.Load().classifyCached(req)
 	if e == nil {
 		s.ptMu.Lock()
 		add := carry(&s.ptRem, n)
 		s.ptMu.Unlock()
-		s.passthrough.AddAt(add, s.hotNow(st))
+		s.passthrough.AddAt(add, s.hotNow())
 		s.markActive()
 		return n
 	}
 	q := e.q
-	now := s.hotNow(st)
+	now := s.hotNow()
 	q.offerMu.Lock()
 	demN := carry(&q.demRem, n)
 	q.offerMu.Unlock()
