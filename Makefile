@@ -48,13 +48,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Control-plane packages, and the layers that forward a request in place
-# (shim, router), under the race detector, twice: -count=2 defeats the
+# Control-plane packages, the layers that forward a request in place
+# (shim, router), and the PFS model with its namespace (pfs holds its own
+# mutex around calls that take localfs's lock, and OST transfers wait
+# outside both), under the race detector, twice: -count=2 defeats the
 # test cache and shakes out order-dependent state, which is how the chaos
 # determinism tests are meant to be run.
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
-		./internal/mount/... ./internal/interpose/...
+		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/...
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane and every layer of the lock-free admit

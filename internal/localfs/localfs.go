@@ -399,19 +399,26 @@ func (fs *FS) rename(oldP, newP string, rep *posix.Reply) error {
 	if !ok {
 		return posix.ErrNotExist
 	}
+	if n.isDir() && strings.HasPrefix(clean(newP), clean(oldP)+"/") {
+		// A directory cannot move below itself. Paths are walked
+		// literally (no symlink is followed), so the prefix test is exact.
+		return posix.ErrInvalid
+	}
 	newParent, newLeaf, err := fs.lookupParent(newP)
 	if err != nil {
 		return err
 	}
 	if existing, ok := newParent.children[newLeaf]; ok {
+		if existing == n {
+			return nil // both names already are the one inode: POSIX no-op
+		}
 		if existing.isDir() && len(existing.children) > 0 {
 			return posix.ErrNotEmpty
 		}
 		if existing.isDir() && !n.isDir() {
 			return posix.ErrIsDir
 		}
-		fs.usedFiles--
-		fs.usedBytes -= int64(len(existing.data))
+		fs.dropLink(existing)
 	}
 	delete(oldParent.children, oldLeaf)
 	n.name = newLeaf
@@ -435,14 +442,21 @@ func (fs *FS) unlink(p string, rep *posix.Reply) error {
 	if n.isDir() {
 		return posix.ErrIsDir
 	}
-	n.nlink--
 	delete(parent.children, leaf)
 	parent.modTime = fs.clk.Now()
-	if n.nlink <= 0 {
+	fs.dropLink(n)
+	return nil
+}
+
+// dropLink accounts for one name of n going away (unlink, or rename over
+// it): the inode and its bytes are released with the last name, not
+// before. An empty directory has no other name to keep it.
+func (fs *FS) dropLink(n *node) {
+	n.nlink--
+	if n.nlink <= 0 || n.isDir() {
 		fs.usedFiles--
 		fs.usedBytes -= int64(len(n.data))
 	}
-	return nil
 }
 
 func (fs *FS) link(oldP, newP string, rep *posix.Reply) error {
@@ -489,6 +503,7 @@ func (fs *FS) symlink(target, linkP string, rep *posix.Reply) error {
 	}
 	parent.children[leaf] = n
 	fs.usedFiles++
+	fs.usedBytes += int64(len(n.data)) // released by dropLink with the name
 	return nil
 }
 
@@ -699,9 +714,7 @@ func (fs *FS) write(fd int, data []byte, size, offset int64, rep *posix.Reply) e
 	end := pos + int64(len(data))
 	if end > int64(len(of.n.data)) {
 		fs.usedBytes += end - int64(len(of.n.data))
-		grown := make([]byte, end)
-		copy(grown, of.n.data)
-		of.n.data = grown
+		of.n.data = extend(of.n.data, end)
 	}
 	copy(of.n.data[pos:end], data)
 	of.n.modTime = fs.clk.Now()
@@ -710,6 +723,20 @@ func (fs *FS) write(fd int, data []byte, size, offset int64, rep *posix.Reply) e
 	}
 	rep.N = int64(len(data))
 	return nil
+}
+
+// extend grows data to size bytes, zero-filled. Capacity doubles, so a
+// stream of appends copies O(n) bytes in all: exact reallocation made a
+// sequential writer quadratic, and append's 1.25x steps still copy a
+// large file five times over while every other caller waits on the lock.
+func extend(data []byte, size int64) []byte {
+	if size > int64(cap(data)) {
+		grown := make([]byte, size, max(size, 2*int64(cap(data))))
+		copy(grown, data)
+		return grown
+	}
+	clear(data[len(data):size]) // a truncation may have left bytes here
+	return data[:size]
 }
 
 func (fs *FS) lseek(fd int, offset int64, whence int, rep *posix.Reply) error {
@@ -770,9 +797,7 @@ func (fs *FS) truncateNode(n *node, size int64, rep *posix.Reply) error {
 	case size < old:
 		n.data = n.data[:size]
 	case size > old:
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
+		n.data = extend(n.data, size)
 	}
 	fs.usedBytes += size - old
 	n.modTime = fs.clk.Now()

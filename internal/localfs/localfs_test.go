@@ -268,6 +268,113 @@ func TestRenameOverExisting(t *testing.T) {
 	}
 }
 
+func TestRenameDirectoryBelowItself(t *testing.T) {
+	_, c := newFS()
+	for _, d := range []string{"/d", "/d/s"} {
+		if err := c.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, to := range []string{"/d/s", "/d/s/x", "/d/new"} {
+		if err := c.Rename("/d", to); err != posix.ErrInvalid {
+			t.Errorf("rename(/d, %s) = %v, want ErrInvalid", to, err)
+		}
+	}
+	if entries, err := c.Readdir("/d"); err != nil || len(entries) != 1 {
+		t.Errorf("readdir(/d) = %v, %v; the tree must be as it was", entries, err)
+	}
+}
+
+// Rename onto an existing name releases the victim's inode and bytes only
+// when that was its last name, and never when the victim is the source.
+func TestRenameOverAccounting(t *testing.T) {
+	cases := []struct {
+		name      string
+		setup     func(t *testing.T, c *posix.Client)
+		from, to  string
+		wantFiles int64  // FileCount after the rename
+		wantUsed  int64  // bytes in use after the rename
+		survivor  string // a name whose content must be intact
+		size      int    // and its length
+	}{
+		{
+			name:  "onto itself",
+			setup: func(t *testing.T, c *posix.Client) {},
+			from:  "/a", to: "/a",
+			wantFiles: 1, wantUsed: 1000, survivor: "/a", size: 1000,
+		},
+		{
+			name: "over one of two links",
+			setup: func(t *testing.T, c *posix.Client) {
+				writeFile(t, c, "/b", 300)
+				if err := c.Link("/b", "/b2"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			from: "/a", to: "/b",
+			wantFiles: 2, wantUsed: 1300, survivor: "/b2", size: 300,
+		},
+		{
+			name:  "over a sole link",
+			setup: func(t *testing.T, c *posix.Client) { writeFile(t, c, "/b", 300) },
+			from:  "/a", to: "/b",
+			wantFiles: 1, wantUsed: 1000, survivor: "/b", size: 1000,
+		},
+		{
+			name: "over a symlink",
+			setup: func(t *testing.T, c *posix.Client) {
+				if err := c.Symlink("/a", "/b"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			from: "/a", to: "/b",
+			wantFiles: 1, wantUsed: 1000, survivor: "/b", size: 1000,
+		},
+		{
+			name: "directory over an empty directory",
+			setup: func(t *testing.T, c *posix.Client) {
+				for _, d := range []string{"/d", "/e"} {
+					if err := c.Mkdir(d, 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			from: "/d", to: "/e",
+			wantFiles: 2, wantUsed: 1000, survivor: "/a", size: 1000,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, c := newFS()
+			st0, _ := c.StatFS("/")
+			writeFile(t, c, "/a", 1000)
+			tc.setup(t, c)
+			if err := c.Rename(tc.from, tc.to); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.FileCount(); got != tc.wantFiles {
+				t.Errorf("FileCount = %d, want %d", got, tc.wantFiles)
+			}
+			st, _ := c.StatFS("/")
+			if used := st0.FreeBytes - st.FreeBytes; used != tc.wantUsed {
+				t.Errorf("bytes in use = %d, want %d", used, tc.wantUsed)
+			}
+			if got := readAll(t, c, tc.survivor); len(got) != tc.size {
+				t.Errorf("%s holds %d bytes, want %d", tc.survivor, len(got), tc.size)
+			}
+		})
+	}
+}
+
+func writeFile(t *testing.T, c *posix.Client, path string, size int) {
+	t.Helper()
+	fd := mustCreat(t, c, path)
+	if _, err := c.Write(fd, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	mustClose(t, c, fd)
+}
+
 func TestUnlink(t *testing.T) {
 	fs, c := newFS()
 	mustClose(t, c, mustCreat(t, c, "/f"))

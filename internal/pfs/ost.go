@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"padll/internal/clock"
@@ -13,11 +12,13 @@ import (
 // that OST's bandwidth bucket, so wide-striped transfers parallelize
 // across targets exactly as in a Lustre OSS farm.
 type ost struct {
-	id        int
 	bandwidth *tokenbucket.Bucket
 
-	mu      sync.Mutex
-	objects map[objectKey][]byte // object data keyed by (inode, stripe)
+	// objects holds each object's length, keyed by (inode, stripe). The
+	// file's bytes live in the namespace; a length is all that space
+	// accounting, capacity-balanced placement and a read's cost (a hole
+	// past the object's end moves nothing) need. Guarded by PFS.mu.
+	objects map[objectKey]int64
 
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
@@ -29,87 +30,55 @@ type objectKey struct {
 	stripe int
 }
 
-func newOST(clk clock.Clock, id int, cfg Config) *ost {
+func newOST(clk clock.Clock, cfg Config) *ost {
 	return &ost{
-		id:        id,
 		bandwidth: tokenbucket.New(clk, cfg.OSTBandwidth, cfg.OSTBurst),
-		objects:   make(map[objectKey][]byte),
+		objects:   make(map[objectKey]int64),
 	}
 }
 
-// write stores data into an object region, consuming bandwidth.
-func (o *ost) write(inode uint64, stripe int, offset int64, data []byte) error {
-	if err := o.bandwidth.Wait(float64(len(data))); err != nil {
+// resize sets an object's length, creating it on first growth, and keeps
+// the target's space accounting in step.
+func (o *ost) resize(key objectKey, length int64) {
+	o.usedBytes.Add(length - o.objects[key])
+	o.objects[key] = length
+}
+
+// extend grows an object to cover a write ending at end.
+func (o *ost) extend(key objectKey, end int64) {
+	if end > o.objects[key] {
+		o.resize(key, end)
+	}
+}
+
+// truncate cuts an object to length; it never grows one.
+func (o *ost) truncate(key objectKey, length int64) {
+	if length < o.objects[key] {
+		o.resize(key, length)
+	}
+}
+
+// remove deletes an object and returns its space.
+func (o *ost) remove(key objectKey) {
+	o.usedBytes.Add(-o.objects[key])
+	delete(o.objects, key)
+}
+
+// stored returns how many of the size bytes at offset the object holds.
+func (o *ost) stored(key objectKey, offset, size int64) int64 {
+	return max(0, min(size, o.objects[key]-offset))
+}
+
+// move charges n bytes against the target's bandwidth, blocking until it
+// has them, and counts the transfer.
+func (o *ost) move(n int64, write bool) error {
+	if err := o.bandwidth.Wait(float64(n)); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	key := objectKey{inode, stripe}
-	obj := o.objects[key]
-	end := offset + int64(len(data))
-	if end > int64(len(obj)) {
-		o.usedBytes.Add(end - int64(len(obj)))
-		if end > int64(cap(obj)) {
-			// Grow geometrically: sequential appends are the common
-			// case and per-write exact reallocation would be O(n^2).
-			newCap := int64(cap(obj)) * 2
-			if newCap < end {
-				newCap = end
-			}
-			grown := make([]byte, end, newCap)
-			copy(grown, obj)
-			obj = grown
-		} else {
-			obj = obj[:end]
-		}
+	if write {
+		o.bytesWritten.Add(n)
+	} else {
+		o.bytesRead.Add(n)
 	}
-	copy(obj[offset:end], data)
-	o.objects[key] = obj
-	o.bytesWritten.Add(int64(len(data)))
 	return nil
-}
-
-// read fetches up to size bytes from an object region, consuming
-// bandwidth for the bytes actually returned.
-func (o *ost) read(inode uint64, stripe int, offset, size int64) ([]byte, error) {
-	o.mu.Lock()
-	obj := o.objects[objectKey{inode, stripe}]
-	var data []byte
-	if offset < int64(len(obj)) {
-		end := offset + size
-		if end > int64(len(obj)) {
-			end = int64(len(obj))
-		}
-		data = append([]byte(nil), obj[offset:end]...)
-	}
-	o.mu.Unlock()
-	if err := o.bandwidth.Wait(float64(len(data))); err != nil {
-		return nil, err
-	}
-	o.bytesRead.Add(int64(len(data)))
-	return data, nil
-}
-
-// truncate cuts an object's stripe region to length.
-func (o *ost) truncate(inode uint64, stripe int, length int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	key := objectKey{inode, stripe}
-	obj := o.objects[key]
-	if length < int64(len(obj)) {
-		o.usedBytes.Add(length - int64(len(obj)))
-		o.objects[key] = obj[:length]
-	}
-}
-
-// remove deletes all stripes of an inode held by this OST.
-func (o *ost) remove(inode uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for key, obj := range o.objects {
-		if key.inode == inode {
-			o.usedBytes.Add(-int64(len(obj)))
-			delete(o.objects, key)
-		}
-	}
 }

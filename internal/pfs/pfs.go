@@ -2,13 +2,12 @@ package pfs
 
 import (
 	"fmt"
-	"path"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"padll/internal/clock"
+	"padll/internal/localfs"
 	"padll/internal/posix"
 )
 
@@ -19,11 +18,15 @@ import (
 // namespace mutation executes ("the main I/O path always flows through
 // the metadata service", §II); data operations stripe across OSTs.
 //
+// It is a cost and capacity model, not a file system of its own: names,
+// descriptors, attributes and file bytes are localfs's. PFS adds what
+// Lustre adds in front of one — MDS admission, a stripe layout per file,
+// and per-OST bandwidth and space for the objects the layout names.
+//
 // PFS implements posix.FileSystem and is safe for concurrent use.
 type PFS struct {
-	cfg  Config
-	clk  clock.Clock
-	osts []*ost
+	cfg Config
+	ns  *localfs.FS
 
 	// mdsMu guards the active/standby MDS set; the active server handles
 	// all metadata operations (the PFS_A configuration, §II).
@@ -32,63 +35,35 @@ type PFS struct {
 	activeMDS int
 	failovers int
 
-	mu        sync.Mutex
-	root      *pnode
-	fds       map[int]*pOpenFile
-	nextFD    int
-	nextInode uint64
+	// mu orders the operations that create, destroy or resize OST objects
+	// and guards layouts and every ost's object table. It is taken before
+	// the namespace's own lock (around ns.Apply), never after it;
+	// bandwidth waits happen outside both.
+	mu sync.Mutex
+	// layouts maps a regular file's inode to its stripe map: the OST
+	// indices the MDS assigned, capacity-balanced, at create time (§II).
+	// A layout is immutable once assigned.
+	layouts map[uint64][]int
+	osts    []*ost
 }
 
 var _ posix.FileSystem = (*PFS)(nil)
-
-// pnode is one namespace entry persisted (conceptually) on an MDT.
-type pnode struct {
-	name     string
-	mode     posix.FileMode
-	inode    uint64
-	size     int64
-	children map[string]*pnode
-	xattrs   map[string][]byte
-	modTime  time.Time
-	nlink    int
-	// layout is the file's stripe map: the OST indices assigned by the
-	// MDS in a capacity-balanced manner at create time (§II).
-	layout []int
-}
-
-func (n *pnode) isDir() bool { return n.mode.IsDir() }
-
-type pOpenFile struct {
-	n      *pnode
-	flags  int
-	offset int64
-}
 
 // New returns a PFS with the given configuration (zero fields take
 // PFS_A-like defaults).
 func New(clk clock.Clock, cfg Config) *PFS {
 	cfg = cfg.sanitized()
 	p := &PFS{
-		cfg:       cfg,
-		clk:       clk,
-		fds:       make(map[int]*pOpenFile),
-		nextFD:    3,
-		nextInode: 2,
+		cfg:     cfg,
+		ns:      localfs.New(clk),
+		layouts: make(map[uint64][]int),
+		osts:    make([]*ost, cfg.NumOST),
 	}
 	for i := 0; i < cfg.NumMDS; i++ {
 		p.mdsPool = append(p.mdsPool, newMDS(clk, cfg))
 	}
-	p.osts = make([]*ost, cfg.NumOST)
 	for i := range p.osts {
-		p.osts[i] = newOST(clk, i, cfg)
-	}
-	p.root = &pnode{
-		name:     "/",
-		mode:     posix.ModeDir | 0o755,
-		inode:    1,
-		children: make(map[string]*pnode),
-		modTime:  clk.Now(),
-		nlink:    2,
+		p.osts[i] = newOST(clk, cfg)
 	}
 	return p
 }
@@ -167,51 +142,6 @@ func (p *PFS) Stats() Stats {
 	return st
 }
 
-func cleanPath(p string) string {
-	if p == "" {
-		return "/"
-	}
-	if !strings.HasPrefix(p, "/") {
-		p = "/" + p
-	}
-	return path.Clean(p)
-}
-
-func (p *PFS) lookup(pth string) (*pnode, error) {
-	pth = cleanPath(pth)
-	if pth == "/" {
-		return p.root, nil
-	}
-	cur := p.root
-	for _, part := range strings.Split(strings.TrimPrefix(pth, "/"), "/") {
-		if !cur.isDir() {
-			return nil, posix.ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return nil, posix.ErrNotExist
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-func (p *PFS) lookupParent(pth string) (*pnode, string, error) {
-	pth = cleanPath(pth)
-	if pth == "/" {
-		return nil, "", posix.ErrInvalid
-	}
-	dir, leaf := path.Split(pth)
-	parent, err := p.lookup(strings.TrimSuffix(dir, "/"))
-	if err != nil {
-		return nil, "", err
-	}
-	if !parent.isDir() {
-		return nil, "", posix.ErrNotDir
-	}
-	return parent, leaf, nil
-}
-
 // pickOSTs assigns stripe targets in a capacity-balanced manner: the
 // least-utilized OSTs first, as the MDS does at file creation (§II).
 func (p *PFS) pickOSTs(count int) []int {
@@ -230,17 +160,6 @@ func (p *PFS) pickOSTs(count int) []int {
 		return ua < ub
 	})
 	return append([]int(nil), idx[:count]...)
-}
-
-func (p *PFS) infoFor(n *pnode) posix.FileInfo {
-	return posix.FileInfo{
-		Name:    n.name,
-		Size:    n.size,
-		Mode:    n.mode,
-		ModTime: n.modTime,
-		Inode:   n.inode,
-		Nlink:   n.nlink,
-	}
 }
 
 // stripeSegment is one contiguous extent within a single OST object.
@@ -288,170 +207,173 @@ func (p *PFS) Apply(req *posix.Request, rep *posix.Reply) error {
 			return err
 		}
 	}
+	// Only what creates, destroys or moves bytes of OST objects needs the
+	// model's attention; everything else is the namespace's alone.
 	switch req.Op {
-	case posix.OpOpen, posix.OpOpen64, posix.OpCreat:
-		return p.open(req, rep)
-	case posix.OpClose, posix.OpClosedir:
-		return p.closeFD(req.FD, rep)
-	case posix.OpStat, posix.OpLStat, posix.OpGetAttr:
-		return p.stat(req.Path, rep)
-	case posix.OpFStat:
-		return p.fstat(req.FD, rep)
-	case posix.OpSetAttr, posix.OpChmod, posix.OpChown, posix.OpUtime:
-		return p.setattr(req, rep)
-	case posix.OpStatFS, posix.OpFStatFS:
-		return p.statfs(rep)
-	case posix.OpRename:
-		return p.rename(req.Path, req.NewPath, rep)
-	case posix.OpUnlink:
-		return p.unlink(req.Path, rep)
+	case posix.OpOpen, posix.OpOpen64, posix.OpCreat, posix.OpMknod:
+		return p.create(req, rep)
+	case posix.OpUnlink, posix.OpRename:
+		return p.removeName(req, rep)
 	case posix.OpLink:
-		return p.link(req.Path, req.NewPath, rep)
-	case posix.OpSymlink:
-		return p.symlink(req.Path, req.NewPath, rep)
-	case posix.OpReadlink:
-		return p.readlink(req.Path, rep)
-	case posix.OpAccess:
-		return p.access(req.Path, rep)
-	case posix.OpMknod:
-		return p.mknod(req.Path, req.Mode, rep)
-	case posix.OpMkdir:
-		return p.mkdir(req.Path, req.Mode, rep)
-	case posix.OpRmdir:
-		return p.rmdir(req.Path, rep)
-	case posix.OpOpendir:
-		fwd := posix.GetRequest()
-		fwd.Op, fwd.Path, fwd.Flags = posix.OpOpen, req.Path, posix.ORdOnly
-		err := p.open(fwd, rep)
-		posix.PutRequest(fwd)
-		return err
-	case posix.OpReaddir:
-		return p.readdir(req.Path, rep)
+		// A new name changes what the next unlink or rename-over must
+		// free, so it is ordered with them.
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.ns.Apply(req, rep)
+	case posix.OpTruncate, posix.OpFTruncate:
+		return p.truncate(req, rep)
+	case posix.OpRead, posix.OpPRead, posix.OpWrite, posix.OpPWrite:
+		return p.transfer(req, rep)
+	case posix.OpStatFS, posix.OpFStatFS:
+		return p.statfs(req, rep)
+	}
+	return p.ns.Apply(req, rep)
+}
 
-	case posix.OpRead:
-		return p.read(req.FD, req.Size, -1, rep)
-	case posix.OpPRead:
-		return p.read(req.FD, req.Size, req.Offset, rep)
-	case posix.OpWrite:
-		return p.write(req.FD, req.Data, req.Size, -1, rep)
-	case posix.OpPWrite:
-		return p.write(req.FD, req.Data, req.Size, req.Offset, rep)
-	case posix.OpLSeek:
-		return p.lseek(req.FD, req.Offset, req.Flags, rep)
-	case posix.OpFSync, posix.OpFDataSync, posix.OpSync:
+// query asks the namespace a side question (stat, fstat, lseek) on the
+// model's own behalf: no MDS charge, the caller's reply untouched.
+func (p *PFS) query(req posix.Request) (posix.FileInfo, int64, error) {
+	var rep posix.Reply
+	err := p.ns.Apply(&req, &rep)
+	return rep.Info, rep.N, err
+}
+
+// create forwards an open, creat or mknod and gives a regular file its
+// stripe layout the first time its inode is seen; O_TRUNC returns the
+// objects an existing file had.
+func (p *PFS) create(req *posix.Request, rep *posix.Reply) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.ns.Apply(req, rep); err != nil {
+		return err
+	}
+	who := posix.Request{Op: posix.OpFStat, FD: rep.FD}
+	if req.Op == posix.OpMknod {
+		who = posix.Request{Op: posix.OpStat, Path: req.Path}
+	}
+	info, _, err := p.query(who)
+	if err != nil || info.Mode.IsDir() {
 		return nil
-	case posix.OpTruncate:
-		return p.truncate(req.Path, req.Size, rep)
-	case posix.OpFTruncate:
-		return p.ftruncate(req.FD, req.Size, rep)
-
-	case posix.OpSetXAttr:
-		return p.setxattr(req.Path, req.Name, req.Value, rep)
-	case posix.OpGetXAttr, posix.OpLGetXAttr:
-		return p.getxattr(req.Path, req.Name, rep)
-	case posix.OpFGetXAttr:
-		return p.fgetxattr(req.FD, req.Name, rep)
-	case posix.OpListXAttr:
-		return p.listxattr(req.Path, rep)
-	case posix.OpRemoveXAttr:
-		return p.removexattr(req.Path, req.Name, rep)
 	}
-	return posix.ErrNotSupported
+	if layout, ok := p.layouts[info.Inode]; !ok {
+		p.layouts[info.Inode] = p.pickOSTs(p.cfg.DefaultStripeCount)
+	} else if req.Flags&posix.OTrunc != 0 {
+		p.removeObjects(info.Inode, layout)
+	}
+	return nil
 }
 
-func (p *PFS) open(req *posix.Request, rep *posix.Reply) error {
+// removeName forwards an unlink or rename and frees the objects of the file
+// whose last name it took away: the unlinked one, or the one renamed
+// over — unless that is the very inode being moved.
+func (p *PFS) removeName(req *posix.Request, rep *posix.Reply) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pth := cleanPath(req.Path)
-	n, err := p.lookup(pth)
-	switch {
-	case err == nil:
-		if req.Flags&posix.OExcl != 0 && req.Flags&posix.OCreate != 0 {
-			return posix.ErrExist
-		}
-		if n.isDir() && req.Flags&(posix.OWrOnly|posix.ORdWr) != 0 {
-			return posix.ErrIsDir
-		}
-		if req.Flags&posix.OTrunc != 0 && !n.isDir() {
-			p.truncateLocked(n, 0)
-		}
-	case err == posix.ErrNotExist && (req.Flags&posix.OCreate != 0 || req.Op == posix.OpCreat):
-		parent, leaf, perr := p.lookupParent(pth)
-		if perr != nil {
-			return perr
-		}
-		p.nextInode++
-		n = &pnode{
-			name:    leaf,
-			mode:    req.Mode.Perm(),
-			inode:   p.nextInode,
-			modTime: p.clk.Now(),
-			nlink:   1,
-			layout:  p.pickOSTs(p.cfg.DefaultStripeCount),
-		}
-		parent.children[leaf] = n
-		parent.modTime = p.clk.Now()
-	default:
+	victimPath, moved := req.Path, uint64(0) // no inode is 0
+	if req.Op == posix.OpRename {
+		src, _, _ := p.query(posix.Request{Op: posix.OpStat, Path: req.Path})
+		victimPath, moved = req.NewPath, src.Inode
+	}
+	victim, _, verr := p.query(posix.Request{Op: posix.OpStat, Path: victimPath})
+	if err := p.ns.Apply(req, rep); err != nil {
 		return err
 	}
-	fd := p.nextFD
-	p.nextFD++
-	of := &pOpenFile{n: n, flags: req.Flags}
-	if req.Flags&posix.OAppend != 0 {
-		of.offset = n.size
+	if verr == nil && victim.Nlink <= 1 && victim.Inode != moved {
+		p.removeObjects(victim.Inode, p.layouts[victim.Inode])
+		delete(p.layouts, victim.Inode)
 	}
-	p.fds[fd] = of
-	rep.FD = fd
 	return nil
 }
 
-func (p *PFS) closeFD(fd int, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.fds[fd]; !ok {
-		return posix.ErrBadFD
+// removeObjects frees every stripe object of a file.
+func (p *PFS) removeObjects(inode uint64, layout []int) {
+	for stripe, target := range layout {
+		p.osts[target].remove(objectKey{inode, stripe})
 	}
-	delete(p.fds, fd)
-	return nil
 }
 
-func (p *PFS) stat(pth string, rep *posix.Reply) error {
+// truncate forwards the resize and cuts each stripe object to its share
+// of the new length. Growing allocates nothing: the new tail is a hole.
+func (p *PFS) truncate(req *posix.Request, rep *posix.Reply) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
+	if err := p.ns.Apply(req, rep); err != nil {
+		return err
+	}
+	who := posix.Request{Op: posix.OpStat, Path: req.Path}
+	if req.Op == posix.OpFTruncate {
+		who = posix.Request{Op: posix.OpFStat, FD: req.FD}
+	}
+	info, _, err := p.query(who)
 	if err != nil {
+		return nil
+	}
+	layout := p.layouts[info.Inode]
+	unit := p.cfg.StripeSize
+	width := unit * int64(len(layout))
+	for stripe, target := range layout {
+		// Whole stripe rows below the cut, plus this stripe's part of the
+		// row the cut falls in.
+		partial := min(unit, max(0, req.Size%width-int64(stripe)*unit))
+		p.osts[target].truncate(objectKey{info.Inode, stripe}, req.Size/width*unit+partial)
+	}
+	return nil
+}
+
+// transfer forwards a read or write, then charges the extent that
+// actually moved to the OSTs it stripes over. The transfers wait outside
+// every lock, as in a real PFS where data RPCs flow client<->OSS without
+// MDS involvement.
+func (p *PFS) transfer(req *posix.Request, rep *posix.Reply) error {
+	if err := p.ns.Apply(req, rep); err != nil || rep.N <= 0 {
 		return err
 	}
-	rep.Info = p.infoFor(n)
-	return nil
-}
-
-func (p *PFS) fstat(fd int, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	of, ok := p.fds[fd]
-	if !ok {
-		return posix.ErrBadFD
-	}
-	rep.Info = p.infoFor(of.n)
-	return nil
-}
-
-func (p *PFS) setattr(req *posix.Request, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(req.Path)
+	info, _, err := p.query(posix.Request{Op: posix.OpFStat, FD: req.FD})
 	if err != nil {
-		return err
+		return nil // closed under us; nothing left to charge it to
 	}
-	if req.Op == posix.OpSetAttr || req.Op == posix.OpChmod {
-		n.mode = (n.mode & posix.ModeDir) | req.Mode.Perm()
+	pos := req.Offset
+	if pos < 0 || req.Op == posix.OpRead || req.Op == posix.OpWrite {
+		// A sequential op ended at the descriptor's offset.
+		_, end, err := p.query(posix.Request{Op: posix.OpLSeek, FD: req.FD, Flags: 1})
+		if err != nil {
+			return nil
+		}
+		pos = end - rep.N
 	}
-	n.modTime = p.clk.Now()
+	write := req.Op == posix.OpWrite || req.Op == posix.OpPWrite
+
+	p.mu.Lock()
+	// No layout: the file lost its last name while open, and its bytes
+	// are the namespace's until the descriptor closes.
+	layout := p.layouts[info.Inode]
+	segs := p.stripeExtent(layout, pos, rep.N)
+	for i := range segs {
+		seg := &segs[i]
+		o, key := p.osts[layout[seg.stripe]], objectKey{info.Inode, seg.stripe}
+		if write {
+			o.extend(key, seg.objOffset+seg.length)
+		} else {
+			// Sparse regions read back as zeros and cost nothing.
+			seg.length = o.stored(key, seg.objOffset, seg.length)
+		}
+	}
+	p.mu.Unlock()
+
+	for _, seg := range segs {
+		if err := p.osts[layout[seg.stripe]].move(seg.length, write); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-func (p *PFS) statfs(rep *posix.Reply) error {
+// statfs reports the PFS's capacity, not the namespace's: total from the
+// configuration, used from the OSTs.
+func (p *PFS) statfs(req *posix.Request, rep *posix.Reply) error {
+	if err := p.ns.Apply(req, rep); err != nil {
+		return err
+	}
 	var used int64
 	for _, o := range p.osts {
 		used += o.usedBytes.Load()
@@ -460,467 +382,8 @@ func (p *PFS) statfs(rep *posix.Reply) error {
 		TotalBytes: p.cfg.TotalCapacityBytes,
 		FreeBytes:  p.cfg.TotalCapacityBytes - used,
 		TotalFiles: 1 << 32,
-		FreeFiles:  1<<32 - int64(p.nextInode),
+		FreeFiles:  1<<32 - (rep.Stat.TotalFiles - rep.Stat.FreeFiles),
 	}
-	return nil
-}
-
-func (p *PFS) rename(oldP, newP string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	oldParent, oldLeaf, err := p.lookupParent(oldP)
-	if err != nil {
-		return err
-	}
-	n, ok := oldParent.children[oldLeaf]
-	if !ok {
-		return posix.ErrNotExist
-	}
-	newParent, newLeaf, err := p.lookupParent(newP)
-	if err != nil {
-		return err
-	}
-	if existing, ok := newParent.children[newLeaf]; ok {
-		if existing.isDir() && len(existing.children) > 0 {
-			return posix.ErrNotEmpty
-		}
-		if existing.isDir() && !n.isDir() {
-			return posix.ErrIsDir
-		}
-		p.removeDataLocked(existing)
-	}
-	delete(oldParent.children, oldLeaf)
-	n.name = newLeaf
-	newParent.children[newLeaf] = n
-	now := p.clk.Now()
-	oldParent.modTime, newParent.modTime, n.modTime = now, now, now
-	return nil
-}
-
-func (p *PFS) unlink(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	parent, leaf, err := p.lookupParent(pth)
-	if err != nil {
-		return err
-	}
-	n, ok := parent.children[leaf]
-	if !ok {
-		return posix.ErrNotExist
-	}
-	if n.isDir() {
-		return posix.ErrIsDir
-	}
-	n.nlink--
-	delete(parent.children, leaf)
-	parent.modTime = p.clk.Now()
-	if n.nlink <= 0 {
-		p.removeDataLocked(n)
-	}
-	return nil
-}
-
-// removeDataLocked frees a file's OST objects.
-func (p *PFS) removeDataLocked(n *pnode) {
-	for _, ostIdx := range n.layout {
-		p.osts[ostIdx].remove(n.inode)
-	}
-	n.size = 0
-}
-
-func (p *PFS) link(oldP, newP string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(oldP)
-	if err != nil {
-		return err
-	}
-	if n.isDir() {
-		return posix.ErrIsDir
-	}
-	parent, leaf, err := p.lookupParent(newP)
-	if err != nil {
-		return err
-	}
-	if _, exists := parent.children[leaf]; exists {
-		return posix.ErrExist
-	}
-	n.nlink++
-	parent.children[leaf] = n
-	return nil
-}
-
-func (p *PFS) symlink(target, linkP string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	parent, leaf, err := p.lookupParent(linkP)
-	if err != nil {
-		return err
-	}
-	if _, exists := parent.children[leaf]; exists {
-		return posix.ErrExist
-	}
-	p.nextInode++
-	parent.children[leaf] = &pnode{
-		name:    leaf,
-		mode:    0o777,
-		inode:   p.nextInode,
-		modTime: p.clk.Now(),
-		nlink:   1,
-		xattrs:  map[string][]byte{"system.symlink": []byte(target)},
-	}
-	return nil
-}
-
-func (p *PFS) readlink(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	target, ok := n.xattrs["system.symlink"]
-	if !ok {
-		return posix.ErrInvalid
-	}
-	rep.Data = append([]byte(nil), target...)
-	return nil
-}
-
-func (p *PFS) access(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, err := p.lookup(pth); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (p *PFS) mknod(pth string, mode posix.FileMode, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	parent, leaf, err := p.lookupParent(pth)
-	if err != nil {
-		return err
-	}
-	if _, exists := parent.children[leaf]; exists {
-		return posix.ErrExist
-	}
-	p.nextInode++
-	parent.children[leaf] = &pnode{
-		name: leaf, mode: mode.Perm(), inode: p.nextInode,
-		modTime: p.clk.Now(), nlink: 1,
-		layout: p.pickOSTs(p.cfg.DefaultStripeCount),
-	}
-	return nil
-}
-
-func (p *PFS) mkdir(pth string, mode posix.FileMode, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	parent, leaf, err := p.lookupParent(pth)
-	if err != nil {
-		return err
-	}
-	if _, exists := parent.children[leaf]; exists {
-		return posix.ErrExist
-	}
-	p.nextInode++
-	parent.children[leaf] = &pnode{
-		name: leaf, mode: posix.ModeDir | mode.Perm(), inode: p.nextInode,
-		children: make(map[string]*pnode), modTime: p.clk.Now(), nlink: 2,
-	}
-	return nil
-}
-
-func (p *PFS) rmdir(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	parent, leaf, err := p.lookupParent(pth)
-	if err != nil {
-		return err
-	}
-	n, ok := parent.children[leaf]
-	if !ok {
-		return posix.ErrNotExist
-	}
-	if !n.isDir() {
-		return posix.ErrNotDir
-	}
-	if len(n.children) > 0 {
-		return posix.ErrNotEmpty
-	}
-	delete(parent.children, leaf)
-	return nil
-}
-
-func (p *PFS) readdir(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	if !n.isDir() {
-		return posix.ErrNotDir
-	}
-	entries := make([]posix.DirEntry, 0, len(n.children))
-	for name, child := range n.children {
-		entries = append(entries, posix.DirEntry{Name: name, IsDir: child.isDir(), Inode: child.inode})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	rep.Entries = entries
-	return nil
-}
-
-func (p *PFS) read(fd int, size, offset int64, rep *posix.Reply) error {
-	p.mu.Lock()
-	of, ok := p.fds[fd]
-	if !ok {
-		p.mu.Unlock()
-		return posix.ErrBadFD
-	}
-	n := of.n
-	pos := offset
-	if pos < 0 {
-		pos = of.offset
-	}
-	if pos >= n.size || size <= 0 {
-		p.mu.Unlock()
-		return nil
-	}
-	if pos+size > n.size {
-		size = n.size - pos
-	}
-	layout := n.layout
-	inode := n.inode
-	segs := p.stripeExtent(layout, pos, size)
-	p.mu.Unlock()
-
-	// OST transfers happen outside the namespace lock, as in a real PFS
-	// where data RPCs flow client<->OSS without MDS involvement.
-	buf := make([]byte, 0, size)
-	for _, seg := range segs {
-		data, err := p.osts[layout[seg.stripe]].read(inode, seg.stripe, seg.objOffset, seg.length)
-		if err != nil {
-			return err
-		}
-		// Sparse regions read back as zeros.
-		if int64(len(data)) < seg.length {
-			data = append(data, make([]byte, seg.length-int64(len(data)))...)
-		}
-		buf = append(buf, data...)
-	}
-	if offset < 0 {
-		p.mu.Lock()
-		of.offset = pos + size
-		p.mu.Unlock()
-	}
-	rep.N = int64(len(buf))
-	rep.Data = buf
-	return nil
-}
-
-func (p *PFS) write(fd int, data []byte, size, offset int64, rep *posix.Reply) error {
-	p.mu.Lock()
-	of, ok := p.fds[fd]
-	if !ok {
-		p.mu.Unlock()
-		return posix.ErrBadFD
-	}
-	if of.flags&(posix.OWrOnly|posix.ORdWr) == 0 {
-		p.mu.Unlock()
-		return posix.ErrBadFD
-	}
-	if data == nil && size > 0 {
-		data = make([]byte, size)
-	}
-	n := of.n
-	pos := offset
-	if pos < 0 {
-		pos = of.offset
-	}
-	if of.flags&posix.OAppend != 0 && offset < 0 {
-		pos = n.size
-	}
-	layout := n.layout
-	inode := n.inode
-	segs := p.stripeExtent(layout, pos, int64(len(data)))
-	p.mu.Unlock()
-
-	var written int64
-	for _, seg := range segs {
-		chunk := data[written : written+seg.length]
-		if err := p.osts[layout[seg.stripe]].write(inode, seg.stripe, seg.objOffset, chunk); err != nil {
-			return err
-		}
-		written += seg.length
-	}
-
-	p.mu.Lock()
-	end := pos + written
-	if end > n.size {
-		n.size = end
-	}
-	n.modTime = p.clk.Now()
-	if offset < 0 {
-		of.offset = end
-	}
-	p.mu.Unlock()
-	rep.N = written
-	return nil
-}
-
-func (p *PFS) lseek(fd int, offset int64, whence int, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	of, ok := p.fds[fd]
-	if !ok {
-		return posix.ErrBadFD
-	}
-	var base int64
-	switch whence {
-	case 0:
-	case 1:
-		base = of.offset
-	case 2:
-		base = of.n.size
-	default:
-		return posix.ErrInvalid
-	}
-	np := base + offset
-	if np < 0 {
-		return posix.ErrInvalid
-	}
-	of.offset = np
-	rep.N = np
-	return nil
-}
-
-func (p *PFS) truncate(pth string, size int64, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	if n.isDir() {
-		return posix.ErrIsDir
-	}
-	if size < 0 {
-		return posix.ErrInvalid
-	}
-	p.truncateLocked(n, size)
-	return nil
-}
-
-func (p *PFS) ftruncate(fd int, size int64, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	of, ok := p.fds[fd]
-	if !ok {
-		return posix.ErrBadFD
-	}
-	if size < 0 {
-		return posix.ErrInvalid
-	}
-	p.truncateLocked(of.n, size)
-	return nil
-}
-
-func (p *PFS) truncateLocked(n *pnode, size int64) {
-	if size >= n.size {
-		n.size = size
-		return
-	}
-	// Shrink: cut each stripe object to its remaining share.
-	for stripe, ostIdx := range n.layout {
-		segs := p.stripeExtent(n.layout, 0, size)
-		var keep int64
-		for _, s := range segs {
-			if s.stripe == stripe {
-				if end := s.objOffset + s.length; end > keep {
-					keep = end
-				}
-			}
-		}
-		p.osts[ostIdx].truncate(n.inode, stripe, keep)
-	}
-	n.size = size
-	n.modTime = p.clk.Now()
-}
-
-func (p *PFS) setxattr(pth, name string, value []byte, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	if n.xattrs == nil {
-		n.xattrs = make(map[string][]byte)
-	}
-	n.xattrs[name] = append([]byte(nil), value...)
-	return nil
-}
-
-func (p *PFS) getxattr(pth, name string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	v, ok := n.xattrs[name]
-	if !ok {
-		return posix.ErrNoAttr
-	}
-	rep.Data = append([]byte(nil), v...)
-	return nil
-}
-
-func (p *PFS) fgetxattr(fd int, name string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	of, ok := p.fds[fd]
-	if !ok {
-		return posix.ErrBadFD
-	}
-	v, ok := of.n.xattrs[name]
-	if !ok {
-		return posix.ErrNoAttr
-	}
-	rep.Data = append([]byte(nil), v...)
-	return nil
-}
-
-func (p *PFS) listxattr(pth string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(n.xattrs))
-	for k := range n.xattrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	rep.Names = names
-	return nil
-}
-
-func (p *PFS) removexattr(pth, name string, rep *posix.Reply) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
-	if err != nil {
-		return err
-	}
-	if _, ok := n.xattrs[name]; !ok {
-		return posix.ErrNoAttr
-	}
-	delete(n.xattrs, name)
 	return nil
 }
 
@@ -929,9 +392,9 @@ func (p *PFS) removexattr(pth, name string, rep *posix.Reply) error {
 func (p *PFS) LayoutOf(pth string) ([]int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n, err := p.lookup(pth)
+	info, _, err := p.query(posix.Request{Op: posix.OpStat, Path: pth})
 	if err != nil {
 		return nil, err
 	}
-	return append([]int(nil), n.layout...), nil
+	return append([]int(nil), p.layouts[info.Inode]...), nil
 }

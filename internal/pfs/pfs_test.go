@@ -569,3 +569,102 @@ func TestStripedReadWriteOracleProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Namespace defects the PFS's own tree had and the shared one does not.
+func TestNamespaceRegressions(t *testing.T) {
+	payload := bytes.Repeat([]byte("lustre"), 500)
+	write := func(t *testing.T, c *posix.Client, path string) {
+		t.Helper()
+		fd, err := c.Creat(path, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(fd, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.Close(fd)
+	}
+	intact := func(t *testing.T, c *posix.Client, path string) {
+		t.Helper()
+		fd, err := c.Open(path, posix.ORdOnly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close(fd)
+		if got, err := c.Read(fd, 1<<20); err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%s holds %d bytes (%v), want the %d written", path, len(got), err, len(payload))
+		}
+	}
+	used := func(c *posix.Client) int64 {
+		st, _ := c.StatFS("/")
+		return st.TotalBytes - st.FreeBytes
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, c *posix.Client)
+	}{
+		{"readdir on a descriptor streams the directory that was opened", func(t *testing.T, c *posix.Client) {
+			if err := c.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			write(t, c, "/outside")
+			write(t, c, "/d/x")
+			write(t, c, "/d/y")
+			fd, err := c.Opendir("/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for len(names) < 10 { // a stream that never ends is a failure, not a hang
+				e, ok, err := c.ReaddirFD(fd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				names = append(names, e.Name)
+			}
+			if fmt.Sprint(names) != "[x y]" {
+				t.Errorf("streamed %v, want [x y]", names)
+			}
+		}},
+		{"opendir on a regular file is ErrNotDir", func(t *testing.T, c *posix.Client) {
+			write(t, c, "/f")
+			if _, err := c.Opendir("/f"); err != posix.ErrNotDir {
+				t.Errorf("err = %v, want ErrNotDir", err)
+			}
+		}},
+		{"rename onto itself keeps the file", func(t *testing.T, c *posix.Client) {
+			write(t, c, "/f")
+			if err := c.Rename("/f", "/f"); err != nil {
+				t.Fatal(err)
+			}
+			intact(t, c, "/f")
+			if got := used(c); got != int64(len(payload)) {
+				t.Errorf("OSTs hold %d bytes, want %d", got, len(payload))
+			}
+		}},
+		{"rename over one of two links spares the other", func(t *testing.T, c *posix.Client) {
+			write(t, c, "/f")
+			if err := c.Link("/f", "/g"); err != nil {
+				t.Fatal(err)
+			}
+			fd, _ := c.Creat("/new", 0o644)
+			c.Close(fd)
+			if err := c.Rename("/new", "/f"); err != nil {
+				t.Fatal(err)
+			}
+			intact(t, c, "/g")
+			if got := used(c); got != int64(len(payload)) {
+				t.Errorf("OSTs hold %d bytes, want %d", got, len(payload))
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := newPFS()
+			tc.run(t, c)
+		})
+	}
+}
