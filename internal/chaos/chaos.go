@@ -75,6 +75,9 @@ type StageNode struct {
 	Stg *stage.Stage
 
 	conn *chaosConn
+	// sharded marks a stage an aggregator fronts: it never registers
+	// with the controller, whose only channel to it is the aggregator's.
+	sharded bool
 	// frames is the binary-codec transport under the node's handle;
 	// frame-granular faults hook here.
 	frames      *rpcio.EncodedLoopback
@@ -181,6 +184,24 @@ func (h *Harness) newController() *control.Controller {
 
 // AddStage registers a fresh stage with the controller.
 func (h *Harness) AddStage(id, job string) *StageNode {
+	n := h.addNode(id, job)
+	if err := h.ctl.Register(n.conn); err != nil {
+		h.logf("stage %s registration error: %v", id, err)
+	}
+	h.logf("stage %s registered (job %s)", id, job)
+	return n
+}
+
+// AddShardStage adds a fresh stage for an aggregator to front (see
+// AddAggregator) without registering it with the controller.
+func (h *Harness) AddShardStage(id, job string) *StageNode {
+	n := h.addNode(id, job)
+	n.sharded = true
+	h.logf("stage %s started (job %s)", id, job)
+	return n
+}
+
+func (h *Harness) addNode(id, job string) *StageNode {
 	n := &StageNode{
 		ID:  id,
 		Job: job,
@@ -193,22 +214,17 @@ func (h *Harness) AddStage(id, job string) *StageNode {
 	// deterministic loop.
 	n.frames = rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
 	n.conn = &chaosConn{h: h, node: n, handle: rpcio.NewStageHandle(n.frames)}
-	if err := h.ctl.Register(n.conn); err != nil {
-		h.logf("stage %s registration error: %v", id, err)
-	}
 	h.nodes[id] = n
 	h.ids = append(h.ids, id)
 	sort.Strings(h.ids)
-	h.logf("stage %s registered (job %s)", id, job)
 	return n
 }
 
-// AddAggregator fronts the named stages (which must already be added)
-// with an aggregator shard and registers it with the controller,
-// switching the control loop into tree mode: each round exchanges one
-// Agg.Round per shard instead of one RPC per stage. With
-// Config.BorrowBudget > 0 the shard's members share a borrow pool on
-// the managed control queue.
+// AddAggregator fronts the named stages (added with AddShardStage) with
+// an aggregator shard and registers it with the controller, which then
+// exchanges one Agg.Round per phase with the shard instead of one RPC
+// per stage. With Config.BorrowBudget > 0 the shard's members share a
+// borrow pool on the managed control queue.
 func (h *Harness) AddAggregator(id string, stageIDs ...string) *AggNode {
 	var opts []control.AggOption
 	if h.cfg.BorrowBudget > 0 {
@@ -416,7 +432,14 @@ func (h *Harness) tick() {
 			}
 			continue
 		}
-		if n.Stg.Degraded() {
+		switch {
+		case !n.Stg.Degraded():
+		case n.sharded:
+			// Nothing to re-register: the stage's aggregator re-attached
+			// for it (RestartController).
+			n.Stg.SetDegraded(false)
+			h.logf("stage %s back behind its aggregator after %v degraded", id, n.Stg.DegradedFor())
+		default:
 			if err := h.ctl.Register(n.conn); err != nil {
 				h.logf("stage %s re-registration failed: %v", id, err)
 				continue

@@ -161,7 +161,7 @@ func treeCluster(seed int64) *Harness {
 		{"s1", "job1"}, {"s2", "job1"},
 		{"s3", "job2"}, {"s4", "job2"},
 	} {
-		h.AddStage(s.id, s.job)
+		h.AddShardStage(s.id, s.job)
 	}
 	h.AddAggregator("agg-1", "s1", "s2")
 	h.AddAggregator("agg-2", "s3", "s4")

@@ -1,24 +1,25 @@
-// Aggregator tier of the control plane: fan-in/fan-out shards between
-// the controller and the stage fleet, plus decentralized token
-// borrowing between sibling stages under one aggregator.
+// The shard: the one piece of the control plane that exchanges with
+// stages during a round.
 //
-// A flat feedback loop costs one exchange per stage per round, so past
-// a few thousand stages the round's wall clock is the fleet size. An
-// Aggregator fronts a shard of stages: the controller exchanges one
-// Agg.Round per shard per phase (the merged per-job delta travels up,
-// per-job grants travel down), and the aggregator fans the work across
-// its members locally. The controller's round cost becomes the
-// aggregator count, whatever the shard size.
+// An Aggregator fronts a set of member stages. One round of it fans a
+// task out to every member — bring the managed queue to the granted
+// rate, collect the statistics — and folds what came back into one row
+// per job. The controller keeps every stage registered with it in
+// Aggregators of its own (one for the whole registry unless
+// WithTopology caps them), so a flat fleet and a tree run the same
+// code; an Aggregator built by hand and served with rpcio.NewAggService
+// is the same shard one network hop away, where the controller pays one
+// Agg.Round per phase whatever the shard's size.
 //
 // Borrowing (WithBorrowing / WithAggBorrowing) keeps enforcement
-// work-conserving between rounds: each aggregator's member stages share
-// a tokenbucket.BorrowPool on the managed control queue, so a stage
-// that runs dry borrows unused tokens from idle siblings — bounded by
-// the pool's budget, settled when the next plan lands. Tokens move,
-// they are never minted, so the sum of effective rates under an
-// aggregator can never exceed what the controller granted its shard —
-// even while the aggregator is down or partitioned, which is exactly
-// when the fleet depends on it (the chaos AggregatorLoss scenario).
+// work-conserving between rounds: a shard's member stages share a
+// tokenbucket.BorrowPool on the managed control queue, so a stage that
+// runs dry borrows unused tokens from idle siblings — bounded by the
+// pool's budget, settled when the next plan lands. Tokens move, they
+// are never minted, so the sum of effective rates under a shard can
+// never exceed what the controller granted it — even while the shard
+// is down or partitioned, which is exactly when the fleet depends on it
+// (the chaos AggregatorLoss scenario).
 package control
 
 import (
@@ -33,16 +34,16 @@ import (
 	"padll/internal/tokenbucket"
 )
 
-// LocalStage exposes the in-process stage behind a LocalConn so the
-// aggregator tier can wire borrow pools to its token buckets. Wrappers
-// that embed LocalConn (fault injectors) inherit it.
+// LocalStage exposes the in-process stage behind a LocalConn so a shard
+// can wire borrow pools to its token buckets. Wrappers that embed
+// LocalConn (fault injectors) inherit it.
 func (c *LocalConn) LocalStage() *stage.Stage { return c.Stg }
 
-// localStager is the one capability the aggregator asserts a StageConn
-// for. It stays outside the contract because it is not a control
-// exchange: a borrow pool links token buckets that live in this
-// process's memory, which no wire operation can express. Remote members
-// don't satisfy it and simply never join a pool.
+// localStager is the one capability a shard asserts a StageConn for. It
+// stays outside the contract because it is not a control exchange: a
+// borrow pool links token buckets that live in this process's memory,
+// which no wire operation can express. Remote members don't satisfy it
+// and simply never join a pool.
 type localStager interface {
 	LocalStage() *stage.Stage
 }
@@ -50,8 +51,8 @@ type localStager interface {
 // AggOption configures an Aggregator.
 type AggOption func(*Aggregator)
 
-// WithAggWorkers bounds how many member stages one aggregator round
-// drives in parallel (default 8; 1 forces sequential member order).
+// WithAggWorkers bounds how many member stages one round drives in
+// parallel (default 8; 1 forces sequential StageID order).
 func WithAggWorkers(n int) AggOption {
 	return func(a *Aggregator) {
 		if n > 0 {
@@ -60,9 +61,8 @@ func WithAggWorkers(n int) AggOption {
 	}
 }
 
-// WithAggMatcher overrides the matcher template of the managed rule an
-// aggregator reinstalls on members that lost it (default: the
-// metadata-like classes, job-scoped — the controller's default).
+// WithAggMatcher overrides the matcher template of the managed rule
+// (default: the metadata-like classes — the controller's default).
 func WithAggMatcher(m policy.Matcher) AggOption {
 	return func(a *Aggregator) { a.matcher = m }
 }
@@ -77,75 +77,135 @@ func WithAggBorrowing(budget float64) AggOption {
 
 // WithAggErrorHandler installs a sink for member-communication errors
 // (default: drop — a dead member is reported upward as FailedStages).
+// It is called from the round's goroutine, in StageID order.
 func WithAggErrorHandler(f func(stageID string, err error)) AggOption {
 	return func(a *Aggregator) { a.onError = f }
 }
 
-// aggTopo is an immutable snapshot of an aggregator's membership and
-// its derived indexes. AddMember publishes a fresh snapshot
-// (copy-on-write), so a round in flight never sees a half-built
-// topology and the hot path needs no per-round map building: a member's
-// job is an index, not a hash lookup.
-type aggTopo struct {
-	members  []StageConn // StageID-sorted: the deterministic fan-out order
-	rowOf    []int       // member index -> index into jobs
-	jobs     []string    // distinct member job IDs, sorted
-	jobCount []int       // member count per jobs[i]
+// defaultMatcher selects what the managed queue throttles unless told
+// otherwise: the operations that land on the MDS.
+func defaultMatcher() policy.Matcher {
+	return policy.Matcher{Classes: []posix.Class{
+		posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr,
+	}}
 }
 
-func buildAggTopo(members []StageConn) *aggTopo {
+// groupByJob is the default orchestration entity: the job (§III-B).
+func groupByJob(info stage.Info) string { return info.JobID }
+
+// managedRule builds the control rule for the stages of entity key.
+// Grouped by job, the matcher is scoped to the job ID; under a custom
+// grouping it is left unscoped (each stage belongs to exactly one
+// entity, so the queue's rate is the scoping).
+func managedRule(m policy.Matcher, scoped bool, key string, rate float64) policy.Rule {
+	if scoped {
+		m.JobID = key
+	}
+	return policy.Rule{ID: ControlRuleID, Match: m, Rate: rate}
+}
+
+// member is one stage of a shard together with what rounds remember
+// about it. A member's record outlives the topology it was added under
+// — and, when the controller reshards, the Aggregator — so a stage
+// keeps its collect slot and its probe for as long as its connection
+// stays registered. Everything but conn is owned by the roundMu of the
+// shard currently holding the member.
+type member struct {
+	conn StageConn
+	// stats is the member's collect slot: only conn's Exec writes it, so
+	// once conn has filled it (held) the shard can promise it is
+	// untouched and an unchanged member costs no snapshot copy.
+	stats stage.Stats
+	held  bool
+	// probe is what the latest collect learned about the managed queue.
+	probe stageProbe
+	// err, changed and calls are the outcome of the round in flight:
+	// the exchange's error, whether the collect rewrote stats (or
+	// failed), and the push round trips spent.
+	err     error
+	changed bool
+	calls   int
+}
+
+// stageProbe is what a collect learns about one stage beyond the
+// per-job rows: whether it answered, and the managed control queue's
+// currently enforced limit. The push uses it to skip stages that
+// already enforce the target rate and to spot stages that lost their
+// managed queue.
+type stageProbe struct {
+	ok       bool
+	hasCtl   bool
+	ctlLimit float64
+}
+
+// aggTopo is an immutable snapshot of a shard's membership and its
+// derived indexes. A membership change publishes a fresh snapshot
+// (copy-on-write), so a round in flight never sees a half-built
+// topology and the hot path needs no per-round map building: a member's
+// row is an index, not a hash lookup.
+type aggTopo struct {
+	members  []*member // StageID-sorted: the deterministic fan-out order
+	rowOf    []int     // member index -> index into jobs
+	jobs     []string  // distinct member group keys, sorted
+	jobCount []int     // member count per jobs[i]
+}
+
+// buildAggTopo indexes StageID-sorted members by groupBy's key.
+func buildAggTopo(members []*member, groupBy func(stage.Info) string) *aggTopo {
 	t := &aggTopo{members: members, rowOf: make([]int, len(members))}
-	for _, m := range members {
-		job := m.Info().JobID
-		if idx := sort.SearchStrings(t.jobs, job); idx == len(t.jobs) || t.jobs[idx] != job {
-			t.jobs = append(t.jobs, "")
-			t.jobCount = append(t.jobCount, 0)
-			copy(t.jobs[idx+1:], t.jobs[idx:])
-			copy(t.jobCount[idx+1:], t.jobCount[idx:])
-			t.jobs[idx] = job
-			t.jobCount[idx] = 0
+	keys := make([]string, len(members))
+	for i, m := range members {
+		keys[i] = groupBy(m.conn.Info())
+	}
+	t.jobs = append(t.jobs, keys...)
+	sort.Strings(t.jobs)
+	n := 0
+	for i, k := range t.jobs {
+		if i == 0 || k != t.jobs[n-1] {
+			t.jobs[n] = k
+			n++
 		}
 	}
-	for i, m := range members {
-		idx := sort.SearchStrings(t.jobs, m.Info().JobID)
-		t.rowOf[i] = idx
-		t.jobCount[idx]++
+	t.jobs = t.jobs[:n]
+	t.jobCount = make([]int, n)
+	for i, k := range keys {
+		t.rowOf[i] = sort.SearchStrings(t.jobs, k)
+		t.jobCount[t.rowOf[i]]++
 	}
 	return t
 }
 
-// Aggregator fronts one shard of stages. It implements rpcio.AggBackend
-// so it can be served over the wire (rpcio.NewAggService), and is
-// driven in-process through LocalAggConn. It is safe for concurrent
-// use.
+func sortMembers(ms []*member) {
+	sort.Slice(ms, func(i, j int) bool { return ms[i].conn.Info().StageID < ms[j].conn.Info().StageID })
+}
+
+// Aggregator is one shard of stages. It implements rpcio.AggBackend so
+// it can be served over the wire (rpcio.NewAggService), and is driven
+// in-process through LocalAggConn or, for the shards the controller
+// builds, directly. It is safe for concurrent use.
 type Aggregator struct {
 	id      string
 	workers int
 	matcher policy.Matcher
 	pool    *tokenbucket.BorrowPool
 	onError func(stageID string, err error)
+	// groupBy keys members into rows, and scoped says whether the
+	// managed rule's matcher names that key as its job. Shards the
+	// controller builds inherit its grouping; any other groups by job.
+	groupBy func(stage.Info) string
+	scoped  bool
 
 	mu   sync.Mutex
-	topo *aggTopo // immutable; replaced wholesale by AddMember/Close
+	topo *aggTopo // immutable; replaced wholesale on a membership change
 
-	// roundMu serializes rounds and single-owns the positional scratch
-	// below (slot i is member i of scratchTopo, fully overwritten each
-	// round) plus the per-member probes the latest collect recorded and
-	// the persistent fan-out worker pool.
+	// roundMu serializes rounds and owns the members' round state plus
+	// the per-job scratch below, which is sized for scratchTopo.
 	roundMu     sync.Mutex
 	scratchTopo *aggTopo
-	buf         []stage.Stats
-	errs        []error
-	probes      []stageProbe
-	fresh       []bool    // member i filled buf[i] under scratchTopo, and nothing else writes it
-	changed     []bool    // member i's collect rewrote buf[i] (or failed) this round
-	rates       []float64 // per-job target member rate this round
+	rates       []float64 // per-row target member rate this round
 	hasRate     []bool
-	rows        []rpcio.AggJobDelta
-	rowsValid   bool      // rows still describe the member set's current stats
-	work        chan int  // persistent worker pool feed; nil until first concurrent round
-	fn          func(int) // current round's member task; workers read it after a work receive
-	fanWG       sync.WaitGroup
+	rows        []JobSnapshot
+	rowsValid   bool // rows still describe the members' current stats
 }
 
 // NewAggregator returns an empty aggregator; add members, then serve or
@@ -155,10 +215,10 @@ func NewAggregator(id string, opts ...AggOption) *Aggregator {
 		id:      id,
 		topo:    &aggTopo{},
 		workers: 8,
-		matcher: policy.Matcher{Classes: []posix.Class{
-			posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr,
-		}},
+		matcher: defaultMatcher(),
 		onError: func(string, error) {},
+		groupBy: groupByJob,
+		scoped:  true,
 	}
 	for _, o := range opts {
 		o(a)
@@ -175,27 +235,39 @@ func (a *Aggregator) ID() string { return a.id }
 // control queue joins the shard's borrow pool.
 func (a *Aggregator) AddMember(conn StageConn) {
 	a.mu.Lock()
-	members := make([]StageConn, 0, len(a.topo.members)+1)
+	members := make([]*member, 0, len(a.topo.members)+1)
 	members = append(members, a.topo.members...)
-	members = append(members, conn)
-	sort.Slice(members, func(i, j int) bool {
-		return members[i].Info().StageID < members[j].Info().StageID
-	})
-	a.topo = buildAggTopo(members)
+	members = append(members, &member{conn: conn})
 	a.mu.Unlock()
-	if a.pool != nil {
-		if ls, ok := conn.(localStager); ok {
+	sortMembers(members)
+	a.setMembers(members)
+}
+
+// setMembers publishes StageID-sorted members as the shard's topology
+// and links the local ones into the borrow pool.
+func (a *Aggregator) setMembers(members []*member) {
+	topo := buildAggTopo(members, a.groupBy)
+	a.mu.Lock()
+	a.topo = topo
+	a.mu.Unlock()
+	if a.pool == nil {
+		return
+	}
+	for _, m := range members {
+		if ls, ok := m.conn.(localStager); ok {
 			ls.LocalStage().SetBorrowPool(ControlRuleID, a.pool)
 		}
 	}
 }
 
-// Members returns the current member count.
-func (a *Aggregator) Members() int {
+func (a *Aggregator) topology() *aggTopo {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.topo.members)
+	return a.topo
 }
+
+// Members returns the current member count.
+func (a *Aggregator) Members() int { return len(a.topology().members) }
 
 // BorrowCounts reports the shard pool's lifetime token movement
 // (all zero when borrowing is disabled).
@@ -206,225 +278,227 @@ func (a *Aggregator) BorrowCounts() (borrowed, repaid, forgiven float64) {
 	return a.pool.Counts()
 }
 
-// managedRule is the control rule reinstalled on a member that lost its
-// managed queue (restart), mirroring Controller.managedRuleFor.
-func (a *Aggregator) managedRule(jobID string, rate float64) policy.Rule {
-	m := a.matcher
-	m.JobID = jobID
-	return policy.Rule{ID: ControlRuleID, Match: m, Rate: rate}
+// wireStats sums the members' cumulative traffic.
+func (a *Aggregator) wireStats() (w rpcio.WireStats) {
+	for _, m := range a.topology().members {
+		s := m.conn.WireStats()
+		w.BytesRead += s.BytesRead
+		w.BytesWritten += s.BytesWritten
+	}
+	return w
 }
 
 // Describe implements rpcio.AggBackend: identity plus current
 // membership (distinct member job IDs, sorted).
 func (a *Aggregator) Describe(reply *rpcio.AggInfo) {
-	a.mu.Lock()
-	topo := a.topo
-	a.mu.Unlock()
+	topo := a.topology()
 	reply.AggID = a.id
 	reply.Stages = len(topo.members)
 	reply.Jobs = append(reply.Jobs, topo.jobs...)
 }
 
-// fanOut runs fn(i) for every member index on the aggregator's
-// persistent worker pool (started lazily, workers goroutines). Unlike a
-// per-round runBounded, rounds at fleet scale don't pay a goroutine
-// spawn per worker per shard per phase. Caller must hold roundMu; the
-// channel send/receive orders the a.fn write before any worker reads
-// it.
-func (a *Aggregator) fanOut(n int, fn func(int)) {
-	if a.workers <= 1 || n <= 1 {
+// runBounded runs fn(i) for every i in [0, n) on at most workers
+// concurrent goroutines; workers <= 1 degenerates to a sequential loop
+// in index order. Exactly min(workers, n) goroutines are spawned,
+// pulling indices from a shared channel, and all of them are gone when
+// it returns — a thousand-stage registry must not burst a thousand
+// goroutines per round just to gate them on a semaphore, and a dropped
+// shard must leave none behind.
+func runBounded(n, workers int, fn func(int)) {
+	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	if a.work == nil {
-		a.work = make(chan int, a.workers)
-		for w := 0; w < a.workers; w++ {
-			go a.worker(a.work)
-		}
+	if workers > n {
+		workers = n
 	}
-	a.fn = fn
-	a.fanWG.Add(n)
+	idx := make(chan int, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
 	for i := 0; i < n; i++ {
-		a.work <- i
+		idx <- i
 	}
-	a.fanWG.Wait()
-	a.fn = nil
+	close(idx)
+	wg.Wait()
 }
 
-func (a *Aggregator) worker(work <-chan int) {
-	for i := range work {
-		a.fn(i)
-		a.fanWG.Done()
+// pushRate brings one stage's managed queue to managed.Rate given the
+// stage's latest collect probe, and reports the round trips it cost:
+// none when the probe already shows the rate enforced (the collect just
+// proved it, so nothing needs to cross the wire); a reinstall of the
+// managed rule when the stage answered collect without the queue
+// (restarted); a retune otherwise — chased by a reinstall when the
+// retune finds the queue gone because a restart raced the probe. Every
+// call is a one-op batch.
+func pushRate(conn StageConn, probe stageProbe, managed policy.Rule) (calls int, err error) {
+	if probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate {
+		return 0, nil
 	}
+	reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+	op := rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
+	if probe.ok && !probe.hasCtl {
+		op = reinstall
+	}
+	res, _, err := conn.Exec([]rpcio.StageOp{op}, nil, false)
+	if err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
+		_, _, err = conn.Exec([]rpcio.StageOp{reinstall}, nil, false)
+		return 2, err
+	}
+	return 1, err
 }
 
-// Round implements rpcio.AggBackend: one control round over the shard.
-// Grants fan down (each job's shard grant split equally among its
-// member stages, the managed rule reinstalled where it vanished) and,
-// when args.Collect is set, the members' statistics fan in, merged into
-// one AggJobDelta row per job. Member failures never fail the round —
-// they surface as FailedStages, and the loop runs on the partial
+// round is one exchange with every member, the only place the control
+// plane talks to stages during a round. Each grant names a job and the
+// rate every member stage of it is to enforce; a granted member is
+// brought to that rate through pushRate — skipped when its latest
+// probe shows the rate enforced, the managed rule reinstalled where it
+// vanished. With collect set the members' statistics then fan in,
+// folded into one row per job (sorted by job). Member failures never
+// fail the round: they are reported to the error handler in StageID
+// order, counted as FailedStages, and the loop runs on the partial
 // snapshot.
 //
-// When a grant push lands on a borrowing shard, the pool settles first:
-// debts repay from whatever each debtor still holds and the rest is
-// forgiven, so the fresh allocation starts from a clean ledger.
-func (a *Aggregator) Round(args *rpcio.AggRoundArgs, reply *rpcio.AggRoundReply) error {
-	a.mu.Lock()
-	topo := a.topo
-	a.mu.Unlock()
-	nm, nj := len(topo.members), len(topo.jobs)
+// When grants land on a borrowing shard the pool settles first: debts
+// repay from whatever each debtor still holds and the rest is forgiven,
+// so the fresh allocation starts from a clean ledger.
+//
+// rs accumulates member-level accounting: one collect call per member,
+// push round trips and skips per granted member. The caller holds
+// roundMu, and the rows are the shard's scratch: they stay valid until
+// the shard's next round.
+func (a *Aggregator) round(grants []rpcio.JobGrant, collect bool, rs *RoundStats) []JobSnapshot {
+	topo := a.topology()
+	members := topo.members
+	nj := len(topo.jobs)
 
-	if a.pool != nil && len(args.Grants) > 0 {
+	if a.pool != nil && len(grants) > 0 {
 		a.pool.Settle()
 	}
-
-	a.roundMu.Lock()
-	defer a.roundMu.Unlock()
 	if a.scratchTopo != topo {
-		// Membership changed: resize the positional scratch and drop the
-		// probes — member slots shifted, so recorded limits are at the
-		// wrong indexes.
 		a.scratchTopo = topo
-		for len(a.buf) < nm {
-			a.buf = append(a.buf, stage.Stats{})
-		}
-		for len(a.errs) < nm {
-			a.errs = append(a.errs, nil)
-		}
-		a.probes = append(a.probes[:0], make([]stageProbe, nm)...)
-		a.fresh = append(a.fresh[:0], make([]bool, nm)...)
-		a.changed = append(a.changed[:0], make([]bool, nm)...)
 		a.rates = append(a.rates[:0], make([]float64, nj)...)
 		a.hasRate = append(a.hasRate[:0], make([]bool, nj)...)
-		a.rows = append(a.rows[:0], make([]rpcio.AggJobDelta, nj)...)
+		a.rows = append(a.rows[:0], make([]JobSnapshot, nj)...)
 		a.rowsValid = false
 	}
-	buf, errs, probes := a.buf[:nm], a.errs[:nm], a.probes[:nm]
-	fresh, chg := a.fresh[:nm], a.changed[:nm]
-	rates, hasRate := a.rates[:nj], a.hasRate[:nj]
+	rates, hasRate := a.rates, a.hasRate
 	for j := range rates {
 		rates[j], hasRate[j] = 0, false
 	}
-	for _, g := range args.Grants {
-		if idx := sort.SearchStrings(topo.jobs, g.JobID); idx < nj && topo.jobs[idx] == g.JobID {
-			rates[idx] = g.Rate / float64(topo.jobCount[idx])
-			hasRate[idx] = true
+	for _, g := range grants {
+		if j := sort.SearchStrings(topo.jobs, g.JobID); j < nj && topo.jobs[j] == g.JobID {
+			rates[j], hasRate[j] = g.Rate, true
 		}
 	}
 
-	a.fanOut(nm, func(i int) {
-		conn := topo.members[i]
-		errs[i] = nil
-		chg[i] = false
+	runBounded(len(members), a.workers, func(i int) {
+		m := members[i]
+		m.err, m.changed, m.calls = nil, false, 0
 		if j := topo.rowOf[i]; hasRate[j] {
-			// The latest collect probed each member's enforced limit; a
-			// member already at the target rate costs no push — the same
-			// probe-and-skip, retune and reinstall the flat loop does.
-			// (Probes are only written in the fold, so this concurrent
-			// read is race-free under roundMu.)
-			if _, err := pushRate(conn, probes[i], a.managedRule(topo.jobs[j], rates[j])); err != nil {
-				errs[i] = err
-				chg[i] = true // excluded from the fold: rows must rebuild
+			// Probes are only written in the fold below, so this
+			// concurrent read is race-free under roundMu.
+			m.calls, m.err = pushRate(m.conn, m.probe, managedRule(a.matcher, a.scoped, topo.jobs[j], rates[j]))
+			if m.err != nil {
+				m.changed = true // excluded from the fold: rows must rebuild
 				return
 			}
 		}
-		if args.Collect {
-			// buf[i] is member i's slot for as long as the topology
-			// stands, so once the member has filled it the aggregator can
-			// promise it is still held: an unchanged member leaves the
-			// slot as it is — no snapshot copy — and if the whole shard
-			// is unchanged the fold below is skipped too.
-			var rewrote bool
-			_, rewrote, errs[i] = conn.Exec(nil, &buf[i], fresh[i])
-			chg[i] = rewrote || errs[i] != nil
-			if errs[i] == nil {
-				fresh[i] = true
-			}
+		if collect {
+			// An unchanged member leaves its held slot as it is — no
+			// snapshot copy — and if the whole shard is unchanged the
+			// fold below is skipped too.
+			_, m.changed, m.err = m.conn.Exec(nil, &m.stats, m.held)
+			m.held = m.err == nil
+			m.changed = m.changed || m.err != nil
 		}
 	})
 
-	// Fold in member (StageID-sorted) order: rows and failure counts are
-	// deterministic whatever the worker interleaving was.
+	// Fold in member (StageID-sorted) order: rows, error reports and
+	// counts are deterministic whatever the worker interleaving was.
+	rebuild := collect && !a.rowsValid
+	failed := 0
+	for i, m := range members {
+		if hasRate[topo.rowOf[i]] {
+			rs.PushCalls += m.calls
+			rs.PushOps += m.calls // every push round trip is a one-op batch
+			if m.calls == 0 {
+				rs.PushesSkipped++
+			}
+		}
+		if m.err != nil {
+			failed++
+			a.onError(m.conn.Info().StageID, m.err)
+		}
+		rebuild = rebuild || collect && m.changed
+	}
+	if !collect {
+		return nil
+	}
+	rs.Stages += len(members)
+	rs.CollectCalls += len(members)
+	rs.CollectFailures += failed
+	if rebuild {
+		for j := range a.rows {
+			a.rows[j] = JobSnapshot{JobID: topo.jobs[j]}
+		}
+		for i, m := range members {
+			row := &a.rows[topo.rowOf[i]]
+			if m.err != nil {
+				m.probe = stageProbe{}
+				row.FailedStages++
+				continue
+			}
+			m.probe = row.addStage(&m.stats)
+		}
+		// Rows with a failed member must rebuild next round: the member
+		// may recover without its stats changing, and a cached row would
+		// keep counting it failed.
+		a.rowsValid = failed == 0
+	}
+	// Not rebuilt: every member answered "unchanged", so last round's
+	// rows (and probes) already describe this round exactly.
+	return a.rows
+}
+
+// Round implements rpcio.AggBackend: one round over the shard, its rows
+// projected onto the wire.
+func (a *Aggregator) Round(args *rpcio.AggRoundArgs, reply *rpcio.AggRoundReply) error {
+	a.roundMu.Lock()
+	defer a.roundMu.Unlock()
+	var rs RoundStats
+	rows := a.round(args.Grants, args.Collect, &rs)
 	reply.AggID = a.id
-	reply.Stages = nm
-	if args.Collect {
-		rebuild := !a.rowsValid
-		anyErr := false
-		for i := range topo.members {
-			if chg[i] {
-				rebuild = true
-			}
-			if errs[i] != nil {
-				anyErr = true
-			}
-		}
-		rows := a.rows[:nj]
-		if rebuild {
-			for j := range rows {
-				rows[j] = rpcio.AggJobDelta{JobID: topo.jobs[j]}
-			}
-			for i, conn := range topo.members {
-				row := &rows[topo.rowOf[i]]
-				if err := errs[i]; err != nil {
-					a.onError(conn.Info().StageID, err)
-					probes[i] = stageProbe{}
-					row.FailedStages++
-					continue
-				}
-				row.Stages++
-				probe := stageProbe{ok: true}
-				for _, q := range buf[i].Queues {
-					if q.RuleID != ControlRuleID {
-						continue
-					}
-					probe.hasCtl = true
-					probe.ctlLimit = q.Limit
-					row.Demand += q.DemandRate
-					row.Throughput += q.ThroughputRate
-					row.Dropped += q.Dropped
-					if q.WaitP99 > row.WaitP99 {
-						row.WaitP99 = q.WaitP99
-					}
-				}
-				probes[i] = probe
-			}
-			// Rows with a failed member must rebuild next round: the
-			// member may recover without its stats changing, and a cached
-			// row would keep counting it failed.
-			a.rowsValid = !anyErr
-		}
-		// Not rebuilt: every member answered "unchanged", so last round's
-		// rows (and probes) already describe this round exactly.
-		reply.Jobs = append(reply.Jobs, rows...)
-	} else {
-		for i, conn := range topo.members {
-			if errs[i] != nil {
-				a.onError(conn.Info().StageID, errs[i])
-			}
-		}
+	reply.Stages = len(a.scratchTopo.members) // the membership the round ran over
+	for i := range rows {
+		r := &rows[i]
+		reply.Jobs = append(reply.Jobs, rpcio.AggJobDelta{
+			JobID: r.JobID, Stages: r.Stages, Demand: r.Demand, Throughput: r.Throughput,
+			WaitP99: r.WaitP99, Dropped: r.Dropped, FailedStages: r.FailedStages,
+		})
 	}
 	reply.Borrowed, reply.Repaid, reply.Forgiven = a.BorrowCounts()
 	return nil
 }
 
-// Close closes every member connection and stops the fan-out workers.
+// Close closes every member connection.
 func (a *Aggregator) Close() error {
 	a.mu.Lock()
 	topo := a.topo
 	a.topo = &aggTopo{}
 	a.mu.Unlock()
-	a.roundMu.Lock()
-	if a.work != nil {
-		close(a.work)
-		a.work = nil
-	}
-	a.roundMu.Unlock()
 	var first error
 	for _, m := range topo.members {
-		if err := m.Close(); err != nil && first == nil {
+		if err := m.conn.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -433,9 +507,10 @@ func (a *Aggregator) Close() error {
 
 // ---- controller-side aggregator connections ----
 
-// AggConn abstracts the controller's channel to one aggregator, the
-// tree-mode analogue of StageConn: in-process shards use LocalAggConn,
-// remote shards a dialed rpcio.AggHandle via NewRemoteAggConn.
+// AggConn abstracts the controller's channel to one registered
+// aggregator, the analogue of StageConn: in-process ones use
+// LocalAggConn, remote ones a dialed rpcio.AggHandle via
+// NewRemoteAggConn.
 type AggConn interface {
 	// ID returns the aggregator's identity.
 	ID() string
@@ -450,8 +525,8 @@ type AggConn interface {
 	Close() error
 }
 
-// LocalAggConn drives an in-process Aggregator directly, mirroring
-// LocalConn for stages.
+// LocalAggConn drives an in-process Aggregator through the wire
+// contract without serializing, mirroring LocalConn for stages.
 type LocalAggConn struct {
 	Agg *Aggregator
 }
@@ -507,309 +582,3 @@ func (c *RemoteAggConn) WireStats() rpcio.WireStats { return c.handle.WireStats(
 
 // Close implements AggConn.
 func (c *RemoteAggConn) Close() error { return c.handle.Close() }
-
-// ---- controller tree mode ----
-
-// WithTopology enables the hierarchical (tree) control plane with
-// automatic sharding: registered stages are grouped, in StageID order,
-// into in-process Aggregators of at most shardSize members, rebuilt
-// whenever the registry changes. Aggregators registered explicitly via
-// RegisterAggregator also switch the loop into tree mode and are never
-// auto-rebuilt.
-func WithTopology(shardSize int) Option {
-	return func(c *Controller) {
-		if shardSize > 0 {
-			c.shardSize = shardSize
-		}
-	}
-}
-
-// WithBorrowing enables decentralized token borrowing inside every
-// auto-built shard (see WithTopology): sibling stages under one
-// aggregator share a borrow pool on the managed control queue with the
-// given per-member debt budget (a fraction of burst capacity;
-// non-positive selects tokenbucket.DefaultBorrowBudget).
-func WithBorrowing(budget float64) Option {
-	return func(c *Controller) {
-		c.borrow = true
-		c.borrowBudget = budget
-	}
-}
-
-// RegisterAggregator adds an aggregator shard to the registry; any
-// registered aggregator switches RunOnce into tree mode. Re-registering
-// an ID replaces (and closes) the previous connection.
-func (c *Controller) RegisterAggregator(conn AggConn) {
-	id := conn.ID()
-	c.mu.Lock()
-	if c.aggs == nil {
-		c.aggs = make(map[string]AggConn)
-	}
-	old := c.aggs[id]
-	c.aggs[id] = conn
-	c.mu.Unlock()
-	if old != nil && old != conn {
-		// The replaced connection is unreachable from the loop now; its
-		// close error carries no recovery path.
-		_ = old.Close()
-	}
-}
-
-// DeregisterAggregator removes (and closes) an aggregator shard,
-// reporting whether it was registered.
-func (c *Controller) DeregisterAggregator(id string) bool {
-	c.mu.Lock()
-	conn, ok := c.aggs[id]
-	delete(c.aggs, id)
-	c.mu.Unlock()
-	if ok {
-		_ = conn.Close()
-	}
-	return ok
-}
-
-// Aggregators returns the registered aggregator IDs, sorted.
-func (c *Controller) Aggregators() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.aggs))
-	for id := range c.aggs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// treeEnabled reports whether RunOnce should take the tree path, and
-// rebuilds the auto-sharded topology first when it is stale.
-func (c *Controller) treeEnabled() bool {
-	c.mu.Lock()
-	shard := c.shardSize
-	stale := shard > 0 && c.topoRev != c.registryRev && len(c.stages) > 0
-	enabled := len(c.aggs) > 0 || shard > 0 && len(c.stages) > 0
-	c.mu.Unlock()
-	if stale {
-		c.buildTopology()
-	}
-	return enabled
-}
-
-// buildTopology (re)shards the registered stages into in-process
-// aggregators: StageID order, at most shardSize members each, named
-// agg-0000, agg-0001, ... — a pure function of the registry, so
-// same-seed chaos runs shard identically. Explicitly registered
-// aggregators (IDs outside the auto-built namespace) are preserved.
-func (c *Controller) buildTopology() {
-	c.mu.Lock()
-	shard := c.shardSize
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
-	rev := c.registryRev
-	borrow, budget := c.borrow, c.borrowBudget
-	c.mu.Unlock()
-	if shard <= 0 {
-		return
-	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
-
-	built := make(map[string]AggConn)
-	for i := 0; i < len(conns); i += shard {
-		end := i + shard
-		if end > len(conns) {
-			end = len(conns)
-		}
-		opts := []AggOption{WithAggErrorHandler(c.onError)}
-		if borrow {
-			opts = append(opts, WithAggBorrowing(budget))
-		}
-		agg := NewAggregator(fmt.Sprintf("agg-%04d", i/shard), opts...)
-		for _, conn := range conns[i:end] {
-			agg.AddMember(conn)
-		}
-		built[agg.ID()] = &LocalAggConn{Agg: agg}
-	}
-
-	c.mu.Lock()
-	if c.aggs == nil {
-		c.aggs = make(map[string]AggConn)
-	}
-	// Drop stale auto-built shards, keep explicit registrations.
-	for id := range c.aggs {
-		if _, rebuilt := built[id]; rebuilt {
-			continue
-		}
-		if len(id) == 8 && id[:4] == "agg-" {
-			delete(c.aggs, id)
-		}
-	}
-	for id, conn := range built {
-		c.aggs[id] = conn
-	}
-	c.topoRev = rev
-	c.mu.Unlock()
-}
-
-// aggRoundSetup snapshots what a tree round needs from under the lock.
-func (c *Controller) aggRoundSetup() (aggs []AggConn, reservations, lastAlloc map[string]float64, workers, pushWorkers int) {
-	c.mu.Lock()
-	aggs = make([]AggConn, 0, len(c.aggs))
-	for _, conn := range c.aggs {
-		aggs = append(aggs, conn)
-	}
-	reservations = make(map[string]float64, len(c.reservations))
-	for k, v := range c.reservations {
-		reservations[k] = v
-	}
-	lastAlloc = make(map[string]float64, len(c.lastAlloc))
-	for k, v := range c.lastAlloc {
-		lastAlloc[k] = v
-	}
-	workers, pushWorkers = c.collectWorkers, c.pushWorkers
-	c.mu.Unlock()
-	sort.Slice(aggs, func(i, j int) bool { return aggs[i].ID() < aggs[j].ID() })
-	return aggs, reservations, lastAlloc, workers, pushWorkers
-}
-
-// aggScratch sizes the positional tree-round scratch for n aggregators.
-// Caller must hold roundMu.
-func (c *Controller) aggScratch(n int) ([]rpcio.AggRoundReply, []error) {
-	for len(c.aggReplies) < n {
-		c.aggReplies = append(c.aggReplies, rpcio.AggRoundReply{})
-	}
-	for len(c.aggErrs) < n {
-		c.aggErrs = append(c.aggErrs, nil)
-	}
-	return c.aggReplies[:n], c.aggErrs[:n]
-}
-
-// runOnceTree is RunOnce over the aggregator tier: one collect Round
-// per shard, fold per job across shards, allocate, then one push Round
-// per shard carrying its grants — each job's allocation split across
-// shards in proportion to the member stages the collect just reported.
-// A shard that fails a phase is reported and skipped (its stages keep
-// enforcing frozen rates, and shard-local borrowing keeps them
-// work-conserving); it re-joins the loop the moment it answers again.
-func (c *Controller) runOnceTree() map[string]float64 {
-	alg, limit := c.roundStart()
-	if alg == nil {
-		return nil
-	}
-
-	aggs, reservations, lastAlloc, workers, pushWorkers := c.aggRoundSetup()
-	start := c.clk.Now()
-	rs := RoundStats{Aggregators: len(aggs)}
-	wireBefore := wireSample(aggs)
-
-	c.roundMu.Lock()
-	replies, errs := c.aggScratch(len(aggs))
-
-	// Collect phase: one Round per shard, merged deltas up.
-	runBounded(len(aggs), workers, func(i int) {
-		replies[i] = rpcio.AggRoundReply{Jobs: replies[i].Jobs[:0]}
-		errs[i] = aggs[i].Round(nil, true, &replies[i])
-	})
-
-	// Fold in sorted aggregator order. shardStages[job][i] is how many
-	// member stages shard i reported for the job — the push phase's
-	// proportional split.
-	snapBy := make(map[string]*JobSnapshot)
-	shardStages := make(map[string][]int)
-	var order []string
-	for i := range aggs {
-		rs.CollectCalls++
-		if err := errs[i]; err != nil {
-			rs.CollectFailures++
-			c.onError(aggs[i].ID(), err)
-			continue
-		}
-		rep := &replies[i]
-		rs.Stages += rep.Stages
-		rs.TokensBorrowed += rep.Borrowed
-		rs.TokensRepaid += rep.Repaid
-		rs.TokensForgiven += rep.Forgiven
-		for _, row := range rep.Jobs {
-			snap, ok := snapBy[row.JobID]
-			if !ok {
-				snap = &JobSnapshot{
-					JobID:       row.JobID,
-					Reservation: reservations[row.JobID],
-					Allocated:   lastAlloc[row.JobID],
-				}
-				snapBy[row.JobID] = snap
-				shardStages[row.JobID] = make([]int, len(aggs))
-				order = append(order, row.JobID)
-			}
-			snap.Stages += row.Stages
-			snap.Demand += row.Demand
-			snap.Throughput += row.Throughput
-			snap.FailedStages += row.FailedStages
-			if row.WaitP99 > snap.WaitP99 {
-				snap.WaitP99 = row.WaitP99
-			}
-			shardStages[row.JobID][i] = row.Stages
-		}
-	}
-	sort.Strings(order)
-	jobs := make([]JobState, 0, len(order))
-	for _, job := range order {
-		jobs = append(jobs, snapBy[job].state())
-	}
-	alloc := alg.Allocate(limit, jobs)
-
-	// Push phase: split each job's grant across the shards that hold its
-	// stages, proportional to this round's reported member counts. The
-	// per-shard grant slices are roundMu-owned scratch (capacity reused).
-	for len(c.aggGrants) < len(aggs) {
-		c.aggGrants = append(c.aggGrants, nil)
-	}
-	grants := c.aggGrants[:len(aggs)]
-	for i := range grants {
-		grants[i] = grants[i][:0]
-	}
-	for _, job := range order {
-		total := snapBy[job].Stages
-		if total == 0 {
-			continue
-		}
-		rate, ok := alloc[job]
-		if !ok {
-			continue
-		}
-		for i, n := range shardStages[job] {
-			if n == 0 {
-				continue
-			}
-			grants[i] = append(grants[i], rpcio.JobGrant{
-				JobID: job,
-				Rate:  rate * float64(n) / float64(total),
-			})
-		}
-	}
-	runBounded(len(aggs), pushWorkers, func(i int) {
-		errs[i] = nil
-		if len(grants[i]) == 0 {
-			return
-		}
-		replies[i] = rpcio.AggRoundReply{Jobs: replies[i].Jobs[:0]}
-		errs[i] = aggs[i].Round(grants[i], false, &replies[i])
-	})
-	for i := range aggs {
-		if len(grants[i]) == 0 {
-			rs.PushesSkipped++
-			continue
-		}
-		rs.PushCalls++
-		rs.PushOps += len(grants[i])
-		if errs[i] != nil {
-			c.onError(aggs[i].ID(), errs[i])
-		}
-	}
-	c.roundMu.Unlock()
-
-	rs.Duration = c.clk.Now().Sub(start)
-	wireSince(aggs, wireBefore, &rs)
-	c.roundEnd(alloc, rs)
-	return alloc
-}

@@ -45,9 +45,9 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 		t.Fatalf("Members = %d, want 4", agg.Members())
 	}
 
-	// Push: each job's shard grant splits equally among its members, and
-	// the managed rule is installed where it did not exist.
-	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 1000}, {JobID: "job2", Rate: 2000}}
+	// Push: a grant is the rate each of the job's members is to enforce,
+	// and the managed rule is installed where it did not exist.
+	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
 	var reply rpcio.AggRoundReply
 	if err := agg.Round(&rpcio.AggRoundArgs{Grants: grants}, &reply); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	agg, stages := aggFixture(clk)
-	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 1000}, {JobID: "job2", Rate: 2000}}
+	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
 	var reply rpcio.AggRoundReply
 	if err := agg.Round(&rpcio.AggRoundArgs{Grants: grants}, &reply); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,8 @@ func TestAggregatorBorrowingSettlesOnPush(t *testing.T) {
 	agg.AddMember(idleConn)
 	_ = idle
 
-	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 200}}
+	// 100 ops/s per member: the shard as a whole holds 200.
+	grants := []rpcio.JobGrant{{JobID: "job1", Rate: 100}}
 	var reply rpcio.AggRoundReply
 	if err := agg.Round(&rpcio.AggRoundArgs{Grants: grants}, &reply); err != nil {
 		t.Fatal(err)
@@ -194,59 +195,6 @@ func TestAggregatorBorrowingSettlesOnPush(t *testing.T) {
 	}
 }
 
-func TestControllerTreeModeMatchesFlat(t *testing.T) {
-	// The same fleet, demand, and algorithm must allocate identically
-	// through the tree and flat paths: the aggregator tier changes the
-	// wire shape, not the control decision.
-	runFleet := func(opts ...Option) (map[string]float64, map[string]*stage.Stage, *Controller) {
-		clk := clock.NewSim(epoch)
-		base := []Option{WithAlgorithm(ProportionalShare{}), WithClusterLimit(1000)}
-		c := New(clk, append(base, opts...)...)
-		c.SetReservation("job1", 400)
-		c.SetReservation("job2", 600)
-		stages := make(map[string]*stage.Stage)
-		for id, job := range map[string]string{"s1": "job1", "s2": "job1", "s3": "job2", "s4": "job2"} {
-			stg, conn := localStage(id, job, clk)
-			stages[id] = stg
-			if err := c.Register(conn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		offerTo(clk, stages, map[string]float64{"s1": 900, "s2": 900, "s3": 30, "s4": 30})
-		return c.RunOnce(), stages, c
-	}
-
-	flatAlloc, _, _ := runFleet()
-	treeAlloc, treeStages, c := runFleet(WithTopology(2))
-	if treeAlloc == nil {
-		t.Fatal("tree RunOnce returned nil")
-	}
-	for job, want := range flatAlloc {
-		if got := treeAlloc[job]; got != want {
-			t.Errorf("tree alloc[%s] = %v, flat = %v", job, got, want)
-		}
-	}
-	// The grant reaches the stages: per-stage rate is the job allocation
-	// split across its (two) stages.
-	for id, stg := range treeStages {
-		job := stg.Info().JobID
-		want := treeAlloc[job] / 2
-		if got := stg.Rules()[0].Rate; got != want {
-			t.Errorf("%s enforced rate = %v, want %v", id, got, want)
-		}
-	}
-	if aggs := c.Aggregators(); len(aggs) != 2 || aggs[0] != "agg-0000" || aggs[1] != "agg-0001" {
-		t.Errorf("Aggregators = %v, want [agg-0000 agg-0001]", aggs)
-	}
-	rs, ok := c.LastRound()
-	if !ok || rs.Aggregators != 2 || rs.Stages != 4 {
-		t.Errorf("RoundStats = %+v, want 2 aggregators over 4 stages", rs)
-	}
-	if rs.CollectCalls != 2 || rs.PushCalls != 2 {
-		t.Errorf("round cost = %d collects / %d pushes, want 2/2 (one per shard)", rs.CollectCalls, rs.PushCalls)
-	}
-}
-
 func TestTreeTopologyRebuildsOnRegistryChange(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(1000), WithTopology(2))
@@ -265,8 +213,8 @@ func TestTreeTopologyRebuildsOnRegistryChange(t *testing.T) {
 	if c.RunOnce() == nil {
 		t.Fatal("RunOnce returned nil")
 	}
-	if aggs := c.Aggregators(); len(aggs) != 2 {
-		t.Fatalf("Aggregators = %v, want 2 shards for 3 stages at shard size 2", aggs)
+	if rs, _ := c.LastRound(); rs.Aggregators != 2 {
+		t.Fatalf("round drove %d shards, want 2 for 3 stages at shard size 2", rs.Aggregators)
 	}
 
 	// Growing the fleet reshards lazily at the next round.
@@ -276,10 +224,10 @@ func TestTreeTopologyRebuildsOnRegistryChange(t *testing.T) {
 	if c.RunOnce() == nil {
 		t.Fatal("RunOnce returned nil after growth")
 	}
-	if aggs := c.Aggregators(); len(aggs) != 3 {
-		t.Errorf("Aggregators = %v, want 3 shards for 5 stages", aggs)
-	}
 	rs, _ := c.LastRound()
+	if rs.Aggregators != 3 {
+		t.Errorf("round drove %d shards, want 3 for 5 stages", rs.Aggregators)
+	}
 	if rs.Stages != 5 {
 		t.Errorf("RoundStats.Stages = %d, want 5", rs.Stages)
 	}
@@ -326,6 +274,54 @@ func TestTreeModeOverWire(t *testing.T) {
 	}
 	if c.DeregisterAggregator("agg-test") {
 		t.Error("double DeregisterAggregator returned true")
+	}
+}
+
+// TestRegisteredAggregatorSharesTheSplit: stages registered with the
+// controller and stages behind a registered aggregator are one fleet —
+// a job's allocation divides equally among all its stages, wherever
+// they are held — and the round's accounting counts each side its own
+// way: one exchange per stage the controller holds, one round trip per
+// phase to the aggregator.
+func TestRegisteredAggregatorSharesTheSplit(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(1200))
+	stages := make(map[string]*stage.Stage)
+	agg := NewAggregator("agg-far")
+	for _, id := range []string{"s1", "s2", "s3"} {
+		stg, conn := localStage(id, "job1", clk)
+		stages[id] = stg
+		if id == "s3" {
+			agg.AddMember(conn)
+		} else if err := c.Register(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RegisterAggregator(&LocalAggConn{Agg: agg})
+
+	if alloc := c.RunOnce(); alloc["job1"] != 1200 {
+		t.Fatalf("alloc = %v, want job1 at the whole 1200", alloc)
+	}
+	for id, stg := range stages {
+		if got := ruleRate(stg, ControlRuleID); got != 400 {
+			t.Errorf("%s rate = %v, want 400 (1200 over the job's three stages)", id, got)
+		}
+	}
+	rs, _ := c.LastRound()
+	if rs.Aggregators != 2 || rs.Stages != 3 || rs.CollectCalls != 3 {
+		t.Errorf("first round = %+v, want 2 shards, 3 stages, 2+1 collects", rs)
+	}
+	if rs.PushCalls != 3 || rs.PushOps != 3 || rs.PushesSkipped != 0 {
+		t.Errorf("first round pushes = %d calls / %d ops / %d skipped, want 2 retunes + 1 grant", rs.PushCalls, rs.PushOps, rs.PushesSkipped)
+	}
+	// Steady: the controller's two stages are skipped one by one; the
+	// aggregator still gets its grant, and skips its member itself.
+	c.RunOnce()
+	if rs, _ := c.LastRound(); rs.PushCalls != 1 || rs.PushesSkipped != 2 {
+		t.Errorf("steady round = %d pushes / %d skipped, want 1 / 2", rs.PushCalls, rs.PushesSkipped)
+	}
+	if snaps := c.CollectAll(); len(snaps) != 1 || snaps[0].Stages != 3 {
+		t.Errorf("CollectAll = %+v, want job1 with 3 stages", snaps)
 	}
 }
 
@@ -413,16 +409,17 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 		settled := round(nil)
 
 		const poison = 12345.5
-		agg.buf[0].Queues[0].DemandRate = poison
+		members := agg.topology().members
+		members[0].stats.Queues[0].DemandRate = poison
 		quiet := round(nil)
-		if got := agg.buf[0].Queues[0].DemandRate; got != poison {
+		if got := members[0].stats.Queues[0].DemandRate; got != poison {
 			t.Errorf("%s: quiescent round re-materialized member 0's slot (DemandRate %v)", name, got)
 		}
 		if len(quiet.Jobs) != 1 || quiet.Jobs[0] != settled.Jobs[0] {
 			t.Errorf("%s: quiescent round re-folded: rows %+v, want %+v", name, quiet.Jobs, settled.Jobs)
 		}
-		for i, c := range agg.changed[:2] {
-			if c {
+		for i, m := range members {
+			if m.changed {
 				t.Errorf("%s: member %d reported a change in a quiescent round", name, i)
 			}
 		}
@@ -432,8 +429,8 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 		// again left alone).
 		offerTo(clk, stages, map[string]float64{"s2": 70})
 		busy := round(nil)
-		if agg.changed[0] || !agg.changed[1] {
-			t.Errorf("%s: changed = %v, want only member 1", name, agg.changed[:2])
+		if members[0].changed || !members[1].changed {
+			t.Errorf("%s: changed = %v/%v, want only member 1", name, members[0].changed, members[1].changed)
 		}
 		if want := poison + 70; busy.Jobs[0].Demand != want {
 			t.Errorf("%s: rebuilt demand = %v, want %v", name, busy.Jobs[0].Demand, want)
@@ -442,9 +439,9 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 }
 
 // TestAggregatorSlotSurvivesForeignCollector: a member connection may
-// have a second collector — the controller's own CollectAll (the
-// monitor's path) runs over the same connections a WithTopology shard
-// holds. The foreign collect consumes the "changed" signal, so the
+// have a second collector — a stage registered with a controller and
+// also handed to somebody's aggregator, or probed by an operator's
+// tool. The foreign collect consumes the "changed" signal, so the
 // aggregator's held promise alone would leave its slot stale; the
 // connection must notice that its last fill went elsewhere and rewrite
 // the slot.
@@ -481,7 +478,7 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 			t.Fatalf("%s: foreign collect saw TotalDemand %d, want 100", name, foreign.Queues[0].TotalDemand)
 		}
 		collect()
-		if got := agg.buf[0].Queues[0].TotalDemand; got != 100 {
+		if got := agg.topology().members[0].stats.Queues[0].TotalDemand; got != 100 {
 			t.Errorf("%s: aggregator slot stale after a foreign collect: TotalDemand %d, want 100", name, got)
 		}
 	}

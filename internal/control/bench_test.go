@@ -134,12 +134,14 @@ func benchFleetMux(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 	return ctl
 }
 
-// benchFleetTree builds the hierarchical control plane: stages in
-// shards of shardSize behind one Aggregator each, every layer speaking
+// benchFleetTree puts the shards one hop away: stages in shards of
+// shardSize behind one registered Aggregator each, every layer speaking
 // the real binary codec — stage members through encoded-loopback
 // Stage.Batch handles, aggregators through encoded-loopback Agg.Round
 // handles. The controller's round cost is one exchange per shard per
-// phase, whatever the fleet size.
+// phase, whatever the fleet size. (The other fleets register their
+// stages with the controller, which drives them through one in-process
+// shard of its own: one exchange per stage.)
 func benchFleetTree(b *testing.B, n, shardSize int) *Controller {
 	b.Helper()
 	ctl := benchController()
@@ -206,16 +208,15 @@ func BenchmarkControllerRunOnce1024(b *testing.B) {
 	runRounds(b, benchFleetLoopback(b, 1024))
 }
 
-// ...Tree1024 runs the same 1024-stage fleet as RunOnce1024 through the
-// aggregator tier (32 shards of 32): the controller exchanges 64 frames
-// per round instead of 2048, and the shards fan out concurrently.
+// ...Tree1024 runs the same 1024-stage fleet as RunOnce1024 behind 32
+// registered aggregators of 32: the controller exchanges 64 frames per
+// round instead of 1024.
 func BenchmarkControllerRunOnceTree1024(b *testing.B) {
 	runRounds(b, benchFleetTree(b, 1024, 32))
 }
 
-// ...Tree10240 is the fleet-scale point the flat loop cannot reach in
-// one control interval: 10240 stages behind 320 shards. The acceptance
-// bar is a round cheaper per stage than the flat 1024 baseline.
+// ...Tree10240 is the fleet-scale point: 10240 stages behind 320
+// registered aggregators, 640 controller frames per round.
 func BenchmarkControllerRunOnceTree10240(b *testing.B) {
 	runRounds(b, benchFleetTree(b, 10240, 32))
 }

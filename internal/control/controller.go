@@ -10,7 +10,6 @@ import (
 
 	"padll/internal/clock"
 	"padll/internal/policy"
-	"padll/internal/posix"
 	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
@@ -27,9 +26,13 @@ const ControlRuleID = "padll-control"
 type Controller struct {
 	clk clock.Clock
 
-	mu           sync.Mutex
-	stages       map[string]StageConn // by StageID
-	reservations map[string]float64   // per-job reserved rate
+	mu     sync.Mutex
+	stages map[string]StageConn // by StageID
+	aggs   map[string]AggConn   // registered aggregators, by ID
+	// registryRev counts mutations of either registry; the round loop
+	// reshards lazily when it has moved.
+	registryRev  int
+	reservations map[string]float64 // per-job reserved rate
 	clusterLimit float64
 	algorithm    Algorithm
 	// controlled is the matcher template for the feedback loop's managed
@@ -47,14 +50,16 @@ type Controller struct {
 	loopStop         chan struct{}
 	loopDone         chan struct{}
 
-	// collectWorkers bounds CollectAll's fan-out (default 8): the loop
-	// tolerates slow stages without serializing behind them, but a
-	// thousand-stage registry must not burst a thousand goroutines.
-	collectWorkers int
-	// pushWorkers bounds RunOnce's push fan-out the same way (default 8;
-	// 1 forces sequential pushes in sorted order, which the chaos
-	// harness relies on for deterministic fault injection).
-	pushWorkers int
+	// workers is the width of a round's fan-out (default 8; 1 forces
+	// sequential exchanges in StageID order, which the chaos harness
+	// relies on for deterministic fault injection).
+	workers int
+	// shardSize caps the shards the controller builds over its stage
+	// registry (0: one shard holds it all); borrow links each shard's
+	// local members into a borrow pool of borrowBudget.
+	shardSize    int
+	borrow       bool
+	borrowBudget float64
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
 	haveRound bool
@@ -63,7 +68,7 @@ type Controller struct {
 	// (0 disables eviction — dead stages are skipped but kept).
 	evictAfter int
 	// misses counts consecutive communication failures per stage (the
-	// "mark" half of mark-sweep; any success clears the mark).
+	// "mark" half of mark-sweep; any answered collect clears the mark).
 	misses map[string]int
 	// adminRules and clusterRules remember administrator intent (the
 	// aggregate rule, pre-split) per group and cluster-wide, so an
@@ -72,35 +77,18 @@ type Controller struct {
 	adminRules   map[string]map[string]policy.Rule
 	clusterRules map[string]policy.Rule
 
-	// roundMu serializes collect rounds; it single-owns the scratch
-	// below and is never held while taking mu (the fold inside takes mu
-	// once via noteCollect, so the order is roundMu then mu).
+	// roundMu serializes rounds (RunOnce and CollectAll alike) and owns
+	// the shard list and the fold scratch. It is taken before mu, never
+	// while holding it.
 	roundMu sync.Mutex
-	// collectBuf/collectErr are positional per-stage scratch reused
-	// across rounds: slot i is fully overwritten each round, so a
-	// steady-state collect keeps its Queues capacity and allocates
-	// nothing per stage.
-	collectBuf []stage.Stats
-	collectErr []error
-
-	// aggs is the aggregator registry; any entry switches RunOnce into
-	// tree mode (see aggregator.go). shardSize > 0 (WithTopology) also
-	// enables tree mode with auto-built in-process shards, optionally
-	// borrowing (WithBorrowing) inside each.
-	aggs         map[string]AggConn
-	shardSize    int
-	borrow       bool
-	borrowBudget float64
-	// registryRev counts stage registry mutations; topoRev is the
-	// revision the auto-built topology last sharded, so a changed
-	// registry reshards lazily at the next tree round.
-	registryRev int
-	topoRev     int
-	// aggReplies/aggErrs are the tree round's positional per-shard
-	// scratch, single-owned by roundMu like collectBuf/collectErr.
-	aggReplies []rpcio.AggRoundReply
-	aggErrs    []error
-	aggGrants  [][]rpcio.JobGrant
+	// shards is what a round drives, built for registry revision
+	// shardRev: the first owned are the controller's Aggregators over
+	// its stage registry, the rest the registered aggregators.
+	shards   []*shard
+	owned    int
+	shardRev int
+	// jobAt is the fold's scratch: where each job's merged row sits.
+	jobAt map[string]int
 }
 
 // Option configures a Controller.
@@ -147,29 +135,22 @@ func GroupByUser(info stage.Info) string { return info.User }
 
 // WithErrorHandler installs a sink for stage-communication errors; the
 // default drops them (a dead stage is simply skipped until it
-// re-registers).
+// re-registers). It is called from the round's goroutine, one error at
+// a time, in StageID order within a phase.
 func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
 }
 
-// WithCollectConcurrency bounds how many stages CollectAll queries in
-// parallel (default 8; 1 forces sequential collection).
-func WithCollectConcurrency(n int) Option {
-	return func(c *Controller) {
-		if n > 0 {
-			c.collectWorkers = n
-		}
-	}
-}
-
-// WithPushConcurrency bounds how many stages RunOnce pushes rates to in
-// parallel (default 8; 1 forces sequential pushes in sorted job/stage
-// order). Whatever the bound, push outcomes are folded in sorted order,
-// so error reporting and eviction marks stay deterministic.
+// WithPushConcurrency bounds how many exchanges a round has in flight
+// (default 8), in the collect phase and the push phase alike: it is the
+// fan-out width of every shard the controller builds, and of its round
+// trips to registered aggregators. 1 forces sequential exchanges in
+// StageID order. Whatever the bound, outcomes are folded in StageID
+// order, so error reporting and eviction marks stay deterministic.
 func WithPushConcurrency(n int) Option {
 	return func(c *Controller) {
 		if n > 0 {
-			c.pushWorkers = n
+			c.workers = n
 		}
 	}
 }
@@ -181,6 +162,34 @@ func WithEvictAfter(n int) Option {
 	return func(c *Controller) { c.evictAfter = n }
 }
 
+// WithTopology caps the shards the controller keeps its registered
+// stages in at shardSize members: the registry is cut, in StageID
+// order, into as many in-process Aggregators as that takes, recut
+// whenever it changes. It changes nothing about a round's outcome or
+// its accounting — every shard runs the same exchange — only what one
+// shard spans: how far a borrow pool reaches (WithBorrowing) and how
+// much of the fleet shares one fold.
+func WithTopology(shardSize int) Option {
+	return func(c *Controller) {
+		if shardSize > 0 {
+			c.shardSize = shardSize
+		}
+	}
+}
+
+// WithBorrowing enables decentralized token borrowing inside every
+// shard the controller builds (the whole registry, or WithTopology's
+// slices of it): sibling in-process stages share a borrow pool on the
+// managed control queue with the given per-member debt budget (a
+// fraction of burst capacity; non-positive selects
+// tokenbucket.DefaultBorrowBudget).
+func WithBorrowing(budget float64) Option {
+	return func(c *Controller) {
+		c.borrow = true
+		c.borrowBudget = budget
+	}
+}
+
 // New returns a controller. A nil clk defaults to the wall clock (the
 // loop timestamps its round accounting even when the caller never
 // starts Run).
@@ -189,18 +198,16 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		clk = clock.NewReal()
 	}
 	c := &Controller{
-		clk:          clk,
-		stages:       make(map[string]StageConn),
-		reservations: make(map[string]float64),
-		controlled: policy.Matcher{Classes: []posix.Class{
-			posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr,
-		}},
-		groupBy:          func(info stage.Info) string { return info.JobID },
+		clk:              clk,
+		stages:           make(map[string]StageConn),
+		reservations:     make(map[string]float64),
+		controlled:       defaultMatcher(),
+		groupBy:          groupByJob,
 		isDefaultGroupBy: true,
 		onError:          func(string, error) {},
 		lastAlloc:        make(map[string]float64),
-		collectWorkers:   8,
-		pushWorkers:      8,
+		workers:          8,
+		jobAt:            make(map[string]int),
 		misses:           make(map[string]int),
 		adminRules:       make(map[string]map[string]policy.Rule),
 		clusterRules:     make(map[string]policy.Rule),
@@ -264,7 +271,7 @@ func (c *Controller) Register(conn StageConn) error {
 		if !haveAlloc {
 			rate = c.initialRate()
 		}
-		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: c.managedRuleFor(key, rate)})
+		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(c.controlled, c.isDefaultGroupBy, key, rate)})
 	}
 	for _, r := range replay {
 		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
@@ -317,13 +324,6 @@ func (c *Controller) replayRulesLocked(key string) []policy.Rule {
 	return out
 }
 
-// groupKey derives the orchestration entity key for a stage.
-func (c *Controller) groupKey(info stage.Info) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.groupBy(info)
-}
-
 // initialRate is the rate a just-registered job starts at before
 // the first allocation round: an equal share of the cluster limit.
 func (c *Controller) initialRate() float64 {
@@ -337,18 +337,6 @@ func (c *Controller) initialRate() float64 {
 		return policy.Unlimited
 	}
 	return c.clusterLimit / float64(n)
-}
-
-// managedRuleFor builds the control rule for an entity's stages. Under
-// the default grouping the matcher scopes by job-ID; custom groupings
-// leave the matcher unscoped (each stage belongs to exactly one entity,
-// so the queue's rate is the scoping).
-func (c *Controller) managedRuleFor(key string, rate float64) policy.Rule {
-	m := c.controlled
-	if c.isDefaultGroupBy {
-		m.JobID = key
-	}
-	return policy.Rule{ID: ControlRuleID, Match: m, Rate: rate}
 }
 
 // Deregister removes a stage (job completion, node failure, or
@@ -410,32 +398,65 @@ func (c *Controller) EvictDead() []string {
 	return ids
 }
 
-// noteMiss marks one failed exchange with a stage.
-func (c *Controller) noteMiss(stageID string) {
+// memberFailed is the error sink of the shards the controller builds:
+// the failed exchange goes to the error handler, and the stage's
+// eviction mark rises.
+func (c *Controller) memberFailed(stageID string, err error) {
+	c.onError(stageID, err)
 	c.mu.Lock()
-	c.noteMissLocked(stageID)
-	c.mu.Unlock()
-}
-
-func (c *Controller) noteMissLocked(stageID string) {
 	if _, ok := c.stages[stageID]; ok {
 		c.misses[stageID]++
 	}
+	c.mu.Unlock()
 }
 
-// noteCollect records a collect round's outcome for every stage in one
-// critical section: a failed exchange raises the stage's mark, an
-// answered one clears it.
-func (c *Controller) noteCollect(conns []StageConn, errs []error) {
+// RegisterAggregator adds an aggregator — a shard somebody else built
+// and holds the stages of — to the round loop, beside the controller's
+// own. Re-registering an ID replaces (and closes) the previous
+// connection.
+func (c *Controller) RegisterAggregator(conn AggConn) {
+	id := conn.ID()
+	c.mu.Lock()
+	if c.aggs == nil {
+		c.aggs = make(map[string]AggConn)
+	}
+	old := c.aggs[id]
+	c.aggs[id] = conn
+	c.registryRev++
+	c.mu.Unlock()
+	if old != nil && old != conn {
+		// The replaced connection is unreachable from the loop now; its
+		// close error carries no recovery path.
+		_ = old.Close()
+	}
+}
+
+// DeregisterAggregator removes (and closes) a registered aggregator,
+// reporting whether it was registered.
+func (c *Controller) DeregisterAggregator(id string) bool {
+	c.mu.Lock()
+	conn, ok := c.aggs[id]
+	if ok {
+		delete(c.aggs, id)
+		c.registryRev++
+	}
+	c.mu.Unlock()
+	if ok {
+		_ = conn.Close()
+	}
+	return ok
+}
+
+// Aggregators returns the registered aggregator IDs, sorted.
+func (c *Controller) Aggregators() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, conn := range conns {
-		if errs[i] != nil {
-			c.noteMissLocked(conn.Info().StageID)
-		} else if len(c.misses) > 0 {
-			delete(c.misses, conn.Info().StageID)
-		}
+	out := make([]string, 0, len(c.aggs))
+	for id := range c.aggs {
+		out = append(out, id)
 	}
+	sort.Strings(out)
+	return out
 }
 
 // Stages returns the registered stage identities, sorted by StageID.
@@ -545,10 +566,7 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 // (cluster-wide granularity), splitting the rate across all stages.
 func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	c.mu.Lock()
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
+	conns := c.connsLocked()
 	if len(conns) > 0 {
 		c.clusterRules[r.ID] = r
 	}
@@ -576,10 +594,14 @@ func (c *Controller) SetAlgorithm(a Algorithm) {
 
 // ---- feedback control loop ----
 
-// JobSnapshot is one job's aggregated state from a collect round.
+// JobSnapshot is one job's aggregated state from a collect round. It is
+// also the row a shard folds its members' statistics into, and what the
+// controller merges across shards; rpcio.AggJobDelta is its projection
+// onto the wire (which carries neither the lower wait percentiles nor
+// the degraded counts).
 type JobSnapshot struct {
 	JobID       string
-	Stages      int
+	Stages      int     // stages that answered the collect
 	Demand      float64 // aggregate arrival rate, ops/s
 	Throughput  float64 // aggregate admitted rate, ops/s
 	Allocated   float64 // rate granted by the last allocation
@@ -590,6 +612,8 @@ type JobSnapshot struct {
 	WaitP50 float64
 	WaitP95 float64
 	WaitP99 float64
+	// Dropped counts requests the job's control queues rejected.
+	Dropped int64
 	// Degraded reports that at least one of the job's stages is running
 	// in degraded mode (enforcing frozen limits without its controller);
 	// DegradedStages counts them and DegradedSeconds is the worst
@@ -602,235 +626,82 @@ type JobSnapshot struct {
 	FailedStages int
 }
 
-// runBounded runs fn(i) for every i in [0, n) on at most workers
-// concurrent goroutines; workers <= 1 degenerates to a sequential loop
-// in index order. Exactly min(workers, n) goroutines are spawned,
-// pulling indices from a shared channel — a thousand-stage registry
-// must not burst a thousand goroutines per round just to gate them on
-// a semaphore.
-func runBounded(n, workers int, fn func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
+// addStage folds one answering stage's statistics into the row and
+// returns what they say about the stage's managed queue.
+func (s *JobSnapshot) addStage(st *stage.Stats) stageProbe {
+	probe := stageProbe{ok: true}
+	s.Stages++
+	if st.Degraded {
+		s.Degraded = true
+		s.DegradedStages++
+		s.DegradedSeconds = max(s.DegradedSeconds, st.DegradedSeconds)
 	}
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// stageProbe is what a collect round learns about one stage beyond the
-// per-job aggregates: whether it answered, and the managed control
-// queue's currently enforced limit. The push phase uses it to skip
-// stages that already enforce the target rate and to spot stages that
-// lost their managed queue.
-type stageProbe struct {
-	ok       bool
-	hasCtl   bool
-	ctlLimit float64
-}
-
-// CollectAll gathers statistics from every stage, aggregated per job
-// (feedback-loop step 1). Stages are queried concurrently under a
-// bounded worker pool, but results are folded in StageID order, so the
-// output — and everything downstream of it — is deterministic. Stages
-// that fail to respond are reported to the error handler, marked for
-// eviction, and skipped: the loop runs on partial snapshots rather than
-// blocking behind a dead peer.
-func (c *Controller) CollectAll() []JobSnapshot {
-	snaps, _ := c.collectRound(c.roundSetup(), nil)
-	return snaps
-}
-
-// roundInputs is everything a round reads from the registry, copied out
-// from under its lock once.
-type roundInputs struct {
-	// conns is the registry sorted by StageID; rev is the registry
-	// revision it was read at.
-	conns        []StageConn
-	rev          int
-	reservations map[string]float64
-	lastAlloc    map[string]float64
-	groupBy      func(stage.Info) string
-	workers      int
-}
-
-// roundSetup snapshots everything a collect round needs from under the
-// registry lock: the sorted connection list and copies of the maps the
-// fold reads.
-func (c *Controller) roundSetup() roundInputs {
-	c.mu.Lock()
-	in := roundInputs{
-		conns:        c.connsLocked(),
-		rev:          c.registryRev,
-		reservations: make(map[string]float64, len(c.reservations)),
-		lastAlloc:    make(map[string]float64, len(c.lastAlloc)),
-		groupBy:      c.groupBy,
-		workers:      c.collectWorkers,
-	}
-	for k, v := range c.reservations {
-		in.reservations[k] = v
-	}
-	for k, v := range c.lastAlloc {
-		in.lastAlloc[k] = v
-	}
-	c.mu.Unlock()
-	sortConns(in.conns)
-	return in
-}
-
-// connsLocked copies the registry's connections out, unordered.
-func (c *Controller) connsLocked() []StageConn {
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
-	return conns
-}
-
-func sortConns(conns []StageConn) {
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
-}
-
-// roundScratch sizes the positional collect scratch for n stages.
-// Caller must hold roundMu.
-func (c *Controller) roundScratch(n int) ([]stage.Stats, []error) {
-	for len(c.collectBuf) < n {
-		c.collectBuf = append(c.collectBuf, stage.Stats{})
-	}
-	for len(c.collectErr) < n {
-		c.collectErr = append(c.collectErr, nil)
-	}
-	return c.collectBuf[:n], c.collectErr[:n]
-}
-
-// collectRound collects every connection roundSetup returned and folds
-// the results: CollectAll's snapshots plus the per-stage probes
-// RunOnce's push phase wants; rs (when non-nil) accumulates round
-// accounting.
-func (c *Controller) collectRound(in roundInputs, rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	conns := in.conns
-	buf, errs := c.roundScratch(len(conns))
-	runBounded(len(conns), in.workers, func(i int) {
-		// Positional slots shift whenever the registry changes, so the
-		// flat loop never promises a slot is still its stage's: every
-		// collect rewrites it.
-		_, _, errs[i] = conns[i].Exec(nil, &buf[i], false)
-	})
-	return c.foldCollect(in, buf, errs, rs)
-}
-
-// foldCollect aggregates a round's per-stage results (positional in
-// conns order) into per-job snapshots and per-stage probes, folding in
-// StageID order so the output is deterministic whatever the worker
-// interleaving was. Failures are reported, marked for eviction, and
-// skipped.
-func (c *Controller) foldCollect(in roundInputs, buf []stage.Stats, errs []error,
-	rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
-	conns := in.conns
-	c.noteCollect(conns, errs)
-	probes := make(map[string]stageProbe, len(conns))
-	agg := map[string]*JobSnapshot{}
-	failed := map[string]int{}
-	for i, conn := range conns {
-		info := conn.Info()
-		key := in.groupBy(info)
-		if err := errs[i]; err != nil {
-			c.onError(info.StageID, err)
-			failed[key]++
-			if rs != nil {
-				rs.CollectCalls++
-				rs.CollectFailures++
-			}
+	for i := range st.Queues {
+		q := &st.Queues[i]
+		if q.RuleID != ControlRuleID {
 			continue
 		}
-		if rs != nil {
-			rs.CollectCalls++
-		}
-		probe := stageProbe{ok: true}
-		st := &buf[i]
-		snap, ok := agg[key]
-		if !ok {
-			snap = &JobSnapshot{
-				JobID:       key,
-				Reservation: in.reservations[key],
-				Allocated:   in.lastAlloc[key],
-			}
-			agg[key] = snap
-		}
-		snap.Stages++
-		if st.Degraded {
-			snap.Degraded = true
-			snap.DegradedStages++
-			if st.DegradedSeconds > snap.DegradedSeconds {
-				snap.DegradedSeconds = st.DegradedSeconds
-			}
-		}
-		for _, q := range st.Queues {
-			if q.RuleID == ControlRuleID {
-				probe.hasCtl = true
-				probe.ctlLimit = q.Limit
-				snap.Demand += q.DemandRate
-				snap.Throughput += q.ThroughputRate
-				if q.WaitP50 > snap.WaitP50 {
-					snap.WaitP50 = q.WaitP50
-				}
-				if q.WaitP95 > snap.WaitP95 {
-					snap.WaitP95 = q.WaitP95
-				}
-				if q.WaitP99 > snap.WaitP99 {
-					snap.WaitP99 = q.WaitP99
-				}
-			}
-		}
-		probes[info.StageID] = probe
+		probe.hasCtl = true
+		probe.ctlLimit = q.Limit
+		s.Demand += q.DemandRate
+		s.Throughput += q.ThroughputRate
+		s.Dropped += q.Dropped
+		s.WaitP50 = max(s.WaitP50, q.WaitP50)
+		s.WaitP95 = max(s.WaitP95, q.WaitP95)
+		s.WaitP99 = max(s.WaitP99, q.WaitP99)
 	}
-	out := make([]JobSnapshot, 0, len(agg))
-	for key, s := range agg {
-		s.FailedStages = failed[key]
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
-	return out, probes
+	return probe
 }
 
-// RoundStats is one RunOnce iteration's accounting: how many round
-// trips the feedback loop cost at the current fleet size, and what the
-// delta protocol saved. The monitor and padll-controller's report
-// surface it; experiment E8 sweeps it against stage count.
+// merge folds another shard's row for the same job into s.
+func (s *JobSnapshot) merge(o *JobSnapshot) {
+	s.Stages += o.Stages
+	s.Demand += o.Demand
+	s.Throughput += o.Throughput
+	s.Dropped += o.Dropped
+	s.WaitP50 = max(s.WaitP50, o.WaitP50)
+	s.WaitP95 = max(s.WaitP95, o.WaitP95)
+	s.WaitP99 = max(s.WaitP99, o.WaitP99)
+	s.Degraded = s.Degraded || o.Degraded
+	s.DegradedStages += o.DegradedStages
+	s.DegradedSeconds = max(s.DegradedSeconds, o.DegradedSeconds)
+	s.FailedStages += o.FailedStages
+}
+
+// state projects a collected snapshot onto the algorithm's input.
+func (s *JobSnapshot) state() JobState {
+	return JobState{JobID: s.JobID, Demand: s.Demand, Reservation: s.Reservation, Stages: s.Stages}
+}
+
+// RoundStats is one RunOnce iteration's accounting: what the feedback
+// loop cost at the current fleet size, and what the delta protocol
+// saved. The monitor and padll-controller's report surface it;
+// experiment E8 sweeps it against stage count.
+//
+// The counts are the exchanges the controller's process issued and the
+// decisions it took. For the stages registered with it — which it
+// holds in shards of its own — that is one per member stage: a flat
+// 256-stage fleet reports Stages 256, CollectCalls 256, and a push or a
+// skip per stage. For an aggregator added with RegisterAggregator it is
+// one round trip per phase, whatever the aggregator fans out to behind
+// it: such a shard adds its member count to Stages but 1 to
+// CollectCalls, and 1 to PushCalls (or to PushesSkipped when the
+// allocation holds nothing for it).
 type RoundStats struct {
-	// Stages is the number of registered stages when the round began.
+	// Stages is the number of stages the collect phase covered.
 	Stages int
-	// CollectCalls counts collect round trips issued (one per stage);
-	// CollectFailures counts the ones that errored.
+	// CollectCalls counts collect round trips issued; CollectFailures
+	// counts the ones that errored.
 	CollectCalls    int
 	CollectFailures int
 	// PushCalls counts push-phase round trips; PushOps the operations
-	// they carried.
+	// (stage retunes, or grants to an aggregator) they carried.
 	PushCalls int
 	PushOps   int
-	// PushesSkipped counts stages whose collect probe showed the target
-	// rate already enforced, so no push RPC was issued at all — the
-	// delta protocol's steady-state win.
+	// PushesSkipped counts pushes that did not need to happen: a stage
+	// whose collect probe showed the target rate already enforced — the
+	// delta protocol's steady-state win — or an aggregator with no
+	// grant to receive.
 	PushesSkipped int
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
@@ -838,9 +709,10 @@ type RoundStats struct {
 	// round (zero across connections that never serialize).
 	BytesRead    uint64
 	BytesWritten uint64
-	// Aggregators is the shard count of a tree-mode round (0 in flat
-	// mode); TokensBorrowed/Repaid/Forgiven sum the shards' lifetime
-	// borrow-pool movement as of this round's collect.
+	// Aggregators is the number of shards the round drove: the
+	// controller's own plus the registered aggregators.
+	// TokensBorrowed/Repaid/Forgiven sum their lifetime borrow-pool
+	// movement as of this round's collect.
 	Aggregators    int
 	TokensBorrowed float64
 	TokensRepaid   float64
@@ -858,106 +730,295 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 	return c.lastRound, c.haveRound
 }
 
-// wireCounter is what the round accounting samples: stage and
-// aggregator connections alike.
-type wireCounter interface {
-	WireStats() rpcio.WireStats
+// shard is one unit of the round loop: an Aggregator the controller
+// built over a slice of its stage registry, or a registered aggregator
+// behind its connection. The scratch is owned by the controller's
+// roundMu.
+type shard struct {
+	agg  *Aggregator // controller-owned, driven in process; or
+	conn AggConn     // registered, driven one Round per phase
+	// rows is the latest collect's answer, one per job the shard holds
+	// (empty after a failed collect).
+	rows []JobSnapshot
+	// grants is this round's plan for the shard, capacity reused.
+	grants []rpcio.JobGrant
+	reply  rpcio.AggRoundReply
+	err    error
 }
 
-// wireSample snapshots the traffic counters of conns, so a round's byte
-// cost is the difference against a later wireSince over the same set.
-func wireSample[C wireCounter](conns []C) []rpcio.WireStats {
-	before := make([]rpcio.WireStats, len(conns))
-	for i, conn := range conns {
-		before[i] = conn.WireStats()
+// eachJob calls fn with every job the shard holds members of and how
+// many: the shard's own census when the controller built it, otherwise
+// what the aggregator's latest collect reported.
+func (sh *shard) eachJob(fn func(job string, members int)) {
+	if sh.agg != nil {
+		topo := sh.agg.topology()
+		for j, job := range topo.jobs {
+			fn(job, topo.jobCount[j])
+		}
+		return
 	}
-	return before
-}
-
-// wireSince adds the traffic conns moved since before into rs.
-func wireSince[C wireCounter](conns []C, before []rpcio.WireStats, rs *RoundStats) {
-	for i, conn := range conns {
-		after := conn.WireStats()
-		rs.BytesRead += after.BytesRead - before[i].BytesRead
-		rs.BytesWritten += after.BytesWritten - before[i].BytesWritten
+	for i := range sh.rows {
+		if n := sh.rows[i].Stages + sh.rows[i].FailedStages; n > 0 {
+			fn(sh.rows[i].JobID, n)
+		}
 	}
 }
 
-// pushPlan is one stage's intent for a round's push phase.
-type pushPlan struct {
-	conn    StageConn
-	stageID string
-	jobID   string
-	rate    float64
+func (sh *shard) wireStats() rpcio.WireStats {
+	if sh.agg != nil {
+		return sh.agg.wireStats()
+	}
+	return sh.conn.WireStats()
 }
 
-// buildPushPlans materializes the per-stage push intents for an
-// allocation over the stages registered now, in sorted job order and
-// StageID order within a job: a crash mid-push then partitions the
-// fleet the same way on every same-seed run, which the chaos
-// determinism tests rely on. The round's own StageID-sorted connection
-// list is that registry unless it moved since roundSetup (an eviction,
-// a late registration), so the steady state is one grouping pass.
-func (c *Controller) buildPushPlans(alloc map[string]float64, in roundInputs) []pushPlan {
-	conns := in.conns
+// wireTotal sums the shards' cumulative traffic, so a round's byte cost
+// is the difference between two totals over the same shards.
+func wireTotal(shards []*shard) (w rpcio.WireStats) {
+	for _, sh := range shards {
+		s := sh.wireStats()
+		w.BytesRead += s.BytesRead
+		w.BytesWritten += s.BytesWritten
+	}
+	return w
+}
+
+// reshard brings the shard list up to the registries' current revision
+// and returns it: the stages in StageID order cut into Aggregators of
+// at most shardSize members (one holding them all by default), then the
+// registered aggregators by ID — a pure function of the registries, so
+// same-seed chaos runs shard identically. A stage whose connection is
+// still registered keeps its member record, and with it its collect
+// slot and probe, whichever shard it lands in. Caller holds roundMu.
+func (c *Controller) reshard() []*shard {
 	c.mu.Lock()
-	moved := c.registryRev != in.rev
-	if moved {
-		conns = c.connsLocked()
+	rev := c.registryRev
+	if rev == c.shardRev {
+		c.mu.Unlock()
+		return c.shards
+	}
+	conns := c.connsLocked()
+	aggs := make([]AggConn, 0, len(c.aggs))
+	for _, conn := range c.aggs {
+		aggs = append(aggs, conn)
 	}
 	c.mu.Unlock()
-	if moved {
-		sortConns(conns)
-	}
-	byJob := make(map[string][]StageConn, len(alloc))
-	n := 0
-	for _, conn := range conns {
-		jobID := in.groupBy(conn.Info())
-		if _, ok := alloc[jobID]; ok {
-			byJob[jobID] = append(byJob[jobID], conn)
-			n++
+	sort.Slice(aggs, func(i, j int) bool { return aggs[i].ID() < aggs[j].ID() })
+
+	members := make(map[StageConn]*member, len(conns))
+	registered := make(map[AggConn]*shard, len(aggs))
+	for _, sh := range c.shards {
+		if sh.agg == nil {
+			registered[sh.conn] = sh
+			continue
+		}
+		for _, m := range sh.agg.topology().members {
+			members[m.conn] = m
 		}
 	}
-	jobIDs := make([]string, 0, len(byJob))
-	for jobID := range byJob {
-		jobIDs = append(jobIDs, jobID)
-	}
-	sort.Strings(jobIDs)
-	plans := make([]pushPlan, 0, n)
-	for _, jobID := range jobIDs {
-		members := byJob[jobID]
-		perStage := alloc[jobID] / float64(len(members))
-		for _, conn := range members {
-			plans = append(plans, pushPlan{conn: conn, stageID: conn.Info().StageID, jobID: jobID, rate: perStage})
+	sorted := make([]*member, len(conns))
+	for i, conn := range conns {
+		if sorted[i] = members[conn]; sorted[i] == nil {
+			sorted[i] = &member{conn: conn}
 		}
 	}
-	return plans
+	sortMembers(sorted)
+	opts := []AggOption{WithAggWorkers(c.workers), WithAggMatcher(c.controlled), WithAggErrorHandler(c.memberFailed)}
+	if c.borrow {
+		opts = append(opts, WithAggBorrowing(c.borrowBudget))
+	}
+	size := c.shardSize
+	if size <= 0 {
+		size = len(sorted)
+	}
+	shards := make([]*shard, 0, len(aggs)+1)
+	for i := 0; i < len(sorted); i += size {
+		agg := NewAggregator(fmt.Sprintf("agg-%04d", i/size), opts...)
+		agg.groupBy, agg.scoped = c.groupBy, c.isDefaultGroupBy
+		agg.setMembers(sorted[i:min(i+size, len(sorted))])
+		shards = append(shards, &shard{agg: agg})
+	}
+	c.owned = len(shards)
+	for _, conn := range aggs {
+		sh := registered[conn]
+		if sh == nil {
+			sh = &shard{conn: conn}
+		}
+		shards = append(shards, sh)
+	}
+	c.shards, c.shardRev = shards, rev
+	return shards
 }
 
-// pushRate brings one stage's managed queue to managed.Rate given the
-// stage's latest collect probe, and reports the round trips it cost:
-// none when the probe already shows the rate enforced (the collect just
-// proved it, so nothing needs to cross the wire); a reinstall of the
-// managed rule when the stage answered collect without the queue
-// (restarted); a retune otherwise — chased by a reinstall when the
-// retune finds the queue gone because a restart raced the probe. Every
-// call is a one-op batch. The flat loop and the aggregator both push
-// through here.
-func pushRate(conn StageConn, probe stageProbe, managed policy.Rule) (calls int, err error) {
-	if probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate {
-		return 0, nil
+// connsLocked copies the registry's connections out, unordered.
+func (c *Controller) connsLocked() []StageConn {
+	conns := make([]StageConn, 0, len(c.stages))
+	for _, conn := range c.stages {
+		conns = append(conns, conn)
 	}
-	reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
-	op := rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
-	if probe.ok && !probe.hasCtl {
-		op = reinstall
+	return conns
+}
+
+// exchange runs one phase of a round over every shard: the collect
+// (each shard's rows land in its record) or the push of the grants
+// planned for it. The controller's own shards go one after another,
+// each fanning out over its members c.workers wide; the registered
+// aggregators are then exchanged with c.workers at a time. Failures are
+// reported in shard order, and a shard that fails a phase is skipped —
+// its stages keep enforcing frozen rates — until it answers again.
+// Caller holds roundMu.
+func (c *Controller) exchange(collect bool, rs *RoundStats) {
+	own, registered := c.shards[:c.owned], c.shards[c.owned:]
+	for _, sh := range own {
+		if !collect && len(sh.grants) == 0 {
+			continue
+		}
+		grants := sh.grants
+		if collect {
+			grants = nil
+		}
+		sh.agg.roundMu.Lock()
+		// Nobody else rounds a shard of the controller's, so its rows
+		// stay valid past the unlock, until the next phase.
+		rows := sh.agg.round(grants, collect, rs)
+		sh.agg.roundMu.Unlock()
+		if collect {
+			sh.rows = rows
+			b, r, f := sh.agg.BorrowCounts()
+			rs.TokensBorrowed += b
+			rs.TokensRepaid += r
+			rs.TokensForgiven += f
+		}
 	}
-	res, _, err := conn.Exec([]rpcio.StageOp{op}, nil, false)
-	if err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-		_, _, err = conn.Exec([]rpcio.StageOp{reinstall}, nil, false)
-		return 2, err
+
+	runBounded(len(registered), c.workers, func(i int) {
+		sh := registered[i]
+		switch {
+		case collect:
+			sh.err = sh.conn.Round(nil, true, &sh.reply)
+		case len(sh.grants) > 0:
+			sh.err = sh.conn.Round(sh.grants, false, &sh.reply)
+		}
+	})
+	for _, sh := range registered {
+		switch {
+		case collect:
+			rs.CollectCalls++
+			sh.rows = sh.rows[:0]
+			if sh.err != nil {
+				rs.CollectFailures++
+				break
+			}
+			rep := &sh.reply
+			rs.Stages += rep.Stages
+			rs.TokensBorrowed += rep.Borrowed
+			rs.TokensRepaid += rep.Repaid
+			rs.TokensForgiven += rep.Forgiven
+			for i := range rep.Jobs {
+				d := &rep.Jobs[i]
+				sh.rows = append(sh.rows, JobSnapshot{
+					JobID: d.JobID, Stages: d.Stages, Demand: d.Demand, Throughput: d.Throughput,
+					WaitP99: d.WaitP99, Dropped: d.Dropped, FailedStages: d.FailedStages,
+				})
+			}
+		case len(sh.grants) > 0:
+			rs.PushCalls++
+			rs.PushOps += len(sh.grants)
+		default:
+			rs.PushesSkipped++
+		}
+		if sh.err != nil {
+			c.onError(sh.conn.ID(), sh.err)
+			sh.err = nil
+		}
 	}
-	return 1, err
+}
+
+// collect runs the collect phase and folds the shards' rows into one
+// snapshot per job, sorted by job — in shard order, so the output and
+// everything downstream of it is deterministic. A job none of whose
+// stages answered has no snapshot: the loop runs on what it can see
+// rather than holding a share for a dead peer. Caller holds roundMu.
+func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
+	c.mu.Lock()
+	var marked map[string]int
+	if len(c.misses) > 0 {
+		marked = make(map[string]int, len(c.misses))
+		for id, n := range c.misses {
+			marked[id] = n
+		}
+	}
+	c.mu.Unlock()
+
+	c.exchange(true, rs)
+
+	// Shard order, then each shard's job order: a job's rows merge in the
+	// same sequence every round.
+	merged := make([]JobSnapshot, 0, len(c.jobAt))
+	clear(c.jobAt)
+	for _, sh := range c.shards {
+		for i := range sh.rows {
+			row := &sh.rows[i]
+			if at, ok := c.jobAt[row.JobID]; ok {
+				merged[at].merge(row)
+			} else {
+				c.jobAt[row.JobID] = len(merged)
+				merged = append(merged, *row)
+			}
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].JobID < merged[j].JobID })
+
+	c.mu.Lock()
+	// The collect reached every registered stage, and a failed exchange
+	// raised the stage's mark (memberFailed): a mark still where it
+	// stood before the collect belongs to a stage that answered.
+	for id, n := range marked {
+		if c.misses[id] == n {
+			delete(c.misses, id)
+		}
+	}
+	out := merged[:0]
+	for _, s := range merged {
+		if s.Stages == 0 {
+			continue
+		}
+		s.Reservation, s.Allocated = c.reservations[s.JobID], c.lastAlloc[s.JobID]
+		out = append(out, s)
+	}
+	c.mu.Unlock()
+	return out
+}
+
+// CollectAll gathers statistics from every stage, aggregated per job
+// (feedback-loop step 1): the collect phase of a round on its own,
+// through the same shards and collect slots RunOnce uses, so it sees
+// the jobs behind registered aggregators too. Stages that fail to
+// respond are reported to the error handler, marked for eviction, and
+// skipped: the loop runs on partial snapshots rather than blocking
+// behind a dead peer.
+func (c *Controller) CollectAll() []JobSnapshot {
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
+	c.reshard()
+	return c.collect(&RoundStats{})
+}
+
+// grant plans the push phase: a job's allocation is divided equally
+// among the member stages registered for it across all shards, and each
+// shard is granted that per-member rate for the jobs it holds.
+func (c *Controller) grant(alloc map[string]float64) {
+	members := make(map[string]int, len(alloc))
+	for _, sh := range c.shards {
+		sh.eachJob(func(job string, n int) { members[job] += n })
+	}
+	for _, sh := range c.shards {
+		sh.grants = sh.grants[:0]
+		sh.eachJob(func(job string, _ int) {
+			if rate, ok := alloc[job]; ok {
+				sh.grants = append(sh.grants, rpcio.JobGrant{JobID: job, Rate: rate / float64(members[job])})
+			}
+		})
+	}
 }
 
 // roundStart begins a feedback iteration: it applies the limit adapter
@@ -971,96 +1032,62 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 	return c.algorithm, c.clusterLimit
 }
 
-// roundEnd records a finished iteration's allocation and accounting.
-func (c *Controller) roundEnd(alloc map[string]float64, rs RoundStats) {
-	c.mu.Lock()
-	c.lastAlloc = alloc
-	c.lastRound = rs
-	c.haveRound = true
-	c.mu.Unlock()
-}
-
-// RunOnce executes one feedback-loop iteration: collect, allocate, and
-// push per-stage rates. It returns the per-job allocation for reporting.
-// It is a no-op (returning nil) when no algorithm is installed.
+// RunOnce executes one feedback-loop iteration and returns the per-job
+// allocation for reporting. It is a no-op (returning nil) when no
+// algorithm is installed.
 //
-// Both wire-heavy phases are fleet-scale aware: collects are incremental
-// (one exchange per stage, only changed queues on the wire), and pushes
-// run under a bounded worker pool (WithPushConcurrency) and are skipped
-// outright for stages whose collect probe shows the target rate already
-// enforced — in-process stages included, so a steady round leaves a
-// stage's rule snapshot (and its classification cache) untouched. Push
-// outcomes are folded in sorted job/stage order regardless of the
-// concurrency bound, preserving the determinism contract the chaos
-// harness checks.
+// The round is collect, sweep, allocate, split, push. Both exchanges
+// with the fleet happen in the shards (Aggregator.round): collects are
+// incremental (only changed queues on the wire, an unchanged stage's
+// slot left as it is), and a push is skipped outright for a stage whose
+// collect probe shows the target rate already enforced — in-process
+// stages included, so a steady round leaves a stage's rule snapshot
+// (and its classification cache) untouched. What is the controller's
+// own is here: fold the shards' rows per job, evict the stages past the
+// failure threshold, run the algorithm, divide each job's allocation
+// among its registered stages, and account.
 func (c *Controller) RunOnce() map[string]float64 {
-	if c.treeEnabled() {
-		return c.runOnceTree()
-	}
 	alg, limit := c.roundStart()
 	if alg == nil {
 		return nil
 	}
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
 
 	start := c.clk.Now()
-	in := c.roundSetup()
-	conns := in.conns
-	rs := RoundStats{Stages: len(conns)}
-	wireBefore := wireSample(conns)
+	driven := c.reshard()
+	rs := RoundStats{Aggregators: len(driven)}
+	wireBefore := wireTotal(driven)
 
-	snaps, probes := c.collectRound(in, &rs)
+	snaps := c.collect(&rs)
 	// Sweep before allocating: stages past the eviction threshold leave
-	// the registry now, so the per-stage split below divides a job's
-	// grant among its live stages only instead of letting a dead one
-	// hold its share.
+	// the registry now, so the split below divides a job's allocation
+	// among its live stages only instead of letting a dead one hold its
+	// share.
 	c.EvictDead()
-	jobs := make([]JobState, 0, len(snaps))
+	jobs := make([]JobState, len(snaps))
 	for i := range snaps {
-		jobs = append(jobs, snaps[i].state())
+		jobs[i] = snaps[i].state()
 	}
 	alloc := alg.Allocate(limit, jobs)
-
 	c.mu.Lock()
 	c.lastAlloc = alloc
-	pushWorkers := c.pushWorkers
 	c.mu.Unlock()
-	plans := c.buildPushPlans(alloc, in)
 
-	type pushOutcome struct {
-		calls int
-		err   error
-	}
-	outcomes := make([]pushOutcome, len(plans))
-	runBounded(len(plans), pushWorkers, func(i int) {
-		p := plans[i]
-		o := &outcomes[i]
-		o.calls, o.err = pushRate(p.conn, probes[p.stageID], c.managedRuleFor(p.jobID, p.rate))
-	})
-
-	// Fold outcomes in plan (sorted) order: error reporting and eviction
-	// marks are deterministic whatever the worker interleaving was.
-	for i, p := range plans {
-		o := outcomes[i]
-		rs.PushCalls += o.calls
-		rs.PushOps += o.calls // every push round trip is a one-op batch
-		if o.calls == 0 {
-			rs.PushesSkipped++
-		}
-		if o.err != nil {
-			c.onError(p.stageID, o.err)
-			c.noteMiss(p.stageID)
-		}
-	}
+	// The sweep, or a registration that raced the collect, moved the
+	// registry: the plan is made over the stages registered now.
+	c.reshard()
+	c.grant(alloc)
+	c.exchange(false, &rs)
 
 	rs.Duration = c.clk.Now().Sub(start)
-	wireSince(conns, wireBefore, &rs)
-	c.roundEnd(alloc, rs)
+	wireAfter := wireTotal(driven)
+	rs.BytesRead = wireAfter.BytesRead - wireBefore.BytesRead
+	rs.BytesWritten = wireAfter.BytesWritten - wireBefore.BytesWritten
+	c.mu.Lock()
+	c.lastRound, c.haveRound = rs, true
+	c.mu.Unlock()
 	return alloc
-}
-
-// state projects a collected snapshot onto the algorithm's input.
-func (s *JobSnapshot) state() JobState {
-	return JobState{JobID: s.JobID, Demand: s.Demand, Reservation: s.Reservation, Stages: s.Stages}
 }
 
 // Run executes the feedback loop every interval until Stop is called.

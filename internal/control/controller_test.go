@@ -468,48 +468,50 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 }
 
 func TestGroupByUserSharesOneAllocation(t *testing.T) {
-	// "Group of jobs" granularity: two jobs submitted by the same user
-	// are orchestrated as one entity; a third job by another user gets
-	// its own share.
-	clk := clock.NewSim(epoch)
-	c := New(clk,
-		WithAlgorithm(StaticEqualShare{}),
-		WithClusterLimit(8000),
-		WithGroupBy(GroupByUser))
+	eachShardSize(t, func(t *testing.T, topo []Option) {
+		// "Group of jobs" granularity: two jobs submitted by the same user
+		// are orchestrated as one entity; a third job by another user gets
+		// its own share.
+		clk := clock.NewSim(epoch)
+		c := New(clk, append(topo,
+			WithAlgorithm(StaticEqualShare{}),
+			WithClusterLimit(8000),
+			WithGroupBy(GroupByUser))...)
 
-	mk := func(id, job, user string) *stage.Stage {
-		stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
-		if err := c.Register(&LocalConn{Stg: stg}); err != nil {
-			t.Fatal(err)
+		mk := func(id, job, user string) *stage.Stage {
+			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
+			if err := c.Register(&LocalConn{Stg: stg}); err != nil {
+				t.Fatal(err)
+			}
+			return stg
 		}
-		return stg
-	}
-	sA1 := mk("s1", "jobA1", "alice")
-	sA2 := mk("s2", "jobA2", "alice")
-	sB := mk("s3", "jobB", "bob")
+		sA1 := mk("s1", "jobA1", "alice")
+		sA2 := mk("s2", "jobA2", "alice")
+		sB := mk("s3", "jobB", "bob")
 
-	// Two entities: alice and bob.
-	if groups := c.Jobs(); len(groups) != 2 || groups[0] != "alice" || groups[1] != "bob" {
-		t.Fatalf("groups = %v", groups)
-	}
-	alloc := c.RunOnce()
-	if alloc["alice"] != 4000 || alloc["bob"] != 4000 {
-		t.Fatalf("allocation = %v", alloc)
-	}
-	// Alice's 4000 splits across her two stages (jobs).
-	for _, s := range []*stage.Stage{sA1, sA2} {
-		if got := s.Rules()[0].Rate; got != 2000 {
-			t.Errorf("alice stage rate = %v, want 2000", got)
+		// Two entities: alice and bob.
+		if groups := c.Jobs(); len(groups) != 2 || groups[0] != "alice" || groups[1] != "bob" {
+			t.Fatalf("groups = %v", groups)
 		}
-	}
-	if got := sB.Rules()[0].Rate; got != 4000 {
-		t.Errorf("bob stage rate = %v, want 4000", got)
-	}
-	// Collect aggregates by user too.
-	snaps := c.CollectAll()
-	if len(snaps) != 2 || snaps[0].JobID != "alice" || snaps[0].Stages != 2 {
-		t.Errorf("snapshots = %+v", snaps)
-	}
+		alloc := c.RunOnce()
+		if alloc["alice"] != 4000 || alloc["bob"] != 4000 {
+			t.Fatalf("allocation = %v", alloc)
+		}
+		// Alice's 4000 splits across her two stages (jobs).
+		for _, s := range []*stage.Stage{sA1, sA2} {
+			if got := s.Rules()[0].Rate; got != 2000 {
+				t.Errorf("alice stage rate = %v, want 2000", got)
+			}
+		}
+		if got := sB.Rules()[0].Rate; got != 4000 {
+			t.Errorf("bob stage rate = %v, want 4000", got)
+		}
+		// Collect aggregates by user too.
+		snaps := c.CollectAll()
+		if len(snaps) != 2 || snaps[0].JobID != "alice" || snaps[0].Stages != 2 {
+			t.Errorf("snapshots = %+v", snaps)
+		}
+	})
 }
 
 // TestSteadyRoundLeavesLocalStageUntouched: probe-and-skip covers
@@ -518,32 +520,34 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 // classification cache and the quiescence proof — survives the control
 // interval instead of being republished by a same-rate SetRate.
 func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
-	c.SetReservation("jobA", 3000)
-	stg, conn := localStage("s1", "jobA", clk)
-	if err := c.Register(conn); err != nil {
-		t.Fatal(err)
-	}
-	c.RunOnce() // retunes the registration-time equal share to the reservation
-	if got := ruleRate(stg, ControlRuleID); got != 3000 {
-		t.Fatalf("rate after first round = %v, want 3000", got)
-	}
-	var st stage.Stats
-	token := stg.CollectQuietInto(&st)
-	if token == 0 {
-		t.Fatal("idle stage produced no quiescence token")
-	}
-	for round := 2; round <= 3; round++ {
-		c.RunOnce()
-		rs, _ := c.LastRound()
-		if rs.PushesSkipped != 1 || rs.PushCalls != 0 {
-			t.Errorf("round %d: PushesSkipped=%d PushCalls=%d, want 1/0", round, rs.PushesSkipped, rs.PushCalls)
+	eachShardSize(t, func(t *testing.T, topo []Option) {
+		clk := clock.NewSim(epoch)
+		c := New(clk, append(topo, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))...)
+		c.SetReservation("jobA", 3000)
+		stg, conn := localStage("s1", "jobA", clk)
+		if err := c.Register(conn); err != nil {
+			t.Fatal(err)
 		}
-		if !stg.QuietSince(token) {
-			t.Errorf("round %d republished the stage's rule snapshot", round)
+		c.RunOnce() // retunes the registration-time equal share to the reservation
+		if got := ruleRate(stg, ControlRuleID); got != 3000 {
+			t.Fatalf("rate after first round = %v, want 3000", got)
 		}
-	}
+		var st stage.Stats
+		token := stg.CollectQuietInto(&st)
+		if token == 0 {
+			t.Fatal("idle stage produced no quiescence token")
+		}
+		for round := 2; round <= 3; round++ {
+			c.RunOnce()
+			rs, _ := c.LastRound()
+			if rs.PushesSkipped != 1 || rs.PushCalls != 0 {
+				t.Errorf("round %d: PushesSkipped=%d PushCalls=%d, want 1/0", round, rs.PushesSkipped, rs.PushCalls)
+			}
+			if !stg.QuietSince(token) {
+				t.Errorf("round %d republished the stage's rule snapshot", round)
+			}
+		}
+	})
 }
 
 // TestRegistrarOverFrames drives the registration endpoint end to end

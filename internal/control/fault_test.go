@@ -70,31 +70,33 @@ func TestDeregisterReleasesShare(t *testing.T) {
 // mark-sweep eviction a crashed stage dilutes its job's share forever —
 // the live stage is pinned at alloc/2.
 func TestEvictionReleasesDeadStageShare(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))
-	live, liveConn := localStage("s1", "jobA", clk)
-	deadStg, _ := localStage("s2", "jobA", clk)
-	dead := &failingConn{LocalConn{Stg: deadStg}}
-	if err := c.Register(liveConn); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(dead); err != nil {
-		t.Fatal(err)
-	}
+	eachShardSize(t, func(t *testing.T, topo []Option) {
+		clk := clock.NewSim(epoch)
+		c := New(clk, append(topo, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))...)
+		live, liveConn := localStage("s1", "jobA", clk)
+		deadStg, _ := localStage("s2", "jobA", clk)
+		dead := &failingConn{LocalConn{Stg: deadStg}}
+		if err := c.Register(liveConn); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(dead); err != nil {
+			t.Fatal(err)
+		}
 
-	c.RunOnce()
-	if got := ruleRate(live, ControlRuleID); got != 4000 {
-		t.Fatalf("with the dead stage registered, live stage rate = %v, want 4000", got)
-	}
-	// Round 2 reaches the miss threshold and sweeps; the same round's
-	// push already divides by the surviving stage count.
-	c.RunOnce()
-	if got := len(c.Stages()); got != 1 {
-		t.Fatalf("dead stage not evicted: %d stages registered", got)
-	}
-	if got := ruleRate(live, ControlRuleID); got != 8000 {
-		t.Errorf("after eviction, live stage rate = %v, want the full 8000", got)
-	}
+		c.RunOnce()
+		if got := ruleRate(live, ControlRuleID); got != 4000 {
+			t.Fatalf("with the dead stage registered, live stage rate = %v, want 4000", got)
+		}
+		// Round 2 reaches the miss threshold and sweeps; the same round's
+		// push already divides by the surviving stage count.
+		c.RunOnce()
+		if got := len(c.Stages()); got != 1 {
+			t.Fatalf("dead stage not evicted: %d stages registered", got)
+		}
+		if got := ruleRate(live, ControlRuleID); got != 8000 {
+			t.Errorf("after eviction, live stage rate = %v, want the full 8000", got)
+		}
+	})
 }
 
 func TestEvictionDisabledByDefault(t *testing.T) {
@@ -172,7 +174,7 @@ func (f *flakyConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rp
 
 func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithCollectConcurrency(4))
+	c := New(clk, WithPushConcurrency(4))
 	stages := make([]*stage.Stage, 0, 12)
 	for i := 0; i < 12; i++ {
 		id := string(rune('a' + i))
@@ -337,53 +339,56 @@ func (p *pushLogConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]
 	return p.LocalConn.Exec(ops, dst, held)
 }
 
-// TestPushPlansFollowTheLiveRegistry: pushes go out in sorted job order
-// and StageID order within a job, to the stages registered when the
-// push is planned — one that joined while the round was collecting is
-// counted in its job's split and pushed in its place.
-func TestPushPlansFollowTheLiveRegistry(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))
-	var log []string
-	stages := map[string]*stage.Stage{}
-	conn := func(id, job string) *pushLogConn {
-		stg, _ := localStage(id, job, clk)
-		stages[id] = stg
-		return &pushLogConn{LocalConn: LocalConn{Stg: stg}, log: &log}
-	}
-	// StageID order interleaves the jobs; push order must not.
-	a1, b2, a3 := conn("s1", "jobA"), conn("s2", "jobB"), conn("s3", "jobA")
-	late := conn("s0", "jobB")
-	a3.onCollect = func() {
-		if err := c.Register(late); err != nil {
-			t.Error(err)
+// TestPushesFollowTheLiveRegistryInStageIDOrder: pushes go out in
+// StageID order — the shards' fan-out order, whatever jobs the stages
+// serve — to the stages registered when the push is planned: one that
+// joined while the round was collecting is counted in its job's split
+// and pushed in its place.
+func TestPushesFollowTheLiveRegistryInStageIDOrder(t *testing.T) {
+	eachShardSize(t, func(t *testing.T, topo []Option) {
+		clk := clock.NewSim(epoch)
+		c := New(clk, append(topo, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))...)
+		var log []string
+		stages := map[string]*stage.Stage{}
+		conn := func(id, job string) *pushLogConn {
+			stg, _ := localStage(id, job, clk)
+			stages[id] = stg
+			return &pushLogConn{LocalConn: LocalConn{Stg: stg}, log: &log}
 		}
-	}
-	for _, pc := range []*pushLogConn{a3, b2, a1} {
-		if err := c.Register(pc); err != nil {
-			t.Fatal(err)
+		// StageID order interleaves the jobs, and so does the push order.
+		a1, b2, a3 := conn("s1", "jobA"), conn("s2", "jobB"), conn("s3", "jobA")
+		late := conn("s0", "jobB")
+		a3.onCollect = func() {
+			if err := c.Register(late); err != nil {
+				t.Error(err)
+			}
 		}
-	}
-	log = nil // registration installed the managed rule; only the round's pushes count
+		for _, pc := range []*pushLogConn{a3, b2, a1} {
+			if err := c.Register(pc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log = nil // registration installed the managed rule; only the round's pushes count
 
-	c.RunOnce()
-	// The first entry is the late joiner's own registration exchange.
-	if want := []string{"s0", "s1", "s3", "s0", "s2"}; !reflect.DeepEqual(log, want) {
-		t.Errorf("exchanges with ops %v, want %v (pushes in sorted job, then StageID order, late joiner included)", log, want)
-	}
-	for id, want := range map[string]float64{"s1": 2000, "s3": 2000, "s0": 2000, "s2": 2000} {
-		if got := ruleRate(stages[id], ControlRuleID); got != want {
-			t.Errorf("stage %s rate = %v, want %v", id, got, want)
+		c.RunOnce()
+		// The first entry is the late joiner's own registration exchange.
+		if want := []string{"s0", "s0", "s1", "s2", "s3"}; !reflect.DeepEqual(log, want) {
+			t.Errorf("exchanges with ops %v, want %v (pushes in StageID order, late joiner included)", log, want)
 		}
-	}
+		for id, want := range map[string]float64{"s1": 2000, "s3": 2000, "s0": 2000, "s2": 2000} {
+			if got := ruleRate(stages[id], ControlRuleID); got != want {
+				t.Errorf("stage %s rate = %v, want %v", id, got, want)
+			}
+		}
 
-	// Steady state: the registry did not move, nothing needs a push.
-	log = nil
-	c.RunOnce()
-	if len(log) != 0 {
-		t.Errorf("steady round pushed to %v", log)
-	}
-	if rs, _ := c.LastRound(); rs.PushesSkipped != 4 || rs.PushCalls != 0 {
-		t.Errorf("steady round: %d pushes, %d skipped, want 0/4", rs.PushCalls, rs.PushesSkipped)
-	}
+		// Steady state: the registry did not move, nothing needs a push.
+		log = nil
+		c.RunOnce()
+		if len(log) != 0 {
+			t.Errorf("steady round pushed to %v", log)
+		}
+		if rs, _ := c.LastRound(); rs.PushesSkipped != 4 || rs.PushCalls != 0 {
+			t.Errorf("steady round: %d pushes, %d skipped, want 0/4", rs.PushCalls, rs.PushesSkipped)
+		}
+	})
 }

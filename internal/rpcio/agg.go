@@ -47,8 +47,12 @@ type AggInfo struct {
 	Jobs []string
 }
 
-// JobGrant is one job's share of the cluster limit, fanned down to the
-// aggregator that splits it among the job's member stages.
+// JobGrant tells an aggregator what one job's member stages are to
+// enforce. Rate is the rate of each member stage, not of the shard: the
+// controller divides a job's allocation by the stages registered for it
+// across the whole fleet, once, and every shard holding stages of the
+// job receives the same per-stage figure — the aggregator applies it
+// as it stands and does no arithmetic on it.
 //
 //lint:wire
 type JobGrant struct {
@@ -56,9 +60,9 @@ type JobGrant struct {
 	Rate  float64
 }
 
-// AggRoundArgs drives one control round on an aggregator: apply the
-// grants to member stages, and (when Collect is set) merge the shard's
-// statistics into the reply.
+// AggRoundArgs drives one control round on an aggregator: bring the
+// granted jobs' member stages to the granted rate, and (when Collect is
+// set) merge the shard's statistics into the reply.
 //
 //lint:wire
 type AggRoundArgs struct {

@@ -447,13 +447,9 @@ func WithControlledMatcher(m Matcher) ControlOption { return control.WithControl
 // share redistributed (0 disables eviction, the default).
 func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
 
-// WithCollectConcurrency bounds the number of stages collected in
-// parallel during each control round (default 8).
-func WithCollectConcurrency(n int) ControlOption { return control.WithCollectConcurrency(n) }
-
 // WithPushConcurrency bounds the number of stages the feedback loop
-// pushes rates to in parallel each round (default 8; 1 forces
-// sequential, deterministic-order pushes).
+// exchanges with in parallel, collecting and pushing alike (default 8;
+// 1 forces sequential exchanges in stage-ID order).
 func WithPushConcurrency(n int) ControlOption { return control.WithPushConcurrency(n) }
 
 // WithGroupBy overrides the feedback loop's orchestration granularity:
@@ -464,19 +460,22 @@ func WithGroupBy(f func(StageInfo) string) ControlOption { return control.WithGr
 // GroupByUser groups stages by submitting user.
 func GroupByUser(info StageInfo) string { return control.GroupByUser(info) }
 
-// WithTopology enables the hierarchical control plane: registered
-// stages are auto-sharded, in stage-ID order, into aggregators of at
-// most shardSize members, and each control round exchanges one RPC per
-// shard instead of one per stage.
+// WithTopology caps the in-process shards the control plane keeps its
+// registered stages in at shardSize members, cut in stage-ID order (the
+// default is one shard holding them all). Every shard runs the same
+// round, so allocations, rates and round accounting do not depend on
+// it; it sets what one shard spans — chiefly how far a borrow pool
+// reaches (see WithBorrowing).
 func WithTopology(shardSize int) ControlOption { return control.WithTopology(shardSize) }
 
 // WithBorrowing enables decentralized token borrowing between sibling
-// stages inside each auto-built shard (see WithTopology): a stage that
-// runs dry between control rounds borrows unused tokens from idle
-// siblings, bounded by budget (a fraction of burst capacity;
-// non-positive selects the default), and debts settle when the next
-// plan lands. Tokens move rather than being minted, so a shard's
-// aggregate enforcement never exceeds its granted share.
+// in-process stages of a shard — all registered stages, or each
+// WithTopology slice of them: a stage that runs dry between control
+// rounds borrows unused tokens from idle siblings, bounded by budget (a
+// fraction of burst capacity; non-positive selects the default), and
+// debts settle when the next plan lands. Tokens move rather than being
+// minted, so a shard's aggregate enforcement never exceeds its granted
+// share.
 func WithBorrowing(budget float64) ControlOption { return control.WithBorrowing(budget) }
 
 // NewControlPlane builds a control plane.
