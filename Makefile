@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke ci experiments tools clean
+.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self ci experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
 # path layer by layer (shim, stage, router, OS backend) plus the io/fs
@@ -59,14 +59,15 @@ race:
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/...
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
-# exposure — the control plane and every layer of the lock-free admit
-# path — ten times each at 1, 2 and 4 Ps. A test that only passes at
+# exposure — the control plane, every layer of the lock-free admit
+# path, and the packages whose tests park goroutines on a simulated
+# clock — ten times each at 1, 2 and 4 Ps. A test that only passes at
 # the baseline box's core count or speed fails here, at the builder's
 # desk, instead of at the next reviewer's.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
 		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
-		./internal/clock/...
+		./internal/clock/... ./internal/pfs/... ./internal/monitor/...
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
@@ -78,15 +79,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpcio/
 
 # Hot-path microbenchmarks at 1, 4 and 8 simulated CPUs, then the
-# control-plane fleet benchmarks; the raw `go test -json` event streams
-# land in BENCH_stage.json / BENCH_control.json so runs can be diffed
-# against the committed baselines. The fleet benchmarks are pinned to
-# -cpu=1: they measure wall-clock rounds over live sockets, not
-# CPU-parallel hot paths, and the pin keeps benchmark names free of a
-# -N suffix, so the baseline compares on a host of any core count.
-# -count=3 gives the baseline the
-# same minimum-of-three estimate bench-diff uses on the fresh side, so
-# the gate never compares against a single unlucky (or lucky) sample.
+# control-plane fleet benchmarks; a per-benchmark summary of each run
+# (fastest and slowest ns/op of the three samples, allocs/op, B/op and
+# the custom units) lands in BENCH_stage.json / BENCH_control.json so
+# runs can be diffed against the committed baselines. The fleet
+# benchmarks are pinned to -cpu=1: they measure wall-clock rounds over
+# live sockets, not CPU-parallel hot paths, and the pin keeps benchmark
+# names free of a -N suffix, so the baseline compares on a host of any
+# core count. -count=3 gives the baseline the same minimum-of-three
+# estimate bench-diff uses on the fresh side, so the gate never compares
+# against a single unlucky (or lucky) sample.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1,4,8 -count=3 -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -raw BENCH_stage.json
@@ -148,19 +150,8 @@ lint:
 lint-self:
 	$(GO) run ./cmd/padll-lint ./internal/lint ./cmd/padll-lint
 
-# -fix dry-run smoke: a clean tree must propose zero fixes, and the
-# preview must be idempotent (two consecutive runs print the same plan).
-fix-smoke:
-	@$(GO) run ./cmd/padll-lint -diff ./... > .fixsmoke.1
-	@$(GO) run ./cmd/padll-lint -diff ./... > .fixsmoke.2
-	@cmp .fixsmoke.1 .fixsmoke.2 || { echo "padll-lint -diff is not idempotent"; rm -f .fixsmoke.1 .fixsmoke.2; exit 1; }
-	@grep -q "0 fixes available" .fixsmoke.1 || { echo "padll-lint -diff proposes fixes on a clean tree:"; cat .fixsmoke.1; rm -f .fixsmoke.1 .fixsmoke.2; exit 1; }
-	@rm -f .fixsmoke.1 .fixsmoke.2
-	@echo "fix-smoke: -diff idempotent, no fixes pending"
-
-# The full gate: formatting, vet, padll-lint (plus self-lint and the
-# -fix dry-run smoke), build, race-enabled tests, a plain-mode pass
-# over the packages whose AllocsPerRun guards skip under -race (race
+# The full gate: formatting, vet, padll-lint (plus self-lint), build,
+# race-enabled tests, a plain-mode pass over the packages whose AllocsPerRun guards skip under -race (race
 # instrumentation defeats escape analysis and randomizes sync.Pool, so
 # alloc counts only mean anything uninstrumented), the doubled
 # control-plane race pass, and a one-iteration benchmark smoke so the
@@ -174,7 +165,6 @@ ci:
 	fi
 	$(MAKE) lint
 	$(MAKE) lint-self
-	$(MAKE) fix-smoke
 	$(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/osfs/...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...

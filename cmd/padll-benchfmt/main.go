@@ -1,11 +1,13 @@
 // Command padll-benchfmt renders a `go test -json` benchmark event
 // stream back into human-readable text. `make bench` pipes through it so
-// the raw JSON can be captured (BENCH_stage.json, BENCH_control.json)
-// for machine diffing while the terminal still shows the familiar
-// benchmark table.
+// the terminal still shows the familiar benchmark table while -raw keeps
+// a summary of the run (BENCH_stage.json, BENCH_control.json) for machine
+// diffing: one record per benchmark, keyed by package and name, holding
+// the fastest and the slowest ns/op of its -count samples and the fastest
+// sample's other units (allocs/op, B/op, wireB/round, ...).
 //
 // With -diff it also compares the fresh stream against a committed
-// baseline capture and exits non-zero when ns/op, allocs/op or
+// baseline summary and exits non-zero when ns/op, allocs/op or
 // wireB/round regress beyond the tolerance (-ns-tolerance loosens the
 // wall-clock unit independently of the deterministic ones), and -ratio
 // additionally gates same-run ns/op quotients — e.g. bridged vs direct
@@ -23,12 +25,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -38,6 +42,83 @@ type event struct {
 	Action  string `json:"Action"`
 	Package string `json:"Package"`
 	Output  string `json:"Output"`
+}
+
+// benchKey names one benchmark: the same function name in two packages is
+// two benchmarks.
+type benchKey struct{ pkg, name string }
+
+// results holds one summary per benchmark: the fastest sample's
+// measurements by unit, plus the slowest sample's ns/op under nsMaxKey.
+type results map[benchKey]map[string]float64
+
+// byName finds the one benchmark called name, whatever its package.
+func (r results) byName(name string) (map[string]float64, bool) {
+	var found map[string]float64
+	for k, m := range r {
+		if k.name != name {
+			continue
+		}
+		if found != nil {
+			return nil, false // ambiguous: a gate must name one benchmark
+		}
+		found = m
+	}
+	return found, found != nil
+}
+
+// record is one benchmark of a summary file.
+type record struct {
+	Pkg   string             `json:"pkg"`
+	Name  string             `json:"name"`
+	Units map[string]float64 `json:"units"`
+}
+
+// writeSummary stores r at path, one record per line in package and name
+// order, so two captures of the same suite diff line against line.
+func writeSummary(path string, r results) error {
+	keys := make([]benchKey, 0, len(r))
+	for k := range r {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].pkg != keys[j].pkg {
+			return keys[i].pkg < keys[j].pkg
+		}
+		return keys[i].name < keys[j].name
+	})
+	var b bytes.Buffer
+	b.WriteString("[\n")
+	for i, k := range keys {
+		line, err := json.Marshal(record{k.pkg, k.name, r[k]})
+		if err != nil {
+			return err
+		}
+		b.Write(line)
+		if i < len(keys)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("]\n")
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+// readSummary loads a summary writeSummary stored.
+func readSummary(path string) (results, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var recs []record
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return nil, fmt.Errorf("%s: not a benchmark summary: %w", path, err)
+	}
+	r := make(results, len(recs))
+	for _, rec := range recs {
+		r[benchKey{rec.Pkg, rec.Name}] = rec.Units
+	}
+	return r, nil
 }
 
 // diffUnits are the measurements -diff guards. ns/op is the round
@@ -119,13 +200,13 @@ func parseRatios(s string) ([]ratioSpec, error) {
 // gateRatios checks each spec against the fresh results and returns
 // the number of exceeded limits. A missing benchmark is an error, not
 // a silent pass: a renamed benchmark must not dissolve its gate.
-func gateRatios(specs []ratioSpec, fresh map[string]map[string]float64) (int, error) {
+func gateRatios(specs []ratioSpec, fresh results) (int, error) {
 	exceeded := 0
 	for _, sp := range specs {
-		num, okN := fresh[sp.num]
-		den, okD := fresh[sp.den]
+		num, okN := fresh.byName(sp.num)
+		den, okD := fresh.byName(sp.den)
 		if !okN || !okD || den["ns/op"] == 0 {
-			return 0, fmt.Errorf("ratio %s/%s: benchmark missing from this run", sp.num, sp.den)
+			return 0, fmt.Errorf("ratio %s/%s: benchmark missing from this run (or in two packages)", sp.num, sp.den)
 		}
 		r := num["ns/op"] / den["ns/op"]
 		if math.IsInf(sp.limit, 1) {
@@ -164,23 +245,23 @@ func parseBenchLine(line string) (string, map[string]float64, bool) {
 }
 
 // render consumes a test2json stream, writing the human-readable
-// benchmark table to out, copying the raw stream to raw (nil to skip),
-// and recording parsed results into results (nil to skip). Returns the
-// number of benchmark results seen.
-func render(in io.Reader, out, raw io.Writer, results map[string]map[string]float64) (int, error) {
+// benchmark table to out and summarizing the parsed results into sum
+// (nil to skip). Returns the number of benchmark results seen.
+func render(in io.Reader, out io.Writer, sum results) (int, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	benches := 0
 	pending := "" // benchmark name emitted without its result line yet
-	record := func(line string) {
+	record := func(pkg, line string) {
 		benches++
-		if results == nil {
+		if sum == nil {
 			return
 		}
 		name, metrics, ok := parseBenchLine(line)
 		if !ok {
 			return
 		}
+		key := benchKey{pkg, name}
 		// With -count=N each benchmark reports N times; keep the fastest
 		// run. Scheduler contention only ever inflates ns/op, so the
 		// minimum is the best estimate of true cost — and what makes
@@ -188,7 +269,7 @@ func render(in io.Reader, out, raw io.Writer, results map[string]map[string]floa
 		// sample rides along under nsMaxKey so diff can see the
 		// in-window spread.
 		slowest := metrics["ns/op"]
-		if prev, seen := results[name]; seen {
+		if prev, seen := sum[key]; seen {
 			if prev[nsMaxKey] > slowest {
 				slowest = prev[nsMaxKey]
 			}
@@ -198,15 +279,10 @@ func render(in io.Reader, out, raw io.Writer, results map[string]map[string]floa
 			}
 		}
 		metrics[nsMaxKey] = slowest
-		results[name] = metrics
+		sum[key] = metrics
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
-		if raw != nil {
-			// Stream copy errors (disk full) surface at Close.
-			_, _ = raw.Write(line)
-			_, _ = raw.Write([]byte{'\n'})
-		}
 		var ev event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			// Pass non-JSON lines through untouched so plain-text input
@@ -223,7 +299,7 @@ func render(in io.Reader, out, raw io.Writer, results map[string]map[string]floa
 			whole := pending + strings.TrimRight(ev.Output, "\n")
 			fmt.Fprintln(out, whole)
 			pending = ""
-			record(whole)
+			record(ev.Package, whole)
 			continue
 		}
 		outLine := strings.TrimRight(ev.Output, "\n")
@@ -231,7 +307,7 @@ func render(in io.Reader, out, raw io.Writer, results map[string]map[string]floa
 		case strings.HasPrefix(outLine, "Benchmark") && !strings.HasSuffix(ev.Output, "\n"):
 			pending = outLine
 		case strings.HasPrefix(outLine, "Benchmark") && strings.Contains(outLine, "ns/op"):
-			record(outLine)
+			record(ev.Package, outLine)
 			fmt.Fprintln(out, outLine)
 		case strings.HasPrefix(outLine, "Benchmark"):
 			// Bare RUN line (no measurements attached) — skip.
@@ -249,30 +325,25 @@ func render(in io.Reader, out, raw io.Writer, results map[string]map[string]floa
 	return benches, sc.Err()
 }
 
-// diff compares fresh results against a baseline capture and reports
+// diff compares fresh results against a baseline summary and reports
 // per-benchmark deltas on the guarded units. Returns the number of
 // regressions beyond tolerance; nsTolerance applies to ns/op only, so
 // wall-clock suites can run a loose timing tripwire while allocs/op
 // and wireB/round stay strictly gated.
-func diff(basePath string, fresh map[string]map[string]float64, tolerance, nsTolerance float64) (int, error) {
-	f, err := os.Open(basePath)
+func diff(basePath string, fresh results, tolerance, nsTolerance float64) (int, error) {
+	base, err := readSummary(basePath)
 	if err != nil {
-		return 0, err
-	}
-	// Read-only baseline: a close error has nothing to report.
-	defer func() { _ = f.Close() }()
-	base := map[string]map[string]float64{}
-	if _, err := render(f, io.Discard, nil, base); err != nil {
 		return 0, err
 	}
 
 	fmt.Printf("\ndiff vs %s (tolerance %.0f%%, ns/op %.0f%%):\n", basePath, tolerance*100, nsTolerance*100)
 	regressions, compared := 0, 0
-	for name, baseM := range base {
-		freshM, ok := fresh[name]
+	for key, baseM := range base {
+		freshM, ok := fresh[key]
 		if !ok {
 			continue // baseline benchmark not in this run (different package set)
 		}
+		name := key.name
 		for _, unit := range diffUnits {
 			b, okB := baseM[unit]
 			fr, okF := freshM[unit]
@@ -327,9 +398,9 @@ func main() {
 	os.Exit(run())
 }
 
-func run() (code int) {
-	rawPath := flag.String("raw", "", "also copy the raw input stream to this file (replaces `| tee`)")
-	diffPath := flag.String("diff", "", "compare against this baseline `go test -json` capture; exit non-zero on regression")
+func run() int {
+	rawPath := flag.String("raw", "", "also write the run's per-benchmark summary to this `file` (the baseline -diff reads)")
+	diffPath := flag.String("diff", "", "compare against this baseline summary `file`; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression per measurement in -diff mode")
 	nsTolerance := flag.Float64("ns-tolerance", 0, "allowed fractional ns/op regression in -diff mode (0 = same as -tolerance); loosen for wall-clock suites without loosening the deterministic units")
 	ratios := flag.String("ratio", "", "comma-separated same-run ratio gates `numBench/denBench<=limit` on ns/op, checked against the fresh results in -diff mode")
@@ -343,38 +414,22 @@ func run() (code int) {
 		return 2
 	}
 
-	var raw io.Writer
-	if *rawPath != "" {
-		f, err := os.Create(*rawPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "padll-benchfmt:", err)
-			return 1
-		}
-		w := bufio.NewWriter(f)
-		defer func() {
-			// Flush-then-close: a full disk surfaces here, not silently.
-			err := w.Flush()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "padll-benchfmt:", err)
-				code = 1
-			}
-		}()
-		raw = w
+	var fresh results
+	if *rawPath != "" || *diffPath != "" {
+		fresh = results{}
 	}
-
-	var fresh map[string]map[string]float64
-	if *diffPath != "" {
-		fresh = map[string]map[string]float64{}
-	}
-	benches, err := render(os.Stdin, os.Stdout, raw, fresh)
+	benches, err := render(os.Stdin, os.Stdout, fresh)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "padll-benchfmt:", err)
 		return 1
 	}
 	fmt.Printf("\n%d benchmark results\n", benches)
+	if *rawPath != "" {
+		if err := writeSummary(*rawPath, fresh); err != nil {
+			fmt.Fprintln(os.Stderr, "padll-benchfmt:", err)
+			return 1
+		}
+	}
 
 	if *diffPath != "" {
 		regressions, err := diff(*diffPath, fresh, *tolerance, *nsTolerance)

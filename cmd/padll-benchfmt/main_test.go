@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,14 +37,14 @@ func TestParseBenchLine(t *testing.T) {
 	}
 }
 
-// stream builds a test2json capture with each benchmark's result split
-// across two output events, exactly as test2json emits them.
-func stream(t *testing.T, results map[string]string) string {
+// stream builds package pkg's test2json capture with each benchmark's
+// result split across two output events, exactly as test2json emits them.
+func stream(t *testing.T, pkg string, benches map[string]string) string {
 	t.Helper()
 	var b strings.Builder
-	for name, tail := range results {
+	for name, tail := range benches {
 		for _, out := range []string{name + " \t", tail + "\n"} {
-			line, err := json.Marshal(event{Action: "output", Package: "p", Output: out})
+			line, err := json.Marshal(event{Action: "output", Package: pkg, Output: out})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,25 +55,95 @@ func stream(t *testing.T, results map[string]string) string {
 	return b.String()
 }
 
+// baselineFile writes the summary of the given results, as `-raw` would
+// after rendering their stream, and returns its path.
+func baselineFile(t *testing.T, benches map[string]string) string {
+	t.Helper()
+	sum := results{}
+	if _, err := render(strings.NewReader(stream(t, "p", benches)), io.Discard, sum); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := writeSummary(path, sum); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// key names a benchmark of package "p", where the tests' streams report from.
+func key(name string) benchKey { return benchKey{"p", name} }
+
 func TestRenderStitchesAndRecords(t *testing.T) {
-	in := stream(t, map[string]string{
+	events := stream(t, "p", map[string]string{
 		"BenchmarkA": "  100\t  2000 ns/op\t  512 wireB/round",
 		"BenchmarkB": "  100\t  3000 ns/op",
 	})
 	var out strings.Builder
-	got := map[string]map[string]float64{}
-	n, err := render(strings.NewReader(in), &out, nil, got)
+	got := results{}
+	n, err := render(strings.NewReader(events), &out, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Errorf("rendered %d benchmarks, want 2", n)
 	}
-	if got["BenchmarkA"]["wireB/round"] != 512 || got["BenchmarkB"]["ns/op"] != 3000 {
+	if got[key("BenchmarkA")]["wireB/round"] != 512 || got[key("BenchmarkB")]["ns/op"] != 3000 {
 		t.Errorf("recorded metrics wrong: %v", got)
 	}
 	if !strings.Contains(out.String(), "BenchmarkA \t  100\t  2000 ns/op") {
 		t.Errorf("human output lost the stitched line:\n%s", out.String())
+	}
+}
+
+// TestSummaryRoundTrip: what -raw stores is what -diff reads back, one
+// line per benchmark in package and name order; the same name in two
+// packages stays two benchmarks (and cannot anchor a ratio gate); and a
+// baseline that is not a summary — an old event-stream capture — is an
+// error, not an empty comparison.
+func TestSummaryRoundTrip(t *testing.T) {
+	both := map[string]string{
+		"BenchmarkA": " 10\t 100 ns/op\t 0 allocs/op",
+		"BenchmarkB": " 10\t 100 ns/op\t 0 allocs/op",
+	}
+	events := stream(t, "q", both) + stream(t, "p", both)
+	sum := results{}
+	if _, err := render(strings.NewReader(events), io.Discard, sum); err != nil {
+		t.Fatal(err)
+	}
+	if len(sum) != 4 {
+		t.Fatalf("summarized %d benchmarks, want 4 (two names in two packages)", len(sum))
+	}
+	if _, ok := sum.byName("BenchmarkA"); ok {
+		t.Error("byName resolved a name two packages share")
+	}
+	path := filepath.Join(t.TempDir(), "sum.json")
+	if err := writeSummary(path, sum); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readSummary(path)
+	if err != nil || !reflect.DeepEqual(back, sum) {
+		t.Fatalf("readSummary = %v, %v; want what was written: %v", back, err, sum)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[
+{"pkg":"p","name":"BenchmarkA","units":{"allocs/op":0,"ns/op":100,"ns/op.max":100}},
+{"pkg":"p","name":"BenchmarkB","units":{"allocs/op":0,"ns/op":100,"ns/op.max":100}},
+{"pkg":"q","name":"BenchmarkA","units":{"allocs/op":0,"ns/op":100,"ns/op.max":100}},
+{"pkg":"q","name":"BenchmarkB","units":{"allocs/op":0,"ns/op":100,"ns/op.max":100}}
+]
+`
+	if string(data) != want {
+		t.Errorf("summary file:\n%s\nwant:\n%s", data, want)
+	}
+
+	if err := os.WriteFile(path, []byte(events), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := diff(path, sum, 0.15, 0.15); err == nil {
+		t.Error("diff against an event-stream capture passed; want an error")
 	}
 }
 
@@ -90,49 +161,46 @@ func TestRenderKeepsFastestOfRepeatedRuns(t *testing.T) {
 			b.WriteByte('\n')
 		}
 	}
-	got := map[string]map[string]float64{}
-	if _, err := render(strings.NewReader(b.String()), io.Discard, nil, got); err != nil {
+	got := results{}
+	if _, err := render(strings.NewReader(b.String()), io.Discard, got); err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkRepeat"]["ns/op"] != 2000 || got["BenchmarkRepeat"]["wireB/round"] != 510 {
-		t.Errorf("recorded %v, want the fastest run (2000 ns/op, 510 wireB/round)", got["BenchmarkRepeat"])
+	rep := got[key("BenchmarkRepeat")]
+	if rep["ns/op"] != 2000 || rep["wireB/round"] != 510 {
+		t.Errorf("recorded %v, want the fastest run (2000 ns/op, 510 wireB/round)", rep)
 	}
-	if got["BenchmarkRepeat"][nsMaxKey] != 3000 {
-		t.Errorf("recorded %v ns/op.max, want the slowest sample (3000) for spread gating", got["BenchmarkRepeat"][nsMaxKey])
+	if rep[nsMaxKey] != 3000 {
+		t.Errorf("recorded %v ns/op.max, want the slowest sample (3000) for spread gating", rep[nsMaxKey])
 	}
 }
 
 func TestDiffFlagsRegressionsOnly(t *testing.T) {
-	baseline := stream(t, map[string]string{
+	path := baselineFile(t, map[string]string{
 		"BenchmarkFast":   "  100\t  1000 ns/op\t  100 wireB/round",
 		"BenchmarkSteady": "  100\t  5000 ns/op\t  200 wireB/round",
 		"BenchmarkGone":   "  100\t  9000 ns/op",
 	})
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	// Within tolerance everywhere (10% worse ns/op on Steady, big win on
 	// Fast, Gone not re-run): zero regressions.
-	fresh := map[string]map[string]float64{
-		"BenchmarkFast":   {"ns/op": 500, "wireB/round": 90},
-		"BenchmarkSteady": {"ns/op": 5500, "wireB/round": 200},
-		"BenchmarkNew":    {"ns/op": 1}, // no baseline: ignored
+	fresh := results{
+		key("BenchmarkFast"):   {"ns/op": 500, "wireB/round": 90},
+		key("BenchmarkSteady"): {"ns/op": 5500, "wireB/round": 200},
+		key("BenchmarkNew"):    {"ns/op": 1}, // no baseline: ignored
 	}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 0 {
 		t.Errorf("diff = %d regressions, err %v; want 0, nil", n, err)
 	}
 
 	// Blow the budget on one ns/op and one wireB/round.
-	fresh["BenchmarkSteady"] = map[string]float64{"ns/op": 6000, "wireB/round": 200}
-	fresh["BenchmarkFast"] = map[string]float64{"ns/op": 500, "wireB/round": 150}
+	fresh[key("BenchmarkSteady")] = map[string]float64{"ns/op": 6000, "wireB/round": 200}
+	fresh[key("BenchmarkFast")] = map[string]float64{"ns/op": 500, "wireB/round": 150}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 2 {
 		t.Errorf("diff = %d regressions, err %v; want 2, nil", n, err)
 	}
 
 	// Nothing comparable must be an error, not a silent pass.
-	if _, err := diff(path, map[string]map[string]float64{}, 0.15, 0.15); err == nil {
+	if _, err := diff(path, results{}, 0.15, 0.15); err == nil {
 		t.Error("diff with no overlap passed; want an error")
 	}
 }
@@ -141,18 +209,14 @@ func TestDiffFlagsRegressionsOnly(t *testing.T) {
 // is zero (an allocation-free path) regresses on any count at all,
 // where a ratio against zero would have skipped it.
 func TestDiffZeroBaselineIsAContract(t *testing.T) {
-	baseline := stream(t, map[string]string{
+	path := baselineFile(t, map[string]string{
 		"BenchmarkFree": "  100\t  1000 ns/op\t  0 B/op\t  0 allocs/op",
 	})
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := map[string]map[string]float64{"BenchmarkFree": {"ns/op": 1000, "allocs/op": 0}}
+	fresh := results{key("BenchmarkFree"): {"ns/op": 1000, "allocs/op": 0}}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 0 {
 		t.Errorf("still allocation-free: diff = %d regressions, err %v; want 0, nil", n, err)
 	}
-	fresh["BenchmarkFree"]["allocs/op"] = 1
+	fresh[key("BenchmarkFree")]["allocs/op"] = 1
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
 		t.Errorf("0 -> 1 allocs/op: diff = %d regressions, err %v; want 1, nil", n, err)
 	}
@@ -163,24 +227,20 @@ func TestDiffZeroBaselineIsAContract(t *testing.T) {
 // trip the gate, while a delta past the floor still does — and the
 // floor never applies to the deterministic allocs/op unit.
 func TestDiffNsNoiseFloor(t *testing.T) {
-	baseline := stream(t, map[string]string{
+	path := baselineFile(t, map[string]string{
 		"BenchmarkTiny": "  100\t  8 ns/op\t  0 allocs/op",
 	})
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	// +30% relative but only +2.4ns absolute: inside the floor.
-	fresh := map[string]map[string]float64{
-		"BenchmarkTiny": {"ns/op": 10.4, "allocs/op": 0},
+	fresh := results{
+		key("BenchmarkTiny"): {"ns/op": 10.4, "allocs/op": 0},
 	}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 0 {
 		t.Errorf("diff = %d regressions, err %v; want 0 (2.4ns wobble is noise)", n, err)
 	}
 
 	// +12ns absolute: past the floor, a real slowdown.
-	fresh["BenchmarkTiny"] = map[string]float64{"ns/op": 20, "allocs/op": 0}
+	fresh[key("BenchmarkTiny")] = map[string]float64{"ns/op": 20, "allocs/op": 0}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
 		t.Errorf("diff = %d regressions, err %v; want 1 (12ns past the floor)", n, err)
 	}
@@ -188,13 +248,10 @@ func TestDiffNsNoiseFloor(t *testing.T) {
 	// One new allocation on a zero-alloc path must trip regardless of
 	// how small the benchmark is — but a zero baseline is skipped, so
 	// seed the baseline at one alloc and regress to two.
-	baseline = stream(t, map[string]string{
+	path = baselineFile(t, map[string]string{
 		"BenchmarkTiny": "  100\t  8 ns/op\t  1 allocs/op",
 	})
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh["BenchmarkTiny"] = map[string]float64{"ns/op": 8, "allocs/op": 2}
+	fresh[key("BenchmarkTiny")] = map[string]float64{"ns/op": 8, "allocs/op": 2}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
 		t.Errorf("diff = %d regressions, err %v; want 1 (allocs/op has no noise floor)", n, err)
 	}
@@ -206,32 +263,28 @@ func TestDiffNsNoiseFloor(t *testing.T) {
 // tight-spread benchmark still trips — and spread never loosens the
 // deterministic units.
 func TestDiffSpreadWidensNsTolerance(t *testing.T) {
-	baseline := stream(t, map[string]string{
+	path := baselineFile(t, map[string]string{
 		"BenchmarkFleet": "  100\t  1000000 ns/op\t  200 wireB/round",
 	})
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	// +20% min-to-min, but the fresh samples spread 1.2M..1.56M (30%):
 	// inside the benchmark's own variance, not a regression.
-	fresh := map[string]map[string]float64{
-		"BenchmarkFleet": {"ns/op": 1200000, nsMaxKey: 1560000, "wireB/round": 200},
+	fresh := results{
+		key("BenchmarkFleet"): {"ns/op": 1200000, nsMaxKey: 1560000, "wireB/round": 200},
 	}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 0 {
 		t.Errorf("diff = %d regressions, err %v; want 0 (delta within measured spread)", n, err)
 	}
 
 	// Same +20% with a tight 2% spread: a real slowdown.
-	fresh["BenchmarkFleet"] = map[string]float64{"ns/op": 1200000, nsMaxKey: 1224000, "wireB/round": 200}
+	fresh[key("BenchmarkFleet")] = map[string]float64{"ns/op": 1200000, nsMaxKey: 1224000, "wireB/round": 200}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
 		t.Errorf("diff = %d regressions, err %v; want 1 (tight spread keeps the gate)", n, err)
 	}
 
 	// Spread must not excuse wireB/round: bytes on the wire are
 	// deterministic whatever the scheduler does.
-	fresh["BenchmarkFleet"] = map[string]float64{"ns/op": 1000000, nsMaxKey: 2000000, "wireB/round": 300}
+	fresh[key("BenchmarkFleet")] = map[string]float64{"ns/op": 1000000, nsMaxKey: 2000000, "wireB/round": 300}
 	if n, err := diff(path, fresh, 0.15, 0.15); err != nil || n != 1 {
 		t.Errorf("diff = %d regressions, err %v; want 1 (wire bytes gated strictly)", n, err)
 	}
@@ -254,10 +307,10 @@ func TestRatioGates(t *testing.T) {
 		}
 	}
 
-	fresh := map[string]map[string]float64{
-		"BenchA": {"ns/op": 120},
-		"BenchB": {"ns/op": 100},
-		"BenchC": {"ns/op": 250},
+	fresh := results{
+		key("BenchA"): {"ns/op": 120},
+		key("BenchB"): {"ns/op": 100},
+		key("BenchC"): {"ns/op": 250},
 	}
 	// A/B = 1.2 within 1.5; C/B = 2.5 past 2.
 	if n, err := gateRatios(specs, fresh); err != nil || n != 1 {
@@ -271,7 +324,7 @@ func TestRatioGates(t *testing.T) {
 	if n, err := gateRatios(report, fresh); err != nil || n != 0 {
 		t.Errorf("report-only ratio = %d exceeded, err %v; want 0", n, err)
 	}
-	delete(fresh, "BenchC")
+	delete(fresh, key("BenchC"))
 	if _, err := gateRatios(report, fresh); err == nil {
 		t.Error("report-only ratio with a missing benchmark passed; want an error")
 	}

@@ -12,12 +12,9 @@
 //	padll-lint -list                 # describe the analyzers
 //	padll-lint -enable wirecheck     # run only the named analyzers
 //	padll-lint -disable leakcheck    # run all but the named analyzers
-//	padll-lint -diff ./...           # preview mechanical fixes
-//	padll-lint -fix ./...            # apply mechanical fixes in place
 //
 // Exit code contract: 0 = no findings, 1 = findings reported,
-// 2 = usage or load error. With -fix, findings that were mechanically
-// repaired do not count against the exit code. Suppression pragma:
+// 2 = usage or load error. Suppression pragma:
 //
 //	//lint:allow <analyzer> <reason>
 package main
@@ -39,8 +36,6 @@ func main() {
 		analyzer = flag.String("analyzer", "", "alias of -enable (kept for compatibility)")
 		enable   = flag.String("enable", "", "run only the named analyzers (comma-separated)")
 		disable  = flag.String("disable", "", "run all analyzers except the named ones (comma-separated)")
-		fix      = flag.Bool("fix", false, "apply mechanical fixes in place")
-		diff     = flag.Bool("diff", false, "print the fixes -fix would apply, without writing")
 	)
 	flag.Parse()
 
@@ -49,10 +44,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *fix && *diff {
-		fmt.Fprintln(os.Stderr, "padll-lint: -fix and -diff are mutually exclusive")
-		os.Exit(2)
 	}
 
 	analyzers, err := selectAnalyzers(*enable, *analyzer, *disable)
@@ -77,47 +68,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch {
-	case *diff:
-		fixes := res.Fixes()
-		for _, f := range fixes {
-			fmt.Printf("%s: would insert %q (%s)\n", relPath(root, f.Path), f.Insert, f.Summary)
-		}
-		fmt.Printf("padll-lint: %d packages, %d fixes available\n", res.Packages, len(fixes))
-		if len(res.Diags) > 0 {
-			os.Exit(1)
-		}
-		return
-	case *fix:
-		fixes := res.Fixes()
-		changed, err := lint.ApplyFixes(fixes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "padll-lint:", err)
-			os.Exit(2)
-		}
-		for _, path := range changed {
-			fmt.Printf("fixed %s\n", relPath(root, path))
-		}
-		// Unfixable findings still fail the run.
-		unfixed := 0
-		for _, d := range res.Diags {
-			if d.Fix == nil {
-				fmt.Println(d.String())
-				unfixed++
-			}
-		}
-		fmt.Printf("padll-lint: %d packages, %d fixes applied, %d findings left\n",
-			res.Packages, len(fixes), unfixed)
-		if unfixed > 0 {
-			os.Exit(1)
-		}
-		return
-	case *jsonOut:
+	if *jsonOut {
 		if err := res.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "padll-lint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		res.WriteText(os.Stdout)
 	}
 	if len(res.Diags) > 0 {
@@ -166,14 +122,6 @@ func selectAnalyzers(enable, alias, disable string) ([]*lint.Analyzer, error) {
 		}
 	}
 	return out, nil
-}
-
-// relPath renders a path relative to the module root when possible.
-func relPath(root, path string) string {
-	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
-	}
-	return path
 }
 
 // findModuleRoot walks up from the working directory to the nearest

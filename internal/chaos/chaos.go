@@ -250,9 +250,6 @@ func (h *Harness) Node(id string) *StageNode { return h.nodes[id] }
 // AggregatorNode returns an aggregator node by ID (nil when absent).
 func (h *Harness) AggregatorNode(id string) *AggNode { return h.aggs[id] }
 
-// Rand is the scenario's seeded randomness source.
-func (h *Harness) Rand() *rand.Rand { return h.rng }
-
 // Controller exposes the live controller (it changes across restarts).
 func (h *Harness) Controller() *control.Controller { return h.ctl }
 
@@ -339,12 +336,6 @@ func (h *Harness) Partition(id string) {
 func (h *Harness) Heal(id string) {
 	h.nodes[id].partitioned.Store(false)
 	h.logf("stage %s healed", id)
-}
-
-// CrashStage kills a stage permanently.
-func (h *Harness) CrashStage(id string) {
-	h.nodes[id].crashed.Store(true)
-	h.logf("stage %s crashed", id)
 }
 
 // ArmStageCrashAfterCollects makes a stage die permanently after n more

@@ -490,21 +490,6 @@ func (a *Aggregator) Round(args *rpcio.AggRoundArgs, reply *rpcio.AggRoundReply)
 	return nil
 }
 
-// Close closes every member connection.
-func (a *Aggregator) Close() error {
-	a.mu.Lock()
-	topo := a.topo
-	a.topo = &aggTopo{}
-	a.mu.Unlock()
-	var first error
-	for _, m := range topo.members {
-		if err := m.conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ---- controller-side aggregator connections ----
 
 // AggConn abstracts the controller's channel to one registered

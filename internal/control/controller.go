@@ -447,18 +447,6 @@ func (c *Controller) DeregisterAggregator(id string) bool {
 	return ok
 }
 
-// Aggregators returns the registered aggregator IDs, sorted.
-func (c *Controller) Aggregators() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.aggs))
-	for id := range c.aggs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stages returns the registered stage identities, sorted by StageID.
 func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
@@ -582,13 +570,6 @@ func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 func (c *Controller) SetReservation(jobID string, rate float64) {
 	c.mu.Lock()
 	c.reservations[jobID] = rate
-	c.mu.Unlock()
-}
-
-// SetAlgorithm swaps the control algorithm at runtime.
-func (c *Controller) SetAlgorithm(a Algorithm) {
-	c.mu.Lock()
-	c.algorithm = a
 	c.mu.Unlock()
 }
 

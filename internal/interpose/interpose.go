@@ -165,6 +165,3 @@ func (s *Shim) Stats() Stats {
 	out.Intercepted = out.Controlled + out.Bypassed
 	return out
 }
-
-// Stage returns the shim's data-plane stage.
-func (s *Shim) Stage() *stage.Stage { return s.stg }

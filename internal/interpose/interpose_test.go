@@ -285,13 +285,6 @@ func TestStatsOutsideTheOpTable(t *testing.T) {
 	}
 }
 
-func TestStageAccessor(t *testing.T) {
-	shim, _, stg := rig(t, clock.NewSim(epoch), stage.Enforce)
-	if shim.Stage() != stg {
-		t.Error("Stage() returned a different stage")
-	}
-}
-
 func TestConcurrentInterposition(t *testing.T) {
 	clk := clock.NewReal()
 	shim, c, stg := func() (*Shim, *posix.Client, *stage.Stage) {

@@ -27,12 +27,12 @@ func runErrDrop(pass *Pass) {
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := stmt.X.(*ast.CallExpr); ok {
-					checkDroppedCall(pass, call, fsIface, false, true)
+					checkDroppedCall(pass, call, fsIface, false)
 				}
 			case *ast.GoStmt:
-				checkDroppedCall(pass, stmt.Call, fsIface, false, false)
+				checkDroppedCall(pass, stmt.Call, fsIface, false)
 			case *ast.DeferStmt:
-				checkDroppedCall(pass, stmt.Call, fsIface, true, false)
+				checkDroppedCall(pass, stmt.Call, fsIface, true)
 			}
 			return true
 		})
@@ -42,10 +42,8 @@ func runErrDrop(pass *Pass) {
 // checkDroppedCall reports the call if it discards an error from one of
 // the guarded surfaces. Deferred calls are only reported for *os.File
 // Close (flush-on-close errors); deferring other Closes on shutdown paths
-// is accepted idiom. Bare expression statements (fixable) carry a
-// mechanical `_ = ` fix; a single result can be blanked that way, and
-// the insertion makes the drop explicit rather than accidental.
-func checkDroppedCall(pass *Pass, call *ast.CallExpr, fsIface *types.Interface, deferred, fixable bool) {
+// is accepted idiom.
+func checkDroppedCall(pass *Pass, call *ast.CallExpr, fsIface *types.Interface, deferred bool) {
 	fn := calleeOf(pass, call)
 	if fn == nil {
 		return
@@ -53,10 +51,6 @@ func checkDroppedCall(pass *Pass, call *ast.CallExpr, fsIface *types.Interface, 
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || !resultsIncludeError(sig) {
 		return
-	}
-	var fix *Fix
-	if fixable && sig.Results().Len() == 1 {
-		fix = insertAt(pass.Pkg, call.Pos(), "_ = ", "assign dropped error to _")
 	}
 	switch {
 	case deferred:
@@ -66,15 +60,15 @@ func checkDroppedCall(pass *Pass, call *ast.CallExpr, fsIface *types.Interface, 
 				shortTypeString(pass, sig.Recv().Type()))
 		}
 	case isNiladicClose(fn, sig):
-		pass.ReportfFix(call.Pos(), fix,
+		pass.Reportf(call.Pos(),
 			"%s.Close() error discarded; handle it or assign to _ explicitly",
 			shortTypeString(pass, sig.Recv().Type()))
 	case fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/rpcio"):
-		pass.ReportfFix(call.Pos(), fix,
+		pass.Reportf(call.Pos(),
 			"rpcio.%s error discarded; a dropped RPC error desynchronizes the control plane from its stages",
 			fn.Name())
 	case fsIface != nil && isFileSystemApply(fn, sig, fsIface):
-		pass.ReportfFix(call.Pos(), fix,
+		pass.Reportf(call.Pos(),
 			"posix.FileSystem Apply error discarded; every dropped error is a lost I/O failure")
 	}
 }

@@ -58,9 +58,6 @@ type Diagnostic struct {
 	Col  int `json:"col"`
 	// Message describes the finding and how to fix or suppress it.
 	Message string `json:"message"`
-	// Fix, when non-nil, is a mechanical edit that resolves the finding
-	// (applied by padll-lint -fix). Not part of the JSON surface.
-	Fix *Fix `json:"-"`
 }
 
 // String renders the diagnostic in the conventional path:line:col form.
@@ -91,15 +88,6 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportfFix records a finding at pos carrying a mechanical fix.
-func (p *Pass) ReportfFix(pos token.Pos, fix *Fix, format string, args ...interface{}) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...interface{}) {
 	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.analyzer.Name,
@@ -107,7 +95,6 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...interface{
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 

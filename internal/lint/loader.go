@@ -93,9 +93,6 @@ func modulePathOf(dir string) (string, error) {
 	return "", fmt.Errorf("lint: no module declaration in %s/go.mod", dir)
 }
 
-// Fset exposes the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor resolves an import path to a source directory.
 func (l *Loader) dirFor(path string) (string, error) {
 	switch {

@@ -40,13 +40,13 @@ type RateCounter struct {
 	// (see striped).
 	shards striped
 
-	// seq/pubTotal/pubRate back the lock-free read path of
-	// TotalAndLastRateAt. seq is a seqlock generation: odd while a
-	// window close is mutating the counter, bumped even when it
-	// finishes. pubTotal mirrors totalClosed and pubRate the last
-	// completed window's rate (as float bits), both republished under
-	// the mutex at every close, so a reader that observes a stable even
-	// seq has read a consistent pair without touching the mutex.
+	// seq/pubTotal/pubRate back the lock-free read path of CollectAt.
+	// seq is a seqlock generation: odd while a window close is mutating
+	// the counter, bumped even when it finishes. pubTotal mirrors
+	// totalClosed and pubRate the last completed window's rate (as float
+	// bits), both republished under the mutex at every close, so a reader
+	// that observes a stable even seq has read a consistent pair without
+	// touching the mutex.
 	seq      atomic.Uint32
 	pubTotal atomic.Int64
 	pubRate  atomic.Uint64
@@ -77,8 +77,9 @@ func NewRateCounter(name string, clk clock.Clock, window time.Duration) *RateCou
 }
 
 // SetMaxSamples bounds the backing series to the most recent n samples
-// (0 disables the bound). Long-running stages use this to keep reporting
-// state constant-sized.
+// (0 disables the bound). A stage bounds its counters: it reads only the
+// last window's rate, never the series, and would otherwise append one
+// point per window for as long as it lives.
 func (rc *RateCounter) SetMaxSamples(n int) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -117,47 +118,19 @@ func (rc *RateCounter) Total() int64 {
 	return rc.totalClosed + rc.shards.sum()
 }
 
-// CurrentRate returns the rate (events/second) accumulated so far in the
-// still-open window, after closing elapsed windows. For a freshly rolled
-// window this is the instantaneous demand estimate the control plane uses.
-func (rc *RateCounter) CurrentRate() float64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	now := rc.clk.Now()
-	rc.rollLocked(now)
-	elapsed := now.Sub(rc.winStart).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(rc.shards.sum()) / elapsed
-}
-
-// TotalAndLastRate returns the lifetime event count and the most
-// recently completed window's rate (0 when none has completed) in one
-// lock acquisition and one shard sweep. It exists for the collect path:
-// a queue snapshot wants both, and taking them separately costs two
-// mutex round trips and two 16-cache-line shard walks per counter —
-// measurable when a controller collects a thousand stages per round.
-func (rc *RateCounter) TotalAndLastRate() (total int64, lastRate float64) {
-	return rc.TotalAndLastRateAt(rc.clk.Now())
-}
-
-// TotalAndLastRateAt is TotalAndLastRate with a caller-supplied instant,
-// so a snapshot of many counters shares one clock read. When the open
-// window has not elapsed as of now, no close is due and the answer is
-// the published pair plus the live shard sum — all atomics, no mutex.
-// The seqlock re-check catches a close racing in from a reader with a
-// later instant; on any doubt the slow path takes the lock. For a
-// fleet's many idle queues (no cells allocated, window never elapsing
-// under a quiet clock) a collect round reads three atomics per counter
-// instead of locking and rolling ~184k times per 10k-stage round.
-func (rc *RateCounter) TotalAndLastRateAt(now time.Time) (total int64, lastRate float64) {
-	total, lastRate, _ = rc.CollectAt(now)
-	return total, lastRate
-}
-
-// CollectAt is TotalAndLastRateAt additionally reporting whether the
-// counter is quiet: no in-window counts pending and a zero last rate.
+// CollectAt returns the lifetime event count and the most recently
+// completed window's rate (0 when none has completed) as of a
+// caller-supplied instant, so a snapshot of many counters shares one
+// clock read, and reports whether the counter is quiet: no in-window
+// counts pending and a zero last rate. When the open window has not
+// elapsed as of now, no close is due and the answer is the published
+// pair plus the live shard sum — all atomics, no mutex. The seqlock
+// re-check catches a close racing in from a reader with a later instant;
+// on any doubt the slow path takes the lock. For a fleet's many idle
+// queues (no cells allocated, window never elapsing under a quiet clock)
+// a collect round reads three atomics per counter instead of locking and
+// rolling ~184k times per 10k-stage round.
+//
 // A quiet counter is at a fixed point — absent further adds, every
 // future read returns the same (total, lastRate) pair however far the
 // clock advances, because only empty windows remain to close. (A
@@ -188,18 +161,6 @@ func (rc *RateCounter) CollectAt(now time.Time) (total int64, lastRate float64, 
 	return total, lastRate, live == 0 && lastRate == 0
 }
 
-// LastWindowRate returns the most recently completed window's rate, or 0
-// when no window has completed yet.
-func (rc *RateCounter) LastWindowRate() float64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.rollLocked(rc.clk.Now())
-	if rc.series.Len() == 0 {
-		return 0
-	}
-	return rc.series.Points[rc.series.Len()-1].Value
-}
-
 // Flush closes the current window (even if partial) and returns a copy of
 // the accumulated series. Used at experiment end so the tail shows up.
 func (rc *RateCounter) Flush() *Series {
@@ -217,19 +178,6 @@ func (rc *RateCounter) Flush() *Series {
 		rc.winEndNano.Store(now.Add(rc.window).UnixNano())
 	}
 	rc.seq.Add(1) // even: stable again
-	return rc.snapshotLocked()
-}
-
-// Snapshot returns a copy of the completed-window series without closing
-// the open window.
-func (rc *RateCounter) Snapshot() *Series {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.rollLocked(rc.clk.Now())
-	return rc.snapshotLocked()
-}
-
-func (rc *RateCounter) snapshotLocked() *Series {
 	out := NewSeries(rc.series.Name)
 	out.Points = append(out.Points, rc.series.Points...)
 	return out
@@ -274,7 +222,10 @@ func (rc *RateCounter) rollLocked(now time.Time) {
 func (rc *RateCounter) appendLocked(t time.Time, v float64) {
 	rc.series.Append(t, v)
 	rc.pubRate.Store(math.Float64bits(v))
-	if rc.maxSamples > 0 && rc.series.Len() > rc.maxSamples {
-		rc.series.Points = rc.series.Points[rc.series.Len()-rc.maxSamples:]
+	if pts := rc.series.Points; rc.maxSamples > 0 && len(pts) > rc.maxSamples {
+		// Copy down rather than re-slice the tail: the series then lives
+		// in one backing array for good, where a sliding window would run
+		// off the end of each array and allocate the next.
+		rc.series.Points = pts[:copy(pts, pts[len(pts)-rc.maxSamples:])]
 	}
 }

@@ -55,7 +55,7 @@ func TestRateCounterConcurrentAddsConserveTotal(t *testing.T) {
 				return
 			default:
 			}
-			rc.LastWindowRate()
+			rc.CollectAt(clk.Now())
 			rc.Total()
 			time.Sleep(time.Millisecond)
 		}

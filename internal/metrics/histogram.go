@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,12 +206,4 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// String renders a human-readable one-line summary.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.3gs p50=%.3gs p99=%.3gs max=%.3gs",
-		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-	return b.String()
 }

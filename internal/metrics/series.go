@@ -82,30 +82,6 @@ func (s *Series) Min() float64 {
 	return m
 }
 
-// Sum returns the sum of all sample values.
-func (s *Series) Sum() float64 {
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Value
-	}
-	return sum
-}
-
-// Stddev returns the population standard deviation of the sample values.
-func (s *Series) Stddev() float64 {
-	n := len(s.Points)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, p := range s.Points {
-		d := p.Value - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of the sample
 // values using nearest-rank on the sorted values.
 func (s *Series) Percentile(p float64) float64 {
@@ -140,23 +116,6 @@ func (s *Series) FractionAbove(threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(s.Points))
-}
-
-// LongestRunAbove returns the longest consecutive run of samples strictly
-// above threshold, as a sample count.
-func (s *Series) LongestRunAbove(threshold float64) int {
-	var best, cur int
-	for _, p := range s.Points {
-		if p.Value > threshold {
-			cur++
-			if cur > best {
-				best = cur
-			}
-		} else {
-			cur = 0
-		}
-	}
-	return best
 }
 
 // CSV renders the series as "t_seconds,value" rows relative to the first

@@ -131,13 +131,7 @@ func TestOverviewReportsWaitPercentiles(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- stg.Enforce(req) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(1)
 	clk.Advance(time.Second)
 	if err := <-done; err != nil {
 		t.Fatal(err)

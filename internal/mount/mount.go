@@ -228,11 +228,6 @@ func (r *Router) Forward(m *Mount, req *posix.Request, rep *posix.Reply) error {
 	return nil
 }
 
-// Mounts returns a copy of the mount table (longest prefix first).
-func (r *Router) Mounts() []Mount {
-	return append([]Mount(nil), r.mounts...)
-}
-
 // OpenFDs reports the number of live virtual descriptors.
 func (r *Router) OpenFDs() int {
 	r.mu.RLock()

@@ -198,14 +198,6 @@ func TestControlledFlagPropagates(t *testing.T) {
 	}
 }
 
-func TestMountsListing(t *testing.T) {
-	r, _, _ := twoMounts(t)
-	ms := r.Mounts()
-	if len(ms) != 2 || ms[0].Prefix != "/lustre" {
-		t.Errorf("Mounts = %+v", ms)
-	}
-}
-
 // Property: resolution always returns the mount with the longest matching
 // prefix among candidates.
 func TestLongestPrefixProperty(t *testing.T) {

@@ -54,7 +54,7 @@ import (
 // safe for concurrent use: the request path takes no lock, and all I/O
 // runs on the kernel's own synchronization.
 type FS struct {
-	root    string // host path of the root: Root, pinned symlink targets, the root's display name
+	root    string // host path of the root: pinned symlink targets, the root's display name
 	rootFD  int    // what every path operation is relative to
 	proc    string // "/proc/self/fd/<rootFD>", for the calls with no *at form
 	clk     clock.Clock
@@ -88,9 +88,6 @@ func (o *FS) closeAll() {
 	o.handles.each(func(fd int) { _ = syscall.Close(fd) })
 	_ = syscall.Close(o.rootFD)
 }
-
-// Root returns the host directory backing the virtual namespace.
-func (o *FS) Root() string { return o.root }
 
 // OpenFDs reports the number of live descriptors (leak tests).
 func (o *FS) OpenFDs() int {

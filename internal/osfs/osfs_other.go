@@ -12,15 +12,12 @@ import (
 )
 
 // FS is the OS backend; it cannot be constructed on this platform.
-type FS struct{ root string }
+type FS struct{}
 
 var _ posix.FileSystem = (*FS)(nil)
 
 // New reports posix.ErrNotSupported.
 func New(string, clock.Clock) (*FS, error) { return nil, posix.ErrNotSupported }
-
-// Root returns the host directory backing the virtual namespace.
-func (o *FS) Root() string { return o.root }
 
 // OpenFDs reports the number of live descriptors.
 func (o *FS) OpenFDs() int { return 0 }

@@ -484,13 +484,7 @@ func TestMDSFailoverReleasesInFlightRequests(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { _, err := c.GetAttr("/"); done <- err }()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never blocked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(1) // the request is parked on the MDS
 	if _, err := p.FailoverMDS(); err != nil {
 		t.Fatal(err)
 	}

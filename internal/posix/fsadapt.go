@@ -3,11 +3,11 @@
 // program that speaks the storage boundary generates the metadata traffic
 // PADLL differentiates and throttles (§III-C). In Go, "any program" means
 // the io/fs ecosystem — fs.WalkDir, testing/fstest, archive/*, template
-// loading — so this file provides the bidirectional conversions the
-// internal/vfs bridge and the internal/osfs backend are built from:
-// FileMode, FileInfo and DirEntry in both directions, and the error
-// translation that lets errors.Is(err, fs.ErrNotExist)-style code work
-// unmodified over an interposed stack.
+// loading — so this file provides the conversions the internal/vfs
+// bridge and the internal/osfs backend are built from: FileMode in both
+// directions, FileInfo onto fs.FileInfo, and the error translation that
+// lets errors.Is(err, fs.ErrNotExist)-style code work unmodified over an
+// interposed stack.
 package posix
 
 import (
@@ -70,66 +70,6 @@ func (v *FSInfoView) IsDir() bool        { return v.I.Mode.IsDir() }
 
 // Sys exposes the boundary-level FileInfo, matching fsInfo.Sys.
 func (v *FSInfoView) Sys() any { return v.I }
-
-// FileInfoFromFS converts a standard fs.FileInfo (e.g. from os.Stat) to
-// the boundary's stat payload. Inode, Nlink, UID and GID are not part of
-// the io/fs contract and are left zero; OS-backed file systems fill them
-// from the platform stat structure.
-func FileInfoFromFS(info fs.FileInfo) FileInfo {
-	switch fi := info.(type) {
-	case fsInfo:
-		return fi.fi // round trip: recover the original payload
-	case *FSInfoView:
-		return fi.I
-	}
-	return FileInfo{
-		Name:    info.Name(),
-		Size:    info.Size(),
-		Mode:    ModeFromFS(info.Mode()),
-		ModTime: info.ModTime(),
-		Nlink:   1,
-	}
-}
-
-// fsDirEntry adapts a DirEntry to fs.DirEntry with a lazy stat.
-type fsDirEntry struct {
-	e    DirEntry
-	stat func() (FileInfo, error)
-}
-
-func (d fsDirEntry) Name() string { return d.e.Name }
-func (d fsDirEntry) IsDir() bool  { return d.e.IsDir }
-
-func (d fsDirEntry) Type() fs.FileMode {
-	if d.e.IsDir {
-		return fs.ModeDir
-	}
-	return 0
-}
-
-// Info stats the entry through the provided callback — on an interposed
-// stack each call is one more classified, rate-limited getattr, exactly
-// the per-entry stat storm fs.WalkDir-based tools generate.
-func (d fsDirEntry) Info() (fs.FileInfo, error) {
-	fi, err := d.stat()
-	if err != nil {
-		return nil, err
-	}
-	return fi.FSInfo(), nil
-}
-
-// FSDirEntry adapts one readdir result to fs.DirEntry. stat is invoked
-// lazily by Info; it must return the entry's full stat payload (or the
-// boundary error if the entry vanished since the readdir).
-func FSDirEntry(e DirEntry, stat func() (FileInfo, error)) fs.DirEntry {
-	return fsDirEntry{e: e, stat: stat}
-}
-
-// DirEntryFromFS converts a standard fs.DirEntry to the boundary's
-// readdir payload.
-func DirEntryFromFS(e fs.DirEntry) DirEntry {
-	return DirEntry{Name: e.Name(), IsDir: e.IsDir()}
-}
 
 // fsErrors pairs each boundary sentinel with its io/fs equivalent, in
 // both directions.

@@ -41,46 +41,10 @@ func TestFSInfoAdapters(t *testing.T) {
 	if !ok || sys.Inode != 42 {
 		t.Errorf("Sys() should expose the boundary FileInfo, got %#v", info.Sys())
 	}
-	// Round trip recovers the original payload, including inode/links.
-	if back := FileInfoFromFS(info); back != fi {
-		t.Errorf("FileInfoFromFS round trip: got %+v want %+v", back, fi)
-	}
 
 	dir := FileInfo{Name: "d", Mode: ModeDir | 0o755, ModTime: now}
 	if !dir.FSInfo().IsDir() || dir.FSInfo().Mode()&fs.ModeDir == 0 {
 		t.Error("directory flag lost over FSInfo")
-	}
-}
-
-func TestFSDirEntry(t *testing.T) {
-	stats := 0
-	e := FSDirEntry(DirEntry{Name: "f.txt", IsDir: false, Inode: 9}, func() (FileInfo, error) {
-		stats++
-		return FileInfo{Name: "f.txt", Size: 10, Mode: 0o644}, nil
-	})
-	if e.Name() != "f.txt" || e.IsDir() || e.Type() != 0 {
-		t.Errorf("entry adapter mismatch: %v %v %v", e.Name(), e.IsDir(), e.Type())
-	}
-	if stats != 0 {
-		t.Error("stat callback must be lazy")
-	}
-	info, err := e.Info()
-	if err != nil || info.Size() != 10 || stats != 1 {
-		t.Errorf("Info: %v size=%d stats=%d", err, info.Size(), stats)
-	}
-
-	d := FSDirEntry(DirEntry{Name: "sub", IsDir: true}, func() (FileInfo, error) {
-		return FileInfo{}, ErrNotExist
-	})
-	if d.Type() != fs.ModeDir {
-		t.Error("directory entry Type() must carry ModeDir")
-	}
-	if _, err := d.Info(); !errors.Is(err, ErrNotExist) {
-		t.Errorf("Info error passthrough: %v", err)
-	}
-
-	if got := DirEntryFromFS(e); got.Name != "f.txt" || got.IsDir {
-		t.Errorf("DirEntryFromFS: %+v", got)
 	}
 }
 

@@ -24,7 +24,6 @@ package rpcio
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 // AggAttachArgs probes an aggregator's identity and membership. Seq is
@@ -125,9 +124,6 @@ type AggBackend interface {
 type AggService struct {
 	backend AggBackend
 	id      string
-
-	calls  atomic.Uint64
-	rounds atomic.Uint64
 }
 
 // NewAggService wraps a backend for serving. The aggregator's ID (from
@@ -138,17 +134,8 @@ func NewAggService(b AggBackend) *AggService {
 	return &AggService{backend: b, id: info.AggID}
 }
 
-// ID returns the aggregator's mux attach name.
-func (s *AggService) ID() string { return s.id }
-
-// Served reports cumulative service-side counters.
-func (s *AggService) Served() (calls, rounds uint64) {
-	return s.calls.Load(), s.rounds.Load()
-}
-
 // Attach reports identity and membership, echoing the probe's Seq.
 func (s *AggService) Attach(args AggAttachArgs, reply *AggInfo) error {
-	s.calls.Add(1)
 	*reply = AggInfo{Jobs: reply.Jobs[:0]}
 	s.backend.Describe(reply)
 	reply.Seq = args.Seq
@@ -159,8 +146,6 @@ func (s *AggService) Attach(args AggAttachArgs, reply *AggInfo) error {
 // zeroed first (slice capacity kept), so a reused decode target never
 // leaks a previous round's rows.
 func (s *AggService) Round(args AggRoundArgs, reply *AggRoundReply) error {
-	s.calls.Add(1)
-	s.rounds.Add(1)
 	*reply = AggRoundReply{Jobs: reply.Jobs[:0]}
 	return s.backend.Round(&args, reply)
 }
@@ -174,9 +159,6 @@ type AggHandle struct {
 	mu   sync.Mutex
 	args AggRoundArgs
 }
-
-// NewAggHandle wraps an arbitrary transport (tests inject faulty ones).
-func NewAggHandle(t Transport) *AggHandle { return &AggHandle{t: t} }
 
 // DialAgg connects to an aggregator's control service over TCP on the
 // binary frame codec. aggID names the aggregator on a multiplexed
@@ -199,9 +181,6 @@ func DialAgg(addr, aggID string, opts ...DialOption) (*AggHandle, error) {
 func EncodedLoopbackAgg(svc *AggService) *AggHandle {
 	return &AggHandle{t: NewEncodedLoopbackAgg(svc)}
 }
-
-// Addr returns the aggregator's address.
-func (h *AggHandle) Addr() string { return h.t.Addr() }
 
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *AggHandle) WireStats() WireStats { return h.t.WireStats() }

@@ -131,7 +131,6 @@ func (s *switchableTransport) Call(method string, args, reply any) error {
 	return s.inner.Call(method, args, reply)
 }
 func (s *switchableTransport) WireStats() WireStats { return s.inner.WireStats() }
-func (s *switchableTransport) Addr() string         { return s.inner.Addr() }
 func (s *switchableTransport) Close() error         { return s.inner.Close() }
 
 // TestDeltaFallsBackToFullAfterStageRestart kills the serving stage and

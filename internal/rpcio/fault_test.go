@@ -75,44 +75,10 @@ func (c *sleepRecorder) take() []time.Duration {
 	return out
 }
 
-func TestRetrySleepsOnInjectedClock(t *testing.T) {
-	clk := newSleepRecorder()
-	calls := 0
-	err := Retry(clk, Backoff{Base: time.Second, Factor: 2, Max: time.Minute, Attempts: 3}, func() error {
-		if calls++; calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Retry = %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("fn ran %d times, want 3", calls)
-	}
-	// Two failures -> two sleeps (1s then 2s) before success.
-	if got, want := clk.take(), []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(got, want) {
-		t.Fatalf("slept %v, want %v", got, want)
-	}
-}
-
-func TestRetryReturnsLastErrorWhenExhausted(t *testing.T) {
-	clk := newSleepRecorder()
-	wantErr := errors.New("still down")
-	err := Retry(clk, Backoff{Base: time.Second, Attempts: 3}, func() error { return wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Retry = %v, want %v", err, wantErr)
-	}
-	if got := clk.take(); len(got) != 2 {
-		t.Fatalf("slept %v, want the schedule's two delays", got)
-	}
-}
-
 // TestRetrySleepsAreTheBackoffSchedule is the property that let the
-// per-call jitter PRNG go: whatever the schedule, Retry and a
-// transport's Call sleep exactly Backoff.Delays(), in order — all of it
-// when every attempt fails, a prefix when one succeeds — and a second
-// Call on the same transport starts the schedule over.
+// per-call jitter PRNG go: whatever the schedule, a transport's Call
+// whose every attempt fails sleeps exactly Backoff.Delays(), in order,
+// and a second Call on the same transport starts the schedule over.
 func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 	// A port nothing listens on: every attempt fails at the dial.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -138,27 +104,6 @@ func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 		}
 
 		clk := newSleepRecorder()
-		failing := errors.New("down")
-		if err := Retry(clk, b, func() error { return failing }); !errors.Is(err, failing) {
-			t.Fatalf("seed %d: Retry = %v", seed, err)
-		}
-		if got := clk.take(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: Retry slept %v, want Delays() = %v", seed, got, want)
-		}
-		succeedAt := rng.Intn(b.Attempts)
-		n := 0
-		if err := Retry(clk, b, func() error {
-			if n++; n <= succeedAt {
-				return failing
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("seed %d: Retry = %v", seed, err)
-		}
-		if got := clk.take(); !slices.Equal(got, want[:succeedAt]) {
-			t.Fatalf("seed %d: Retry succeeding at attempt %d slept %v, want %v", seed, succeedAt+1, got, want[:succeedAt])
-		}
-
 		cfg := defaultDialConfig()
 		cfg.clk, cfg.backoff, cfg.dialer = clk, b, &frameDialer{}
 		tr := newFrameTransport(dead, cfg)

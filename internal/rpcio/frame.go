@@ -341,9 +341,6 @@ func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
 	}
 }
 
-// Addr implements Transport.
-func (t *frameTransport) Addr() string { return t.addr }
-
 // WireStats implements Transport.
 func (t *frameTransport) WireStats() WireStats {
 	return WireStats{

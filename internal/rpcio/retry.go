@@ -3,8 +3,6 @@ package rpcio
 import (
 	"math/rand"
 	"time"
-
-	"padll/internal/clock"
 )
 
 // Backoff is a seeded, jittered exponential backoff schedule. All waits
@@ -80,18 +78,4 @@ func (b Backoff) Delays() []time.Duration {
 		}
 	}
 	return delays
-}
-
-// Retry runs fn until it succeeds or b's attempt budget is exhausted,
-// sleeping b.Delays() in order on clk between failures. It returns the
-// last error (nil on success).
-func Retry(clk clock.Clock, b Backoff, fn func() error) error {
-	delays := b.Delays()
-	for attempt := 0; ; attempt++ {
-		err := fn()
-		if err == nil || attempt == len(delays) {
-			return err
-		}
-		clk.Sleep(delays[attempt])
-	}
 }

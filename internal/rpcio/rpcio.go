@@ -104,42 +104,22 @@ func (s *StageService) Health(probe HealthProbe, reply *StageHealth) error {
 	return nil
 }
 
-// DefaultMaxConns bounds how many connections one control endpoint
-// serves concurrently. A stage normally has a handful of clients (its
+// maxConns bounds how many connections one control endpoint serves
+// concurrently. A stage normally has a handful of clients (its
 // controller, maybe an operator CLI); the bound exists so a connection
 // flood degrades into queued accepts instead of unbounded goroutines.
-const DefaultMaxConns = 128
-
-// ServeOption configures ServeStage/ServeService/ServeRegistrar.
-type ServeOption func(*serveConfig)
-
-type serveConfig struct {
-	maxConns int
-}
-
-// WithMaxConns bounds concurrently served connections (default
-// DefaultMaxConns; n <= 0 keeps the default).
-func WithMaxConns(n int) ServeOption {
-	return func(c *serveConfig) {
-		if n > 0 {
-			c.maxConns = n
-		}
-	}
-}
+const maxConns = 128
 
 // serveBounded accepts connections on l and hands each to handler, with
 // a hard bound on concurrently served connections: the accept loop
-// takes a semaphore slot before accepting, so at most maxConns handler
+// takes a semaphore slot before accepting, so at most limit handler
 // goroutines exist and excess dials queue in the listener backlog. The
 // handler must serve the connection to completion and return when it
 // dies. The returned stop function is deterministic: it closes the
 // listener, closes every in-flight connection (unblocking their
 // handlers), and waits for all goroutines to finish.
-func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop func()) {
-	if maxConns <= 0 {
-		maxConns = DefaultMaxConns
-	}
-	sem := make(chan struct{}, maxConns)
+func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func()) {
+	sem := make(chan struct{}, limit)
 	var (
 		mu      sync.Mutex
 		stopped bool
@@ -202,17 +182,17 @@ func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop fu
 // returns immediately; the returned stop function closes the listener
 // and every in-flight connection, then waits for all serving goroutines
 // to exit.
-func ServeStage(l net.Listener, stg *stage.Stage, opts ...ServeOption) (stop func()) {
-	return ServeService(l, NewStageService(stg), opts...)
+func ServeStage(l net.Listener, stg *stage.Stage) (stop func()) {
+	return ServeService(l, NewStageService(stg))
 }
 
 // ServeService is ServeStage for a caller-built StageService — the form
 // to use when the caller also wants the service (for Served counters or
 // an EncodedLoopback onto the same generation state).
-func ServeService(l net.Listener, svc *StageService, opts ...ServeOption) (stop func()) {
+func ServeService(l net.Listener, svc *StageService) (stop func()) {
 	fs := NewFrameServer()
 	fs.Add(svc)
-	return ServeMux(l, fs, opts...)
+	return ServeMux(l, fs)
 }
 
 // ServeMux serves many stages' services behind one listener over the
@@ -220,12 +200,8 @@ func ServeService(l net.Listener, svc *StageService, opts ...ServeOption) (stop 
 // attach handshake and multiplex all their calls over one connection
 // per endpoint. Register services with fs.Add before or after this
 // call.
-func ServeMux(l net.Listener, fs *FrameServer, opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return serveBounded(l, fs.serveFrameConn, cfg.maxConns)
+func ServeMux(l net.Listener, fs *FrameServer) (stop func()) {
+	return serveBounded(l, fs.serveFrameConn, maxConns)
 }
 
 // Default deadlines for control-plane RPCs. A single hung peer must
@@ -274,9 +250,6 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 // ones).
 func NewStageHandle(t Transport) *StageHandle { return &StageHandle{t: t} }
 
-// Addr returns the stage's address.
-func (h *StageHandle) Addr() string { return h.t.Addr() }
-
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 
@@ -305,10 +278,10 @@ type registrar struct {
 // call's error — and onDeregister (may be nil) on departures.
 // Connection handling is bounded and stop is deterministic; see
 // ServeStage.
-func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string), opts ...ServeOption) (stop func()) {
+func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string)) (stop func()) {
 	fs := NewFrameServer()
 	fs.add("registrar", frameTarget{reg: &registrar{onRegister: onRegister, onDeregister: onDeregister}})
-	return ServeMux(l, fs, opts...)
+	return ServeMux(l, fs)
 }
 
 // registrarCall performs one exchange with the control plane's

@@ -44,8 +44,8 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 	}
 }
 
-// TestMaxConnsBoundsConcurrentClients serves with a single connection
-// slot. A second client can complete the TCP handshake (kernel backlog)
+// TestMaxConnsBoundsConcurrentClients drives serveBounded with a single
+// connection slot. A second client can complete the TCP handshake (kernel backlog)
 // but its calls go unanswered until the first client releases the slot.
 // The second client gets a private frame dialer: the default pool would
 // share the first client's multiplexed connection (the mux's whole
@@ -58,7 +58,9 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeStage(l, stg, WithMaxConns(1))
+	fs := NewFrameServer()
+	fs.Add(NewStageService(stg))
+	stop := serveBounded(l, fs.serveFrameConn, 1)
 	defer stop()
 
 	a, err := DialStage(l.Addr().String())

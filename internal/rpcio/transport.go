@@ -28,8 +28,6 @@ type Transport interface {
 	Call(method string, args, reply any) error
 	// WireStats reports cumulative traffic accounting.
 	WireStats() WireStats
-	// Addr identifies the peer (host:port, or "loopback").
-	Addr() string
 	// Close tears the transport down; subsequent calls fail.
 	Close() error
 }
@@ -93,7 +91,7 @@ func WithMuxStage(stageID string) DialOption {
 	return func(c *dialConfig) { c.stageID = stageID }
 }
 
-// LoopbackAddr is what EncodedLoopback transports report from Addr.
+// LoopbackAddr names an EncodedLoopback peer in its errors.
 const LoopbackAddr = "loopback"
 
 // FrameDir distinguishes the two directions a fault hook can intercept
@@ -167,9 +165,6 @@ func (l *EncodedLoopback) SetFault(f FrameFault) {
 	l.fault = f
 	l.mu.Unlock()
 }
-
-// Addr implements Transport.
-func (l *EncodedLoopback) Addr() string { return LoopbackAddr }
 
 // WireStats implements Transport: bytes are exact frame bytes both
 // directions, as a TCP frame connection would carry.

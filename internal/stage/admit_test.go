@@ -85,11 +85,11 @@ func TestShapedAdmitConcurrentConservation(t *testing.T) {
 	if q.WaitP99 != 0 {
 		t.Errorf("WaitP99 = %v on a limit that never bound, want 0", q.WaitP99)
 	}
-	lat := s.snap.Load().byID["managed"].q.latency
+	lat := s.queues["managed"].latency
 	if got := lat.Count(); got != workers*perG {
 		t.Errorf("wait observations = %d, want one per admitted request (%d)", got, workers*perG)
 	}
-	if got := s.snap.Load().byID["managed"].q.bucket.Granted(); got != workers*perG {
+	if got := s.queues["managed"].bucket.Granted(); got != workers*perG {
 		t.Errorf("bucket Granted = %v, want %d", got, workers*perG)
 	}
 }
@@ -105,7 +105,7 @@ func TestDryBucketStillBlocks(t *testing.T) {
 	if err := s.Enforce(openReq()); err != nil {
 		t.Fatal(err)
 	}
-	lat := s.snap.Load().byID["slow"].q.latency
+	lat := s.queues["slow"].latency
 	if lat.Count() != 1 || lat.Max() != 0 {
 		t.Fatalf("token in hand: %d observations, max %v; want 1 of zero length", lat.Count(), lat.Max())
 	}

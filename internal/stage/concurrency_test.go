@@ -178,13 +178,7 @@ func TestRemoveRuleReleasesWaitersUnthrottled(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() { done <- s.Enforce(openReq()) }()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() < waiters {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d waiters parked", clk.PendingWaiters(), waiters)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(waiters)
 	if !s.RemoveRule("slow") {
 		t.Fatal("RemoveRule returned false")
 	}
@@ -257,7 +251,7 @@ func TestWaitPercentilesExported(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Enforce(openReq()) }()
-	waitParked(t, clk)
+	clk.BlockUntil(1)
 	clk.Advance(100 * time.Millisecond) // exactly one token at 10/s
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -208,7 +208,7 @@ func TestRetuneRacesEnforce(t *testing.T) {
 		}
 	}()
 
-	q := sn.byID["q"].q
+	q := s.queues["q"]
 	for i := 0; i < cycles && !t.Failed(); i++ {
 		finite := 1e-3
 		if i%2 == 1 {

@@ -157,8 +157,6 @@ type snapshot struct {
 	// its memo keys drop it: a sweep over any number of directories
 	// occupies one slot per (op, job, user).
 	pathFree [posix.NumOps]bool
-	// byID indexes entries by rule ID for Collect/QueueSeries.
-	byID map[string]*entry
 	// cache memoizes classification results keyed by (op, job, user,
 	// parent directory — "" for pathFree ops). Its generation tag is the snapshot itself:
 	// every rule-set mutation publishes a fresh snapshot with a
@@ -435,9 +433,19 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 	for _, o := range opts {
 		o(s)
 	}
-	s.passthrough = metrics.NewRateCounter("passthrough", clk, s.window)
-	s.snap.Store(&snapshot{byID: make(map[string]*entry)})
+	s.passthrough = s.newCounter("passthrough")
+	s.snap.Store(&snapshot{})
 	return s
+}
+
+// newCounter returns a window counter that keeps its last sample only. A
+// stage reads a counter's total and last window's rate (Collect), never
+// its series, and lives for as long as its job does: unbounded, every
+// counter would grow by one point per window for nothing.
+func (s *Stage) newCounter(name string) *metrics.RateCounter {
+	rc := metrics.NewRateCounter(name, s.clk, s.window)
+	rc.SetMaxSamples(1)
+	return rc
 }
 
 // hotNow returns the instant hot-path counters stamp events with. For
@@ -490,7 +498,7 @@ func (s *Stage) Mode() Mode { return Mode(s.mode.Load()) }
 // and queue map and publishes it. Caller holds s.mu.
 func (s *Stage) publishLocked() {
 	rules := s.rules.Rules() // selection order
-	sn := &snapshot{byID: make(map[string]*entry, len(rules))}
+	sn := &snapshot{}
 	for i := range rules {
 		q, ok := s.queues[rules[i].ID]
 		if !ok {
@@ -499,7 +507,6 @@ func (s *Stage) publishLocked() {
 		r := &rules[i]
 		e := &entry{id: r.ID, match: r.Match, action: r.Action, q: q, opDecides: r.Match.OpDecides()}
 		sn.all = append(sn.all, e)
-		sn.byID[e.id] = e
 	}
 	sn.collect = append(sn.collect, sn.all...)
 	sort.Slice(sn.collect, func(i, j int) bool { return sn.collect[i].id < sn.collect[j].id })
@@ -571,8 +578,8 @@ func (s *Stage) ApplyRule(r policy.Rule) {
 	}
 	q := &queue{
 		bucket:   b,
-		admitted: metrics.NewRateCounter("admitted:"+r.ID, s.clk, s.window),
-		demand:   metrics.NewRateCounter("demand:"+r.ID, s.clk, s.window),
+		admitted: s.newCounter("admitted:" + r.ID),
+		demand:   s.newCounter("demand:" + r.ID),
 		latency:  metrics.NewLatencyHistogram(),
 	}
 	q.rate.Store(math.Float64bits(r.Rate))
@@ -887,16 +894,6 @@ func (s *Stage) QuietSince(token uint64) bool {
 	ok := token == s.quietID && s.quietEpoch == s.epoch.Load()
 	s.collectMu.Unlock()
 	return ok
-}
-
-// QueueSeries returns a copy of a queue's admitted-rate time series (for
-// figures); nil when the rule has no queue.
-func (s *Stage) QueueSeries(ruleID string) *metrics.Series {
-	e, ok := s.snap.Load().byID[ruleID]
-	if !ok {
-		return nil
-	}
-	return e.q.admitted.Snapshot()
 }
 
 // SetDegraded flips the stage's degraded state (controller lost /

@@ -1,11 +1,13 @@
 package stage
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"padll/internal/clock"
+	"padll/internal/metrics"
 	"padll/internal/policy"
 	"padll/internal/posix"
 )
@@ -152,7 +154,7 @@ func TestSetRateRetunesLiveQueue(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Enforce(openReq()) }()
 	// Wait until it parks, then retune to a fast rate.
-	waitParked(t, clk)
+	clk.BlockUntil(1)
 	if !s.SetRate("open", 1e6) {
 		t.Fatal("SetRate returned false")
 	}
@@ -211,7 +213,7 @@ func TestRemoveRuleReleasesWaiters(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Enforce(openReq()) }()
-	waitParked(t, clk)
+	clk.BlockUntil(1)
 	if !s.RemoveRule("slow") {
 		t.Fatal("RemoveRule returned false")
 	}
@@ -289,24 +291,51 @@ func TestCollectDemandVsThroughput(t *testing.T) {
 	}
 }
 
-func TestQueueSeries(t *testing.T) {
+// TestCounterSeriesStayBounded: a stage reads its counters' totals and
+// last-window rates, never their series, so each counter keeps one sample
+// however long the stage lives — and what Collect reports is exactly what
+// a twin with unbounded series reports.
+func TestCounterSeriesStayBounded(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	s := New(info(), clk, WithWindow(time.Second))
-	s.ApplyRule(policy.Rule{ID: "q", Rate: policy.Unlimited})
-	s.Offer(openReq(), 10, time.Second)
-	clk.Advance(time.Second)
-	s.Offer(openReq(), 20, time.Second)
-	clk.Advance(time.Second)
-	s.Offer(openReq(), 0, time.Second)
-	series := s.QueueSeries("q")
-	if series == nil || series.Len() != 2 {
-		t.Fatalf("series = %v", series)
+	rule := policy.Rule{ID: "q", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}}, Rate: 1000}
+	s := New(info(), clk)
+	s.ApplyRule(rule)
+	twin := New(info(), clk)
+	twin.ApplyRule(rule)
+	counters := func(s *Stage) []*metrics.RateCounter {
+		return []*metrics.RateCounter{s.passthrough, s.queues["q"].admitted, s.queues["q"].demand}
 	}
-	if series.Points[0].Value != 10 || series.Points[1].Value != 20 {
-		t.Errorf("series values = %v, %v", series.Points[0].Value, series.Points[1].Value)
+	for _, rc := range counters(twin) {
+		rc.SetMaxSamples(0)
 	}
-	if s.QueueSeries("ghost") != nil {
-		t.Error("series for unknown rule should be nil")
+
+	const windows = 10000
+	stat := &posix.Request{Op: posix.OpGetAttr, Path: "/pfs/f", JobID: "job1"}
+	for w := 0; w < windows; w++ {
+		for _, stg := range []*Stage{s, twin} {
+			for i := 0; i < w%7; i++ {
+				if err := stg.Enforce(openReq()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := stg.Enforce(stat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(time.Second)
+		if got, want := s.Collect(), twin.Collect(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %d: bounded stage collects %+v, unbounded twin %+v", w, got, want)
+		}
+	}
+	for _, rc := range counters(s) {
+		if n := rc.Flush().Len(); n != 1 {
+			t.Errorf("a stage counter holds %d samples after %d windows, want 1", n, windows)
+		}
+	}
+	for _, rc := range counters(twin) {
+		if n := rc.Flush().Len(); n != windows {
+			t.Errorf("the unbounded twin holds %d samples, want %d", n, windows)
+		}
 	}
 }
 
@@ -333,7 +362,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Enforce(openReq()) }()
-	waitParked(t, clk)
+	clk.BlockUntil(1)
 	s.Close()
 	select {
 	case err := <-done:
@@ -372,17 +401,6 @@ func TestConcurrentEnforceAndRetune(t *testing.T) {
 	wg.Wait()
 	if got := s.Collect().Queues[0].Total; got != 2000 {
 		t.Errorf("total = %d, want 2000", got)
-	}
-}
-
-func waitParked(t *testing.T, clk *clock.Sim) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("goroutine never parked on the clock")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestUnlimitedFastPathRetuneToFinite(t *testing.T) {
 	if bk.TryTake(1) {
 		t.Error("TryTake beyond burst succeeded: finite retune not enforced")
 	}
-	bk.SetRate(Infinite)
+	bk.Set(Infinite, 2)
 	if !bk.TryTake(1000) {
 		t.Error("TryTake after retune back to Infinite failed")
 	}

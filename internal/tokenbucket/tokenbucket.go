@@ -25,7 +25,6 @@ package tokenbucket
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -177,43 +176,11 @@ func (b *Bucket) Granted() float64 {
 	return math.Float64frombits(b.grantedBits.Load())
 }
 
-// SetRate retunes the refill rate, settling accrual at the old rate up to
-// the current instant first. Waiters are woken so they recompute their
-// wait against the new rate. This is the entry point the control plane
-// uses when the feedback loop pushes a new rule (§III-B step 3).
-func (b *Bucket) SetRate(rate float64) {
-	if rate <= 0 {
-		rate = 1e-9
-	}
-	b.mu.Lock()
-	b.refillLocked(b.clk.Now())
-	b.rate = rate
-	b.unlimitedA.Store(rate == Infinite)
-	if rate == Infinite {
-		b.tokens = Infinite
-	} else if b.tokens == Infinite {
-		b.tokens = b.capacity
-	}
-	b.broadcastLocked()
-	b.mu.Unlock()
-}
-
-// SetCapacity retunes the burst capacity, clamping the current fill.
-func (b *Bucket) SetCapacity(capacity float64) {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	b.mu.Lock()
-	b.refillLocked(b.clk.Now())
-	b.capacity = capacity
-	if b.tokens > capacity {
-		b.tokens = capacity
-	}
-	b.broadcastLocked()
-	b.mu.Unlock()
-}
-
-// Set retunes rate and capacity atomically.
+// Set retunes rate and capacity atomically, settling accrual at the old
+// rate up to the current instant first. Waiters are woken so they
+// recompute their wait against the new rate. This is the entry point the
+// control plane uses when the feedback loop pushes a new rule (§III-B
+// step 3).
 func (b *Bucket) Set(rate, capacity float64) {
 	if rate <= 0 {
 		rate = 1e-9
@@ -450,14 +417,4 @@ func (b *Bucket) Close() {
 		b.broadcastLocked()
 	}
 	b.mu.Unlock()
-}
-
-// String renders the bucket's configuration for debugging.
-func (b *Bucket) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rate == Infinite {
-		return "bucket(unlimited)"
-	}
-	return fmt.Sprintf("bucket(rate=%.1f/s cap=%.1f fill=%.1f)", b.rate, b.capacity, b.tokens)
 }

@@ -95,7 +95,7 @@ func TestWaitBlocksUntilRefill(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(2) }()
-	waitForWaiters(t, clk, 1)
+	clk.BlockUntil(1)
 	select {
 	case <-done:
 		t.Fatal("Wait returned before refill")
@@ -117,7 +117,7 @@ func TestWaitOversizedRequestChargesDebt(t *testing.T) {
 	b := New(clk, 10, 5)
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(25) }() // 5x capacity
-	waitForWaiters(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(2 * time.Second) // deficit = 20 tokens = 2s at rate 10
 	select {
 	case err := <-done:
@@ -155,8 +155,8 @@ func TestSetRateWakesWaiters(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(1) }()
-	waitForWaiters(t, clk, 1)
-	b.SetRate(1e9) // effectively instant
+	clk.BlockUntil(1)
+	b.Set(1e9, 1) // effectively instant
 	// The waiter recomputes and needs a tiny advance to refill.
 	for i := 0; i < 100; i++ {
 		clk.Advance(time.Millisecond)
@@ -178,7 +178,7 @@ func TestSetRateSettlesAccrualAtOldRate(t *testing.T) {
 	b := New(clk, 10, 100)
 	b.TryTake(100)
 	clk.Advance(time.Second) // accrues 10 at old rate
-	b.SetRate(1000)
+	b.Set(1000, 100)
 	if got := b.Tokens(); math.Abs(got-10) > 1e-9 {
 		t.Errorf("fill after retune = %v, want 10 (accrued at old rate)", got)
 	}
@@ -186,7 +186,7 @@ func TestSetRateSettlesAccrualAtOldRate(t *testing.T) {
 
 func TestSetCapacityClampsFill(t *testing.T) {
 	b := New(clock.NewSim(epoch), 10, 100)
-	b.SetCapacity(5)
+	b.Set(10, 5)
 	if got := b.Tokens(); got != 5 {
 		t.Errorf("fill = %v, want clamped to 5", got)
 	}
@@ -204,11 +204,11 @@ func TestSetToUnlimitedAndBack(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	b := New(clk, 1, 1)
 	b.TryTake(1)
-	b.SetRate(Infinite)
+	b.Set(Infinite, 1)
 	if !b.TryTake(1e9) {
 		t.Fatal("unlimited bucket rejected a take")
 	}
-	b.SetRate(1)
+	b.Set(1, 1)
 	if b.Tokens() > b.Capacity() {
 		t.Errorf("fill %v exceeds capacity %v after leaving unlimited", b.Tokens(), b.Capacity())
 	}
@@ -220,7 +220,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	b.TryTake(1)
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(1) }()
-	waitForWaiters(t, clk, 1)
+	clk.BlockUntil(1)
 	b.Close()
 	select {
 	case err := <-done:
@@ -374,26 +374,5 @@ func TestWaitRealClockRateBound(t *testing.T) {
 	elapsed := time.Since(start)
 	if elapsed < 150*time.Millisecond {
 		t.Errorf("200 ops at 1000/s burst 10 finished in %v; rate not enforced", elapsed)
-	}
-}
-
-func TestStringForms(t *testing.T) {
-	if s := New(clock.NewSim(epoch), 10, 5).String(); s == "" {
-		t.Error("empty String for limited bucket")
-	}
-	if s := NewUnlimited(clock.NewSim(epoch)).String(); s != "bucket(unlimited)" {
-		t.Errorf("String = %q", s)
-	}
-}
-
-// waitForWaiters polls until the sim clock has n parked waiters.
-func waitForWaiters(t *testing.T, clk *clock.Sim, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("never reached %d parked waiters", n)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -73,15 +73,6 @@ func (t *Trace) RateAt(op posix.Op, d time.Duration) float64 {
 	return series[i]
 }
 
-// TotalRateAt returns the all-ops rate at offset d.
-func (t *Trace) TotalRateAt(d time.Duration) float64 {
-	var sum float64
-	for _, op := range t.Ops {
-		sum += t.RateAt(op, d)
-	}
-	return sum
-}
-
 // Slice returns the sub-trace covering samples [from, to).
 func (t *Trace) Slice(from, to int) *Trace {
 	if from < 0 {

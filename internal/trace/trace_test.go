@@ -40,9 +40,6 @@ func TestTraceBasics(t *testing.T) {
 	if got := tr.RateAt(posix.OpRename, 0); got != 0 {
 		t.Errorf("RateAt unknown op = %v, want 0", got)
 	}
-	if got := tr.TotalRateAt(0); got != 400 {
-		t.Errorf("TotalRateAt = %v, want 400", got)
-	}
 }
 
 func TestAppendArityMismatch(t *testing.T) {

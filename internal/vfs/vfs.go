@@ -50,10 +50,9 @@ var (
 type Option func(*config)
 
 type config struct {
-	jobID  string
-	user   string
-	pid    int
-	tenant string
+	jobID string
+	user  string
+	pid   int
 }
 
 // WithJob stamps job differentiation context (§III-A) onto every
@@ -62,9 +61,6 @@ func WithJob(jobID, user string, pid int) Option {
 	return func(c *config) { c.jobID, c.user, c.pid = jobID, user, pid }
 }
 
-// WithTenant stamps the tenant label onto every request.
-func WithTenant(tenant string) Option { return func(c *config) { c.tenant = tenant } }
-
 // New wraps target as an io/fs file system.
 func New(target posix.FileSystem, opts ...Option) *FS {
 	var cfg config
@@ -72,7 +68,7 @@ func New(target posix.FileSystem, opts ...Option) *FS {
 		o(&cfg)
 	}
 	c := posix.NewClient(target)
-	c.JobID, c.User, c.PID, c.Tenant = cfg.jobID, cfg.user, cfg.pid, cfg.tenant
+	c.JobID, c.User, c.PID = cfg.jobID, cfg.user, cfg.pid
 	return &FS{c: c, prefix: "/"}
 }
 

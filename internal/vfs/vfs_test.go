@@ -216,7 +216,7 @@ func TestJobContextStamping(t *testing.T) {
 		mu.Unlock()
 		return backend.Apply(req, rep)
 	})
-	v := New(spy, WithJob("tensorflow-1443", "alice", 7), WithTenant("ml"))
+	v := New(spy, WithJob("tensorflow-1443", "alice", 7))
 	if err := v.WriteFile("f", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
