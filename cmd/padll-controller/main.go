@@ -51,7 +51,7 @@ func main() {
 		interval  = flag.Duration("interval", time.Second, "feedback loop period")
 		report    = flag.Duration("report", 5*time.Second, "allocation report period (0 = quiet)")
 		evict     = flag.Int("evict-after", 3, "deregister a stage after this many consecutive failed control rounds (0 = never)")
-		pushConc  = flag.Int("push-concurrency", 0, "stages exchanged with in parallel per round, collecting and pushing (0 = default, 1 = sequential)")
+		pushConc  = flag.Int("push-concurrency", 0, "goroutines driving a round; every stage's request is in flight whatever the count (0 = default: 1, every exchange started in stage-ID order on the loop's goroutine)")
 		httpAddr  = flag.String("http", "", "HTTP monitor address (e.g. 127.0.0.1:8080; empty = disabled)")
 	)
 	flag.Var(res, "reserve", "per-job reservation, repeatable: job=rate (rates accept k/m suffixes)")

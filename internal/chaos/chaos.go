@@ -482,34 +482,58 @@ func RuleRate(s *stage.Stage, id string) float64 {
 // with the harness's failure state gating whole round trips. A batch
 // carrying ops consumes one push-budget unit and a collect one
 // collect-budget unit — the crash granularity is a round trip, matching
-// what a real controller would observe. Exec runs inside bounded worker
-// pools, so every flag it reads is atomic.
+// what a real controller would observe. The gates run in Start, which a
+// round calls in StageID order, and the loopback completes the exchange
+// there too, so what the fleet sees happens in the order exchanges are
+// started. Shards behind an aggregator start theirs from several
+// goroutines, so every flag a gate reads is atomic.
 type chaosConn struct {
 	h      *Harness
 	node   *StageNode
 	handle *rpcio.StageHandle
+	// gated is why the exchange in flight never reached the handle (nil
+	// when it did); only the goroutine between Start and Finish touches
+	// it.
+	gated error
 }
 
 var _ control.StageConn = (*chaosConn)(nil)
 
 func (c *chaosConn) Info() stage.Info { return c.node.Stg.Info() }
 
-func (c *chaosConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
-	if len(ops) > 0 {
+// gate decides whether an exchange reaches the node.
+func (c *chaosConn) gate(push, collect bool) error {
+	if push {
 		if err := c.pushGate(); err != nil {
-			return nil, false, err
+			return err
 		}
 	}
-	if dst != nil {
+	if collect {
 		if c.h.controllerDown {
-			return nil, false, ErrControllerDown
+			return ErrControllerDown
 		}
-		if err := c.collectGate(); err != nil {
-			return nil, false, err
-		}
+		return c.collectGate()
 	}
-	return c.handle.Exec(ops, dst, held)
+	return nil
 }
+
+func (c *chaosConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
+	if c.gated = c.gate(len(ops) > 0, dst != nil); c.gated == nil {
+		c.handle.Start(ops, dst, held)
+	}
+}
+
+func (c *chaosConn) Finish() ([]rpcio.OpResult, bool, error) {
+	if err := c.gated; err != nil {
+		c.gated = nil
+		return nil, false, err
+	}
+	return c.handle.Finish()
+}
+
+// Retry: a gated exchange is the fault the scenario injected, not one to
+// paper over, and the loopback has no schedule of its own.
+func (c *chaosConn) Retry(int) bool { return false }
 
 func (c *chaosConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
 

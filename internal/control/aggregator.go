@@ -51,8 +51,12 @@ type localStager interface {
 // AggOption configures an Aggregator.
 type AggOption func(*Aggregator)
 
-// WithAggWorkers bounds how many member stages one round drives in
-// parallel (default 8; 1 forces sequential StageID order).
+// WithAggWorkers sets how many goroutines drive one round (default
+// defaultWorkers). Each takes a contiguous StageID range of the members,
+// starts every exchange of it and then gathers the replies, so the
+// number of exchanges in flight is the shard's size whatever the count;
+// 1 keeps every first attempt on the caller's goroutine, started in
+// strict StageID order.
 func WithAggWorkers(n int) AggOption {
 	return func(a *Aggregator) {
 		if n > 0 {
@@ -125,6 +129,13 @@ type member struct {
 	err     error
 	changed bool
 	calls   int
+	// push is the operation the round in flight sends the member (none:
+	// the zero op), kept here so starting it allocates nothing; started
+	// and retry mark a pass's progress: an exchange begun and not yet
+	// finished, a first attempt that failed in transport.
+	push    [1]rpcio.StageOp
+	started bool
+	retry   bool
 }
 
 // stageProbe is what a collect learns about one stage beyond the
@@ -214,7 +225,7 @@ func NewAggregator(id string, opts ...AggOption) *Aggregator {
 	a := &Aggregator{
 		id:      id,
 		topo:    &aggTopo{},
-		workers: 8,
+		workers: defaultWorkers,
 		matcher: defaultMatcher(),
 		onError: func(string, error) {},
 		groupBy: groupByJob,
@@ -297,76 +308,123 @@ func (a *Aggregator) Describe(reply *rpcio.AggInfo) {
 	reply.Jobs = append(reply.Jobs, topo.jobs...)
 }
 
-// runBounded runs fn(i) for every i in [0, n) on at most workers
-// concurrent goroutines; workers <= 1 degenerates to a sequential loop
-// in index order. Exactly min(workers, n) goroutines are spawned,
-// pulling indices from a shared channel, and all of them are gone when
-// it returns — a thousand-stage registry must not burst a thousand
-// goroutines per round just to gate them on a semaphore, and a dropped
-// shard must leave none behind.
-func runBounded(n, workers int, fn func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+// defaultWorkers is how many goroutines drive a round unless told
+// otherwise. A round's exchanges overlap because they are all started
+// before the first is awaited, not because goroutines wait side by
+// side, so a second goroutine only pays where a controller has cores to
+// spare for encoding and decoding; where it shares them with its peers
+// it adds hand-offs (on fleet_rounds, 2 vCPUs: overhead_ratio 1.90 at
+// 1, 1.96 at 2, 2.06 at 8 — the sweep is in CHANGES.md, PR 21).
+const defaultWorkers = 1
+
+// eachSpan cuts [0, n) into min(workers, n) contiguous ranges and runs
+// fn on each, concurrently when there is more than one; workers <= 1 is
+// fn(0, n) on the caller's goroutine. Every goroutine is gone when it
+// returns — a dropped shard must leave none behind.
+func eachSpan(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
-	idx := make(chan int, workers)
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			fn(lo, hi)
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 }
 
-// pushRate brings one stage's managed queue to managed.Rate given the
-// stage's latest collect probe, and reports the round trips it cost:
-// none when the probe already shows the rate enforced (the collect just
-// proved it, so nothing needs to cross the wire); a reinstall of the
-// managed rule when the stage answered collect without the queue
-// (restarted); a retune otherwise — chased by a reinstall when the
-// retune finds the queue gone because a restart raced the probe. Every
-// call is a one-op batch.
-func pushRate(conn StageConn, probe stageProbe, managed policy.Rule) (calls int, err error) {
-	if probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate {
-		return 0, nil
+// pass is one kind of exchange with every member that has one to make:
+// scatter, gather, retry. args names what member m sends (ok false:
+// nothing this pass) and must answer the same each time it is asked;
+// done takes m's final outcome. Each of the round's goroutines starts
+// every exchange of its StageID range and only then finishes them, in
+// order, so every request is on the wire before the first reply is
+// awaited and — deadlines running from the send — hung members expire
+// together. A member whose attempt failed in transport is set aside,
+// and once every range is gathered the set-aside members run the rest
+// of the blocking exchange (rpcio.Reattempt: backoff, redial, try
+// again) side by side, so k dead peers cost the round one retry
+// schedule, not k.
+func (a *Aggregator) pass(members []*member,
+	args func(m *member) (ops []rpcio.StageOp, dst *stage.Stats, held, ok bool),
+	done func(m *member, res []rpcio.OpResult, changed bool, err error)) {
+	eachSpan(len(members), a.workers, func(lo, hi int) {
+		span := members[lo:hi]
+		for _, m := range span {
+			if ops, dst, held, ok := args(m); ok {
+				m.conn.Start(ops, dst, held)
+				m.started = true
+			}
+		}
+		for _, m := range span {
+			if !m.started {
+				continue
+			}
+			m.started = false
+			res, changed, err := m.conn.Finish()
+			if rpcio.Retryable(err) {
+				m.retry, m.err = true, err
+				continue
+			}
+			done(m, res, changed, err)
+		}
+	})
+
+	var failed []*member
+	for _, m := range members {
+		if m.retry {
+			m.retry = false
+			failed = append(failed, m)
+		}
 	}
-	reinstall := rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
-	op := rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
-	if probe.ok && !probe.hasCtl {
-		op = reinstall
+	// One goroutine each, whatever the worker count: they wait — sleep,
+	// dial, deadline — rather than compute.
+	eachSpan(len(failed), len(failed), func(lo, hi int) {
+		for _, m := range failed[lo:hi] {
+			ops, dst, held, _ := args(m)
+			res, changed, err := rpcio.Reattempt(m.conn, ops, dst, held, nil, false, m.err)
+			done(m, res, changed, err)
+		}
+	})
+}
+
+// pushOp is what brings one stage's managed queue to managed.Rate given
+// the stage's latest collect probe: nothing (the zero op) when the probe
+// already shows the rate enforced — the collect just proved it, so
+// nothing needs to cross the wire; a reinstall of the managed rule when
+// the stage answered collect without the queue (restarted); a retune
+// otherwise.
+func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
+	switch {
+	case probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate:
+		return rpcio.StageOp{}
+	case probe.ok && !probe.hasCtl:
+		return rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+	default:
+		return rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
 	}
-	res, _, err := conn.Exec([]rpcio.StageOp{op}, nil, false)
-	if err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-		_, _, err = conn.Exec([]rpcio.StageOp{reinstall}, nil, false)
-		return 2, err
-	}
-	return 1, err
 }
 
 // round is one exchange with every member, the only place the control
 // plane talks to stages during a round. Each grant names a job and the
 // rate every member stage of it is to enforce; a granted member is
-// brought to that rate through pushRate — skipped when its latest
+// brought to that rate with pushOp's operation — none when its latest
 // probe shows the rate enforced, the managed rule reinstalled where it
-// vanished. With collect set the members' statistics then fan in,
-// folded into one row per job (sorted by job). Member failures never
-// fail the round: they are reported to the error handler in StageID
-// order, counted as FailedStages, and the loop runs on the partial
-// snapshot.
+// vanished, and a retune that finds the queue gone (a restart raced
+// the probe) chased by a reinstall. With collect set the members'
+// statistics then fan in, folded into one row per job (sorted by job).
+// Pushes and collects are a pass each: scatter, gather, retry.
+// Member failures never fail the round: they are reported to the error
+// handler in StageID order, counted as FailedStages, and the loop runs
+// on the partial snapshot.
 //
 // When grants land on a borrowing shard the pool settles first: debts
 // repay from whatever each debtor still holds and the rest is forgiven,
@@ -401,27 +459,45 @@ func (a *Aggregator) round(grants []rpcio.JobGrant, collect bool, rs *RoundStats
 		}
 	}
 
-	runBounded(len(members), a.workers, func(i int) {
-		m := members[i]
-		m.err, m.changed, m.calls = nil, false, 0
+	pushes := false
+	for i, m := range members {
+		m.err, m.changed, m.calls, m.push[0] = nil, false, 0, rpcio.StageOp{}
 		if j := topo.rowOf[i]; hasRate[j] {
-			// Probes are only written in the fold below, so this
-			// concurrent read is race-free under roundMu.
-			m.calls, m.err = pushRate(m.conn, m.probe, managedRule(a.matcher, a.scoped, topo.jobs[j], rates[j]))
-			if m.err != nil {
-				m.changed = true // excluded from the fold: rows must rebuild
-				return
-			}
+			m.push[0] = pushOp(m.probe, managedRule(a.matcher, a.scoped, topo.jobs[j], rates[j]))
+			pushes = pushes || m.push[0].Kind != 0
 		}
-		if collect {
-			// An unchanged member leaves its held slot as it is — no
-			// snapshot copy — and if the whole shard is unchanged the
-			// fold below is skipped too.
-			_, m.changed, m.err = m.conn.Exec(nil, &m.stats, m.held)
-			m.held = m.err == nil
-			m.changed = m.changed || m.err != nil
-		}
-	})
+	}
+	if pushes {
+		a.pass(members,
+			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
+				return m.push[:], nil, false, m.push[0].Kind != 0
+			},
+			func(m *member, res []rpcio.OpResult, _ bool, err error) {
+				m.calls = 1
+				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
+					managed := managedRule(a.matcher, a.scoped, a.groupBy(m.conn.Info()), op.Rate)
+					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+					_, _, err = rpcio.Exec(m.conn, m.push[:], nil, false)
+					m.calls = 2
+				}
+				m.err = err
+				m.changed = err != nil // excluded from the fold: rows must rebuild
+			})
+	}
+	if collect {
+		// An unchanged member leaves its held slot as it is — no snapshot
+		// copy — and if the whole shard is unchanged the fold below is
+		// skipped too. A member whose push failed is not asked.
+		a.pass(members,
+			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
+				return nil, &m.stats, m.held, m.err == nil
+			},
+			func(m *member, _ []rpcio.OpResult, changed bool, err error) {
+				m.err = err
+				m.held = err == nil
+				m.changed = changed || err != nil
+			})
+	}
 
 	// Fold in member (StageID-sorted) order: rows, error reports and
 	// counts are deterministic whatever the worker interleaving was.

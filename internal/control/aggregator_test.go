@@ -106,8 +106,8 @@ func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 // deadConn fails every exchange, simulating an unreachable member.
 type deadConn struct{ LocalConn }
 
-func (d *deadConn) Exec([]rpcio.StageOp, *stage.Stats, bool) ([]rpcio.OpResult, bool, error) {
-	return nil, false, errors.New("member unreachable")
+func (d *deadConn) Start([]rpcio.StageOp, *stage.Stats, bool) {
+	d.failStart(errors.New("member unreachable"))
 }
 
 func TestAggregatorReportsFailedStages(t *testing.T) {
@@ -471,7 +471,7 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 		offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
 		clk.Advance(5 * time.Second)
 		var foreign stage.Stats
-		if _, _, err := conn.Exec(nil, &foreign, false); err != nil {
+		if _, _, err := rpcio.Exec(conn, nil, &foreign, false); err != nil {
 			t.Fatal(err)
 		}
 		if foreign.Queues[0].TotalDemand != 100 {

@@ -15,9 +15,10 @@ import (
 
 // The fleet benchmarks measure one feedback-loop round (RunOnce) at
 // increasing stage counts over the batched protocol (RemoteConn): one
-// Stage.Batch round trip per stage carrying the collect; steady-state
-// collects are incremental deltas and unchanged rates skip the push
-// round trip entirely.
+// Stage.Batch round trip per stage carrying the collect, all of them
+// started before the first is awaited; steady-state collects are
+// incremental deltas and unchanged rates skip the push round trip
+// entirely.
 //
 // Each stage carries a realistic rule set (the managed control queue
 // plus benchRulesPerStage administrator rules), so a full snapshot has
@@ -146,10 +147,11 @@ func benchFleetTree(b *testing.B, n, shardSize int) *Controller {
 	b.Helper()
 	ctl := benchController()
 	for base := 0; base < n; base += shardSize {
-		// Loopback member exchanges are pure CPU, so a single-machine
-		// fleet runs its shards sequentially: concurrent workers only
-		// add scheduler handoffs. Real TCP shards keep the worker pool
-		// to overlap network latency.
+		// One goroutine per shard round, said out loud: loopback member
+		// exchanges are pure CPU and complete in their first half, so
+		// more goroutines would only add scheduler hand-offs. (Over TCP
+		// the overlap comes from starting every exchange before awaiting
+		// any, not from the goroutine count either.)
 		agg := NewAggregator(fmt.Sprintf("agg-%04d", base/shardSize), WithAggWorkers(1))
 		end := base + shardSize
 		if end > n {

@@ -16,17 +16,16 @@ import (
 type StageConn interface {
 	// Info returns the stage's registration identity.
 	Info() stage.Info
-	// Exec is one exchange with the stage: ops apply in order (results
-	// has one entry per op; a single operation is a one-op call), then,
-	// when dst is non-nil, the stage's statistics are collected into
-	// caller-owned dst — every field overwritten, capacity reused.
-	//
-	// held is the caller's promise that nobody has written dst since
-	// this connection last filled it. Then, if the statistics have not
-	// changed since that fill, dst is left untouched — it already holds
-	// the current snapshot — and changed reports false. Without the
-	// promise dst is always rewritten and changed is true.
-	Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) (results []rpcio.OpResult, changed bool, err error)
+	// Exchanger is one exchange with the stage, in two halves so a round
+	// can have every member's request on the wire before it waits for
+	// the first reply: ops apply in order (one result per op; a single
+	// operation is a one-op call), then, when dst is non-nil, the
+	// stage's statistics are collected into caller-owned dst — every
+	// field overwritten, capacity reused — unless the caller held dst
+	// untouched since this connection last filled it and nothing has
+	// changed, when dst stays as it is and changed reports false. The
+	// blocking form is rpcio.Exec, the same for every connection.
+	rpcio.Exchanger
 	// WireStats reports the connection's cumulative traffic (zero for
 	// connections that never serialize).
 	WireStats() rpcio.WireStats
@@ -35,16 +34,26 @@ type StageConn interface {
 }
 
 // LocalConn drives an in-process stage directly, with no protocol in
-// between.
+// between: the whole exchange happens in Start and Finish hands over
+// its outcome.
 type LocalConn struct {
 	Stg *stage.Stage
 
-	// mu guards the collect bookkeeping behind an honest changed: the
-	// buffer last filled and the stage's quiescence token from that
-	// fill (zero when the stage was not at a fixed point).
-	mu     sync.Mutex
-	filled *stage.Stats
-	tok    uint64
+	// mu guards busy — whether an exchange is between its Start and its
+	// Finish — and idle, signalled when one ends.
+	mu   sync.Mutex
+	idle *sync.Cond
+	busy bool
+
+	// The rest belongs to the exchange in flight: its outcome, and the
+	// collect bookkeeping behind an honest changed — the buffer last
+	// filled and the stage's quiescence token from that fill (zero when
+	// the stage was not at a fixed point).
+	results []rpcio.OpResult
+	changed bool
+	err     error
+	filled  *stage.Stats
+	tok     uint64
 }
 
 var _ StageConn = (*LocalConn)(nil)
@@ -52,26 +61,50 @@ var _ StageConn = (*LocalConn)(nil)
 // Info implements StageConn.
 func (c *LocalConn) Info() stage.Info { return c.Stg.Info() }
 
-// Exec implements StageConn directly on the stage. An unchanged collect
+// acquire waits for the connection's turn and takes it; Finish gives it
+// back.
+func (c *LocalConn) acquire() {
+	c.mu.Lock()
+	if c.idle == nil {
+		c.idle = sync.NewCond(&c.mu)
+	}
+	for c.busy {
+		c.idle.Wait() //lint:allow lockcheck Cond.Wait releases c.mu for as long as it blocks
+	}
+	c.busy = true
+	c.mu.Unlock()
+}
+
+// Start implements StageConn directly on the stage. An unchanged collect
 // is one the stage's quiescence token vouches for (see
 // stage.CollectQuietInto), so it touches no counter.
-func (c *LocalConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
-	results, err := rpcio.ApplyOps(c.Stg, ops, nil)
-	if err != nil {
-		return nil, false, err
+func (c *LocalConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
+	c.acquire()
+	if c.results, c.err = rpcio.ApplyOps(c.Stg, ops, nil); c.err != nil || dst == nil {
+		return
 	}
-	if dst == nil {
-		return results, false, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if held && dst == c.filled && c.tok != 0 && c.Stg.QuietSince(c.tok) {
-		return results, false, nil
+		return
 	}
 	c.tok = c.Stg.CollectQuietInto(dst)
 	c.filled = dst
-	return results, true, nil
+	c.changed = true
 }
+
+// Finish implements StageConn.
+func (c *LocalConn) Finish() (results []rpcio.OpResult, changed bool, err error) {
+	results, changed, err = c.results, c.changed, c.err
+	c.results, c.changed, c.err = nil, false, nil
+	c.mu.Lock()
+	c.busy = false
+	c.mu.Unlock()
+	c.idle.Signal()
+	return results, changed, err
+}
+
+// Retry implements StageConn: an in-process exchange has no transport
+// to fail.
+func (c *LocalConn) Retry(int) bool { return false }
 
 // WireStats implements StageConn: nothing is serialized.
 func (c *LocalConn) WireStats() rpcio.WireStats { return rpcio.WireStats{} }
@@ -97,10 +130,16 @@ func NewRemoteConn(info stage.Info, handle *rpcio.StageHandle) *RemoteConn {
 // Info implements StageConn.
 func (c *RemoteConn) Info() stage.Info { return c.info }
 
-// Exec implements StageConn.
-func (c *RemoteConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
-	return c.handle.Exec(ops, dst, held)
+// Start implements StageConn.
+func (c *RemoteConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
+	c.handle.Start(ops, dst, held)
 }
+
+// Finish implements StageConn.
+func (c *RemoteConn) Finish() ([]rpcio.OpResult, bool, error) { return c.handle.Finish() }
+
+// Retry implements StageConn on the handle's backoff schedule.
+func (c *RemoteConn) Retry(attempt int) bool { return c.handle.Retry(attempt) }
 
 // WireStats implements StageConn.
 func (c *RemoteConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }

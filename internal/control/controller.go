@@ -50,9 +50,10 @@ type Controller struct {
 	loopStop         chan struct{}
 	loopDone         chan struct{}
 
-	// workers is the width of a round's fan-out (default 8; 1 forces
-	// sequential exchanges in StageID order, which the chaos harness
-	// relies on for deterministic fault injection).
+	// workers is how many goroutines drive a shard's round (default
+	// defaultWorkers; 1 keeps every exchange on the round's goroutine in
+	// StageID order, which the chaos harness relies on for deterministic
+	// fault injection).
 	workers int
 	// shardSize caps the shards the controller builds over its stage
 	// registry (0: one shard holds it all); borrow links each shard's
@@ -141,12 +142,16 @@ func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
 }
 
-// WithPushConcurrency bounds how many exchanges a round has in flight
-// (default 8), in the collect phase and the push phase alike: it is the
-// fan-out width of every shard the controller builds, and of its round
-// trips to registered aggregators. 1 forces sequential exchanges in
-// StageID order. Whatever the bound, outcomes are folded in StageID
-// order, so error reporting and eviction marks stay deterministic.
+// WithPushConcurrency sets how many goroutines drive a shard's round,
+// in the collect phase and the push phase alike (default 1): each takes
+// a contiguous StageID range of the shard, starts every exchange of it
+// and then gathers the replies, so a round has every request in flight
+// whatever the count, and the count is about cores, not about overlap.
+// It is also how many registered aggregators are exchanged with at a
+// time. 1 keeps every first attempt on the round's goroutine, started in
+// strict StageID order. Whatever the count, outcomes are folded in
+// StageID order, so error reporting and eviction marks stay
+// deterministic.
 func WithPushConcurrency(n int) Option {
 	return func(c *Controller) {
 		if n > 0 {
@@ -206,7 +211,7 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		isDefaultGroupBy: true,
 		onError:          func(string, error) {},
 		lastAlloc:        make(map[string]float64),
-		workers:          8,
+		workers:          defaultWorkers,
 		jobAt:            make(map[string]int),
 		misses:           make(map[string]int),
 		adminRules:       make(map[string]map[string]policy.Rule),
@@ -279,7 +284,7 @@ func (c *Controller) Register(conn StageConn) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if _, _, err := conn.Exec(ops, nil, false); err != nil {
+	if _, _, err := rpcio.Exec(conn, ops, nil, false); err != nil {
 		return fmt.Errorf("control: install rules on %s: %w", id, err)
 	}
 	return nil
@@ -517,23 +522,34 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 }
 
 // installSplit installs r on every connection as a one-op batch, its
-// rate split equally among them.
+// rate split equally among them, in the same pass a round makes: every
+// install is started in StageID order before the first is awaited.
+// Every stage is attempted whatever the others answer — a failure in
+// the middle must not leave an arbitrary remainder of the job without
+// the rule — and the error returned is the first in StageID order.
 func installSplit(conns []StageConn, r policy.Rule) error {
 	if r.Rate != policy.Unlimited && len(conns) > 1 {
 		r.Rate /= float64(len(conns))
 	}
+	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
 	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
 	for _, conn := range conns {
-		if _, _, err := conn.Exec(ops, nil, false); err != nil {
-			return err
+		conn.Start(ops, nil, false)
+	}
+	var first error
+	for _, conn := range conns {
+		res, changed, err := conn.Finish()
+		if _, _, err = rpcio.Reattempt(conn, ops, nil, false, res, changed, err); err != nil && first == nil {
+			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, conn.Info().StageID, err)
 		}
 	}
-	return nil
+	return first
 }
 
 // ApplyRuleToJobs installs a rule on a group of jobs (group granularity),
 // splitting the rate equally across the jobs and then across each job's
-// stages.
+// stages. Every job is attempted; the error is the first in argument
+// order.
 func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 	if len(jobIDs) == 0 {
 		return fmt.Errorf("control: empty job group")
@@ -542,12 +558,13 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 	if r.Rate != policy.Unlimited {
 		perJob.Rate = r.Rate / float64(len(jobIDs))
 	}
+	var first error
 	for _, j := range jobIDs {
-		if err := c.ApplyRuleToJob(j, perJob); err != nil {
-			return err
+		if err := c.ApplyRuleToJob(j, perJob); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // ApplyRuleCluster installs a rule on every registered stage
@@ -842,8 +859,9 @@ func (c *Controller) connsLocked() []StageConn {
 // exchange runs one phase of a round over every shard: the collect
 // (each shard's rows land in its record) or the push of the grants
 // planned for it. The controller's own shards go one after another,
-// each fanning out over its members c.workers wide; the registered
-// aggregators are then exchanged with c.workers at a time. Failures are
+// each a scatter/gather pass over its members on c.workers goroutines
+// (Aggregator.pass); the registered aggregators — one blocking
+// Agg.Round each — are then exchanged with c.workers at a time. Failures are
 // reported in shard order, and a shard that fails a phase is skipped —
 // its stages keep enforcing frozen rates — until it answers again.
 // Caller holds roundMu.
@@ -871,13 +889,14 @@ func (c *Controller) exchange(collect bool, rs *RoundStats) {
 		}
 	}
 
-	runBounded(len(registered), c.workers, func(i int) {
-		sh := registered[i]
-		switch {
-		case collect:
-			sh.err = sh.conn.Round(nil, true, &sh.reply)
-		case len(sh.grants) > 0:
-			sh.err = sh.conn.Round(sh.grants, false, &sh.reply)
+	eachSpan(len(registered), c.workers, func(lo, hi int) {
+		for _, sh := range registered[lo:hi] {
+			switch {
+			case collect:
+				sh.err = sh.conn.Round(nil, true, &sh.reply)
+			case len(sh.grants) > 0:
+				sh.err = sh.conn.Round(sh.grants, false, &sh.reply)
+			}
 		}
 	})
 	for _, sh := range registered {

@@ -255,11 +255,12 @@ func TestCollectAllAggregatesPerJob(t *testing.T) {
 // register) but never answers a collect.
 type failingConn struct{ LocalConn }
 
-func (f *failingConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+func (f *failingConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
 	if dst != nil {
-		return nil, false, errors.New("stage unreachable")
+		f.failStart(errors.New("stage unreachable"))
+		return
 	}
-	return f.LocalConn.Exec(ops, nil, held)
+	f.LocalConn.Start(ops, nil, held)
 }
 
 func TestCollectSkipsDeadStages(t *testing.T) {

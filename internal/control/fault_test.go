@@ -162,14 +162,23 @@ type flakyConn struct {
 	fail bool
 }
 
-func (f *flakyConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+func (f *flakyConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
 	f.mu.Lock()
 	fail := f.fail
 	f.mu.Unlock()
 	if fail && dst != nil {
-		return nil, false, errors.New("injected collect failure")
+		f.failStart(errors.New("injected collect failure"))
+		return
 	}
-	return f.LocalConn.Exec(ops, dst, held)
+	f.LocalConn.Start(ops, dst, held)
+}
+
+// failStart begins an exchange that fails with err before it reaches
+// the stage — what a fault-injecting wrapper does in place of
+// LocalConn.Start; LocalConn.Finish reports err.
+func (c *LocalConn) failStart(err error) {
+	c.acquire()
+	c.err = err
 }
 
 func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
@@ -310,13 +319,14 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 // setRateFailingConn collects fine but refuses rate retunes.
 type setRateFailingConn struct{ LocalConn }
 
-func (f *setRateFailingConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+func (f *setRateFailingConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
 	for _, op := range ops {
 		if op.Kind == rpcio.OpSetRate {
-			return nil, false, errors.New("injected push failure")
+			f.failStart(errors.New("injected push failure"))
+			return
 		}
 	}
-	return f.LocalConn.Exec(ops, dst, held)
+	f.LocalConn.Start(ops, dst, held)
 }
 
 // pushLogConn records the order push-phase exchanges reach it in, and
@@ -327,7 +337,7 @@ type pushLogConn struct {
 	onCollect func()
 }
 
-func (p *pushLogConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]rpcio.OpResult, bool, error) {
+func (p *pushLogConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
 	if dst != nil && p.onCollect != nil {
 		hook := p.onCollect
 		p.onCollect = nil
@@ -336,7 +346,7 @@ func (p *pushLogConn) Exec(ops []rpcio.StageOp, dst *stage.Stats, held bool) ([]
 	if len(ops) > 0 {
 		*p.log = append(*p.log, p.Stg.Info().StageID)
 	}
-	return p.LocalConn.Exec(ops, dst, held)
+	p.LocalConn.Start(ops, dst, held)
 }
 
 // TestPushesFollowTheLiveRegistryInStageIDOrder: pushes go out in

@@ -188,7 +188,7 @@ func (h *AggHandle) WireStats() WireStats { return h.t.WireStats() }
 // Attach probes the aggregator's identity and membership.
 func (h *AggHandle) Attach(seq uint64) (AggInfo, error) {
 	var info AggInfo
-	err := h.t.Call("Agg.Attach", &AggAttachArgs{Seq: seq}, &info)
+	err := Call(h.t, "Agg.Attach", &AggAttachArgs{Seq: seq}, &info)
 	return info, err
 }
 
@@ -200,7 +200,7 @@ func (h *AggHandle) Round(grants []JobGrant, collect bool, reply *AggRoundReply)
 	defer h.mu.Unlock()
 	h.args.Grants = grants
 	h.args.Collect = collect
-	err := h.t.Call("Agg.Round", &h.args, reply)
+	err := Call(h.t, "Agg.Round", &h.args, reply)
 	h.args.Grants = nil
 	return err
 }

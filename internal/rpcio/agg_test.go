@@ -142,7 +142,7 @@ func TestAggChannelMismatchErrors(t *testing.T) {
 	lb := NewEncodedLoopbackAgg(NewAggService(backend))
 
 	var health StageHealth
-	if err := lb.Call("Stage.Health", &HealthProbe{}, &health); err == nil {
+	if err := Call(lb, "Stage.Health", &HealthProbe{}, &health); err == nil {
 		t.Fatal("Stage.Health on an aggregator channel should error")
 	} else if !strings.Contains(err.Error(), "aggregator") {
 		t.Fatalf("Stage.Health error %q should name the aggregator mismatch", err)

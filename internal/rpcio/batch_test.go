@@ -127,11 +127,12 @@ type switchableTransport struct {
 	inner Transport
 }
 
-func (s *switchableTransport) Call(method string, args, reply any) error {
-	return s.inner.Call(method, args, reply)
+func (s *switchableTransport) Start(method string, args, reply any) Pending {
+	return s.inner.Start(method, args, reply)
 }
-func (s *switchableTransport) WireStats() WireStats { return s.inner.WireStats() }
-func (s *switchableTransport) Close() error         { return s.inner.Close() }
+func (s *switchableTransport) Retry(attempt int) bool { return s.inner.Retry(attempt) }
+func (s *switchableTransport) WireStats() WireStats   { return s.inner.WireStats() }
+func (s *switchableTransport) Close() error           { return s.inner.Close() }
 
 // TestDeltaFallsBackToFullAfterStageRestart kills the serving stage and
 // replaces it with a fresh one (new StageService, new epoch). The

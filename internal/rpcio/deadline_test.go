@@ -41,10 +41,12 @@ func healthFrame(t *testing.T, call *frameCall) {
 }
 
 // TestCallDeadlineOnSimClock drives one pooled call through answered
-// and unanswered exchanges on a simulated clock: the deadline is armed
-// only while the exchange is in flight, expires exactly when the clock
-// reaches it, kills the connection, and the same timer serves the next
-// exchange on the next connection.
+// and unanswered exchanges on a simulated clock: the deadline counts
+// from the send, its timer is armed only while a wait is actually
+// blocked — never for a reply that is already there — for what is left
+// of the deadline, expires exactly when the clock reaches it, kills the
+// connection, and the same timer serves the next exchange on the next
+// connection.
 func TestCallDeadlineOnSimClock(t *testing.T) {
 	const timeout = 150 * time.Millisecond
 	clk := clock.NewSim(epoch)
@@ -102,11 +104,43 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 		}
 	}
 
-	answered("first exchange")
+	// A reply that has arrived before the second half asks for it costs
+	// no timer at all.
+	fc, err := tr.ensureConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthFrame(t, call)
+	if err := tr.send(fc, call, methodHealth, 0); err != nil {
+		t.Fatal(err)
+	}
+	for len(call.ch) == 0 {
+		runtime.Gosched()
+	}
+	if err := tr.await(fc, call, methodHealth); err != nil {
+		t.Fatal(err)
+	}
+	if call.deadline != nil || clk.PendingWaiters() != 0 {
+		t.Fatal("a buffered reply armed a deadline timer")
+	}
+
+	// The deadline runs from the send: a second half that starts late
+	// waits only for the remainder.
+	fc, done := exchangeSentAgo(t, tr, call, clk, timeout/3)
+	clk.BlockUntil(1)
+	if d, _ := clk.NextDeadline(); !d.Equal(clk.Now().Add(timeout - timeout/3)) {
+		t.Fatalf("late gather parked its deadline at %v, want send+%v", d, timeout)
+	}
+	clk.Advance(timeout - timeout/3)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "deadline") || !fc.isDead() {
+		t.Fatalf("late gather: err = %v, connection dead %v", err, fc.isDead())
+	}
 	timer := call.deadline
 	if timer == nil {
-		t.Fatal("the call made no deadline timer")
+		t.Fatal("the blocked wait made no deadline timer")
 	}
+
+	answered("first exchange")
 	timedOut("second exchange (reply dropped)")
 	answered("first exchange after the timeout") // fresh connection, same call
 	timedOut("second timeout")
@@ -116,11 +150,33 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 	}
 }
 
+// exchangeSentAgo sends a Stage.Health whose reply the fixture's wire
+// will swallow (the second reply on a fresh connection), lets ago pass
+// on the clock, and only then starts waiting for it.
+func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clock.Sim, ago time.Duration) (*frameConn, chan error) {
+	t.Helper()
+	fc, err := tr.ensureConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthFrame(t, call)
+	if err := tr.send(fc, call, methodHealth, 0); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(ago)
+	done := make(chan error, 1)
+	go func() { done <- tr.await(fc, call, methodHealth) }()
+	return fc, done
+}
+
 // lateTimer is a deadline that expires the moment the reply has been
-// delivered: Reset waits until the demux goroutine has signalled the
-// call, then fires, so roundTrip's select finds both channels ready.
+// delivered. The reply is held back until the wait has found nothing
+// buffered and arms the timer: Reset lets the server's one write go,
+// waits until the demux goroutine has signalled the call, then fires,
+// so the wait's select finds both channels ready.
 type lateTimer struct {
 	c         chan time.Time
+	release   chan struct{}
 	delivered func() bool
 }
 
@@ -133,10 +189,36 @@ func (l *lateTimer) Stop() bool {
 	return false
 }
 func (l *lateTimer) Reset(time.Duration) {
+	l.release <- struct{}{}
 	for !l.delivered() {
 		runtime.Gosched()
 	}
 	l.c <- time.Time{}
+}
+
+// heldListener serves connections whose every write waits to be
+// released.
+type heldListener struct {
+	net.Listener
+	release chan struct{}
+}
+
+type heldConn struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (l *heldListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &heldConn{Conn: c, release: l.release}, nil
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	<-c.release
+	return c.Conn.Write(p)
 }
 
 // TestReplyThatRacesTheDeadlineWins: when the reply and the deadline
@@ -145,9 +227,12 @@ func (l *lateTimer) Reset(time.Duration) {
 // reader, not by the kill, and returns it (the connection is still
 // discarded: its timeliness can no longer be trusted).
 func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
-	tr := deadlineFixture(t, clock.NewReal(), time.Hour, func(l net.Listener) net.Listener { return l })
+	release := make(chan struct{})
+	tr := deadlineFixture(t, clock.NewReal(), time.Hour, func(l net.Listener) net.Listener {
+		return &heldListener{Listener: l, release: release}
+	})
 	call := tr.getCall()
-	call.deadline = &lateTimer{c: make(chan time.Time, 1), delivered: func() bool { return len(call.ch) == 1 }}
+	call.deadline = &lateTimer{c: make(chan time.Time, 1), release: release, delivered: func() bool { return len(call.ch) == 1 }}
 	// The select picks between two ready channels at random: 24 fair
 	// coins all landing on the reply branch is a 6e-8 event.
 	deadlineBranch := 0

@@ -108,7 +108,7 @@ func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 		cfg.clk, cfg.backoff, cfg.dialer = clk, b, &frameDialer{}
 		tr := newFrameTransport(dead, cfg)
 		for call := 0; call < 2; call++ {
-			if err := tr.Call("Stage.Health", &HealthProbe{}, &StageHealth{}); err == nil {
+			if err := Call(tr, "Stage.Health", &HealthProbe{}, &StageHealth{}); err == nil {
 				t.Fatalf("seed %d: Call to a dead port succeeded", seed)
 			}
 			if got := clk.take(); !slices.Equal(got, want) {

@@ -9,11 +9,21 @@
 // by a flaky wire, or stragglers from a timed-out call — are consumed
 // and dropped, never misdelivered.
 //
+// A call is two halves (Transport.Start, Pending.Finish): the first
+// encodes, registers the stream and writes the frame, the second waits
+// for the demux goroutine's signal and decodes — so a caller driving
+// many stages has every request on the wire before it waits for the
+// first reply, and by the time it gathers most replies are already
+// buffered in their calls.
+//
 // Failure handling: every call runs under the transport's deadline on
-// its injected clock — a timer the pooled call owns and re-arms, so a
-// deadline that almost never expires costs no allocation. A timeout or
-// I/O error kills the whole connection (completing every pending call
-// with the error), and the next call redials under the transport's
+// its injected clock, counted from the send. The deadline's timer — one
+// the pooled call owns and re-arms, so it costs no allocation — is
+// armed only when the second half actually has to block, for what is
+// left of the deadline; requests sent together to hung peers therefore
+// expire together. A timeout or I/O error kills the whole connection
+// (completing every pending call with the error), and the next call
+// redials; the blocking Call separates its attempts by the transport's
 // backoff schedule, materialized once when the transport was built.
 // RemoteError — the peer answered with an application error — is
 // returned without retry. Frames are written with a single Write call, so fault
@@ -33,19 +43,29 @@ import (
 	"padll/internal/clock"
 )
 
-// frameCall is one in-flight request's rendezvous: the reader goroutine
-// delivers the reply payload into buf and signals ch. Completion is
-// exactly-once (whoever removes the call from the pending map completes
-// it), so calls and their buffers are pooled and reused.
+// frameCall is one in-flight request's rendezvous, and the Pending its
+// Start returns: the reader goroutine delivers the reply payload into
+// buf and signals ch. Completion is exactly-once (whoever removes the
+// call from the pending map completes it) and a call goes back to its
+// transport's pool only after that one signal was consumed, so calls
+// and their buffers are pooled and reused.
 type frameCall struct {
+	t    *frameTransport
 	ch   chan struct{} // buffered(1); one signal per completion
 	kind uint8
 	buf  []byte // reply payload (reused)
 	wbuf []byte // request frame assembly (reused)
 	err  error
-	// deadline is the call's reusable timeout timer, made on first use
-	// and always stopped before the call returns to the pool.
+	// deadline is the call's reusable timeout timer, made the first time
+	// a wait has to block and always stopped before the call returns to
+	// the pool. sent is when the request went out: the instant the
+	// deadline counts from.
 	deadline clock.Timer
+	sent     time.Time
+	// fc, m and reply are the started exchange Finish completes.
+	fc    *frameConn
+	m     methodID
+	reply any
 }
 
 // frameConn is one multiplexed connection shared by every transport
@@ -87,11 +107,15 @@ func (fc *frameConn) register(call *frameCall) (uint64, error) {
 	return s, nil
 }
 
-// forget removes a call that never made it onto the wire.
-func (fc *frameConn) forget(stream uint64) {
+// forget removes a call that never made it onto the wire and reports
+// whether it was still pending: false means a kill got to it first and
+// is completing it.
+func (fc *frameConn) forget(stream uint64) bool {
 	fc.mu.Lock()
+	_, pending := fc.pending[stream]
 	delete(fc.pending, stream)
 	fc.mu.Unlock()
+	return pending
 }
 
 // send writes one whole frame with a single Write.
@@ -310,8 +334,7 @@ type frameTransport struct {
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
-	// delays is the backoff schedule's retry sleeps (Backoff.Delays):
-	// every Call walks the same sequence from the start.
+	// delays is the backoff schedule's retry sleeps (Backoff.Delays).
 	delays []time.Duration
 
 	calls        atomic.Uint64
@@ -354,11 +377,11 @@ func (t *frameTransport) getCall() *frameCall {
 	if c, ok := t.callPool.Get().(*frameCall); ok {
 		return c
 	}
-	return &frameCall{ch: make(chan struct{}, 1)}
+	return &frameCall{t: t, ch: make(chan struct{}, 1)}
 }
 
 func (t *frameTransport) putCall(c *frameCall) {
-	c.err = nil
+	c.err, c.fc, c.reply = nil, nil, nil
 	t.callPool.Put(c)
 }
 
@@ -411,15 +434,12 @@ func frameStart(b []byte) []byte {
 	return append(b[:0], zero[:]...)
 }
 
-// roundTrip sends the frame assembled in call.wbuf (a frameHeaderLen
-// gap followed by the encoded payload; see frameStart) and waits for
-// the reply under the transport's deadline. The reply lands in
-// call.buf — a distinct buffer from wbuf, so the demux goroutine never
-// touches memory conn.Write may still be reading. On timeout the whole
-// connection is killed — a late reply on a stream with no waiter would
-// be discarded by the demux loop, but the connection's framing state
-// can no longer be trusted to be timely.
-func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
+// send is a call's first half on the wire: it registers the stream and
+// writes the frame assembled in call.wbuf (a frameHeaderLen gap followed
+// by the encoded payload; see frameStart) with one Write. An error means
+// the call is not in flight — nothing will signal it — and the
+// connection is dead.
+func (t *frameTransport) send(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
 	stream, err := fc.register(call)
 	if err != nil {
 		return err
@@ -432,36 +452,72 @@ func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, c
 		channel: channel,
 		length:  uint32(len(frame) - frameHeaderLen),
 	})
-
+	if t.timeout > 0 {
+		call.sent = t.clk.Now()
+	}
 	if err := fc.send(frame); err != nil {
-		fc.forget(stream)
+		if !fc.forget(stream) {
+			<-call.ch // a racing kill completed the call: take its signal
+		}
 		err = fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err)
 		fc.kill(err)
 		return err
 	}
 	t.bytesWritten.Add(uint64(len(frame)))
+	return nil
+}
 
-	if t.timeout > 0 {
-		if call.deadline == nil {
-			call.deadline = t.clk.NewTimer()
-		}
-		call.deadline.Reset(t.timeout)
-		select {
-		case <-call.ch:
-			call.deadline.Stop()
-		case <-call.deadline.C():
-			fc.kill(fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(m), t.timeout))
-			<-call.ch // kill (or the racing reader) completes the call
-			// A nil error here means the reply raced the deadline and won.
-		}
-	} else {
-		<-call.ch
+// await is a sent call's second half: it takes the call's one
+// completion signal, blocking under what is left of the deadline only
+// when the reply has not already arrived. The reply lands in call.buf —
+// a distinct buffer from wbuf, so the demux goroutine never touches
+// memory conn.Write may still be reading. On timeout the whole
+// connection is killed — a late reply on a stream with no waiter would
+// be discarded by the demux loop, but the connection's framing state
+// can no longer be trusted to be timely.
+func (t *frameTransport) await(fc *frameConn, call *frameCall, m methodID) error {
+	select {
+	case <-call.ch:
+	default:
+		t.block(fc, call, m)
 	}
 	if call.err != nil {
 		return call.err
 	}
 	t.bytesRead.Add(uint64(frameHeaderLen + len(call.buf)))
 	return nil
+}
+
+// block waits for a call whose reply is still outstanding.
+func (t *frameTransport) block(fc *frameConn, call *frameCall, m methodID) {
+	if t.timeout <= 0 {
+		<-call.ch
+		return
+	}
+	if left := t.timeout - t.clk.Now().Sub(call.sent); left > 0 {
+		if call.deadline == nil {
+			call.deadline = t.clk.NewTimer()
+		}
+		call.deadline.Reset(left)
+		select {
+		case <-call.ch:
+			call.deadline.Stop()
+			return
+		case <-call.deadline.C():
+		}
+	}
+	fc.kill(fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(m), t.timeout))
+	<-call.ch // kill (or the racing reader) completes the call
+	// A nil error here means the reply raced the deadline and won.
+}
+
+// roundTrip is send then await, for the exchanges the transport makes
+// on its own behalf (the attach handshake).
+func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
+	if err := t.send(fc, call, m, channel); err != nil {
+		return err
+	}
+	return t.await(fc, call, m)
 }
 
 // methodName renders a methodID for error messages.
@@ -477,61 +533,72 @@ func methodName(m methodID) string {
 	return fmt.Sprintf("method(%d)", m)
 }
 
-// callOnce performs one encode → frame → decode attempt.
-func (t *frameTransport) callOnce(fc *frameConn, m methodID, args, reply any) error {
+// discard is the outcome of an attempt that failed on fc: a transport
+// error invalidates the connection, so the next attempt dials fresh.
+func discard(fc *frameConn, err error) error {
+	if Retryable(err) {
+		fc.kill(err)
+	}
+	return err
+}
+
+// Start implements Transport: dial if the last connection died, resolve
+// the channel, encode, register, write.
+func (t *frameTransport) Start(method string, args, reply any) Pending {
+	m, ok := methodIDs[method]
+	if !ok {
+		return finished{fmt.Errorf("rpcio: unknown method %q", method)}
+	}
+	fc, err := t.ensureConn()
+	if err != nil {
+		return finished{err}
+	}
 	t.calls.Add(1)
 	channel, err := fc.channelFor(t, t.stageID)
 	if err != nil {
-		return err
+		return finished{discard(fc, err)}
 	}
 	call := t.getCall()
-	defer t.putCall(call)
 	frame, err := appendCallArgs(frameStart(call.wbuf), m, args)
+	if err == nil {
+		call.wbuf = frame
+		err = t.send(fc, call, m, channel)
+	}
 	if err != nil {
-		return err
+		t.putCall(call)
+		return finished{discard(fc, err)}
 	}
-	call.wbuf = frame
-	if err := t.roundTrip(fc, call, m, channel); err != nil {
-		return err
-	}
-	switch call.kind {
-	case frameError:
-		return RemoteError(string(call.buf))
-	case frameReply:
-		return readCallReply(m, call.buf, reply)
-	default:
-		return fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, call.kind)
-	}
+	call.fc, call.m, call.reply = fc, m, reply
+	return call
 }
 
-// Call implements Transport with redial + retry:
-// transport errors invalidate the connection and retry
-// after the schedule's next delay; RemoteError (the peer answered "no")
-// is returned as-is.
-func (t *frameTransport) Call(method string, args, reply any) error {
-	m, ok := methodIDs[method]
-	if !ok {
-		return fmt.Errorf("rpcio: unknown method %q", method)
-	}
-	for attempt := 0; ; attempt++ {
-		fc, err := t.ensureConn()
-		if err == nil {
-			err = t.callOnce(fc, m, args, reply)
-			if err == nil {
-				return nil
-			}
-			if _, remote := err.(RemoteError); remote {
-				// The wire worked; the stage itself refused. Retrying an
-				// application error is wrong.
-				return err
-			}
-			fc.kill(err)
+// Finish implements Pending: wait, decode into the reply Start was
+// given, and give the call back to its pool.
+func (c *frameCall) Finish() error {
+	t, fc := c.t, c.fc
+	err := t.await(fc, c, c.m)
+	if err == nil {
+		switch c.kind {
+		case frameError:
+			err = RemoteError(string(c.buf))
+		case frameReply:
+			err = readCallReply(c.m, c.buf, c.reply)
+		default:
+			err = fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, c.kind)
 		}
-		if attempt == len(t.delays) || t.isClosed() {
-			return err
-		}
-		t.clk.Sleep(t.delays[attempt])
 	}
+	t.putCall(c)
+	return discard(fc, err)
+}
+
+// Retry implements Transport on the backoff schedule: every blocking
+// call walks the same delays from the start.
+func (t *frameTransport) Retry(attempt int) bool {
+	if attempt >= len(t.delays) || t.isClosed() {
+		return false
+	}
+	t.clk.Sleep(t.delays[attempt])
+	return true
 }
 
 func (t *frameTransport) isClosed() bool {

@@ -318,3 +318,98 @@ func TestMuxDuplicatedReplyFramesAreDiscarded(t *testing.T) {
 		t.Errorf("rules = %d, want 1", got)
 	}
 }
+
+// muteConn swallows everything the server writes while armed: requests
+// are served, their replies never leave.
+type muteConn struct {
+	net.Conn
+	mute *atomic.Bool
+}
+
+func (c *muteConn) Write(p []byte) (int, error) {
+	if c.mute.Load() {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+type muteListener struct {
+	net.Listener
+	mute *atomic.Bool
+}
+
+func (l *muteListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &muteConn{Conn: c, mute: l.mute}, nil
+}
+
+// TestKilledConnectionFinishesEveryStartedExchange: eight exchanges are
+// started on one shared connection, whose replies never come; the
+// connection is killed while their second halves are being waited for.
+// Every Finish returns the kill's error, exactly one completion reaches
+// each pooled call and is consumed before the call goes back to its
+// pool — so none comes out of it signalled, failed or still attached —
+// every handle is free for its next exchange, and that exchange redials
+// and merges the right snapshot whether the lost exchange had reached
+// the stage (a full resync) or not (the next delta).
+func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
+	const n = 8
+	var mute atomic.Bool
+	stages, handles, _ := muxFleet(t, n, func(l net.Listener) net.Listener {
+		return &muteListener{Listener: l, mute: &mute}
+	}, WithCallTimeout(time.Hour), WithBackoff(Backoff{Attempts: 1}))
+	dst := make([]stage.Stats, n)
+	for i, h := range handles { // attach, and the first (full) collect
+		if _, _, err := h.Exec(nil, &dst[i], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fc := handles[0].t.(*frameTransport).fc
+
+	mute.Store(true)
+	for i, h := range handles {
+		h.Start(nil, &dst[i], true)
+	}
+	errKilled := errors.New("rpcio test: connection killed under the gatherers")
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, h := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = h.Finish()
+		}()
+	}
+	fc.kill(errKilled)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, errKilled) {
+			t.Errorf("exchange %d finished with %v, want the kill's error", i, err)
+		}
+	}
+	fc.mu.Lock()
+	if len(fc.pending) != 0 {
+		t.Errorf("%d calls still pending on the killed connection", len(fc.pending))
+	}
+	fc.mu.Unlock()
+	for i, h := range handles {
+		call := h.t.(*frameTransport).getCall()
+		if len(call.ch) != 0 || call.err != nil || call.fc != nil || call.reply != nil {
+			t.Errorf("transport %d pooled a call that is not at rest: %d signals, err %v, conn %v", i, len(call.ch), call.err, call.fc)
+		}
+	}
+
+	mute.Store(false)
+	for i, h := range handles {
+		merged, err := collect(h)
+		if err != nil {
+			t.Fatalf("handle %d after the kill: %v", i, err)
+		}
+		if !bytes.Equal(statsBytes(merged), statsBytes(stages[i].Collect())) {
+			t.Errorf("handle %d: merged snapshot diverged after the kill", i)
+		}
+	}
+}

@@ -215,18 +215,28 @@ const (
 // layered over a Transport: frames over TCP with redial, deadlines and
 // seeded backoff for remote stages (DialStage), or the same codec in
 // process (EncodedLoopbackStage). The handle owns the client half of
-// the batched delta protocol (Exec in batch.go).
+// the batched delta protocol (Start/Finish/Exec in batch.go).
 type StageHandle struct {
 	t Transport
 
-	// bmu guards the batched-protocol state: the reusable args/reply
-	// buffers, the merged delta-collect snapshot, and the buffer that
-	// snapshot was last materialized into.
+	// bmu guards the merged delta-collect snapshot, the buffer that
+	// snapshot was last materialized into, and busy: whether an exchange
+	// is between its Start and its Finish. idle is signalled when one
+	// ends.
 	bmu    sync.Mutex
-	bargs  BatchArgs
-	breply BatchReply
+	idle   sync.Cond
+	busy   bool
 	dstate DeltaState
 	filled *stage.Stats
+
+	// The exchange in flight, owned by whoever set busy: the reusable
+	// args/reply buffers, the transport's pending call, and the collect
+	// destination Finish fills.
+	bargs   BatchArgs
+	breply  BatchReply
+	pending Pending
+	dst     *stage.Stats
+	held    bool
 }
 
 // DialStage connects to a stage's control service over TCP. The wire is
@@ -243,12 +253,16 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	if _, err := t.ensureConn(); err != nil {
 		return nil, err
 	}
-	return &StageHandle{t: t}, nil
+	return NewStageHandle(t), nil
 }
 
 // NewStageHandle wraps an arbitrary transport (tests inject faulty
 // ones).
-func NewStageHandle(t Transport) *StageHandle { return &StageHandle{t: t} }
+func NewStageHandle(t Transport) *StageHandle {
+	h := &StageHandle{t: t}
+	h.idle.L = &h.bmu
+	return h
+}
 
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
@@ -256,7 +270,7 @@ func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 // Health fetches the stage's health report.
 func (h *StageHandle) Health(seq uint64) (StageHealth, error) {
 	var st StageHealth
-	err := h.t.Call("Stage.Health", &HealthProbe{Seq: seq}, &st)
+	err := Call(h.t, "Stage.Health", &HealthProbe{Seq: seq}, &st)
 	return st, err
 }
 

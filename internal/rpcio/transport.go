@@ -4,8 +4,9 @@
 // reproduction's wire is the versioned binary frame protocol over TCP.
 // Both are request/response transports, and everything above them — the
 // typed StageHandle API, the batched delta protocol, the controller —
-// only needs "issue one named call, get one reply". Transport captures
-// that contract so the same control plane can run over a real socket
+// only needs "issue one named call, get one reply", in two halves so
+// many calls can be in flight at once. Transport captures that contract
+// so the same control plane can run over a real socket
 // (frameTransport) or through the same codec in process
 // (EncodedLoopback), which is what the chaos harness and thousand-stage
 // benchmarks want. Callers that want no protocol at all drive the stage
@@ -20,16 +21,64 @@ import (
 	"padll/internal/clock"
 )
 
-// Transport moves one typed RPC to a stage's control service and back.
-// Implementations must be safe for concurrent use.
+// Transport moves typed RPCs to a stage's control service and back, each
+// in two halves, so a caller with many peers can have every request on
+// the wire before it waits for the first reply. Implementations must be
+// safe for concurrent use.
 type Transport interface {
-	// Call performs the named RPC. args and reply are the pointer forms
-	// of the method's wire types.
-	Call(method string, args, reply any) error
+	// Start is the first half of one attempt at the named RPC: args (the
+	// pointer form of the method's wire type) is encoded and the request
+	// is on the wire when it returns. reply belongs to the call until the
+	// returned Pending is finished, which must happen exactly once. A
+	// call that could not be started reports why from Finish.
+	Start(method string, args, reply any) Pending
+	// Retry is what separates the attempts of a blocking call: after the
+	// attempt-th try (counting from 0) failed in transport it sleeps the
+	// retry schedule's next delay and reports true, or reports false at
+	// once when the schedule holds no further attempt.
+	Retry(attempt int) bool
 	// WireStats reports cumulative traffic accounting.
 	WireStats() WireStats
 	// Close tears the transport down; subsequent calls fail.
 	Close() error
+}
+
+// Pending is the second half of a started RPC.
+type Pending interface {
+	// Finish waits for the reply under the call's deadline — counted from
+	// when the request was sent, however late Finish is called — decodes
+	// it into the reply value Start was given, and returns the call's
+	// outcome. A transport error discards the connection.
+	Finish() error
+}
+
+// finished is the Pending of a call that was over when Start returned.
+type finished struct{ err error }
+
+func (f finished) Finish() error { return f.err }
+
+// completed is the shared Pending of every call that succeeded in its
+// first half, so completing early costs no allocation.
+var completed Pending = finished{}
+
+// Call is the blocking RPC, for every transport: start, finish, and —
+// when the attempt failed in transport rather than with the peer's
+// RemoteError — try again for as long as the transport's schedule allows.
+func Call(t Transport, method string, args, reply any) error {
+	for attempt := 0; ; attempt++ {
+		err := t.Start(method, args, reply).Finish()
+		if err == nil || !Retryable(err) || !t.Retry(attempt) {
+			return err
+		}
+	}
+}
+
+// Retryable reports whether err is a failure of the wire (worth another
+// attempt) rather than the peer's answer: a RemoteError means the wire
+// worked and the stage itself refused, and retrying that is wrong.
+func Retryable(err error) bool {
+	_, remote := err.(RemoteError)
+	return err != nil && !remote
 }
 
 // WireStats is a transport's cumulative traffic accounting. Calls counts
@@ -146,7 +195,7 @@ func NewEncodedLoopback(svc *StageService) *EncodedLoopback {
 // EncodedLoopbackStage returns a handle driving svc through the binary
 // codec in process; see EncodedLoopback.
 func EncodedLoopbackStage(svc *StageService) *StageHandle {
-	return &StageHandle{t: NewEncodedLoopback(svc)}
+	return NewStageHandle(NewEncodedLoopback(svc))
 }
 
 // NewEncodedLoopbackAgg returns a codec-exercising in-process transport
@@ -182,9 +231,21 @@ func (l *EncodedLoopback) Close() error {
 	return nil
 }
 
-// Call implements Transport: one full encode→dispatch→decode round trip
-// through the binary codec.
-func (l *EncodedLoopback) Call(method string, args, reply any) error {
+// Retry implements Transport: a loopback has no retry schedule.
+func (l *EncodedLoopback) Retry(int) bool { return false }
+
+// Start implements Transport. Nothing is in flight in process, so the
+// whole exchange happens here and the Pending only carries its outcome.
+func (l *EncodedLoopback) Start(method string, args, reply any) Pending {
+	if err := l.exchange(method, args, reply); err != nil {
+		return finished{err}
+	}
+	return completed
+}
+
+// exchange is one full encode→dispatch→decode round trip through the
+// binary codec.
+func (l *EncodedLoopback) exchange(method string, args, reply any) error {
 	m, ok := methodIDs[method]
 	if !ok {
 		return fmt.Errorf("rpcio: loopback: unknown method %q", method)

@@ -447,9 +447,11 @@ func WithControlledMatcher(m Matcher) ControlOption { return control.WithControl
 // share redistributed (0 disables eviction, the default).
 func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
 
-// WithPushConcurrency bounds the number of stages the feedback loop
-// exchanges with in parallel, collecting and pushing alike (default 8;
-// 1 forces sequential exchanges in stage-ID order).
+// WithPushConcurrency sets how many goroutines drive a control round,
+// collecting and pushing alike. A round has every stage's request on
+// the wire before it waits for the first reply whatever the count, so
+// this is about spare controller cores, not overlap (default 1: every
+// exchange started in stage-ID order on the loop's goroutine).
 func WithPushConcurrency(n int) ControlOption { return control.WithPushConcurrency(n) }
 
 // WithGroupBy overrides the feedback loop's orchestration granularity:
