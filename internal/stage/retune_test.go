@@ -140,13 +140,13 @@ func TestSetRateZeroAllocs(t *testing.T) {
 // unlimited, over and over, under enforcers that never pause. The stage
 // runs on a simulated clock nobody advances and the finite rates refill
 // a token in hours, so a request that parks under a finite limit leaves
-// only when the next retune wakes it: a lost wake-up hangs the test.
+// only when a retune to unlimited wakes it: a lost wake-up hangs the test.
 // Meanwhile a collector checks that every snapshot conserves requests
 // (Total + Dropped <= TotalDemand) and reports a Limit/Burst pair some
 // single retune left behind, never halves of two.
 func TestRetuneRacesEnforce(t *testing.T) {
 	const (
-		enforcers = 4
+		enforcers = 16
 		cycles    = 150
 	)
 	clk := clock.NewSim(time.Unix(0, 0))
@@ -210,9 +210,9 @@ func TestRetuneRacesEnforce(t *testing.T) {
 
 	q := s.queues["q"]
 	for i := 0; i < cycles && !t.Failed(); i++ {
-		finite := 1e-3
+		finite, other := 1e-3, 2e-3
 		if i%2 == 1 {
-			finite = 2e-3
+			finite, other = other, finite
 		}
 		apply(finite)
 		// Every enforcer spends the burst and ends up blocked in the
@@ -220,6 +220,9 @@ func TestRetuneRacesEnforce(t *testing.T) {
 		for q.waiting.Load() < enforcers && !t.Failed() {
 			runtime.Gosched()
 		}
+		// A retune between finite rates re-times the sleepers and
+		// releases none: they are all still there for the next one.
+		apply(other)
 		if i%3 == 0 {
 			s.SetRate("q", policy.Unlimited)
 		} else {

@@ -67,3 +67,42 @@ func TestSetZeroAllocsWithNoWaiter(t *testing.T) {
 		t.Errorf("Set (no waiter parked) allocates %.3f allocs/op, want 0", avg)
 	}
 }
+
+// TestWaitParkedZeroAllocs: a request that finds the bucket dry
+// reserves, sleeps on a pooled timer and is admitted without allocating
+// once the pool holds a timer — the blocking path is no exception to the
+// admit path's contract.
+func TestWaitParkedZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc guards are not meaningful under -race")
+	}
+	clk := clock.NewSim(time.Unix(0, 0))
+	b := New(clk, 1000, 1)
+	if !b.TryTake(1) {
+		t.Fatal("drain failed")
+	}
+	next, done := make(chan struct{}), make(chan error)
+	go func() {
+		for range next {
+			done <- b.Wait(1)
+		}
+	}()
+	defer close(next)
+	parkedWait := func() {
+		next <- struct{}{}
+		clk.BlockUntil(1)
+		clk.Advance(time.Millisecond)
+		if err := <-done; err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	parkedWait() // makes the bucket's first timer
+	before := sleepsOf(b)
+	const runs = 500
+	if avg := testing.AllocsPerRun(runs, parkedWait); avg != 0 {
+		t.Errorf("Wait (parked path) allocates %.3f allocs/op, want 0", avg)
+	}
+	if got := sleepsOf(b) - before; got != runs+1 { // AllocsPerRun warms up once
+		t.Errorf("%d sleeps in %d waits: the guard did not measure the parked path", got, runs+1)
+	}
+}

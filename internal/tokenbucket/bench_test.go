@@ -1,6 +1,8 @@
 package tokenbucket
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"padll/internal/clock"
@@ -49,4 +51,33 @@ func BenchmarkWaitUnlimited(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWaitContended measures the blocking path under a pile-up: 64
+// goroutines wait on one bucket of burst 1, so every admission reserves
+// and sleeps. ns/op is pinned by the rate (50 µs a token); the figures
+// that can move are allocs/op and wakeups/admit — armed sleeps per
+// admitted request, 1 when every waiter sleeps once.
+func BenchmarkWaitContended(b *testing.B) {
+	const waiters = 64
+	bk := New(clock.NewReal(), 20_000, 1)
+	var issued atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for issued.Add(1) <= int64(b.N) {
+				if err := bk.Wait(1); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(sleepsOf(bk))/float64(b.N), "wakeups/admit")
 }

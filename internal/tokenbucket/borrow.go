@@ -276,11 +276,11 @@ func (b *Bucket) deposit(n float64, clamp bool) {
 	if b.closed || b.rate == Infinite {
 		return
 	}
+	b.broadcastLocked()
 	b.tokens += n
 	if clamp && b.tokens > b.capacity {
 		b.tokens = b.capacity
 	}
-	b.broadcastLocked()
 }
 
 // takeBorrowed is TryTake's shortage path: borrow the deficit from the

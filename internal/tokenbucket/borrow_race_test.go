@@ -2,6 +2,7 @@ package tokenbucket
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +14,18 @@ import (
 // and membership churn — under the race detector, then checks the
 // conservation invariant: the pool's lifetime granted tokens never
 // exceed the burst capital plus the refill that wall time could have
-// accrued. Borrowing moves tokens; it must never mint them.
+// accrued. Borrowing moves tokens; it must never mint them. Two of the
+// buckets are blocking ones: eight waiters each sleep on reservations
+// while their bucket's takers borrow into its debt, settlements deposit
+// into it and retunes re-time it.
 func TestBorrowRaceConservation(t *testing.T) {
 	clk := clock.NewReal()
 	const (
-		k     = 4
-		rate  = 50_000.0
-		burst = 1_000.0
+		k       = 6
+		fluid   = 4 // buckets [0, fluid) also admit by Grant, the rest by Wait
+		waiters = 8 // per blocking bucket
+		rate    = 50_000.0
+		burst   = 1_000.0
 	)
 	pool := NewBorrowPool(1.0)
 	buckets := make([]*Bucket, k)
@@ -31,10 +37,33 @@ func TestBorrowRaceConservation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Admitters: two per bucket, so siblings constantly race each other
-	// into the pool lock.
+	// Waiters: Grant and Wait do not share a bucket (fluid admission
+	// pre-consumes the window a reservation sleeps through).
+	var waited atomic.Int64
+	for i := fluid; i < k; i++ {
+		for g := 0; g < waiters; g++ {
+			wg.Add(1)
+			go func(b *Bucket) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := b.Wait(2); err != nil {
+						t.Errorf("Wait: %v", err)
+						return
+					}
+					waited.Add(1)
+				}
+			}(buckets[i])
+		}
+	}
+	// Admitters: a borrowing taker on every bucket and a fluid one beside
+	// it, so siblings constantly race each other into the pool lock.
 	for i := 0; i < k; i++ {
-		for g := 0; g < 2; g++ {
+		for g := 0; g < 2 && (g == 0 || i < fluid); g++ {
 			wg.Add(1)
 			go func(b *Bucket, fluid bool) {
 				defer wg.Done()
@@ -101,7 +130,7 @@ func TestBorrowRaceConservation(t *testing.T) {
 	if granted > bound {
 		t.Errorf("granted %.0f tokens > conservation bound %.0f — borrowing minted tokens", granted, bound)
 	}
-	if granted == 0 {
-		t.Error("no tokens granted; the stress loop did not run")
+	if granted == 0 || waited.Load() == 0 {
+		t.Errorf("%.0f tokens granted, %d waits admitted; the stress loop did not run", granted, waited.Load())
 	}
 }

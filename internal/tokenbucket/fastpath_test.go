@@ -55,7 +55,11 @@ func TestUnlimitedFastPathRetuneToFinite(t *testing.T) {
 }
 
 // TestGrantedConservedUnderConcurrency checks the atomic-float grant
-// accounting loses nothing when the lock-free and locked paths race.
+// accounting loses nothing when the lock-free and locked paths race:
+// first takers on an unlimited bucket, then 16 waiters on a bucket that
+// concurrent retunes move between two finite rates and unlimited, so a
+// request may be admitted lock-free, with its token in hand, or after a
+// sleep that a broadcast re-timed — and is counted once either way.
 func TestGrantedConservedUnderConcurrency(t *testing.T) {
 	bk := NewUnlimited(clock.NewReal())
 	const (
@@ -78,5 +82,38 @@ func TestGrantedConservedUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := bk.Granted(); got != workers*perG {
 		t.Fatalf("Granted = %v, want %d", got, workers*perG)
+	}
+
+	const (
+		waiters = 16
+		perW    = 100
+	)
+	bk = New(clock.NewReal(), 100_000, 4)
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				if err := bk.Wait(1); err != nil {
+					t.Errorf("Wait: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	stop := retuning(func(i int) {
+		// Unlimited for an instant only: long enough to wake the sleepers
+		// into the lock-free path, not to drain the test.
+		bk.Set(Infinite, 4)
+		bk.Set([...]float64{50_000, 100_000}[i%2], 4)
+		time.Sleep(100 * time.Microsecond)
+	})
+	wg.Wait()
+	stop()
+	if sleepsOf(bk) < waiters {
+		t.Errorf("%d sleeps armed: the waiters never parked", sleepsOf(bk))
+	}
+	if got := bk.Granted(); got != waiters*perW {
+		t.Fatalf("Granted = %v after %d waits of one token, want %d", got, waiters*perW, waiters*perW)
 	}
 }

@@ -7,7 +7,7 @@
 //
 // The bucket supports four admission styles:
 //
-//   - Wait: block the calling goroutine until tokens are available (the
+//   - Wait: block the calling goroutine until its tokens have accrued (the
 //     enforcement path used by live stages);
 //   - TryTake: non-blocking admission (used for policing, tests, and
 //     drop-based policies);
@@ -52,20 +52,26 @@ type Bucket struct {
 	clk      clock.Clock
 	rate     float64 // tokens per second; Infinite disables limiting
 	capacity float64 // burst size, tokens
-	tokens   float64 // current fill, <= capacity
-	last     time.Time
-	closed   bool
-	// waiters receive a broadcast when tokens become available sooner
-	// than previously computed (rate increase or capacity change).
-	// parked counts the Wait calls that captured retune and have not yet
-	// come back for the lock: at zero nobody can be listening, and a
-	// broadcast has nothing to close.
+	// tokens is the current fill, <= capacity. Below zero it is debt:
+	// tokens that requests asleep in Wait have taken and refill has yet
+	// to cover, so every other admission queues behind them.
+	tokens float64
+	last   time.Time
+	closed bool
+	// reserved is the lifetime count of tokens taken as debt; its value as
+	// a sleeper joins is that sleeper's place, and its growth since then
+	// is what queues behind that sleeper.
+	reserved float64
+	// retune is closed and replaced when the sleepers' deadlines move
+	// (retune, deposit, Close); with no debt nobody is owed a wake-up.
 	retune chan struct{}
-	parked int
-	// pool, when set, links this bucket to its siblings for
-	// decentralized token borrowing (borrow.go); guarded by mu, and
-	// never called into while mu is held (pool locks order before
-	// bucket locks).
+	// timers holds idle sleep timers on clk; sleeps counts the times one
+	// was armed: once per admitted waiter unless a broadcast intervenes.
+	timers sync.Pool
+	sleeps uint64
+	// pool, when set, links this bucket to its siblings for decentralized
+	// token borrowing (borrow.go); guarded by mu, and never called into
+	// while mu is held (pool locks order before bucket locks).
 	pool *BorrowPool
 
 	// unlimitedA/closedA mirror rate == Infinite and closed for the
@@ -73,8 +79,7 @@ type Bucket struct {
 	unlimitedA atomic.Bool
 	closedA    atomic.Bool
 	// grantedBits holds the float64 bits of the lifetime granted-token
-	// count; the conservation property tests rely on it. CAS-add keeps
-	// it exact from both the locked and lock-free paths.
+	// count; CAS-add keeps it exact from the locked and lock-free paths.
 	grantedBits atomic.Uint64
 }
 
@@ -91,8 +96,7 @@ func (b *Bucket) addGranted(n float64) {
 
 // New returns a bucket refilling at rate tokens/second with the given
 // burst capacity, initially full. A non-positive capacity is clamped to 1
-// token so single requests can always eventually be admitted. A
-// non-positive rate is clamped to a minimal positive rate.
+// token, a non-positive rate to a minimal positive one.
 func New(clk clock.Clock, rate, capacity float64) *Bucket {
 	if capacity <= 0 {
 		capacity = 1
@@ -113,18 +117,7 @@ func New(clk clock.Clock, rate, capacity float64) *Bucket {
 }
 
 // NewUnlimited returns a bucket that admits everything immediately.
-func NewUnlimited(clk clock.Clock) *Bucket {
-	b := &Bucket{
-		clk:      clk,
-		rate:     Infinite,
-		capacity: Infinite,
-		tokens:   Infinite,
-		last:     clk.Now(),
-		retune:   make(chan struct{}),
-	}
-	b.unlimitedA.Store(true)
-	return b
-}
+func NewUnlimited(clk clock.Clock) *Bucket { return New(clk, Infinite, Infinite) }
 
 // refillLocked accrues tokens for the time elapsed since the last refill.
 // The refill cursor never runs backwards: an instant at or before last
@@ -177,10 +170,9 @@ func (b *Bucket) Granted() float64 {
 }
 
 // Set retunes rate and capacity atomically, settling accrual at the old
-// rate up to the current instant first. Waiters are woken so they
-// recompute their wait against the new rate. This is the entry point the
-// control plane uses when the feedback loop pushes a new rule (§III-B
-// step 3).
+// rate up to the current instant first; sleepers wake to re-time what
+// they are still owed at the new rate. This is the entry point the control
+// plane uses when the feedback loop pushes a new rule (§III-B step 3).
 func (b *Bucket) Set(rate, capacity float64) {
 	if rate <= 0 {
 		rate = 1e-9
@@ -190,22 +182,23 @@ func (b *Bucket) Set(rate, capacity float64) {
 	}
 	b.mu.Lock()
 	b.refillLocked(b.clk.Now())
+	b.broadcastLocked()
 	b.rate = rate
 	b.capacity = capacity
 	b.unlimitedA.Store(rate == Infinite)
-	if b.tokens > capacity && rate != Infinite {
-		b.tokens = capacity
-	}
 	if rate == Infinite {
 		b.tokens = Infinite
+	} else if b.tokens > capacity {
+		b.tokens = capacity
 	}
-	b.broadcastLocked()
 	b.mu.Unlock()
 }
 
-// broadcastLocked wakes all waiters so they recompute their deadline.
+// broadcastLocked wakes the sleepers to re-time themselves; callers invoke
+// it before they change the fill. At or above zero every reservation is
+// covered and its sleep has run out.
 func (b *Bucket) broadcastLocked() {
-	if b.parked == 0 {
+	if b.tokens >= 0 {
 		return
 	}
 	close(b.retune)
@@ -256,9 +249,8 @@ func (b *Bucket) TryTake(n float64) bool {
 // now, takes n tokens if the bucket holds them, and otherwise reports
 // false without borrowing from siblings or blocking. now may lag the
 // clock (hot paths amortize clock reads): refill never runs backwards,
-// so a stale instant can only leave tokens unaccrued — the caller then
-// falls back to Wait, which reads the clock exactly. Granted stays exact
-// either way.
+// so a stale instant can only leave tokens unaccrued, and the caller
+// falls back to Wait, which reads the clock. Granted stays exact.
 //
 //lint:hotpath
 func (b *Bucket) TakeAt(n float64, now time.Time) bool {
@@ -288,13 +280,12 @@ func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 	return ok
 }
 
-// Wait blocks until n tokens are available and takes them. It returns
-// ErrClosed if the bucket is closed while waiting. Requests larger than
-// the burst capacity are admitted by letting the fill go negative after a
-// wait sized to the full deficit, so oversized data requests are not
-// starved forever (they pay their cost up front instead).
-//
-//lint:coldpath blocking shaping path: waiters sleep on the clock by design, so allocation cost is immaterial here
+// Wait takes n tokens, blocking until they have accrued. A request that
+// finds the bucket dry reserves: it takes its tokens at once, driving the
+// fill negative — so every later arrival, by any admission style, queues
+// behind it, and a request larger than the burst is not starved — and
+// sleeps once, until refill has covered the debt up to its place. If the
+// bucket is closed meanwhile it hands them back and returns ErrClosed.
 func (b *Bucket) Wait(n float64) error {
 	if n <= 0 {
 		return nil
@@ -307,48 +298,57 @@ func (b *Bucket) Wait(n float64) error {
 		b.addGranted(n)
 		return nil
 	}
-	for parked := 0; ; parked = 1 {
-		b.mu.Lock()
-		b.parked -= parked // back from the select below
-		if b.closed {
-			b.mu.Unlock()
-			return ErrClosed
-		}
-		now := b.clk.Now()
-		b.refillLocked(now)
-		if b.rate == Infinite || b.tokens >= n {
-			if b.rate != Infinite {
-				b.tokens -= n
-			}
-			b.addGranted(n)
-			b.mu.Unlock()
-			return nil
-		}
-		// Oversized requests (n > capacity) can never accumulate: charge
-		// the deficit and wait it out once.
-		if n > b.capacity {
-			deficit := n - b.tokens
-			b.tokens -= n // goes negative: future admissions pay the debt
-			b.addGranted(n)
-			rate := b.rate
-			b.mu.Unlock()
-			b.clk.Sleep(time.Duration(deficit / rate * float64(time.Second)))
-			return nil
-		}
-		deficit := n - b.tokens
-		waitDur := time.Duration(deficit / b.rate * float64(time.Second))
-		if waitDur <= 0 {
-			waitDur = time.Nanosecond
-		}
-		retune := b.retune
-		b.parked++
+	b.mu.Lock()
+	if b.closed {
 		b.mu.Unlock()
-
+		return ErrClosed
+	}
+	b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck Wait refills to the exact instant; the stage tries TakeAt on an amortized one first
+	b.tokens -= n
+	if b.tokens >= 0 {
+		b.addGranted(n)
+		b.mu.Unlock()
+		return nil
+	}
+	b.reserved += n
+	place := b.reserved
+	t, _ := b.timers.Get().(clock.Timer)
+	if t == nil {
+		t = b.clk.NewTimer()
+	}
+	for {
+		// Owed up to this request's place: the debt less what queues behind.
+		owed := -b.tokens - (b.reserved - place)
+		if b.closed || owed <= 0 {
+			break
+		}
+		// Rounded to the nanosecond, and capped (a century and a half) so
+		// that a near-zero rate cannot overflow time.Duration.
+		t.Reset(time.Duration(min(owed*float64(time.Second)/b.rate+0.5, 1<<62)))
+		b.sleeps++
+		retune := b.retune
+		b.mu.Unlock()
 		select {
-		case <-b.clk.After(waitDur):
+		case <-t.C():
+			b.timers.Put(t)
+			b.addGranted(n)
+			return nil
 		case <-retune:
 		}
+		b.mu.Lock()
+		b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck a broadcast moved the deadline; what is owed is recomputed exactly
 	}
+	var err error
+	if b.closed {
+		b.tokens += n
+		err = ErrClosed
+	} else {
+		b.addGranted(n)
+	}
+	b.mu.Unlock()
+	t.Stop()
+	b.timers.Put(t)
+	return err
 }
 
 // Grant performs fluid admission for the discrete-tick simulator: given a

@@ -214,21 +214,41 @@ func TestSetToUnlimitedAndBack(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesWaiters: Close releases every sleeper with ErrClosed,
+// also one that a concurrent retune has just sent back to re-time its
+// sleep, and each hands its reservation back — Granted counts admitted
+// tokens only, and no timer stays armed.
 func TestCloseReleasesWaiters(t *testing.T) {
+	const waiters = 16
 	clk := clock.NewSim(epoch)
 	b := New(clk, 0.001, 1)
 	b.TryTake(1)
-	done := make(chan error, 1)
-	go func() { done <- b.Wait(1) }()
-	clk.BlockUntil(1)
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { done <- b.Wait(1) }()
+	}
+	clk.BlockUntil(waiters)
+	stop := retuning(func(i int) { b.Set(0.001*float64(1+i%3), 1) })
+	defer stop()
 	b.Close()
-	select {
-	case err := <-done:
-		if err != ErrClosed {
-			t.Fatalf("Wait after Close = %v, want ErrClosed", err)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-done:
+			if err != ErrClosed {
+				t.Fatalf("Wait after Close = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close released %d of %d waiters", i, waiters)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not release waiter")
+	}
+	if got := b.Granted(); got != 1 {
+		t.Errorf("Granted = %v, want 1: the released sleepers were admitted nothing", got)
+	}
+	if got := b.Tokens(); got < 0 {
+		t.Errorf("fill = %v after Close: a released sleeper kept its reservation", got)
+	}
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Errorf("%d timers still armed after Close", n)
 	}
 	if b.TryTake(1) {
 		t.Fatal("TryTake succeeded on a closed bucket")
