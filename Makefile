@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self ci experiments tools clean
+.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self ci count experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
 # path layer by layer (shim, stage, router, OS backend) plus the io/fs
@@ -174,6 +174,21 @@ ci:
 	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff
+
+# The size figures a surface-audit entry in CHANGES.md quotes: non-test
+# lines outside bench/, exported functions and methods, With* options
+# (under internal/ and padll.go) — and the two the control plane is
+# tracked by: //lint:wire structs, non-test lines of rpcio + control.
+SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
+count:
+	@printf 'non-test lines outside bench/: %d\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'exported functions and methods: %d\n' \
+		"$$($(SRC_FILES) | xargs grep -hE '^func (\([a-z]+ \*?[A-Za-z]+\) )?[A-Z]' | wc -l)"
+	@printf 'With* options: %d\n' "$$($(SRC_FILES) | xargs grep -hE '^func With[A-Z]' | wc -l)"
+	@printf '//lint:wire structs: %d\n' "$$($(SRC_FILES) | xargs grep -h '^//lint:wire' | wc -l)"
+	@printf 'rpcio + control non-test lines: %d\n' \
+		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # Regenerate every figure/table of the paper (tables printed to stdout,
 # plot series dumped under out/).

@@ -31,11 +31,10 @@ import (
 
 func main() {
 	var (
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
-		list     = flag.Bool("list", false, "list the analyzers and exit")
-		analyzer = flag.String("analyzer", "", "alias of -enable (kept for compatibility)")
-		enable   = flag.String("enable", "", "run only the named analyzers (comma-separated)")
-		disable  = flag.String("disable", "", "run all analyzers except the named ones (comma-separated)")
+		jsonOut = flag.Bool("json", false, "emit findings as JSON")
+		list    = flag.Bool("list", false, "list the analyzers and exit")
+		enable  = flag.String("enable", "", "run only the named analyzers (comma-separated)")
+		disable = flag.String("disable", "", "run all analyzers except the named ones (comma-separated)")
 	)
 	flag.Parse()
 
@@ -46,7 +45,7 @@ func main() {
 		return
 	}
 
-	analyzers, err := selectAnalyzers(*enable, *analyzer, *disable)
+	analyzers, err := selectAnalyzers(*enable, *disable)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "padll-lint:", err)
 		os.Exit(2)
@@ -81,14 +80,9 @@ func main() {
 	}
 }
 
-// selectAnalyzers resolves the -enable/-analyzer/-disable flags against
-// the registry.
-func selectAnalyzers(enable, alias, disable string) ([]*lint.Analyzer, error) {
-	if enable == "" {
-		enable = alias
-	} else if alias != "" {
-		return nil, fmt.Errorf("-enable and -analyzer are aliases; pass only one")
-	}
+// selectAnalyzers resolves the -enable/-disable flags against the
+// registry.
+func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
 	if enable != "" && disable != "" {
 		return nil, fmt.Errorf("-enable and -disable are mutually exclusive")
 	}

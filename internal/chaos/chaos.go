@@ -54,10 +54,10 @@ type Config struct {
 	Reservations map[string]float64
 	// Algorithm defaults to control.StaticEqualShare{}.
 	Algorithm control.Algorithm
-	// BorrowBudget > 0 enables decentralized token borrowing inside
-	// every aggregator added with AddAggregator: sibling stages under
-	// one shard share a borrow pool with this per-member debt budget
-	// (a fraction of burst capacity).
+	// BorrowBudget > 0 cuts the controller's registry into shards of
+	// two stages with decentralized token borrowing inside each: the
+	// siblings share a borrow pool with this per-member debt budget (a
+	// fraction of burst capacity).
 	BorrowBudget float64
 }
 
@@ -75,9 +75,6 @@ type StageNode struct {
 	Stg *stage.Stage
 
 	conn *chaosConn
-	// sharded marks a stage an aggregator fronts: it never registers
-	// with the controller, whose only channel to it is the aggregator's.
-	sharded bool
 	// frames is the binary-codec transport under the node's handle;
 	// frame-granular faults hook here.
 	frames      *rpcio.EncodedLoopback
@@ -88,15 +85,6 @@ type StageNode struct {
 	collectBudget atomic.Int64
 }
 
-// AggNode is one simulated aggregator shard plus its failure state.
-type AggNode struct {
-	ID  string
-	Agg *control.Aggregator
-
-	conn    *chaosAggConn
-	crashed atomic.Bool
-}
-
 // Harness wires a controller and stages together under injected faults.
 type Harness struct {
 	cfg   Config
@@ -105,9 +93,6 @@ type Harness struct {
 	ctl   *control.Controller
 	nodes map[string]*StageNode
 	ids   []string // sorted; the deterministic iteration order
-
-	aggs   map[string]*AggNode
-	aggIDs []string // sorted, like ids
 
 	events   []Event
 	nextTick time.Duration
@@ -146,7 +131,6 @@ func New(cfg Config) *Harness {
 		cfg:      cfg,
 		clk:      clock.NewSim(time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)),
 		nodes:    map[string]*StageNode{},
-		aggs:     map[string]*AggNode{},
 		nextTick: cfg.Interval,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -175,6 +159,9 @@ func (h *Harness) newController() *control.Controller {
 	if h.cfg.EvictAfter > 0 {
 		opts = append(opts, control.WithEvictAfter(h.cfg.EvictAfter))
 	}
+	if h.cfg.BorrowBudget > 0 {
+		opts = append(opts, control.WithTopology(2), control.WithBorrowing(h.cfg.BorrowBudget))
+	}
 	ctl := control.New(h.clk, opts...)
 	for job, rate := range h.cfg.Reservations {
 		ctl.SetReservation(job, rate)
@@ -184,24 +171,6 @@ func (h *Harness) newController() *control.Controller {
 
 // AddStage registers a fresh stage with the controller.
 func (h *Harness) AddStage(id, job string) *StageNode {
-	n := h.addNode(id, job)
-	if err := h.ctl.Register(n.conn); err != nil {
-		h.logf("stage %s registration error: %v", id, err)
-	}
-	h.logf("stage %s registered (job %s)", id, job)
-	return n
-}
-
-// AddShardStage adds a fresh stage for an aggregator to front (see
-// AddAggregator) without registering it with the controller.
-func (h *Harness) AddShardStage(id, job string) *StageNode {
-	n := h.addNode(id, job)
-	n.sharded = true
-	h.logf("stage %s started (job %s)", id, job)
-	return n
-}
-
-func (h *Harness) addNode(id, job string) *StageNode {
 	n := &StageNode{
 		ID:  id,
 		Job: job,
@@ -217,38 +186,15 @@ func (h *Harness) addNode(id, job string) *StageNode {
 	h.nodes[id] = n
 	h.ids = append(h.ids, id)
 	sort.Strings(h.ids)
-	return n
-}
-
-// AddAggregator fronts the named stages (added with AddShardStage) with
-// an aggregator shard and registers it with the controller, which then
-// exchanges one Agg.Round per phase with the shard instead of one RPC
-// per stage. With Config.BorrowBudget > 0 the shard's members share a
-// borrow pool on the managed control queue.
-func (h *Harness) AddAggregator(id string, stageIDs ...string) *AggNode {
-	var opts []control.AggOption
-	if h.cfg.BorrowBudget > 0 {
-		opts = append(opts, control.WithAggBorrowing(h.cfg.BorrowBudget))
+	if err := h.ctl.Register(n.conn); err != nil {
+		h.logf("stage %s registration error: %v", id, err)
 	}
-	agg := control.NewAggregator(id, opts...)
-	for _, sid := range stageIDs {
-		agg.AddMember(h.nodes[sid].conn)
-	}
-	n := &AggNode{ID: id, Agg: agg}
-	n.conn = &chaosAggConn{h: h, node: n, inner: &control.LocalAggConn{Agg: agg}}
-	h.aggs[id] = n
-	h.aggIDs = append(h.aggIDs, id)
-	sort.Strings(h.aggIDs)
-	h.ctl.RegisterAggregator(n.conn)
-	h.logf("aggregator %s registered (%d stages)", id, agg.Members())
+	h.logf("stage %s registered (job %s)", id, job)
 	return n
 }
 
 // Node returns a stage node by ID (nil when absent).
 func (h *Harness) Node(id string) *StageNode { return h.nodes[id] }
-
-// AggregatorNode returns an aggregator node by ID (nil when absent).
-func (h *Harness) AggregatorNode(id string) *AggNode { return h.aggs[id] }
 
 // Controller exposes the live controller (it changes across restarts).
 func (h *Harness) Controller() *control.Controller { return h.ctl }
@@ -300,30 +246,7 @@ func (h *Harness) RestartController() {
 	h.ctl = h.newController()
 	h.controllerDown = false
 	h.pushBudget.Store(-1)
-	// Aggregator shards re-attach immediately (they dial the controller,
-	// not the other way around); stages re-register at their next
-	// heartbeat tick.
-	for _, id := range h.aggIDs {
-		h.ctl.RegisterAggregator(h.aggs[id].conn)
-	}
 	h.logf("controller restarted (empty registry)")
-}
-
-// CrashAggregator kills an aggregator shard: the controller's rounds to
-// it fail, its member stages receive no plan pushes, and — when
-// borrowing is on — the shard's pool keeps moving tokens between the
-// members locally, with no settles until the next plan lands.
-func (h *Harness) CrashAggregator(id string) {
-	h.aggs[id].crashed.Store(true)
-	h.logf("aggregator %s crashed", id)
-}
-
-// HealAggregator revives a crashed aggregator shard; the next control
-// round folds its members back into the allocation and its first plan
-// push settles the borrow ledger.
-func (h *Harness) HealAggregator(id string) {
-	h.aggs[id].crashed.Store(false)
-	h.logf("aggregator %s healed", id)
 }
 
 // Partition cuts a stage off from the controller in both directions.
@@ -423,14 +346,7 @@ func (h *Harness) tick() {
 			}
 			continue
 		}
-		switch {
-		case !n.Stg.Degraded():
-		case n.sharded:
-			// Nothing to re-register: the stage's aggregator re-attached
-			// for it (RestartController).
-			n.Stg.SetDegraded(false)
-			h.logf("stage %s back behind its aggregator after %v degraded", id, n.Stg.DegradedFor())
-		default:
+		if n.Stg.Degraded() {
 			if err := h.ctl.Register(n.conn); err != nil {
 				h.logf("stage %s re-registration failed: %v", id, err)
 				continue
@@ -477,16 +393,15 @@ func RuleRate(s *stage.Stage, id string) float64 {
 
 // ---- the faulty transport ----
 
-// chaosConn is the controller's (and the aggregators') connection to
-// one node: the batched delta protocol over the node's EncodedLoopback,
-// with the harness's failure state gating whole round trips. A batch
+// chaosConn is the controller's connection to one node: the batched
+// delta protocol over the node's EncodedLoopback, with the harness's
+// failure state gating whole round trips. A batch
 // carrying ops consumes one push-budget unit and a collect one
 // collect-budget unit — the crash granularity is a round trip, matching
 // what a real controller would observe. The gates run in Start, which a
 // round calls in StageID order, and the loopback completes the exchange
 // there too, so what the fleet sees happens in the order exchanges are
-// started. Shards behind an aggregator start theirs from several
-// goroutines, so every flag a gate reads is atomic.
+// started.
 type chaosConn struct {
 	h      *Harness
 	node   *StageNode
@@ -541,8 +456,8 @@ func (c *chaosConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
 // connection after a heal or a controller restart.
 func (c *chaosConn) Close() error { return nil }
 
-// LocalStage lets an aggregator with borrowing wire the node's bucket
-// into its shard pool, as it would for a control.LocalConn.
+// LocalStage lets a controller with borrowing wire the node's bucket
+// into its shard's pool, as it would for a control.LocalConn.
 func (c *chaosConn) LocalStage() *stage.Stage { return c.node.Stg }
 
 // collectGate applies the collect-side failure state: unreachable nodes
@@ -581,32 +496,3 @@ func (c *chaosConn) pushGate() error {
 	}
 	return nil
 }
-
-// chaosAggConn gates the controller's channel to one aggregator shard
-// on the harness's failure state. The underlying aggregator keeps
-// running while "crashed" — exactly the decentralized-borrowing story:
-// the shard's stages (and their borrow pool) are alive, only the
-// control channel through the aggregator is severed.
-type chaosAggConn struct {
-	h     *Harness
-	node  *AggNode
-	inner control.AggConn
-}
-
-var _ control.AggConn = (*chaosAggConn)(nil)
-
-func (c *chaosAggConn) ID() string { return c.node.ID }
-
-func (c *chaosAggConn) Round(grants []rpcio.JobGrant, collect bool, reply *rpcio.AggRoundReply) error {
-	if c.h.controllerDown {
-		return ErrControllerDown
-	}
-	if c.node.crashed.Load() {
-		return ErrUnreachable
-	}
-	return c.inner.Round(grants, collect, reply)
-}
-
-func (c *chaosAggConn) WireStats() rpcio.WireStats { return c.inner.WireStats() }
-
-func (c *chaosAggConn) Close() error { return nil }

@@ -203,7 +203,7 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 		"partition-heal":   PartitionHeal,
 		"batched-outage":   BatchedOutage,
 		"frame-loss":       FrameLoss,
-		"aggregator-loss":  AggregatorLoss,
+		"shard-partition":  ShardPartition,
 	} {
 		a := mk(42)
 		a.Run(runFor)
@@ -309,15 +309,16 @@ func ctlTotal(s *stage.Stage) int64 {
 	return 0
 }
 
-// TestAggregatorLossBorrowsAndStaysConserving drives the hierarchical
-// scenario: while job2's aggregator is dark, its overloaded member must
-// keep running above its solo per-stage grant on tokens borrowed from
-// the idle sibling (work conservation), the shard as a whole must never
-// exceed its granted share (conservation: tokens move, they are not
-// minted), and the heal's first plan push must settle the accumulated
-// ledger and fold job2 back into the allocation within one interval.
-func TestAggregatorLossBorrowsAndStaysConserving(t *testing.T) {
-	h := AggregatorLoss(2022)
+// TestShardPartitionBorrowsAndStaysConserving drives the sharded
+// scenario: while both of job2's stages are cut off from the controller,
+// its overloaded member must keep running above its solo per-stage grant
+// on tokens borrowed from the idle sibling (work conservation), the
+// shard as a whole must never exceed its granted share (conservation:
+// tokens move, they are not minted), and the first plan pushed after the
+// heal must settle the accumulated ledger and fold job2 back into the
+// allocation within one interval.
+func TestShardPartitionBorrowsAndStaysConserving(t *testing.T) {
+	h := ShardPartition(2022)
 	type sample struct {
 		borrowed float64
 		s3, s4   int64
@@ -325,22 +326,28 @@ func TestAggregatorLossBorrowsAndStaysConserving(t *testing.T) {
 	var before, during sample
 	snap := func(into *sample) func(*Harness) {
 		return func(h *Harness) {
-			into.borrowed, _, _ = h.AggregatorNode("agg-2").Agg.BorrowCounts()
+			// The ledger as the controller reports it: the pool is the
+			// controller's, so it reads it through the outage.
+			rs, _ := h.Controller().LastRound()
+			into.borrowed = rs.TokensBorrowed
 			into.s3 = ctlTotal(h.Node("s3").Stg)
 			into.s4 = ctlTotal(h.Node("s4").Stg)
 		}
 	}
-	// Bracket the outage window (probes sit just off the crash and heal
-	// instants, so exactly the outage's demand ticks land between them).
+	// Bracket the outage window (probes sit just off the partition and
+	// heal instants, so exactly the outage's demand ticks land between
+	// them).
 	h.At(h.OutageStart-h.Interval()/4, "", snap(&before))
 	h.At(h.OutageEnd-h.Interval()/4, "", snap(&during))
 	h.Run(runFor)
 
 	log := h.Log()
 	for _, want := range []string{
-		"aggregator agg-2 crashed",
-		"agg-2 control error",
-		"aggregator agg-2 healed",
+		"stage s3 partitioned",
+		"stage s4 partitioned",
+		"s3 control error",
+		"stage s3 healed",
+		"stage s4 re-registered",
 	} {
 		if !strings.Contains(log, want) {
 			t.Fatalf("log missing %q:\n%s", want, log)
@@ -366,9 +373,14 @@ func TestAggregatorLossBorrowsAndStaysConserving(t *testing.T) {
 		t.Errorf("shard admitted %v during the outage, above its granted %v", shard, limit)
 	}
 
-	// The first post-heal plan push settled the ledger: every borrowed
-	// token is accounted as repaid or forgiven.
-	b, r, f := h.AggregatorNode("agg-2").Agg.BorrowCounts()
+	// The plans pushed since the heal settled the ledger — across the
+	// re-registrations, which must not have reset it: every token ever
+	// borrowed is accounted as repaid or forgiven, the outage's included.
+	rs, _ := h.Controller().LastRound()
+	b, r, f := rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven
+	if b <= during.borrowed {
+		t.Errorf("ledger went backwards across the heal: borrowed %v during the outage, %v at the end", during.borrowed, b)
+	}
 	if math.Abs(b-(r+f)) > 1e-6*(1+b) {
 		t.Errorf("ledger unsettled after heal: borrowed %v != repaid %v + forgiven %v", b, r, f)
 	}
@@ -386,7 +398,7 @@ func TestAggregatorLossBorrowsAndStaysConserving(t *testing.T) {
 			continue
 		}
 		rest = strings.TrimSpace(rest)
-		if strings.Contains(rest, "aggregator agg-2 healed") {
+		if strings.Contains(rest, "stage s4 healed") {
 			healAt = at
 		}
 		if healAt >= 0 && strings.Contains(rest, "control round") && strings.Contains(rest, "job2=50000") {
@@ -396,6 +408,9 @@ func TestAggregatorLossBorrowsAndStaysConserving(t *testing.T) {
 			healAt = -time.Second
 			break
 		}
+	}
+	if healAt >= 0 {
+		t.Errorf("job2 never returned to the allocation after the heal:\n%s", log)
 	}
 
 	// During the outage the allocation ran on the surviving shard only.

@@ -135,17 +135,17 @@ func BatchedOutage(seed int64) *Harness {
 	return h
 }
 
-// treeCluster is smallCluster under the hierarchical control plane:
-// each job's two stages sit behind their own aggregator shard, with
-// decentralized borrowing inside each shard. Demand is skewed so the
-// borrow path actually runs: s3 wants well past its per-stage share
-// while its sibling s4 idles.
-func treeCluster(seed int64) *Harness {
+// shardedCluster is smallCluster with the controller's registry cut
+// into shards of two — in StageID order, so each job's two stages share
+// one — and decentralized borrowing inside each shard. Demand is skewed
+// so the borrow path actually runs: s3 wants well past its per-stage
+// share while its sibling s4 idles.
+func shardedCluster(seed int64) *Harness {
 	h := New(Config{
 		Seed:     seed,
 		Interval: time.Second,
 		Limit:    100_000,
-		// Priority (fixed rates): job2's shard grant is exactly 50k, so
+		// Priority (fixed rates): job2's shard is granted exactly 50k, so
 		// the conservation and work-conservation bounds below are exact.
 		Algorithm: control.FixedRates{},
 		Reservations: map[string]float64{
@@ -153,22 +153,20 @@ func treeCluster(seed int64) *Harness {
 			"job2": 50_000,
 		},
 		// Budget 4x burst: the overloaded stage can keep borrowing for
-		// several rounds of an aggregator outage before its debt cap
-		// bounds the divergence.
+		// several rounds of an outage before its debt cap bounds the
+		// divergence.
 		BorrowBudget: 4.0,
 	})
 	for _, s := range []struct{ id, job string }{
 		{"s1", "job1"}, {"s2", "job1"},
 		{"s3", "job2"}, {"s4", "job2"},
 	} {
-		h.AddShardStage(s.id, s.job)
+		h.AddStage(s.id, s.job)
 	}
-	h.AddAggregator("agg-1", "s1", "s2")
-	h.AddAggregator("agg-2", "s3", "s4")
 	return h
 }
 
-// skewedDemand drives the tree cluster's load shape each tick: job1's
+// skewedDemand drives the sharded cluster's load shape each tick: job1's
 // stages comfortably inside their shares, job2's s3 at 40k against a
 // 25k per-stage grant (the shortage borrowing covers), s4 idle (the
 // lender).
@@ -189,21 +187,28 @@ func skewedDemand(h *Harness, until time.Duration) {
 	}
 }
 
-// AggregatorLoss crashes one aggregator shard mid-run and heals it a
-// seed-chosen outage later. While the shard is dark its stages keep
-// enforcing frozen grants and — because the borrow pool lives with the
-// stages, not the control channel — the overloaded member keeps
-// borrowing its idle sibling's tokens, bounded by the debt budget, so
-// the shard stays work-conserving without ever exceeding its granted
-// share. The heal's first plan push settles the accumulated ledger.
-func AggregatorLoss(seed int64) *Harness {
-	h := treeCluster(seed)
+// ShardPartition cuts both stages of one shard off from the controller
+// mid-run and heals them together a seed-chosen outage later. While the
+// shard is dark its stages keep enforcing frozen grants and — because
+// the borrow pool lives with the stages, not the control channel — the
+// overloaded member keeps borrowing its idle sibling's tokens, bounded
+// by the debt budget, so the shard stays work-conserving without ever
+// exceeding its granted share. The first plan pushed after the heal
+// settles the accumulated ledger.
+func ShardPartition(seed int64) *Harness {
+	h := shardedCluster(seed)
 	skewedDemand(h, 30*time.Second)
-	crashRound := 5 + h.rng.Intn(3)
-	h.OutageStart = time.Duration(crashRound)*h.Interval() + h.Interval()/2
+	cutRound := 5 + h.rng.Intn(3)
+	h.OutageStart = time.Duration(cutRound)*h.Interval() + h.Interval()/2
 	h.OutageEnd = h.OutageStart + time.Duration(4+h.rng.Intn(3))*h.Interval()
-	h.At(h.OutageStart, "crash-aggregator", func(h *Harness) { h.CrashAggregator("agg-2") })
-	h.At(h.OutageEnd, "heal-aggregator", func(h *Harness) { h.HealAggregator("agg-2") })
+	h.At(h.OutageStart, "partition-shard", func(h *Harness) {
+		h.Partition("s3")
+		h.Partition("s4")
+	})
+	h.At(h.OutageEnd, "heal-shard", func(h *Harness) {
+		h.Heal("s3")
+		h.Heal("s4")
+	})
 	return h
 }
 

@@ -135,42 +135,6 @@ func benchFleetMux(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 	return ctl
 }
 
-// benchFleetTree puts the shards one hop away: stages in shards of
-// shardSize behind one registered Aggregator each, every layer speaking
-// the real binary codec — stage members through encoded-loopback
-// Stage.Batch handles, aggregators through encoded-loopback Agg.Round
-// handles. The controller's round cost is one exchange per shard per
-// phase, whatever the fleet size. (The other fleets register their
-// stages with the controller, which drives them through one in-process
-// shard of its own: one exchange per stage.)
-func benchFleetTree(b *testing.B, n, shardSize int) *Controller {
-	b.Helper()
-	ctl := benchController()
-	for base := 0; base < n; base += shardSize {
-		// One goroutine per shard round, said out loud: loopback member
-		// exchanges are pure CPU and complete in their first half, so
-		// more goroutines would only add scheduler hand-offs. (Over TCP
-		// the overlap comes from starting every exchange before awaiting
-		// any, not from the goroutine count either.)
-		agg := NewAggregator(fmt.Sprintf("agg-%04d", base/shardSize), WithAggWorkers(1))
-		end := base + shardSize
-		if end > n {
-			end = n
-		}
-		for i := base; i < end; i++ {
-			stg := benchStage(i)
-			h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
-			agg.AddMember(NewRemoteConn(stg.Info(), h))
-		}
-		conn, err := NewRemoteAggConn(rpcio.EncodedLoopbackAgg(rpcio.NewAggService(agg)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctl.RegisterAggregator(conn)
-	}
-	return ctl
-}
-
 func runRounds(b *testing.B, ctl *Controller) {
 	// Two rounds off the clock: the first pays the one-time full
 	// snapshots and initial rate pushes, the second warms the delta and
@@ -208,19 +172,6 @@ func BenchmarkControllerRunOnce256(b *testing.B) {
 
 func BenchmarkControllerRunOnce1024(b *testing.B) {
 	runRounds(b, benchFleetLoopback(b, 1024))
-}
-
-// ...Tree1024 runs the same 1024-stage fleet as RunOnce1024 behind 32
-// registered aggregators of 32: the controller exchanges 64 frames per
-// round instead of 1024.
-func BenchmarkControllerRunOnceTree1024(b *testing.B) {
-	runRounds(b, benchFleetTree(b, 1024, 32))
-}
-
-// ...Tree10240 is the fleet-scale point: 10240 stages behind 320
-// registered aggregators, 640 controller frames per round.
-func BenchmarkControllerRunOnceTree10240(b *testing.B) {
-	runRounds(b, benchFleetTree(b, 10240, 32))
 }
 
 // ...Mux256 serves all 256 stages from one listener and multiplexes

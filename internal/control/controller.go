@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,8 +29,7 @@ type Controller struct {
 
 	mu     sync.Mutex
 	stages map[string]StageConn // by StageID
-	aggs   map[string]AggConn   // registered aggregators, by ID
-	// registryRev counts mutations of either registry; the round loop
+	// registryRev counts mutations of the registry; the round loop
 	// reshards lazily when it has moved.
 	registryRev  int
 	reservations map[string]float64 // per-job reserved rate
@@ -82,12 +82,13 @@ type Controller struct {
 	// the shard list and the fold scratch. It is taken before mu, never
 	// while holding it.
 	roundMu sync.Mutex
-	// shards is what a round drives, built for registry revision
-	// shardRev: the first owned are the controller's Aggregators over
-	// its stage registry, the rest the registered aggregators.
+	// shards is what a round drives: the stage registry at revision
+	// shardRev, cut in StageID order.
 	shards   []*shard
-	owned    int
 	shardRev int
+	// retired sums the final borrow counts of the pools whose shards a
+	// reshard dropped, so the round's lifetime figures outlive the cut.
+	retired ledger
 	// jobAt is the fold's scratch: where each job's merged row sits.
 	jobAt map[string]int
 }
@@ -147,8 +148,7 @@ func WithErrorHandler(f func(stageID string, err error)) Option {
 // a contiguous StageID range of the shard, starts every exchange of it
 // and then gathers the replies, so a round has every request in flight
 // whatever the count, and the count is about cores, not about overlap.
-// It is also how many registered aggregators are exchanged with at a
-// time. 1 keeps every first attempt on the round's goroutine, started in
+// 1 keeps every first attempt on the round's goroutine, started in
 // strict StageID order. Whatever the count, outcomes are folded in
 // StageID order, so error reporting and eviction marks stay
 // deterministic.
@@ -169,8 +169,8 @@ func WithEvictAfter(n int) Option {
 
 // WithTopology caps the shards the controller keeps its registered
 // stages in at shardSize members: the registry is cut, in StageID
-// order, into as many in-process Aggregators as that takes, recut
-// whenever it changes. It changes nothing about a round's outcome or
+// order, into as many shards as that takes, recut whenever it
+// changes. It changes nothing about a round's outcome or
 // its accounting — every shard runs the same exchange — only what one
 // shard spans: how far a borrow pool reaches (WithBorrowing) and how
 // much of the fleet shares one fold.
@@ -415,43 +415,6 @@ func (c *Controller) memberFailed(stageID string, err error) {
 	c.mu.Unlock()
 }
 
-// RegisterAggregator adds an aggregator — a shard somebody else built
-// and holds the stages of — to the round loop, beside the controller's
-// own. Re-registering an ID replaces (and closes) the previous
-// connection.
-func (c *Controller) RegisterAggregator(conn AggConn) {
-	id := conn.ID()
-	c.mu.Lock()
-	if c.aggs == nil {
-		c.aggs = make(map[string]AggConn)
-	}
-	old := c.aggs[id]
-	c.aggs[id] = conn
-	c.registryRev++
-	c.mu.Unlock()
-	if old != nil && old != conn {
-		// The replaced connection is unreachable from the loop now; its
-		// close error carries no recovery path.
-		_ = old.Close()
-	}
-}
-
-// DeregisterAggregator removes (and closes) a registered aggregator,
-// reporting whether it was registered.
-func (c *Controller) DeregisterAggregator(id string) bool {
-	c.mu.Lock()
-	conn, ok := c.aggs[id]
-	if ok {
-		delete(c.aggs, id)
-		c.registryRev++
-	}
-	c.mu.Unlock()
-	if ok {
-		_ = conn.Close()
-	}
-	return ok
-}
-
 // Stages returns the registered stage identities, sorted by StageID.
 func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
@@ -594,9 +557,7 @@ func (c *Controller) SetReservation(jobID string, rate float64) {
 
 // JobSnapshot is one job's aggregated state from a collect round. It is
 // also the row a shard folds its members' statistics into, and what the
-// controller merges across shards; rpcio.AggJobDelta is its projection
-// onto the wire (which carries neither the lower wait percentiles nor
-// the degraded counts).
+// controller merges across shards.
 type JobSnapshot struct {
 	JobID       string
 	Stages      int     // stages that answered the collect
@@ -676,15 +637,10 @@ func (s *JobSnapshot) state() JobState {
 // saved. The monitor and padll-controller's report surface it;
 // experiment E8 sweeps it against stage count.
 //
-// The counts are the exchanges the controller's process issued and the
-// decisions it took. For the stages registered with it — which it
-// holds in shards of its own — that is one per member stage: a flat
-// 256-stage fleet reports Stages 256, CollectCalls 256, and a push or a
-// skip per stage. For an aggregator added with RegisterAggregator it is
-// one round trip per phase, whatever the aggregator fans out to behind
-// it: such a shard adds its member count to Stages but 1 to
-// CollectCalls, and 1 to PushCalls (or to PushesSkipped when the
-// allocation holds nothing for it).
+// The counts are the exchanges the controller issued and the decisions
+// it took, one per member stage however the registry is cut into
+// shards: a 256-stage fleet reports Stages 256, CollectCalls 256, and a
+// push or a skip per stage.
 type RoundStats struct {
 	// Stages is the number of stages the collect phase covered.
 	Stages int
@@ -693,13 +649,12 @@ type RoundStats struct {
 	CollectCalls    int
 	CollectFailures int
 	// PushCalls counts push-phase round trips; PushOps the operations
-	// (stage retunes, or grants to an aggregator) they carried.
+	// (stage retunes) they carried.
 	PushCalls int
 	PushOps   int
 	// PushesSkipped counts pushes that did not need to happen: a stage
 	// whose collect probe showed the target rate already enforced — the
-	// delta protocol's steady-state win — or an aggregator with no
-	// grant to receive.
+	// delta protocol's steady-state win.
 	PushesSkipped int
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
@@ -707,10 +662,10 @@ type RoundStats struct {
 	// round (zero across connections that never serialize).
 	BytesRead    uint64
 	BytesWritten uint64
-	// Aggregators is the number of shards the round drove: the
-	// controller's own plus the registered aggregators.
-	// TokensBorrowed/Repaid/Forgiven sum their lifetime borrow-pool
-	// movement as of this round's collect.
+	// Aggregators is the number of shards the round drove.
+	// TokensBorrowed/Repaid/Forgiven sum the lifetime borrow-pool
+	// movement of every shard the controller has had, as of this
+	// round's collect: they never fall, whatever the registry does.
 	Aggregators    int
 	TokensBorrowed float64
 	TokensRepaid   float64
@@ -728,47 +683,6 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 	return c.lastRound, c.haveRound
 }
 
-// shard is one unit of the round loop: an Aggregator the controller
-// built over a slice of its stage registry, or a registered aggregator
-// behind its connection. The scratch is owned by the controller's
-// roundMu.
-type shard struct {
-	agg  *Aggregator // controller-owned, driven in process; or
-	conn AggConn     // registered, driven one Round per phase
-	// rows is the latest collect's answer, one per job the shard holds
-	// (empty after a failed collect).
-	rows []JobSnapshot
-	// grants is this round's plan for the shard, capacity reused.
-	grants []rpcio.JobGrant
-	reply  rpcio.AggRoundReply
-	err    error
-}
-
-// eachJob calls fn with every job the shard holds members of and how
-// many: the shard's own census when the controller built it, otherwise
-// what the aggregator's latest collect reported.
-func (sh *shard) eachJob(fn func(job string, members int)) {
-	if sh.agg != nil {
-		topo := sh.agg.topology()
-		for j, job := range topo.jobs {
-			fn(job, topo.jobCount[j])
-		}
-		return
-	}
-	for i := range sh.rows {
-		if n := sh.rows[i].Stages + sh.rows[i].FailedStages; n > 0 {
-			fn(sh.rows[i].JobID, n)
-		}
-	}
-}
-
-func (sh *shard) wireStats() rpcio.WireStats {
-	if sh.agg != nil {
-		return sh.agg.wireStats()
-	}
-	return sh.conn.WireStats()
-}
-
 // wireTotal sums the shards' cumulative traffic, so a round's byte cost
 // is the difference between two totals over the same shards.
 func wireTotal(shards []*shard) (w rpcio.WireStats) {
@@ -780,13 +694,18 @@ func wireTotal(shards []*shard) (w rpcio.WireStats) {
 	return w
 }
 
-// reshard brings the shard list up to the registries' current revision
-// and returns it: the stages in StageID order cut into Aggregators of
-// at most shardSize members (one holding them all by default), then the
-// registered aggregators by ID — a pure function of the registries, so
-// same-seed chaos runs shard identically. A stage whose connection is
-// still registered keeps its member record, and with it its collect
-// slot and probe, whichever shard it lands in. Caller holds roundMu.
+// reshard brings the shard list up to the registry's current revision
+// and returns it: the stages in StageID order cut into shards of at
+// most shardSize members (one holding them all by default) — a pure
+// function of the registry, so same-seed chaos runs shard identically.
+// A stage whose connection is still registered keeps its member record,
+// and with it its collect slot and probe, whichever shard it lands in;
+// a cut that holds exactly the members an existing shard does is that
+// shard, borrow pool and ledger included. The shards left over are
+// retired: a pool's counts are final once its last bucket has gone —
+// moved to the new shard's pool, or unlinked because its stage left the
+// registry, the debts written off either way — and are added to the
+// running total the rounds report. Caller holds roundMu.
 func (c *Controller) reshard() []*shard {
 	c.mu.Lock()
 	rev := c.registryRev
@@ -795,21 +714,13 @@ func (c *Controller) reshard() []*shard {
 		return c.shards
 	}
 	conns := c.connsLocked()
-	aggs := make([]AggConn, 0, len(c.aggs))
-	for _, conn := range c.aggs {
-		aggs = append(aggs, conn)
-	}
 	c.mu.Unlock()
-	sort.Slice(aggs, func(i, j int) bool { return aggs[i].ID() < aggs[j].ID() })
 
 	members := make(map[StageConn]*member, len(conns))
-	registered := make(map[AggConn]*shard, len(aggs))
+	byFirst := make(map[*member]*shard, len(c.shards))
 	for _, sh := range c.shards {
-		if sh.agg == nil {
-			registered[sh.conn] = sh
-			continue
-		}
-		for _, m := range sh.agg.topology().members {
+		byFirst[sh.members[0]] = sh
+		for _, m := range sh.members {
 			members[m.conn] = m
 		}
 	}
@@ -818,30 +729,41 @@ func (c *Controller) reshard() []*shard {
 		if sorted[i] = members[conn]; sorted[i] == nil {
 			sorted[i] = &member{conn: conn}
 		}
+		delete(members, conn)
 	}
 	sortMembers(sorted)
-	opts := []AggOption{WithAggWorkers(c.workers), WithAggMatcher(c.controlled), WithAggErrorHandler(c.memberFailed)}
+	// What is left in members went with its connection. It is unlinked
+	// before any new shard links — the same stage may be back behind a
+	// new connection — and in shard order, so that a pool's write-offs
+	// add up to the same float in every run.
 	if c.borrow {
-		opts = append(opts, WithAggBorrowing(c.borrowBudget))
+		for _, sh := range c.shards {
+			for _, m := range sh.members {
+				if ls, ok := m.conn.(localStager); ok && members[m.conn] != nil {
+					ls.LocalStage().SetBorrowPool(ControlRuleID, nil)
+				}
+			}
+		}
 	}
 	size := c.shardSize
 	if size <= 0 {
 		size = len(sorted)
 	}
-	shards := make([]*shard, 0, len(aggs)+1)
+	var shards []*shard
 	for i := 0; i < len(sorted); i += size {
-		agg := NewAggregator(fmt.Sprintf("agg-%04d", i/size), opts...)
-		agg.groupBy, agg.scoped = c.groupBy, c.isDefaultGroupBy
-		agg.setMembers(sorted[i:min(i+size, len(sorted))])
-		shards = append(shards, &shard{agg: agg})
-	}
-	c.owned = len(shards)
-	for _, conn := range aggs {
-		sh := registered[conn]
-		if sh == nil {
-			sh = &shard{conn: conn}
+		cut := sorted[i:min(i+size, len(sorted))]
+		sh := byFirst[cut[0]]
+		if sh != nil && slices.Equal(sh.members, cut) {
+			delete(byFirst, cut[0])
+		} else {
+			sh = c.newShard(cut)
 		}
 		shards = append(shards, sh)
+	}
+	for _, sh := range c.shards {
+		if byFirst[sh.members[0]] == sh { // not carried over
+			c.retired.add(sh.borrowCounts())
+		}
 	}
 	c.shards, c.shardRev = shards, rev
 	return shards
@@ -856,80 +778,24 @@ func (c *Controller) connsLocked() []StageConn {
 	return conns
 }
 
-// exchange runs one phase of a round over every shard: the collect
-// (each shard's rows land in its record) or the push of the grants
-// planned for it. The controller's own shards go one after another,
-// each a scatter/gather pass over its members on c.workers goroutines
-// (Aggregator.pass); the registered aggregators — one blocking
-// Agg.Round each — are then exchanged with c.workers at a time. Failures are
-// reported in shard order, and a shard that fails a phase is skipped —
-// its stages keep enforcing frozen rates — until it answers again.
-// Caller holds roundMu.
+// exchange runs one phase of a round over every shard, one after
+// another, each a scatter/gather pass over its members on c.workers
+// goroutines (shard.pass): the collect, which leaves each shard's rows
+// in the shard, or the push of the grants planned for it. Caller holds
+// roundMu.
 func (c *Controller) exchange(collect bool, rs *RoundStats) {
-	own, registered := c.shards[:c.owned], c.shards[c.owned:]
-	for _, sh := range own {
-		if !collect && len(sh.grants) == 0 {
-			continue
-		}
-		grants := sh.grants
-		if collect {
-			grants = nil
-		}
-		sh.agg.roundMu.Lock()
-		// Nobody else rounds a shard of the controller's, so its rows
-		// stay valid past the unlock, until the next phase.
-		rows := sh.agg.round(grants, collect, rs)
-		sh.agg.roundMu.Unlock()
-		if collect {
-			sh.rows = rows
-			b, r, f := sh.agg.BorrowCounts()
-			rs.TokensBorrowed += b
-			rs.TokensRepaid += r
-			rs.TokensForgiven += f
-		}
-	}
-
-	eachSpan(len(registered), c.workers, func(lo, hi int) {
-		for _, sh := range registered[lo:hi] {
-			switch {
-			case collect:
-				sh.err = sh.conn.Round(nil, true, &sh.reply)
-			case len(sh.grants) > 0:
-				sh.err = sh.conn.Round(sh.grants, false, &sh.reply)
-			}
-		}
-	})
-	for _, sh := range registered {
+	borrow := c.retired
+	for _, sh := range c.shards {
 		switch {
 		case collect:
-			rs.CollectCalls++
-			sh.rows = sh.rows[:0]
-			if sh.err != nil {
-				rs.CollectFailures++
-				break
-			}
-			rep := &sh.reply
-			rs.Stages += rep.Stages
-			rs.TokensBorrowed += rep.Borrowed
-			rs.TokensRepaid += rep.Repaid
-			rs.TokensForgiven += rep.Forgiven
-			for i := range rep.Jobs {
-				d := &rep.Jobs[i]
-				sh.rows = append(sh.rows, JobSnapshot{
-					JobID: d.JobID, Stages: d.Stages, Demand: d.Demand, Throughput: d.Throughput,
-					WaitP99: d.WaitP99, Dropped: d.Dropped, FailedStages: d.FailedStages,
-				})
-			}
+			sh.round(nil, true, rs)
+			borrow.add(sh.borrowCounts())
 		case len(sh.grants) > 0:
-			rs.PushCalls++
-			rs.PushOps += len(sh.grants)
-		default:
-			rs.PushesSkipped++
+			sh.round(sh.grants, false, rs)
 		}
-		if sh.err != nil {
-			c.onError(sh.conn.ID(), sh.err)
-			sh.err = nil
-		}
+	}
+	if collect {
+		rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven = borrow.borrowed, borrow.repaid, borrow.forgiven
 	}
 }
 
@@ -991,9 +857,8 @@ func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
 
 // CollectAll gathers statistics from every stage, aggregated per job
 // (feedback-loop step 1): the collect phase of a round on its own,
-// through the same shards and collect slots RunOnce uses, so it sees
-// the jobs behind registered aggregators too. Stages that fail to
-// respond are reported to the error handler, marked for eviction, and
+// through the same shards and collect slots RunOnce uses. Stages that
+// fail to respond are reported to the error handler, marked for eviction, and
 // skipped: the loop runs on partial snapshots rather than blocking
 // behind a dead peer.
 func (c *Controller) CollectAll() []JobSnapshot {
@@ -1009,15 +874,17 @@ func (c *Controller) CollectAll() []JobSnapshot {
 func (c *Controller) grant(alloc map[string]float64) {
 	members := make(map[string]int, len(alloc))
 	for _, sh := range c.shards {
-		sh.eachJob(func(job string, n int) { members[job] += n })
+		for j, job := range sh.jobs {
+			members[job] += sh.jobCount[j]
+		}
 	}
 	for _, sh := range c.shards {
 		sh.grants = sh.grants[:0]
-		sh.eachJob(func(job string, _ int) {
+		for _, job := range sh.jobs {
 			if rate, ok := alloc[job]; ok {
-				sh.grants = append(sh.grants, rpcio.JobGrant{JobID: job, Rate: rate / float64(members[job])})
+				sh.grants = append(sh.grants, jobGrant{JobID: job, Rate: rate / float64(members[job])})
 			}
-		})
+		}
 	}
 }
 
@@ -1037,7 +904,7 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // algorithm is installed.
 //
 // The round is collect, sweep, allocate, split, push. Both exchanges
-// with the fleet happen in the shards (Aggregator.round): collects are
+// with the fleet happen in the shards (shard.round): collects are
 // incremental (only changed queues on the wire, an unchanged stage's
 // slot left as it is), and a push is skipped outright for a stage whose
 // collect probe shows the target rate already enforced — in-process

@@ -1,0 +1,386 @@
+package control
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"padll/internal/clock"
+	"padll/internal/posix"
+	"padll/internal/rpcio"
+	"padll/internal/stage"
+)
+
+// shardOver registers conns with a controller built from opts (no
+// algorithm: registering touches no stage) and returns the one shard it
+// cuts over them — the unit the round loop drives.
+func shardOver(t *testing.T, clk clock.Clock, opts []Option, conns ...StageConn) *shard {
+	t.Helper()
+	c := New(clk, opts...)
+	for _, conn := range conns {
+		if err := c.Register(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
+	shards := c.reshard()
+	if len(shards) != 1 {
+		t.Fatalf("controller cut %d shards over %d stages, want 1", len(shards), len(conns))
+	}
+	return shards[0]
+}
+
+// shardFixture builds a shard over four local stages: s1/s2 serve job1,
+// s3/s4 serve job2.
+func shardFixture(t *testing.T, clk clock.Clock) (*shard, map[string]*stage.Stage) {
+	t.Helper()
+	stages := make(map[string]*stage.Stage)
+	var conns []StageConn
+	for id, job := range map[string]string{"s1": "job1", "s2": "job1", "s3": "job2", "s4": "job2"} {
+		stg, conn := localStage(id, job, clk)
+		stages[id] = stg
+		conns = append(conns, conn)
+	}
+	return shardOver(t, clk, nil, conns...), stages
+}
+
+// offerTo feeds demand through a stage's managed queue over one
+// simulated second.
+func offerTo(clk *clock.Sim, stages map[string]*stage.Stage, perStage map[string]float64) {
+	for id, n := range perStage {
+		s := stages[id]
+		s.Offer(&posix.Request{Op: posix.OpOpen, Path: "/f", JobID: s.Info().JobID}, n, time.Second)
+	}
+	clk.Advance(time.Second)
+	for id := range perStage {
+		s := stages[id]
+		s.Offer(&posix.Request{Op: posix.OpOpen, Path: "/f", JobID: s.Info().JobID}, 0, time.Second)
+	}
+}
+
+func TestAggregatorRoundPushesAndMerges(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	sh, stages := shardFixture(t, clk)
+
+	// Push: a grant is the rate each of the job's members is to enforce,
+	// and the managed rule is installed where it did not exist.
+	grants := []jobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
+	var rs RoundStats
+	sh.round(grants, false, &rs)
+	wantRate := map[string]float64{"s1": 500, "s2": 500, "s3": 1000, "s4": 1000}
+	for id, want := range wantRate {
+		rules := stages[id].Rules()
+		if len(rules) != 1 || rules[0].ID != ControlRuleID || rules[0].Rate != want {
+			t.Errorf("%s rules = %+v, want managed rule at %v", id, rules, want)
+		}
+		if job := stages[id].Info().JobID; rules[0].Match.JobID != job {
+			t.Errorf("%s managed rule scoped to %q, want %q", id, rules[0].Match.JobID, job)
+		}
+	}
+
+	// Collect: per-member statistics merge into one row per job.
+	offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 200, "s3": 40, "s4": 60})
+	rs = RoundStats{}
+	sh.round(nil, true, &rs)
+	rows := sh.rows
+	if rs.Stages != 4 || rs.CollectCalls != 4 {
+		t.Errorf("collect covered %d stages in %d calls, want 4 in 4", rs.Stages, rs.CollectCalls)
+	}
+	if len(rows) != 2 || rows[0].JobID != "job1" || rows[1].JobID != "job2" {
+		t.Fatalf("rows = %+v, want sorted [job1 job2]", rows)
+	}
+	if j1 := rows[0]; j1.Stages != 2 || j1.Demand != 300 {
+		t.Errorf("job1 row = %+v, want 2 stages / demand 300", j1)
+	}
+	if j2 := rows[1]; j2.Stages != 2 || j2.Demand != 100 {
+		t.Errorf("job2 row = %+v, want 2 stages / demand 100", j2)
+	}
+}
+
+func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	sh, stages := shardFixture(t, clk)
+	grants := []jobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
+	var rs RoundStats
+	sh.round(grants, false, &rs)
+	// s2 restarts: its managed queue vanishes. The next push round must
+	// bring it back at the fresh rate.
+	stages["s2"].RemoveRule(ControlRuleID)
+	sh.round(grants, false, &rs)
+	rules := stages["s2"].Rules()
+	if len(rules) != 1 || rules[0].ID != ControlRuleID || rules[0].Rate != 500 {
+		t.Fatalf("s2 rules after reinstall = %+v, want managed rule at 500", rules)
+	}
+}
+
+// deadConn fails every exchange, simulating an unreachable member.
+type deadConn struct{ LocalConn }
+
+func (d *deadConn) Start([]rpcio.StageOp, *stage.Stats, bool) {
+	d.failStart(errors.New("member unreachable"))
+}
+
+func TestAggregatorReportsFailedStages(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	_, conn := localStage("s1", "job1", clk)
+	dead, _ := localStage("s2", "job1", clk)
+	sh := shardOver(t, clk, nil, conn, &deadConn{LocalConn{Stg: dead}})
+
+	// A member failure never fails the round: it is counted.
+	var rs RoundStats
+	sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, true, &rs)
+	rows := sh.rows
+	if len(rows) != 1 {
+		t.Fatalf("rows = %+v", rows)
+	}
+	if row := rows[0]; row.Stages != 1 || row.FailedStages != 1 {
+		t.Errorf("row = %+v, want 1 live / 1 failed", row)
+	}
+	if rs.CollectFailures != 1 {
+		t.Errorf("CollectFailures = %d, want 1", rs.CollectFailures)
+	}
+}
+
+func TestAggregatorBorrowingSettlesOnPush(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	busy, busyConn := localStage("s1", "job1", clk)
+	idle, idleConn := localStage("s2", "job1", clk)
+	sh := shardOver(t, clk, []Option{WithBorrowing(1.0)}, busyConn, idleConn)
+
+	// 100 ops/s per member: the shard as a whole holds 200.
+	grants := []jobGrant{{JobID: "job1", Rate: 100}}
+	var rs RoundStats
+	sh.round(grants, false, &rs)
+
+	// Saturate the busy member far past its per-stage share while its
+	// sibling idles: the shortage path must borrow the sibling's unused
+	// tokens rather than shaping.
+	req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: "job1"}
+	busy.Offer(req, 500, time.Second)
+	clk.Advance(time.Second)
+	busy.Offer(req, 0, time.Second)
+
+	borrowed, _, _ := sh.borrowCounts()
+	if borrowed <= 0 {
+		t.Fatal("busy member did not borrow from its idle sibling")
+	}
+	// Work conservation with a hard ceiling: the two members together
+	// must never admit more than the shard was granted (plus both
+	// bursts), tokens moved but not minted.
+	var st stage.Stats
+	busy.CollectInto(&st)
+	var admitted float64
+	for _, q := range st.Queues {
+		if q.RuleID == ControlRuleID {
+			admitted = float64(q.Total)
+		}
+	}
+	burst := busy.Rules()[0].EffectiveBurst() + idle.Rules()[0].EffectiveBurst()
+	if ceiling := 200 + burst + borrowed; admitted > ceiling {
+		t.Errorf("busy member admitted %v, above conservation ceiling %v", admitted, ceiling)
+	}
+
+	// The next plan push settles the ledger: debts repay or are
+	// forgiven, never carried into the fresh allocation.
+	sh.round(grants, false, &rs)
+	b, r, f := sh.borrowCounts()
+	if b != r+f {
+		t.Errorf("after settle: borrowed %v != repaid %v + forgiven %v", b, r, f)
+	}
+}
+
+func TestTreeTopologyRebuildsOnRegistryChange(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(1000), WithTopology(2))
+	stages := make(map[string]*stage.Stage)
+	add := func(id, job string) {
+		stg, conn := localStage(id, job, clk)
+		stages[id] = stg
+		if err := c.Register(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("s1", "job1")
+	add("s2", "job1")
+	add("s3", "job1")
+	offerTo(clk, stages, map[string]float64{"s1": 10, "s2": 10, "s3": 10})
+	if c.RunOnce() == nil {
+		t.Fatal("RunOnce returned nil")
+	}
+	if rs, _ := c.LastRound(); rs.Aggregators != 2 {
+		t.Fatalf("round drove %d shards, want 2 for 3 stages at shard size 2", rs.Aggregators)
+	}
+
+	// Growing the fleet reshards lazily at the next round.
+	add("s4", "job1")
+	add("s5", "job1")
+	offerTo(clk, stages, map[string]float64{"s4": 10, "s5": 10})
+	if c.RunOnce() == nil {
+		t.Fatal("RunOnce returned nil after growth")
+	}
+	rs, _ := c.LastRound()
+	if rs.Aggregators != 3 {
+		t.Errorf("round drove %d shards, want 3 for 5 stages", rs.Aggregators)
+	}
+	if rs.Stages != 5 {
+		t.Errorf("RoundStats.Stages = %d, want 5", rs.Stages)
+	}
+}
+
+// memberKinds builds the two kinds of shard member — in-process and
+// over the frame codec — the one Exec contract must serve alike.
+var memberKinds = map[string]func(*stage.Stage) StageConn{
+	"local": func(s *stage.Stage) StageConn { return &LocalConn{Stg: s} },
+	"wire": func(s *stage.Stage) StageConn {
+		return NewRemoteConn(s.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(s)))
+	},
+}
+
+// TestAggregatorQuiescentRoundTouchesNothing proves the shard fast path
+// through the one Exec contract, for in-process and wire members alike:
+// once every member is quiet, a collect round re-materializes no slot
+// and re-folds no row. The proof is a poison: a member slot is
+// scribbled on between rounds, and a quiescent round must neither
+// repair it (that would be a re-materialization) nor let it leak into
+// the reply (that would be a re-fold). Traffic on one member then
+// rewrites exactly that member's slot and rebuilds the rows.
+func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
+	for name, mkConn := range memberKinds {
+		clk := clock.NewSim(epoch)
+		stages := make(map[string]*stage.Stage)
+		var conns []StageConn
+		for _, id := range []string{"s1", "s2"} {
+			stg, _ := localStage(id, "job1", clk)
+			stages[id] = stg
+			conns = append(conns, mkConn(stg))
+		}
+		sh := shardOver(t, clk, nil, conns...)
+		// The rows are the shard's scratch: copied, so a round's answer
+		// can be held against the next one's.
+		round := func(grants []jobGrant) []JobSnapshot {
+			var rs RoundStats
+			sh.round(grants, true, &rs)
+			return slices.Clone(sh.rows)
+		}
+		round([]jobGrant{{JobID: "job1", Rate: 1000}}) // install + first (full) collect
+		offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
+		round(nil)
+		clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
+		round(nil)
+		settled := round(nil)
+
+		const poison = 12345.5
+		members := sh.members
+		members[0].stats.Queues[0].DemandRate = poison
+		quiet := round(nil)
+		if got := members[0].stats.Queues[0].DemandRate; got != poison {
+			t.Errorf("%s: quiescent round re-materialized member 0's slot (DemandRate %v)", name, got)
+		}
+		if len(quiet) != 1 || quiet[0] != settled[0] {
+			t.Errorf("%s: quiescent round re-folded: rows %+v, want %+v", name, quiet, settled)
+		}
+		for i, m := range members {
+			if m.changed {
+				t.Errorf("%s: member %d reported a change in a quiescent round", name, i)
+			}
+		}
+
+		// Traffic on s2 only: its slot is rewritten and the rows rebuild
+		// (reading member 0's still-poisoned slot, which proves s1 was
+		// again left alone).
+		offerTo(clk, stages, map[string]float64{"s2": 70})
+		busy := round(nil)
+		if members[0].changed || !members[1].changed {
+			t.Errorf("%s: changed = %v/%v, want only member 1", name, members[0].changed, members[1].changed)
+		}
+		if want := poison + 70; busy[0].Demand != want {
+			t.Errorf("%s: rebuilt demand = %v, want %v", name, busy[0].Demand, want)
+		}
+	}
+}
+
+// TestAggregatorSlotSurvivesForeignCollector: a member connection may
+// have a second collector — a stage registered with two controllers,
+// or probed by an operator's tool. The foreign collect consumes the
+// "changed" signal, so the shard's held promise alone would leave its
+// slot stale; the
+// connection must notice that its last fill went elsewhere and rewrite
+// the slot.
+func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
+	for name, mkConn := range memberKinds {
+		clk := clock.NewSim(epoch)
+		stg, _ := localStage("s1", "job1", clk)
+		conn := mkConn(stg)
+		sh := shardOver(t, clk, nil, conn)
+		var rs RoundStats
+		collect := func() { sh.round(nil, true, &rs) }
+		sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, false, &rs)
+		collect()
+		collect() // the slot is now held and quiet
+
+		// Traffic, then quiet again — and the foreign collector sees the
+		// new totals first.
+		offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
+		clk.Advance(5 * time.Second)
+		var foreign stage.Stats
+		if _, _, err := rpcio.Exec(conn, nil, &foreign, false); err != nil {
+			t.Fatal(err)
+		}
+		if foreign.Queues[0].TotalDemand != 100 {
+			t.Fatalf("%s: foreign collect saw TotalDemand %d, want 100", name, foreign.Queues[0].TotalDemand)
+		}
+		collect()
+		if got := sh.members[0].stats.Queues[0].TotalDemand; got != 100 {
+			t.Errorf("%s: shard slot stale after a foreign collect: TotalDemand %d, want 100", name, got)
+		}
+	}
+}
+
+// TestShardsNeedNoLockOfTheirOwn backs the claim on the shard type: the
+// loop, the monitor's read and a churning registry run side by side —
+// rounds on two workers, shards recut and retired under them — and the
+// race detector must stay silent with roundMu as the only lock a shard
+// is ever reached under.
+func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000),
+		WithTopology(2), WithBorrowing(1.0), WithPushConcurrency(2))
+	conns := make([]*LocalConn, 6)
+	for i := range conns {
+		_, conns[i] = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)
+		if err := c.Register(conns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, body := range []func(i int){
+		func(int) { c.RunOnce() },
+		func(int) { c.CollectAll() },
+		func(int) { c.LastRound() },
+		func(i int) {
+			if conn := conns[i%len(conns)]; i%3 == 0 {
+				c.Deregister(conn.Info().StageID)
+			} else if err := c.Register(conn); err != nil {
+				t.Error(err)
+			}
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				body(i)
+			}
+		}()
+	}
+	wg.Wait()
+	c.RunOnce()
+	if rs, _ := c.LastRound(); rs.Stages != len(c.Stages()) || rs.CollectFailures != 0 {
+		t.Errorf("after the churn a round covered %d stages with %d failures, want the %d registered and none",
+			rs.Stages, rs.CollectFailures, len(c.Stages()))
+	}
+}

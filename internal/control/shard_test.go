@@ -311,3 +311,70 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 			rs.PushCalls, rs.PushesSkipped)
 	}
 }
+
+// TestBorrowLedgerSurvivesAReshard: RoundStats' three token figures are
+// lifetime sums, and a registry change — which recuts the shards — must
+// not restart them. A shard whose members did not change keeps its pool
+// (a stage re-registering on the connection it already had), a shard
+// that is recut hands its pool's final counts on (a stage joining), and
+// either way the figures never fall and, read once the next plan has
+// settled the debts, balance: borrowed == repaid + forgiven.
+func TestBorrowLedgerSurvivesAReshard(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithBorrowing(1.0))
+	c.SetReservation("jobA", 200)
+	busy, busyConn := localStage("s1", "jobA", clk)
+	_, idleConn := localStage("s2", "jobA", clk)
+	for _, conn := range []*LocalConn{busyConn, idleConn} {
+		if err := c.Register(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunOnce() // 100 ops/s each
+
+	// overrun drives the busy stage far past its share for a second while
+	// its siblings idle, then runs the round that sees the borrowing (and
+	// settles it) and the round that sees the settled ledger.
+	var last RoundStats
+	overrun := func(when string) {
+		t.Helper()
+		req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: "jobA"}
+		busy.Offer(req, 500, time.Second)
+		clk.Advance(time.Second)
+		busy.Offer(req, 0, time.Second)
+		c.RunOnce()
+		seen, _ := c.LastRound()
+		if seen.TokensBorrowed <= last.TokensBorrowed {
+			t.Fatalf("%s: borrowed %v, want more than the %v before — the busy stage did not borrow",
+				when, seen.TokensBorrowed, last.TokensBorrowed)
+		}
+		c.RunOnce()
+		rs, _ := c.LastRound()
+		if rs.TokensBorrowed < seen.TokensBorrowed || rs.TokensRepaid < last.TokensRepaid || rs.TokensForgiven < last.TokensForgiven {
+			t.Errorf("%s: ledger went backwards: %v/%v/%v after %v/%v/%v", when,
+				rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven,
+				seen.TokensBorrowed, last.TokensRepaid, last.TokensForgiven)
+		}
+		if b, settled := rs.TokensBorrowed, rs.TokensRepaid+rs.TokensForgiven; b != settled {
+			t.Errorf("%s: borrowed %v != repaid %v + forgiven %v", when, b, rs.TokensRepaid, rs.TokensForgiven)
+		}
+		last = rs
+	}
+	overrun("first cut")
+
+	if err := c.Register(busyConn); err != nil {
+		t.Fatal(err)
+	}
+	overrun("after a re-registration")
+
+	_, late := localStage("s3", "jobA", clk)
+	if err := c.Register(late); err != nil {
+		t.Fatal(err)
+	}
+	overrun("after a stage joined")
+
+	if !c.Deregister("s2") {
+		t.Fatal("s2 was not registered")
+	}
+	overrun("after a stage left")
+}

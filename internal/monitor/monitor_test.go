@@ -13,7 +13,6 @@ import (
 	"padll/internal/clock"
 	"padll/internal/control"
 	"padll/internal/posix"
-	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
 
@@ -268,51 +267,5 @@ func TestDegradedStateSurfaces(t *testing.T) {
 
 	if _, dash := get(t, h, "/"); !strings.Contains(dash, "degraded:1") {
 		t.Errorf("dashboard does not flag the degraded job:\n%s", dash)
-	}
-}
-
-// TestJobsBehindARegisteredAggregator: the monitor reads through the
-// same shards the round loop drives, so the jobs of a controller whose
-// only channel to the fleet is a registered aggregator — here across
-// the frame codec — are listed with their stage counts and demand.
-func TestJobsBehindARegisteredAggregator(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	ctl := control.New(clk,
-		control.WithAlgorithm(control.StaticEqualShare{}),
-		control.WithClusterLimit(10_000))
-	agg := control.NewAggregator("agg-remote")
-	stages := map[string]*stage.Stage{}
-	for i, job := range []string{"jobA", "jobA", "jobB"} {
-		stg := stage.New(stage.Info{StageID: fmt.Sprintf("s%d", i), JobID: job}, clk)
-		stages[stg.Info().StageID] = stg
-		agg.AddMember(&control.LocalConn{Stg: stg})
-	}
-	conn, err := control.NewRemoteAggConn(rpcio.EncodedLoopbackAgg(rpcio.NewAggService(agg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.RegisterAggregator(conn)
-	ctl.RunOnce() // installs the managed queues the demand below is counted on
-	for _, stg := range stages {
-		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, 200, time.Second)
-	}
-	clk.Advance(time.Second)
-
-	code, body := get(t, NewHandler(ctl), "/api/jobs")
-	if code != 200 {
-		t.Fatalf("code = %d", code)
-	}
-	var rows []JobStatus
-	if err := json.Unmarshal([]byte(body), &rows); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, body)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("jobs = %+v, want jobA and jobB", rows)
-	}
-	if a := rows[0]; a.JobID != "jobA" || a.Stages != 2 || a.Demand != 400 || a.Allocated != 5000 {
-		t.Errorf("jobA row = %+v, want 2 stages / demand 400 / allocated 5000", a)
-	}
-	if b := rows[1]; b.JobID != "jobB" || b.Stages != 1 || b.Demand != 200 || b.Allocated != 5000 {
-		t.Errorf("jobB row = %+v, want 1 stage / demand 200 / allocated 5000", b)
 	}
 }

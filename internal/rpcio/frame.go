@@ -241,7 +241,7 @@ func (fc *frameConn) channelFor(t *frameTransport, stageID string) (uint32, erro
 }
 
 // frameDialer pools one frameConn per endpoint address: however many
-// stages a controller drives behind one aggregator endpoint, they share
+// stages a controller drives behind one endpoint, they share
 // a single TCP connection. Connections are refcounted by the transports
 // using them; the last Close releases the socket.
 type frameDialer struct {

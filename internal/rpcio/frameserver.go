@@ -1,8 +1,7 @@
 // Server half of the multiplexed frame transport.
 //
 // A FrameServer hosts any number of services behind one listener —
-// stage services, aggregator services, or the control plane's
-// registrar: clients address a service by channel number, resolved once
+// stage services, or the control plane's registrar: clients address a service by channel number, resolved once
 // per connection per stage via the attach handshake (methodAttach with
 // the stage ID as payload). Each accepted connection is served by one
 // goroutine that processes frames strictly in arrival order — requests
@@ -26,27 +25,21 @@ import (
 // frameTarget is one mux channel's service: exactly one field is set.
 type frameTarget struct {
 	stage *StageService
-	agg   *AggService
 	reg   *registrar
 }
 
 // The kinds of service a channel can host, as mismatch errors name them.
 const (
 	stageService     = "a stage"
-	aggService       = "an aggregator"
 	registrarService = "the registrar"
 )
 
 // hosts names the kind of service the channel serves.
 func (t frameTarget) hosts() string {
-	switch {
-	case t.stage != nil:
+	if t.stage != nil {
 		return stageService
-	case t.agg != nil:
-		return aggService
-	default:
-		return registrarService
 	}
+	return registrarService
 }
 
 // serviceOf names the kind of service a call method belongs to ("" for
@@ -55,8 +48,6 @@ func serviceOf(m methodID) string {
 	switch m {
 	case methodHealth, methodBatch:
 		return stageService
-	case methodAggAttach, methodAggRound:
-		return aggService
 	case methodRegister, methodDeregister, methodRegistrarPing:
 		return registrarService
 	default:
@@ -65,10 +56,8 @@ func serviceOf(m methodID) string {
 }
 
 // FrameServer routes frames to the services multiplexed behind one
-// listener — stage services and aggregator services share the channel
-// space and the attach handshake. Channel 0 is the first service added
-// — the implicit default for clients that never attach (a
-// single-service endpoint).
+// listener. Channel 0 is the first service added — the implicit default
+// for clients that never attach (a single-service endpoint).
 type FrameServer struct {
 	mu     sync.Mutex
 	byName map[string]uint32
@@ -88,12 +77,6 @@ func NewFrameServer() *FrameServer {
 // channel 0 (the no-attach default).
 func (fs *FrameServer) Add(svc *StageService) uint32 {
 	return fs.add(svc.stg.Info().StageID, frameTarget{stage: svc})
-}
-
-// AddAgg registers an aggregator service under its aggregator ID; the
-// attach handshake resolves it exactly as a stage ID.
-func (fs *FrameServer) AddAgg(svc *AggService) uint32 {
-	return fs.add(svc.id, frameTarget{agg: svc})
 }
 
 func (fs *FrameServer) add(name string, t frameTarget) uint32 {
@@ -121,7 +104,7 @@ func (fs *FrameServer) lookup(ch uint32) (frameTarget, bool) {
 	return (*p)[ch], true
 }
 
-// attach resolves a stage or aggregator ID to its channel. The empty ID
+// attach resolves a stage ID to its channel. The empty ID
 // names the default service.
 func (fs *FrameServer) attach(stageID string) (uint32, bool) {
 	fs.mu.Lock()
@@ -144,17 +127,13 @@ type frameSession struct {
 	payload []byte
 	wbuf    []byte
 
-	probe         HealthProbe // Health and Registrar.Ping args; the ping's echo
-	batchArgs     BatchArgs
-	aggAttachArgs AggAttachArgs
-	aggRoundArgs  AggRoundArgs
-	registration  Registration
-	stageID       string // Registrar.Deregister args
+	probe        HealthProbe // Health and Registrar.Ping args; the ping's echo
+	batchArgs    BatchArgs
+	registration Registration
+	stageID      string // Registrar.Deregister args
 
-	healthReply  StageHealth
-	batchReply   BatchReply
-	aggInfoReply AggInfo
-	aggRndReply  AggRoundReply
+	healthReply StageHealth
+	batchReply  BatchReply
 }
 
 // serveFrameConn runs one connection's frame loop until the connection
@@ -250,16 +229,6 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 			err = tgt.stage.Batch(s.batchArgs, &s.batchReply)
 		}
 		out = appendBatchReply(reply, &s.batchReply)
-	case methodAggAttach:
-		if err = readCallArgs(h.method, s.payload, &s.aggAttachArgs); err == nil {
-			err = tgt.agg.Attach(s.aggAttachArgs, &s.aggInfoReply)
-		}
-		out = appendAggInfo(reply, &s.aggInfoReply)
-	case methodAggRound:
-		if err = readCallArgs(h.method, s.payload, &s.aggRoundArgs); err == nil {
-			err = tgt.agg.Round(s.aggRoundArgs, &s.aggRndReply)
-		}
-		out = appendAggRoundReply(reply, &s.aggRndReply)
 	case methodRegister:
 		if err = readCallArgs(h.method, s.payload, &s.registration); err == nil {
 			err = tgt.reg.onRegister(s.registration)

@@ -1,7 +1,7 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
 // uses one versioned binary frame protocol over TCP (wirecodec.go) for
-// stage, aggregator and registrar traffic. The structure is the same:
+// stage and registrar traffic. The structure is the same:
 // every stage exposes a typed control service (install rule, retune
 // rate, collect statistics — all carried by Stage.Batch), and the
 // control plane exposes a registration service stages dial when their

@@ -1,6 +1,7 @@
 package rpcio
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -115,5 +116,49 @@ func TestStopRefusesLateConnections(t *testing.T) {
 	stop()
 	if _, err := DialStage(l.Addr().String(), WithBackoff(Backoff{Attempts: 1}), WithDialTimeout(200*time.Millisecond)); err == nil {
 		t.Error("dial succeeded against a stopped server")
+	}
+}
+
+// TestFrameServerRefusesMisaddressedCalls: a call the channel cannot
+// take is answered with an error frame, never dispatched. Methods 10
+// and 11 were the aggregator tier's until wire v4 and must now read as
+// unknown; a method this build knows, sent to a channel hosting the
+// other kind of service, names both kinds.
+func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
+	fs := NewFrameServer()
+	fs.Add(NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))))
+	client, server := net.Pipe()
+	defer client.Close()
+	go fs.serveFrameConn(server)
+
+	for _, tc := range []struct {
+		method methodID
+		want   string
+	}{
+		{10, "rpcio: unknown method 10"},
+		{11, "rpcio: unknown method 11"},
+		{methodRegister, "rpcio: channel 0 hosts a stage, not the registrar"},
+	} {
+		req := make([]byte, frameHeaderLen)
+		putFrameHeader(req, frameHeader{kind: frameRequest, method: tc.method, stream: 7})
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		hdr := make([]byte, frameHeaderLen)
+		if _, err := io.ReadFull(client, hdr); err != nil {
+			t.Fatal(err)
+		}
+		h, err := parseFrameHeader(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, h.length)
+		if _, err := io.ReadFull(client, payload); err != nil {
+			t.Fatal(err)
+		}
+		if h.kind != frameError || h.stream != 7 || string(payload) != tc.want {
+			t.Errorf("method %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
+				tc.method, h.kind, h.stream, payload, tc.want)
+		}
 	}
 }

@@ -198,16 +198,6 @@ func EncodedLoopbackStage(svc *StageService) *StageHandle {
 	return NewStageHandle(NewEncodedLoopback(svc))
 }
 
-// NewEncodedLoopbackAgg returns a codec-exercising in-process transport
-// bound to an aggregator service — the aggregator analogue of
-// NewEncodedLoopback, sharing the same frame dispatch path a TCP
-// connection would take.
-func NewEncodedLoopbackAgg(svc *AggService) *EncodedLoopback {
-	fs := NewFrameServer()
-	fs.AddAgg(svc)
-	return &EncodedLoopback{fs: fs}
-}
-
 // SetFault installs (or, with nil, removes) the frame-loss hook.
 func (l *EncodedLoopback) SetFault(f FrameFault) {
 	l.mu.Lock()

@@ -47,23 +47,6 @@ var wireRegistry = map[string][]string{
 		"Passthrough int64", "Degraded bool", "DegradedSeconds float64",
 	},
 
-	// agg.go: aggregator-tier protocol (wire v2).
-	"rpcio.AggAttachArgs": {"Seq uint64"},
-	"rpcio.AggInfo": {
-		"Seq uint64", "AggID string", "Stages int", "Jobs []string",
-	},
-	"rpcio.JobGrant":     {"JobID string", "Rate float64"},
-	"rpcio.AggRoundArgs": {"Grants []rpcio.JobGrant", "Collect bool"},
-	"rpcio.AggJobDelta": {
-		"JobID string", "Stages int", "Demand float64",
-		"Throughput float64", "WaitP99 float64", "Dropped int64",
-		"FailedStages int",
-	},
-	"rpcio.AggRoundReply": {
-		"AggID string", "Stages int", "Jobs []rpcio.AggJobDelta",
-		"Borrowed float64", "Repaid float64", "Forgiven float64",
-	},
-
 	// Transitively encoded types from other packages.
 	"stage.Info": {
 		"StageID string", "JobID string", "Hostname string",
@@ -94,8 +77,6 @@ var wireRegistry = map[string][]string{
 var wireTypes = []any{
 	Registration{}, HealthProbe{}, StageHealth{},
 	StageOp{}, OpResult{}, BatchArgs{}, BatchReply{}, StatsDelta{},
-	AggAttachArgs{}, AggInfo{}, JobGrant{}, AggRoundArgs{},
-	AggJobDelta{}, AggRoundReply{},
 	stage.Info{}, stage.Stats{}, stage.QueueStats{},
 	policy.Rule{}, policy.Matcher{},
 }
@@ -219,8 +200,6 @@ func TestWireRegistryCoversAnnotatedTypes(t *testing.T) {
 	annotated := []string{
 		"rpcio.Registration", "rpcio.HealthProbe", "rpcio.StageHealth", "rpcio.StageOp", "rpcio.OpResult",
 		"rpcio.BatchArgs", "rpcio.BatchReply", "rpcio.StatsDelta",
-		"rpcio.AggAttachArgs", "rpcio.AggInfo", "rpcio.JobGrant",
-		"rpcio.AggRoundArgs", "rpcio.AggJobDelta", "rpcio.AggRoundReply",
 	}
 	for _, name := range annotated {
 		if _, ok := wireRegistry[name]; !ok {

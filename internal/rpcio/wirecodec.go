@@ -52,7 +52,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 3
+const WireVersion = 4
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -66,6 +66,9 @@ var wireSchemaFingerprints = map[int]string{
 	// v3: per-call stage methods and their four args structs removed;
 	// registration moved onto the frame codec (no new structs).
 	3: "sha256:e229beb791c43c21eb2abb355f4d1afa6f53c236c5565c431b543cc088efd1c0",
+	// v4: aggregator tier removed (Agg.Attach, Agg.Round and their six
+	// structs); methods 10-11 reserved.
+	4: "sha256:f6b05f86b06d37fa044c365100e0515e8b3d27822615df446f0cc1d613172370",
 }
 
 // Frame kinds.
@@ -98,10 +101,10 @@ const (
 	_
 	methodHealth
 	methodBatch
-	// Aggregator-tier methods (agg.go), dispatched to AggServices on the
-	// same mux.
-	methodAggAttach
-	methodAggRound
+	// 10-11 were the aggregator tier's methods (Agg.Attach, Agg.Round),
+	// retired in wire v4 and reserved likewise.
+	_
+	_
 	// Registrar methods, served by the control plane's registration
 	// endpoint (ServeRegistrar).
 	methodRegister
@@ -114,8 +117,6 @@ const (
 var methodIDs = map[string]methodID{
 	"Stage.Health":         methodHealth,
 	"Stage.Batch":          methodBatch,
-	"Agg.Attach":           methodAggAttach,
-	"Agg.Round":            methodAggRound,
 	"Registrar.Register":   methodRegister,
 	"Registrar.Deregister": methodDeregister,
 	"Registrar.Ping":       methodRegistrarPing,
@@ -291,7 +292,7 @@ func (r *wireReader) str() string {
 
 // strSame decodes a string like str, but returns prev — skipping the
 // allocation — when the wire bytes equal it. Decode targets are reused
-// across frames, so identifier fields (job IDs, aggregator IDs) carry
+// across frames, so identifier fields (rule IDs) carry
 // the same value round after round; comparing against the slot's
 // previous value makes the steady state allocation-free.
 func (r *wireReader) strSame(prev string) string {
@@ -356,8 +357,6 @@ const (
 	minQueueStatsEnc = 12 // 1 string + 7 varint float64 + 4 varints
 	minStageOpEnc    = 13 // kind + minimal rule (9) + id + rate + mode
 	minOpResultEnc   = 1  // bool
-	minJobGrantEnc   = 2  // 1 string count + 1 f64 uvarint byte
-	minAggDeltaEnc   = 7  // 1 string count + 6 one-byte scalars
 )
 
 // ---- per-struct codecs ----
@@ -651,134 +650,6 @@ func readBatchReply(r *wireReader, v *BatchReply) {
 	readStatsDelta(r, &v.Delta)
 }
 
-func appendAggAttachArgs(b []byte, v *AggAttachArgs) []byte {
-	return binary.AppendUvarint(b, v.Seq)
-}
-
-func readAggAttachArgs(r *wireReader, v *AggAttachArgs) {
-	v.Seq = r.uvarint()
-}
-
-func appendAggInfo(b []byte, v *AggInfo) []byte {
-	b = binary.AppendUvarint(b, v.Seq)
-	b = appendString(b, v.AggID)
-	b = binary.AppendVarint(b, int64(v.Stages))
-	b = binary.AppendUvarint(b, uint64(len(v.Jobs)))
-	for _, j := range v.Jobs {
-		b = appendString(b, j)
-	}
-	return b
-}
-
-func readAggInfo(r *wireReader, v *AggInfo) {
-	v.Seq = r.uvarint()
-	v.AggID = r.strSame(v.AggID)
-	v.Stages = int(r.varint())
-	n := r.count(minStrEnc)
-	jobs := v.Jobs[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		if i < cap(jobs) {
-			jobs = jobs[:i+1]
-			jobs[i] = r.strSame(jobs[i])
-		} else {
-			jobs = append(jobs, r.str())
-		}
-	}
-	v.Jobs = jobs
-}
-
-func appendJobGrant(b []byte, v *JobGrant) []byte {
-	b = appendString(b, v.JobID)
-	b = appendF64(b, v.Rate)
-	return b
-}
-
-func readJobGrant(r *wireReader, v *JobGrant) {
-	v.JobID = r.strSame(v.JobID)
-	v.Rate = r.f64()
-}
-
-func appendAggRoundArgs(b []byte, v *AggRoundArgs) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v.Grants)))
-	for i := range v.Grants {
-		b = appendJobGrant(b, &v.Grants[i])
-	}
-	b = appendBool(b, v.Collect)
-	return b
-}
-
-func readAggRoundArgs(r *wireReader, v *AggRoundArgs) {
-	n := r.count(minJobGrantEnc)
-	// Decode in place: a slot kept within capacity still holds last
-	// frame's element, letting strSame reuse its JobID.
-	grants := v.Grants[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		if i < cap(grants) {
-			grants = grants[:i+1]
-		} else {
-			grants = append(grants, JobGrant{})
-		}
-		readJobGrant(r, &grants[i])
-	}
-	v.Grants = grants
-	v.Collect = r.boolv()
-}
-
-func appendAggJobDelta(b []byte, v *AggJobDelta) []byte {
-	b = appendString(b, v.JobID)
-	b = binary.AppendVarint(b, int64(v.Stages))
-	b = appendF64(b, v.Demand)
-	b = appendF64(b, v.Throughput)
-	b = appendF64(b, v.WaitP99)
-	b = binary.AppendVarint(b, v.Dropped)
-	b = binary.AppendVarint(b, int64(v.FailedStages))
-	return b
-}
-
-func readAggJobDelta(r *wireReader, v *AggJobDelta) {
-	v.JobID = r.strSame(v.JobID)
-	v.Stages = int(r.varint())
-	v.Demand = r.f64()
-	v.Throughput = r.f64()
-	v.WaitP99 = r.f64()
-	v.Dropped = r.varint()
-	v.FailedStages = int(r.varint())
-}
-
-func appendAggRoundReply(b []byte, v *AggRoundReply) []byte {
-	b = appendString(b, v.AggID)
-	b = binary.AppendVarint(b, int64(v.Stages))
-	b = binary.AppendUvarint(b, uint64(len(v.Jobs)))
-	for i := range v.Jobs {
-		b = appendAggJobDelta(b, &v.Jobs[i])
-	}
-	b = appendF64(b, v.Borrowed)
-	b = appendF64(b, v.Repaid)
-	b = appendF64(b, v.Forgiven)
-	return b
-}
-
-func readAggRoundReply(r *wireReader, v *AggRoundReply) {
-	v.AggID = r.strSame(v.AggID)
-	v.Stages = int(r.varint())
-	n := r.count(minAggDeltaEnc)
-	// Decode in place: a slot kept within capacity still holds last
-	// frame's row, letting strSame reuse its JobID.
-	jobs := v.Jobs[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		if i < cap(jobs) {
-			jobs = jobs[:i+1]
-		} else {
-			jobs = append(jobs, AggJobDelta{})
-		}
-		readAggJobDelta(r, &jobs[i])
-	}
-	v.Jobs = jobs
-	v.Borrowed = r.f64()
-	v.Repaid = r.f64()
-	v.Forgiven = r.f64()
-}
-
 // ---- method dispatch ----
 
 // appendCallArgs encodes one method's args. The any values are the same
@@ -789,10 +660,6 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 		return appendHealthProbe(b, args.(*HealthProbe)), nil
 	case methodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
-	case methodAggAttach:
-		return appendAggAttachArgs(b, args.(*AggAttachArgs)), nil
-	case methodAggRound:
-		return appendAggRoundArgs(b, args.(*AggRoundArgs)), nil
 	case methodRegister:
 		return appendRegistration(b, args.(*Registration)), nil
 	case methodDeregister:
@@ -811,10 +678,6 @@ func readCallArgs(m methodID, payload []byte, args any) error {
 		readHealthProbe(&r, args.(*HealthProbe))
 	case methodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
-	case methodAggAttach:
-		readAggAttachArgs(&r, args.(*AggAttachArgs))
-	case methodAggRound:
-		readAggRoundArgs(&r, args.(*AggRoundArgs))
 	case methodRegister:
 		readRegistration(&r, args.(*Registration))
 	case methodDeregister:
@@ -836,10 +699,6 @@ func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 		return appendStageHealth(b, reply.(*StageHealth)), nil
 	case methodBatch:
 		return appendBatchReply(b, reply.(*BatchReply)), nil
-	case methodAggAttach:
-		return appendAggInfo(b, reply.(*AggInfo)), nil
-	case methodAggRound:
-		return appendAggRoundReply(b, reply.(*AggRoundReply)), nil
 	default:
 		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
 	}
@@ -858,10 +717,6 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 		readStageHealth(&r, reply.(*StageHealth))
 	case methodBatch:
 		readBatchReply(&r, reply.(*BatchReply))
-	case methodAggAttach:
-		readAggInfo(&r, reply.(*AggInfo))
-	case methodAggRound:
-		readAggRoundReply(&r, reply.(*AggRoundReply))
 	default:
 		return fmt.Errorf("rpcio: decode: unknown method %d", m)
 	}
@@ -874,25 +729,19 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 // a wire struct without extending its codec (and bumping WireVersion)
 // fails the build's tests rather than silently truncating frames.
 var codecFieldCoverage = map[string]int{
-	"rpcio.Registration":  2,
-	"rpcio.HealthProbe":   1,
-	"rpcio.StageHealth":   5,
-	"rpcio.StageOp":       5,
-	"rpcio.OpResult":      1,
-	"rpcio.BatchArgs":     5,
-	"rpcio.BatchReply":    2,
-	"rpcio.StatsDelta":    9,
-	"rpcio.AggAttachArgs": 1,
-	"rpcio.AggInfo":       4,
-	"rpcio.JobGrant":      2,
-	"rpcio.AggRoundArgs":  2,
-	"rpcio.AggJobDelta":   7,
-	"rpcio.AggRoundReply": 6,
-	"stage.Info":          5,
-	"stage.Stats":         5,
-	"stage.QueueStats":    12,
-	"policy.Rule":         5,
-	"policy.Matcher":      5,
+	"rpcio.Registration": 2,
+	"rpcio.HealthProbe":  1,
+	"rpcio.StageHealth":  5,
+	"rpcio.StageOp":      5,
+	"rpcio.OpResult":     1,
+	"rpcio.BatchArgs":    5,
+	"rpcio.BatchReply":   2,
+	"rpcio.StatsDelta":   9,
+	"stage.Info":         5,
+	"stage.Stats":        5,
+	"stage.QueueStats":   12,
+	"policy.Rule":        5,
+	"policy.Matcher":     5,
 }
 
 // RemoteError is a service-side application error carried back over a

@@ -137,44 +137,6 @@ func callFixtures() []callFixture {
 			reply:    &HealthProbe{Seq: 1 << 33},
 			replyDst: &HealthProbe{},
 		},
-		{
-			method:  "Agg.Attach",
-			args:    &AggAttachArgs{Seq: 1 << 55},
-			argsDst: &AggAttachArgs{},
-			reply: &AggInfo{
-				Seq: 1 << 55, AggID: "agg-1", Stages: 32,
-				Jobs: []string{"j1", "j2"},
-			},
-			replyDst: &AggInfo{},
-		},
-		{
-			method: "Agg.Round",
-			args: &AggRoundArgs{
-				Grants: []JobGrant{
-					{JobID: "j1", Rate: 30000},
-					{JobID: "j2", Rate: 50000.5},
-				},
-				Collect: true,
-			},
-			argsDst: &AggRoundArgs{},
-			reply: &AggRoundReply{
-				AggID: "agg-1", Stages: 32,
-				Jobs: []AggJobDelta{
-					{
-						JobID: "j1", Stages: 16, Demand: 61234.5,
-						Throughput: 29999.875, WaitP99: 0.125,
-						Dropped: -9, FailedStages: 2,
-					},
-					{
-						JobID: "j2", Stages: 16, Demand: 1e9,
-						Throughput: 50000.5, WaitP99: 3.5,
-						Dropped: 1 << 40, FailedStages: 0,
-					},
-				},
-				Borrowed: 12.5, Repaid: 10, Forgiven: 2.5,
-			},
-			replyDst: &AggRoundReply{},
-		},
 	}
 }
 

@@ -154,13 +154,15 @@ func TestInFlightWaiterBlocksQuiet(t *testing.T) {
 	// Rates may still be pending, but the decisive check here is the
 	// waiter: its admission and latency sample will land with no new
 	// arrival to raise the active flag, so no token may exist while it
-	// queues — however long that is.
+	// queues — however long that is. The waiter sleeps one second, so
+	// the three collects stay inside it.
 	for i := 0; i < 3; i++ {
 		if _, tok := collectQuiet(t, s); tok != 0 {
 			t.Fatalf("minted a token with a waiter in flight (advance %d)", i)
 		}
-		clk.Advance(time.Second)
+		clk.Advance(300 * time.Millisecond)
 	}
+	clk.Advance(time.Second)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Decentralized token borrowing between sibling buckets (AdapTBF-style).
 //
 // A BorrowPool groups the buckets of sibling stages that share one
-// aggregator grant. Between control rounds, a bucket that runs dry may
+// shard's grant. Between control rounds, a bucket that runs dry may
 // borrow unused tokens from its siblings: tokens are *moved*, never
 // minted, so the sum of tokens granted across the pool can never exceed
 // what the control plane handed the group — the conservation invariant

@@ -224,7 +224,7 @@ func TestBorrowUnlimitedNeverLends(t *testing.T) {
 // that the pool never grants more than the control plane handed it:
 // the sum of lifetime granted tokens stays within the sum of burst
 // capacities plus accrued refill — the "sum of effective rates under
-// one aggregator never exceeds its granted share" invariant. Same-seed
+// one shard never exceeds its granted share" invariant. Same-seed
 // runs must be bit-identical (determinism under the sim clock).
 func TestBorrowConservationProperty(t *testing.T) {
 	type final struct {

@@ -395,7 +395,9 @@ func (b *Bucket) Grant(n float64, dt time.Duration) float64 {
 		b.tokens += b.rate * window.Seconds()
 		b.last = end
 	}
-	admit := math.Min(n, b.tokens)
+	// A fill that reservations (Wait) have driven below zero admits
+	// nothing: the window's refill went to the debt.
+	admit := max(0, math.Min(n, b.tokens))
 	b.tokens -= admit
 	b.addGranted(admit)
 	pool := b.pool

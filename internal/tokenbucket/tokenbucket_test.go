@@ -307,9 +307,30 @@ func TestGrantUnlimited(t *testing.T) {
 }
 
 func TestGrantZeroAndClosed(t *testing.T) {
-	b := New(clock.NewSim(epoch), 10, 10)
+	clk := clock.NewSim(epoch)
+	b := New(clk, 10, 10)
 	if b.Grant(0, time.Second) != 0 {
 		t.Error("Grant(0) != 0")
+	}
+	// In debt: a reservation four times the burst leaves the fill at -30,
+	// and a window's refill of 10 does not clear it. The grant admits
+	// nothing — not a negative amount, which would hand the sleeper's
+	// tokens back and lower Granted.
+	done := make(chan error, 1)
+	go func() { done <- b.Wait(40) }()
+	clk.BlockUntil(1)
+	if got := b.Grant(5, time.Second); got != 0 {
+		t.Errorf("Grant on a bucket in debt admitted %v, want 0", got)
+	}
+	if got := b.Tokens(); got != -20 {
+		t.Errorf("fill = %v after the grant, want the debt less one window's refill (-20)", got)
+	}
+	clk.Advance(3 * time.Second)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Granted(); got != 40 {
+		t.Errorf("Granted = %v, want the waiter's 40 and nothing else", got)
 	}
 	b.Close()
 	if b.Grant(5, time.Second) != 0 {
