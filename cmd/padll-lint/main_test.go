@@ -9,8 +9,9 @@ import (
 )
 
 // TestExitCodes builds the driver and checks the exit-code contract at
-// its edges: the removed -fix/-diff flags are usage errors like any other
-// unknown flag, a seeded fixture reports findings, -list succeeds.
+// its edges: the removed -fix/-diff/-json/-enable flags are usage errors
+// like any other unknown flag, the full suite over a seeded fixture
+// reports findings, -list succeeds.
 func TestExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -26,9 +27,10 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{[]string{"-fix", "./..."}, 2, "flag provided but not defined: -fix"},
 		{[]string{"-diff", "./..."}, 2, "flag provided but not defined: -diff"},
-		{[]string{"-enable", "nosuchcheck"}, 2, "unknown analyzer"},
+		{[]string{"-json", "./..."}, 2, "flag provided but not defined: -json"},
+		{[]string{"-enable", "errdrop"}, 2, "flag provided but not defined: -enable"},
 		{[]string{"-list"}, 0, "errdrop"},
-		{[]string{"-enable", "errdrop", "./internal/lint/testdata/src/errfix"}, 1, "errdrop"},
+		{[]string{"./internal/lint/testdata/src/errfix"}, 1, "errdrop"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		cmd.Dir = "../.." // patterns resolve against the module root

@@ -25,7 +25,7 @@ func FuzzPragmaParse(f *testing.F) {
 	f.Add("//lint:")
 	f.Add("//lint:hotpath")
 	f.Add("//lint:coldpath amortized window roll")
-	f.Add("//lint:wire")
+	f.Add("//lint:coldpath")
 	f.Add("// ordinary comment")
 	f.Add("not a comment at all")
 	f.Add("//")
@@ -43,7 +43,7 @@ func FuzzPragmaParse(f *testing.F) {
 				t.Fatalf("diagnosed pragma %q also returned data: %q %q", text, analyzer, reason)
 			}
 		} else {
-			if AnalyzerByName(analyzer) == nil {
+			if analyzerByName(analyzer) == nil {
 				t.Fatalf("accepted pragma %q names unknown analyzer %q", text, analyzer)
 			}
 			if reason == "" {
@@ -72,7 +72,6 @@ func FuzzPragmaParse(f *testing.F) {
 		if ann.coldpath && !verbOK {
 			t.Fatalf("annotation %q accepted without a valid verb", text)
 		}
-		_ = isWireAnnotation(text)
 		_ = utf8.ValidString(text) // any byte soup is in scope
 	})
 }

@@ -37,6 +37,17 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
+// runAnalyzer applies one analyzer to one loaded fixture package,
+// returning the unsuppressed findings (pragma handling included). The
+// package is its own single-package program: cross-package facts stop
+// at its imports.
+func runAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
+	var diags []Diagnostic
+	a.Run(&Pass{Pkg: pkg, Prog: newProgram(nil, pkg), analyzer: a, diags: &diags})
+	allows := collectAllowances(pkg, &diags)
+	return dedupe(suppress(diags, allows))
+}
+
 // wantRx extracts `// want `+"`...`"+` expectations (backtick-quoted
 // regexes; several may share one comment).
 var wantRx = regexp.MustCompile("want `([^`]+)`")
@@ -50,7 +61,7 @@ func runGolden(t *testing.T, a *Analyzer, fixture, importPath string) {
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}
-	diags := RunAnalyzers(pkg, []*Analyzer{a})
+	diags := runAnalyzer(pkg, a)
 
 	// Gather expectations keyed by file:line.
 	type want struct {
@@ -119,13 +130,6 @@ func TestHotPathCheckGolden(t *testing.T) {
 	runGolden(t, HotPathCheck, "hotpathfix", "padll/internal/lintfixtures/hotpathfix")
 }
 
-func TestWireCheckGolden(t *testing.T) {
-	// The fixture seeds wire structs with unexported and codec-hostile
-	// fields, discovered both by //lint:wire annotation and by
-	// Call-shaped RPC sites.
-	runGolden(t, WireCheck, "wirefix", "padll/internal/lintfixtures/wirefix")
-}
-
 func TestLeakCheckGolden(t *testing.T) {
 	runGolden(t, LeakCheck, "leakfix", "padll/internal/lintfixtures/leakfix")
 }
@@ -144,7 +148,6 @@ func TestFixturesSeedViolations(t *testing.T) {
 		{PrintCheck, "printfix", 4},
 		{AtomicCheck, "atomicfix", 4},
 		{HotPathCheck, "hotpathfix", 10},
-		{WireCheck, "wirefix", 9},
 		{LeakCheck, "leakfix", 2},
 	}
 	loader := fixtureLoader(t)
@@ -154,7 +157,7 @@ func TestFixturesSeedViolations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", c.fixture, err)
 		}
-		if got := len(RunAnalyzers(pkg, []*Analyzer{c.a})); got < c.minimum {
+		if got := len(runAnalyzer(pkg, c.a)); got < c.minimum {
 			t.Errorf("%s fixture: %d findings, want at least %d seeded violations", c.a.Name, got, c.minimum)
 		}
 	}

@@ -20,10 +20,6 @@
 //     they statically call, must not allocate (no composite literals,
 //     append, map writes, capturing closures, boxing conversions, defer,
 //     or fmt) unless the callee is annotated //lint:coldpath <reason>.
-//   - wirecheck: control-protocol wire structs carry only exported,
-//     concretely typed fields (no unexported fields, no interface
-//     values, channels or funcs) — the frame codec cannot move anything
-//     else.
 //   - leakcheck: every go statement in non-test code is tied to a
 //     visible shutdown path (sync.WaitGroup, stop channel, or context).
 //
@@ -50,14 +46,14 @@ import (
 // Diagnostic is one finding.
 type Diagnostic struct {
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Path is the file path, relative to the module root when possible.
-	Path string `json:"path"`
+	Path string
 	// Line and Col are 1-based.
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Message describes the finding and how to fix or suppress it.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the diagnostic in the conventional path:line:col form.
@@ -79,8 +75,8 @@ type Analyzer struct {
 type Pass struct {
 	Pkg *Package
 	// Prog is the cross-package program view; the first-generation
-	// analyzers ignore it, atomiccheck/hotpathcheck/wirecheck follow
-	// call-graph and type facts through it.
+	// analyzers ignore it, atomiccheck/hotpathcheck follow call-graph
+	// facts through it.
 	Prog     *Program
 	analyzer *Analyzer
 	diags    *[]Diagnostic
@@ -107,13 +103,12 @@ func Analyzers() []*Analyzer {
 		PrintCheck,
 		AtomicCheck,
 		HotPathCheck,
-		WireCheck,
 		LeakCheck,
 	}
 }
 
-// AnalyzerByName resolves a name; nil if unknown.
-func AnalyzerByName(name string) *Analyzer {
+// analyzerByName resolves a name; nil if unknown.
+func analyzerByName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {
 			return a
@@ -137,9 +132,8 @@ type allowance struct {
 // reported as findings of the "pragma" pseudo-analyzer so that typos
 // cannot silently disable a check; pass diags == nil to collect
 // allowances without re-reporting (program-wide suppression). Names are
-// validated against the full registry, not the analyzers selected for
-// this run — a filtered run must not flag the other analyzers'
-// legitimate pragmas.
+// validated against the full registry, so a golden test running one
+// analyzer does not flag the other analyzers' legitimate pragmas.
 func collectAllowances(pkg *Package, diags *[]Diagnostic) []allowance {
 	report := func(pos token.Pos, msg string) {
 		if diags == nil {

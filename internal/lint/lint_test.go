@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -14,7 +13,7 @@ import (
 // TestRepoIsLintClean is the driver test: the repository itself must carry
 // zero unsuppressed findings, the same contract `make lint` enforces.
 func TestRepoIsLintClean(t *testing.T) {
-	res, err := Run(repoRoot(t), []string{"./..."}, Analyzers())
+	res, err := Run(repoRoot(t), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestNoReflectionWireImports(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
 		"clockcheck", "lockcheck", "errdrop", "printcheck",
-		"atomiccheck", "hotpathcheck", "wirecheck", "leakcheck",
+		"atomiccheck", "hotpathcheck", "leakcheck",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {
@@ -69,12 +68,12 @@ func TestAnalyzerRegistry(t *testing.T) {
 		if got[i].Doc == "" {
 			t.Errorf("analyzer %q has no Doc", name)
 		}
-		if a := AnalyzerByName(name); a != got[i] {
-			t.Errorf("AnalyzerByName(%q) did not return the registered analyzer", name)
+		if a := analyzerByName(name); a != got[i] {
+			t.Errorf("analyzerByName(%q) did not return the registered analyzer", name)
 		}
 	}
-	if AnalyzerByName("nope") != nil {
-		t.Error("AnalyzerByName(\"nope\") should be nil")
+	if analyzerByName("nope") != nil {
+		t.Error("analyzerByName(\"nope\") should be nil")
 	}
 }
 
@@ -82,30 +81,6 @@ func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{Analyzer: "clockcheck", Path: "internal/x/y.go", Line: 12, Col: 7, Message: "boom"}
 	if got, want := d.String(), "internal/x/y.go:12:7: clockcheck: boom"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	clean := &Result{Packages: 7}
-	if err := clean.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Errorf("empty diagnostics should encode as [], got %q", got)
-	}
-
-	buf.Reset()
-	dirty := &Result{Diags: []Diagnostic{{Analyzer: "errdrop", Path: "a.go", Line: 1, Col: 2, Message: "m"}}}
-	if err := dirty.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back []Diagnostic
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if len(back) != 1 || back[0] != dirty.Diags[0] {
-		t.Errorf("round-trip mismatch: %+v", back)
 	}
 }
 

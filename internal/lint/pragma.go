@@ -8,7 +8,6 @@ import "strings"
 //	//lint:allow <analyzer> <reason>   suppress a finding, with justification
 //	//lint:hotpath                     function (and its static callees) must not allocate
 //	//lint:coldpath <reason>           deliberate slow path; hotpathcheck stops here
-//	//lint:wire <reason optional>      type is part of the control wire surface
 //
 // Parsing is tolerant of comment style: `//lint:allow`, `// lint:allow`
 // and tab-indented forms (`//\tlint:allow`) are all accepted, as are
@@ -23,7 +22,6 @@ const (
 	directiveAllow directiveKind = iota
 	directiveHotpath
 	directiveColdpath
-	directiveWire
 )
 
 // directive is one parsed //lint:... comment.
@@ -40,7 +38,6 @@ var directiveVerbs = map[string]directiveKind{
 	"allow":    directiveAllow,
 	"hotpath":  directiveHotpath,
 	"coldpath": directiveColdpath,
-	"wire":     directiveWire,
 }
 
 // stripCommentMarkers removes the // or /* */ comment markers and any
@@ -99,7 +96,7 @@ func parseAllowPragma(text string) (analyzer, reason, problem string, isAllow bo
 		if verb == "" {
 			return "", "", "malformed directive: want //lint:<verb>, e.g. //lint:allow <analyzer> <reason>", true
 		}
-		return "", "", "unknown directive verb " + quote(verb) + "; known: allow, hotpath, coldpath, wire", true
+		return "", "", "unknown directive verb " + quote(verb) + "; known: allow, hotpath, coldpath", true
 	}
 	if d.kind != directiveAllow {
 		return "", "", "", false
@@ -108,7 +105,7 @@ func parseAllowPragma(text string) (analyzer, reason, problem string, isAllow bo
 		return "", "", "malformed pragma: want //lint:allow <analyzer> <reason>", true
 	}
 	analyzer = d.args[0]
-	if AnalyzerByName(analyzer) == nil {
+	if analyzerByName(analyzer) == nil {
 		return "", "", "pragma names unknown analyzer " + quote(analyzer), true
 	}
 	if len(d.args) < 2 {
@@ -151,11 +148,4 @@ func parseFuncAnnotations(lines []string) funcAnnotations {
 		}
 	}
 	return a
-}
-
-// isWireAnnotation reports whether a comment marks a type declaration
-// as part of the control wire surface.
-func isWireAnnotation(text string) bool {
-	d, _, verbOK, ok := parseDirective(text)
-	return ok && verbOK && d.kind == directiveWire
 }

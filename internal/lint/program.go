@@ -8,15 +8,13 @@ import (
 )
 
 // Program is the cross-package view the second-generation analyzers
-// (atomiccheck, hotpathcheck, wirecheck) run against. The original
-// suite was strictly package-at-a-time; the hot-path and wire
-// invariants cross package boundaries (stage.Enforce calls into
-// metrics and tokenbucket; rpcio's wire structs embed policy and stage
-// types), so the framework now keeps every loaded package plus a
-// per-package function-fact index — the suite's equivalent of export
-// data. Packages named by the run's patterns are loaded eagerly;
-// packages reached only through the call graph or a wire type's fields
-// are loaded lazily through the same Loader.
+// (atomiccheck, hotpathcheck) run against. The original suite was
+// strictly package-at-a-time; the hot-path invariant crosses package
+// boundaries (stage.Enforce calls into metrics and tokenbucket), so the
+// framework now keeps every loaded package plus a per-package
+// function-fact index — the suite's equivalent of export data. Packages
+// named by the run's patterns are loaded eagerly; packages reached only
+// through the call graph are loaded lazily through the same Loader.
 type Program struct {
 	loader *Loader
 	pkgs   map[string]*Package // by import path
@@ -28,21 +26,9 @@ type Program struct {
 	// universes, and callee references may resolve into either.
 	funcIndex map[string]map[string]*funcFact
 
-	// typeIndex maps package path -> type name -> fact, for the wire
-	// checks that follow struct fields across packages.
-	typeIndex map[string]map[string]*typeFact
-
 	// failed records import paths that could not be lazily loaded, so
 	// one broken dependency is not re-parsed per call site.
 	failed map[string]bool
-}
-
-// typeFact is the per-type export data: the declaration and whether it
-// is annotated //lint:wire.
-type typeFact struct {
-	pkg  *Package
-	spec *ast.TypeSpec
-	wire bool
 }
 
 // funcFact is the per-function export data: where the function lives,
@@ -60,7 +46,6 @@ func newProgram(loader *Loader, pkgs ...*Package) *Program {
 		loader:    loader,
 		pkgs:      make(map[string]*Package),
 		funcIndex: make(map[string]map[string]*funcFact),
-		typeIndex: make(map[string]map[string]*typeFact),
 		failed:    make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
@@ -99,57 +84,6 @@ func (p *Program) add(pkg *Package) {
 		}
 	}
 	p.funcIndex[pkg.Path] = idx
-
-	tidx := make(map[string]*typeFact)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			declWire := commentGroupHasWire(gd.Doc)
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				tidx[ts.Name.Name] = &typeFact{
-					pkg:  pkg,
-					spec: ts,
-					wire: declWire || commentGroupHasWire(ts.Doc) || commentGroupHasWire(ts.Comment),
-				}
-			}
-		}
-	}
-	p.typeIndex[pkg.Path] = tidx
-}
-
-// commentGroupHasWire reports whether any comment in the group is a
-// //lint:wire annotation.
-func commentGroupHasWire(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if isWireAnnotation(c.Text) {
-			return true
-		}
-	}
-	return false
-}
-
-// typeFactFor resolves a named type (module-local) to its declaration
-// fact, lazily loading the owning package.
-func (p *Program) typeFactFor(named *types.Named) *typeFact {
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return nil
-	}
-	path := obj.Pkg().Path()
-	if p.ensurePackage(path) == nil {
-		return nil
-	}
-	return p.typeIndex[path][obj.Name()]
 }
 
 // packages returns every loaded package in deterministic order.
@@ -239,7 +173,7 @@ func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 // suppressProgram filters diags through the allowances of every loaded
 // package: cross-package analyzers report findings in files outside
 // the package under analysis (a hot path's allocation in a callee
-// package, a wire struct's field in policy), and the pragma that
+// package), and the pragma that
 // justifies such a finding lives next to the finding, not next to the
 // analysis root.
 func suppressProgram(prog *Program, diags []Diagnostic, extraAllows []allowance) []Diagnostic {
@@ -255,8 +189,7 @@ func suppressProgram(prog *Program, diags []Diagnostic, extraAllows []allowance)
 }
 
 // dedupe drops exact-position duplicates of the same analyzer: two
-// hot-path roots reaching one allocation site, or two packages naming
-// the same wire field, are one finding to fix.
+// hot-path roots reaching one allocation site are one finding to fix.
 func dedupe(diags []Diagnostic) []Diagnostic {
 	type key struct {
 		analyzer, path string

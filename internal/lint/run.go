@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -19,12 +18,12 @@ type Result struct {
 }
 
 // Run loads every package matched by patterns (relative to moduleRoot)
-// and applies the given analyzers. Patterns follow the go tool's shape: a
+// and applies the full suite. Patterns follow the go tool's shape: a
 // directory ("./internal/stage") names one package, a "..." suffix
 // ("./...", "./internal/...") names every package under it. Directories
 // named testdata, hidden directories, and directories without buildable
 // non-test Go files are skipped.
-func Run(moduleRoot string, patterns []string, analyzers []*Analyzer) (*Result, error) {
+func Run(moduleRoot string, patterns []string) (*Result, error) {
 	loader, err := NewLoader(moduleRoot)
 	if err != nil {
 		return nil, err
@@ -42,13 +41,13 @@ func Run(moduleRoot string, patterns []string, analyzers []*Analyzer) (*Result, 
 		pkgs = append(pkgs, pkg)
 	}
 	// All target packages form one program so the cross-package analyzers
-	// can follow hot paths and wire types across package boundaries; the
-	// program lazily pulls in module packages reached but not targeted.
+	// can follow hot paths across package boundaries; the program lazily
+	// pulls in module packages reached but not targeted.
 	prog := newProgram(loader, pkgs...)
 	res := &Result{Packages: len(pkgs)}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+		for _, a := range Analyzers() {
 			a.Run(&Pass{Pkg: pkg, Prog: prog, analyzer: a, diags: &diags})
 		}
 		// Report malformed pragmas per target package; the allowances
@@ -61,20 +60,6 @@ func Run(moduleRoot string, patterns []string, analyzers []*Analyzer) (*Result, 
 	relativize(moduleRoot, res.Diags)
 	sortDiagnostics(res.Diags)
 	return res, nil
-}
-
-// RunAnalyzers applies the analyzers to one loaded package, returning the
-// unsuppressed findings (pragma handling included). The package is its
-// own single-package program: cross-package facts stop at its imports.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	prog := newProgram(nil, pkg)
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{Pkg: pkg, Prog: prog, analyzer: a, diags: &diags}
-		a.Run(pass)
-	}
-	allows := collectAllowances(pkg, &diags)
-	return dedupe(suppress(diags, allows))
 }
 
 // importPathFor maps a directory under the module root to its import path.
@@ -179,15 +164,4 @@ func (r *Result) WriteText(w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "padll-lint: %d packages, %d findings\n", r.Packages, len(r.Diags))
 	}
-}
-
-// WriteJSON emits the findings as a JSON array (empty array when clean).
-func (r *Result) WriteJSON(w io.Writer) error {
-	diags := r.Diags
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }

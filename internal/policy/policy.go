@@ -42,8 +42,8 @@ type Matcher struct {
 	// prefixSlash caches PathPrefix with exactly one trailing slash for
 	// the hot-path prefix test. It is computed by compile() when a rule
 	// enters a RuleSet; matchers built by hand fall back to computing it
-	// per call. Unexported, so it never travels over the wire.
-	//lint:allow wirecheck derived cache, deliberately not on the wire; compile() rebuilds it on the receiving side
+	// per call. Unexported, so it never travels over the wire: rpcio's
+	// wire registry lists it as the one field its codec leaves behind.
 	prefixSlash string
 }
 

@@ -42,8 +42,6 @@ const (
 
 // StageOp is one control operation inside a batch. Exactly the fields
 // its Kind names are meaningful.
-//
-//lint:wire
 type StageOp struct {
 	Kind OpKind
 	Rule policy.Rule // OpApplyRule
@@ -55,15 +53,11 @@ type StageOp struct {
 // OpResult reports one op's outcome. Found is whether the rule existed
 // for OpRemoveRule (it was removed) and OpSetRate (it was retuned);
 // always true for OpApplyRule and OpSetMode.
-//
-//lint:wire
 type OpResult struct {
 	Found bool
 }
 
 // BatchArgs carries one control round's operations for a stage.
-//
-//lint:wire
 type BatchArgs struct {
 	Ops []StageOp
 	// Collect asks for a statistics snapshot in the same round trip,
@@ -84,8 +78,6 @@ type BatchArgs struct {
 
 // BatchReply answers a batch: one result per op, plus the stats delta
 // when a collect was requested.
-//
-//lint:wire
 type BatchReply struct {
 	Results []OpResult
 	Delta   StatsDelta
@@ -96,8 +88,6 @@ type BatchReply struct {
 // clear, Queues holds only the queues whose statistics changed since
 // the acknowledged generation and Removed names the rules deleted since
 // then. The cheap scalar fields are always absolute values.
-//
-//lint:wire
 type StatsDelta struct {
 	// Epoch identifies the serving StageService instance; it changes
 	// when a stage restarts, so a client can never misapply a delta

@@ -27,7 +27,7 @@
 // backoff schedule, materialized once when the transport was built.
 // RemoteError — the peer answered with an application error — is
 // returned without retry. Frames are written with a single Write call, so fault
-// injectors operating at write granularity (FlakyConn) drop or
+// injectors operating at write granularity (the tests' FlakyConn) drop or
 // duplicate whole frames, never fragments.
 package rpcio
 

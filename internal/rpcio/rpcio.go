@@ -23,8 +23,6 @@ import (
 // Registration is what a stage announces to the control plane at startup:
 // the identity attributes the controller groups stages by (job-ID, PID,
 // hostname, user) plus the address of the stage's control service.
-//
-//lint:wire
 type Registration struct {
 	Info stage.Info
 	// Addr is the host:port of the stage's RPC server.
@@ -71,16 +69,12 @@ func (s *StageService) Served() ServiceStats {
 
 // HealthProbe is the liveness-check request both services accept. Seq is
 // echoed back so a prober can match replies to probes across retries.
-//
-//lint:wire
 type HealthProbe struct {
 	Seq uint64
 }
 
 // StageHealth is a stage's health report: identity plus the degraded
 // accounting the monitor surfaces.
-//
-//lint:wire
 type StageHealth struct {
 	Seq             uint64
 	Info            stage.Info

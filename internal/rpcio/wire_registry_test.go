@@ -4,23 +4,23 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
-
-	"padll/internal/policy"
-	"padll/internal/stage"
 )
 
 // wireRegistry locks the field sets of every struct that crosses the
 // control-plane wire, directly (Call args/replies) or transitively
-// (types embedded in them). The codec moves fields positionally, so a
-// rename is harmless but a retype, reorder, or removal desynchronizes
-// peers; the fields recorded here must therefore never change within a
-// WireVersion, and any appended field is a new version.
+// (types embedded in them). With the structs themselves and their codec
+// it is the schema's only statement. The codec moves fields
+// positionally, so a rename is harmless but a retype, reorder, or
+// removal desynchronizes peers; the fields recorded here must therefore
+// never change within a WireVersion, and any appended field is a new
+// version.
 //
 // Only exported fields are registered: the codec never moves unexported
-// ones (see policy.Matcher.prefixSlash, a receiver-side cache).
+// ones (wireUnexported lists the few a wire struct may keep).
 var wireRegistry = map[string][]string{
 	// rpcio.go: registration and health.
 	"rpcio.Registration": {"Info stage.Info", "Addr string"},
@@ -72,25 +72,55 @@ var wireRegistry = map[string][]string{
 	},
 }
 
-// wireTypes instantiates one value of every registered type, in a fixed
-// order matching wireRegistry's keys.
-var wireTypes = []any{
-	Registration{}, HealthProbe{}, StageHealth{},
-	StageOp{}, OpResult{}, BatchArgs{}, BatchReply{}, StatsDelta{},
-	stage.Info{}, stage.Stats{}, stage.QueueStats{},
-	policy.Rule{}, policy.Matcher{},
+// wireUnexported lists, per registered type, the unexported fields the
+// codec deliberately leaves behind: receiver-side state rebuilt after a
+// decode. Any other unexported field would vanish in transit unnoticed.
+var wireUnexported = map[string][]string{
+	"policy.Matcher": {"prefixSlash string"},
 }
 
-// exportedFields renders a struct type's exported fields in declaration
-// order as "Name Type" strings.
-func exportedFields(t reflect.Type) []string {
+// wireType is one registered struct with its codec pair. codecOf infers
+// the type from the pair's signatures, so the two cannot disagree.
+type wireType struct {
+	typ reflect.Type
+	enc func(b []byte, v any) []byte
+	dec func(r *wireReader, v any)
+}
+
+func codecOf[T any](enc func([]byte, *T) []byte, dec func(*wireReader, *T)) wireType {
+	return wireType{
+		typ: reflect.TypeFor[T](),
+		enc: func(b []byte, v any) []byte { return enc(b, v.(*T)) },
+		dec: func(r *wireReader, v any) { dec(r, v.(*T)) },
+	}
+}
+
+// wireTypes pairs every registered type with its append/read functions,
+// in wireRegistry's order.
+var wireTypes = []wireType{
+	codecOf(appendRegistration, readRegistration),
+	codecOf(appendHealthProbe, readHealthProbe),
+	codecOf(appendStageHealth, readStageHealth),
+	codecOf(appendStageOp, readStageOp),
+	codecOf(appendOpResult, readOpResult),
+	codecOf(appendBatchArgs, readBatchArgs),
+	codecOf(appendBatchReply, readBatchReply),
+	codecOf(appendStatsDelta, readStatsDelta),
+	codecOf(appendInfo, readInfo),
+	codecOf(appendStats, readStats),
+	codecOf(appendQueueStats, readQueueStats),
+	codecOf(appendRule, readRule),
+	codecOf(appendMatcher, readMatcher),
+}
+
+// structFields renders a struct type's exported (or unexported) fields
+// in declaration order as "Name Type" strings.
+func structFields(t reflect.Type, exported bool) []string {
 	var out []string
 	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
+		if f := t.Field(i); f.IsExported() == exported {
+			out = append(out, f.Name+" "+f.Type.String())
 		}
-		out = append(out, f.Name+" "+f.Type.String())
 	}
 	return out
 }
@@ -100,19 +130,21 @@ func exportedFields(t reflect.Type) []string {
 // position, with the same name and type. Fields appended after the
 // recorded set fail with a reminder to register them, so the registry
 // stays complete; any change to a recorded field is flagged as a wire
-// compatibility break.
+// compatibility break. A registered type's unexported fields must be
+// exactly those wireUnexported lists, and every struct it carries must
+// itself be registered, so the lock closes over the whole schema.
 func TestWireRegistryIsAppendOnly(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, v := range wireTypes {
-		rt := reflect.TypeOf(v)
+	for _, wt := range wireTypes {
+		rt := wt.typ
 		name := rt.String()
 		seen[name] = true
 		want, ok := wireRegistry[name]
 		if !ok {
-			t.Errorf("%s: instantiated in wireTypes but missing from wireRegistry", name)
+			t.Errorf("%s: has a codec pair in wireTypes but is missing from wireRegistry", name)
 			continue
 		}
-		got := exportedFields(rt)
+		got := structFields(rt, true)
 		for i, w := range want {
 			if i >= len(got) {
 				t.Errorf("%s: registered field %q removed — this breaks wire compatibility with deployed peers", name, w)
@@ -125,34 +157,108 @@ func TestWireRegistryIsAppendOnly(t *testing.T) {
 		for _, g := range got[min(len(want), len(got)):] {
 			t.Errorf("%s: new wire field %q — append it to wireRegistry to lock it in", name, g)
 		}
+		if got, want := structFields(rt, false), wireUnexported[name]; !slices.Equal(got, want) {
+			t.Errorf("%s: unexported fields %q, want %q — the codec only moves exported fields; export what the peer needs, or list receiver-side state in wireUnexported", name, got, want)
+		}
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			ft := f.Type
+			for ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if f.IsExported() && ft.Kind() == reflect.Struct && wireRegistry[ft.String()] == nil {
+				t.Errorf("%s: field %s carries %s, which wireRegistry does not lock", name, f.Name, ft)
+			}
+		}
 	}
 	for name := range wireRegistry {
 		if !seen[name] {
-			t.Errorf("wireRegistry entry %s has no value in wireTypes", name)
+			t.Errorf("wireRegistry entry %s has no codec pair in wireTypes", name)
 		}
 	}
 }
 
-// TestCodecCoversEveryWireStruct pins the binary codec's per-struct
-// field coverage to the registry's locked field lists. Appending a
-// field to a wire struct extends the registry (the append-only test
-// demands it) but not the hand-written codec — this test is what makes
-// that forgetting loud: the counts diverge and the failure says to
-// extend the Encode/Decode pair and bump WireVersion together.
-func TestCodecCoversEveryWireStruct(t *testing.T) {
-	for name, fields := range wireRegistry {
-		n, ok := codecFieldCoverage[name]
-		if !ok {
-			t.Errorf("%s: locked in wireRegistry but has no binary codec coverage entry — write its append/read pair in wirecodec.go and record it in codecFieldCoverage", name)
+// wireFiller writes a distinct value into every exported field of a wire
+// value, recursively. Leaf n of the walk gets a value derived from n, so
+// no two fields share one and a codec that swaps two same-typed fields
+// fails as surely as one that drops a field.
+type wireFiller struct {
+	next  int  // the next leaf's seed
+	bools bool // what every bool leaf gets
+	elems int  // length of every slice
+}
+
+// fill fills v, or names the first field it cannot fill: an interface,
+// chan, func, map or pointer, none of which the codec carries either.
+func (f *wireFiller) fill(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(f.bools)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(f.next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(f.next))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(f.next) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("f%d", f.next))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), f.elems, f.elems))
+		for i := 0; i < f.elems; i++ {
+			if err := f.fill(v.Index(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if field := v.Type().Field(i); field.IsExported() {
+				if err := f.fill(v.Field(i)); err != nil {
+					return fmt.Errorf(".%s%w", field.Name, err)
+				}
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf(" is a %s, which the codec cannot carry", v.Type())
+	}
+	f.next++
+	return nil
+}
+
+// TestWireCodecRoundTripsEveryField proves each registered type's codec
+// by behaviour: a value with every exported field filled (slices two
+// long, bools true, every other leaf distinct and non-zero) goes out
+// through the type's append function and back through its read function
+// into a destination dirty with other values (three-long slices, false
+// bools), and every exported field must come back equal. A field the
+// pair forgets keeps its dirty value; a field the filler cannot fill
+// fails before anything is encoded.
+func TestWireCodecRoundTripsEveryField(t *testing.T) {
+	for _, wt := range wireTypes {
+		name := wt.typ.String()
+		src, dst := reflect.New(wt.typ), reflect.New(wt.typ)
+		if err := (&wireFiller{next: 1, bools: true, elems: 2}).fill(src.Elem()); err != nil {
+			t.Errorf("%s%v", name, err)
 			continue
 		}
-		if n != len(fields) {
-			t.Errorf("%s: registry locks %d fields but the binary codec covers %d — extend the codec's append/read pair, update codecFieldCoverage, and bump WireVersion (with a new wireSchemaFingerprints entry)", name, len(fields), n)
+		if err := (&wireFiller{next: 100, elems: 3}).fill(dst.Elem()); err != nil {
+			t.Fatalf("%s%v", name, err)
 		}
-	}
-	for name := range codecFieldCoverage {
-		if _, ok := wireRegistry[name]; !ok {
-			t.Errorf("codecFieldCoverage entry %s is not locked by wireRegistry", name)
+		r := wireReader{buf: wt.enc(nil, src.Interface())}
+		wt.dec(&r, dst.Interface())
+		if err := r.done(); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		for i := 0; i < wt.typ.NumField(); i++ {
+			if !wt.typ.Field(i).IsExported() {
+				continue
+			}
+			sent, got := src.Elem().Field(i).Interface(), dst.Elem().Field(i).Interface()
+			if !reflect.DeepEqual(sent, got) {
+				t.Errorf("%s.%s did not survive its codec:\n sent: %+v\n  got: %+v", name, wt.typ.Field(i).Name, sent, got)
+			}
 		}
 	}
 }
@@ -189,21 +295,5 @@ func TestWireSchemaFingerprintMatchesVersion(t *testing.T) {
 	got := wireSchemaFingerprint()
 	if got != want {
 		t.Errorf("wire schema fingerprint mismatch:\n  recorded for v%d: %s\n  computed now:    %s\nif the schema deliberately changed, bump WireVersion and record the computed fingerprint", WireVersion, want, got)
-	}
-}
-
-// TestWireRegistryCoversAnnotatedTypes cross-checks the registry against
-// the //lint:wire annotations in this package's sources: every annotated
-// struct must be locked by the registry, so the static analyzer and the
-// runtime contract can't drift apart.
-func TestWireRegistryCoversAnnotatedTypes(t *testing.T) {
-	annotated := []string{
-		"rpcio.Registration", "rpcio.HealthProbe", "rpcio.StageHealth", "rpcio.StageOp", "rpcio.OpResult",
-		"rpcio.BatchArgs", "rpcio.BatchReply", "rpcio.StatsDelta",
-	}
-	for _, name := range annotated {
-		if _, ok := wireRegistry[name]; !ok {
-			t.Errorf("//lint:wire type %s is not locked by wireRegistry", name)
-		}
 	}
 }

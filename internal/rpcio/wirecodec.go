@@ -363,7 +363,8 @@ const (
 //
 // Encoders append to the caller's buffer and return it; decoders
 // overwrite every field of the destination, reusing slice capacity.
-// Field order is declaration order, locked by wire_registry_test.go.
+// Field order is declaration order, locked by wire_registry_test.go,
+// whose round trip fails for any exported field a pair forgets.
 
 func appendInfo(b []byte, v *stage.Info) []byte {
 	b = appendString(b, v.StageID)
@@ -721,27 +722,6 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 		return fmt.Errorf("rpcio: decode: unknown method %d", m)
 	}
 	return r.done()
-}
-
-// codecFieldCoverage maps every wire struct to the number of fields its
-// binary codec encodes and decodes. wire_registry_test.go checks each
-// entry against the registry's locked field list, so adding a field to
-// a wire struct without extending its codec (and bumping WireVersion)
-// fails the build's tests rather than silently truncating frames.
-var codecFieldCoverage = map[string]int{
-	"rpcio.Registration": 2,
-	"rpcio.HealthProbe":  1,
-	"rpcio.StageHealth":  5,
-	"rpcio.StageOp":      5,
-	"rpcio.OpResult":     1,
-	"rpcio.BatchArgs":    5,
-	"rpcio.BatchReply":   2,
-	"rpcio.StatsDelta":   9,
-	"stage.Info":         5,
-	"stage.Stats":        5,
-	"stage.QueueStats":   12,
-	"policy.Rule":        5,
-	"policy.Matcher":     5,
 }
 
 // RemoteError is a service-side application error carried back over a
