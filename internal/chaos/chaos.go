@@ -54,11 +54,6 @@ type Config struct {
 	Reservations map[string]float64
 	// Algorithm defaults to control.StaticEqualShare{}.
 	Algorithm control.Algorithm
-	// BorrowBudget > 0 cuts the controller's registry into shards of
-	// two stages with decentralized token borrowing inside each: the
-	// siblings share a borrow pool with this per-member debt budget (a
-	// fraction of burst capacity).
-	BorrowBudget float64
 }
 
 // Event is one scheduled action in a scenario.
@@ -158,9 +153,6 @@ func (h *Harness) newController() *control.Controller {
 	}
 	if h.cfg.EvictAfter > 0 {
 		opts = append(opts, control.WithEvictAfter(h.cfg.EvictAfter))
-	}
-	if h.cfg.BorrowBudget > 0 {
-		opts = append(opts, control.WithTopology(2), control.WithBorrowing(h.cfg.BorrowBudget))
 	}
 	ctl := control.New(h.clk, opts...)
 	for job, rate := range h.cfg.Reservations {
@@ -455,10 +447,6 @@ func (c *chaosConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
 // Close keeps the loopback open: the harness re-registers the same
 // connection after a heal or a controller restart.
 func (c *chaosConn) Close() error { return nil }
-
-// LocalStage lets a controller with borrowing wire the node's bucket
-// into its shard's pool, as it would for a control.LocalConn.
-func (c *chaosConn) LocalStage() *stage.Stage { return c.node.Stg }
 
 // collectGate applies the collect-side failure state: unreachable nodes
 // fail, and an armed collect budget crashes the node when it hits zero.

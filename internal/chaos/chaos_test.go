@@ -1,13 +1,16 @@
 package chaos
 
 import (
+	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"padll/internal/control"
-	"padll/internal/stage"
 )
 
 const runFor = 30 * time.Second
@@ -196,6 +199,11 @@ func TestPartitionHealReintegrates(t *testing.T) {
 	}
 }
 
+// TestSameSeedRunsAreByteIdentical: a scenario's log is a function of
+// its seed — two runs agree byte for byte, and the seed-42 run agrees
+// with the log committed under testdata/golden, so a change that moves
+// any scenario's behaviour fails here. A missing golden file is written
+// from this run, and the test fails once, asking for a rerun.
 func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 	for name, mk := range map[string]func(int64) *Harness{
 		"controller-crash": ControllerCrashMidRun,
@@ -203,7 +211,6 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 		"partition-heal":   PartitionHeal,
 		"batched-outage":   BatchedOutage,
 		"frame-loss":       FrameLoss,
-		"shard-partition":  ShardPartition,
 	} {
 		a := mk(42)
 		a.Run(runFor)
@@ -217,6 +224,29 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 		if a.Log() == c.Log() {
 			t.Errorf("%s: different seeds produced identical logs — scenario ignores its seed", name)
 		}
+		checkGolden(t, name, a.Log())
+	}
+}
+
+// checkGolden compares log with testdata/golden/<name>.log, writing the
+// file when it does not exist yet.
+func checkGolden(t *testing.T, name, log string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".log")
+	want, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s: wrote missing golden %s; rerun the test", name, path)
+	case err != nil:
+		t.Fatal(err)
+	case string(want) != log:
+		t.Errorf("%s: seed-42 log differs from %s:\n--- golden\n%s\n--- this run\n%s", name, path, want, log)
 	}
 }
 
@@ -295,127 +325,6 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 	// FixedRates: each job1 stage ends at reservation/stages.
 	if got, want := RuleRate(h.Node("s1").Stg, control.ControlRuleID), 15_000.0; math.Abs(got-want) > 1 {
 		t.Errorf("s1 rate after frame loss = %v, want %v", got, want)
-	}
-}
-
-// ctlTotal reads a stage's lifetime admitted count on the managed
-// control queue.
-func ctlTotal(s *stage.Stage) int64 {
-	for _, q := range s.Collect().Queues {
-		if q.RuleID == control.ControlRuleID {
-			return q.Total
-		}
-	}
-	return 0
-}
-
-// TestShardPartitionBorrowsAndStaysConserving drives the sharded
-// scenario: while both of job2's stages are cut off from the controller,
-// its overloaded member must keep running above its solo per-stage grant
-// on tokens borrowed from the idle sibling (work conservation), the
-// shard as a whole must never exceed its granted share (conservation:
-// tokens move, they are not minted), and the first plan pushed after the
-// heal must settle the accumulated ledger and fold job2 back into the
-// allocation within one interval.
-func TestShardPartitionBorrowsAndStaysConserving(t *testing.T) {
-	h := ShardPartition(2022)
-	type sample struct {
-		borrowed float64
-		s3, s4   int64
-	}
-	var before, during sample
-	snap := func(into *sample) func(*Harness) {
-		return func(h *Harness) {
-			// The ledger as the controller reports it: the pool is the
-			// controller's, so it reads it through the outage.
-			rs, _ := h.Controller().LastRound()
-			into.borrowed = rs.TokensBorrowed
-			into.s3 = ctlTotal(h.Node("s3").Stg)
-			into.s4 = ctlTotal(h.Node("s4").Stg)
-		}
-	}
-	// Bracket the outage window (probes sit just off the partition and
-	// heal instants, so exactly the outage's demand ticks land between
-	// them).
-	h.At(h.OutageStart-h.Interval()/4, "", snap(&before))
-	h.At(h.OutageEnd-h.Interval()/4, "", snap(&during))
-	h.Run(runFor)
-
-	log := h.Log()
-	for _, want := range []string{
-		"stage s3 partitioned",
-		"stage s4 partitioned",
-		"s3 control error",
-		"stage s3 healed",
-		"stage s4 re-registered",
-	} {
-		if !strings.Contains(log, want) {
-			t.Fatalf("log missing %q:\n%s", want, log)
-		}
-	}
-
-	ticks := float64((h.OutageEnd - h.OutageStart) / h.Interval())
-	if during.borrowed <= before.borrowed {
-		t.Errorf("no borrowing during the outage: %v -> %v", before.borrowed, during.borrowed)
-	}
-	// Work conservation: s3's 25k/s solo grant was exceeded on borrowed
-	// tokens while its control channel was dark.
-	admitted := float64(during.s3 - before.s3)
-	if admitted <= 25_000*ticks+2_000 {
-		t.Errorf("s3 admitted %v over %v outage ticks, want > solo grant %v — borrowing did not keep the shard work-conserving",
-			admitted, ticks, 25_000*ticks)
-	}
-	// Conservation: the shard's members together stayed within the 50k/s
-	// job2 grant (plus burst slack) — borrowing moved tokens, it never
-	// minted them.
-	shard := admitted + float64(during.s4-before.s4)
-	if limit := 50_000*ticks + 5_000; shard > limit {
-		t.Errorf("shard admitted %v during the outage, above its granted %v", shard, limit)
-	}
-
-	// The plans pushed since the heal settled the ledger — across the
-	// re-registrations, which must not have reset it: every token ever
-	// borrowed is accounted as repaid or forgiven, the outage's included.
-	rs, _ := h.Controller().LastRound()
-	b, r, f := rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven
-	if b <= during.borrowed {
-		t.Errorf("ledger went backwards across the heal: borrowed %v during the outage, %v at the end", during.borrowed, b)
-	}
-	if math.Abs(b-(r+f)) > 1e-6*(1+b) {
-		t.Errorf("ledger unsettled after heal: borrowed %v != repaid %v + forgiven %v", b, r, f)
-	}
-
-	// Reconciled within one interval: the first control round at or
-	// after the heal carries job2 again.
-	healAt := -time.Second
-	for _, line := range strings.Split(log, "\n") {
-		ts, rest, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		at, err := time.ParseDuration(strings.TrimPrefix(strings.TrimSpace(ts), "t=+"))
-		if err != nil {
-			continue
-		}
-		rest = strings.TrimSpace(rest)
-		if strings.Contains(rest, "stage s4 healed") {
-			healAt = at
-		}
-		if healAt >= 0 && strings.Contains(rest, "control round") && strings.Contains(rest, "job2=50000") {
-			if at-healAt > h.Interval() {
-				t.Errorf("job2 reconciled %v after heal, want <= %v: %s", at-healAt, h.Interval(), line)
-			}
-			healAt = -time.Second
-			break
-		}
-	}
-	if healAt >= 0 {
-		t.Errorf("job2 never returned to the allocation after the heal:\n%s", log)
-	}
-
-	// During the outage the allocation ran on the surviving shard only.
-	if !strings.Contains(log, "control round: job1=30000\n") {
-		t.Errorf("no job1-only round during the outage:\n%s", log)
 	}
 }
 

@@ -135,83 +135,6 @@ func BatchedOutage(seed int64) *Harness {
 	return h
 }
 
-// shardedCluster is smallCluster with the controller's registry cut
-// into shards of two — in StageID order, so each job's two stages share
-// one — and decentralized borrowing inside each shard. Demand is skewed
-// so the borrow path actually runs: s3 wants well past its per-stage
-// share while its sibling s4 idles.
-func shardedCluster(seed int64) *Harness {
-	h := New(Config{
-		Seed:     seed,
-		Interval: time.Second,
-		Limit:    100_000,
-		// Priority (fixed rates): job2's shard is granted exactly 50k, so
-		// the conservation and work-conservation bounds below are exact.
-		Algorithm: control.FixedRates{},
-		Reservations: map[string]float64{
-			"job1": 30_000,
-			"job2": 50_000,
-		},
-		// Budget 4x burst: the overloaded stage can keep borrowing for
-		// several rounds of an outage before its debt cap bounds the
-		// divergence.
-		BorrowBudget: 4.0,
-	})
-	for _, s := range []struct{ id, job string }{
-		{"s1", "job1"}, {"s2", "job1"},
-		{"s3", "job2"}, {"s4", "job2"},
-	} {
-		h.AddStage(s.id, s.job)
-	}
-	return h
-}
-
-// skewedDemand drives the sharded cluster's load shape each tick: job1's
-// stages comfortably inside their shares, job2's s3 at 40k against a
-// 25k per-stage grant (the shortage borrowing covers), s4 idle (the
-// lender).
-func skewedDemand(h *Harness, until time.Duration) {
-	for t := time.Duration(0); t < until; t += h.Interval() {
-		h.At(t, "", func(h *Harness) {
-			for _, id := range h.ids {
-				n := h.nodes[id]
-				if n.crashed.Load() {
-					continue
-				}
-				want := map[string]float64{"s1": 5_000, "s2": 5_000, "s3": 40_000, "s4": 0}[id]
-				if want > 0 {
-					n.Stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: n.Job}, want, h.Interval())
-				}
-			}
-		})
-	}
-}
-
-// ShardPartition cuts both stages of one shard off from the controller
-// mid-run and heals them together a seed-chosen outage later. While the
-// shard is dark its stages keep enforcing frozen grants and — because
-// the borrow pool lives with the stages, not the control channel — the
-// overloaded member keeps borrowing its idle sibling's tokens, bounded
-// by the debt budget, so the shard stays work-conserving without ever
-// exceeding its granted share. The first plan pushed after the heal
-// settles the accumulated ledger.
-func ShardPartition(seed int64) *Harness {
-	h := shardedCluster(seed)
-	skewedDemand(h, 30*time.Second)
-	cutRound := 5 + h.rng.Intn(3)
-	h.OutageStart = time.Duration(cutRound)*h.Interval() + h.Interval()/2
-	h.OutageEnd = h.OutageStart + time.Duration(4+h.rng.Intn(3))*h.Interval()
-	h.At(h.OutageStart, "partition-shard", func(h *Harness) {
-		h.Partition("s3")
-		h.Partition("s4")
-	})
-	h.At(h.OutageEnd, "heal-shard", func(h *Harness) {
-		h.Heal("s3")
-		h.Heal("s4")
-	})
-	return h
-}
-
 // FrameLoss drops Stage.Batch reply frames on seed-chosen nodes
 // at seed-chosen rounds: each loss leaves the stage's delta generation
 // ahead of the controller's acknowledgement, forcing a full-snapshot

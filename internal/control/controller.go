@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,17 +49,11 @@ type Controller struct {
 	loopStop         chan struct{}
 	loopDone         chan struct{}
 
-	// workers is how many goroutines drive a shard's round (default
+	// workers is how many goroutines drive a round (default
 	// defaultWorkers; 1 keeps every exchange on the round's goroutine in
 	// StageID order, which the chaos harness relies on for deterministic
 	// fault injection).
 	workers int
-	// shardSize caps the shards the controller builds over its stage
-	// registry (0: one shard holds it all); borrow links each shard's
-	// local members into a borrow pool of borrowBudget.
-	shardSize    int
-	borrow       bool
-	borrowBudget float64
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
 	haveRound bool
@@ -79,18 +72,12 @@ type Controller struct {
 	clusterRules map[string]policy.Rule
 
 	// roundMu serializes rounds (RunOnce and CollectAll alike) and owns
-	// the shard list and the fold scratch. It is taken before mu, never
-	// while holding it.
+	// the shard. It is taken before mu, never while holding it.
 	roundMu sync.Mutex
-	// shards is what a round drives: the stage registry at revision
-	// shardRev, cut in StageID order.
-	shards   []*shard
+	// sh is what a round drives: the stage registry at revision shardRev
+	// (nil before the first round).
+	sh       *shard
 	shardRev int
-	// retired sums the final borrow counts of the pools whose shards a
-	// reshard dropped, so the round's lifetime figures outlive the cut.
-	retired ledger
-	// jobAt is the fold's scratch: where each job's merged row sits.
-	jobAt map[string]int
 }
 
 // Option configures a Controller.
@@ -143,9 +130,9 @@ func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
 }
 
-// WithPushConcurrency sets how many goroutines drive a shard's round,
-// in the collect phase and the push phase alike (default 1): each takes
-// a contiguous StageID range of the shard, starts every exchange of it
+// WithPushConcurrency sets how many goroutines drive a round, in the
+// collect phase and the push phase alike (default 1): each takes a
+// contiguous StageID range of the registry, starts every exchange of it
 // and then gathers the replies, so a round has every request in flight
 // whatever the count, and the count is about cores, not about overlap.
 // 1 keeps every first attempt on the round's goroutine, started in
@@ -167,34 +154,6 @@ func WithEvictAfter(n int) Option {
 	return func(c *Controller) { c.evictAfter = n }
 }
 
-// WithTopology caps the shards the controller keeps its registered
-// stages in at shardSize members: the registry is cut, in StageID
-// order, into as many shards as that takes, recut whenever it
-// changes. It changes nothing about a round's outcome or
-// its accounting — every shard runs the same exchange — only what one
-// shard spans: how far a borrow pool reaches (WithBorrowing) and how
-// much of the fleet shares one fold.
-func WithTopology(shardSize int) Option {
-	return func(c *Controller) {
-		if shardSize > 0 {
-			c.shardSize = shardSize
-		}
-	}
-}
-
-// WithBorrowing enables decentralized token borrowing inside every
-// shard the controller builds (the whole registry, or WithTopology's
-// slices of it): sibling in-process stages share a borrow pool on the
-// managed control queue with the given per-member debt budget (a
-// fraction of burst capacity; non-positive selects
-// tokenbucket.DefaultBorrowBudget).
-func WithBorrowing(budget float64) Option {
-	return func(c *Controller) {
-		c.borrow = true
-		c.borrowBudget = budget
-	}
-}
-
 // New returns a controller. A nil clk defaults to the wall clock (the
 // loop timestamps its round accounting even when the caller never
 // starts Run).
@@ -212,7 +171,6 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		onError:          func(string, error) {},
 		lastAlloc:        make(map[string]float64),
 		workers:          defaultWorkers,
-		jobAt:            make(map[string]int),
 		misses:           make(map[string]int),
 		adminRules:       make(map[string]map[string]policy.Rule),
 		clusterRules:     make(map[string]policy.Rule),
@@ -403,7 +361,7 @@ func (c *Controller) EvictDead() []string {
 	return ids
 }
 
-// memberFailed is the error sink of the shards the controller builds:
+// memberFailed is the error sink of the shard the controller builds:
 // the failed exchange goes to the error handler, and the stage's
 // eviction mark rises.
 func (c *Controller) memberFailed(stageID string, err error) {
@@ -555,9 +513,8 @@ func (c *Controller) SetReservation(jobID string, rate float64) {
 
 // ---- feedback control loop ----
 
-// JobSnapshot is one job's aggregated state from a collect round. It is
-// also the row a shard folds its members' statistics into, and what the
-// controller merges across shards.
+// JobSnapshot is one job's aggregated state from a collect round: the
+// row the shard folds the job's member stages' statistics into.
 type JobSnapshot struct {
 	JobID       string
 	Stages      int     // stages that answered the collect
@@ -612,21 +569,6 @@ func (s *JobSnapshot) addStage(st *stage.Stats) stageProbe {
 	return probe
 }
 
-// merge folds another shard's row for the same job into s.
-func (s *JobSnapshot) merge(o *JobSnapshot) {
-	s.Stages += o.Stages
-	s.Demand += o.Demand
-	s.Throughput += o.Throughput
-	s.Dropped += o.Dropped
-	s.WaitP50 = max(s.WaitP50, o.WaitP50)
-	s.WaitP95 = max(s.WaitP95, o.WaitP95)
-	s.WaitP99 = max(s.WaitP99, o.WaitP99)
-	s.Degraded = s.Degraded || o.Degraded
-	s.DegradedStages += o.DegradedStages
-	s.DegradedSeconds = max(s.DegradedSeconds, o.DegradedSeconds)
-	s.FailedStages += o.FailedStages
-}
-
 // state projects a collected snapshot onto the algorithm's input.
 func (s *JobSnapshot) state() JobState {
 	return JobState{JobID: s.JobID, Demand: s.Demand, Reservation: s.Reservation, Stages: s.Stages}
@@ -635,12 +577,11 @@ func (s *JobSnapshot) state() JobState {
 // RoundStats is one RunOnce iteration's accounting: what the feedback
 // loop cost at the current fleet size, and what the delta protocol
 // saved. The monitor and padll-controller's report surface it;
-// experiment E8 sweeps it against stage count.
+// experiment E13 sweeps it against stage count.
 //
 // The counts are the exchanges the controller issued and the decisions
-// it took, one per member stage however the registry is cut into
-// shards: a 256-stage fleet reports Stages 256, CollectCalls 256, and a
-// push or a skip per stage.
+// it took, one per stage: a 256-stage fleet reports Stages 256,
+// CollectCalls 256, and a push or a skip per stage.
 type RoundStats struct {
 	// Stages is the number of stages the collect phase covered.
 	Stages int
@@ -662,14 +603,6 @@ type RoundStats struct {
 	// round (zero across connections that never serialize).
 	BytesRead    uint64
 	BytesWritten uint64
-	// Aggregators is the number of shards the round drove.
-	// TokensBorrowed/Repaid/Forgiven sum the lifetime borrow-pool
-	// movement of every shard the controller has had, as of this
-	// round's collect: they never fall, whatever the registry does.
-	Aggregators    int
-	TokensBorrowed float64
-	TokensRepaid   float64
-	TokensForgiven float64
 }
 
 // RPCs is the round's total round trips.
@@ -683,90 +616,36 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 	return c.lastRound, c.haveRound
 }
 
-// wireTotal sums the shards' cumulative traffic, so a round's byte cost
-// is the difference between two totals over the same shards.
-func wireTotal(shards []*shard) (w rpcio.WireStats) {
-	for _, sh := range shards {
-		s := sh.wireStats()
-		w.BytesRead += s.BytesRead
-		w.BytesWritten += s.BytesWritten
-	}
-	return w
-}
-
-// reshard brings the shard list up to the registry's current revision
-// and returns it: the stages in StageID order cut into shards of at
-// most shardSize members (one holding them all by default) — a pure
-// function of the registry, so same-seed chaos runs shard identically.
+// reshard brings the shard up to the registry's current revision and
+// returns it: one shard over every registered stage in StageID order, a
+// pure function of the registry, so same-seed chaos runs are identical.
 // A stage whose connection is still registered keeps its member record,
-// and with it its collect slot and probe, whichever shard it lands in;
-// a cut that holds exactly the members an existing shard does is that
-// shard, borrow pool and ledger included. The shards left over are
-// retired: a pool's counts are final once its last bucket has gone —
-// moved to the new shard's pool, or unlinked because its stage left the
-// registry, the debts written off either way — and are added to the
-// running total the rounds report. Caller holds roundMu.
-func (c *Controller) reshard() []*shard {
+// and with it its collect slot and probe. Caller holds roundMu.
+func (c *Controller) reshard() *shard {
 	c.mu.Lock()
 	rev := c.registryRev
-	if rev == c.shardRev {
+	if c.sh != nil && rev == c.shardRev {
 		c.mu.Unlock()
-		return c.shards
+		return c.sh
 	}
 	conns := c.connsLocked()
 	c.mu.Unlock()
 
-	members := make(map[StageConn]*member, len(conns))
-	byFirst := make(map[*member]*shard, len(c.shards))
-	for _, sh := range c.shards {
-		byFirst[sh.members[0]] = sh
-		for _, m := range sh.members {
-			members[m.conn] = m
+	kept := make(map[StageConn]*member, len(conns))
+	if c.sh != nil {
+		for _, m := range c.sh.members {
+			kept[m.conn] = m
 		}
 	}
-	sorted := make([]*member, len(conns))
+	members := make([]*member, len(conns))
 	for i, conn := range conns {
-		if sorted[i] = members[conn]; sorted[i] == nil {
-			sorted[i] = &member{conn: conn}
-		}
-		delete(members, conn)
-	}
-	sortMembers(sorted)
-	// What is left in members went with its connection. It is unlinked
-	// before any new shard links — the same stage may be back behind a
-	// new connection — and in shard order, so that a pool's write-offs
-	// add up to the same float in every run.
-	if c.borrow {
-		for _, sh := range c.shards {
-			for _, m := range sh.members {
-				if ls, ok := m.conn.(localStager); ok && members[m.conn] != nil {
-					ls.LocalStage().SetBorrowPool(ControlRuleID, nil)
-				}
-			}
+		if members[i] = kept[conn]; members[i] == nil {
+			members[i] = &member{conn: conn}
 		}
 	}
-	size := c.shardSize
-	if size <= 0 {
-		size = len(sorted)
-	}
-	var shards []*shard
-	for i := 0; i < len(sorted); i += size {
-		cut := sorted[i:min(i+size, len(sorted))]
-		sh := byFirst[cut[0]]
-		if sh != nil && slices.Equal(sh.members, cut) {
-			delete(byFirst, cut[0])
-		} else {
-			sh = c.newShard(cut)
-		}
-		shards = append(shards, sh)
-	}
-	for _, sh := range c.shards {
-		if byFirst[sh.members[0]] == sh { // not carried over
-			c.retired.add(sh.borrowCounts())
-		}
-	}
-	c.shards, c.shardRev = shards, rev
-	return shards
+	sortMembers(members)
+	c.sh, c.shardRev = c.newShard(members), rev
+	return c.sh
 }
 
 // connsLocked copies the registry's connections out, unordered.
@@ -778,33 +657,11 @@ func (c *Controller) connsLocked() []StageConn {
 	return conns
 }
 
-// exchange runs one phase of a round over every shard, one after
-// another, each a scatter/gather pass over its members on c.workers
-// goroutines (shard.pass): the collect, which leaves each shard's rows
-// in the shard, or the push of the grants planned for it. Caller holds
-// roundMu.
-func (c *Controller) exchange(collect bool, rs *RoundStats) {
-	borrow := c.retired
-	for _, sh := range c.shards {
-		switch {
-		case collect:
-			sh.round(nil, true, rs)
-			borrow.add(sh.borrowCounts())
-		case len(sh.grants) > 0:
-			sh.round(sh.grants, false, rs)
-		}
-	}
-	if collect {
-		rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven = borrow.borrowed, borrow.repaid, borrow.forgiven
-	}
-}
-
-// collect runs the collect phase and folds the shards' rows into one
-// snapshot per job, sorted by job — in shard order, so the output and
-// everything downstream of it is deterministic. A job none of whose
-// stages answered has no snapshot: the loop runs on what it can see
-// rather than holding a share for a dead peer. Caller holds roundMu.
-func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
+// collect runs the collect phase over sh and returns its rows, one
+// snapshot per job, sorted by job. A job none of whose stages answered
+// has no snapshot: the loop runs on what it can see rather than holding
+// a share for a dead peer. Caller holds roundMu.
+func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 	c.mu.Lock()
 	var marked map[string]int
 	if len(c.misses) > 0 {
@@ -815,24 +672,7 @@ func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
 	}
 	c.mu.Unlock()
 
-	c.exchange(true, rs)
-
-	// Shard order, then each shard's job order: a job's rows merge in the
-	// same sequence every round.
-	merged := make([]JobSnapshot, 0, len(c.jobAt))
-	clear(c.jobAt)
-	for _, sh := range c.shards {
-		for i := range sh.rows {
-			row := &sh.rows[i]
-			if at, ok := c.jobAt[row.JobID]; ok {
-				merged[at].merge(row)
-			} else {
-				c.jobAt[row.JobID] = len(merged)
-				merged = append(merged, *row)
-			}
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].JobID < merged[j].JobID })
+	sh.round(nil, true, rs)
 
 	c.mu.Lock()
 	// The collect reached every registered stage, and a failed exchange
@@ -843,8 +683,8 @@ func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
 			delete(c.misses, id)
 		}
 	}
-	out := merged[:0]
-	for _, s := range merged {
+	out := make([]JobSnapshot, 0, len(sh.rows))
+	for _, s := range sh.rows {
 		if s.Stages == 0 {
 			continue
 		}
@@ -857,35 +697,14 @@ func (c *Controller) collect(rs *RoundStats) []JobSnapshot {
 
 // CollectAll gathers statistics from every stage, aggregated per job
 // (feedback-loop step 1): the collect phase of a round on its own,
-// through the same shards and collect slots RunOnce uses. Stages that
+// through the same shard and collect slots RunOnce uses. Stages that
 // fail to respond are reported to the error handler, marked for eviction, and
 // skipped: the loop runs on partial snapshots rather than blocking
 // behind a dead peer.
 func (c *Controller) CollectAll() []JobSnapshot {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	c.reshard()
-	return c.collect(&RoundStats{})
-}
-
-// grant plans the push phase: a job's allocation is divided equally
-// among the member stages registered for it across all shards, and each
-// shard is granted that per-member rate for the jobs it holds.
-func (c *Controller) grant(alloc map[string]float64) {
-	members := make(map[string]int, len(alloc))
-	for _, sh := range c.shards {
-		for j, job := range sh.jobs {
-			members[job] += sh.jobCount[j]
-		}
-	}
-	for _, sh := range c.shards {
-		sh.grants = sh.grants[:0]
-		for _, job := range sh.jobs {
-			if rate, ok := alloc[job]; ok {
-				sh.grants = append(sh.grants, jobGrant{JobID: job, Rate: rate / float64(members[job])})
-			}
-		}
-	}
+	return c.collect(c.reshard(), &RoundStats{})
 }
 
 // roundStart begins a feedback iteration: it applies the limit adapter
@@ -904,15 +723,15 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // algorithm is installed.
 //
 // The round is collect, sweep, allocate, split, push. Both exchanges
-// with the fleet happen in the shards (shard.round): collects are
+// with the fleet happen in the shard (shard.round): collects are
 // incremental (only changed queues on the wire, an unchanged stage's
 // slot left as it is), and a push is skipped outright for a stage whose
 // collect probe shows the target rate already enforced — in-process
 // stages included, so a steady round leaves a stage's rule snapshot
 // (and its classification cache) untouched. What is the controller's
-// own is here: fold the shards' rows per job, evict the stages past the
-// failure threshold, run the algorithm, divide each job's allocation
-// among its registered stages, and account.
+// own is here: evict the stages past the failure threshold, run the
+// algorithm, divide each job's allocation among its registered stages,
+// and account.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -922,11 +741,11 @@ func (c *Controller) RunOnce() map[string]float64 {
 	defer c.roundMu.Unlock()
 
 	start := c.clk.Now()
-	driven := c.reshard()
-	rs := RoundStats{Aggregators: len(driven)}
-	wireBefore := wireTotal(driven)
+	sh := c.reshard()
+	wireBefore := sh.wireStats()
 
-	snaps := c.collect(&rs)
+	var rs RoundStats
+	snaps := c.collect(sh, &rs)
 	// Sweep before allocating: stages past the eviction threshold leave
 	// the registry now, so the split below divides a job's allocation
 	// among its live stages only instead of letting a dead one hold its
@@ -943,12 +762,13 @@ func (c *Controller) RunOnce() map[string]float64 {
 
 	// The sweep, or a registration that raced the collect, moved the
 	// registry: the plan is made over the stages registered now.
-	c.reshard()
-	c.grant(alloc)
-	c.exchange(false, &rs)
+	push := c.reshard()
+	if grants := push.grant(alloc); len(grants) > 0 {
+		push.round(grants, false, &rs)
+	}
 
 	rs.Duration = c.clk.Now().Sub(start)
-	wireAfter := wireTotal(driven)
+	wireAfter := sh.wireStats()
 	rs.BytesRead = wireAfter.BytesRead - wireBefore.BytesRead
 	rs.BytesWritten = wireAfter.BytesWritten - wireBefore.BytesWritten
 	c.mu.Lock()

@@ -463,15 +463,16 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 }
 
 func TestGroupByUserSharesOneAllocation(t *testing.T) {
-	eachShardSize(t, func(t *testing.T, topo []Option) {
+	// The controller keeps one shard over its whole registry.
+	t.Run("one-shard", func(t *testing.T) {
 		// "Group of jobs" granularity: two jobs submitted by the same user
 		// are orchestrated as one entity; a third job by another user gets
 		// its own share.
 		clk := clock.NewSim(epoch)
-		c := New(clk, append(topo,
+		c := New(clk,
 			WithAlgorithm(StaticEqualShare{}),
 			WithClusterLimit(8000),
-			WithGroupBy(GroupByUser))...)
+			WithGroupBy(GroupByUser))
 
 		mk := func(id, job, user string) *stage.Stage {
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
@@ -515,9 +516,10 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 // classification cache and the quiescence proof — survives the control
 // interval instead of being republished by a same-rate SetRate.
 func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
-	eachShardSize(t, func(t *testing.T, topo []Option) {
+	// The controller keeps one shard over its whole registry.
+	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		c := New(clk, append(topo, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))...)
+		c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
 		c.SetReservation("jobA", 3000)
 		stg, conn := localStage("s1", "jobA", clk)
 		if err := c.Register(conn); err != nil {

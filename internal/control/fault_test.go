@@ -70,9 +70,10 @@ func TestDeregisterReleasesShare(t *testing.T) {
 // mark-sweep eviction a crashed stage dilutes its job's share forever —
 // the live stage is pinned at alloc/2.
 func TestEvictionReleasesDeadStageShare(t *testing.T) {
-	eachShardSize(t, func(t *testing.T, topo []Option) {
+	// The controller keeps one shard over its whole registry.
+	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		c := New(clk, append(topo, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))...)
+		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))
 		live, liveConn := localStage("s1", "jobA", clk)
 		deadStg, _ := localStage("s2", "jobA", clk)
 		dead := &failingConn{LocalConn{Stg: deadStg}}
@@ -350,14 +351,15 @@ func (p *pushLogConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
 }
 
 // TestPushesFollowTheLiveRegistryInStageIDOrder: pushes go out in
-// StageID order — the shards' fan-out order, whatever jobs the stages
+// StageID order — the shard's fan-out order, whatever jobs the stages
 // serve — to the stages registered when the push is planned: one that
 // joined while the round was collecting is counted in its job's split
 // and pushed in its place.
 func TestPushesFollowTheLiveRegistryInStageIDOrder(t *testing.T) {
-	eachShardSize(t, func(t *testing.T, topo []Option) {
+	// The controller keeps one shard over its whole registry.
+	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		c := New(clk, append(topo, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))...)
+		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))
 		var log []string
 		stages := map[string]*stage.Stage{}
 		conn := func(id, job string) *pushLogConn {

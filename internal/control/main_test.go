@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package when its tests pass but leave a goroutine
-// behind: a round's workers, a dropped shard's, a stopped loop's.
+// behind: a round's workers, a replaced shard's, a stopped loop's.
 func TestMain(m *testing.M) { leaktest.Main(m) }

@@ -15,8 +15,8 @@ import (
 )
 
 // shardOver registers conns with a controller built from opts (no
-// algorithm: registering touches no stage) and returns the one shard it
-// cuts over them — the unit the round loop drives.
+// algorithm: registering touches no stage) and returns the shard it
+// builds over them — the unit the round loop drives.
 func shardOver(t *testing.T, clk clock.Clock, opts []Option, conns ...StageConn) *shard {
 	t.Helper()
 	c := New(clk, opts...)
@@ -27,11 +27,7 @@ func shardOver(t *testing.T, clk clock.Clock, opts []Option, conns ...StageConn)
 	}
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	shards := c.reshard()
-	if len(shards) != 1 {
-		t.Fatalf("controller cut %d shards over %d stages, want 1", len(shards), len(conns))
-	}
-	return shards[0]
+	return c.reshard()
 }
 
 // shardFixture builds a shard over four local stages: s1/s2 serve job1,
@@ -142,92 +138,6 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 	}
 	if rs.CollectFailures != 1 {
 		t.Errorf("CollectFailures = %d, want 1", rs.CollectFailures)
-	}
-}
-
-func TestAggregatorBorrowingSettlesOnPush(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	busy, busyConn := localStage("s1", "job1", clk)
-	idle, idleConn := localStage("s2", "job1", clk)
-	sh := shardOver(t, clk, []Option{WithBorrowing(1.0)}, busyConn, idleConn)
-
-	// 100 ops/s per member: the shard as a whole holds 200.
-	grants := []jobGrant{{JobID: "job1", Rate: 100}}
-	var rs RoundStats
-	sh.round(grants, false, &rs)
-
-	// Saturate the busy member far past its per-stage share while its
-	// sibling idles: the shortage path must borrow the sibling's unused
-	// tokens rather than shaping.
-	req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: "job1"}
-	busy.Offer(req, 500, time.Second)
-	clk.Advance(time.Second)
-	busy.Offer(req, 0, time.Second)
-
-	borrowed, _, _ := sh.borrowCounts()
-	if borrowed <= 0 {
-		t.Fatal("busy member did not borrow from its idle sibling")
-	}
-	// Work conservation with a hard ceiling: the two members together
-	// must never admit more than the shard was granted (plus both
-	// bursts), tokens moved but not minted.
-	var st stage.Stats
-	busy.CollectInto(&st)
-	var admitted float64
-	for _, q := range st.Queues {
-		if q.RuleID == ControlRuleID {
-			admitted = float64(q.Total)
-		}
-	}
-	burst := busy.Rules()[0].EffectiveBurst() + idle.Rules()[0].EffectiveBurst()
-	if ceiling := 200 + burst + borrowed; admitted > ceiling {
-		t.Errorf("busy member admitted %v, above conservation ceiling %v", admitted, ceiling)
-	}
-
-	// The next plan push settles the ledger: debts repay or are
-	// forgiven, never carried into the fresh allocation.
-	sh.round(grants, false, &rs)
-	b, r, f := sh.borrowCounts()
-	if b != r+f {
-		t.Errorf("after settle: borrowed %v != repaid %v + forgiven %v", b, r, f)
-	}
-}
-
-func TestTreeTopologyRebuildsOnRegistryChange(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(1000), WithTopology(2))
-	stages := make(map[string]*stage.Stage)
-	add := func(id, job string) {
-		stg, conn := localStage(id, job, clk)
-		stages[id] = stg
-		if err := c.Register(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("s1", "job1")
-	add("s2", "job1")
-	add("s3", "job1")
-	offerTo(clk, stages, map[string]float64{"s1": 10, "s2": 10, "s3": 10})
-	if c.RunOnce() == nil {
-		t.Fatal("RunOnce returned nil")
-	}
-	if rs, _ := c.LastRound(); rs.Aggregators != 2 {
-		t.Fatalf("round drove %d shards, want 2 for 3 stages at shard size 2", rs.Aggregators)
-	}
-
-	// Growing the fleet reshards lazily at the next round.
-	add("s4", "job1")
-	add("s5", "job1")
-	offerTo(clk, stages, map[string]float64{"s4": 10, "s5": 10})
-	if c.RunOnce() == nil {
-		t.Fatal("RunOnce returned nil after growth")
-	}
-	rs, _ := c.LastRound()
-	if rs.Aggregators != 3 {
-		t.Errorf("round drove %d shards, want 3 for 5 stages", rs.Aggregators)
-	}
-	if rs.Stages != 5 {
-		t.Errorf("RoundStats.Stages = %d, want 5", rs.Stages)
 	}
 }
 
@@ -342,13 +252,12 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 
 // TestShardsNeedNoLockOfTheirOwn backs the claim on the shard type: the
 // loop, the monitor's read and a churning registry run side by side —
-// rounds on two workers, shards recut and retired under them — and the
+// rounds on two workers, the shard rebuilt and replaced under them — and the
 // race detector must stay silent with roundMu as the only lock a shard
 // is ever reached under.
 func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000),
-		WithTopology(2), WithBorrowing(1.0), WithPushConcurrency(2))
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
 	conns := make([]*LocalConn, 6)
 	for i := range conns {
 		_, conns[i] = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)

@@ -1,22 +1,11 @@
 // The shard: the one piece of the control plane that exchanges with
 // stages during a round.
 //
-// A shard fronts a set of member stages. One round of it fans a task
-// out to every member — bring the managed queue to the granted rate,
-// collect the statistics — and folds what came back into one row per
-// job. The controller keeps every stage registered with it in shards
-// (one for the whole registry unless WithTopology caps them), so a flat
-// fleet and a cut one run the same code.
-//
-// Borrowing (WithBorrowing) keeps enforcement work-conserving between
-// rounds: a shard's member stages share a tokenbucket.BorrowPool on the
-// managed control queue, so a stage that runs dry borrows unused tokens
-// from idle siblings — bounded by the pool's budget, settled when the
-// next plan lands. Tokens move, they are never minted, so the sum of
-// effective rates under a shard can never exceed what the controller
-// granted it — even while the shard's stages are partitioned from the
-// controller, which is exactly when the fleet depends on it (the chaos
-// ShardPartition scenario).
+// A shard fronts the controller's registered stages, its members. One
+// round of it fans a task out to every member — bring the managed queue
+// to the granted rate, collect the statistics — and folds what came
+// back into one row per job. The controller keeps exactly one, over its
+// whole registry, and rebuilds it when the registry changes.
 package control
 
 import (
@@ -28,22 +17,7 @@ import (
 	"padll/internal/posix"
 	"padll/internal/rpcio"
 	"padll/internal/stage"
-	"padll/internal/tokenbucket"
 )
-
-// LocalStage exposes the in-process stage behind a LocalConn so a shard
-// can wire borrow pools to its token buckets. Wrappers that embed
-// LocalConn (fault injectors) inherit it.
-func (c *LocalConn) LocalStage() *stage.Stage { return c.Stg }
-
-// localStager is the one capability a shard asserts a StageConn for. It
-// stays outside the contract because it is not a control exchange: a
-// borrow pool links token buckets that live in this process's memory,
-// which no wire operation can express. Remote members don't satisfy it
-// and simply never join a pool.
-type localStager interface {
-	LocalStage() *stage.Stage
-}
 
 // defaultMatcher selects what the managed queue throttles unless told
 // otherwise: the operations that land on the MDS.
@@ -68,7 +42,7 @@ func managedRule(m policy.Matcher, scoped bool, key string, rate float64) policy
 }
 
 // member is one stage of a shard together with what rounds remember
-// about it. A member's record outlives the shard it was cut into when
+// about it. A member's record outlives the shard it was built into when
 // the controller reshards, so a stage keeps its collect slot and its
 // probe for as long as its connection stays registered.
 type member struct {
@@ -110,24 +84,21 @@ func sortMembers(ms []*member) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].conn.Info().StageID < ms[j].conn.Info().StageID })
 }
 
-// jobGrant tells a shard what one job's member stages are to enforce.
-// Rate is the rate of each member stage, not of the shard: the
-// controller divides a job's allocation by the stages registered for it
-// across the whole fleet, once, and every shard holding stages of the
-// job receives the same per-stage figure — the shard applies it as it
-// stands and does no arithmetic on it.
+// jobGrant tells a shard what one job's member stages are to enforce:
+// Rate is the rate of each member stage, not of the job.
 type jobGrant struct {
 	JobID string
 	Rate  float64
 }
 
-// shard is one slice of the controller's stage registry: its members,
-// the indexes derived from them, and the scratch its rounds reuse.
+// shard is the controller's stage registry as a round sees it: its
+// members, the indexes derived from them, and the scratch its rounds
+// reuse.
 //
 // It carries no lock of its own. Its membership and indexes are written
-// once, by newShard, and never change — a registry change builds new
-// shards — and everything else is round state, which only reshard,
-// exchange, collect and grant touch, every one of them with the
+// once, by newShard, and never change — a registry change builds a new
+// shard — and everything else is round state, which only reshard,
+// collect, grant and round touch, every one of them with the
 // controller's roundMu held. The round's worker goroutines (pass) each
 // own a disjoint range of members and are joined before pass returns.
 type shard struct {
@@ -139,8 +110,6 @@ type shard struct {
 	// managed rule's matcher names that key as its job.
 	groupBy func(stage.Info) string
 	scoped  bool
-	// pool links the local members' managed queues (nil: no borrowing).
-	pool *tokenbucket.BorrowPool
 
 	members  []*member // StageID-sorted: the deterministic fan-out order
 	rowOf    []int     // member index -> index into jobs
@@ -152,13 +121,12 @@ type shard struct {
 	hasRate   []bool
 	rows      []JobSnapshot // the latest collect's fold
 	rowsValid bool          // rows still describe the members' current stats
-	// grants is this round's plan for the shard, capacity reused.
+	// grants is this round's plan, capacity reused.
 	grants []jobGrant
 }
 
 // newShard builds the controller's shard over StageID-sorted members,
-// indexing them by group key, and links the local ones into a borrow
-// pool of their own when borrowing is on.
+// indexing them by group key.
 func (c *Controller) newShard(members []*member) *shard {
 	sh := &shard{
 		workers: c.workers,
@@ -185,34 +153,19 @@ func (c *Controller) newShard(members []*member) *shard {
 	sh.rates = make([]float64, n)
 	sh.hasRate = make([]bool, n)
 	sh.rows = make([]JobSnapshot, n)
-
-	if c.borrow {
-		sh.pool = tokenbucket.NewBorrowPool(c.borrowBudget)
-		for _, m := range members {
-			if ls, ok := m.conn.(localStager); ok {
-				ls.LocalStage().SetBorrowPool(ControlRuleID, sh.pool)
-			}
-		}
-	}
 	return sh
 }
 
-// ledger is a borrow pool's lifetime token movement, or a sum of them.
-type ledger struct{ borrowed, repaid, forgiven float64 }
-
-func (l *ledger) add(borrowed, repaid, forgiven float64) {
-	l.borrowed += borrowed
-	l.repaid += repaid
-	l.forgiven += forgiven
-}
-
-// borrowCounts reports the shard pool's lifetime token movement
-// (all zero when borrowing is disabled).
-func (sh *shard) borrowCounts() (borrowed, repaid, forgiven float64) {
-	if sh.pool == nil {
-		return 0, 0, 0
+// grant plans the push phase: each job's allocation is divided equally
+// among its member stages. The plan is valid until the next call.
+func (sh *shard) grant(alloc map[string]float64) []jobGrant {
+	sh.grants = sh.grants[:0]
+	for j, job := range sh.jobs {
+		if rate, ok := alloc[job]; ok {
+			sh.grants = append(sh.grants, jobGrant{JobID: job, Rate: rate / float64(sh.jobCount[j])})
+		}
 	}
-	return sh.pool.Counts()
+	return sh.grants
 }
 
 // wireStats sums the members' cumulative traffic.
@@ -237,7 +190,7 @@ const defaultWorkers = 1
 // eachSpan cuts [0, n) into min(workers, n) contiguous ranges and runs
 // fn on each, concurrently when there is more than one; workers <= 1 is
 // fn(0, n) on the caller's goroutine. Every goroutine is gone when it
-// returns — a dropped shard must leave none behind.
+// returns — a replaced shard must leave none behind.
 func eachSpan(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -344,10 +297,6 @@ func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
 // handler in StageID order, counted as FailedStages, and the loop runs
 // on the partial snapshot.
 //
-// When grants land on a borrowing shard the pool settles first: debts
-// repay from whatever each debtor still holds and the rest is forgiven,
-// so the fresh allocation starts from a clean ledger.
-//
 // rs accumulates member-level accounting: one collect call per member,
 // push round trips and skips per granted member. The fold is left in
 // sh.rows, valid until the shard's next collect.
@@ -355,9 +304,6 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 	members := sh.members
 	nj := len(sh.jobs)
 
-	if sh.pool != nil && len(grants) > 0 {
-		sh.pool.Settle()
-	}
 	rates, hasRate := sh.rates, sh.hasRate
 	for j := range rates {
 		rates[j], hasRate[j] = 0, false

@@ -15,46 +15,28 @@ import (
 	"padll/internal/stage"
 )
 
-// shardSizes are the WithTopology settings a test of the round loop
-// runs under: what a round decides must not depend on how the registry
-// is cut.
-var shardSizes = []int{0, 1, 3, 32}
-
-// eachShardSize runs body once per shard size, handing it the option
-// that selects the size (none for the default single shard).
-func eachShardSize(t *testing.T, body func(t *testing.T, topo []Option)) {
-	t.Helper()
-	for _, size := range shardSizes {
-		name, topo := "one-shard", []Option(nil)
-		if size > 0 {
-			name, topo = fmt.Sprintf("shards-of-%d", size), []Option{WithTopology(size)}
-		}
-		t.Run(name, func(t *testing.T) { body(t, topo) })
-	}
-}
-
 // roundTrace is everything one round of a fleet run exposes.
 type roundTrace struct {
 	Alloc    map[string]float64
 	Rates    map[string]float64        // stage -> managed rate (-1: no managed rule)
 	Matchers map[string]policy.Matcher // stage -> managed rule's matcher
 	Snaps    []JobSnapshot             // CollectAll after the round
-	Stats    RoundStats                // Aggregators zeroed: the one field that counts shards
-	Stages   int                       // registered after the round
-	Evicted  []string                  // reported with ErrEvicted during the round
+	Stats    RoundStats
+	Stages   int      // registered after the round
+	Evicted  []string // reported with ErrEvicted during the round
 }
 
-// runRandomFleet drives a seeded random fleet for a few rounds at one
-// shard size and records what each round did. Everything random is
-// drawn from the seed alone, so two shard sizes see the same fleet, the
-// same demand and the same faults.
-func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
+// runRandomFleet drives a seeded random fleet for a few rounds and
+// records what each round did. Everything random is drawn from the seed
+// alone, so two runs of one seed see the same fleet, the same demand and
+// the same faults.
+func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	clk := clock.NewSim(epoch)
 
-	// A matcher that is not the default, so a reinstall through a shard
-	// that forgot it shows.
+	// A matcher that is not the default, so a reinstall that forgot it
+	// shows.
 	matcher := policy.Matcher{Classes: []posix.Class{posix.ClassMetadata, posix.ClassDirectory}}
 	algs := []Algorithm{ProportionalShare{}, StaticEqualShare{}, FixedRates{}}
 	byUser := rng.Intn(2) == 1
@@ -73,9 +55,6 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 	if byUser {
 		opts = append(opts, WithGroupBy(GroupByUser))
 	}
-	if shardSize > 0 {
-		opts = append(opts, WithTopology(shardSize))
-	}
 	c := New(clk, opts...)
 
 	type node struct {
@@ -93,8 +72,8 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 		}
 		c.SetReservation(key, float64(100*rng.Intn(40)))
 		for s, n := 0, 1+rng.Intn(6); s < n; s++ {
-			// IDs interleave the jobs in StageID order, so a shard holds
-			// slices of several jobs and a job spans several shards.
+			// IDs interleave the jobs in StageID order, so a job's stages
+			// are not neighbours in the fan-out.
 			id := fmt.Sprintf("s%02d-%d", s, j)
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
 			nd := &node{id: id, stg: stg, conn: &flakyConn{LocalConn: LocalConn{Stg: stg}}}
@@ -123,8 +102,7 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 			amnesiac.stg.RemoveRule(ControlRuleID)
 		}
 		// Whole operations over a whole second: every rate a stage reports
-		// is an integer, so a job's sums are exact in any order — float
-		// addition is not associative, and a tree adds shard by shard.
+		// is an integer.
 		for _, nd := range nodes {
 			req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: nd.stg.Info().JobID}
 			nd.stg.Offer(req, float64(rng.Intn(2000)), time.Second)
@@ -139,7 +117,6 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 		}
 		rt.Evicted = evicted
 		rt.Stats, _ = c.LastRound()
-		rt.Stats.Aggregators = 0
 		for _, nd := range nodes {
 			rt.Rates[nd.id] = ruleRate(nd.stg, ControlRuleID)
 			for _, r := range nd.stg.Rules() {
@@ -152,9 +129,8 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 		rt.Stages = len(c.Stages())
 		trace = append(trace, rt)
 
-		// Member-level accounting, whatever the cut: one collect per
-		// registered stage, and a push or a skip for every stage of a job
-		// that was allocated.
+		// Member-level accounting: one collect per registered stage, and a
+		// push or a skip for every stage of a job that was allocated.
 		planned := 0
 		for _, info := range c.Stages() {
 			key := info.JobID
@@ -166,30 +142,29 @@ func runRandomFleet(t *testing.T, seed int64, shardSize int) []roundTrace {
 			}
 		}
 		if got := rt.Stats.PushCalls + rt.Stats.PushesSkipped; got != planned {
-			t.Errorf("seed %d shard size %d round %d: %d pushes + %d skips, want one per planned stage (%d)",
-				seed, shardSize, round, rt.Stats.PushCalls, rt.Stats.PushesSkipped, planned)
+			t.Errorf("seed %d round %d: %d pushes + %d skips, want one per planned stage (%d)",
+				seed, round, rt.Stats.PushCalls, rt.Stats.PushesSkipped, planned)
 		}
 		if want := rt.Stages + len(rt.Evicted); rt.Stats.Stages != want || rt.Stats.CollectCalls != want {
-			t.Errorf("seed %d shard size %d round %d: Stages %d CollectCalls %d, want %d each",
-				seed, shardSize, round, rt.Stats.Stages, rt.Stats.CollectCalls, want)
+			t.Errorf("seed %d round %d: Stages %d CollectCalls %d, want %d each",
+				seed, round, rt.Stats.Stages, rt.Stats.CollectCalls, want)
 		}
 	}
 	return trace
 }
 
-// TestShardingInvariance: how the registry is cut into shards changes
-// nothing a round decides or reports. Seeded random fleets — jobs ×
-// stages per job, demand, reservations, algorithm, job or user
-// grouping, a custom controlled matcher, one member that stops
-// answering and is evicted mid-run, one that restarts without its
-// managed rule — are driven at every shard size and must produce the
-// identical allocation, bit-identical managed rate and the same managed
-// matcher on every stage, identical CollectAll snapshots (wait
-// percentiles, degraded and failed counts included), the same eviction
-// in the same round, and the same member-level RoundStats.
+// TestShardingInvariance: a round is a function of the registry and
+// the seed. Seeded random fleets — jobs × stages per job, demand,
+// reservations, algorithm, job or user grouping, a custom controlled
+// matcher, one member that stops answering and is evicted mid-run, one
+// that restarts without its managed rule — are each driven twice and
+// must produce the identical allocation, bit-identical managed rate and
+// the same managed matcher on every stage, identical CollectAll
+// snapshots (wait percentiles, degraded and failed counts included), the
+// same eviction in the same round, and the same RoundStats.
 func TestShardingInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		want := runRandomFleet(t, seed, shardSizes[0])
+		want := runRandomFleet(t, seed)
 		sawEviction := false
 		for _, rt := range want {
 			sawEviction = sawEviction || len(rt.Evicted) > 0
@@ -197,28 +172,26 @@ func TestShardingInvariance(t *testing.T) {
 		if !sawEviction {
 			t.Errorf("seed %d: the failing member was never evicted", seed)
 		}
-		for _, size := range shardSizes[1:] {
-			got := runRandomFleet(t, seed, size)
-			for round := range want {
-				if !reflect.DeepEqual(got[round], want[round]) {
-					t.Errorf("seed %d: round %d at shard size %d diverges from the single shard:\n got  %+v\n want %+v",
-						seed, round, size, got[round], want[round])
-					break
-				}
+		got := runRandomFleet(t, seed)
+		for round := range want {
+			if !reflect.DeepEqual(got[round], want[round]) {
+				t.Errorf("seed %d: round %d diverges between two runs:\n got  %+v\n want %+v",
+					seed, round, got[round], want[round])
+				break
 			}
 		}
 	}
 }
 
 // TestControlledMatcherReachesEveryShard: a stage that restarts without
-// its managed rule gets it back, from whichever shard holds it, with
-// the matcher the controller was configured with.
+// its managed rule gets it back with the matcher the controller was
+// configured with.
 func TestControlledMatcherReachesEveryShard(t *testing.T) {
-	eachShardSize(t, func(t *testing.T, topo []Option) {
+	// The controller keeps one shard over its whole registry.
+	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
 		matcher := policy.Matcher{Classes: []posix.Class{posix.ClassDirectory}}
-		c := New(clk, append(topo,
-			WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithControlledMatcher(matcher))...)
+		c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithControlledMatcher(matcher))
 		stg, conn := localStage("s1", "jobA", clk)
 		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
@@ -238,11 +211,11 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 	})
 }
 
-// TestReshardingLeaksNoGoroutines: a registry change recuts the shards,
-// and the dropped ones must leave nothing running behind them.
+// TestReshardingLeaksNoGoroutines: a registry change rebuilds the
+// shard, and the replaced one must leave nothing running behind it.
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithTopology(4))
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
 	conns := make([]*LocalConn, 8)
 	for i := range conns {
 		_, conns[i] = localStage(fmt.Sprintf("s%d", i), "jobA", clk)
@@ -257,8 +230,8 @@ func TestReshardingLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.RunOnce()
-		if rs, _ := c.LastRound(); rs.Aggregators != 2 || rs.Stages != 8 {
-			t.Fatalf("re-registration %d: round drove %d shards over %d stages, want 2 over 8", i, rs.Aggregators, rs.Stages)
+		if rs, _ := c.LastRound(); rs.Stages != 8 {
+			t.Fatalf("re-registration %d: round covered %d stages, want 8", i, rs.Stages)
 		}
 	}
 	// Round workers exit before RunOnce returns, but a goroutine that has
@@ -272,14 +245,14 @@ func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestMemberRecordsSurviveAReshard: an eviction recuts the shards in
+// TestMemberRecordsSurviveAReshard: an eviction rebuilds the shard in
 // the middle of a round, between the collect and the push, and the
-// recut must not forget what the collect just learned — the stages
+// rebuild must not forget what the collect just learned — the stages
 // already at their rate are still skipped, only the evicted stage's
 // sibling is retuned.
 func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithTopology(2), WithEvictAfter(1))
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithEvictAfter(1))
 	c.SetReservation("jobA", 3000)
 	c.SetReservation("jobB", 1000)
 	var doomed *flakyConn
@@ -287,7 +260,7 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 		stg, _ := localStage(fmt.Sprintf("s%d", i), job, clk)
 		conn := &flakyConn{LocalConn: LocalConn{Stg: stg}}
 		if i == 0 {
-			doomed = conn // sorts first: its eviction moves every shard's cut
+			doomed = conn
 		}
 		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
@@ -310,71 +283,4 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 		t.Errorf("eviction round: %d pushed, %d skipped; want jobB's survivor retuned and jobA's three stages skipped",
 			rs.PushCalls, rs.PushesSkipped)
 	}
-}
-
-// TestBorrowLedgerSurvivesAReshard: RoundStats' three token figures are
-// lifetime sums, and a registry change — which recuts the shards — must
-// not restart them. A shard whose members did not change keeps its pool
-// (a stage re-registering on the connection it already had), a shard
-// that is recut hands its pool's final counts on (a stage joining), and
-// either way the figures never fall and, read once the next plan has
-// settled the debts, balance: borrowed == repaid + forgiven.
-func TestBorrowLedgerSurvivesAReshard(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithBorrowing(1.0))
-	c.SetReservation("jobA", 200)
-	busy, busyConn := localStage("s1", "jobA", clk)
-	_, idleConn := localStage("s2", "jobA", clk)
-	for _, conn := range []*LocalConn{busyConn, idleConn} {
-		if err := c.Register(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.RunOnce() // 100 ops/s each
-
-	// overrun drives the busy stage far past its share for a second while
-	// its siblings idle, then runs the round that sees the borrowing (and
-	// settles it) and the round that sees the settled ledger.
-	var last RoundStats
-	overrun := func(when string) {
-		t.Helper()
-		req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: "jobA"}
-		busy.Offer(req, 500, time.Second)
-		clk.Advance(time.Second)
-		busy.Offer(req, 0, time.Second)
-		c.RunOnce()
-		seen, _ := c.LastRound()
-		if seen.TokensBorrowed <= last.TokensBorrowed {
-			t.Fatalf("%s: borrowed %v, want more than the %v before — the busy stage did not borrow",
-				when, seen.TokensBorrowed, last.TokensBorrowed)
-		}
-		c.RunOnce()
-		rs, _ := c.LastRound()
-		if rs.TokensBorrowed < seen.TokensBorrowed || rs.TokensRepaid < last.TokensRepaid || rs.TokensForgiven < last.TokensForgiven {
-			t.Errorf("%s: ledger went backwards: %v/%v/%v after %v/%v/%v", when,
-				rs.TokensBorrowed, rs.TokensRepaid, rs.TokensForgiven,
-				seen.TokensBorrowed, last.TokensRepaid, last.TokensForgiven)
-		}
-		if b, settled := rs.TokensBorrowed, rs.TokensRepaid+rs.TokensForgiven; b != settled {
-			t.Errorf("%s: borrowed %v != repaid %v + forgiven %v", when, b, rs.TokensRepaid, rs.TokensForgiven)
-		}
-		last = rs
-	}
-	overrun("first cut")
-
-	if err := c.Register(busyConn); err != nil {
-		t.Fatal(err)
-	}
-	overrun("after a re-registration")
-
-	_, late := localStage("s3", "jobA", clk)
-	if err := c.Register(late); err != nil {
-		t.Fatal(err)
-	}
-	overrun("after a stage joined")
-
-	if !c.Deregister("s2") {
-		t.Fatal("s2 was not registered")
-	}
-	overrun("after a stage left")
 }

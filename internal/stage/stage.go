@@ -304,10 +304,6 @@ type Stage struct {
 	mu     sync.Mutex
 	rules  *policy.RuleSet
 	queues map[string]*queue // by rule ID
-	// borrowPools maps rule IDs to the sibling borrow pool their bucket
-	// joins (nil until SetBorrowPool). The mapping outlives the queue:
-	// a rule reinstalled after removal rejoins its pool automatically.
-	borrowPools map[string]*tokenbucket.BorrowPool
 
 	// Amortized wall-clock sampling: reading the real clock costs more
 	// than the rest of the admit path combined, so the hot path reuses
@@ -585,38 +581,7 @@ func (s *Stage) ApplyRule(r policy.Rule) {
 	q.rate.Store(math.Float64bits(r.Rate))
 	q.burst.Store(math.Float64bits(r.Burst))
 	s.queues[r.ID] = q
-	if p, ok := s.borrowPools[r.ID]; ok {
-		p.Attach(b)
-	}
 	s.publishLocked()
-}
-
-// SetBorrowPool links the named rule's bucket into a sibling borrow
-// pool (see tokenbucket.BorrowPool): when the bucket runs dry between
-// control rounds it may borrow unused tokens from the pool's other
-// members. The link survives rule reinstallation — a queue created
-// later for ruleID joins the pool on creation. A nil pool unlinks (and
-// detaches any live bucket, forgiving its ledger entries).
-func (s *Stage) SetBorrowPool(ruleID string, p *tokenbucket.BorrowPool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p == nil {
-		prev, ok := s.borrowPools[ruleID]
-		delete(s.borrowPools, ruleID)
-		if ok {
-			if q, qok := s.queues[ruleID]; qok {
-				prev.Detach(q.bucket)
-			}
-		}
-		return
-	}
-	if s.borrowPools == nil {
-		s.borrowPools = make(map[string]*tokenbucket.BorrowPool)
-	}
-	s.borrowPools[ruleID] = p
-	if q, ok := s.queues[ruleID]; ok {
-		p.Attach(q.bucket)
-	}
 }
 
 // RemoveRule deletes a rule; its queue's waiters are released unthrottled
@@ -628,9 +593,6 @@ func (s *Stage) RemoveRule(id string) bool {
 		return false
 	}
 	if q, ok := s.queues[id]; ok {
-		if p, pok := s.borrowPools[id]; pok {
-			p.Detach(q.bucket)
-		}
 		q.bucket.Set(tokenbucket.Infinite, tokenbucket.Infinite)
 		delete(s.queues, id)
 	}

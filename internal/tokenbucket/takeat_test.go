@@ -64,29 +64,6 @@ func TestTakeAtFreshInstantRefills(t *testing.T) {
 	}
 }
 
-// TestTakeAtNeverBorrows: a dry bucket with a rich sibling refuses
-// TakeAt (the stage then falls back to the exact path) where TryTake
-// borrows.
-func TestTakeAtNeverBorrows(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	dry, rich := New(clk, 1, 4), New(clk, 1, 100)
-	p := NewBorrowPool(1)
-	p.Attach(dry)
-	p.Attach(rich)
-	if !dry.TakeAt(4, clk.Now()) {
-		t.Fatal("take within burst failed")
-	}
-	if dry.TakeAt(1, clk.Now()) {
-		t.Fatal("TakeAt succeeded on a dry bucket")
-	}
-	if b, _, _ := p.Counts(); b != 0 {
-		t.Fatalf("TakeAt borrowed %v tokens", b)
-	}
-	if !dry.TryTake(1) {
-		t.Error("TryTake did not borrow from the rich sibling")
-	}
-}
-
 // TestTakeAtUnlimitedAndClosed covers the lock-free branch and Close on
 // both branches.
 func TestTakeAtUnlimitedAndClosed(t *testing.T) {

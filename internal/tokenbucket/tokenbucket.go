@@ -11,10 +11,9 @@
 //     enforcement path used by live stages);
 //   - TryTake: non-blocking admission (used for policing, tests, and
 //     drop-based policies);
-//   - TakeAt: TryTake at a caller-supplied instant, never borrowing (the
-//     stage's admit path tries it before Wait, so a request that finds
-//     its token in hand reads no clock and touches nothing but the
-//     bucket);
+//   - TakeAt: TryTake at a caller-supplied instant (the stage's admit
+//     path tries it before Wait, so a request that finds its token in
+//     hand reads no clock and touches nothing but the bucket);
 //   - Grant: fluid admission over a time window (used by the discrete-tick
 //     cluster simulator to model thousands of requests per tick without a
 //     goroutine per request).
@@ -69,10 +68,6 @@ type Bucket struct {
 	// was armed: once per admitted waiter unless a broadcast intervenes.
 	timers sync.Pool
 	sleeps uint64
-	// pool, when set, links this bucket to its siblings for decentralized
-	// token borrowing (borrow.go); guarded by mu, and never called into
-	// while mu is held (pool locks order before bucket locks).
-	pool *BorrowPool
 
 	// unlimitedA/closedA mirror rate == Infinite and closed for the
 	// lock-free admission path; both are updated under mu.
@@ -230,24 +225,18 @@ func (b *Bucket) TryTake(n float64) bool {
 		return false
 	}
 	b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck TryTake refills to the exact instant; callers that amortize the clock use TakeAt
-	if b.tokens >= n {
+	ok := b.tokens >= n
+	if ok {
 		b.tokens -= n
 		b.addGranted(n)
-		b.mu.Unlock()
-		return true
 	}
-	pool, need := b.pool, n-b.tokens
 	b.mu.Unlock()
-	if pool == nil {
-		return false
-	}
-	// Dry bucket with siblings: borrow the deficit and retry once.
-	return b.takeBorrowed(pool, n, need)
+	return ok
 }
 
 // TakeAt is TryTake against a caller-supplied instant: it refills up to
 // now, takes n tokens if the bucket holds them, and otherwise reports
-// false without borrowing from siblings or blocking. now may lag the
+// false without blocking. now may lag the
 // clock (hot paths amortize clock reads): refill never runs backwards,
 // so a stale instant can only leave tokens unaccrued, and the caller
 // falls back to Wait, which reads the clock. Granted stays exact.
@@ -361,7 +350,7 @@ func (b *Bucket) Wait(n float64) error {
 // The window's refill is pre-consumed (the bucket's refill cursor moves
 // to now+dt), so callers may advance the clock by dt between Grant calls
 // without double-counting. Do not mix Grant with Wait/TryTake on the same
-// bucket: fluid admission borrows from the future window that the
+// bucket: fluid admission draws on the future window that the
 // blocking paths would account differently.
 func (b *Bucket) Grant(n float64, dt time.Duration) float64 {
 	if n <= 0 {
@@ -400,13 +389,7 @@ func (b *Bucket) Grant(n float64, dt time.Duration) float64 {
 	admit := max(0, math.Min(n, b.tokens))
 	b.tokens -= admit
 	b.addGranted(admit)
-	pool := b.pool
 	b.mu.Unlock()
-	if admit < n && pool != nil {
-		// Backlogged window with siblings attached: top the window up
-		// with borrowed tokens so the group stays work-conserving.
-		admit += b.grantBorrowed(pool, n-admit)
-	}
 	return admit
 }
 

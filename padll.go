@@ -462,24 +462,6 @@ func WithGroupBy(f func(StageInfo) string) ControlOption { return control.WithGr
 // GroupByUser groups stages by submitting user.
 func GroupByUser(info StageInfo) string { return control.GroupByUser(info) }
 
-// WithTopology caps the in-process shards the control plane keeps its
-// registered stages in at shardSize members, cut in stage-ID order (the
-// default is one shard holding them all). Every shard runs the same
-// round, so allocations, rates and round accounting do not depend on
-// it; it sets what one shard spans — chiefly how far a borrow pool
-// reaches (see WithBorrowing).
-func WithTopology(shardSize int) ControlOption { return control.WithTopology(shardSize) }
-
-// WithBorrowing enables decentralized token borrowing between sibling
-// in-process stages of a shard — all registered stages, or each
-// WithTopology slice of them: a stage that runs dry between control
-// rounds borrows unused tokens from idle siblings, bounded by budget (a
-// fraction of burst capacity; non-positive selects the default), and
-// debts settle when the next plan lands. Tokens move rather than being
-// minted, so a shard's aggregate enforcement never exceeds its granted
-// share.
-func WithBorrowing(budget float64) ControlOption { return control.WithBorrowing(budget) }
-
 // NewControlPlane builds a control plane.
 func NewControlPlane(opts ...ControlOption) *ControlPlane {
 	return &ControlPlane{ctl: control.New(clock.NewReal(), opts...)}
