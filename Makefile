@@ -180,7 +180,8 @@ ci:
 # lines outside bench/, exported functions and methods, With* options
 # (under internal/ and padll.go), analyzers padll-lint runs — and the
 # two the control plane is tracked by: wire structs wireRegistry locks,
-# non-test lines of rpcio + control.
+# non-test lines of rpcio + control — and the experiment harness's
+# non-test lines.
 SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
 count:
 	@printf 'non-test lines outside bench/: %d\n' \
@@ -193,6 +194,8 @@ count:
 		"$$(awk '/^var wireRegistry/,/^}/' internal/rpcio/wire_registry_test.go | grep -cE '^\s+"[a-z]+\.[A-Z][A-Za-z]*": ')"
 	@printf 'rpcio + control non-test lines: %d\n' \
 		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/experiments non-test lines: %d\n' \
+		"$$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # Regenerate every figure/table of the paper (tables printed to stdout,
 # plot series dumped under out/).

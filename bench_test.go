@@ -242,25 +242,6 @@ func BenchmarkLocalFSCreateUnlink(b *testing.B) {
 	}
 }
 
-// ---- §VI extension: control plane scalability ----
-
-func BenchmarkControlPlaneScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ControlPlaneScalability()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Transport == "local" && r.Stages == 1024 {
-				b.ReportMetric(float64(r.LoopLatency.Microseconds()), "local_1024_us")
-			}
-			if r.Transport == "rpc" && r.Stages == 256 {
-				b.ReportMetric(float64(r.LoopLatency.Microseconds()), "rpc_256_us")
-			}
-		}
-	}
-}
-
 // ---- §I extension: adaptive cluster limit (AIMD on MDS health) ----
 
 func BenchmarkAdaptiveLimit(b *testing.B) {

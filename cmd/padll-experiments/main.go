@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"padll/internal/experiments"
-	"padll/internal/metrics"
 	"padll/internal/posix"
 )
 
@@ -28,7 +26,7 @@ func main() {
 	var (
 		fig    = flag.String("fig", "", "figures to regenerate: 1,2,4,5 or all")
 		table  = flag.String("table", "", "tables to regenerate: overhead")
-		ext    = flag.String("ext", "", "extensions: drf,mds,ablation,scalability,adaptive,chaos,fleet or all")
+		ext    = flag.String("ext", "", "extensions: drf,mds,ablation,adaptive,chaos,fleet or all")
 		seed   = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		csvDir = flag.String("csv", "", "directory to dump series CSVs into")
 	)
@@ -55,7 +53,7 @@ func main() {
 	if want(*fig, "1") {
 		r := experiments.Fig1(*seed)
 		fmt.Println(r.Render())
-		dumpCSV(*csvDir, "fig1_hourly.csv", r.Hourly.CSV())
+		dumpCSV(*csvDir, r.CSV())
 	}
 	if want(*fig, "2") {
 		fmt.Println(experiments.Fig2(*seed).Render())
@@ -64,13 +62,11 @@ func main() {
 		for _, op := range []posix.Op{posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename} {
 			r := experiments.Fig4PerOp(*seed, op)
 			fmt.Println(r.Render())
-			dumpCSV(*csvDir, "fig4_"+op.String()+".csv",
-				metrics.MergeCSV(named("baseline", r.Baseline), named("padll", r.Padll), named("limit", r.Limits)))
+			dumpCSV(*csvDir, r.CSV())
 		}
 		r := experiments.Fig4PerClass(*seed)
 		fmt.Println(r.Render())
-		dumpCSV(*csvDir, "fig4_metadata.csv",
-			metrics.MergeCSV(named("baseline", r.Baseline), named("padll", r.Padll), named("limit", r.Limits)))
+		dumpCSV(*csvDir, r.CSV())
 
 		for _, write := range []bool{true, false} {
 			d, err := experiments.Fig4Data(experiments.DefaultFig4DataConfig(write))
@@ -78,24 +74,13 @@ func main() {
 				fatal(err)
 			}
 			fmt.Println(d.Render())
-			dumpCSV(*csvDir, "fig4_data_"+d.Mode+".csv", d.Padll.CSV())
+			dumpCSV(*csvDir, experiments.CSVFile{Name: "fig4_data_" + d.Mode + ".csv", Content: d.Padll.CSV()})
 		}
 	}
 	if want(*fig, "5") {
 		for _, r := range experiments.Fig5All(*seed) {
 			fmt.Println(r.Render())
-			series := []*metrics.Series{named("aggregate", r.Aggregate)}
-			// Sorted job order: map iteration order would shuffle the
-			// CSV columns between otherwise identical runs.
-			ids := make([]string, 0, len(r.PerJob))
-			for id := range r.PerJob {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
-				series = append(series, named(id, r.PerJob[id]))
-			}
-			dumpCSV(*csvDir, "fig5_"+string(r.Setup)+".csv", metrics.MergeCSV(series...))
+			dumpCSV(*csvDir, r.CSV())
 		}
 	}
 	if want(*table, "overhead") {
@@ -114,26 +99,10 @@ func main() {
 	if want(*ext, "adaptive") {
 		fmt.Println(experiments.AdaptiveLimit(*seed).Render())
 	}
-	if want(*ext, "scalability") {
-		rows, err := experiments.ControlPlaneScalability()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderScalability(rows))
-	}
 	if want(*ext, "chaos") {
 		r := experiments.ChaosReplay(*seed)
 		fmt.Println(r.Render())
-		series := []*metrics.Series{named("aggregate", r.Aggregate)}
-		ids := make([]string, 0, len(r.PerJob))
-		for id := range r.PerJob {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			series = append(series, named(id, r.PerJob[id]))
-		}
-		dumpCSV(*csvDir, "e7_chaos.csv", metrics.MergeCSV(series...))
+		dumpCSV(*csvDir, r.CSV())
 	}
 	if want(*ext, "fleet") {
 		r, err := experiments.FleetScale()
@@ -154,24 +123,17 @@ func main() {
 	}
 }
 
-// named relabels a series for CSV headers.
-func named(name string, s *metrics.Series) *metrics.Series {
-	out := metrics.NewSeries(name)
-	out.Points = s.Points
-	return out
-}
-
-func dumpCSV(dir, name, content string) {
+func dumpCSV(dir string, f experiments.CSVFile) {
 	if dir == "" {
 		return
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, f.Name), []byte(f.Content), 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("  wrote %s\n\n", filepath.Join(dir, name))
+	fmt.Printf("  wrote %s\n\n", filepath.Join(dir, f.Name))
 }
 
 func fatal(err error) {

@@ -4,10 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"padll/internal/clock"
-	"padll/internal/stage"
 )
 
 func jobs4(demands [4]float64) []JobState {
@@ -362,12 +360,6 @@ func TestAIMDLimitDefaults(t *testing.T) {
 	}
 }
 
-// localStageForAdaptive builds an in-process stage conn for tests.
-func localStageForAdaptive(id, job string) (*stage.Stage, *LocalConn) {
-	stg := stage.New(stage.Info{StageID: id, JobID: job}, clock.NewSim(time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)))
-	return stg, &LocalConn{Stg: stg}
-}
-
 func TestControllerAppliesLimitAdapter(t *testing.T) {
 	saturated := true
 	ctl := New(nil,
@@ -377,7 +369,7 @@ func TestControllerAppliesLimitAdapter(t *testing.T) {
 			Probe: func() bool { return saturated },
 			Min:   100, Max: 2000, Increase: 50, Decrease: 0.5,
 		}))
-	_, conn := localStageForAdaptive("s1", "j1")
+	_, conn := localStage("s1", "j1", clock.NewSim(epoch))
 	if err := ctl.Register(conn); err != nil {
 		t.Fatal(err)
 	}

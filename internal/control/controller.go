@@ -599,8 +599,8 @@ type RoundStats struct {
 	PushesSkipped int
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
-	// BytesRead/BytesWritten are the controller-side wire traffic this
-	// round (zero across connections that never serialize).
+	// BytesRead/BytesWritten are the controller-side frame traffic this
+	// round, in-process loopback stages included.
 	BytesRead    uint64
 	BytesWritten uint64
 }

@@ -1,7 +1,6 @@
 package control
 
 import (
-	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -17,9 +16,16 @@ import (
 
 var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
-func localStage(id, job string, clk clock.Clock) (*stage.Stage, *LocalConn) {
+// localStage builds an in-process stage and a connection to it.
+func localStage(id, job string, clk clock.Clock) (*stage.Stage, *RemoteConn) {
 	stg := stage.New(stage.Info{StageID: id, JobID: job, Hostname: "n-" + id, User: "u"}, clk)
-	return stg, &LocalConn{Stg: stg}
+	return stg, loopbackConn(stg)
+}
+
+// loopbackConn connects to stg in process, through the frame codec and
+// the delta protocol: how every in-process stage is registered.
+func loopbackConn(stg *stage.Stage) *RemoteConn {
+	return NewRemoteConn(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg)))
 }
 
 func TestRegisterAndJobGrouping(t *testing.T) {
@@ -28,7 +34,7 @@ func TestRegisterAndJobGrouping(t *testing.T) {
 	_, c1 := localStage("s1", "jobA", clk)
 	_, c2 := localStage("s2", "jobA", clk) // distributed job: 2 stages
 	_, c3 := localStage("s3", "jobB", clk)
-	for _, conn := range []*LocalConn{c1, c2, c3} {
+	for _, conn := range []*RemoteConn{c1, c2, c3} {
 		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +144,7 @@ func TestApplyRuleClusterWide(t *testing.T) {
 	s1, c1 := localStage("s1", "jobA", clk)
 	s2, c2 := localStage("s2", "jobB", clk)
 	s3, c3 := localStage("s3", "jobB", clk)
-	for _, conn := range []*LocalConn{c1, c2, c3} {
+	for _, conn := range []*RemoteConn{c1, c2, c3} {
 		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
 		}
@@ -251,18 +257,6 @@ func TestCollectAllAggregatesPerJob(t *testing.T) {
 	}
 }
 
-// failingConn simulates a dead stage: it accepts pushes (so it can
-// register) but never answers a collect.
-type failingConn struct{ LocalConn }
-
-func (f *failingConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	if dst != nil {
-		f.failStart(errors.New("stage unreachable"))
-		return
-	}
-	f.LocalConn.Start(ops, nil, held)
-}
-
 func TestCollectSkipsDeadStages(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	var reported []string
@@ -272,7 +266,7 @@ func TestCollectSkipsDeadStages(t *testing.T) {
 		WithErrorHandler(func(id string, err error) { reported = append(reported, id) }),
 	)
 	stg, _ := localStage("dead", "jobX", clk)
-	if err := c.Register(&failingConn{LocalConn{Stg: stg}}); err != nil {
+	if err := c.Register(failingConn(stg)); err != nil {
 		t.Fatal(err)
 	}
 	_, live := localStage("live", "jobY", clk)
@@ -476,7 +470,7 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 
 		mk := func(id, job, user string) *stage.Stage {
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
-			if err := c.Register(&LocalConn{Stg: stg}); err != nil {
+			if err := c.Register(loopbackConn(stg)); err != nil {
 				t.Fatal(err)
 			}
 			return stg
@@ -511,7 +505,8 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 }
 
 // TestSteadyRoundLeavesLocalStageUntouched: probe-and-skip covers
-// in-process stages too. At a fixed allocation, rounds after the first
+// in-process stages, reached over the loopback, and the steady collects
+// themselves touch nothing. At a fixed allocation, rounds after the first
 // push nothing, so the stage's rule snapshot — and with it the
 // classification cache and the quiescence proof — survives the control
 // interval instead of being republished by a same-rate SetRate.

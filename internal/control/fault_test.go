@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"padll/internal/clock"
@@ -76,7 +77,7 @@ func TestEvictionReleasesDeadStageShare(t *testing.T) {
 		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))
 		live, liveConn := localStage("s1", "jobA", clk)
 		deadStg, _ := localStage("s2", "jobA", clk)
-		dead := &failingConn{LocalConn{Stg: deadStg}}
+		dead := failingConn(deadStg)
 		if err := c.Register(liveConn); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestEvictionDisabledByDefault(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
 	deadStg, _ := localStage("s1", "jobA", clk)
-	if err := c.Register(&failingConn{LocalConn{Stg: deadStg}}); err != nil {
+	if err := c.Register(failingConn(deadStg)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -128,18 +129,18 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 			}
 		}))
 	stg, _ := localStage("s1", "jobA", clk)
-	flaky := &flakyConn{LocalConn: LocalConn{Stg: stg}}
-	if err := c.Register(flaky); err != nil {
+	var down atomic.Bool
+	if err := c.Register(flakyConn(stg, &down)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Two misses, then a success: the mark must clear.
-	flaky.fail = true
+	down.Store(true)
 	c.RunOnce()
 	c.RunOnce()
-	flaky.fail = false
+	down.Store(false)
 	c.RunOnce()
-	flaky.fail = true
+	down.Store(true)
 	c.RunOnce()
 	c.RunOnce()
 	mu.Lock()
@@ -156,30 +157,64 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 	}
 }
 
-// flakyConn fails collects on demand.
-type flakyConn struct {
-	LocalConn
-	mu   sync.Mutex
-	fail bool
+// gatedConn wraps a connection with a gate that runs in Start, in the
+// order a round starts its exchanges, and may fail the exchange before
+// it reaches the stage: Finish then returns the gate's error, as it
+// would a lost round trip. Only the goroutine between Start and Finish
+// touches gated.
+type gatedConn struct {
+	StageConn
+	gate  func(ops []rpcio.StageOp, collect bool) error
+	gated error
 }
 
-func (f *flakyConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	f.mu.Lock()
-	fail := f.fail
-	f.mu.Unlock()
-	if fail && dst != nil {
-		f.failStart(errors.New("injected collect failure"))
-		return
+func (g *gatedConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
+	if g.gated = g.gate(ops, dst != nil); g.gated == nil {
+		g.StageConn.Start(ops, dst, held)
 	}
-	f.LocalConn.Start(ops, dst, held)
 }
 
-// failStart begins an exchange that fails with err before it reaches
-// the stage — what a fault-injecting wrapper does in place of
-// LocalConn.Start; LocalConn.Finish reports err.
-func (c *LocalConn) failStart(err error) {
-	c.acquire()
-	c.err = err
+func (g *gatedConn) Finish() ([]rpcio.OpResult, bool, error) {
+	if err := g.gated; err != nil {
+		g.gated = nil
+		return nil, false, err
+	}
+	return g.StageConn.Finish()
+}
+
+// flakyConn fails every collect on stg while down is set.
+func flakyConn(stg *stage.Stage, down *atomic.Bool) *gatedConn {
+	return &gatedConn{StageConn: loopbackConn(stg), gate: func(_ []rpcio.StageOp, collect bool) error {
+		if collect && down.Load() {
+			return errors.New("injected collect failure")
+		}
+		return nil
+	}}
+}
+
+// failingConn simulates a dead stage: it accepts pushes (so it can
+// register) but never answers a collect.
+func failingConn(stg *stage.Stage) *gatedConn {
+	down := new(atomic.Bool)
+	down.Store(true)
+	return flakyConn(stg, down)
+}
+
+// refusingConn fails every exchange carrying an op refuse matches.
+func refusingConn(stg *stage.Stage, refuse func(rpcio.StageOp) bool) *gatedConn {
+	return &gatedConn{StageConn: loopbackConn(stg), gate: func(ops []rpcio.StageOp, _ bool) error {
+		for _, op := range ops {
+			if refuse(op) {
+				return errors.New("injected op failure")
+			}
+		}
+		return nil
+	}}
+}
+
+// setRateFailingConn collects fine but refuses rate retunes.
+func setRateFailingConn(stg *stage.Stage) *gatedConn {
+	return refusingConn(stg, func(op rpcio.StageOp) bool { return op.Kind == rpcio.OpSetRate })
 }
 
 func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
@@ -227,7 +262,7 @@ func TestCollectAllCountsFailedStages(t *testing.T) {
 	if err := c.Register(ok1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(&failingConn{LocalConn{Stg: deadStg}}); err != nil {
+	if err := c.Register(failingConn(deadStg)); err != nil {
 		t.Fatal(err)
 	}
 	snaps := c.CollectAll()
@@ -291,7 +326,7 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 		}))
 	live, liveConn := localStage("s1", "jobA", clk)
 	pushDeadStg, _ := localStage("s2", "jobB", clk)
-	pushDead := &setRateFailingConn{LocalConn{Stg: pushDeadStg}}
+	pushDead := setRateFailingConn(pushDeadStg)
 	// pushDead registers while it is the only job, so its managed queue
 	// starts at the whole limit: every later round finds it off its
 	// 4000 share and must retune it — the push that fails.
@@ -317,39 +352,6 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 	}
 }
 
-// setRateFailingConn collects fine but refuses rate retunes.
-type setRateFailingConn struct{ LocalConn }
-
-func (f *setRateFailingConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	for _, op := range ops {
-		if op.Kind == rpcio.OpSetRate {
-			f.failStart(errors.New("injected push failure"))
-			return
-		}
-	}
-	f.LocalConn.Start(ops, dst, held)
-}
-
-// pushLogConn records the order push-phase exchanges reach it in, and
-// runs a hook inside its first collect.
-type pushLogConn struct {
-	LocalConn
-	log       *[]string
-	onCollect func()
-}
-
-func (p *pushLogConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	if dst != nil && p.onCollect != nil {
-		hook := p.onCollect
-		p.onCollect = nil
-		hook()
-	}
-	if len(ops) > 0 {
-		*p.log = append(*p.log, p.Stg.Info().StageID)
-	}
-	p.LocalConn.Start(ops, dst, held)
-}
-
 // TestPushesFollowTheLiveRegistryInStageIDOrder: pushes go out in
 // StageID order — the shard's fan-out order, whatever jobs the stages
 // serve — to the stages registered when the push is planned: one that
@@ -362,20 +364,31 @@ func TestPushesFollowTheLiveRegistryInStageIDOrder(t *testing.T) {
 		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))
 		var log []string
 		stages := map[string]*stage.Stage{}
-		conn := func(id, job string) *pushLogConn {
+		// onCollect runs inside a stage's first collect.
+		onCollect := map[string]func(){}
+		conn := func(id, job string) *gatedConn {
 			stg, _ := localStage(id, job, clk)
 			stages[id] = stg
-			return &pushLogConn{LocalConn: LocalConn{Stg: stg}, log: &log}
+			return &gatedConn{StageConn: loopbackConn(stg), gate: func(ops []rpcio.StageOp, collect bool) error {
+				if hook := onCollect[id]; collect && hook != nil {
+					delete(onCollect, id)
+					hook()
+				}
+				if len(ops) > 0 {
+					log = append(log, id)
+				}
+				return nil
+			}}
 		}
 		// StageID order interleaves the jobs, and so does the push order.
 		a1, b2, a3 := conn("s1", "jobA"), conn("s2", "jobB"), conn("s3", "jobA")
 		late := conn("s0", "jobB")
-		a3.onCollect = func() {
+		onCollect["s3"] = func() {
 			if err := c.Register(late); err != nil {
 				t.Error(err)
 			}
 		}
-		for _, pc := range []*pushLogConn{a3, b2, a1} {
+		for _, pc := range []*gatedConn{a3, b2, a1} {
 			if err := c.Register(pc); err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -165,22 +164,6 @@ func hungPeersRound(t *testing.T, workers int) {
 	}
 }
 
-// applyFailingConn refuses to install one rule.
-type applyFailingConn struct {
-	LocalConn
-	refuse string
-}
-
-func (f *applyFailingConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	for _, op := range ops {
-		if op.Kind == rpcio.OpApplyRule && op.Rule.ID == f.refuse {
-			f.failStart(errors.New("injected install failure"))
-			return
-		}
-	}
-	f.LocalConn.Start(ops, dst, held)
-}
-
 // TestAdministratorInstallsReachEveryStage: an install that fails on a
 // stage in the middle still reaches every other stage, at the split
 // rate, and the error names the first failure in StageID order — at
@@ -207,9 +190,9 @@ func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 		for _, id := range []string{"b3", "a2", "b1", "a3", "b2", "a1"} {
 			stg := stage.New(stage.Info{StageID: id, JobID: "job" + strings.ToUpper(id[:1])}, clk)
 			stages[id] = stg
-			var conn StageConn = &LocalConn{Stg: stg}
+			var conn StageConn = loopbackConn(stg)
 			if id[1] == '2' {
-				conn = &applyFailingConn{LocalConn: LocalConn{Stg: stg}, refuse: rule.ID}
+				conn = refusingConn(stg, func(op rpcio.StageOp) bool { return op.Kind == rpcio.OpApplyRule && op.Rule.ID == rule.ID })
 			}
 			if err := c.Register(conn); err != nil {
 				t.Fatal(err)
@@ -228,9 +211,9 @@ func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 }
 
 // mixedFleet registers twelve stages across three jobs with a
-// controller driving its rounds on workers goroutines: in-process
-// members, members behind the codec, members over TCP, one that never
-// answers a collect and one that refuses retunes.
+// controller driving its rounds on workers goroutines: members behind
+// the codec in process, members over TCP, one that never answers a
+// collect and one that refuses retunes.
 func mixedFleet(t *testing.T, workers int) (*Controller, *clock.Sim, map[string]*stage.Stage, *[]string) {
 	t.Helper()
 	clk := clock.NewSim(epoch)
@@ -245,13 +228,11 @@ func mixedFleet(t *testing.T, workers int) (*Controller, *clock.Sim, map[string]
 		var conn StageConn
 		switch {
 		case i == 4:
-			conn = &failingConn{LocalConn{Stg: stg}}
+			conn = failingConn(stg)
 		case i == 7:
-			conn = &setRateFailingConn{LocalConn{Stg: stg}}
-		case i%3 == 0:
-			conn = &LocalConn{Stg: stg}
-		case i%3 == 1:
-			conn = NewRemoteConn(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg)))
+			conn = setRateFailingConn(stg)
+		case i%3 != 2:
+			conn = loopbackConn(stg)
 		default:
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

@@ -1,7 +1,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -113,18 +112,11 @@ func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 	}
 }
 
-// deadConn fails every exchange, simulating an unreachable member.
-type deadConn struct{ LocalConn }
-
-func (d *deadConn) Start([]rpcio.StageOp, *stage.Stats, bool) {
-	d.failStart(errors.New("member unreachable"))
-}
-
 func TestAggregatorReportsFailedStages(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	_, conn := localStage("s1", "job1", clk)
 	dead, _ := localStage("s2", "job1", clk)
-	sh := shardOver(t, clk, nil, conn, &deadConn{LocalConn{Stg: dead}})
+	sh := shardOver(t, clk, nil, conn, failingConn(dead))
 
 	// A member failure never fails the round: it is counted.
 	var rs RoundStats
@@ -141,75 +133,63 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 	}
 }
 
-// memberKinds builds the two kinds of shard member — in-process and
-// over the frame codec — the one Exec contract must serve alike.
-var memberKinds = map[string]func(*stage.Stage) StageConn{
-	"local": func(s *stage.Stage) StageConn { return &LocalConn{Stg: s} },
-	"wire": func(s *stage.Stage) StageConn {
-		return NewRemoteConn(s.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(s)))
-	},
-}
-
 // TestAggregatorQuiescentRoundTouchesNothing proves the shard fast path
-// through the one Exec contract, for in-process and wire members alike:
-// once every member is quiet, a collect round re-materializes no slot
-// and re-folds no row. The proof is a poison: a member slot is
-// scribbled on between rounds, and a quiescent round must neither
-// repair it (that would be a re-materialization) nor let it leak into
-// the reply (that would be a re-fold). Traffic on one member then
-// rewrites exactly that member's slot and rebuilds the rows.
+// through the one Exec contract: once every member is quiet, a collect
+// round re-materializes no slot and re-folds no row. The proof is a
+// poison: a member slot is scribbled on between rounds, and a quiescent
+// round must neither repair it (that would be a re-materialization) nor
+// let it leak into the reply (that would be a re-fold). Traffic on one
+// member then rewrites exactly that member's slot and rebuilds the rows.
 func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
-	for name, mkConn := range memberKinds {
-		clk := clock.NewSim(epoch)
-		stages := make(map[string]*stage.Stage)
-		var conns []StageConn
-		for _, id := range []string{"s1", "s2"} {
-			stg, _ := localStage(id, "job1", clk)
-			stages[id] = stg
-			conns = append(conns, mkConn(stg))
-		}
-		sh := shardOver(t, clk, nil, conns...)
-		// The rows are the shard's scratch: copied, so a round's answer
-		// can be held against the next one's.
-		round := func(grants []jobGrant) []JobSnapshot {
-			var rs RoundStats
-			sh.round(grants, true, &rs)
-			return slices.Clone(sh.rows)
-		}
-		round([]jobGrant{{JobID: "job1", Rate: 1000}}) // install + first (full) collect
-		offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
-		round(nil)
-		clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
-		round(nil)
-		settled := round(nil)
+	clk := clock.NewSim(epoch)
+	stages := make(map[string]*stage.Stage)
+	var conns []StageConn
+	for _, id := range []string{"s1", "s2"} {
+		stg, conn := localStage(id, "job1", clk)
+		stages[id] = stg
+		conns = append(conns, conn)
+	}
+	sh := shardOver(t, clk, nil, conns...)
+	// The rows are the shard's scratch: copied, so a round's answer can
+	// be held against the next one's.
+	round := func(grants []jobGrant) []JobSnapshot {
+		var rs RoundStats
+		sh.round(grants, true, &rs)
+		return slices.Clone(sh.rows)
+	}
+	round([]jobGrant{{JobID: "job1", Rate: 1000}}) // install + first (full) collect
+	offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
+	round(nil)
+	clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
+	round(nil)
+	settled := round(nil)
 
-		const poison = 12345.5
-		members := sh.members
-		members[0].stats.Queues[0].DemandRate = poison
-		quiet := round(nil)
-		if got := members[0].stats.Queues[0].DemandRate; got != poison {
-			t.Errorf("%s: quiescent round re-materialized member 0's slot (DemandRate %v)", name, got)
+	const poison = 12345.5
+	members := sh.members
+	members[0].stats.Queues[0].DemandRate = poison
+	quiet := round(nil)
+	if got := members[0].stats.Queues[0].DemandRate; got != poison {
+		t.Errorf("quiescent round re-materialized member 0's slot (DemandRate %v)", got)
+	}
+	if len(quiet) != 1 || quiet[0] != settled[0] {
+		t.Errorf("quiescent round re-folded: rows %+v, want %+v", quiet, settled)
+	}
+	for i, m := range members {
+		if m.changed {
+			t.Errorf("member %d reported a change in a quiescent round", i)
 		}
-		if len(quiet) != 1 || quiet[0] != settled[0] {
-			t.Errorf("%s: quiescent round re-folded: rows %+v, want %+v", name, quiet, settled)
-		}
-		for i, m := range members {
-			if m.changed {
-				t.Errorf("%s: member %d reported a change in a quiescent round", name, i)
-			}
-		}
+	}
 
-		// Traffic on s2 only: its slot is rewritten and the rows rebuild
-		// (reading member 0's still-poisoned slot, which proves s1 was
-		// again left alone).
-		offerTo(clk, stages, map[string]float64{"s2": 70})
-		busy := round(nil)
-		if members[0].changed || !members[1].changed {
-			t.Errorf("%s: changed = %v/%v, want only member 1", name, members[0].changed, members[1].changed)
-		}
-		if want := poison + 70; busy[0].Demand != want {
-			t.Errorf("%s: rebuilt demand = %v, want %v", name, busy[0].Demand, want)
-		}
+	// Traffic on s2 only: its slot is rewritten and the rows rebuild
+	// (reading member 0's still-poisoned slot, which proves s1 was again
+	// left alone).
+	offerTo(clk, stages, map[string]float64{"s2": 70})
+	busy := round(nil)
+	if members[0].changed || !members[1].changed {
+		t.Errorf("changed = %v/%v, want only member 1", members[0].changed, members[1].changed)
+	}
+	if want := poison + 70; busy[0].Demand != want {
+		t.Errorf("rebuilt demand = %v, want %v", busy[0].Demand, want)
 	}
 }
 
@@ -221,32 +201,29 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 // connection must notice that its last fill went elsewhere and rewrite
 // the slot.
 func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
-	for name, mkConn := range memberKinds {
-		clk := clock.NewSim(epoch)
-		stg, _ := localStage("s1", "job1", clk)
-		conn := mkConn(stg)
-		sh := shardOver(t, clk, nil, conn)
-		var rs RoundStats
-		collect := func() { sh.round(nil, true, &rs) }
-		sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, false, &rs)
-		collect()
-		collect() // the slot is now held and quiet
+	clk := clock.NewSim(epoch)
+	stg, conn := localStage("s1", "job1", clk)
+	sh := shardOver(t, clk, nil, conn)
+	var rs RoundStats
+	collect := func() { sh.round(nil, true, &rs) }
+	sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, false, &rs)
+	collect()
+	collect() // the slot is now held and quiet
 
-		// Traffic, then quiet again — and the foreign collector sees the
-		// new totals first.
-		offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
-		clk.Advance(5 * time.Second)
-		var foreign stage.Stats
-		if _, _, err := rpcio.Exec(conn, nil, &foreign, false); err != nil {
-			t.Fatal(err)
-		}
-		if foreign.Queues[0].TotalDemand != 100 {
-			t.Fatalf("%s: foreign collect saw TotalDemand %d, want 100", name, foreign.Queues[0].TotalDemand)
-		}
-		collect()
-		if got := sh.members[0].stats.Queues[0].TotalDemand; got != 100 {
-			t.Errorf("%s: shard slot stale after a foreign collect: TotalDemand %d, want 100", name, got)
-		}
+	// Traffic, then quiet again — and the foreign collector sees the new
+	// totals first.
+	offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
+	clk.Advance(5 * time.Second)
+	var foreign stage.Stats
+	if _, _, err := rpcio.Exec(conn, nil, &foreign, false); err != nil {
+		t.Fatal(err)
+	}
+	if foreign.Queues[0].TotalDemand != 100 {
+		t.Fatalf("foreign collect saw TotalDemand %d, want 100", foreign.Queues[0].TotalDemand)
+	}
+	collect()
+	if got := sh.members[0].stats.Queues[0].TotalDemand; got != 100 {
+		t.Errorf("shard slot stale after a foreign collect: TotalDemand %d, want 100", got)
 	}
 }
 
@@ -258,10 +235,11 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
-	conns := make([]*LocalConn, 6)
-	for i := range conns {
-		_, conns[i] = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)
-		if err := c.Register(conns[i]); err != nil {
+	stages := make([]*stage.Stage, 6)
+	for i := range stages {
+		var conn StageConn
+		stages[i], conn = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)
+		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,9 +249,11 @@ func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
 		func(int) { c.CollectAll() },
 		func(int) { c.LastRound() },
 		func(i int) {
-			if conn := conns[i%len(conns)]; i%3 == 0 {
-				c.Deregister(conn.Info().StageID)
-			} else if err := c.Register(conn); err != nil {
+			// Deregister closes the connection: a stage comes back on a
+			// fresh one, as a restarted remote stage would.
+			if stg := stages[i%len(stages)]; i%3 == 0 {
+				c.Deregister(stg.Info().StageID)
+			} else if err := c.Register(loopbackConn(stg)); err != nil {
 				t.Error(err)
 			}
 		},

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 	type node struct {
 		id   string
 		stg  *stage.Stage
-		conn *flakyConn
+		down atomic.Bool
 	}
 	var nodes []*node
 	users := []string{"alice", "bob", "carol"}
@@ -76,9 +77,9 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 			// are not neighbours in the fan-out.
 			id := fmt.Sprintf("s%02d-%d", s, j)
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
-			nd := &node{id: id, stg: stg, conn: &flakyConn{LocalConn: LocalConn{Stg: stg}}}
+			nd := &node{id: id, stg: stg}
 			nodes = append(nodes, nd)
-			if err := c.Register(nd.conn); err != nil {
+			if err := c.Register(flakyConn(stg, &nd.down)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,9 +95,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 	var trace []roundTrace
 	for round := 0; round < 6; round++ {
 		if round == dieAt {
-			victim.conn.mu.Lock()
-			victim.conn.fail = true
-			victim.conn.mu.Unlock()
+			victim.down.Store(true)
 		}
 		if round == forgetAt {
 			amnesiac.stg.RemoveRule(ControlRuleID)
@@ -117,6 +116,9 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 		}
 		rt.Evicted = evicted
 		rt.Stats, _ = c.LastRound()
+		// Wire bytes carry the handles' random collector identities, whose
+		// varint width differs from run to run.
+		rt.Stats.BytesRead, rt.Stats.BytesWritten = 0, 0
 		for _, nd := range nodes {
 			rt.Rates[nd.id] = ruleRate(nd.stg, ControlRuleID)
 			for _, r := range nd.stg.Rules() {
@@ -216,7 +218,7 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
-	conns := make([]*LocalConn, 8)
+	conns := make([]*RemoteConn, 8)
 	for i := range conns {
 		_, conns[i] = localStage(fmt.Sprintf("s%d", i), "jobA", clk)
 		if err := c.Register(conns[i]); err != nil {
@@ -255,12 +257,12 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithEvictAfter(1))
 	c.SetReservation("jobA", 3000)
 	c.SetReservation("jobB", 1000)
-	var doomed *flakyConn
+	var doomed atomic.Bool // s0 stops answering collects
 	for i, job := range []string{"jobB", "jobA", "jobA", "jobB", "jobA"} {
 		stg, _ := localStage(fmt.Sprintf("s%d", i), job, clk)
-		conn := &flakyConn{LocalConn: LocalConn{Stg: stg}}
+		conn := StageConn(loopbackConn(stg))
 		if i == 0 {
-			doomed = conn
+			conn = flakyConn(stg, &doomed)
 		}
 		if err := c.Register(conn); err != nil {
 			t.Fatal(err)
@@ -271,9 +273,7 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	if rs, _ := c.LastRound(); rs.PushesSkipped != 5 {
 		t.Fatalf("steady round skipped %d pushes, want 5", rs.PushesSkipped)
 	}
-	doomed.mu.Lock()
-	doomed.fail = true
-	doomed.mu.Unlock()
+	doomed.Store(true)
 	c.RunOnce()
 	if got := len(c.Stages()); got != 4 {
 		t.Fatalf("%d stages registered after the eviction round, want 4", got)

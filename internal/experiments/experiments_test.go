@@ -353,27 +353,6 @@ func TestGranularityAblation(t *testing.T) {
 	}
 }
 
-func TestControlPlaneScalability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	rows, err := ControlPlaneScalability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.LoopLatency <= 0 {
-			t.Errorf("%s/%d: degenerate latency", r.Transport, r.Stages)
-		}
-	}
-	if !strings.Contains(RenderScalability(rows), "scalability") {
-		t.Error("render missing header")
-	}
-}
-
 func TestMechanismAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")

@@ -204,10 +204,10 @@ func (s *StageService) tracker(clientID uint64) *deltaTracker {
 	return t
 }
 
-// ApplyOps applies ops to stg in order, appending one result per op to
+// applyOps applies ops to stg in order, appending one result per op to
 // results. A malformed batch is rejected before any op applies, so it
 // is all-or-nothing instead of partially executed.
-func ApplyOps(stg *stage.Stage, ops []StageOp, results []OpResult) ([]OpResult, error) {
+func applyOps(stg *stage.Stage, ops []StageOp, results []OpResult) ([]OpResult, error) {
 	for i, op := range ops {
 		if op.Kind < OpApplyRule || op.Kind > OpSetMode {
 			return results, fmt.Errorf("rpcio: batch op %d: unknown kind %d", i, op.Kind)
@@ -233,7 +233,7 @@ func ApplyOps(stg *stage.Stage, ops []StageOp, results []OpResult) ([]OpResult, 
 // Batch executes a round's operations and optional incremental collect
 // in one round trip.
 func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
-	if reply.Results, err = ApplyOps(s.stg, args.Ops, reply.Results[:0]); err != nil {
+	if reply.Results, err = applyOps(s.stg, args.Ops, reply.Results[:0]); err != nil {
 		return err
 	}
 	s.calls.Add(1)

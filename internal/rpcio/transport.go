@@ -8,9 +8,9 @@
 // many calls can be in flight at once. Transport captures that contract
 // so the same control plane can run over a real socket
 // (frameTransport) or through the same codec in process
-// (EncodedLoopback), which is what the chaos harness and thousand-stage
-// benchmarks want. Callers that want no protocol at all drive the stage
-// directly (control.LocalConn).
+// (EncodedLoopback) — the transport of every in-process stage: the
+// cluster simulator's, a single-process deployment's, the chaos
+// harness's and the thousand-stage benchmarks'.
 package rpcio
 
 import (
@@ -166,10 +166,10 @@ type FrameFault func(dir FrameDir, method string) error
 // decode into the service's reusable session, dispatch, encode the
 // reply, decode into the caller's value — with exact frame-byte
 // accounting but no socket and no goroutine handoff. Deterministic and
-// single-threaded per call, it is what the chaos harness and the
-// thousand-stage benchmarks run on: the codec's cost and its
-// bugs are in the loop, the kernel's are not. A FrameFault hook injects
-// losses at frame granularity.
+// single-threaded per call, it is what every in-process stage runs on,
+// the simulated clusters behind the paper's figures included: the
+// codec's cost and its bugs are in the loop, the kernel's are not. A
+// FrameFault hook injects losses at frame granularity.
 type EncodedLoopback struct {
 	mu     sync.Mutex
 	fs     *FrameServer

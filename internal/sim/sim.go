@@ -3,7 +3,7 @@
 // own data-plane stages), the PADLL control plane, and optionally the
 // simulated PFS, over a simulated clock — so the paper's 45-minute
 // evaluation scenarios (§IV) execute in milliseconds with the very same
-// stage, policy, and control-plane code a live deployment uses.
+// stage, policy, wire-codec and control-plane code a live deployment uses.
 //
 // The engine is a fluid discrete-tick simulation: each tick, every active
 // job integrates its trace curve to produce the operations that arrived
@@ -24,6 +24,7 @@ import (
 	"padll/internal/metrics"
 	"padll/internal/pfs"
 	"padll/internal/posix"
+	"padll/internal/rpcio"
 	"padll/internal/stage"
 	"padll/internal/trace"
 )
@@ -97,7 +98,7 @@ type Cluster struct {
 type job struct {
 	spec    JobSpec
 	stages  []*stage.Stage
-	conns   []*control.LocalConn
+	conns   []*control.RemoteConn
 	pending map[posix.Op]float64 // backlog per op
 	// traceDone marks the trace curve fully integrated.
 	traceDone bool
@@ -191,7 +192,7 @@ func (c *Cluster) AddJob(spec JobSpec) {
 			User:     spec.User,
 		}, c.clk, stage.WithMode(c.cfg.StageMode), stage.WithWindow(c.cfg.Window))
 		j.stages = append(j.stages, st)
-		j.conns = append(j.conns, &control.LocalConn{Stg: st})
+		j.conns = append(j.conns, control.NewRemoteConn(st.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(st))))
 	}
 	c.jobs = append(c.jobs, j)
 }
@@ -254,8 +255,8 @@ func (c *Cluster) Run() *Report {
 				if c.cfg.Controller != nil {
 					c.cfg.Controller.SetReservation(j.spec.ID, j.spec.Reservation)
 					for _, conn := range j.conns {
-						// Registration errors are impossible for local
-						// conns with unique stage IDs.
+						// Over the in-process loopback, registration
+						// fails only on a bug.
 						if err := c.cfg.Controller.Register(conn); err != nil {
 							panic(err)
 						}

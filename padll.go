@@ -306,8 +306,12 @@ func (dp *DataPlane) InterceptionStats() interpose.Stats { return dp.shim.Stats(
 
 // Serve exposes the data plane's control service on addr (host:port, use
 // ":0" for an ephemeral port) and, when controllerAddr is non-empty,
-// registers with that control plane.
+// registers with that control plane. A data plane serves once until
+// Close.
 func (dp *DataPlane) Serve(addr, controllerAddr string) error {
+	if dp.stop != nil {
+		return fmt.Errorf("padll: control service already running on %s", dp.listenAddr)
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("padll: listen %s: %w", addr, err)
@@ -467,10 +471,12 @@ func NewControlPlane(opts ...ControlOption) *ControlPlane {
 	return &ControlPlane{ctl: control.New(clock.NewReal(), opts...)}
 }
 
-// AttachLocal registers an in-process data plane (no RPC hop) — the path
-// tests, simulations, and single-process deployments use.
+// AttachLocal registers a data plane of this process (in process,
+// through the frame codec; no socket) — the path tests, simulations,
+// and single-process deployments use.
 func (cp *ControlPlane) AttachLocal(dp *DataPlane) error {
-	return cp.ctl.Register(&control.LocalConn{Stg: dp.stg})
+	h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(dp.stg))
+	return cp.ctl.Register(control.NewRemoteConn(dp.stg.Info(), h))
 }
 
 // DetachLocal removes a locally attached data plane from the registry
@@ -479,8 +485,12 @@ func (cp *ControlPlane) DetachLocal(dp *DataPlane) bool {
 	return cp.ctl.Deregister(dp.stg.Info().StageID)
 }
 
-// Serve starts the registration endpoint remote data planes dial.
+// Serve starts the registration endpoint remote data planes dial; one
+// runs at a time until Stop.
 func (cp *ControlPlane) Serve(addr string) (string, error) {
+	if cp.srv != nil {
+		return "", fmt.Errorf("padll: registrar already running on %s", cp.srv.Addr())
+	}
 	srv, err := cp.ctl.Serve(addr)
 	if err != nil {
 		return "", err
@@ -518,8 +528,12 @@ func (cp *ControlPlane) RunOnce() map[string]float64 { return cp.ctl.RunOnce() }
 func (cp *ControlPlane) Run(interval time.Duration) { cp.ctl.Run(interval) }
 
 // ServeMonitor starts an HTTP observability endpoint (JSON under /api/*,
-// a text dashboard at /) and returns its address.
+// a text dashboard at /) and returns its address; one runs at a time
+// until Stop.
 func (cp *ControlPlane) ServeMonitor(addr string) (string, error) {
+	if cp.mon != nil {
+		return "", fmt.Errorf("padll: monitor already running on %s", cp.mon.Addr())
+	}
 	mon, err := monitor.Serve(addr, cp.ctl)
 	if err != nil {
 		return "", err

@@ -150,6 +150,11 @@ func TestControlPlaneLocalAttachProportionalShare(t *testing.T) {
 	if len(alloc) != 2 {
 		t.Fatalf("allocation = %v", alloc)
 	}
+	// An attached data plane is reached through the frame codec: the
+	// round moved wire bytes, socket or not.
+	if rs, ok := cp.LastRound(); !ok || rs.BytesRead+rs.BytesWritten == 0 {
+		t.Errorf("in-process round moved no wire bytes: %+v", rs)
+	}
 	// Reservation floors hold.
 	if alloc["job1"] < 3000-1 || alloc["job2"] < 6000-1 {
 		t.Errorf("allocation below reservations: %v", alloc)
@@ -271,6 +276,39 @@ func TestServeMonitorEndpoint(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "mon-job") && !strings.Contains(string(body), "\"jobs\": 1") {
 		t.Errorf("overview = %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestSecondServeIsRefused: serving again while serving is an error for
+// a data plane's control service, a control plane's registrar and its
+// monitor alike — a second listener would outlive Close and Stop.
+func TestSecondServeIsRefused(t *testing.T) {
+	cp := padll.NewControlPlane()
+	defer cp.Stop()
+	for name, serve := range map[string]func() (string, error){
+		"registrar": func() (string, error) { return cp.Serve("127.0.0.1:0") },
+		"monitor":   func() (string, error) { return cp.ServeMonitor("127.0.0.1:0") },
+	} {
+		if _, err := serve(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serve(); err == nil || !strings.Contains(err.Error(), "already running") {
+			t.Errorf("second %s Serve = %v, want already running", name, err)
+		}
+	}
+
+	backend, local := newBackends()
+	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "twice"},
+		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	if err := dp.Serve("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.Serve("127.0.0.1:0", ""); err == nil || !strings.Contains(err.Error(), "already running") {
+		t.Errorf("second data-plane Serve = %v, want already running", err)
 	}
 }
 
