@@ -179,8 +179,9 @@ ci:
 # The size figures a surface-audit entry in CHANGES.md quotes: non-test
 # lines outside bench/, exported functions and methods, With* options
 # (under internal/ and padll.go), analyzers padll-lint runs — and the
-# two the control plane is tracked by: wire structs wireRegistry locks,
-# non-test lines of rpcio + control — and the experiment harness's
+# ones the control plane is tracked by: wire structs wireRegistry locks,
+# wire call methods methodIDs maps, non-test lines of rpcio + control —
+# and the experiment harness's
 # non-test lines.
 SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
 count:
@@ -192,6 +193,8 @@ count:
 	@printf 'analyzers: %d\n' "$$($(GO) run ./cmd/padll-lint -list | wc -l)"
 	@printf 'wire structs (wireRegistry): %d\n' \
 		"$$(awk '/^var wireRegistry/,/^}/' internal/rpcio/wire_registry_test.go | grep -cE '^\s+"[a-z]+\.[A-Z][A-Za-z]*": ')"
+	@printf 'wire call methods (methodIDs): %d\n' \
+		"$$(awk '/^var methodIDs/,/^}/' internal/rpcio/wirecodec.go | grep -cE '^\s+"[A-Z][A-Za-z]*\.[A-Z][A-Za-z]*": ')"
 	@printf 'rpcio + control non-test lines: %d\n' \
 		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/experiments non-test lines: %d\n' \

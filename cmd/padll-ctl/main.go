@@ -1,7 +1,8 @@
 // Command padll-ctl is the administrator CLI for a running data-plane
 // stage: it inspects queue statistics and installs, retunes, or removes
-// QoS rules over the stage's control RPC service. Every mutating command
-// is one Stage.Batch round trip (a single operation is a one-op batch).
+// QoS rules over the stage's control RPC service. Every command is one
+// Stage.Batch round trip: a single operation is a one-op batch, and ping
+// and stats are a collect.
 //
 // Usage:
 //
@@ -66,11 +67,13 @@ func main() {
 
 	switch args[0] {
 	case "ping":
-		health, err := h.Health(1)
-		if err != nil {
+		// A fresh handle's first collect is a full snapshot, so it
+		// carries the stage's identity.
+		var st stage.Stats
+		if err := h.CollectDeltaInto(&st); err != nil {
 			fatal(err)
 		}
-		info := health.Info
+		info := st.Info
 		fmt.Printf("stage %s job=%s host=%s pid=%d user=%s\n",
 			info.StageID, info.JobID, info.Hostname, info.PID, info.User)
 

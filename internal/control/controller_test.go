@@ -565,7 +565,9 @@ func TestRegistrarOverFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stg, svc, l.Addr().String(), rpcio.ServeService(l, svc)
+		fs := rpcio.NewFrameServer()
+		fs.Add(svc)
+		return stg, svc, l.Addr().String(), rpcio.ServeMux(l, fs)
 	}
 
 	_, _, addr, stop := serve()

@@ -84,7 +84,7 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 
 func hungPeersRound(t *testing.T, workers int) {
 	const timeout = 150 * time.Millisecond
-	backoff := rpcio.Backoff{Base: 40 * time.Millisecond, Factor: 2, Attempts: 2, Seed: 7}
+	backoff := rpcio.Backoff{Base: 40 * time.Millisecond, Factor: 2, Attempts: 2}
 	delays := backoff.Delays()
 	clk := clock.NewSim(epoch)
 	var (

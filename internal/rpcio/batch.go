@@ -130,8 +130,7 @@ var epochFallback atomic.Uint64
 // ServiceStats counts what a StageService has served, for observability
 // (the replayer prints them at shutdown).
 type ServiceStats struct {
-	// Calls is the number of control RPCs served (batches and health
-	// probes).
+	// Calls is the number of Stage.Batch calls served.
 	Calls uint64
 	// BatchedOps is the number of operations that arrived inside
 	// Stage.Batch calls.
@@ -507,14 +506,14 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 	h.bargs.Collect = dst != nil
 	h.dst, h.held = dst, held
 	resetReply(&h.breply)
-	h.pending = h.t.Start("Stage.Batch", &h.bargs, &h.breply)
+	h.t.Start("Stage.Batch", &h.bargs, &h.breply)
 }
 
 // Finish implements Exchanger.
 func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
-	err = h.pending.Finish()
+	err = h.t.Finish()
 	dst, held := h.dst, h.held
-	h.pending, h.dst, h.bargs.Ops = nil, nil, nil
+	h.dst, h.bargs.Ops = nil, nil
 	if err == nil && len(h.breply.Results) > 0 {
 		results = make([]OpResult, len(h.breply.Results))
 		copy(results, h.breply.Results)

@@ -127,9 +127,10 @@ type switchableTransport struct {
 	inner Transport
 }
 
-func (s *switchableTransport) Start(method string, args, reply any) Pending {
-	return s.inner.Start(method, args, reply)
+func (s *switchableTransport) Start(method string, args, reply any) {
+	s.inner.Start(method, args, reply)
 }
+func (s *switchableTransport) Finish() error          { return s.inner.Finish() }
 func (s *switchableTransport) Retry(attempt int) bool { return s.inner.Retry(attempt) }
 func (s *switchableTransport) WireStats() WireStats   { return s.inner.WireStats() }
 func (s *switchableTransport) Close() error           { return s.inner.Close() }
@@ -294,7 +295,7 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 }
 
 // TestDeltaCollectOverWire runs the incremental protocol over the real
-// TCP transport (ServeService + DialStage) instead of a loopback. This
+// TCP transport (ServeMux + DialStage) instead of a loopback. This
 // is the regression test for reply reuse: a handle reuses one reply
 // struct across exchanges, so a decoder that merged instead of
 // overwrote would read every post-full incremental reply with a stale
@@ -310,7 +311,9 @@ func TestDeltaCollectOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeService(l, svc)
+	fs := NewFrameServer()
+	fs.Add(svc)
+	stop := ServeMux(l, fs)
 	t.Cleanup(stop)
 	h, err := DialStage(l.Addr().String())
 	if err != nil {

@@ -29,18 +29,18 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 	return tr
 }
 
-// healthFrame assembles a Stage.Health request in call's write buffer,
-// as callOnce does.
-func healthFrame(t *testing.T, call *frameCall) {
+// collectFrame assembles a Stage.Batch collect in call's write buffer,
+// as Start does.
+func collectFrame(t *testing.T, call *frameCall) {
 	t.Helper()
-	frame, err := appendCallArgs(frameStart(call.wbuf), methodHealth, &HealthProbe{Seq: 9})
+	frame, err := appendCallArgs(frameStart(call.wbuf), methodBatch, &BatchArgs{Collect: true, ClientID: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	call.wbuf = frame
 }
 
-// TestCallDeadlineOnSimClock drives one pooled call through answered
+// TestCallDeadlineOnSimClock drives a transport's one call through answered
 // and unanswered exchanges on a simulated clock: the deadline counts
 // from the send, its timer is armed only while a wait is actually
 // blocked — never for a reply that is already there — for what is left
@@ -54,15 +54,15 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 	tr := deadlineFixture(t, clk, timeout, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DropEvery: 2}}
 	})
-	call := tr.getCall()
+	call := &tr.call
 	exchange := func() (*frameConn, chan error) {
 		fc, err := tr.ensureConn()
 		if err != nil {
 			t.Fatal(err)
 		}
-		healthFrame(t, call)
+		collectFrame(t, call)
 		done := make(chan error, 1)
-		go func() { done <- tr.roundTrip(fc, call, methodHealth, 0) }()
+		go func() { done <- tr.roundTrip(fc, call, methodBatch, 0) }()
 		return fc, done
 	}
 	answered := func(step string) {
@@ -110,14 +110,14 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthFrame(t, call)
-	if err := tr.send(fc, call, methodHealth, 0); err != nil {
+	collectFrame(t, call)
+	if err := tr.send(fc, call, methodBatch, 0); err != nil {
 		t.Fatal(err)
 	}
 	for len(call.ch) == 0 {
 		runtime.Gosched()
 	}
-	if err := tr.await(fc, call, methodHealth); err != nil {
+	if err := tr.await(fc, call, methodBatch); err != nil {
 		t.Fatal(err)
 	}
 	if call.deadline != nil || clk.PendingWaiters() != 0 {
@@ -150,7 +150,7 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 	}
 }
 
-// exchangeSentAgo sends a Stage.Health whose reply the fixture's wire
+// exchangeSentAgo sends a Stage.Batch whose reply the fixture's wire
 // will swallow (the second reply on a fresh connection), lets ago pass
 // on the clock, and only then starts waiting for it.
 func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clock.Sim, ago time.Duration) (*frameConn, chan error) {
@@ -159,13 +159,13 @@ func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clo
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthFrame(t, call)
-	if err := tr.send(fc, call, methodHealth, 0); err != nil {
+	collectFrame(t, call)
+	if err := tr.send(fc, call, methodBatch, 0); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(ago)
 	done := make(chan error, 1)
-	go func() { done <- tr.await(fc, call, methodHealth) }()
+	go func() { done <- tr.await(fc, call, methodBatch) }()
 	return fc, done
 }
 
@@ -231,7 +231,7 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 	tr := deadlineFixture(t, clock.NewReal(), time.Hour, func(l net.Listener) net.Listener {
 		return &heldListener{Listener: l, release: release}
 	})
-	call := tr.getCall()
+	call := &tr.call
 	call.deadline = &lateTimer{c: make(chan time.Time, 1), release: release, delivered: func() bool { return len(call.ch) == 1 }}
 	// The select picks between two ready channels at random: 24 fair
 	// coins all landing on the reply branch is a 6e-8 event.
@@ -241,13 +241,13 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		healthFrame(t, call)
-		if err := tr.roundTrip(fc, call, methodHealth, 0); err != nil {
+		collectFrame(t, call)
+		if err := tr.roundTrip(fc, call, methodBatch, 0); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
-		var st StageHealth
-		if err := readCallReply(methodHealth, call.buf, &st); err != nil || st.Seq != 9 {
-			t.Fatalf("exchange %d: reply %+v, err %v", i, st, err)
+		var reply BatchReply
+		if err := readCallReply(methodBatch, call.buf, &reply); err != nil || reply.Delta.Info.StageID != "s1" {
+			t.Fatalf("exchange %d: reply %+v, err %v", i, reply, err)
 		}
 		if fc.isDead() {
 			deadlineBranch++

@@ -9,23 +9,25 @@
 // by a flaky wire, or stragglers from a timed-out call — are consumed
 // and dropped, never misdelivered.
 //
-// A call is two halves (Transport.Start, Pending.Finish): the first
-// encodes, registers the stream and writes the frame, the second waits
-// for the demux goroutine's signal and decodes — so a caller driving
-// many stages has every request on the wire before it waits for the
-// first reply, and by the time it gathers most replies are already
-// buffered in their calls.
+// An exchange is two halves (Transport.Start, Transport.Finish): the
+// first encodes, registers the stream and writes the frame, the second
+// waits for the demux goroutine's signal and decodes — so a caller
+// driving many stages has every request on the wire before it waits for
+// the first reply, and by the time it gathers most replies are already
+// buffered in their calls. A transport carries one exchange at a time,
+// so it owns exactly one call, which the attach handshake and every
+// exchange reuse.
 //
 // Failure handling: every call runs under the transport's deadline on
 // its injected clock, counted from the send. The deadline's timer — one
-// the pooled call owns and re-arms, so it costs no allocation — is
-// armed only when the second half actually has to block, for what is
-// left of the deadline; requests sent together to hung peers therefore
-// expire together. A timeout or I/O error kills the whole connection
+// the call owns and re-arms, so it costs no allocation — is armed only
+// when the second half actually has to block, for what is left of the
+// deadline; requests sent together to hung peers therefore expire
+// together. A timeout or I/O error kills the whole connection
 // (completing every pending call with the error), and the next call
-// redials; the blocking Call separates its attempts by the transport's
-// backoff schedule, materialized once when the transport was built.
-// RemoteError — the peer answered with an application error — is
+// redials; a blocking exchange (Exec) separates its attempts by the
+// transport's backoff schedule, materialized once when the transport was
+// built. RemoteError — the peer answered with an application error — is
 // returned without retry. Frames are written with a single Write call, so fault
 // injectors operating at write granularity (the tests' FlakyConn) drop or
 // duplicate whole frames, never fragments.
@@ -43,26 +45,27 @@ import (
 	"padll/internal/clock"
 )
 
-// frameCall is one in-flight request's rendezvous, and the Pending its
-// Start returns: the reader goroutine delivers the reply payload into
-// buf and signals ch. Completion is exactly-once (whoever removes the
-// call from the pending map completes it) and a call goes back to its
-// transport's pool only after that one signal was consumed, so calls
-// and their buffers are pooled and reused.
+// frameCall is one transport's request rendezvous: the reader goroutine
+// delivers the reply payload into buf and signals ch. Completion is
+// exactly-once (whoever removes the call from the pending map completes
+// it) and the call is reused only after that one signal was consumed,
+// so the call and its buffers serve every exchange of its transport.
 type frameCall struct {
-	t    *frameTransport
 	ch   chan struct{} // buffered(1); one signal per completion
 	kind uint8
 	buf  []byte // reply payload (reused)
 	wbuf []byte // request frame assembly (reused)
-	err  error
+	// err is the completion's error, or the error of a Start that put
+	// nothing on the wire.
+	err error
 	// deadline is the call's reusable timeout timer, made the first time
-	// a wait has to block and always stopped before the call returns to
-	// the pool. sent is when the request went out: the instant the
-	// deadline counts from.
+	// a wait has to block and always stopped before the wait returns.
+	// sent is when the request went out: the instant the deadline counts
+	// from.
 	deadline clock.Timer
 	sent     time.Time
-	// fc, m and reply are the started exchange Finish completes.
+	// fc, m and reply are the started exchange Finish completes; fc is
+	// nil when no exchange is in flight.
 	fc    *frameConn
 	m     methodID
 	reply any
@@ -220,8 +223,7 @@ func (fc *frameConn) channelFor(t *frameTransport, stageID string) (uint32, erro
 	if ok {
 		return ch, nil
 	}
-	call := t.getCall()
-	defer t.putCall(call)
+	call := &t.call
 	call.wbuf = append(frameStart(call.wbuf), stageID...)
 	if err := t.roundTrip(fc, call, methodAttach, 0); err != nil {
 		return 0, err
@@ -345,7 +347,9 @@ type frameTransport struct {
 	fc     *frameConn
 	closed bool
 
-	callPool sync.Pool
+	// call is the transport's one exchange: the attach handshake and
+	// every Start/Finish pair use it in turn.
+	call frameCall
 }
 
 func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
@@ -361,6 +365,7 @@ func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
 		timeout: cfg.timeout,
 		dialTO:  cfg.dialTO,
 		delays:  cfg.backoff.Delays(),
+		call:    frameCall{ch: make(chan struct{}, 1)},
 	}
 }
 
@@ -371,18 +376,6 @@ func (t *frameTransport) WireStats() WireStats {
 		BytesRead:    t.bytesRead.Load(),
 		BytesWritten: t.bytesWritten.Load(),
 	}
-}
-
-func (t *frameTransport) getCall() *frameCall {
-	if c, ok := t.callPool.Get().(*frameCall); ok {
-		return c
-	}
-	return &frameCall{t: t, ch: make(chan struct{}, 1)}
-}
-
-func (t *frameTransport) putCall(c *frameCall) {
-	c.err, c.fc, c.reply = nil, nil, nil
-	t.callPool.Put(c)
 }
 
 // ensureConn returns the transport's live shared connection, acquiring
@@ -543,52 +536,60 @@ func discard(fc *frameConn, err error) error {
 }
 
 // Start implements Transport: dial if the last connection died, resolve
-// the channel, encode, register, write.
-func (t *frameTransport) Start(method string, args, reply any) Pending {
+// the channel, encode, register, write. A failure leaves its error in
+// the call for Finish.
+func (t *frameTransport) Start(method string, args, reply any) {
+	c := &t.call
 	m, ok := methodIDs[method]
 	if !ok {
-		return finished{fmt.Errorf("rpcio: unknown method %q", method)}
+		c.err = fmt.Errorf("rpcio: unknown method %q", method)
+		return
 	}
 	fc, err := t.ensureConn()
 	if err != nil {
-		return finished{err}
+		c.err = err
+		return
 	}
 	t.calls.Add(1)
 	channel, err := fc.channelFor(t, t.stageID)
-	if err != nil {
-		return finished{discard(fc, err)}
-	}
-	call := t.getCall()
-	frame, err := appendCallArgs(frameStart(call.wbuf), m, args)
 	if err == nil {
-		call.wbuf = frame
-		err = t.send(fc, call, m, channel)
+		c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args)
+	}
+	if err == nil {
+		err = t.send(fc, c, m, channel)
 	}
 	if err != nil {
-		t.putCall(call)
-		return finished{discard(fc, err)}
+		c.err = discard(fc, err)
+		return
 	}
-	call.fc, call.m, call.reply = fc, m, reply
-	return call
+	c.fc, c.m, c.reply = fc, m, reply
 }
 
-// Finish implements Pending: wait, decode into the reply Start was
-// given, and give the call back to its pool.
-func (c *frameCall) Finish() error {
-	t, fc := c.t, c.fc
-	err := t.await(fc, c, c.m)
-	if err == nil {
-		switch c.kind {
-		case frameError:
-			err = RemoteError(string(c.buf))
-		case frameReply:
-			err = readCallReply(c.m, c.buf, c.reply)
-		default:
-			err = fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, c.kind)
+// Finish implements Transport: wait, decode into the reply Start was
+// given, and leave the call at rest for the next Start.
+func (t *frameTransport) Finish() error {
+	c := &t.call
+	fc := c.fc
+	var err error
+	if fc == nil {
+		err = c.err // Start put nothing on the wire
+	} else {
+		// c.err is the demux goroutine's until await took the signal.
+		err = t.await(fc, c, c.m)
+		if err == nil {
+			switch c.kind {
+			case frameError:
+				err = RemoteError(string(c.buf))
+			case frameReply:
+				err = readCallReply(c.m, c.buf, c.reply)
+			default:
+				err = fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, c.kind)
+			}
 		}
+		err = discard(fc, err)
 	}
-	t.putCall(c)
-	return discard(fc, err)
+	c.err, c.fc, c.reply = nil, nil, nil
+	return err
 }
 
 // Retry implements Transport on the backoff schedule: every blocking

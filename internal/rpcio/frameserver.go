@@ -46,7 +46,7 @@ func (t frameTarget) hosts() string {
 // a method number this build does not know).
 func serviceOf(m methodID) string {
 	switch m {
-	case methodHealth, methodBatch:
+	case methodBatch:
 		return stageService
 	case methodRegister, methodDeregister, methodRegistrarPing:
 		return registrarService
@@ -127,13 +127,12 @@ type frameSession struct {
 	payload []byte
 	wbuf    []byte
 
-	probe        HealthProbe // Health and Registrar.Ping args; the ping's echo
+	probe        HealthProbe // Registrar.Ping args and its echo
 	batchArgs    BatchArgs
 	registration Registration
 	stageID      string // Registrar.Deregister args
 
-	healthReply StageHealth
-	batchReply  BatchReply
+	batchReply BatchReply
 }
 
 // serveFrameConn runs one connection's frame loop until the connection
@@ -219,11 +218,6 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 		out = reply
 	)
 	switch h.method {
-	case methodHealth:
-		if err = readCallArgs(h.method, s.payload, &s.probe); err == nil {
-			err = tgt.stage.Health(s.probe, &s.healthReply)
-		}
-		out = appendStageHealth(reply, &s.healthReply)
 	case methodBatch:
 		if err = readCallArgs(h.method, s.payload, &s.batchArgs); err == nil {
 			err = tgt.stage.Batch(s.batchArgs, &s.batchReply)

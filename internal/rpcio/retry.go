@@ -1,14 +1,11 @@
 package rpcio
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// Backoff is a seeded, jittered exponential backoff schedule. All waits
-// run on an injected clock.Clock, and the jitter PRNG is seeded, so a
-// retry sequence is byte-identical across runs under the simulated clock
-// — the property the chaos harness asserts.
+// Backoff is an exponential backoff schedule. Its delays are a pure
+// function of its fields and every wait runs on an injected clock.Clock,
+// so a retry sequence is byte-identical across runs under the simulated
+// clock — the property the chaos harness asserts.
 //
 // The zero value is usable: it means "no retries" (a single attempt).
 type Backoff struct {
@@ -19,14 +16,9 @@ type Backoff struct {
 	Max time.Duration
 	// Factor is the per-retry growth multiplier (default 2).
 	Factor float64
-	// Jitter is the fraction of each delay drawn uniformly at random and
-	// added on top, in [0, Jitter*delay) (default 0, fully deterministic).
-	Jitter float64
 	// Attempts is the total number of tries including the first
 	// (0 or 1 = no retries).
 	Attempts int
-	// Seed seeds the jitter PRNG.
-	Seed int64
 }
 
 // DefaultBackoff is the schedule dial and call paths use unless
@@ -50,32 +42,19 @@ func (b Backoff) withDefaults() Backoff {
 	return b
 }
 
-// Delays materializes the full retry-delay sequence (Attempts-1 entries),
-// jitter included. For a given Backoff value the result is always the
-// same slice: the schedule is a pure function of its fields, so callers
-// that retry often compute it once and index into it — seeding the
-// jitter PRNG costs more than a steady-state exchange.
+// Delays materializes the full retry-delay sequence (Attempts-1 entries).
+// A transport computes it once, when it is built, and indexes into it on
+// every retry.
 func (b Backoff) Delays() []time.Duration {
 	b = b.withDefaults()
 	if b.Attempts <= 1 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(b.Seed))
 	delays := make([]time.Duration, 0, b.Attempts-1)
 	d := b.Base
 	for i := 0; i < b.Attempts-1; i++ {
-		step := d
-		if step > b.Max {
-			step = b.Max
-		}
-		if b.Jitter > 0 {
-			step += time.Duration(b.Jitter * float64(step) * rng.Float64())
-		}
-		delays = append(delays, step)
-		d = time.Duration(float64(d) * b.Factor)
-		if d > b.Max {
-			d = b.Max
-		}
+		delays = append(delays, min(d, b.Max))
+		d = min(time.Duration(float64(d)*b.Factor), b.Max)
 	}
 	return delays
 }

@@ -1,7 +1,8 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
 // uses one versioned binary frame protocol over TCP (wirecodec.go) for
-// stage and registrar traffic. The structure is the same:
+// stage and registrar traffic, written and read on the client side by
+// one transport (frame.go). The structure is the same:
 // every stage exposes a typed control service (install rule, retune
 // rate, collect statistics — all carried by Stage.Batch), and the
 // control plane exposes a registration service stages dial when their
@@ -10,13 +11,11 @@ package rpcio
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"padll/internal/clock"
 	"padll/internal/stage"
 )
 
@@ -32,7 +31,7 @@ type Registration struct {
 // ---- stage-side control service ----
 
 // StageService exposes a stage's control operations over RPC: the
-// batched delta protocol (batch.go) and the health probe below.
+// batched delta protocol (batch.go), Stage.Batch being its one method.
 type StageService struct {
 	stg *stage.Stage
 	// epoch identifies this service instance to delta-collect clients;
@@ -52,7 +51,7 @@ type StageService struct {
 }
 
 // NewStageService wraps a stage for serving, either over a listener
-// (ServeService) or in process (NewEncodedLoopback).
+// (FrameServer.Add, then ServeMux) or in process (NewEncodedLoopback).
 func NewStageService(stg *stage.Stage) *StageService {
 	return &StageService{stg: stg, epoch: newEpoch()}
 }
@@ -67,35 +66,11 @@ func (s *StageService) Served() ServiceStats {
 	}
 }
 
-// HealthProbe is the liveness-check request both services accept. Seq is
-// echoed back so a prober can match replies to probes across retries.
+// HealthProbe is the controller liveness check a stage sends the
+// registrar (Registrar.Ping). Seq is echoed back so a prober can match
+// replies to probes across retries.
 type HealthProbe struct {
 	Seq uint64
-}
-
-// StageHealth is a stage's health report: identity plus the degraded
-// accounting the monitor surfaces.
-type StageHealth struct {
-	Seq             uint64
-	Info            stage.Info
-	Degraded        bool
-	DegradedSeconds float64
-	// Rules is the number of installed rules (the frozen set a degraded
-	// stage keeps enforcing).
-	Rules int
-}
-
-// Health reports the stage's liveness and degraded accounting.
-func (s *StageService) Health(probe HealthProbe, reply *StageHealth) error {
-	s.calls.Add(1)
-	*reply = StageHealth{
-		Seq:             probe.Seq,
-		Info:            s.stg.Info(),
-		Degraded:        s.stg.Degraded(),
-		DegradedSeconds: s.stg.DegradedFor().Seconds(),
-		Rules:           len(s.stg.Rules()),
-	}
-	return nil
 }
 
 // maxConns bounds how many connections one control endpoint serves
@@ -177,15 +152,8 @@ func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func(
 // and every in-flight connection, then waits for all serving goroutines
 // to exit.
 func ServeStage(l net.Listener, stg *stage.Stage) (stop func()) {
-	return ServeService(l, NewStageService(stg))
-}
-
-// ServeService is ServeStage for a caller-built StageService — the form
-// to use when the caller also wants the service (for Served counters or
-// an EncodedLoopback onto the same generation state).
-func ServeService(l net.Listener, svc *StageService) (stop func()) {
 	fs := NewFrameServer()
-	fs.Add(svc)
+	fs.Add(NewStageService(stg))
 	return ServeMux(l, fs)
 }
 
@@ -193,7 +161,8 @@ func ServeService(l net.Listener, svc *StageService) (stop func()) {
 // frame protocol: clients resolve a stage ID to a channel with the
 // attach handshake and multiplex all their calls over one connection
 // per endpoint. Register services with fs.Add before or after this
-// call.
+// call; a caller that keeps its StageService (for Served counters)
+// serves it this way, as a one-service FrameServer.
 func ServeMux(l net.Listener, fs *FrameServer) (stop func()) {
 	return serveBounded(l, fs.serveFrameConn, maxConns)
 }
@@ -224,19 +193,19 @@ type StageHandle struct {
 	filled *stage.Stats
 
 	// The exchange in flight, owned by whoever set busy: the reusable
-	// args/reply buffers, the transport's pending call, and the collect
-	// destination Finish fills.
-	bargs   BatchArgs
-	breply  BatchReply
-	pending Pending
-	dst     *stage.Stats
-	held    bool
+	// args/reply buffers and the collect destination Finish fills. busy
+	// is also what keeps the transport to one exchange at a time.
+	bargs  BatchArgs
+	breply BatchReply
+	dst    *stage.Stats
+	held   bool
 }
 
 // DialStage connects to a stage's control service over TCP. The wire is
 // the versioned binary frame codec, multiplexed: every handle to the
 // same endpoint address shares one TCP connection (frames carry stream
-// IDs; a demux goroutine routes replies). WithMuxStage routes calls to
+// IDs; a demux goroutine routes replies), and each handle has at most
+// one Stage.Batch exchange on it at a time. WithMuxStage routes calls to
 // a named stage on a multi-stage (ServeMux) endpoint.
 func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	cfg := defaultDialConfig()
@@ -260,13 +229,6 @@ func NewStageHandle(t Transport) *StageHandle {
 
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
-
-// Health fetches the stage's health report.
-func (h *StageHandle) Health(seq uint64) (StageHealth, error) {
-	var st StageHealth
-	err := Call(h.t, "Stage.Health", &HealthProbe{Seq: seq}, &st)
-	return st, err
-}
 
 // Close tears down the transport; subsequent calls fail without
 // redialing.
@@ -293,52 +255,24 @@ func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDereg
 }
 
 // registrarCall performs one exchange with the control plane's
-// registrar: dial, one request frame, one reply frame, close. The dial
-// and the whole exchange are bounded, which keeps a stage's startup,
-// shutdown and heartbeat paths from hanging on a dead controller.
+// registrar: a one-shot frame transport on a connection of its own, so
+// concurrent registrations are served in parallel, closed once the
+// exchange is over. The dial and the exchange (counted from the send, on
+// the wall clock: registrar calls run on real deployments' startup
+// paths) are bounded, which keeps a stage's startup, shutdown and
+// heartbeat paths from hanging on a dead controller.
 func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return fmt.Errorf("rpcio: dial controller %s: %w", addr, err)
+	cfg := defaultDialConfig()
+	cfg.timeout, cfg.dialTO, cfg.backoff, cfg.dialer = callTO, dialTO, Backoff{}, &frameDialer{}
+	t := newFrameTransport(addr, cfg)
+	// Closing a one-shot transport after its exchange reports nothing.
+	defer func() { _ = t.Close() }()
+	t.Start(method, args, reply)
+	err := t.Finish()
+	if Retryable(err) {
+		return fmt.Errorf("rpcio: controller %s: %w", addr, err)
 	}
-	// One-shot connection: once the exchange is over (or failed) its
-	// close error carries no information.
-	defer func() { _ = conn.Close() }()
-	// Absolute wall-clock deadline for the whole exchange: registrar
-	// calls run on real deployments' startup paths, never under sim.
-	if err := conn.SetDeadline(clock.NewReal().Now().Add(callTO)); err != nil {
-		return fmt.Errorf("rpcio: controller %s: set deadline: %w", addr, err)
-	}
-	m := methodIDs[method]
-	frame, err := appendCallArgs(frameStart(nil), m, args)
-	if err != nil {
-		return err
-	}
-	putFrameHeader(frame[:frameHeaderLen], frameHeader{
-		kind:   frameRequest,
-		method: m,
-		stream: 1,
-		length: uint32(len(frame) - frameHeaderLen),
-	})
-	if _, err := conn.Write(frame); err != nil {
-		return fmt.Errorf("rpcio: controller %s: write %s: %w", addr, method, err)
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return fmt.Errorf("rpcio: controller %s: read %s reply: %w", addr, method, err)
-	}
-	h, err := parseFrameHeader(hdr[:])
-	if err != nil {
-		return err
-	}
-	payload := make([]byte, h.length)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return fmt.Errorf("rpcio: controller %s: read %s reply: %w", addr, method, err)
-	}
-	if h.kind == frameError {
-		return RemoteError(payload)
-	}
-	return readCallReply(m, payload, reply)
+	return err
 }
 
 // RegisterWithController dials the control plane's registrar and announces

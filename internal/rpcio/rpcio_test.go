@@ -18,7 +18,7 @@ import (
 var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
 // The helpers below spell single operations the way every client does:
-// as one-op batches (and the liveness probe as Stage.Health).
+// as one-op batches (and the liveness probe as a collect).
 
 func execOp(h *StageHandle, op StageOp) (found bool, err error) {
 	res, _, err := h.Exec([]StageOp{op}, nil, false)
@@ -52,8 +52,10 @@ func collect(h *StageHandle) (stage.Stats, error) {
 	return st, err
 }
 
+// ping is padll-ctl's ping: one collect, of which it keeps the stage's
+// identity.
 func ping(h *StageHandle) (stage.Info, error) {
-	st, err := h.Health(1)
+	st, err := collect(h)
 	return st.Info, err
 }
 

@@ -120,10 +120,11 @@ func TestStopRefusesLateConnections(t *testing.T) {
 }
 
 // TestFrameServerRefusesMisaddressedCalls: a call the channel cannot
-// take is answered with an error frame, never dispatched. Methods 10
-// and 11 were the aggregator tier's until wire v4 and must now read as
-// unknown; a method this build knows, sent to a channel hosting the
-// other kind of service, names both kinds.
+// take is answered with an error frame, never dispatched. Method 8 was
+// the stage health probe until wire v5, methods 10 and 11 the
+// aggregator tier's until v4, and all three must now read as unknown; a
+// method this build knows, sent to a channel hosting the other kind of
+// service, names both kinds.
 func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 	fs := NewFrameServer()
 	fs.Add(NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))))
@@ -135,6 +136,7 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 		method methodID
 		want   string
 	}{
+		{8, "rpcio: unknown method 8"},
 		{10, "rpcio: unknown method 10"},
 		{11, "rpcio: unknown method 11"},
 		{methodRegister, "rpcio: channel 0 hosts a stage, not the registrar"},

@@ -4,13 +4,14 @@
 // reproduction's wire is the versioned binary frame protocol over TCP.
 // Both are request/response transports, and everything above them — the
 // typed StageHandle API, the batched delta protocol, the controller —
-// only needs "issue one named call, get one reply", in two halves so
-// many calls can be in flight at once. Transport captures that contract
-// so the same control plane can run over a real socket
-// (frameTransport) or through the same codec in process
-// (EncodedLoopback) — the transport of every in-process stage: the
-// cluster simulator's, a single-process deployment's, the chaos
-// harness's and the thousand-stage benchmarks'.
+// only needs "issue one named call, get one reply", in two halves so a
+// caller driving many stages can have every request in flight at once.
+// Transport captures that contract so the same control plane can run
+// over a real socket (frameTransport) or through the same codec in
+// process (EncodedLoopback) — the transport of every in-process stage:
+// the cluster simulator's, a single-process deployment's, the chaos
+// harness's and the thousand-stage benchmarks'. They are the only code
+// on the client side that writes a request frame or reads a reply frame.
 package rpcio
 
 import (
@@ -21,17 +22,25 @@ import (
 	"padll/internal/clock"
 )
 
-// Transport moves typed RPCs to a stage's control service and back, each
-// in two halves, so a caller with many peers can have every request on
-// the wire before it waits for the first reply. Implementations must be
-// safe for concurrent use.
+// Transport carries one exchange at a time with a stage's control
+// service (or the registrar), in two halves, so a caller with many peers
+// can have every request on the wire before it waits for the first
+// reply. The contract is strict alternation: Finish follows every Start
+// before the next Start (StageHandle guarantees it with its busy flag).
+// Retry, WireStats and Close are safe for concurrent use.
 type Transport interface {
 	// Start is the first half of one attempt at the named RPC: args (the
 	// pointer form of the method's wire type) is encoded and the request
-	// is on the wire when it returns. reply belongs to the call until the
-	// returned Pending is finished, which must happen exactly once. A
-	// call that could not be started reports why from Finish.
-	Start(method string, args, reply any) Pending
+	// is on the wire when it returns. reply belongs to the exchange until
+	// Finish. An exchange that could not be started reports why from
+	// Finish.
+	Start(method string, args, reply any)
+	// Finish is the second half: it waits for the reply under the call's
+	// deadline — counted from when the request was sent, however late
+	// Finish is called — decodes it into the reply value Start was given,
+	// and returns the exchange's outcome. A transport error discards the
+	// connection.
+	Finish() error
 	// Retry is what separates the attempts of a blocking call: after the
 	// attempt-th try (counting from 0) failed in transport it sleeps the
 	// retry schedule's next delay and reports true, or reports false at
@@ -41,36 +50,6 @@ type Transport interface {
 	WireStats() WireStats
 	// Close tears the transport down; subsequent calls fail.
 	Close() error
-}
-
-// Pending is the second half of a started RPC.
-type Pending interface {
-	// Finish waits for the reply under the call's deadline — counted from
-	// when the request was sent, however late Finish is called — decodes
-	// it into the reply value Start was given, and returns the call's
-	// outcome. A transport error discards the connection.
-	Finish() error
-}
-
-// finished is the Pending of a call that was over when Start returned.
-type finished struct{ err error }
-
-func (f finished) Finish() error { return f.err }
-
-// completed is the shared Pending of every call that succeeded in its
-// first half, so completing early costs no allocation.
-var completed Pending = finished{}
-
-// Call is the blocking RPC, for every transport: start, finish, and —
-// when the attempt failed in transport rather than with the peer's
-// RemoteError — try again for as long as the transport's schedule allows.
-func Call(t Transport, method string, args, reply any) error {
-	for attempt := 0; ; attempt++ {
-		err := t.Start(method, args, reply).Finish()
-		if err == nil || !Retryable(err) || !t.Retry(attempt) {
-			return err
-		}
-	}
 }
 
 // Retryable reports whether err is a failure of the wire (worth another
@@ -178,6 +157,8 @@ type EncodedLoopback struct {
 	rep    []byte
 	fault  FrameFault
 	closed bool
+	// outcome is the started exchange's result, which Finish hands over.
+	outcome error
 
 	calls        uint64
 	bytesRead    uint64
@@ -225,23 +206,29 @@ func (l *EncodedLoopback) Close() error {
 func (l *EncodedLoopback) Retry(int) bool { return false }
 
 // Start implements Transport. Nothing is in flight in process, so the
-// whole exchange happens here and the Pending only carries its outcome.
-func (l *EncodedLoopback) Start(method string, args, reply any) Pending {
-	if err := l.exchange(method, args, reply); err != nil {
-		return finished{err}
-	}
-	return completed
+// whole exchange happens here and Finish only hands over its outcome.
+func (l *EncodedLoopback) Start(method string, args, reply any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.outcome = l.exchange(method, args, reply)
+}
+
+// Finish implements Transport.
+func (l *EncodedLoopback) Finish() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.outcome
+	l.outcome = nil
+	return err
 }
 
 // exchange is one full encode→dispatch→decode round trip through the
-// binary codec.
+// binary codec, under l.mu.
 func (l *EncodedLoopback) exchange(method string, args, reply any) error {
 	m, ok := methodIDs[method]
 	if !ok {
 		return fmt.Errorf("rpcio: loopback: unknown method %q", method)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("rpcio: stage %s: connection closed", LoopbackAddr)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // wireRegistry locks the field sets of every struct that crosses the
-// control-plane wire, directly (Call args/replies) or transitively
+// control-plane wire, directly (call args/replies) or transitively
 // (types embedded in them). With the structs themselves and their codec
 // it is the schema's only statement. The codec moves fields
 // positionally, so a rename is harmless but a retype, reorder, or
@@ -22,13 +22,9 @@ import (
 // Only exported fields are registered: the codec never moves unexported
 // ones (wireUnexported lists the few a wire struct may keep).
 var wireRegistry = map[string][]string{
-	// rpcio.go: registration and health.
+	// rpcio.go: registration and the registrar's ping.
 	"rpcio.Registration": {"Info stage.Info", "Addr string"},
 	"rpcio.HealthProbe":  {"Seq uint64"},
-	"rpcio.StageHealth": {
-		"Seq uint64", "Info stage.Info", "Degraded bool",
-		"DegradedSeconds float64", "Rules int",
-	},
 
 	// batch.go: batched delta protocol.
 	"rpcio.StageOp": {
@@ -100,7 +96,6 @@ func codecOf[T any](enc func([]byte, *T) []byte, dec func(*wireReader, *T)) wire
 var wireTypes = []wireType{
 	codecOf(appendRegistration, readRegistration),
 	codecOf(appendHealthProbe, readHealthProbe),
-	codecOf(appendStageHealth, readStageHealth),
 	codecOf(appendStageOp, readStageOp),
 	codecOf(appendOpResult, readOpResult),
 	codecOf(appendBatchArgs, readBatchArgs),

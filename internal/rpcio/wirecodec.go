@@ -52,7 +52,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 4
+const WireVersion = 5
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -69,6 +69,9 @@ var wireSchemaFingerprints = map[int]string{
 	// v4: aggregator tier removed (Agg.Attach, Agg.Round and their six
 	// structs); methods 10-11 reserved.
 	4: "sha256:f6b05f86b06d37fa044c365100e0515e8b3d27822615df446f0cc1d613172370",
+	// v5: the stage health probe and its reply struct removed; method 8
+	// reserved.
+	5: "sha256:aa1d1b0ce60fc044a0101aed39d6bb2554f1e6c5f7f280866cb294953b820e33",
 }
 
 // Frame kinds.
@@ -99,7 +102,10 @@ const (
 	_
 	_
 	_
-	methodHealth
+	// 8 was the stage health probe, retired in wire v5: a fresh
+	// handle's first collect is a full snapshot and carries the stage's
+	// identity.
+	_
 	methodBatch
 	// 10-11 were the aggregator tier's methods (Agg.Attach, Agg.Round),
 	// retired in wire v4 and reserved likewise.
@@ -112,10 +118,9 @@ const (
 	methodRegistrarPing
 )
 
-// methodIDs maps the Transport.Call method strings to wire method
+// methodIDs maps the Transport.Start method strings to wire method
 // numbers.
 var methodIDs = map[string]methodID{
-	"Stage.Health":         methodHealth,
 	"Stage.Batch":          methodBatch,
 	"Registrar.Register":   methodRegister,
 	"Registrar.Deregister": methodDeregister,
@@ -524,23 +529,6 @@ func readHealthProbe(r *wireReader, v *HealthProbe) {
 	v.Seq = r.uvarint()
 }
 
-func appendStageHealth(b []byte, v *StageHealth) []byte {
-	b = binary.AppendUvarint(b, v.Seq)
-	b = appendInfo(b, &v.Info)
-	b = appendBool(b, v.Degraded)
-	b = appendF64(b, v.DegradedSeconds)
-	b = binary.AppendVarint(b, int64(v.Rules))
-	return b
-}
-
-func readStageHealth(r *wireReader, v *StageHealth) {
-	v.Seq = r.uvarint()
-	readInfo(r, &v.Info)
-	v.Degraded = r.boolv()
-	v.DegradedSeconds = r.f64()
-	v.Rules = int(r.varint())
-}
-
 func appendStageOp(b []byte, v *StageOp) []byte {
 	b = binary.AppendUvarint(b, uint64(v.Kind))
 	b = appendRule(b, &v.Rule)
@@ -654,10 +642,10 @@ func readBatchReply(r *wireReader, v *BatchReply) {
 // ---- method dispatch ----
 
 // appendCallArgs encodes one method's args. The any values are the same
-// pointer forms Transport.Call receives.
+// pointer forms Transport.Start receives.
 func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 	switch m {
-	case methodHealth, methodRegistrarPing:
+	case methodRegistrarPing:
 		return appendHealthProbe(b, args.(*HealthProbe)), nil
 	case methodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
@@ -675,7 +663,7 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 func readCallArgs(m methodID, payload []byte, args any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodHealth, methodRegistrarPing:
+	case methodRegistrarPing:
 		readHealthProbe(&r, args.(*HealthProbe))
 	case methodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
@@ -696,8 +684,6 @@ func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 		return b, nil // empty reply
 	case methodRegistrarPing:
 		return appendHealthProbe(b, reply.(*HealthProbe)), nil
-	case methodHealth:
-		return appendStageHealth(b, reply.(*StageHealth)), nil
 	case methodBatch:
 		return appendBatchReply(b, reply.(*BatchReply)), nil
 	default:
@@ -714,8 +700,6 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 		// empty reply
 	case methodRegistrarPing:
 		readHealthProbe(&r, reply.(*HealthProbe))
-	case methodHealth:
-		readStageHealth(&r, reply.(*StageHealth))
 	case methodBatch:
 		readBatchReply(&r, reply.(*BatchReply))
 	default:

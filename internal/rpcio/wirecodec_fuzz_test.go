@@ -9,7 +9,7 @@ import (
 // (nil when the method takes none).
 func fuzzArgsDst(m methodID) any {
 	switch m {
-	case methodHealth, methodRegistrarPing:
+	case methodRegistrarPing:
 		return &HealthProbe{}
 	case methodRegister:
 		return &Registration{}
@@ -28,8 +28,6 @@ func fuzzReplyDst(m methodID) any {
 	switch m {
 	case methodRegistrarPing:
 		return &HealthProbe{}
-	case methodHealth:
-		return &StageHealth{}
 	case methodBatch:
 		return &BatchReply{}
 	default:
@@ -65,10 +63,11 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(uint8(m), true, buf)
 		}
 	}
-	// Numbers this build retired (10 and 11 were the aggregator tier's
-	// until wire v4): what an old peer would still send must be refused
-	// by number, whatever the payload.
-	for _, m := range []uint8{10, 11} {
+	// Numbers this build retired (8 was the stage health probe until
+	// wire v5, 10 and 11 the aggregator tier's until v4): what an old
+	// peer would still send must be refused by number, whatever the
+	// payload.
+	for _, m := range []uint8{8, 10, 11} {
 		f.Add(m, false, []byte{0})
 		f.Add(m, true, []byte{0})
 	}

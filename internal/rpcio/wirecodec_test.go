@@ -64,16 +64,6 @@ func callFixtures() []callFixture {
 	deregID := "sX"
 	return []callFixture{
 		{
-			method:  "Stage.Health",
-			args:    &HealthProbe{Seq: 1 << 60},
-			argsDst: &HealthProbe{},
-			reply: &StageHealth{
-				Seq: 1 << 60, Info: info, Degraded: true,
-				DegradedSeconds: 99.5, Rules: 17,
-			},
-			replyDst: &StageHealth{},
-		},
-		{
 			method: "Stage.Batch",
 			args: &BatchArgs{
 				Ops: []StageOp{

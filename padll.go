@@ -307,7 +307,7 @@ func (dp *DataPlane) InterceptionStats() interpose.Stats { return dp.shim.Stats(
 // Serve exposes the data plane's control service on addr (host:port, use
 // ":0" for an ephemeral port) and, when controllerAddr is non-empty,
 // registers with that control plane. A data plane serves once until
-// Close.
+// Close; a Serve that fails leaves it as it was.
 func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	if dp.stop != nil {
 		return fmt.Errorf("padll: control service already running on %s", dp.listenAddr)
@@ -316,17 +316,21 @@ func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	if err != nil {
 		return fmt.Errorf("padll: listen %s: %w", addr, err)
 	}
-	dp.svc = rpcio.NewStageService(dp.stg)
-	dp.stop = rpcio.ServeService(l, dp.svc)
-	dp.listenAddr = l.Addr().String()
+	svc := rpcio.NewStageService(dp.stg)
+	fs := rpcio.NewFrameServer()
+	fs.Add(svc)
+	stop := rpcio.ServeMux(l, fs)
+	listenAddr := l.Addr().String()
 	if controllerAddr != "" {
-		if err := rpcio.RegisterWithController(controllerAddr, dp.stg.Info(), dp.listenAddr); err != nil {
-			dp.stop()
-			dp.stop = nil
+		// The controller dials back while registering, so the service is
+		// already up.
+		if err := rpcio.RegisterWithController(controllerAddr, dp.stg.Info(), listenAddr); err != nil {
+			stop()
 			return err
 		}
 		dp.controller = controllerAddr
 	}
+	dp.svc, dp.stop, dp.listenAddr = svc, stop, listenAddr
 	return nil
 }
 

@@ -312,6 +312,37 @@ func TestSecondServeIsRefused(t *testing.T) {
 	}
 }
 
+// TestFailedServeLeavesNothingServed: a Serve whose registration fails
+// has stopped its listener, so the data plane must not report an address
+// or a control service, and a later Serve must succeed.
+func TestFailedServeLeavesNothingServed(t *testing.T) {
+	backend, local := newBackends()
+	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "unregistered"},
+		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	if err := dp.Serve("127.0.0.1:0", "127.0.0.1:1"); err == nil {
+		t.Fatal("Serve registered with a controller that is not there")
+	}
+	if addr := dp.Addr(); addr != "" {
+		t.Errorf("Addr() = %q after a failed Serve, want \"\"", addr)
+	}
+	if _, ok := dp.ControlServiceStats(); ok {
+		t.Error("ControlServiceStats reports a service after a failed Serve")
+	}
+	if err := dp.Serve("127.0.0.1:0", ""); err != nil {
+		t.Fatalf("Serve after a failed Serve: %v", err)
+	}
+	if dp.Addr() == "" {
+		t.Error("Addr() empty while serving")
+	}
+	if _, ok := dp.ControlServiceStats(); !ok {
+		t.Error("ControlServiceStats reports no service while serving")
+	}
+}
+
 func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	cp := padll.NewControlPlane(
 		padll.WithAlgorithm(padll.StaticShare(4000)),
