@@ -197,6 +197,8 @@ count:
 		"$$(awk '/^var methodIDs/,/^}/' internal/rpcio/wirecodec.go | grep -cE '^\s+"[A-Z][A-Za-z]*\.[A-Z][A-Za-z]*": ')"
 	@printf 'rpcio + control non-test lines: %d\n' \
 		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'rpcio + control interface types: %d\n' \
+		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '^type [A-Za-z]+ interface')"
 	@printf 'internal/experiments non-test lines: %d\n' \
 		"$$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 

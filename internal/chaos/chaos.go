@@ -69,8 +69,10 @@ type StageNode struct {
 	Job string
 	Stg *stage.Stage
 
-	conn *chaosConn
-	// frames is the binary-codec transport under the node's handle;
+	// handle is the controller's channel to the node, over a chaos
+	// transport gating whole round trips.
+	handle *rpcio.StageHandle
+	// frames is the binary-codec transport under the chaos transport;
 	// frame-granular faults hook here.
 	frames      *rpcio.EncodedLoopback
 	partitioned atomic.Bool
@@ -139,10 +141,6 @@ func (h *Harness) newController() *control.Controller {
 	opts := []control.Option{
 		control.WithClusterLimit(h.cfg.Limit),
 		control.WithAlgorithm(h.cfg.Algorithm),
-		// The mid-round crash budget (pushBudget) is a single global
-		// counter: pushes must run sequentially so the same seed always
-		// crashes the controller after the same stage.
-		control.WithPushConcurrency(1),
 		control.WithErrorHandler(func(id string, err error) {
 			if errors.Is(err, control.ErrEvicted) {
 				h.logf("stage %s evicted by controller", id)
@@ -174,11 +172,11 @@ func (h *Harness) AddStage(id, job string) *StageNode {
 	// frames, so codec bugs and frame-level faults are inside the
 	// deterministic loop.
 	n.frames = rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
-	n.conn = &chaosConn{h: h, node: n, handle: rpcio.NewStageHandle(n.frames)}
+	n.handle = rpcio.NewStageHandle(&chaosTransport{EncodedLoopback: n.frames, h: h, node: n})
 	h.nodes[id] = n
 	h.ids = append(h.ids, id)
 	sort.Strings(h.ids)
-	if err := h.ctl.Register(n.conn); err != nil {
+	if err := h.ctl.Register(n.Stg.Info(), n.handle); err != nil {
 		h.logf("stage %s registration error: %v", id, err)
 	}
 	h.logf("stage %s registered (job %s)", id, job)
@@ -339,7 +337,7 @@ func (h *Harness) tick() {
 			continue
 		}
 		if n.Stg.Degraded() {
-			if err := h.ctl.Register(n.conn); err != nil {
+			if err := h.ctl.Register(n.Stg.Info(), n.handle); err != nil {
 				h.logf("stage %s re-registration failed: %v", id, err)
 				continue
 			}
@@ -385,31 +383,28 @@ func RuleRate(s *stage.Stage, id string) float64 {
 
 // ---- the faulty transport ----
 
-// chaosConn is the controller's connection to one node: the batched
-// delta protocol over the node's EncodedLoopback, with the harness's
-// failure state gating whole round trips. A batch
-// carrying ops consumes one push-budget unit and a collect one
-// collect-budget unit — the crash granularity is a round trip, matching
-// what a real controller would observe. The gates run in Start, which a
-// round calls in StageID order, and the loopback completes the exchange
-// there too, so what the fleet sees happens in the order exchanges are
-// started.
-type chaosConn struct {
-	h      *Harness
-	node   *StageNode
-	handle *rpcio.StageHandle
-	// gated is why the exchange in flight never reached the handle (nil
+// chaosTransport is the transport under the controller's handle to one
+// node: the node's EncodedLoopback, with the harness's failure state
+// gating whole round trips. A batch carrying ops consumes one
+// push-budget unit and a collect one collect-budget unit — the crash
+// granularity is a round trip, matching what a real controller would
+// observe. The gates run in Start, which a round calls in StageID
+// order, and the loopback completes the exchange there too, so what the
+// fleet sees happens in the order exchanges are started. The loopback's
+// Retry never allows another attempt: a gated exchange is the fault the
+// scenario injected, not one to paper over.
+type chaosTransport struct {
+	*rpcio.EncodedLoopback
+	h    *Harness
+	node *StageNode
+	// gated is why the exchange in flight never reached the loopback (nil
 	// when it did); only the goroutine between Start and Finish touches
 	// it.
 	gated error
 }
 
-var _ control.StageConn = (*chaosConn)(nil)
-
-func (c *chaosConn) Info() stage.Info { return c.node.Stg.Info() }
-
 // gate decides whether an exchange reaches the node.
-func (c *chaosConn) gate(push, collect bool) error {
+func (c *chaosTransport) gate(push, collect bool) error {
 	if push {
 		if err := c.pushGate(); err != nil {
 			return err
@@ -424,33 +419,28 @@ func (c *chaosConn) gate(push, collect bool) error {
 	return nil
 }
 
-func (c *chaosConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	if c.gated = c.gate(len(ops) > 0, dst != nil); c.gated == nil {
-		c.handle.Start(ops, dst, held)
+func (c *chaosTransport) Start(method string, args, reply any) {
+	ba := args.(*rpcio.BatchArgs) // a stage handle's only call is Stage.Batch
+	if c.gated = c.gate(len(ba.Ops) > 0, ba.Collect); c.gated == nil {
+		c.EncodedLoopback.Start(method, args, reply)
 	}
 }
 
-func (c *chaosConn) Finish() ([]rpcio.OpResult, bool, error) {
+func (c *chaosTransport) Finish() error {
 	if err := c.gated; err != nil {
 		c.gated = nil
-		return nil, false, err
+		return err
 	}
-	return c.handle.Finish()
+	return c.EncodedLoopback.Finish()
 }
 
-// Retry: a gated exchange is the fault the scenario injected, not one to
-// paper over, and the loopback has no schedule of its own.
-func (c *chaosConn) Retry(int) bool { return false }
-
-func (c *chaosConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
-
 // Close keeps the loopback open: the harness re-registers the same
-// connection after a heal or a controller restart.
-func (c *chaosConn) Close() error { return nil }
+// handle after a heal or a controller restart.
+func (c *chaosTransport) Close() error { return nil }
 
 // collectGate applies the collect-side failure state: unreachable nodes
 // fail, and an armed collect budget crashes the node when it hits zero.
-func (c *chaosConn) collectGate() error {
+func (c *chaosTransport) collectGate() error {
 	if c.node.crashed.Load() || c.node.partitioned.Load() {
 		return ErrUnreachable
 	}
@@ -468,7 +458,7 @@ func (c *chaosConn) collectGate() error {
 // mid-round crash fires: pushes run sequentially on the control loop's
 // goroutine, so the budget decides deterministically which stages saw
 // the new rates before the controller died.
-func (c *chaosConn) pushGate() error {
+func (c *chaosTransport) pushGate() error {
 	if c.h.controllerDown {
 		return ErrControllerDown
 	}

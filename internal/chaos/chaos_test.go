@@ -272,7 +272,7 @@ func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 
 	var deltas uint64
 	for _, id := range h.ids {
-		fulls, ds := h.Node(id).conn.handle.CollectCounts()
+		fulls, ds := h.Node(id).handle.CollectCounts()
 		if fulls == 0 {
 			t.Errorf("stage %s never took a full snapshot (first collect must be full)", id)
 		}
@@ -302,7 +302,7 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 	h.At(5*time.Second+h.Interval()/2, "drop-reply", func(h *Harness) { h.DropNextBatchReply("s1") })
 	h.Run(20 * time.Second)
 
-	fulls, deltas := h.Node("s1").conn.handle.CollectCounts()
+	fulls, deltas := h.Node("s1").handle.CollectCounts()
 	if fulls < 2 {
 		t.Errorf("s1 took %d full snapshots, want >= 2 (initial + post-drop resync)", fulls)
 	}
@@ -310,7 +310,7 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 		t.Error("s1 never collected incrementally")
 	}
 	// Untouched peers must not have been forced to resync.
-	if otherFulls, _ := h.Node("s3").conn.handle.CollectCounts(); otherFulls != 1 {
+	if otherFulls, _ := h.Node("s3").handle.CollectCounts(); otherFulls != 1 {
 		t.Errorf("s3 took %d full snapshots, want exactly the initial one", otherFulls)
 	}
 

@@ -369,8 +369,8 @@ func TestControllerAppliesLimitAdapter(t *testing.T) {
 			Probe: func() bool { return saturated },
 			Min:   100, Max: 2000, Increase: 50, Decrease: 0.5,
 		}))
-	_, conn := localStage("s1", "j1", clock.NewSim(epoch))
-	if err := ctl.Register(conn); err != nil {
+	stg, conn := localStage("s1", "j1", clock.NewSim(epoch))
+	if err := ctl.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}
 	alloc := ctl.RunOnce()

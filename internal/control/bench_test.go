@@ -14,7 +14,7 @@ import (
 )
 
 // The fleet benchmarks measure one feedback-loop round (RunOnce) at
-// increasing stage counts over the batched protocol (RemoteConn): one
+// increasing stage counts over the batched protocol (a StageHandle each): one
 // Stage.Batch round trip per stage carrying the collect, all of them
 // started before the first is awaited; steady-state collects are
 // incremental deltas and unchanged rates skip the push round trip
@@ -77,7 +77,7 @@ func benchFleetTCP(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { h.Close() })
-		if err := ctl.Register(NewRemoteConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(stg.Info(), h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func benchFleetLoopback(b *testing.B, n int) *Controller {
 	for i := 0; i < n; i++ {
 		stg := benchStage(i)
 		h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
-		if err := ctl.Register(NewRemoteConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(stg.Info(), h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func benchFleetMux(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { h.Close() })
-		if err := ctl.Register(NewRemoteConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(stg.Info(), h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ type Controller struct {
 	clk clock.Clock
 
 	mu     sync.Mutex
-	stages map[string]StageConn // by StageID
+	stages map[string]peer // by StageID
 	// registryRev counts mutations of the registry; the round loop
 	// reshards lazily when it has moved.
 	registryRev  int
@@ -49,11 +49,6 @@ type Controller struct {
 	loopStop         chan struct{}
 	loopDone         chan struct{}
 
-	// workers is how many goroutines drive a round (default
-	// defaultWorkers; 1 keeps every exchange on the round's goroutine in
-	// StageID order, which the chaos harness relies on for deterministic
-	// fault injection).
-	workers int
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
 	haveRound bool
@@ -62,7 +57,8 @@ type Controller struct {
 	// (0 disables eviction — dead stages are skipped but kept).
 	evictAfter int
 	// misses counts consecutive communication failures per stage (the
-	// "mark" half of mark-sweep; any answered collect clears the mark).
+	// "mark" half of mark-sweep): only RunOnce moves it, and a collect the
+	// stage answered clears it.
 	misses map[string]int
 	// adminRules and clusterRules remember administrator intent (the
 	// aggregate rule, pre-split) per group and cluster-wide, so an
@@ -130,23 +126,6 @@ func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
 }
 
-// WithPushConcurrency sets how many goroutines drive a round, in the
-// collect phase and the push phase alike (default 1): each takes a
-// contiguous StageID range of the registry, starts every exchange of it
-// and then gathers the replies, so a round has every request in flight
-// whatever the count, and the count is about cores, not about overlap.
-// 1 keeps every first attempt on the round's goroutine, started in
-// strict StageID order. Whatever the count, outcomes are folded in
-// StageID order, so error reporting and eviction marks stay
-// deterministic.
-func WithPushConcurrency(n int) Option {
-	return func(c *Controller) {
-		if n > 0 {
-			c.workers = n
-		}
-	}
-}
-
 // WithEvictAfter enables mark-sweep eviction: a stage that fails n
 // consecutive control rounds is deregistered and its group's share
 // released for redistribution. n <= 0 disables eviction.
@@ -163,14 +142,13 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 	}
 	c := &Controller{
 		clk:              clk,
-		stages:           make(map[string]StageConn),
+		stages:           make(map[string]peer),
 		reservations:     make(map[string]float64),
 		controlled:       defaultMatcher(),
 		groupBy:          groupByJob,
 		isDefaultGroupBy: true,
 		onError:          func(string, error) {},
 		lastAlloc:        make(map[string]float64),
-		workers:          defaultWorkers,
 		misses:           make(map[string]int),
 		adminRules:       make(map[string]map[string]policy.Rule),
 		clusterRules:     make(map[string]policy.Rule),
@@ -188,23 +166,34 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 
 // ---- registry ----
 
-// Register adds a stage to the registry. A stage re-registering under an
-// existing ID (restart or reconnect after a network failure — the
-// dependability case §VI highlights) replaces its previous connection,
-// which is closed, and has its failure marks cleared. If an algorithm is
-// active, the stage immediately receives the managed control queue — at
-// its group's last-known per-stage allocation when one exists, so a
-// restarted stage resumes the frozen rate rather than resetting to an
-// equal share. Administrator rules recorded for the group (and
-// cluster-wide) are replayed onto the connection, making re-registration
-// idempotent: a stage that lost its state comes back with the last-known
-// rule set.
-func (c *Controller) Register(conn StageConn) error {
-	info := conn.Info()
+// peer is one registered stage: the identity it registered under and
+// the handle the controller reaches it through. Every stage the
+// controller drives — over TCP, or in process for the cluster
+// simulator, single-process deployments and tests — is a frame-codec
+// handle, so live and simulated clusters run the same codec, the same
+// delta protocol and the same control algorithms.
+type peer struct {
+	info stage.Info
+	h    *rpcio.StageHandle
+}
+
+// Register adds the stage info names, reached through h, to the
+// registry. A stage re-registering under an existing ID (restart or
+// reconnect after a network failure — the dependability case §VI
+// highlights) has its failure marks cleared and, when it comes with a
+// new handle, replaces the previous one, which is closed; re-registering
+// the same handle keeps it open. If an algorithm is active, the stage
+// immediately receives the managed control queue — at its group's
+// last-known per-stage allocation when one exists, so a restarted stage
+// resumes the frozen rate rather than resetting to an equal share.
+// Administrator rules recorded for the group (and cluster-wide) are
+// replayed onto the handle, making re-registration idempotent: a stage
+// that lost its state comes back with the last-known rule set.
+func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	id := info.StageID
 	c.mu.Lock()
-	old := c.stages[id]
-	c.stages[id] = conn
+	old, had := c.stages[id]
+	c.stages[id] = peer{info: info, h: h}
 	c.registryRev++
 	delete(c.misses, id)
 	alg := c.algorithm
@@ -218,10 +207,10 @@ func (c *Controller) Register(conn StageConn) error {
 	replay := c.replayRulesLocked(key)
 	c.mu.Unlock()
 
-	if old != nil && old != conn {
-		// A replaced connection's close error is unactionable here: the
-		// new connection is already installed.
-		_ = old.Close()
+	if had && old.h != h {
+		// A replaced handle's close error is unactionable here: the new
+		// handle is already installed.
+		_ = old.h.Close()
 	}
 	// The managed control rule plus the whole replay set travel in one
 	// exchange — what keeps a re-registration storm (every stage
@@ -242,7 +231,7 @@ func (c *Controller) Register(conn StageConn) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if _, _, err := rpcio.Exec(conn, ops, nil, false); err != nil {
+	if _, _, err := h.Exec(ops, nil, false); err != nil {
 		return fmt.Errorf("control: install rules on %s: %w", id, err)
 	}
 	return nil
@@ -309,9 +298,9 @@ func (c *Controller) initialRate() float64 {
 // jobs instead of holding it for a departed one.
 func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
-	conn, ok := c.stages[stageID]
+	p, ok := c.stages[stageID]
 	if ok {
-		key := c.groupBy(conn.Info())
+		key := c.groupBy(p.info)
 		delete(c.stages, stageID)
 		c.registryRev++
 		delete(c.misses, stageID)
@@ -325,7 +314,7 @@ func (c *Controller) Deregister(stageID string) bool {
 	if ok {
 		// The stage is gone (job completion or node failure); its close
 		// error carries no recovery path.
-		_ = conn.Close()
+		_ = p.h.Close()
 	}
 	return ok
 }
@@ -361,16 +350,26 @@ func (c *Controller) EvictDead() []string {
 	return ids
 }
 
-// memberFailed is the error sink of the shard the controller builds:
-// the failed exchange goes to the error handler, and the stage's
-// eviction mark rises.
-func (c *Controller) memberFailed(stageID string, err error) {
-	c.onError(stageID, err)
+// mark moves the eviction marks by the outcome of sh's last round: a
+// member whose exchange failed gains one, and after a collect a member
+// that answered loses its mark. A member no longer registered under its
+// handle is left alone. RunOnce is the only caller, so reading the
+// statistics between rounds (CollectAll) never counts toward eviction.
+// Caller holds roundMu.
+func (c *Controller) mark(sh *shard, collect bool) {
 	c.mu.Lock()
-	if _, ok := c.stages[stageID]; ok {
-		c.misses[stageID]++
+	defer c.mu.Unlock()
+	for _, m := range sh.members {
+		id := m.info.StageID
+		switch {
+		case m.err != nil:
+			if c.stages[id].h == m.h {
+				c.misses[id]++
+			}
+		case collect:
+			delete(c.misses, id)
+		}
 	}
-	c.mu.Unlock()
 }
 
 // Stages returns the registered stage identities, sorted by StageID.
@@ -378,8 +377,8 @@ func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]stage.Info, 0, len(c.stages))
-	for _, conn := range c.stages {
-		out = append(out, conn.Info())
+	for _, p := range c.stages {
+		out = append(out, p.info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StageID < out[j].StageID })
 	return out
@@ -395,8 +394,8 @@ func (c *Controller) Jobs() []string {
 func (c *Controller) jobIDsLocked() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, conn := range c.stages {
-		j := c.groupBy(conn.Info())
+	for _, p := range c.stages {
+		j := c.groupBy(p.info)
 		if !seen[j] {
 			seen[j] = true
 			out = append(out, j)
@@ -406,17 +405,21 @@ func (c *Controller) jobIDsLocked() []string {
 	return out
 }
 
-// stagesOfJobLocked returns the connections serving an orchestration
-// entity (a job under the default grouping).
-func (c *Controller) stagesOfJobLocked(jobID string) []StageConn {
-	var out []StageConn
-	for _, conn := range c.stages {
-		if c.groupBy(conn.Info()) == jobID {
-			out = append(out, conn)
+// stagesOfJobLocked returns the stages serving an orchestration entity
+// (a job under the default grouping), sorted by StageID.
+func (c *Controller) stagesOfJobLocked(jobID string) []peer {
+	var out []peer
+	for _, p := range c.stages {
+		if c.groupBy(p.info) == jobID {
+			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Info().StageID < out[j].Info().StageID })
+	sortPeers(out)
 	return out
+}
+
+func sortPeers(ps []peer) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].info.StageID < ps[j].info.StageID })
 }
 
 // ---- administrator operations (simple policies) ----
@@ -426,8 +429,8 @@ func (c *Controller) stagesOfJobLocked(jobID string) []StageConn {
 // stage count, so a distributed job's aggregate stays at the intent.
 func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	c.mu.Lock()
-	conns := c.stagesOfJobLocked(jobID)
-	if len(conns) > 0 {
+	peers := c.stagesOfJobLocked(jobID)
+	if len(peers) > 0 {
 		// Remember the aggregate intent so a restarted stage of this
 		// group gets the rule replayed at re-registration.
 		if c.adminRules[jobID] == nil {
@@ -436,32 +439,32 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 		c.adminRules[jobID][r.ID] = r
 	}
 	c.mu.Unlock()
-	if len(conns) == 0 {
+	if len(peers) == 0 {
 		return fmt.Errorf("control: no stages for job %q", jobID)
 	}
-	return installSplit(conns, r)
+	return installSplit(peers, r)
 }
 
-// installSplit installs r on every connection as a one-op batch, its
-// rate split equally among them, in the same pass a round makes: every
+// installSplit installs r on every stage as a one-op batch, its rate
+// split equally among them, in the same pass a round makes: every
 // install is started in StageID order before the first is awaited.
 // Every stage is attempted whatever the others answer — a failure in
 // the middle must not leave an arbitrary remainder of the job without
 // the rule — and the error returned is the first in StageID order.
-func installSplit(conns []StageConn, r policy.Rule) error {
-	if r.Rate != policy.Unlimited && len(conns) > 1 {
-		r.Rate /= float64(len(conns))
+func installSplit(peers []peer, r policy.Rule) error {
+	if r.Rate != policy.Unlimited && len(peers) > 1 {
+		r.Rate /= float64(len(peers))
 	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
+	sortPeers(peers)
 	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
-	for _, conn := range conns {
-		conn.Start(ops, nil, false)
+	for _, p := range peers {
+		p.h.Start(ops, nil, false)
 	}
 	var first error
-	for _, conn := range conns {
-		res, changed, err := conn.Finish()
-		if _, _, err = rpcio.Reattempt(conn, ops, nil, false, res, changed, err); err != nil && first == nil {
-			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, conn.Info().StageID, err)
+	for _, p := range peers {
+		res, changed, err := p.h.Finish()
+		if _, _, err = p.h.Reattempt(ops, nil, false, res, changed, err); err != nil && first == nil {
+			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, p.info.StageID, err)
 		}
 	}
 	return first
@@ -492,15 +495,15 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 // (cluster-wide granularity), splitting the rate across all stages.
 func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	c.mu.Lock()
-	conns := c.connsLocked()
-	if len(conns) > 0 {
+	peers := c.peersLocked()
+	if len(peers) > 0 {
 		c.clusterRules[r.ID] = r
 	}
 	c.mu.Unlock()
-	if len(conns) == 0 {
+	if len(peers) == 0 {
 		return fmt.Errorf("control: no registered stages")
 	}
-	return installSplit(conns, r)
+	return installSplit(peers, r)
 }
 
 // SetReservation records a job's reserved/priority rate used by
@@ -619,8 +622,8 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 // reshard brings the shard up to the registry's current revision and
 // returns it: one shard over every registered stage in StageID order, a
 // pure function of the registry, so same-seed chaos runs are identical.
-// A stage whose connection is still registered keeps its member record,
-// and with it its collect slot and probe. Caller holds roundMu.
+// A stage whose handle is still registered keeps its member record, and
+// with it its collect slot and probe. Caller holds roundMu.
 func (c *Controller) reshard() *shard {
 	c.mu.Lock()
 	rev := c.registryRev
@@ -628,19 +631,19 @@ func (c *Controller) reshard() *shard {
 		c.mu.Unlock()
 		return c.sh
 	}
-	conns := c.connsLocked()
+	peers := c.peersLocked()
 	c.mu.Unlock()
 
-	kept := make(map[StageConn]*member, len(conns))
+	kept := make(map[*rpcio.StageHandle]*member, len(peers))
 	if c.sh != nil {
 		for _, m := range c.sh.members {
-			kept[m.conn] = m
+			kept[m.h] = m
 		}
 	}
-	members := make([]*member, len(conns))
-	for i, conn := range conns {
-		if members[i] = kept[conn]; members[i] == nil {
-			members[i] = &member{conn: conn}
+	members := make([]*member, len(peers))
+	for i, p := range peers {
+		if members[i] = kept[p.h]; members[i] == nil {
+			members[i] = &member{peer: p}
 		}
 	}
 	sortMembers(members)
@@ -648,13 +651,13 @@ func (c *Controller) reshard() *shard {
 	return c.sh
 }
 
-// connsLocked copies the registry's connections out, unordered.
-func (c *Controller) connsLocked() []StageConn {
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
+// peersLocked copies the registry's stages out, unordered.
+func (c *Controller) peersLocked() []peer {
+	peers := make([]peer, 0, len(c.stages))
+	for _, p := range c.stages {
+		peers = append(peers, p)
 	}
-	return conns
+	return peers
 }
 
 // collect runs the collect phase over sh and returns its rows, one
@@ -662,27 +665,9 @@ func (c *Controller) connsLocked() []StageConn {
 // has no snapshot: the loop runs on what it can see rather than holding
 // a share for a dead peer. Caller holds roundMu.
 func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
-	c.mu.Lock()
-	var marked map[string]int
-	if len(c.misses) > 0 {
-		marked = make(map[string]int, len(c.misses))
-		for id, n := range c.misses {
-			marked[id] = n
-		}
-	}
-	c.mu.Unlock()
-
 	sh.round(nil, true, rs)
 
 	c.mu.Lock()
-	// The collect reached every registered stage, and a failed exchange
-	// raised the stage's mark (memberFailed): a mark still where it
-	// stood before the collect belongs to a stage that answered.
-	for id, n := range marked {
-		if c.misses[id] == n {
-			delete(c.misses, id)
-		}
-	}
 	out := make([]JobSnapshot, 0, len(sh.rows))
 	for _, s := range sh.rows {
 		if s.Stages == 0 {
@@ -698,9 +683,11 @@ func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 // CollectAll gathers statistics from every stage, aggregated per job
 // (feedback-loop step 1): the collect phase of a round on its own,
 // through the same shard and collect slots RunOnce uses. Stages that
-// fail to respond are reported to the error handler, marked for eviction, and
-// skipped: the loop runs on partial snapshots rather than blocking
-// behind a dead peer.
+// fail to respond are reported to the error handler, counted as
+// FailedStages and skipped: the loop runs on partial snapshots rather
+// than blocking behind a dead peer. A read moves no eviction mark —
+// only control rounds do — so a monitor polling the controller does
+// not hasten an eviction.
 func (c *Controller) CollectAll() []JobSnapshot {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -746,6 +733,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 
 	var rs RoundStats
 	snaps := c.collect(sh, &rs)
+	c.mark(sh, true)
 	// Sweep before allocating: stages past the eviction threshold leave
 	// the registry now, so the split below divides a job's allocation
 	// among its live stages only instead of letting a dead one hold its
@@ -765,6 +753,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	push := c.reshard()
 	if grants := push.grant(alloc); len(grants) > 0 {
 		push.round(grants, false, &rs)
+		c.mark(push, false)
 	}
 
 	rs.Duration = c.clk.Now().Sub(start)
@@ -857,7 +846,7 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 			if err != nil {
 				return err
 			}
-			return c.Register(NewRemoteConn(reg.Info, h))
+			return c.Register(reg.Info, h)
 		},
 		func(stageID string) { c.Deregister(stageID) },
 	)

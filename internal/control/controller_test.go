@@ -16,26 +16,27 @@ import (
 
 var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
-// localStage builds an in-process stage and a connection to it.
-func localStage(id, job string, clk clock.Clock) (*stage.Stage, *RemoteConn) {
+// localStage builds an in-process stage and a handle to it.
+func localStage(id, job string, clk clock.Clock) (*stage.Stage, *rpcio.StageHandle) {
 	stg := stage.New(stage.Info{StageID: id, JobID: job, Hostname: "n-" + id, User: "u"}, clk)
-	return stg, loopbackConn(stg)
+	return stg, loopbackHandle(stg)
 }
 
-// loopbackConn connects to stg in process, through the frame codec and
+// loopbackHandle reaches stg in process, through the frame codec and
 // the delta protocol: how every in-process stage is registered.
-func loopbackConn(stg *stage.Stage) *RemoteConn {
-	return NewRemoteConn(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg)))
+func loopbackHandle(stg *stage.Stage) *rpcio.StageHandle {
+	return rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
 }
 
 func TestRegisterAndJobGrouping(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk)
-	_, c1 := localStage("s1", "jobA", clk)
-	_, c2 := localStage("s2", "jobA", clk) // distributed job: 2 stages
-	_, c3 := localStage("s3", "jobB", clk)
-	for _, conn := range []*RemoteConn{c1, c2, c3} {
-		if err := c.Register(conn); err != nil {
+	for _, s := range []struct{ id, job string }{
+		{"s1", "jobA"}, {"s2", "jobA"}, // distributed job: 2 stages
+		{"s3", "jobB"},
+	} {
+		stg, h := localStage(s.id, s.job, clk)
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,28 +50,52 @@ func TestRegisterAndJobGrouping(t *testing.T) {
 
 func TestReRegistrationReplacesConnection(t *testing.T) {
 	// Dependability (§VI): a stage that restarts re-registers under the
-	// same ID; the controller adopts the new connection and closes the
-	// stale one.
+	// same ID; the controller adopts the new handle and closes the stale
+	// one.
 	clk := clock.NewSim(epoch)
-	c := New(clk)
-	_, oldConn := localStage("s1", "jobA", clk)
-	if err := c.Register(oldConn); err != nil {
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
+	c.SetReservation("jobA", 3000)
+	oldStg, oldH := localStage("s1", "jobA", clk)
+	if err := c.Register(oldStg.Info(), oldH); err != nil {
 		t.Fatal(err)
 	}
-	_, newConn := localStage("s1", "jobA", clk)
-	if err := c.Register(newConn); err != nil {
+	stg, h := localStage("s1", "jobA", clk)
+	if err := c.Register(stg.Info(), h); err != nil {
 		t.Fatalf("re-registration rejected: %v", err)
 	}
 	if got := len(c.Stages()); got != 1 {
 		t.Errorf("stages = %d, want 1 after re-registration", got)
+	}
+	if _, _, err := oldH.Exec(nil, nil, false); err == nil {
+		t.Error("the replaced handle still answers: it was not closed")
+	}
+
+	// Re-registering the same handle keeps it open and keeps its member
+	// record: once the rate is settled, a round finds it enforced and
+	// skips the push.
+	c.RunOnce()
+	record := c.sh.members[0]
+	if err := c.Register(stg.Info(), h); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Exec(nil, nil, false); err != nil {
+		t.Fatalf("re-registering the same handle closed it: %v", err)
+	}
+	c.RunOnce()
+	if rs, _ := c.LastRound(); rs.PushesSkipped != 1 || rs.PushCalls != 0 {
+		t.Errorf("round after re-registering the same handle: %d pushed, %d skipped; want 0/1",
+			rs.PushCalls, rs.PushesSkipped)
+	}
+	if c.sh.members[0] != record {
+		t.Error("re-registering the same handle dropped its member record")
 	}
 }
 
 func TestDeregister(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk)
-	_, conn := localStage("s1", "jobA", clk)
-	if err := c.Register(conn); err != nil {
+	stg, conn := localStage("s1", "jobA", clk)
+	if err := c.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Deregister("s1") {
@@ -89,10 +114,10 @@ func TestApplyRuleToJobSplitsAcrossStages(t *testing.T) {
 	c := New(clk)
 	s1, c1 := localStage("s1", "jobA", clk)
 	s2, c2 := localStage("s2", "jobA", clk)
-	if err := c.Register(c1); err != nil {
+	if err := c.Register(s1.Info(), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(c2); err != nil {
+	if err := c.Register(s2.Info(), c2); err != nil {
 		t.Fatal(err)
 	}
 	rule := policy.Rule{ID: "meta", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: 1000}
@@ -120,10 +145,10 @@ func TestApplyRuleToJobsGroupSplit(t *testing.T) {
 	c := New(clk)
 	s1, c1 := localStage("s1", "jobA", clk)
 	s2, c2 := localStage("s2", "jobB", clk)
-	if err := c.Register(c1); err != nil {
+	if err := c.Register(s1.Info(), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(c2); err != nil {
+	if err := c.Register(s2.Info(), c2); err != nil {
 		t.Fatal(err)
 	}
 	rule := policy.Rule{ID: "grp", Rate: 2000}
@@ -141,18 +166,18 @@ func TestApplyRuleToJobsGroupSplit(t *testing.T) {
 func TestApplyRuleClusterWide(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk)
-	s1, c1 := localStage("s1", "jobA", clk)
-	s2, c2 := localStage("s2", "jobB", clk)
-	s3, c3 := localStage("s3", "jobB", clk)
-	for _, conn := range []*RemoteConn{c1, c2, c3} {
-		if err := c.Register(conn); err != nil {
+	var stages []*stage.Stage
+	for _, s := range []struct{ id, job string }{{"s1", "jobA"}, {"s2", "jobB"}, {"s3", "jobB"}} {
+		stg, h := localStage(s.id, s.job, clk)
+		stages = append(stages, stg)
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.ApplyRuleCluster(policy.Rule{ID: "cl", Rate: 3000}); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*stage.Stage{s1, s2, s3} {
+	for _, s := range stages {
 		if s.Rules()[0].Rate != 1000 {
 			t.Errorf("cluster split rate = %v, want 1000", s.Rules()[0].Rate)
 		}
@@ -167,7 +192,7 @@ func TestRegisterInstallsControlQueueWhenAlgorithmActive(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(ProportionalShare{}), WithClusterLimit(300000))
 	stg, conn := localStage("s1", "jobA", clk)
-	if err := c.Register(conn); err != nil {
+	if err := c.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}
 	rules := stg.Rules()
@@ -186,10 +211,10 @@ func TestFeedbackLoopAllocatesByDemand(t *testing.T) {
 	c.SetReservation("jobB", 600)
 	sA, cA := localStage("s1", "jobA", clk)
 	sB, cB := localStage("s2", "jobB", clk)
-	if err := c.Register(cA); err != nil {
+	if err := c.Register(sA.Info(), cA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(cB); err != nil {
+	if err := c.Register(sB.Info(), cB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,10 +258,10 @@ func TestCollectAllAggregatesPerJob(t *testing.T) {
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(1000))
 	s1, c1 := localStage("s1", "jobA", clk)
 	s2, c2 := localStage("s2", "jobA", clk)
-	if err := c.Register(c1); err != nil {
+	if err := c.Register(s1.Info(), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(c2); err != nil {
+	if err := c.Register(s2.Info(), c2); err != nil {
 		t.Fatal(err)
 	}
 	req := &posix.Request{Op: posix.OpOpen, Path: "/f", JobID: "jobA"}
@@ -266,11 +291,11 @@ func TestCollectSkipsDeadStages(t *testing.T) {
 		WithErrorHandler(func(id string, err error) { reported = append(reported, id) }),
 	)
 	stg, _ := localStage("dead", "jobX", clk)
-	if err := c.Register(failingConn(stg)); err != nil {
+	if err := c.Register(stg.Info(), failingConn(stg)); err != nil {
 		t.Fatal(err)
 	}
-	_, live := localStage("live", "jobY", clk)
-	if err := c.Register(live); err != nil {
+	liveStg, live := localStage("live", "jobY", clk)
+	if err := c.Register(liveStg.Info(), live); err != nil {
 		t.Fatal(err)
 	}
 	snaps := c.CollectAll()
@@ -286,7 +311,7 @@ func TestRunLoopWithSimClock(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(800))
 	stg, conn := localStage("s1", "jobA", clk)
-	if err := c.Register(conn); err != nil {
+	if err := c.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(time.Second)
@@ -394,7 +419,7 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 
 	// Healthy stage, local transport.
 	healthy, healthyConn := localStage("healthy", "jobH", clk)
-	if err := ctl.Register(healthyConn); err != nil {
+	if err := ctl.Register(healthy.Info(), healthyConn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,7 +434,7 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Register(NewRemoteConn(fragile.Info(), h)); err != nil {
+	if err := ctl.Register(fragile.Info(), h); err != nil {
 		t.Fatal(err)
 	}
 
@@ -446,7 +471,7 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Register(NewRemoteConn(fragile.Info(), h2)); err != nil {
+	if err := ctl.Register(fragile.Info(), h2); err != nil {
 		t.Fatalf("re-registration: %v", err)
 	}
 	alloc = ctl.RunOnce()
@@ -470,7 +495,7 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 
 		mk := func(id, job, user string) *stage.Stage {
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
-			if err := c.Register(loopbackConn(stg)); err != nil {
+			if err := c.Register(stg.Info(), loopbackHandle(stg)); err != nil {
 				t.Fatal(err)
 			}
 			return stg
@@ -517,7 +542,7 @@ func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
 		c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
 		c.SetReservation("jobA", 3000)
 		stg, conn := localStage("s1", "jobA", clk)
-		if err := c.Register(conn); err != nil {
+		if err := c.Register(stg.Info(), conn); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce() // retunes the registration-time equal share to the reservation

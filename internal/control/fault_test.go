@@ -31,12 +31,12 @@ func ruleRate(s *stage.Stage, id string) float64 {
 func TestDeregisterReleasesShare(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
-	_, c1 := localStage("s1", "jobA", clk)
-	_, c2 := localStage("s2", "jobB", clk)
-	if err := c.Register(c1); err != nil {
+	s1, c1 := localStage("s1", "jobA", clk)
+	s2, c2 := localStage("s2", "jobB", clk)
+	if err := c.Register(s1.Info(), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(c2); err != nil {
+	if err := c.Register(s2.Info(), c2); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReservation("jobB", 6000)
@@ -55,8 +55,8 @@ func TestDeregisterReleasesShare(t *testing.T) {
 	}
 	// The reservation must not outlive the job either: if jobB's ID is
 	// recycled later, the new job starts clean.
-	_, c2b := localStage("s2", "jobB", clk)
-	if err := c.Register(c2b); err != nil {
+	s2b, c2b := localStage("s2", "jobB", clk)
+	if err := c.Register(s2b.Info(), c2b); err != nil {
 		t.Fatal(err)
 	}
 	for _, snap := range c.CollectAll() {
@@ -78,10 +78,10 @@ func TestEvictionReleasesDeadStageShare(t *testing.T) {
 		live, liveConn := localStage("s1", "jobA", clk)
 		deadStg, _ := localStage("s2", "jobA", clk)
 		dead := failingConn(deadStg)
-		if err := c.Register(liveConn); err != nil {
+		if err := c.Register(live.Info(), liveConn); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Register(dead); err != nil {
+		if err := c.Register(deadStg.Info(), dead); err != nil {
 			t.Fatal(err)
 		}
 
@@ -105,7 +105,7 @@ func TestEvictionDisabledByDefault(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
 	deadStg, _ := localStage("s1", "jobA", clk)
-	if err := c.Register(failingConn(deadStg)); err != nil {
+	if err := c.Register(deadStg.Info(), failingConn(deadStg)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -130,7 +130,7 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 		}))
 	stg, _ := localStage("s1", "jobA", clk)
 	var down atomic.Bool
-	if err := c.Register(flakyConn(stg, &down)); err != nil {
+	if err := c.Register(stg.Info(), flakyConn(stg, &down)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,75 +157,113 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 	}
 }
 
-// gatedConn wraps a connection with a gate that runs in Start, in the
-// order a round starts its exchanges, and may fail the exchange before
-// it reaches the stage: Finish then returns the gate's error, as it
-// would a lost round trip. Only the goroutine between Start and Finish
-// touches gated.
-type gatedConn struct {
-	StageConn
+// TestMonitorReadsDoNotCountTowardEviction: CollectAll is how the
+// monitor and the controller's report read the fleet, and a read is not
+// a control round. With eviction after three failed rounds, a dead
+// stage read twice between two rounds is still registered, and the
+// third round evicts it.
+func TestMonitorReadsDoNotCountTowardEviction(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(3))
+	live, liveConn := localStage("s1", "jobA", clk)
+	deadStg, _ := localStage("s2", "jobB", clk)
+	if err := c.Register(live.Info(), liveConn); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(deadStg.Info(), failingConn(deadStg)); err != nil {
+		t.Fatal(err)
+	}
+	c.RunOnce()
+	for i := 0; i < 2; i++ {
+		if snaps := c.CollectAll(); len(snaps) != 1 || snaps[0].JobID != "jobA" {
+			t.Fatalf("read %d: snapshots %+v, want only the live jobA", i, snaps)
+		}
+	}
+	c.RunOnce()
+	if got := len(c.Stages()); got != 2 {
+		t.Fatalf("%d stages registered after two rounds and two reads, want 2: reads counted as failed rounds", got)
+	}
+	c.RunOnce()
+	if stages := c.Stages(); len(stages) != 1 || stages[0].StageID != "s1" {
+		t.Errorf("after the third round: %v registered, want only s1", stages)
+	}
+}
+
+// gatedTransport wraps a stage's transport with a gate that runs in
+// Start, in the order a round starts its exchanges, and may fail the
+// exchange before it reaches the stage: Finish then returns the gate's
+// error, as it would a lost round trip. Only the goroutine between
+// Start and Finish touches gated.
+type gatedTransport struct {
+	rpcio.Transport
 	gate  func(ops []rpcio.StageOp, collect bool) error
 	gated error
 }
 
-func (g *gatedConn) Start(ops []rpcio.StageOp, dst *stage.Stats, held bool) {
-	if g.gated = g.gate(ops, dst != nil); g.gated == nil {
-		g.StageConn.Start(ops, dst, held)
+func (g *gatedTransport) Start(method string, args, reply any) {
+	ba := args.(*rpcio.BatchArgs) // a stage handle's only call is Stage.Batch
+	if g.gated = g.gate(ba.Ops, ba.Collect); g.gated == nil {
+		g.Transport.Start(method, args, reply)
 	}
 }
 
-func (g *gatedConn) Finish() ([]rpcio.OpResult, bool, error) {
+func (g *gatedTransport) Finish() error {
 	if err := g.gated; err != nil {
 		g.gated = nil
-		return nil, false, err
+		return err
 	}
-	return g.StageConn.Finish()
+	return g.Transport.Finish()
+}
+
+// gatedHandle reaches stg in process, every exchange passing gate first.
+func gatedHandle(stg *stage.Stage, gate func(ops []rpcio.StageOp, collect bool) error) *rpcio.StageHandle {
+	return rpcio.NewStageHandle(&gatedTransport{Transport: rpcio.NewEncodedLoopback(rpcio.NewStageService(stg)), gate: gate})
 }
 
 // flakyConn fails every collect on stg while down is set.
-func flakyConn(stg *stage.Stage, down *atomic.Bool) *gatedConn {
-	return &gatedConn{StageConn: loopbackConn(stg), gate: func(_ []rpcio.StageOp, collect bool) error {
+func flakyConn(stg *stage.Stage, down *atomic.Bool) *rpcio.StageHandle {
+	return gatedHandle(stg, func(_ []rpcio.StageOp, collect bool) error {
 		if collect && down.Load() {
 			return errors.New("injected collect failure")
 		}
 		return nil
-	}}
+	})
 }
 
 // failingConn simulates a dead stage: it accepts pushes (so it can
 // register) but never answers a collect.
-func failingConn(stg *stage.Stage) *gatedConn {
+func failingConn(stg *stage.Stage) *rpcio.StageHandle {
 	down := new(atomic.Bool)
 	down.Store(true)
 	return flakyConn(stg, down)
 }
 
 // refusingConn fails every exchange carrying an op refuse matches.
-func refusingConn(stg *stage.Stage, refuse func(rpcio.StageOp) bool) *gatedConn {
-	return &gatedConn{StageConn: loopbackConn(stg), gate: func(ops []rpcio.StageOp, _ bool) error {
+func refusingConn(stg *stage.Stage, refuse func(rpcio.StageOp) bool) *rpcio.StageHandle {
+	return gatedHandle(stg, func(ops []rpcio.StageOp, _ bool) error {
 		for _, op := range ops {
 			if refuse(op) {
 				return errors.New("injected op failure")
 			}
 		}
 		return nil
-	}}
+	})
 }
 
 // setRateFailingConn collects fine but refuses rate retunes.
-func setRateFailingConn(stg *stage.Stage) *gatedConn {
+func setRateFailingConn(stg *stage.Stage) *rpcio.StageHandle {
 	return refusingConn(stg, func(op rpcio.StageOp) bool { return op.Kind == rpcio.OpSetRate })
 }
 
 func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithPushConcurrency(4))
+	c := New(clk)
 	stages := make([]*stage.Stage, 0, 12)
 	for i := 0; i < 12; i++ {
 		id := string(rune('a' + i))
 		stg, conn := localStage("s-"+id, "job-"+string(rune('A'+i%3)), clk)
 		stages = append(stages, stg)
-		if err := c.Register(conn); err != nil {
+		if err := c.Register(stg.Info(), conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,12 +295,12 @@ func TestCollectAllBoundedConcurrencyIsDeterministic(t *testing.T) {
 func TestCollectAllCountsFailedStages(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk)
-	_, ok1 := localStage("s1", "jobA", clk)
+	okStg, ok1 := localStage("s1", "jobA", clk)
 	deadStg, _ := localStage("s2", "jobA", clk)
-	if err := c.Register(ok1); err != nil {
+	if err := c.Register(okStg.Info(), ok1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(failingConn(deadStg)); err != nil {
+	if err := c.Register(deadStg.Info(), failingConn(deadStg)); err != nil {
 		t.Fatal(err)
 	}
 	snaps := c.CollectAll()
@@ -277,8 +315,8 @@ func TestCollectAllCountsFailedStages(t *testing.T) {
 func TestReRegistrationReplaysLastKnownRules(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithClusterLimit(6000), WithAlgorithm(StaticEqualShare{}))
-	_, conn := localStage("s1", "jobA", clk)
-	if err := c.Register(conn); err != nil {
+	stg, conn := localStage("s1", "jobA", clk)
+	if err := c.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}
 	admin := policy.Rule{ID: "open-cap", Match: policy.Matcher{JobID: "jobA"}, Rate: 1000}
@@ -294,7 +332,7 @@ func TestReRegistrationReplaysLastKnownRules(t *testing.T) {
 	// The stage restarts: a fresh Stage object with an empty rule set
 	// re-registers under the same ID.
 	fresh, freshConn := localStage("s1", "jobA", clk)
-	if err := c.Register(freshConn); err != nil {
+	if err := c.Register(fresh.Info(), freshConn); err != nil {
 		t.Fatal(err)
 	}
 	if got := ruleRate(fresh, ControlRuleID); got != 6000 {
@@ -330,10 +368,10 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 	// pushDead registers while it is the only job, so its managed queue
 	// starts at the whole limit: every later round finds it off its
 	// 4000 share and must retune it — the push that fails.
-	if err := c.Register(pushDead); err != nil {
+	if err := c.Register(pushDeadStg.Info(), pushDead); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(liveConn); err != nil {
+	if err := c.Register(live.Info(), liveConn); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -361,15 +399,17 @@ func TestPushesFollowTheLiveRegistryInStageIDOrder(t *testing.T) {
 	// The controller keeps one shard over its whole registry.
 	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithPushConcurrency(1))
+		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
 		var log []string
 		stages := map[string]*stage.Stage{}
 		// onCollect runs inside a stage's first collect.
 		onCollect := map[string]func(){}
-		conn := func(id, job string) *gatedConn {
+		handles := map[string]*rpcio.StageHandle{}
+		// StageID order interleaves the jobs, and so does the push order.
+		for id, job := range map[string]string{"s0": "jobB", "s1": "jobA", "s2": "jobB", "s3": "jobA"} {
 			stg, _ := localStage(id, job, clk)
 			stages[id] = stg
-			return &gatedConn{StageConn: loopbackConn(stg), gate: func(ops []rpcio.StageOp, collect bool) error {
+			handles[id] = gatedHandle(stg, func(ops []rpcio.StageOp, collect bool) error {
 				if hook := onCollect[id]; collect && hook != nil {
 					delete(onCollect, id)
 					hook()
@@ -378,18 +418,17 @@ func TestPushesFollowTheLiveRegistryInStageIDOrder(t *testing.T) {
 					log = append(log, id)
 				}
 				return nil
-			}}
+			})
 		}
-		// StageID order interleaves the jobs, and so does the push order.
-		a1, b2, a3 := conn("s1", "jobA"), conn("s2", "jobB"), conn("s3", "jobA")
-		late := conn("s0", "jobB")
+		join := func(id string) error { return c.Register(stages[id].Info(), handles[id]) }
+		// s0 is the late joiner.
 		onCollect["s3"] = func() {
-			if err := c.Register(late); err != nil {
+			if err := join("s0"); err != nil {
 				t.Error(err)
 			}
 		}
-		for _, pc := range []*gatedConn{a3, b2, a1} {
-			if err := c.Register(pc); err != nil {
+		for _, id := range []string{"s3", "s2", "s1"} {
+			if err := join(id); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -46,8 +46,8 @@ func (c *muteConn) Write(p []byte) (int, error) {
 }
 
 // remoteStage serves a stage on its own loopback listener (muted while
-// *mute is set, when mute is non-nil) and returns a RemoteConn to it.
-func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.DialOption) (*stage.Stage, *RemoteConn) {
+// *mute is set, when mute is non-nil) and returns a handle dialed to it.
+func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.DialOption) (*stage.Stage, *rpcio.StageHandle) {
 	t.Helper()
 	stg := stage.New(stage.Info{StageID: id, JobID: job}, clock.NewSim(epoch))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -64,25 +64,18 @@ func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = h.Close() })
-	return stg, NewRemoteConn(stg.Info(), h)
+	return stg, h
 }
 
-// TestHungPeersCostTheRoundOneTimeout: three members in one goroutine's
-// range — all of the round's at one worker, s0..s3 of it at two — stop
-// answering. Their deadlines run
-// from the send, so they expire together when the first does, and their
-// retries — backoff, redial, a second attempt that hangs too — run side
-// by side: the round takes exactly what one blocking exchange with one
-// hung peer takes (timeout + backoff + timeout), not three times that.
-// The clock is simulated and only ever advanced by a full step once the
-// expected waiters are parked on it, so the duration is exact.
+// TestHungPeersCostTheRoundOneTimeout: three of a round's eight members
+// stop answering. Their deadlines run from the send, so they expire
+// together when the first does, and their retries — backoff, redial, a
+// second attempt that hangs too — run side by side: the round takes
+// exactly what one blocking exchange with one hung peer takes (timeout
+// + backoff + timeout), not three times that. The clock is simulated
+// and only ever advanced by a full step once the expected waiters are
+// parked on it, so the duration is exact.
 func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { hungPeersRound(t, workers) })
-	}
-}
-
-func hungPeersRound(t *testing.T, workers int) {
 	const timeout = 150 * time.Millisecond
 	backoff := rpcio.Backoff{Base: 40 * time.Millisecond, Factor: 2, Attempts: 2}
 	delays := backoff.Delays()
@@ -91,7 +84,7 @@ func hungPeersRound(t *testing.T, workers int) {
 		mu       sync.Mutex
 		reported []string
 	)
-	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(10000), WithPushConcurrency(workers),
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(10000),
 		WithErrorHandler(func(id string, err error) {
 			mu.Lock()
 			reported = append(reported, id)
@@ -115,8 +108,8 @@ func hungPeersRound(t *testing.T, workers int) {
 			job, m = "hung", &mute
 			opts = []rpcio.DialOption{rpcio.WithHandleClock(clk), rpcio.WithCallTimeout(timeout), rpcio.WithBackoff(backoff)}
 		}
-		_, conn := remoteStage(t, id, job, m, opts...)
-		if err := c.Register(conn); err != nil {
+		stg, h := remoteStage(t, id, job, m, opts...)
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,11 +183,11 @@ func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 		for _, id := range []string{"b3", "a2", "b1", "a3", "b2", "a1"} {
 			stg := stage.New(stage.Info{StageID: id, JobID: "job" + strings.ToUpper(id[:1])}, clk)
 			stages[id] = stg
-			var conn StageConn = loopbackConn(stg)
+			h := loopbackHandle(stg)
 			if id[1] == '2' {
-				conn = refusingConn(stg, func(op rpcio.StageOp) bool { return op.Kind == rpcio.OpApplyRule && op.Rule.ID == rule.ID })
+				h = refusingConn(stg, func(op rpcio.StageOp) bool { return op.Kind == rpcio.OpApplyRule && op.Rule.ID == rule.ID })
 			}
-			if err := c.Register(conn); err != nil {
+			if err := c.Register(stg.Info(), h); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,56 +204,53 @@ func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 }
 
 // mixedFleet registers twelve stages across three jobs with a
-// controller driving its rounds on workers goroutines: members behind
-// the codec in process, members over TCP, one that never answers a
-// collect and one that refuses retunes.
-func mixedFleet(t *testing.T, workers int) (*Controller, *clock.Sim, map[string]*stage.Stage, *[]string) {
+// controller: members behind the codec in process, members over TCP,
+// one that never answers a collect and one that refuses retunes.
+func mixedFleet(t *testing.T) (*Controller, *clock.Sim, map[string]*stage.Stage, *[]string) {
 	t.Helper()
 	clk := clock.NewSim(epoch)
 	reported := new([]string)
-	c := New(clk, WithAlgorithm(ProportionalShare{}), WithClusterLimit(6000), WithPushConcurrency(workers),
+	c := New(clk, WithAlgorithm(ProportionalShare{}), WithClusterLimit(6000),
 		WithErrorHandler(func(id string, err error) { *reported = append(*reported, id+": "+err.Error()) }))
 	stages := make(map[string]*stage.Stage)
 	for i := 0; i < 12; i++ {
 		id, job := fmt.Sprintf("s%02d", i), fmt.Sprintf("job%d", i%3)
 		stg := stage.New(stage.Info{StageID: id, JobID: job}, clk)
 		stages[id] = stg
-		var conn StageConn
+		var h *rpcio.StageHandle
 		switch {
 		case i == 4:
-			conn = failingConn(stg)
+			h = failingConn(stg)
 		case i == 7:
-			conn = setRateFailingConn(stg)
+			h = setRateFailingConn(stg)
 		case i%3 != 2:
-			conn = loopbackConn(stg)
+			h = loopbackHandle(stg)
 		default:
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(rpcio.ServeStage(l, stg))
-			h, err := rpcio.DialStage(l.Addr().String())
-			if err != nil {
+			if h, err = rpcio.DialStage(l.Addr().String()); err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = h.Close() })
-			conn = NewRemoteConn(stg.Info(), h)
 		}
 		c.SetReservation(job, float64(1000*(i%3+1)))
-		if err := c.Register(conn); err != nil {
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return c, clk, stages, reported
 }
 
-// TestRoundOutcomeIsTheSameAtEveryWorkerCount: how many goroutines
-// drive a round changes how its exchanges overlap and nothing else —
-// allocations, per-job rows, round accounting, the rates the stages end
-// up enforcing and the order errors are reported in are identical at 1,
-// 2 and 8, round after round, over a fleet that mixes every kind of
-// connection with members that fail.
-func TestRoundOutcomeIsTheSameAtEveryWorkerCount(t *testing.T) {
+// TestRoundOutcomeIsTheSameOnEveryRun: a round is a function of the
+// fleet — allocations, per-job rows, round accounting, the rates the
+// stages end up enforcing and the order errors are reported in are
+// identical on two runs, round after round, over a fleet that mixes
+// every kind of stage handle with members that fail, TCP replies
+// arriving in whatever order they do.
+func TestRoundOutcomeIsTheSameOnEveryRun(t *testing.T) {
 	type outcome struct {
 		Alloc    []map[string]float64
 		Rounds   []RoundStats
@@ -268,8 +258,8 @@ func TestRoundOutcomeIsTheSameAtEveryWorkerCount(t *testing.T) {
 		Rates    map[string]float64
 		Reported []string
 	}
-	run := func(workers int) outcome {
-		c, clk, stages, reported := mixedFleet(t, workers)
+	run := func() outcome {
+		c, clk, stages, reported := mixedFleet(t)
 		var o outcome
 		for round := 0; round < 6; round++ {
 			for i := 0; i < 12; i++ {
@@ -293,13 +283,11 @@ func TestRoundOutcomeIsTheSameAtEveryWorkerCount(t *testing.T) {
 		o.Reported = *reported
 		return o
 	}
-	want := run(1)
+	want := run()
 	if len(want.Reported) == 0 || want.Rounds[5].CollectFailures != 1 || want.Rounds[5].Stages != 12 {
 		t.Fatalf("the fleet's failing members did not fail: %+v, reported %v", want.Rounds[5], want.Reported)
 	}
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("%d workers:\n got %+v\nwant %+v", workers, got, want)
-		}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("second run:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -13,14 +13,14 @@ import (
 	"padll/internal/stage"
 )
 
-// shardOver registers conns with a controller built from opts (no
+// shardOver registers peers with a controller built from opts (no
 // algorithm: registering touches no stage) and returns the shard it
 // builds over them — the unit the round loop drives.
-func shardOver(t *testing.T, clk clock.Clock, opts []Option, conns ...StageConn) *shard {
+func shardOver(t *testing.T, clk clock.Clock, opts []Option, peers ...peer) *shard {
 	t.Helper()
 	c := New(clk, opts...)
-	for _, conn := range conns {
-		if err := c.Register(conn); err != nil {
+	for _, p := range peers {
+		if err := c.Register(p.info, p.h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,13 +34,13 @@ func shardOver(t *testing.T, clk clock.Clock, opts []Option, conns ...StageConn)
 func shardFixture(t *testing.T, clk clock.Clock) (*shard, map[string]*stage.Stage) {
 	t.Helper()
 	stages := make(map[string]*stage.Stage)
-	var conns []StageConn
+	var peers []peer
 	for id, job := range map[string]string{"s1": "job1", "s2": "job1", "s3": "job2", "s4": "job2"} {
-		stg, conn := localStage(id, job, clk)
+		stg, h := localStage(id, job, clk)
 		stages[id] = stg
-		conns = append(conns, conn)
+		peers = append(peers, peer{stg.Info(), h})
 	}
-	return shardOver(t, clk, nil, conns...), stages
+	return shardOver(t, clk, nil, peers...), stages
 }
 
 // offerTo feeds demand through a stage's managed queue over one
@@ -114,9 +114,9 @@ func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 
 func TestAggregatorReportsFailedStages(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	_, conn := localStage("s1", "job1", clk)
+	live, h := localStage("s1", "job1", clk)
 	dead, _ := localStage("s2", "job1", clk)
-	sh := shardOver(t, clk, nil, conn, failingConn(dead))
+	sh := shardOver(t, clk, nil, peer{live.Info(), h}, peer{dead.Info(), failingConn(dead)})
 
 	// A member failure never fails the round: it is counted.
 	var rs RoundStats
@@ -143,13 +143,13 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stages := make(map[string]*stage.Stage)
-	var conns []StageConn
+	var peers []peer
 	for _, id := range []string{"s1", "s2"} {
-		stg, conn := localStage(id, "job1", clk)
+		stg, h := localStage(id, "job1", clk)
 		stages[id] = stg
-		conns = append(conns, conn)
+		peers = append(peers, peer{stg.Info(), h})
 	}
-	sh := shardOver(t, clk, nil, conns...)
+	sh := shardOver(t, clk, nil, peers...)
 	// The rows are the shard's scratch: copied, so a round's answer can
 	// be held against the next one's.
 	round := func(grants []jobGrant) []JobSnapshot {
@@ -193,17 +193,16 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestAggregatorSlotSurvivesForeignCollector: a member connection may
+// TestAggregatorSlotSurvivesForeignCollector: a member's handle may
 // have a second collector — a stage registered with two controllers,
 // or probed by an operator's tool. The foreign collect consumes the
 // "changed" signal, so the shard's held promise alone would leave its
-// slot stale; the
-// connection must notice that its last fill went elsewhere and rewrite
-// the slot.
+// slot stale; the handle must notice that its last fill went elsewhere
+// and rewrite the slot.
 func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	stg, conn := localStage("s1", "job1", clk)
-	sh := shardOver(t, clk, nil, conn)
+	stg, h := localStage("s1", "job1", clk)
+	sh := shardOver(t, clk, nil, peer{stg.Info(), h})
 	var rs RoundStats
 	collect := func() { sh.round(nil, true, &rs) }
 	sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, false, &rs)
@@ -215,7 +214,7 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
 	clk.Advance(5 * time.Second)
 	var foreign stage.Stats
-	if _, _, err := rpcio.Exec(conn, nil, &foreign, false); err != nil {
+	if _, _, err := h.Exec(nil, &foreign, false); err != nil {
 		t.Fatal(err)
 	}
 	if foreign.Queues[0].TotalDemand != 100 {
@@ -229,17 +228,17 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 
 // TestShardsNeedNoLockOfTheirOwn backs the claim on the shard type: the
 // loop, the monitor's read and a churning registry run side by side —
-// rounds on two workers, the shard rebuilt and replaced under them — and the
-// race detector must stay silent with roundMu as the only lock a shard
-// is ever reached under.
+// the shard rebuilt and replaced under them — and the race detector
+// must stay silent with roundMu as the only lock a shard is ever
+// reached under.
 func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
 	stages := make([]*stage.Stage, 6)
 	for i := range stages {
-		var conn StageConn
-		stages[i], conn = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)
-		if err := c.Register(conn); err != nil {
+		var h *rpcio.StageHandle
+		stages[i], h = localStage(fmt.Sprintf("s%d", i), fmt.Sprintf("job%d", i%2), clk)
+		if err := c.Register(stages[i].Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,11 +248,11 @@ func TestShardsNeedNoLockOfTheirOwn(t *testing.T) {
 		func(int) { c.CollectAll() },
 		func(int) { c.LastRound() },
 		func(i int) {
-			// Deregister closes the connection: a stage comes back on a
+			// Deregister closes the handle: a stage comes back on a
 			// fresh one, as a restarted remote stage would.
 			if stg := stages[i%len(stages)]; i%3 == 0 {
 				c.Deregister(stg.Info().StageID)
-			} else if err := c.Register(loopbackConn(stg)); err != nil {
+			} else if err := c.Register(stg.Info(), loopbackHandle(stg)); err != nil {
 				t.Error(err)
 			}
 		},

@@ -44,11 +44,11 @@ func managedRule(m policy.Matcher, scoped bool, key string, rate float64) policy
 // member is one stage of a shard together with what rounds remember
 // about it. A member's record outlives the shard it was built into when
 // the controller reshards, so a stage keeps its collect slot and its
-// probe for as long as its connection stays registered.
+// probe for as long as its handle stays registered.
 type member struct {
-	conn StageConn
-	// stats is the member's collect slot: only conn's Exec writes it, so
-	// once conn has filled it (held) the shard can promise it is
+	peer
+	// stats is the member's collect slot: only h's exchanges write it,
+	// so once h has filled it (held) the shard can promise it is
 	// untouched and an unchanged member costs no snapshot copy.
 	stats stage.Stats
 	held  bool
@@ -62,11 +62,9 @@ type member struct {
 	calls   int
 	// push is the operation the round in flight sends the member (none:
 	// the zero op), kept here so starting it allocates nothing; started
-	// and retry mark a pass's progress: an exchange begun and not yet
-	// finished, a first attempt that failed in transport.
+	// marks an exchange of the pass in flight begun and not yet finished.
 	push    [1]rpcio.StageOp
 	started bool
-	retry   bool
 }
 
 // stageProbe is what a collect learns about one stage beyond the
@@ -81,7 +79,7 @@ type stageProbe struct {
 }
 
 func sortMembers(ms []*member) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].conn.Info().StageID < ms[j].conn.Info().StageID })
+	sort.Slice(ms, func(i, j int) bool { return ms[i].info.StageID < ms[j].info.StageID })
 }
 
 // jobGrant tells a shard what one job's member stages are to enforce:
@@ -98,12 +96,11 @@ type jobGrant struct {
 // It carries no lock of its own. Its membership and indexes are written
 // once, by newShard, and never change — a registry change builds a new
 // shard — and everything else is round state, which only reshard,
-// collect, grant and round touch, every one of them with the
-// controller's roundMu held. The round's worker goroutines (pass) each
-// own a disjoint range of members and are joined before pass returns.
+// collect, grant, round and mark touch, every one of them with the
+// controller's roundMu held. The retry goroutines a pass starts each
+// own one member and are joined before pass returns.
 type shard struct {
 	// What the controller was configured with, copied at construction.
-	workers int
 	matcher policy.Matcher
 	onError func(stageID string, err error)
 	// groupBy keys members into rows, and scoped says whether the
@@ -129,9 +126,8 @@ type shard struct {
 // indexing them by group key.
 func (c *Controller) newShard(members []*member) *shard {
 	sh := &shard{
-		workers: c.workers,
 		matcher: c.controlled,
-		onError: c.memberFailed,
+		onError: c.onError,
 		groupBy: c.groupBy,
 		scoped:  c.isDefaultGroupBy,
 		members: members,
@@ -139,7 +135,7 @@ func (c *Controller) newShard(members []*member) *shard {
 	}
 	keys := make([]string, len(members))
 	for i, m := range members {
-		keys[i] = sh.groupBy(m.conn.Info())
+		keys[i] = sh.groupBy(m.info)
 	}
 	sh.jobs = slices.Clone(keys)
 	sort.Strings(sh.jobs)
@@ -171,100 +167,62 @@ func (sh *shard) grant(alloc map[string]float64) []jobGrant {
 // wireStats sums the members' cumulative traffic.
 func (sh *shard) wireStats() (w rpcio.WireStats) {
 	for _, m := range sh.members {
-		s := m.conn.WireStats()
+		s := m.h.WireStats()
 		w.BytesRead += s.BytesRead
 		w.BytesWritten += s.BytesWritten
 	}
 	return w
 }
 
-// defaultWorkers is how many goroutines drive a round unless told
-// otherwise. A round's exchanges overlap because they are all started
-// before the first is awaited, not because goroutines wait side by
-// side, so a second goroutine only pays where a controller has cores to
-// spare for encoding and decoding; where it shares them with its peers
-// it adds hand-offs (on fleet_rounds, 2 vCPUs: overhead_ratio 1.90 at
-// 1, 1.96 at 2, 2.06 at 8 — the sweep is in CHANGES.md, PR 21).
-const defaultWorkers = 1
-
-// eachSpan cuts [0, n) into min(workers, n) contiguous ranges and runs
-// fn on each, concurrently when there is more than one; workers <= 1 is
-// fn(0, n) on the caller's goroutine. Every goroutine is gone when it
-// returns — a replaced shard must leave none behind.
-func eachSpan(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
 // pass is one kind of exchange with every member that has one to make:
 // scatter, gather, retry. args names what member m sends (ok false:
 // nothing this pass) and must answer the same each time it is asked;
-// done takes m's final outcome. Each of the round's goroutines starts
-// every exchange of its StageID range and only then finishes them, in
+// done takes m's final outcome. The round's goroutine starts every
+// exchange in StageID order and only then finishes them, in the same
 // order, so every request is on the wire before the first reply is
 // awaited and — deadlines running from the send — hung members expire
 // together. A member whose attempt failed in transport is set aside,
-// and once every range is gathered the set-aside members run the rest
-// of the blocking exchange (rpcio.Reattempt: backoff, redial, try
-// again) side by side, so k dead peers cost the round one retry
-// schedule, not k.
+// and once every member is gathered the set-aside ones run the rest of
+// the blocking exchange (StageHandle.Reattempt: backoff, redial, try
+// again) side by side, one goroutine each, so k dead peers cost the
+// round one retry schedule, not k. Every goroutine is gone when pass
+// returns — a replaced shard must leave none behind.
 func (sh *shard) pass(
 	args func(m *member) (ops []rpcio.StageOp, dst *stage.Stats, held, ok bool),
 	done func(m *member, res []rpcio.OpResult, changed bool, err error)) {
-	members := sh.members
-	eachSpan(len(members), sh.workers, func(lo, hi int) {
-		span := members[lo:hi]
-		for _, m := range span {
-			if ops, dst, held, ok := args(m); ok {
-				m.conn.Start(ops, dst, held)
-				m.started = true
-			}
-		}
-		for _, m := range span {
-			if !m.started {
-				continue
-			}
-			m.started = false
-			res, changed, err := m.conn.Finish()
-			if rpcio.Retryable(err) {
-				m.retry, m.err = true, err
-				continue
-			}
-			done(m, res, changed, err)
-		}
-	})
-
-	var failed []*member
-	for _, m := range members {
-		if m.retry {
-			m.retry = false
-			failed = append(failed, m)
+	for _, m := range sh.members {
+		if ops, dst, held, ok := args(m); ok {
+			m.h.Start(ops, dst, held)
+			m.started = true
 		}
 	}
-	// One goroutine each, whatever the worker count: they wait — sleep,
-	// dial, deadline — rather than compute.
-	eachSpan(len(failed), len(failed), func(lo, hi int) {
-		for _, m := range failed[lo:hi] {
-			ops, dst, held, _ := args(m)
-			res, changed, err := rpcio.Reattempt(m.conn, ops, dst, held, nil, false, m.err)
-			done(m, res, changed, err)
+	var failed []*member
+	for _, m := range sh.members {
+		if !m.started {
+			continue
 		}
-	})
+		m.started = false
+		res, changed, err := m.h.Finish()
+		if rpcio.Retryable(err) {
+			m.err = err
+			failed = append(failed, m)
+			continue
+		}
+		done(m, res, changed, err)
+	}
+
+	// The retries wait — sleep, dial, deadline — rather than compute.
+	var wg sync.WaitGroup
+	wg.Add(len(failed))
+	for _, m := range failed {
+		go func() {
+			defer wg.Done()
+			ops, dst, held, _ := args(m)
+			res, changed, err := m.h.Reattempt(ops, dst, held, nil, false, m.err)
+			done(m, res, changed, err)
+		}()
+	}
+	wg.Wait()
 }
 
 // pushOp is what brings one stage's managed queue to managed.Rate given
@@ -330,9 +288,9 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 			func(m *member, res []rpcio.OpResult, _ bool, err error) {
 				m.calls = 1
 				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-					managed := managedRule(sh.matcher, sh.scoped, sh.groupBy(m.conn.Info()), op.Rate)
+					managed := managedRule(sh.matcher, sh.scoped, sh.groupBy(m.info), op.Rate)
 					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
-					_, _, err = rpcio.Exec(m.conn, m.push[:], nil, false)
+					_, _, err = m.h.Exec(m.push[:], nil, false)
 					m.calls = 2
 				}
 				m.err = err
@@ -355,7 +313,7 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 	}
 
 	// Fold in member (StageID-sorted) order: rows, error reports and
-	// counts are deterministic whatever the worker interleaving was.
+	// counts are deterministic whatever order the retries finished in.
 	rebuild := collect && !sh.rowsValid
 	failed := 0
 	for i, m := range members {
@@ -368,7 +326,7 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 		}
 		if m.err != nil {
 			failed++
-			sh.onError(m.conn.Info().StageID, m.err)
+			sh.onError(m.info.StageID, m.err)
 		}
 		rebuild = rebuild || collect && m.changed
 	}

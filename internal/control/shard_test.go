@@ -79,7 +79,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
 			nd := &node{id: id, stg: stg}
 			nodes = append(nodes, nd)
-			if err := c.Register(flakyConn(stg, &nd.down)); err != nil {
+			if err := c.Register(stg.Info(), flakyConn(stg, &nd.down)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,8 +194,8 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 		clk := clock.NewSim(epoch)
 		matcher := policy.Matcher{Classes: []posix.Class{posix.ClassDirectory}}
 		c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithControlledMatcher(matcher))
-		stg, conn := localStage("s1", "jobA", clk)
-		if err := c.Register(conn); err != nil {
+		stg, h := localStage("s1", "jobA", clk)
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce()
@@ -217,18 +217,20 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 // shard, and the replaced one must leave nothing running behind it.
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithPushConcurrency(2))
-	conns := make([]*RemoteConn, 8)
-	for i := range conns {
-		_, conns[i] = localStage(fmt.Sprintf("s%d", i), "jobA", clk)
-		if err := c.Register(conns[i]); err != nil {
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
+	peers := make([]peer, 8)
+	for i := range peers {
+		stg, h := localStage(fmt.Sprintf("s%d", i), "jobA", clk)
+		peers[i] = peer{stg.Info(), h}
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.RunOnce()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		if err := c.Register(conns[i%len(conns)]); err != nil {
+		p := peers[i%len(peers)]
+		if err := c.Register(p.info, p.h); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce()
@@ -236,8 +238,8 @@ func TestReshardingLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("re-registration %d: round covered %d stages, want 8", i, rs.Stages)
 		}
 	}
-	// Round workers exit before RunOnce returns, but a goroutine that has
-	// run its last instruction may still be counted for a moment.
+	// Retry goroutines exit before RunOnce returns, but a goroutine that
+	// has run its last instruction may still be counted for a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -259,12 +261,11 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	c.SetReservation("jobB", 1000)
 	var doomed atomic.Bool // s0 stops answering collects
 	for i, job := range []string{"jobB", "jobA", "jobA", "jobB", "jobA"} {
-		stg, _ := localStage(fmt.Sprintf("s%d", i), job, clk)
-		conn := StageConn(loopbackConn(stg))
+		stg, h := localStage(fmt.Sprintf("s%d", i), job, clk)
 		if i == 0 {
-			conn = flakyConn(stg, &doomed)
+			h = flakyConn(stg, &doomed)
 		}
-		if err := c.Register(conn); err != nil {
+		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
 	}

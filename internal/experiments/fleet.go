@@ -107,7 +107,7 @@ func fleetPoint(n int, loopback bool) (FleetRow, error) {
 			}
 			cleanups = append(cleanups, func() { _ = h.Close(); stop() })
 		}
-		if err := ctl.Register(control.NewRemoteConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(stg.Info(), h); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)

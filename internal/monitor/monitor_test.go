@@ -19,9 +19,9 @@ import (
 
 var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
-// loopbackConn connects to stg in process, through the frame codec.
-func loopbackConn(stg *stage.Stage) *control.RemoteConn {
-	return control.NewRemoteConn(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg)))
+// register registers stg with ctl in process, through the frame codec.
+func register(ctl *control.Controller, stg *stage.Stage) error {
+	return ctl.Register(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg)))
 }
 
 // rig builds a controller with two jobs and some demand.
@@ -35,7 +35,7 @@ func rig(t *testing.T) *control.Controller {
 		stg := stage.New(stage.Info{
 			StageID: fmt.Sprintf("s%d", i), JobID: job, Hostname: "n", PID: i, User: "u",
 		}, clk)
-		if err := ctl.Register(loopbackConn(stg)); err != nil {
+		if err := register(ctl, stg); err != nil {
 			t.Fatal(err)
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: job}, 500, time.Second)
@@ -118,7 +118,7 @@ func TestOverviewReportsWaitPercentiles(t *testing.T) {
 		control.WithAlgorithm(control.StaticEqualShare{}),
 		control.WithClusterLimit(10_000))
 	stg := stage.New(stage.Info{StageID: "s0", JobID: "jobA", Hostname: "n", PID: 1, User: "u"}, clk)
-	if err := ctl.Register(loopbackConn(stg)); err != nil {
+	if err := register(ctl, stg); err != nil {
 		t.Fatal(err)
 	}
 	ctl.RunOnce() // installs the control rule at the per-job share
@@ -236,7 +236,7 @@ func TestDegradedStateSurfaces(t *testing.T) {
 		control.WithAlgorithm(control.StaticEqualShare{}),
 		control.WithClusterLimit(10_000))
 	stg := stage.New(stage.Info{StageID: "s0", JobID: "jobA"}, clk)
-	if err := ctl.Register(loopbackConn(stg)); err != nil {
+	if err := register(ctl, stg); err != nil {
 		t.Fatal(err)
 	}
 	stg.SetDegraded(true)

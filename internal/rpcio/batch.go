@@ -410,6 +410,21 @@ func (ds *DeltaState) SnapshotInto(dst *stage.Stats) {
 func (ds *DeltaState) CollectCounts() (fulls, deltas uint64) { return ds.fulls, ds.deltas }
 
 // ---- handle-side batched API ----
+//
+// A handle's exchange comes in two halves, Start and Finish, so a caller
+// driving many stages can have every request on the wire before it
+// waits for the first reply: ops apply in order, then, when dst is
+// non-nil, an incremental statistics collect taken after the ops
+// applied — all in one Stage.Batch round trip.
+//
+// The collect materializes the full snapshot into caller-owned dst:
+// every field is overwritten and capacity reused, so a steady-state
+// collect allocates nothing. held is the caller's promise that nobody
+// has written dst since this handle last filled it; then a reply
+// showing nothing changed since that fill leaves dst untouched — it
+// already is the current snapshot — and changed reports false. Without
+// the promise (or when the handle last filled some other buffer) dst
+// is always rewritten and changed is true.
 
 // resetReply zeroes the handle's reusable reply in place while keeping
 // slice capacity: the codec overwrites every schema field it decodes,
@@ -433,61 +448,16 @@ func resetReply(r *BatchReply) {
 	r.Delta.Removed = removed[:0]
 }
 
-// Exchanger is one stage exchange in two halves, the shape every
-// channel to a stage has (StageHandle here, control.StageConn above):
-// ops apply in order, then, when dst is non-nil, an incremental
-// statistics collect taken after the ops applied — all in one
-// Stage.Batch round trip where there is a wire.
-//
-// The collect materializes the full snapshot into caller-owned dst:
-// every field is overwritten and capacity reused, so a steady-state
-// collect allocates nothing. held is the caller's promise that nobody
-// has written dst since this exchanger last filled it; then a reply
-// showing nothing changed since that fill leaves dst untouched — it
-// already is the current snapshot — and changed reports false. Without
-// the promise (or when the exchanger last filled some other buffer) dst
-// is always rewritten and changed is true.
-type Exchanger interface {
-	// Start is the first half of one attempt: the request is on the wire
-	// (or, in process, the work is done) when it returns. ops and dst
-	// belong to the exchange until Finish, which must follow exactly
-	// once, on any goroutine. Exchanges on one exchanger serialize: a
-	// second Start waits for the first exchange's Finish, so a goroutine
-	// that starts several exchangers before finishing them must start
-	// them in the same order as every other such goroutine (the control
-	// plane's is StageID order).
-	Start(ops []StageOp, dst *stage.Stats, held bool)
-	// Finish waits for the started exchange's outcome. results has one
-	// entry per op.
-	Finish() (results []OpResult, changed bool, err error)
-	// Retry sleeps the retry schedule's delay after the attempt-th try
-	// (from 0) failed in transport and reports whether another attempt
-	// may follow.
-	Retry(attempt int) bool
-}
-
-// Exec is the blocking exchange, for every Exchanger: start, finish,
-// and try again while the failure is the wire's and the schedule allows.
-func Exec(x Exchanger, ops []StageOp, dst *stage.Stats, held bool) (results []OpResult, changed bool, err error) {
-	x.Start(ops, dst, held)
-	results, changed, err = x.Finish()
-	return Reattempt(x, ops, dst, held, results, changed, err)
-}
-
-// Reattempt is the retrying tail of Exec, given a first attempt's
-// outcome: a caller that started many exchanges and finished each once
-// hands the failures here, and has spent exactly what Exec would have.
-func Reattempt(x Exchanger, ops []StageOp, dst *stage.Stats, held bool, results []OpResult, changed bool, err error) ([]OpResult, bool, error) {
-	for attempt := 0; Retryable(err) && x.Retry(attempt); attempt++ {
-		x.Start(ops, dst, held)
-		results, changed, err = x.Finish()
-	}
-	return results, changed, err
-}
-
-// Start implements Exchanger: the delta acknowledgment it sends is the
-// one Finish applies the reply against, because nothing else can move
-// the merged state while the exchange owns the handle.
+// Start is the first half of one attempt: the request is on the wire
+// (or, in process, the work is done) when it returns. ops and dst
+// belong to the exchange until Finish, which must follow exactly once,
+// on any goroutine. Exchanges on one handle serialize: a second Start
+// waits for the first exchange's Finish, so a goroutine that starts
+// several handles before finishing them must start them in the same
+// order as every other such goroutine (the control plane's is StageID
+// order). The delta acknowledgment Start sends is the one Finish
+// applies the reply against, because nothing else can move the merged
+// state while the exchange owns the handle.
 func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 	h.bmu.Lock()
 	for h.busy {
@@ -509,7 +479,8 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 	h.t.Start("Stage.Batch", &h.bargs, &h.breply)
 }
 
-// Finish implements Exchanger.
+// Finish waits for the started exchange's outcome. results has one
+// entry per op.
 func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 	err = h.t.Finish()
 	dst, held := h.dst, h.held
@@ -532,14 +503,25 @@ func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 	return results, changed, err
 }
 
-// Retry implements Exchanger on the transport's schedule.
-func (h *StageHandle) Retry(attempt int) bool { return h.t.Retry(attempt) }
-
-// Exec is the handle's blocking exchange (see Exec). Exchanges on one
-// handle serialize with each other, so interleaved collectors
-// (controller loop and monitor) merge deltas consistently.
+// Exec is the blocking exchange: start, finish, and try again while the
+// failure is the wire's and the transport's retry schedule allows.
+// Exchanges on one handle serialize with each other, so interleaved
+// collectors (controller loop and monitor) merge deltas consistently.
 func (h *StageHandle) Exec(ops []StageOp, dst *stage.Stats, held bool) (results []OpResult, changed bool, err error) {
-	return Exec(h, ops, dst, held)
+	h.Start(ops, dst, held)
+	results, changed, err = h.Finish()
+	return h.Reattempt(ops, dst, held, results, changed, err)
+}
+
+// Reattempt is the retrying tail of Exec, given a first attempt's
+// outcome: a caller that started many exchanges and finished each once
+// hands the failures here, and has spent exactly what Exec would have.
+func (h *StageHandle) Reattempt(ops []StageOp, dst *stage.Stats, held bool, results []OpResult, changed bool, err error) ([]OpResult, bool, error) {
+	for attempt := 0; Retryable(err) && h.t.Retry(attempt); attempt++ {
+		h.Start(ops, dst, held)
+		results, changed, err = h.Finish()
+	}
+	return results, changed, err
 }
 
 // CollectDeltaInto fetches the stage's statistics into a caller-owned

@@ -174,11 +174,12 @@ const (
 	DefaultCallTimeout = 5 * time.Second
 )
 
-// StageHandle is the control plane's typed client for one stage,
-// layered over a Transport: frames over TCP with redial, deadlines and
-// seeded backoff for remote stages (DialStage), or the same codec in
-// process (EncodedLoopbackStage). The handle owns the client half of
-// the batched delta protocol (Start/Finish/Exec in batch.go).
+// StageHandle is the control plane's one channel to a stage, layered
+// over a Transport: frames over TCP with redial, deadlines and seeded
+// backoff for remote stages (DialStage), or the same codec in process
+// (EncodedLoopbackStage). The handle owns the client half of the
+// batched delta protocol (Start/Finish/Exec/Reattempt in batch.go); a
+// fault to inject goes under it, as a Transport.
 type StageHandle struct {
 	t Transport
 
@@ -219,8 +220,8 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	return NewStageHandle(t), nil
 }
 
-// NewStageHandle wraps an arbitrary transport (tests inject faulty
-// ones).
+// NewStageHandle wraps an arbitrary transport (fault injectors wrap an
+// EncodedLoopback).
 func NewStageHandle(t Transport) *StageHandle {
 	h := &StageHandle{t: t}
 	h.idle.L = &h.bmu

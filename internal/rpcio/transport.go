@@ -11,7 +11,8 @@
 // process (EncodedLoopback) — the transport of every in-process stage:
 // the cluster simulator's, a single-process deployment's, the chaos
 // harness's and the thousand-stage benchmarks'. They are the only code
-// on the client side that writes a request frame or reads a reply frame.
+// on the client side that writes a request frame or reads a reply frame,
+// and Transport is the one seam a fault injector wraps.
 package rpcio
 
 import (

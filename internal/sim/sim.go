@@ -98,7 +98,7 @@ type Cluster struct {
 type job struct {
 	spec    JobSpec
 	stages  []*stage.Stage
-	conns   []*control.RemoteConn
+	handles []*rpcio.StageHandle // the controller's channel to stages[i]
 	pending map[posix.Op]float64 // backlog per op
 	// traceDone marks the trace curve fully integrated.
 	traceDone bool
@@ -192,7 +192,7 @@ func (c *Cluster) AddJob(spec JobSpec) {
 			User:     spec.User,
 		}, c.clk, stage.WithMode(c.cfg.StageMode), stage.WithWindow(c.cfg.Window))
 		j.stages = append(j.stages, st)
-		j.conns = append(j.conns, control.NewRemoteConn(st.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(st))))
+		j.handles = append(j.handles, rpcio.EncodedLoopbackStage(rpcio.NewStageService(st)))
 	}
 	c.jobs = append(c.jobs, j)
 }
@@ -254,10 +254,10 @@ func (c *Cluster) Run() *Report {
 				arrivedNow = true
 				if c.cfg.Controller != nil {
 					c.cfg.Controller.SetReservation(j.spec.ID, j.spec.Reservation)
-					for _, conn := range j.conns {
+					for i, h := range j.handles {
 						// Over the in-process loopback, registration
 						// fails only on a bug.
-						if err := c.cfg.Controller.Register(conn); err != nil {
+						if err := c.cfg.Controller.Register(j.stages[i].Info(), h); err != nil {
 							panic(err)
 						}
 					}
@@ -398,8 +398,8 @@ func (c *Cluster) stepJob(j *job, now time.Duration, tick time.Duration) {
 			j.finished = true
 			j.finishedAt = now
 			if c.cfg.Controller != nil {
-				for _, conn := range j.conns {
-					c.cfg.Controller.Deregister(conn.Info().StageID)
+				for _, st := range j.stages {
+					c.cfg.Controller.Deregister(st.Info().StageID)
 				}
 			}
 		}

@@ -455,13 +455,6 @@ func WithControlledMatcher(m Matcher) ControlOption { return control.WithControl
 // share redistributed (0 disables eviction, the default).
 func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
 
-// WithPushConcurrency sets how many goroutines drive a control round,
-// collecting and pushing alike. A round has every stage's request on
-// the wire before it waits for the first reply whatever the count, so
-// this is about spare controller cores, not overlap (default 1: every
-// exchange started in stage-ID order on the loop's goroutine).
-func WithPushConcurrency(n int) ControlOption { return control.WithPushConcurrency(n) }
-
 // WithGroupBy overrides the feedback loop's orchestration granularity:
 // the default groups stages per job; GroupByUser shares one allocation
 // among all of a user's jobs (the paper's "group of jobs" level).
@@ -480,7 +473,7 @@ func NewControlPlane(opts ...ControlOption) *ControlPlane {
 // and single-process deployments use.
 func (cp *ControlPlane) AttachLocal(dp *DataPlane) error {
 	h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(dp.stg))
-	return cp.ctl.Register(control.NewRemoteConn(dp.stg.Info(), h))
+	return cp.ctl.Register(dp.stg.Info(), h)
 }
 
 // DetachLocal removes a locally attached data plane from the registry
