@@ -67,15 +67,22 @@ func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.
 	return stg, h
 }
 
-// TestHungPeersCostTheRoundOneTimeout: three of a round's eight members
-// stop answering. Their deadlines run from the send, so they expire
-// together when the first does, and their retries — backoff, redial, a
-// second attempt that hangs too — run side by side: the round takes
-// exactly what one blocking exchange with one hung peer takes (timeout
-// + backoff + timeout), not three times that. The clock is simulated
-// and only ever advanced by a full step once the expected waiters are
-// parked on it, so the duration is exact.
+// TestHungPeersCostTheRoundOneTimeout: workers of a round's eight
+// members (s1 onwards) stop answering, so the pass sets that many aside
+// and starts one retry worker for each. Their deadlines run from the
+// send, so they expire together when the first does, and their retries
+// — backoff, redial, a second attempt that hangs too — run side by
+// side: the round takes exactly what one blocking exchange with one
+// hung peer takes (timeout + backoff + timeout), not workers times
+// that. The clock is simulated and only ever advanced by a full step
+// once the expected waiters are parked on it, so the duration is exact.
 func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { hungPeersRound(t, workers) })
+	}
+}
+
+func hungPeersRound(t *testing.T, workers int) {
 	const timeout = 150 * time.Millisecond
 	backoff := rpcio.Backoff{Base: 40 * time.Millisecond, Factor: 2, Attempts: 2}
 	delays := backoff.Delays()
@@ -93,7 +100,13 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	c.SetReservation("healthy", 5000)
 	c.SetReservation("hung", 3000)
 	var mute atomic.Bool
-	hung := map[string]bool{"s1": true, "s2": true, "s3": true}
+	hung := make(map[string]bool)
+	var hungIDs []string
+	for i := 1; i <= workers; i++ {
+		id := fmt.Sprintf("s%d", i)
+		hung[id] = true
+		hungIDs = append(hungIDs, id)
+	}
 	for i := 0; i < 8; i++ {
 		// Only the members that will hang keep time on the simulated
 		// clock: a healthy member's wait for a reply that is a few
@@ -122,11 +135,11 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	mute.Store(true)
 	done := make(chan map[string]float64, 1)
 	go func() { done <- c.RunOnce() }()
-	clk.BlockUntil(1) // s1's gatherer; s2 and s3 wait behind it, already late
+	clk.BlockUntil(1) // s1's gatherer; the other hung members wait behind it, already late
 	clk.Advance(timeout)
-	clk.BlockUntil(3) // the three retries, backing off side by side
+	clk.BlockUntil(workers) // the retries, backing off side by side
 	clk.Advance(delays[0])
-	clk.BlockUntil(3) // their second attempts, sent together
+	clk.BlockUntil(workers) // their second attempts, sent together
 	clk.Advance(timeout)
 	alloc := <-done
 
@@ -134,8 +147,8 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	if want := 2*timeout + delays[0]; rs.Duration != want {
 		t.Errorf("round took %v, want %v: what one exchange with one hung peer costs", rs.Duration, want)
 	}
-	if rs.CollectFailures != 3 || rs.CollectCalls != 8 || rs.Stages != 8 {
-		t.Errorf("round accounting %+v, want 3 failures of 8 collects over 8 stages", rs)
+	if rs.CollectFailures != workers || rs.CollectCalls != 8 || rs.Stages != 8 {
+		t.Errorf("round accounting %+v, want %d failures of 8 collects over 8 stages", rs, workers)
 	}
 	// The hung job has no member left to speak for it, so nothing is
 	// granted or pushed there; the healthy one is untouched.
@@ -143,14 +156,14 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 		t.Errorf("allocation %v with %d pushes, want only the healthy job at 5000 and none", alloc, rs.PushCalls)
 	}
 	mu.Lock()
-	if !reflect.DeepEqual(reported, []string{"s1", "s2", "s3"}) {
-		t.Errorf("errors reported for %v, want s1 s2 s3 in StageID order", reported)
+	if !reflect.DeepEqual(reported, hungIDs) {
+		t.Errorf("errors reported for %v, want %v in StageID order", reported, hungIDs)
 	}
 	mu.Unlock()
 	mute.Store(false)
 	snaps := c.CollectAll()
-	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != 5 || snaps[1].Stages != 3 {
-		t.Errorf("after the fault cleared: %+v, want 5 healthy and 3 recovered stages", snaps)
+	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != 8-workers || snaps[1].Stages != workers {
+		t.Errorf("after the fault cleared: %+v, want %d healthy and %d recovered stages", snaps, 8-workers, workers)
 	}
 	if n := clk.PendingWaiters(); n != 0 {
 		t.Errorf("%d waiters left on the clock", n)
