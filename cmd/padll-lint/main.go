@@ -1,8 +1,10 @@
-// Command padll-lint runs PADLL's static-analysis suite: seven analyzers
-// that enforce the repository's determinism, concurrency and hot-path
-// invariants (see internal/lint). It is built purely on the standard
-// library's go/ast, go/parser, go/types and go/token packages — no
-// external analysis framework.
+// Command padll-lint runs PADLL's static-analysis suite: five
+// package-local analyzers that enforce the repository's determinism,
+// concurrency and error-handling invariants (see internal/lint). The
+// zero-allocation request path and copy-on-write publication are not
+// linted: AllocsPerRun guards and -race tests check them at runtime. It
+// is built purely on the standard library's go/ast, go/parser, go/types
+// and go/token packages — no external analysis framework.
 //
 // Usage:
 //

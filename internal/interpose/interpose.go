@@ -82,8 +82,6 @@ const sampleEvery = 64
 // submit. The shim adds no allocations of its own on top of the backend,
 // counts the call with one atomic add, and reads the clock only for the
 // calls it samples.
-//
-//lint:hotpath
 func (s *Shim) Apply(req *posix.Request, rep *posix.Reply) error {
 	st := &s.stripes[metrics.StripeIndex()]
 	op := posix.NumOps

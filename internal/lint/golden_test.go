@@ -37,17 +37,6 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// runAnalyzer applies one analyzer to one loaded fixture package,
-// returning the unsuppressed findings (pragma handling included). The
-// package is its own single-package program: cross-package facts stop
-// at its imports.
-func runAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	a.Run(&Pass{Pkg: pkg, Prog: newProgram(nil, pkg), analyzer: a, diags: &diags})
-	allows := collectAllowances(pkg, &diags)
-	return dedupe(suppress(diags, allows))
-}
-
 // wantRx extracts `// want `+"`...`"+` expectations (backtick-quoted
 // regexes; several may share one comment).
 var wantRx = regexp.MustCompile("want `([^`]+)`")
@@ -61,7 +50,7 @@ func runGolden(t *testing.T, a *Analyzer, fixture, importPath string) {
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}
-	diags := runAnalyzer(pkg, a)
+	diags := analyze(pkg, a)
 
 	// Gather expectations keyed by file:line.
 	type want struct {
@@ -122,14 +111,6 @@ func TestPrintCheckGolden(t *testing.T) {
 	runGolden(t, PrintCheck, "printfix", "padll/internal/lintfixtures/printfix")
 }
 
-func TestAtomicCheckGolden(t *testing.T) {
-	runGolden(t, AtomicCheck, "atomicfix", "padll/internal/lintfixtures/atomicfix")
-}
-
-func TestHotPathCheckGolden(t *testing.T) {
-	runGolden(t, HotPathCheck, "hotpathfix", "padll/internal/lintfixtures/hotpathfix")
-}
-
 func TestLeakCheckGolden(t *testing.T) {
 	runGolden(t, LeakCheck, "leakfix", "padll/internal/lintfixtures/leakfix")
 }
@@ -146,8 +127,6 @@ func TestFixturesSeedViolations(t *testing.T) {
 		{LockCheck, "lockfix", 6},
 		{ErrDrop, "errfix", 4},
 		{PrintCheck, "printfix", 4},
-		{AtomicCheck, "atomicfix", 4},
-		{HotPathCheck, "hotpathfix", 10},
 		{LeakCheck, "leakfix", 2},
 	}
 	loader := fixtureLoader(t)
@@ -157,7 +136,7 @@ func TestFixturesSeedViolations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", c.fixture, err)
 		}
-		if got := len(runAnalyzer(pkg, c.a)); got < c.minimum {
+		if got := len(analyze(pkg, c.a)); got < c.minimum {
 			t.Errorf("%s fixture: %d findings, want at least %d seeded violations", c.a.Name, got, c.minimum)
 		}
 	}

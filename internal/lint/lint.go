@@ -12,21 +12,14 @@
 //     Close methods, and the rpcio conn layer are never silently dropped.
 //   - printcheck: internal/* packages never write to the terminal; only
 //     cmd/ and examples/ own stdout.
-//   - atomiccheck: a struct field accessed through sync/atomic anywhere
-//     is atomic everywhere — no mixed plain reads/writes — and data
-//     published through an atomic.Pointer store is copy-on-write: the
-//     stored value must not be mutated after publication.
-//   - hotpathcheck: functions annotated //lint:hotpath, and everything
-//     they statically call, must not allocate (no composite literals,
-//     append, map writes, capturing closures, boxing conversions, defer,
-//     or fmt) unless the callee is annotated //lint:coldpath <reason>.
 //   - leakcheck: every go statement in non-test code is tied to a
 //     visible shutdown path (sync.WaitGroup, stop channel, or context).
 //
 // The suite is built purely on the standard library (go/ast, go/parser,
 // go/types, go/token, go/build): packages are parsed and type-checked from
 // source, with module-local imports resolved against the repository root
-// and standard-library imports against GOROOT/src.
+// and standard-library imports against GOROOT/src. Every analyzer looks
+// at one package at a time.
 //
 // A finding can be suppressed with an explanatory pragma on the offending
 // line or the line above it:
@@ -73,11 +66,7 @@ type Analyzer struct {
 
 // Pass is one analyzer's view of one package.
 type Pass struct {
-	Pkg *Package
-	// Prog is the cross-package program view; the first-generation
-	// analyzers ignore it, atomiccheck/hotpathcheck follow call-graph
-	// facts through it.
-	Prog     *Program
+	Pkg      *Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -101,8 +90,6 @@ func Analyzers() []*Analyzer {
 		LockCheck,
 		ErrDrop,
 		PrintCheck,
-		AtomicCheck,
-		HotPathCheck,
 		LeakCheck,
 	}
 }
@@ -129,16 +116,12 @@ type allowance struct {
 // through the tolerant parser in pragma.go (whitespace-indented and
 // block-comment forms included). Malformed pragmas (no analyzer, no
 // reason, an unknown analyzer name, or an unknown directive verb) are
-// reported as findings of the "pragma" pseudo-analyzer so that typos
-// cannot silently disable a check; pass diags == nil to collect
-// allowances without re-reporting (program-wide suppression). Names are
-// validated against the full registry, so a golden test running one
-// analyzer does not flag the other analyzers' legitimate pragmas.
+// reported into diags as findings of the "pragma" pseudo-analyzer so
+// that typos cannot silently disable a check. Names are validated
+// against the full registry, so a golden test running one analyzer does
+// not flag the other analyzers' legitimate pragmas.
 func collectAllowances(pkg *Package, diags *[]Diagnostic) []allowance {
 	report := func(pos token.Pos, msg string) {
-		if diags == nil {
-			return
-		}
 		p := pkg.Fset.Position(pos)
 		*diags = append(*diags, Diagnostic{
 			Analyzer: "pragma", Path: p.Filename, Line: p.Line, Col: p.Column, Message: msg,

@@ -54,8 +54,7 @@ func TestNoReflectionWireImports(t *testing.T) {
 
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
-		"clockcheck", "lockcheck", "errdrop", "printcheck",
-		"atomiccheck", "hotpathcheck", "leakcheck",
+		"clockcheck", "lockcheck", "errdrop", "printcheck", "leakcheck",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

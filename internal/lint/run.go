@@ -32,34 +32,28 @@ func Run(moduleRoot string, patterns []string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
+	res := &Result{Packages: len(dirs)}
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir, importPathFor(loader, dir))
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		res.Diags = append(res.Diags, analyze(pkg, Analyzers()...)...)
 	}
-	// All target packages form one program so the cross-package analyzers
-	// can follow hot paths across package boundaries; the program lazily
-	// pulls in module packages reached but not targeted.
-	prog := newProgram(loader, pkgs...)
-	res := &Result{Packages: len(pkgs)}
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range Analyzers() {
-			a.Run(&Pass{Pkg: pkg, Prog: prog, analyzer: a, diags: &diags})
-		}
-		// Report malformed pragmas per target package; the allowances
-		// themselves are re-collected program-wide below so pragmas in
-		// lazily loaded packages also suppress.
-		collectAllowances(pkg, &diags)
-	}
-	diags = dedupe(suppressProgram(prog, diags, nil))
-	res.Diags = diags
 	relativize(moduleRoot, res.Diags)
 	sortDiagnostics(res.Diags)
 	return res, nil
+}
+
+// analyze applies the analyzers to one package and returns the findings
+// that package's own pragmas do not suppress, malformed pragmas included.
+func analyze(pkg *Package, analyzers ...*Analyzer) []Diagnostic {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
+	}
+	allows := collectAllowances(pkg, &diags)
+	return suppress(diags, allows)
 }
 
 // importPathFor maps a directory under the module root to its import path.

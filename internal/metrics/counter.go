@@ -88,18 +88,14 @@ func (rc *RateCounter) SetMaxSamples(n int) {
 
 // Add records n events at the current instant, closing any elapsed
 // windows first.
-//
-//lint:hotpath
 func (rc *RateCounter) Add(n int64) {
-	rc.AddAt(n, rc.clk.Now()) //lint:allow hotpathcheck Add is the exact-instant form; request paths share one read through AddAt
+	rc.AddAt(n, rc.clk.Now()) // Add is the exact-instant form; request paths share one read through AddAt
 }
 
 // AddAt records n events at a caller-supplied instant, letting hot paths
 // share one clock read across several counters. Instants may lag the
 // real clock slightly (hot paths amortize clock reads); an instant
 // earlier than the open window is attributed to the open window.
-//
-//lint:hotpath
 func (rc *RateCounter) AddAt(n int64, now time.Time) {
 	if now.UnixNano() < rc.winEndNano.Load() {
 		rc.shards.add(n)
@@ -200,8 +196,7 @@ func (rc *RateCounter) drainLocked() int64 {
 // windows were idle. winEndNano is published only after the last close,
 // so a concurrent fast-path add either sees the stale end and queues on
 // the mutex, or sees the final end and lands in the new open window.
-//
-//lint:coldpath window-close path: runs once per sampling window under the mutex and appends to the series
+// It runs once per sampling window and may grow the series.
 func (rc *RateCounter) rollLocked(now time.Time) {
 	if now.Sub(rc.winStart) < rc.window {
 		return

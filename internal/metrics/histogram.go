@@ -66,8 +66,6 @@ func NewHistogram(bounds []float64) *Histogram {
 // ObserveZero records one observation of zero length. It takes no lock
 // and writes only the calling goroutine's stripe; readers account for it
 // exactly as for Observe(0).
-//
-//lint:hotpath
 func (h *Histogram) ObserveZero() { h.zeros.add(1) }
 
 // idle reports that nothing was ever observed, without the mutex.
@@ -97,9 +95,8 @@ func (h *Histogram) foldLocked() {
 // Observe records one latency observation.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveSeconds(d.Seconds()) }
 
-// ObserveSeconds records one observation expressed in seconds.
-//
-//lint:coldpath latency is only observed on the shaping path, after the request already blocked in the bucket
+// ObserveSeconds records one observation expressed in seconds. Only a
+// request that already blocked in its bucket is observed this way.
 func (h *Histogram) ObserveSeconds(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -20,8 +20,6 @@ const Stripes = 16
 // per-stripe state with it. Which stripe an event lands in never affects
 // a total (integer addition commutes), so striping has no bearing on
 // determinism.
-//
-//lint:hotpath
 func StripeIndex() int {
 	var probe byte
 	return stripeOf(uintptr(unsafe.Pointer(&probe)))
@@ -62,8 +60,6 @@ type striped struct {
 
 // add adds n to the calling goroutine's cell, allocating the array on
 // first use.
-//
-//lint:hotpath
 func (s *striped) add(n int64) {
 	arr := s.cells.Load()
 	if arr == nil {
@@ -74,8 +70,7 @@ func (s *striped) add(n int64) {
 
 // alloc publishes the cell array on the first-ever add. A lost CAS race
 // re-loads the winner's array, so no add ever lands in an orphaned cell.
-//
-//lint:coldpath runs at most once per counter lifetime: first-add cell allocation
+// It allocates, at most once per counter lifetime.
 func (s *striped) alloc() *[Stripes]cell {
 	fresh := new([Stripes]cell)
 	if s.cells.CompareAndSwap(nil, fresh) {

@@ -91,7 +91,7 @@ func normalize(p string) string {
 // It reads only the immutable mount table: no lock, no shared write.
 func (r *Router) Resolve(path string) *Mount {
 	if !strings.HasPrefix(path, "/") {
-		path = "/" + path //lint:allow hotpathcheck only a relative path pays; every client issues rooted ones
+		path = "/" + path // allocates; every client issues rooted paths
 	}
 	for i := range r.mounts {
 		m := &r.mounts[i]
@@ -217,12 +217,12 @@ func (r *Router) Forward(m *Mount, req *posix.Request, rep *posix.Reply) error {
 		r.mu.Lock()
 		vfd := r.nextFD
 		r.nextFD++
-		r.fds[vfd] = fdEntry{mount: m, backendFD: rep.FD} //lint:allow hotpathcheck open installs its descriptor
+		r.fds[vfd] = fdEntry{mount: m, backendFD: rep.FD}
 		r.mu.Unlock()
 		rep.FD = vfd // virtualize in place; the backend fd stays private
 	} else if closesFD(req.Op) {
 		r.mu.Lock()
-		delete(r.fds, fd) //lint:allow hotpathcheck close releases its descriptor
+		delete(r.fds, fd)
 		r.mu.Unlock()
 	}
 	return nil

@@ -104,7 +104,7 @@ func clean(p string) string {
 		return "/"
 	}
 	if !strings.HasPrefix(p, "/") {
-		//lint:allow hotpathcheck relative paths only; every layer above sends rooted ones
+		// Allocates, for relative paths only; every layer above sends rooted ones.
 		p = "/" + p
 	}
 	return path.Clean(p)
@@ -234,8 +234,6 @@ func (o *FS) apply(req *posix.Request, rep *posix.Reply) error {
 }
 
 // pathOp runs a path system call that returns nothing but its verdict.
-//
-//lint:hotpath
 func (o *FS) pathOp(trap uintptr, p string, a, b, c uintptr) error {
 	_, err := o.at(trap, clean(p), a, b, c)
 	return err
@@ -282,7 +280,6 @@ func openFlags(flags int) int {
 	return out
 }
 
-//lint:hotpath
 func (o *FS) open(p string, flags int, mode posix.FileMode, rep *posix.Reply) error {
 	p = clean(p)
 	fd, err := o.at(syscall.SYS_OPENAT, p, uintptr(openFlags(flags)), uintptr(mode.Perm()), 0)
@@ -295,8 +292,6 @@ func (o *FS) open(p string, flags int, mode posix.FileMode, rep *posix.Reply) er
 }
 
 // stat is one fstatat; flags selects stat(2) or lstat(2) semantics.
-//
-//lint:hotpath
 func (o *FS) stat(p string, flags uintptr, rep *posix.Reply) error {
 	p = clean(p)
 	var st syscall.Stat_t

@@ -40,7 +40,7 @@ func appendRel(buf []byte, p string) []byte {
 	if p == "/" {
 		p = "/."
 	}
-	//lint:allow hotpathcheck pooled scratch: grows at most once per pool entry
+	// Grows the pooled scratch at most once per pool entry.
 	return append(append(buf, p[1:]...), 0)
 }
 
@@ -57,9 +57,8 @@ func relScratch(p string) (*[]byte, error) {
 }
 
 // mapErr lowers a kernel error onto the boundary sentinels, keeping both
-// error identities (see posix.FromFSError); nil stays nil.
-//
-//lint:coldpath failure path: a refused operation may allocate its error
+// error identities (see posix.FromFSError); nil stays nil. A refused
+// operation may allocate its error.
 func mapErr(err error) error {
 	switch err {
 	case syscall.ENOTDIR:
@@ -80,8 +79,6 @@ func mapErr(err error) error {
 
 // at issues trap(root, p, a, b, c) for the cleaned virtual path p,
 // retrying interrupted calls as the os package does.
-//
-//lint:hotpath
 func (o *FS) at(trap uintptr, p string, a, b, c uintptr) (uintptr, error) {
 	bp, err := relScratch(p)
 	if err != nil {
@@ -103,8 +100,6 @@ func (o *FS) at(trap uintptr, p string, a, b, c uintptr) (uintptr, error) {
 // atPtr is at for the calls whose third argument is a pointer
 // (fstatat, readlinkat, utimensat): it must reach the kernel as one, not
 // as a uintptr the collector cannot see.
-//
-//lint:hotpath
 func (o *FS) atPtr(trap uintptr, p string, ptr unsafe.Pointer, b uintptr) (uintptr, error) {
 	bp, err := relScratch(p)
 	if err != nil {
@@ -125,8 +120,6 @@ func (o *FS) atPtr(trap uintptr, p string, ptr unsafe.Pointer, b uintptr) (uintp
 
 // at2 issues trap(root, oldP, root, newP, flags) — renameat, linkat — on
 // two cleaned virtual paths sharing one scratch.
-//
-//lint:hotpath
 func (o *FS) at2(trap uintptr, oldP, newP string, flags uintptr) error {
 	if strings.IndexByte(newP, 0) >= 0 {
 		return posix.ErrInvalid

@@ -71,9 +71,8 @@ func (t *table) slot(fd int) *handle {
 	return &c[fd&(chunkSize-1)]
 }
 
-// extend adds the chunk fd falls in.
-//
-//lint:coldpath runs once per 128 descriptor numbers for the lifetime of the FS
+// extend adds the chunk fd falls in, once per 128 descriptor numbers for
+// the lifetime of the FS.
 func (t *table) extend(fd int) *handle {
 	t.grow.Lock()
 	defer t.grow.Unlock()
@@ -92,8 +91,6 @@ func (t *table) extend(fd int) *handle {
 }
 
 // install records a descriptor the kernel just returned.
-//
-//lint:hotpath
 func (t *table) install(fd int, name string, isDir bool, entries []posix.DirEntry) {
 	h := t.slot(fd)
 	if h == nil {
@@ -138,8 +135,6 @@ func (h *handle) release(fd int) {
 
 // close makes fd unknown to every later lookup and closes it once no
 // operation is in flight on it.
-//
-//lint:hotpath
 func (t *table) close(fd int) error {
 	h := t.slot(fd)
 	if h == nil {

@@ -74,7 +74,7 @@ func (m *Matcher) Matches(req *posix.Request) bool {
 	if m.PathPrefix != "" {
 		ps := m.prefixSlash
 		if ps == "" {
-			//lint:allow hotpathcheck fallback for hand-built matchers only; compiled rules hit the cached prefixSlash above
+			// fallback for hand-built matchers only; compiled rules hit the cached prefixSlash above
 			ps = strings.TrimSuffix(m.PathPrefix, "/") + "/"
 		}
 		if req.Path != m.PathPrefix && !strings.HasPrefix(req.Path, ps) {

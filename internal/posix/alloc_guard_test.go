@@ -30,10 +30,10 @@ var guardFS = FileSystemFunc(func(req *Request, rep *Reply) error {
 	return nil
 })
 
-// TestClientHotPathZeroAllocs is the runtime half of the //lint:hotpath
-// contract on the client's typed fast-path methods: with pooled
-// request/reply scratch and caller-provided buffers, a steady-state
-// metadata or data call must not allocate at all.
+// TestClientHotPathZeroAllocs guards the zero-alloc contract of the
+// client's typed fast-path methods: with pooled request/reply scratch
+// and caller-provided buffers, a steady-state metadata or data call must
+// not allocate at all.
 func TestClientHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")

@@ -32,8 +32,6 @@ func (c *Client) WithJob(jobID, user string, pid int) *Client {
 var zeroDirEntry DirEntry
 
 // apply stamps the client's differentiation context and forwards.
-//
-//lint:hotpath
 func (c *Client) apply(req *Request, rep *Reply) error {
 	req.JobID, req.User, req.PID, req.Tenant = c.JobID, c.User, c.PID, c.Tenant
 	return c.fs.Apply(req, rep)
@@ -42,8 +40,6 @@ func (c *Client) apply(req *Request, rep *Reply) error {
 // Apply issues a raw request into caller-provided reply scratch, stamping
 // the client's job context. It makes *Client itself a FileSystem, so
 // layers can be composed either way around.
-//
-//lint:hotpath
 func (c *Client) Apply(req *Request, rep *Reply) error { return c.apply(req, rep) }
 
 // Do issues a raw request and returns a freshly allocated reply, for
@@ -58,8 +54,6 @@ func (c *Client) Do(req *Request) (*Reply, error) {
 }
 
 // Open opens path with flags and mode, returning a file descriptor.
-//
-//lint:hotpath
 func (c *Client) Open(path string, flags int, mode FileMode) (int, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.Path, req.Flags, req.Mode = OpOpen, path, flags, mode
@@ -88,8 +82,6 @@ func (c *Client) Creat(path string, mode FileMode) (int, error) {
 }
 
 // Close closes the descriptor.
-//
-//lint:hotpath
 func (c *Client) Close(fd int) error {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD = OpClose, fd
@@ -120,8 +112,6 @@ func (c *Client) Read(fd int, size int64) ([]byte, error) {
 // directly into p, returning the byte count. A zero count with a nil
 // error means end of file. Allocation-free when the backend honors the
 // reply-scratch contract.
-//
-//lint:hotpath
 func (c *Client) ReadInto(fd int, p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -143,8 +133,6 @@ func (c *Client) ReadInto(fd int, p []byte) (int, error) {
 }
 
 // Write writes data at the descriptor's current offset.
-//
-//lint:hotpath
 func (c *Client) Write(fd int, data []byte) (int64, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD, req.Data, req.Size = OpWrite, fd, data, int64(len(data))
@@ -177,8 +165,6 @@ func (c *Client) PRead(fd int, size, offset int64) ([]byte, error) {
 
 // PReadInto reads up to len(p) bytes at offset into p without moving the
 // file offset. A zero count with a nil error means end of file.
-//
-//lint:hotpath
 func (c *Client) PReadInto(fd int, p []byte, offset int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -198,8 +184,6 @@ func (c *Client) PReadInto(fd int, p []byte, offset int64) (int, error) {
 }
 
 // PWrite writes data at offset without moving the file offset.
-//
-//lint:hotpath
 func (c *Client) PWrite(fd int, data []byte, offset int64) (int64, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD, req.Data, req.Size, req.Offset = OpPWrite, fd, data, int64(len(data)), offset
@@ -214,8 +198,6 @@ func (c *Client) PWrite(fd int, data []byte, offset int64) (int64, error) {
 }
 
 // LSeek repositions the file offset (whence in Flags: 0=set,1=cur,2=end).
-//
-//lint:hotpath
 func (c *Client) LSeek(fd int, offset int64, whence int) (int64, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD, req.Offset, req.Flags = OpLSeek, fd, offset, whence
@@ -240,8 +222,6 @@ func (c *Client) FSync(fd int) error {
 }
 
 // Stat stats the path.
-//
-//lint:hotpath
 func (c *Client) Stat(path string) (FileInfo, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.Path = OpStat, path
@@ -281,8 +261,6 @@ func (c *Client) SetAttr(path string, mode FileMode) error {
 }
 
 // FStat stats the descriptor.
-//
-//lint:hotpath
 func (c *Client) FStat(fd int) (FileInfo, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD = OpFStat, fd
@@ -356,8 +334,6 @@ func (c *Client) Readdir(path string) ([]DirEntry, error) {
 // nil) and returning the extended slice. Entry names remain valid after
 // the call; the slice stays owned by the caller, so loops can reuse one
 // buffer across directories.
-//
-//lint:hotpath
 func (c *Client) ReaddirInto(path string, dst []DirEntry) ([]DirEntry, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.Path = OpReaddir, path
@@ -494,8 +470,6 @@ func (c *Client) Readlink(path string) (string, error) {
 
 // Opendir opens a directory stream; entries are read one at a time with
 // ReaddirFD and the stream is released with Closedir.
-//
-//lint:hotpath
 func (c *Client) Opendir(path string) (int, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.Path = OpOpendir, path
@@ -511,8 +485,6 @@ func (c *Client) Opendir(path string) (int, error) {
 
 // ReaddirFD reads the next entry from a directory stream; ok is false at
 // end of directory.
-//
-//lint:hotpath
 func (c *Client) ReaddirFD(fd int) (DirEntry, bool, error) {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD = OpReaddir, fd
@@ -530,8 +502,6 @@ func (c *Client) ReaddirFD(fd int) (DirEntry, bool, error) {
 }
 
 // Closedir releases a directory stream.
-//
-//lint:hotpath
 func (c *Client) Closedir(fd int) error {
 	req, rep := GetRequest(), GetReply()
 	req.Op, req.FD = OpClosedir, fd

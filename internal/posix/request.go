@@ -120,8 +120,8 @@ func (r *Request) String() string {
 	}
 }
 
-// Package-level zero values so //lint:hotpath-annotated resets assign
-// instead of building composite literals on the hot path.
+// Package-level zero values so the request path's resets assign instead
+// of building composite literals.
 var (
 	zeroRequest Request
 	zeroInfo    FileInfo
@@ -131,8 +131,6 @@ var (
 // Reset clears the request for reuse. Slices are dropped, not truncated:
 // a Request never owns its payloads (Data/Value belong to the caller), so
 // retaining capacity here would pin caller memory in the pool.
-//
-//lint:hotpath
 func (r *Request) Reset() { *r = zeroRequest }
 
 // Reset clears the reply for reuse while keeping slice capacity, so a
@@ -140,8 +138,6 @@ func (r *Request) Reset() { *r = zeroRequest }
 // requests. Callers that hand a reply slice to application code must
 // detach it (nil the field) before resetting, or the next user of the
 // scratch will scribble over it.
-//
-//lint:hotpath
 func (r *Reply) Reset() {
 	r.FD = 0
 	r.N = 0
@@ -212,28 +208,20 @@ var (
 )
 
 // GetRequest returns a zeroed request from the scratch pool.
-//
-//lint:hotpath
 func GetRequest() *Request { return requestPool.Get().(*Request) }
 
 // PutRequest resets the request and returns it to the pool. The caller
 // must not touch it afterwards.
-//
-//lint:hotpath
 func PutRequest(r *Request) {
 	r.Reset()
 	requestPool.Put(r)
 }
 
 // GetReply returns a reply from the scratch pool, already Reset.
-//
-//lint:hotpath
 func GetReply() *Reply { return replyPool.Get().(*Reply) }
 
 // PutReply resets the reply (keeping slice capacity) and returns it to
 // the pool. Detach any slice handed to application code first.
-//
-//lint:hotpath
 func PutReply(r *Reply) {
 	r.Reset()
 	replyPool.Put(r)

@@ -164,3 +164,36 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameServerPublishesTargetsCopyOnWrite: Add publishes a fresh
+// channel table that nobody writes again, so a frame's lookup can read
+// the newest entry with one atomic load and no lock while another
+// service is being added. Under -race, an Add that filled in its entry
+// after publishing the table is reported here as a data race.
+func TestFrameServerPublishesTargetsCopyOnWrite(t *testing.T) {
+	const adds = 2000
+	fs := NewFrameServer()
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+	fs.Add(svc)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < adds; i++ {
+			fs.Add(svc)
+		}
+	}()
+	for {
+		newest := uint32(len(*fs.targets.Load()) - 1)
+		if tgt, ok := fs.lookup(newest); !ok || tgt.stage != svc {
+			t.Fatalf("channel %d resolved to %+v, %v; want the service just added", newest, tgt, ok)
+		}
+		select {
+		case <-done:
+			if n := len(*fs.targets.Load()); n != adds+1 {
+				t.Fatalf("%d channels after %d adds", n, adds+1)
+			}
+			return
+		default:
+		}
+	}
+}

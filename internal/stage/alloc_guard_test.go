@@ -1,19 +1,22 @@
 package stage
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"padll/internal/clock"
+	"padll/internal/metrics"
 	"padll/internal/policy"
 	"padll/internal/posix"
+	"padll/internal/tokenbucket"
 )
 
-// TestEnforceZeroAllocs is the runtime half of the //lint:hotpath
-// contract on Enforce: hotpathcheck proves statically that the admit
-// path cannot allocate, and this guard proves it does not. The stage
-// runs on a simulated clock pinned at one instant, so no counter window
-// ever rolls and the measurement is deterministic.
+// TestEnforceZeroAllocs guards the zero-alloc contract of Enforce's
+// admit path. The stage runs on a simulated clock pinned at one
+// instant, so no counter window ever rolls and the measurement is
+// deterministic.
 func TestEnforceZeroAllocs(t *testing.T) {
 	clk := clock.NewSim(time.Unix(0, 0))
 	s := New(Info{StageID: "alloc", JobID: "job1"}, clk, WithMode(Enforce))
@@ -31,7 +34,7 @@ func TestEnforceZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("Enforce (unlimited rule) allocates %.3f allocs/op, want 0 — the //lint:hotpath contract is broken at runtime", avg)
+		t.Errorf("Enforce (unlimited rule) allocates %.3f allocs/op, want 0", avg)
 	}
 }
 
@@ -72,5 +75,101 @@ func TestEnforcePassthroughZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("Enforce (passthrough) allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
+// TestEnforceDropZeroAllocs guards the policing branch both ways out: a
+// request the bucket admits, and one TryTake refuses, which gets the
+// ErrRateLimited sentinel itself rather than a wrapped copy.
+func TestEnforceDropZeroAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		rate, burst float64
+		want        error
+	}{
+		{"admitted", 1e9, 1e9, nil},
+		{"refused", 1, 1, ErrRateLimited}, // the warm-up call takes the one token
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := clock.NewSim(time.Unix(0, 0))
+			s := New(Info{StageID: "alloc", JobID: "job1"}, clk, WithMode(Enforce))
+			s.ApplyRule(policy.Rule{ID: "police", Match: managedMatcher(),
+				Rate: c.rate, Burst: c.burst, Action: policy.ActionDrop})
+			req := &posix.Request{Op: posix.OpGetAttr, Path: "/pfs/job1/f", JobID: "job1", User: "u1"}
+
+			if err := s.Enforce(req); err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(1000, func() {
+				if err := s.Enforce(req); !errors.Is(err, c.want) {
+					t.Fatalf("Enforce = %v, want %v", err, c.want)
+				}
+			}); avg != 0 {
+				t.Errorf("Enforce (drop action, %s) allocates %.3f allocs/op, want 0", c.name, avg)
+			}
+		})
+	}
+}
+
+// TestEnforceWaitErrorZeroAllocs guards the branch a shaped request takes
+// when its bucket is closed: TakeAt refuses, Wait returns ErrClosed at
+// once, and Enforce hands that error back without building a new one.
+func TestEnforceWaitErrorZeroAllocs(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	s := New(Info{StageID: "alloc", JobID: "job1"}, clk, WithMode(Enforce))
+	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})
+	s.Close()
+	req := &posix.Request{Op: posix.OpGetAttr, Path: "/pfs/job1/f", JobID: "job1", User: "u1"}
+
+	if err := s.Enforce(req); !errors.Is(err, tokenbucket.ErrClosed) {
+		t.Fatalf("Enforce on a closed bucket = %v, want ErrClosed", err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := s.Enforce(req); !errors.Is(err, tokenbucket.ErrClosed) {
+			t.Fatalf("Enforce on a closed bucket = %v, want ErrClosed", err)
+		}
+	}); avg != 0 {
+		t.Errorf("Enforce (wait error) allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
+// countingClock counts the Now calls made on the clock it wraps.
+type countingClock struct {
+	clock.Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+// TestHotNowAmortizesTheRealClock: on the real clock a request that does
+// not wait reads no clock of its own. Each stripe reads it on its first
+// request and every clockStride-th after, so n requests on one goroutine
+// cost at most n/clockStride reads, plus one per stripe the goroutine's
+// stack may move through.
+func TestHotNowAmortizesTheRealClock(t *testing.T) {
+	s := New(Info{StageID: "clock", JobID: "job1"}, clock.NewReal(), WithMode(Enforce))
+	s.ApplyRule(policy.Rule{ID: "meta", Match: policy.Matcher{
+		Classes: []posix.Class{posix.ClassMetadata},
+	}, Rate: policy.Unlimited})
+	clk := &countingClock{Clock: s.clk}
+	s.clk = clk // hotClock stays set, so Enforce keeps the amortized branch
+	req := &posix.Request{Op: posix.OpGetAttr, Path: "/pfs/job1/f", JobID: "job1", User: "u1"}
+
+	const n = 64 * clockStride
+	for i := 0; i < n; i++ {
+		if err := s.Enforce(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, limit := clk.reads.Load(), int64(n/clockStride+metrics.Stripes)
+	if got == 0 {
+		t.Fatal("no clock read reached the wrapper: the test no longer measures hotNow")
+	}
+	if got > limit {
+		t.Errorf("%d requests read the clock %d times, want at most %d (one per %d requests per stripe)",
+			n, got, limit, clockStride)
 	}
 }

@@ -183,8 +183,6 @@ type cacheEntry struct {
 
 // dirOf returns p's directory prefix including the trailing slash; ok
 // is false for paths with no slash, which are not worth memoizing.
-//
-//lint:hotpath
 func dirOf(p string) (string, bool) {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] == '/' {
@@ -195,8 +193,6 @@ func dirOf(p string) (string, bool) {
 }
 
 // cacheHash is FNV-1a over the classification key.
-//
-//lint:hotpath
 func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
 	const prime = 16777619
 	h := uint32(2166136261)
@@ -224,8 +220,6 @@ func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
 // all (pathFree) the directory cannot matter and the key carries "" in
 // its place. A hit is one hash and one atomic load: no lock, no
 // allocation, and no rule-list walk.
-//
-//lint:hotpath
 func (sn *snapshot) classifyCached(req *posix.Request) *entry {
 	var dir string
 	if !req.Op.Valid() || !sn.pathFree[req.Op] {
@@ -244,9 +238,8 @@ func (sn *snapshot) classifyCached(req *posix.Request) *entry {
 
 // fillCache classifies req directly and, when sound, memoizes the
 // result into slot. Losing a racing store is fine: both entries are
-// derived from this same immutable snapshot.
-//
-//lint:coldpath one allocation per (snapshot, key); amortized across every subsequent hit
+// derived from this same immutable snapshot. It allocates once per
+// (snapshot, key), amortized across every subsequent hit.
 func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
 	e := sn.classify(req)
 	candidates := sn.all
@@ -448,11 +441,9 @@ func (s *Stage) newCounter(name string) *metrics.RateCounter {
 // simulated clocks this is always the exact clock read (determinism);
 // for the real clock it is the calling stripe's amortized sample,
 // refreshed on the stripe's first call and every clockStride-th after.
-//
-//lint:hotpath
 func (s *Stage) hotNow() time.Time {
 	if s.hotClock == nil {
-		return s.clk.Now() //lint:allow hotpathcheck simulated clocks are read exactly; the real clock takes the amortized branch below
+		return s.clk.Now() // simulated clocks are read exactly; the real clock takes the amortized branch below
 	}
 	c := &s.hotClock[metrics.StripeIndex()]
 	if c.tick.Add(1)&(clockStride-1) == 1 {
@@ -473,8 +464,6 @@ func (s *Stage) Info() Info { return s.info }
 // active==true on its next check. The load-before-store keeps the
 // steady state read-only: only the first event after a collect writes
 // the line.
-//
-//lint:hotpath
 func (s *Stage) markActive() {
 	if !s.active.Load() {
 		s.active.Store(true)
@@ -544,8 +533,6 @@ func (s *Stage) setLimit(q *queue, rate, burst float64) {
 
 // limit is the queue's current rate, for the admit path's unlimited
 // test.
-//
-//lint:hotpath
 func (q *queue) limit() float64 { return math.Float64frombits(q.rate.Load()) }
 
 // ApplyRule installs or updates a rule and its queue. Updating an
@@ -624,8 +611,6 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 // the zero-wait record and the amortized clock are per-stripe cells. Under
 // a finite limit the bucket's own critical section is the one shared
 // write, and only a request that finds the bucket dry goes on to block.
-//
-//lint:hotpath
 func (s *Stage) Enforce(req *posix.Request) error {
 	e := s.snap.Load().classifyCached(req)
 	if e == nil {
@@ -675,7 +660,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// Shaping, bucket dry: block in it. Exact clock reads here — the wait
 	// duration is a reported statistic, and simulated-clock waiters must
 	// interleave deterministically with the sim's event loop.
-	start := s.clk.Now() //lint:allow hotpathcheck the request is about to block; its wait is timed exactly
+	start := s.clk.Now() // the request is about to block; its wait is timed exactly
 	q.demand.AddAt(1, start)
 	q.waiting.Add(1)
 	// Raise the flag at arrival, not just at release: the wait below can
@@ -688,7 +673,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 		s.markActive()
 		return err
 	}
-	end := s.clk.Now() //lint:allow hotpathcheck the request has just blocked; its wait is timed exactly
+	end := s.clk.Now() // the request has just blocked; its wait is timed exactly
 	q.latency.Observe(end.Sub(start))
 	q.admitted.AddAt(1, end)
 	s.markActive()

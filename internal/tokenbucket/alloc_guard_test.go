@@ -7,9 +7,9 @@ import (
 	"padll/internal/clock"
 )
 
-// TestTryTakeZeroAllocs is the runtime half of the //lint:hotpath
-// contract on TryTake: both the lock-free unlimited branch and the
-// locked finite-rate branch must admit without allocating.
+// TestTryTakeZeroAllocs guards the zero-alloc contract of TryTake: both
+// the lock-free unlimited branch and the locked finite-rate branch must
+// admit without allocating.
 func TestTryTakeZeroAllocs(t *testing.T) {
 	clk := clock.NewSim(time.Unix(0, 0))
 
@@ -22,7 +22,7 @@ func TestTryTakeZeroAllocs(t *testing.T) {
 			t.Fatal("unlimited TryTake refused")
 		}
 	}); avg != 0 {
-		t.Errorf("TryTake (unlimited fast path) allocates %.3f allocs/op, want 0 — the //lint:hotpath contract is broken at runtime", avg)
+		t.Errorf("TryTake (unlimited fast path) allocates %.3f allocs/op, want 0", avg)
 	}
 
 	limited := New(clk, 1e12, 1e12)

@@ -202,8 +202,6 @@ func (b *Bucket) broadcastLocked() {
 
 // TryTake attempts to take n tokens without blocking. It reports whether
 // the tokens were granted.
-//
-//lint:hotpath
 func (b *Bucket) TryTake(n float64) bool {
 	if n <= 0 {
 		return true
@@ -224,7 +222,7 @@ func (b *Bucket) TryTake(n float64) bool {
 		b.mu.Unlock()
 		return false
 	}
-	b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck TryTake refills to the exact instant; callers that amortize the clock use TakeAt
+	b.refillLocked(b.clk.Now()) // TryTake refills to the exact instant; callers that amortize the clock use TakeAt
 	ok := b.tokens >= n
 	if ok {
 		b.tokens -= n
@@ -240,8 +238,6 @@ func (b *Bucket) TryTake(n float64) bool {
 // clock (hot paths amortize clock reads): refill never runs backwards,
 // so a stale instant can only leave tokens unaccrued, and the caller
 // falls back to Wait, which reads the clock. Granted stays exact.
-//
-//lint:hotpath
 func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 	if n <= 0 {
 		return true
@@ -292,7 +288,7 @@ func (b *Bucket) Wait(n float64) error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck Wait refills to the exact instant; the stage tries TakeAt on an amortized one first
+	b.refillLocked(b.clk.Now()) // Wait refills to the exact instant; the stage tries TakeAt on an amortized one first
 	b.tokens -= n
 	if b.tokens >= 0 {
 		b.addGranted(n)
@@ -325,7 +321,7 @@ func (b *Bucket) Wait(n float64) error {
 		case <-retune:
 		}
 		b.mu.Lock()
-		b.refillLocked(b.clk.Now()) //lint:allow hotpathcheck a broadcast moved the deadline; what is owed is recomputed exactly
+		b.refillLocked(b.clk.Now()) // a broadcast moved the deadline; what is owed is recomputed exactly
 	}
 	var err error
 	if b.closed {
