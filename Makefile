@@ -61,13 +61,15 @@ race:
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane, every layer of the lock-free admit
 # path, and the packages whose tests park goroutines on a simulated
-# clock — ten times each at 1, 2 and 4 Ps. A test that only passes at
-# the baseline box's core count or speed fails here, at the builder's
-# desk, instead of at the next reviewer's.
+# clock, the experiment goldens among them (their IOR and mdtest ranks
+# run under clock.Sim.Drive) — ten times each at 1, 2 and 4 Ps. A test
+# that only passes at the baseline box's core count or speed fails
+# here, before it merges, instead of on the next machine it meets.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
 		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
-		./internal/clock/... ./internal/pfs/... ./internal/monitor/... ./internal/leaktest/...
+		./internal/clock/... ./internal/pfs/... ./internal/monitor/... ./internal/leaktest/... \
+		./internal/experiments/... ./internal/ior/... ./internal/mdtest/...
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
@@ -210,9 +212,10 @@ count:
 		"$$(find internal/lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 # Regenerate every figure/table of the paper (tables printed to stdout,
-# plot series dumped under out/).
+# every plot table written under out/; all of it on simulated clocks, so
+# out/ matches internal/experiments/testdata/golden).
 experiments:
-	$(GO) run ./cmd/padll-experiments -fig all -table overhead -ext all -csv out
+	$(GO) run ./cmd/padll-experiments -fig all -ext all -csv out
 
 # Build all command-line tools into ./bin.
 tools:

@@ -1,13 +1,14 @@
 // Command padll-experiments regenerates the tables and figures of the
 // PADLL paper's evaluation (see DESIGN.md for the experiment index) and
-// prints the rows/series the paper reports. Series can also be dumped as
-// CSV for plotting.
+// prints the rows/series the paper reports. Every experiment runs on a
+// simulated clock, so two runs print the same. -csv also writes every
+// plot table — the list internal/experiments holds as goldens — for
+// plotting.
 //
 // Usage:
 //
 //	padll-experiments -fig all
 //	padll-experiments -fig 4 -csv out/
-//	padll-experiments -table overhead
 //	padll-experiments -ext drf,mds,ablation
 package main
 
@@ -19,20 +20,18 @@ import (
 	"strings"
 
 	"padll/internal/experiments"
-	"padll/internal/posix"
 )
 
 func main() {
 	var (
 		fig    = flag.String("fig", "", "figures to regenerate: 1,2,4,5 or all")
-		table  = flag.String("table", "", "tables to regenerate: overhead")
 		ext    = flag.String("ext", "", "extensions: drf,mds,ablation,adaptive,chaos,fleet or all")
 		seed   = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
-		csvDir = flag.String("csv", "", "directory to dump series CSVs into")
+		csvDir = flag.String("csv", "", "directory to write every plot table into")
 	)
 	flag.Parse()
-	if *fig == "" && *table == "" && *ext == "" {
-		*fig, *table, *ext = "all", "overhead", "all"
+	if *fig == "" && *ext == "" {
+		*fig, *ext = "all", "all"
 	}
 
 	want := func(spec, key string) bool {
@@ -51,44 +50,28 @@ func main() {
 	}
 
 	if want(*fig, "1") {
-		r := experiments.Fig1(*seed)
-		fmt.Println(r.Render())
-		dumpCSV(*csvDir, r.CSV())
+		fmt.Println(experiments.Fig1(*seed).Render())
 	}
 	if want(*fig, "2") {
 		fmt.Println(experiments.Fig2(*seed).Render())
 	}
 	if want(*fig, "4") {
-		for _, op := range []posix.Op{posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename} {
-			r := experiments.Fig4PerOp(*seed, op)
-			fmt.Println(r.Render())
-			dumpCSV(*csvDir, r.CSV())
+		for _, op := range experiments.Fig4Ops {
+			fmt.Println(experiments.Fig4PerOp(*seed, op).Render())
 		}
-		r := experiments.Fig4PerClass(*seed)
-		fmt.Println(r.Render())
-		dumpCSV(*csvDir, r.CSV())
-
+		fmt.Println(experiments.Fig4PerClass(*seed).Render())
 		for _, write := range []bool{true, false} {
-			d, err := experiments.Fig4Data(experiments.DefaultFig4DataConfig(write))
+			d, err := experiments.Fig4Data(write)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Println(d.Render())
-			dumpCSV(*csvDir, experiments.CSVFile{Name: "fig4_data_" + d.Mode + ".csv", Content: d.Padll.CSV()})
 		}
 	}
 	if want(*fig, "5") {
 		for _, r := range experiments.Fig5All(*seed) {
 			fmt.Println(r.Render())
-			dumpCSV(*csvDir, r.CSV())
 		}
-	}
-	if want(*table, "overhead") {
-		rows, err := experiments.OverheadTable(0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderOverhead(rows))
 	}
 	if want(*ext, "drf") {
 		fmt.Println(experiments.DRFExtension().Render())
@@ -100,9 +83,7 @@ func main() {
 		fmt.Println(experiments.AdaptiveLimit(*seed).Render())
 	}
 	if want(*ext, "chaos") {
-		r := experiments.ChaosReplay(*seed)
-		fmt.Println(r.Render())
-		dumpCSV(*csvDir, r.CSV())
+		fmt.Println(experiments.ChaosReplay(*seed).Render())
 	}
 	if want(*ext, "fleet") {
 		r, err := experiments.FleetScale()
@@ -121,19 +102,26 @@ func main() {
 		}
 		fmt.Println(experiments.RenderMechanism(mech))
 	}
+	if *csvDir != "" {
+		writeCSVs(*csvDir, *seed)
+	}
 }
 
-func dumpCSV(dir string, f experiments.CSVFile) {
-	if dir == "" {
-		return
+func writeCSVs(dir string, seed int64) {
+	files, err := experiments.CSVs(seed)
+	if err != nil {
+		fatal(err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, f.Name), []byte(f.Content), 0o644); err != nil {
-		fatal(err)
+	for _, f := range files {
+		path := filepath.Join(dir, f.Name)
+		if err := os.WriteFile(path, []byte(f.Content), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s\n", path)
 	}
-	fmt.Printf("  wrote %s\n\n", filepath.Join(dir, f.Name))
 }
 
 func fatal(err error) {

@@ -101,8 +101,14 @@ type Sim struct {
 	now     time.Time
 	waiters waiterHeap
 	seq     int64 // tiebreaker so equal deadlines release FIFO
-	// parked is signalled whenever a waiter joins the heap (BlockUntil).
+	// parked is signalled whenever a waiter joins the heap (BlockUntil)
+	// and whenever live drops to zero (Drive).
 	parked sync.Cond
+	// driving is set for the length of a Drive; live then counts the
+	// actors that are running: neither parked on the clock nor blocked in
+	// Group.Wait.
+	driving bool
+	live    int
 }
 
 // NewSim returns a simulated clock whose current instant is start.
@@ -112,11 +118,15 @@ func NewSim(start time.Time) *Sim {
 	return s
 }
 
-// parkLocked adds w to the waiter heap. Caller holds s.mu.
+// parkLocked adds w to the waiter heap; under Drive the caller, an
+// actor, stops counting as live. Caller holds s.mu.
 func (s *Sim) parkLocked(w *waiter) {
 	s.seq++
 	w.seq = s.seq
 	heap.Push(&s.waiters, w)
+	if s.driving {
+		s.live--
+	}
 	s.parked.Broadcast()
 }
 
@@ -236,6 +246,9 @@ func (t *simTimer) Stop() bool {
 func (t *simTimer) stopLocked() bool {
 	if t.w.idx >= 0 {
 		heap.Remove(&t.s.waiters, t.w.idx)
+		if t.s.driving {
+			t.s.live++ // the owner is running again: parkLocked counted it out
+		}
 		return true
 	}
 	select {

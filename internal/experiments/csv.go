@@ -14,6 +14,38 @@ type CSVFile struct {
 	Content string
 }
 
+// CSVs runs every experiment that has a plot table and returns the
+// tables, in a fixed order: what padll-experiments -csv writes, and what
+// testdata/golden holds.
+func CSVs(seed int64) ([]CSVFile, error) {
+	files := []CSVFile{Fig1(seed).CSV()}
+	for _, op := range Fig4Ops {
+		files = append(files, Fig4PerOp(seed, op).CSV())
+	}
+	files = append(files, Fig4PerClass(seed).CSV())
+	for _, write := range []bool{true, false} {
+		d, err := Fig4Data(write)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, d.CSV())
+	}
+	for _, r := range Fig5All(seed) {
+		files = append(files, r.CSV())
+	}
+	files = append(files, ChaosReplay(seed).CSV())
+	mech, err := MechanismAblation()
+	if err != nil {
+		return nil, err
+	}
+	files = append(files, MechanismCSV(mech))
+	fleet, err := FleetScale()
+	if err != nil {
+		return nil, err
+	}
+	return append(files, fleet.CSV()), nil
+}
+
 // CSV returns Fig. 1's hourly series.
 func (r Fig1Result) CSV() CSVFile {
 	return CSVFile{Name: "fig1_hourly.csv", Content: r.Hourly.CSV()}

@@ -2,8 +2,12 @@
 // evaluation (§II-A and §IV), plus the extension studies its discussion
 // and future-work sections call for. Each experiment returns a structured
 // result with the same rows/series the paper plots, and a text renderer
-// for terminal output; cmd/padll-experiments and the repository's root
-// benchmarks are thin wrappers over this package.
+// for terminal output; cmd/padll-experiments is a thin wrapper over this
+// package. Every experiment runs on a simulated clock: its numbers are
+// counted, the same on every run, and every plot table (CSVs) is a
+// golden under testdata/golden. Timed numbers — interposition overhead
+// (§IV-A) and control-round latency — are the repository benchmark's
+// (bench/).
 //
 // Experiment index (see DESIGN.md for the full mapping):
 //
@@ -12,14 +16,14 @@
 //	E3 Fig. 4  — per-operation-type rate limiting (open/close/getattr)
 //	E4 Fig. 4  — per-operation-class rate limiting (metadata)
 //	E5 Fig. 4  — data-operation rate limiting (read/write via IOR)
-//	E6 §IV-A   — interposition overhead (passthrough vs baseline)
+//	E6 §IV-A   — interposition overhead: timed, in bench/ only
 //	E7 Fig. 5  — per-job QoS: Baseline/Static/Priority/Proportional
 //	E8 §VI     — DRF control algorithm (future-work extension)
 //	E9 ablations — burst sizing; queue granularity; shape vs drop
 //	E10 §IV-C  — MDS protection under saturation (discussion scenario)
 //	E11        — folded into E13 (its in-process rows were E13's loopback)
 //	E12 §I     — adaptive cluster limit (AIMD on MDS health)
-//	E13 §VI    — fleet-scale control rounds (TCP + encoded loopback)
+//	E13 §VI    — fleet-scale control rounds (counted over encoded loopback)
 package experiments
 
 import (
@@ -32,9 +36,12 @@ import (
 	"padll/internal/trace"
 )
 
-// DefaultSeed is used by the CLI and benchmarks so results are
+// DefaultSeed is used by the CLI and the goldens so results are
 // reproducible run to run.
 const DefaultSeed = 2022
+
+// simEpoch is where every simulated clock of the experiments starts.
+var simEpoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
 // ---- E1: Fig. 1 ----
 
@@ -57,18 +64,16 @@ func Fig1(seed int64) Fig1Result {
 
 	// Per-minute aggregate distribution for the CDF summary.
 	perMin := metrics.NewSeries("per-minute")
-	t0cdf := time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < tr.Len(); i++ {
 		var total float64
 		for _, op := range tr.Ops {
 			total += tr.Rates[op][i]
 		}
-		perMin.Append(t0cdf.Add(time.Duration(i)*time.Minute), total)
+		perMin.Append(simEpoch.Add(time.Duration(i)*time.Minute), total)
 	}
 
 	hourly := metrics.NewSeries("total-kops")
 	samplesPerHour := int(time.Hour / tr.SampleInterval)
-	t0 := time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 	for h := 0; h*samplesPerHour < tr.Len(); h++ {
 		var sum float64
 		n := 0
@@ -80,7 +85,7 @@ func Fig1(seed int64) Fig1Result {
 			sum += total
 			n++
 		}
-		hourly.Append(t0.Add(time.Duration(h)*time.Hour), sum/float64(n)/1000)
+		hourly.Append(simEpoch.Add(time.Duration(h)*time.Hour), sum/float64(n)/1000)
 	}
 	return Fig1Result{
 		Stats:  st,

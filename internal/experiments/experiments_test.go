@@ -214,54 +214,25 @@ func TestFig5AllSetupsShape(t *testing.T) {
 	}
 }
 
-func TestOverheadSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	rows, err := OverheadTable(8_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		// Functional sanity only: the percentage is a wall-clock figure,
-		// and nothing in tier-1 asserts one. `go run ./bench` reports it
-		// (overhead_ratio) as a same-run quotient.
-		if r.BaselineKOps <= 0 || r.PassthroughKOps <= 0 {
-			t.Errorf("%s: degenerate throughput %v/%v", r.Workload, r.BaselineKOps, r.PassthroughKOps)
-		}
-	}
-	if !strings.Contains(RenderOverhead(rows), "overhead") {
-		t.Error("render missing header")
-	}
-}
-
 func TestFig4DataPanels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
 	for _, write := range []bool{true, false} {
-		cfg := DefaultFig4DataConfig(write)
-		cfg.StepDuration = 400 * time.Millisecond
-		cfg.Steps = 3
-		cfg.Tasks = 2
-		cfg.TransferSize = 16 << 10 // keep the prepare phase short even under -race
-		r, err := Fig4Data(cfg)
+		r, err := Fig4Data(write)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.BaselineRate <= 0 {
 			t.Fatalf("[%s] baseline rate = %v", r.Mode, r.BaselineRate)
 		}
-		// The binding step (limit < baseline) must measure below the
-		// unthrottled baseline; exactness is hardware-dependent.
-		if len(r.StepMeans) != cfg.Steps {
+		if len(r.StepMeans) != len(fig4DataLimitFactors) {
 			t.Fatalf("[%s] step means = %v", r.Mode, r.StepMeans)
 		}
-		if r.StepMeans[0] > r.Limits[0]*1.5 {
-			t.Errorf("[%s] step1 measured %.0f vs limit %.0f", r.Mode, r.StepMeans[0], r.Limits[0])
+		// A binding step (limit below the baseline) measures its limit: on
+		// the simulated clock only the stage's burst and the transfers in
+		// flight when the step ends stand between the two.
+		for i, f := range fig4DataLimitFactors {
+			if f < 1 && r.StepMeans[i] > r.Limits[i]*1.05 {
+				t.Errorf("[%s] step %d measured %.0f vs limit %.0f", r.Mode, i+1, r.StepMeans[i], r.Limits[i])
+			}
 		}
 		if !strings.Contains(r.Render(), r.Mode) {
 			t.Error("render missing mode")
@@ -354,9 +325,6 @@ func TestGranularityAblation(t *testing.T) {
 }
 
 func TestMechanismAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
 	rows, err := MechanismAblation()
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +379,7 @@ func TestAdaptiveLimitTracksDegradation(t *testing.T) {
 // Seed robustness: the paper-level conclusions must hold across seeds,
 // not just for the default one.
 func TestFig5ConclusionsAcrossSeeds(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
 	}
@@ -492,11 +461,8 @@ func TestE7ChaosReplayInvariants(t *testing.T) {
 }
 
 func TestFleetScaleProtocolWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	// Small point only: the full sweep is padll-experiments territory.
-	row, err := fleetPoint(16, false)
+	// Small point only: the full sweep is held by the e13_fleet golden.
+	row, err := fleetPoint(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,5 +487,22 @@ func TestFleetScaleProtocolWins(t *testing.T) {
 	out := r.Render()
 	if !strings.Contains(out, "fleet-scale wire protocol") || !strings.Contains(out, "6 operations in 1 RPC") {
 		t.Errorf("render missing sections:\n%s", out)
+	}
+}
+
+// Stage and collector identifiers are drawn at random but have a fixed
+// varint width, so two fleets built the same way move the same bytes.
+func TestFleetWireBytesRepeat(t *testing.T) {
+	a, err := fleetPoint(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fleetPoint(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WireBytes != b.WireBytes || a.FirstRoundBytes != b.FirstRoundBytes {
+		t.Errorf("two 64-stage fleets moved %d/%d B and %d/%d B (steady/first round)",
+			a.WireBytes, a.FirstRoundBytes, b.WireBytes, b.FirstRoundBytes)
 	}
 }

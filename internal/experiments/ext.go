@@ -239,7 +239,7 @@ type GranularityAblationResult struct {
 
 // GranularityAblation runs the comparison on the metadata-class workload.
 func GranularityAblation(seed int64) GranularityAblationResult {
-	tr := fig4Workload(seed, posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename)
+	tr := fig4Workload(seed, Fig4Ops...)
 	limit := meanRate(tr) * 0.8 // binding limit
 
 	run := func(perOp bool) (time.Duration, float64) {
@@ -250,12 +250,11 @@ func GranularityAblation(seed int64) GranularityAblationResult {
 		c.AddJob(sim.JobSpec{ID: "job1", Trace: tr, Accel: 60})
 		for _, st := range c.StagesOf("job1") {
 			if perOp {
-				ops := []posix.Op{posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename}
-				for _, op := range ops {
+				for _, op := range Fig4Ops {
 					st.ApplyRule(policy.Rule{
 						ID:    "per-" + op.String(),
 						Match: policy.Matcher{Ops: []posix.Op{op}},
-						Rate:  limit / float64(len(ops)),
+						Rate:  limit / float64(len(Fig4Ops)),
 					})
 				}
 			} else {

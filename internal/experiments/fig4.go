@@ -147,14 +147,13 @@ func fig4Limits(mean float64) []float64 {
 // limitSeries renders the schedule as a per-second series for plotting.
 func limitSeries(limits []float64, totalSeconds int) *metrics.Series {
 	s := metrics.NewSeries("limit")
-	t0 := time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 	stepSecs := fig4StepMinutes * 60
 	for sec := 0; sec < totalSeconds; sec++ {
 		i := sec / stepSecs
 		if i >= len(limits) {
 			i = len(limits) - 1
 		}
-		s.Append(t0.Add(time.Duration(sec)*time.Second), limits[i])
+		s.Append(simEpoch.Add(time.Duration(sec)*time.Second), limits[i])
 	}
 	return s
 }
@@ -195,6 +194,10 @@ func fig4Panel(name string, tr *trace.Trace) Fig4Result {
 	return res
 }
 
+// Fig4Ops are the operation types with a Fig. 4 panel each: the top four
+// of PFS_A's metadata mix (§II-A).
+var Fig4Ops = []posix.Op{posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename}
+
 // Fig4PerOp reproduces one per-operation-type panel of Fig. 4.
 func Fig4PerOp(seed int64, op posix.Op) Fig4Result {
 	return fig4Panel(op.String(), fig4Workload(seed, op))
@@ -204,8 +207,7 @@ func Fig4PerOp(seed int64, op posix.Op) Fig4Result {
 // replayer spawns one thread per op type — open, close, getattr, rename —
 // all throttled by a single metadata-class queue.
 func Fig4PerClass(seed int64) Fig4Result {
-	return fig4Panel("metadata", fig4Workload(seed,
-		posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename))
+	return fig4Panel("metadata", fig4Workload(seed, Fig4Ops...))
 }
 
 // Render formats a panel summary.

@@ -18,185 +18,163 @@ import (
 
 // Fig. 4's read/write panels submit IOR data operations to the PFS while
 // PADLL steps the limit every minute (§IV-A). This experiment runs the
-// real blocking stack — IOR tasks -> interposition shim -> stage queues ->
-// simulated Lustre — on the wall clock, with the step period compressed.
+// real blocking stack — IOR ranks -> interposition shim -> stage queues ->
+// simulated Lustre — on a simulated clock under clock.Sim.Drive: ranks
+// wait in the stage's token bucket and in the OSTs' bandwidth buckets,
+// and the panel comes out the same on every run.
 //
 // The paper observes more variability on these panels than on the
-// metadata ones because requests cross the shared PFS; the same shows up
-// here through OST bandwidth contention.
+// metadata ones because requests cross the shared PFS; here it shows up
+// as the ranks contending for the OSTs their transfers stripe onto.
 
-// Fig4DataConfig sizes the run (compressed from the paper's 1-minute
-// steps so benchmarks finish quickly; shapes are step-period invariant).
-type Fig4DataConfig struct {
-	// Write selects the write panel (false = read panel).
-	Write bool
-	// StepDuration is how long each administrator limit lasts.
-	StepDuration time.Duration
-	// Steps is the number of limit changes.
-	Steps int
-	// Tasks is the IOR rank count.
-	Tasks int
-	// TransferSize is the IOR transfer size.
-	TransferSize int64
-}
+const (
+	// fig4DataStep is how long each administrator limit lasts: the
+	// paper's minute, compressed (the shapes are step-length invariant),
+	// and long enough that the stage's burst (a tenth of a second of
+	// rate) moves a step's mean by under 5 %.
+	fig4DataStep     = 4 * time.Second
+	fig4DataWindow   = time.Second
+	fig4DataTasks    = 4
+	fig4DataTransfer = 4 << 10
+)
 
-// DefaultFig4DataConfig compresses the paper's scenario into a few
-// seconds of wall time.
-func DefaultFig4DataConfig(write bool) Fig4DataConfig {
-	return Fig4DataConfig{
-		Write:        write,
-		StepDuration: 1500 * time.Millisecond,
-		Steps:        4,
-		Tasks:        4,
-		TransferSize: 64 << 10,
-	}
-}
+// fig4DataLimitFactors steps the data limit around the baseline rate.
+var fig4DataLimitFactors = []float64{0.5, 1.5, 0.25, 1.0}
 
 // Fig4DataResult holds one data panel.
 type Fig4DataResult struct {
 	Mode string
-	// BaselineRate is the unthrottled mean transfer rate (ops/s).
+	// BaselineRate is the unthrottled transfer rate (ops/s).
 	BaselineRate float64
-	// Padll is the throttled per-window series.
-	Padll *metrics.Series
+	// Padll is the throttled per-window series and Limit the limit in
+	// force in each of its windows.
+	Padll, Limit *metrics.Series
 	// Limits is the per-step limit schedule (ops/s).
 	Limits []float64
-	// StepMeans is the measured mean rate within each step.
+	// StepMeans is the measured rate within each step.
 	StepMeans []float64
 }
 
-// fig4DataLimitFactors steps the data limit around the baseline rate.
-var fig4DataLimitFactors = []float64{0.5, 1.5, 0.25, 1.0, 0.6, 2.0}
-
-// Fig4Data runs one data panel.
-func Fig4Data(cfg Fig4DataConfig) (Fig4DataResult, error) {
-	if cfg.StepDuration <= 0 {
-		cfg.StepDuration = time.Second
-	}
-	if cfg.Steps <= 0 || cfg.Steps > len(fig4DataLimitFactors) {
-		cfg.Steps = 4
-	}
-	if cfg.Tasks <= 0 {
-		cfg.Tasks = 4
-	}
-	if cfg.TransferSize <= 0 {
-		cfg.TransferSize = 64 << 10
-	}
-	mode := "read"
+// Fig4Data runs the write panel (write) or the read panel. Each step is
+// its own IOR run, ended by a canceller asleep on the clock: a limit
+// changes only while no rank waits in the bucket it retunes, because a
+// retune wakes sleepers off the clock.
+func Fig4Data(write bool) (Fig4DataResult, error) {
+	res := Fig4DataResult{Mode: "read"}
 	throttled := []posix.Op{posix.OpPRead, posix.OpRead}
-	if cfg.Write {
-		mode = "write"
+	if write {
+		res.Mode = "write"
 		throttled = []posix.Op{posix.OpPWrite, posix.OpWrite}
 	}
-
-	clk := clock.NewReal()
+	clk := clock.NewSim(simEpoch)
 	newBackend := func() *pfs.PFS {
 		return pfs.New(clk, pfs.Config{
 			MDSCapacity:  1e9,
 			MDSBurst:     1e9,
-			OSTBandwidth: 4 << 30,
-			OSTBurst:     64 << 20,
+			OSTBandwidth: 1 << 20,
+			OSTBurst:     64 << 10,
 		})
 	}
-	runIOR := func(client *posix.Client, d time.Duration, window time.Duration) (ior.Result, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		mode := ior.WriteOnly
-		if !cfg.Write {
-			mode = ior.WriteThenRead // write a dataset once, then read it in a loop
-		}
-		return ior.Run(ctx, ior.Config{
+	cfg := func(client *posix.Client, mode ior.Mode, repeat bool) ior.Config {
+		return ior.Config{
 			Client:       client,
 			Dir:          "/data",
-			NumTasks:     cfg.Tasks,
-			TransferSize: cfg.TransferSize,
-			BlockSize:    cfg.TransferSize * 64,
+			NumTasks:     fig4DataTasks,
+			TransferSize: fig4DataTransfer,
+			BlockSize:    fig4DataTransfer * 64,
 			SegmentCount: 4,
 			Mode:         mode,
-			Repeat:       true, // loop the stream until the deadline
+			Repeat:       repeat,
 			Clock:        clk,
-			Window:       window,
+			Window:       fig4DataWindow,
+		}
+	}
+	// step streams transfers for one step and returns the rate measured
+	// and the step's whole sampling windows. The read panel reads a
+	// dataset written beforehand.
+	step := func(client *posix.Client) (float64, []metrics.Point, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := clock.NewGroup(clk)
+		stop.Go(func() {
+			clk.Sleep(fig4DataStep)
+			cancel()
 		})
-	}
-	series := func(res ior.Result) *metrics.Series {
-		if cfg.Write {
-			return res.WriteOpsSeries
+		mode := ior.ReadOnly
+		if write {
+			mode = ior.WriteOnly
 		}
-		return res.ReadOpsSeries
+		r, err := ior.Run(ctx, cfg(client, mode, true))
+		stop.Wait()
+		if err != nil {
+			return 0, nil, err
+		}
+		ops, s := r.ReadOps, r.ReadOpsSeries
+		if write {
+			ops, s = r.WriteOps, r.WriteOpsSeries
+		}
+		pts := s.Points
+		if n := len(pts); n > 1 && pts[n-1].T.Sub(pts[n-2].T) < fig4DataWindow {
+			pts = pts[:n-1] // the partial window the in-flight transfers closed after the step
+		}
+		return float64(ops) / r.Elapsed.Seconds(), pts, nil
+	}
+	prepare := func(client *posix.Client) error {
+		if write {
+			return nil
+		}
+		_, err := ior.Run(context.Background(), cfg(client, ior.WriteOnly, false))
+		return err
 	}
 
-	// Baseline: unthrottled against a fresh PFS, to calibrate limits.
-	baseRes, err := runIOR(posix.NewClient(newBackend()), cfg.StepDuration, cfg.StepDuration/4)
-	if err != nil {
-		return Fig4DataResult{}, err
-	}
-	baseSeries := series(baseRes)
-	baseRate := baseSeries.Mean()
-	if baseRate <= 0 {
-		return Fig4DataResult{}, fmt.Errorf("experiments: baseline produced no %s ops", mode)
-	}
+	var err error
+	clk.Drive(func() {
+		// Baseline: unthrottled against a fresh PFS, to calibrate limits.
+		base := posix.NewClient(newBackend())
+		if err = prepare(base); err != nil {
+			return
+		}
+		if res.BaselineRate, _, err = step(base); err != nil {
+			return
+		}
+		if res.BaselineRate <= 0 {
+			err = fmt.Errorf("experiments: baseline produced no %s ops", res.Mode)
+			return
+		}
+		for _, f := range fig4DataLimitFactors {
+			res.Limits = append(res.Limits, res.BaselineRate*f)
+		}
 
-	limits := make([]float64, cfg.Steps)
-	for i := range limits {
-		limits[i] = baseRate * fig4DataLimitFactors[i]
-	}
-
-	// PADLL run: shim + stage throttling the data op.
-	backend := newBackend()
-	stg := stage.New(stage.Info{StageID: "ior-stage", JobID: "ior-job"}, clk)
-	stg.ApplyRule(policy.Rule{
-		ID:    "data",
-		Match: policy.Matcher{Ops: throttled},
-		Rate:  limits[0],
+		// PADLL run: shim + stage throttling the data ops.
+		stg := stage.New(stage.Info{StageID: "ior-stage", JobID: "ior-job"}, clk)
+		stg.ApplyRule(policy.Rule{ID: "data", Match: policy.Matcher{Ops: throttled}, Rate: res.Limits[0]})
+		client := posix.NewClient(interpose.New(newBackend(), stg, clk))
+		if err = prepare(client); err != nil {
+			return
+		}
+		res.Padll, res.Limit = metrics.NewSeries("padll"), metrics.NewSeries("limit")
+		for i, limit := range res.Limits {
+			stg.SetRate("data", limit)
+			var mean float64
+			var pts []metrics.Point
+			if mean, pts, err = step(client); err != nil {
+				return
+			}
+			res.StepMeans = append(res.StepMeans, mean)
+			for _, p := range pts {
+				res.Padll.Append(p.T, p.Value)
+				res.Limit.Append(p.T, res.Limits[i])
+			}
+		}
 	})
-	shim := interpose.New(backend, stg, clk)
-	client := posix.NewClient(shim)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 1; i < cfg.Steps; i++ {
-			clk.Sleep(cfg.StepDuration)
-			stg.SetRate("data", limits[i])
-		}
-	}()
-	total := time.Duration(cfg.Steps) * cfg.StepDuration
-	padllRes, err := runIOR(client, total, cfg.StepDuration/4)
-	<-done
 	if err != nil {
 		return Fig4DataResult{}, err
-	}
-	padll := series(padllRes)
-
-	res := Fig4DataResult{
-		Mode:         mode,
-		BaselineRate: baseRate,
-		Padll:        padll,
-		Limits:       limits,
-	}
-	// Mean rate within each step window.
-	stepN := cfg.StepDuration
-	t0 := time.Time{}
-	if padll.Len() > 0 {
-		t0 = padll.Points[0].T
-	}
-	sums := make([]float64, cfg.Steps)
-	counts := make([]int, cfg.Steps)
-	for _, p := range padll.Points {
-		i := int(p.T.Sub(t0) / stepN)
-		if i >= 0 && i < cfg.Steps {
-			sums[i] += p.Value
-			counts[i]++
-		}
-	}
-	for i := range sums {
-		if counts[i] > 0 {
-			res.StepMeans = append(res.StepMeans, sums[i]/float64(counts[i]))
-		} else {
-			res.StepMeans = append(res.StepMeans, 0)
-		}
 	}
 	return res, nil
+}
+
+// CSV returns the panel's padll and limit columns.
+func (r Fig4DataResult) CSV() CSVFile {
+	return CSVFile{Name: "fig4_data_" + r.Mode + ".csv", Content: metrics.MergeCSV(r.Padll, r.Limit)}
 }
 
 // Render formats the data panel.
@@ -205,11 +183,7 @@ func (r Fig4DataResult) Render() string {
 	fmt.Fprintf(&b, "Fig. 4 [%s] — data-operation rate limiting (IOR over simulated Lustre)\n", r.Mode)
 	fmt.Fprintf(&b, "  baseline rate  %.0f ops/s\n", r.BaselineRate)
 	for i := range r.Limits {
-		mean := 0.0
-		if i < len(r.StepMeans) {
-			mean = r.StepMeans[i]
-		}
-		fmt.Fprintf(&b, "  step %d: limit %8.0f ops/s, measured %8.0f ops/s\n", i+1, r.Limits[i], mean)
+		fmt.Fprintf(&b, "  step %d: limit %8.0f ops/s, measured %8.0f ops/s\n", i+1, r.Limits[i], r.StepMeans[i])
 	}
 	return b.String()
 }

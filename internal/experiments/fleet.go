@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
@@ -16,17 +15,17 @@ import (
 
 // E13 — fleet-scale wire protocol. The batched delta protocol folds a
 // round's collect and rate pushes into one Stage.Batch round trip per
-// stage and returns incremental per-queue deltas; this experiment
-// measures what a steady-state round costs at increasing fleet sizes.
+// stage and returns incremental per-queue deltas; this experiment counts
+// what a steady-state round costs at increasing fleet sizes. Every stage
+// speaks the frame codec over the in-process encoded loopback on a
+// simulated clock, so the counts are the same on every run; what a round
+// takes on the wall clock over TCP is the repository benchmark's
+// fleet_rounds workload.
 
-// FleetRow is one measured point of the fleet sweep.
+// FleetRow is one counted point of the fleet sweep.
 type FleetRow struct {
-	// Transport is "tcp" or "loopback" (the frame codec in process).
-	Transport string
 	// Stages is the registered fleet size.
 	Stages int
-	// RoundLatency is the mean wall time of one steady-state RunOnce.
-	RoundLatency time.Duration
 	// RPCs, PushesSkipped and WireBytes are per-round totals from the
 	// controller's accounting of the last steady-state round;
 	// FirstRoundBytes is what the warm-up round (full snapshots plus the
@@ -51,7 +50,7 @@ const (
 	fleetJobs          = 8
 	fleetRulesPerStage = 4
 	fleetMgmtRules     = 4
-	fleetIters         = 5
+	fleetIters         = 3
 )
 
 // fleetStage mirrors the control-package fleet benchmarks: admin rules
@@ -72,62 +71,33 @@ func fleetStage(i int, clk clock.Clock) *stage.Stage {
 	return stg
 }
 
-// fleetPoint registers n stages and times steady-state control rounds.
-func fleetPoint(n int, loopback bool) (FleetRow, error) {
-	clk := clock.NewReal()
+// fleetPoint registers n stages and counts a steady-state control round.
+func fleetPoint(n int) (FleetRow, error) {
+	clk := clock.NewSim(simEpoch)
 	ctl := control.New(clk,
 		control.WithClusterLimit(1_000_000),
 		control.WithAlgorithm(control.FixedRates{}))
 	for j := 0; j < fleetJobs; j++ {
 		ctl.SetReservation(fmt.Sprintf("job%02d", j), float64(1000*(j+1)))
 	}
-
-	var cleanups []func()
-	defer func() {
-		for _, c := range cleanups {
-			c()
-		}
-	}()
-
 	for i := 0; i < n; i++ {
 		stg := fleetStage(i, clk)
-		var h *rpcio.StageHandle
-		if loopback {
-			h = rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
-		} else {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return FleetRow{}, err
-			}
-			stop := rpcio.ServeStage(l, stg)
-			h, err = rpcio.DialStage(l.Addr().String())
-			if err != nil {
-				stop()
-				return FleetRow{}, err
-			}
-			cleanups = append(cleanups, func() { _ = h.Close(); stop() })
-		}
-		if err := ctl.Register(stg.Info(), h); err != nil {
+		if err := ctl.Register(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)
 	}
 
-	row := FleetRow{
-		Transport: map[bool]string{true: "loopback", false: "tcp"}[loopback],
-		Stages:    n,
-	}
-	// First round pays the one-time full snapshots and initial pushes;
-	// the measured rounds are the steady state a long-lived fleet is in.
+	row := FleetRow{Stages: n}
+	// The first round pays the one-time full snapshots and initial
+	// pushes, and the second collects the deltas those pushes caused;
+	// the third is the steady state a long-lived fleet is in.
 	ctl.RunOnce()
 	if rs, ok := ctl.LastRound(); ok {
 		row.FirstRoundBytes = rs.BytesRead + rs.BytesWritten
 	}
-	start := clk.Now()
-	for i := 0; i < fleetIters; i++ {
-		ctl.RunOnce()
-	}
-	row.RoundLatency = clk.Now().Sub(start) / fleetIters
+	ctl.RunOnce()
+	ctl.RunOnce()
 	if rs, ok := ctl.LastRound(); ok {
 		row.RPCs = rs.RPCs()
 		row.PushesSkipped = rs.PushesSkipped
@@ -141,7 +111,7 @@ func fleetPoint(n int, loopback bool) (FleetRow, error) {
 // reports the operations it carried and the round trips the stage
 // service itself counted for them.
 func fleetManagementRound() (ops, calls int, err error) {
-	svc := rpcio.NewStageService(fleetStage(0, clock.NewReal()))
+	svc := rpcio.NewStageService(fleetStage(0, clock.NewSim(simEpoch)))
 	batch := []rpcio.StageOp{{Kind: rpcio.OpSetRate, ID: "admin-00", Rate: 2000}}
 	for i := 0; i < fleetMgmtRules; i++ {
 		batch = append(batch, rpcio.StageOp{Kind: rpcio.OpApplyRule,
@@ -154,14 +124,11 @@ func fleetManagementRound() (ops, calls int, err error) {
 	return len(batch) + 1, int(svc.Served().Calls), nil // +1: the collect
 }
 
-// FleetScale runs the E13 sweep: TCP fleets of 16/64/256 stages, plus a
-// 1024-stage point over the in-process encoded loopback (a single
-// machine cannot hold 1024 live TCP stage services comfortably, and the
-// loopback runs the identical codec).
+// FleetScale runs the E13 sweep over fleets of 16 to 1024 stages.
 func FleetScale() (FleetResult, error) {
 	var res FleetResult
 	for _, n := range []int{16, 64, 256, 1024} {
-		row, err := fleetPoint(n, n == 1024)
+		row, err := fleetPoint(n)
 		if err != nil {
 			return FleetResult{}, err
 		}
@@ -175,20 +142,29 @@ func FleetScale() (FleetResult, error) {
 	return res, nil
 }
 
+// CSV returns the sweep, one row per fleet size.
+func (r FleetResult) CSV() CSVFile {
+	var b strings.Builder
+	b.WriteString("stages,rpcs_per_round,pushes_skipped,wire_bytes_per_round,first_round_bytes\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d\n", row.Stages, row.RPCs, row.PushesSkipped, row.WireBytes, row.FirstRoundBytes)
+	}
+	return CSVFile{Name: "e13_fleet.csv", Content: b.String()}
+}
+
 // Render formats the E13 tables.
 func (r FleetResult) Render() string {
 	var b strings.Builder
 	b.WriteString("E13 — fleet-scale wire protocol: one batched delta exchange per stage per round\n")
-	fmt.Fprintf(&b, "  %-9s %7s %14s %11s %9s %13s %14s\n",
-		"transport", "stages", "round latency", "rpcs/round", "skipped", "wire B/round", "first round B")
+	fmt.Fprintf(&b, "  %7s %11s %9s %13s %14s\n", "stages", "rpcs/round", "skipped", "wire B/round", "first round B")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %7d %14v %11d %9d %13d %14d\n",
-			row.Transport, row.Stages, row.RoundLatency.Round(time.Microsecond),
-			row.RPCs, row.PushesSkipped, row.WireBytes, row.FirstRoundBytes)
+		fmt.Fprintf(&b, "  %7d %11d %9d %13d %14d\n",
+			row.Stages, row.RPCs, row.PushesSkipped, row.WireBytes, row.FirstRoundBytes)
 	}
 	fmt.Fprintf(&b, "  management round (collect + set-rate + %d rule installs) on one stage:\n", fleetMgmtRules)
 	fmt.Fprintf(&b, "    %d operations in %d RPC\n", r.MgmtOps, r.MgmtRPCs)
 	b.WriteString("  (steady-state rounds skip unchanged-rate pushes entirely and collect\n")
-	b.WriteString("   incremental deltas, so wire bytes stay flat as rules grow)\n")
+	b.WriteString("   incremental deltas, so wire bytes stay flat as rules grow;\n")
+	b.WriteString("   round latency over TCP: go run ./bench --workload fleet_rounds)\n")
 	return b.String()
 }

@@ -7,29 +7,33 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"padll/internal/posix"
 )
 
-// TestSimClockCSVsMatchGoldens regenerates every plot table that runs on
-// the simulated clock — Fig. 1, the five Fig. 4 panels, the four Fig. 5
-// setups and E7.1 — and holds each, byte for byte, to the file of the
-// same name under testdata/golden, so a change that moves a figure fails
-// here. A missing golden file is written from this run, and the test
-// fails once, asking for a rerun. Fig. 4's data panels run on the real
-// clock and have no golden.
+// TestSimClockCSVsMatchGoldens regenerates every plot table CSVs
+// returns — padll-experiments -csv writes the same list — and holds each,
+// byte for byte, to the file of the same name under testdata/golden, so a
+// change that moves a figure fails here. A missing golden file is written
+// from this run, and the test fails once, asking for a rerun; a golden
+// file no CSV produces fails too.
 func TestSimClockCSVsMatchGoldens(t *testing.T) {
-	files := []CSVFile{Fig1(DefaultSeed).CSV()}
-	for _, op := range []posix.Op{posix.OpOpen, posix.OpClose, posix.OpGetAttr, posix.OpRename} {
-		files = append(files, Fig4PerOp(DefaultSeed, op).CSV())
+	t.Parallel()
+	files, err := CSVs(DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	files = append(files, Fig4PerClass(DefaultSeed).CSV())
-	for _, r := range Fig5All(DefaultSeed) {
-		files = append(files, r.CSV())
-	}
-	files = append(files, ChaosReplay(DefaultSeed).CSV())
+	made := map[string]bool{}
 	for _, f := range files {
+		made[f.Name] = true
 		checkGolden(t, f)
+	}
+	goldens, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		if !made[g.Name()] {
+			t.Errorf("golden %s has no CSV: delete it or produce it", g.Name())
+		}
 	}
 }
 

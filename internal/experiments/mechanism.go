@@ -8,8 +8,8 @@ import (
 
 	"padll/internal/clock"
 	"padll/internal/interpose"
-	"padll/internal/localfs"
 	"padll/internal/mdtest"
+	"padll/internal/pfs"
 	"padll/internal/policy"
 	"padll/internal/posix"
 	"padll/internal/stage"
@@ -19,8 +19,9 @@ import (
 // queue until tokens arrive); the classic alternative is policing
 // (requests past the rate fail fast). Both mechanisms are implemented on
 // the same queues; this experiment runs the same mdtest workload under
-// each and reports the trade-off applications actually see: shaping pays
-// with completion time, policing pays with rejected operations.
+// each, through shim, stage and the simulated PFS's MDS on a simulated
+// clock, and reports the trade-off applications actually see: shaping
+// pays with completion time, policing pays with rejected operations.
 
 // MechanismRow is one enforcement mechanism's outcome.
 type MechanismRow struct {
@@ -36,24 +37,29 @@ type MechanismRow struct {
 }
 
 // MechanismAblation runs mdtest unthrottled, shaped, and policed at the
-// same limit.
+// same limit. The MDS serves 20K cost units/s, so the unthrottled run
+// issues its ~7K calls (~14K units) at about 2.5 times the limit.
 func MechanismAblation() ([]MechanismRow, error) {
-	const limit = 4000 // ops/s against a far higher unthrottled rate
+	const limit = 4000 // ops/s
 	run := func(name string, rule *policy.Rule) (MechanismRow, error) {
-		clk := clock.NewReal()
-		backend := localfs.New(clk)
+		clk := clock.NewSim(simEpoch)
+		backend := pfs.New(clk, pfs.Config{MDSCapacity: 20_000, MDSBurst: 100})
 		stg := stage.New(stage.Info{StageID: "mech", JobID: "mech-job"}, clk)
 		if rule != nil {
 			stg.ApplyRule(*rule)
 		}
 		shim := interpose.New(backend, stg, clk)
-		res, err := mdtest.Run(context.Background(), mdtest.Config{
-			Client:       posix.NewClient(shim).WithJob("mech-job", "u", 1),
-			Dir:          "/bench",
-			Ranks:        4,
-			FilesPerRank: 250,
-			DirsPerRank:  4,
-			Clock:        clk,
+		var res mdtest.Result
+		var err error
+		clk.Drive(func() {
+			res, err = mdtest.Run(context.Background(), mdtest.Config{
+				Client:       posix.NewClient(shim).WithJob("mech-job", "u", 1),
+				Dir:          "/bench",
+				Ranks:        4,
+				FilesPerRank: 250,
+				DirsPerRank:  4,
+				Clock:        clk,
+			})
 		})
 		if err != nil {
 			return MechanismRow{}, err
@@ -88,6 +94,16 @@ func MechanismAblation() ([]MechanismRow, error) {
 	}
 	rows = append(rows, row)
 	return rows, nil
+}
+
+// MechanismCSV returns the comparison as a table, one row per mechanism.
+func MechanismCSV(rows []MechanismRow) CSVFile {
+	var b strings.Builder
+	b.WriteString("mechanism,elapsed_s,ops,rejected,create_ops_per_s\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s,%.3f,%d,%d,%.0f\n", r.Mechanism, r.Elapsed.Seconds(), r.Ops, r.Errors, r.CreateRate)
+	}
+	return CSVFile{Name: "e9_mechanism.csv", Content: b.String()}
 }
 
 // RenderMechanism formats the comparison.

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +60,9 @@ type Config struct {
 	// duration-bounded experiments that sweep rate limits over a steady
 	// stream.
 	Repeat bool
-	// Clock paces metrics (default real clock).
+	// Clock paces metrics (default real clock). Under clock.Sim.Drive
+	// the ranks are its actors, so a run on the simulated clock is
+	// deterministic.
 	Clock clock.Clock
 	// Window is the throughput sampling window (default 1s).
 	Window time.Duration
@@ -150,17 +151,15 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	runPhase := func(write bool) (int64, int64) {
 		var bytes, ops atomic.Int64
-		var wg sync.WaitGroup
+		g := clock.NewGroup(cfg.Clock)
 		for task := 0; task < cfg.NumTasks; task++ {
-			wg.Add(1)
-			go func(task int) {
-				defer wg.Done()
+			g.Go(func() {
 				b, o := cfg.runTask(ctx, task, write, writeOps, readOps, &errCount)
 				bytes.Add(b)
 				ops.Add(o)
-			}(task)
+			})
 		}
-		wg.Wait()
+		g.Wait()
 		return bytes.Load(), ops.Load()
 	}
 

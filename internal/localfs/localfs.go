@@ -56,12 +56,6 @@ type FS struct {
 	totalFiles int64
 	usedBytes  int64
 	usedFiles  int64
-	// serviceTime, when > 0, emulates the per-call cost of a real local
-	// file system (syscall entry + in-kernel work, ~2-10us for cached
-	// metadata operations on xfs) with a calibrated spin — so relative
-	// overhead measurements against this backend are comparable to
-	// measurements against a kernel file system.
-	serviceTime time.Duration
 }
 
 var _ posix.FileSystem = (*FS)(nil)
@@ -153,36 +147,8 @@ func (fs *FS) infoFor(n *node) posix.FileInfo {
 	}
 }
 
-// SetServiceTime enables per-call service-time emulation (0 disables).
-func (fs *FS) SetServiceTime(d time.Duration) { fs.serviceTime = d }
-
-// emulateServiceTime charges one call's in-kernel cost. On the wall clock
-// this is a calibrated spin; on any other (simulated) clock it is a
-// clock.Sleep, so experiment replays stay deterministic instead of mixing
-// real CPU time into simulated time — a spin can never finish under a
-// simulated clock, whose Now only moves on explicit Advance.
-func (fs *FS) emulateServiceTime(d time.Duration) {
-	if _, wall := fs.clk.(clock.Real); wall {
-		spinFor(d)
-		return
-	}
-	fs.clk.Sleep(d)
-}
-
-// spinFor burns CPU for roughly d without yielding the goroutine, which
-// models an in-kernel code path more faithfully than time.Sleep's
-// scheduler round trip at microsecond scales.
-func spinFor(d time.Duration) {
-	deadline := time.Now().Add(d) //lint:allow clockcheck calibrated busy-wait must read the wall clock; see emulateServiceTime for the simulated-clock path
-	for time.Now().Before(deadline) {
-	}
-}
-
 // Apply implements posix.FileSystem, dispatching all 42 operations.
 func (fs *FS) Apply(req *posix.Request, rep *posix.Reply) error {
-	if fs.serviceTime > 0 {
-		fs.emulateServiceTime(fs.serviceTime)
-	}
 	switch req.Op {
 	// ---- metadata ----
 	case posix.OpOpen, posix.OpOpen64, posix.OpCreat:

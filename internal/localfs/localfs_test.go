@@ -844,32 +844,6 @@ func TestReadWriteOracleProperty(t *testing.T) {
 	}
 }
 
-func TestServiceTimeEmulation(t *testing.T) {
-	fs := New(clock.NewReal())
-	c := posix.NewClient(fs)
-	mustClose(t, c, mustCreat(t, c, "/f"))
-	// Measure a getattr burst with and without the emulated call cost.
-	measure := func() time.Duration {
-		start := time.Now()
-		for i := 0; i < 200; i++ {
-			if _, err := c.GetAttr("/f"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	fast := measure()
-	fs.SetServiceTime(20 * time.Microsecond)
-	slow := measure()
-	if slow < fast+3*time.Millisecond {
-		t.Errorf("service time not emulated: fast=%v slow=%v", fast, slow)
-	}
-	fs.SetServiceTime(0)
-	if again := measure(); again > slow {
-		t.Errorf("disabling service time did not restore speed: %v vs %v", again, slow)
-	}
-}
-
 func TestTypedClientSurface(t *testing.T) {
 	// Exercise the full typed client over the remaining call surface.
 	_, c := newFS()

@@ -14,7 +14,6 @@ package mdtest
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,7 +75,9 @@ type Config struct {
 	// DirsPerRank is each rank's directory count; files spread across
 	// them round-robin (default 4).
 	DirsPerRank int
-	// Clock paces throughput measurement (default real).
+	// Clock paces throughput measurement (default real). Under
+	// clock.Sim.Drive the ranks are its actors, so a run on the simulated
+	// clock is deterministic.
 	Clock clock.Clock
 }
 
@@ -191,15 +192,11 @@ func (cfg Config) filePath(rank, i int) string {
 func (cfg Config) runPhase(ctx context.Context, phase Phase) PhaseResult {
 	var ops, errs atomic.Int64
 	start := cfg.Clock.Now()
-	var wg sync.WaitGroup
+	g := clock.NewGroup(cfg.Clock)
 	for rank := 0; rank < cfg.Ranks; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg.runRank(ctx, phase, rank, &ops, &errs)
-		}(rank)
+		g.Go(func() { cfg.runRank(ctx, phase, rank, &ops, &errs) })
 	}
-	wg.Wait()
+	g.Wait()
 	return PhaseResult{
 		Phase:   phase,
 		Ops:     ops.Load(),

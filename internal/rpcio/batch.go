@@ -110,19 +110,19 @@ type StatsDelta struct {
 // instance's epoch and as a handle's collector ClientID. Identifiers
 // only need to differ across stage restarts (epochs) or live handles
 // (client IDs); 32 random bits make an accidental match (which would
-// silently corrupt one client's merged snapshot) a non-event, and —
-// unlike a full-width value — varint-encode to at most 5 bytes. Three
-// of these ride every steady-state batch exchange (ClientID, AckEpoch,
-// Epoch), so the width shows up directly in wireB/round. The wire
+// silently corrupt one client's merged snapshot) a non-event. Bit 31 is
+// always set, so each varint-encodes to exactly 5 bytes: three ride
+// every steady-state batch exchange (ClientID, AckEpoch, Epoch), and a
+// fixed width keeps wireB/round the same from run to run. The wire
 // field stays uint64: the decoder accepts historic full-width values.
 func newEpoch() uint64 {
 	var b [4]byte
 	if _, err := cryptorand.Read(b[:]); err != nil {
 		// No entropy source: fall back to a process-unique value, which
 		// still separates in-process restarts (the common test case).
-		return epochFallback.Add(1) << 1
+		return epochFallback.Add(1)<<1 | 1<<31
 	}
-	return uint64(binary.LittleEndian.Uint32(b[:]) | 1)
+	return uint64(binary.LittleEndian.Uint32(b[:]) | 1<<31 | 1)
 }
 
 var epochFallback atomic.Uint64

@@ -33,8 +33,8 @@
 // The repository also contains everything needed to regenerate the
 // paper's evaluation: a Lustre-like PFS simulator, an ABCI-like trace
 // generator and replayer, an IOR-like workload generator, a cluster
-// simulator, and one benchmark per figure/table (see bench_test.go,
-// DESIGN.md and EXPERIMENTS.md).
+// simulator, and cmd/padll-experiments, which prints every figure and
+// table (see DESIGN.md and EXPERIMENTS.md).
 package padll
 
 import (
