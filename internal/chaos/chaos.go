@@ -72,9 +72,9 @@ type StageNode struct {
 	// handle is the controller's channel to the node, over a chaos
 	// transport gating whole round trips.
 	handle *rpcio.StageHandle
-	// frames is the binary-codec transport under the chaos transport;
-	// frame-granular faults hook here.
-	frames      *rpcio.EncodedLoopback
+	// dropReply arms a one-shot loss of the next batch reply; see
+	// DropNextBatchReply.
+	dropReply   atomic.Bool
 	partitioned atomic.Bool
 	crashed     atomic.Bool
 	// collectBudget < 0 disables the counter; otherwise the node crashes
@@ -171,8 +171,8 @@ func (h *Harness) AddStage(id, job string) *StageNode {
 	// (EncodedLoopback): each chaos exchange encodes and decodes actual
 	// frames, so codec bugs and frame-level faults are inside the
 	// deterministic loop.
-	n.frames = rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
-	n.handle = rpcio.NewStageHandle(&chaosTransport{EncodedLoopback: n.frames, h: h, node: n})
+	frames := rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg))
+	n.handle = rpcio.NewStageHandle(&chaosTransport{EncodedLoopback: frames, h: h, node: n})
 	h.nodes[id] = n
 	h.ids = append(h.ids, id)
 	sort.Strings(h.ids)
@@ -265,17 +265,7 @@ func (h *Harness) ArmStageCrashAfterCollects(id string, n int) {
 // controller never learns, so the delta protocol must detect the stale
 // acknowledgement and resync with a full snapshot.
 func (h *Harness) DropNextBatchReply(id string) {
-	n := h.nodes[id]
-	armed := true
-	n.frames.SetFault(func(dir rpcio.FrameDir, method string) error {
-		// Single-threaded under the loopback's lock; armed needs no
-		// atomicity.
-		if armed && dir == rpcio.FrameReply && method == "Stage.Batch" {
-			armed = false
-			return ErrReplyLost
-		}
-		return nil
-	})
+	h.nodes[id].dropReply.Store(true)
 	h.logf("stage %s armed to drop its next batch reply frame", id)
 }
 
@@ -390,7 +380,8 @@ func RuleRate(s *stage.Stage, id string) float64 {
 // granularity is a round trip, matching what a real controller would
 // observe. The gates run in Start, which a round calls in StageID
 // order, and the loopback completes the exchange there too, so what the
-// fleet sees happens in the order exchanges are started. The loopback's
+// fleet sees happens in the order exchanges are started; an armed lost
+// reply (DropNextBatchReply) is dropped in Finish. The loopback's
 // Retry never allows another attempt: a gated exchange is the fault the
 // scenario injected, not one to paper over.
 type chaosTransport struct {
@@ -426,12 +417,19 @@ func (c *chaosTransport) Start(method string, args, reply any) {
 	}
 }
 
+// Finish hands over the exchange's outcome, or loses an armed reply:
+// the stage has applied the exchange and the loopback counted its
+// bytes, but the handle sees only ErrReplyLost and ignores the reply.
 func (c *chaosTransport) Finish() error {
 	if err := c.gated; err != nil {
 		c.gated = nil
 		return err
 	}
-	return c.EncodedLoopback.Finish()
+	err := c.EncodedLoopback.Finish()
+	if c.node.dropReply.CompareAndSwap(true, false) {
+		return ErrReplyLost
+	}
+	return err
 }
 
 // Close keeps the loopback open: the harness re-registers the same

@@ -102,39 +102,6 @@ func benchFleetLoopback(b *testing.B, n int) *Controller {
 	return ctl
 }
 
-// benchFleetMux serves n stages from one FrameServer on a single TCP
-// listener and dials them through the shared multiplexed connection —
-// the deployment shape where one node hosts many stages.
-func benchFleetMux(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
-	b.Helper()
-	ctl := benchController()
-	fs := rpcio.NewFrameServer()
-	stages := make([]*stage.Stage, n)
-	for i := 0; i < n; i++ {
-		stages[i] = benchStage(i)
-		fs.Add(rpcio.NewStageService(stages[i]))
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	stop := rpcio.ServeMux(l, fs)
-	b.Cleanup(stop)
-	for i := 0; i < n; i++ {
-		stg := stages[i]
-		h, err := rpcio.DialStage(l.Addr().String(),
-			append([]rpcio.DialOption{rpcio.WithMuxStage(stg.Info().StageID)}, opts...)...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { h.Close() })
-		if err := ctl.Register(stg.Info(), h); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return ctl
-}
-
 func runRounds(b *testing.B, ctl *Controller) {
 	// Two rounds off the clock: the first pays the one-time full
 	// snapshots and initial rate pushes, the second warms the delta and
@@ -172,11 +139,4 @@ func BenchmarkControllerRunOnce256(b *testing.B) {
 
 func BenchmarkControllerRunOnce1024(b *testing.B) {
 	runRounds(b, benchFleetLoopback(b, 1024))
-}
-
-// ...Mux256 serves all 256 stages from one listener and multiplexes
-// every handle over a single shared TCP connection — the per-node
-// deployment shape — instead of 256 sockets.
-func BenchmarkControllerRunOnceMux256(b *testing.B) {
-	runRounds(b, benchFleetMux(b, 256))
 }

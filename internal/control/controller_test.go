@@ -590,9 +590,7 @@ func TestRegistrarOverFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := rpcio.NewFrameServer()
-		fs.Add(svc)
-		return stg, svc, l.Addr().String(), rpcio.ServeMux(l, fs)
+		return stg, svc, l.Addr().String(), rpcio.ServeStageService(l, svc)
 	}
 
 	_, _, addr, stop := serve()

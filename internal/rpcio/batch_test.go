@@ -295,7 +295,7 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 }
 
 // TestDeltaCollectOverWire runs the incremental protocol over the real
-// TCP transport (ServeMux + DialStage) instead of a loopback. This
+// TCP transport (ServeStageService + DialStage) instead of a loopback. This
 // is the regression test for reply reuse: a handle reuses one reply
 // struct across exchanges, so a decoder that merged instead of
 // overwrote would read every post-full incremental reply with a stale
@@ -311,9 +311,7 @@ func TestDeltaCollectOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFrameServer()
-	fs.Add(svc)
-	stop := ServeMux(l, fs)
+	stop := ServeStageService(l, svc)
 	t.Cleanup(stop)
 	h, err := DialStage(l.Addr().String())
 	if err != nil {

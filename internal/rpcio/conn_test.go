@@ -1,6 +1,7 @@
-// Failure-mode tests for the multiplexed frame transport: many stages
-// behind one listener, one shared TCP connection per endpoint, and the
-// ways that connection can die or misbehave at frame granularity.
+// Failure-mode tests for the frame transport's connections: a fleet of
+// stages, each behind its own listener and reached by a handle of its
+// own, and the ways a connection can die or misbehave at frame
+// granularity.
 package rpcio
 
 import (
@@ -67,87 +68,39 @@ func (l *killSwitchListener) Accept() (net.Conn, error) {
 	return &killSwitchConn{Conn: c, arm: l.arm}, nil
 }
 
-// muxFleet serves n stages behind one ServeMux listener (wrapped by
-// wrap, if non-nil) and dials one handle per stage, all sharing one
-// private dialer pool.
-func muxFleet(t *testing.T, n int, wrap func(net.Listener) net.Listener, opts ...DialOption) ([]*stage.Stage, []*StageHandle, net.Listener) {
+// servedFleet serves n stages, each behind its own listener (wrapped by
+// wrap, if non-nil), and dials one handle per stage.
+func servedFleet(t *testing.T, n int, wrap func(net.Listener) net.Listener, opts ...DialOption) ([]*stage.Stage, []*StageHandle) {
 	t.Helper()
 	clk := clock.NewSim(epoch)
-	fs := NewFrameServer()
 	stages := make([]*stage.Stage, n)
+	handles := make([]*StageHandle, n)
 	for i := range stages {
 		stages[i] = stage.New(stage.Info{StageID: fmt.Sprintf("m%d", i), JobID: "jm", Hostname: "h", PID: i + 1, User: "u"}, clk)
-		fs.Add(NewStageService(stages[i]))
-	}
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := base
-	if wrap != nil {
-		l = wrap(base)
-	}
-	stop := ServeMux(l, fs)
-	t.Cleanup(stop)
-
-	pool := &frameDialer{}
-	handles := make([]*StageHandle, n)
-	for i := range handles {
-		all := append([]DialOption{
-			WithMuxStage(fmt.Sprintf("m%d", i)),
-			func(c *dialConfig) { c.dialer = pool },
-		}, opts...)
-		h, err := DialStage(base.Addr().String(), all...)
+		base, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := base
+		if wrap != nil {
+			l = wrap(base)
+		}
+		t.Cleanup(ServeStage(l, stages[i]))
+		h, err := DialStage(base.Addr().String(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = h.Close() })
 		handles[i] = h
 	}
-	return stages, handles, l
+	return stages, handles
 }
 
-// TestMuxManyStagesShareOneConnection: four handles to four stages on
-// one endpoint must open exactly one TCP connection, and every call
-// must land on the stage its handle attached to.
-func TestMuxManyStagesShareOneConnection(t *testing.T) {
-	var cl *countingListener
-	stages, handles, _ := muxFleet(t, 4, func(l net.Listener) net.Listener {
-		cl = &countingListener{Listener: l}
-		return cl
-	})
-	for i, h := range handles {
-		info, err := ping(h)
-		if err != nil {
-			t.Fatalf("ping m%d: %v", i, err)
-		}
-		if want := fmt.Sprintf("m%d", i); info.StageID != want {
-			t.Errorf("handle %d pinged stage %q, want %q — replies misrouted", i, info.StageID, want)
-		}
-	}
-	// A mutation through one handle must touch only its stage.
-	if err := applyRule(handles[2], policy.Rule{ID: "only-m2", Rate: 100}); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range stages {
-		want := 0
-		if i == 2 {
-			want = 1
-		}
-		if got := len(s.Rules()); got != want {
-			t.Errorf("stage m%d has %d rules, want %d", i, got, want)
-		}
-	}
-	if got := cl.accepted.Load(); got != 1 {
-		t.Errorf("fleet of 4 handles opened %d TCP connections, want 1", got)
-	}
-}
-
-// TestMuxInterleavedRepliesRouteCorrectly hammers one shared connection
-// from many goroutines across all handles; every reply must reach the
-// caller that issued it (and the race detector watches the demux path).
-func TestMuxInterleavedRepliesRouteCorrectly(t *testing.T) {
-	_, handles, _ := muxFleet(t, 4, nil)
+// TestInterleavedRepliesRouteCorrectly hammers every handle from many
+// goroutines at once; every reply must reach the caller that issued it
+// (and the race detector watches the reader path).
+func TestInterleavedRepliesRouteCorrectly(t *testing.T) {
+	_, handles := servedFleet(t, 4, nil)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i, h := range handles {
@@ -177,39 +130,15 @@ func TestMuxInterleavedRepliesRouteCorrectly(t *testing.T) {
 	}
 }
 
-// TestMuxAttachUnknownStageFailsFast: attaching to a stage the endpoint
-// does not host is an application error — surfaced immediately, never
-// retried against a healthy connection.
-func TestMuxAttachUnknownStageFailsFast(t *testing.T) {
-	_, _, l := muxFleet(t, 1, nil)
-	h, err := DialStage(l.Addr().String(), WithMuxStage("ghost"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = h.Close() }()
-	start := time.Now()
-	_, err = ping(h)
-	if err == nil {
-		t.Fatal("call to unattachable stage succeeded")
-	}
-	var remote RemoteError
-	if !errors.As(err, &remote) {
-		t.Errorf("attach failure = %v (%T), want RemoteError", err, err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("attach failure took %v; application errors must not burn the retry budget", elapsed)
-	}
-}
-
-// TestMuxMidFrameDropRedialsAndResyncs arms a mid-frame connection kill
+// TestMidFrameDropRedialsAndResyncs arms a mid-frame connection kill
 // on a Stage.Batch reply: the stage has applied the exchange (its delta
 // generation advanced) but the controller's handle never saw the reply.
-// The handle must kill the shared connection, redial, re-attach, and —
+// The handle must kill its connection, redial, and —
 // because its acknowledgement is now stale — receive a full-snapshot
 // resync that reconverges with the stage's true state.
-func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
+func TestMidFrameDropRedialsAndResyncs(t *testing.T) {
 	arm := &atomic.Bool{}
-	stages, handles, _ := muxFleet(t, 1, func(l net.Listener) net.Listener {
+	stages, handles := servedFleet(t, 1, func(l net.Listener) net.Listener {
 		return &killSwitchListener{Listener: l, arm: arm}
 	}, WithBackoff(Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Attempts: 5}))
 	stg, h := stages[0], handles[0]
@@ -251,12 +180,12 @@ func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
 	}
 }
 
-// TestMuxSurvivesFlakyFrameBoundaries runs the mux through a wire that
+// TestSurvivesFlakyFrameBoundaries runs a fleet through a wire that
 // drops every Nth frame outright: per-call deadlines catch the holes,
-// the shared connection redials, and every call still lands on (and
-// returns from) the right stage.
-func TestMuxSurvivesFlakyFrameBoundaries(t *testing.T) {
-	stages, handles, _ := muxFleet(t, 2, func(l net.Listener) net.Listener {
+// the connection redials, and every call still lands on (and returns
+// from) the right stage.
+func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
+	stages, handles := servedFleet(t, 2, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DropEvery: 5}}
 	},
 		WithCallTimeout(150*time.Millisecond),
@@ -284,11 +213,11 @@ func TestMuxSurvivesFlakyFrameBoundaries(t *testing.T) {
 	}
 }
 
-// TestMuxDuplicatedReplyFramesAreDiscarded: a wire that duplicates
-// every frame must not desynchronize the demux loop — duplicate stream
-// IDs have no waiter and are consumed and dropped.
-func TestMuxDuplicatedReplyFramesAreDiscarded(t *testing.T) {
-	stages, handles, _ := muxFleet(t, 2, func(l net.Listener) net.Listener {
+// TestDuplicatedReplyFramesAreDiscarded: a wire that duplicates every
+// frame must not desynchronize the reader — a duplicate's stream ID has
+// no waiter, so it is consumed and dropped.
+func TestDuplicatedReplyFramesAreDiscarded(t *testing.T) {
+	stages, handles := servedFleet(t, 2, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DupEvery: 1}}
 	})
 	for i, h := range handles {
@@ -338,27 +267,29 @@ func (l *muteListener) Accept() (net.Conn, error) {
 }
 
 // TestKilledConnectionFinishesEveryStartedExchange: eight exchanges are
-// started on one shared connection, whose replies never come; the
-// connection is killed while their second halves are being waited for.
-// Every Finish returns the kill's error, exactly one completion reaches
-// each transport's call and is consumed by its Finish — so no call is
-// left signalled, failed or still attached for the next Start — every
-// handle is free for its next exchange, and that exchange redials
-// and merges the right snapshot whether the lost exchange had reached
-// the stage (a full resync) or not (the next delta).
+// started on eight connections, whose replies never come; each
+// connection is killed while its exchange's second half is being waited
+// for. Every Finish returns the kill's error, exactly one completion
+// reaches each transport's call and is consumed by its Finish — so no
+// call is left waiting, signalled, failed or still attached for the
+// next Start — every handle is free for its next exchange, and that
+// exchange redials and merges the right snapshot whether the lost
+// exchange had reached the stage (a full resync) or not (the next
+// delta).
 func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 	const n = 8
 	var mute atomic.Bool
-	stages, handles, _ := muxFleet(t, n, func(l net.Listener) net.Listener {
+	stages, handles := servedFleet(t, n, func(l net.Listener) net.Listener {
 		return &muteListener{Listener: l, mute: &mute}
 	}, WithCallTimeout(time.Hour), WithBackoff(Backoff{Attempts: 1}))
 	dst := make([]stage.Stats, n)
-	for i, h := range handles { // attach, and the first (full) collect
+	conns := make([]*frameConn, n)
+	for i, h := range handles { // the first (full) collect
 		if _, _, err := h.Exec(nil, &dst[i], false); err != nil {
 			t.Fatal(err)
 		}
+		conns[i] = h.t.(*frameTransport).fc
 	}
-	fc := handles[0].t.(*frameTransport).fc
 
 	mute.Store(true)
 	for i, h := range handles {
@@ -374,18 +305,22 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 			_, _, errs[i] = h.Finish()
 		}()
 	}
-	fc.kill(errKilled)
+	for _, fc := range conns {
+		fc.kill(errKilled)
+	}
 	wg.Wait()
 	for i, err := range errs {
 		if !errors.Is(err, errKilled) {
 			t.Errorf("exchange %d finished with %v, want the kill's error", i, err)
 		}
 	}
-	fc.mu.Lock()
-	if len(fc.pending) != 0 {
-		t.Errorf("%d calls still pending on the killed connection", len(fc.pending))
+	for i, fc := range conns {
+		fc.mu.Lock()
+		if fc.waiting != nil {
+			t.Errorf("a call is still waiting on killed connection %d", i)
+		}
+		fc.mu.Unlock()
 	}
-	fc.mu.Unlock()
 	for i, h := range handles {
 		call := &h.t.(*frameTransport).call
 		if len(call.ch) != 0 || call.err != nil || call.fc != nil || call.reply != nil {

@@ -4,6 +4,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +13,7 @@ import (
 )
 
 // deadlineFixture serves a stage behind wrap(listener) and returns a
-// transport on clk whose calls neither retry nor share a connection
-// pool with other tests.
+// transport on clk whose calls do not retry.
 func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap func(net.Listener) net.Listener) *frameTransport {
 	t.Helper()
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
@@ -23,7 +23,7 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 	}
 	t.Cleanup(ServeStage(wrap(l), stg))
 	cfg := defaultDialConfig()
-	cfg.clk, cfg.timeout, cfg.backoff, cfg.dialer = clk, timeout, Backoff{Attempts: 1}, &frameDialer{}
+	cfg.clk, cfg.timeout, cfg.backoff = clk, timeout, Backoff{Attempts: 1}
 	tr := newFrameTransport(l.Addr().String(), cfg)
 	t.Cleanup(func() { _ = tr.Close() })
 	return tr
@@ -38,6 +38,15 @@ func collectFrame(t *testing.T, call *frameCall) {
 		t.Fatal(err)
 	}
 	call.wbuf = frame
+}
+
+// roundTrip is one Stage.Batch exchange of the frame call assembled in
+// call's write buffer: send, then await.
+func roundTrip(tr *frameTransport, fc *frameConn, call *frameCall) error {
+	if err := tr.send(fc, call, methodBatch); err != nil {
+		return err
+	}
+	return tr.await(fc, call, methodBatch)
 }
 
 // TestCallDeadlineOnSimClock drives a transport's one call through answered
@@ -62,7 +71,7 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 		}
 		collectFrame(t, call)
 		done := make(chan error, 1)
-		go func() { done <- tr.roundTrip(fc, call, methodBatch, 0) }()
+		go func() { done <- roundTrip(tr, fc, call) }()
 		return fc, done
 	}
 	answered := func(step string) {
@@ -111,7 +120,7 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	collectFrame(t, call)
-	if err := tr.send(fc, call, methodBatch, 0); err != nil {
+	if err := tr.send(fc, call, methodBatch); err != nil {
 		t.Fatal(err)
 	}
 	for len(call.ch) == 0 {
@@ -160,7 +169,7 @@ func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clo
 		t.Fatal(err)
 	}
 	collectFrame(t, call)
-	if err := tr.send(fc, call, methodBatch, 0); err != nil {
+	if err := tr.send(fc, call, methodBatch); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(ago)
@@ -172,7 +181,7 @@ func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clo
 // lateTimer is a deadline that expires the moment the reply has been
 // delivered. The reply is held back until the wait has found nothing
 // buffered and arms the timer: Reset lets the server's one write go,
-// waits until the demux goroutine has signalled the call, then fires,
+// waits until the reader goroutine has signalled the call, then fires,
 // so the wait's select finds both channels ready.
 type lateTimer struct {
 	c         chan time.Time
@@ -242,7 +251,7 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		collectFrame(t, call)
-		if err := tr.roundTrip(fc, call, methodBatch, 0); err != nil {
+		if err := roundTrip(tr, fc, call); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
 		var reply BatchReply
@@ -255,5 +264,71 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 	}
 	if deadlineBranch == 0 {
 		t.Error("the deadline branch never ran; the test no longer exercises it")
+	}
+}
+
+// firstMutedListener swallows every reply written on the first
+// connection it accepts, and on no other.
+type firstMutedListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *firstMutedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil || l.accepted.Add(1) > 1 {
+		return c, err
+	}
+	mute := &atomic.Bool{}
+	mute.Store(true)
+	return &muteConn{Conn: c, mute: mute}, nil
+}
+
+// TestDeadlineOnOneHandleSparesAnother: two handles to one stage, the
+// first on a connection whose replies never come. The first handle's
+// deadline expires on its simulated clock while the second handle's
+// exchange is in flight; that exchange must still return its reply,
+// because each handle owns its connection and a deadline kills only
+// the connection of the call that missed it.
+func TestDeadlineOnOneHandleSparesAnother(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ServeStage(&firstMutedListener{Listener: l}, stg))
+	clk := clock.NewSim(epoch)
+	muted, err := DialStage(l.Addr().String(), WithHandleClock(clk), WithCallTimeout(timeout), WithBackoff(Backoff{Attempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = muted.Close() }()
+	// The second handle's deadline runs on a clock nobody advances: its
+	// exchange can only end by its reply or by someone else's kill.
+	spared, err := DialStage(l.Addr().String(), WithHandleClock(clock.NewSim(epoch)), WithBackoff(Backoff{Attempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = spared.Close() }()
+
+	var mutedStats, sparedStats stage.Stats
+	spared.Start(nil, &sparedStats, false)
+	muted.Start(nil, &mutedStats, false)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := muted.Finish()
+		done <- err
+	}()
+	clk.BlockUntil(1) // the muted handle waits on its deadline
+	clk.Advance(timeout)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("muted handle: err = %v, want its deadline", err)
+	}
+	if _, _, err := spared.Finish(); err != nil {
+		t.Fatalf("a deadline crossed handles: the spared handle's exchange failed with %v", err)
+	}
+	if sparedStats.Info.StageID != "s1" {
+		t.Errorf("spared handle collected %+v, want stage s1", sparedStats.Info)
 	}
 }

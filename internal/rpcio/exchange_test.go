@@ -58,7 +58,7 @@ func pipelined(tb testing.TB, handles []*StageHandle, dst []stage.Stats) {
 }
 
 // TestFrameExchangeZeroAllocs: a steady-state collect over loopback
-// TCP — request encoded, written, served, reply demultiplexed, decoded
+// TCP — request encoded, written, served, reply read, decoded
 // and merged — allocates nothing on either side: no retry state, no
 // deadline timer or channel, no decoded string the handle already
 // holds, and no token for the exchange in flight, whether it is one
@@ -112,7 +112,7 @@ func TestFrameExchangeZeroAllocs(t *testing.T) {
 // BenchmarkFrameExchange is one serial steady-state collect over
 // loopback TCP: what a stage costs when nothing overlaps it — two
 // writes, two reads and three goroutine hand-offs (to the server, to
-// the client's demux goroutine, back to the caller).
+// the client's reader goroutine, back to the caller).
 func BenchmarkFrameExchange(b *testing.B) {
 	_, h := servedOverTCP(b, clock.NewSim(epoch))
 	var dst stage.Stats

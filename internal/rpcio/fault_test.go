@@ -100,7 +100,7 @@ func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 		want := b.Delays()
 		clk := newSleepRecorder()
 		cfg := defaultDialConfig()
-		cfg.clk, cfg.backoff, cfg.dialer = clk, b, &frameDialer{}
+		cfg.clk, cfg.backoff = clk, b
 		h := NewStageHandle(newFrameTransport(dead, cfg))
 		for exchange := 0; exchange < 2; exchange++ {
 			if _, err := collect(h); err == nil {

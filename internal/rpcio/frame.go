@@ -1,34 +1,33 @@
-// Client half of the multiplexed frame transport.
+// Client half of the frame transport.
 //
-// One TCP connection per endpoint carries any number of logical stage
-// conversations: every request frame names a stream (a per-connection
-// nonce routing the reply back to its waiter) and a channel (selecting
-// one of the services multiplexed behind the listener). A single demux
-// goroutine per connection reads reply frames and hands each payload to
-// the waiting call; replies for unknown streams — duplicates injected
-// by a flaky wire, or stragglers from a timed-out call — are consumed
-// and dropped, never misdelivered.
+// Every transport owns one TCP connection to a single-service endpoint
+// (a stage's control service, or the registrar). A request frame names
+// a stream — a per-connection sequence number the reply echoes — and a
+// reader goroutine per connection reads reply frames and hands the
+// payload of the one awaited stream to the waiting call; replies for
+// any other stream — duplicates injected by a flaky wire, or stragglers
+// from a timed-out call — are consumed and dropped, never misdelivered.
 //
 // An exchange is two halves (Transport.Start, Transport.Finish): the
 // first encodes, registers the stream and writes the frame, the second
-// waits for the demux goroutine's signal and decodes — so a caller
+// waits for the reader goroutine's signal and decodes — so a caller
 // driving many stages has every request on the wire before it waits for
 // the first reply, and by the time it gathers most replies are already
 // buffered in their calls. A transport carries one exchange at a time,
-// so it owns exactly one call, which the attach handshake and every
-// exchange reuse.
+// so it owns exactly one call, which every exchange reuses, and its
+// connection has at most one call waiting and one writer.
 //
 // Failure handling: every call runs under the transport's deadline on
 // its injected clock, counted from the send. The deadline's timer — one
 // the call owns and re-arms, so it costs no allocation — is armed only
 // when the second half actually has to block, for what is left of the
 // deadline; requests sent together to hung peers therefore expire
-// together. A timeout or I/O error kills the whole connection
-// (completing every pending call with the error), and the next call
-// redials; a blocking exchange (Exec) separates its attempts by the
-// transport's backoff schedule, materialized once when the transport was
-// built. RemoteError — the peer answered with an application error — is
-// returned without retry. Frames are written with a single Write call, so fault
+// together. A timeout or I/O error kills the connection (completing the
+// waiting call with the error), and the next call redials; a blocking
+// exchange (Exec) separates its attempts by the transport's backoff
+// schedule, materialized once when the transport was built. RemoteError
+// — the peer answered with an application error — is returned without
+// retry. Frames are written with a single Write call, so fault
 // injectors operating at write granularity (the tests' FlakyConn) drop or
 // duplicate whole frames, never fragments.
 package rpcio
@@ -47,9 +46,10 @@ import (
 
 // frameCall is one transport's request rendezvous: the reader goroutine
 // delivers the reply payload into buf and signals ch. Completion is
-// exactly-once (whoever removes the call from the pending map completes
-// it) and the call is reused only after that one signal was consumed,
-// so the call and its buffers serve every exchange of its transport.
+// exactly-once (whoever takes the call out of its connection's waiting
+// slot completes it) and the call is reused only after that one signal
+// was consumed, so the call and its buffers serve every exchange of its
+// transport.
 type frameCall struct {
 	ch   chan struct{} // buffered(1); one signal per completion
 	kind uint8
@@ -71,67 +71,71 @@ type frameCall struct {
 	reply any
 }
 
-// frameConn is one multiplexed connection shared by every transport
-// dialing the same endpoint. It is owned by a frameDialer, which
-// refcounts it; the last transport to close releases the socket.
+// frameConn is one transport's connection. Its transport writes to it
+// one frame at a time; its reader goroutine completes the waiting call.
 type frameConn struct {
 	addr string
 	conn net.Conn
 	br   *bufio.Reader
-	d    *frameDialer
 
-	// wmu serializes frame writes; each frame is one conn.Write.
-	wmu sync.Mutex
-
-	mu         sync.Mutex
-	nextStream uint64
-	pending    map[uint64]*frameCall
-	channels   map[string]uint32 // attach cache: stage ID → channel
-	dead       bool
-	err        error
-
-	// refs is guarded by the dialer's mutex (see frameDialer).
-	refs int
+	mu sync.Mutex
+	// stream is the last stream ID sent, and waiting the call awaiting
+	// its reply (nil when none is).
+	stream  uint64
+	waiting *frameCall
+	dead    bool
+	err     error
 
 	readerDone chan struct{}
 }
 
-// register assigns a fresh stream ID and parks the call in the pending
-// map. It fails if the connection already died.
+// dialFrameConn connects to addr and starts the connection's reader
+// goroutine, which exits (closing readerDone) when the connection dies.
+func dialFrameConn(addr string, dialTO time.Duration) (*frameConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTO)
+	if err != nil {
+		return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
+	}
+	fc := &frameConn{
+		addr:       addr,
+		conn:       conn,
+		br:         bufio.NewReader(conn),
+		readerDone: make(chan struct{}),
+	}
+	go func() {
+		defer close(fc.readerDone)
+		fc.readLoop()
+	}()
+	return fc, nil
+}
+
+// register assigns a fresh stream ID and parks the call in the waiting
+// slot. It fails if the connection already died.
 func (fc *frameConn) register(call *frameCall) (uint64, error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if fc.dead {
 		return 0, fc.err
 	}
-	fc.nextStream++
-	s := fc.nextStream
-	fc.pending[s] = call
-	return s, nil
+	fc.stream++
+	fc.waiting = call
+	return fc.stream, nil
 }
 
-// forget removes a call that never made it onto the wire and reports
-// whether it was still pending: false means a kill got to it first and
+// forget takes back a call that never made it onto the wire and reports
+// whether it was still waiting: false means a kill got to it first and
 // is completing it.
-func (fc *frameConn) forget(stream uint64) bool {
+func (fc *frameConn) forget() bool {
 	fc.mu.Lock()
-	_, pending := fc.pending[stream]
-	delete(fc.pending, stream)
+	waiting := fc.waiting != nil
+	fc.waiting = nil
 	fc.mu.Unlock()
-	return pending
+	return waiting
 }
 
-// send writes one whole frame with a single Write.
-func (fc *frameConn) send(frame []byte) error {
-	fc.wmu.Lock()
-	_, err := fc.conn.Write(frame)
-	fc.wmu.Unlock()
-	return err
-}
-
-// kill tears the connection down once: marks it dead, completes every
-// pending call with err, closes the socket, and removes the connection
-// from its dialer so the next call dials fresh.
+// kill tears the connection down once: marks it dead, completes the
+// waiting call with err and closes the socket, so the next call dials
+// fresh.
 func (fc *frameConn) kill(err error) {
 	fc.mu.Lock()
 	if fc.dead {
@@ -140,17 +144,22 @@ func (fc *frameConn) kill(err error) {
 	}
 	fc.dead = true
 	fc.err = err
-	pending := fc.pending
-	fc.pending = make(map[uint64]*frameCall)
+	call := fc.waiting
+	fc.waiting = nil
 	fc.mu.Unlock()
-	for _, call := range pending {
+	if call != nil {
 		call.err = err
 		call.ch <- struct{}{}
 	}
 	// The connection is being discarded; its close error is subsumed by
 	// the error that killed it.
 	_ = fc.conn.Close()
-	fc.d.remove(fc)
+}
+
+// close kills the connection and waits for its reader goroutine.
+func (fc *frameConn) close(err error) {
+	fc.kill(err)
+	<-fc.readerDone
 }
 
 func (fc *frameConn) isDead() bool {
@@ -159,9 +168,8 @@ func (fc *frameConn) isDead() bool {
 	return fc.dead
 }
 
-// readLoop is the demux goroutine: it routes each reply frame's payload
-// to its stream's waiter and exits (closing readerDone) when the
-// connection dies.
+// readLoop is the reader goroutine: it hands the awaited stream's reply
+// payload to the waiting call and exits when the connection dies.
 func (fc *frameConn) readLoop() {
 	var hdr [frameHeaderLen]byte
 	var discard []byte
@@ -176,9 +184,11 @@ func (fc *frameConn) readLoop() {
 			return
 		}
 		fc.mu.Lock()
-		call := fc.pending[h.stream]
-		if call != nil {
-			delete(fc.pending, h.stream)
+		call := fc.waiting
+		if call != nil && h.stream == fc.stream {
+			fc.waiting = nil
+		} else {
+			call = nil
 		}
 		fc.mu.Unlock()
 		if call == nil {
@@ -210,129 +220,10 @@ func (fc *frameConn) readLoop() {
 	}
 }
 
-// channelFor resolves the wire channel for a stage on this connection,
-// performing the attach handshake on first use. An empty stage ID means
-// the endpoint's default (sole) service on channel 0.
-func (fc *frameConn) channelFor(t *frameTransport, stageID string) (uint32, error) {
-	if stageID == "" {
-		return 0, nil
-	}
-	fc.mu.Lock()
-	ch, ok := fc.channels[stageID]
-	fc.mu.Unlock()
-	if ok {
-		return ch, nil
-	}
-	call := &t.call
-	call.wbuf = append(frameStart(call.wbuf), stageID...)
-	if err := t.roundTrip(fc, call, methodAttach, 0); err != nil {
-		return 0, err
-	}
-	if call.kind == frameError {
-		return 0, RemoteError(string(call.buf))
-	}
-	r := wireReader{buf: call.buf}
-	ch = uint32(r.uvarint())
-	if err := r.done(); err != nil {
-		return 0, fmt.Errorf("rpcio: %s: attach %q: %w", fc.addr, stageID, err)
-	}
-	fc.mu.Lock()
-	fc.channels[stageID] = ch
-	fc.mu.Unlock()
-	return ch, nil
-}
-
-// frameDialer pools one frameConn per endpoint address: however many
-// stages a controller drives behind one endpoint, they share
-// a single TCP connection. Connections are refcounted by the transports
-// using them; the last Close releases the socket.
-type frameDialer struct {
-	mu    sync.Mutex
-	conns map[string]*frameConn
-}
-
-// defaultFrameDialer is the process-wide pool DialStage uses.
-var defaultFrameDialer = &frameDialer{}
-
-// acquire returns the live connection to addr, dialing one if needed,
-// with the caller's reference counted.
-func (d *frameDialer) acquire(addr string, dialTO time.Duration) (*frameConn, error) {
-	d.mu.Lock()
-	if fc := d.conns[addr]; fc != nil && !fc.isDead() {
-		fc.refs++
-		d.mu.Unlock()
-		return fc, nil
-	}
-	d.mu.Unlock()
-
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
-	}
-	fc := &frameConn{
-		addr:       addr,
-		conn:       conn,
-		br:         bufio.NewReader(conn),
-		d:          d,
-		pending:    make(map[uint64]*frameCall),
-		channels:   make(map[string]uint32),
-		readerDone: make(chan struct{}),
-	}
-
-	d.mu.Lock()
-	if existing := d.conns[addr]; existing != nil && !existing.isDead() {
-		// A concurrent dial won; use its connection.
-		existing.refs++
-		d.mu.Unlock()
-		_ = conn.Close()
-		return existing, nil
-	}
-	if d.conns == nil {
-		d.conns = make(map[string]*frameConn)
-	}
-	d.conns[addr] = fc
-	fc.refs = 1
-	d.mu.Unlock()
-	// The demux goroutine exits when the connection dies (kill closes the
-	// socket, failing its blocking read); readerDone is the join point
-	// release waits on.
-	go func() {
-		defer close(fc.readerDone)
-		fc.readLoop()
-	}()
-	return fc, nil
-}
-
-// release drops one reference; the last one kills the connection.
-func (d *frameDialer) release(fc *frameConn) {
-	d.mu.Lock()
-	fc.refs--
-	last := fc.refs == 0
-	d.mu.Unlock()
-	if last {
-		fc.kill(fmt.Errorf("rpcio: stage %s: connection closed", fc.addr))
-		<-fc.readerDone
-	}
-}
-
-// remove forgets a dead connection so the next acquire dials fresh.
-func (d *frameDialer) remove(fc *frameConn) {
-	d.mu.Lock()
-	if d.conns[fc.addr] == fc {
-		delete(d.conns, fc.addr)
-	}
-	d.mu.Unlock()
-}
-
-// frameTransport implements Transport over a (shared) frameConn. Byte
-// accounting is per transport — each call's frames are attributed to
-// the transport that issued them — so a controller summing its
-// connections' WireStats sees exact per-stage traffic even when many
-// stages share one socket.
+// frameTransport implements Transport over its own frameConn, redialed
+// whenever the last one died.
 type frameTransport struct {
 	addr    string
-	stageID string
-	d       *frameDialer
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
@@ -347,20 +238,14 @@ type frameTransport struct {
 	fc     *frameConn
 	closed bool
 
-	// call is the transport's one exchange: the attach handshake and
-	// every Start/Finish pair use it in turn.
+	// call is the transport's one exchange: every Start/Finish pair uses
+	// it in turn.
 	call frameCall
 }
 
 func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
-	d := cfg.dialer
-	if d == nil {
-		d = defaultFrameDialer
-	}
 	return &frameTransport{
 		addr:    addr,
-		stageID: cfg.stageID,
-		d:       d,
 		clk:     cfg.clk,
 		timeout: cfg.timeout,
 		dialTO:  cfg.dialTO,
@@ -378,13 +263,19 @@ func (t *frameTransport) WireStats() WireStats {
 	}
 }
 
-// ensureConn returns the transport's live shared connection, acquiring
-// a fresh one from the dialer when the previous died.
+func (t *frameTransport) errClosed() error {
+	return fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
+}
+
+// ensureConn returns the transport's live connection, dialing a fresh
+// one when the previous died. Only the goroutine running the exchange
+// calls it, so two dials never race; a Close racing a dial wins, and the
+// fresh connection is closed.
 func (t *frameTransport) ensureConn() (*frameConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
+		return nil, t.errClosed()
 	}
 	if t.fc != nil && !t.fc.isDead() {
 		fc := t.fc
@@ -395,29 +286,22 @@ func (t *frameTransport) ensureConn() (*frameConn, error) {
 	t.fc = nil
 	t.mu.Unlock()
 	if old != nil {
-		t.d.release(old)
+		<-old.readerDone // dead: its socket is closed, so the reader is leaving
 	}
 
-	fc, err := t.d.acquire(t.addr, t.dialTO)
+	fc, err := dialFrameConn(t.addr, t.dialTO)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
-	switch {
-	case t.closed:
+	if t.closed {
 		t.mu.Unlock()
-		t.d.release(fc)
-		return nil, fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
-	case t.fc != nil && !t.fc.isDead():
-		existing := t.fc
-		t.mu.Unlock()
-		t.d.release(fc)
-		return existing, nil
-	default:
-		t.fc = fc
-		t.mu.Unlock()
-		return fc, nil
+		fc.close(t.errClosed())
+		return nil, t.errClosed()
 	}
+	t.fc = fc
+	t.mu.Unlock()
+	return fc, nil
 }
 
 // frameStart resets b to a frame assembly buffer: empty payload after a
@@ -432,24 +316,23 @@ func frameStart(b []byte) []byte {
 // by the encoded payload; see frameStart) with one Write. An error means
 // the call is not in flight — nothing will signal it — and the
 // connection is dead.
-func (t *frameTransport) send(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
+func (t *frameTransport) send(fc *frameConn, call *frameCall, m methodID) error {
 	stream, err := fc.register(call)
 	if err != nil {
 		return err
 	}
 	frame := call.wbuf
 	putFrameHeader(frame[:frameHeaderLen], frameHeader{
-		kind:    frameRequest,
-		method:  m,
-		stream:  stream,
-		channel: channel,
-		length:  uint32(len(frame) - frameHeaderLen),
+		kind:   frameRequest,
+		method: m,
+		stream: stream,
+		length: uint32(len(frame) - frameHeaderLen),
 	})
 	if t.timeout > 0 {
 		call.sent = t.clk.Now()
 	}
-	if err := fc.send(frame); err != nil {
-		if !fc.forget(stream) {
+	if _, err := fc.conn.Write(frame); err != nil {
+		if !fc.forget() {
 			<-call.ch // a racing kill completed the call: take its signal
 		}
 		err = fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err)
@@ -463,11 +346,11 @@ func (t *frameTransport) send(fc *frameConn, call *frameCall, m methodID, channe
 // await is a sent call's second half: it takes the call's one
 // completion signal, blocking under what is left of the deadline only
 // when the reply has not already arrived. The reply lands in call.buf —
-// a distinct buffer from wbuf, so the demux goroutine never touches
-// memory conn.Write may still be reading. On timeout the whole
-// connection is killed — a late reply on a stream with no waiter would
-// be discarded by the demux loop, but the connection's framing state
-// can no longer be trusted to be timely.
+// a distinct buffer from wbuf, so the reader goroutine never touches
+// memory conn.Write may still be reading. On timeout the connection is
+// killed — a late reply on a stream with no waiter would be discarded
+// by the reader, but the connection can no longer be trusted to be
+// timely.
 func (t *frameTransport) await(fc *frameConn, call *frameCall, m methodID) error {
 	select {
 	case <-call.ch:
@@ -504,24 +387,12 @@ func (t *frameTransport) block(fc *frameConn, call *frameCall, m methodID) {
 	// A nil error here means the reply raced the deadline and won.
 }
 
-// roundTrip is send then await, for the exchanges the transport makes
-// on its own behalf (the attach handshake).
-func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
-	if err := t.send(fc, call, m, channel); err != nil {
-		return err
-	}
-	return t.await(fc, call, m)
-}
-
 // methodName renders a methodID for error messages.
 func methodName(m methodID) string {
 	for name, id := range methodIDs {
 		if id == m {
 			return name
 		}
-	}
-	if m == methodAttach {
-		return "attach"
 	}
 	return fmt.Sprintf("method(%d)", m)
 }
@@ -535,9 +406,8 @@ func discard(fc *frameConn, err error) error {
 	return err
 }
 
-// Start implements Transport: dial if the last connection died, resolve
-// the channel, encode, register, write. A failure leaves its error in
-// the call for Finish.
+// Start implements Transport: dial if the last connection died, encode,
+// register, write. A failure leaves its error in the call for Finish.
 func (t *frameTransport) Start(method string, args, reply any) {
 	c := &t.call
 	m, ok := methodIDs[method]
@@ -551,12 +421,9 @@ func (t *frameTransport) Start(method string, args, reply any) {
 		return
 	}
 	t.calls.Add(1)
-	channel, err := fc.channelFor(t, t.stageID)
+	c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args)
 	if err == nil {
-		c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args)
-	}
-	if err == nil {
-		err = t.send(fc, c, m, channel)
+		err = t.send(fc, c, m)
 	}
 	if err != nil {
 		c.err = discard(fc, err)
@@ -574,7 +441,7 @@ func (t *frameTransport) Finish() error {
 	if fc == nil {
 		err = c.err // Start put nothing on the wire
 	} else {
-		// c.err is the demux goroutine's until await took the signal.
+		// c.err is the reader goroutine's until await took the signal.
 		err = t.await(fc, c, c.m)
 		if err == nil {
 			switch c.kind {
@@ -608,9 +475,8 @@ func (t *frameTransport) isClosed() bool {
 	return t.closed
 }
 
-// Close implements Transport: it releases this transport's reference on
-// the shared connection; the socket itself closes when the last sharer
-// leaves.
+// Close implements Transport: it closes the connection and waits for
+// its reader goroutine.
 func (t *frameTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -622,7 +488,7 @@ func (t *frameTransport) Close() error {
 	t.fc = nil
 	t.mu.Unlock()
 	if fc != nil {
-		t.d.release(fc)
+		fc.close(t.errClosed())
 	}
 	return nil
 }

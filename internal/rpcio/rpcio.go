@@ -51,7 +51,7 @@ type StageService struct {
 }
 
 // NewStageService wraps a stage for serving, either over a listener
-// (FrameServer.Add, then ServeMux) or in process (NewEncodedLoopback).
+// (ServeStageService) or in process (NewEncodedLoopback).
 func NewStageService(stg *stage.Stage) *StageService {
 	return &StageService{stg: stg, epoch: newEpoch()}
 }
@@ -147,24 +147,18 @@ func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func(
 	}
 }
 
-// ServeStage starts serving the stage's control service on l. It
-// returns immediately; the returned stop function closes the listener
-// and every in-flight connection, then waits for all serving goroutines
-// to exit.
-func ServeStage(l net.Listener, stg *stage.Stage) (stop func()) {
-	fs := NewFrameServer()
-	fs.Add(NewStageService(stg))
-	return ServeMux(l, fs)
+// ServeStageService starts serving svc on l over the frame protocol,
+// one listener per service. It returns immediately; the returned stop
+// function closes the listener and every in-flight connection, then
+// waits for all serving goroutines to exit.
+func ServeStageService(l net.Listener, svc *StageService) (stop func()) {
+	return serveBounded(l, frameTarget{stage: svc}.serveConn, maxConns)
 }
 
-// ServeMux serves many stages' services behind one listener over the
-// frame protocol: clients resolve a stage ID to a channel with the
-// attach handshake and multiplex all their calls over one connection
-// per endpoint. Register services with fs.Add before or after this
-// call; a caller that keeps its StageService (for Served counters)
-// serves it this way, as a one-service FrameServer.
-func ServeMux(l net.Listener, fs *FrameServer) (stop func()) {
-	return serveBounded(l, fs.serveFrameConn, maxConns)
+// ServeStage serves the stage's control service on l; see
+// ServeStageService.
+func ServeStage(l net.Listener, stg *stage.Stage) (stop func()) {
+	return ServeStageService(l, NewStageService(stg))
 }
 
 // Default deadlines for control-plane RPCs. A single hung peer must
@@ -203,11 +197,9 @@ type StageHandle struct {
 }
 
 // DialStage connects to a stage's control service over TCP. The wire is
-// the versioned binary frame codec, multiplexed: every handle to the
-// same endpoint address shares one TCP connection (frames carry stream
-// IDs; a demux goroutine routes replies), and each handle has at most
-// one Stage.Batch exchange on it at a time. WithMuxStage routes calls to
-// a named stage on a multi-stage (ServeMux) endpoint.
+// the versioned binary frame codec; the handle owns its connection
+// (redialed when it dies) and has at most one Stage.Batch exchange on
+// it at a time.
 func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	cfg := defaultDialConfig()
 	for _, o := range opts {
@@ -248,11 +240,10 @@ type registrar struct {
 // for each arriving stage — its error travels back to the stage as the
 // call's error — and onDeregister (may be nil) on departures.
 // Connection handling is bounded and stop is deterministic; see
-// ServeStage.
+// ServeStageService.
 func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string)) (stop func()) {
-	fs := NewFrameServer()
-	fs.add("registrar", frameTarget{reg: &registrar{onRegister: onRegister, onDeregister: onDeregister}})
-	return ServeMux(l, fs)
+	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister}
+	return serveBounded(l, frameTarget{reg: reg}.serveConn, maxConns)
 }
 
 // registrarCall performs one exchange with the control plane's
@@ -264,7 +255,7 @@ func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDereg
 // heartbeat paths from hanging on a dead controller.
 func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
 	cfg := defaultDialConfig()
-	cfg.timeout, cfg.dialTO, cfg.backoff, cfg.dialer = callTO, dialTO, Backoff{}, &frameDialer{}
+	cfg.timeout, cfg.dialTO, cfg.backoff = callTO, dialTO, Backoff{}
 	t := newFrameTransport(addr, cfg)
 	// Closing a one-shot transport after its exchange reports nothing.
 	defer func() { _ = t.Close() }()

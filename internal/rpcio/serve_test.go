@@ -48,10 +48,7 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 // TestMaxConnsBoundsConcurrentClients drives serveBounded with a single
 // connection slot. A second client can complete the TCP handshake (kernel backlog)
 // but its calls go unanswered until the first client releases the slot.
-// The second client gets a private frame dialer: the default pool would
-// share the first client's multiplexed connection (the mux's whole
-// point), and this test needs two real sockets. Its deadline runs on a
-// simulated clock, so "goes unanswered" is the deadline the test fires,
+// The second client's deadline runs on a simulated clock, so "goes unanswered" is the deadline the test fires,
 // and "served once the slot frees up" is a call that simply returns.
 func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
@@ -59,9 +56,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFrameServer()
-	fs.Add(NewStageService(stg))
-	stop := serveBounded(l, fs.serveFrameConn, 1)
+	stop := serveBounded(l, frameTarget{stage: NewStageService(stg)}.serveConn, 1)
 	defer stop()
 
 	a, err := DialStage(l.Addr().String())
@@ -77,8 +72,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	b, err := DialStage(l.Addr().String(),
 		WithHandleClock(clk),
 		WithCallTimeout(timeout),
-		WithBackoff(Backoff{Attempts: 1}),
-		func(c *dialConfig) { c.dialer = &frameDialer{} })
+		WithBackoff(Backoff{Attempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,30 +113,34 @@ func TestStopRefusesLateConnections(t *testing.T) {
 	}
 }
 
-// TestFrameServerRefusesMisaddressedCalls: a call the channel cannot
-// take is answered with an error frame, never dispatched. Method 8 was
-// the stage health probe until wire v5, methods 10 and 11 the
-// aggregator tier's until v4, and all three must now read as unknown; a
-// method this build knows, sent to a channel hosting the other kind of
-// service, names both kinds.
+// TestFrameServerRefusesMisaddressedCalls: a call the endpoint cannot
+// take is answered with an error frame, never dispatched. Method 1 was
+// the stage mux's attach handshake, method 8 the stage health probe
+// until wire v5, methods 10 and 11 the aggregator tier's until v4, and
+// all four must now read as unknown; the channel field is reserved, so
+// a call on any channel but 0 finds no service; and a method this build
+// knows, sent to an endpoint hosting the other kind of service, names
+// both kinds.
 func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
-	fs := NewFrameServer()
-	fs.Add(NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))))
+	svc := frameTarget{stage: NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))}
 	client, server := net.Pipe()
 	defer client.Close()
-	go fs.serveFrameConn(server)
+	go svc.serveConn(server)
 
 	for _, tc := range []struct {
-		method methodID
-		want   string
+		method  methodID
+		channel uint32
+		want    string
 	}{
-		{8, "rpcio: unknown method 8"},
-		{10, "rpcio: unknown method 10"},
-		{11, "rpcio: unknown method 11"},
-		{methodRegister, "rpcio: channel 0 hosts a stage, not the registrar"},
+		{1, 0, "rpcio: unknown method 1"},
+		{8, 0, "rpcio: unknown method 8"},
+		{10, 0, "rpcio: unknown method 10"},
+		{11, 0, "rpcio: unknown method 11"},
+		{methodBatch, 1, "rpcio: no service on channel 1"},
+		{methodRegister, 0, "rpcio: channel 0 hosts a stage, not the registrar"},
 	} {
 		req := make([]byte, frameHeaderLen)
-		putFrameHeader(req, frameHeader{kind: frameRequest, method: tc.method, stream: 7})
+		putFrameHeader(req, frameHeader{kind: frameRequest, method: tc.method, stream: 7, channel: tc.channel})
 		if _, err := client.Write(req); err != nil {
 			t.Fatal(err)
 		}
@@ -159,41 +157,8 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.kind != frameError || h.stream != 7 || string(payload) != tc.want {
-			t.Errorf("method %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
-				tc.method, h.kind, h.stream, payload, tc.want)
-		}
-	}
-}
-
-// TestFrameServerPublishesTargetsCopyOnWrite: Add publishes a fresh
-// channel table that nobody writes again, so a frame's lookup can read
-// the newest entry with one atomic load and no lock while another
-// service is being added. Under -race, an Add that filled in its entry
-// after publishing the table is reported here as a data race.
-func TestFrameServerPublishesTargetsCopyOnWrite(t *testing.T) {
-	const adds = 2000
-	fs := NewFrameServer()
-	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
-	fs.Add(svc)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < adds; i++ {
-			fs.Add(svc)
-		}
-	}()
-	for {
-		newest := uint32(len(*fs.targets.Load()) - 1)
-		if tgt, ok := fs.lookup(newest); !ok || tgt.stage != svc {
-			t.Fatalf("channel %d resolved to %+v, %v; want the service just added", newest, tgt, ok)
-		}
-		select {
-		case <-done:
-			if n := len(*fs.targets.Load()); n != adds+1 {
-				t.Fatalf("%d channels after %d adds", n, adds+1)
-			}
-			return
-		default:
+			t.Errorf("method %d on channel %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
+				tc.method, tc.channel, h.kind, h.stream, payload, tc.want)
 		}
 	}
 }

@@ -75,8 +75,6 @@ type dialConfig struct {
 	timeout time.Duration
 	dialTO  time.Duration
 	backoff Backoff
-	stageID string
-	dialer  *frameDialer
 }
 
 func defaultDialConfig() dialConfig {
@@ -112,34 +110,8 @@ func WithHandleClock(clk clock.Clock) DialOption {
 	return func(c *dialConfig) { c.clk = clk }
 }
 
-// WithMuxStage names the stage to address on a multi-stage (ServeMux)
-// endpoint: the handle resolves the ID to a frame channel with the
-// attach handshake and shares the endpoint's one connection with every
-// other handle.
-func WithMuxStage(stageID string) DialOption {
-	return func(c *dialConfig) { c.stageID = stageID }
-}
-
 // LoopbackAddr names an EncodedLoopback peer in its errors.
 const LoopbackAddr = "loopback"
-
-// FrameDir distinguishes the two directions a fault hook can intercept
-// on an EncodedLoopback.
-type FrameDir uint8
-
-const (
-	// FrameRequest is the client→service direction: a dropped request
-	// never reaches the service (no state changes).
-	FrameRequest FrameDir = iota
-	// FrameReply is the service→client direction: a dropped reply means
-	// the service already applied the call but the client never learned
-	// — the case that forces a delta-protocol full resync.
-	FrameReply
-)
-
-// FrameFault inspects one frame about to cross an EncodedLoopback and
-// may return an error to simulate losing it at that frame boundary.
-type FrameFault func(dir FrameDir, method string) error
 
 // EncodedLoopback is the in-process transport that still pays the wire:
 // every call round-trips through the binary frame codec — encode args,
@@ -148,15 +120,13 @@ type FrameFault func(dir FrameDir, method string) error
 // accounting but no socket and no goroutine handoff. Deterministic and
 // single-threaded per call, it is what every in-process stage runs on,
 // the simulated clusters behind the paper's figures included: the
-// codec's cost and its bugs are in the loop, the kernel's are not. A
-// FrameFault hook injects losses at frame granularity.
+// codec's cost and its bugs are in the loop, the kernel's are not.
 type EncodedLoopback struct {
 	mu     sync.Mutex
-	fs     *FrameServer
+	svc    frameTarget
 	sess   frameSession
 	enc    []byte
 	rep    []byte
-	fault  FrameFault
 	closed bool
 	// outcome is the started exchange's result, which Finish hands over.
 	outcome error
@@ -169,22 +139,13 @@ type EncodedLoopback struct {
 // NewEncodedLoopback returns a codec-exercising in-process transport
 // bound to svc.
 func NewEncodedLoopback(svc *StageService) *EncodedLoopback {
-	fs := NewFrameServer()
-	fs.Add(svc)
-	return &EncodedLoopback{fs: fs}
+	return &EncodedLoopback{svc: frameTarget{stage: svc}}
 }
 
 // EncodedLoopbackStage returns a handle driving svc through the binary
 // codec in process; see EncodedLoopback.
 func EncodedLoopbackStage(svc *StageService) *StageHandle {
 	return NewStageHandle(NewEncodedLoopback(svc))
-}
-
-// SetFault installs (or, with nil, removes) the frame-loss hook.
-func (l *EncodedLoopback) SetFault(f FrameFault) {
-	l.mu.Lock()
-	l.fault = f
-	l.mu.Unlock()
 }
 
 // WireStats implements Transport: bytes are exact frame bytes both
@@ -247,18 +208,13 @@ func (l *EncodedLoopback) exchange(method string, args, reply any) error {
 		length: uint32(len(frame) - frameHeaderLen),
 	})
 	l.bytesWritten += uint64(len(frame))
-	if l.fault != nil {
-		if err := l.fault(FrameRequest, method); err != nil {
-			return err // request lost before the service saw it
-		}
-	}
 
 	h, err := parseFrameHeader(frame[:frameHeaderLen])
 	if err != nil {
 		return err
 	}
 	l.sess.payload = frame[frameHeaderLen:]
-	rep, kind := l.fs.handleCall(&l.sess, h, frameStart(l.rep))
+	rep, kind := l.svc.handleCall(&l.sess, h, frameStart(l.rep))
 	l.rep = rep
 	putFrameHeader(rep[:frameHeaderLen], frameHeader{
 		kind:   kind,
@@ -267,11 +223,6 @@ func (l *EncodedLoopback) exchange(method string, args, reply any) error {
 		length: uint32(len(rep) - frameHeaderLen),
 	})
 	l.bytesRead += uint64(len(rep))
-	if l.fault != nil {
-		if err := l.fault(FrameReply, method); err != nil {
-			return err // reply lost after the service applied the call
-		}
-	}
 
 	if kind == frameError {
 		return RemoteError(string(rep[frameHeaderLen:]))

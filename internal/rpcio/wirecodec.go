@@ -14,7 +14,7 @@
 //	     6     1  method  methodID
 //	     7     1  flags   reserved, zero
 //	     8     8  stream  caller-chosen id routing the reply
-//	    16     4  channel service selector on a multiplexed listener
+//	    16     4  channel reserved, zero (a listener serves one service)
 //	    20     4  length  payload byte count (bounded by maxFramePayload)
 //	    24     …  payload
 //
@@ -88,10 +88,11 @@ const (
 type methodID uint8
 
 const (
-	// methodAttach is the mux handshake: request payload is the raw
-	// stage-ID bytes, reply payload is the uvarint channel to address
-	// that stage's service on this listener.
-	methodAttach methodID = iota + 1
+	// 1 was the stage mux's attach handshake, retired within wire v5
+	// (no header or struct schema changed): every listener serves one
+	// service on channel 0, and a peer still attaching is answered
+	// "unknown method 1".
+	_ methodID = iota + 1
 	// 2-7 were the per-call stage methods (ApplyRule, RemoveRule,
 	// SetRate, Collect, SetMode, Ping), retired in wire v3: a single
 	// operation is a one-op Stage.Batch. The numbers stay reserved so

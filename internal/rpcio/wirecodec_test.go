@@ -307,7 +307,7 @@ func TestEmptyDeltaEncodesSmall(t *testing.T) {
 // TestHandleEquivalenceProperty is the multi-handle analogue of
 // TestDeltaCollectMatchesDirectCollect: one stage served over TCP, two
 // independent handles collecting it (each with its own delta state over
-// the shared multiplexed connection), and a direct in-process Collect
+// its own connection), and a direct in-process Collect
 // as ground truth. After every mutation all three snapshots must be
 // codec-byte-identical. Halfway through, the
 // server is torn down and rebuilt on the same port with a fresh stage

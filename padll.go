@@ -317,9 +317,7 @@ func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 		return fmt.Errorf("padll: listen %s: %w", addr, err)
 	}
 	svc := rpcio.NewStageService(dp.stg)
-	fs := rpcio.NewFrameServer()
-	fs.Add(svc)
-	stop := rpcio.ServeMux(l, fs)
+	stop := rpcio.ServeStageService(l, svc)
 	listenAddr := l.Addr().String()
 	if controllerAddr != "" {
 		// The controller dials back while registering, so the service is
