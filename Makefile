@@ -48,7 +48,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Control-plane packages, the layers that forward a request in place
+# Control-plane packages with the chaos harness and the cluster
+# simulator that drive them, the layers that forward a request in place
 # (shim, router), and the PFS model with its namespace (pfs holds its own
 # mutex around calls that take localfs's lock, and OST transfers wait
 # outside both), under the race detector, twice: -count=2 defeats the
@@ -56,20 +57,22 @@ test:
 # determinism tests are meant to be run.
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
+		./internal/chaos/... ./internal/sim/... \
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/... ./internal/leaktest/...
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane, every layer of the lock-free admit
-# path, and the packages whose tests park goroutines on a simulated
-# clock, the experiment goldens among them (their IOR and mdtest ranks
-# run under clock.Sim.Drive) — ten times each at 1, 2 and 4 Ps. A test
+# path, and the packages whose tests run on a simulated clock, the
+# cluster simulator and the experiment goldens among them (their IOR and
+# mdtest ranks run under clock.Sim.Drive) — ten times each at 1, 2 and
+# 4 Ps. A test
 # that only passes at the baseline box's core count or speed fails
 # here, before it merges, instead of on the next machine it meets.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
 		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
 		./internal/clock/... ./internal/pfs/... ./internal/monitor/... ./internal/leaktest/... \
-		./internal/experiments/... ./internal/ior/... ./internal/mdtest/...
+		./internal/sim/... ./internal/experiments/... ./internal/ior/... ./internal/mdtest/...
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
@@ -175,7 +178,7 @@ ci:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/... ./internal/rpcio/... \
-		./internal/tokenbucket/... ./internal/osfs/...
+		./internal/tokenbucket/... ./internal/osfs/... ./internal/control/...
 	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff

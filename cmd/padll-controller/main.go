@@ -126,11 +126,10 @@ func printReport(cp *padll.ControlPlane) {
 		fmt.Println("  (no registered jobs)")
 		return
 	}
-	alloc := cp.LastAllocation()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].JobID < snaps[j].JobID })
 	for _, s := range snaps {
 		line := fmt.Sprintf("  job %-12s stages=%d demand=%8.0f throughput=%8.0f allocated=%8.0f",
-			s.JobID, s.Stages, s.Demand, s.Throughput, alloc[s.JobID])
+			s.JobID, s.Stages, s.Demand, s.Throughput, s.Allocated)
 		if s.DegradedStages > 0 {
 			line += fmt.Sprintf(" degraded=%d", s.DegradedStages)
 		}

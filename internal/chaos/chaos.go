@@ -1,9 +1,10 @@
 // Package chaos is a deterministic fault-injection harness for PADLL's
-// control plane. It assembles a controller and a set of stages entirely
-// in-process on a simulated clock, then drives a scripted (and
-// seed-randomized) schedule of failures — controller crashes mid-round,
-// stage crashes mid-collect, network partitions that later heal — while
-// recording every observable transition in an event log.
+// control plane. It assembles a controller (Priority allocation, one
+// round per Interval) and a set of stages entirely in-process on a
+// simulated clock, then drives a scripted (and seed-randomized) schedule
+// of failures — controller crashes mid-round, stage crashes mid-collect,
+// network partitions that later heal — while recording every observable
+// transition in an event log.
 //
 // Everything is single-threaded and clock-driven: two runs with the same
 // seed produce byte-identical event logs, which is what lets the chaos
@@ -39,21 +40,26 @@ var ErrControllerDown = errors.New("chaos: controller is down")
 // delta protocol must answer with a full-snapshot resync.
 var ErrReplyLost = errors.New("chaos: reply frame lost")
 
+// Interval is the control-loop period: the harness runs one control
+// round, and one heartbeat, per Interval.
+const Interval = time.Second
+
+// clusterLimit is the cluster-wide rate limit of the harness's
+// controller. The controller runs Priority (control.FixedRates), which
+// grants each job its reservation verbatim, so expected rates are exact
+// whatever the demand; the limit sets what a job is granted before its
+// first round (an equal share) and what jobs without a reservation split.
+const clusterLimit = 100_000
+
 // Config sizes a harness.
 type Config struct {
 	// Seed drives every random choice a scenario makes.
 	Seed int64
-	// Interval is the control-loop period (default 1s).
-	Interval time.Duration
-	// Limit is the cluster-wide rate limit (default 300_000).
-	Limit float64
 	// EvictAfter configures controller-side mark-sweep eviction
 	// (0 = never evict).
 	EvictAfter int
 	// Reservations are per-job reserved rates, re-applied on restart.
 	Reservations map[string]float64
-	// Algorithm defaults to control.StaticEqualShare{}.
-	Algorithm control.Algorithm
 }
 
 // Event is one scheduled action in a scenario.
@@ -109,15 +115,6 @@ type Harness struct {
 
 // New builds an empty harness; add stages, schedule events, then Run.
 func New(cfg Config) *Harness {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.Limit == 0 {
-		cfg.Limit = 300_000
-	}
-	if cfg.Algorithm == nil {
-		cfg.Algorithm = control.StaticEqualShare{}
-	}
 	// The harness owns its reservation table (SetReservation edits it).
 	own := make(map[string]float64, len(cfg.Reservations))
 	for job, rate := range cfg.Reservations {
@@ -128,7 +125,7 @@ func New(cfg Config) *Harness {
 		cfg:      cfg,
 		clk:      clock.NewSim(time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)),
 		nodes:    map[string]*StageNode{},
-		nextTick: cfg.Interval,
+		nextTick: Interval,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	h.start = h.clk.Now()
@@ -139,8 +136,8 @@ func New(cfg Config) *Harness {
 
 func (h *Harness) newController() *control.Controller {
 	opts := []control.Option{
-		control.WithClusterLimit(h.cfg.Limit),
-		control.WithAlgorithm(h.cfg.Algorithm),
+		control.WithClusterLimit(clusterLimit),
+		control.WithAlgorithm(control.FixedRates{}),
 		control.WithErrorHandler(func(id string, err error) {
 			if errors.Is(err, control.ErrEvicted) {
 				h.logf("stage %s evicted by controller", id)
@@ -188,9 +185,6 @@ func (h *Harness) Node(id string) *StageNode { return h.nodes[id] }
 
 // Controller exposes the live controller (it changes across restarts).
 func (h *Harness) Controller() *control.Controller { return h.ctl }
-
-// Interval returns the control-loop period.
-func (h *Harness) Interval() time.Duration { return h.cfg.Interval }
 
 // At schedules an event; call before Run.
 func (h *Harness) At(at time.Duration, name string, do func(*Harness)) {
@@ -293,7 +287,7 @@ func (h *Harness) Run(until time.Duration) {
 			ev.Do(h)
 		case h.nextTick <= until:
 			h.advanceTo(h.nextTick)
-			h.nextTick += h.cfg.Interval
+			h.nextTick += Interval
 			h.tick()
 		default:
 			h.advanceTo(until)

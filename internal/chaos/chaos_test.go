@@ -36,11 +36,11 @@ func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 	// Just after the crash fires, record what each stage enforces; deep
 	// into the outage it must be byte-for-byte the same (frozen, not
 	// decayed to zero and not reset to unlimited).
-	probeRates(h, h.OutageStart+h.Interval(), frozen)
-	probeRates(h, h.OutageEnd-h.Interval()/2, during)
+	probeRates(h, h.OutageStart+Interval, frozen)
+	probeRates(h, h.OutageEnd-Interval/2, during)
 	// One full control interval after the restart, every stage must be
 	// re-registered and re-tuned.
-	probeRates(h, h.OutageEnd+h.Interval()+h.Interval()/2, after)
+	probeRates(h, h.OutageEnd+Interval+Interval/2, after)
 	h.Run(runFor)
 
 	if len(frozen) != 4 {
@@ -123,8 +123,8 @@ func TestReconcileWithinOneInterval(t *testing.T) {
 			if restartAt < 0 {
 				t.Fatalf("re-registration before any restart: %s", line)
 			}
-			if at-restartAt > h.Interval() {
-				t.Errorf("stage reconciled %v after restart, want <= %v: %s", at-restartAt, h.Interval(), line)
+			if at-restartAt > Interval {
+				t.Errorf("stage reconciled %v after restart, want <= %v: %s", at-restartAt, Interval, line)
 			}
 			reRegistered++
 		}
@@ -299,7 +299,7 @@ func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 	h := smallCluster(7, 0)
 	offerDemand(h, 20*time.Second)
-	h.At(5*time.Second+h.Interval()/2, "drop-reply", func(h *Harness) { h.DropNextBatchReply("s1") })
+	h.At(5*time.Second+Interval/2, "drop-reply", func(h *Harness) { h.DropNextBatchReply("s1") })
 	h.Run(20 * time.Second)
 
 	fulls, deltas := h.Node("s1").handle.CollectCounts()

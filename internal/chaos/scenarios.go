@@ -3,7 +3,6 @@ package chaos
 import (
 	"time"
 
-	"padll/internal/control"
 	"padll/internal/posix"
 )
 
@@ -22,12 +21,7 @@ const (
 func smallCluster(seed int64, evictAfter int) *Harness {
 	h := New(Config{
 		Seed:       seed,
-		Interval:   time.Second,
-		Limit:      100_000,
 		EvictAfter: evictAfter,
-		// Priority (fixed rates): each job is granted its reservation
-		// verbatim, so expected rates are exact regardless of demand.
-		Algorithm: control.FixedRates{},
 		Reservations: map[string]float64{
 			"job1": 30_000,
 			"job2": 50_000,
@@ -45,7 +39,7 @@ func smallCluster(seed int64, evictAfter int) *Harness {
 // offerDemand makes every live stage report metadata demand each tick so
 // collect rounds carry non-trivial numbers through the log.
 func offerDemand(h *Harness, until time.Duration) {
-	for t := time.Duration(0); t < until; t += h.Interval() {
+	for t := time.Duration(0); t < until; t += Interval {
 		// Unnamed events are silent: demand refills would drown the log.
 		h.At(t, "", func(h *Harness) {
 			for _, id := range h.ids {
@@ -53,7 +47,7 @@ func offerDemand(h *Harness, until time.Duration) {
 				if n.crashed.Load() {
 					continue
 				}
-				n.Stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: n.Job}, 5000, h.Interval())
+				n.Stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: n.Job}, 5000, Interval)
 			}
 		})
 	}
@@ -75,8 +69,8 @@ func ControllerCrashMidRun(seed int64) *Harness {
 	// Crash between rounds 5 and 9, after 1..3 of the round's pushes;
 	// recover 6..10 intervals later.
 	crashRound := 5 + h.rng.Intn(5)
-	h.OutageStart = time.Duration(crashRound)*h.Interval() - h.Interval()/2
-	h.OutageEnd = h.OutageStart + time.Duration(6+h.rng.Intn(5))*h.Interval()
+	h.OutageStart = time.Duration(crashRound)*Interval - Interval/2
+	h.OutageEnd = h.OutageStart + time.Duration(6+h.rng.Intn(5))*Interval
 	pushes := 1 + h.rng.Intn(3)
 	h.At(h.OutageStart, "arm-mid-round-crash", func(h *Harness) {
 		h.SetReservation("job1", raisedJob1)
@@ -94,7 +88,7 @@ func StageCrashMidCollect(seed int64) *Harness {
 	h := smallCluster(seed, 2)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
-	at := time.Duration(4+h.rng.Intn(4))*h.Interval() - h.Interval()/2
+	at := time.Duration(4+h.rng.Intn(4))*Interval - Interval/2
 	collects := 1 + h.rng.Intn(2)
 	h.At(at, "arm-stage-crash", func(h *Harness) { h.ArmStageCrashAfterCollects(victim, collects) })
 	return h
@@ -108,8 +102,8 @@ func PartitionHeal(seed int64) *Harness {
 	h := smallCluster(seed, 3)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
-	from := time.Duration(3+h.rng.Intn(3))*h.Interval() + h.Interval()/2
-	to := from + time.Duration(8+h.rng.Intn(4))*h.Interval()
+	from := time.Duration(3+h.rng.Intn(3))*Interval + Interval/2
+	to := from + time.Duration(8+h.rng.Intn(4))*Interval
 	h.OutageStart, h.OutageEnd = from, to
 	h.At(from, "partition", func(h *Harness) { h.Partition(victim) })
 	h.At(to, "heal", func(h *Harness) { h.Heal(victim) })
@@ -124,12 +118,12 @@ func BatchedOutage(seed int64) *Harness {
 	h := smallCluster(seed, 3)
 	offerDemand(h, 30*time.Second)
 	victim := h.ids[h.rng.Intn(len(h.ids))]
-	pFrom := time.Duration(3+h.rng.Intn(3))*h.Interval() + h.Interval()/2
-	pTo := pFrom + time.Duration(4+h.rng.Intn(3))*h.Interval()
+	pFrom := time.Duration(3+h.rng.Intn(3))*Interval + Interval/2
+	pTo := pFrom + time.Duration(4+h.rng.Intn(3))*Interval
 	h.At(pFrom, "partition", func(h *Harness) { h.Partition(victim) })
 	h.At(pTo, "heal", func(h *Harness) { h.Heal(victim) })
-	h.OutageStart = pTo + time.Duration(2+h.rng.Intn(3))*h.Interval() + h.Interval()/2
-	h.OutageEnd = h.OutageStart + time.Duration(4+h.rng.Intn(4))*h.Interval()
+	h.OutageStart = pTo + time.Duration(2+h.rng.Intn(3))*Interval + Interval/2
+	h.OutageEnd = h.OutageStart + time.Duration(4+h.rng.Intn(4))*Interval
 	h.At(h.OutageStart, "crash-controller", func(h *Harness) { h.CrashController() })
 	h.At(h.OutageEnd, "restart-controller", func(h *Harness) { h.RestartController() })
 	return h
@@ -145,7 +139,7 @@ func FrameLoss(seed int64) *Harness {
 	drops := 2 + h.rng.Intn(3)
 	for i := 0; i < drops; i++ {
 		victim := h.ids[h.rng.Intn(len(h.ids))]
-		at := time.Duration(3+h.rng.Intn(20))*h.Interval() + h.Interval()/2
+		at := time.Duration(3+h.rng.Intn(20))*Interval + Interval/2
 		h.At(at, "drop-reply", func(h *Harness) { h.DropNextBatchReply(victim) })
 	}
 	return h

@@ -89,14 +89,14 @@ func benchFleetTCP(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 // binary wire codec with exact frame-byte accounting — which is what
 // lets a single machine hold a 1024-stage fleet and still report a
 // truthful wireB/round.
-func benchFleetLoopback(b *testing.B, n int) *Controller {
-	b.Helper()
+func benchFleetLoopback(tb testing.TB, n int) *Controller {
+	tb.Helper()
 	ctl := benchController()
 	for i := 0; i < n; i++ {
 		stg := benchStage(i)
 		h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
 		if err := ctl.Register(stg.Info(), h); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return ctl

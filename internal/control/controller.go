@@ -34,20 +34,12 @@ type Controller struct {
 	reservations map[string]float64 // per-job reserved rate
 	clusterLimit float64
 	algorithm    Algorithm
-	// controlled is the matcher template for the feedback loop's managed
-	// queue on every stage.
-	controlled policy.Matcher
 	// limitAdapter, when set, retunes clusterLimit each loop iteration.
 	limitAdapter LimitAdapter
-	// groupBy derives the orchestration entity from a stage's identity;
-	// the default groups by JobID (§III-B), but administrators may group
-	// by user or project ("group of jobs" granularity).
-	groupBy          func(stage.Info) string
-	isDefaultGroupBy bool
-	onError          func(stageID string, err error)
-	lastAlloc        map[string]float64
-	loopStop         chan struct{}
-	loopDone         chan struct{}
+	onError      func(stageID string, err error)
+	lastAlloc    map[string]float64
+	loopStop     chan struct{}
+	loopDone     chan struct{}
 
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
@@ -61,7 +53,7 @@ type Controller struct {
 	// stage answered clears it.
 	misses map[string]int
 	// adminRules and clusterRules remember administrator intent (the
-	// aggregate rule, pre-split) per group and cluster-wide, so an
+	// aggregate rule, pre-split) per job and cluster-wide, so an
 	// idempotent re-registration replays the last-known rule set onto a
 	// restarted stage.
 	adminRules   map[string]map[string]policy.Rule
@@ -90,33 +82,12 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *Controller) { c.algorithm = a }
 }
 
-// WithControlledMatcher overrides which requests the managed queue
-// throttles (default: metadata, directory, and ext-attr classes — the
-// operations that land on the MDS).
-func WithControlledMatcher(m policy.Matcher) Option {
-	return func(c *Controller) { c.controlled = m }
-}
-
 // WithLimitAdapter installs a dynamic cluster-limit policy (e.g.
 // AIMDLimit probing the MDS) applied at the start of every feedback-loop
 // iteration.
 func WithLimitAdapter(a LimitAdapter) Option {
 	return func(c *Controller) { c.limitAdapter = a }
 }
-
-// WithGroupBy overrides how stages aggregate into orchestration entities
-// for the feedback loop: the default is per job; GroupByUser implements
-// the paper's "group of jobs" granularity by sharing one allocation among
-// all of a user's jobs.
-func WithGroupBy(f func(stage.Info) string) Option {
-	return func(c *Controller) {
-		c.groupBy = f
-		c.isDefaultGroupBy = false
-	}
-}
-
-// GroupByUser groups stages by submitting user.
-func GroupByUser(info stage.Info) string { return info.User }
 
 // WithErrorHandler installs a sink for stage-communication errors; the
 // default drops them (a dead stage is simply skipped until it
@@ -127,7 +98,7 @@ func WithErrorHandler(f func(stageID string, err error)) Option {
 }
 
 // WithEvictAfter enables mark-sweep eviction: a stage that fails n
-// consecutive control rounds is deregistered and its group's share
+// consecutive control rounds is deregistered and its job's share
 // released for redistribution. n <= 0 disables eviction.
 func WithEvictAfter(n int) Option {
 	return func(c *Controller) { c.evictAfter = n }
@@ -141,17 +112,14 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		clk = clock.NewReal()
 	}
 	c := &Controller{
-		clk:              clk,
-		stages:           make(map[string]peer),
-		reservations:     make(map[string]float64),
-		controlled:       defaultMatcher(),
-		groupBy:          groupByJob,
-		isDefaultGroupBy: true,
-		onError:          func(string, error) {},
-		lastAlloc:        make(map[string]float64),
-		misses:           make(map[string]int),
-		adminRules:       make(map[string]map[string]policy.Rule),
-		clusterRules:     make(map[string]policy.Rule),
+		clk:          clk,
+		stages:       make(map[string]peer),
+		reservations: make(map[string]float64),
+		onError:      func(string, error) {},
+		lastAlloc:    make(map[string]float64),
+		misses:       make(map[string]int),
+		adminRules:   make(map[string]map[string]policy.Rule),
+		clusterRules: make(map[string]policy.Rule),
 	}
 	for _, o := range opts {
 		o(c)
@@ -183,10 +151,10 @@ type peer struct {
 // highlights) has its failure marks cleared and, when it comes with a
 // new handle, replaces the previous one, which is closed; re-registering
 // the same handle keeps it open. If an algorithm is active, the stage
-// immediately receives the managed control queue — at its group's
+// immediately receives the managed control queue — at its job's
 // last-known per-stage allocation when one exists, so a restarted stage
 // resumes the frozen rate rather than resetting to an equal share.
-// Administrator rules recorded for the group (and cluster-wide) are
+// Administrator rules recorded for the job (and cluster-wide) are
 // replayed onto the handle, making re-registration idempotent: a stage
 // that lost its state comes back with the last-known rule set.
 func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
@@ -197,14 +165,14 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	c.registryRev++
 	delete(c.misses, id)
 	alg := c.algorithm
-	key := c.groupBy(info)
+	job := info.JobID
 	rate, haveAlloc := 0.0, false
-	if a, ok := c.lastAlloc[key]; ok {
-		if n := len(c.stagesOfJobLocked(key)); n > 0 {
+	if a, ok := c.lastAlloc[job]; ok {
+		if n := len(c.stagesOfJobLocked(job)); n > 0 {
 			rate, haveAlloc = a/float64(n), true
 		}
 	}
-	replay := c.replayRulesLocked(key)
+	replay := c.replayRulesLocked(job)
 	c.mu.Unlock()
 
 	if had && old.h != h {
@@ -223,7 +191,7 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 		if !haveAlloc {
 			rate = c.initialRate()
 		}
-		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(c.controlled, c.isDefaultGroupBy, key, rate)})
+		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(job, rate)})
 	}
 	for _, r := range replay {
 		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
@@ -238,13 +206,13 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 }
 
 // replayRulesLocked materializes the per-stage form of every recorded
-// administrator rule a (re-)registering stage of group key should carry,
-// in deterministic (ID-sorted) order. Rates are split by the group's
+// administrator rule a (re-)registering stage of the job should carry,
+// in deterministic (ID-sorted) order. Rates are split by the job's
 // current stage count, matching how the rules were originally pushed.
-func (c *Controller) replayRulesLocked(key string) []policy.Rule {
+func (c *Controller) replayRulesLocked(job string) []policy.Rule {
 	var out []policy.Rule
-	if group := c.adminRules[key]; len(group) > 0 {
-		n := len(c.stagesOfJobLocked(key))
+	if group := c.adminRules[job]; len(group) > 0 {
+		n := len(c.stagesOfJobLocked(job))
 		ids := make([]string, 0, len(group))
 		for rid := range group {
 			ids = append(ids, rid)
@@ -292,7 +260,7 @@ func (c *Controller) initialRate() float64 {
 }
 
 // Deregister removes a stage (job completion, node failure, or
-// eviction). When the stage was its group's last, the group's share is
+// eviction). When the stage was its job's last, the job's share is
 // released — residual allocation, reservation, and recorded rules are
 // dropped — so the next RunOnce redistributes the rate to the remaining
 // jobs instead of holding it for a departed one.
@@ -300,14 +268,14 @@ func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
 	p, ok := c.stages[stageID]
 	if ok {
-		key := c.groupBy(p.info)
+		job := p.info.JobID
 		delete(c.stages, stageID)
 		c.registryRev++
 		delete(c.misses, stageID)
-		if len(c.stagesOfJobLocked(key)) == 0 {
-			delete(c.lastAlloc, key)
-			delete(c.reservations, key)
-			delete(c.adminRules, key)
+		if len(c.stagesOfJobLocked(job)) == 0 {
+			delete(c.lastAlloc, job)
+			delete(c.reservations, job)
+			delete(c.adminRules, job)
 		}
 	}
 	c.mu.Unlock()
@@ -323,13 +291,11 @@ func (c *Controller) Deregister(stageID string) bool {
 // mark-sweep eviction.
 var ErrEvicted = errors.New("control: stage evicted after repeated failures")
 
-// EvictDead sweeps the registry: every stage whose consecutive-failure
+// evictDead sweeps the registry: every stage whose consecutive-failure
 // mark reached the eviction threshold is deregistered (releasing its
-// group's share, see Deregister) and reported to the error handler with
-// ErrEvicted. It returns the evicted stage IDs, sorted. RunOnce calls
-// this between collect and allocate; it is exported for callers driving
-// the loop manually.
-func (c *Controller) EvictDead() []string {
+// job's share, see Deregister) and reported to the error handler with
+// ErrEvicted. RunOnce calls it between collect and allocate.
+func (c *Controller) evictDead() {
 	c.mu.Lock()
 	threshold := c.evictAfter
 	var ids []string
@@ -347,7 +313,6 @@ func (c *Controller) EvictDead() []string {
 			c.onError(id, ErrEvicted)
 		}
 	}
-	return ids
 }
 
 // mark moves the eviction marks by the outcome of sh's last round: a
@@ -395,7 +360,7 @@ func (c *Controller) jobIDsLocked() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, p := range c.stages {
-		j := c.groupBy(p.info)
+		j := p.info.JobID
 		if !seen[j] {
 			seen[j] = true
 			out = append(out, j)
@@ -405,12 +370,11 @@ func (c *Controller) jobIDsLocked() []string {
 	return out
 }
 
-// stagesOfJobLocked returns the stages serving an orchestration entity
-// (a job under the default grouping), sorted by StageID.
+// stagesOfJobLocked returns the stages serving a job, sorted by StageID.
 func (c *Controller) stagesOfJobLocked(jobID string) []peer {
 	var out []peer
 	for _, p := range c.stages {
-		if c.groupBy(p.info) == jobID {
+		if p.info.JobID == jobID {
 			out = append(out, p)
 		}
 	}
@@ -432,7 +396,7 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	peers := c.stagesOfJobLocked(jobID)
 	if len(peers) > 0 {
 		// Remember the aggregate intent so a restarted stage of this
-		// group gets the rule replayed at re-registration.
+		// job gets the rule replayed at re-registration.
 		if c.adminRules[jobID] == nil {
 			c.adminRules[jobID] = make(map[string]policy.Rule)
 		}
@@ -738,7 +702,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	// the registry now, so the split below divides a job's allocation
 	// among its live stages only instead of letting a dead one hold its
 	// share.
-	c.EvictDead()
+	c.evictDead()
 	jobs := make([]JobState, len(snaps))
 	for i := range snaps {
 		jobs[i] = snaps[i].state()

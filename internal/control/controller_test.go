@@ -481,54 +481,6 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 	_ = healthy
 }
 
-func TestGroupByUserSharesOneAllocation(t *testing.T) {
-	// The controller keeps one shard over its whole registry.
-	t.Run("one-shard", func(t *testing.T) {
-		// "Group of jobs" granularity: two jobs submitted by the same user
-		// are orchestrated as one entity; a third job by another user gets
-		// its own share.
-		clk := clock.NewSim(epoch)
-		c := New(clk,
-			WithAlgorithm(StaticEqualShare{}),
-			WithClusterLimit(8000),
-			WithGroupBy(GroupByUser))
-
-		mk := func(id, job, user string) *stage.Stage {
-			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
-			if err := c.Register(stg.Info(), loopbackHandle(stg)); err != nil {
-				t.Fatal(err)
-			}
-			return stg
-		}
-		sA1 := mk("s1", "jobA1", "alice")
-		sA2 := mk("s2", "jobA2", "alice")
-		sB := mk("s3", "jobB", "bob")
-
-		// Two entities: alice and bob.
-		if groups := c.Jobs(); len(groups) != 2 || groups[0] != "alice" || groups[1] != "bob" {
-			t.Fatalf("groups = %v", groups)
-		}
-		alloc := c.RunOnce()
-		if alloc["alice"] != 4000 || alloc["bob"] != 4000 {
-			t.Fatalf("allocation = %v", alloc)
-		}
-		// Alice's 4000 splits across her two stages (jobs).
-		for _, s := range []*stage.Stage{sA1, sA2} {
-			if got := s.Rules()[0].Rate; got != 2000 {
-				t.Errorf("alice stage rate = %v, want 2000", got)
-			}
-		}
-		if got := sB.Rules()[0].Rate; got != 4000 {
-			t.Errorf("bob stage rate = %v, want 4000", got)
-		}
-		// Collect aggregates by user too.
-		snaps := c.CollectAll()
-		if len(snaps) != 2 || snaps[0].JobID != "alice" || snaps[0].Stages != 2 {
-			t.Errorf("snapshots = %+v", snaps)
-		}
-	})
-}
-
 // TestSteadyRoundLeavesLocalStageUntouched: probe-and-skip covers
 // in-process stages, reached over the loopback, and the steady collects
 // themselves touch nothing. At a fixed allocation, rounds after the first

@@ -19,26 +19,15 @@ import (
 	"padll/internal/stage"
 )
 
-// defaultMatcher selects what the managed queue throttles unless told
-// otherwise: the operations that land on the MDS.
-func defaultMatcher() policy.Matcher {
-	return policy.Matcher{Classes: []posix.Class{
-		posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr,
-	}}
-}
+// managedClasses is what the managed queue throttles: the operations
+// that land on the MDS. Every managed rule shares this one slice, so a
+// round builds its rules without allocating; nothing writes to it.
+var managedClasses = []posix.Class{posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr}
 
-// groupByJob is the default orchestration entity: the job (§III-B).
-func groupByJob(info stage.Info) string { return info.JobID }
-
-// managedRule builds the control rule for the stages of entity key.
-// Grouped by job, the matcher is scoped to the job ID; under a custom
-// grouping it is left unscoped (each stage belongs to exactly one
-// entity, so the queue's rate is the scoping).
-func managedRule(m policy.Matcher, scoped bool, key string, rate float64) policy.Rule {
-	if scoped {
-		m.JobID = key
-	}
-	return policy.Rule{ID: ControlRuleID, Match: m, Rate: rate}
+// managedRule builds the control rule for the stages of one job: the
+// managed classes, scoped to the job (§III-B), at rate.
+func managedRule(job string, rate float64) policy.Rule {
+	return policy.Rule{ID: ControlRuleID, Match: policy.Matcher{Classes: managedClasses, JobID: job}, Rate: rate}
 }
 
 // member is one stage of a shard together with what rounds remember
@@ -100,17 +89,12 @@ type jobGrant struct {
 // controller's roundMu held. The retry goroutines a pass starts each
 // own one member and are joined before pass returns.
 type shard struct {
-	// What the controller was configured with, copied at construction.
-	matcher policy.Matcher
+	// The controller's error handler, copied at construction.
 	onError func(stageID string, err error)
-	// groupBy keys members into rows, and scoped says whether the
-	// managed rule's matcher names that key as its job.
-	groupBy func(stage.Info) string
-	scoped  bool
 
 	members  []*member // StageID-sorted: the deterministic fan-out order
 	rowOf    []int     // member index -> index into jobs
-	jobs     []string  // distinct member group keys, sorted
+	jobs     []string  // distinct member jobs, sorted
 	jobCount []int     // member count per jobs[i]
 
 	// Per-job scratch, one entry per jobs[i].
@@ -123,19 +107,16 @@ type shard struct {
 }
 
 // newShard builds the controller's shard over StageID-sorted members,
-// indexing them by group key.
+// indexing them by job.
 func (c *Controller) newShard(members []*member) *shard {
 	sh := &shard{
-		matcher: c.controlled,
 		onError: c.onError,
-		groupBy: c.groupBy,
-		scoped:  c.isDefaultGroupBy,
 		members: members,
 		rowOf:   make([]int, len(members)),
 	}
 	keys := make([]string, len(members))
 	for i, m := range members {
-		keys[i] = sh.groupBy(m.info)
+		keys[i] = m.info.JobID
 	}
 	sh.jobs = slices.Clone(keys)
 	sort.Strings(sh.jobs)
@@ -276,7 +257,7 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 	for i, m := range members {
 		m.err, m.changed, m.calls, m.push[0] = nil, false, 0, rpcio.StageOp{}
 		if j := sh.rowOf[i]; hasRate[j] {
-			m.push[0] = pushOp(m.probe, managedRule(sh.matcher, sh.scoped, sh.jobs[j], rates[j]))
+			m.push[0] = pushOp(m.probe, managedRule(sh.jobs[j], rates[j]))
 			pushes = pushes || m.push[0].Kind != 0
 		}
 	}
@@ -288,7 +269,7 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 			func(m *member, res []rpcio.OpResult, _ bool, err error) {
 				m.calls = 1
 				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-					managed := managedRule(sh.matcher, sh.scoped, sh.groupBy(m.info), op.Rate)
+					managed := managedRule(m.info.JobID, op.Rate)
 					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
 					_, _, err = m.h.Exec(m.push[:], nil, false)
 					m.calls = 2

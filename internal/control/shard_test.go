@@ -36,27 +36,17 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 	rng := rand.New(rand.NewSource(seed))
 	clk := clock.NewSim(epoch)
 
-	// A matcher that is not the default, so a reinstall that forgot it
-	// shows.
-	matcher := policy.Matcher{Classes: []posix.Class{posix.ClassMetadata, posix.ClassDirectory}}
 	algs := []Algorithm{ProportionalShare{}, StaticEqualShare{}, FixedRates{}}
-	byUser := rng.Intn(2) == 1
 	var evicted []string
-	opts := []Option{
+	c := New(clk,
 		WithAlgorithm(algs[rng.Intn(len(algs))]),
-		WithClusterLimit(float64(1000 * (1 + rng.Intn(50)))),
-		WithControlledMatcher(matcher),
+		WithClusterLimit(float64(1000*(1+rng.Intn(50)))),
 		WithEvictAfter(2),
 		WithErrorHandler(func(id string, err error) {
 			if errors.Is(err, ErrEvicted) {
 				evicted = append(evicted, id)
 			}
-		}),
-	}
-	if byUser {
-		opts = append(opts, WithGroupBy(GroupByUser))
-	}
-	c := New(clk, opts...)
+		}))
 
 	type node struct {
 		id   string
@@ -64,19 +54,14 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 		down atomic.Bool
 	}
 	var nodes []*node
-	users := []string{"alice", "bob", "carol"}
 	for j, jobs := 0, 2+rng.Intn(4); j < jobs; j++ {
-		job, user := fmt.Sprintf("job%d", j), users[rng.Intn(len(users))]
-		key := job
-		if byUser {
-			key = user
-		}
-		c.SetReservation(key, float64(100*rng.Intn(40)))
+		job := fmt.Sprintf("job%d", j)
+		c.SetReservation(job, float64(100*rng.Intn(40)))
 		for s, n := 0, 1+rng.Intn(6); s < n; s++ {
 			// IDs interleave the jobs in StageID order, so a job's stages
 			// are not neighbours in the fan-out.
 			id := fmt.Sprintf("s%02d-%d", s, j)
-			stg := stage.New(stage.Info{StageID: id, JobID: job, User: user}, clk)
+			stg := stage.New(stage.Info{StageID: id, JobID: job}, clk)
 			nd := &node{id: id, stg: stg}
 			nodes = append(nodes, nd)
 			if err := c.Register(stg.Info(), flakyConn(stg, &nd.down)); err != nil {
@@ -135,11 +120,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 		// push or a skip for every stage of a job that was allocated.
 		planned := 0
 		for _, info := range c.Stages() {
-			key := info.JobID
-			if byUser {
-				key = info.User
-			}
-			if _, ok := rt.Alloc[key]; ok {
+			if _, ok := rt.Alloc[info.JobID]; ok {
 				planned++
 			}
 		}
@@ -157,9 +138,9 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 
 // TestShardingInvariance: a round is a function of the registry and
 // the seed. Seeded random fleets — jobs × stages per job, demand,
-// reservations, algorithm, job or user grouping, a custom controlled
-// matcher, one member that stops answering and is evicted mid-run, one
-// that restarts without its managed rule — are each driven twice and
+// reservations, algorithm, one member that stops answering and is
+// evicted mid-run, one that restarts without its managed rule — are
+// each driven twice and
 // must produce the identical allocation, bit-identical managed rate and
 // the same managed matcher on every stage, identical CollectAll
 // snapshots (wait percentiles, degraded and failed counts included), the
@@ -186,16 +167,19 @@ func TestShardingInvariance(t *testing.T) {
 }
 
 // TestControlledMatcherReachesEveryShard: a stage that restarts without
-// its managed rule gets it back with the matcher the controller was
-// configured with.
+// its managed rule gets back exactly the managed classes, scoped to its
+// own job.
 func TestControlledMatcherReachesEveryShard(t *testing.T) {
 	// The controller keeps one shard over its whole registry.
 	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		matcher := policy.Matcher{Classes: []posix.Class{posix.ClassDirectory}}
-		c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000), WithControlledMatcher(matcher))
+		c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
 		stg, h := localStage("s1", "jobA", clk)
 		if err := c.Register(stg.Info(), h); err != nil {
+			t.Fatal(err)
+		}
+		other, h2 := localStage("s2", "jobB", clk)
+		if err := c.Register(other.Info(), h2); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce()
@@ -205,10 +189,9 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 		if len(rules) != 1 || rules[0].ID != ControlRuleID {
 			t.Fatalf("managed rule not reinstalled: %+v", rules)
 		}
-		want := matcher
-		want.JobID = "jobA"
+		want := policy.Matcher{Classes: managedClasses, JobID: "jobA"}
 		if !reflect.DeepEqual(rules[0].Match, want) {
-			t.Errorf("reinstalled matcher = %+v, want the configured %+v", rules[0].Match, want)
+			t.Errorf("reinstalled matcher = %+v, want %+v", rules[0].Match, want)
 		}
 	})
 }

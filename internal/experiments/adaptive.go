@@ -57,9 +57,7 @@ func AdaptiveLimit(seed int64) AdaptiveResult {
 
 	run := func(adaptive bool) (AdaptiveOutcome, *metrics.Series) {
 		c := sim.NewCluster(sim.Config{
-			Tick:            time.Second,
-			Duration:        fig5Horizon,
-			ControlInterval: time.Second,
+			Duration: fig5Horizon,
 		})
 		backend := pfs.New(c.Clock(), pfs.Config{
 			MDSCapacity: initialCap,

@@ -24,7 +24,7 @@ import (
 
 const (
 	chaosLimit     = 300_000
-	chaosInterval  = time.Second
+	chaosInterval  = time.Second // the simulator's control period: one tick
 	chaosCrashAt   = 15 * time.Minute
 	chaosRecoverAt = 25 * time.Minute
 	chaosHorizon   = 40 * time.Minute
@@ -73,10 +73,8 @@ func ChaosReplay(seed int64) ChaosReplayResult {
 		control.WithAlgorithm(control.FixedRates{}),
 		control.WithClusterLimit(chaosLimit))
 	c := sim.NewCluster(sim.Config{
-		Tick:            time.Second,
-		Duration:        chaosHorizon,
-		Controller:      ctl,
-		ControlInterval: chaosInterval,
+		Duration:   chaosHorizon,
+		Controller: ctl,
 	})
 	res := ChaosReplayResult{
 		CrashAt:         chaosCrashAt,

@@ -121,10 +121,8 @@ func MDSProtection(seed int64) MDSProtectionResult {
 				control.WithClusterLimit(capacity*0.95))
 		}
 		c := sim.NewCluster(sim.Config{
-			Tick:            time.Second,
-			Duration:        fig5Horizon,
-			Controller:      ctl,
-			ControlInterval: time.Second,
+			Duration:   fig5Horizon,
+			Controller: ctl,
 		})
 		backend := pfs.New(c.Clock(), pfs.Config{
 			MDSCapacity: capacity,
@@ -194,7 +192,6 @@ func BurstAblation(seed int64) []BurstAblationRow {
 	var rows []BurstAblationRow
 	for _, factor := range []float64{0.01, 0.1, 0.5, 2.0} {
 		c := sim.NewCluster(sim.Config{
-			Tick:     time.Second,
 			Duration: 3 * fig4Minutes * time.Minute,
 		})
 		c.AddJob(sim.JobSpec{ID: "job1", Trace: tr, Accel: 60})
@@ -244,7 +241,6 @@ func GranularityAblation(seed int64) GranularityAblationResult {
 
 	run := func(perOp bool) (time.Duration, float64) {
 		c := sim.NewCluster(sim.Config{
-			Tick:     time.Second,
 			Duration: 6 * fig4Minutes * time.Minute,
 		})
 		c.AddJob(sim.JobSpec{ID: "job1", Trace: tr, Accel: 60})

@@ -104,7 +104,6 @@ func meanRate(tr *trace.Trace) float64 {
 // fig4Run executes one setup over the workload.
 func fig4Run(tr *trace.Trace, mode stage.Mode, limits []float64) (*metrics.Series, time.Duration, *sim.Report) {
 	c := sim.NewCluster(sim.Config{
-		Tick:     time.Second,
 		Duration: 3 * fig4Minutes * time.Minute, // headroom for backlog drain
 		StageMode: func() stage.Mode {
 			return mode

@@ -103,10 +103,8 @@ func Fig5(seed int64, setup Fig5Setup) Fig5Result {
 	}
 
 	c := sim.NewCluster(sim.Config{
-		Tick:            time.Second,
-		Duration:        fig5Horizon,
-		Controller:      ctl,
-		ControlInterval: time.Second,
+		Duration:   fig5Horizon,
+		Controller: ctl,
 	})
 	tr := fig5Workload(seed)
 	arrivals := make(map[string]time.Duration, fig5Jobs)

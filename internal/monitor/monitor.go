@@ -144,7 +144,6 @@ func NewHandler(ctl *control.Controller) http.Handler {
 
 	mux.HandleFunc("/api/jobs", func(w http.ResponseWriter, r *http.Request) {
 		snaps := ctl.CollectAll()
-		alloc := ctl.LastAllocation()
 		rows := make([]JobStatus, 0, len(snaps))
 		for _, s := range snaps {
 			rows = append(rows, JobStatus{
@@ -153,7 +152,7 @@ func NewHandler(ctl *control.Controller) http.Handler {
 				Demand:          s.Demand,
 				Throughput:      s.Throughput,
 				Reservation:     s.Reservation,
-				Allocated:       alloc[s.JobID],
+				Allocated:       s.Allocated,
 				WaitP50:         s.WaitP50,
 				WaitP95:         s.WaitP95,
 				WaitP99:         s.WaitP99,
@@ -188,7 +187,6 @@ func NewHandler(ctl *control.Controller) http.Handler {
 			return
 		}
 		snaps := ctl.CollectAll()
-		alloc := ctl.LastAllocation()
 		fmt.Fprintf(w, "padll control plane — %d jobs, %d stages\n\n", len(ctl.Jobs()), len(ctl.Stages()))
 		fmt.Fprintf(w, "%-16s %7s %12s %12s %12s %10s %10s\n", "job", "stages", "demand/s", "served/s", "allocated/s", "wait-p99", "state")
 		for _, s := range snaps {
@@ -202,7 +200,7 @@ func NewHandler(ctl *control.Controller) http.Handler {
 				state = fmt.Sprintf("partial:%d", s.FailedStages)
 			}
 			fmt.Fprintf(w, "%-16s %7d %12.0f %12.0f %12.0f %10s %10s\n",
-				s.JobID, s.Stages, s.Demand, s.Throughput, alloc[s.JobID],
+				s.JobID, s.Stages, s.Demand, s.Throughput, s.Allocated,
 				time.Duration(s.WaitP99*float64(time.Second)).Round(time.Microsecond), state)
 		}
 	})

@@ -5,13 +5,15 @@
 // evaluation scenarios (§IV) execute in milliseconds with the very same
 // stage, policy, wire-codec and control-plane code a live deployment uses.
 //
-// The engine is a fluid discrete-tick simulation: each tick, every active
-// job integrates its trace curve to produce the operations that arrived
-// during the tick, offers them (plus any backlog from earlier throttling)
-// to its stages' token buckets, and records what was admitted. Backlog
-// draining reproduces the catch-up overshoot of Fig. 4; job completion is
-// reached when the job's whole trace has been admitted, reproducing the
-// makespan differences of Fig. 5.
+// The engine is a fluid discrete-tick simulation with a fixed one-second
+// tick: each tick, every active job integrates its trace curve to produce
+// the operations that arrived during the tick, offers them (plus any
+// backlog from earlier throttling) to its stages' token buckets, and
+// records what was admitted; then the controller, when one is attached
+// and not paused, runs one feedback round. Backlog draining reproduces
+// the catch-up overshoot of Fig. 4; job completion is reached when the
+// job's whole trace has been admitted, reproducing the makespan
+// differences of Fig. 5.
 package sim
 
 import (
@@ -57,18 +59,18 @@ type Event struct {
 	Do func(c *Cluster)
 }
 
+// tick is the simulation step, in experiment time, and the feedback
+// loop's period: the controller runs once every tick.
+const tick = time.Second
+
 // Config parameterizes a scenario run.
 type Config struct {
-	// Tick is the simulation step (default 1s experiment time).
-	Tick time.Duration
 	// Duration bounds the run (default: until all jobs finish).
 	Duration time.Duration
 	// Controller, when set, orchestrates job stages (registered on
 	// arrival, deregistered on completion) and its feedback loop runs
-	// every ControlInterval.
+	// every tick.
 	Controller *control.Controller
-	// ControlInterval is the feedback-loop period (default 1s).
-	ControlInterval time.Duration
 	// PFS, when set, receives all admitted metadata load (in weighted
 	// cost units); load the MDS cannot serve is pushed back into job
 	// backlogs, modelling a saturated metadata service.
@@ -76,8 +78,6 @@ type Config struct {
 	// StageMode is the stages' interposition mode (Enforce by default;
 	// Passthrough reproduces the overhead setup).
 	StageMode stage.Mode
-	// Window is the stats sampling window (default = Tick).
-	Window time.Duration
 }
 
 // Cluster is one scenario instance.
@@ -141,15 +141,6 @@ var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
 // NewCluster builds a scenario.
 func NewCluster(cfg Config) *Cluster {
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Second
-	}
-	if cfg.ControlInterval <= 0 {
-		cfg.ControlInterval = time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = cfg.Tick
-	}
 	return &Cluster{cfg: cfg, clk: clock.NewSim(epoch), start: epoch}
 }
 
@@ -190,7 +181,7 @@ func (c *Cluster) AddJob(spec JobSpec) {
 			Hostname: fmt.Sprintf("node-%s-%d", spec.ID, s),
 			PID:      1000 + len(c.jobs)*10 + s,
 			User:     spec.User,
-		}, c.clk, stage.WithMode(c.cfg.StageMode), stage.WithWindow(c.cfg.Window))
+		}, c.clk, stage.WithMode(c.cfg.StageMode))
 		j.stages = append(j.stages, st)
 		j.handles = append(j.handles, rpcio.EncodedLoopbackStage(rpcio.NewStageService(st)))
 	}
@@ -236,9 +227,7 @@ func (c *Cluster) SetControlPaused(paused bool) {
 func (c *Cluster) Run() *Report {
 	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].At < c.events[j].At })
 	nextEvent := 0
-	tick := c.cfg.Tick
 	var now time.Duration
-	lastControl := time.Duration(0)
 
 	for {
 		// Fire due events.
@@ -282,7 +271,7 @@ func (c *Cluster) Run() *Report {
 				}
 				continue
 			}
-			c.stepJob(j, now, tick)
+			c.stepJob(j, now)
 		}
 
 		// PFS saturation accounting: a tick is saturated when the MDS
@@ -295,9 +284,8 @@ func (c *Cluster) Run() *Report {
 		}
 
 		// Feedback loop.
-		if c.cfg.Controller != nil && !c.controlPaused && now-lastControl >= c.cfg.ControlInterval {
+		if c.cfg.Controller != nil && !c.controlPaused {
 			c.cfg.Controller.RunOnce()
-			lastControl = now
 		}
 
 		// Termination.
@@ -320,7 +308,7 @@ func (c *Cluster) Run() *Report {
 
 // stepJob integrates one tick of a job's trace and offers the load to its
 // stages.
-func (c *Cluster) stepJob(j *job, now time.Duration, tick time.Duration) {
+func (c *Cluster) stepJob(j *job, now time.Duration) {
 	elapsed := now - j.spec.Arrival
 	prev := elapsed - tick
 	if prev < 0 {

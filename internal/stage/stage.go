@@ -76,6 +76,10 @@ const (
 	Passthrough
 )
 
+// statsWindow is the sampling window of every rate a stage reports
+// (ThroughputRate, DemandRate).
+const statsWindow = time.Second
+
 // QueueStats is one queue's statistics snapshot, the material the control
 // plane collects each feedback-loop iteration.
 type QueueStats struct {
@@ -314,7 +318,6 @@ type Stage struct {
 	ptRem float64
 
 	passthrough *metrics.RateCounter
-	window      time.Duration
 
 	// Degraded-mode accounting. The flag itself is atomic so Collect and
 	// health probes never touch the hot path; the clock bookkeeping is
@@ -396,11 +399,6 @@ type queue struct {
 // Option configures a Stage.
 type Option func(*Stage)
 
-// WithWindow sets the statistics sampling window (default 1s).
-func WithWindow(d time.Duration) Option {
-	return func(s *Stage) { s.window = d }
-}
-
 // WithMode sets the initial mode (default Enforce).
 func WithMode(m Mode) Option {
 	return func(s *Stage) { s.mode.Store(int32(m)) }
@@ -414,7 +412,6 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 		clk:    clk,
 		rules:  policy.NewRuleSet(),
 		queues: make(map[string]*queue),
-		window: time.Second,
 	}
 	if _, ok := clk.(clock.Real); ok {
 		s.hotClock = new([metrics.Stripes]clockStripe)
@@ -432,7 +429,7 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 // its series, and lives for as long as its job does: unbounded, every
 // counter would grow by one point per window for nothing.
 func (s *Stage) newCounter(name string) *metrics.RateCounter {
-	rc := metrics.NewRateCounter(name, s.clk, s.window)
+	rc := metrics.NewRateCounter(name, s.clk, statsWindow)
 	rc.SetMaxSamples(1)
 	return rc
 }

@@ -276,7 +276,7 @@ func TestOfferUnmatchedPassesThrough(t *testing.T) {
 
 func TestCollectDemandVsThroughput(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	s := New(info(), clk, WithWindow(time.Second))
+	s := New(info(), clk)
 	s.ApplyRule(policy.Rule{ID: "meta", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: 100, Burst: 100})
 	s.Offer(openReq(), 300, time.Second)
 	clk.Advance(time.Second)

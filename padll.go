@@ -444,22 +444,10 @@ func WithClusterLimit(limit float64) ControlOption { return control.WithClusterL
 // WithAlgorithm installs the feedback-loop control algorithm.
 func WithAlgorithm(a Algorithm) ControlOption { return control.WithAlgorithm(a) }
 
-// WithControlledMatcher overrides which requests the managed queue
-// throttles (default: all metadata-like classes).
-func WithControlledMatcher(m Matcher) ControlOption { return control.WithControlledMatcher(m) }
-
 // WithEvictAfter enables mark-sweep eviction: a stage whose collects or
 // pushes fail for n consecutive control rounds is deregistered and its
 // share redistributed (0 disables eviction, the default).
 func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
-
-// WithGroupBy overrides the feedback loop's orchestration granularity:
-// the default groups stages per job; GroupByUser shares one allocation
-// among all of a user's jobs (the paper's "group of jobs" level).
-func WithGroupBy(f func(StageInfo) string) ControlOption { return control.WithGroupBy(f) }
-
-// GroupByUser groups stages by submitting user.
-func GroupByUser(info StageInfo) string { return control.GroupByUser(info) }
 
 // NewControlPlane builds a control plane.
 func NewControlPlane(opts ...ControlOption) *ControlPlane {
