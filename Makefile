@@ -68,11 +68,18 @@ race:
 # 4 Ps. A test
 # that only passes at the baseline box's core count or speed fails
 # here, before it merges, instead of on the next machine it meets.
+# The root package's Examples (simulated clock, checked output) run on a
+# line of their own, so its command integration tests are not repeated;
+# the testing package runs an Example once per binary whatever -count
+# and -cpu say, so the loop repeats the run ten times at each P.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
 		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
 		./internal/clock/... ./internal/pfs/... ./internal/monitor/... ./internal/leaktest/... \
-		./internal/sim/... ./internal/experiments/... ./internal/ior/... ./internal/mdtest/...
+		./internal/sim/... ./internal/experiments/... ./internal/ior/... ./internal/mdtest/... ./internal/trace/...
+	for p in 1 2 4; do for i in 1 2 3 4 5 6 7 8 9 10; do \
+		$(GO) test -run '^Example' -count=1 -cpu=$$p . || exit 1; \
+	done; done
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every

@@ -79,15 +79,12 @@ func (r *Replayer) Run(ctx context.Context) error {
 	}
 
 	wallDuration := time.Duration(float64(r.Trace.Duration()) / r.Accel)
-	var wg sync.WaitGroup
+	// On a clock.Sim under Drive the op threads are its actors.
+	g := clock.NewGroup(r.Clock)
 	for _, op := range ops {
-		wg.Add(1)
-		go func(op posix.Op) {
-			defer wg.Done()
-			r.replayOp(ctx, op, wallDuration)
-		}(op)
+		g.Go(func() { r.replayOp(ctx, op, wallDuration) })
 	}
-	wg.Wait()
+	g.Wait()
 	return nil
 }
 

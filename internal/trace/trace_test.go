@@ -208,12 +208,12 @@ func TestReplayerFollowsCurve(t *testing.T) {
 	r := &Replayer{
 		Trace:     tr,
 		Submit:    func(op posix.Op) error { count.Add(1); return nil },
-		Clock:     clock.NewReal(),
+		Clock:     clock.NewSim(epoch),
 		Accel:     60,  // 1s wall per trace minute -> 3s wall total
 		RateScale: 0.5, // half rate, as in the paper
 		Tick:      10 * time.Millisecond,
 	}
-	if err := r.Run(context.Background()); err != nil {
+	if err := runDriven(r); err != nil {
 		t.Fatal(err)
 	}
 	// Expected ops: (600+300+0)/2 ops-per-trace-second * 60s... careful:
@@ -222,8 +222,8 @@ func TestReplayerFollowsCurve(t *testing.T) {
 	// rate(traceT) * RateScale ops per *wall* second. Total = (600*1s +
 	// 300*1s + 0*1s) * 0.5 = 450 ops over 3 wall seconds.
 	got := count.Load()
-	if got < 400 || got > 500 {
-		t.Errorf("submitted %d ops, want ≈450", got)
+	if got != 450 {
+		t.Errorf("submitted %d ops, want 450", got)
 	}
 	if r.Total(posix.OpOpen) != got {
 		t.Errorf("Total = %d, want %d", r.Total(posix.OpOpen), got)
@@ -233,6 +233,16 @@ func TestReplayerFollowsCurve(t *testing.T) {
 	}
 }
 
+// runDriven runs r on its simulated clock under Drive: the op threads
+// are the simulation's actors, so the replay takes no wall time.
+func runDriven(r *Replayer) (err error) {
+	r.Clock.(*clock.Sim).Drive(func() { err = r.Run(context.Background()) })
+	return err
+}
+
+// TestReplayerCancel runs on the real clock: a thread that takes the
+// cancellation leaves its After parked, and Drive supports no waiter
+// that nobody receives from.
 func TestReplayerCancel(t *testing.T) {
 	tr := NewTrace(time.Minute, posix.OpOpen)
 	for i := 0; i < 600; i++ { // 10 trace-hours: would replay 600s wall
@@ -273,11 +283,12 @@ func TestReplayerCountsErrors(t *testing.T) {
 	r := &Replayer{
 		Trace:     tr,
 		Submit:    func(op posix.Op) error { return posix.ErrNotExist },
+		Clock:     clock.NewSim(epoch),
 		Accel:     60,
 		RateScale: 1,
 		Tick:      10 * time.Millisecond,
 	}
-	if err := r.Run(context.Background()); err != nil {
+	if err := runDriven(r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Errors() == 0 {
@@ -338,12 +349,13 @@ func TestReplayerSeriesProduced(t *testing.T) {
 	r := &Replayer{
 		Trace:     tr,
 		Submit:    func(op posix.Op) error { return nil },
+		Clock:     clock.NewSim(epoch),
 		Accel:     60,
 		RateScale: 1,
 		Tick:      10 * time.Millisecond,
 		Window:    500 * time.Millisecond,
 	}
-	if err := r.Run(context.Background()); err != nil {
+	if err := runDriven(r); err != nil {
 		t.Fatal(err)
 	}
 	s := r.Series(posix.OpOpen)

@@ -174,17 +174,6 @@ func Priority() Algorithm { return control.FixedRates{} }
 // algorithm).
 func ProportionalShare() Algorithm { return control.ProportionalShare{} }
 
-// AIMDLimit is the adaptive cluster-limit policy: additive increase while
-// the probe reports a healthy backend, multiplicative decrease on
-// saturation. Install with WithLimitAdapter.
-type AIMDLimit = control.AIMDLimit
-
-// WithLimitAdapter closes the control loop on backend health: the
-// adapter retunes the cluster limit before every allocation round.
-func WithLimitAdapter(a control.LimitAdapter) ControlOption {
-	return control.WithLimitAdapter(a)
-}
-
 // JobInfo identifies the application instance a data plane serves.
 type JobInfo struct {
 	// JobID is the scheduler job identifier.
@@ -242,6 +231,12 @@ type DataPlane struct {
 
 // NewDataPlane builds a data plane over the given mounts.
 func NewDataPlane(info JobInfo, mounts ...MountSpec) (*DataPlane, error) {
+	return newDataPlane(clock.NewReal(), info, mounts...)
+}
+
+// newDataPlane is NewDataPlane on clk: the seam that runs the public
+// API on a simulated clock.
+func newDataPlane(clk clock.Clock, info JobInfo, mounts ...MountSpec) (*DataPlane, error) {
 	if len(mounts) == 0 {
 		return nil, fmt.Errorf("padll: at least one mount is required")
 	}
@@ -256,7 +251,6 @@ func NewDataPlane(info JobInfo, mounts ...MountSpec) (*DataPlane, error) {
 	if info.StageID == "" {
 		info.StageID = fmt.Sprintf("%s@%s#%d", info.JobID, info.Hostname, info.PID)
 	}
-	clk := clock.NewReal()
 	stg := stage.New(stage.Info{
 		StageID:  info.StageID,
 		JobID:    info.JobID,
@@ -451,7 +445,12 @@ func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
 
 // NewControlPlane builds a control plane.
 func NewControlPlane(opts ...ControlOption) *ControlPlane {
-	return &ControlPlane{ctl: control.New(clock.NewReal(), opts...)}
+	return newControlPlane(clock.NewReal(), opts...)
+}
+
+// newControlPlane is NewControlPlane on clk.
+func newControlPlane(clk clock.Clock, opts ...ControlOption) *ControlPlane {
+	return &ControlPlane{ctl: control.New(clk, opts...)}
 }
 
 // AttachLocal registers a data plane of this process (in process,

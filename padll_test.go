@@ -15,9 +15,11 @@ import (
 	"padll/internal/pfs"
 )
 
-// newBackends returns a simulated Lustre PFS and a local FS.
-func newBackends() (*pfs.PFS, *localfs.FS) {
-	clk := clock.NewReal()
+// epoch is where the simulated clocks start.
+var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// newBackends returns a simulated Lustre PFS and a local FS on clk.
+func newBackends(clk clock.Clock) (*pfs.PFS, *localfs.FS) {
 	backend := pfs.New(clk, pfs.Config{
 		MDSCapacity: 1e9, MDSBurst: 1e9,
 		OSTBandwidth: 1e12, OSTBurst: 1e12,
@@ -26,7 +28,7 @@ func newBackends() (*pfs.PFS, *localfs.FS) {
 }
 
 func TestDataPlaneTransparency(t *testing.T) {
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "j1", User: "u", PID: 1, Hostname: "n1"},
 		padll.MountPFS("/lustre", backend),
 		padll.MountLocal("/", local),
@@ -69,8 +71,9 @@ func TestNewDataPlaneValidation(t *testing.T) {
 }
 
 func TestRuleDSLAndLocalEnforcement(t *testing.T) {
-	backend, local := newBackends()
-	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "j1"},
+	clk := clock.NewSim(epoch)
+	backend, local := newBackends(clk)
+	dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "j1"},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
 		t.Fatal(err)
@@ -82,17 +85,21 @@ func TestRuleDSLAndLocalEnforcement(t *testing.T) {
 	}
 	dp.ApplyRule(rule)
 	c := dp.Client()
-	start := time.Now()
-	for i := 0; i < 100; i++ {
-		fd, err := c.Creat(fmt.Sprintf("/pfs/f%d", i), 0o644)
-		if err != nil {
-			t.Fatal(err)
+	start := clk.Now()
+	clk.Drive(func() {
+		for i := 0; i < 100 && err == nil; i++ {
+			var fd int
+			if fd, err = c.Creat(fmt.Sprintf("/pfs/f%d", i), 0o644); err == nil {
+				err = c.Close(fd)
+			}
 		}
-		c.Close(fd)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 100 creats at 500/s with burst 5 need >= ~180ms.
-	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
-		t.Errorf("100 throttled creats took %v; rule not enforced", elapsed)
+	// 100 creats at 500/s with burst 5: the 95 past the burst take 190ms.
+	if elapsed := clk.Now().Sub(start); elapsed != 190*time.Millisecond {
+		t.Errorf("100 throttled creats took %v, want 190ms", elapsed)
 	}
 	stats := dp.Stats()
 	var found bool
@@ -107,7 +114,8 @@ func TestRuleDSLAndLocalEnforcement(t *testing.T) {
 }
 
 func TestControlPlaneLocalAttachProportionalShare(t *testing.T) {
-	cp := padll.NewControlPlane(
+	clk := clock.NewSim(epoch)
+	cp := padll.NewControlPlaneOn(clk,
 		padll.WithAlgorithm(padll.ProportionalShare()),
 		padll.WithClusterLimit(10_000),
 	)
@@ -115,8 +123,8 @@ func TestControlPlaneLocalAttachProportionalShare(t *testing.T) {
 
 	var planes []*padll.DataPlane
 	for i := 1; i <= 2; i++ {
-		backend, local := newBackends()
-		dp, err := padll.NewDataPlane(padll.JobInfo{JobID: fmt.Sprintf("job%d", i), Hostname: "n", PID: i},
+		backend, local := newBackends(clk)
+		dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: fmt.Sprintf("job%d", i), Hostname: "n", PID: i},
 			padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +153,7 @@ func TestControlPlaneLocalAttachProportionalShare(t *testing.T) {
 		}(dp)
 	}
 	wg.Wait()
-	time.Sleep(1100 * time.Millisecond) // let a stats window complete
+	clk.Advance(1100 * time.Millisecond) // let a stats window complete
 	alloc := cp.RunOnce()
 	if len(alloc) != 2 {
 		t.Fatalf("allocation = %v", alloc)
@@ -176,21 +184,19 @@ func TestControlPlaneOverNetwork(t *testing.T) {
 	}
 	defer cp.Stop()
 
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "net-job", Hostname: "n", PID: 9},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registration is synchronous: the registrar replies once the
+	// controller has registered the stage, and so does deregistration.
 	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(cp.Jobs()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("registration never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if jobs := cp.Jobs(); len(jobs) != 1 || jobs[0] != "net-job" {
+		t.Fatalf("jobs after Serve = %v, want [net-job]", jobs)
 	}
 	alloc := cp.RunOnce()
 	if alloc["net-job"] != 4000 {
@@ -199,12 +205,8 @@ func TestControlPlaneOverNetwork(t *testing.T) {
 	if err := dp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for len(cp.Jobs()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("deregistration never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if jobs := cp.Jobs(); len(jobs) != 0 {
+		t.Fatalf("jobs after Close = %v, want none", jobs)
 	}
 }
 
@@ -213,7 +215,7 @@ func TestAdminRuleGranularities(t *testing.T) {
 	defer cp.Stop()
 	var planes []*padll.DataPlane
 	for i := 1; i <= 3; i++ {
-		backend, local := newBackends()
+		backend, local := newBackends(clock.NewReal())
 		job := "gA"
 		if i == 3 {
 			job = "gB"
@@ -254,7 +256,7 @@ func TestServeMonitorEndpoint(t *testing.T) {
 		padll.WithAlgorithm(padll.StaticShare(0)),
 		padll.WithClusterLimit(1000))
 	defer cp.Stop()
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "mon-job"},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
@@ -297,7 +299,7 @@ func TestSecondServeIsRefused(t *testing.T) {
 		}
 	}
 
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "twice"},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
@@ -316,7 +318,7 @@ func TestSecondServeIsRefused(t *testing.T) {
 // has stopped its listener, so the data plane must not report an address
 // or a control service, and a later Serve must succeed.
 func TestFailedServeLeavesNothingServed(t *testing.T) {
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "unregistered"},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
@@ -353,7 +355,7 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backend, local := newBackends()
+	backend, local := newBackends(clock.NewReal())
 	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
