@@ -202,6 +202,8 @@ SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/t
 count:
 	@printf 'non-test lines outside bench/: %d\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'bench/ non-test lines: %d\n' \
+		"$$(find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'exported functions and methods: %d\n' \
 		"$$($(SRC_FILES) | xargs grep -hE '^func (\([a-z]+ \*?[A-Za-z]+\) )?[A-Z]' | wc -l)"
 	@printf 'With* options: %d\n' "$$($(SRC_FILES) | xargs grep -hE '^func With[A-Z]' | wc -l)"

@@ -105,9 +105,9 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 	// 4. Live control plane: controller serves; a replayer stage
 	// registers; padll-ctl inspects and retunes it.
 	controller := exec.Command(filepath.Join(bins, "padll-controller"),
-		"-listen", "127.0.0.1:17070", "-algorithm", "proportional",
+		"-listen", "127.0.0.1:0", "-algorithm", "proportional",
 		"-limit", "20000", "-reserve", "replay-job=5k", "-report", "0",
-		"-http", "127.0.0.1:17090")
+		"-http", "127.0.0.1:0")
 	var ctlOut lockedBuffer
 	controller.Stdout = &ctlOut
 	controller.Stderr = &ctlOut
@@ -118,11 +118,12 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 		controller.Process.Kill()
 		controller.Wait()
 	}()
-	waitForOutput(t, &ctlOut, "registrar on", 5*time.Second)
+	registrar := waitForAddr(t, &ctlOut, "registrar on ", 5*time.Second)
+	monitor := waitForAddr(t, &ctlOut, "HTTP monitor on ", 5*time.Second)
 
 	replayer := exec.Command(filepath.Join(bins, "padll-replayer"),
 		"-trace", traceFile, "-duration", "8s",
-		"-serve", "127.0.0.1:17171", "-controller", "127.0.0.1:17070")
+		"-serve", "127.0.0.1:0", "-controller", registrar)
 	var repOut lockedBuffer
 	replayer.Stdout = &repOut
 	replayer.Stderr = &repOut
@@ -133,17 +134,17 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 		replayer.Process.Kill()
 		replayer.Wait()
 	}()
-	waitForOutput(t, &repOut, "stage control service on", 5*time.Second)
+	stageAddr := waitForAddr(t, &repOut, "stage control service on ", 5*time.Second)
 
 	ctl := filepath.Join(bins, "padll-ctl")
-	out = run(t, ctl, "-stage", "127.0.0.1:17171", "ping")
+	out = run(t, ctl, "-stage", stageAddr, "ping")
 	if !strings.Contains(out, "replay-job") {
 		t.Errorf("ctl ping output:\n%s", out)
 	}
 	// Give the controller a loop iteration to install the managed queue.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		out = run(t, ctl, "-stage", "127.0.0.1:17171", "stats")
+		out = run(t, ctl, "-stage", stageAddr, "stats")
 		if strings.Contains(out, "padll-control") {
 			break
 		}
@@ -153,15 +154,15 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}
 	// Apply an extra administrator rule and retune it.
-	out = run(t, ctl, "-stage", "127.0.0.1:17171", "apply", "limit id:open-cap op:open rate:1k")
+	out = run(t, ctl, "-stage", stageAddr, "apply", "limit id:open-cap op:open rate:1k")
 	if !strings.Contains(out, "applied") {
 		t.Errorf("ctl apply output:\n%s", out)
 	}
-	out = run(t, ctl, "-stage", "127.0.0.1:17171", "set-rate", "open-cap", "2k")
+	out = run(t, ctl, "-stage", stageAddr, "set-rate", "open-cap", "2k")
 	if !strings.Contains(out, "2000") {
 		t.Errorf("ctl set-rate output:\n%s", out)
 	}
-	out = run(t, ctl, "-stage", "127.0.0.1:17171", "remove", "open-cap")
+	out = run(t, ctl, "-stage", stageAddr, "remove", "open-cap")
 	if !strings.Contains(out, "removed") {
 		t.Errorf("ctl remove output:\n%s", out)
 	}
@@ -170,7 +171,7 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 	// the feedback loop has run (first tick lands within a second).
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		monBody := httpGetWithRetry(t, "http://127.0.0.1:17090/api/overview", 5*time.Second)
+		monBody := httpGetWithRetry(t, monitor+"api/overview", 5*time.Second)
 		if strings.Contains(monBody, "replay-job") {
 			break
 		}
@@ -193,7 +194,7 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 	bins := buildTools(t)
 
 	controller := exec.Command(filepath.Join(bins, "padll-controller"),
-		"-listen", "127.0.0.1:17270", "-algorithm", "priority",
+		"-listen", "127.0.0.1:0", "-algorithm", "priority",
 		"-limit", "20000", "-reserve", "job-a=4k", "-reserve", "job-b=6k",
 		"-interval", "200ms", "-report", "0")
 	var ctlOut lockedBuffer
@@ -206,7 +207,7 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 		controller.Process.Kill()
 		controller.Wait()
 	}()
-	waitForOutput(t, &ctlOut, "registrar on", 5*time.Second)
+	registrar := waitForAddr(t, &ctlOut, "registrar on ", 5*time.Second)
 
 	// Two stages, one per job, each heartbeating the controller.
 	type stageProc struct {
@@ -215,15 +216,15 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 		out             *lockedBuffer
 	}
 	stages := []*stageProc{
-		{job: "job-a", addr: "127.0.0.1:17271", rate: "4000"},
-		{job: "job-b", addr: "127.0.0.1:17272", rate: "6000"},
+		{job: "job-a", rate: "4000"},
+		{job: "job-b", rate: "6000"},
 	}
 	for _, s := range stages {
 		s.out = &lockedBuffer{}
 		s.cmd = exec.Command(filepath.Join(bins, "padll-replayer"),
 			"-synthetic", "-seed", "7", "-duration", "12s",
-			"-job", s.job, "-serve", s.addr,
-			"-controller", "127.0.0.1:17270", "-heartbeat", "150ms")
+			"-job", s.job, "-serve", "127.0.0.1:0",
+			"-controller", registrar, "-heartbeat", "150ms")
 		s.cmd.Stdout = s.out
 		s.cmd.Stderr = s.out
 		if err := s.cmd.Start(); err != nil {
@@ -235,7 +236,7 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 		}(s.cmd)
 	}
 	for _, s := range stages {
-		waitForOutput(t, s.out, "stage control service on", 5*time.Second)
+		s.addr = waitForAddr(t, s.out, "stage control service on ", 5*time.Second)
 	}
 
 	// Wait until the control loop has tuned both stages to their
@@ -306,13 +307,21 @@ func controlLine(statsOut string) string {
 	return ""
 }
 
-// waitForOutput polls a process's captured output for a marker.
-func waitForOutput(t *testing.T, buf *lockedBuffer, marker string, timeout time.Duration) {
+// waitForAddr waits for the line a process prints once it has bound a
+// listener — marker, then the address — and returns the address
+// (host:port, or the URL with its trailing slash for an HTTP endpoint).
+func waitForAddr(t *testing.T, buf *lockedBuffer, marker string, timeout time.Duration) string {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for !strings.Contains(buf.String(), marker) {
+	for {
+		out := buf.String()
+		if i := strings.Index(out, marker); i >= 0 {
+			if line, _, done := strings.Cut(out[i+len(marker):], "\n"); done {
+				return strings.TrimSuffix(strings.Fields(line)[0], ",")
+			}
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never saw %q in output:\n%s", marker, buf.String())
+			t.Fatalf("never saw %q and an address in output:\n%s", marker, out)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

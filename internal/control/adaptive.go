@@ -1,23 +1,16 @@
 package control
 
-// LimitAdapter adjusts the cluster-wide limit between feedback-loop
-// iterations, closing the loop on backend health. §I sketches exactly
-// this class of policy: "dynamically adjusting the metadata rate of all
-// jobs according to workload and system variations". The adapter sees
-// the current limit and returns the next one; the controller then
-// allocates the (possibly changed) limit among jobs as usual.
-type LimitAdapter interface {
-	// AdjustLimit returns the next cluster limit given the current one.
-	AdjustLimit(current float64) float64
-}
-
 // AIMDLimit discovers and tracks the sustainable metadata rate with
 // additive-increase / multiplicative-decrease — the classic congestion
 // controller, driven here by a backend-health probe (e.g. "is the MDS
 // saturated"). While the probe reports healthy, the limit creeps up by
 // Increase each round, reclaiming capacity; on a saturation signal it is
 // cut by the Decrease factor, backing the whole cluster off before the
-// MDS accumulates a harmful backlog.
+// MDS accumulates a harmful backlog — §I's "dynamically adjusting the
+// metadata rate of all jobs according to workload and system
+// variations". The controller retunes its cluster limit with it at the
+// start of every loop iteration (WithLimitAdapter), then allocates the
+// (possibly changed) limit among jobs as usual.
 type AIMDLimit struct {
 	// Probe reports whether the protected backend is currently beyond
 	// its sustainable operating point. Required.
@@ -32,9 +25,7 @@ type AIMDLimit struct {
 	Decrease float64
 }
 
-var _ LimitAdapter = (*AIMDLimit)(nil)
-
-// AdjustLimit implements LimitAdapter.
+// AdjustLimit returns the next cluster limit given the current one.
 func (a *AIMDLimit) AdjustLimit(current float64) float64 {
 	inc := a.Increase
 	if inc <= 0 {

@@ -27,7 +27,7 @@ type Controller struct {
 	clk clock.Clock
 
 	mu     sync.Mutex
-	stages map[string]peer // by StageID
+	stages map[string]*member // by StageID
 	// registryRev counts mutations of the registry; the round loop
 	// reshards lazily when it has moved.
 	registryRev  int
@@ -35,7 +35,7 @@ type Controller struct {
 	clusterLimit float64
 	algorithm    Algorithm
 	// limitAdapter, when set, retunes clusterLimit each loop iteration.
-	limitAdapter LimitAdapter
+	limitAdapter *AIMDLimit
 	onError      func(stageID string, err error)
 	lastAlloc    map[string]float64
 	loopStop     chan struct{}
@@ -62,8 +62,8 @@ type Controller struct {
 	// roundMu serializes rounds (RunOnce and CollectAll alike) and owns
 	// the shard. It is taken before mu, never while holding it.
 	roundMu sync.Mutex
-	// sh is what a round drives: the stage registry at revision shardRev
-	// (nil before the first round).
+	// sh is what a round drives: the job index over the registry's
+	// records at revision shardRev (nil before the first round).
 	sh       *shard
 	shardRev int
 }
@@ -82,10 +82,9 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *Controller) { c.algorithm = a }
 }
 
-// WithLimitAdapter installs a dynamic cluster-limit policy (e.g.
-// AIMDLimit probing the MDS) applied at the start of every feedback-loop
-// iteration.
-func WithLimitAdapter(a LimitAdapter) Option {
+// WithLimitAdapter installs a dynamic cluster-limit policy, AIMD probing
+// the MDS, applied at the start of every feedback-loop iteration.
+func WithLimitAdapter(a *AIMDLimit) Option {
 	return func(c *Controller) { c.limitAdapter = a }
 }
 
@@ -113,7 +112,7 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 	}
 	c := &Controller{
 		clk:          clk,
-		stages:       make(map[string]peer),
+		stages:       make(map[string]*member),
 		reservations: make(map[string]float64),
 		onError:      func(string, error) {},
 		lastAlloc:    make(map[string]float64),
@@ -134,24 +133,15 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 
 // ---- registry ----
 
-// peer is one registered stage: the identity it registered under and
-// the handle the controller reaches it through. Every stage the
-// controller drives — over TCP, or in process for the cluster
-// simulator, single-process deployments and tests — is a frame-codec
-// handle, so live and simulated clusters run the same codec, the same
-// delta protocol and the same control algorithms.
-type peer struct {
-	info stage.Info
-	h    *rpcio.StageHandle
-}
-
 // Register adds the stage info names, reached through h, to the
 // registry. A stage re-registering under an existing ID (restart or
 // reconnect after a network failure — the dependability case §VI
-// highlights) has its failure marks cleared and, when it comes with a
-// new handle, replaces the previous one, which is closed; re-registering
-// the same handle keeps it open. If an algorithm is active, the stage
-// immediately receives the managed control queue — at its job's
+// highlights) has its failure marks cleared. Re-registering the same
+// handle with the same identity keeps the stage's record, and with it
+// its collect slot and probe; a new handle or identity gets a fresh
+// record (a record's identity never changes, so a round reads it
+// without the registry lock), and a handle it replaces is closed. If
+// an algorithm is active, the stage immediately receives the managed control queue — at its job's
 // last-known per-stage allocation when one exists, so a restarted stage
 // resumes the frozen rate rather than resetting to an equal share.
 // Administrator rules recorded for the job (and cluster-wide) are
@@ -160,8 +150,10 @@ type peer struct {
 func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	id := info.StageID
 	c.mu.Lock()
-	old, had := c.stages[id]
-	c.stages[id] = peer{info: info, h: h}
+	old := c.stages[id]
+	if old == nil || old.h != h || old.info != info {
+		c.stages[id] = &member{info: info, h: h}
+	}
 	c.registryRev++
 	delete(c.misses, id)
 	alg := c.algorithm
@@ -175,7 +167,7 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	replay := c.replayRulesLocked(job)
 	c.mu.Unlock()
 
-	if had && old.h != h {
+	if old != nil && old.h != h {
 		// A replaced handle's close error is unactionable here: the new
 		// handle is already installed.
 		_ = old.h.Close()
@@ -206,40 +198,32 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 }
 
 // replayRulesLocked materializes the per-stage form of every recorded
-// administrator rule a (re-)registering stage of the job should carry,
-// in deterministic (ID-sorted) order. Rates are split by the job's
-// current stage count, matching how the rules were originally pushed.
+// administrator rule a (re-)registering stage of the job should carry:
+// the job's rules, then the cluster's. Rates are split by the job's
+// (the cluster's) current stage count, matching how the rules were
+// originally pushed.
 func (c *Controller) replayRulesLocked(job string) []policy.Rule {
 	var out []policy.Rule
 	if group := c.adminRules[job]; len(group) > 0 {
-		n := len(c.stagesOfJobLocked(job))
-		ids := make([]string, 0, len(group))
-		for rid := range group {
-			ids = append(ids, rid)
-		}
-		sort.Strings(ids)
-		for _, rid := range ids {
-			r := group[rid]
-			if r.Rate != policy.Unlimited && n > 1 {
-				r.Rate /= float64(n)
-			}
-			out = append(out, r)
-		}
+		out = appendSplit(out, group, len(c.stagesOfJobLocked(job)))
 	}
-	if len(c.clusterRules) > 0 {
-		n := len(c.stages)
-		ids := make([]string, 0, len(c.clusterRules))
-		for rid := range c.clusterRules {
-			ids = append(ids, rid)
+	return appendSplit(out, c.clusterRules, len(c.stages))
+}
+
+// appendSplit appends rules to out in deterministic (ID-sorted) order,
+// each finite rate split n ways.
+func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []policy.Rule {
+	ids := make([]string, 0, len(rules))
+	for rid := range rules {
+		ids = append(ids, rid)
+	}
+	sort.Strings(ids)
+	for _, rid := range ids {
+		r := rules[rid]
+		if r.Rate != policy.Unlimited && n > 1 {
+			r.Rate /= float64(n)
 		}
-		sort.Strings(ids)
-		for _, rid := range ids {
-			r := c.clusterRules[rid]
-			if r.Rate != policy.Unlimited && n > 1 {
-				r.Rate /= float64(n)
-			}
-			out = append(out, r)
-		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -266,9 +250,9 @@ func (c *Controller) initialRate() float64 {
 // jobs instead of holding it for a departed one.
 func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
-	p, ok := c.stages[stageID]
+	m, ok := c.stages[stageID]
 	if ok {
-		job := p.info.JobID
+		job := m.info.JobID
 		delete(c.stages, stageID)
 		c.registryRev++
 		delete(c.misses, stageID)
@@ -282,7 +266,7 @@ func (c *Controller) Deregister(stageID string) bool {
 	if ok {
 		// The stage is gone (job completion or node failure); its close
 		// error carries no recovery path.
-		_ = p.h.Close()
+		_ = m.h.Close()
 	}
 	return ok
 }
@@ -315,10 +299,10 @@ func (c *Controller) evictDead() {
 	}
 }
 
-// mark moves the eviction marks by the outcome of sh's last round: a
+// mark moves the eviction marks by the outcome of sh's last pass: a
 // member whose exchange failed gains one, and after a collect a member
-// that answered loses its mark. A member no longer registered under its
-// handle is left alone. RunOnce is the only caller, so reading the
+// that answered loses its mark. A member whose record has left the
+// registry is left alone. RunOnce is the only caller, so reading the
 // statistics between rounds (CollectAll) never counts toward eviction.
 // Caller holds roundMu.
 func (c *Controller) mark(sh *shard, collect bool) {
@@ -328,7 +312,7 @@ func (c *Controller) mark(sh *shard, collect bool) {
 		id := m.info.StageID
 		switch {
 		case m.err != nil:
-			if c.stages[id].h == m.h {
+			if c.stages[id] == m {
 				c.misses[id]++
 			}
 		case collect:
@@ -342,8 +326,8 @@ func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]stage.Info, 0, len(c.stages))
-	for _, p := range c.stages {
-		out = append(out, p.info)
+	for _, m := range c.stages {
+		out = append(out, m.info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StageID < out[j].StageID })
 	return out
@@ -359,8 +343,8 @@ func (c *Controller) Jobs() []string {
 func (c *Controller) jobIDsLocked() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, p := range c.stages {
-		j := p.info.JobID
+	for _, m := range c.stages {
+		j := m.info.JobID
 		if !seen[j] {
 			seen[j] = true
 			out = append(out, j)
@@ -370,20 +354,27 @@ func (c *Controller) jobIDsLocked() []string {
 	return out
 }
 
-// stagesOfJobLocked returns the stages serving a job, sorted by StageID.
-func (c *Controller) stagesOfJobLocked(jobID string) []peer {
-	var out []peer
-	for _, p := range c.stages {
-		if p.info.JobID == jobID {
-			out = append(out, p)
-		}
+// membersLocked returns the registry's records, sorted by StageID.
+func (c *Controller) membersLocked() []*member {
+	out := make([]*member, 0, len(c.stages))
+	for _, m := range c.stages {
+		out = append(out, m)
 	}
-	sortPeers(out)
+	sortMembers(out)
 	return out
 }
 
-func sortPeers(ps []peer) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].info.StageID < ps[j].info.StageID })
+// stagesOfJobLocked returns the records of the stages serving a job,
+// sorted by StageID.
+func (c *Controller) stagesOfJobLocked(jobID string) []*member {
+	var out []*member
+	for _, m := range c.stages {
+		if m.info.JobID == jobID {
+			out = append(out, m)
+		}
+	}
+	sortMembers(out)
+	return out
 }
 
 // ---- administrator operations (simple policies) ----
@@ -393,8 +384,8 @@ func sortPeers(ps []peer) {
 // stage count, so a distributed job's aggregate stays at the intent.
 func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	c.mu.Lock()
-	peers := c.stagesOfJobLocked(jobID)
-	if len(peers) > 0 {
+	members := c.stagesOfJobLocked(jobID)
+	if len(members) > 0 {
 		// Remember the aggregate intent so a restarted stage of this
 		// job gets the rule replayed at re-registration.
 		if c.adminRules[jobID] == nil {
@@ -403,32 +394,33 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 		c.adminRules[jobID][r.ID] = r
 	}
 	c.mu.Unlock()
-	if len(peers) == 0 {
+	if len(members) == 0 {
 		return fmt.Errorf("control: no stages for job %q", jobID)
 	}
-	return installSplit(peers, r)
+	return installSplit(members, r)
 }
 
-// installSplit installs r on every stage as a one-op batch, its rate
-// split equally among them, in the same pass a round makes: every
-// install is started in StageID order before the first is awaited.
-// Every stage is attempted whatever the others answer — a failure in
-// the middle must not leave an arbitrary remainder of the job without
-// the rule — and the error returned is the first in StageID order.
-func installSplit(peers []peer, r policy.Rule) error {
-	if r.Rate != policy.Unlimited && len(peers) > 1 {
-		r.Rate /= float64(len(peers))
+// installSplit installs r on every stage of members (StageID-sorted) as
+// a one-op batch, its rate split equally among them: every install is
+// started in StageID order before the first is awaited, and a failed one
+// is retried before the next is finished. It touches only the records'
+// identities and handles, none of their round memory. Every stage is
+// attempted whatever the others answer — a failure in the middle must
+// not leave an arbitrary remainder of the job without the rule — and the
+// error returned is the first in StageID order.
+func installSplit(members []*member, r policy.Rule) error {
+	if r.Rate != policy.Unlimited && len(members) > 1 {
+		r.Rate /= float64(len(members))
 	}
-	sortPeers(peers)
 	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
-	for _, p := range peers {
-		p.h.Start(ops, nil, false)
+	for _, m := range members {
+		m.h.Start(ops, nil, false)
 	}
 	var first error
-	for _, p := range peers {
-		res, changed, err := p.h.Finish()
-		if _, _, err = p.h.Reattempt(ops, nil, false, res, changed, err); err != nil && first == nil {
-			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, p.info.StageID, err)
+	for _, m := range members {
+		res, changed, err := m.h.Finish()
+		if _, _, err = m.h.Reattempt(ops, nil, false, res, changed, err); err != nil && first == nil {
+			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, m.info.StageID, err)
 		}
 	}
 	return first
@@ -459,15 +451,15 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 // (cluster-wide granularity), splitting the rate across all stages.
 func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	c.mu.Lock()
-	peers := c.peersLocked()
-	if len(peers) > 0 {
+	members := c.membersLocked()
+	if len(members) > 0 {
 		c.clusterRules[r.ID] = r
 	}
 	c.mu.Unlock()
-	if len(peers) == 0 {
+	if len(members) == 0 {
 		return fmt.Errorf("control: no registered stages")
 	}
-	return installSplit(peers, r)
+	return installSplit(members, r)
 }
 
 // SetReservation records a job's reserved/priority rate used by
@@ -584,44 +576,17 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 }
 
 // reshard brings the shard up to the registry's current revision and
-// returns it: one shard over every registered stage in StageID order, a
-// pure function of the registry, so same-seed chaos runs are identical.
-// A stage whose handle is still registered keeps its member record, and
-// with it its collect slot and probe. Caller holds roundMu.
+// returns it: one job index over every registered record in StageID
+// order, a pure function of the registry, so same-seed chaos runs are
+// identical. The records are the registry's own, so a stage that stays
+// registered keeps its collect slot and probe. Caller holds roundMu.
 func (c *Controller) reshard() *shard {
 	c.mu.Lock()
-	rev := c.registryRev
-	if c.sh != nil && rev == c.shardRev {
-		c.mu.Unlock()
-		return c.sh
+	defer c.mu.Unlock()
+	if c.sh == nil || c.shardRev != c.registryRev {
+		c.sh, c.shardRev = c.newShard(c.membersLocked()), c.registryRev
 	}
-	peers := c.peersLocked()
-	c.mu.Unlock()
-
-	kept := make(map[*rpcio.StageHandle]*member, len(peers))
-	if c.sh != nil {
-		for _, m := range c.sh.members {
-			kept[m.h] = m
-		}
-	}
-	members := make([]*member, len(peers))
-	for i, p := range peers {
-		if members[i] = kept[p.h]; members[i] == nil {
-			members[i] = &member{peer: p}
-		}
-	}
-	sortMembers(members)
-	c.sh, c.shardRev = c.newShard(members), rev
 	return c.sh
-}
-
-// peersLocked copies the registry's stages out, unordered.
-func (c *Controller) peersLocked() []peer {
-	peers := make([]peer, 0, len(c.stages))
-	for _, p := range c.stages {
-		peers = append(peers, p)
-	}
-	return peers
 }
 
 // collect runs the collect phase over sh and returns its rows, one
@@ -629,7 +594,7 @@ func (c *Controller) peersLocked() []peer {
 // has no snapshot: the loop runs on what it can see rather than holding
 // a share for a dead peer. Caller holds roundMu.
 func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
-	sh.round(nil, true, rs)
+	sh.collect(rs)
 
 	c.mu.Lock()
 	out := make([]JobSnapshot, 0, len(sh.rows))
@@ -674,15 +639,15 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // algorithm is installed.
 //
 // The round is collect, sweep, allocate, split, push. Both exchanges
-// with the fleet happen in the shard (shard.round): collects are
+// with the fleet happen in the shard (shard.collect, shard.push), one
+// pass each: collects are
 // incremental (only changed queues on the wire, an unchanged stage's
 // slot left as it is), and a push is skipped outright for a stage whose
 // collect probe shows the target rate already enforced — in-process
 // stages included, so a steady round leaves a stage's rule snapshot
 // (and its classification cache) untouched. What is the controller's
 // own is here: evict the stages past the failure threshold, run the
-// algorithm, divide each job's allocation among its registered stages,
-// and account.
+// algorithm, and account.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -713,12 +678,10 @@ func (c *Controller) RunOnce() map[string]float64 {
 	c.mu.Unlock()
 
 	// The sweep, or a registration that raced the collect, moved the
-	// registry: the plan is made over the stages registered now.
+	// registry: the push goes to the stages registered now.
 	push := c.reshard()
-	if grants := push.grant(alloc); len(grants) > 0 {
-		push.round(grants, false, &rs)
-		c.mark(push, false)
-	}
+	push.push(alloc, &rs)
+	c.mark(push, false)
 
 	rs.Duration = c.clk.Now().Sub(start)
 	wireAfter := sh.wireStats()
@@ -767,8 +730,8 @@ func (c *Controller) Stop() {
 	}
 }
 
-// ClusterLimit returns the current cluster-wide limit (which a
-// LimitAdapter may be moving).
+// ClusterLimit returns the current cluster-wide limit (which a limit
+// adapter may be moving).
 func (c *Controller) ClusterLimit() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -71,11 +71,14 @@ func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.
 // members (s1 onwards) stop answering, so the pass sets that many aside
 // and starts one retry worker for each. Their deadlines run from the
 // send, so they expire together when the first does, and their retries
-// — backoff, redial, a second attempt that hangs too — run side by
-// side: the round takes exactly what one blocking exchange with one
-// hung peer takes (timeout + backoff + timeout), not workers times
-// that. The clock is simulated and only ever advanced by a full step
-// once the expected waiters are parked on it, so the duration is exact.
+// — sleep, redial, another attempt that hangs too — run side by side:
+// the round takes exactly what one blocking exchange with one hung peer
+// takes on the production schedule (four attempts, each cut at
+// DefaultCallTimeout, and the 50, 100 and 200 ms sleeps between them:
+// 4 × DefaultCallTimeout + 350 ms), not workers times that. The hung
+// members' handles differ from production only in their clock, which
+// is simulated and only ever advanced by a full step once the expected
+// waiters are parked on it, so the duration is exact.
 func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { hungPeersRound(t, workers) })
@@ -83,9 +86,7 @@ func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 }
 
 func hungPeersRound(t *testing.T, workers int) {
-	const timeout = 150 * time.Millisecond
-	backoff := rpcio.Backoff{Base: 40 * time.Millisecond, Factor: 2, Attempts: 2}
-	delays := backoff.Delays()
+	const timeout = rpcio.DefaultCallTimeout
 	clk := clock.NewSim(epoch)
 	var (
 		mu       sync.Mutex
@@ -119,7 +120,7 @@ func hungPeersRound(t *testing.T, workers int) {
 		)
 		if hung[id] {
 			job, m = "hung", &mute
-			opts = []rpcio.DialOption{rpcio.WithHandleClock(clk), rpcio.WithCallTimeout(timeout), rpcio.WithBackoff(backoff)}
+			opts = []rpcio.DialOption{rpcio.WithHandleClock(clk)}
 		}
 		stg, h := remoteStage(t, id, job, m, opts...)
 		if err := c.Register(stg.Info(), h); err != nil {
@@ -137,14 +138,16 @@ func hungPeersRound(t *testing.T, workers int) {
 	go func() { done <- c.RunOnce() }()
 	clk.BlockUntil(1) // s1's gatherer; the other hung members wait behind it, already late
 	clk.Advance(timeout)
-	clk.BlockUntil(workers) // the retries, backing off side by side
-	clk.Advance(delays[0])
-	clk.BlockUntil(workers) // their second attempts, sent together
-	clk.Advance(timeout)
+	for _, sleep := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
+		clk.BlockUntil(workers) // the retries, sleeping side by side
+		clk.Advance(sleep)
+		clk.BlockUntil(workers) // their next attempts, sent together
+		clk.Advance(timeout)
+	}
 	alloc := <-done
 
 	rs, _ := c.LastRound()
-	if want := 2*timeout + delays[0]; rs.Duration != want {
+	if want := 4*timeout + 350*time.Millisecond; rs.Duration != want {
 		t.Errorf("round took %v, want %v: what one exchange with one hung peer costs", rs.Duration, want)
 	}
 	if rs.CollectFailures != workers || rs.CollectCalls != 8 || rs.Stages != 8 {

@@ -13,14 +13,15 @@ import (
 	"padll/internal/stage"
 )
 
-// shardOver registers peers with a controller built from opts (no
-// algorithm: registering touches no stage) and returns the shard it
-// builds over them — the unit the round loop drives.
-func shardOver(t *testing.T, clk clock.Clock, opts []Option, peers ...peer) *shard {
+// shardOver registers each stage's identity and handle with a
+// controller built from opts (no algorithm: registering touches no
+// stage) and returns the shard it builds over them — the unit the round
+// loop drives.
+func shardOver(t *testing.T, clk clock.Clock, opts []Option, stages ...member) *shard {
 	t.Helper()
 	c := New(clk, opts...)
-	for _, p := range peers {
-		if err := c.Register(p.info, p.h); err != nil {
+	for _, m := range stages {
+		if err := c.Register(m.info, m.h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,13 +35,13 @@ func shardOver(t *testing.T, clk clock.Clock, opts []Option, peers ...peer) *sha
 func shardFixture(t *testing.T, clk clock.Clock) (*shard, map[string]*stage.Stage) {
 	t.Helper()
 	stages := make(map[string]*stage.Stage)
-	var peers []peer
+	var regs []member
 	for id, job := range map[string]string{"s1": "job1", "s2": "job1", "s3": "job2", "s4": "job2"} {
 		stg, h := localStage(id, job, clk)
 		stages[id] = stg
-		peers = append(peers, peer{stg.Info(), h})
+		regs = append(regs, member{info: stg.Info(), h: h})
 	}
-	return shardOver(t, clk, nil, peers...), stages
+	return shardOver(t, clk, nil, regs...), stages
 }
 
 // offerTo feeds demand through a stage's managed queue over one
@@ -61,11 +62,11 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	sh, stages := shardFixture(t, clk)
 
-	// Push: a grant is the rate each of the job's members is to enforce,
+	// Push: each job's allocation is split equally among its members,
 	// and the managed rule is installed where it did not exist.
-	grants := []jobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
+	alloc := map[string]float64{"job1": 1000, "job2": 2000}
 	var rs RoundStats
-	sh.round(grants, false, &rs)
+	sh.push(alloc, &rs)
 	wantRate := map[string]float64{"s1": 500, "s2": 500, "s3": 1000, "s4": 1000}
 	for id, want := range wantRate {
 		rules := stages[id].Rules()
@@ -80,7 +81,7 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 	// Collect: per-member statistics merge into one row per job.
 	offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 200, "s3": 40, "s4": 60})
 	rs = RoundStats{}
-	sh.round(nil, true, &rs)
+	sh.collect(&rs)
 	rows := sh.rows
 	if rs.Stages != 4 || rs.CollectCalls != 4 {
 		t.Errorf("collect covered %d stages in %d calls, want 4 in 4", rs.Stages, rs.CollectCalls)
@@ -99,13 +100,13 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	sh, stages := shardFixture(t, clk)
-	grants := []jobGrant{{JobID: "job1", Rate: 500}, {JobID: "job2", Rate: 1000}}
+	alloc := map[string]float64{"job1": 1000, "job2": 2000}
 	var rs RoundStats
-	sh.round(grants, false, &rs)
-	// s2 restarts: its managed queue vanishes. The next push round must
-	// bring it back at the fresh rate.
+	sh.push(alloc, &rs)
+	// s2 restarts: its managed queue vanishes. The next push must bring
+	// it back at the fresh rate.
 	stages["s2"].RemoveRule(ControlRuleID)
-	sh.round(grants, false, &rs)
+	sh.push(alloc, &rs)
 	rules := stages["s2"].Rules()
 	if len(rules) != 1 || rules[0].ID != ControlRuleID || rules[0].Rate != 500 {
 		t.Fatalf("s2 rules after reinstall = %+v, want managed rule at 500", rules)
@@ -116,11 +117,12 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	live, h := localStage("s1", "job1", clk)
 	dead, _ := localStage("s2", "job1", clk)
-	sh := shardOver(t, clk, nil, peer{live.Info(), h}, peer{dead.Info(), failingConn(dead)})
+	sh := shardOver(t, clk, nil, member{info: live.Info(), h: h}, member{info: dead.Info(), h: failingConn(dead)})
 
 	// A member failure never fails the round: it is counted.
 	var rs RoundStats
-	sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, true, &rs)
+	sh.push(map[string]float64{"job1": 2000}, &rs)
+	sh.collect(&rs)
 	rows := sh.rows
 	if len(rows) != 1 {
 		t.Fatalf("rows = %+v", rows)
@@ -143,31 +145,33 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stages := make(map[string]*stage.Stage)
-	var peers []peer
+	var regs []member
 	for _, id := range []string{"s1", "s2"} {
 		stg, h := localStage(id, "job1", clk)
 		stages[id] = stg
-		peers = append(peers, peer{stg.Info(), h})
+		regs = append(regs, member{info: stg.Info(), h: h})
 	}
-	sh := shardOver(t, clk, nil, peers...)
+	sh := shardOver(t, clk, nil, regs...)
 	// The rows are the shard's scratch: copied, so a round's answer can
 	// be held against the next one's.
-	round := func(grants []jobGrant) []JobSnapshot {
+	collect := func() []JobSnapshot {
 		var rs RoundStats
-		sh.round(grants, true, &rs)
+		sh.collect(&rs)
 		return slices.Clone(sh.rows)
 	}
-	round([]jobGrant{{JobID: "job1", Rate: 1000}}) // install + first (full) collect
+	var rs RoundStats
+	sh.push(map[string]float64{"job1": 2000}, &rs) // install
+	collect()                                      // first (full) collect
 	offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
-	round(nil)
+	collect()
 	clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
-	round(nil)
-	settled := round(nil)
+	collect()
+	settled := collect()
 
 	const poison = 12345.5
 	members := sh.members
 	members[0].stats.Queues[0].DemandRate = poison
-	quiet := round(nil)
+	quiet := collect()
 	if got := members[0].stats.Queues[0].DemandRate; got != poison {
 		t.Errorf("quiescent round re-materialized member 0's slot (DemandRate %v)", got)
 	}
@@ -184,7 +188,7 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 	// (reading member 0's still-poisoned slot, which proves s1 was again
 	// left alone).
 	offerTo(clk, stages, map[string]float64{"s2": 70})
-	busy := round(nil)
+	busy := collect()
 	if members[0].changed || !members[1].changed {
 		t.Errorf("changed = %v/%v, want only member 1", members[0].changed, members[1].changed)
 	}
@@ -202,10 +206,10 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg, h := localStage("s1", "job1", clk)
-	sh := shardOver(t, clk, nil, peer{stg.Info(), h})
+	sh := shardOver(t, clk, nil, member{info: stg.Info(), h: h})
 	var rs RoundStats
-	collect := func() { sh.round(nil, true, &rs) }
-	sh.round([]jobGrant{{JobID: "job1", Rate: 1000}}, false, &rs)
+	collect := func() { sh.collect(&rs) }
+	sh.push(map[string]float64{"job1": 1000}, &rs)
 	collect()
 	collect() // the slot is now held and quiet
 

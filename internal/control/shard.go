@@ -1,11 +1,13 @@
 // The shard: the one piece of the control plane that exchanges with
 // stages during a round.
 //
-// A shard fronts the controller's registered stages, its members. One
-// round of it fans a task out to every member — bring the managed queue
-// to the granted rate, collect the statistics — and folds what came
-// back into one row per job. The controller keeps exactly one, over its
-// whole registry, and rebuilds it when the registry changes.
+// A shard indexes the controller's registered stages, its members, by
+// job. A round runs two passes over it, each fanning one task out to
+// every member: collect the statistics, folded into one row per job,
+// then push each job's allocation down to its members' managed queues.
+// The controller keeps exactly one, over its whole registry, and
+// rebuilds it when the registry changes; the member records are the
+// registry's own.
 package control
 
 import (
@@ -30,12 +32,18 @@ func managedRule(job string, rate float64) policy.Rule {
 	return policy.Rule{ID: ControlRuleID, Match: policy.Matcher{Classes: managedClasses, JobID: job}, Rate: rate}
 }
 
-// member is one stage of a shard together with what rounds remember
-// about it. A member's record outlives the shard it was built into when
-// the controller reshards, so a stage keeps its collect slot and its
-// probe for as long as its handle stays registered.
+// member is the controller's record of one registered stage: the
+// identity it registered under and the handle the controller reaches it
+// through — over TCP, or in process for the cluster simulator,
+// single-process deployments and tests, so live and simulated clusters
+// run the same codec, delta protocol and algorithms — together with what
+// rounds remember about it. info and h never change once the record is
+// registered; the rest is round memory, touched only under roundMu. A
+// record outlives the shards built over it, so a stage keeps its collect
+// slot and its probe for as long as the record stays registered.
 type member struct {
-	peer
+	info stage.Info
+	h    *rpcio.StageHandle
 	// stats is the member's collect slot: only h's exchanges write it,
 	// so once h has filled it (held) the shard can promise it is
 	// untouched and an unchanged member costs no snapshot copy.
@@ -43,13 +51,13 @@ type member struct {
 	held  bool
 	// probe is what the latest collect learned about the managed queue.
 	probe stageProbe
-	// err, changed and calls are the outcome of the round in flight:
+	// err, changed and calls are the outcome of the pass in flight:
 	// the exchange's error, whether the collect rewrote stats (or
 	// failed), and the push round trips spent.
 	err     error
 	changed bool
 	calls   int
-	// push is the operation the round in flight sends the member (none:
+	// push is the operation the push in flight sends the member (none:
 	// the zero op), kept here so starting it allocates nothing; started
 	// marks an exchange of the pass in flight begun and not yet finished.
 	push    [1]rpcio.StageOp
@@ -71,23 +79,16 @@ func sortMembers(ms []*member) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].info.StageID < ms[j].info.StageID })
 }
 
-// jobGrant tells a shard what one job's member stages are to enforce:
-// Rate is the rate of each member stage, not of the job.
-type jobGrant struct {
-	JobID string
-	Rate  float64
-}
-
 // shard is the controller's stage registry as a round sees it: its
-// members, the indexes derived from them, and the scratch its rounds
-// reuse.
+// members in StageID order, the job index derived from them, and the
+// scratch its passes reuse.
 //
-// It carries no lock of its own. Its membership and indexes are written
+// It carries no lock of its own. Its membership and index are written
 // once, by newShard, and never change — a registry change builds a new
 // shard — and everything else is round state, which only reshard,
-// collect, grant, round and mark touch, every one of them with the
-// controller's roundMu held. The retry goroutines a pass starts each
-// own one member and are joined before pass returns.
+// collect, push and mark touch, every one of them with the controller's
+// roundMu held. The retry goroutines a pass starts each own one member
+// and are joined before pass returns.
 type shard struct {
 	// The controller's error handler, copied at construction.
 	onError func(stageID string, err error)
@@ -102,8 +103,6 @@ type shard struct {
 	hasRate   []bool
 	rows      []JobSnapshot // the latest collect's fold
 	rowsValid bool          // rows still describe the members' current stats
-	// grants is this round's plan, capacity reused.
-	grants []jobGrant
 }
 
 // newShard builds the controller's shard over StageID-sorted members,
@@ -133,18 +132,6 @@ func (c *Controller) newShard(members []*member) *shard {
 	return sh
 }
 
-// grant plans the push phase: each job's allocation is divided equally
-// among its member stages. The plan is valid until the next call.
-func (sh *shard) grant(alloc map[string]float64) []jobGrant {
-	sh.grants = sh.grants[:0]
-	for j, job := range sh.jobs {
-		if rate, ok := alloc[job]; ok {
-			sh.grants = append(sh.grants, jobGrant{JobID: job, Rate: rate / float64(sh.jobCount[j])})
-		}
-	}
-	return sh.grants
-}
-
 // wireStats sums the members' cumulative traffic.
 func (sh *shard) wireStats() (w rpcio.WireStats) {
 	for _, m := range sh.members {
@@ -164,7 +151,7 @@ func (sh *shard) wireStats() (w rpcio.WireStats) {
 // awaited and — deadlines running from the send — hung members expire
 // together. A member whose attempt failed in transport is set aside,
 // and once every member is gathered the set-aside ones run the rest of
-// the blocking exchange (StageHandle.Reattempt: backoff, redial, try
+// the blocking exchange (StageHandle.Reattempt: sleep, redial, try
 // again) side by side, one goroutine each, so k dead peers cost the
 // round one retry schedule, not k. Every goroutine is gone when pass
 // returns — a replaced shard must leave none behind.
@@ -223,39 +210,24 @@ func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
 	}
 }
 
-// round is one exchange with every member, the only place the control
-// plane talks to stages during a round. Each grant names a job and the
-// rate every member stage of it is to enforce; a granted member is
-// brought to that rate with pushOp's operation — none when its latest
-// probe shows the rate enforced, the managed rule reinstalled where it
-// vanished, and a retune that finds the queue gone (a restart raced
-// the probe) chased by a reinstall. With collect set the members'
-// statistics then fan in, folded into one row per job (sorted by job).
-// Pushes and collects are a pass each: scatter, gather, retry.
-// Member failures never fail the round: they are reported to the error
-// handler in StageID order, counted as FailedStages, and the loop runs
-// on the partial snapshot.
-//
-// rs accumulates member-level accounting: one collect call per member,
-// push round trips and skips per granted member. The fold is left in
-// sh.rows, valid until the shard's next collect.
-func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
-	members := sh.members
-	nj := len(sh.jobs)
-
+// push brings every member of an allocated job to its share of the
+// job's allocation in alloc, divided equally among the job's members,
+// with pushOp's operation — none when its latest probe shows the rate
+// enforced, the managed rule reinstalled where it vanished, and a retune
+// that finds the queue gone (a restart raced the probe) chased by a
+// reinstall. It is one pass: scatter, gather, retry. A member failure
+// never fails the round: it is reported to the error handler in StageID
+// order and left in the member's err for mark. rs accumulates push round
+// trips and skips per member of an allocated job.
+func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 	rates, hasRate := sh.rates, sh.hasRate
-	for j := range rates {
-		rates[j], hasRate[j] = 0, false
+	for j, job := range sh.jobs {
+		rate, ok := alloc[job]
+		rates[j], hasRate[j] = rate/float64(sh.jobCount[j]), ok
 	}
-	for _, g := range grants {
-		if j := sort.SearchStrings(sh.jobs, g.JobID); j < nj && sh.jobs[j] == g.JobID {
-			rates[j], hasRate[j] = g.Rate, true
-		}
-	}
-
 	pushes := false
-	for i, m := range members {
-		m.err, m.changed, m.calls, m.push[0] = nil, false, 0, rpcio.StageOp{}
+	for i, m := range sh.members {
+		m.err, m.calls, m.push[0] = nil, 0, rpcio.StageOp{}
 		if j := sh.rowOf[i]; hasRate[j] {
 			m.push[0] = pushOp(m.probe, managedRule(sh.jobs[j], rates[j]))
 			pushes = pushes || m.push[0].Kind != 0
@@ -269,35 +241,16 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 			func(m *member, res []rpcio.OpResult, _ bool, err error) {
 				m.calls = 1
 				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-					managed := managedRule(m.info.JobID, op.Rate)
-					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(m.info.JobID, op.Rate)}
 					_, _, err = m.h.Exec(m.push[:], nil, false)
 					m.calls = 2
 				}
 				m.err = err
-				m.changed = err != nil // excluded from the fold: rows must rebuild
 			})
 	}
-	if collect {
-		// An unchanged member leaves its held slot as it is — no snapshot
-		// copy — and if the whole shard is unchanged the fold below is
-		// skipped too. A member whose push failed is not asked.
-		sh.pass(
-			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
-				return nil, &m.stats, m.held, m.err == nil
-			},
-			func(m *member, _ []rpcio.OpResult, changed bool, err error) {
-				m.err = err
-				m.held = err == nil
-				m.changed = changed || err != nil
-			})
-	}
-
-	// Fold in member (StageID-sorted) order: rows, error reports and
-	// counts are deterministic whatever order the retries finished in.
-	rebuild := collect && !sh.rowsValid
-	failed := 0
-	for i, m := range members {
+	// Account in member (StageID-sorted) order: error reports are
+	// deterministic whatever order the retries finished in.
+	for i, m := range sh.members {
 		if hasRate[sh.rowOf[i]] {
 			rs.PushCalls += m.calls
 			rs.PushOps += m.calls // every push round trip is a one-op batch
@@ -306,13 +259,41 @@ func (sh *shard) round(grants []jobGrant, collect bool, rs *RoundStats) {
 			}
 		}
 		if m.err != nil {
+			sh.onError(m.info.StageID, m.err)
+		}
+	}
+}
+
+// collect fans every member's statistics in, one pass, and folds them
+// into one row per job (sorted by job), left in sh.rows until the
+// shard's next collect. An unchanged member leaves its held slot as it
+// is — no snapshot copy — and if the whole shard is unchanged the fold
+// is skipped too. A member failure never fails the round: it is
+// reported to the error handler in StageID order, counted as
+// FailedStages, and the loop runs on the partial snapshot. rs
+// accumulates one collect call per member.
+func (sh *shard) collect(rs *RoundStats) {
+	members := sh.members
+	sh.pass(
+		func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
+			return nil, &m.stats, m.held, true
+		},
+		func(m *member, _ []rpcio.OpResult, changed bool, err error) {
+			m.err = err
+			m.held = err == nil
+			m.changed = changed || err != nil
+		})
+
+	// Fold in member (StageID-sorted) order: rows, error reports and
+	// counts are deterministic whatever order the retries finished in.
+	rebuild := !sh.rowsValid
+	failed := 0
+	for _, m := range members {
+		if m.err != nil {
 			failed++
 			sh.onError(m.info.StageID, m.err)
 		}
-		rebuild = rebuild || collect && m.changed
-	}
-	if !collect {
-		return
+		rebuild = rebuild || m.changed
 	}
 	rs.Stages += len(members)
 	rs.CollectCalls += len(members)

@@ -201,10 +201,10 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
-	peers := make([]peer, 8)
-	for i := range peers {
+	regs := make([]member, 8)
+	for i := range regs {
 		stg, h := localStage(fmt.Sprintf("s%d", i), "jobA", clk)
-		peers[i] = peer{stg.Info(), h}
+		regs[i] = member{info: stg.Info(), h: h}
 		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +212,8 @@ func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	c.RunOnce()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		p := peers[i%len(peers)]
-		if err := c.Register(p.info, p.h); err != nil {
+		m := regs[i%len(regs)]
+		if err := c.Register(m.info, m.h); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce()

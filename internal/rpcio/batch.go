@@ -322,15 +322,15 @@ func (s *StageService) collectDelta(clientID, ackEpoch, ackGen uint64, d *StatsD
 	t.last = append(t.last[:0], st.Queues...)
 }
 
-// DeltaState is the client half of incremental collection: the merged
+// deltaState is the client half of incremental collection: the merged
 // snapshot a sequence of StatsDelta replies reconstructs. It is not
 // safe for concurrent use; StageHandle guards its own instance.
-type DeltaState struct {
+type deltaState struct {
 	epoch uint64
 	gen   uint64
 	info  stage.Info
 	// qs holds the merged queue stats sorted by rule ID — the order
-	// deltas arrive in and the order Snapshot must emit — so a
+	// deltas arrive in and the order snapshotInto must emit — so a
 	// steady-state round is binary-search overwrites on apply and one
 	// bulk copy on snapshot, with no per-rule hashing anywhere.
 	qs []stage.QueueStats
@@ -343,23 +343,23 @@ type DeltaState struct {
 	fulls, deltas uint64
 }
 
-// Ack returns the epoch/generation pair to acknowledge in the next
+// ack returns the epoch/generation pair to acknowledge in the next
 // BatchArgs.
-func (ds *DeltaState) Ack() (epoch, gen uint64) { return ds.epoch, ds.gen }
+func (ds *deltaState) ack() (epoch, gen uint64) { return ds.epoch, ds.gen }
 
 // find binary-searches qs for a rule ID, returning its index (or the
 // insertion point) and whether it is present.
-func (ds *DeltaState) find(id string) (int, bool) {
+func (ds *deltaState) find(id string) (int, bool) {
 	i := sort.Search(len(ds.qs), func(k int) bool { return ds.qs[k].RuleID >= id })
 	return i, i < len(ds.qs) && ds.qs[i].RuleID == id
 }
 
-// Apply merges one reply into the state and reports whether the merged
+// apply merges one reply into the state and reports whether the merged
 // snapshot differs from what it was before this reply — false exactly
 // when a materialization from before the call is still current. Queue
 // entries may arrive in any order and may repeat within a reply (later
 // entries win); the merged state stays sorted.
-func (ds *DeltaState) Apply(d *StatsDelta) (changed bool) {
+func (ds *deltaState) apply(d *StatsDelta) (changed bool) {
 	changed = d.Full || len(d.Queues) > 0 || len(d.Removed) > 0 ||
 		d.Passthrough != ds.passthrough || d.Degraded != ds.degraded ||
 		d.DegradedSeconds != ds.degradedSeconds
@@ -391,14 +391,14 @@ func (ds *DeltaState) Apply(d *StatsDelta) (changed bool) {
 	return changed
 }
 
-// SnapshotInto materializes the merged state into a caller-owned
+// snapshotInto materializes the merged state into a caller-owned
 // buffer, equal to what a direct Collect at the same instant would have
 // returned (queues sorted by rule ID): every
 // field of dst is overwritten and dst.Queues is rebuilt in place, so a
 // caller reusing dst across rounds pays no allocations once capacities
 // warm up. The merged state is kept sorted on apply, so this is one
 // bulk copy with no sort and no per-rule lookups.
-func (ds *DeltaState) SnapshotInto(dst *stage.Stats) {
+func (ds *deltaState) snapshotInto(dst *stage.Stats) {
 	dst.Info = ds.info
 	dst.Passthrough = ds.passthrough
 	dst.Degraded = ds.degraded
@@ -406,8 +406,8 @@ func (ds *DeltaState) SnapshotInto(dst *stage.Stats) {
 	dst.Queues = append(dst.Queues[:0], ds.qs...)
 }
 
-// CollectCounts reports how many replies arrived in each form.
-func (ds *DeltaState) CollectCounts() (fulls, deltas uint64) { return ds.fulls, ds.deltas }
+// collectCounts reports how many replies arrived in each form.
+func (ds *deltaState) collectCounts() (fulls, deltas uint64) { return ds.fulls, ds.deltas }
 
 // ---- handle-side batched API ----
 //
@@ -470,7 +470,7 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 		// each other's acknowledged generations.
 		h.bargs.ClientID = newEpoch()
 	}
-	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.Ack()
+	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.ack()
 	h.bmu.Unlock()
 	h.bargs.Ops = ops
 	h.bargs.Collect = dst != nil
@@ -491,9 +491,9 @@ func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 	}
 	h.bmu.Lock()
 	if err == nil && dst != nil {
-		moved := h.dstate.Apply(&h.breply.Delta)
+		moved := h.dstate.apply(&h.breply.Delta)
 		if changed = moved || !held || dst != h.filled; changed {
-			h.dstate.SnapshotInto(dst)
+			h.dstate.snapshotInto(dst)
 			h.filled = dst
 		}
 	}
@@ -539,5 +539,5 @@ func (h *StageHandle) CollectDeltaInto(dst *stage.Stats) error {
 func (h *StageHandle) CollectCounts() (fulls, deltas uint64) {
 	h.bmu.Lock()
 	defer h.bmu.Unlock()
-	return h.dstate.CollectCounts()
+	return h.dstate.collectCounts()
 }

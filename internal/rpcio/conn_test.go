@@ -140,7 +140,7 @@ func TestMidFrameDropRedialsAndResyncs(t *testing.T) {
 	arm := &atomic.Bool{}
 	stages, handles := servedFleet(t, 1, func(l net.Listener) net.Listener {
 		return &killSwitchListener{Listener: l, arm: arm}
-	}, WithBackoff(Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Attempts: 5}))
+	}, withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond))
 	stg, h := stages[0], handles[0]
 
 	if _, err := collect(h); err != nil { // initial full snapshot
@@ -188,8 +188,8 @@ func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
 	stages, handles := servedFleet(t, 2, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DropEvery: 5}}
 	},
-		WithCallTimeout(150*time.Millisecond),
-		WithBackoff(Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Attempts: 6}))
+		withCallTimeout(150*time.Millisecond),
+		withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond))
 
 	for round := 0; round < 8; round++ {
 		for i, h := range handles {
@@ -281,7 +281,7 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 	var mute atomic.Bool
 	stages, handles := servedFleet(t, n, func(l net.Listener) net.Listener {
 		return &muteListener{Listener: l, mute: &mute}
-	}, WithCallTimeout(time.Hour), WithBackoff(Backoff{Attempts: 1}))
+	}, withCallTimeout(time.Hour), withDelays())
 	dst := make([]stage.Stats, n)
 	conns := make([]*frameConn, n)
 	for i, h := range handles { // the first (full) collect

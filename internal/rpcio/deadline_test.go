@@ -23,7 +23,7 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 	}
 	t.Cleanup(ServeStage(wrap(l), stg))
 	cfg := defaultDialConfig()
-	cfg.clk, cfg.timeout, cfg.backoff = clk, timeout, Backoff{Attempts: 1}
+	cfg.clk, cfg.timeout, cfg.delays = clk, timeout, nil
 	tr := newFrameTransport(l.Addr().String(), cfg)
 	t.Cleanup(func() { _ = tr.Close() })
 	return tr
@@ -299,14 +299,14 @@ func TestDeadlineOnOneHandleSparesAnother(t *testing.T) {
 	}
 	t.Cleanup(ServeStage(&firstMutedListener{Listener: l}, stg))
 	clk := clock.NewSim(epoch)
-	muted, err := DialStage(l.Addr().String(), WithHandleClock(clk), WithCallTimeout(timeout), WithBackoff(Backoff{Attempts: 1}))
+	muted, err := DialStage(l.Addr().String(), WithHandleClock(clk), withCallTimeout(timeout), withDelays())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = muted.Close() }()
 	// The second handle's deadline runs on a clock nobody advances: its
 	// exchange can only end by its reply or by someone else's kill.
-	spared, err := DialStage(l.Addr().String(), WithHandleClock(clock.NewSim(epoch)), WithBackoff(Backoff{Attempts: 1}))
+	spared, err := DialStage(l.Addr().String(), WithHandleClock(clock.NewSim(epoch)), withDelays())
 	if err != nil {
 		t.Fatal(err)
 	}

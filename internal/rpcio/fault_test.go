@@ -16,44 +16,23 @@ import (
 	"padll/internal/stage"
 )
 
-// randomBackoff draws a schedule with every field set.
-func randomBackoff(rng *rand.Rand) Backoff {
-	return Backoff{
-		Base:     time.Duration(1+rng.Intn(50)) * time.Millisecond,
-		Max:      time.Duration(20+rng.Intn(200)) * time.Millisecond,
-		Factor:   1 + 2*rng.Float64(),
-		Attempts: 1 + rng.Intn(6),
-	}
-}
+// withCallTimeout, withDialTimeout and withDelays set what a stage
+// handle's production dial fixes (DefaultCallTimeout, 0 for none;
+// DefaultDialTimeout; retryDelays): tests shorten them.
+func withCallTimeout(d time.Duration) DialOption { return func(c *dialConfig) { c.timeout = d } }
 
-// TestBackoffDelaysAreDeterministic: a schedule is a pure function of
-// its fields — the same on every call — holding Attempts-1 delays that
-// start at Base (or Max, if lower), grow by Factor and stop at Max.
-func TestBackoffDelaysAreDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 40; i++ {
-		b := randomBackoff(rng)
-		got := b.Delays()
-		if again := b.Delays(); !slices.Equal(got, again) {
-			t.Fatalf("%+v: Delays() = %v, then %v", b, got, again)
-		}
-		if len(got) != b.Attempts-1 {
-			t.Fatalf("%+v: %d delays for %d attempts", b, len(got), b.Attempts)
-		}
-		want := min(b.Base, b.Max)
-		for k, d := range got {
-			if d != want {
-				t.Fatalf("%+v: delay %d is %v, want %v (all: %v)", b, k, d, want, got)
-			}
-			want = min(time.Duration(float64(want)*b.Factor), b.Max)
-		}
+func withDialTimeout(d time.Duration) DialOption { return func(c *dialConfig) { c.dialTO = d } }
+
+// withDelays sets the retry sleeps; none means one attempt.
+func withDelays(d ...time.Duration) DialOption { return func(c *dialConfig) { c.delays = d } }
+
+// randomDelays draws a retry schedule of zero to five sleeps.
+func randomDelays(rng *rand.Rand) []time.Duration {
+	delays := make([]time.Duration, rng.Intn(6))
+	for i := range delays {
+		delays[i] = time.Duration(1+rng.Intn(200)) * time.Millisecond
 	}
-	// Growth and cap are exact.
-	exact := Backoff{Base: 100 * time.Millisecond, Max: 300 * time.Millisecond, Factor: 2, Attempts: 4}
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond}
-	if got := exact.Delays(); !slices.Equal(got, want) {
-		t.Fatalf("Delays() = %v, want %v", got, want)
-	}
+	return delays
 }
 
 // sleepRecorder is a clock whose Sleep returns at once and records what
@@ -82,9 +61,9 @@ func (c *sleepRecorder) take() []time.Duration {
 }
 
 // TestRetrySleepsAreTheBackoffSchedule: whatever the schedule, a
-// blocking exchange whose every attempt fails sleeps exactly
-// Backoff.Delays(), in order, and a second one on the same handle starts
-// the schedule over.
+// blocking exchange whose every attempt fails sleeps exactly its
+// delays, in order, and a second one on the same handle starts the
+// schedule over. The production schedule is one of the schedules run.
 func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 	// A port nothing listens on: every attempt fails at the dial.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -96,18 +75,20 @@ func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
-		b := randomBackoff(rng)
-		want := b.Delays()
+		cfg := defaultDialConfig() // the production schedule first
+		if i > 0 {
+			cfg.delays = randomDelays(rng)
+		}
+		want := cfg.delays
 		clk := newSleepRecorder()
-		cfg := defaultDialConfig()
-		cfg.clk, cfg.backoff = clk, b
+		cfg.clk = clk
 		h := NewStageHandle(newFrameTransport(dead, cfg))
 		for exchange := 0; exchange < 2; exchange++ {
 			if _, err := collect(h); err == nil {
-				t.Fatalf("%+v: a collect from a dead port succeeded", b)
+				t.Fatalf("%v: a collect from a dead port succeeded", want)
 			}
 			if got := clk.take(); !slices.Equal(got, want) {
-				t.Fatalf("%+v: exchange %d slept %v, want Delays() = %v", b, exchange, got, want)
+				t.Fatalf("exchange %d slept %v, want %v", exchange, got, want)
 			}
 		}
 		_ = h.Close()
@@ -127,9 +108,9 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 	stop := ServeStage(&FlakyListener{Listener: cl, Flaky: flaky}, stg)
 	t.Cleanup(stop)
 	base := []DialOption{
-		WithCallTimeout(150 * time.Millisecond),
-		WithDialTimeout(time.Second),
-		WithBackoff(Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Attempts: 5}),
+		withCallTimeout(150 * time.Millisecond),
+		withDialTimeout(time.Second),
+		withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond),
 	}
 	h, err := DialStage(l.Addr().String(), append(base, opts...)...)
 	if err != nil {
@@ -204,9 +185,9 @@ func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 		}
 	}()
 	h, err := DialStage(l.Addr().String(),
-		WithCallTimeout(100*time.Millisecond),
-		WithDialTimeout(200*time.Millisecond),
-		WithBackoff(Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 3}))
+		withCallTimeout(100*time.Millisecond),
+		withDialTimeout(200*time.Millisecond),
+		withDelays(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

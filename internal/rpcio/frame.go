@@ -24,12 +24,13 @@
 // deadline; requests sent together to hung peers therefore expire
 // together. A timeout or I/O error kills the connection (completing the
 // waiting call with the error), and the next call redials; a blocking
-// exchange (Exec) separates its attempts by the transport's backoff
-// schedule, materialized once when the transport was built. RemoteError
-// — the peer answered with an application error — is returned without
-// retry. Frames are written with a single Write call, so fault
-// injectors operating at write granularity (the tests' FlakyConn) drop or
-// duplicate whole frames, never fragments.
+// exchange (Exec) separates its attempts by the fixed retry schedule
+// (retryDelays; a one-shot registrar call has none), each sleep on the
+// transport's clock. RemoteError — the peer answered with an
+// application error — is returned without retry. Frames are written
+// with a single Write call, so fault injectors operating at write
+// granularity (the tests' FlakyConn) drop or duplicate whole frames,
+// never fragments.
 package rpcio
 
 import (
@@ -227,7 +228,8 @@ type frameTransport struct {
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
-	// delays is the backoff schedule's retry sleeps (Backoff.Delays).
+	// delays is the retry schedule's sleeps (retryDelays; none for a
+	// one-shot registrar call).
 	delays []time.Duration
 
 	calls        atomic.Uint64
@@ -249,7 +251,7 @@ func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
 		clk:     cfg.clk,
 		timeout: cfg.timeout,
 		dialTO:  cfg.dialTO,
-		delays:  cfg.backoff.Delays(),
+		delays:  cfg.delays,
 		call:    frameCall{ch: make(chan struct{}, 1)},
 	}
 }
@@ -459,8 +461,8 @@ func (t *frameTransport) Finish() error {
 	return err
 }
 
-// Retry implements Transport on the backoff schedule: every blocking
-// call walks the same delays from the start.
+// Retry implements Transport on the retry schedule: every blocking call
+// walks the same delays from the start.
 func (t *frameTransport) Retry(attempt int) bool {
 	if attempt >= len(t.delays) || t.isClosed() {
 		return false

@@ -168,12 +168,20 @@ const (
 	DefaultCallTimeout = 5 * time.Second
 )
 
+// retryDelays is what a stage handle sleeps between the attempts of a
+// blocking exchange that failed in transport: four attempts at
+// 50/100/200 ms keep transient blips invisible while a dead peer fails
+// in well under a second of sleeping. Every sleep runs on the handle's
+// clock, so a retry sequence is the same on every run under a simulated
+// one — the property the chaos harness asserts.
+var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
+
 // StageHandle is the control plane's one channel to a stage, layered
-// over a Transport: frames over TCP with redial, deadlines and seeded
-// backoff for remote stages (DialStage), or the same codec in process
-// (EncodedLoopbackStage). The handle owns the client half of the
-// batched delta protocol (Start/Finish/Exec/Reattempt in batch.go); a
-// fault to inject goes under it, as a Transport.
+// over a Transport: frames over TCP with redial, deadlines and a fixed
+// retry schedule for remote stages (DialStage), or the same codec in
+// process (EncodedLoopbackStage). The handle owns the client half of
+// the batched delta protocol (Start/Finish/Exec/Reattempt in batch.go);
+// a fault to inject goes under it, as a Transport.
 type StageHandle struct {
 	t Transport
 
@@ -184,7 +192,7 @@ type StageHandle struct {
 	bmu    sync.Mutex
 	idle   sync.Cond
 	busy   bool
-	dstate DeltaState
+	dstate deltaState
 	filled *stage.Stats
 
 	// The exchange in flight, owned by whoever set busy: the reusable
@@ -255,7 +263,7 @@ func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDereg
 // heartbeat paths from hanging on a dead controller.
 func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
 	cfg := defaultDialConfig()
-	cfg.timeout, cfg.dialTO, cfg.backoff = callTO, dialTO, Backoff{}
+	cfg.timeout, cfg.dialTO, cfg.delays = callTO, dialTO, nil
 	t := newFrameTransport(addr, cfg)
 	// Closing a one-shot transport after its exchange reports nothing.
 	defer func() { _ = t.Close() }()

@@ -21,7 +21,7 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := ServeStage(l, stg)
-	h, err := DialStage(l.Addr().String(), WithBackoff(Backoff{Attempts: 1}))
+	h, err := DialStage(l.Addr().String(), withDelays())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	b, err := DialStage(l.Addr().String(),
 		WithHandleClock(clk),
-		WithCallTimeout(timeout),
-		WithBackoff(Backoff{Attempts: 1}))
+		withCallTimeout(timeout),
+		withDelays())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStopRefusesLateConnections(t *testing.T) {
 	}
 	stop := ServeStage(l, stg)
 	stop()
-	if _, err := DialStage(l.Addr().String(), WithBackoff(Backoff{Attempts: 1}), WithDialTimeout(200*time.Millisecond)); err == nil {
+	if _, err := DialStage(l.Addr().String(), withDelays(), withDialTimeout(200*time.Millisecond)); err == nil {
 		t.Error("dial succeeded against a stopped server")
 	}
 }

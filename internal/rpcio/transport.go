@@ -69,12 +69,13 @@ type WireStats struct {
 	BytesWritten uint64
 }
 
-// dialConfig is the resolved option set behind DialStage.
+// dialConfig is what a frame transport runs on: the clock, the call
+// deadline (0: none), the dial deadline and the retry sleeps.
 type dialConfig struct {
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
-	backoff Backoff
+	delays  []time.Duration
 }
 
 func defaultDialConfig() dialConfig {
@@ -82,29 +83,14 @@ func defaultDialConfig() dialConfig {
 		clk:     clock.NewReal(),
 		timeout: DefaultCallTimeout,
 		dialTO:  DefaultDialTimeout,
-		backoff: DefaultBackoff,
+		delays:  retryDelays,
 	}
 }
 
 // DialOption configures the transport behind a StageHandle.
 type DialOption func(*dialConfig)
 
-// WithCallTimeout bounds each RPC (0 disables the deadline).
-func WithCallTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.timeout = d }
-}
-
-// WithDialTimeout bounds each connection attempt.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.dialTO = d }
-}
-
-// WithBackoff sets the redial/retry schedule.
-func WithBackoff(b Backoff) DialOption {
-	return func(c *dialConfig) { c.backoff = b }
-}
-
-// WithHandleClock sets the clock deadlines and backoff sleeps run on
+// WithHandleClock sets the clock deadlines and retry sleeps run on
 // (default: wall clock).
 func WithHandleClock(clk clock.Clock) DialOption {
 	return func(c *dialConfig) { c.clk = clk }
