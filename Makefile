@@ -139,10 +139,12 @@ bench-diff:
 
 # One-iteration pass over every hot-path and control-plane benchmark:
 # catches bitrot (compile errors, panics, b.Fatal) without paying for
-# real measurement.
+# real measurement. The control benchmarks also run at two Ps, where a
+# fleet of 64 or more stages splits its collect's scatter across
+# goroutines; that column is smoke only, neither gated nor baselined.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_PKGS) > /dev/null
-	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_CONTROL_PKGS) > /dev/null
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -cpu=1,2 $(BENCH_CONTROL_PKGS) > /dev/null
 
 vet:
 	$(GO) vet ./...

@@ -372,19 +372,22 @@ func RuleRate(s *stage.Stage, id string) float64 {
 // gating whole round trips. A batch carrying ops consumes one
 // push-budget unit and a collect one collect-budget unit — the crash
 // granularity is a round trip, matching what a real controller would
-// observe. The gates run in Start, which a round calls in StageID
-// order, and the loopback completes the exchange there too, so what the
-// fleet sees happens in the order exchanges are started; an armed lost
-// reply (DropNextBatchReply) is dropped in Finish. The loopback's
-// Retry never allows another attempt: a gated exchange is the fault the
-// scenario injected, not one to paper over.
+// observe. The gates run in Start, and the loopback completes the
+// exchange there too. A round starts its pushes in StageID order on its
+// own goroutine, so the harness-wide push budget decides
+// deterministically which stages saw the new rates; a large fleet's
+// collect may start two contiguous StageID chunks side by side, which
+// the collect gate allows: the only budget it spends is the node's own.
+// An armed lost reply (DropNextBatchReply) is dropped in Finish. The
+// loopback's Retry never allows another attempt: a gated exchange is
+// the fault the scenario injected, not one to paper over.
 type chaosTransport struct {
 	*rpcio.EncodedLoopback
 	h    *Harness
 	node *StageNode
 	// gated is why the exchange in flight never reached the loopback (nil
-	// when it did); only the goroutine between Start and Finish touches
-	// it.
+	// when it did); only the exchange in flight, from Start to Finish,
+	// touches it.
 	gated error
 }
 
@@ -432,6 +435,8 @@ func (c *chaosTransport) Close() error { return nil }
 
 // collectGate applies the collect-side failure state: unreachable nodes
 // fail, and an armed collect budget crashes the node when it hits zero.
+// It spends only the node's own budget, so collects of different nodes
+// may pass it side by side.
 func (c *chaosTransport) collectGate() error {
 	if c.node.crashed.Load() || c.node.partitioned.Load() {
 		return ErrUnreachable

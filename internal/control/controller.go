@@ -59,8 +59,9 @@ type Controller struct {
 	adminRules   map[string]map[string]policy.Rule
 	clusterRules map[string]policy.Rule
 
-	// roundMu serializes rounds (RunOnce and CollectAll alike) and owns
-	// the shard. It is taken before mu, never while holding it.
+	// roundMu serializes rounds (RunOnce and CollectAll alike) and
+	// administrator installs, and owns the shard. It is taken before mu,
+	// never while holding it.
 	roundMu sync.Mutex
 	// sh is what a round drives: the job index over the registry's
 	// records at revision shardRev (nil before the first round).
@@ -397,18 +398,21 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	if len(members) == 0 {
 		return fmt.Errorf("control: no stages for job %q", jobID)
 	}
-	return installSplit(members, r)
+	return c.installSplit(members, r)
 }
 
 // installSplit installs r on every stage of members (StageID-sorted) as
 // a one-op batch, its rate split equally among them: every install is
-// started in StageID order before the first is awaited, and a failed one
-// is retried before the next is finished. It touches only the records'
+// started in StageID order before the first is awaited (under roundMu: a
+// round's split collect does not keep that order), and a failed one is
+// retried before the next is finished. It touches only the records'
 // identities and handles, none of their round memory. Every stage is
 // attempted whatever the others answer — a failure in the middle must
 // not leave an arbitrary remainder of the job without the rule — and the
 // error returned is the first in StageID order.
-func installSplit(members []*member, r policy.Rule) error {
+func (c *Controller) installSplit(members []*member, r policy.Rule) error {
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
 	if r.Rate != policy.Unlimited && len(members) > 1 {
 		r.Rate /= float64(len(members))
 	}
@@ -459,7 +463,7 @@ func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	if len(members) == 0 {
 		return fmt.Errorf("control: no registered stages")
 	}
-	return installSplit(members, r)
+	return c.installSplit(members, r)
 }
 
 // SetReservation records a job's reserved/priority rate used by

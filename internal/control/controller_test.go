@@ -369,13 +369,10 @@ func TestEndToEndOverNetwork(t *testing.T) {
 	if err := rpcio.RegisterWithController(srv.Addr(), stg.Info(), l.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
-	// Registration dials back and installs the control queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(stg.Rules()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("control rule never arrived over RPC")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Registration dials back and installs the control queue before the
+	// registrar answers.
+	if len(stg.Rules()) == 0 {
+		t.Fatal("control rule never arrived over RPC")
 	}
 	if ctl.Jobs()[0] != "net-job" {
 		t.Errorf("jobs = %v", ctl.Jobs())
@@ -392,12 +389,8 @@ func TestEndToEndOverNetwork(t *testing.T) {
 	if err := rpcio.DeregisterFromController(srv.Addr(), "net-s1"); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for len(ctl.Jobs()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("deregistration never processed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if jobs := ctl.Jobs(); len(jobs) != 0 {
+		t.Fatalf("jobs after deregistration = %v, want none", jobs)
 	}
 }
 

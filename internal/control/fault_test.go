@@ -190,10 +190,11 @@ func TestMonitorReadsDoNotCountTowardEviction(t *testing.T) {
 }
 
 // gatedTransport wraps a stage's transport with a gate that runs in
-// Start, in the order a round starts its exchanges, and may fail the
+// Start, when a round starts the exchange (the push in StageID order,
+// a split collect chunk by chunk side by side), and may fail the
 // exchange before it reaches the stage: Finish then returns the gate's
-// error, as it would a lost round trip. Only the goroutine between
-// Start and Finish touches gated.
+// error, as it would a lost round trip. Only the exchange in flight
+// touches gated.
 type gatedTransport struct {
 	rpcio.Transport
 	gate  func(ops []rpcio.StageOp, collect bool) error

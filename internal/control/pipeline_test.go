@@ -67,26 +67,36 @@ func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.
 	return stg, h
 }
 
-// TestHungPeersCostTheRoundOneTimeout: workers of a round's eight
-// members (s1 onwards) stop answering, so the pass sets that many aside
-// and starts one retry worker for each. Their deadlines run from the
-// send, so they expire together when the first does, and their retries
-// — sleep, redial, another attempt that hangs too — run side by side:
-// the round takes exactly what one blocking exchange with one hung peer
-// takes on the production schedule (four attempts, each cut at
-// DefaultCallTimeout, and the 50, 100 and 200 ms sleeps between them:
-// 4 × DefaultCallTimeout + 350 ms), not workers times that. The hung
-// members' handles differ from production only in their clock, which
-// is simulated and only ever advanced by a full step once the expected
-// waiters are parked on it, so the duration is exact.
+// TestHungPeersCostTheRoundOneTimeout: workers of a round's members
+// stop answering — of eight members, s001 onwards; of 96, at four P, two
+// in each of the collect's two scatter chunks — so the pass
+// sets that many aside and starts one retry worker for each. Their
+// deadlines run from the send, so they expire together when the first
+// does, and their retries — sleep, redial, another attempt that hangs
+// too — run side by side: the round takes exactly what one blocking
+// exchange with one hung peer takes on the production schedule (four
+// attempts, each cut at DefaultCallTimeout, and the 50, 100 and 200 ms
+// sleeps between them: 4 × DefaultCallTimeout + 350 ms), not workers
+// times that. The hung members' handles differ from production only in
+// their clock, which is simulated and only ever advanced by a full step
+// once the expected waiters are parked on it, so the duration is exact.
 func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { hungPeersRound(t, workers) })
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			hungPeersRound(t, 8, []int{1, 2, 3}[:workers])
+		})
 	}
+	t.Run("stages=96,procs=4,workers=4", func(t *testing.T) {
+		withProcs(t, 4)
+		hungPeersRound(t, 96, []int{1, 40, 70, 95})
+	})
 }
 
-func hungPeersRound(t *testing.T, workers int) {
+// hungPeersRound runs the hung-peer round over n TCP members, the ones
+// at the indices in hungAt hanging.
+func hungPeersRound(t *testing.T, n int, hungAt []int) {
 	const timeout = rpcio.DefaultCallTimeout
+	workers := len(hungAt)
 	clk := clock.NewSim(epoch)
 	var (
 		mu       sync.Mutex
@@ -103,17 +113,17 @@ func hungPeersRound(t *testing.T, workers int) {
 	var mute atomic.Bool
 	hung := make(map[string]bool)
 	var hungIDs []string
-	for i := 1; i <= workers; i++ {
-		id := fmt.Sprintf("s%d", i)
+	for _, i := range hungAt {
+		id := fmt.Sprintf("s%03d", i)
 		hung[id] = true
 		hungIDs = append(hungIDs, id)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		// Only the members that will hang keep time on the simulated
 		// clock: a healthy member's wait for a reply that is a few
 		// microseconds away must not be a waiter the test could mistake
 		// for a hung one and advance past.
-		id, job := fmt.Sprintf("s%d", i), "healthy"
+		id, job := fmt.Sprintf("s%03d", i), "healthy"
 		var (
 			m    *atomic.Bool
 			opts []rpcio.DialOption
@@ -136,7 +146,7 @@ func hungPeersRound(t *testing.T, workers int) {
 	mute.Store(true)
 	done := make(chan map[string]float64, 1)
 	go func() { done <- c.RunOnce() }()
-	clk.BlockUntil(1) // s1's gatherer; the other hung members wait behind it, already late
+	clk.BlockUntil(1) // the first hung member's gatherer; the others wait behind it, already late
 	clk.Advance(timeout)
 	for _, sleep := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
 		clk.BlockUntil(workers) // the retries, sleeping side by side
@@ -150,8 +160,8 @@ func hungPeersRound(t *testing.T, workers int) {
 	if want := 4*timeout + 350*time.Millisecond; rs.Duration != want {
 		t.Errorf("round took %v, want %v: what one exchange with one hung peer costs", rs.Duration, want)
 	}
-	if rs.CollectFailures != workers || rs.CollectCalls != 8 || rs.Stages != 8 {
-		t.Errorf("round accounting %+v, want %d failures of 8 collects over 8 stages", rs, workers)
+	if rs.CollectFailures != workers || rs.CollectCalls != n || rs.Stages != n {
+		t.Errorf("round accounting %+v, want %d failures of %d collects over %d stages", rs, workers, n, n)
 	}
 	// The hung job has no member left to speak for it, so nothing is
 	// granted or pushed there; the healthy one is untouched.
@@ -165,8 +175,8 @@ func hungPeersRound(t *testing.T, workers int) {
 	mu.Unlock()
 	mute.Store(false)
 	snaps := c.CollectAll()
-	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != 8-workers || snaps[1].Stages != workers {
-		t.Errorf("after the fault cleared: %+v, want %d healthy and %d recovered stages", snaps, 8-workers, workers)
+	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != n-workers || snaps[1].Stages != workers {
+		t.Errorf("after the fault cleared: %+v, want %d healthy and %d recovered stages", snaps, n-workers, workers)
 	}
 	if n := clk.PendingWaiters(); n != 0 {
 		t.Errorf("%d waiters left on the clock", n)

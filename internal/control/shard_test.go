@@ -13,6 +13,7 @@ import (
 	"padll/internal/clock"
 	"padll/internal/policy"
 	"padll/internal/posix"
+	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
 
@@ -197,13 +198,23 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 }
 
 // TestReshardingLeaksNoGoroutines: a registry change rebuilds the
-// shard, and the replaced one must leave nothing running behind it.
+// shard, and the replaced one must leave nothing running behind it —
+// neither retry goroutines nor, at a size whose collect is split, the
+// helpers that scatter it.
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
+	t.Run("stages=8", func(t *testing.T) { reshardingLeaksNothing(t, 8) })
+	t.Run("stages=128,procs=4", func(t *testing.T) {
+		withProcs(t, 4)
+		reshardingLeaksNothing(t, 128)
+	})
+}
+
+func reshardingLeaksNothing(t *testing.T, n int) {
 	clk := clock.NewSim(epoch)
 	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
-	regs := make([]member, 8)
+	regs := make([]member, n)
 	for i := range regs {
-		stg, h := localStage(fmt.Sprintf("s%d", i), "jobA", clk)
+		stg, h := localStage(fmt.Sprintf("s%03d", i), "jobA", clk)
 		regs[i] = member{info: stg.Info(), h: h}
 		if err := c.Register(stg.Info(), h); err != nil {
 			t.Fatal(err)
@@ -212,17 +223,18 @@ func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	c.RunOnce()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		m := regs[i%len(regs)]
+		m := regs[i*7%len(regs)]
 		if err := c.Register(m.info, m.h); err != nil {
 			t.Fatal(err)
 		}
 		c.RunOnce()
-		if rs, _ := c.LastRound(); rs.Stages != 8 {
-			t.Fatalf("re-registration %d: round covered %d stages, want 8", i, rs.Stages)
+		if rs, _ := c.LastRound(); rs.Stages != n {
+			t.Fatalf("re-registration %d: round covered %d stages, want %d", i, rs.Stages, n)
 		}
 	}
-	// Retry goroutines exit before RunOnce returns, but a goroutine that
-	// has run its last instruction may still be counted for a moment.
+	// Helper and retry goroutines exit before RunOnce returns, but a
+	// goroutine that has run its last instruction may still be counted
+	// for a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -266,5 +278,176 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	if rs.PushCalls != 1 || rs.PushesSkipped != 3 {
 		t.Errorf("eviction round: %d pushed, %d skipped; want jobB's survivor retuned and jobA's three stages skipped",
 			rs.PushCalls, rs.PushesSkipped)
+	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS procs. A shard
+// sizes its collect's split when it is built, so a test builds its
+// controller after the call.
+func withProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestScatterStartsEveryMemberOnce: however a collect's scatter is
+// split, every member is asked for its exchange exactly once, the round
+// goroutine's share is the first chunk, and each other chunk has a
+// helper of its own.
+func TestScatterStartsEveryMemberOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 63, 64, 65, 255, 256, 257} {
+		for w := 1; w <= 4; w++ {
+			ms := make([]*member, n)
+			index := make(map[*member]int, n)
+			asked := make([]atomic.Int32, n)
+			for i := range ms {
+				ms[i] = &member{}
+				index[ms[i]] = i
+			}
+			sh := &shard{members: ms}
+			sh.split(w)
+			if len(sh.helpers) != w-1 || sh.first != n/w {
+				t.Fatalf("n=%d w=%d: %d helpers, first chunk %d; want %d and %d", n, w, len(sh.helpers), sh.first, w-1, n/w)
+			}
+			sh.pass(true,
+				func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
+					asked[index[m]].Add(1)
+					return nil, nil, false, false // start nothing: no handle to start
+				},
+				func(*member, []rpcio.OpResult, bool, error) { t.Error("finished an exchange never started") })
+			for i := range asked {
+				if got := asked[i].Load(); got != 1 {
+					t.Fatalf("n=%d w=%d: member %d asked %d times, want once", n, w, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitRoundEqualsSerialRound: a round whose collect is scattered
+// by the round goroutine and a helper is the round the round goroutine
+// alone runs. A 128-stage in-process fleet — failing or refusing
+// members in both chunks, a recovery, a new failure and a lost managed
+// rule in the second round — runs the same two rounds at one P and at
+// four; the round accounting, the allocations, the rows and the errors
+// reported, in order, must be identical.
+func TestSplitRoundEqualsSerialRound(t *testing.T) {
+	type outcome struct {
+		Rounds []RoundStats
+		Allocs []map[string]float64
+		Rows   [][]JobSnapshot
+		Errors []string
+	}
+	run := func(t *testing.T, procs, helpers int) outcome {
+		withProcs(t, procs)
+		clk := clock.NewSim(epoch)
+		var out outcome
+		c := New(clk, WithAlgorithm(ProportionalShare{}), WithClusterLimit(40000),
+			WithErrorHandler(func(id string, err error) { out.Errors = append(out.Errors, id+": "+err.Error()) }))
+		const n = 128
+		stages := make(map[string]*stage.Stage, n)
+		down := make([]atomic.Bool, n)
+		for i := 0; i < n; i++ {
+			stg := stage.New(stage.Info{StageID: fmt.Sprintf("s%03d", i), JobID: fmt.Sprintf("job%d", i%5)}, clk)
+			stages[stg.Info().StageID] = stg
+			h := flakyConn(stg, &down[i])
+			if i == 40 || i == 100 {
+				h = setRateFailingConn(stg)
+			}
+			if err := c.Register(stg.Info(), h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.roundMu.Lock()
+		sh := c.reshard()
+		c.roundMu.Unlock()
+		if got := len(sh.helpers); got != helpers {
+			t.Fatalf("GOMAXPROCS %d: the collect has %d helpers, want %d", procs, got, helpers)
+		}
+		demand := func(round int) map[string]float64 {
+			d := make(map[string]float64, n)
+			for i := 0; i < n; i++ {
+				d[fmt.Sprintf("s%03d", i)] = float64(100 + (i*37+round*11)%900)
+			}
+			return d
+		}
+		round := func() {
+			out.Allocs = append(out.Allocs, c.RunOnce())
+			rs, _ := c.LastRound()
+			out.Rounds = append(out.Rounds, rs)
+			out.Rows = append(out.Rows, c.CollectAll())
+		}
+		down[5].Store(true)
+		down[77].Store(true)
+		offerTo(clk, stages, demand(0))
+		round()
+		down[5].Store(false)
+		down[110].Store(true)
+		stages["s060"].RemoveRule(ControlRuleID)
+		offerTo(clk, stages, demand(1))
+		round()
+		return out
+	}
+	var serial, split outcome
+	t.Run("procs=1", func(t *testing.T) { serial = run(t, 1, 0) })
+	t.Run("procs=4", func(t *testing.T) { split = run(t, 4, 1) })
+	if len(serial.Rounds) != 2 || len(serial.Errors) == 0 || serial.Rounds[0].CollectFailures != 2 || serial.Rounds[1].PushCalls == 0 {
+		t.Fatalf("the serial run exercised no failure or no push: %+v, errors %v", serial.Rounds, serial.Errors)
+	}
+	if !reflect.DeepEqual(split, serial) {
+		t.Errorf("split round diverges from the serial one:\n split  %+v\n serial %+v", split, serial)
+	}
+}
+
+// TestInstallsBesideSplitRoundsDoNotDeadlock: administrator installs
+// hold several handles at once, started in StageID order, and a split
+// collect holds its helper's chunk before the round goroutine has
+// started the first; were the two to overlap, each could wait for a
+// Finish the other never reaches. Rounds and installs of every
+// granularity run side by side over a fleet whose collect splits, and
+// must all return.
+func TestInstallsBesideSplitRoundsDoNotDeadlock(t *testing.T) {
+	withProcs(t, 4)
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(8000))
+	for i := 0; i < 128; i++ {
+		stg, h := localStage(fmt.Sprintf("s%03d", i), fmt.Sprintf("job%d", i%2), clk)
+		if err := c.Register(stg.Info(), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunOnce()
+	if c.sh.helpers == nil {
+		t.Fatal("the collect is not split")
+	}
+	const iterations = 500
+	errs := make(chan error, 2)
+	go func() {
+		for i := 0; i < iterations; i++ {
+			c.RunOnce()
+		}
+		errs <- nil
+	}()
+	go func() {
+		rule := policy.Rule{ID: "admin", Match: policy.Matcher{Classes: []posix.Class{posix.ClassData}}, Rate: 1000}
+		for i := 0; i < iterations; i++ {
+			for _, err := range []error{c.ApplyRuleCluster(rule), c.ApplyRuleToJob("job1", rule), c.ApplyRuleToJobs([]string{"job0", "job1"}, rule)} {
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	deadline := time.After(time.Minute)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("rounds and installs deadlocked")
+		}
 	}
 }

@@ -452,12 +452,12 @@ func resetReply(r *BatchReply) {
 // (or, in process, the work is done) when it returns. ops and dst
 // belong to the exchange until Finish, which must follow exactly once,
 // on any goroutine. Exchanges on one handle serialize: a second Start
-// waits for the first exchange's Finish, so a goroutine that starts
-// several handles before finishing them must start them in the same
-// order as every other such goroutine (the control plane's is StageID
-// order). The delta acknowledgment Start sends is the one Finish
-// applies the reply against, because nothing else can move the merged
-// state while the exchange owns the handle.
+// waits for the first exchange's Finish, so callers that start several
+// handles before finishing any must start them in one order or never
+// overlap (a control round's split collect does not keep StageID order,
+// so rounds and installs share a lock). The delta acknowledgment Start
+// sends is the one Finish applies the reply against, because nothing
+// else can move the merged state while the exchange owns the handle.
 func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 	h.bmu.Lock()
 	for h.busy {
