@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self ci count experiments tools clean
+.PHONY: all build test race flake fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint ci count experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
 # path layer by layer (shim, stage, router, OS backend) plus the io/fs
@@ -162,12 +162,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/padll-lint ./...
 
-# The analyzer suite must hold to its own standards: run padll-lint
-# over internal/lint and the driver itself.
-lint-self:
-	$(GO) run ./cmd/padll-lint ./internal/lint ./cmd/padll-lint
-
-# The full gate: formatting, vet, padll-lint (plus self-lint), build,
+# The full gate: formatting, vet, padll-lint, build,
 # race-enabled tests, a plain-mode pass over the packages whose AllocsPerRun guards skip under -race (race
 # instrumentation defeats escape analysis and randomizes sync.Pool, so
 # alloc counts only mean anything uninstrumented), the doubled
@@ -181,7 +176,6 @@ ci:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(MAKE) lint
-	$(MAKE) lint-self
 	$(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/osfs/...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...

@@ -4,7 +4,9 @@
 // zero-allocation request path and copy-on-write publication are not
 // linted: AllocsPerRun guards and -race tests check them at runtime. It
 // is built purely on the standard library's go/ast, go/parser, go/types
-// and go/token packages — no external analysis framework.
+// and go/importer packages — no external analysis framework: the go
+// command lists the packages and supplies their dependencies' export
+// data, and patterns mean what they mean to go build.
 //
 // Usage:
 //
@@ -22,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"padll/internal/lint"
 )
@@ -43,12 +44,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	root, err := findModuleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "padll-lint:", err)
-		os.Exit(2)
-	}
-	res, err := lint.Run(root, patterns)
+	res, err := lint.Run(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "padll-lint:", err)
 		os.Exit(2)
@@ -57,24 +53,5 @@ func main() {
 	res.WriteText(os.Stdout)
 	if len(res.Diags) > 0 {
 		os.Exit(1)
-	}
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
 	}
 }

@@ -11,7 +11,8 @@ import (
 // TestExitCodes builds the driver and checks the exit-code contract at
 // its edges: the removed -fix/-diff/-json/-enable flags are usage errors
 // like any other unknown flag, the full suite over a seeded fixture
-// reports findings, -list succeeds.
+// reports findings, a pattern the go command rejects is a load error,
+// -list succeeds.
 func TestExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -31,9 +32,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-enable", "errdrop"}, 2, "flag provided but not defined: -enable"},
 		{[]string{"-list"}, 0, "errdrop"},
 		{[]string{"./internal/lint/testdata/src/errfix"}, 1, "errdrop"},
+		{[]string{"./no/such/dir"}, 2, "directory not found"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
-		cmd.Dir = "../.." // patterns resolve against the module root
+		cmd.Dir = "../.." // patterns resolve against the working directory
 		out, err := cmd.CombinedOutput()
 		code := 0
 		var exit *exec.ExitError

@@ -362,14 +362,15 @@ func TestAIMDLimitDefaults(t *testing.T) {
 
 func TestControllerAppliesLimitAdapter(t *testing.T) {
 	saturated := true
-	ctl := New(nil,
+	clk := clock.NewSim(epoch)
+	ctl := New(clk,
 		WithAlgorithm(StaticEqualShare{}),
 		WithClusterLimit(1000),
 		WithLimitAdapter(&AIMDLimit{
 			Probe: func() bool { return saturated },
 			Min:   100, Max: 2000, Increase: 50, Decrease: 0.5,
 		}))
-	stg, conn := localStage("s1", "j1", clock.NewSim(epoch))
+	stg, conn := localStage("s1", "j1", clk)
 	if err := ctl.Register(stg.Info(), conn); err != nil {
 		t.Fatal(err)
 	}

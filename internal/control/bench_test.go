@@ -52,7 +52,7 @@ func benchStage(i int) *stage.Stage {
 // FixedRates with a reservation per job, so every round allocates the
 // same nonzero rates — the steady state a long-lived fleet sits in.
 func benchController() *Controller {
-	ctl := New(nil, WithClusterLimit(1_000_000), WithAlgorithm(FixedRates{}))
+	ctl := New(clock.NewReal(), WithClusterLimit(1_000_000), WithAlgorithm(FixedRates{}))
 	for j := 0; j < benchJobs; j++ {
 		ctl.SetReservation(fmt.Sprintf("job%02d", j), float64(1000*(j+1)))
 	}

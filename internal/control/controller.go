@@ -104,13 +104,8 @@ func WithEvictAfter(n int) Option {
 	return func(c *Controller) { c.evictAfter = n }
 }
 
-// New returns a controller. A nil clk defaults to the wall clock (the
-// loop timestamps its round accounting even when the caller never
-// starts Run).
+// New returns a controller on clk, which times its rounds and paces Run.
 func New(clk clock.Clock, opts ...Option) *Controller {
-	if clk == nil {
-		clk = clock.NewReal()
-	}
 	c := &Controller{
 		clk:          clk,
 		stages:       make(map[string]*member),

@@ -78,7 +78,7 @@ func AdaptiveLimit(seed int64) AdaptiveResult {
 				Decrease: 0.85,
 			}))
 		}
-		ctl := control.New(nil, opts...)
+		ctl := control.New(c.Clock(), opts...)
 		c.AttachController(ctl)
 
 		tr := fig5Workload(seed)

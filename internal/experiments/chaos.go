@@ -69,13 +69,10 @@ func chaosFlatTrace(rate float64) *trace.Trace {
 // experiments; the scenario itself is deterministic (flat demand).
 func ChaosReplay(seed int64) ChaosReplayResult {
 	_ = seed
-	ctl := control.New(nil,
+	c := sim.NewCluster(sim.Config{Duration: chaosHorizon})
+	c.AttachController(control.New(c.Clock(),
 		control.WithAlgorithm(control.FixedRates{}),
-		control.WithClusterLimit(chaosLimit))
-	c := sim.NewCluster(sim.Config{
-		Duration:   chaosHorizon,
-		Controller: ctl,
-	})
+		control.WithClusterLimit(chaosLimit)))
 	res := ChaosReplayResult{
 		CrashAt:         chaosCrashAt,
 		RecoverAt:       chaosRecoverAt,

@@ -114,16 +114,12 @@ type MDSProtectionOutcome struct {
 func MDSProtection(seed int64) MDSProtectionResult {
 	const capacity = 180_000 // below the 4-job aggregate mean (~268K)
 	run := func(protected bool) MDSProtectionOutcome {
-		var ctl *control.Controller
+		c := sim.NewCluster(sim.Config{Duration: fig5Horizon})
 		if protected {
-			ctl = control.New(nil,
+			c.AttachController(control.New(c.Clock(),
 				control.WithAlgorithm(control.ProportionalShare{}),
-				control.WithClusterLimit(capacity*0.95))
+				control.WithClusterLimit(capacity*0.95)))
 		}
-		c := sim.NewCluster(sim.Config{
-			Duration:   fig5Horizon,
-			Controller: ctl,
-		})
 		backend := pfs.New(c.Clock(), pfs.Config{
 			MDSCapacity: capacity,
 			MDSBurst:    capacity / 10,

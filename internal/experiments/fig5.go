@@ -84,28 +84,21 @@ func fig5Workload(seed int64) *trace.Trace {
 
 // Fig5 runs one setup.
 func Fig5(seed int64, setup Fig5Setup) Fig5Result {
-	var ctl *control.Controller
+	c := sim.NewCluster(sim.Config{Duration: fig5Horizon})
 	switch setup {
-	case Fig5Baseline:
-		ctl = nil
 	case Fig5Static:
-		ctl = control.New(nil,
+		c.AttachController(control.New(c.Clock(),
 			control.WithAlgorithm(control.StaticEqualShare{PerJob: fig5ClusterLimit / fig5Jobs}),
-			control.WithClusterLimit(fig5ClusterLimit))
+			control.WithClusterLimit(fig5ClusterLimit)))
 	case Fig5Priority:
-		ctl = control.New(nil,
+		c.AttachController(control.New(c.Clock(),
 			control.WithAlgorithm(control.FixedRates{}),
-			control.WithClusterLimit(fig5ClusterLimit))
+			control.WithClusterLimit(fig5ClusterLimit)))
 	case Fig5Proportional:
-		ctl = control.New(nil,
+		c.AttachController(control.New(c.Clock(),
 			control.WithAlgorithm(control.ProportionalShare{}),
-			control.WithClusterLimit(fig5ClusterLimit))
+			control.WithClusterLimit(fig5ClusterLimit)))
 	}
-
-	c := sim.NewCluster(sim.Config{
-		Duration:   fig5Horizon,
-		Controller: ctl,
-	})
 	tr := fig5Workload(seed)
 	arrivals := make(map[string]time.Duration, fig5Jobs)
 	for i := 0; i < fig5Jobs; i++ {

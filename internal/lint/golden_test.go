@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 )
 
@@ -12,20 +13,34 @@ import (
 // expectations, the same shape go/analysis uses: every want must be
 // matched by a finding on its line, and every finding must be expected.
 
-// sharedLoader is reused across golden tests so the standard library is
-// type-checked once per `go test`, not once per fixture.
-var sharedLoader *Loader
+var (
+	fixturesOnce sync.Once
+	fixtures     map[string]*Package
+	fixturesErr  error
+)
 
-func fixtureLoader(t *testing.T) *Loader {
+// fixture returns the seeded-violation package testdata/src/<name>. One
+// go list call per `go test` loads all of them, under their real import
+// paths (padll/internal/lint/testdata/src/<name>), so printcheck applies
+// to them as to any package under internal/.
+func fixture(t *testing.T, name string) *Package {
 	t.Helper()
-	if sharedLoader == nil {
-		l, err := NewLoader(repoRoot(t))
-		if err != nil {
-			t.Fatal(err)
+	fixturesOnce.Do(func() {
+		var pkgs []*Package
+		pkgs, _, fixturesErr = load(repoRoot(t), []string{"./internal/lint/testdata/src/..."})
+		fixtures = make(map[string]*Package)
+		for _, p := range pkgs {
+			fixtures[filepath.Base(p.Dir)] = p
 		}
-		sharedLoader = l
+	})
+	if fixturesErr != nil {
+		t.Fatalf("load fixtures: %v", fixturesErr)
 	}
-	return sharedLoader
+	pkg := fixtures[name]
+	if pkg == nil {
+		t.Fatalf("fixture %s not loaded", name)
+	}
+	return pkg
 }
 
 func repoRoot(t *testing.T) string {
@@ -42,14 +57,9 @@ func repoRoot(t *testing.T) string {
 var wantRx = regexp.MustCompile("want `([^`]+)`")
 
 // runGolden checks one analyzer against one fixture directory.
-func runGolden(t *testing.T, a *Analyzer, fixture, importPath string) {
+func runGolden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	loader := fixtureLoader(t)
-	dir := filepath.Join(repoRoot(t), "internal", "lint", "testdata", "src", fixture)
-	pkg, err := loader.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", fixture, err)
-	}
+	pkg := fixture(t, name)
 	diags := analyze(pkg, a)
 
 	// Gather expectations keyed by file:line.
@@ -94,25 +104,23 @@ func runGolden(t *testing.T, a *Analyzer, fixture, importPath string) {
 }
 
 func TestClockCheckGolden(t *testing.T) {
-	runGolden(t, ClockCheck, "clockfix", "padll/internal/lintfixtures/clockfix")
+	runGolden(t, ClockCheck, "clockfix")
 }
 
 func TestLockCheckGolden(t *testing.T) {
-	runGolden(t, LockCheck, "lockfix", "padll/internal/lintfixtures/lockfix")
+	runGolden(t, LockCheck, "lockfix")
 }
 
 func TestErrDropGolden(t *testing.T) {
-	runGolden(t, ErrDrop, "errfix", "padll/internal/lintfixtures/errfix")
+	runGolden(t, ErrDrop, "errfix")
 }
 
 func TestPrintCheckGolden(t *testing.T) {
-	// The synthetic import path puts the fixture under internal/, where
-	// printcheck applies.
-	runGolden(t, PrintCheck, "printfix", "padll/internal/lintfixtures/printfix")
+	runGolden(t, PrintCheck, "printfix")
 }
 
 func TestLeakCheckGolden(t *testing.T) {
-	runGolden(t, LeakCheck, "leakfix", "padll/internal/lintfixtures/leakfix")
+	runGolden(t, LeakCheck, "leakfix")
 }
 
 // TestFixturesSeedViolations guards against silently-passing goldens: a
@@ -129,14 +137,8 @@ func TestFixturesSeedViolations(t *testing.T) {
 		{PrintCheck, "printfix", 4},
 		{LeakCheck, "leakfix", 2},
 	}
-	loader := fixtureLoader(t)
 	for _, c := range cases {
-		dir := filepath.Join(repoRoot(t), "internal", "lint", "testdata", "src", c.fixture)
-		pkg, err := loader.LoadDir(dir, "padll/internal/lintfixtures/"+c.fixture)
-		if err != nil {
-			t.Fatalf("load fixture %s: %v", c.fixture, err)
-		}
-		if got := len(analyze(pkg, c.a)); got < c.minimum {
+		if got := len(analyze(fixture(t, c.fixture), c.a)); got < c.minimum {
 			t.Errorf("%s fixture: %d findings, want at least %d seeded violations", c.a.Name, got, c.minimum)
 		}
 	}

@@ -16,10 +16,11 @@
 //     visible shutdown path (sync.WaitGroup, stop channel, or context).
 //
 // The suite is built purely on the standard library (go/ast, go/parser,
-// go/types, go/token, go/build): packages are parsed and type-checked from
-// source, with module-local imports resolved against the repository root
-// and standard-library imports against GOROOT/src. Every analyzer looks
-// at one package at a time.
+// go/types, go/importer): `go list -deps -export` names the packages a
+// pattern matches, their files and the compiler export data of every
+// dependency; the matched packages are parsed from source and
+// type-checked against that export data. Every analyzer looks at one
+// package at a time.
 //
 // A finding can be suppressed with an explanatory pragma on the offending
 // line or the line above it:

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,6 +23,64 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	if res.Packages < 20 {
 		t.Errorf("analyzed %d packages, expected the full module (>= 20); pattern expansion regressed", res.Packages)
+	}
+}
+
+// TestDotDotDotCoversTheSuite pins what "./..." hands the analyzers: the
+// go command's expansion must include the suite itself and its driver,
+// so `make lint` holds both to their own standards.
+func TestDotDotDotCoversTheSuite(t *testing.T) {
+	pkgs, root, err := load(repoRoot(t), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root != repoRoot(t) {
+		t.Errorf("module root %q, want %q", root, repoRoot(t))
+	}
+	loaded := make(map[string]bool)
+	for _, p := range pkgs {
+		loaded[p.Path] = true
+	}
+	for _, want := range []string{"padll/internal/lint", "padll/cmd/padll-lint"} {
+		if !loaded[want] {
+			t.Errorf("./... did not load %s", want)
+		}
+	}
+}
+
+// TestLoadErrorsAreFatal checks that every way a load can fail stops the
+// run (padll-lint's exit 2) instead of analyzing less than was asked
+// for: a target that does not type-check, an import that does not
+// resolve, and a pattern the go command rejects.
+func TestLoadErrorsAreFatal(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":        "module example\n\ngo 1.22\n",
+		"ok/ok.go":      "package ok\n\nfunc F() int { return 1 }\n",
+		"typeerr/a.go":  "package typeerr\n\nvar X int = \"one\"\n",
+		"noimport/a.go": "package noimport\n\nimport _ \"example/missing\"\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := Run(dir, []string{"./ok"}); err != nil || res.Packages != 1 {
+		t.Fatalf("Run(./ok) = %+v, %v; want one clean package", res, err)
+	}
+	for pattern, want := range map[string]string{
+		"./typeerr":    "cannot use",
+		"./noimport":   "example/missing",
+		"./nosuchdir":  "directory not found",
+		"example/bad[": "malformed import path",
+	} {
+		res, err := Run(dir, []string{pattern})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run(%s) = %+v, %v; want an error mentioning %q", pattern, res, err, want)
+		}
 	}
 }
 

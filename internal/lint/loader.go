@@ -1,22 +1,24 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strings"
 )
 
 // Package is one parsed and type-checked package, ready for analysis.
 type Package struct {
-	// Path is the import path ("padll/internal/stage"). Fixture packages
-	// loaded from testdata carry a synthetic path chosen by the caller.
+	// Path is the import path ("padll/internal/stage").
 	Path string
 	// Dir is the directory the files were read from.
 	Dir string
@@ -30,154 +32,84 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Loader parses and type-checks packages from source using only the
-// standard library. Imports are resolved without any build system:
-//
-//   - the module path maps to the module root directory,
-//   - "unsafe" maps to types.Unsafe,
-//   - everything else maps to GOROOT/src/<path>, falling back to
-//     GOROOT/src/vendor/<path> for the std vendored dependencies.
-//
-// cgo is disabled in the build context so the pure-Go variants of std
-// packages are selected, exactly as a CGO_ENABLED=0 build would.
-type Loader struct {
-	// ModuleRoot is the directory containing go.mod.
-	ModuleRoot string
-	// ModulePath is the module path declared in go.mod ("padll").
-	ModulePath string
-
-	fset   *token.FileSet
-	ctxt   build.Context
-	goroot string
-	// imported caches type-checked packages by import path. A nil entry
-	// marks a package currently being checked (import cycle guard).
-	imported map[string]*types.Package
-	checking map[string]bool
+// listed is the part of a `go list -json` record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Error      *struct{ Err string }
+	Module     *struct{ Dir string }
 }
 
-// NewLoader builds a loader for the module rooted at moduleRoot.
-func NewLoader(moduleRoot string) (*Loader, error) {
-	abs, err := filepath.Abs(moduleRoot)
+// load asks the go command, run in dir, for the packages patterns match
+// and the compiler export data of everything they import, then parses
+// each matched package from source and type-checks it against that
+// export data. It returns the packages and the root of the module the
+// first one belongs to (dir when it belongs to none). A go list failure
+// or a type error in a matched package is an error: analyzers need
+// complete information about the code they judge.
+func load(dir string, patterns []string) ([]*Package, string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error,Module"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, "", fmt.Errorf("lint: go list: %v\n%s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	modPath, err := modulePathOf(abs)
-	if err != nil {
-		return nil, err
-	}
-	ctxt := build.Default
-	ctxt.CgoEnabled = false
-	return &Loader{
-		ModuleRoot: abs,
-		ModulePath: modPath,
-		fset:       token.NewFileSet(),
-		ctxt:       ctxt,
-		goroot:     runtime.GOROOT(),
-		imported:   make(map[string]*types.Package),
-		checking:   make(map[string]bool),
-	}, nil
-}
-
-// modulePathOf reads the module declaration from dir/go.mod.
-func modulePathOf(dir string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-	if err != nil {
-		return "", fmt.Errorf("lint: read go.mod: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
+	var targets []listed
+	exports := make(map[string]string)
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, "", fmt.Errorf("lint: go list output: %w", err)
+		}
+		if p.Error != nil {
+			return nil, "", fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		exports[p.ImportPath] = p.Export
+		// A directory of test files alone has nothing to analyze.
+		if !p.DepOnly && len(p.GoFiles) > 0 {
+			targets = append(targets, p)
 		}
 	}
-	return "", fmt.Errorf("lint: no module declaration in %s/go.mod", dir)
+
+	root := dir
+	if len(targets) > 0 && targets[0].Module != nil {
+		root = targets[0].Module.Dir
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+	pkgs := make([]*Package, 0, len(targets))
+	for _, t := range targets {
+		pkg, err := check(fset, imp, t)
+		if err != nil {
+			return nil, "", err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, root, nil
 }
 
-// dirFor resolves an import path to a source directory.
-func (l *Loader) dirFor(path string) (string, error) {
-	switch {
-	case path == "C":
-		return "", fmt.Errorf("lint: cgo import not supported")
-	case path == l.ModulePath:
-		return l.ModuleRoot, nil
-	case strings.HasPrefix(path, l.ModulePath+"/"):
-		return filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/"))), nil
-	}
-	std := filepath.Join(l.goroot, "src", filepath.FromSlash(path))
-	if fi, err := os.Stat(std); err == nil && fi.IsDir() {
-		return std, nil
-	}
-	vendored := filepath.Join(l.goroot, "src", "vendor", filepath.FromSlash(path))
-	if fi, err := os.Stat(vendored); err == nil && fi.IsDir() {
-		return vendored, nil
-	}
-	return "", fmt.Errorf("lint: cannot resolve import %q", path)
-}
-
-// parseDir parses the buildable non-test Go files of dir.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	bp, err := l.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]*ast.File, 0, len(bp.GoFiles))
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+// check parses one listed package's files and type-checks them strictly.
+func check(fset *token.FileSet, imp types.Importer, p listed) (*Package, error) {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	return files, nil
-}
-
-// Import implements types.Importer, type-checking dependencies from
-// source on demand. Results are cached for the loader's lifetime.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if pkg, ok := l.imported[path]; ok {
-		return pkg, nil
-	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("lint: import cycle through %q", path)
-	}
-	dir, err := l.dirFor(path)
-	if err != nil {
-		return nil, err
-	}
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: parse %s: %w", path, err)
-	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-
-	// Imported (non-target) packages are checked leniently: collect but
-	// tolerate errors, keeping whatever partial type information results.
-	// Only the packages under analysis are held to a zero-error standard,
-	// in LoadDir. This keeps the suite robust against std-library corners
-	// (build-tag or toolchain drift) that the analyzers never look at.
-	conf := types.Config{
-		Importer: l,
-		Error:    func(error) {},
-	}
-	pkg, _ := conf.Check(path, l.fset, files, nil)
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: type-check %s failed", path)
-	}
-	l.imported[path] = pkg
-	return pkg, nil
-}
-
-// LoadDir parses and type-checks the package in dir as an analysis
-// target, under the given import path. Unlike Import, type errors are
-// fatal: analyzers need complete information about the code they judge.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -185,27 +117,15 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(importPath, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type-check %s: %v", importPath, typeErrs[0])
-	}
-	if tpkg == nil {
-		return nil, fmt.Errorf("lint: type-check %s produced no package", importPath)
-	}
-	// Seed the import cache so later targets importing this package reuse
-	// the strict result instead of re-checking from source.
-	if _, ok := l.imported[importPath]; !ok {
-		l.imported[importPath] = tpkg
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-check %s: %w", p.ImportPath, err)
 	}
 	return &Package{
-		Path:      importPath,
-		Dir:       dir,
-		Fset:      l.fset,
+		Path:      p.ImportPath,
+		Dir:       p.Dir,
+		Fset:      fset,
 		Files:     files,
 		Types:     tpkg,
 		TypesInfo: info,

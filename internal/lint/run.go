@@ -3,9 +3,7 @@ package lint
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -17,30 +15,20 @@ type Result struct {
 	Packages int
 }
 
-// Run loads every package matched by patterns (relative to moduleRoot)
-// and applies the full suite. Patterns follow the go tool's shape: a
-// directory ("./internal/stage") names one package, a "..." suffix
-// ("./...", "./internal/...") names every package under it. Directories
-// named testdata, hidden directories, and directories without buildable
-// non-test Go files are skipped.
-func Run(moduleRoot string, patterns []string) (*Result, error) {
-	loader, err := NewLoader(moduleRoot)
+// Run lists the packages patterns match, with the go command run in
+// dir (so "./..." and the rest of the go command's pattern syntax mean
+// what they mean to go build, testdata and test-only directories
+// excluded), and applies the full suite to each.
+func Run(dir string, patterns []string) (*Result, error) {
+	pkgs, root, err := load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expandPatterns(moduleRoot, patterns)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Packages: len(dirs)}
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir, importPathFor(loader, dir))
-		if err != nil {
-			return nil, err
-		}
+	res := &Result{Packages: len(pkgs)}
+	for _, pkg := range pkgs {
 		res.Diags = append(res.Diags, analyze(pkg, Analyzers()...)...)
 	}
-	relativize(moduleRoot, res.Diags)
+	relativize(root, res.Diags)
 	sortDiagnostics(res.Diags)
 	return res, nil
 }
@@ -56,15 +44,6 @@ func analyze(pkg *Package, analyzers ...*Analyzer) []Diagnostic {
 	return suppress(diags, allows)
 }
 
-// importPathFor maps a directory under the module root to its import path.
-func importPathFor(l *Loader, dir string) string {
-	rel, err := filepath.Rel(l.ModuleRoot, dir)
-	if err != nil || rel == "." {
-		return l.ModulePath
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
 // relativize rewrites absolute file paths relative to the module root.
 func relativize(moduleRoot string, diags []Diagnostic) {
 	for i := range diags {
@@ -72,80 +51,6 @@ func relativize(moduleRoot string, diags []Diagnostic) {
 			diags[i].Path = rel
 		}
 	}
-}
-
-// expandPatterns resolves the package patterns to package directories.
-func expandPatterns(moduleRoot string, patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		if pat == "..." {
-			pat, recursive = ".", true
-		}
-		if strings.HasSuffix(pat, "/...") {
-			pat, recursive = strings.TrimSuffix(pat, "/..."), true
-		}
-		root := pat
-		if !filepath.IsAbs(root) {
-			root = filepath.Join(moduleRoot, root)
-		}
-		fi, err := os.Stat(root)
-		if err != nil {
-			return nil, fmt.Errorf("lint: pattern %q: %w", pat, err)
-		}
-		if !fi.IsDir() {
-			return nil, fmt.Errorf("lint: pattern %q is not a directory", pat)
-		}
-		if !recursive {
-			if hasBuildableGo(root) {
-				add(root)
-			}
-			continue
-		}
-		err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasBuildableGo(path) {
-				add(path)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// hasBuildableGo reports whether dir directly contains a non-test Go file.
-func hasBuildableGo(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteText prints findings one per line, plus a summary.

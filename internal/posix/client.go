@@ -13,10 +13,9 @@ package posix
 type Client struct {
 	fs FileSystem
 	// Context stamped onto every request for differentiation.
-	JobID  string
-	User   string
-	PID    int
-	Tenant string
+	JobID string
+	User  string
+	PID   int
 }
 
 // NewClient returns a client issuing requests against fs.
@@ -33,7 +32,7 @@ var zeroDirEntry DirEntry
 
 // apply stamps the client's differentiation context and forwards.
 func (c *Client) apply(req *Request, rep *Reply) error {
-	req.JobID, req.User, req.PID, req.Tenant = c.JobID, c.User, c.PID, c.Tenant
+	req.JobID, req.User, req.PID = c.JobID, c.User, c.PID
 	return c.fs.Apply(req, rep)
 }
 

@@ -91,10 +91,9 @@ type Request struct {
 	Value   []byte // xattr value
 
 	// Context attributes used for differentiation and accounting.
-	JobID  string
-	User   string
-	PID    int
-	Tenant string
+	JobID string
+	User  string
+	PID   int
 }
 
 // Reply is the result of executing a Request.

@@ -132,10 +132,11 @@ func TestMultiStageJobSplitsLoad(t *testing.T) {
 }
 
 func TestArrivalsAndControllerLifecycle(t *testing.T) {
-	ctl := control.New(nil, // the controller never sleeps on this clock in RunOnce
+	c := NewCluster(Config{})
+	ctl := control.New(c.Clock(),
 		control.WithAlgorithm(control.StaticEqualShare{}),
 		control.WithClusterLimit(12000))
-	c := NewCluster(Config{Controller: ctl})
+	c.AttachController(ctl)
 	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
 	c.AddJob(JobSpec{ID: "j2", Arrival: 2 * time.Second, Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
 	rep := c.Run()
@@ -153,10 +154,10 @@ func TestArrivalsAndControllerLifecycle(t *testing.T) {
 }
 
 func TestControllerEnforcesClusterLimit(t *testing.T) {
-	ctl := control.New(nil,
+	c := NewCluster(Config{})
+	c.AttachController(control.New(c.Clock(),
 		control.WithAlgorithm(control.StaticEqualShare{}),
-		control.WithClusterLimit(100))
-	c := NewCluster(Config{Controller: ctl})
+		control.WithClusterLimit(100)))
 	// Two jobs each demanding 100/s (200 aggregate) against a 100
 	// cluster limit.
 	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})

@@ -200,37 +200,9 @@ func (b *Bucket) broadcastLocked() {
 	b.retune = make(chan struct{})
 }
 
-// TryTake attempts to take n tokens without blocking. It reports whether
-// the tokens were granted.
-func (b *Bucket) TryTake(n float64) bool {
-	if n <= 0 {
-		return true
-	}
-	// Unlimited fast path: no token arithmetic to settle, so admission
-	// needs no lock. A retune to a finite rate racing this check may let
-	// one in-flight admission through ungated — the same window the
-	// locked path has between reading the rate and acting on it.
-	if b.unlimitedA.Load() {
-		if b.closedA.Load() {
-			return false
-		}
-		b.addGranted(n)
-		return true
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return false
-	}
-	b.refillLocked(b.clk.Now()) // TryTake refills to the exact instant; callers that amortize the clock use TakeAt
-	ok := b.tokens >= n
-	if ok {
-		b.tokens -= n
-		b.addGranted(n)
-	}
-	b.mu.Unlock()
-	return ok
-}
+// TryTake attempts to take n tokens without blocking, refilling to the
+// clock's current instant. It reports whether the tokens were granted.
+func (b *Bucket) TryTake(n float64) bool { return b.TakeAt(n, b.clk.Now()) }
 
 // TakeAt is TryTake against a caller-supplied instant: it refills up to
 // now, takes n tokens if the bucket holds them, and otherwise reports
@@ -242,7 +214,10 @@ func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 	if n <= 0 {
 		return true
 	}
-	// Unlimited fast path; see TryTake.
+	// Unlimited fast path: no token arithmetic to settle, so admission
+	// needs no lock. A retune to a finite rate racing this check may let
+	// one in-flight admission through ungated — the same window the
+	// locked path has between reading the rate and acting on it.
 	if b.unlimitedA.Load() {
 		if b.closedA.Load() {
 			return false
@@ -275,7 +250,7 @@ func (b *Bucket) Wait(n float64) error {
 	if n <= 0 {
 		return nil
 	}
-	// Unlimited fast path; see TryTake.
+	// Unlimited fast path; see TakeAt.
 	if b.unlimitedA.Load() {
 		if b.closedA.Load() {
 			return ErrClosed
