@@ -23,6 +23,9 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a stopped, reusable deadline timer on this clock.
 	NewTimer() Timer
+	// NewFuncTimer returns a stopped, reusable deadline timer on this
+	// clock that runs f, on a goroutine of its own, each time it expires.
+	NewFuncTimer(f func()) FuncTimer
 }
 
 // Timer is a reusable one-shot deadline for a single owner: where After
@@ -42,6 +45,19 @@ type Timer interface {
 	// Stop disarms the timer and discards an expiry not yet received:
 	// after Stop, C stays empty until the next Reset fires. It reports
 	// whether the timer was still pending.
+	Stop() bool
+}
+
+// FuncTimer is a reusable one-shot deadline like Timer that runs a
+// function instead of delivering on a channel: the deadline of an owner
+// blocked in something the clock cannot wake, such as a socket read,
+// which the function releases. It is not safe for concurrent use.
+type FuncTimer interface {
+	// Reset arms the timer to run its function once d from now,
+	// replacing any pending deadline.
+	Reset(d time.Duration)
+	// Stop disarms the timer and reports whether it was still pending:
+	// false means the function has run or is running.
 	Stop() bool
 }
 
@@ -66,6 +82,17 @@ func (Real) NewTimer() Timer {
 	t.Stop()
 	return realTimer{t}
 }
+
+// NewFuncTimer implements Clock.
+func (Real) NewFuncTimer(f func()) FuncTimer {
+	t := time.AfterFunc(time.Hour, f)
+	t.Stop()
+	return realFuncTimer{t}
+}
+
+type realFuncTimer struct{ *time.Timer }
+
+func (r realFuncTimer) Reset(d time.Duration) { r.Timer.Reset(d) }
 
 // realTimer is a Timer on a time.Timer. go.mod's language version
 // predates go1.23's timer channels, so an expiry may already sit in the
@@ -145,9 +172,21 @@ type waiter struct {
 	deadline time.Time
 	seq      int64
 	ch       chan time.Time
+	// fn, when set, is what the waiter's expiry runs instead of a send.
+	fn func()
 	// idx is the waiter's position in the heap (-1 when not parked), so
 	// a timer can withdraw its waiter before the deadline.
 	idx int
+}
+
+// fire delivers the waiter's expiry: its function on a goroutine of
+// its own, or now on its channel, which has room.
+func (w *waiter) fire(now time.Time) {
+	if w.fn != nil {
+		go w.fn() //lint:allow leakcheck the timer's owner waits for its function, as for time.AfterFunc's
+		return
+	}
+	w.ch <- now
 }
 
 type waiterHeap []*waiter
@@ -215,6 +254,12 @@ func (s *Sim) NewTimer() Timer {
 	return &simTimer{s: s, w: waiter{ch: make(chan time.Time, 1), idx: -1}}
 }
 
+// NewFuncTimer implements Clock: a simTimer whose waiter runs f, in the
+// same heap as every other waiter.
+func (s *Sim) NewFuncTimer(f func()) FuncTimer {
+	return &simTimer{s: s, w: waiter{fn: f, idx: -1}}
+}
+
 type simTimer struct {
 	s *Sim
 	w waiter
@@ -227,7 +272,7 @@ func (t *simTimer) Reset(d time.Duration) {
 	defer t.s.mu.Unlock()
 	t.stopLocked()
 	if d <= 0 {
-		t.w.ch <- t.s.now //lint:allow lockcheck ch has capacity 1 and stopLocked just emptied it; the send cannot block
+		t.w.fire(t.s.now)
 		return
 	}
 	t.w.deadline = t.s.now.Add(d)
@@ -286,7 +331,7 @@ func (s *Sim) AdvanceToLocked(t time.Time) {
 		if w.deadline.After(s.now) {
 			s.now = w.deadline
 		}
-		w.ch <- s.now
+		w.fire(s.now)
 	}
 	s.now = t
 }

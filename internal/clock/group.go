@@ -51,7 +51,7 @@ func (s *Sim) Drive(main func()) {
 		s.live++ // counted before the send: live stays above zero until the waiter parks again
 		now := s.now
 		s.mu.Unlock()
-		w.ch <- now
+		w.fire(now)
 	}
 }
 

@@ -182,3 +182,52 @@ func TestRealTimerFiresStopsAndIsReusable(t *testing.T) {
 	}
 	tm.Stop()
 }
+
+// TestFuncTimerRunsItsFunctionAtTheDeadline: on either clock a function
+// timer runs its function once per expiry, and only then; Stop reports
+// a pending timer true and a fired one false. On the simulated clock an
+// armed function timer is a waiter like any other: it counts in
+// PendingWaiters and NextDeadline and fires in deadline order.
+func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
+	ran := make(chan time.Duration, 1)
+	c := NewSim(epoch)
+	ft := c.NewFuncTimer(func() { ran <- c.Now().Sub(epoch) })
+	if c.PendingWaiters() != 0 {
+		t.Fatal("a new function timer must be stopped")
+	}
+	after := c.After(2 * time.Second)
+	ft.Reset(time.Second)
+	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Second)) || c.PendingWaiters() != 2 {
+		t.Fatalf("NextDeadline %v with %d waiters, want the timer's first of two", d, c.PendingWaiters())
+	}
+	if !ft.Stop() || ft.Stop() || c.PendingWaiters() != 1 {
+		t.Fatal("Stop did not withdraw exactly the pending timer")
+	}
+	ft.Reset(time.Second)
+	c.Advance(time.Second - time.Nanosecond)
+	if len(ran) != 0 {
+		t.Fatal("the function ran before the deadline")
+	}
+	c.Advance(time.Nanosecond)
+	if got := <-ran; got < time.Second {
+		t.Fatalf("the function ran at +%v, before its deadline", got)
+	}
+	if ft.Stop() || c.PendingWaiters() != 1 {
+		t.Fatal("a fired function timer reported pending or stayed parked")
+	}
+	c.Advance(time.Second)
+	<-after
+
+	real := NewReal().NewFuncTimer(func() { ran <- 0 })
+	real.Reset(time.Hour)
+	if !real.Stop() {
+		t.Fatal("Stop on a pending real function timer reported false")
+	}
+	for round := 0; round < 3; round++ {
+		real.Reset(time.Millisecond)
+		<-ran
+		if real.Stop() {
+			t.Fatal("Stop on a fired real function timer reported it pending")
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package leaktest is the goroutine-leak assertion a package's TestMain
 // runs after its tests: every goroutine a test started — a round's
-// workers, a connection's reader loop, a server's accept loop — must be
+// workers, a timer's function, a server's accept loop — must be
 // gone once the test's own cleanup has run. The static leakcheck
 // analyzer asks that every `go` statement has a join point; this asks
 // that the join actually happened. Imported by _test.go files only.
@@ -17,8 +17,8 @@ import (
 	"padll/internal/clock"
 )
 
-// grace is how long a goroutine that is already on its way out (a reader
-// loop whose socket was just closed, a handler unwinding) gets to
+// grace is how long a goroutine that is already on its way out (a
+// connection loop whose socket was just closed, a handler unwinding) gets to
 // finish before it counts as leaked.
 const grace = 5 * time.Second
 

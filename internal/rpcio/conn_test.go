@@ -98,7 +98,7 @@ func servedFleet(t *testing.T, n int, wrap func(net.Listener) net.Listener, opts
 
 // TestInterleavedRepliesRouteCorrectly hammers every handle from many
 // goroutines at once; every reply must reach the caller that issued it
-// (and the race detector watches the reader path).
+// (and the race detector watches the read path).
 func TestInterleavedRepliesRouteCorrectly(t *testing.T) {
 	_, handles := servedFleet(t, 4, nil)
 	var wg sync.WaitGroup
@@ -214,8 +214,8 @@ func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
 }
 
 // TestDuplicatedReplyFramesAreDiscarded: a wire that duplicates every
-// frame must not desynchronize the reader — a duplicate's stream ID has
-// no waiter, so it is consumed and dropped.
+// frame must not desynchronize the read path — a duplicate's stream ID is
+// not the awaited one, so it is consumed and dropped.
 func TestDuplicatedReplyFramesAreDiscarded(t *testing.T) {
 	stages, handles := servedFleet(t, 2, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DupEvery: 1}}
@@ -269,10 +269,10 @@ func (l *muteListener) Accept() (net.Conn, error) {
 // TestKilledConnectionFinishesEveryStartedExchange: eight exchanges are
 // started on eight connections, whose replies never come; each
 // connection is killed while its exchange's second half is being waited
-// for. Every Finish returns the kill's error, exactly one completion
-// reaches each transport's call and is consumed by its Finish — so no
-// call is left waiting, signalled, failed or still attached for the
-// next Start — every handle is free for its next exchange, and that
+// for. Every Finish returns the kill's error, whether the kill came
+// before its read or released it; no deadline timer is left armed, no
+// expiry unconsumed and no call failed or still attached for the next
+// Start; every handle is free for its next exchange, and that
 // exchange redials and merges the right snapshot whether the lost
 // exchange had reached the stage (a full resync) or not (the next
 // delta).
@@ -315,16 +315,14 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 		}
 	}
 	for i, fc := range conns {
-		fc.mu.Lock()
-		if fc.waiting != nil {
-			t.Errorf("a call is still waiting on killed connection %d", i)
+		if fc.deadline.Stop() || len(fc.fired) != 0 {
+			t.Errorf("killed connection %d left its deadline timer armed or its expiry unconsumed", i)
 		}
-		fc.mu.Unlock()
 	}
 	for i, h := range handles {
 		call := &h.t.(*frameTransport).call
-		if len(call.ch) != 0 || call.err != nil || call.fc != nil || call.reply != nil {
-			t.Errorf("transport %d left its call not at rest: %d signals, err %v, conn %v", i, len(call.ch), call.err, call.fc)
+		if call.err != nil || call.fc != nil || call.reply != nil {
+			t.Errorf("transport %d left its call not at rest: err %v, conn %v", i, call.err, call.fc)
 		}
 	}
 

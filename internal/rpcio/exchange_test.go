@@ -111,8 +111,8 @@ func TestFrameExchangeZeroAllocs(t *testing.T) {
 
 // BenchmarkFrameExchange is one serial steady-state collect over
 // loopback TCP: what a stage costs when nothing overlaps it — two
-// writes, two reads and three goroutine hand-offs (to the server, to
-// the client's reader goroutine, back to the caller).
+// writes, two reads that return data and two goroutine hand-offs (to
+// the server, and back to the caller blocked in its read).
 func BenchmarkFrameExchange(b *testing.B) {
 	_, h := servedOverTCP(b, clock.NewSim(epoch))
 	var dst stage.Stats

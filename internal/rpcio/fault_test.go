@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -138,20 +139,69 @@ func TestRedialAfterConnectionDeath(t *testing.T) {
 	// The server side kills each connection after 6 chunks; the handle
 	// must keep succeeding by redialing. FlakyConn counts a chunk per
 	// Read and per Write call, and the server reads a whole request
-	// through its buffered reader, so an exchange is two chunks — read,
+	// through its receive buffer, so an exchange is two chunks — read,
 	// write — and the script is R W R W R W, then the seventh chunk (the
 	// read for a fourth request) kills the connection: three pings per
 	// connection, four connections for the ten below. (When the server
 	// read header and payload separately an exchange was three chunks,
-	// and the same script allowed two pings per connection.)
-	_, h, l := flakyServedStage(t, Flakiness{FailAfter: 6})
-	for i := 0; i < 10; i++ {
+	// and the same script allowed two pings per connection.) The server
+	// closes a connection while it is idle, so the next exchange finds
+	// it closed only once its request is written: it redials and sends
+	// again at once, without a retry — the handle's clock may be one
+	// nobody advances, whose retry sleep would never end.
+	for _, tc := range []struct {
+		name string
+		opts []DialOption
+	}{
+		{"wall clock", nil},
+		{"clock nobody advances", []DialOption{WithHandleClock(clock.NewSim(epoch))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, h, l := flakyServedStage(t, Flakiness{FailAfter: 6}, tc.opts...)
+			for i := 0; i < 10; i++ {
+				if _, err := ping(h); err != nil {
+					t.Fatalf("Ping %d: %v", i, err)
+				}
+			}
+			if got := l.accepted.Load(); got != 4 {
+				t.Errorf("ten pings used %d connections, want 4 at three exchanges each", got)
+			}
+		})
+	}
+}
+
+// clientGoroutines counts the goroutines the package started: every
+// stack created by an rpcio function.
+func clientGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by padll/internal/rpcio.")
+}
+
+// TestHandleRunsNoGoroutine: a dialed handle's exchanges run on their
+// caller's goroutine, so dialing a stage and exchanging with it adds
+// one goroutine to the process — the server's, for the connection —
+// and nothing on the client's side.
+func TestHandleRunsNoGoroutine(t *testing.T) {
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ServeStage(l, stg))
+	before := clientGoroutines()
+	h, err := DialStage(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Close() }()
+	for i := 0; i < 16; i++ {
 		if _, err := ping(h); err != nil {
-			t.Fatalf("Ping %d: %v", i, err)
+			t.Fatal(err)
 		}
 	}
-	if got := l.accepted.Load(); got != 4 {
-		t.Errorf("ten pings used %d connections, want 4 at three exchanges each", got)
+	if got := clientGoroutines() - before; got != 1 {
+		t.Errorf("a dialed handle raised the package's goroutines by %d, want 1 (the server's)", got)
 	}
 }
 

@@ -1,70 +1,53 @@
 // Client half of the frame transport.
 //
 // Every transport owns one TCP connection to a single-service endpoint
-// (a stage's control service, or the registrar). A request frame names
-// a stream — a per-connection sequence number the reply echoes — and a
-// reader goroutine per connection reads reply frames and hands the
-// payload of the one awaited stream to the waiting call; replies for
-// any other stream — duplicates injected by a flaky wire, or stragglers
-// from a timed-out call — are consumed and dropped, never misdelivered.
+// (a stage's control service, or the registrar), and the exchange in
+// flight is the connection's one writer and its one reader: no
+// goroutine runs per connection. A request frame names a stream — a
+// per-connection sequence number the reply echoes — and a reply frame
+// on any other stream (a duplicate from a flaky wire, a straggler from
+// a timed-out call) is consumed and dropped, never misdelivered.
 //
-// An exchange is two halves (Transport.Start, Transport.Finish): the
-// first encodes, registers the stream and writes the frame, the second
-// waits for the reader goroutine's signal and decodes — so a caller
-// driving many stages has every request on the wire before it waits for
-// the first reply, and by the time it gathers most replies are already
-// buffered in their calls. A transport carries one exchange at a time,
-// so it owns exactly one call, which every exchange reuses, and its
-// connection has at most one call waiting and one writer.
-//
-// Failure handling: every call runs under the transport's deadline on
-// its injected clock, counted from the send. The deadline's timer — one
-// the call owns and re-arms, so it costs no allocation — is armed only
-// when the second half actually has to block, for what is left of the
-// deadline; requests sent together to hung peers therefore expire
-// together. A timeout or I/O error kills the connection (completing the
-// waiting call with the error), and the next call redials; a blocking
-// exchange (Exec) separates its attempts by the fixed retry schedule
-// (retryDelays; a one-shot registrar call has none), each sleep on the
-// transport's clock. RemoteError — the peer answered with an
-// application error — is returned without retry. Frames are written
-// with a single Write call, so fault injectors operating at write
-// granularity (the tests' FlakyConn) drop or duplicate whole frames,
-// never fragments.
+// An exchange is two halves (Transport.Start, Transport.Finish). The
+// first encodes the frame and writes it with one Write, so fault
+// injectors working at write granularity (the tests' FlakyConn) drop or
+// duplicate whole frames. The second reads the reply and decodes it. A
+// caller driving many stages has every request on the wire before it
+// gathers the first reply, and by then most replies are in their
+// sockets: Finish takes what the socket holds without waiting (rawPeek)
+// and blocks in a read only when the reply is not there yet — under
+// what is left of the deadline, counted from the send on the
+// transport's clock, whose timer releases the read (see wait). A
+// timeout or I/O error kills the connection and the next call redials;
+// a blocking exchange (Exec) separates its attempts by the fixed retry
+// schedule (retryDelays; a one-shot registrar call has none), and a
+// RemoteError — the peer's application error — is never retried.
 package rpcio
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"padll/internal/clock"
 )
 
-// frameCall is one transport's request rendezvous: the reader goroutine
-// delivers the reply payload into buf and signals ch. Completion is
-// exactly-once (whoever takes the call out of its connection's waiting
-// slot completes it) and the call is reused only after that one signal
-// was consumed, so the call and its buffers serve every exchange of its
-// transport.
+// frameCall is one transport's exchange, reused by every exchange of
+// its transport.
 type frameCall struct {
-	ch   chan struct{} // buffered(1); one signal per completion
+	wbuf []byte // request frame assembly
+	// kind and buf are the reply frame's: buf is a view of the
+	// connection's receive buffer, valid until the next read into it.
 	kind uint8
-	buf  []byte // reply payload (reused)
-	wbuf []byte // request frame assembly (reused)
-	// err is the completion's error, or the error of a Start that put
-	// nothing on the wire.
-	err error
-	// deadline is the call's reusable timeout timer, made the first time
-	// a wait has to block and always stopped before the wait returns.
-	// sent is when the request went out: the instant the deadline counts
-	// from.
-	deadline clock.Timer
-	sent     time.Time
+	buf  []byte
+	err  error     // the error of a Start that put nothing on the wire
+	sent time.Time // when the request went out: the deadline counts from it
 	// fc, m and reply are the started exchange Finish completes; fc is
 	// nil when no exchange is in flight.
 	fc    *frameConn
@@ -72,95 +55,53 @@ type frameCall struct {
 	reply any
 }
 
-// frameConn is one transport's connection. Its transport writes to it
-// one frame at a time; its reader goroutine completes the waiting call.
+// frameConn is one transport's connection. Everything but dead and err
+// belongs to the exchange in flight; a kill may come from any goroutine.
 type frameConn struct {
-	addr string
 	conn net.Conn
-	br   *bufio.Reader
+	in   frameReader
+	peek rawPeek
+	// stream is the last stream ID sent; answered is whether the
+	// connection has answered an exchange, which an idle close needs.
+	stream   uint64
+	answered bool
+	// deadline releases a read blocked past the call's deadline; fired
+	// receives once its function has moved the read deadline.
+	deadline clock.FuncTimer
+	fired    chan struct{}
 
-	mu sync.Mutex
-	// stream is the last stream ID sent, and waiting the call awaiting
-	// its reply (nil when none is).
-	stream  uint64
-	waiting *frameCall
-	dead    bool
-	err     error
-
-	readerDone chan struct{}
+	mu   sync.Mutex
+	dead bool
+	err  error
 }
 
-// dialFrameConn connects to addr and starts the connection's reader
-// goroutine, which exits (closing readerDone) when the connection dies.
-func dialFrameConn(addr string, dialTO time.Duration) (*frameConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
-	}
-	fc := &frameConn{
-		addr:       addr,
-		conn:       conn,
-		br:         bufio.NewReader(conn),
-		readerDone: make(chan struct{}),
-	}
-	go func() {
-		defer close(fc.readerDone)
-		fc.readLoop()
-	}()
-	return fc, nil
+// expire is the deadline timer's function: it releases the blocked read.
+func (fc *frameConn) expire() {
+	_ = fc.conn.SetReadDeadline(time.Unix(1, 0)) // a closed socket needs no release
+	fc.fired <- struct{}{}
 }
 
-// register assigns a fresh stream ID and parks the call in the waiting
-// slot. It fails if the connection already died.
-func (fc *frameConn) register(call *frameCall) (uint64, error) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if fc.dead {
-		return 0, fc.err
-	}
-	fc.stream++
-	fc.waiting = call
-	return fc.stream, nil
-}
-
-// forget takes back a call that never made it onto the wire and reports
-// whether it was still waiting: false means a kill got to it first and
-// is completing it.
-func (fc *frameConn) forget() bool {
-	fc.mu.Lock()
-	waiting := fc.waiting != nil
-	fc.waiting = nil
-	fc.mu.Unlock()
-	return waiting
-}
-
-// kill tears the connection down once: marks it dead, completes the
-// waiting call with err and closes the socket, so the next call dials
+// kill tears the connection down once: marks it dead and closes the
+// socket, which releases a read blocked on it, so the next call dials
 // fresh.
 func (fc *frameConn) kill(err error) {
 	fc.mu.Lock()
-	if fc.dead {
-		fc.mu.Unlock()
-		return
+	defer fc.mu.Unlock()
+	if !fc.dead {
+		fc.dead, fc.err = true, err
+		// The connection is being discarded; its close error is subsumed
+		// by the error that killed it.
+		_ = fc.conn.Close()
 	}
-	fc.dead = true
-	fc.err = err
-	call := fc.waiting
-	fc.waiting = nil
-	fc.mu.Unlock()
-	if call != nil {
-		call.err = err
-		call.ch <- struct{}{}
-	}
-	// The connection is being discarded; its close error is subsumed by
-	// the error that killed it.
-	_ = fc.conn.Close()
 }
 
-// close kills the connection and waits for its reader goroutine.
-func (fc *frameConn) close(err error) {
+// fail kills the connection with err and returns the error that killed
+// it: err, unless a kill from elsewhere got there first.
+func (fc *frameConn) fail(err error) error {
 	fc.kill(err)
-	<-fc.readerDone
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.err
 }
 
 func (fc *frameConn) isDead() bool {
@@ -169,68 +110,61 @@ func (fc *frameConn) isDead() bool {
 	return fc.dead
 }
 
-// readLoop is the reader goroutine: it hands the awaited stream's reply
-// payload to the waiting call and exits when the connection dies.
-func (fc *frameConn) readLoop() {
-	var hdr [frameHeaderLen]byte
-	var discard []byte
-	for {
-		if _, err := io.ReadFull(fc.br, hdr[:]); err != nil {
-			fc.kill(fmt.Errorf("rpcio: %s: read frame header: %w", fc.addr, err))
-			return
-		}
-		h, err := parseFrameHeader(hdr[:])
-		if err != nil {
-			fc.kill(err)
-			return
-		}
-		fc.mu.Lock()
-		call := fc.waiting
-		if call != nil && h.stream == fc.stream {
-			fc.waiting = nil
-		} else {
-			call = nil
-		}
-		fc.mu.Unlock()
-		if call == nil {
-			// Duplicate or orphaned reply: consume the payload so framing
-			// stays aligned, then drop it.
-			if cap(discard) < int(h.length) {
-				discard = make([]byte, h.length)
-			}
-			if _, err := io.ReadFull(fc.br, discard[:h.length]); err != nil {
-				fc.kill(fmt.Errorf("rpcio: %s: read orphan payload: %w", fc.addr, err))
-				return
-			}
-			continue
-		}
-		if cap(call.buf) < int(h.length) {
-			call.buf = make([]byte, h.length)
-		}
-		call.buf = call.buf[:h.length]
-		if _, err := io.ReadFull(fc.br, call.buf); err != nil {
-			err = fmt.Errorf("rpcio: %s: read frame payload: %w", fc.addr, err)
-			call.err = err
-			call.ch <- struct{}{}
-			fc.kill(err)
-			return
-		}
-		call.kind = h.kind
-		call.err = nil
-		call.ch <- struct{}{}
-	}
+// frameReader is a connection's receive buffer: frames are cut out of
+// it in place, so a payload stays valid until the next read into it.
+type frameReader struct {
+	buf  []byte
+	r, w int // buf[r:w] is received and not yet consumed
+	// need is the size of the incomplete frame at buf[r:], once its
+	// header is in.
+	need int
 }
+
+func newFrameReader() frameReader { return frameReader{buf: make([]byte, 4096)} }
+
+// next cuts the next whole frame out of the buffer; ok is false while
+// the buffer does not hold one.
+func (fr *frameReader) next() (h frameHeader, payload []byte, ok bool, err error) {
+	if fr.w-fr.r < frameHeaderLen {
+		return h, nil, false, nil
+	}
+	if h, err = parseFrameHeader(fr.buf[fr.r:fr.w]); err != nil {
+		return h, nil, false, err
+	}
+	if fr.need = frameHeaderLen + int(h.length); fr.w-fr.r < fr.need {
+		return h, nil, false, nil
+	}
+	payload = fr.buf[fr.r+frameHeaderLen : fr.r+fr.need]
+	fr.r += fr.need
+	return h, payload, true, nil
+}
+
+// space returns the free tail the next read fills, after moving the
+// unconsumed bytes to the front and growing the buffer to hold the
+// frame they begin.
+func (fr *frameReader) space() []byte {
+	fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+	fr.r = 0
+	if fr.need > len(fr.buf) {
+		fr.buf = append(fr.buf, make([]byte, fr.need-len(fr.buf))...)
+	}
+	return fr.buf[fr.w:]
+}
+
+// add takes in the outcome of a read into space.
+func (fr *frameReader) add(n int, err error) error {
+	fr.w += n
+	return err
+}
+
+// errWouldBlock is a look's answer when the socket holds nothing.
+var errWouldBlock = errors.New("rpcio: nothing to read")
 
 // frameTransport implements Transport over its own frameConn, redialed
 // whenever the last one died.
 type frameTransport struct {
-	addr    string
-	clk     clock.Clock
-	timeout time.Duration
-	dialTO  time.Duration
-	// delays is the retry schedule's sleeps (retryDelays; none for a
-	// one-shot registrar call).
-	delays []time.Duration
+	addr string
+	dialConfig
 
 	calls        atomic.Uint64
 	bytesRead    atomic.Uint64
@@ -246,27 +180,32 @@ type frameTransport struct {
 }
 
 func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
-	return &frameTransport{
-		addr:    addr,
-		clk:     cfg.clk,
-		timeout: cfg.timeout,
-		dialTO:  cfg.dialTO,
-		delays:  cfg.delays,
-		call:    frameCall{ch: make(chan struct{}, 1)},
-	}
+	return &frameTransport{addr: addr, dialConfig: cfg}
 }
 
 // WireStats implements Transport.
 func (t *frameTransport) WireStats() WireStats {
-	return WireStats{
-		Calls:        t.calls.Load(),
-		BytesRead:    t.bytesRead.Load(),
-		BytesWritten: t.bytesWritten.Load(),
-	}
+	return WireStats{Calls: t.calls.Load(), BytesRead: t.bytesRead.Load(), BytesWritten: t.bytesWritten.Load()}
 }
 
 func (t *frameTransport) errClosed() error {
 	return fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
+}
+
+// dial connects to the transport's endpoint and builds what the
+// connection's exchanges reuse: the receive buffer, the look and the
+// deadline timer.
+func (t *frameTransport) dial() (*frameConn, error) {
+	conn, err := net.DialTimeout("tcp", t.addr, t.dialTO)
+	if err != nil {
+		return nil, fmt.Errorf("rpcio: dial stage %s: %w", t.addr, err)
+	}
+	fc := &frameConn{conn: conn, in: newFrameReader(), fired: make(chan struct{}, 1)}
+	fc.peek.init(conn.(*net.TCPConn))
+	if t.timeout > 0 {
+		fc.deadline = t.clk.NewFuncTimer(fc.expire)
+	}
+	return fc, nil
 }
 
 // ensureConn returns the transport's live connection, dialing a fresh
@@ -275,34 +214,25 @@ func (t *frameTransport) errClosed() error {
 // fresh connection is closed.
 func (t *frameTransport) ensureConn() (*frameConn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	fc, closed := t.fc, t.closed
+	t.mu.Unlock()
+	switch {
+	case closed:
 		return nil, t.errClosed()
-	}
-	if t.fc != nil && !t.fc.isDead() {
-		fc := t.fc
-		t.mu.Unlock()
+	case fc != nil && !fc.isDead():
 		return fc, nil
 	}
-	old := t.fc
-	t.fc = nil
-	t.mu.Unlock()
-	if old != nil {
-		<-old.readerDone // dead: its socket is closed, so the reader is leaving
-	}
-
-	fc, err := dialFrameConn(t.addr, t.dialTO)
+	fc, err := t.dial()
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
-		fc.close(t.errClosed())
+		fc.kill(t.errClosed())
 		return nil, t.errClosed()
 	}
 	t.fc = fc
-	t.mu.Unlock()
 	return fc, nil
 }
 
@@ -313,80 +243,106 @@ func frameStart(b []byte) []byte {
 	return append(b[:0], zero[:]...)
 }
 
-// send is a call's first half on the wire: it registers the stream and
-// writes the frame assembled in call.wbuf (a frameHeaderLen gap followed
-// by the encoded payload; see frameStart) with one Write. An error means
-// the call is not in flight — nothing will signal it — and the
-// connection is dead.
-func (t *frameTransport) send(fc *frameConn, call *frameCall, m methodID) error {
-	stream, err := fc.register(call)
-	if err != nil {
-		return err
-	}
-	frame := call.wbuf
+// send is a call's first half on the wire: it writes the frame
+// assembled in c.wbuf (a frameHeaderLen gap followed by the encoded
+// payload of method c.m; see frameStart) on a fresh stream, with one
+// Write. An error means the call is not in flight and the connection is
+// dead.
+func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
+	fc.stream++
+	frame := c.wbuf
 	putFrameHeader(frame[:frameHeaderLen], frameHeader{
 		kind:   frameRequest,
-		method: m,
-		stream: stream,
+		method: c.m,
+		stream: fc.stream,
 		length: uint32(len(frame) - frameHeaderLen),
 	})
+	t.calls.Add(1)
 	if t.timeout > 0 {
-		call.sent = t.clk.Now()
+		c.sent = t.clk.Now()
 	}
 	if _, err := fc.conn.Write(frame); err != nil {
-		if !fc.forget() {
-			<-call.ch // a racing kill completed the call: take its signal
-		}
-		err = fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err)
-		fc.kill(err)
-		return err
+		return fc.fail(fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err))
 	}
 	t.bytesWritten.Add(uint64(len(frame)))
+	c.fc = fc
 	return nil
 }
 
-// await is a sent call's second half: it takes the call's one
-// completion signal, blocking under what is left of the deadline only
-// when the reply has not already arrived. The reply lands in call.buf —
-// a distinct buffer from wbuf, so the reader goroutine never touches
-// memory conn.Write may still be reading. On timeout the connection is
-// killed — a late reply on a stream with no waiter would be discarded
-// by the reader, but the connection can no longer be trusted to be
-// timely.
-func (t *frameTransport) await(fc *frameConn, call *frameCall, m methodID) error {
-	select {
-	case <-call.ch:
-	default:
-		t.block(fc, call, m)
+// await is a sent call's second half: it reads frames until the one on
+// the call's stream, which lands in c.kind and c.buf. Frames already
+// received come first, then what the socket holds; only when it holds
+// nothing does await block, under what is left of the deadline. On
+// timeout the connection is killed — a late reply would be discarded as
+// a straggler, but the connection can no longer be trusted to be timely.
+// A peer that closed the connection while it was idle never saw the
+// request, so await sends it once more on a fresh connection.
+func (t *frameTransport) await(c *frameCall) error {
+	for fc := c.fc; ; {
+		h, payload, ok, err := fc.in.next()
+		if err != nil {
+			return fc.fail(err)
+		}
+		if ok {
+			if h.stream != fc.stream {
+				continue // a duplicate or a straggler
+			}
+			fc.answered = true
+			c.kind, c.buf = h.kind, payload
+			t.bytesRead.Add(uint64(frameHeaderLen + len(payload)))
+			return nil
+		}
+		idle := fc.answered && fc.in.r == fc.in.w
+		if err = fc.in.add(fc.peek.look(fc.in.space())); err == errWouldBlock {
+			err = t.wait(fc, c)
+		}
+		switch {
+		case err == nil:
+			continue
+		case err == errWouldBlock:
+			err = fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(c.m), t.timeout)
+		case idle && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)):
+			fc.kill(err)
+			if fc, err = t.ensureConn(); err == nil {
+				err = t.send(fc, c)
+			}
+			if err == nil {
+				continue
+			}
+			return err
+		default:
+			err = fmt.Errorf("rpcio: %s: read frame: %w", t.addr, err)
+		}
+		return fc.fail(err)
 	}
-	if call.err != nil {
-		return call.err
-	}
-	t.bytesRead.Add(uint64(frameHeaderLen + len(call.buf)))
-	return nil
 }
 
-// block waits for a call whose reply is still outstanding.
-func (t *frameTransport) block(fc *frameConn, call *frameCall, m methodID) {
+// wait is a read that blocks, for what is left of c's deadline; with
+// nothing left the look that found the socket empty was the last.
+// errWouldBlock means the deadline passed with nothing read: the timer
+// released the read, and one more look after it found nothing either —
+// a reply that made it into the socket still wins.
+func (t *frameTransport) wait(fc *frameConn, c *frameCall) error {
 	if t.timeout <= 0 {
-		<-call.ch
-		return
+		return fc.in.add(fc.conn.Read(fc.in.space()))
 	}
-	if left := t.timeout - t.clk.Now().Sub(call.sent); left > 0 {
-		if call.deadline == nil {
-			call.deadline = t.clk.NewTimer()
-		}
-		call.deadline.Reset(left)
-		select {
-		case <-call.ch:
-			call.deadline.Stop()
-			return
-		case <-call.deadline.C():
-		}
+	left := t.timeout - t.clk.Now().Sub(c.sent)
+	if left <= 0 {
+		return errWouldBlock
 	}
-	fc.kill(fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(m), t.timeout))
-	<-call.ch // kill (or the racing reader) completes the call
-	// A nil error here means the reply raced the deadline and won.
+	fc.deadline.Reset(left)
+	err := fc.in.add(fc.conn.Read(fc.in.space()))
+	if fc.deadline.Stop() {
+		return err
+	}
+	<-fc.fired
+	if err := fc.conn.SetReadDeadline(time.Time{}); err != nil {
+		return err
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	return fc.in.add(fc.peek.look(fc.in.space()))
 }
 
 // methodName renders a methodID for error messages.
@@ -409,7 +365,7 @@ func discard(fc *frameConn, err error) error {
 }
 
 // Start implements Transport: dial if the last connection died, encode,
-// register, write. A failure leaves its error in the call for Finish.
+// write. A failure leaves its error in the call for Finish.
 func (t *frameTransport) Start(method string, args, reply any) {
 	c := &t.call
 	m, ok := methodIDs[method]
@@ -422,29 +378,20 @@ func (t *frameTransport) Start(method string, args, reply any) {
 		c.err = err
 		return
 	}
-	t.calls.Add(1)
-	c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args)
-	if err == nil {
-		err = t.send(fc, c, m)
+	c.m, c.reply = m, reply
+	if c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args); err == nil {
+		err = t.send(fc, c)
 	}
-	if err != nil {
-		c.err = discard(fc, err)
-		return
-	}
-	c.fc, c.m, c.reply = fc, m, reply
+	c.err = discard(fc, err)
 }
 
-// Finish implements Transport: wait, decode into the reply Start was
-// given, and leave the call at rest for the next Start.
+// Finish implements Transport: read the reply, decode it into the reply
+// Start was given, and leave the call at rest for the next Start.
 func (t *frameTransport) Finish() error {
 	c := &t.call
-	fc := c.fc
-	var err error
-	if fc == nil {
-		err = c.err // Start put nothing on the wire
-	} else {
-		// c.err is the reader goroutine's until await took the signal.
-		err = t.await(fc, c, c.m)
+	err := c.err // Start put nothing on the wire
+	if c.fc != nil {
+		err = t.await(c)
 		if err == nil {
 			switch c.kind {
 			case frameError:
@@ -455,7 +402,7 @@ func (t *frameTransport) Finish() error {
 				err = fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, c.kind)
 			}
 		}
-		err = discard(fc, err)
+		err = discard(c.fc, err)
 	}
 	c.err, c.fc, c.reply = nil, nil, nil
 	return err
@@ -464,33 +411,24 @@ func (t *frameTransport) Finish() error {
 // Retry implements Transport on the retry schedule: every blocking call
 // walks the same delays from the start.
 func (t *frameTransport) Retry(attempt int) bool {
-	if attempt >= len(t.delays) || t.isClosed() {
+	t.mu.Lock()
+	closed := t.closed
+	t.mu.Unlock()
+	if attempt >= len(t.delays) || closed {
 		return false
 	}
 	t.clk.Sleep(t.delays[attempt])
 	return true
 }
 
-func (t *frameTransport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-// Close implements Transport: it closes the connection and waits for
-// its reader goroutine.
+// Close implements Transport: it kills the connection, releasing an
+// exchange blocked on it.
 func (t *frameTransport) Close() error {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
+	defer t.mu.Unlock()
+	if !t.closed && t.fc != nil {
+		t.fc.kill(t.errClosed())
 	}
-	t.closed = true
-	fc := t.fc
-	t.fc = nil
-	t.mu.Unlock()
-	if fc != nil {
-		fc.close(t.errClosed())
-	}
+	t.closed, t.fc = true, nil
 	return nil
 }

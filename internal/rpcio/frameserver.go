@@ -4,17 +4,16 @@
 // control plane's registrar — on channel 0: the header's channel field
 // is reserved, and a call on any other channel is answered with an
 // error frame. Each accepted connection is served by one goroutine that
-// processes frames strictly in arrival order — requests pipeline (a client may have many in flight; none waits for a network
-// round trip behind another) but replies never reorder, and the
-// per-connection decode buffers and reply structs are reused across
-// frames, so a steady-state collect allocates nothing on the server
-// side either.
+// reads a request, answers it and reads the next: a client has one
+// exchange at a time on its connection, so only a duplicating wire
+// ever queues a second request behind the first, and frames are
+// handled strictly in arrival order. The per-connection receive buffer,
+// decode targets and reply structs are reused across frames, so a
+// steady-state collect allocates nothing on the server side either.
 package rpcio
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
 )
 
@@ -55,7 +54,6 @@ func serviceOf(m methodID) string {
 // decode targets and reply values survive across frames, so the
 // steady-state dispatch path allocates nothing.
 type frameSession struct {
-	hdr     [frameHeaderLen]byte
 	payload []byte
 	wbuf    []byte
 
@@ -68,28 +66,25 @@ type frameSession struct {
 }
 
 // serveConn runs one connection's frame loop until the connection
-// dies. Frames are handled in order. Requests are read through the
-// session's buffered reader — a frame's header and payload arrive in
+// dies. Frames are handled in order. Requests are cut out of the
+// connection's receive buffer — a frame's header and payload arrive in
 // one read of the socket, not two — and each reply is written with a
 // single Write so write-granular fault injection drops whole frames.
 func (t frameTarget) serveConn(conn net.Conn) {
 	var s frameSession
-	br := bufio.NewReader(conn)
+	in := newFrameReader()
 	for {
-		if _, err := io.ReadFull(br, s.hdr[:]); err != nil {
-			return // peer hung up (or the listener stopped and closed us)
-		}
-		h, err := parseFrameHeader(s.hdr[:])
+		h, payload, ok, err := in.next()
 		if err != nil {
 			return // unusable framing: kill the connection
 		}
-		if cap(s.payload) < int(h.length) {
-			s.payload = make([]byte, h.length)
+		if !ok {
+			if err := in.add(conn.Read(in.space())); err != nil {
+				return // peer hung up (or the listener stopped and closed us)
+			}
+			continue
 		}
-		s.payload = s.payload[:h.length]
-		if _, err := io.ReadFull(br, s.payload); err != nil {
-			return
-		}
+		s.payload = payload
 		if h.kind != frameRequest {
 			return // a client must only send requests
 		}

@@ -8,5 +8,5 @@ import (
 
 // TestMain fails the package when its tests pass but leave a goroutine
 // behind: a served listener not stopped, a handle not closed, a killed
-// connection whose reader loop never exited.
+// connection whose server loop never exited.
 func TestMain(m *testing.M) { leaktest.Main(m) }

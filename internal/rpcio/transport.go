@@ -36,11 +36,11 @@ type Transport interface {
 	// Finish. An exchange that could not be started reports why from
 	// Finish.
 	Start(method string, args, reply any)
-	// Finish is the second half: it waits for the reply under the call's
-	// deadline — counted from when the request was sent, however late
-	// Finish is called — decodes it into the reply value Start was given,
-	// and returns the exchange's outcome. A transport error discards the
-	// connection.
+	// Finish is the second half, on the caller's goroutine: it reads the
+	// reply — at once when it is already in, else under the call's
+	// deadline, counted from the send however late Finish is called —
+	// decodes it into the reply value Start was given, and returns the
+	// exchange's outcome. A transport error discards the connection.
 	Finish() error
 	// Retry is what separates the attempts of a blocking call: after the
 	// attempt-th try (counting from 0) failed in transport it sleeps the

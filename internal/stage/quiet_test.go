@@ -182,7 +182,10 @@ func TestInFlightWaiterBlocksQuiet(t *testing.T) {
 	}
 }
 
-// waitForWaiter parks until the stage reports one queued waiter.
+// waitForWaiter parks until the stage reports one queued waiter and
+// that waiter's sleep is parked on the clock. The stage counts the
+// waiter before its bucket arms the sleep, so a test that advanced the
+// clock in between would leave the sleep's deadline past the advance.
 func waitForWaiter(t *testing.T, s *Stage, clk *clock.Sim) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -190,6 +193,7 @@ func waitForWaiter(t *testing.T, s *Stage, clk *clock.Sim) {
 		var st Stats
 		s.CollectInto(&st)
 		if len(st.Queues) > 0 && st.Queues[0].Waiting == 1 {
+			clk.BlockUntil(1)
 			return
 		}
 		if time.Now().After(deadline) {
