@@ -18,9 +18,6 @@ type Clock interface {
 	// Sleep blocks the caller for d. On a simulated clock the caller is
 	// parked until the simulation advances past Now()+d.
 	Sleep(d time.Duration)
-	// After returns a channel that receives the then-current time once d
-	// has elapsed.
-	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a stopped, reusable deadline timer on this clock.
 	NewTimer() Timer
 	// NewFuncTimer returns a stopped, reusable deadline timer on this
@@ -72,9 +69,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // NewTimer implements Clock.
 func (Real) NewTimer() Timer {
@@ -230,20 +224,11 @@ func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-s.After(d)
-}
-
-// After implements Clock.
-func (s *Sim) After(d time.Duration) <-chan time.Time {
+	woke := make(chan struct{})
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- s.now //lint:allow lockcheck ch is freshly made with capacity 1; the send cannot block
-		return ch
-	}
-	s.parkLocked(&waiter{deadline: s.now.Add(d), ch: ch})
-	return ch
+	s.parkLocked(&waiter{deadline: s.now.Add(d), fn: func() { close(woke) }})
+	s.mu.Unlock()
+	<-woke
 }
 
 // NewTimer implements Clock. The timer parks on the same waiter heap

@@ -27,15 +27,6 @@ func TestRealSleep(t *testing.T) {
 	}
 }
 
-func TestRealAfter(t *testing.T) {
-	c := NewReal()
-	select {
-	case <-c.After(5 * time.Millisecond):
-	case <-time.After(2 * time.Second):
-		t.Fatal("After channel never fired")
-	}
-}
-
 func TestSimNowStartsAtStart(t *testing.T) {
 	c := NewSim(epoch)
 	if !c.Now().Equal(epoch) {
@@ -97,58 +88,45 @@ func TestSimSleepZeroReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestSimAfterObservesDeadlineTime(t *testing.T) {
-	c := NewSim(epoch)
-	ch := c.After(3 * time.Second)
-	c.Advance(10 * time.Second)
-	got := <-ch
-	if want := epoch.Add(3 * time.Second); !got.Equal(want) {
-		t.Fatalf("After fired with t=%v, want the deadline %v", got, want)
-	}
-}
-
 func TestSimWaitersReleaseInDeadlineOrder(t *testing.T) {
 	c := NewSim(epoch)
 	// Register out of order; deadlines at 5s, 1s and 3s.
-	ch5 := c.After(5 * time.Second)
-	ch1 := c.After(1 * time.Second)
-	ch3 := c.After(3 * time.Second)
-	fired := func(ch <-chan time.Time) bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
+	ch5 := expiry(c, 5*time.Second)
+	ch1 := expiry(c, 1*time.Second)
+	ch3 := expiry(c, 3*time.Second)
+	for i, ch := range []<-chan struct{}{ch1, ch3, ch5} {
+		c.Advance(2 * time.Second)
+		if n := c.PendingWaiters(); n != 2-i {
+			t.Fatalf("after %ds %d waiters parked, want %d", 2*(i+1), n, 2-i)
 		}
-	}
-	c.Advance(2 * time.Second)
-	if !fired(ch1) || fired(ch3) || fired(ch5) {
-		t.Fatal("after 2s only the 1s waiter should have fired")
-	}
-	c.Advance(2 * time.Second)
-	if !fired(ch3) || fired(ch5) {
-		t.Fatal("after 4s the 3s waiter should have fired, 5s not")
-	}
-	c.Advance(2 * time.Second)
-	if !fired(ch5) {
-		t.Fatal("after 6s the 5s waiter should have fired")
+		receive(t, ch, "the earliest waiter")
 	}
 }
 
+// TestSimEqualDeadlinesFIFO: sleepers with one deadline wake in the
+// order they parked. Under Drive one waiter is released at a time, so
+// the order they run in is the order the clock released them.
 func TestSimEqualDeadlinesFIFO(t *testing.T) {
 	c := NewSim(epoch)
 	const n = 16
-	chs := make([]<-chan time.Time, n)
-	for i := 0; i < n; i++ {
-		chs[i] = c.After(time.Second)
-	}
-	c.Advance(time.Second)
-	for i, ch := range chs {
-		select {
-		case <-ch:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("waiter %d never fired", i)
+	var order []int
+	c.Drive(func() {
+		g := NewGroup(c)
+		for i := 0; i < n; i++ {
+			g.Go(func() {
+				c.Sleep(time.Second)
+				order = append(order, i)
+			})
 		}
+		g.Wait()
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("sleepers woke in order %v, want parking order", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("%d of %d sleepers woke", len(order), n)
 	}
 }
 
@@ -157,8 +135,8 @@ func TestSimNextDeadline(t *testing.T) {
 	if _, ok := c.NextDeadline(); ok {
 		t.Fatal("NextDeadline reported a deadline on an idle clock")
 	}
-	c.After(4 * time.Second)
-	c.After(2 * time.Second)
+	expiry(c, 4*time.Second)
+	expiry(c, 2*time.Second)
 	d, ok := c.NextDeadline()
 	if !ok || !d.Equal(epoch.Add(2*time.Second)) {
 		t.Fatalf("NextDeadline = %v,%v; want %v,true", d, ok, epoch.Add(2*time.Second))
@@ -188,6 +166,24 @@ func TestSimConcurrentSleepersStress(t *testing.T) {
 	}
 	if c.PendingWaiters() != 0 {
 		t.Fatalf("%d waiters still parked", c.PendingWaiters())
+	}
+}
+
+// expiry arms a function timer on c for d and returns the channel its
+// function sends on.
+func expiry(c Clock, d time.Duration) <-chan struct{} {
+	ch := make(chan struct{}, 1)
+	c.NewFuncTimer(func() { ch <- struct{}{} }).Reset(d)
+	return ch
+}
+
+// receive fails the test unless ch delivers within five seconds.
+func receive(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never fired", what)
 	}
 }
 

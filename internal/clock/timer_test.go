@@ -50,7 +50,7 @@ func TestSimTimerFiresAtDeadlineAndIsReusable(t *testing.T) {
 func TestSimTimerStopWithdrawsTheWaiter(t *testing.T) {
 	c := NewSim(epoch)
 	tm := c.NewTimer()
-	other := c.After(2 * time.Second)
+	other := expiry(c, 2*time.Second)
 	tm.Reset(time.Second)
 	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Second)) {
 		t.Fatalf("NextDeadline = %v, want the timer's", d)
@@ -68,11 +68,7 @@ func TestSimTimerStopWithdrawsTheWaiter(t *testing.T) {
 	if fired(tm) {
 		t.Fatal("a stopped timer fired")
 	}
-	select {
-	case <-other:
-	default:
-		t.Fatal("withdrawing the timer disturbed another waiter")
-	}
+	receive(t, other, "the other waiter")
 }
 
 func TestSimTimerStopAndResetDiscardAnUnreceivedExpiry(t *testing.T) {
@@ -97,25 +93,19 @@ func TestSimTimerStopAndResetDiscardAnUnreceivedExpiry(t *testing.T) {
 	}
 }
 
-func TestSimTimersAndAftersShareDeadlineOrder(t *testing.T) {
+func TestSimTimersAndSleepersShareDeadlineOrder(t *testing.T) {
 	c := NewSim(epoch)
 	tm := c.NewTimer()
-	a1 := c.After(time.Second)
+	a1 := expiry(c, time.Second)
 	tm.Reset(time.Second) // same deadline, parked later: fires after a1
-	a3 := c.After(3 * time.Second)
+	expiry(c, 3*time.Second)
 	c.Advance(time.Second)
-	select {
-	case <-a1:
-	default:
-		t.Fatal("After did not fire")
-	}
+	receive(t, a1, "the 1s waiter")
 	if !fired(tm) {
 		t.Fatal("timer with an equal deadline did not fire")
 	}
-	select {
-	case <-a3:
-		t.Fatal("3s After fired after 1s")
-	default:
+	if n := c.PendingWaiters(); n != 1 {
+		t.Fatalf("%d waiters parked after 1s, want the 3s one", n)
 	}
 }
 
@@ -175,7 +165,7 @@ func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
 	if c.PendingWaiters() != 0 {
 		t.Fatal("a new function timer must be stopped")
 	}
-	after := c.After(2 * time.Second)
+	after := expiry(c, 2*time.Second)
 	ft.Reset(time.Second)
 	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Second)) || c.PendingWaiters() != 2 {
 		t.Fatalf("NextDeadline %v with %d waiters, want the timer's first of two", d, c.PendingWaiters())

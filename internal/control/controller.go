@@ -706,11 +706,15 @@ func (c *Controller) Run(interval time.Duration) {
 
 	go func() {
 		defer close(done)
+		tick := make(chan struct{}, 1)
+		t := c.clk.NewFuncTimer(func() { tick <- struct{}{} })
+		defer t.Stop()
 		for {
+			t.Reset(interval)
 			select {
 			case <-stop:
 				return
-			case <-c.clk.After(interval):
+			case <-tick:
 				c.RunOnce()
 			}
 		}

@@ -23,7 +23,7 @@ var ClockCheck = &Analyzer{
 var bannedTimeFuncs = map[string]string{
 	"Now":   "clock.Clock.Now()",
 	"Sleep": "clock.Clock.Sleep()",
-	"After": "clock.Clock.After()",
+	"After": "clock.Clock.NewFuncTimer()",
 	"Since": "clock.Clock.Now().Sub(t)",
 }
 

@@ -95,11 +95,15 @@ func (r *Replayer) replayOp(ctx context.Context, op posix.Op, wallDuration time.
 	var target float64 // cumulative ops owed by the trace curve
 	var submitted int64
 	lastW := time.Duration(0)
+	tick := make(chan struct{}, 1)
+	t := r.Clock.NewFuncTimer(func() { tick <- struct{}{} })
+	defer t.Stop()
 	for {
+		t.Reset(r.Tick)
 		select {
 		case <-ctx.Done():
 			return
-		case <-r.Clock.After(r.Tick):
+		case <-tick:
 		}
 		w := r.Clock.Now().Sub(start)
 		if w > wallDuration {

@@ -367,11 +367,15 @@ func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 	controller := dp.controller
 	go func() {
 		defer close(done)
+		tick := make(chan struct{}, 1)
+		t := dp.clk.NewFuncTimer(func() { tick <- struct{}{} })
+		defer t.Stop()
 		for {
+			t.Reset(interval)
 			select {
 			case <-stop:
 				return
-			case <-dp.clk.After(interval):
+			case <-tick:
 			}
 			if err := rpcio.ProbeController(controller, timeout); err != nil {
 				dp.stg.SetDegraded(true)
