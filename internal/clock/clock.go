@@ -2,6 +2,12 @@
 // PADLL (token buckets, feedback control loops, trace replay) can run
 // either against the wall clock or against a simulated clock that replays
 // a 45-minute experiment in milliseconds with identical arithmetic.
+//
+// There are two ways to wait on a clock: Sleep, and a FuncTimer, whose
+// expiry runs a function. An owner that must also wait on something
+// else arms a timer whose function sends on a one-slot channel, and
+// selects on that channel; under Sim.Drive every timer's function must
+// wake the actor that armed it.
 package clock
 
 import (
@@ -18,37 +24,16 @@ type Clock interface {
 	// Sleep blocks the caller for d. On a simulated clock the caller is
 	// parked until the simulation advances past Now()+d.
 	Sleep(d time.Duration)
-	// NewTimer returns a stopped, reusable deadline timer on this clock.
-	NewTimer() Timer
 	// NewFuncTimer returns a stopped, reusable deadline timer on this
 	// clock that runs f, on a goroutine of its own, each time it expires.
 	NewFuncTimer(f func()) FuncTimer
 }
 
-// Timer is a reusable one-shot deadline for a single owner: where After
-// costs a channel and a parked waiter per use — and leaves both behind
-// until the deadline passes even when nobody is listening any more — a
-// Timer is armed and disarmed in place, so a caller that bounds every
+// FuncTimer is a reusable one-shot deadline for a single owner with
+// time.AfterFunc's contract: each expiry runs the timer's function. It
+// is armed and disarmed in place, so an owner that bounds every
 // operation with a deadline that almost never expires pays no
-// allocation for it. It is not safe for concurrent use; only its owner
-// receives from C.
-type Timer interface {
-	// C is the channel the expiry is delivered on; it is the same
-	// channel for the timer's whole life.
-	C() <-chan time.Time
-	// Reset arms the timer to fire once d from now, replacing any
-	// pending deadline and discarding an expiry not yet received.
-	Reset(d time.Duration)
-	// Stop disarms the timer and discards an expiry not yet received:
-	// after Stop, C stays empty until the next Reset fires. It reports
-	// whether the timer was still pending.
-	Stop() bool
-}
-
-// FuncTimer is a reusable one-shot deadline like Timer that runs a
-// function instead of delivering on a channel: the deadline of an owner
-// blocked in something the clock cannot wake, such as a socket read,
-// which the function releases. It is not safe for concurrent use.
+// allocation for it. It is not safe for concurrent use.
 type FuncTimer interface {
 	// Reset arms the timer to run its function once d from now,
 	// replacing any pending deadline.
@@ -70,13 +55,6 @@ func (Real) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
-// NewTimer implements Clock.
-func (Real) NewTimer() Timer {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return realTimer{t}
-}
-
 // NewFuncTimer implements Clock.
 func (Real) NewFuncTimer(f func()) FuncTimer {
 	t := time.AfterFunc(time.Hour, f)
@@ -88,33 +66,9 @@ type realFuncTimer struct{ *time.Timer }
 
 func (r realFuncTimer) Reset(d time.Duration) { r.Timer.Reset(d) }
 
-// realTimer is a Timer on a time.Timer. go.mod's language version
-// predates go1.23's timer channels, so an expiry may already sit in the
-// channel when the timer is stopped: Stop drains it, and Reset stops
-// first.
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
-
-func (r realTimer) Reset(d time.Duration) {
-	r.Stop()
-	r.t.Reset(d)
-}
-
-func (r realTimer) Stop() bool {
-	pending := r.t.Stop()
-	if !pending {
-		select {
-		case <-r.t.C:
-		default:
-		}
-	}
-	return pending
-}
-
-// Sim is a manually advanced simulated clock. Goroutines that Sleep or
-// select on After are parked in a waiter queue ordered by deadline and are
-// released when Advance (or AdvanceTo) moves the clock past their deadline.
+// Sim is a manually advanced simulated clock. Sleepers and armed timers
+// are parked in a waiter queue ordered by deadline and are released when
+// Advance (or AdvanceTo) moves the clock past their deadline.
 //
 // The zero value is not usable; construct with NewSim.
 type Sim struct {
@@ -162,25 +116,20 @@ func (s *Sim) BlockUntil(n int) {
 	s.mu.Unlock()
 }
 
+// waiter is one parked deadline — a sleeper's, a timer's, or an actor's
+// first turn under Drive — whose expiry runs fn.
 type waiter struct {
 	deadline time.Time
 	seq      int64
-	ch       chan time.Time
-	// fn, when set, is what the waiter's expiry runs instead of a send.
-	fn func()
+	fn       func()
 	// idx is the waiter's position in the heap (-1 when not parked), so
 	// a timer can withdraw its waiter before the deadline.
 	idx int
 }
 
-// fire delivers the waiter's expiry: its function on a goroutine of
-// its own, or now on its channel, which has room.
-func (w *waiter) fire(now time.Time) {
-	if w.fn != nil {
-		go w.fn() //lint:allow leakcheck the timer's owner waits for its function, as for time.AfterFunc's
-		return
-	}
-	w.ch <- now
+// fire runs the waiter's function on a goroutine of its own.
+func (w *waiter) fire() {
+	go w.fn() //lint:allow leakcheck the waiter's owner waits for its function, as for time.AfterFunc's
 }
 
 type waiterHeap []*waiter
@@ -231,16 +180,10 @@ func (s *Sim) Sleep(d time.Duration) {
 	<-woke
 }
 
-// NewTimer implements Clock. The timer parks on the same waiter heap
-// as Sleep and After — an armed timer counts in PendingWaiters and
-// NextDeadline, and fires in deadline order with them — but reuses one
-// waiter and one channel for its whole life.
-func (s *Sim) NewTimer() Timer {
-	return &simTimer{s: s, w: waiter{ch: make(chan time.Time, 1), idx: -1}}
-}
-
-// NewFuncTimer implements Clock: a simTimer whose waiter runs f, in the
-// same heap as every other waiter.
+// NewFuncTimer implements Clock. The timer parks on the same waiter heap
+// as Sleep — an armed timer counts in PendingWaiters and NextDeadline,
+// and fires in deadline order with every other waiter — but reuses one
+// waiter for its whole life.
 func (s *Sim) NewFuncTimer(f func()) FuncTimer {
 	return &simTimer{s: s, w: waiter{fn: f, idx: -1}}
 }
@@ -250,14 +193,12 @@ type simTimer struct {
 	w waiter
 }
 
-func (t *simTimer) C() <-chan time.Time { return t.w.ch }
-
 func (t *simTimer) Reset(d time.Duration) {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	t.stopLocked()
 	if d <= 0 {
-		t.w.fire(t.s.now)
+		t.w.fire()
 		return
 	}
 	t.w.deadline = t.s.now.Add(d)
@@ -270,29 +211,25 @@ func (t *simTimer) Stop() bool {
 	return t.stopLocked()
 }
 
-// stopLocked withdraws the waiter if it is parked and empties the
-// channel if it already fired. Caller holds s.mu, which every firing
-// also holds, so the two cases are exclusive.
+// stopLocked withdraws the waiter if it is parked. Caller holds s.mu,
+// which every firing also holds, so a waiter that is not parked has
+// fired.
 func (t *simTimer) stopLocked() bool {
-	if t.w.idx >= 0 {
-		heap.Remove(&t.s.waiters, t.w.idx)
-		if t.s.driving {
-			t.s.live++ // the owner is running again: parkLocked counted it out
-		}
-		return true
+	if t.w.idx < 0 {
+		return false
 	}
-	select {
-	case <-t.w.ch:
-	default:
+	heap.Remove(&t.s.waiters, t.w.idx)
+	if t.s.driving {
+		t.s.live++ // the owner is running again: parkLocked counted it out
 	}
-	return false
+	return true
 }
 
 // Advance moves the clock forward by d, releasing every waiter whose
 // deadline falls within the advanced window, in deadline order.
 func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
-	s.AdvanceToLocked(s.now.Add(d))
+	s.advanceLocked(s.now.Add(d))
 	s.mu.Unlock()
 }
 
@@ -300,29 +237,23 @@ func (s *Sim) Advance(d time.Duration) {
 // the current instant), releasing waiters in deadline order.
 func (s *Sim) AdvanceTo(t time.Time) {
 	s.mu.Lock()
-	s.AdvanceToLocked(t)
+	s.advanceLocked(t)
 	s.mu.Unlock()
 }
 
-// AdvanceToLocked is Advance's core; the caller must hold s.mu.
-func (s *Sim) AdvanceToLocked(t time.Time) {
+// advanceLocked is Advance's core; the caller holds s.mu.
+func (s *Sim) advanceLocked(t time.Time) {
 	if t.Before(s.now) {
 		return
 	}
 	for len(s.waiters) > 0 && !s.waiters[0].deadline.After(t) {
-		w := heap.Pop(&s.waiters).(*waiter)
-		// Waiters observe the clock at their own deadline, not the final
-		// target, so cascaded timers fire in causal order.
-		if w.deadline.After(s.now) {
-			s.now = w.deadline
-		}
-		w.fire(s.now)
+		heap.Pop(&s.waiters).(*waiter).fire()
 	}
 	s.now = t
 }
 
-// PendingWaiters reports how many goroutines are currently parked on the
-// clock. Useful for tests and for the simulator's quiescence detection.
+// PendingWaiters reports how many sleepers and armed timers are parked
+// on the clock. Useful for tests and for the simulator's quiescence detection.
 func (s *Sim) PendingWaiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

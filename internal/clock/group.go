@@ -3,7 +3,6 @@ package clock
 import (
 	"container/heap"
 	"sync"
-	"time"
 )
 
 // Drive runs main as the first actor of a simulation and advances the
@@ -14,10 +13,11 @@ import (
 // spawned with Group.Go, parking only on this clock — runs to the same
 // event order on every run, on any number of Ps.
 //
-// Actors block only on this clock and in Group.Wait, and receive what
-// they park for. A sleeper woken off the clock — a token bucket's retune
-// broadcast — runs beside the actor that woke it, and the event order is
-// no longer fixed; an armed timer nobody receives from hangs the drive.
+// Actors block only on this clock and in Group.Wait, and each waiter's
+// expiry wakes the actor that parked it. A sleeper woken off the clock —
+// a token bucket's retune broadcast — runs beside the actor that woke
+// it, and the event order is no longer fixed; a timer whose function
+// wakes no actor hangs the drive.
 // Drive panics when every actor is blocked and no waiter is parked. It
 // returns as soon as main does; actors still parked then stay parked.
 func (s *Sim) Drive(main func()) {
@@ -48,10 +48,9 @@ func (s *Sim) Drive(main func()) {
 		if w.deadline.After(s.now) {
 			s.now = w.deadline
 		}
-		s.live++ // counted before the send: live stays above zero until the waiter parks again
-		now := s.now
+		s.live++ // counted before the fire: live stays above zero until the actor parks again
 		s.mu.Unlock()
-		w.fire(now)
+		w.fire()
 	}
 }
 
@@ -82,12 +81,8 @@ func (g *Group) Go(f func()) {
 		s.mu.Lock()
 		if s.driving {
 			g.n++
-			w := &waiter{deadline: s.now, ch: make(chan time.Time, 1)}
 			s.live++ // the child is an actor from spawn, parked until its turn
-			s.parkLocked(w)
-			s.mu.Unlock()
-			go func() {
-				<-w.ch
+			s.parkLocked(&waiter{deadline: s.now, fn: func() {
 				f()
 				s.mu.Lock()
 				g.n--
@@ -98,7 +93,8 @@ func (g *Group) Go(f func()) {
 					s.parked.Broadcast()
 				}
 				s.mu.Unlock()
-			}()
+			}})
+			s.mu.Unlock()
 			return
 		}
 		s.mu.Unlock()

@@ -1,45 +1,83 @@
 package clock
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
-// fired reports whether an expiry is sitting in the timer's channel,
-// consuming it.
-func fired(tm Timer) bool {
-	select {
-	case <-tm.C():
-		return true
-	default:
-		return false
+// TestFuncTimerRunsItsFunctionAtTheDeadline holds both clocks to the one
+// timer contract, time.AfterFunc's: a new timer is stopped; Stop on a
+// pending timer reports true and its function never runs; Stop after
+// the function ran reports false; and Reset re-arms the timer, which
+// runs its function once per expiry.
+func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
+	// d is long enough that a real timer armed for it is still pending
+	// at the Stop that follows the Reset.
+	const d = 30 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		// on returns the clock and the way to let time pass on it.
+		on func() (Clock, func(time.Duration))
+	}{
+		{"real", func() (Clock, func(time.Duration)) { return NewReal(), time.Sleep }},
+		{"sim", func() (Clock, func(time.Duration)) { c := NewSim(epoch); return c, c.Advance }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, pass := tc.on()
+			ran := make(chan struct{}, 2)
+			tm := c.NewFuncTimer(func() { ran <- struct{}{} })
+			if tm.Stop() {
+				t.Fatal("a new timer reported pending")
+			}
+			tm.Reset(d)
+			if !tm.Stop() {
+				t.Fatal("Stop on a pending timer reported false")
+			}
+			pass(2 * d)
+			if len(ran) != 0 {
+				t.Fatal("a stopped timer ran its function")
+			}
+			for round := 0; round < 3; round++ {
+				tm.Reset(d)
+				pass(d)
+				receive(t, ran, "the re-armed timer")
+				if tm.Stop() {
+					t.Fatalf("round %d: Stop after the function ran reported the timer pending", round)
+				}
+			}
+			pass(2 * d)
+			if len(ran) != 0 {
+				t.Fatal("the function ran twice for one expiry")
+			}
+		})
 	}
 }
 
+// TestSimTimerFiresAtDeadlineAndIsReusable: on the simulated clock an
+// armed timer is a waiter like any other. It counts in PendingWaiters
+// from Reset until it fires, fires not a nanosecond early, and its
+// function sees the clock at the deadline.
 func TestSimTimerFiresAtDeadlineAndIsReusable(t *testing.T) {
 	c := NewSim(epoch)
-	tm := c.NewTimer()
-	if c.PendingWaiters() != 0 || fired(tm) {
+	ran := make(chan time.Time, 1)
+	tm := c.NewFuncTimer(func() { ran <- c.Now() })
+	if c.PendingWaiters() != 0 {
 		t.Fatal("a new timer must be stopped")
 	}
 	for round := 0; round < 3; round++ {
-		start := c.Now()
+		want := c.Now().Add(3 * time.Second)
 		tm.Reset(3 * time.Second)
 		if c.PendingWaiters() != 1 {
 			t.Fatalf("round %d: armed timer not parked", round)
 		}
-		c.Advance(2 * time.Second)
-		if fired(tm) {
-			t.Fatalf("round %d: fired a second early", round)
+		c.Advance(3*time.Second - time.Nanosecond)
+		if c.PendingWaiters() != 1 {
+			t.Fatalf("round %d: fired a nanosecond early", round)
 		}
-		c.Advance(5 * time.Second)
-		select {
-		case got := <-tm.C():
-			if want := start.Add(3 * time.Second); !got.Equal(want) {
-				t.Fatalf("round %d: fired with t=%v, want the deadline %v", round, got, want)
-			}
-		default:
-			t.Fatalf("round %d: did not fire", round)
+		c.Advance(time.Nanosecond)
+		if got := <-ran; !got.Equal(want) {
+			t.Fatalf("round %d: fired at %v, want the deadline %v", round, got, want)
 		}
 		if c.PendingWaiters() != 0 {
 			t.Fatalf("round %d: fired timer still parked", round)
@@ -49,7 +87,7 @@ func TestSimTimerFiresAtDeadlineAndIsReusable(t *testing.T) {
 
 func TestSimTimerStopWithdrawsTheWaiter(t *testing.T) {
 	c := NewSim(epoch)
-	tm := c.NewTimer()
+	tm := c.NewFuncTimer(func() {})
 	other := expiry(c, 2*time.Second)
 	tm.Reset(time.Second)
 	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Second)) {
@@ -61,64 +99,50 @@ func TestSimTimerStopWithdrawsTheWaiter(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop reported the timer pending")
 	}
-	if n := c.PendingWaiters(); n != 1 {
-		t.Fatalf("%d waiters parked after Stop, want only the After", n)
+	if d, _ := c.NextDeadline(); c.PendingWaiters() != 1 || !d.Equal(epoch.Add(2*time.Second)) {
+		t.Fatalf("%d waiters parked after Stop, next at %v, want only the other", c.PendingWaiters(), d)
 	}
 	c.Advance(time.Minute)
-	if fired(tm) {
-		t.Fatal("a stopped timer fired")
-	}
 	receive(t, other, "the other waiter")
 }
 
-func TestSimTimerStopAndResetDiscardAnUnreceivedExpiry(t *testing.T) {
-	c := NewSim(epoch)
-	tm := c.NewTimer()
-	tm.Reset(time.Second)
-	c.Advance(time.Second) // fired, not received
-	if tm.Stop() {
-		t.Fatal("Stop on a fired timer reported it pending")
-	}
-	if fired(tm) {
-		t.Fatal("Stop left the expiry in the channel")
-	}
-	tm.Reset(time.Second)
-	c.Advance(time.Second) // fired again, not received
-	tm.Reset(time.Hour)
-	if fired(tm) {
-		t.Fatal("Reset left the previous expiry in the channel")
-	}
-	if d, _ := c.NextDeadline(); !d.Equal(c.Now().Add(time.Hour)) {
-		t.Fatalf("NextDeadline = %v, want the re-armed deadline", d)
-	}
-}
-
+// TestSimTimersAndSleepersShareDeadlineOrder: under Drive, a timer and
+// a sleeper with one deadline are released in the order they parked,
+// whichever kind parked first.
 func TestSimTimersAndSleepersShareDeadlineOrder(t *testing.T) {
 	c := NewSim(epoch)
-	tm := c.NewTimer()
-	a1 := expiry(c, time.Second)
-	tm.Reset(time.Second) // same deadline, parked later: fires after a1
-	expiry(c, 3*time.Second)
-	c.Advance(time.Second)
-	receive(t, a1, "the 1s waiter")
-	if !fired(tm) {
-		t.Fatal("timer with an equal deadline did not fire")
+	var order []string
+	sleeper := func() {
+		c.Sleep(time.Second)
+		order = append(order, "sleeper")
 	}
-	if n := c.PendingWaiters(); n != 1 {
-		t.Fatalf("%d waiters parked after 1s, want the 3s one", n)
+	timer := func() {
+		tick := make(chan struct{}, 1)
+		c.NewFuncTimer(func() { tick <- struct{}{} }).Reset(time.Second)
+		<-tick
+		order = append(order, "timer")
+	}
+	c.Drive(func() {
+		for _, pair := range [][2]func(){{sleeper, timer}, {timer, sleeper}} {
+			g := NewGroup(c)
+			g.Go(pair[0])
+			g.Go(pair[1])
+			g.Wait()
+		}
+	})
+	if got, want := strings.Join(order, " "), "sleeper timer timer sleeper"; got != want {
+		t.Fatalf("released %q, want %q", got, want)
 	}
 }
 
 func TestSimTimerResetNonPositiveFiresImmediately(t *testing.T) {
 	c := NewSim(epoch)
-	tm := c.NewTimer()
-	tm.Reset(0)
-	if !fired(tm) {
-		t.Fatal("Reset(0) did not fire")
-	}
+	ran := make(chan struct{}, 1)
+	c.NewFuncTimer(func() { ran <- struct{}{} }).Reset(0)
 	if c.PendingWaiters() != 0 {
 		t.Fatal("Reset(0) parked a waiter")
 	}
+	receive(t, ran, "Reset(0)")
 }
 
 func TestSimBlockUntilWaitsForParkedWaiters(t *testing.T) {
@@ -135,69 +159,4 @@ func TestSimBlockUntilWaitsForParkedWaiters(t *testing.T) {
 	}
 	<-done
 	c.BlockUntil(0) // never blocks
-}
-
-func TestRealTimerFiresStopsAndIsReusable(t *testing.T) {
-	tm := NewReal().NewTimer()
-	if fired(tm) {
-		t.Fatal("a new timer must be stopped")
-	}
-	tm.Reset(time.Hour)
-	if !tm.Stop() {
-		t.Fatal("Stop on a pending timer reported false")
-	}
-	for round := 0; round < 3; round++ {
-		tm.Reset(time.Millisecond)
-		<-tm.C()
-	}
-	tm.Stop()
-}
-
-// TestFuncTimerRunsItsFunctionAtTheDeadline: on either clock a function
-// timer runs its function once per expiry, and only then; Stop reports
-// a pending timer true and a fired one false. On the simulated clock an
-// armed function timer is a waiter like any other: it counts in
-// PendingWaiters and NextDeadline and fires in deadline order.
-func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
-	ran := make(chan time.Duration, 1)
-	c := NewSim(epoch)
-	ft := c.NewFuncTimer(func() { ran <- c.Now().Sub(epoch) })
-	if c.PendingWaiters() != 0 {
-		t.Fatal("a new function timer must be stopped")
-	}
-	after := expiry(c, 2*time.Second)
-	ft.Reset(time.Second)
-	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Second)) || c.PendingWaiters() != 2 {
-		t.Fatalf("NextDeadline %v with %d waiters, want the timer's first of two", d, c.PendingWaiters())
-	}
-	if !ft.Stop() || ft.Stop() || c.PendingWaiters() != 1 {
-		t.Fatal("Stop did not withdraw exactly the pending timer")
-	}
-	ft.Reset(time.Second)
-	c.Advance(time.Second - time.Nanosecond)
-	if len(ran) != 0 {
-		t.Fatal("the function ran before the deadline")
-	}
-	c.Advance(time.Nanosecond)
-	if got := <-ran; got < time.Second {
-		t.Fatalf("the function ran at +%v, before its deadline", got)
-	}
-	if ft.Stop() || c.PendingWaiters() != 1 {
-		t.Fatal("a fired function timer reported pending or stayed parked")
-	}
-	c.Advance(time.Second)
-	<-after
-
-	real := NewReal().NewFuncTimer(func() { ran <- 0 })
-	real.Reset(time.Hour)
-	if !real.Stop() {
-		t.Fatal("Stop on a pending real function timer reported false")
-	}
-	for round := 0; round < 3; round++ {
-		real.Reset(time.Millisecond)
-		<-ran
-		if real.Stop() {
-			t.Fatal("Stop on a fired real function timer reported it pending")
-		}
-	}
 }

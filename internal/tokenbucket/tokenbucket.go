@@ -272,9 +272,9 @@ func (b *Bucket) Wait(n float64) error {
 	}
 	b.reserved += n
 	place := b.reserved
-	t, _ := b.timers.Get().(clock.Timer)
-	if t == nil {
-		t = b.clk.NewTimer()
+	s, _ := b.timers.Get().(*sleepTimer)
+	if s == nil {
+		s = newSleepTimer(b.clk)
 	}
 	for {
 		// Owed up to this request's place: the debt less what queues behind.
@@ -284,16 +284,22 @@ func (b *Bucket) Wait(n float64) error {
 		}
 		// Rounded to the nanosecond, and capped (a century and a half) so
 		// that a near-zero rate cannot overflow time.Duration.
-		t.Reset(time.Duration(min(owed*float64(time.Second)/b.rate+0.5, 1<<62)))
+		s.t.Reset(time.Duration(min(owed*float64(time.Second)/b.rate+0.5, 1<<62)))
 		b.sleeps++
 		retune := b.retune
 		b.mu.Unlock()
 		select {
-		case <-t.C():
-			b.timers.Put(t)
+		case <-s.woke:
+			b.timers.Put(s)
 			b.addGranted(n)
 			return nil
 		case <-retune:
+			// A timer that has fired has sent, or is sending, its one
+			// wake-up: take it, so that no stale expiry cuts the next
+			// sleep short.
+			if !s.t.Stop() {
+				<-s.woke
+			}
 		}
 		b.mu.Lock()
 		b.refillLocked(b.clk.Now()) // a broadcast moved the deadline; what is owed is recomputed exactly
@@ -306,9 +312,21 @@ func (b *Bucket) Wait(n float64) error {
 		b.addGranted(n)
 	}
 	b.mu.Unlock()
-	t.Stop()
-	b.timers.Put(t)
+	b.timers.Put(s)
 	return err
+}
+
+// sleepTimer is Wait's pooled sleep: a timer on the bucket's clock and
+// the one-slot channel its expiry sends on.
+type sleepTimer struct {
+	t    clock.FuncTimer
+	woke chan struct{}
+}
+
+func newSleepTimer(clk clock.Clock) *sleepTimer {
+	s := &sleepTimer{woke: make(chan struct{}, 1)}
+	s.t = clk.NewFuncTimer(func() { s.woke <- struct{}{} })
+	return s
 }
 
 // Grant performs fluid admission for the discrete-tick simulator: given a

@@ -219,3 +219,79 @@ func TestWaitAdherenceAtBurstOne(t *testing.T) {
 		t.Errorf("Granted = %v after Close, want the %d admitted: a released sleeper kept its reservation", g, got)
 	}
 }
+
+// lateStopClock is a simulated clock on which a timer's first Stop
+// comes too late: before it disarms anything it runs the clock to the
+// timer's deadline and waits for the function to have run — an expiry
+// that lands between a retune broadcast waking the sleeper and the
+// sleeper stopping its timer. Every Reset reports its duration on armed.
+type lateStopClock struct {
+	*clock.Sim
+	armed chan time.Duration
+}
+
+type lateStopTimer struct {
+	clock.FuncTimer
+	c    *lateStopClock
+	ran  chan struct{}
+	d    time.Duration
+	late bool
+}
+
+func (c *lateStopClock) NewFuncTimer(f func()) clock.FuncTimer {
+	t := &lateStopTimer{c: c, ran: make(chan struct{}, 1)}
+	t.FuncTimer = c.Sim.NewFuncTimer(func() { f(); t.ran <- struct{}{} })
+	return t
+}
+
+func (t *lateStopTimer) Reset(d time.Duration) {
+	t.d = d
+	t.FuncTimer.Reset(d)
+	t.c.armed <- d
+}
+
+func (t *lateStopTimer) Stop() bool {
+	if !t.late {
+		t.late = true
+		t.c.Advance(t.d)
+		<-t.ran
+	}
+	return t.FuncTimer.Stop()
+}
+
+// TestWaitStaleExpiryDoesNotShortenTheNextSleep: a sleeper that a
+// retune wakes after its timer has fired takes that expiry before it
+// sleeps again, so its next sleep lasts all it owes.
+func TestWaitStaleExpiryDoesNotShortenTheNextSleep(t *testing.T) {
+	clk := &lateStopClock{Sim: clock.NewSim(epoch), armed: make(chan time.Duration, 2)}
+	b := New(clk, 1, 1)
+	if !b.TryTake(1) {
+		t.Fatal("drain failed")
+	}
+	admitted := make(chan time.Time, 1)
+	go func() {
+		if err := b.Wait(1); err != nil {
+			t.Errorf("Wait: %v", err)
+		}
+		admitted <- clk.Now()
+	}()
+	if d := <-clk.armed; d != time.Second {
+		t.Fatalf("first sleep armed for %v, want 1s", d)
+	}
+	// The broadcast wins; by the time the sleeper stops its timer the
+	// first second has passed, and at half the rate the half token
+	// still owed takes another second.
+	b.Set(0.5, 1)
+	if d := <-clk.armed; d != time.Second {
+		t.Fatalf("second sleep armed for %v, want 1s", d)
+	}
+	select {
+	case at := <-admitted:
+		t.Fatalf("admitted at +%v, before its second sleep ran out", at.Sub(epoch))
+	case <-time.After(50 * time.Millisecond):
+	}
+	clk.Advance(time.Second)
+	if at := <-admitted; !at.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("admitted at +%v, want +2s", at.Sub(epoch))
+	}
+}

@@ -240,36 +240,6 @@ func runDriven(r *Replayer) (err error) {
 	return err
 }
 
-// TestReplayerCancel runs on the real clock: a thread that takes the
-// cancellation leaves its After parked, and Drive supports no waiter
-// that nobody receives from.
-func TestReplayerCancel(t *testing.T) {
-	tr := NewTrace(time.Minute, posix.OpOpen)
-	for i := 0; i < 600; i++ { // 10 trace-hours: would replay 600s wall
-		tr.Append(100)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	r := &Replayer{
-		Trace:  tr,
-		Submit: func(op posix.Op) error { return nil },
-		Tick:   10 * time.Millisecond,
-	}
-	done := make(chan struct{})
-	go func() {
-		r.Run(ctx)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not stop on cancel")
-	}
-}
-
 func TestReplayerRequiresSubmit(t *testing.T) {
 	r := &Replayer{Trace: smallTrace()}
 	if err := r.Run(context.Background()); err == nil {

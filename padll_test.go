@@ -1,6 +1,7 @@
 package padll_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 	"padll/internal/clock"
 	"padll/internal/localfs"
 	"padll/internal/pfs"
+	"padll/internal/posix"
+	"padll/internal/trace"
 )
 
 // epoch is where the simulated clocks start.
@@ -393,6 +396,80 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	if dp.DegradedFor() <= 0 {
 		t.Error("DegradedFor() = 0 after an outage")
 	}
+}
+
+// TestStoppedLoopsLeaveNoWaiter: each loop paced by a clock — the
+// controller's feedback loop, the data plane's heartbeat, a replayer's
+// op thread — stops its timer on the way out, so stopping the loop
+// leaves nothing parked on its simulated clock.
+func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
+	// parkedThenStopped starts a loop on clk, waits for it to park its
+	// timer, stops it and checks that the timer left with it.
+	parkedThenStopped := func(t *testing.T, clk *clock.Sim, start, stop func()) {
+		t.Helper()
+		start()
+		clk.BlockUntil(1)
+		stop()
+		if n := clk.PendingWaiters(); n != 0 {
+			t.Fatalf("%d waiters parked on the clock after the loop stopped", n)
+		}
+	}
+	t.Run("controller", func(t *testing.T) {
+		clk := clock.NewSim(epoch)
+		cp := padll.NewControlPlaneOn(clk)
+		parkedThenStopped(t, clk, func() { cp.Run(time.Second) }, cp.Stop)
+	})
+	t.Run("heartbeat", func(t *testing.T) {
+		cp := padll.NewControlPlane()
+		addr, err := cp.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Stop()
+		clk := clock.NewSim(epoch)
+		_, local := newBackends(clk)
+		dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
+			padll.MountLocal("/", local))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+			t.Fatal(err)
+		}
+		parkedThenStopped(t, clk, func() {
+			if err := dp.StartHeartbeat(time.Second, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}, func() {
+			if err := dp.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	t.Run("replayer", func(t *testing.T) {
+		clk := clock.NewSim(epoch)
+		tr := trace.NewTrace(time.Minute, posix.OpOpen)
+		tr.Append(100)
+		r := &trace.Replayer{
+			Trace:  tr,
+			Submit: func(posix.Op) error { return nil },
+			Clock:  clk,
+			Tick:   10 * time.Millisecond,
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		parkedThenStopped(t, clk, func() {
+			go func() {
+				defer close(done)
+				if err := r.Run(ctx); err != nil {
+					t.Error(err)
+				}
+			}()
+		}, func() {
+			cancel()
+			<-done
+		})
+	})
 }
 
 func waitFor(t *testing.T, budget time.Duration, cond func() bool) {
