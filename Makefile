@@ -167,9 +167,10 @@ lint:
 # instrumentation defeats escape analysis and randomizes sync.Pool, so
 # alloc counts only mean anything uninstrumented), the doubled
 # control-plane race pass, and a one-iteration benchmark smoke so the
-# hot-path benches can't rot. The two cross-builds compile the platform
-# seam no native gate does: osfs's arm64 trap file, and the stub that
-# stands in for osfs off Linux (both offline, standard library only).
+# hot-path benches can't rot. The cross-builds compile the platform
+# seams no native gate does: osfs's arm64 trap file, the stub that
+# stands in for osfs off Linux, and rpcio's non-unix frame file, which
+# only the windows build reaches (all offline, standard library only).
 ci:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -179,6 +180,7 @@ ci:
 	$(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/osfs/...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/... ./internal/rpcio/... \
 		./internal/tokenbucket/... ./internal/osfs/... ./internal/control/...

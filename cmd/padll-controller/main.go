@@ -104,7 +104,7 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if *report > 0 {
-		ticker := time.NewTicker(*report)
+		ticker := time.NewTicker(*report) //lint:allow clockcheck the operator's report is paced on the wall clock, like the signal it waits beside
 		defer ticker.Stop()
 		for {
 			select {

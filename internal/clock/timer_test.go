@@ -12,9 +12,9 @@ import (
 // the function ran reports false; and Reset re-arms the timer, which
 // runs its function once per expiry.
 func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
-	// d is long enough that a real timer armed for it is still pending
-	// at the Stop that follows the Reset.
-	const d = 30 * time.Millisecond
+	// A real timer armed for pending is still pending at the Stop that
+	// follows the Reset, and one armed for d soon runs its function.
+	const pending, d = 100 * time.Millisecond, time.Millisecond
 	for _, tc := range []struct {
 		name string
 		// on returns the clock and the way to let time pass on it.
@@ -25,16 +25,16 @@ func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, pass := tc.on()
-			ran := make(chan struct{}, 2)
+			ran := make(chan struct{}, 2) // room for a second run, which the test then reports
 			tm := c.NewFuncTimer(func() { ran <- struct{}{} })
 			if tm.Stop() {
 				t.Fatal("a new timer reported pending")
 			}
-			tm.Reset(d)
+			tm.Reset(pending)
 			if !tm.Stop() {
 				t.Fatal("Stop on a pending timer reported false")
 			}
-			pass(2 * d)
+			pass(pending + 20*time.Millisecond)
 			if len(ran) != 0 {
 				t.Fatal("a stopped timer ran its function")
 			}
@@ -46,7 +46,7 @@ func TestFuncTimerRunsItsFunctionAtTheDeadline(t *testing.T) {
 					t.Fatalf("round %d: Stop after the function ran reported the timer pending", round)
 				}
 			}
-			pass(2 * d)
+			pass(20 * time.Millisecond)
 			if len(ran) != 0 {
 				t.Fatal("the function ran twice for one expiry")
 			}

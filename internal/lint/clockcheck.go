@@ -10,21 +10,25 @@ import (
 // package itself, time never comes from the time package directly — it is
 // read from an injected clock.Clock, so the same code runs unchanged
 // against the wall clock and against internal/clock's simulated clock.
-// time.Since is banned alongside Now/Sleep/After because it is wall-clock
-// Now in disguise.
+// Every way to wait on the time package is banned, and so is time.Since,
+// which is wall-clock Now in disguise.
 var ClockCheck = &Analyzer{
 	Name: "clockcheck",
-	Doc:  "direct time.Now/Sleep/After/Since calls bypass the injected clock.Clock",
+	Doc:  "direct time.Now/Sleep/Since and timer calls bypass the injected clock.Clock",
 	Run:  runClockCheck,
 }
 
 // bannedTimeFuncs maps banned time-package functions to the clock.Clock
 // replacement named in the diagnostic.
 var bannedTimeFuncs = map[string]string{
-	"Now":   "clock.Clock.Now()",
-	"Sleep": "clock.Clock.Sleep()",
-	"After": "clock.Clock.NewFuncTimer()",
-	"Since": "clock.Clock.Now().Sub(t)",
+	"Now":       "clock.Clock.Now()",
+	"Sleep":     "clock.Clock.Sleep()",
+	"After":     "clock.Clock.NewFuncTimer()",
+	"NewTimer":  "clock.Clock.NewFuncTimer()",
+	"AfterFunc": "clock.Clock.NewFuncTimer()",
+	"NewTicker": "clock.Clock.NewFuncTimer()",
+	"Tick":      "clock.Clock.NewFuncTimer()",
+	"Since":     "clock.Clock.Now().Sub(t)",
 }
 
 func runClockCheck(pass *Pass) {

@@ -4,8 +4,9 @@
 // compiler know about:
 //
 //   - clockcheck: time flows through the injected clock.Clock, never
-//     directly through time.Now/Sleep/After/Since, so every experiment
-//     replays identically against internal/clock's simulated clock.
+//     directly through time.Now/Sleep/Since or a time-package timer or
+//     ticker, so every experiment replays identically against
+//     internal/clock's simulated clock.
 //   - lockcheck: mutexes are not held across channel operations or
 //     blocking calls, and every Lock has an Unlock on every return path.
 //   - errdrop: error returns from posix.FileSystem, io.Closer-shaped

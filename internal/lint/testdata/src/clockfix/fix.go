@@ -15,6 +15,13 @@ func bad() time.Duration {
 	return time.Since(start)       // want `direct time\.Since call`
 }
 
+func timers() {
+	time.NewTimer(time.Second).Stop()             // want `direct time\.NewTimer call`
+	time.AfterFunc(time.Second, func() {}).Stop() // want `direct time\.AfterFunc call`
+	time.NewTicker(time.Second).Stop()            // want `direct time\.NewTicker call`
+	<-time.Tick(time.Millisecond)                 // want `direct time\.Tick call`
+}
+
 func aliased() time.Time {
 	return stdtime.Now() // want `direct time\.Now call`
 }

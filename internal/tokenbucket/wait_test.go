@@ -263,7 +263,7 @@ func (t *lateStopTimer) Stop() bool {
 // retune wakes after its timer has fired takes that expiry before it
 // sleeps again, so its next sleep lasts all it owes.
 func TestWaitStaleExpiryDoesNotShortenTheNextSleep(t *testing.T) {
-	clk := &lateStopClock{Sim: clock.NewSim(epoch), armed: make(chan time.Duration, 2)}
+	clk := &lateStopClock{Sim: clock.NewSim(epoch), armed: make(chan time.Duration, 2)} // one per sleep
 	b := New(clk, 1, 1)
 	if !b.TryTake(1) {
 		t.Fatal("drain failed")

@@ -240,6 +240,43 @@ func runDriven(r *Replayer) (err error) {
 	return err
 }
 
+// TestReplayerCancel: a replay whose context is cancelled mid-run stops
+// submitting, returns, and leaves nothing parked on its clock. Submit
+// itself cancels, so the replay runs under Drive and takes no wall time.
+func TestReplayerCancel(t *testing.T) {
+	tr := NewTrace(time.Minute, posix.OpOpen)
+	for i := 0; i < 600; i++ { // 10 trace-hours: would replay 600s
+		tr.Append(100)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = 100
+	submitted := 0
+	clk := clock.NewSim(epoch)
+	r := &Replayer{
+		Trace: tr,
+		Submit: func(posix.Op) error {
+			if submitted++; submitted == cancelAt {
+				cancel()
+			}
+			return nil
+		},
+		Clock: clk,
+		Tick:  10 * time.Millisecond,
+	}
+	clk.Drive(func() {
+		if err := r.Run(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	if submitted != cancelAt {
+		t.Errorf("submitted %d ops, want the %d before the cancel", submitted, cancelAt)
+	}
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Errorf("%d waiters parked after the cancelled replay returned", n)
+	}
+}
+
 func TestReplayerRequiresSubmit(t *testing.T) {
 	r := &Replayer{Trace: smallTrace()}
 	if err := r.Run(context.Background()); err == nil {
