@@ -85,6 +85,30 @@ func TestSimTimerFiresAtDeadlineAndIsReusable(t *testing.T) {
 	}
 }
 
+// TestSimAfterObservesDeadlineTime: a timer's function sees the clock at
+// its own deadline, not at a later instant the clock is bound for. Under
+// Drive the clock stops at each deadline in turn, so a timer due at 3s
+// fires at 3s although a sleeper is parked until 10s.
+func TestSimAfterObservesDeadlineTime(t *testing.T) {
+	c := NewSim(epoch)
+	var got time.Time
+	slept := make(chan struct{})
+	c.Drive(func() {
+		NewGroup(c).Go(func() {
+			c.Sleep(10 * time.Second)
+			close(slept)
+		})
+		fired := make(chan time.Time, 1)
+		c.NewFuncTimer(func() { fired <- c.Now() }).Reset(3 * time.Second)
+		got = <-fired
+	})
+	if want := epoch.Add(3 * time.Second); !got.Equal(want) {
+		t.Fatalf("timer fired with the clock at %v, want the deadline %v", got, want)
+	}
+	c.Advance(time.Hour) // after Drive the clock is manual again
+	receive(t, slept, "the 10s sleeper")
+}
+
 func TestSimTimerStopWithdrawsTheWaiter(t *testing.T) {
 	c := NewSim(epoch)
 	tm := c.NewFuncTimer(func() {})
