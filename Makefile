@@ -48,8 +48,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Control-plane packages with the chaos harness and the cluster
-# simulator that drive them, the layers that forward a request in place
+# Control-plane packages with the simulated cluster and the chaos
+# scenarios that drive them, the layers that forward a request in place
 # (shim, router), and the PFS model with its namespace (pfs holds its own
 # mutex around calls that take localfs's lock, and OST transfers wait
 # outside both), under the race detector, twice: -count=2 defeats the
@@ -193,7 +193,8 @@ ci:
 # (under internal/ and padll.go), analyzers padll-lint runs — and the
 # ones the control plane is tracked by: wire structs wireRegistry locks,
 # wire call methods methodIDs maps, non-test lines of rpcio + control —
-# the experiment harness's non-test lines, and the static-analysis
+# the experiment harness's non-test lines, the simulated cluster's with
+# its chaos scenarios, and the static-analysis
 # suite's own weight: //lint: directives in non-test Go files outside
 # internal/lint, and internal/lint's non-test lines.
 SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
@@ -216,6 +217,8 @@ count:
 		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '^type [A-Za-z]+ interface')"
 	@printf 'internal/experiments non-test lines: %d\n' \
 		"$$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/sim + internal/chaos non-test lines: %d\n' \
+		"$$(find internal/sim internal/chaos -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '//lint: directives outside internal/lint: %d\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/*' | xargs grep -hE '//[[:space:]]*lint:' | wc -l)"
 	@printf 'internal/lint non-test lines: %d\n' \

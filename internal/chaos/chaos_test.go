@@ -11,22 +11,21 @@ import (
 	"time"
 
 	"padll/internal/control"
+	"padll/internal/sim"
 )
 
-const runFor = 30 * time.Second
-
 // probeRates snapshots every live stage's managed rate at time at.
-func probeRates(h *Harness, at time.Duration, into map[string]float64) {
-	h.At(at, "", func(h *Harness) {
-		for _, id := range h.ids {
-			n := h.nodes[id]
-			if n.crashed.Load() {
-				continue
+func probeRates(s *Scenario, at time.Duration, into map[string]float64) {
+	s.Schedule(at, "", func(c *sim.Cluster) {
+		for _, id := range stageIDs {
+			if n := c.Node(id); !n.Crashed() {
+				into[id] = managedRate(n)
 			}
-			into[id] = RuleRate(n.Stg, control.ControlRuleID)
 		}
 	})
 }
+
+func managedRate(n *sim.Node) float64 { return sim.RuleRate(n.Stg, control.ControlRuleID) }
 
 func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 	h := ControllerCrashMidRun(2022)
@@ -36,12 +35,12 @@ func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 	// Just after the crash fires, record what each stage enforces; deep
 	// into the outage it must be byte-for-byte the same (frozen, not
 	// decayed to zero and not reset to unlimited).
-	probeRates(h, h.OutageStart+Interval, frozen)
-	probeRates(h, h.OutageEnd-Interval/2, during)
+	probeRates(h, h.OutageStart+sim.Interval, frozen)
+	probeRates(h, h.OutageEnd-sim.Interval/2, during)
 	// One full control interval after the restart, every stage must be
 	// re-registered and re-tuned.
-	probeRates(h, h.OutageEnd+Interval+Interval/2, after)
-	h.Run(runFor)
+	probeRates(h, h.OutageEnd+sim.Interval+sim.Interval/2, after)
+	h.Run()
 
 	if len(frozen) != 4 {
 		t.Fatalf("probe saw %d stages, want 4", len(frozen))
@@ -91,7 +90,7 @@ func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 		}
 	}
 	// Degraded time must be accounted on every stage.
-	for _, id := range h.ids {
+	for _, id := range stageIDs {
 		if h.Node(id).Stg.DegradedFor() <= 0 {
 			t.Errorf("stage %s has no degraded time after an outage", id)
 		}
@@ -100,7 +99,7 @@ func TestControllerCrashFreezesAndReconciles(t *testing.T) {
 
 func TestReconcileWithinOneInterval(t *testing.T) {
 	h := ControllerCrashMidRun(7)
-	h.Run(runFor)
+	h.Run()
 	log := h.Log()
 	// Find the restart line and assert every stage re-registers before
 	// one full interval has elapsed after it.
@@ -123,8 +122,8 @@ func TestReconcileWithinOneInterval(t *testing.T) {
 			if restartAt < 0 {
 				t.Fatalf("re-registration before any restart: %s", line)
 			}
-			if at-restartAt > Interval {
-				t.Errorf("stage reconciled %v after restart, want <= %v: %s", at-restartAt, Interval, line)
+			if at-restartAt > sim.Interval {
+				t.Errorf("stage reconciled %v after restart, want <= %v: %s", at-restartAt, sim.Interval, line)
 			}
 			reRegistered++
 		}
@@ -139,16 +138,16 @@ func TestReconcileWithinOneInterval(t *testing.T) {
 
 func TestStageCrashMidCollectEvictsAndRedistributes(t *testing.T) {
 	h := StageCrashMidCollect(99)
-	h.Run(runFor)
+	h.Run()
 	log := h.Log()
 	if !strings.Contains(log, "evicted by controller") {
 		t.Fatalf("crashed stage never evicted:\n%s", log)
 	}
 	// Exactly one stage is down; its job's survivor must now hold the
 	// job's whole grant (job share split by 1, not 2).
-	var victim *StageNode
-	for _, id := range h.ids {
-		if h.Node(id).crashed.Load() {
+	var victim *sim.Node
+	for _, id := range stageIDs {
+		if h.Node(id).Crashed() {
 			if victim != nil {
 				t.Fatal("more than one crashed stage")
 			}
@@ -158,8 +157,8 @@ func TestStageCrashMidCollectEvictsAndRedistributes(t *testing.T) {
 	if victim == nil {
 		t.Fatalf("no stage crashed:\n%s", log)
 	}
-	var survivor *StageNode
-	for _, id := range h.ids {
+	var survivor *sim.Node
+	for _, id := range stageIDs {
 		n := h.Node(id)
 		if n.Job == victim.Job && n != victim {
 			survivor = n
@@ -168,7 +167,7 @@ func TestStageCrashMidCollectEvictsAndRedistributes(t *testing.T) {
 	// Fixed rates: job1 is granted its 30k reservation, job2 its 50k.
 	// The survivor holds the full job grant once the corpse is swept.
 	wantJob := map[string]float64{"job1": 30_000, "job2": 50_000}[victim.Job]
-	if got := RuleRate(survivor.Stg, control.ControlRuleID); math.Abs(got-wantJob) > 1 {
+	if got := managedRate(survivor); math.Abs(got-wantJob) > 1 {
 		t.Errorf("survivor %s rate = %v, want the job's full %v", survivor.ID, got, wantJob)
 	}
 	if got := len(h.Controller().Stages()); got != 3 {
@@ -178,7 +177,7 @@ func TestStageCrashMidCollectEvictsAndRedistributes(t *testing.T) {
 
 func TestPartitionHealReintegrates(t *testing.T) {
 	h := PartitionHeal(5)
-	h.Run(runFor)
+	h.Run()
 	log := h.Log()
 	for _, want := range []string{"partitioned", "degraded: controller unreachable", "healed", "re-registered"} {
 		if !strings.Contains(log, want) {
@@ -190,10 +189,10 @@ func TestPartitionHealReintegrates(t *testing.T) {
 	if got := len(h.Controller().Stages()); got != 4 {
 		t.Errorf("%d stages registered after heal, want 4", got)
 	}
-	for _, id := range h.ids {
+	for _, id := range stageIDs {
 		// Fixed rates split per stage: job1 30k/2, job2 50k/2.
 		want := map[string]float64{"job1": 15_000, "job2": 25_000}[h.Node(id).Job]
-		if got := RuleRate(h.Node(id).Stg, control.ControlRuleID); math.Abs(got-want) > 1 {
+		if got := managedRate(h.Node(id)); math.Abs(got-want) > 1 {
 			t.Errorf("stage %s rate = %v, want %v", id, got, want)
 		}
 	}
@@ -205,7 +204,7 @@ func TestPartitionHealReintegrates(t *testing.T) {
 // any scenario's behaviour fails here. A missing golden file is written
 // from this run, and the test fails once, asking for a rerun.
 func TestSameSeedRunsAreByteIdentical(t *testing.T) {
-	for name, mk := range map[string]func(int64) *Harness{
+	for name, mk := range map[string]func(int64) *Scenario{
 		"controller-crash": ControllerCrashMidRun,
 		"stage-crash":      StageCrashMidCollect,
 		"partition-heal":   PartitionHeal,
@@ -213,14 +212,14 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 		"frame-loss":       FrameLoss,
 	} {
 		a := mk(42)
-		a.Run(runFor)
+		a.Run()
 		b := mk(42)
-		b.Run(runFor)
+		b.Run()
 		if a.Log() != b.Log() {
 			t.Errorf("%s: same seed produced different event logs:\n--- run 1\n%s\n--- run 2\n%s", name, a.Log(), b.Log())
 		}
 		c := mk(43)
-		c.Run(runFor)
+		c.Run()
 		if a.Log() == c.Log() {
 			t.Errorf("%s: different seeds produced identical logs — scenario ignores its seed", name)
 		}
@@ -257,22 +256,22 @@ func checkGolden(t *testing.T, name, log string) {
 // back to full snapshots every round.
 func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 	h := BatchedOutage(2022)
-	h.Run(runFor)
+	h.Run()
 
-	for _, id := range h.ids {
+	for _, id := range stageIDs {
 		n := h.Node(id)
-		if n.crashed.Load() {
+		if n.Crashed() {
 			continue
 		}
 		want := map[string]float64{"job1": 15_000, "job2": 25_000}[n.Job]
-		if got := RuleRate(n.Stg, control.ControlRuleID); math.Abs(got-want) > 1 {
+		if got := managedRate(n); math.Abs(got-want) > 1 {
 			t.Errorf("stage %s rate = %v after recovery, want %v", id, got, want)
 		}
 	}
 
 	var deltas uint64
-	for _, id := range h.ids {
-		fulls, ds := h.Node(id).handle.CollectCounts()
+	for _, id := range stageIDs {
+		fulls, ds := h.Node(id).Handle.CollectCounts()
 		if fulls == 0 {
 			t.Errorf("stage %s never took a full snapshot (first collect must be full)", id)
 		}
@@ -297,12 +296,12 @@ func TestBatchedModeRecoversAndStaysIncremental(t *testing.T) {
 // answer the next exchange with a full-snapshot resync — and the fleet
 // must hold its allocations throughout.
 func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
-	h := smallCluster(7, 0)
+	h, _ := smallCluster(7, 0, 20*time.Second)
 	offerDemand(h, 20*time.Second)
-	h.At(5*time.Second+Interval/2, "drop-reply", func(h *Harness) { h.DropNextBatchReply("s1") })
-	h.Run(20 * time.Second)
+	h.Schedule(5*time.Second+sim.Interval/2, "drop-reply", func(c *sim.Cluster) { c.DropNextBatchReply("s1") })
+	h.Run()
 
-	fulls, deltas := h.Node("s1").handle.CollectCounts()
+	fulls, deltas := h.Node("s1").Handle.CollectCounts()
 	if fulls < 2 {
 		t.Errorf("s1 took %d full snapshots, want >= 2 (initial + post-drop resync)", fulls)
 	}
@@ -310,7 +309,7 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 		t.Error("s1 never collected incrementally")
 	}
 	// Untouched peers must not have been forced to resync.
-	if otherFulls, _ := h.Node("s3").handle.CollectCounts(); otherFulls != 1 {
+	if otherFulls, _ := h.Node("s3").Handle.CollectCounts(); otherFulls != 1 {
 		t.Errorf("s3 took %d full snapshots, want exactly the initial one", otherFulls)
 	}
 
@@ -323,7 +322,7 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 	}
 
 	// FixedRates: each job1 stage ends at reservation/stages.
-	if got, want := RuleRate(h.Node("s1").Stg, control.ControlRuleID), 15_000.0; math.Abs(got-want) > 1 {
+	if got, want := managedRate(h.Node("s1")), 15_000.0; math.Abs(got-want) > 1 {
 		t.Errorf("s1 rate after frame loss = %v, want %v", got, want)
 	}
 }
@@ -333,15 +332,77 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 // resync, never as a wedged or misallocated fleet.
 func TestFrameLossScenarioConverges(t *testing.T) {
 	h := FrameLoss(2022)
-	h.Run(runFor)
-	for _, id := range h.ids {
+	h.Run()
+	for _, id := range stageIDs {
 		n := h.Node(id)
 		want := map[string]float64{"job1": 15_000, "job2": 25_000}[n.Job]
-		if got := RuleRate(n.Stg, control.ControlRuleID); math.Abs(got-want) > 1 {
+		if got := managedRate(n); math.Abs(got-want) > 1 {
 			t.Errorf("stage %s rate = %v after frame-loss run, want %v", id, got, want)
 		}
 	}
 	if !strings.Contains(h.Log(), "reply frame lost") {
 		t.Errorf("scenario never actually lost a frame:\n%s", h.Log())
+	}
+}
+
+// TestCrashAndReconcileProperty: over 25 seeds, the controller dies at a
+// seed-chosen round after a seed-chosen number of that round's pushes,
+// and a fresh one boots after a seed-chosen outage. Through the outage
+// every live stage's managed rate stays what it was when the controller
+// died, and after the first round that follows the restart it equals the
+// stage's share of the new controller's allocation.
+func TestCrashAndReconcileProperty(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		s, rng := smallCluster(seed, 0, horizon)
+		offerDemand(s, horizon)
+		crashAt := time.Duration(2+rng.Intn(10)) * sim.Interval
+		pushes := rng.Intn(4) // of the round's four retunes
+		restartAt := crashAt + time.Duration(2+rng.Intn(8))*sim.Interval + time.Duration(rng.Intn(2))*sim.Interval/2
+		// The restart fires before the round at its instant when it falls
+		// on one, else the next step's round is the first after it.
+		reconciledAt := restartAt.Truncate(sim.Interval)
+		if reconciledAt < restartAt {
+			reconciledAt += sim.Interval
+		}
+		raise := []float64{float64(31+rng.Intn(20)) * 1000, float64(51+rng.Intn(20)) * 1000}
+		s.Schedule(crashAt-sim.Interval/2, "arm", func(c *sim.Cluster) {
+			c.SetReservation("job1", raise[0])
+			c.SetReservation("job2", raise[1])
+			c.ArmMidRoundCrash(pushes)
+		})
+		s.Schedule(restartAt, "restart", (*sim.Cluster).RestartController)
+		// Events at one instant run in order, all before its heartbeats.
+		s.Schedule(restartAt, "", func(c *sim.Cluster) {
+			if got := c.Controller().Stages(); len(got) != 0 {
+				t.Errorf("seed %d: restarted controller kept %d registrations", seed, len(got))
+			}
+		})
+		frozen := map[string]float64{}
+		probeRates(s, crashAt+sim.Interval/2, frozen)
+		for at := crashAt + sim.Interval; at < restartAt; at += sim.Interval / 2 {
+			s.Schedule(at, "", func(c *sim.Cluster) {
+				for _, id := range stageIDs {
+					if got := managedRate(c.Node(id)); got != frozen[id] {
+						t.Errorf("seed %d: stage %s moved from %v to %v at %v, mid-outage", seed, id, frozen[id], got, at)
+					}
+				}
+			})
+		}
+		var reconciled bool
+		s.Schedule(reconciledAt+sim.Interval/2, "", func(c *sim.Cluster) {
+			reconciled = true
+			alloc := c.Controller().LastAllocation()
+			for _, id := range stageIDs {
+				n := c.Node(id)
+				if want := alloc[n.Job] / 2; n.Stg.Degraded() || managedRate(n) != want {
+					t.Errorf("seed %d: stage %s (degraded %v) enforces %v after the first round since the restart, want %v",
+						seed, id, n.Stg.Degraded(), managedRate(n), want)
+				}
+			}
+		})
+		s.Run()
+		if !reconciled || !strings.Contains(s.Log(), "controller crashed") {
+			t.Fatalf("seed %d: no crash or no reconciliation probe:\n%s", seed, s.Log())
+		}
 	}
 }

@@ -1,146 +1,156 @@
+// Package chaos scripts seeded failure storylines for PADLL's control
+// plane on sim.Cluster, which injects the faults and logs every
+// observable transition. A scenario draws every random choice from its
+// seed, so same-seed runs log byte for byte the same, and the tests can
+// assert exact recovery behaviour (frozen limits during an outage,
+// reconciliation within one control interval of restart).
 package chaos
 
 import (
+	"math/rand"
 	"time"
 
+	"padll/internal/control"
 	"padll/internal/posix"
+	"padll/internal/sim"
 )
+
+// horizon is how long a canonical scenario runs.
+const horizon = 30 * time.Second
+
+// clusterLimit is the scenarios' cluster-wide limit. Their controller
+// runs Priority (control.FixedRates), which grants each job its
+// reservation verbatim, so expected rates are exact whatever the
+// demand; the limit only sets the equal share a job starts at.
+const clusterLimit = 100_000
 
 // raisedJob1 and raisedJob2 are the reservations ControllerCrashMidRun
 // raises job1 (from 30k) and job2 (from 50k) to just before its crash.
-const (
-	raisedJob1 = 36_000
-	raisedJob2 = 60_000
-)
+const raisedJob1, raisedJob2 = 36_000, 60_000
 
-// The canonical scenarios below build a small cluster (two jobs, two
-// stages each, reservations on both jobs) and schedule one failure
-// storyline. Every random choice comes from the harness's seeded rng,
-// so a scenario is fully determined by its seed.
+// stageIDs are the small cluster's stages in ID order: s1 and s2 serve
+// job1 (reserved 30k), s3 and s4 job2 (reserved 50k).
+var stageIDs = []string{"s1", "s2", "s3", "s4"}
 
-func smallCluster(seed int64, evictAfter int) *Harness {
-	h := New(Config{
-		Seed:       seed,
-		EvictAfter: evictAfter,
-		Reservations: map[string]float64{
-			"job1": 30_000,
-			"job2": 50_000,
-		},
-	})
-	for _, s := range []struct{ id, job string }{
-		{"s1", "job1"}, {"s2", "job1"},
-		{"s3", "job2"}, {"s4", "job2"},
-	} {
-		h.AddStage(s.id, s.job)
-	}
-	return h
+// Scenario is one failure storyline on a small cluster, with its outage
+// window (when it has one) for tests to place probes by.
+type Scenario struct {
+	*sim.Cluster
+	OutageStart, OutageEnd time.Duration
 }
 
-// offerDemand makes every live stage report metadata demand each tick so
-// collect rounds carry non-trivial numbers through the log.
-func offerDemand(h *Harness, until time.Duration) {
-	for t := time.Duration(0); t < until; t += Interval {
+// smallCluster builds the scenarios' cluster, and the seeded source of a
+// scenario's random choices.
+func smallCluster(seed int64, evictAfter int, until time.Duration) (*Scenario, *rand.Rand) {
+	opts := []control.Option{control.WithClusterLimit(clusterLimit), control.WithAlgorithm(control.FixedRates{})}
+	if evictAfter > 0 {
+		opts = append(opts, control.WithEvictAfter(evictAfter))
+	}
+	s := &Scenario{Cluster: sim.NewCluster(sim.Config{Duration: until, Controller: opts})}
+	for i, id := range stageIDs {
+		s.AddStage(id, []string{"job1", "job2"}[i/2], []float64{30_000, 50_000}[i/2])
+	}
+	return s, rand.New(rand.NewSource(seed))
+}
+
+// offerDemand makes every live stage report metadata demand each
+// interval, so collect rounds carry non-trivial numbers.
+func offerDemand(s *Scenario, until time.Duration) {
+	for t := time.Duration(0); t < until; t += sim.Interval {
 		// Unnamed events are silent: demand refills would drown the log.
-		h.At(t, "", func(h *Harness) {
-			for _, id := range h.ids {
-				n := h.nodes[id]
-				if n.crashed.Load() {
-					continue
+		s.Schedule(t, "", func(c *sim.Cluster) {
+			for _, id := range stageIDs {
+				if n := c.Node(id); !n.Crashed() {
+					n.Stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: n.Job}, 5000, sim.Interval)
 				}
-				n.Stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: n.Job}, 5000, Interval)
 			}
 		})
 	}
 }
 
-// ControllerCrashMidRun is the tentpole scenario: the controller dies
-// partway through a push phase (some stages got the round's rates, some
-// did not), stays dead for a seed-chosen outage, then restarts with an
-// empty registry. Stages must freeze their limits while degraded and
-// reconcile within one control interval of the restart.
-//
-// A steady FixedRates fleet has nothing to push — the loop skips every
-// stage already at its rate — so the arming event also raises both
-// jobs' reservations: the crashing round then carries four real
-// retunes for the budget to cut short.
-func ControllerCrashMidRun(seed int64) *Harness {
-	h := smallCluster(seed, 0)
-	offerDemand(h, 30*time.Second)
+// ControllerCrashMidRun: the controller dies partway through a push
+// phase (some stages got the round's rates, some did not), stays dead
+// for a seed-chosen outage, then restarts with an empty registry. Stages
+// must freeze their limits while degraded and reconcile within one
+// control interval of the restart. A steady FixedRates fleet has nothing
+// to push, so the arming event also raises both jobs' reservations: the
+// crashing round carries four real retunes for the budget to cut short.
+func ControllerCrashMidRun(seed int64) *Scenario {
+	s, rng := smallCluster(seed, 0, horizon)
+	offerDemand(s, horizon)
 	// Crash between rounds 5 and 9, after 1..3 of the round's pushes;
 	// recover 6..10 intervals later.
-	crashRound := 5 + h.rng.Intn(5)
-	h.OutageStart = time.Duration(crashRound)*Interval - Interval/2
-	h.OutageEnd = h.OutageStart + time.Duration(6+h.rng.Intn(5))*Interval
-	pushes := 1 + h.rng.Intn(3)
-	h.At(h.OutageStart, "arm-mid-round-crash", func(h *Harness) {
-		h.SetReservation("job1", raisedJob1)
-		h.SetReservation("job2", raisedJob2)
-		h.ArmMidRoundCrash(pushes)
+	crashRound := 5 + rng.Intn(5)
+	s.OutageStart = time.Duration(crashRound)*sim.Interval - sim.Interval/2
+	s.OutageEnd = s.OutageStart + time.Duration(6+rng.Intn(5))*sim.Interval
+	pushes := 1 + rng.Intn(3)
+	s.Schedule(s.OutageStart, "arm-mid-round-crash", func(c *sim.Cluster) {
+		c.SetReservation("job1", raisedJob1)
+		c.SetReservation("job2", raisedJob2)
+		c.ArmMidRoundCrash(pushes)
 	})
-	h.At(h.OutageEnd, "restart-controller", func(h *Harness) { h.RestartController() })
-	return h
+	s.Schedule(s.OutageEnd, "restart-controller", (*sim.Cluster).RestartController)
+	return s
 }
 
 // StageCrashMidCollect kills one seed-chosen stage in the middle of a
 // collect fan-out. With eviction enabled the controller must sweep the
 // corpse and re-grant its share to the job's surviving stage.
-func StageCrashMidCollect(seed int64) *Harness {
-	h := smallCluster(seed, 2)
-	offerDemand(h, 30*time.Second)
-	victim := h.ids[h.rng.Intn(len(h.ids))]
-	at := time.Duration(4+h.rng.Intn(4))*Interval - Interval/2
-	collects := 1 + h.rng.Intn(2)
-	h.At(at, "arm-stage-crash", func(h *Harness) { h.ArmStageCrashAfterCollects(victim, collects) })
-	return h
+func StageCrashMidCollect(seed int64) *Scenario {
+	s, rng := smallCluster(seed, 2, horizon)
+	offerDemand(s, horizon)
+	victim := stageIDs[rng.Intn(len(stageIDs))]
+	at := time.Duration(4+rng.Intn(4))*sim.Interval - sim.Interval/2
+	collects := 1 + rng.Intn(2)
+	s.Schedule(at, "arm-stage-crash", func(c *sim.Cluster) { c.ArmStageCrashAfterCollects(victim, collects) })
+	return s
 }
 
 // PartitionHeal cuts one seed-chosen stage off from the controller, lets
 // the controller evict it and the stage freeze its limits, then heals
 // the link. The stage must re-register and be folded back into the
 // allocation within one control interval of the heal.
-func PartitionHeal(seed int64) *Harness {
-	h := smallCluster(seed, 3)
-	offerDemand(h, 30*time.Second)
-	victim := h.ids[h.rng.Intn(len(h.ids))]
-	from := time.Duration(3+h.rng.Intn(3))*Interval + Interval/2
-	to := from + time.Duration(8+h.rng.Intn(4))*Interval
-	h.OutageStart, h.OutageEnd = from, to
-	h.At(from, "partition", func(h *Harness) { h.Partition(victim) })
-	h.At(to, "heal", func(h *Harness) { h.Heal(victim) })
-	return h
+func PartitionHeal(seed int64) *Scenario {
+	s, rng := smallCluster(seed, 3, horizon)
+	offerDemand(s, horizon)
+	victim := stageIDs[rng.Intn(len(stageIDs))]
+	s.OutageStart = time.Duration(3+rng.Intn(3))*sim.Interval + sim.Interval/2
+	s.OutageEnd = s.OutageStart + time.Duration(8+rng.Intn(4))*sim.Interval
+	s.Schedule(s.OutageStart, "partition", func(c *sim.Cluster) { c.Partition(victim) })
+	s.Schedule(s.OutageEnd, "heal", func(c *sim.Cluster) { c.Heal(victim) })
+	return s
 }
 
 // BatchedOutage drives the batched delta protocol through a partition/
 // heal followed by a full controller outage and restart: faults must
 // not wedge the fleet, and steady-state collects must stay incremental
 // across both recoveries.
-func BatchedOutage(seed int64) *Harness {
-	h := smallCluster(seed, 3)
-	offerDemand(h, 30*time.Second)
-	victim := h.ids[h.rng.Intn(len(h.ids))]
-	pFrom := time.Duration(3+h.rng.Intn(3))*Interval + Interval/2
-	pTo := pFrom + time.Duration(4+h.rng.Intn(3))*Interval
-	h.At(pFrom, "partition", func(h *Harness) { h.Partition(victim) })
-	h.At(pTo, "heal", func(h *Harness) { h.Heal(victim) })
-	h.OutageStart = pTo + time.Duration(2+h.rng.Intn(3))*Interval + Interval/2
-	h.OutageEnd = h.OutageStart + time.Duration(4+h.rng.Intn(4))*Interval
-	h.At(h.OutageStart, "crash-controller", func(h *Harness) { h.CrashController() })
-	h.At(h.OutageEnd, "restart-controller", func(h *Harness) { h.RestartController() })
-	return h
+func BatchedOutage(seed int64) *Scenario {
+	s, rng := smallCluster(seed, 3, horizon)
+	offerDemand(s, horizon)
+	victim := stageIDs[rng.Intn(len(stageIDs))]
+	pFrom := time.Duration(3+rng.Intn(3))*sim.Interval + sim.Interval/2
+	pTo := pFrom + time.Duration(4+rng.Intn(3))*sim.Interval
+	s.Schedule(pFrom, "partition", func(c *sim.Cluster) { c.Partition(victim) })
+	s.Schedule(pTo, "heal", func(c *sim.Cluster) { c.Heal(victim) })
+	s.OutageStart = pTo + time.Duration(2+rng.Intn(3))*sim.Interval + sim.Interval/2
+	s.OutageEnd = s.OutageStart + time.Duration(4+rng.Intn(4))*sim.Interval
+	s.Schedule(s.OutageStart, "crash-controller", (*sim.Cluster).CrashController)
+	s.Schedule(s.OutageEnd, "restart-controller", (*sim.Cluster).RestartController)
+	return s
 }
 
-// FrameLoss drops Stage.Batch reply frames on seed-chosen nodes
-// at seed-chosen rounds: each loss leaves the stage's delta generation
-// ahead of the controller's acknowledgement, forcing a full-snapshot
-// resync on the next exchange while the fleet keeps its allocations.
-func FrameLoss(seed int64) *Harness {
-	h := smallCluster(seed, 0)
-	offerDemand(h, 30*time.Second)
-	drops := 2 + h.rng.Intn(3)
+// FrameLoss drops Stage.Batch reply frames on seed-chosen nodes at
+// seed-chosen rounds: each loss forces a full-snapshot resync on the
+// next exchange while the fleet keeps its allocations.
+func FrameLoss(seed int64) *Scenario {
+	s, rng := smallCluster(seed, 0, horizon)
+	offerDemand(s, horizon)
+	drops := 2 + rng.Intn(3)
 	for i := 0; i < drops; i++ {
-		victim := h.ids[h.rng.Intn(len(h.ids))]
-		at := time.Duration(3+h.rng.Intn(20))*Interval + Interval/2
-		h.At(at, "drop-reply", func(h *Harness) { h.DropNextBatchReply(victim) })
+		victim := stageIDs[rng.Intn(len(stageIDs))]
+		at := time.Duration(3+rng.Intn(20))*sim.Interval + sim.Interval/2
+		s.Schedule(at, "drop-reply", func(c *sim.Cluster) { c.DropNextBatchReply(victim) })
 	}
-	return h
+	return s
 }

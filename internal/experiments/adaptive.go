@@ -56,15 +56,9 @@ func AdaptiveLimit(seed int64) AdaptiveResult {
 	degradeAt := 10 * time.Minute
 
 	run := func(adaptive bool) (AdaptiveOutcome, *metrics.Series) {
-		c := sim.NewCluster(sim.Config{
-			Duration: fig5Horizon,
-		})
-		backend := pfs.New(c.Clock(), pfs.Config{
-			MDSCapacity: initialCap,
-			MDSBurst:    initialCap / 10,
-		})
-		c.AttachPFS(backend)
-
+		// The backend needs the cluster's clock; the adapter probes it
+		// only once the run is under way.
+		var backend *pfs.PFS
 		opts := []control.Option{
 			control.WithAlgorithm(control.ProportionalShare{}),
 			control.WithClusterLimit(fixedLimit),
@@ -78,8 +72,12 @@ func AdaptiveLimit(seed int64) AdaptiveResult {
 				Decrease: 0.85,
 			}))
 		}
-		ctl := control.New(c.Clock(), opts...)
-		c.AttachController(ctl)
+		c := sim.NewCluster(sim.Config{Duration: fig5Horizon, Controller: opts})
+		backend = pfs.New(c.Clock(), pfs.Config{
+			MDSCapacity: initialCap,
+			MDSBurst:    initialCap / 10,
+		})
+		c.AttachPFS(backend)
 
 		tr := fig5Workload(seed)
 		for i := 0; i < fig5Jobs; i++ {
@@ -92,20 +90,22 @@ func AdaptiveLimit(seed int64) AdaptiveResult {
 			})
 		}
 		// Schedule the mid-run degradation.
-		c.Schedule(degradeAt, func(*sim.Cluster) {
+		c.Schedule(degradeAt, "", func(*sim.Cluster) {
 			backend.SetMDSCapacity(degradedCap)
 		})
 
 		// Trace the limit, and probe MDS saturation every second once the
 		// degradation (plus a settling window for the adapter) is past.
+		// Each probe runs half an interval after the round at its second,
+		// so it reads the limit that round set.
 		limits := metrics.NewSeries("cluster-limit")
 		var satAfter, ticksAfter float64
 		settleBy := degradeAt + 2*time.Minute
 		for t := time.Second; t <= fig5Horizon; t += time.Second {
 			at := t
-			c.Schedule(at, func(cl *sim.Cluster) {
+			c.Schedule(at+sim.Interval/2, "", func(cl *sim.Cluster) {
 				if at%(5*time.Second) == 0 {
-					limits.Append(cl.Clock().Now(), ctl.ClusterLimit())
+					limits.Append(cl.Clock().Now().Add(-sim.Interval/2), cl.Controller().ClusterLimit())
 				}
 				if at >= settleBy {
 					ticksAfter++

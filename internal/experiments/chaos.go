@@ -16,15 +16,16 @@ import (
 
 // The failure-model experiment (DESIGN.md §8): four jobs with Priority
 // reservations run flat demand at 1.5x their reservations, the
-// controller crashes a third of the way in and restarts ten minutes
-// later. The claim under test is PADLL's fail-secure stance: stages that
-// lose the controller freeze their last-pushed limits (no unlimited
-// burst into the MDS, no collapse to zero), and reconcile within one
-// control interval of the restart.
+// controller crashes a third of the way in, losing its registry, and a
+// fresh one boots ten minutes later. The claim under test is PADLL's
+// fail-secure stance: stages that lose the controller freeze their
+// last-pushed limits (no unlimited burst into the MDS, no collapse to
+// zero), re-register at their first heartbeat after the restart, which
+// replays their rules, and are reconciled by the first round after it.
 
 const (
 	chaosLimit     = 300_000
-	chaosInterval  = time.Second // the simulator's control period: one tick
+	chaosInterval  = sim.Interval // the simulator's control period: one tick
 	chaosCrashAt   = 15 * time.Minute
 	chaosRecoverAt = 25 * time.Minute
 	chaosHorizon   = 40 * time.Minute
@@ -46,7 +47,8 @@ type ChaosReplayResult struct {
 	// job's admitted rate from its frozen allocation during the outage.
 	OutageMaxDeviation float64
 	// Reconciled reports whether every stage was back under management
-	// (non-degraded, correct rate) one control interval after recovery.
+	// (non-degraded, allocated and enforcing its share) after the first
+	// round that followed the restart.
 	Reconciled bool
 	// DegradedSeconds is each stage's accounted outage time.
 	DegradedSeconds map[string]float64
@@ -69,10 +71,10 @@ func chaosFlatTrace(rate float64) *trace.Trace {
 // experiments; the scenario itself is deterministic (flat demand).
 func ChaosReplay(seed int64) ChaosReplayResult {
 	_ = seed
-	c := sim.NewCluster(sim.Config{Duration: chaosHorizon})
-	c.AttachController(control.New(c.Clock(),
+	c := sim.NewCluster(sim.Config{Duration: chaosHorizon, Controller: []control.Option{
 		control.WithAlgorithm(control.FixedRates{}),
-		control.WithClusterLimit(chaosLimit)))
+		control.WithClusterLimit(chaosLimit),
+	}})
 	res := ChaosReplayResult{
 		CrashAt:         chaosCrashAt,
 		RecoverAt:       chaosRecoverAt,
@@ -92,21 +94,24 @@ func ChaosReplay(seed int64) ChaosReplayResult {
 		})
 	}
 
-	c.Schedule(chaosCrashAt, func(c *sim.Cluster) { c.SetControlPaused(true) })
+	c.Schedule(chaosCrashAt, "crash-controller", (*sim.Cluster).CrashController)
 	// Mid-outage, capture what each (degraded) stage actually enforces.
-	c.Schedule((chaosCrashAt+chaosRecoverAt)/2, func(c *sim.Cluster) {
+	c.Schedule((chaosCrashAt+chaosRecoverAt)/2, "", func(c *sim.Cluster) {
 		for _, id := range jobs {
 			res.FrozenRates[id] = managedRate(c, id)
 		}
 	})
-	c.Schedule(chaosRecoverAt, func(c *sim.Cluster) { c.SetControlPaused(false) })
-	// One control interval after recovery every stage must be reconciled:
-	// non-degraded and re-tuned to its Priority share.
-	c.Schedule(chaosRecoverAt+chaosInterval+time.Second, func(c *sim.Cluster) {
+	c.Schedule(chaosRecoverAt, "restart-controller", (*sim.Cluster).RestartController)
+	// The first round after the restart runs at its instant, after the
+	// heartbeats that re-register every stage. Just after that round
+	// every stage must be reconciled: non-degraded, allocated its
+	// Priority share by the restarted controller and re-tuned to it.
+	c.Schedule(chaosRecoverAt+chaosInterval/2, "", func(c *sim.Cluster) {
 		res.Reconciled = true
+		alloc := c.Controller().LastAllocation()
 		for i, id := range jobs {
 			for _, st := range c.StagesOf(id) {
-				if st.Degraded() || managedRate(c, id) != chaosReservations[i] {
+				if st.Degraded() || alloc[id] != chaosReservations[i] || managedRate(c, id) != chaosReservations[i] {
 					res.Reconciled = false
 				}
 			}
@@ -148,14 +153,7 @@ func ChaosReplay(seed int64) ChaosReplayResult {
 // managedRate reads a job's enforced padll-control rate (its single
 // stage's managed queue).
 func managedRate(c *sim.Cluster, jobID string) float64 {
-	for _, st := range c.StagesOf(jobID) {
-		for _, r := range st.Rules() {
-			if r.ID == control.ControlRuleID {
-				return r.Rate
-			}
-		}
-	}
-	return -1
+	return sim.RuleRate(c.StagesOf(jobID)[0], control.ControlRuleID)
 }
 
 // Render formats the E7 report.

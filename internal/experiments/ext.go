@@ -114,12 +114,13 @@ type MDSProtectionOutcome struct {
 func MDSProtection(seed int64) MDSProtectionResult {
 	const capacity = 180_000 // below the 4-job aggregate mean (~268K)
 	run := func(protected bool) MDSProtectionOutcome {
-		c := sim.NewCluster(sim.Config{Duration: fig5Horizon})
+		cfg := sim.Config{Duration: fig5Horizon}
 		if protected {
-			c.AttachController(control.New(c.Clock(),
+			cfg.Controller = []control.Option{
 				control.WithAlgorithm(control.ProportionalShare{}),
-				control.WithClusterLimit(capacity*0.95)))
+				control.WithClusterLimit(capacity * 0.95)}
 		}
+		c := sim.NewCluster(cfg)
 		backend := pfs.New(c.Clock(), pfs.Config{
 			MDSCapacity: capacity,
 			MDSBurst:    capacity / 10,
@@ -198,7 +199,7 @@ func BurstAblation(seed int64) []BurstAblationRow {
 			at := time.Duration(i*fig4StepMinutes) * time.Minute
 			limit := limits[i]
 			f := factor
-			c.Schedule(at, func(c *sim.Cluster) {
+			c.Schedule(at, "", func(c *sim.Cluster) {
 				for _, st := range c.StagesOf("job1") {
 					st.ApplyRule(policy.Rule{ID: "fig4", Rate: limit, Burst: limit * f})
 				}

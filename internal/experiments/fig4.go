@@ -122,7 +122,7 @@ func fig4Run(tr *trace.Trace, mode stage.Mode, limits []float64) (*metrics.Serie
 				}
 				continue
 			}
-			c.Schedule(at, func(c *sim.Cluster) {
+			c.Schedule(at, "", func(c *sim.Cluster) {
 				for _, st := range c.StagesOf("job1") {
 					st.SetRate("fig4", limit)
 				}

@@ -84,21 +84,22 @@ func fig5Workload(seed int64) *trace.Trace {
 
 // Fig5 runs one setup.
 func Fig5(seed int64, setup Fig5Setup) Fig5Result {
-	c := sim.NewCluster(sim.Config{Duration: fig5Horizon})
+	cfg := sim.Config{Duration: fig5Horizon}
 	switch setup {
 	case Fig5Static:
-		c.AttachController(control.New(c.Clock(),
+		cfg.Controller = []control.Option{
 			control.WithAlgorithm(control.StaticEqualShare{PerJob: fig5ClusterLimit / fig5Jobs}),
-			control.WithClusterLimit(fig5ClusterLimit)))
+			control.WithClusterLimit(fig5ClusterLimit)}
 	case Fig5Priority:
-		c.AttachController(control.New(c.Clock(),
+		cfg.Controller = []control.Option{
 			control.WithAlgorithm(control.FixedRates{}),
-			control.WithClusterLimit(fig5ClusterLimit)))
+			control.WithClusterLimit(fig5ClusterLimit)}
 	case Fig5Proportional:
-		c.AttachController(control.New(c.Clock(),
+		cfg.Controller = []control.Option{
 			control.WithAlgorithm(control.ProportionalShare{}),
-			control.WithClusterLimit(fig5ClusterLimit)))
+			control.WithClusterLimit(fig5ClusterLimit)}
 	}
+	c := sim.NewCluster(cfg)
 	tr := fig5Workload(seed)
 	arrivals := make(map[string]time.Duration, fig5Jobs)
 	for i := 0; i < fig5Jobs; i++ {

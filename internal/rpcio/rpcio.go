@@ -173,7 +173,7 @@ const (
 // 50/100/200 ms keep transient blips invisible while a dead peer fails
 // in well under a second of sleeping. Every sleep runs on the handle's
 // clock, so a retry sequence is the same on every run under a simulated
-// one — the property the chaos harness asserts.
+// one — the property the chaos scenarios assert.
 var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 
 // StageHandle is the control plane's one channel to a stage, layered

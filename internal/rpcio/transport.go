@@ -9,8 +9,8 @@
 // Transport captures that contract so the same control plane can run
 // over a real socket (frameTransport) or through the same codec in
 // process (EncodedLoopback) — the transport of every in-process stage:
-// the cluster simulator's, a single-process deployment's, the chaos
-// harness's and the thousand-stage benchmarks'. They are the only code
+// the simulated cluster's (the chaos scenarios' too), a single-process
+// deployment's and the thousand-stage benchmarks'. They are the only code
 // on the client side that writes a request frame or reads a reply frame,
 // and Transport is the one seam a fault injector wraps.
 package rpcio

@@ -1,24 +1,36 @@
-// Package sim is the cluster simulator the experiment harness runs on: it
-// composes compute-node jobs (each replaying a metadata trace through its
-// own data-plane stages), the PADLL control plane, and optionally the
-// simulated PFS, over a simulated clock — so the paper's 45-minute
-// evaluation scenarios (§IV) execute in milliseconds with the very same
-// stage, policy, wire-codec and control-plane code a live deployment uses.
+// Package sim is the simulated cluster the experiments and the chaos
+// scenarios run on: jobs replaying metadata traces through their own
+// data-plane stages, the PADLL control plane and optionally the
+// simulated PFS, on a simulated clock, so the paper's 45-minute
+// scenarios (§IV) run in milliseconds on the code a live deployment
+// uses. It injects the control-plane failures of DESIGN §8 (controller
+// crashes, stage crashes, partitions, lost reply frames) and logs every
+// observable transition, so two runs of a scenario agree byte for byte.
 //
-// The engine is a fluid discrete-tick simulation with a fixed one-second
-// tick: each tick, every active job integrates its trace curve to produce
-// the operations that arrived during the tick, offers them (plus any
-// backlog from earlier throttling) to its stages' token buckets, and
-// records what was admitted; then the controller, when one is attached
-// and not paused, runs one feedback round. Backlog draining reproduces
-// the catch-up overshoot of Fig. 4; job completion is reached when the
-// job's whole trace has been admitted, reproducing the makespan
-// differences of Fig. 5.
+// The engine is a fluid simulation with a fixed step of one Interval.
+// The step at instant T runs, in order:
+//
+//  1. the demand step: each active job integrates its trace over
+//     (T−Interval, T] and offers it, plus its backlog, to its stages'
+//     token buckets (an attached PFS pushes back what the MDS cannot
+//     serve), so backlogs drain as in Fig. 4 and makespans stretch as
+//     in Fig. 5;
+//  2. the events due at T (see Schedule);
+//  3. every live stage's heartbeat;
+//  4. the control round, unless the controller is down;
+//  5. the arrivals due at T, and a round that starts them at their
+//     share.
 package sim
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
@@ -29,6 +41,18 @@ import (
 	"padll/internal/rpcio"
 	"padll/internal/stage"
 	"padll/internal/trace"
+)
+
+// Interval is the simulation step and the feedback loop's period: the
+// controller runs one round, and every stage one heartbeat, per step.
+const Interval = time.Second
+
+// Injected faults surface to the controller as these errors; a lost
+// reply is an exchange the stage applied but never acknowledged.
+var (
+	errUnreachable    = errors.New("chaos: peer unreachable")
+	errControllerDown = errors.New("chaos: controller is down")
+	errReplyLost      = errors.New("chaos: reply frame lost")
 )
 
 // JobSpec describes one job in a scenario.
@@ -52,25 +76,14 @@ type JobSpec struct {
 	Reservation float64
 }
 
-// Event is a scheduled scenario action (e.g. an administrator changing a
-// static limit mid-run, as in Fig. 4).
-type Event struct {
-	At time.Duration
-	Do func(c *Cluster)
-}
-
-// tick is the simulation step, in experiment time, and the feedback
-// loop's period: the controller runs once every tick.
-const tick = time.Second
-
 // Config parameterizes a scenario run.
 type Config struct {
 	// Duration bounds the run (default: until all jobs finish).
 	Duration time.Duration
-	// Controller, when set, orchestrates job stages (registered on
-	// arrival, deregistered on completion) and its feedback loop runs
-	// every tick.
-	Controller *control.Controller
+	// Controller, when non-nil, is what the cluster builds its controller
+	// from, at the start and at every RestartController. It registers job
+	// stages on arrival and deregisters them on completion.
+	Controller []control.Option
 	// PFS, when set, receives all admitted metadata load (in weighted
 	// cost units); load the MDS cannot serve is pushed back into job
 	// backlogs, modelling a saturated metadata service.
@@ -80,38 +93,63 @@ type Config struct {
 	StageMode stage.Mode
 }
 
+type event struct {
+	at   time.Duration
+	name string
+	do   func(*Cluster)
+}
+
 // Cluster is one scenario instance.
 type Cluster struct {
-	cfg    Config
-	clk    *clock.Sim
-	start  time.Time
-	jobs   []*job
-	events []Event
-	// controlPaused models a controller outage (see SetControlPaused).
-	controlPaused bool
-	// PFS saturation accounting.
-	ticks          int
-	saturatedTicks int
+	cfg                   Config
+	clk                   *clock.Sim
+	start                 time.Time
+	jobs                  []*job
+	nodes                 []*Node // sorted by ID: the heartbeat order
+	events                []event
+	next                  int // the first event not yet fired
+	ticks, saturatedTicks int // PFS saturation accounting
+
+	ctl          *control.Controller
+	reservations map[string]float64 // what a restarted controller boots with
+	down         bool
+	// pushBudget < 0 disarms the mid-round crash; otherwise the
+	// controller dies after that many further successful rate pushes.
+	pushBudget atomic.Int64
+	log        bytes.Buffer
 }
 
 // job is the runtime state of a JobSpec.
 type job struct {
-	spec    JobSpec
-	stages  []*stage.Stage
-	handles []*rpcio.StageHandle // the controller's channel to stages[i]
-	pending map[posix.Op]float64 // backlog per op
-	// traceDone marks the trace curve fully integrated.
-	traceDone bool
+	spec      JobSpec
+	nodes     []*Node
+	pending   map[posix.Op]float64 // backlog per op
+	traceDone bool                 // the trace curve is fully integrated
 	// finished marks trace done and backlog drained.
-	finished   bool
-	finishedAt time.Duration
-	arrived    bool
-	// admitted accumulates per-tick admissions for reporting.
+	finished    bool
+	finishedAt  time.Duration
+	arrived     bool
 	perOpSeries map[posix.Op]*metrics.Series
 	totalSeries *metrics.Series
 	demanded    float64
 	admitted    float64
 }
+
+// Node is one simulated stage plus the faults armed on it.
+type Node struct {
+	ID, Job string
+	Stg     *stage.Stage
+	// Handle is the controller's channel to the stage: the frame codec in
+	// process under the cluster's fault gates (open while none is armed).
+	Handle *rpcio.StageHandle
+
+	job                             *job
+	dropReply, partitioned, crashed atomic.Bool
+	collectBudget                   atomic.Int64 // as pushBudget, for a stage crash
+}
+
+// Crashed reports whether the node's stage has died.
+func (n *Node) Crashed() bool { return n.crashed.Load() }
 
 // Report is a completed run's output.
 type Report struct {
@@ -141,21 +179,38 @@ var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
 // NewCluster builds a scenario.
 func NewCluster(cfg Config) *Cluster {
-	return &Cluster{cfg: cfg, clk: clock.NewSim(epoch), start: epoch}
+	c := &Cluster{cfg: cfg, clk: clock.NewSim(epoch), start: epoch, reservations: map[string]float64{}}
+	c.pushBudget.Store(-1)
+	if cfg.Controller != nil {
+		c.ctl = c.newController()
+	}
+	return c
+}
+
+func (c *Cluster) newController() *control.Controller {
+	ctl := control.New(c.clk, append(slices.Clip(c.cfg.Controller), control.WithErrorHandler(func(id string, err error) {
+		if errors.Is(err, control.ErrEvicted) {
+			c.logf("stage %s evicted by controller", id)
+			return
+		}
+		c.logf("stage %s control error: %v", id, err)
+	}))...)
+	for job, rate := range c.reservations {
+		ctl.SetReservation(job, rate)
+	}
+	return ctl
 }
 
 // Clock exposes the simulation clock (stages created by AddJob use it).
 func (c *Cluster) Clock() *clock.Sim { return c.clk }
 
+// Controller returns the live controller (a new one after each restart;
+// nil without Config.Controller).
+func (c *Cluster) Controller() *control.Controller { return c.ctl }
+
 // AttachPFS installs a backend built on the cluster's clock after
 // construction (the PFS needs the Sim clock, which NewCluster creates).
 func (c *Cluster) AttachPFS(backend *pfs.PFS) { c.cfg.PFS = backend }
-
-// AttachController installs a controller after construction, for
-// scenarios whose control policy closes a loop over a backend that
-// itself needs the cluster's clock (e.g. an AIMD limit probing the PFS).
-// Must be called before Run.
-func (c *Cluster) AttachController(ctl *control.Controller) { c.cfg.Controller = ctl }
 
 // AddJob registers a job spec before Run.
 func (c *Cluster) AddJob(spec JobSpec) {
@@ -165,155 +220,336 @@ func (c *Cluster) AddJob(spec JobSpec) {
 	if spec.Stages <= 0 {
 		spec.Stages = 1
 	}
+	j := c.newJob(spec)
+	for _, op := range spec.Trace.Ops {
+		j.perOpSeries[op] = metrics.NewSeries(fmt.Sprintf("%s:%s", spec.ID, op))
+	}
+	for s := 0; s < spec.Stages; s++ {
+		c.newNode(j, stage.Info{
+			StageID:  fmt.Sprintf("%s-stage%d", spec.ID, s),
+			JobID:    spec.ID,
+			Hostname: fmt.Sprintf("node-%s-%d", spec.ID, s),
+			PID:      1000 + (len(c.jobs)-1)*10 + s,
+			User:     spec.User,
+		})
+	}
+}
+
+// AddStage adds a stage named id to job, a job without a trace: its
+// stages see only the demand events offer them, and it never finishes.
+// The stage registers at once; reservation is the job's reserved rate.
+func (c *Cluster) AddStage(id, job string, reservation float64) *Node {
+	j := c.jobOf(job)
+	if j == nil {
+		j = c.newJob(JobSpec{ID: job})
+		j.arrived = true
+	}
+	n := c.newNode(j, stage.Info{StageID: id, JobID: job})
+	c.reserve(job, reservation)
+	c.join(n)
+	return n
+}
+
+func (c *Cluster) newJob(spec JobSpec) *job {
 	j := &job{
 		spec:        spec,
 		pending:     make(map[posix.Op]float64),
 		perOpSeries: make(map[posix.Op]*metrics.Series),
 		totalSeries: metrics.NewSeries(spec.ID),
 	}
-	for _, op := range spec.Trace.Ops {
-		j.perOpSeries[op] = metrics.NewSeries(fmt.Sprintf("%s:%s", spec.ID, op))
-	}
-	for s := 0; s < spec.Stages; s++ {
-		st := stage.New(stage.Info{
-			StageID:  fmt.Sprintf("%s-stage%d", spec.ID, s),
-			JobID:    spec.ID,
-			Hostname: fmt.Sprintf("node-%s-%d", spec.ID, s),
-			PID:      1000 + len(c.jobs)*10 + s,
-			User:     spec.User,
-		}, c.clk, stage.WithMode(c.cfg.StageMode))
-		j.stages = append(j.stages, st)
-		j.handles = append(j.handles, rpcio.EncodedLoopbackStage(rpcio.NewStageService(st)))
-	}
 	c.jobs = append(c.jobs, j)
+	return j
 }
 
-// StagesOf returns a job's stages (for scenario events that install rules
-// directly, e.g. Fig. 4's per-operation static limits).
-func (c *Cluster) StagesOf(jobID string) []*stage.Stage {
+func (c *Cluster) newNode(j *job, info stage.Info) *Node {
+	n := &Node{ID: info.StageID, Job: info.JobID, Stg: stage.New(info, c.clk, stage.WithMode(c.cfg.StageMode)), job: j}
+	n.collectBudget.Store(-1)
+	n.Handle = rpcio.NewStageHandle(&faultTransport{EncodedLoopback: rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg)), c: c, n: n})
+	j.nodes = append(j.nodes, n)
+	c.nodes = append(c.nodes, n)
+	sort.SliceStable(c.nodes, func(a, b int) bool { return c.nodes[a].ID < c.nodes[b].ID })
+	return n
+}
+
+func (c *Cluster) jobOf(id string) *job {
 	for _, j := range c.jobs {
-		if j.spec.ID == jobID {
-			return j.stages
+		if j.spec.ID == id {
+			return j
 		}
 	}
 	return nil
 }
 
-// Schedule registers a timed scenario event.
-func (c *Cluster) Schedule(at time.Duration, do func(c *Cluster)) {
-	c.events = append(c.events, Event{At: at, Do: do})
-}
-
-// SetControlPaused models a controller crash (true) or recovery (false)
-// mid-run: while paused the feedback loop does not execute and every
-// live stage is marked degraded — it keeps enforcing the last rates it
-// was pushed, exactly like a real stage whose heartbeat lost the
-// controller. Resuming clears the degraded flags; the next control
-// interval re-tunes every stage (reconciliation).
-func (c *Cluster) SetControlPaused(paused bool) {
-	c.controlPaused = paused
-	for _, j := range c.jobs {
-		if !j.arrived || j.finished {
-			continue
-		}
-		for _, st := range j.stages {
-			st.SetDegraded(paused)
+// StagesOf returns a job's stages (for scenario events that install rules
+// directly, e.g. Fig. 4's per-operation static limits).
+func (c *Cluster) StagesOf(jobID string) []*stage.Stage {
+	var out []*stage.Stage
+	if j := c.jobOf(jobID); j != nil {
+		for _, n := range j.nodes {
+			out = append(out, n.Stg)
 		}
 	}
+	return out
+}
+
+// Node returns a stage node by ID (nil when absent).
+func (c *Cluster) Node(id string) *Node {
+	if i := slices.IndexFunc(c.nodes, func(n *Node) bool { return n.ID == id }); i >= 0 {
+		return c.nodes[i]
+	}
+	return nil
+}
+
+// Schedule registers an event before Run: do runs with the clock at at,
+// and a non-empty name is logged when it fires. An event due at the
+// instant of a step runs after the step's demand integration and before
+// its heartbeats and round, so the round sees what the event changed; a
+// probe that must see what the round at T did is scheduled between
+// steps, at T+Interval/2. Events due at one instant run in the order
+// they were scheduled.
+func (c *Cluster) Schedule(at time.Duration, name string, do func(c *Cluster)) {
+	c.events = append(c.events, event{at: at, name: name, do: do})
+}
+
+// Log returns the event log so far.
+func (c *Cluster) Log() string { return c.log.String() }
+
+func (c *Cluster) logf(format string, args ...any) {
+	fmt.Fprintf(&c.log, "t=+%-8v %s\n", c.clk.Now().Sub(c.start), fmt.Sprintf(format, args...))
+}
+
+// CrashController kills the controller: no round runs and every exchange
+// fails until RestartController; stages degrade at their next heartbeat.
+func (c *Cluster) CrashController() {
+	c.down = true
+	c.logf("controller crashed")
+}
+
+// RestartController boots a fresh controller: empty registry,
+// reservations restored. Degraded stages re-register at their next
+// heartbeat, which replays their rules.
+func (c *Cluster) RestartController() {
+	c.ctl = c.newController()
+	c.down = false
+	c.pushBudget.Store(-1)
+	c.logf("controller restarted (empty registry)")
+}
+
+// SetReservation changes a job's reserved rate, both on the live
+// controller and in the table a restarted controller boots from.
+func (c *Cluster) SetReservation(job string, rate float64) {
+	c.reserve(job, rate)
+	c.logf("job %s reservation set to %.0f", job, rate)
+}
+
+func (c *Cluster) reserve(job string, rate float64) {
+	c.reservations[job] = rate
+	if c.ctl != nil {
+		c.ctl.SetReservation(job, rate)
+	}
+}
+
+// ArmMidRoundCrash makes the controller die after n more successful rate
+// pushes: partway through a push phase, some stages have the new rates
+// and others still enforce the old ones.
+func (c *Cluster) ArmMidRoundCrash(n int) {
+	c.pushBudget.Store(int64(n))
+	c.logf("controller armed to crash after %d pushes", n)
+}
+
+// Partition cuts a stage off from the controller in both directions.
+func (c *Cluster) Partition(id string) {
+	c.Node(id).partitioned.Store(true)
+	c.logf("stage %s partitioned", id)
+}
+
+// Heal reconnects a partitioned stage.
+func (c *Cluster) Heal(id string) {
+	c.Node(id).partitioned.Store(false)
+	c.logf("stage %s healed", id)
+}
+
+// ArmStageCrashAfterCollects makes a stage die for good after n more
+// successful collects: a crash in the middle of the collect fan-out.
+func (c *Cluster) ArmStageCrashAfterCollects(id string, n int) {
+	c.Node(id).collectBudget.Store(int64(n))
+	c.logf("stage %s armed to crash after %d collects", id, n)
+}
+
+// DropNextBatchReply loses a stage's next Stage.Batch reply frame after
+// the stage applied the exchange: its rules and delta generation move on
+// unacknowledged, and the delta protocol must resync.
+func (c *Cluster) DropNextBatchReply(id string) {
+	c.Node(id).dropReply.Store(true)
+	c.logf("stage %s armed to drop its next batch reply frame", id)
 }
 
 // Run executes the scenario to completion (all jobs finished, or the
 // configured horizon) and returns the report.
 func (c *Cluster) Run() *Report {
-	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].At < c.events[j].At })
-	nextEvent := 0
+	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].at < c.events[j].at })
 	var now time.Duration
-
+	c.fire(now)
+	c.arrive(now)
 	for {
-		// Fire due events.
-		for nextEvent < len(c.events) && c.events[nextEvent].At <= now {
-			c.events[nextEvent].Do(c)
-			nextEvent++
-		}
-		// Job arrivals.
-		arrivedNow := false
-		for _, j := range c.jobs {
-			if !j.arrived && j.spec.Arrival <= now {
-				j.arrived = true
-				arrivedNow = true
-				if c.cfg.Controller != nil {
-					c.cfg.Controller.SetReservation(j.spec.ID, j.spec.Reservation)
-					for i, h := range j.handles {
-						// Over the in-process loopback, registration
-						// fails only on a bug.
-						if err := c.cfg.Controller.Register(j.stages[i].Info(), h); err != nil {
-							panic(err)
-						}
-					}
+		c.fire(now + Interval - 1) // the events between two steps
+		now += Interval
+		c.clk.AdvanceTo(c.start.Add(now))
+		c.demand(now)
+		c.fire(now)
+		if c.ctl != nil {
+			for _, n := range c.nodes {
+				if n.job.arrived && !n.job.finished && !n.crashed.Load() {
+					c.heartbeat(n)
 				}
 			}
 		}
-		// A fresh arrival reallocates immediately so the new job starts
-		// at its algorithmic share rather than the registration default.
-		if arrivedNow && c.cfg.Controller != nil && !c.controlPaused {
-			c.cfg.Controller.RunOnce()
+		c.round()
+		if c.done(now) {
+			return c.report(now)
 		}
+		c.arrive(now)
+	}
+}
 
-		// Advance simulated time; buckets refill for the elapsed tick.
-		c.clk.Advance(tick)
-		now += tick
+// fire runs the events due by until, each with the clock at its instant.
+func (c *Cluster) fire(until time.Duration) {
+	for ; c.next < len(c.events) && c.events[c.next].at <= until; c.next++ {
+		ev := c.events[c.next]
+		if at := c.start.Add(ev.at); at.After(c.clk.Now()) {
+			c.clk.AdvanceTo(at)
+		}
+		if ev.name != "" {
+			c.logf("event %s", ev.name)
+		}
+		ev.do(c)
+	}
+}
 
-		// Per-job demand integration and admission.
-		for _, j := range c.jobs {
-			if !j.arrived || j.finished {
-				if j.arrived && j.finished {
-					j.totalSeries.Append(c.clk.Now(), 0)
-				}
-				continue
-			}
+// demand is the fluid step over the interval ending at now.
+func (c *Cluster) demand(now time.Duration) {
+	for _, j := range c.jobs {
+		switch {
+		case !j.arrived || j.spec.Trace == nil:
+		case j.finished:
+			j.totalSeries.Append(c.clk.Now(), 0)
+		default:
 			c.stepJob(j, now)
 		}
-
-		// PFS saturation accounting: a tick is saturated when the MDS
-		// ends it with no spare capacity.
-		if c.cfg.PFS != nil {
-			c.ticks++
-			if c.cfg.PFS.Stats().Saturated {
-				c.saturatedTicks++
-			}
-		}
-
-		// Feedback loop.
-		if c.cfg.Controller != nil && !c.controlPaused {
-			c.cfg.Controller.RunOnce()
-		}
-
-		// Termination.
-		allDone := true
-		for _, j := range c.jobs {
-			if !j.finished {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		if c.cfg.Duration > 0 && now >= c.cfg.Duration {
-			break
+	}
+	// A tick is saturated when the MDS ends it with no spare capacity.
+	if c.cfg.PFS != nil {
+		c.ticks++
+		if c.cfg.PFS.Stats().Saturated {
+			c.saturatedTicks++
 		}
 	}
-	return c.report(now)
+}
+
+// arrive registers the jobs due by now; a fresh arrival reallocates at
+// once, so the new job starts at its algorithmic share rather than the
+// registration default.
+func (c *Cluster) arrive(now time.Duration) {
+	arrived := false
+	for _, j := range c.jobs {
+		if j.arrived || j.spec.Arrival > now {
+			continue
+		}
+		j.arrived, arrived = true, true
+		c.reserve(j.spec.ID, j.spec.Reservation)
+		for _, n := range j.nodes {
+			c.join(n)
+		}
+	}
+	if arrived {
+		c.round()
+	}
+}
+
+func (c *Cluster) done(now time.Duration) bool {
+	if c.cfg.Duration > 0 && now >= c.cfg.Duration {
+		return true
+	}
+	for _, j := range c.jobs {
+		if !j.finished {
+			return false
+		}
+	}
+	return true
+}
+
+// round runs one feedback round on a live controller.
+func (c *Cluster) round() {
+	if c.ctl == nil || c.down {
+		return
+	}
+	alloc := c.ctl.RunOnce()
+	line := "(no allocation)"
+	if len(alloc) > 0 {
+		var parts []string
+		for _, job := range slices.Sorted(maps.Keys(alloc)) {
+			parts = append(parts, fmt.Sprintf("%s=%.0f", job, alloc[job]))
+		}
+		line = strings.Join(parts, " ")
+	}
+	c.logf("control round: %s", line)
+}
+
+// join registers a new stage. One that cannot reach the controller starts
+// degraded and registers at the first heartbeat that does.
+func (c *Cluster) join(n *Node) {
+	if c.ctl == nil {
+		return
+	}
+	err := errControllerDown
+	if !c.down {
+		err = c.ctl.Register(n.Stg.Info(), n.Handle)
+	}
+	if err != nil {
+		n.Stg.SetDegraded(true)
+		c.logf("stage %s registration failed, starts degraded: %v", n.ID, err)
+		return
+	}
+	c.logf("stage %s registered (job %s)", n.ID, n.Job)
+}
+
+// heartbeat is a stage's probe of its controller: a controller it cannot
+// reach degrades the stage, freezing its limits; one it reaches again
+// takes its re-registration, which replays the job's rules.
+func (c *Cluster) heartbeat(n *Node) {
+	if c.down || n.partitioned.Load() {
+		if n.Stg.SetDegraded(true) {
+			c.logf("stage %s degraded: controller unreachable, limits frozen at %.0f",
+				n.ID, RuleRate(n.Stg, control.ControlRuleID))
+		}
+		return
+	}
+	if !n.Stg.Degraded() {
+		return
+	}
+	if err := c.ctl.Register(n.Stg.Info(), n.Handle); err != nil {
+		c.logf("stage %s re-registration failed: %v", n.ID, err)
+		return
+	}
+	n.Stg.SetDegraded(false)
+	c.logf("stage %s re-registered after %v degraded", n.ID, n.Stg.DegradedFor())
+}
+
+// RuleRate returns the rate of a stage's rule by ID (-1 when absent).
+func RuleRate(s *stage.Stage, id string) float64 {
+	for _, r := range s.Rules() {
+		if r.ID == id {
+			return r.Rate
+		}
+	}
+	return -1
 }
 
 // stepJob integrates one tick of a job's trace and offers the load to its
 // stages.
 func (c *Cluster) stepJob(j *job, now time.Duration) {
 	elapsed := now - j.spec.Arrival
-	prev := elapsed - tick
-	if prev < 0 {
-		prev = 0
-	}
+	prev := max(elapsed-Interval, 0)
 	traceFrom := time.Duration(float64(prev) * j.spec.Accel)
 	traceTo := time.Duration(float64(elapsed) * j.spec.Accel)
 	if traceTo >= j.spec.Trace.Duration() {
@@ -332,11 +568,7 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 		var arrived float64
 		for t := traceFrom; t < traceTo; {
 			// Advance to the next sample boundary or window end.
-			boundary := t.Truncate(step) + step
-			end := boundary
-			if end > traceTo {
-				end = traceTo
-			}
+			end := min(t.Truncate(step)+step, traceTo)
 			arrived += j.spec.Trace.RateAt(op, t) * (end - t).Seconds()
 			t = end
 		}
@@ -347,26 +579,26 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 		var admitted float64
 		if demand > 0 {
 			// Split the offer across the job's stages.
-			per := demand / float64(len(j.stages))
+			per := demand / float64(len(j.nodes))
 			req := &posix.Request{Op: op, Path: "/pfs/" + j.spec.ID, JobID: j.spec.ID, User: j.spec.User}
-			for _, st := range j.stages {
-				admitted += st.Offer(req, per, tick)
+			for _, n := range j.nodes {
+				admitted += n.Stg.Offer(req, per, Interval)
 			}
 		}
 		j.pending[op] = demand - admitted
 		j.admitted += admitted
 		tickAdmitted += admitted
-		j.perOpSeries[op].Append(c.clk.Now(), admitted/tick.Seconds())
+		j.perOpSeries[op].Append(c.clk.Now(), admitted/Interval.Seconds())
 	}
 
 	// Offer admitted load to the PFS; unserved load returns to backlog,
 	// spread back over the ops proportionally.
 	if c.cfg.PFS != nil && tickAdmitted > 0 {
-		served := c.cfg.PFS.OfferMetadataLoad(tickAdmitted, tick)
+		served := c.cfg.PFS.OfferMetadataLoad(tickAdmitted, Interval)
 		if served < tickAdmitted {
 			frac := (tickAdmitted - served) / tickAdmitted
 			for _, op := range j.spec.Trace.Ops {
-				last := j.perOpSeries[op].Points[len(j.perOpSeries[op].Points)-1].Value * tick.Seconds()
+				last := j.perOpSeries[op].Points[len(j.perOpSeries[op].Points)-1].Value * Interval.Seconds()
 				back := last * frac
 				j.pending[op] += back
 				j.admitted -= back
@@ -374,7 +606,7 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 			tickAdmitted = served
 		}
 	}
-	j.totalSeries.Append(c.clk.Now(), tickAdmitted/tick.Seconds())
+	j.totalSeries.Append(c.clk.Now(), tickAdmitted/Interval.Seconds())
 
 	// Completion check: curve exhausted and backlog drained.
 	if j.traceDone {
@@ -385,9 +617,9 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 		if backlog < 0.5 {
 			j.finished = true
 			j.finishedAt = now
-			if c.cfg.Controller != nil {
-				for _, st := range j.stages {
-					c.cfg.Controller.Deregister(st.Info().StageID)
+			if c.ctl != nil {
+				for _, n := range j.nodes {
+					c.ctl.Deregister(n.ID)
 				}
 			}
 		}
@@ -411,9 +643,7 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 		}
 		rep.TotalDemanded += j.demanded
 		rep.TotalAdmitted += j.admitted
-		if j.totalSeries.Len() > maxLen {
-			maxLen = j.totalSeries.Len()
-		}
+		maxLen = max(maxLen, j.totalSeries.Len())
 	}
 	// Aggregate across jobs; series start at different ticks (arrival),
 	// so align from the end: every series sampled every tick until run
@@ -439,4 +669,74 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 		}
 	}
 	return rep
+}
+
+// faultTransport is the node's EncodedLoopback under the cluster's
+// failure state, which gates whole round trips in Start (a crash hits
+// between exchanges, as a real controller would observe it); Finish
+// drops an armed lost reply. A round starts its pushes in StageID order
+// on its own goroutine, so the push budget decides deterministically
+// which stages saw the new rates; collects of different nodes may run
+// side by side, each spending only its node's budget. The loopback's
+// Retry never allows another attempt: a gated exchange is the injected
+// fault, not one to paper over.
+type faultTransport struct {
+	*rpcio.EncodedLoopback
+	c     *Cluster
+	n     *Node
+	gated error // why the exchange in flight never reached the loopback
+}
+
+func (t *faultTransport) Start(method string, args, reply any) {
+	ba := args.(*rpcio.BatchArgs) // a stage handle's only call is Stage.Batch
+	if t.gated = t.gate(len(ba.Ops) > 0, ba.Collect); t.gated == nil {
+		t.EncodedLoopback.Start(method, args, reply)
+	}
+}
+
+func (t *faultTransport) Finish() error {
+	if err := t.gated; err != nil {
+		t.gated = nil
+		return err
+	}
+	err := t.EncodedLoopback.Finish()
+	if t.n.dropReply.CompareAndSwap(true, false) {
+		return errReplyLost
+	}
+	return err
+}
+
+// Close keeps the loopback open for the stage's re-registration.
+func (t *faultTransport) Close() error { return nil }
+
+// gate decides whether an exchange reaches the node.
+func (t *faultTransport) gate(push, collect bool) error {
+	c, n := t.c, t.n
+	switch {
+	case !push && !collect:
+		return nil
+	case c.down:
+		return errControllerDown
+	case n.crashed.Load() || n.partitioned.Load():
+		return errUnreachable
+	}
+	if push {
+		switch b := c.pushBudget.Load(); {
+		case b == 0:
+			c.CrashController()
+			return errControllerDown
+		case b > 0:
+			c.pushBudget.Store(b - 1)
+		}
+	}
+	if collect {
+		switch b := n.collectBudget.Load(); {
+		case b == 0:
+			n.crashed.Store(true)
+			return errUnreachable
+		case b > 0:
+			n.collectBudget.Store(b - 1)
+		}
+	}
+	return nil
 }

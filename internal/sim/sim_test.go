@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -91,7 +93,7 @@ func TestBacklogCatchUpOvershoot(t *testing.T) {
 	for _, st := range c.StagesOf("j1") {
 		st.ApplyRule(policy.Rule{ID: "cap", Rate: 10, Burst: 1})
 	}
-	c.Schedule(5*time.Second, func(c *Cluster) {
+	c.Schedule(5*time.Second, "", func(c *Cluster) {
 		for _, st := range c.StagesOf("j1") {
 			st.SetRate("cap", 50_000)
 		}
@@ -132,11 +134,10 @@ func TestMultiStageJobSplitsLoad(t *testing.T) {
 }
 
 func TestArrivalsAndControllerLifecycle(t *testing.T) {
-	c := NewCluster(Config{})
-	ctl := control.New(c.Clock(),
+	c := NewCluster(Config{Controller: []control.Option{
 		control.WithAlgorithm(control.StaticEqualShare{}),
-		control.WithClusterLimit(12000))
-	c.AttachController(ctl)
+		control.WithClusterLimit(12000),
+	}})
 	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
 	c.AddJob(JobSpec{ID: "j2", Arrival: 2 * time.Second, Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
 	rep := c.Run()
@@ -144,7 +145,7 @@ func TestArrivalsAndControllerLifecycle(t *testing.T) {
 		t.Fatalf("completions = %v", rep.Completion)
 	}
 	// After both finish, the controller has no jobs left.
-	if got := ctl.Jobs(); len(got) != 0 {
+	if got := c.Controller().Jobs(); len(got) != 0 {
 		t.Errorf("jobs after run = %v", got)
 	}
 	// j2's series is shorter (arrived later).
@@ -154,10 +155,10 @@ func TestArrivalsAndControllerLifecycle(t *testing.T) {
 }
 
 func TestControllerEnforcesClusterLimit(t *testing.T) {
-	c := NewCluster(Config{})
-	c.AttachController(control.New(c.Clock(),
+	c := NewCluster(Config{Controller: []control.Option{
 		control.WithAlgorithm(control.StaticEqualShare{}),
-		control.WithClusterLimit(100)))
+		control.WithClusterLimit(100),
+	}})
 	// Two jobs each demanding 100/s (200 aggregate) against a 100
 	// cluster limit.
 	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
@@ -246,9 +247,9 @@ func TestScheduledEventsFireInOrder(t *testing.T) {
 	c := NewCluster(Config{Duration: 3 * time.Second})
 	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(10*time.Minute, 10, posix.OpOpen), Accel: 60})
 	var order []int
-	c.Schedule(2*time.Second, func(*Cluster) { order = append(order, 2) })
-	c.Schedule(1*time.Second, func(*Cluster) { order = append(order, 1) })
-	c.Schedule(0, func(*Cluster) { order = append(order, 0) })
+	c.Schedule(2*time.Second, "", func(*Cluster) { order = append(order, 2) })
+	c.Schedule(1*time.Second, "", func(*Cluster) { order = append(order, 1) })
+	c.Schedule(0, "", func(*Cluster) { order = append(order, 0) })
 	c.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Errorf("event order = %v", order)
@@ -327,5 +328,65 @@ func TestSimConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestArrivalDuringOutageRegistersAfterRestart: a job that arrives while
+// the controller is down cannot register. Its stage starts degraded, and
+// the job stays out of the registry, the last round and the allocation
+// until the restart. The stage registers at the first heartbeat after
+// the restart and is reconciled by the round that follows it.
+func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
+	c := NewCluster(Config{Duration: 15 * time.Second, Controller: []control.Option{
+		control.WithAlgorithm(control.FixedRates{}),
+		control.WithClusterLimit(1000),
+	}})
+	c.AddJob(JobSpec{ID: "early", Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 300})
+	c.AddJob(JobSpec{ID: "late", Arrival: 6 * time.Second, Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 200})
+	c.Schedule(4*time.Second, "crash-controller", (*Cluster).CrashController)
+	c.Schedule(10*time.Second, "restart-controller", (*Cluster).RestartController)
+	var checked int
+	c.Schedule(10*time.Second-Interval/2, "", func(c *Cluster) {
+		checked++
+		if !c.StagesOf("late")[0].Degraded() {
+			t.Error("stage that arrived mid-outage is not degraded")
+		}
+		ctl := c.Controller()
+		if slices.Contains(ctl.Jobs(), "late") {
+			t.Error("a dead controller registered the late job")
+		}
+		if rs, _ := ctl.LastRound(); rs.Stages != 1 {
+			t.Errorf("last round before the restart covered %d stages, want 1", rs.Stages)
+		}
+		if _, ok := ctl.LastAllocation()["late"]; ok {
+			t.Error("late job allocated before the restart")
+		}
+	})
+	// The restart at 10s fires before that step's heartbeats and round.
+	c.Schedule(10*time.Second+Interval/2, "", func(c *Cluster) {
+		checked++
+		late := c.StagesOf("late")[0]
+		if late.Degraded() {
+			t.Error("late stage still degraded after the first round that follows the restart")
+		}
+		if rs, _ := c.Controller().LastRound(); rs.Stages != 2 {
+			t.Errorf("first round after the restart covered %d stages, want 2", rs.Stages)
+		}
+		if got, want := RuleRate(late, control.ControlRuleID), c.Controller().LastAllocation()["late"]; got != want || want != 200 {
+			t.Errorf("late stage enforces %v, allocation %v, want both 200", got, want)
+		}
+	})
+	c.Run()
+	if checked != 2 {
+		t.Fatalf("%d of 2 probes ran", checked)
+	}
+	log := c.Log()
+	for _, want := range []string{
+		"t=+6s       stage late-stage0 registration failed, starts degraded: chaos: controller is down",
+		"t=+10s      stage late-stage0 re-registered after 4s degraded",
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log missing %q:\n%s", want, log)
+		}
 	}
 }

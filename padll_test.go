@@ -358,8 +358,12 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backend, local := newBackends(clock.NewReal())
-	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
+	// The data plane runs on a simulated clock: advancing it one interval
+	// fires one heartbeat, whose probe has finished once the loop parks
+	// its timer again.
+	clk := clock.NewSim(epoch)
+	backend, local := newBackends(clk)
+	dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
 		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
 	if err != nil {
 		t.Fatal(err)
@@ -368,18 +372,27 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.StartHeartbeat(20*time.Millisecond, 100*time.Millisecond); err != nil {
+	if err := dp.StartHeartbeat(time.Second, 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	clk.BlockUntil(1)
+	beat := func() {
+		clk.Advance(time.Second)
+		clk.BlockUntil(1)
+	}
 	cp.RunOnce()
+	beat()
 	if dp.Degraded() {
 		t.Fatal("degraded while the controller is healthy")
 	}
 
-	// Controller crash: probes start failing, the stage must freeze its
-	// limits and report degraded.
+	// Controller crash: the probe fails, the stage must freeze its limits
+	// and report degraded.
 	cp.Stop()
-	waitFor(t, 5*time.Second, func() bool { return dp.Degraded() })
+	beat()
+	if !dp.Degraded() {
+		t.Fatal("not degraded after a heartbeat against a stopped controller")
+	}
 
 	// Controller restart on the same address: the stage must re-register
 	// (fresh registry) and leave degraded mode on its own.
@@ -391,8 +404,13 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Stop()
-	waitFor(t, 5*time.Second, func() bool { return !dp.Degraded() })
-	waitFor(t, 5*time.Second, func() bool { return len(cp2.Jobs()) == 1 })
+	beat()
+	if dp.Degraded() {
+		t.Error("still degraded after a heartbeat against the restarted controller")
+	}
+	if got := cp2.Jobs(); len(got) != 1 {
+		t.Errorf("restarted controller has jobs %v, want the re-registered one", got)
+	}
 	if dp.DegradedFor() <= 0 {
 		t.Error("DegradedFor() = 0 after an outage")
 	}
@@ -470,15 +488,4 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 			<-done
 		})
 	})
-}
-
-func waitFor(t *testing.T, budget time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(budget)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
