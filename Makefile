@@ -49,14 +49,15 @@ test:
 	$(GO) test ./...
 
 # Control-plane packages with the simulated cluster and the chaos
-# scenarios that drive them, the layers that forward a request in place
-# (shim, router), and the PFS model with its namespace (pfs holds its own
-# mutex around calls that take localfs's lock, and OST transfers wait
-# outside both), under the race detector, twice: -count=2 defeats the
-# test cache and shakes out order-dependent state, which is how the chaos
-# determinism tests are meant to be run.
+# scenarios that drive them, the rule classifier every request selects
+# through (one frozen rule set read by many goroutines), the layers that
+# forward a request in place (shim, router), and the PFS model with its
+# namespace (pfs holds its own mutex around calls that take localfs's
+# lock, and OST transfers wait outside both), under the race detector,
+# twice: -count=2 defeats the test cache and shakes out order-dependent
+# state, which is how the chaos determinism tests are meant to be run.
 race:
-	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
+	$(GO) test -race -count=2 ./internal/stage/... ./internal/policy/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
 		./internal/chaos/... ./internal/sim/... \
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/... ./internal/leaktest/...
 
@@ -74,7 +75,7 @@ race:
 # and -cpu say, so the loop repeats the run ten times at each P.
 flake:
 	$(GO) test -count=10 -cpu=1,2,4 ./internal/metrics/... ./internal/rpcio/... ./internal/control/... ./internal/chaos/... \
-		./internal/stage/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
+		./internal/stage/... ./internal/policy/... ./internal/tokenbucket/... ./internal/interpose/... ./internal/mount/... ./internal/osfs/... \
 		./internal/clock/... ./internal/pfs/... ./internal/monitor/... ./internal/leaktest/... \
 		./internal/sim/... ./internal/experiments/... ./internal/ior/... ./internal/mdtest/... ./internal/trace/...
 	for p in 1 2 4; do for i in 1 2 3 4 5 6 7 8 9 10; do \
@@ -194,7 +195,8 @@ ci:
 # ones the control plane is tracked by: wire structs wireRegistry locks,
 # wire call methods methodIDs maps, non-test lines of rpcio + control —
 # the experiment harness's non-test lines, the simulated cluster's with
-# its chaos scenarios, and the static-analysis
+# its chaos scenarios, the stage's with the rule classifier it selects
+# through, and the static-analysis
 # suite's own weight: //lint: directives in non-test Go files outside
 # internal/lint, and internal/lint's non-test lines.
 SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
@@ -219,6 +221,8 @@ count:
 		"$$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/sim + internal/chaos non-test lines: %d\n' \
 		"$$(find internal/sim internal/chaos -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/stage + internal/policy non-test lines: %d\n' \
+		"$$(find internal/stage internal/policy -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '//lint: directives outside internal/lint: %d\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/*' | xargs grep -hE '//[[:space:]]*lint:' | wc -l)"
 	@printf 'internal/lint non-test lines: %d\n' \

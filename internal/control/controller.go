@@ -329,6 +329,15 @@ func (c *Controller) Stages() []stage.Info {
 	return out
 }
 
+// Registered reports whether the registry holds stage id: the answer to
+// that stage's health probe. A stage the controller evicted, or one that
+// registered with an earlier incarnation of it, is not registered.
+func (c *Controller) Registered(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stages[id] != nil
+}
+
 // Jobs returns the distinct job IDs with at least one registered stage.
 func (c *Controller) Jobs() []string {
 	c.mu.Lock()
@@ -644,9 +653,8 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // slot left as it is), and a push is skipped outright for a stage whose
 // collect probe shows the target rate already enforced — in-process
 // stages included, so a steady round leaves a stage's rule snapshot
-// (and its classification cache) untouched. What is the controller's
-// own is here: evict the stages past the failure threshold, run the
-// algorithm, and account.
+// untouched. What is the controller's own is here: evict the stages
+// past the failure threshold, run the algorithm, and account.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -779,6 +787,7 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 			return c.Register(reg.Info, h)
 		},
 		func(stageID string) { c.Deregister(stageID) },
+		c.Registered,
 	)
 	return s, nil
 }

@@ -478,8 +478,8 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 // in-process stages, reached over the loopback, and the steady collects
 // themselves touch nothing. At a fixed allocation, rounds after the first
 // push nothing, so the stage's rule snapshot — and with it the
-// classification cache and the quiescence proof — survives the control
-// interval instead of being republished by a same-rate SetRate.
+// quiescence proof — survives the control interval instead of being
+// republished by a same-rate SetRate.
 func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
 	// The controller keeps one shard over its whole registry.
 	t.Run("one-shard", func(t *testing.T) {
@@ -567,8 +567,8 @@ func TestRegistrarOverFrames(t *testing.T) {
 		t.Errorf("registration cost %d calls / %d ops, want one batch of 3", served.Calls, served.BatchedOps)
 	}
 
-	if err := rpcio.ProbeController(srv.Addr(), time.Second); err != nil {
-		t.Errorf("probe of serving controller: %v", err)
+	if registered, err := rpcio.ProbeController(srv.Addr(), info.StageID, time.Second); err != nil || !registered {
+		t.Errorf("probe of serving controller holding the stage: registered=%v, %v", registered, err)
 	}
 	if err := rpcio.DeregisterFromController(srv.Addr(), info.StageID); err != nil {
 		t.Fatal(err)

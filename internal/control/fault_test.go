@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"padll/internal/clock"
 	"padll/internal/policy"
@@ -154,6 +155,63 @@ func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
 	defer mu.Unlock()
 	if len(evicted) != 1 || evicted[0] != "s1" {
 		t.Errorf("evicted = %v, want [s1]", evicted)
+	}
+}
+
+// TestProbeOfEvictedStageAnswersNotRegistered: a stage the controller
+// evicted — its collects failed, its own probes of the controller did
+// not — learns from its next probe that the controller no longer holds
+// it, which is what sends it to register again. Deregistration answers
+// the same.
+func TestProbeOfEvictedStageAnswersNotRegistered(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))
+	srv, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	probe := func(id string) bool {
+		t.Helper()
+		registered, err := rpcio.ProbeController(srv.Addr(), id, time.Second)
+		if err != nil {
+			t.Fatalf("probe for %s: %v", id, err)
+		}
+		return registered
+	}
+
+	stg, _ := localStage("s1", "jobA", clk)
+	var down atomic.Bool
+	if err := c.Register(stg.Info(), flakyConn(stg, &down)); err != nil {
+		t.Fatal(err)
+	}
+	other, otherConn := localStage("s2", "jobA", clk)
+	if err := c.Register(other.Info(), otherConn); err != nil {
+		t.Fatal(err)
+	}
+	if !probe("s1") || !probe("s2") {
+		t.Fatal("a registered stage's probe answered not registered")
+	}
+
+	down.Store(true)
+	c.RunOnce()
+	if !probe("s1") {
+		t.Fatal("one failed round already answered not registered")
+	}
+	c.RunOnce() // second consecutive miss: swept
+	if got := len(c.Stages()); got != 1 {
+		t.Fatalf("%d stages registered, want the evicted one gone", got)
+	}
+	if probe("s1") {
+		t.Error("the evicted stage's probe answered registered")
+	}
+	if !probe("s2") {
+		t.Error("the surviving stage's probe answered not registered")
+	}
+
+	c.Deregister("s2")
+	if probe("s2") {
+		t.Error("a deregistered stage's probe answered registered")
 	}
 }
 

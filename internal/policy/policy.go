@@ -65,6 +65,12 @@ func (m *Matcher) equal(o *Matcher) bool {
 
 // Matches reports whether the request satisfies every constraint.
 func (m *Matcher) Matches(req *posix.Request) bool {
+	return m.couldMatchOp(req.Op) && m.matchesRest(req)
+}
+
+// matchesRest tests the constraints couldMatchOp leaves open: job, user
+// and path.
+func (m *Matcher) matchesRest(req *posix.Request) bool {
 	if m.JobID != "" && req.JobID != m.JobID {
 		return false
 	}
@@ -81,87 +87,24 @@ func (m *Matcher) Matches(req *posix.Request) bool {
 			return false
 		}
 	}
-	if len(m.Ops) > 0 {
-		found := false
-		for _, op := range m.Ops {
-			if req.Op == op {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	if len(m.Classes) > 0 {
-		found := false
-		for _, cl := range m.Classes {
-			if req.Op.Class() == cl {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
 	return true
 }
 
-// SplitsDir reports whether the matcher can distinguish two request
-// paths that share the directory prefix dir (dir must include its
-// trailing slash). Matches tests paths in two arms: the slash-terminated
-// prefix test, whose outcome is a function of dir alone, and the exact
-// equality test, which depends on the leaf precisely when PathPrefix
-// itself names an entry directly inside dir (no further slash after the
-// dir prefix). Classification caches keyed by (attributes, dir) must
-// refuse to memoize a directory any candidate rule splits.
-func (m *Matcher) SplitsDir(dir string) bool {
-	if m.PathPrefix == "" {
-		return false
-	}
-	return strings.HasPrefix(m.PathPrefix, dir) &&
-		!strings.ContainsRune(m.PathPrefix[len(dir):], '/')
-}
-
-// CouldMatchOp reports whether a request carrying op can possibly satisfy
+// couldMatchOp reports whether a request carrying op can possibly satisfy
 // the matcher's op/class constraints. It evaluates only the attributes
 // known from the operation type, so it can be decided per-op ahead of
 // time — the basis of RuleSet's per-op dispatch index.
-func (m *Matcher) CouldMatchOp(op posix.Op) bool {
-	if len(m.Ops) > 0 {
-		found := false
-		for _, o := range m.Ops {
-			if o == op {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+func (m *Matcher) couldMatchOp(op posix.Op) bool {
+	if len(m.Ops) > 0 && !slices.Contains(m.Ops, op) {
+		return false
 	}
-	if len(m.Classes) > 0 {
-		cl := op.Class()
-		found := false
-		for _, c := range m.Classes {
-			if c == cl {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return len(m.Classes) == 0 || slices.Contains(m.Classes, op.Class())
 }
 
-// OpDecides reports whether op/class candidacy alone implies a full
+// opDecides reports whether op/class candidacy alone implies a full
 // match: a matcher with no path, job or user constraint accepts every
-// request whose operation passes CouldMatchOp. Hot paths use this to
-// skip Matches entirely for per-op index candidates.
-func (m *Matcher) OpDecides() bool {
+// request whose operation passes couldMatchOp.
+func (m *Matcher) opDecides() bool {
 	return m.PathPrefix == "" && m.JobID == "" && m.User == ""
 }
 
@@ -288,17 +231,31 @@ func (r *Rule) String() string {
 // RuleSet is an ordered set of rules with specificity-based selection.
 //
 // Alongside the specificity-ordered slice it maintains a per-operation
-// dispatch index: for each posix.Op, the indices (in selection order) of
-// the rules whose op/class constraints that operation can satisfy.
-// Select walks only those candidates, so the common case — a handful of
-// class-scoped rules — tests one or two matchers instead of scanning the
-// whole set. The index is rebuilt on every Upsert/Remove (control-plane
-// cold path).
+// dispatch index: for each posix.Op, the candidates (in selection order)
+// among the rules whose op/class constraints that operation can satisfy.
+// Select walks only those candidates and tests each only on what the
+// index has not decided — job, user and path — so the common case, a
+// handful of class-scoped rules, tests one or two matchers instead of
+// scanning the whole set. The index is rebuilt on every Upsert/Remove
+// (control-plane cold path).
+//
+// A RuleSet is not safe for concurrent mutation, but any number of
+// goroutines may Select from one that nothing mutates: a data-plane
+// stage classifies every request against a Clone it never mutates.
 type RuleSet struct {
 	rules []Rule
-	// perOp[op] lists indices into rules, selection-ordered. nil until
-	// the first mutation builds it.
-	perOp [][]int
+	// perOp[op] lists op's candidates, selection-ordered. Mutations
+	// replace the slices, never write into them, so a Clone may share
+	// them.
+	perOp [posix.NumOps][]candidate
+}
+
+// candidate is one per-op index entry: the rule's position in rules,
+// and whether the op alone decides the match (the rule has no job, user
+// or path constraint), so Select need not look at the rule at all.
+type candidate struct {
+	pos     int
+	decides bool
 }
 
 // NewRuleSet returns a set holding the given rules.
@@ -370,15 +327,15 @@ func (rs *RuleSet) Remove(id string) bool {
 
 // reindex rebuilds the per-op dispatch index from the current rule order.
 func (rs *RuleSet) reindex() {
-	perOp := make([][]int, posix.NumOps)
-	for op := 0; op < posix.NumOps; op++ {
+	for op := range rs.perOp {
+		var cands []candidate
 		for i := range rs.rules {
-			if rs.rules[i].Match.CouldMatchOp(posix.Op(op)) {
-				perOp[op] = append(perOp[op], i)
+			if m := &rs.rules[i].Match; m.couldMatchOp(posix.Op(op)) {
+				cands = append(cands, candidate{pos: i, decides: m.opDecides()})
 			}
 		}
+		rs.perOp[op] = cands
 	}
-	rs.perOp = perOp
 }
 
 // sortLocked orders rules by descending specificity (stable on ID for
@@ -395,29 +352,42 @@ func (rs *RuleSet) sortLocked() {
 
 // Select returns the most specific rule matching the request, or nil.
 func (rs *RuleSet) Select(req *posix.Request) *Rule {
-	if rs.perOp != nil && req.Op.Valid() {
-		for _, i := range rs.perOp[req.Op] {
-			if rs.rules[i].Match.Matches(req) {
-				return &rs.rules[i]
+	if i := rs.Index(req); i >= 0 {
+		return &rs.rules[i]
+	}
+	return nil
+}
+
+// Index returns the position, in selection order (the order Rules
+// reports), of the rule Select returns, or -1 when no rule matches. Ties
+// in specificity go to the lower rule ID.
+func (rs *RuleSet) Index(req *posix.Request) int {
+	if req.Op.Valid() {
+		for _, c := range rs.perOp[req.Op] {
+			if c.decides || rs.rules[c.pos].Match.matchesRest(req) {
+				return c.pos
 			}
 		}
-		return nil
+		return -1
 	}
 	for i := range rs.rules {
 		if rs.rules[i].Match.Matches(req) {
-			return &rs.rules[i]
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// Clone returns a copy of the set that later mutations of rs leave
+// untouched, and whose own mutations leave rs untouched.
+func (rs *RuleSet) Clone() *RuleSet {
+	return &RuleSet{rules: slices.Clone(rs.rules), perOp: rs.perOp}
 }
 
 // Rules returns the rules in selection order.
 func (rs *RuleSet) Rules() []Rule {
 	return append([]Rule(nil), rs.rules...)
 }
-
-// Len returns the number of rules.
-func (rs *RuleSet) Len() int { return len(rs.rules) }
 
 // ---- rule DSL ----
 

@@ -20,15 +20,21 @@ func indexTestRules() []Rule {
 	}
 }
 
-// selectReference is the pre-index linear scan Select replaced.
+// selectReference is selection by its definition, with neither the
+// per-op index nor the sorted order: of the rules whose Matches accepts
+// req, the most specific, ties to the lower ID.
 func selectReference(rs *RuleSet, req *posix.Request) *Rule {
-	rules := rs.Rules()
-	for i := range rules {
-		if rules[i].Match.Matches(req) {
-			return &rules[i]
+	var best *Rule
+	for _, r := range rs.Rules() {
+		if !r.Match.Matches(req) {
+			continue
+		}
+		if best == nil || r.Match.Specificity() > best.Match.Specificity() ||
+			r.Match.Specificity() == best.Match.Specificity() && r.ID < best.ID {
+			best = &r
 		}
 	}
-	return nil
+	return best
 }
 
 // TestSelectIndexEquivalence checks the per-op dispatch index returns
@@ -80,38 +86,38 @@ func TestSelectInvalidOpFallsBack(t *testing.T) {
 }
 
 // TestCouldMatchOp pins the index predicate against Matches: for every
-// op, a rule excluded by CouldMatchOp must never match a request with
+// op, a rule excluded by couldMatchOp must never match a request with
 // that op, whatever the other attributes.
 func TestCouldMatchOp(t *testing.T) {
 	for _, r := range indexTestRules() {
 		for op := 0; op < posix.NumOps; op++ {
 			m := r.Match
-			if m.CouldMatchOp(posix.Op(op)) {
+			if m.couldMatchOp(posix.Op(op)) {
 				continue
 			}
 			req := &posix.Request{Op: posix.Op(op), Path: "/pfs/scratch/x", JobID: "job2", User: "bob"}
 			if m.Matches(req) {
-				t.Fatalf("rule %s: CouldMatchOp(%v) = false but Matches succeeded", r.ID, posix.Op(op))
+				t.Fatalf("rule %s: couldMatchOp(%v) = false but Matches succeeded", r.ID, posix.Op(op))
 			}
 		}
 	}
 }
 
-// TestOpDecides pins the hot path's Matches-skip: when OpDecides is true,
-// op candidacy must imply a full match for any path/job/user.
+// TestOpDecides pins Select's skip of index candidates: when opDecides
+// is true, op candidacy must imply a full match for any path/job/user.
 func TestOpDecides(t *testing.T) {
 	for _, r := range indexTestRules() {
 		m := r.Match
-		if !m.OpDecides() {
+		if !m.opDecides() {
 			continue
 		}
 		for op := 0; op < posix.NumOps; op++ {
-			if !m.CouldMatchOp(posix.Op(op)) {
+			if !m.couldMatchOp(posix.Op(op)) {
 				continue
 			}
 			req := &posix.Request{Op: posix.Op(op), Path: "/x", JobID: "j", User: "u"}
 			if !m.Matches(req) {
-				t.Fatalf("rule %s: OpDecides && CouldMatchOp(%v) but Matches failed", r.ID, posix.Op(op))
+				t.Fatalf("rule %s: opDecides && couldMatchOp(%v) but Matches failed", r.ID, posix.Op(op))
 			}
 		}
 	}

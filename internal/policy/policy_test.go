@@ -123,8 +123,8 @@ func TestRuleSetSelectNoMatch(t *testing.T) {
 func TestRuleSetUpsertReplaces(t *testing.T) {
 	rs := NewRuleSet(Rule{ID: "a", Rate: 10})
 	rs.Upsert(Rule{ID: "a", Rate: 99})
-	if rs.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", rs.Len())
+	if n := len(rs.Rules()); n != 1 {
+		t.Fatalf("%d rules, want 1", n)
 	}
 	if got := rs.Rules()[0].Rate; got != 99 {
 		t.Errorf("rate after upsert = %v, want 99", got)
@@ -169,8 +169,8 @@ func TestRuleSetRemove(t *testing.T) {
 	if rs.Remove("a") {
 		t.Error("Remove returned true for missing rule")
 	}
-	if rs.Len() != 1 {
-		t.Errorf("Len = %d, want 1", rs.Len())
+	if n := len(rs.Rules()); n != 1 {
+		t.Errorf("%d rules, want 1", n)
 	}
 }
 

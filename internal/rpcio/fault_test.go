@@ -302,13 +302,20 @@ func TestProbeController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeRegistrar(l, func(Registration) error { return nil }, nil)
+	stop := ServeRegistrar(l, func(Registration) error { return nil }, nil,
+		func(id string) bool { return id == "held" })
 	defer stop()
 
-	if err := ProbeController(l.Addr().String(), time.Second); err != nil {
-		t.Fatalf("probe of live controller: %v", err)
+	for id, want := range map[string]bool{"held": true, "forgotten": false} {
+		registered, err := ProbeController(l.Addr().String(), id, time.Second)
+		if err != nil {
+			t.Fatalf("probe of live controller: %v", err)
+		}
+		if registered != want {
+			t.Errorf("probe for %q answered registered=%v, want %v", id, registered, want)
+		}
 	}
-	if err := ProbeController("127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if _, err := ProbeController("127.0.0.1:1", "held", 200*time.Millisecond); err == nil {
 		t.Error("probe of closed port succeeded")
 	}
 }
@@ -379,7 +386,10 @@ func TestSilentRegistrarCostsOneDeadline(t *testing.T) {
 		timeout time.Duration
 		call    func(timeout time.Duration) error
 	}{
-		{"ProbeController", 200 * time.Millisecond, func(d time.Duration) error { return ProbeController(addr, d) }},
+		{"ProbeController", 200 * time.Millisecond, func(d time.Duration) error {
+			_, err := ProbeController(addr, "sX", d)
+			return err
+		}},
 		{"Registrar.Register", 150 * time.Millisecond, func(d time.Duration) error {
 			return registrarCall(addr, time.Second, d, "Registrar.Register",
 				&Registration{Info: stage.Info{StageID: "sX"}, Addr: "127.0.0.1:9"}, nil)
@@ -412,7 +422,7 @@ func TestServerSideErrorsAreNotRetried(t *testing.T) {
 	stop := ServeRegistrar(l, func(Registration) error {
 		regCalls.Add(1)
 		return errors.New("registry full")
-	}, nil)
+	}, nil, nil)
 	defer stop()
 	err = RegisterWithController(l.Addr().String(), stage.Info{StageID: "sX"}, "127.0.0.1:9")
 	if err == nil || !strings.Contains(err.Error(), "registry full") {

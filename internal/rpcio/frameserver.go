@@ -139,9 +139,12 @@ func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([
 			t.reg.onDeregister(s.stageID)
 		}
 	case methodRegistrarPing:
-		// Echo the probe: stages use it as the controller liveness check
-		// behind their degraded-mode detection.
-		err = readCallArgs(h.method, s.payload, &s.probe)
+		// Echo the probe with the registry's answer: stages use it as the
+		// controller liveness check behind their degraded-mode detection,
+		// and to learn that the controller forgot them.
+		if err = readCallArgs(h.method, s.payload, &s.probe); err == nil {
+			s.probe.Registered = t.reg.registered != nil && t.reg.registered(s.probe.StageID)
+		}
 		out = appendHealthProbe(reply, &s.probe)
 	}
 	if err != nil {

@@ -68,9 +68,14 @@ func (s *StageService) Served() ServiceStats {
 
 // HealthProbe is the controller liveness check a stage sends the
 // registrar (Registrar.Ping). Seq is echoed back so a prober can match
-// replies to probes across retries.
+// replies to probes across retries. StageID names the probing stage, and
+// the reply's Registered says whether the controller holds its
+// registration: one that restarted or evicted the stage answers false,
+// and the stage registers again.
 type HealthProbe struct {
-	Seq uint64
+	Seq        uint64
+	StageID    string
+	Registered bool
 }
 
 // maxConns bounds how many connections one control endpoint serves
@@ -242,15 +247,18 @@ func (h *StageHandle) Close() error { return h.t.Close() }
 type registrar struct {
 	onRegister   func(Registration) error
 	onDeregister func(stageID string)
+	registered   func(stageID string) bool
 }
 
 // ServeRegistrar serves a registration endpoint on l, invoking onRegister
 // for each arriving stage — its error travels back to the stage as the
-// call's error — and onDeregister (may be nil) on departures.
-// Connection handling is bounded and stop is deterministic; see
+// call's error — and onDeregister (may be nil) on departures. A health
+// probe is answered with registered(stageID); a nil registered holds no
+// stage. Connection handling is bounded and stop is deterministic; see
 // ServeStageService.
-func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string)) (stop func()) {
-	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister}
+func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string),
+	registered func(string) bool) (stop func()) {
+	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister, registered: registered}
 	return serveBounded(l, frameTarget{reg: reg}.serveConn, maxConns)
 }
 
@@ -287,16 +295,18 @@ func DeregisterFromController(controllerAddr, stageID string) error {
 	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, "Registrar.Deregister", &stageID, nil)
 }
 
-// ProbeController performs one bounded controller liveness check: dial
-// the registrar, exchange a Registrar.Ping, close. A nil error means the
-// control plane is reachable and serving.
-func ProbeController(controllerAddr string, timeout time.Duration) error {
+// ProbeController performs one bounded controller liveness check on
+// behalf of stage stageID: dial the registrar, exchange a Registrar.Ping,
+// close. A nil error means the control plane is reachable and serving;
+// registered reports whether it holds the stage's registration.
+func ProbeController(controllerAddr, stageID string, timeout time.Duration) (registered bool, err error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
 	var echo HealthProbe
-	if err := registrarCall(controllerAddr, timeout, timeout, "Registrar.Ping", &HealthProbe{Seq: 1}, &echo); err != nil {
-		return fmt.Errorf("rpcio: probe controller: %w", err)
+	if err := registrarCall(controllerAddr, timeout, timeout, "Registrar.Ping",
+		&HealthProbe{Seq: 1, StageID: stageID}, &echo); err != nil {
+		return false, fmt.Errorf("rpcio: probe controller: %w", err)
 	}
-	return nil
+	return echo.Registered, nil
 }

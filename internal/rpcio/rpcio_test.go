@@ -196,7 +196,7 @@ func TestRegistrarFlow(t *testing.T) {
 			mu.Lock()
 			deregs = append(deregs, id)
 			mu.Unlock()
-		})
+		}, nil)
 	defer stop()
 
 	info := stage.Info{StageID: "sX", JobID: "jY", Hostname: "nodeZ", PID: 11, User: "bob"}
@@ -227,7 +227,7 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regs atomic.Int32
-	stop := ServeRegistrar(l, func(Registration) error { regs.Add(1); return nil }, nil)
+	stop := ServeRegistrar(l, func(Registration) error { regs.Add(1); return nil }, nil, nil)
 	defer stop()
 
 	// exchange writes one raw request frame and reads one reply frame.
@@ -286,7 +286,7 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 	if got := regs.Load(); got != 0 {
 		t.Errorf("onRegister ran %d times on malformed input, want 0", got)
 	}
-	if err := ProbeController(l.Addr().String(), time.Second); err != nil {
+	if _, err := ProbeController(l.Addr().String(), "sX", time.Second); err != nil {
 		t.Errorf("registrar stopped serving after malformed frames: %v", err)
 	}
 }

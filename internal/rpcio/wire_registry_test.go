@@ -24,7 +24,7 @@ import (
 var wireRegistry = map[string][]string{
 	// rpcio.go: registration and the registrar's ping.
 	"rpcio.Registration": {"Info stage.Info", "Addr string"},
-	"rpcio.HealthProbe":  {"Seq uint64"},
+	"rpcio.HealthProbe":  {"Seq uint64", "StageID string", "Registered bool"},
 
 	// batch.go: batched delta protocol.
 	"rpcio.StageOp": {

@@ -52,7 +52,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 5
+const WireVersion = 6
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -72,6 +72,9 @@ var wireSchemaFingerprints = map[int]string{
 	// v5: the stage health probe and its reply struct removed; method 8
 	// reserved.
 	5: "sha256:aa1d1b0ce60fc044a0101aed39d6bb2554f1e6c5f7f280866cb294953b820e33",
+	// v6: the health probe names its stage and the reply says whether
+	// the controller holds that stage's registration.
+	6: "sha256:13687e5311e156981af9145de90d8a95510e68410704a4de9a4f8fe46821f4e8",
 }
 
 // Frame kinds.
@@ -523,11 +526,15 @@ func readRegistration(r *wireReader, v *Registration) {
 }
 
 func appendHealthProbe(b []byte, v *HealthProbe) []byte {
-	return binary.AppendUvarint(b, v.Seq)
+	b = binary.AppendUvarint(b, v.Seq)
+	b = appendString(b, v.StageID)
+	return appendBool(b, v.Registered)
 }
 
 func readHealthProbe(r *wireReader, v *HealthProbe) {
 	v.Seq = r.uvarint()
+	v.StageID = r.strSame(v.StageID)
+	v.Registered = r.boolv()
 }
 
 func appendStageOp(b []byte, v *StageOp) []byte {

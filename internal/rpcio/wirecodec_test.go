@@ -122,9 +122,9 @@ func callFixtures() []callFixture {
 		},
 		{
 			method:   "Registrar.Ping",
-			args:     &HealthProbe{Seq: 1 << 33},
+			args:     &HealthProbe{Seq: 1 << 33, StageID: "s1"},
 			argsDst:  &HealthProbe{},
-			reply:    &HealthProbe{Seq: 1 << 33},
+			reply:    &HealthProbe{Seq: 1 << 33, StageID: "s1", Registered: true},
 			replyDst: &HealthProbe{},
 		},
 	}

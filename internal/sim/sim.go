@@ -514,8 +514,11 @@ func (c *Cluster) join(n *Node) {
 }
 
 // heartbeat is a stage's probe of its controller: a controller it cannot
-// reach degrades the stage, freezing its limits; one it reaches again
-// takes its re-registration, which replays the job's rules.
+// reach degrades the stage, freezing its limits; one it reaches again,
+// or one that answers that it does not hold the stage (it restarted
+// between two heartbeats, or evicted the stage), takes its
+// re-registration, which replays the job's rules. A failed
+// re-registration leaves the stage degraded.
 func (c *Cluster) heartbeat(n *Node) {
 	if c.down || n.partitioned.Load() {
 		if n.Stg.SetDegraded(true) {
@@ -524,15 +527,19 @@ func (c *Cluster) heartbeat(n *Node) {
 		}
 		return
 	}
-	if !n.Stg.Degraded() {
+	if !n.Stg.Degraded() && c.ctl.Registered(n.ID) {
 		return
 	}
 	if err := c.ctl.Register(n.Stg.Info(), n.Handle); err != nil {
+		n.Stg.SetDegraded(true)
 		c.logf("stage %s re-registration failed: %v", n.ID, err)
 		return
 	}
-	n.Stg.SetDegraded(false)
-	c.logf("stage %s re-registered after %v degraded", n.ID, n.Stg.DegradedFor())
+	if n.Stg.SetDegraded(false) {
+		c.logf("stage %s re-registered after %v degraded", n.ID, n.Stg.DegradedFor())
+		return
+	}
+	c.logf("stage %s re-registered: the controller did not hold it", n.ID)
 }
 
 // RuleRate returns the rate of a stage's rule by ID (-1 when absent).

@@ -390,3 +390,40 @@ func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartBetweenHeartbeatsReregisters: a controller that crashes and
+// restarts between two heartbeats never leaves a stage a failed probe,
+// so the stage never degrades — but the fresh controller does not hold
+// it, and the next heartbeat registers it again instead of leaving it
+// unmanaged under its stale limit.
+func TestRestartBetweenHeartbeatsReregisters(t *testing.T) {
+	c := NewCluster(Config{Duration: 8 * time.Second, Controller: []control.Option{
+		control.WithAlgorithm(control.FixedRates{}),
+		control.WithClusterLimit(1000),
+	}})
+	c.AddJob(JobSpec{ID: "early", Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 300})
+	c.Schedule(4*time.Second+Interval/4, "crash-controller", (*Cluster).CrashController)
+	c.Schedule(4*time.Second+Interval/2, "restart-controller", (*Cluster).RestartController)
+	var checked bool
+	c.Schedule(5*time.Second+Interval/2, "", func(c *Cluster) {
+		checked = true
+		stg := c.StagesOf("early")[0]
+		if stg.Degraded() || stg.DegradedFor() != 0 {
+			t.Errorf("stage degraded (%v, for %v) though every probe reached a controller", stg.Degraded(), stg.DegradedFor())
+		}
+		ctl := c.Controller()
+		if !ctl.Registered(stg.Info().StageID) {
+			t.Error("the restarted controller does not hold the stage after a heartbeat")
+		}
+		if rs, _ := ctl.LastRound(); rs.Stages != 1 {
+			t.Errorf("first round after the restart covered %d stages, want 1", rs.Stages)
+		}
+	})
+	c.Run()
+	if !checked {
+		t.Fatal("the probe did not run")
+	}
+	if want := "t=+5s       stage early-stage0 re-registered: the controller did not hold it"; !strings.Contains(c.Log(), want) {
+		t.Errorf("log missing %q:\n%s", want, c.Log())
+	}
+}

@@ -2,6 +2,7 @@ package stage
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,6 +57,34 @@ func TestEnforceShapedZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("Enforce (finite limit, token in hand) allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
+// TestEnforceSweepZeroAllocs guards classification itself: a sweep
+// over 2,000 distinct directories, under rules with and without a path
+// constraint, allocates nothing per request — no per-key state is
+// built on the admit path.
+func TestEnforceSweepZeroAllocs(t *testing.T) {
+	s := New(Info{StageID: "sweep", JobID: "job1"}, clock.NewSim(time.Unix(0, 0)))
+	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})
+	s.ApplyRule(policy.Rule{ID: "scratch", Match: policy.Matcher{PathPrefix: "/pfs/d0001"}, Rate: policy.Unlimited})
+	paths := make([]string, 2000)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/pfs/d%04d/f", i)
+	}
+	req := &posix.Request{Op: posix.OpGetAttr, Path: paths[0], JobID: "job1", User: "u1"}
+	if err := s.Enforce(req); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(len(paths), func() {
+		req.Path = paths[i%len(paths)]
+		i++
+		if err := s.Enforce(req); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Enforce over %d distinct directories allocates %.3f allocs/op, want 0", len(paths), avg)
 	}
 }
 

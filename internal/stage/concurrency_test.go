@@ -273,44 +273,78 @@ func TestWaitPercentilesExported(t *testing.T) {
 	}
 }
 
-// TestSnapshotClassifyMatchesRuleSetSelect cross-checks the stage's per-op
-// dispatch snapshot against policy.RuleSet.Select for a mixed rule set.
-func TestSnapshotClassifyMatchesRuleSetSelect(t *testing.T) {
-	rules := []policy.Rule{
-		{ID: "open", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen, posix.OpCreat}}, Rate: policy.Unlimited},
-		{ID: "meta", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata, posix.ClassDirectory}}, Rate: policy.Unlimited},
-		{ID: "scratch", Match: policy.Matcher{PathPrefix: "/pfs/scratch"}, Rate: policy.Unlimited},
-		{ID: "job2", Match: policy.Matcher{JobID: "job2"}, Rate: policy.Unlimited},
-		{ID: "user-open", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}, User: "bob"}, Rate: policy.Unlimited},
+// TestRuleChurnRacesEnforce races the admit path against continuous
+// ApplyRule/RemoveRule/SetMode churn. Each reader checks one loaded
+// snapshot for what publication promises — entry i carries the ID of
+// rule i of the frozen set the request selected through — and sends the
+// request through Enforce, so under -race the whole lock-free surface
+// is exercised: snapshot publication, the frozen rule set's index, and
+// the entries beside it.
+func TestRuleChurnRacesEnforce(t *testing.T) {
+	s := New(Info{StageID: "churn"}, clock.NewSim(time.Unix(0, 0)))
+	pool := []policy.Matcher{
+		{Classes: []posix.Class{posix.ClassMetadata}},
+		{Ops: []posix.Op{posix.OpOpen}, JobID: "job1"},
+		{PathPrefix: "/a/b"},
+		{User: "alice"},
+		{},
 	}
-	s := New(info(), clock.NewSim(epoch))
-	rs := policy.NewRuleSet()
-	for _, r := range rules {
-		s.ApplyRule(r)
-		rs.Upsert(r)
-	}
-	sn := s.snap.Load()
-	for op := 0; op < posix.NumOps; op++ {
-		for _, path := range []string{"/pfs/a", "/pfs/scratch/x", "/other"} {
-			for _, job := range []string{"job1", "job2"} {
-				for _, user := range []string{"alice", "bob"} {
-					req := &posix.Request{Op: posix.Op(op), Path: path, JobID: job, User: user}
-					want := rs.Select(req)
-					got := sn.classify(req)
-					switch {
-					case want == nil && got != nil:
-						t.Fatalf("%v: classify found %q, Select found none", reqLabel(req), got.id)
-					case want != nil && got == nil:
-						t.Fatalf("%v: classify found none, Select found %q", reqLabel(req), want.ID)
-					case want != nil && got.id != want.ID:
-						t.Fatalf("%v: classify=%q Select=%q", reqLabel(req), got.id, want.ID)
-					}
-				}
+	ops := []posix.Op{posix.OpOpen, posix.OpGetAttr, posix.OpRead, posix.OpMkdir}
+	paths := []string{"/a/b", "/a/b/c", "/a/x", "/x"}
+	stop := make(chan struct{})
+	var mutator, readers sync.WaitGroup
+
+	mutator.Add(1)
+	go func() { // control-plane churn until the readers finish
+		defer mutator.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := fmt.Sprintf("r%d", i%4)
+			switch i % 5 {
+			case 0, 1, 2:
+				s.ApplyRule(policy.Rule{ID: id, Match: pool[(i/5)%len(pool)], Rate: policy.Unlimited})
+			case 3:
+				s.RemoveRule(id)
+			case 4:
+				s.SetMode(Mode(i % 2))
 			}
 		}
-	}
-}
+	}()
 
-func reqLabel(req *posix.Request) string {
-	return fmt.Sprintf("op=%v path=%s job=%s user=%s", req.Op, req.Path, req.JobID, req.User)
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			req := new(posix.Request)
+			for i := 0; i < 20000; i++ {
+				*req = posix.Request{Op: ops[(i+g)%len(ops)], Path: paths[(i/3)%len(paths)],
+					JobID: "job1", User: []string{"alice", "bob"}[i%2]}
+				sn := s.snap.Load()
+				if r := sn.rules.Select(req); r != nil {
+					if e := sn.entries[sn.rules.Index(req)]; e.id != r.ID || e.action != r.Action || e.q == nil {
+						errs <- fmt.Errorf("rule %s selected, entry %+v beside it", r.ID, e)
+						return
+					}
+				}
+				// Every rule is Unlimited, so nothing blocks.
+				if err := s.Enforce(req); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+
+	readers.Wait()
+	close(stop)
+	mutator.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -12,16 +12,6 @@ import (
 	"padll/internal/posix"
 )
 
-// memoOf returns the classification memo entry req's key occupies in sn
-// (nil when the key was never memoized).
-func memoOf(sn *snapshot, req *posix.Request) *cacheEntry {
-	var dir string
-	if !sn.pathFree[req.Op] {
-		dir, _ = dirOf(req.Path)
-	}
-	return sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)].Load()
-}
-
 // controlQueue returns the named queue's row of a fresh Collect.
 func controlQueue(t *testing.T, s *Stage, id string) QueueStats {
 	t.Helper()
@@ -34,13 +24,13 @@ func controlQueue(t *testing.T, s *Stage, id string) QueueStats {
 	return QueueStats{}
 }
 
-// TestSetRateKeepsClassificationCache pins what a retune may touch: the
-// published snapshot and everything the data plane memoized in it
-// survive a rate-only change (SetRate, or ApplyRule of the installed
+// TestSetRateKeepsPublishedSnapshot pins what a retune may touch: the
+// published snapshot — its rule-set copy, per-op index and entries —
+// survives a rate-only change (SetRate, or ApplyRule of the installed
 // rule with another rate or burst), while the change itself is visible
 // to Collect, Rules and the quiescence epoch. A changed matcher or
 // action is a rule-set mutation and still republishes.
-func TestSetRateKeepsClassificationCache(t *testing.T) {
+func TestSetRateKeepsPublishedSnapshot(t *testing.T) {
 	s := New(info(), clock.NewSim(time.Unix(0, 0)))
 	rule := policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9}
 	s.ApplyRule(rule)
@@ -49,9 +39,9 @@ func TestSetRateKeepsClassificationCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := s.snap.Load()
-	memo := memoOf(sn, req)
-	if memo == nil || memo.e == nil || memo.e.id != "managed" {
-		t.Fatalf("request not memoized under the managed rule: %+v", memo)
+	i := sn.rules.Index(req)
+	if i < 0 || sn.entries[i].id != "managed" {
+		t.Fatalf("request not classified under the managed rule: index %d", i)
 	}
 	tok := s.CollectQuietInto(new(Stats))
 
@@ -60,8 +50,8 @@ func TestSetRateKeepsClassificationCache(t *testing.T) {
 		if got := s.snap.Load(); got != sn {
 			t.Fatalf("%s republished the snapshot", step)
 		}
-		if got := memoOf(sn, req); got != memo {
-			t.Fatalf("%s dropped the memoized classification", step)
+		if got := sn.rules.Index(req); got != i {
+			t.Fatalf("%s moved the request's classification", step)
 		}
 	}
 
@@ -107,8 +97,8 @@ func TestSetRateKeepsClassificationCache(t *testing.T) {
 	if s.snap.Load() == sn {
 		t.Fatal("ApplyRule with a changed matcher did not republish")
 	}
-	if e := s.snap.Load().classifyCached(req); e != nil {
-		t.Fatalf("job1 request still classified under %q after the rule moved to job2", e.id)
+	if r := s.snap.Load().rules.Select(req); r != nil {
+		t.Fatalf("job1 request still classified under %q after the rule moved to job2", r.ID)
 	}
 	sn = s.snap.Load()
 	rule.Action = policy.ActionDrop

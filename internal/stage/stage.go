@@ -16,8 +16,7 @@
 // administrator cadence) rebuild the snapshot copy-on-write under s.mu. A
 // queue's rate and burst are not part of it: the feedback loop retunes
 // them every round (SetRate), so they live on the queue, stored in place,
-// and a retune leaves the snapshot — and its classification cache —
-// alone. The per-request path
+// and a retune leaves the snapshot alone. The per-request path
 // (Enforce/Offer — hot, every intercepted syscall) classifies against the
 // current snapshot and bumps sharded/atomic counters without taking any
 // lock. A request under a finite limit whose token is in hand takes it in
@@ -30,7 +29,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,160 +126,32 @@ type Stats struct {
 	DegradedSeconds float64
 }
 
-// entry pairs one rule's classification half — its ID, matcher and
-// action, value copies immutable once published — with its queue inside a
-// published snapshot. The rule's rate and burst are the queue's (see
-// Stage.setLimit): they change without a republish. opDecides caches
-// match.OpDecides() so index candidates whose matcher has no
-// path/job/user constraint skip the full Matches call.
+// entry is one rule's position in a published snapshot: its ID and
+// action, value copies immutable once published, and its queue. The
+// rule's rate and burst are the queue's (see Stage.setLimit): they
+// change without a republish.
 type entry struct {
-	id        string
-	match     policy.Matcher
-	action    policy.Action
-	q         *queue
-	opDecides bool
+	id     string
+	action policy.Action
+	q      *queue
 }
 
 // snapshot is the immutable classification state Enforce/Offer run
 // against. A new snapshot is built for every rule-set mutation and
 // published atomically; readers never see a half-updated rule set.
 type snapshot struct {
-	// all lists entries in selection (descending-specificity) order.
-	all []*entry
+	// rules is a frozen copy of the stage's rule set: nothing mutates it
+	// after publication, so every request selects through its per-op
+	// index without a lock. Its rates go stale at the first retune; the
+	// admit path reads a queue's limit, never a rule's.
+	rules *policy.RuleSet
+	// entries[i] belongs to rule i of rules, in selection order.
+	entries []entry
 	// collect lists the same entries in RuleID order — the order Collect
 	// reports in. Sorting here, once per control-plane mutation, keeps
 	// the per-round collect path sort-free (sort.Slice allocates its
 	// closure and swapper on every call).
 	collect []*entry
-	// perOp[op] lists the entries whose op/class constraints op can
-	// satisfy, in selection order — the hot-path dispatch index.
-	perOp [posix.NumOps][]*entry
-	// pathFree[op] records that no candidate in perOp[op] constrains the
-	// path, so op's classification cannot depend on the directory and
-	// its memo keys drop it: a sweep over any number of directories
-	// occupies one slot per (op, job, user).
-	pathFree [posix.NumOps]bool
-	// cache memoizes classification results keyed by (op, job, user,
-	// parent directory — "" for pathFree ops). Its generation tag is the snapshot itself:
-	// every rule-set mutation publishes a fresh snapshot with a
-	// fresh empty cache, so entries are valid exactly as long as the
-	// snapshot is the published one — invalidation by construction,
-	// with no per-entry version counters on the request path. A rate
-	// retune changes no classification and keeps the cache.
-	cache [cacheSlots]atomic.Pointer[cacheEntry]
-}
-
-// cacheSlots sizes the classification memo (power of two; 512 pointers
-// = 4KiB per published snapshot).
-const cacheSlots = 512
-
-// cacheEntry is one memoized classification. e == nil records the
-// (valid) result "no rule matches requests with this key".
-type cacheEntry struct {
-	op    posix.Op
-	jobID string
-	user  string
-	dir   string
-	e     *entry
-}
-
-// dirOf returns p's directory prefix including the trailing slash; ok
-// is false for paths with no slash, which are not worth memoizing.
-func dirOf(p string) (string, bool) {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return p[:i+1], true
-		}
-	}
-	return "", false
-}
-
-// cacheHash is FNV-1a over the classification key.
-func cacheHash(op posix.Op, jobID, user, dir string) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	h = (h ^ uint32(op)) * prime
-	for i := 0; i < len(jobID); i++ {
-		h = (h ^ uint32(jobID[i])) * prime
-	}
-	h = (h ^ 0xff) * prime
-	for i := 0; i < len(user); i++ {
-		h = (h ^ uint32(user[i])) * prime
-	}
-	h = (h ^ 0xff) * prime
-	for i := 0; i < len(dir); i++ {
-		h = (h ^ uint32(dir[i])) * prime
-	}
-	return h
-}
-
-// classifyCached is classify behind the generation-tagged memo. Rule
-// matching depends on the request only through (op, job, user) and the
-// path — and the path only through its directory prefix, except when a
-// rule's PathPrefix names an entry directly inside that directory
-// (Matcher.SplitsDir); such keys are classified directly and never
-// memoized. When no candidate rule for the op has a path constraint at
-// all (pathFree) the directory cannot matter and the key carries "" in
-// its place. A hit is one hash and one atomic load: no lock, no
-// allocation, and no rule-list walk.
-func (sn *snapshot) classifyCached(req *posix.Request) *entry {
-	var dir string
-	if !req.Op.Valid() || !sn.pathFree[req.Op] {
-		var ok bool
-		if dir, ok = dirOf(req.Path); !ok {
-			return sn.classify(req)
-		}
-	}
-	slot := &sn.cache[cacheHash(req.Op, req.JobID, req.User, dir)&(cacheSlots-1)]
-	if ce := slot.Load(); ce != nil &&
-		ce.op == req.Op && ce.dir == dir && ce.jobID == req.JobID && ce.user == req.User {
-		return ce.e
-	}
-	return sn.fillCache(slot, req, dir)
-}
-
-// fillCache classifies req directly and, when sound, memoizes the
-// result into slot. Losing a racing store is fine: both entries are
-// derived from this same immutable snapshot. It allocates once per
-// (snapshot, key), amortized across every subsequent hit.
-func (sn *snapshot) fillCache(slot *atomic.Pointer[cacheEntry], req *posix.Request, dir string) *entry {
-	e := sn.classify(req)
-	candidates := sn.all
-	if req.Op.Valid() {
-		candidates = sn.perOp[req.Op]
-	}
-	for _, cand := range candidates {
-		if cand.match.SplitsDir(dir) {
-			return e // two leaves in dir may classify differently
-		}
-	}
-	slot.Store(&cacheEntry{
-		op:    req.Op,
-		jobID: req.JobID,
-		user:  req.User,
-		// Clone: dir aliases req.Path, whose backing the caller owns.
-		dir: strings.Clone(dir),
-		e:   e,
-	})
-	return e
-}
-
-// classify returns the entry of the most specific matching rule, or nil.
-func (sn *snapshot) classify(req *posix.Request) *entry {
-	if req.Op.Valid() {
-		for _, e := range sn.perOp[req.Op] {
-			if e.opDecides || e.match.Matches(req) {
-				return e
-			}
-		}
-		return nil
-	}
-	for _, e := range sn.all {
-		if e.match.Matches(req) {
-			return e
-		}
-	}
-	return nil
 }
 
 // Stage is one data-plane stage. It is safe for concurrent use.
@@ -420,7 +290,7 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 		o(s)
 	}
 	s.passthrough = s.newCounter("passthrough")
-	s.snap.Store(&snapshot{})
+	s.snap.Store(&snapshot{rules: policy.NewRuleSet()})
 	return s
 }
 
@@ -479,30 +349,15 @@ func (s *Stage) Mode() Mode { return Mode(s.mode.Load()) }
 // publishLocked rebuilds the immutable snapshot from the master rule set
 // and queue map and publishes it. Caller holds s.mu.
 func (s *Stage) publishLocked() {
-	rules := s.rules.Rules() // selection order
-	sn := &snapshot{}
+	sn := &snapshot{rules: s.rules.Clone()}
+	rules := sn.rules.Rules() // selection order
+	sn.entries = make([]entry, len(rules))
 	for i := range rules {
-		q, ok := s.queues[rules[i].ID]
-		if !ok {
-			continue // unreachable: every rule gets a queue on install
-		}
-		r := &rules[i]
-		e := &entry{id: r.ID, match: r.Match, action: r.Action, q: q, opDecides: r.Match.OpDecides()}
-		sn.all = append(sn.all, e)
+		// Every rule gets its queue on install.
+		sn.entries[i] = entry{id: rules[i].ID, action: rules[i].Action, q: s.queues[rules[i].ID]}
+		sn.collect = append(sn.collect, &sn.entries[i])
 	}
-	sn.collect = append(sn.collect, sn.all...)
 	sort.Slice(sn.collect, func(i, j int) bool { return sn.collect[i].id < sn.collect[j].id })
-	for op := 0; op < posix.NumOps; op++ {
-		sn.pathFree[op] = true
-		for _, e := range sn.all {
-			if e.match.CouldMatchOp(posix.Op(op)) {
-				sn.perOp[op] = append(sn.perOp[op], e)
-				if e.match.PathPrefix != "" {
-					sn.pathFree[op] = false
-				}
-			}
-		}
-	}
 	s.snap.Store(sn)
 	// Bumped after the mutation lands: a concurrent collect that read
 	// the old epoch re-collects next round.
@@ -587,7 +442,8 @@ func (s *Stage) RemoveRule(id string) bool {
 // SetRate retunes one queue's rate in place; used by the control plane's
 // feedback loop, which adjusts rates far more often than it changes the
 // rule structure. It allocates nothing and republishes nothing: the
-// snapshot and its classification cache survive control rounds.
+// snapshot, with its rule-set copy and per-op index, survives control
+// rounds.
 func (s *Stage) SetRate(ruleID string, rate float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,12 +465,14 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 // a finite limit the bucket's own critical section is the one shared
 // write, and only a request that finds the bucket dry goes on to block.
 func (s *Stage) Enforce(req *posix.Request) error {
-	e := s.snap.Load().classifyCached(req)
-	if e == nil {
+	sn := s.snap.Load()
+	i := sn.rules.Index(req)
+	if i < 0 {
 		s.passthrough.AddAt(1, s.hotNow())
 		s.markActive()
 		return nil
 	}
+	e := &sn.entries[i]
 	q := e.q
 
 	if Mode(s.mode.Load()) == Passthrough || q.limit() == policy.Unlimited {
@@ -701,8 +559,9 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 	if n <= 0 {
 		return 0
 	}
-	e := s.snap.Load().classifyCached(req)
-	if e == nil {
+	sn := s.snap.Load()
+	i := sn.rules.Index(req)
+	if i < 0 {
 		s.ptMu.Lock()
 		add := carry(&s.ptRem, n)
 		s.ptMu.Unlock()
@@ -710,7 +569,7 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 		s.markActive()
 		return n
 	}
-	q := e.q
+	q := sn.entries[i].q
 	now := s.hotNow()
 	q.offerMu.Lock()
 	demN := carry(&q.demRem, n)

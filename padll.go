@@ -344,8 +344,11 @@ func (dp *DataPlane) ControlServiceStats() (stats ServiceStats, ok bool) {
 // the Degraded state: it keeps enforcing the last rates the controller
 // pushed (fail-secure — an unreachable controller must not mean
 // unlimited I/O), and surfaces the condition through Stats. When the
-// controller answers again, the stage re-registers — which replays the
-// controller's last-known rule set for this stage — and leaves Degraded.
+// controller answers again, or answers that it does not hold this
+// stage's registration (it restarted between two probes, or evicted the
+// stage), the stage re-registers — which replays the controller's
+// last-known rule set for this stage — and leaves Degraded; a failed
+// re-registration leaves it Degraded.
 //
 // Serve must have been called with a controller address first.
 func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
@@ -364,7 +367,7 @@ func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	dp.hbStop, dp.hbDone = stop, done
-	controller := dp.controller
+	controller, info := dp.controller, dp.stg.Info()
 	go func() {
 		defer close(done)
 		tick := make(chan struct{}, 1)
@@ -377,18 +380,21 @@ func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 				return
 			case <-tick:
 			}
-			if err := rpcio.ProbeController(controller, timeout); err != nil {
+			registered, err := rpcio.ProbeController(controller, info.StageID, timeout)
+			if err != nil {
 				dp.stg.SetDegraded(true)
 				continue
 			}
-			if dp.stg.Degraded() {
-				// The controller is back. Re-register so it replays the
-				// last-known rules and folds this stage into the next
-				// allocation round; only then clear the degraded flag.
-				if rerr := rpcio.RegisterWithController(controller, dp.stg.Info(), dp.listenAddr); rerr == nil {
-					dp.stg.SetDegraded(false)
-				}
+			if registered && !dp.stg.Degraded() {
+				continue
 			}
+			// The controller is back, or it answers but has forgotten this
+			// stage (it restarted between two beats, or evicted the
+			// stage). Re-register so it replays the last-known rules and
+			// folds this stage into the next allocation round; until that
+			// succeeds the stage is unmanaged, so degraded.
+			rerr := rpcio.RegisterWithController(controller, info, dp.listenAddr)
+			dp.stg.SetDegraded(rerr != nil)
 		}
 	}()
 	return nil

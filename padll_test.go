@@ -416,6 +416,65 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	}
 }
 
+// TestHeartbeatReregistersWithControllerRestartedBetweenBeats: a
+// controller that crashes and restarts between two heartbeats never
+// fails a probe, so the stage never degrades — but the new controller
+// holds no registration for it. The probe's answer says so, and the
+// same beat re-registers the stage, which comes back under management
+// without ever having been degraded.
+func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
+	newCP := func() *padll.ControlPlane {
+		return padll.NewControlPlane(
+			padll.WithAlgorithm(padll.StaticShare(4000)),
+			padll.WithClusterLimit(8000),
+		)
+	}
+	cp := newCP()
+	addr, err := cp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clk := clock.NewSim(epoch)
+	backend, local := newBackends(clk)
+	dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
+		padll.MountPFS("/pfs", backend), padll.MountLocal("/", local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.StartHeartbeat(time.Second, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.BlockUntil(1)
+	beat := func() {
+		clk.Advance(time.Second)
+		clk.BlockUntil(1)
+	}
+	beat()
+
+	cp.Stop()
+	cp2 := newCP()
+	if _, err := cp2.Serve(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer cp2.Stop()
+	if got := cp2.Jobs(); len(got) != 0 {
+		t.Fatalf("restarted controller starts with jobs %v", got)
+	}
+	beat()
+	if got := cp2.Jobs(); len(got) != 1 || got[0] != "hb-job" {
+		t.Errorf("restarted controller has jobs %v after a beat, want the re-registered hb-job", got)
+	}
+	if dp.Degraded() || dp.DegradedFor() != 0 {
+		t.Errorf("Degraded() = %v, DegradedFor() = %v: a reachable controller never degrades the stage",
+			dp.Degraded(), dp.DegradedFor())
+	}
+}
+
 // TestStoppedLoopsLeaveNoWaiter: each loop paced by a clock — the
 // controller's feedback loop, the data plane's heartbeat, a replayer's
 // op thread — stops its timer on the way out, so stopping the loop
