@@ -58,7 +58,7 @@ func main() {
 
 	// exec ships ops in one batch and returns the first op's Found.
 	exec := func(ops ...rpcio.StageOp) bool {
-		res, _, err := h.Exec(ops, nil, false)
+		res, _, err := h.Exec(ops, nil)
 		if err != nil {
 			fatal(err)
 		}

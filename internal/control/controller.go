@@ -187,7 +187,7 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if _, _, err := h.Exec(ops, nil, false); err != nil {
+	if _, _, err := h.Exec(ops, nil); err != nil {
 		return fmt.Errorf("control: install rules on %s: %w", id, err)
 	}
 	return nil
@@ -422,12 +422,12 @@ func (c *Controller) installSplit(members []*member, r policy.Rule) error {
 	}
 	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
 	for _, m := range members {
-		m.h.Start(ops, nil, false)
+		m.h.Start(ops, nil)
 	}
 	var first error
 	for _, m := range members {
 		res, changed, err := m.h.Finish()
-		if _, _, err = m.h.Reattempt(ops, nil, false, res, changed, err); err != nil && first == nil {
+		if _, _, err = m.h.Reattempt(ops, nil, res, changed, err); err != nil && first == nil {
 			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, m.info.StageID, err)
 		}
 	}

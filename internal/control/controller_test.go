@@ -66,7 +66,7 @@ func TestReRegistrationReplacesConnection(t *testing.T) {
 	if got := len(c.Stages()); got != 1 {
 		t.Errorf("stages = %d, want 1 after re-registration", got)
 	}
-	if _, _, err := oldH.Exec(nil, nil, false); err == nil {
+	if _, _, err := oldH.Exec(nil, nil); err == nil {
 		t.Error("the replaced handle still answers: it was not closed")
 	}
 
@@ -78,7 +78,7 @@ func TestReRegistrationReplacesConnection(t *testing.T) {
 	if err := c.Register(stg.Info(), h); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.Exec(nil, nil, false); err != nil {
+	if _, _, err := h.Exec(nil, nil); err != nil {
 		t.Fatalf("re-registering the same handle closed it: %v", err)
 	}
 	c.RunOnce()

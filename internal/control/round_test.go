@@ -200,9 +200,10 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 // TestAggregatorSlotSurvivesForeignCollector: a member's handle may
 // have a second collector — a stage registered with two controllers,
 // or probed by an operator's tool. The foreign collect consumes the
-// "changed" signal, so the shard's held promise alone would leave its
-// slot stale; the handle must notice that its last fill went elsewhere
-// and rewrite the slot.
+// "changed" signal and moves the handle's acknowledgment to another
+// buffer, so a delta merged into the slot would leave it stale; the
+// handle must notice that its last fill went elsewhere and rewrite the
+// slot from a full snapshot.
 func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg, h := localStage("s1", "job1", clk)
@@ -211,14 +212,14 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	collect := func() { sh.collect(&rs) }
 	sh.push(map[string]float64{"job1": 1000}, &rs)
 	collect()
-	collect() // the slot is now held and quiet
+	collect() // the slot is now the handle's merged snapshot, and quiet
 
 	// Traffic, then quiet again — and the foreign collector sees the new
 	// totals first.
 	offerTo(clk, map[string]*stage.Stage{"s1": stg}, map[string]float64{"s1": 100})
 	clk.Advance(5 * time.Second)
 	var foreign stage.Stats
-	if _, _, err := h.Exec(nil, &foreign, false); err != nil {
+	if _, _, err := h.Exec(nil, &foreign); err != nil {
 		t.Fatal(err)
 	}
 	if foreign.Queues[0].TotalDemand != 100 {

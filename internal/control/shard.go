@@ -45,11 +45,10 @@ func managedRule(job string, rate float64) policy.Rule {
 type member struct {
 	info stage.Info
 	h    *rpcio.StageHandle
-	// stats is the member's collect slot: only h's exchanges write it,
-	// so once h has filled it (held) the shard can promise it is
-	// untouched and an unchanged member costs no snapshot copy.
+	// stats is the member's collect slot and h's merged snapshot: only
+	// h's exchanges write it, each collect merging its reply in place,
+	// so an unchanged member costs no write at all.
 	stats stage.Stats
-	held  bool
 	// probe is what the latest collect learned about the managed queue.
 	probe stageProbe
 	// err, changed and calls are the outcome of the pass in flight:
@@ -85,7 +84,7 @@ type stageProbe struct {
 const scatterChunk, maxScatter = 32, 2
 
 // passArgs names what member m sends in a pass (ok false: nothing).
-type passArgs func(m *member) (ops []rpcio.StageOp, dst *stage.Stats, held, ok bool)
+type passArgs func(m *member) (ops []rpcio.StageOp, dst *stage.Stats, ok bool)
 
 func sortMembers(ms []*member) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].info.StageID < ms[j].info.StageID })
@@ -168,8 +167,8 @@ func (sh *shard) split(w int) {
 // start begins, in order, the exchanges of the members of ms that have one.
 func (sh *shard) start(ms []*member) {
 	for _, m := range ms {
-		if ops, dst, held, ok := sh.args(m); ok {
-			m.h.Start(ops, dst, held)
+		if ops, dst, ok := sh.args(m); ok {
+			m.h.Start(ops, dst)
 			m.started = true
 		}
 	}
@@ -231,8 +230,8 @@ func (sh *shard) pass(split bool, args passArgs,
 	for _, m := range failed {
 		go func() {
 			defer sh.wg.Done()
-			ops, dst, held, _ := args(m)
-			res, changed, err := m.h.Reattempt(ops, dst, held, nil, false, m.err)
+			ops, dst, _ := args(m)
+			res, changed, err := m.h.Reattempt(ops, dst, nil, false, m.err)
 			done(m, res, changed, err)
 		}()
 	}
@@ -281,14 +280,14 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 	}
 	if pushes {
 		sh.pass(false,
-			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
-				return m.push[:], nil, false, m.push[0].Kind != 0
+			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool) {
+				return m.push[:], nil, m.push[0].Kind != 0
 			},
 			func(m *member, res []rpcio.OpResult, _ bool, err error) {
 				m.calls = 1
 				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
 					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(m.info.JobID, op.Rate)}
-					_, _, err = m.h.Exec(m.push[:], nil, false)
+					_, _, err = m.h.Exec(m.push[:], nil)
 					m.calls = 2
 				}
 				m.err = err
@@ -312,21 +311,19 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 
 // collect fans every member's statistics in, one pass, and folds them
 // into one row per job (sorted by job), left in sh.rows until the
-// shard's next collect. An unchanged member leaves its held slot as it
-// is — no snapshot copy — and if the whole shard is unchanged the fold
-// is skipped too. A member failure never fails the round: it is
+// shard's next collect. An unchanged member leaves its slot as it is,
+// and if the whole shard is unchanged the fold is skipped too. A member failure never fails the round: it is
 // reported to the error handler in StageID order, counted as
 // FailedStages, and the loop runs on the partial snapshot. rs
 // accumulates one collect call per member.
 func (sh *shard) collect(rs *RoundStats) {
 	members := sh.members
 	sh.pass(true,
-		func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
-			return nil, &m.stats, m.held, true
+		func(m *member) ([]rpcio.StageOp, *stage.Stats, bool) {
+			return nil, &m.stats, true
 		},
 		func(m *member, _ []rpcio.OpResult, changed bool, err error) {
 			m.err = err
-			m.held = err == nil
 			m.changed = changed || err != nil
 		})
 

@@ -309,9 +309,9 @@ func TestScatterStartsEveryMemberOnce(t *testing.T) {
 				t.Fatalf("n=%d w=%d: %d helpers, first chunk %d; want %d and %d", n, w, len(sh.helpers), sh.first, w-1, n/w)
 			}
 			sh.pass(true,
-				func(m *member) ([]rpcio.StageOp, *stage.Stats, bool, bool) {
+				func(m *member) ([]rpcio.StageOp, *stage.Stats, bool) {
 					asked[index[m]].Add(1)
-					return nil, nil, false, false // start nothing: no handle to start
+					return nil, nil, false // start nothing: no handle to start
 				},
 				func(*member, []rpcio.OpResult, bool, error) { t.Error("finished an exchange never started") })
 			for i := range asked {

@@ -118,7 +118,7 @@ func fleetManagementRound() (ops, calls int, err error) {
 			Rule: policy.Rule{ID: fmt.Sprintf("mgmt-%d", i), Rate: float64(1000 * (i + 1))}})
 	}
 	var st stage.Stats
-	if _, _, err = rpcio.EncodedLoopbackStage(svc).Exec(batch, &st, false); err != nil {
+	if _, _, err = rpcio.EncodedLoopbackStage(svc).Exec(batch, &st); err != nil {
 		return 0, 0, err
 	}
 	return len(batch) + 1, int(svc.Served().Calls), nil // +1: the collect

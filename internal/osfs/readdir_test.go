@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"padll/internal/posix"
@@ -58,7 +59,8 @@ func TestPathReaddirErrorsAndSymlinks(t *testing.T) {
 
 // TestPathReaddirLeaksNoDescriptors: the raw open has no finalizer to
 // fall back on, so every path — success, ENOTDIR, ENOENT — must close
-// what it opened.
+// what it opened. The count is of the descriptors open on the test's
+// directory tree, which only the readdirs under test touch.
 func TestPathReaddirLeaksNoDescriptors(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts descriptors through /proc/self/fd")
@@ -74,12 +76,25 @@ func TestPathReaddirLeaksNoDescriptors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Only descriptors on the test's tree count: the rest of the process
+	// opens and closes descriptors of its own meanwhile.
+	tree, err := filepath.EvalSymlinks(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	openFDs := func() int {
 		names, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(names)
+		n := 0
+		for _, e := range names {
+			target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+			if err == nil && (target == tree || strings.HasPrefix(target, tree+"/")) {
+				n++
+			}
+		}
+		return n
 	}
 	before := openFDs()
 	var entries []posix.DirEntry

@@ -5,13 +5,15 @@
 // bounds the controller's feedback loop (§III-C) by the wire instead of
 // the allocation algorithm. Stage.Batch therefore carries a round's
 // worth of operations for one stage in a single RPC (a single operation
-// is a one-op batch), and its collect half is incremental: the stage remembers, per client, the last snapshot that
-// client merged (identified by an epoch+generation pair) and sends only
-// the queues that changed since. A client whose acknowledgment doesn't
-// match —
-// first contact, a restarted stage (fresh epoch), or an evicted/
-// re-registered one — gets a full snapshot, so correctness never
-// depends on both sides staying in sync.
+// is a one-op batch), and its collect half is incremental. Each end
+// keeps one baseline: the stage remembers the last snapshot it sent
+// (identified by an epoch+generation pair) and sends only the queues
+// that changed since, and the handle merges each reply in place into
+// the caller's buffer that holds the previous one. An acknowledgment
+// that doesn't match — first contact, another collector's collect in
+// between, a restarted stage (fresh epoch) or a new buffer — gets a
+// full snapshot, so correctness never depends on both sides staying in
+// sync.
 package rpcio
 
 import (
@@ -63,15 +65,9 @@ type BatchArgs struct {
 	// Collect asks for a statistics snapshot in the same round trip,
 	// taken after Ops applied.
 	Collect bool
-	// ClientID names the collecting client; the stage keeps one delta
-	// baseline per client, so independent collectors (controller loop,
-	// monitor, an operator CLI) each stay incremental instead of
-	// invalidating each other's acknowledgments. Zero is a valid shared
-	// identity (all anonymous clients alternate over one baseline).
-	ClientID uint64
 	// AckEpoch/AckGen acknowledge the last StatsDelta this client
-	// merged; when they match the stage's current generation for this
-	// client the reply is incremental.
+	// merged; when they match the stage's current generation — no other
+	// collect came in between — the reply is incremental.
 	AckEpoch uint64
 	AckGen   uint64
 }
@@ -106,15 +102,14 @@ type StatsDelta struct {
 	DegradedSeconds float64
 }
 
-// newEpoch draws a random nonzero identifier, used both as a service
-// instance's epoch and as a handle's collector ClientID. Identifiers
-// only need to differ across stage restarts (epochs) or live handles
-// (client IDs); 32 random bits make an accidental match (which would
-// silently corrupt one client's merged snapshot) a non-event. Bit 31 is
-// always set, so each varint-encodes to exactly 5 bytes: three ride
-// every steady-state batch exchange (ClientID, AckEpoch, Epoch), and a
-// fixed width keeps wireB/round the same from run to run. The wire
-// field stays uint64: the decoder accepts historic full-width values.
+// newEpoch draws a random nonzero identifier for a service instance.
+// Epochs only need to differ across stage restarts; 32 random bits make
+// an accidental match (which would silently corrupt a client's merged
+// snapshot) a non-event. Bit 31 is always set, so an epoch
+// varint-encodes to exactly 5 bytes: two ride every steady-state batch
+// exchange (AckEpoch, Epoch), and a fixed width keeps wireB/round the
+// same from run to run. The wire field stays uint64: the decoder
+// accepts historic full-width values.
 func newEpoch() uint64 {
 	var b [4]byte
 	if _, err := cryptorand.Read(b[:]); err != nil {
@@ -140,9 +135,9 @@ type ServiceStats struct {
 	FullCollects  uint64
 }
 
-// deltaTracker is the stage-side memory of the last snapshot one client
-// acknowledged: the generation counter and the per-queue values at that
-// generation, which the next collect diffs against.
+// deltaTracker is the stage-side memory of the last snapshot it sent:
+// the generation counter and the per-queue values at that generation,
+// which the next collect diffs against.
 type deltaTracker struct {
 	mu  sync.Mutex
 	gen uint64
@@ -150,57 +145,14 @@ type deltaTracker struct {
 	// CollectInto emits. Diffing the next snapshot is one two-pointer
 	// walk over two equally sorted slices and advancing the baseline is
 	// one bulk copy, where a map baseline would hash every rule ID on
-	// every round of every client.
+	// every round.
 	last    []stage.QueueStats
 	scratch stage.Stats // CollectInto buffer, reused every round
 
 	// tok is the stage's quiescence token from the last collect (see
-	// stage.CollectQuietInto). While it holds, this client's collects
-	// skip the snapshot and the diff entirely.
+	// stage.CollectQuietInto). While it holds, collects acknowledging
+	// gen skip the snapshot and the diff entirely.
 	tok uint64
-
-	// lastUse is the service's LRU stamp, guarded by trackMu (not mu).
-	lastUse uint64
-}
-
-// maxDeltaTrackers bounds how many client baselines one StageService
-// remembers. A stage normally has a couple of collectors (controller,
-// monitor, maybe a CLI); the bound keeps re-dialed handles — each draws
-// a fresh ClientID — from accumulating baselines forever. At the cap
-// the least-recently-used baseline is evicted; its client simply falls
-// back to a full snapshot on its next collect.
-const maxDeltaTrackers = 64
-
-// tracker returns clientID's baseline, creating it (and evicting the
-// least-recently-used one at the cap) on first contact.
-func (s *StageService) tracker(clientID uint64) *deltaTracker {
-	s.trackMu.Lock()
-	defer s.trackMu.Unlock()
-	s.trackUse++
-	if t, ok := s.trackers[clientID]; ok {
-		t.lastUse = s.trackUse
-		return t
-	}
-	if s.trackers == nil {
-		s.trackers = make(map[uint64]*deltaTracker)
-	}
-	if len(s.trackers) >= maxDeltaTrackers {
-		var evictID, minUse uint64
-		first := true
-		for id, t := range s.trackers {
-			if first || t.lastUse < minUse {
-				first = false
-				evictID, minUse = id, t.lastUse
-			}
-		}
-		// A collect concurrently holding the evicted tracker finishes on
-		// the orphan; the client's next ack then mismatches the fresh
-		// tracker's generation and degrades to a full snapshot.
-		delete(s.trackers, evictID)
-	}
-	t := &deltaTracker{lastUse: s.trackUse}
-	s.trackers[clientID] = t
-	return t
 }
 
 // applyOps applies ops to stg in order, appending one result per op to
@@ -238,7 +190,7 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
 	s.calls.Add(1)
 	s.batchedOps.Add(uint64(len(args.Ops)))
 	if args.Collect {
-		s.collectDelta(args.ClientID, args.AckEpoch, args.AckGen, &reply.Delta)
+		s.collectDelta(args.AckEpoch, args.AckGen, &reply.Delta)
 	}
 	return nil
 }
@@ -249,15 +201,15 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
 // of the tracker's scratch buffer, never aliased, because the reply is
 // encoded after this method returns, when a concurrent call from
 // another connection may already be rewriting the scratch.
-func (s *StageService) collectDelta(clientID, ackEpoch, ackGen uint64, d *StatsDelta) {
-	t := s.tracker(clientID)
+func (s *StageService) collectDelta(ackEpoch, ackGen uint64, d *StatsDelta) {
+	t := &s.track
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	incremental := ackEpoch == s.epoch && ackGen == t.gen && t.gen > 0
 	if incremental && t.tok != 0 && s.stg.QuietSince(t.tok) {
-		// The stage proves its statistics unchanged since this client's
-		// last collect: an empty delta, touching no counter. The scratch
+		// The stage proves its statistics unchanged since the collect this
+		// client acknowledges: an empty delta, touching no counter. The scratch
 		// buffer still holds the snapshot the token vouches for, so the
 		// scalar fields every delta carries come straight from it. The
 		// generation still advances — gen identifies the collect, not
@@ -322,92 +274,68 @@ func (s *StageService) collectDelta(clientID, ackEpoch, ackGen uint64, d *StatsD
 	t.last = append(t.last[:0], st.Queues...)
 }
 
-// deltaState is the client half of incremental collection: the merged
-// snapshot a sequence of StatsDelta replies reconstructs. It is not
+// deltaState is the client half of incremental collection. The merged
+// snapshot a sequence of StatsDelta replies reconstructs is the caller's
+// own buffer, buf; the state holds only what acknowledges it. It is not
 // safe for concurrent use; StageHandle guards its own instance.
 type deltaState struct {
-	epoch uint64
-	gen   uint64
-	info  stage.Info
-	// qs holds the merged queue stats sorted by rule ID — the order
-	// deltas arrive in and the order snapshotInto must emit — so a
-	// steady-state round is binary-search overwrites on apply and one
-	// bulk copy on snapshot, with no per-rule hashing anywhere.
-	qs []stage.QueueStats
-
-	passthrough     int64
-	degraded        bool
-	degradedSeconds float64
+	// epoch and gen acknowledge the last reply merged into buf.
+	epoch, gen uint64
+	buf        *stage.Stats
 
 	// fulls/deltas count reply forms, for tests and experiments.
 	fulls, deltas uint64
 }
 
-// ack returns the epoch/generation pair to acknowledge in the next
-// BatchArgs.
-func (ds *deltaState) ack() (epoch, gen uint64) { return ds.epoch, ds.gen }
-
 // find binary-searches qs for a rule ID, returning its index (or the
 // insertion point) and whether it is present.
-func (ds *deltaState) find(id string) (int, bool) {
-	i := sort.Search(len(ds.qs), func(k int) bool { return ds.qs[k].RuleID >= id })
-	return i, i < len(ds.qs) && ds.qs[i].RuleID == id
+func find(qs []stage.QueueStats, id string) (int, bool) {
+	i := sort.Search(len(qs), func(k int) bool { return qs[k].RuleID >= id })
+	return i, i < len(qs) && qs[i].RuleID == id
 }
 
-// apply merges one reply into the state and reports whether the merged
-// snapshot differs from what it was before this reply — false exactly
-// when a materialization from before the call is still current. Queue
-// entries may arrive in any order and may repeat within a reply (later
-// entries win); the merged state stays sorted.
+// apply merges one reply into buf in place and reports whether buf
+// changed — false exactly when it already was the snapshot the reply
+// describes. buf ends equal to what a direct Collect at the same
+// instant would have returned: queues sorted by rule ID, which is the
+// order deltas arrive in, so a steady-state round is binary-search
+// overwrites with no sort and no per-rule hashing. Queue entries may
+// arrive in any order and may repeat within a reply (later entries
+// win). Info is written by full snapshots only (a stage's identity never
+// changes), the scalars by every reply; capacity is reused, so a
+// steady-state collect allocates nothing.
 func (ds *deltaState) apply(d *StatsDelta) (changed bool) {
+	st := ds.buf
 	changed = d.Full || len(d.Queues) > 0 || len(d.Removed) > 0 ||
-		d.Passthrough != ds.passthrough || d.Degraded != ds.degraded ||
-		d.DegradedSeconds != ds.degradedSeconds
+		d.Passthrough != st.Passthrough || d.Degraded != st.Degraded ||
+		d.DegradedSeconds != st.DegradedSeconds
 	if d.Full {
 		ds.fulls++
-		ds.qs = ds.qs[:0]
-		ds.info = d.Info
+		st.Queues = st.Queues[:0]
+		st.Info = d.Info
 	} else {
 		ds.deltas++
 		for _, id := range d.Removed {
-			if i, ok := ds.find(id); ok {
-				ds.qs = append(ds.qs[:i], ds.qs[i+1:]...)
+			if i, ok := find(st.Queues, id); ok {
+				st.Queues = append(st.Queues[:i], st.Queues[i+1:]...)
 			}
 		}
 	}
 	for _, q := range d.Queues {
-		if i, ok := ds.find(q.RuleID); ok {
-			ds.qs[i] = q
+		if i, ok := find(st.Queues, q.RuleID); ok {
+			st.Queues[i] = q
 		} else {
-			ds.qs = append(ds.qs, stage.QueueStats{})
-			copy(ds.qs[i+1:], ds.qs[i:])
-			ds.qs[i] = q
+			st.Queues = append(st.Queues, stage.QueueStats{})
+			copy(st.Queues[i+1:], st.Queues[i:])
+			st.Queues[i] = q
 		}
 	}
 	ds.epoch, ds.gen = d.Epoch, d.Gen
-	ds.passthrough = d.Passthrough
-	ds.degraded = d.Degraded
-	ds.degradedSeconds = d.DegradedSeconds
+	st.Passthrough = d.Passthrough
+	st.Degraded = d.Degraded
+	st.DegradedSeconds = d.DegradedSeconds
 	return changed
 }
-
-// snapshotInto materializes the merged state into a caller-owned
-// buffer, equal to what a direct Collect at the same instant would have
-// returned (queues sorted by rule ID): every
-// field of dst is overwritten and dst.Queues is rebuilt in place, so a
-// caller reusing dst across rounds pays no allocations once capacities
-// warm up. The merged state is kept sorted on apply, so this is one
-// bulk copy with no sort and no per-rule lookups.
-func (ds *deltaState) snapshotInto(dst *stage.Stats) {
-	dst.Info = ds.info
-	dst.Passthrough = ds.passthrough
-	dst.Degraded = ds.degraded
-	dst.DegradedSeconds = ds.degradedSeconds
-	dst.Queues = append(dst.Queues[:0], ds.qs...)
-}
-
-// collectCounts reports how many replies arrived in each form.
-func (ds *deltaState) collectCounts() (fulls, deltas uint64) { return ds.fulls, ds.deltas }
 
 // ---- handle-side batched API ----
 //
@@ -417,14 +345,12 @@ func (ds *deltaState) collectCounts() (fulls, deltas uint64) { return ds.fulls, 
 // non-nil, an incremental statistics collect taken after the ops
 // applied — all in one Stage.Batch round trip.
 //
-// The collect materializes the full snapshot into caller-owned dst:
-// every field is overwritten and capacity reused, so a steady-state
-// collect allocates nothing. held is the caller's promise that nobody
-// has written dst since this handle last filled it; then a reply
-// showing nothing changed since that fill leaves dst untouched — it
-// already is the current snapshot — and changed reports false. Without
-// the promise (or when the handle last filled some other buffer) dst
-// is always rewritten and changed is true.
+// The collect merges the reply into caller-owned dst, which is the
+// handle's merged snapshot: when dst is the buffer this handle last
+// filled, only what changed is written, and changed reports whether
+// anything was; any other buffer is filled from a full snapshot. Between
+// collects dst belongs to the handle — a caller that writes it must
+// hand the next collect another buffer.
 
 // resetReply zeroes the handle's reusable reply in place while keeping
 // slice capacity: the codec overwrites every schema field it decodes,
@@ -458,23 +384,22 @@ func resetReply(r *BatchReply) {
 // so rounds and installs share a lock). The delta acknowledgment Start
 // sends is the one Finish applies the reply against, because nothing
 // else can move the merged state while the exchange owns the handle.
-func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
+func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats) {
 	h.bmu.Lock()
 	for h.busy {
 		h.idle.Wait() //lint:allow lockcheck Cond.Wait releases h.bmu for as long as it blocks
 	}
 	h.busy = true
-	if h.bargs.ClientID == 0 {
-		// Lazily draw this handle's collector identity; the stage keys
-		// its delta baselines by it, so two handles never invalidate
-		// each other's acknowledged generations.
-		h.bargs.ClientID = newEpoch()
+	if dst != nil && dst != h.dstate.buf {
+		// A buffer other than the one last filled holds nothing a delta
+		// could apply to: drop the acknowledgment, and the stage answers
+		// in full.
+		h.dstate.epoch, h.dstate.gen, h.dstate.buf = 0, 0, dst
 	}
-	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.ack()
+	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.epoch, h.dstate.gen
 	h.bmu.Unlock()
 	h.bargs.Ops = ops
 	h.bargs.Collect = dst != nil
-	h.dst, h.held = dst, held
 	resetReply(&h.breply)
 	h.t.Start("Stage.Batch", &h.bargs, &h.breply)
 }
@@ -483,19 +408,14 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats, held bool) {
 // entry per op.
 func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 	err = h.t.Finish()
-	dst, held := h.dst, h.held
-	h.dst, h.bargs.Ops = nil, nil
+	h.bargs.Ops = nil
 	if err == nil && len(h.breply.Results) > 0 {
 		results = make([]OpResult, len(h.breply.Results))
 		copy(results, h.breply.Results)
 	}
 	h.bmu.Lock()
-	if err == nil && dst != nil {
-		moved := h.dstate.apply(&h.breply.Delta)
-		if changed = moved || !held || dst != h.filled; changed {
-			h.dstate.snapshotInto(dst)
-			h.filled = dst
-		}
+	if err == nil && h.bargs.Collect {
+		changed = h.dstate.apply(&h.breply.Delta)
 	}
 	h.busy = false
 	h.bmu.Unlock()
@@ -506,19 +426,19 @@ func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 // Exec is the blocking exchange: start, finish, and try again while the
 // failure is the wire's and the transport's retry schedule allows.
 // Exchanges on one handle serialize with each other, so interleaved
-// collectors (controller loop and monitor) merge deltas consistently.
-func (h *StageHandle) Exec(ops []StageOp, dst *stage.Stats, held bool) (results []OpResult, changed bool, err error) {
-	h.Start(ops, dst, held)
+// collectors, each into a buffer of its own, each see a whole snapshot.
+func (h *StageHandle) Exec(ops []StageOp, dst *stage.Stats) (results []OpResult, changed bool, err error) {
+	h.Start(ops, dst)
 	results, changed, err = h.Finish()
-	return h.Reattempt(ops, dst, held, results, changed, err)
+	return h.Reattempt(ops, dst, results, changed, err)
 }
 
 // Reattempt is the retrying tail of Exec, given a first attempt's
 // outcome: a caller that started many exchanges and finished each once
 // hands the failures here, and has spent exactly what Exec would have.
-func (h *StageHandle) Reattempt(ops []StageOp, dst *stage.Stats, held bool, results []OpResult, changed bool, err error) ([]OpResult, bool, error) {
+func (h *StageHandle) Reattempt(ops []StageOp, dst *stage.Stats, results []OpResult, changed bool, err error) ([]OpResult, bool, error) {
 	for attempt := 0; Retryable(err) && h.t.Retry(attempt); attempt++ {
-		h.Start(ops, dst, held)
+		h.Start(ops, dst)
 		results, changed, err = h.Finish()
 	}
 	return results, changed, err
@@ -526,11 +446,12 @@ func (h *StageHandle) Reattempt(ops []StageOp, dst *stage.Stats, held bool, resu
 
 // CollectDeltaInto fetches the stage's statistics into a caller-owned
 // buffer over the incremental protocol: after the first (full)
-// exchange, only changed queues cross the wire each round, and the
-// steady-state path (empty delta, warm capacities) is allocation-free
-// end to end.
+// exchange into dst, only changed queues cross the wire each round, and
+// the steady-state path (empty delta, warm capacities) is
+// allocation-free end to end. Between collects dst belongs to the
+// handle: a caller that writes it collects into another buffer next.
 func (h *StageHandle) CollectDeltaInto(dst *stage.Stats) error {
-	_, _, err := h.Exec(nil, dst, false)
+	_, _, err := h.Exec(nil, dst)
 	return err
 }
 
@@ -539,5 +460,5 @@ func (h *StageHandle) CollectDeltaInto(dst *stage.Stats) error {
 func (h *StageHandle) CollectCounts() (fulls, deltas uint64) {
 	h.bmu.Lock()
 	defer h.bmu.Unlock()
-	return h.dstate.collectCounts()
+	return h.dstate.fulls, h.dstate.deltas
 }

@@ -1,7 +1,6 @@
 package rpcio
 
 import (
-	"bytes"
 	"math/rand"
 	"net"
 	"reflect"
@@ -27,7 +26,7 @@ func TestBatchOpsMatchPerCallSemantics(t *testing.T) {
 		{Kind: OpRemoveRule, ID: "b"},
 		{Kind: OpRemoveRule, ID: "b"},
 		{Kind: OpSetMode, Mode: stage.Passthrough},
-	}, nil, false)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestBatchRejectsUnknownOpKindAtomically(t *testing.T) {
 	_, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "x", Rate: 100}},
 		{Kind: OpKind(99)},
-	}, nil, false)
+	}, nil)
 	if err == nil {
 		t.Fatal("batch with unknown op kind succeeded")
 	}
@@ -67,56 +66,80 @@ func TestBatchRejectsUnknownOpKindAtomically(t *testing.T) {
 
 // TestDeltaCollectMatchesDirectCollect is the core property of the
 // incremental protocol: at every point in a random op/traffic history,
-// the client's merged snapshot is codec-byte-identical to what a direct
-// Collect on the stage returns at the same instant.
+// the client's merged snapshot equals what a direct Collect on the
+// stage returns at the same instant. With a second handle collecting
+// the same stage every fifth round, just before the first, the stage's
+// one baseline moves to the second handle each time: the first
+// handle's next collect is then a full snapshot, and must be exactly
+// right too.
 func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
-	for _, seed := range []int64{1, 7, 2022} {
-		clk := clock.NewSim(epoch)
-		stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
-		svc := NewStageService(stg)
-		h := EncodedLoopbackStage(svc)
-		rng := rand.New(rand.NewSource(seed))
+	for _, tc := range []struct {
+		name  string
+		every int // rounds between the second handle's collects; 0: none
+	}{{"one handle", 0}, {"interleaved second handle", 5}} {
+		for _, seed := range []int64{1, 7, 2022} {
+			clk := clock.NewSim(epoch)
+			stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
+			svc := NewStageService(stg)
+			h, other := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
+			rng := rand.New(rand.NewSource(seed))
 
-		ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
-		for round := 0; round < 60; round++ {
-			// A few random mutations per round, so some queues change,
-			// some stay identical (delta must skip those), and some
-			// disappear (delta must name them in Removed).
-			for m := 0; m < 1+rng.Intn(3); m++ {
-				id := ids[rng.Intn(len(ids))]
-				switch rng.Intn(4) {
-				case 0:
-					stg.ApplyRule(policy.Rule{
-						ID:    id,
-						Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}, JobID: "j1"},
-						Rate:  float64(100 * (1 + rng.Intn(50))),
-					})
-				case 1:
-					stg.RemoveRule(id)
-				case 2:
-					stg.SetRate(id, float64(100*(1+rng.Intn(50))))
-				default:
-					stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: "j1"}, float64(1+rng.Intn(5000)), time.Second)
+			ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
+			var merged, otherMerged stage.Stats
+			foreign := uint64(0)
+			for round := 0; round < 60; round++ {
+				// A few random mutations per round, so some queues change,
+				// some stay identical (delta must skip those), and some
+				// disappear (delta must name them in Removed).
+				for m := 0; m < 1+rng.Intn(3); m++ {
+					id := ids[rng.Intn(len(ids))]
+					switch rng.Intn(4) {
+					case 0:
+						stg.ApplyRule(policy.Rule{
+							ID:    id,
+							Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}, JobID: "j1"},
+							Rate:  float64(100 * (1 + rng.Intn(50))),
+						})
+					case 1:
+						stg.RemoveRule(id)
+					case 2:
+						stg.SetRate(id, float64(100*(1+rng.Intn(50))))
+					default:
+						stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: "j1"}, float64(1+rng.Intn(5000)), time.Second)
+					}
+				}
+				clk.Advance(time.Second)
+
+				if tc.every > 0 && round%tc.every == tc.every-1 {
+					foreign++
+					if err := other.CollectDeltaInto(&otherMerged); err != nil {
+						t.Fatal(err)
+					}
+					if direct := stg.Collect(); !sameStats(otherMerged, direct) {
+						t.Fatalf("%s seed %d round %d: second handle diverged from direct collect\nmerged: %+v\ndirect: %+v",
+							tc.name, seed, round, otherMerged, direct)
+					}
+				}
+				if err := h.CollectDeltaInto(&merged); err != nil {
+					t.Fatal(err)
+				}
+				if direct := stg.Collect(); !sameStats(merged, direct) {
+					t.Fatalf("%s seed %d round %d: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v",
+						tc.name, seed, round, merged, direct)
 				}
 			}
-			clk.Advance(time.Second)
-
-			merged, err := collect(h)
-			if err != nil {
-				t.Fatal(err)
+			fulls, deltas := h.CollectCounts()
+			if fulls != 1+foreign {
+				t.Errorf("%s seed %d: %d full snapshots, want %d (the first contact and one after each foreign collect)",
+					tc.name, seed, fulls, 1+foreign)
 			}
-			direct := stg.Collect()
-			if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
-				t.Fatalf("seed %d round %d: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v",
-					seed, round, merged, direct)
+			if deltas == 0 {
+				t.Errorf("%s seed %d: no incremental replies in 60 rounds", tc.name, seed)
 			}
-		}
-		fulls, deltas := h.CollectCounts()
-		if fulls != 1 {
-			t.Errorf("seed %d: %d full snapshots, want exactly 1 (the first contact)", seed, fulls)
-		}
-		if deltas == 0 {
-			t.Errorf("seed %d: no incremental replies in 60 rounds", seed)
+			if fulls, deltas := other.CollectCounts(); fulls != foreign || deltas != 0 {
+				t.Errorf("%s seed %d: second handle saw %d full / %d delta collects, want %d/0",
+					tc.name, seed, fulls, deltas, foreign)
+			}
 		}
 	}
 }
@@ -148,8 +171,9 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	sw := &switchableTransport{inner: NewEncodedLoopback(NewStageService(stg1))}
 	h := NewStageHandle(sw)
 
+	var merged stage.Stats
 	for i := 0; i < 3; i++ {
-		if _, err := collect(h); err != nil {
+		if err := h.CollectDeltaInto(&merged); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,12 +183,11 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
 	sw.inner = NewEncodedLoopback(NewStageService(stg2))
 
-	merged, err := collect(h)
-	if err != nil {
+	if err := h.CollectDeltaInto(&merged); err != nil {
 		t.Fatal(err)
 	}
 	direct := stg2.Collect()
-	if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
+	if !sameStats(merged, direct) {
 		t.Fatalf("merged snapshot after restart diverged:\nmerged: %+v\ndirect: %+v", merged, direct)
 	}
 	for _, q := range merged.Queues {
@@ -178,73 +201,51 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerPerClientBaselines drives two clients against one
-// service. The stage keeps one baseline per client (keyed by the
-// handle's ClientID), so interleaved collectors don't invalidate each
-// other's acknowledgments: after each client's first-contact full
-// snapshot, both stay incremental — and every snapshot must still be
-// exactly right.
-func TestDeltaTrackerPerClientBaselines(t *testing.T) {
+// TestDeltaTrackerOneBaseline drives two handles against one service,
+// interleaved. The stage keeps one baseline — the snapshot it last sent
+// — so each collect that follows the other handle's finds its
+// acknowledgment superseded and is answered in full, and every merged
+// snapshot must still be exactly right. Two collects in a row by one
+// handle stay incremental.
+func TestDeltaTrackerOneBaseline(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
 	a, b := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
+	merged := map[*StageHandle]*stage.Stats{a: {}, b: {}}
 
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: "j1"}, 100, time.Second)
 		clk.Advance(time.Second)
 		for _, h := range []*StageHandle{a, b} {
-			merged, err := collect(h)
-			if err != nil {
+			if err := h.CollectDeltaInto(merged[h]); err != nil {
 				t.Fatal(err)
 			}
-			direct := stg.Collect()
-			if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
-				t.Fatalf("round %d: interleaved client diverged\nmerged: %+v\ndirect: %+v", i, merged, direct)
+			if direct := stg.Collect(); !sameStats(*merged[h], direct) {
+				t.Fatalf("round %d: interleaved client diverged\nmerged: %+v\ndirect: %+v", i, *merged[h], direct)
 			}
 		}
 	}
 	for name, h := range map[string]*StageHandle{"a": a, "b": b} {
-		fulls, deltas := h.CollectCounts()
-		if fulls != 1 || deltas != rounds-1 {
-			t.Errorf("client %s: fulls=%d deltas=%d, want 1/%d (per-client baselines must keep interleaved collectors incremental)",
-				name, fulls, deltas, rounds-1)
+		if fulls, deltas := h.CollectCounts(); fulls != rounds || deltas != 0 {
+			t.Errorf("client %s: fulls=%d deltas=%d, want %d/0 (each collect follows the other client's)",
+				name, fulls, deltas, rounds)
 		}
 	}
-	served := svc.Served()
-	if served.FullCollects != 2 || served.DeltaCollects != 2*(rounds-1) {
-		t.Errorf("service counters = %+v, want 2 fulls and %d deltas", served, 2*(rounds-1))
+	if served := svc.Served(); served.FullCollects != 2*rounds || served.DeltaCollects != 0 {
+		t.Errorf("service counters = %+v, want %d fulls and no deltas", served, 2*rounds)
 	}
-}
 
-// TestDeltaTrackerEvictionFallsBackToFull fills the service's baseline
-// table past its cap and returns to the first (evicted) client: its next
-// collect must degrade to a full snapshot, not a bogus delta.
-func TestDeltaTrackerEvictionFallsBackToFull(t *testing.T) {
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
-	stg.ApplyRule(policy.Rule{ID: "q", Rate: 500})
-	svc := NewStageService(stg)
-
-	first := EncodedLoopbackStage(svc)
-	if _, err := collect(first); err != nil {
+	if err := b.CollectDeltaInto(merged[b]); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxDeltaTrackers; i++ {
-		if _, err := collect(EncodedLoopbackStage(svc)); err != nil {
-			t.Fatal(err)
-		}
+	if !sameStats(*merged[b], stg.Collect()) {
+		t.Fatal("repeat collect diverged from direct collect")
 	}
-	merged, err := collect(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(statsBytes(merged), statsBytes(stg.Collect())) {
-		t.Fatal("evicted client's merged snapshot diverged from direct collect")
-	}
-	if fulls, _ := first.CollectCounts(); fulls != 2 {
-		t.Errorf("evicted client saw %d full snapshots, want 2 (first contact + post-eviction fallback)", fulls)
+	if _, deltas := b.CollectCounts(); deltas != 1 {
+		t.Errorf("a repeat collect by the same client got %d deltas, want 1", deltas)
 	}
 }
 
@@ -319,14 +320,14 @@ func TestDeltaCollectOverWire(t *testing.T) {
 	}
 	t.Cleanup(func() { h.Close() })
 
+	var merged stage.Stats
 	check := func(round string) stage.Stats {
 		t.Helper()
-		merged, err := collect(h)
-		if err != nil {
+		if err := h.CollectDeltaInto(&merged); err != nil {
 			t.Fatal(err)
 		}
 		direct := stg.Collect()
-		if !bytes.Equal(statsBytes(merged), statsBytes(direct)) {
+		if !sameStats(merged, direct) {
 			t.Fatalf("%s: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v", round, merged, direct)
 		}
 		return merged
@@ -368,7 +369,7 @@ func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 	results, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100}},
 		{Kind: OpRemoveRule, ID: "a"},
-	}, nil, false)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 	results, _, err = h.Exec([]StageOp{
 		{Kind: OpRemoveRule, ID: "a"},
 		{Kind: OpSetRate, ID: "ghost", Rate: 1},
-	}, nil, false)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +397,10 @@ func TestServiceStatsCountBatchTraffic(t *testing.T) {
 	if _, _, err := h.Exec([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100}},
 		{Kind: OpSetRate, ID: "a", Rate: 200},
-	}, &st, false); err != nil {
+	}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collect(h); err != nil {
+	if err := h.CollectDeltaInto(&st); err != nil {
 		t.Fatal(err)
 	}
 	got := svc.Served()

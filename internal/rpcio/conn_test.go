@@ -5,7 +5,6 @@
 package rpcio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -143,21 +142,21 @@ func TestMidFrameDropRedialsAndResyncs(t *testing.T) {
 	}, withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond))
 	stg, h := stages[0], handles[0]
 
-	if _, err := collect(h); err != nil { // initial full snapshot
+	var got stage.Stats
+	if err := h.CollectDeltaInto(&got); err != nil { // initial full snapshot
 		t.Fatal(err)
 	}
 	stg.ApplyRule(policy.Rule{ID: "r1", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}}, Rate: 100})
-	if _, err := collect(h); err != nil { // incremental
+	if err := h.CollectDeltaInto(&got); err != nil { // incremental
 		t.Fatal(err)
 	}
 
 	stg.SetRate("r1", 250)
 	arm.Store(true) // next reply frame dies halfway across
-	got, err := collect(h)
-	if err != nil {
+	if err := h.CollectDeltaInto(&got); err != nil {
 		t.Fatalf("collect across a mid-frame drop: %v", err)
 	}
-	if !bytes.Equal(statsBytes(got), statsBytes(stg.Collect())) {
+	if !sameStats(got, stg.Collect()) {
 		t.Errorf("post-drop snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 	fulls, deltas := h.CollectCounts()
@@ -171,11 +170,10 @@ func TestMidFrameDropRedialsAndResyncs(t *testing.T) {
 	// The connection must be healthy again: further mutations flow
 	// incrementally.
 	stg.SetRate("r1", 300)
-	got, err = collect(h)
-	if err != nil {
+	if err := h.CollectDeltaInto(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(statsBytes(got), statsBytes(stg.Collect())) {
+	if !sameStats(got, stg.Collect()) {
 		t.Errorf("post-recovery snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 }
@@ -285,7 +283,7 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 	dst := make([]stage.Stats, n)
 	conns := make([]*frameConn, n)
 	for i, h := range handles { // the first (full) collect
-		if _, _, err := h.Exec(nil, &dst[i], false); err != nil {
+		if _, _, err := h.Exec(nil, &dst[i]); err != nil {
 			t.Fatal(err)
 		}
 		conns[i] = h.t.(*frameTransport).fc
@@ -293,7 +291,7 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 
 	mute.Store(true)
 	for i, h := range handles {
-		h.Start(nil, &dst[i], true)
+		h.Start(nil, &dst[i])
 	}
 	errKilled := errors.New("rpcio test: connection killed under the gatherers")
 	errs := make([]error, n)
@@ -328,11 +326,10 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 
 	mute.Store(false)
 	for i, h := range handles {
-		merged, err := collect(h)
-		if err != nil {
+		if err := h.CollectDeltaInto(&dst[i]); err != nil {
 			t.Fatalf("handle %d after the kill: %v", i, err)
 		}
-		if !bytes.Equal(statsBytes(merged), statsBytes(stages[i].Collect())) {
+		if !sameStats(dst[i], stages[i].Collect()) {
 			t.Errorf("handle %d: merged snapshot diverged after the kill", i)
 		}
 	}

@@ -32,7 +32,7 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 // as Start does.
 func collectFrame(t *testing.T, call *frameCall) {
 	t.Helper()
-	frame, err := appendCallArgs(frameStart(call.wbuf), methodBatch, &BatchArgs{Collect: true, ClientID: 9})
+	frame, err := appendCallArgs(frameStart(call.wbuf), methodBatch, &BatchArgs{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func TestDeadlineOnOneHandleSparesAnother(t *testing.T) {
 			defer func() { _ = spared.Close() }()
 
 			var mutedStats, sparedStats stage.Stats
-			spared.Start(nil, &sparedStats, false)
-			muted.Start(nil, &mutedStats, false)
+			spared.Start(nil, &sparedStats)
+			muted.Start(nil, &mutedStats)
 			done := make(chan error, 1)
 			go func() {
 				_, _, err := muted.Finish()

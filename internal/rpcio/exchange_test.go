@@ -48,7 +48,7 @@ func servedFleetOverTCP(tb testing.TB, n int) ([]*stage.Stage, []*StageHandle) {
 // started, then every exchange finished, each into its own slot.
 func pipelined(tb testing.TB, handles []*StageHandle, dst []stage.Stats) {
 	for i, h := range handles {
-		h.Start(nil, &dst[i], true)
+		h.Start(nil, &dst[i])
 	}
 	for _, h := range handles {
 		if _, _, err := h.Finish(); err != nil {
@@ -80,7 +80,7 @@ func TestFrameExchangeZeroAllocs(t *testing.T) {
 		}
 	}
 	serial := func() {
-		if _, _, err := handles[0].Exec(nil, &dst[0], true); err != nil {
+		if _, _, err := handles[0].Exec(nil, &dst[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,14 +117,14 @@ func BenchmarkFrameExchange(b *testing.B) {
 	_, h := servedOverTCP(b, clock.NewSim(epoch))
 	var dst stage.Stats
 	for i := 0; i < 8; i++ {
-		if _, _, err := h.Exec(nil, &dst, true); err != nil {
+		if _, _, err := h.Exec(nil, &dst); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := h.Exec(nil, &dst, true); err != nil {
+		if _, _, err := h.Exec(nil, &dst); err != nil {
 			b.Fatal(err)
 		}
 	}

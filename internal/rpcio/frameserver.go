@@ -1,10 +1,9 @@
 // Server half of the frame transport.
 //
 // A listener serves one service — a stage's control service, or the
-// control plane's registrar — on channel 0: the header's channel field
-// is reserved, and a call on any other channel is answered with an
-// error frame. Each accepted connection is served by one goroutine that
-// reads a request, answers it and reads the next: a client has one
+// control plane's registrar — so a frame names a method and no service.
+// Each accepted connection is served by one goroutine that reads a
+// request, answers it and reads the next: a client has one
 // exchange at a time on its connection, so only a duplicating wire
 // ever queues a second request behind the first, and frames are
 // handled strictly in arrival order. The per-connection receive buffer,
@@ -91,11 +90,10 @@ func (t frameTarget) serveConn(conn net.Conn) {
 		reply, kind := t.handleCall(&s, h, frameStart(s.wbuf))
 		s.wbuf = reply
 		putFrameHeader(reply[:frameHeaderLen], frameHeader{
-			kind:    kind,
-			method:  h.method,
-			stream:  h.stream,
-			channel: h.channel,
-			length:  uint32(len(reply) - frameHeaderLen),
+			kind:   kind,
+			method: h.method,
+			stream: h.stream,
+			length: uint32(len(reply) - frameHeaderLen),
 		})
 		if _, err := conn.Write(reply); err != nil {
 			return
@@ -109,16 +107,13 @@ func appendErrorPayload(reply []byte, msg string) []byte {
 
 // handleCall decodes, dispatches, and encodes one service method.
 func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([]byte, uint8) {
-	if h.channel != 0 {
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no service on channel %d", h.channel)), frameError
-	}
 	// Each method belongs to one kind of service; a call addressed to an
 	// endpoint hosting another kind fails loudly rather than misdispatch.
 	switch want := serviceOf(h.method); {
 	case want == "":
 		return appendErrorPayload(reply, fmt.Sprintf("rpcio: unknown method %d", h.method)), frameError
 	case want != t.hosts():
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: channel 0 hosts %s, not %s", t.hosts(), want)), frameError
+		return appendErrorPayload(reply, fmt.Sprintf("rpcio: this endpoint hosts %s, not %s", t.hosts(), want)), frameError
 	}
 	var (
 		err error

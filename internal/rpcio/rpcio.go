@@ -37,12 +37,9 @@ type StageService struct {
 	// epoch identifies this service instance to delta-collect clients;
 	// see StatsDelta.Epoch.
 	epoch uint64
-	// trackers holds one delta baseline per collecting client (keyed by
-	// BatchArgs.ClientID), bounded by maxDeltaTrackers with LRU
-	// eviction; trackUse is the eviction clock. See batch.go.
-	trackMu  sync.Mutex
-	trackers map[uint64]*deltaTracker
-	trackUse uint64
+	// track is the one delta baseline: the snapshot the last collect
+	// sent, whichever client asked for it. See batch.go.
+	track deltaTracker
 
 	calls         atomic.Uint64
 	batchedOps    atomic.Uint64
@@ -181,7 +178,7 @@ const (
 // one — the property the chaos scenarios assert.
 var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 
-// StageHandle is the control plane's one channel to a stage, layered
+// StageHandle is the control plane's one link to a stage, layered
 // over a Transport: frames over TCP with redial, deadlines and a fixed
 // retry schedule for remote stages (DialStage), or the same codec in
 // process (EncodedLoopbackStage). The handle owns the client half of
@@ -190,23 +187,19 @@ var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 type StageHandle struct {
 	t Transport
 
-	// bmu guards the merged delta-collect snapshot, the buffer that
-	// snapshot was last materialized into, and busy: whether an exchange
-	// is between its Start and its Finish. idle is signalled when one
-	// ends.
+	// bmu guards the delta-collect acknowledgment with the buffer it
+	// acknowledges, and busy: whether an exchange is between its Start
+	// and its Finish. idle is signalled when one ends.
 	bmu    sync.Mutex
 	idle   sync.Cond
 	busy   bool
 	dstate deltaState
-	filled *stage.Stats
 
 	// The exchange in flight, owned by whoever set busy: the reusable
-	// args/reply buffers and the collect destination Finish fills. busy
-	// is also what keeps the transport to one exchange at a time.
+	// args/reply buffers. busy is also what keeps the transport to one
+	// exchange at a time.
 	bargs  BatchArgs
 	breply BatchReply
-	dst    *stage.Stats
-	held   bool
 }
 
 // DialStage connects to a stage's control service over TCP. The wire is

@@ -3,6 +3,7 @@ package rpcio
 import (
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 // as one-op batches (and the liveness probe as a collect).
 
 func execOp(h *StageHandle, op StageOp) (found bool, err error) {
-	res, _, err := h.Exec([]StageOp{op}, nil, false)
+	res, _, err := h.Exec([]StageOp{op}, nil)
 	if err != nil {
 		return false, err
 	}
@@ -46,6 +47,9 @@ func setMode(h *StageHandle, m stage.Mode) error {
 	return err
 }
 
+// collect is a one-shot collect into a fresh buffer: always a full
+// snapshot. A test that follows the incremental protocol keeps its
+// buffer and collects into it with CollectDeltaInto.
 func collect(h *StageHandle) (stage.Stats, error) {
 	var st stage.Stats
 	err := h.CollectDeltaInto(&st)
@@ -59,9 +63,17 @@ func ping(h *StageHandle) (stage.Info, error) {
 	return st.Info, err
 }
 
-// statsBytes is the canonical encoding two snapshots are compared
-// under: codec-byte-identical means field-for-field identical.
-func statsBytes(st stage.Stats) []byte { return appendStats(nil, &st) }
+// sameStats reports whether two snapshots are field-for-field equal,
+// an empty queue list equal to a nil one.
+func sameStats(a, b stage.Stats) bool {
+	if len(a.Queues) == 0 {
+		a.Queues = nil
+	}
+	if len(b.Queues) == 0 {
+		b.Queues = nil
+	}
+	return reflect.DeepEqual(a, b)
+}
 
 // servedStage spins up a stage with its RPC service on loopback.
 func servedStage(t *testing.T) (*stage.Stage, *StageHandle) {

@@ -117,10 +117,9 @@ func TestStopRefusesLateConnections(t *testing.T) {
 // take is answered with an error frame, never dispatched. Method 1 was
 // the stage mux's attach handshake, method 8 the stage health probe
 // until wire v5, methods 10 and 11 the aggregator tier's until v4, and
-// all four must now read as unknown; the channel field is reserved, so
-// a call on any channel but 0 finds no service; and a method this build
-// knows, sent to an endpoint hosting the other kind of service, names
-// both kinds.
+// all four must now read as unknown; and a method this build knows,
+// sent to an endpoint hosting the other kind of service, names both
+// kinds.
 func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 	svc := frameTarget{stage: NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))}
 	client, server := net.Pipe()
@@ -128,19 +127,17 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 	go svc.serveConn(server)
 
 	for _, tc := range []struct {
-		method  methodID
-		channel uint32
-		want    string
+		method methodID
+		want   string
 	}{
-		{1, 0, "rpcio: unknown method 1"},
-		{8, 0, "rpcio: unknown method 8"},
-		{10, 0, "rpcio: unknown method 10"},
-		{11, 0, "rpcio: unknown method 11"},
-		{methodBatch, 1, "rpcio: no service on channel 1"},
-		{methodRegister, 0, "rpcio: channel 0 hosts a stage, not the registrar"},
+		{1, "rpcio: unknown method 1"},
+		{8, "rpcio: unknown method 8"},
+		{10, "rpcio: unknown method 10"},
+		{11, "rpcio: unknown method 11"},
+		{methodRegister, "rpcio: this endpoint hosts a stage, not the registrar"},
 	} {
 		req := make([]byte, frameHeaderLen)
-		putFrameHeader(req, frameHeader{kind: frameRequest, method: tc.method, stream: 7, channel: tc.channel})
+		putFrameHeader(req, frameHeader{kind: frameRequest, method: tc.method, stream: 7})
 		if _, err := client.Write(req); err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +154,8 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.kind != frameError || h.stream != 7 || string(payload) != tc.want {
-			t.Errorf("method %d on channel %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
-				tc.method, tc.channel, h.kind, h.stream, payload, tc.want)
+			t.Errorf("method %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
+				tc.method, h.kind, h.stream, payload, tc.want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ var wireRegistry = map[string][]string{
 	},
 	"rpcio.OpResult": {"Found bool"},
 	"rpcio.BatchArgs": {
-		"Ops []rpcio.StageOp", "Collect bool", "ClientID uint64",
+		"Ops []rpcio.StageOp", "Collect bool",
 		"AckEpoch uint64", "AckGen uint64",
 	},
 	"rpcio.BatchReply": {"Results []rpcio.OpResult", "Delta rpcio.StatsDelta"},
@@ -47,10 +47,6 @@ var wireRegistry = map[string][]string{
 	"stage.Info": {
 		"StageID string", "JobID string", "Hostname string",
 		"PID int", "User string",
-	},
-	"stage.Stats": {
-		"Info stage.Info", "Queues []stage.QueueStats",
-		"Passthrough int64", "Degraded bool", "DegradedSeconds float64",
 	},
 	"stage.QueueStats": {
 		"RuleID string", "Limit float64", "Burst float64",
@@ -102,7 +98,6 @@ var wireTypes = []wireType{
 	codecOf(appendBatchReply, readBatchReply),
 	codecOf(appendStatsDelta, readStatsDelta),
 	codecOf(appendInfo, readInfo),
-	codecOf(appendStats, readStats),
 	codecOf(appendQueueStats, readQueueStats),
 	codecOf(appendRule, readRule),
 	codecOf(appendMatcher, readMatcher),

@@ -12,15 +12,15 @@
 //	     4     1  version WireVersion
 //	     5     1  kind    frameRequest | frameReply | frameError
 //	     6     1  method  methodID
-//	     7     1  flags   reserved, zero
-//	     8     8  stream  caller-chosen id routing the reply
-//	    16     4  channel reserved, zero (a listener serves one service)
-//	    20     4  length  payload byte count (bounded by maxFramePayload)
-//	    24     …  payload
+//	     7     8  stream  caller-chosen id routing the reply
+//	    15     4  length  payload byte count (bounded by maxFramePayload)
+//	    19     …  payload
 //
-// Payload scalars use binary.{App,}endUvarint/Varint; float64 travels
-// as its IEEE-754 bits in 8 fixed bytes; strings and slices carry a
-// uvarint count followed by their elements. Element counts are
+// A listener serves one service, so the header names no service.
+// Payload scalars use binary.{App,}endUvarint/Varint; a float64 travels
+// as the uvarint of its byte-reversed IEEE-754 bits (appendF64), one
+// byte for 0.0 and three to five for typical rates; strings and slices
+// carry a uvarint count followed by their elements. Element counts are
 // validated against the remaining payload before any allocation, so a
 // hostile length prefix cannot force an over-read or an outsized
 // allocation.
@@ -52,7 +52,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 6
+const WireVersion = 7
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -75,6 +75,11 @@ var wireSchemaFingerprints = map[int]string{
 	// v6: the health probe names its stage and the reply says whether
 	// the controller holds that stage's registration.
 	6: "sha256:13687e5311e156981af9145de90d8a95510e68410704a4de9a4f8fe46821f4e8",
+	// v7: the stage keeps one delta baseline, so a batch names no
+	// collecting client; the header's two reserved fields are gone (24 ->
+	// 19 bytes); and stage.Stats, which no message carries, is no longer
+	// registered.
+	7: "sha256:69a3990acfd7d9c67e5c617a57dcda9559ed7dd4ebea3de8023a1fac33fd7937",
 }
 
 // Frame kinds.
@@ -93,8 +98,7 @@ type methodID uint8
 const (
 	// 1 was the stage mux's attach handshake, retired within wire v5
 	// (no header or struct schema changed): every listener serves one
-	// service on channel 0, and a peer still attaching is answered
-	// "unknown method 1".
+	// service, and a peer still attaching is answered "unknown method 1".
 	_ methodID = iota + 1
 	// 2-7 were the per-call stage methods (ApplyRule, RemoveRule,
 	// SetRate, Collect, SetMode, Ping), retired in wire v3: a single
@@ -132,7 +136,7 @@ var methodIDs = map[string]methodID{
 }
 
 const (
-	frameHeaderLen = 24
+	frameHeaderLen = 19
 	// maxFramePayload bounds a frame's payload. The largest legitimate
 	// payload is a full-snapshot BatchReply for a stage with an extreme
 	// rule count; 16 MiB is orders of magnitude above that while keeping
@@ -142,12 +146,10 @@ const (
 
 // frameHeader is the decoded fixed-width header.
 type frameHeader struct {
-	kind    uint8
-	method  methodID
-	flags   uint8
-	stream  uint64
-	channel uint32
-	length  uint32
+	kind   uint8
+	method methodID
+	stream uint64
+	length uint32
 }
 
 // putFrameHeader writes h into b[:frameHeaderLen].
@@ -156,10 +158,8 @@ func putFrameHeader(b []byte, h frameHeader) {
 	b[4] = WireVersion
 	b[5] = h.kind
 	b[6] = uint8(h.method)
-	b[7] = h.flags
-	binary.LittleEndian.PutUint64(b[8:], h.stream)
-	binary.LittleEndian.PutUint32(b[16:], h.channel)
-	binary.LittleEndian.PutUint32(b[20:], h.length)
+	binary.LittleEndian.PutUint64(b[7:], h.stream)
+	binary.LittleEndian.PutUint32(b[15:], h.length)
 }
 
 // parseFrameHeader validates and decodes a frame header. A non-nil
@@ -177,12 +177,10 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 		return frameHeader{}, fmt.Errorf("rpcio: wire version skew: peer speaks v%d, this side v%d", v, WireVersion)
 	}
 	h := frameHeader{
-		kind:    b[5],
-		method:  methodID(b[6]),
-		flags:   b[7],
-		stream:  binary.LittleEndian.Uint64(b[8:]),
-		channel: binary.LittleEndian.Uint32(b[16:]),
-		length:  binary.LittleEndian.Uint32(b[20:]),
+		kind:   b[5],
+		method: methodID(b[6]),
+		stream: binary.LittleEndian.Uint64(b[7:]),
+		length: binary.LittleEndian.Uint32(b[15:]),
 	}
 	if h.length > maxFramePayload {
 		return frameHeader{}, fmt.Errorf("rpcio: frame payload %d exceeds limit %d", h.length, maxFramePayload)
@@ -447,23 +445,6 @@ func readQueueStatsSlice(r *wireReader, dst []stage.QueueStats) []stage.QueueSta
 	return dst
 }
 
-func appendStats(b []byte, v *stage.Stats) []byte {
-	b = appendInfo(b, &v.Info)
-	b = appendQueueStatsSlice(b, v.Queues)
-	b = binary.AppendVarint(b, v.Passthrough)
-	b = appendBool(b, v.Degraded)
-	b = appendF64(b, v.DegradedSeconds)
-	return b
-}
-
-func readStats(r *wireReader, v *stage.Stats) {
-	readInfo(r, &v.Info)
-	v.Queues = readQueueStatsSlice(r, v.Queues)
-	v.Passthrough = r.varint()
-	v.Degraded = r.boolv()
-	v.DegradedSeconds = r.f64()
-}
-
 func appendMatcher(b []byte, v *policy.Matcher) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v.Ops)))
 	for _, op := range v.Ops {
@@ -568,7 +549,6 @@ func appendBatchArgs(b []byte, v *BatchArgs) []byte {
 		b = appendStageOp(b, &v.Ops[i])
 	}
 	b = appendBool(b, v.Collect)
-	b = binary.AppendUvarint(b, v.ClientID)
 	b = binary.AppendUvarint(b, v.AckEpoch)
 	b = binary.AppendUvarint(b, v.AckGen)
 	return b
@@ -590,7 +570,6 @@ func readBatchArgs(r *wireReader, v *BatchArgs) {
 	}
 	v.Ops = ops
 	v.Collect = r.boolv()
-	v.ClientID = r.uvarint()
 	v.AckEpoch = r.uvarint()
 	v.AckGen = r.uvarint()
 }

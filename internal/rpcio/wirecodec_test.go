@@ -1,7 +1,6 @@
 package rpcio
 
 import (
-	"bytes"
 	"net"
 	"reflect"
 	"testing"
@@ -73,7 +72,6 @@ func callFixtures() []callFixture {
 					{Kind: OpSetMode, Mode: stage.Passthrough},
 				},
 				Collect:  true,
-				ClientID: 0xdeadbeef,
 				AckEpoch: 1 << 50,
 				AckGen:   12345,
 			},
@@ -95,7 +93,7 @@ func callFixtures() []callFixture {
 			// The steady-state collect: no ops, a matching ack, an empty
 			// incremental delta.
 			method:  "Stage.Batch",
-			args:    &BatchArgs{Collect: true, ClientID: 7, AckEpoch: 9, AckGen: 41},
+			args:    &BatchArgs{Collect: true, AckEpoch: 9, AckGen: 41},
 			argsDst: &BatchArgs{},
 			reply: &BatchReply{Delta: StatsDelta{
 				Epoch: 9, Gen: 42, Passthrough: 3,
@@ -105,7 +103,7 @@ func callFixtures() []callFixture {
 		{
 			// A single operation is a one-op batch with no collect.
 			method:   "Stage.Batch",
-			args:     &BatchArgs{Ops: []StageOp{{Kind: OpSetRate, ID: "q1", Rate: 777.125}}, ClientID: 7},
+			args:     &BatchArgs{Ops: []StageOp{{Kind: OpSetRate, ID: "q1", Rate: 777.125}}},
 			argsDst:  &BatchArgs{},
 			reply:    &BatchReply{Results: []OpResult{{Found: false}}},
 			replyDst: &BatchReply{},
@@ -178,13 +176,14 @@ func TestBinaryCodecRoundTripsEveryMethod(t *testing.T) {
 // call; any surviving stale element means a decoder merged instead of
 // overwrote.
 func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
-	small := stage.Stats{
-		Info:   stage.Info{StageID: "tiny"},
-		Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}},
+	small := StatsDelta{Gen: 2, Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}}, Removed: []string{"gone"}}
+	st := maxStats()
+	dirty := StatsDelta{ // longer slices, every scalar non-zero
+		Epoch: 9, Gen: 9, Full: true, Info: st.Info, Queues: st.Queues, Removed: []string{"a", "b"},
+		Passthrough: st.Passthrough, Degraded: st.Degraded, DegradedSeconds: st.DegradedSeconds,
 	}
-	dirty := maxStats() // longer queue slice, every scalar non-zero
-	r := wireReader{buf: appendStats(nil, &small)}
-	readStats(&r, &dirty)
+	r := wireReader{buf: appendStatsDelta(nil, &small)}
+	readStatsDelta(&r, &dirty)
 	if err := r.done(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 		t.Errorf("stale state survived decode:\n in: %+v\nout: %+v", small, dirty)
 	}
 
-	bsmall := BatchArgs{Ops: []StageOp{{Kind: OpRemoveRule, ID: "x"}}, ClientID: 1}
+	bsmall := BatchArgs{Ops: []StageOp{{Kind: OpRemoveRule, ID: "x"}}}
 	bbuf, err := appendCallArgs(nil, methodBatch, &bsmall)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 			{Kind: OpApplyRule, Rule: maxRule("stale-0")},
 			{Kind: OpApplyRule, Rule: maxRule("stale-1")},
 		},
-		Collect: true, ClientID: 99, AckEpoch: 9, AckGen: 9,
+		Collect: true, AckEpoch: 9, AckGen: 9,
 	}
 	if err := readCallArgs(methodBatch, bbuf, &bdirty); err != nil {
 		t.Fatal(err)
@@ -218,11 +217,11 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 	good := make([]byte, frameHeaderLen)
 	putFrameHeader(good, frameHeader{
-		kind: frameRequest, method: methodBatch, stream: 7, channel: 1, length: 10,
+		kind: frameRequest, method: methodBatch, stream: 7, length: 10,
 	})
 	if h, err := parseFrameHeader(good); err != nil {
 		t.Fatalf("valid header rejected: %v", err)
-	} else if h.kind != frameRequest || h.method != methodBatch || h.stream != 7 || h.channel != 1 || h.length != 10 {
+	} else if h.kind != frameRequest || h.method != methodBatch || h.stream != 7 || h.length != 10 {
 		t.Fatalf("valid header misparsed: %+v", h)
 	}
 
@@ -237,7 +236,7 @@ func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 		"bad magic":       corrupt(func(b []byte) { b[0] ^= 0xFF }),
 		"version skew":    corrupt(func(b []byte) { b[4] = WireVersion + 1 }),
 		"version zero":    corrupt(func(b []byte) { b[4] = 0 }),
-		"oversize length": corrupt(func(b []byte) { b[20], b[21], b[22], b[23] = 0xFF, 0xFF, 0xFF, 0xFF }),
+		"oversize length": corrupt(func(b []byte) { b[15], b[16], b[17], b[18] = 0xFF, 0xFF, 0xFF, 0xFF }),
 	}
 	for name, b := range cases {
 		if _, err := parseFrameHeader(b); err == nil {
@@ -306,13 +305,15 @@ func TestEmptyDeltaEncodesSmall(t *testing.T) {
 
 // TestHandleEquivalenceProperty is the multi-handle analogue of
 // TestDeltaCollectMatchesDirectCollect: one stage served over TCP, two
-// independent handles collecting it (each with its own delta state over
-// its own connection), and a direct in-process Collect
-// as ground truth. After every mutation all three snapshots must be
-// codec-byte-identical. Halfway through, the
-// server is torn down and rebuilt on the same port with a fresh stage
-// (same ID): both live handles must redial, detect the epoch change,
-// resync with a full snapshot, and converge again.
+// independent handles collecting it (each with its own acknowledgment
+// over its own connection), and a direct in-process Collect as ground
+// truth. The first handle collects after every mutation, the second
+// after every other one, moving the stage's one baseline to itself, so
+// the first handle's collects alternate between deltas and full
+// resyncs. Every snapshot must equal the direct one. Halfway through,
+// the server is torn down and rebuilt on the same port with a fresh
+// stage (same ID): both live handles must redial, detect the epoch
+// change, resync with a full snapshot, and converge again.
 func TestHandleEquivalenceProperty(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	info := stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7, User: "u"}
@@ -335,22 +336,24 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 	}
 	defer hAlt.Close()
 
+	var stBin, stAlt stage.Stats
+	steps := 0
 	checkConverged := func(step string) {
 		t.Helper()
-		want := statsBytes(stg.Collect())
-		stBin, err := collect(hBin)
-		if err != nil {
+		want := stg.Collect()
+		if err := hBin.CollectDeltaInto(&stBin); err != nil {
 			t.Fatalf("%s: binary collect: %v", step, err)
 		}
-		stAlt, err := collect(hAlt)
-		if err != nil {
-			t.Fatalf("%s: second-handle collect: %v", step, err)
+		if !sameStats(stBin, want) {
+			t.Fatalf("%s: binary snapshot diverged from direct Collect:\nbin:    %+v\ndirect: %+v", step, stBin, want)
 		}
-		if got := statsBytes(stBin); !bytes.Equal(got, want) {
-			t.Fatalf("%s: binary snapshot diverged from direct Collect:\nbin:    %+v\ndirect: %+v", step, stBin, stg.Collect())
-		}
-		if got := statsBytes(stAlt); !bytes.Equal(got, want) {
-			t.Fatalf("%s: second handle diverged from direct Collect:\nalt:    %+v\ndirect: %+v", step, stAlt, stg.Collect())
+		if steps++; steps%2 == 0 {
+			if err := hAlt.CollectDeltaInto(&stAlt); err != nil {
+				t.Fatalf("%s: second-handle collect: %v", step, err)
+			}
+			if !sameStats(stAlt, want) {
+				t.Fatalf("%s: second handle diverged from direct Collect:\nalt:    %+v\ndirect: %+v", step, stAlt, want)
+			}
 		}
 	}
 
@@ -420,14 +423,14 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 	checkConverged("post-restart steady")
 
 	// Both handles must have resynced via at least one full snapshot
-	// (initial + post-restart) and still be collecting incrementally.
+	// (initial + post-restart); the first, collecting twice in a row
+	// after each of the second's collects, must still be incremental.
 	for name, h := range map[string]*StageHandle{"first": hBin, "second": hAlt} {
-		fulls, deltas := h.CollectCounts()
-		if fulls < 2 {
+		if fulls, _ := h.CollectCounts(); fulls < 2 {
 			t.Errorf("%s handle: %d full resyncs across restart, want >= 2", name, fulls)
 		}
-		if deltas == 0 {
-			t.Errorf("%s handle: no incremental collects", name)
-		}
+	}
+	if _, deltas := hBin.CollectCounts(); deltas == 0 {
+		t.Error("first handle: no incremental collects")
 	}
 }

@@ -56,10 +56,11 @@ func TestUnlimitedFastPathRetuneToFinite(t *testing.T) {
 
 // TestGrantedConservedUnderConcurrency checks the atomic-float grant
 // accounting loses nothing when the lock-free and locked paths race:
-// first takers on an unlimited bucket, then 16 waiters on a bucket that
-// concurrent retunes move between two finite rates and unlimited, so a
-// request may be admitted lock-free, with its token in hand, or after a
-// sleep that a broadcast re-timed — and is counted once either way.
+// first takers on an unlimited bucket, then 16 waiters, every one of
+// them parked, on a bucket that concurrent retunes then move between
+// two finite rates and unlimited, so a request may be admitted
+// lock-free, with its token in hand, or after a sleep that a broadcast
+// re-timed — and is counted once either way.
 func TestGrantedConservedUnderConcurrency(t *testing.T) {
 	bk := NewUnlimited(clock.NewReal())
 	const (
@@ -88,7 +89,11 @@ func TestGrantedConservedUnderConcurrency(t *testing.T) {
 		waiters = 16
 		perW    = 100
 	)
-	bk = New(clock.NewReal(), 100_000, 4)
+	// A bucket that refills nothing for as long as the test runs: past its
+	// burst, every waiter parks and stays parked until a retune wakes it,
+	// so once 16 sleeps are armed each waiter is asleep, and the retuner's
+	// first Infinite finds all of them there.
+	bk = New(clock.NewReal(), 0, 4)
 	for g := 0; g < waiters; g++ {
 		wg.Add(1)
 		go func() {
@@ -101,6 +106,7 @@ func TestGrantedConservedUnderConcurrency(t *testing.T) {
 			}
 		}()
 	}
+	awaitSleeps(bk, waiters)
 	stop := retuning(func(i int) {
 		// Unlimited for an instant only: long enough to wake the sleepers
 		// into the lock-free path, not to drain the test.
@@ -110,9 +116,6 @@ func TestGrantedConservedUnderConcurrency(t *testing.T) {
 	})
 	wg.Wait()
 	stop()
-	if sleepsOf(bk) < waiters {
-		t.Errorf("%d sleeps armed: the waiters never parked", sleepsOf(bk))
-	}
 	if got := bk.Granted(); got != waiters*perW {
 		t.Fatalf("Granted = %v after %d waits of one token, want %d", got, waiters*perW, waiters*perW)
 	}
