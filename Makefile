@@ -56,10 +56,14 @@ test:
 # lock, and OST transfers wait outside both), under the race detector,
 # twice: -count=2 defeats the test cache and shakes out order-dependent
 # state, which is how the chaos determinism tests are meant to be run.
+# The root package's registration tests join them: a data plane's
+# registration, its re-registration loop and its heartbeat share the
+# connection it registered on.
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/policy/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
 		./internal/chaos/... ./internal/sim/... \
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/... ./internal/leaktest/...
+	$(GO) test -race -count=2 -run 'OverNetwork|Heartbeat|Serve|Regist' .
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane, every layer of the lock-free admit

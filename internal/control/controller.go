@@ -762,11 +762,11 @@ func (c *Controller) LastAllocation() map[string]float64 {
 
 // ---- network server ----
 
-// Server exposes a Controller on the network: a registrar endpoint
-// stages dial at job start; the controller dials back to each stage's
-// control service.
+// Server exposes a Controller on the network: the registrar endpoint
+// stages dial at job start. A stage registers on a connection it keeps,
+// and the controller's handle on the stage runs over that connection:
+// the controller never dials a stage.
 type Server struct {
-	ctl      *Controller
 	stopReg  func()
 	listener net.Listener
 }
@@ -777,23 +777,21 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("control: listen %s: %w", addr, err)
 	}
-	s := &Server{ctl: c, listener: l}
-	s.stopReg = rpcio.ServeRegistrar(l,
-		func(reg rpcio.Registration) error {
-			h, err := rpcio.DialStage(reg.Addr)
-			if err != nil {
-				return err
-			}
-			return c.Register(reg.Info, h)
-		},
-		func(stageID string) { c.Deregister(stageID) },
-		c.Registered,
-	)
-	return s, nil
+	return c.serveOn(l), nil
+}
+
+// serveOn serves the registrar on l.
+func (c *Controller) serveOn(l net.Listener) *Server {
+	return &Server{
+		listener: l,
+		stopReg: rpcio.ServeRegistrar(l, c.Register,
+			func(stageID string) { c.Deregister(stageID) }, c.Registered),
+	}
 }
 
 // Addr returns the registrar's listen address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// Close stops the registrar listener.
+// Close stops the registrar listener. The connections stages registered
+// on belong to the controller's handles, and stay open.
 func (s *Server) Close() { s.stopReg() }

@@ -1,9 +1,10 @@
 package control
 
 import (
+	"fmt"
 	"net"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,9 +348,9 @@ func TestStopIdempotent(t *testing.T) {
 }
 
 func TestEndToEndOverNetwork(t *testing.T) {
-	// Full integration: controller serves a registrar; a stage serves its
-	// control service and registers over TCP; the feedback loop then
-	// drives the stage's rates through RPC.
+	// Full integration: controller serves a registrar; a stage registers
+	// over TCP and serves its control service on that connection; the
+	// feedback loop then drives the stage's rates through it.
 	clk := clock.NewReal()
 	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
 	srv, err := ctl.Serve("127.0.0.1:0")
@@ -359,18 +360,13 @@ func TestEndToEndOverNetwork(t *testing.T) {
 	defer srv.Close()
 
 	stg := stage.New(stage.Info{StageID: "net-s1", JobID: "net-job", Hostname: "h", PID: 1, User: "u"}, clk)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	cc, err := rpcio.RegisterWithController(srv.Addr(), rpcio.NewStageService(stg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopStage := rpcio.ServeStage(l, stg)
-	defer stopStage()
-
-	if err := rpcio.RegisterWithController(srv.Addr(), stg.Info(), l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	// Registration dials back and installs the control queue before the
-	// registrar answers.
+	defer cc.Close()
+	// Registration installs the control queue over the stage's
+	// connection before the registrar answers.
 	if len(stg.Rules()) == 0 {
 		t.Fatal("control rule never arrived over RPC")
 	}
@@ -391,6 +387,60 @@ func TestEndToEndOverNetwork(t *testing.T) {
 	}
 	if jobs := ctl.Jobs(); len(jobs) != 0 {
 		t.Fatalf("jobs after deregistration = %v, want none", jobs)
+	}
+}
+
+// TestRegistrationsOutnumberTheRegistrarsConnectionBound: the registrar
+// serves at most 128 connections at once, and a registration's
+// connection becomes the controller's handle on the stage, leaving that
+// bound. So 300 stages register one after another, each within its
+// call deadline (a registrar that kept the slot would leave the 129th
+// unanswered until that deadline failed it), and the next round reaches
+// all of them.
+func TestRegistrationsOutnumberTheRegistrarsConnectionBound(t *testing.T) {
+	clk := clock.NewReal()
+	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(300_000))
+	srv, err := ctl.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// A registrar that never gave a slot back would park its accept
+		// loop for good, and its stop with it.
+		stopped := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Error("the registrar's stop hung: its accept loop waits for a connection slot")
+		}
+	}()
+
+	const stages = 300
+	conns := make([]*rpcio.ControllerConn, 0, stages)
+	defer func() {
+		for _, cc := range conns {
+			cc.Close()
+		}
+	}()
+	for i := 0; i < stages; i++ {
+		stg := stage.New(stage.Info{StageID: fmt.Sprintf("s%03d", i), JobID: fmt.Sprintf("job%02d", i%16)}, clk)
+		cc, err := rpcio.RegisterWithController(srv.Addr(), rpcio.NewStageService(stg))
+		if err != nil {
+			t.Fatalf("registration %d of %d: %v", i+1, stages, err)
+		}
+		conns = append(conns, cc)
+	}
+	if got := len(ctl.Stages()); got != stages {
+		t.Fatalf("controller holds %d stages, want %d", got, stages)
+	}
+	ctl.RunOnce()
+	if rs, _ := ctl.LastRound(); rs.CollectFailures != 0 || rs.CollectCalls != stages {
+		t.Errorf("round after registration: %d collects, %d failed; want %d, none failed",
+			rs.CollectCalls, rs.CollectFailures, stages)
 	}
 }
 
@@ -512,36 +562,63 @@ func TestSteadyRoundLeavesLocalStageUntouched(t *testing.T) {
 	})
 }
 
-// TestRegistrarOverFrames drives the registration endpoint end to end
-// over the frame codec: a registration makes the controller dial back
-// and install the managed rule plus the replayed administrator rules in
-// one batch; the liveness probe answers; deregistration removes the
-// stage; and a registration the controller cannot honour surfaces its
-// error text at the stage.
-func TestRegistrarOverFrames(t *testing.T) {
-	clk := clock.NewReal()
-	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
-	srv, err := ctl.Serve("127.0.0.1:0")
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// listenCounting listens on a loopback port and counts what it accepts.
+func listenCounting(t *testing.T) *countingListener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return &countingListener{Listener: l}
+}
+
+// TestRegistrarOverFrames drives the registration endpoint end to end
+// over the frame codec: a registration is one connection, which the
+// stage dials and the controller installs the managed rule plus the
+// replayed administrator rules over, in one batch, without dialing the
+// stage; the liveness probe answers; and deregistration removes the
+// stage.
+func TestRegistrarOverFrames(t *testing.T) {
+	clk := clock.NewReal()
+	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
+	registrar := listenCounting(t)
+	srv := ctl.serveOn(registrar)
 	defer srv.Close()
 
 	info := stage.Info{StageID: "reg-s1", JobID: "reg-job", Hostname: "h", PID: 1, User: "u"}
-	serve := func() (*stage.Stage, *rpcio.StageService, string, func()) {
+	// serve starts a stage with an admin listener of its own, as
+	// DataPlane.Serve does, and registers it.
+	serve := func() (*stage.Stage, *rpcio.StageService, *countingListener, func()) {
 		stg := stage.New(info, clk)
 		svc := rpcio.NewStageService(stg)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+		admin := listenCounting(t)
+		stopAdmin := rpcio.ServeStageService(admin, svc)
+		cc, err := rpcio.RegisterWithController(srv.Addr(), svc)
 		if err != nil {
+			stopAdmin()
 			t.Fatal(err)
 		}
-		return stg, svc, l.Addr().String(), rpcio.ServeStageService(l, svc)
+		return stg, svc, admin, func() {
+			cc.Close()
+			stopAdmin()
+		}
 	}
 
-	_, _, addr, stop := serve()
-	if err := rpcio.RegisterWithController(srv.Addr(), info, addr); err != nil {
-		t.Fatal(err)
-	}
+	_, _, _, stop := serve()
 	// Record administrator intent, then restart the stage: the fresh
 	// registration must replay it together with the managed rule.
 	if err := ctl.ApplyRuleToJob("reg-job", policy.Rule{ID: "open-cap", Rate: 1000}); err != nil {
@@ -551,13 +628,12 @@ func TestRegistrarOverFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
-	fresh, svc, addr, stop := serve()
+	before := registrar.accepted.Load()
+	fresh, svc, admin, stop := serve()
 	defer stop()
-	if err := rpcio.RegisterWithController(srv.Addr(), info, addr); err != nil {
-		t.Fatal(err)
-	}
-	// The register exchange returns only after the dial-back installed
-	// the rules, so there is nothing to wait for.
+	// The register exchange returns only after the controller installed
+	// the rules over the stage's connection, so there is nothing to wait
+	// for.
 	for id, want := range map[string]float64{ControlRuleID: 5000, "open-cap": 1000, "floor": 9000} {
 		if got := ruleRate(fresh, id); got != want {
 			t.Errorf("rule %s at %v after re-registration, want %v", id, got, want)
@@ -565,6 +641,12 @@ func TestRegistrarOverFrames(t *testing.T) {
 	}
 	if served := svc.Served(); served.Calls != 1 || served.BatchedOps != 3 {
 		t.Errorf("registration cost %d calls / %d ops, want one batch of 3", served.Calls, served.BatchedOps)
+	}
+	if n := admin.accepted.Load(); n != 0 {
+		t.Errorf("the stage's admin listener accepted %d connections during registration, want 0", n)
+	}
+	if n := registrar.accepted.Load() - before; n != 1 {
+		t.Errorf("the registrar accepted %d connections for one registration, want 1", n)
 	}
 
 	if registered, err := rpcio.ProbeController(srv.Addr(), info.StageID, time.Second); err != nil || !registered {
@@ -575,12 +657,5 @@ func TestRegistrarOverFrames(t *testing.T) {
 	}
 	if stages := ctl.Stages(); len(stages) != 0 {
 		t.Errorf("stages after deregistration = %v", stages)
-	}
-
-	// Nothing listens at the announced address: the dial-back fails, and
-	// the stage must learn why.
-	err = rpcio.RegisterWithController(srv.Addr(), info, "127.0.0.1:1")
-	if err == nil || !strings.Contains(err.Error(), "dial stage 127.0.0.1:1") {
-		t.Errorf("registration with a dead address = %v, want the controller's dial error", err)
 	}
 }

@@ -302,7 +302,7 @@ func TestProbeController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeRegistrar(l, func(Registration) error { return nil }, nil,
+	stop := ServeRegistrar(l, holdHandles(t, nil), nil,
 		func(id string) bool { return id == "held" })
 	defer stop()
 
@@ -391,8 +391,8 @@ func TestSilentRegistrarCostsOneDeadline(t *testing.T) {
 			return err
 		}},
 		{"Registrar.Register", 150 * time.Millisecond, func(d time.Duration) error {
-			return registrarCall(addr, time.Second, d, "Registrar.Register",
-				&Registration{Info: stage.Info{StageID: "sX"}, Addr: "127.0.0.1:9"}, nil)
+			_, err := register(addr, time.Second, d, NewStageService(stage.New(stage.Info{StageID: "sX"}, clock.NewReal())))
+			return err
 		}},
 	} {
 		start := time.Now()
@@ -419,12 +419,13 @@ func TestServerSideErrorsAreNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regCalls atomic.Int32
-	stop := ServeRegistrar(l, func(Registration) error {
+	refuse := holdHandles(t, errors.New("registry full"))
+	stop := ServeRegistrar(l, func(info stage.Info, h *StageHandle) error {
 		regCalls.Add(1)
-		return errors.New("registry full")
+		return refuse(info, h)
 	}, nil, nil)
 	defer stop()
-	err = RegisterWithController(l.Addr().String(), stage.Info{StageID: "sX"}, "127.0.0.1:9")
+	_, err = RegisterWithController(l.Addr().String(), NewStageService(stage.New(stage.Info{StageID: "sX"}, clock.NewReal())))
 	if err == nil || !strings.Contains(err.Error(), "registry full") {
 		t.Fatalf("err = %v, want the service refusal", err)
 	}

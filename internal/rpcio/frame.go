@@ -1,9 +1,11 @@
 // Client half of the frame transport.
 //
 // Every transport owns one TCP connection to a single-service endpoint
-// (a stage's control service, or the registrar), and the exchange in
-// flight is the connection's one writer and its one reader: no
-// goroutine runs per connection. A request frame names a stream — a
+// (a stage's control service, or the registrar) — dialed by the
+// transport, or, for the controller's handle on a registered stage, the
+// connection the stage dialed to register — and the exchange in flight
+// is the connection's one writer and its one reader: no goroutine runs
+// per connection. A request frame names a stream — a
 // per-connection sequence number the reply echoes — and a reply frame
 // on any other stream (a duplicate from a flaky wire, a straggler from
 // a timed-out call) is consumed and dropped, never misdelivered.
@@ -18,7 +20,8 @@
 // and blocks in a read only when the reply is not there yet — under
 // what is left of the deadline, counted from the send on the
 // transport's clock, whose timer releases the read (see wait). A
-// timeout or I/O error kills the connection and the next call redials;
+// timeout or I/O error kills the connection and the next call redials
+// (an adopted connection is never redialed: the stage dials again);
 // a blocking exchange (Exec) separates its attempts by the fixed retry
 // schedule (retryDelays; a one-shot registrar call has none), and a
 // RemoteError — the peer's application error — is never retried.
@@ -99,6 +102,11 @@ func (fc *frameConn) kill(err error) {
 // it: err, unless a kill from elsewhere got there first.
 func (fc *frameConn) fail(err error) error {
 	fc.kill(err)
+	return fc.cause()
+}
+
+// cause is the error that killed the connection (nil while it lives).
+func (fc *frameConn) cause() error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	return fc.err
@@ -161,10 +169,12 @@ func (fr *frameReader) add(n int, err error) error {
 var errWouldBlock = errors.New("rpcio: nothing to read")
 
 // frameTransport implements Transport over its own frameConn, redialed
-// whenever the last one died.
+// whenever the last one died — unless the transport adopted a
+// connection its peer dialed, whose death is final.
 type frameTransport struct {
 	addr string
 	dialConfig
+	adopted bool
 
 	calls        atomic.Uint64
 	bytesRead    atomic.Uint64
@@ -192,26 +202,45 @@ func (t *frameTransport) errClosed() error {
 	return fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
 }
 
-// dial connects to the transport's endpoint and builds what the
-// connection's exchanges reuse: the receive buffer, the look and the
-// deadline timer.
+// dial connects to the transport's endpoint.
 func (t *frameTransport) dial() (*frameConn, error) {
 	conn, err := net.DialTimeout("tcp", t.addr, t.dialTO)
 	if err != nil {
 		return nil, fmt.Errorf("rpcio: dial stage %s: %w", t.addr, err)
 	}
-	fc := &frameConn{conn: conn, in: newFrameReader(), fired: make(chan struct{}, 1)}
+	return t.newFrameConn(conn, newFrameReader()), nil
+}
+
+// newFrameConn builds what a connection's exchanges reuse: the receive
+// buffer in (which may already hold bytes), the look and the deadline
+// timer.
+func (t *frameTransport) newFrameConn(conn net.Conn, in frameReader) *frameConn {
+	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1)}
 	fc.peek.init(conn.(*net.TCPConn))
 	if t.timeout > 0 {
 		fc.deadline = t.clk.NewFuncTimer(fc.expire)
 	}
-	return fc, nil
+	return fc
+}
+
+// adoptStage returns a handle on a connection a stage dialed (the
+// registrar hands over the one a stage registered on) and on what its
+// receive buffer in already holds. The handle never redials: once the
+// connection dies every exchange fails in transport, and a retry would
+// only fail the same way, so it has no retry schedule either.
+func adoptStage(conn net.Conn, in frameReader) *StageHandle {
+	cfg := defaultDialConfig()
+	cfg.delays = nil
+	t := newFrameTransport(conn.RemoteAddr().String(), cfg)
+	t.adopted = true
+	t.fc = t.newFrameConn(conn, in)
+	return NewStageHandle(t)
 }
 
 // ensureConn returns the transport's live connection, dialing a fresh
-// one when the previous died. Only the goroutine running the exchange
-// calls it, so two dials never race; a Close racing a dial wins, and the
-// fresh connection is closed.
+// one when the previous died (an adopted connection's death is final).
+// Only the goroutine running the exchange calls it, so two dials never
+// race; a Close racing a dial wins, and the fresh connection is closed.
 func (t *frameTransport) ensureConn() (*frameConn, error) {
 	t.mu.Lock()
 	fc, closed := t.fc, t.closed
@@ -221,6 +250,8 @@ func (t *frameTransport) ensureConn() (*frameConn, error) {
 		return nil, t.errClosed()
 	case fc != nil && !fc.isDead():
 		return fc, nil
+	case t.adopted:
+		return nil, fmt.Errorf("rpcio: stage %s: connection lost: %w", t.addr, fc.cause())
 	}
 	fc, err := t.dial()
 	if err != nil {

@@ -6,14 +6,19 @@
 // request, answers it and reads the next: a client has one
 // exchange at a time on its connection, so only a duplicating wire
 // ever queues a second request behind the first, and frames are
-// handled strictly in arrival order. The per-connection receive buffer,
+// handled strictly in arrival order. A stage serves the connection it
+// dialed to register the same way: the registrar hands that connection
+// to the controller, whose rounds run over it. The per-connection receive buffer,
 // decode targets and reply structs are reused across frames, so a
 // steady-state collect allocates nothing on the server side either.
 package rpcio
 
 import (
+	"errors"
 	"fmt"
 	"net"
+
+	"padll/internal/stage"
 )
 
 // frameTarget is a listener's one service: exactly one field is set.
@@ -49,45 +54,70 @@ func serviceOf(m methodID) string {
 	}
 }
 
-// frameSession is one accepted connection's reusable server state:
-// decode targets and reply values survive across frames, so the
-// steady-state dispatch path allocates nothing.
+// frameSession is one served connection's reusable state: decode
+// targets and reply values survive across frames, so the steady-state
+// dispatch path allocates nothing.
 type frameSession struct {
+	// conn and in are the connection and its receive buffer, which a
+	// registration hands to the controller; handedOff says it did.
+	conn      net.Conn
+	in        frameReader
+	handedOff bool
+
 	payload []byte
 	wbuf    []byte
 
-	probe        HealthProbe // Registrar.Ping args and its echo
-	batchArgs    BatchArgs
-	registration Registration
-	stageID      string // Registrar.Deregister args
+	probe     HealthProbe // Registrar.Ping args and its echo
+	batchArgs BatchArgs
+	info      stage.Info // Registrar.Register args
+	stageID   string     // Registrar.Deregister args
 
 	batchReply BatchReply
 }
 
-// serveConn runs one connection's frame loop until the connection
-// dies. Frames are handled in order. Requests are cut out of the
-// connection's receive buffer — a frame's header and payload arrive in
-// one read of the socket, not two — and each reply is written with a
-// single Write so write-granular fault injection drops whole frames.
-func (t frameTarget) serveConn(conn net.Conn) {
-	var s frameSession
-	in := newFrameReader()
+// errHandedOff ends a registrar's frame loop once a registration handed
+// the connection to the controller.
+var errHandedOff = errors.New("rpcio: connection handed to the controller")
+
+// serveConn runs one accepted connection's frame loop and reports why
+// it ended: errHandedOff, or the error that made the connection
+// unusable.
+func (t frameTarget) serveConn(conn net.Conn) error {
+	return t.serve(&frameSession{conn: conn, in: newFrameReader()}, nil)
+}
+
+// serve runs s's frame loop until it ends, and reports why. Frames are
+// handled in order. Requests are cut out of the connection's receive
+// buffer — a frame's header and payload arrive in one read of the
+// socket, not two — and each reply is written with a single Write so
+// write-granular fault injection drops whole frames. A frame that is
+// not a request goes to onReply (on a stage's connection to its
+// controller, the answer to its registration), whose error ends the
+// loop; with no onReply it ends the loop, since a client must only send
+// requests. The loop can be resumed with s where it ended.
+func (t frameTarget) serve(s *frameSession, onReply func(frameHeader, []byte) error) error {
 	for {
-		h, payload, ok, err := in.next()
+		h, payload, ok, err := s.in.next()
 		if err != nil {
-			return // unusable framing: kill the connection
+			return err // unusable framing: kill the connection
 		}
 		if !ok {
-			if err := in.add(conn.Read(in.space())); err != nil {
-				return // peer hung up (or the listener stopped and closed us)
+			if err := s.in.add(s.conn.Read(s.in.space())); err != nil {
+				return err // peer hung up (or the listener stopped and closed us)
+			}
+			continue
+		}
+		if h.kind != frameRequest {
+			if onReply == nil {
+				return fmt.Errorf("rpcio: frame kind %d from a client", h.kind)
+			}
+			if err := onReply(h, payload); err != nil {
+				return err
 			}
 			continue
 		}
 		s.payload = payload
-		if h.kind != frameRequest {
-			return // a client must only send requests
-		}
-		reply, kind := t.handleCall(&s, h, frameStart(s.wbuf))
+		reply, kind := t.handleCall(s, h, frameStart(s.wbuf))
 		s.wbuf = reply
 		putFrameHeader(reply[:frameHeaderLen], frameHeader{
 			kind:   kind,
@@ -95,8 +125,12 @@ func (t frameTarget) serveConn(conn net.Conn) {
 			stream: h.stream,
 			length: uint32(len(reply) - frameHeaderLen),
 		})
-		if _, err := conn.Write(reply); err != nil {
-			return
+		_, err = s.conn.Write(reply)
+		switch {
+		case s.handedOff:
+			return errHandedOff // the connection is the controller's now
+		case err != nil:
+			return err
 		}
 	}
 }
@@ -126,8 +160,12 @@ func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([
 		}
 		out = appendBatchReply(reply, &s.batchReply)
 	case methodRegister:
-		if err = readCallArgs(h.method, s.payload, &s.registration); err == nil {
-			err = t.reg.onRegister(s.registration)
+		// The controller's handle on the stage runs over the connection
+		// the stage registered on, so the managed and replayed rules are
+		// installed before this call is answered.
+		if err = readCallArgs(h.method, s.payload, &s.info); err == nil {
+			s.handedOff = true
+			err = t.reg.onRegister(s.info, adoptStage(s.conn, s.in))
 		}
 	case methodDeregister:
 		if err = readCallArgs(h.method, s.payload, &s.stageID); err == nil && t.reg.onDeregister != nil {

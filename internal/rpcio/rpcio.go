@@ -10,23 +10,17 @@
 package rpcio
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"padll/internal/clock"
 	"padll/internal/stage"
 )
-
-// Registration is what a stage announces to the control plane at startup:
-// the identity attributes the controller groups stages by (job-ID, PID,
-// hostname, user) plus the address of the stage's control service.
-type Registration struct {
-	Info stage.Info
-	// Addr is the host:port of the stage's RPC server.
-	Addr string
-}
 
 // ---- stage-side control service ----
 
@@ -85,11 +79,13 @@ const maxConns = 128
 // a hard bound on concurrently served connections: the accept loop
 // takes a semaphore slot before accepting, so at most limit handler
 // goroutines exist and excess dials queue in the listener backlog. The
-// handler must serve the connection to completion and return when it
-// dies. The returned stop function is deterministic: it closes the
+// handler must serve the connection until it dies, or until it hands
+// the connection to a new owner, and report which (kept): a kept
+// connection gives its slot back and leaves the server without being
+// closed. The returned stop function is deterministic: it closes the
 // listener, closes every in-flight connection (unblocking their
 // handlers), and waits for all goroutines to finish.
-func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func()) {
+func serveBounded(l net.Listener, handler func(net.Conn) (kept bool), limit int) (stop func()) {
 	sem := make(chan struct{}, limit)
 	var (
 		mu      sync.Mutex
@@ -122,11 +118,12 @@ func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func(
 			go func(conn net.Conn) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				handler(conn)
-				// The handler is done with the peer (it hung up, or sent
-				// unusable framing): release the socket now rather than
-				// leaving the peer to run into its own deadline.
-				_ = conn.Close()
+				if !handler(conn) {
+					// The handler is done with the peer (it hung up, or sent
+					// unusable framing): release the socket now rather than
+					// leaving the peer to run into its own deadline.
+					_ = conn.Close()
+				}
 				mu.Lock()
 				delete(live, conn)
 				mu.Unlock()
@@ -154,7 +151,11 @@ func serveBounded(l net.Listener, handler func(net.Conn), limit int) (stop func(
 // function closes the listener and every in-flight connection, then
 // waits for all serving goroutines to exit.
 func ServeStageService(l net.Listener, svc *StageService) (stop func()) {
-	return serveBounded(l, frameTarget{stage: svc}.serveConn, maxConns)
+	return serveBounded(l, func(conn net.Conn) bool {
+		// The loop ends when the connection does; why is nobody's concern.
+		_ = frameTarget{stage: svc}.serveConn(conn)
+		return false
+	}, maxConns)
 }
 
 // ServeStage serves the stage's control service on l; see
@@ -179,8 +180,9 @@ const (
 var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 
 // StageHandle is the control plane's one link to a stage, layered
-// over a Transport: frames over TCP with redial, deadlines and a fixed
-// retry schedule for remote stages (DialStage), or the same codec in
+// over a Transport: frames over TCP with deadlines — on the connection
+// the stage registered on (ServeRegistrar), or on one DialStage opens,
+// with redial and a fixed retry schedule — or the same codec in
 // process (EncodedLoopbackStage). The handle owns the client half of
 // the batched delta protocol (Start/Finish/Exec/Reattempt in batch.go);
 // a fault to inject goes under it, as a Transport.
@@ -238,30 +240,35 @@ func (h *StageHandle) Close() error { return h.t.Close() }
 // registrar is the control plane's registration service: the target of
 // the three Registrar.* frame methods (dispatched in frameserver.go).
 type registrar struct {
-	onRegister   func(Registration) error
+	onRegister   func(stage.Info, *StageHandle) error
 	onDeregister func(stageID string)
 	registered   func(stageID string) bool
 }
 
-// ServeRegistrar serves a registration endpoint on l, invoking onRegister
-// for each arriving stage — its error travels back to the stage as the
-// call's error — and onDeregister (may be nil) on departures. A health
+// ServeRegistrar serves a registration endpoint on l. A stage registers
+// on a connection it keeps: onRegister receives the stage's identity and
+// a handle running over that connection, which it owns from then on,
+// and its error travels back to the stage as the call's error. The
+// connection leaves the endpoint's bound and its stop function with the
+// handle. onDeregister (may be nil) runs on departures, and a health
 // probe is answered with registered(stageID); a nil registered holds no
 // stage. Connection handling is bounded and stop is deterministic; see
 // ServeStageService.
-func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string),
+func ServeRegistrar(l net.Listener, onRegister func(stage.Info, *StageHandle) error, onDeregister func(string),
 	registered func(string) bool) (stop func()) {
 	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister, registered: registered}
-	return serveBounded(l, frameTarget{reg: reg}.serveConn, maxConns)
+	return serveBounded(l, func(conn net.Conn) bool {
+		return frameTarget{reg: reg}.serveConn(conn) == errHandedOff
+	}, maxConns)
 }
 
 // registrarCall performs one exchange with the control plane's
 // registrar: a one-shot frame transport on a connection of its own, so
-// concurrent registrations are served in parallel, closed once the
-// exchange is over. The dial and the exchange (counted from the send, on
-// the wall clock: registrar calls run on real deployments' startup
-// paths) are bounded, which keeps a stage's startup, shutdown and
-// heartbeat paths from hanging on a dead controller.
+// concurrent calls are served in parallel, closed once the exchange is
+// over. The dial and the exchange (counted from the send, on the wall
+// clock: registrar calls run on real deployments' shutdown and
+// heartbeat paths) are bounded, which keeps those paths from hanging on
+// a dead controller.
 func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
 	cfg := defaultDialConfig()
 	cfg.timeout, cfg.dialTO, cfg.delays = callTO, dialTO, nil
@@ -276,12 +283,106 @@ func registrarCall(addr string, dialTO, callTO time.Duration, method string, arg
 	return err
 }
 
-// RegisterWithController dials the control plane's registrar and announces
-// a stage served at stageAddr.
-func RegisterWithController(controllerAddr string, info stage.Info, stageAddr string) error {
-	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, "Registrar.Register",
-		&Registration{Info: info, Addr: stageAddr}, nil)
+// ControllerConn is a registered stage's connection to its control
+// plane: the stage dialed it to register, and serves its control
+// service on it, the controller's rounds included, until it dies.
+type ControllerConn struct {
+	conn net.Conn
+	done chan struct{}
 }
+
+// Done is closed once the connection has died and its serve loop has
+// returned.
+func (c *ControllerConn) Done() <-chan struct{} { return c.done }
+
+// Close closes the connection and waits for its serve loop to return.
+func (c *ControllerConn) Close() {
+	// Whatever the close reports, the connection is gone.
+	_ = c.conn.Close()
+	<-c.done
+}
+
+// registerStream is the stream of a registration's request: the first
+// and only request a stage sends on its connection to the controller.
+const registerStream = 1
+
+// RegisterWithController dials the control plane's registrar at
+// controllerAddr and registers the stage svc serves, serving svc on the
+// same connection: the controller installs the stage's rules over it
+// before the registration is answered, and runs its rounds over it
+// afterwards. An error frame in answer is the registration's error.
+func RegisterWithController(controllerAddr string, svc *StageService) (*ControllerConn, error) {
+	return register(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, svc)
+}
+
+// register is RegisterWithController with its dial and call deadlines;
+// the call's counts from the send, on the wall clock.
+func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*ControllerConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTO)
+	if err != nil {
+		return nil, fmt.Errorf("rpcio: controller %s: dial: %w", addr, err)
+	}
+	info := svc.stg.Info()
+	frame, err := appendCallArgs(frameStart(nil), methodRegister, &info)
+	if err == nil {
+		putFrameHeader(frame[:frameHeaderLen], frameHeader{
+			kind:   frameRequest,
+			method: methodRegister,
+			stream: registerStream,
+			length: uint32(len(frame) - frameHeaderLen),
+		})
+		err = conn.SetReadDeadline(clock.NewReal().Now().Add(callTO))
+	}
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	t := frameTarget{stage: svc}
+	sess := &frameSession{conn: conn, in: newFrameReader()}
+	if err == nil {
+		// The stage serves the connection from the start: the controller
+		// installs the stage's rules over it before it answers.
+		err = t.serve(sess, func(h frameHeader, payload []byte) error {
+			switch {
+			case h.method != methodRegister || h.stream != registerStream:
+				return fmt.Errorf("rpcio: unexpected %s reply on stream %d", methodName(h.method), h.stream)
+			case h.kind == frameError:
+				return RemoteError(string(payload))
+			}
+			if err := readCallReply(methodRegister, payload, nil); err != nil {
+				return err
+			}
+			return errRegistered
+		})
+	}
+	if err == errRegistered {
+		// The deadline bounded the registration; the connection now
+		// waits for rounds as long as it lives.
+		err = conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		// The connection is unusable; its close error adds nothing.
+		_ = conn.Close()
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return nil, fmt.Errorf("rpcio: controller %s: Registrar.Register deadline %v exceeded", addr, callTO)
+		case !Retryable(err):
+			return nil, err // the controller's refusal
+		}
+		return nil, fmt.Errorf("rpcio: controller %s: registration: %w", addr, err)
+	}
+	c := &ControllerConn{conn: conn, done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		// The loop ends when the connection does, which says why.
+		_ = t.serve(sess, nil)
+		_ = conn.Close()
+	}()
+	return c, nil
+}
+
+// errRegistered ends the first stretch of a stage's frame loop on its
+// connection to the controller: the registration was answered.
+var errRegistered = errors.New("rpcio: registered")
 
 // DeregisterFromController announces a stage's departure.
 func DeregisterFromController(controllerAddr, stageID string) error {
@@ -302,4 +403,12 @@ func ProbeController(controllerAddr, stageID string, timeout time.Duration) (reg
 		return false, fmt.Errorf("rpcio: probe controller: %w", err)
 	}
 	return echo.Registered, nil
+}
+
+// RetryDelay is the retry schedule's sleep after the attempt-th failed
+// try (counting from 0), its last delay once the schedule runs out: the
+// pace of a stage that keeps re-registering after losing its
+// controller.
+func RetryDelay(attempt int) time.Duration {
+	return retryDelays[min(attempt, len(retryDelays)-1)]
 }

@@ -75,6 +75,26 @@ func sameStats(a, b stage.Stats) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+// holdHandles is a registrar's onRegister that keeps every handle it is
+// given, answers with err, and closes the handles when the test ends.
+func holdHandles(t *testing.T, err error) func(stage.Info, *StageHandle) error {
+	var mu sync.Mutex
+	var held []*StageHandle
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, h := range held {
+			h.Close()
+		}
+	})
+	return func(_ stage.Info, h *StageHandle) error {
+		mu.Lock()
+		defer mu.Unlock()
+		held = append(held, h)
+		return err
+	}
+}
+
 // servedStage spins up a stage with its RPC service on loopback.
 func servedStage(t *testing.T) (*stage.Stage, *StageHandle) {
 	t.Helper()
@@ -195,14 +215,15 @@ func TestRegistrarFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	var regs []Registration
+	var regs []stage.Info
 	var deregs []string
+	hold := holdHandles(t, nil)
 	stop := ServeRegistrar(l,
-		func(r Registration) error {
+		func(info stage.Info, h *StageHandle) error {
 			mu.Lock()
-			regs = append(regs, r)
+			regs = append(regs, info)
 			mu.Unlock()
-			return nil
+			return hold(info, h)
 		},
 		func(id string) {
 			mu.Lock()
@@ -212,15 +233,17 @@ func TestRegistrarFlow(t *testing.T) {
 	defer stop()
 
 	info := stage.Info{StageID: "sX", JobID: "jY", Hostname: "nodeZ", PID: 11, User: "bob"}
-	if err := RegisterWithController(l.Addr().String(), info, "127.0.0.1:9999"); err != nil {
+	cc, err := RegisterWithController(l.Addr().String(), NewStageService(stage.New(info, clock.NewReal())))
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer cc.Close()
 	if err := DeregisterFromController(l.Addr().String(), "sX"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(regs) != 1 || regs[0].Info.JobID != "jY" || regs[0].Addr != "127.0.0.1:9999" {
+	if len(regs) != 1 || regs[0] != info {
 		t.Errorf("registrations = %+v", regs)
 	}
 	if len(deregs) != 1 || deregs[0] != "sX" {
@@ -228,8 +251,58 @@ func TestRegistrarFlow(t *testing.T) {
 	}
 }
 
+// TestRegistrationConnectionCarriesTheControllersCalls: the registrar
+// hands the connection a stage registered on to the controller, which
+// installs a rule over it before the registration is answered. The
+// stage serves that call, the answer then ends its registration, and
+// the connection carries the controller's later exchanges until the
+// controller closes its handle, which ends the stage's serve loop.
+func TestRegistrationConnectionCarriesTheControllersCalls(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make(chan *StageHandle, 1)
+	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) error {
+		handles <- h
+		return applyRule(h, policy.Rule{ID: "cap", Rate: 100})
+	}, nil, nil)
+	defer stop()
+
+	stg := stage.New(stage.Info{StageID: "sX", JobID: "jY"}, clock.NewReal())
+	svc := NewStageService(stg)
+	cc, err := RegisterWithController(l.Addr().String(), svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	h := <-handles
+	defer h.Close()
+	if rules := stg.Rules(); len(rules) != 1 || rules[0].ID != "cap" {
+		t.Fatalf("rules when the registration returned = %+v, want the one the registrar installed", rules)
+	}
+	if found, err := setRate(h, "cap", 50); err != nil || !found {
+		t.Fatalf("retune over the registration connection: found=%v, %v", found, err)
+	}
+	if got := stg.Rules()[0].Rate; got != 50 {
+		t.Errorf("rate after the retune = %v, want 50", got)
+	}
+	if served := svc.Served(); served.Calls != 2 {
+		t.Errorf("stage served %d calls, want the install and the retune", served.Calls)
+	}
+
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cc.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stage's serve loop outlived the controller's handle")
+	}
+}
+
 // TestRegistrarRejectsMalformedFrames sends the registrar what a broken
-// or outdated stage would: a Registration payload cut short (answered
+// or outdated stage would: a registration payload cut short (answered
 // with an error frame, onRegister never runs) and a frame from a
 // WireVersion 2 peer (connection dropped without a reply). Neither may
 // panic the endpoint, which must keep serving afterwards.
@@ -239,7 +312,8 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regs atomic.Int32
-	stop := ServeRegistrar(l, func(Registration) error { regs.Add(1); return nil }, nil, nil)
+	hold := holdHandles(t, nil)
+	stop := ServeRegistrar(l, func(info stage.Info, h *StageHandle) error { regs.Add(1); return hold(info, h) }, nil, nil)
 	defer stop()
 
 	// exchange writes one raw request frame and reads one reply frame.
@@ -268,8 +342,7 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 		return h, body, err
 	}
 	request := func(cut int) []byte {
-		frame, err := appendCallArgs(frameStart(nil), methodRegister,
-			&Registration{Info: stage.Info{StageID: "sX", JobID: "jY"}, Addr: "127.0.0.1:9999"})
+		frame, err := appendCallArgs(frameStart(nil), methodRegister, &stage.Info{StageID: "sX", JobID: "jY"})
 		if err != nil {
 			t.Fatal(err)
 		}

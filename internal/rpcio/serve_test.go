@@ -56,7 +56,11 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := serveBounded(l, frameTarget{stage: NewStageService(stg)}.serveConn, 1)
+	svc := NewStageService(stg)
+	stop := serveBounded(l, func(conn net.Conn) bool {
+		_ = frameTarget{stage: svc}.serveConn(conn)
+		return false
+	}, 1)
 	defer stop()
 
 	a, err := DialStage(l.Addr().String())

@@ -22,9 +22,8 @@ import (
 // Only exported fields are registered: the codec never moves unexported
 // ones (wireUnexported lists the few a wire struct may keep).
 var wireRegistry = map[string][]string{
-	// rpcio.go: registration and the registrar's ping.
-	"rpcio.Registration": {"Info stage.Info", "Addr string"},
-	"rpcio.HealthProbe":  {"Seq uint64", "StageID string", "Registered bool"},
+	// rpcio.go: the registrar's ping (a registration carries a stage.Info).
+	"rpcio.HealthProbe": {"Seq uint64", "StageID string", "Registered bool"},
 
 	// batch.go: batched delta protocol.
 	"rpcio.StageOp": {
@@ -90,7 +89,6 @@ func codecOf[T any](enc func([]byte, *T) []byte, dec func(*wireReader, *T)) wire
 // wireTypes pairs every registered type with its append/read functions,
 // in wireRegistry's order.
 var wireTypes = []wireType{
-	codecOf(appendRegistration, readRegistration),
 	codecOf(appendHealthProbe, readHealthProbe),
 	codecOf(appendStageOp, readStageOp),
 	codecOf(appendOpResult, readOpResult),

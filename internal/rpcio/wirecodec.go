@@ -16,7 +16,10 @@
 //	    15     4  length  payload byte count (bounded by maxFramePayload)
 //	    19     …  payload
 //
-// A listener serves one service, so the header names no service.
+// A listener serves one service, so the header names no service. The
+// connection a stage registers on carries both: the stage's one request
+// is its registration, and every request after it is the controller's,
+// to the stage.
 // Payload scalars use binary.{App,}endUvarint/Varint; a float64 travels
 // as the uvarint of its byte-reversed IEEE-754 bits (appendF64), one
 // byte for 0.0 and three to five for typical rates; strings and slices
@@ -52,7 +55,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 7
+const WireVersion = 8
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -80,6 +83,11 @@ var wireSchemaFingerprints = map[int]string{
 	// 19 bytes); and stage.Stats, which no message carries, is no longer
 	// registered.
 	7: "sha256:69a3990acfd7d9c67e5c617a57dcda9559ed7dd4ebea3de8023a1fac33fd7937",
+	// v8: a registration carries the stage's identity alone (its
+	// Registration wrapper and the Addr the controller dialed back are
+	// gone), and the controller runs its rounds over the connection the
+	// stage registered on.
+	8: "sha256:9c9023e557db5192c0506cd99e7a82c1c0bf79781f2803153dade9333dff9bd4",
 }
 
 // Frame kinds.
@@ -495,17 +503,6 @@ func readRule(r *wireReader, v *policy.Rule) {
 	v.Action = policy.Action(r.varint())
 }
 
-func appendRegistration(b []byte, v *Registration) []byte {
-	b = appendInfo(b, &v.Info)
-	b = appendString(b, v.Addr)
-	return b
-}
-
-func readRegistration(r *wireReader, v *Registration) {
-	readInfo(r, &v.Info)
-	v.Addr = r.str()
-}
-
 func appendHealthProbe(b []byte, v *HealthProbe) []byte {
 	b = binary.AppendUvarint(b, v.Seq)
 	b = appendString(b, v.StageID)
@@ -637,7 +634,7 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 	case methodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
 	case methodRegister:
-		return appendRegistration(b, args.(*Registration)), nil
+		return appendInfo(b, args.(*stage.Info)), nil // the registering stage
 	case methodDeregister:
 		return appendString(b, *args.(*string)), nil // the stage ID
 	default:
@@ -655,7 +652,7 @@ func readCallArgs(m methodID, payload []byte, args any) error {
 	case methodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
 	case methodRegister:
-		readRegistration(&r, args.(*Registration))
+		readInfo(&r, args.(*stage.Info))
 	case methodDeregister:
 		*args.(*string) = r.str()
 	default:

@@ -3,6 +3,8 @@ package rpcio
 import (
 	"bytes"
 	"testing"
+
+	"padll/internal/stage"
 )
 
 // fuzzArgsDst returns a fresh decode destination for a method's args
@@ -12,7 +14,7 @@ func fuzzArgsDst(m methodID) any {
 	case methodRegistrarPing:
 		return &HealthProbe{}
 	case methodRegister:
-		return &Registration{}
+		return &stage.Info{}
 	case methodDeregister:
 		return new(string)
 	case methodBatch:

@@ -110,8 +110,8 @@ func callFixtures() []callFixture {
 		},
 		{
 			method:  "Registrar.Register",
-			args:    &Registration{Info: info, Addr: "10.0.0.7:7171"},
-			argsDst: &Registration{},
+			args:    &info,
+			argsDst: &stage.Info{},
 		},
 		{
 			method:  "Registrar.Deregister",
@@ -282,12 +282,12 @@ func TestDecoderRejectsTruncatedPayloads(t *testing.T) {
 // TestDecoderRejectsTrailingGarbage appends bytes after a valid payload;
 // done() must flag the leftovers as a schema disagreement.
 func TestDecoderRejectsTrailingGarbage(t *testing.T) {
-	buf, err := appendCallArgs(nil, methodRegister, &Registration{Addr: "a:1"})
+	buf, err := appendCallArgs(nil, methodRegister, &stage.Info{StageID: "s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = append(buf, 0x00)
-	if err := readCallArgs(methodRegister, buf, &Registration{}); err == nil {
+	if err := readCallArgs(methodRegister, buf, &stage.Info{}); err == nil {
 		t.Error("trailing byte after args payload decoded without error")
 	}
 }

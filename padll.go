@@ -40,6 +40,7 @@ package padll
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"padll/internal/clock"
@@ -224,6 +225,13 @@ type DataPlane struct {
 	stop       func()
 	listenAddr string
 	controller string
+	// regMu serializes registrations and guards link, the connection the
+	// stage last registered on, which the controller's rounds run over.
+	regMu sync.Mutex
+	link  *rpcio.ControllerConn
+	// re-registration loop state (while registered)
+	keepStop chan struct{}
+	keepDone chan struct{}
 	// heartbeat state (controller liveness probe)
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -300,8 +308,13 @@ func (dp *DataPlane) InterceptionStats() interpose.Stats { return dp.shim.Stats(
 
 // Serve exposes the data plane's control service on addr (host:port, use
 // ":0" for an ephemeral port) and, when controllerAddr is non-empty,
-// registers with that control plane. A data plane serves once until
-// Close; a Serve that fails leaves it as it was.
+// registers with that control plane: the stage dials the registrar and
+// serves its control service on that connection too, over which the
+// controller installs the stage's rules before the registration returns
+// and runs its rounds afterwards. Should that connection die, the stage
+// is Degraded until it has registered again over a fresh one; it keeps
+// trying on the retry schedule until it succeeds or Close. A data plane
+// serves once until Close; a Serve that fails leaves it as it was.
 func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	if dp.stop != nil {
 		return fmt.Errorf("padll: control service already running on %s", dp.listenAddr)
@@ -312,18 +325,82 @@ func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	}
 	svc := rpcio.NewStageService(dp.stg)
 	stop := rpcio.ServeStageService(l, svc)
-	listenAddr := l.Addr().String()
 	if controllerAddr != "" {
-		// The controller dials back while registering, so the service is
-		// already up.
-		if err := rpcio.RegisterWithController(controllerAddr, dp.stg.Info(), listenAddr); err != nil {
+		link, err := rpcio.RegisterWithController(controllerAddr, svc)
+		if err != nil {
 			stop()
 			return err
 		}
-		dp.controller = controllerAddr
+		dp.controller, dp.link = controllerAddr, link
 	}
-	dp.svc, dp.stop, dp.listenAddr = svc, stop, listenAddr
+	dp.svc, dp.stop, dp.listenAddr = svc, stop, l.Addr().String()
+	if dp.link != nil {
+		dp.keepStop, dp.keepDone = make(chan struct{}), make(chan struct{})
+		go dp.keepRegistered(dp.keepStop, dp.keepDone)
+	}
 	return nil
+}
+
+// register registers the stage again over a fresh connection, which
+// replaces (and closes) the one it last registered on. A registration
+// made for a lost connection passes it as lost, and gives way to a
+// registration made since.
+func (dp *DataPlane) register(lost *rpcio.ControllerConn) error {
+	dp.regMu.Lock()
+	defer dp.regMu.Unlock()
+	if lost != nil && lost != dp.link {
+		return nil
+	}
+	link, err := rpcio.RegisterWithController(dp.controller, dp.svc)
+	if err != nil {
+		return err
+	}
+	old := dp.link
+	dp.link = link
+	old.Close()
+	return nil
+}
+
+// currentLink returns the connection the stage last registered on; it
+// waits for a registration in progress.
+func (dp *DataPlane) currentLink() *rpcio.ControllerConn {
+	dp.regMu.Lock()
+	defer dp.regMu.Unlock()
+	return dp.link
+}
+
+// keepRegistered re-registers the stage whenever the connection it
+// registered on dies (the controller closed its handle: it deregistered,
+// evicted or replaced the stage, or went away), until stop. A connection
+// a newer registration replaced ends quietly. Until a re-registration
+// succeeds the stage is unmanaged, so Degraded; failed attempts are
+// spaced by the retry schedule on the data plane's clock.
+func (dp *DataPlane) keepRegistered(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	wake := make(chan struct{}, 1)
+	t := dp.clk.NewFuncTimer(func() { wake <- struct{}{} })
+	defer t.Stop()
+	for {
+		lost := dp.currentLink()
+		select {
+		case <-stop:
+			return
+		case <-lost.Done():
+		}
+		if dp.currentLink() != lost {
+			continue // replaced by a newer registration
+		}
+		dp.stg.SetDegraded(true)
+		for attempt := 0; dp.register(lost) != nil; attempt++ {
+			t.Reset(rpcio.RetryDelay(attempt))
+			select {
+			case <-stop:
+				return
+			case <-wake:
+			}
+		}
+		dp.stg.SetDegraded(false)
+	}
 }
 
 // Addr returns the served control address ("" before Serve).
@@ -346,7 +423,8 @@ func (dp *DataPlane) ControlServiceStats() (stats ServiceStats, ok bool) {
 // unlimited I/O), and surfaces the condition through Stats. When the
 // controller answers again, or answers that it does not hold this
 // stage's registration (it restarted between two probes, or evicted the
-// stage), the stage re-registers — which replays the controller's
+// stage), the stage re-registers over a fresh connection, closing the
+// one it registered on before — which replays the controller's
 // last-known rule set for this stage — and leaves Degraded; a failed
 // re-registration leaves it Degraded.
 //
@@ -393,7 +471,7 @@ func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 			// stage). Re-register so it replays the last-known rules and
 			// folds this stage into the next allocation round; until that
 			// succeeds the stage is unmanaged, so degraded.
-			rerr := rpcio.RegisterWithController(controller, info, dp.listenAddr)
+			rerr := dp.register(nil)
 			dp.stg.SetDegraded(rerr != nil)
 		}
 	}()
@@ -415,14 +493,27 @@ func (dp *DataPlane) stopHeartbeat() {
 	dp.hbStop, dp.hbDone = nil, nil
 }
 
-// Close deregisters from the control plane (if registered) and stops the
+// Close stops re-registering, deregisters from the control plane (if
+// registered), closes the connection it registered on and stops the
 // control service.
 func (dp *DataPlane) Close() error {
 	var err error
 	dp.stopHeartbeat()
+	if dp.keepStop != nil {
+		close(dp.keepStop)
+		<-dp.keepDone
+		dp.keepStop, dp.keepDone = nil, nil
+	}
 	if dp.controller != "" {
 		err = rpcio.DeregisterFromController(dp.controller, dp.stg.Info().StageID)
 		dp.controller = ""
+	}
+	dp.regMu.Lock()
+	link := dp.link
+	dp.link = nil
+	dp.regMu.Unlock()
+	if link != nil {
+		link.Close()
 	}
 	if dp.stop != nil {
 		dp.stop()

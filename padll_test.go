@@ -4,17 +4,22 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"padll"
 	"padll/internal/clock"
+	"padll/internal/control"
 	"padll/internal/localfs"
 	"padll/internal/pfs"
 	"padll/internal/posix"
+	"padll/internal/rpcio"
+	"padll/internal/stage"
 	"padll/internal/trace"
 )
 
@@ -547,4 +552,135 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 			<-done
 		})
 	})
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// TestStageRegistersAgainAfterLosingItsConnection: the controller's rounds run
+// over the connection a stage registered on, so when the controller
+// closes its handle on the stage, the stage registers again over one
+// fresh connection, and the next round reaches it. The controller holds
+// one record, the stage one live connection; Close leaves neither.
+func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
+	ctl := control.New(clock.NewReal(), control.WithAlgorithm(control.StaticEqualShare{}), control.WithClusterLimit(8000))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registrar := &countingListener{Listener: l}
+	handles := make(chan *rpcio.StageHandle, 4)
+	stop := rpcio.ServeRegistrar(registrar, func(info stage.Info, h *rpcio.StageHandle) error {
+		err := ctl.Register(info, h)
+		handles <- h
+		return err
+	}, func(id string) { ctl.Deregister(id) }, ctl.Registered)
+	defer stop()
+
+	_, local := newBackends(clock.NewReal())
+	dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "lost", Hostname: "n", PID: 1}, padll.MountLocal("/", local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.Serve("127.0.0.1:0", l.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			dp.Close()
+		}
+	}()
+	first := dp.ControllerConn()
+	if err := (<-handles).Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-handles:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stage did not register again after losing its connection")
+	}
+	for deadline := time.Now().Add(5 * time.Second); dp.ControllerConn() == first || dp.Degraded(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("stage still on its lost connection (%v) or degraded (%v)", dp.ControllerConn() == first, dp.Degraded())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	second := dp.ControllerConn()
+	select {
+	case <-first.Done():
+	default:
+		t.Error("the lost connection's serve loop still runs")
+	}
+	select {
+	case <-second.Done():
+		t.Fatal("the fresh connection is dead")
+	default:
+	}
+
+	ctl.RunOnce()
+	if rs, _ := ctl.LastRound(); rs.CollectFailures != 0 || rs.CollectCalls != 1 {
+		t.Errorf("round after re-registration: %d collects, %d failed; want 1, none failed", rs.CollectCalls, rs.CollectFailures)
+	}
+	if n := len(ctl.Stages()); n != 1 {
+		t.Errorf("controller holds %d records, want 1", n)
+	}
+	if n := registrar.accepted.Load(); n != 2 {
+		t.Errorf("registrar accepted %d connections, want the first registration's and one fresh one", n)
+	}
+
+	closed = true
+	if err := dp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ctl.Stages()); n != 0 {
+		t.Errorf("controller holds %d records after Close, want none", n)
+	}
+	select {
+	case <-second.Done():
+	default:
+		t.Error("Close left the stage's connection served")
+	}
+	if dp.ControllerConn() != nil {
+		t.Error("Close left the data plane holding a controller connection")
+	}
+}
+
+// BenchmarkServeRegister prices a data plane's start and end against a
+// live control plane: Serve with a controller address (listen, register,
+// the managed rule's install) and Close (deregister, stop serving).
+func BenchmarkServeRegister(b *testing.B) {
+	cp := padll.NewControlPlane(
+		padll.WithAlgorithm(padll.ProportionalShare()),
+		padll.WithClusterLimit(1e6))
+	addr, err := cp.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cp.Stop()
+	_, local := newBackends(clock.NewReal())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "bench", Hostname: "n", PID: i}, padll.MountLocal("/", local))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+			b.Fatal(err)
+		}
+		if err := dp.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
