@@ -197,7 +197,7 @@ ci:
 # lines outside bench/, exported functions and methods, With* options
 # (under internal/ and padll.go), analyzers padll-lint runs — and the
 # ones the control plane is tracked by: wire structs wireRegistry locks,
-# wire call methods methodIDs maps, non-test lines of rpcio + control —
+# wire call methods (live methodID constants), non-test lines of rpcio + control —
 # the experiment harness's non-test lines, the simulated cluster's with
 # its chaos scenarios, the stage's with the rule classifier it selects
 # through, and the static-analysis
@@ -215,8 +215,8 @@ count:
 	@printf 'analyzers: %d\n' "$$($(GO) run ./cmd/padll-lint -list | wc -l)"
 	@printf 'wire structs (wireRegistry): %d\n' \
 		"$$(awk '/^var wireRegistry/,/^}/' internal/rpcio/wire_registry_test.go | grep -cE '^\s+"[a-z]+\.[A-Z][A-Za-z]*": ')"
-	@printf 'wire call methods (methodIDs): %d\n' \
-		"$$(awk '/^var methodIDs/,/^}/' internal/rpcio/wirecodec.go | grep -cE '^\s+"[A-Z][A-Za-z]*\.[A-Z][A-Za-z]*": ')"
+	@printf 'wire call methods (methodID constants): %d\n' \
+		"$$(awk '/_ methodID = iota/,/^\)/' internal/rpcio/wirecodec.go | grep -cE '^\s+method[A-Z][A-Za-z]*$$')"
 	@printf 'rpcio + control non-test lines: %d\n' \
 		"$$(find internal/rpcio internal/control -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'rpcio + control interface types: %d\n' \

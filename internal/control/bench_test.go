@@ -84,17 +84,17 @@ func benchFleetTCP(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 	return ctl
 }
 
-// benchFleetLoopback wires n stages through the encoded in-process
-// transport — no sockets, but every exchange round-trips through the
-// binary wire codec with exact frame-byte accounting — which is what
-// lets a single machine hold a 1024-stage fleet and still report a
-// truthful wireB/round.
+// benchFleetLoopback wires n stages in process (rpcio.LocalStage) — no
+// sockets, but every exchange runs the frame transport over an
+// in-memory conn, with exact frame-byte accounting — which is what lets
+// a single machine hold a 1024-stage fleet and still report a truthful
+// wireB/round.
 func benchFleetLoopback(tb testing.TB, n int) *Controller {
 	tb.Helper()
 	ctl := benchController()
 	for i := 0; i < n; i++ {
 		stg := benchStage(i)
-		h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
+		h := rpcio.LocalStage(rpcio.NewStageService(stg), ctl.Clock(), nil)
 		if err := ctl.Register(stg.Info(), h); err != nil {
 			tb.Fatal(err)
 		}

@@ -3,7 +3,9 @@ package control
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,6 +30,8 @@ type Controller struct {
 
 	mu     sync.Mutex
 	stages map[string]*member // by StageID
+	// jobStages counts the registered stages of each job with any.
+	jobStages map[string]int
 	// registryRev counts mutations of the registry; the round loop
 	// reshards lazily when it has moved.
 	registryRev  int
@@ -109,6 +113,7 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 	c := &Controller{
 		clk:          clk,
 		stages:       make(map[string]*member),
+		jobStages:    make(map[string]int),
 		reservations: make(map[string]float64),
 		onError:      func(string, error) {},
 		lastAlloc:    make(map[string]float64),
@@ -150,15 +155,22 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	if old == nil || old.h != h || old.info != info {
 		c.stages[id] = &member{info: info, h: h}
 	}
+	job := info.JobID
+	if old != nil { // the stage's count moves to its job now
+		c.uncountLocked(old.info.JobID)
+	}
+	c.jobStages[job]++
 	c.registryRev++
 	delete(c.misses, id)
 	alg := c.algorithm
-	job := info.JobID
-	rate, haveAlloc := 0.0, false
+	// Without a recorded allocation, the managed rule starts at a
+	// conservative equal share of the cluster limit among the registered
+	// jobs; the next loop iteration assigns the real rate.
+	rate := policy.Unlimited
 	if a, ok := c.lastAlloc[job]; ok {
-		if n := len(c.stagesOfJobLocked(job)); n > 0 {
-			rate, haveAlloc = a/float64(n), true
-		}
+		rate = a / float64(c.jobStages[job])
+	} else if c.clusterLimit > 0 {
+		rate = c.clusterLimit / float64(len(c.jobStages))
 	}
 	replay := c.replayRulesLocked(job)
 	c.mu.Unlock()
@@ -174,11 +186,6 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	// rules×stages round trips.
 	ops := make([]rpcio.StageOp, 0, 1+len(replay))
 	if alg != nil {
-		// Without a recorded allocation, start at a conservative equal
-		// share; the next loop iteration assigns the real rate.
-		if !haveAlloc {
-			rate = c.initialRate()
-		}
 		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(job, rate)})
 	}
 	for _, r := range replay {
@@ -201,7 +208,7 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 func (c *Controller) replayRulesLocked(job string) []policy.Rule {
 	var out []policy.Rule
 	if group := c.adminRules[job]; len(group) > 0 {
-		out = appendSplit(out, group, len(c.stagesOfJobLocked(job)))
+		out = appendSplit(out, group, c.jobStages[job])
 	}
 	return appendSplit(out, c.clusterRules, len(c.stages))
 }
@@ -224,21 +231,6 @@ func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []polic
 	return out
 }
 
-// initialRate is the rate a just-registered job starts at before
-// the first allocation round: an equal share of the cluster limit.
-func (c *Controller) initialRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.jobIDsLocked())
-	if n == 0 {
-		n = 1
-	}
-	if c.clusterLimit <= 0 {
-		return policy.Unlimited
-	}
-	return c.clusterLimit / float64(n)
-}
-
 // Deregister removes a stage (job completion, node failure, or
 // eviction). When the stage was its job's last, the job's share is
 // released — residual allocation, reservation, and recorded rules are
@@ -252,7 +244,7 @@ func (c *Controller) Deregister(stageID string) bool {
 		delete(c.stages, stageID)
 		c.registryRev++
 		delete(c.misses, stageID)
-		if len(c.stagesOfJobLocked(job)) == 0 {
+		if c.uncountLocked(job) {
 			delete(c.lastAlloc, job)
 			delete(c.reservations, job)
 			delete(c.adminRules, job)
@@ -265,6 +257,16 @@ func (c *Controller) Deregister(stageID string) bool {
 		_ = m.h.Close()
 	}
 	return ok
+}
+
+// uncountLocked takes one stage off job's count and reports whether it
+// was the job's last.
+func (c *Controller) uncountLocked(job string) (last bool) {
+	if c.jobStages[job]--; c.jobStages[job] > 0 {
+		return false
+	}
+	delete(c.jobStages, job)
+	return true
 }
 
 // ErrEvicted is reported to the error handler for each stage removed by
@@ -342,21 +344,7 @@ func (c *Controller) Registered(id string) bool {
 func (c *Controller) Jobs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.jobIDsLocked()
-}
-
-func (c *Controller) jobIDsLocked() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range c.stages {
-		j := m.info.JobID
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(c.jobStages))
 }
 
 // membersLocked returns the registry's records, sorted by StageID.
@@ -567,7 +555,7 @@ type RoundStats struct {
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
 	// BytesRead/BytesWritten are the controller-side frame traffic this
-	// round, in-process loopback stages included.
+	// round, in-process stages included.
 	BytesRead    uint64
 	BytesWritten uint64
 }

@@ -2,7 +2,10 @@ package control
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,10 +26,52 @@ func localStage(id, job string, clk clock.Clock) (*stage.Stage, *rpcio.StageHand
 	return stg, loopbackHandle(stg)
 }
 
-// loopbackHandle reaches stg in process, through the frame codec and
-// the delta protocol: how every in-process stage is registered.
+// loopbackHandle reaches stg in process, through the frame transport
+// and the delta protocol: how every in-process stage is registered. Its
+// deadline runs on the wall clock and never arms: an in-process reply is
+// always in before it is awaited.
 func loopbackHandle(stg *stage.Stage) *rpcio.StageHandle {
-	return rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
+	return rpcio.LocalStage(rpcio.NewStageService(stg), clock.NewReal(), nil)
+}
+
+// TestJobCountsMatchBruteForce: over seeded register, deregister and
+// re-register steps — a re-registration may move the stage to another
+// job — Jobs() and the rate a just-registered stage starts at (an equal
+// share of the cluster limit among the registered jobs) equal a
+// reference recomputed from scratch after every step.
+func TestJobCountsMatchBruteForce(t *testing.T) {
+	const limit = 12000.0
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := clock.NewSim(epoch)
+		c := New(clk, WithClusterLimit(limit), WithAlgorithm(StaticEqualShare{}))
+		ref := map[string]string{} // StageID -> JobID
+		refJobs := func() []string {
+			jobs := slices.Sorted(maps.Values(ref))
+			return slices.Compact(jobs)
+		}
+		for step := 0; step < 300; step++ {
+			id := fmt.Sprintf("s%d", rng.Intn(12))
+			if _, ok := ref[id]; ok && rng.Intn(3) == 0 {
+				if !c.Deregister(id) {
+					t.Fatalf("seed %d step %d: Deregister(%s) = false", seed, step, id)
+				}
+				delete(ref, id)
+			} else {
+				stg, h := localStage(id, fmt.Sprintf("job%d", rng.Intn(5)), clk)
+				if err := c.Register(stg.Info(), h); err != nil {
+					t.Fatal(err)
+				}
+				ref[id] = stg.Info().JobID
+				if got, want := ruleRate(stg, ControlRuleID), limit/float64(len(refJobs())); got != want {
+					t.Fatalf("seed %d step %d: %s registered at %v, want %v", seed, step, id, got, want)
+				}
+			}
+			if got, want := c.Jobs(), refJobs(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Jobs() = %v, want %v", seed, step, got, want)
+			}
+		}
+	}
 }
 
 func TestRegisterAndJobGrouping(t *testing.T) {
@@ -525,7 +570,7 @@ func TestDependabilityStageDiesAndReconnects(t *testing.T) {
 }
 
 // TestSteadyRoundLeavesLocalStageUntouched: probe-and-skip covers
-// in-process stages, reached over the loopback, and the steady collects
+// in-process stages, reached over in-memory conns, and the steady collects
 // themselves touch nothing. At a fixed allocation, rounds after the first
 // push nothing, so the stage's rule snapshot — and with it the
 // quiescence proof — survives the control interval instead of being

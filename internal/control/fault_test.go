@@ -247,36 +247,13 @@ func TestMonitorReadsDoNotCountTowardEviction(t *testing.T) {
 	}
 }
 
-// gatedTransport wraps a stage's transport with a gate that runs in
-// Start, when a round starts the exchange (the push in StageID order,
-// a split collect chunk by chunk side by side), and may fail the
-// exchange before it reaches the stage: Finish then returns the gate's
-// error, as it would a lost round trip. Only the exchange in flight
-// touches gated.
-type gatedTransport struct {
-	rpcio.Transport
-	gate  func(ops []rpcio.StageOp, collect bool) error
-	gated error
-}
-
-func (g *gatedTransport) Start(method string, args, reply any) {
-	ba := args.(*rpcio.BatchArgs) // a stage handle's only call is Stage.Batch
-	if g.gated = g.gate(ba.Ops, ba.Collect); g.gated == nil {
-		g.Transport.Start(method, args, reply)
-	}
-}
-
-func (g *gatedTransport) Finish() error {
-	if err := g.gated; err != nil {
-		g.gated = nil
-		return err
-	}
-	return g.Transport.Finish()
-}
-
-// gatedHandle reaches stg in process, every exchange passing gate first.
-func gatedHandle(stg *stage.Stage, gate func(ops []rpcio.StageOp, collect bool) error) *rpcio.StageHandle {
-	return rpcio.NewStageHandle(&gatedTransport{Transport: rpcio.NewEncodedLoopback(rpcio.NewStageService(stg)), gate: gate})
+// gatedHandle reaches stg in process, every exchange passing gate
+// first: the gate runs as the exchange is written, when a round starts
+// it (the push in StageID order, a split collect chunk by chunk side by
+// side), and an error refuses the exchange before it reaches the stage,
+// which Finish then returns, as it would a lost round trip.
+func gatedHandle(stg *stage.Stage, gate rpcio.Fault) *rpcio.StageHandle {
+	return rpcio.LocalStage(rpcio.NewStageService(stg), clock.NewReal(), gate)
 }
 
 // flakyConn fails every collect on stg while down is set.

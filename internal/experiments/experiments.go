@@ -21,9 +21,9 @@
 //	E8 §VI     — DRF control algorithm (future-work extension)
 //	E9 ablations — burst sizing; queue granularity; shape vs drop
 //	E10 §IV-C  — MDS protection under saturation (discussion scenario)
-//	E11        — folded into E13 (its in-process rows were E13's loopback)
+//	E11        — folded into E13 (its in-process rows were E13's)
 //	E12 §I     — adaptive cluster limit (AIMD on MDS health)
-//	E13 §VI    — fleet-scale control rounds (counted over encoded loopback)
+//	E13 §VI    — fleet-scale control rounds (counted over in-memory conns)
 package experiments
 
 import (

@@ -17,10 +17,10 @@ import (
 // round's collect and rate pushes into one Stage.Batch round trip per
 // stage and returns incremental per-queue deltas; this experiment counts
 // what a steady-state round costs at increasing fleet sizes. Every stage
-// speaks the frame codec over the in-process encoded loopback on a
-// simulated clock, so the counts are the same on every run; what a round
-// takes on the wall clock over TCP is the repository benchmark's
-// fleet_rounds workload.
+// runs the frame transport in process (rpcio.LocalStage) on a simulated
+// clock, so the counts are the same on every run; what a round takes on
+// the wall clock over TCP is the repository benchmark's fleet_rounds
+// workload.
 
 // FleetRow is one counted point of the fleet sweep.
 type FleetRow struct {
@@ -82,7 +82,7 @@ func fleetPoint(n int) (FleetRow, error) {
 	}
 	for i := 0; i < n; i++ {
 		stg := fleetStage(i, clk)
-		if err := ctl.Register(stg.Info(), rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))); err != nil {
+		if err := ctl.Register(stg.Info(), rpcio.LocalStage(rpcio.NewStageService(stg), clk, nil)); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)
@@ -111,14 +111,15 @@ func fleetPoint(n int) (FleetRow, error) {
 // reports the operations it carried and the round trips the stage
 // service itself counted for them.
 func fleetManagementRound() (ops, calls int, err error) {
-	svc := rpcio.NewStageService(fleetStage(0, clock.NewSim(simEpoch)))
+	clk := clock.NewSim(simEpoch)
+	svc := rpcio.NewStageService(fleetStage(0, clk))
 	batch := []rpcio.StageOp{{Kind: rpcio.OpSetRate, ID: "admin-00", Rate: 2000}}
 	for i := 0; i < fleetMgmtRules; i++ {
 		batch = append(batch, rpcio.StageOp{Kind: rpcio.OpApplyRule,
 			Rule: policy.Rule{ID: fmt.Sprintf("mgmt-%d", i), Rate: float64(1000 * (i + 1))}})
 	}
 	var st stage.Stats
-	if _, _, err = rpcio.EncodedLoopbackStage(svc).Exec(batch, &st); err != nil {
+	if _, _, err = rpcio.LocalStage(svc, clk, nil).Exec(batch, &st); err != nil {
 		return 0, 0, err
 	}
 	return len(batch) + 1, int(svc.Served().Calls), nil // +1: the collect

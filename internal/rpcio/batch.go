@@ -401,7 +401,7 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats) {
 	h.bargs.Ops = ops
 	h.bargs.Collect = dst != nil
 	resetReply(&h.breply)
-	h.t.Start("Stage.Batch", &h.bargs, &h.breply)
+	h.t.Start(methodBatch, &h.bargs, &h.breply)
 }
 
 // Finish waits for the started exchange's outcome. results has one

@@ -1,6 +1,7 @@
 package rpcio
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -81,7 +82,7 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 			clk := clock.NewSim(epoch)
 			stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
 			svc := NewStageService(stg)
-			h, other := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
+			h, other := LocalStage(svc, clk, nil), LocalStage(svc, clk, nil)
 			rng := rand.New(rand.NewSource(seed))
 
 			ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
@@ -144,20 +145,6 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 	}
 }
 
-// switchableTransport lets a test swap the peer under a live handle —
-// the client-side view of a stage process that died and was replaced.
-type switchableTransport struct {
-	inner Transport
-}
-
-func (s *switchableTransport) Start(method string, args, reply any) {
-	s.inner.Start(method, args, reply)
-}
-func (s *switchableTransport) Finish() error          { return s.inner.Finish() }
-func (s *switchableTransport) Retry(attempt int) bool { return s.inner.Retry(attempt) }
-func (s *switchableTransport) WireStats() WireStats   { return s.inner.WireStats() }
-func (s *switchableTransport) Close() error           { return s.inner.Close() }
-
 // TestDeltaFallsBackToFullAfterStageRestart kills the serving stage and
 // replaces it with a fresh one (new StageService, new epoch). The
 // client's acknowledged generation is now meaningless; the stage must
@@ -168,8 +155,14 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	stg1 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg1.ApplyRule(policy.Rule{ID: "old-only", Rate: 100})
 	stg1.ApplyRule(policy.Rule{ID: "shared", Rate: 200})
-	sw := &switchableTransport{inner: NewEncodedLoopback(NewStageService(stg1))}
-	h := NewStageHandle(sw)
+	// The handle dials whichever service target names: a swapped dial
+	// target is the client-side view of a stage process that died and
+	// was replaced.
+	target := NewStageService(stg1)
+	cfg := defaultDialConfig()
+	cfg.clk, cfg.delays = clk, nil
+	tr := newFrameTransport("s1", cfg, func() (net.Conn, error) { return newMemConn(target, nil), nil })
+	h := newStageHandle(tr)
 
 	var merged stage.Stats
 	for i := 0; i < 3; i++ {
@@ -181,7 +174,8 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	// The stage process restarts: fresh state, fresh service epoch.
 	stg2 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
-	sw.inner = NewEncodedLoopback(NewStageService(stg2))
+	target = NewStageService(stg2)
+	tr.fc.kill(errors.New("stage restarted"))
 
 	if err := h.CollectDeltaInto(&merged); err != nil {
 		t.Fatal(err)
@@ -212,7 +206,7 @@ func TestDeltaTrackerOneBaseline(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	a, b := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
+	a, b := LocalStage(svc, clk, nil), LocalStage(svc, clk, nil)
 	merged := map[*StageHandle]*stage.Stats{a: {}, b: {}}
 
 	const rounds = 4
@@ -296,7 +290,7 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 }
 
 // TestDeltaCollectOverWire runs the incremental protocol over the real
-// TCP transport (ServeStageService + DialStage) instead of a loopback. This
+// TCP transport (ServeStageService + DialStage) instead of in process. This
 // is the regression test for reply reuse: a handle reuses one reply
 // struct across exchanges, so a decoder that merged instead of
 // overwrote would read every post-full incremental reply with a stale
@@ -389,9 +383,10 @@ func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 }
 
 func TestServiceStatsCountBatchTraffic(t *testing.T) {
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
+	clk := clock.NewSim(epoch)
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	svc := NewStageService(stg)
-	h := EncodedLoopbackStage(svc)
+	h := LocalStage(svc, clk, nil)
 
 	var st stage.Stats
 	if _, _, err := h.Exec([]StageOp{
@@ -412,18 +407,20 @@ func TestServiceStatsCountBatchTraffic(t *testing.T) {
 
 // BenchmarkCollectDeltaSteadyState measures the per-round cost of an
 // incremental collect when nothing changes — the fleet steady state the
-// controller's feedback loop sits in. It runs the full binary wire
-// codec (EncodedLoopback) and materializes into a caller-owned buffer;
+// controller's feedback loop sits in. It runs the whole frame transport
+// in process (LocalStage: the binary codec, the frame cutter, the
+// gather) and materializes into a caller-owned buffer;
 // the interesting number is allocs: the service reuses its scratch
 // snapshot, the handle its args/reply buffers and delta cache, and the
 // codec appends into reused frames, so steady-state rounds must stay
 // allocation-free (≤2 allocs/op tolerated for map-iteration noise).
 func BenchmarkCollectDeltaSteadyState(b *testing.B) {
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
+	clk := clock.NewSim(epoch)
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		stg.ApplyRule(policy.Rule{ID: id, Rate: 1000})
 	}
-	h := EncodedLoopbackStage(NewStageService(stg))
+	h := LocalStage(NewStageService(stg), clk, nil)
 	var st stage.Stats
 	if err := h.CollectDeltaInto(&st); err != nil { // first contact: full
 		b.Fatal(err)

@@ -286,7 +286,7 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 		if _, _, err := h.Exec(nil, &dst[i]); err != nil {
 			t.Fatal(err)
 		}
-		conns[i] = h.t.(*frameTransport).fc
+		conns[i] = h.t.fc
 	}
 
 	mute.Store(true)
@@ -318,7 +318,7 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 		}
 	}
 	for i, h := range handles {
-		call := &h.t.(*frameTransport).call
+		call := &h.t.call
 		if call.err != nil || call.fc != nil || call.reply != nil {
 			t.Errorf("transport %d left its call not at rest: err %v, conn %v", i, call.err, call.fc)
 		}

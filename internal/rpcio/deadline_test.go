@@ -23,7 +23,7 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 	t.Cleanup(ServeStage(wrap(l), stg))
 	cfg := defaultDialConfig()
 	cfg.clk, cfg.timeout, cfg.delays = clk, timeout, nil
-	tr := newFrameTransport(l.Addr().String(), cfg)
+	tr := newFrameTransport(l.Addr().String(), cfg, dialTCP(l.Addr().String(), cfg.dialTO))
 	t.Cleanup(func() { _ = tr.Close() })
 	return tr
 }

@@ -83,7 +83,7 @@ func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
 		want := cfg.delays
 		clk := newSleepRecorder()
 		cfg.clk = clk
-		h := NewStageHandle(newFrameTransport(dead, cfg))
+		h := newStageHandle(newFrameTransport(dead, cfg, dialTCP(dead, cfg.dialTO)))
 		for exchange := 0; exchange < 2; exchange++ {
 			if _, err := collect(h); err == nil {
 				t.Fatalf("%v: a collect from a dead port succeeded", want)
@@ -124,14 +124,68 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 	return stg, h, cl
 }
 
+// TestCallDeadlineRecoversFromDroppedResponses: the stage applies every
+// request, and every second reply on a connection is lost without a
+// word — the read awaiting it waits as on a silent socket — so the
+// client must hit its per-call deadline, redial and retry. The handle
+// runs in process on a simulated clock, which the test steps through
+// each deadline and the retry sleep after it.
 func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
-	// Every second response the server writes is silently dropped: the
-	// client must hit its per-call deadline, redial, and retry.
-	_, h, _ := flakyServedStage(t, Flakiness{DropEvery: 2})
+	const timeout = 150 * time.Millisecond
+	clk := clock.NewSim(epoch)
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+	cfg := defaultDialConfig()
+	cfg.clk, cfg.timeout, cfg.delays = clk, timeout, []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}
+	h := newStageHandle(newFrameTransport("s1", cfg, func() (net.Conn, error) {
+		requests := 0
+		return newMemConn(svc, func([]StageOp, bool) error {
+			if requests++; requests%2 == 0 {
+				return ReplyLost{}
+			}
+			return nil
+		}), nil
+	}))
+	defer func() { _ = h.Close() }()
 	for i := 0; i < 6; i++ {
-		if _, err := ping(h); err != nil {
+		done := make(chan error, 1)
+		go func() {
+			_, err := ping(h)
+			done <- err
+		}()
+		if i > 0 { // the connection's second reply is lost
+			clk.BlockUntil(1) // the read waits on its deadline
+			clk.Advance(timeout)
+			clk.BlockUntil(1) // the retry sleep
+			clk.Advance(cfg.delays[0])
+		}
+		if err := <-done; err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
+	}
+}
+
+// TestCloseReleasesASilentInProcessExchange: an in-process exchange
+// whose reply was lost without a word waits on its deadline timer; a
+// Close from another goroutine releases it at once, before the
+// deadline, with the connection's close.
+func TestCloseReleasesASilentInProcessExchange(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+	h := LocalStage(svc, clk, func([]StageOp, bool) error { return ReplyLost{} })
+	done := make(chan error, 1)
+	go func() {
+		_, err := ping(h)
+		done <- err
+	}()
+	clk.BlockUntil(1) // the read waits on its deadline
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "connection closed") {
+		t.Fatalf("err = %v, want the handle's close", err)
+	}
+	if served := svc.Served().Calls; served != 1 {
+		t.Errorf("stage served %d calls, want the one whose reply was lost", served)
 	}
 }
 

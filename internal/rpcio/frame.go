@@ -1,30 +1,31 @@
 // Client half of the frame transport.
 //
-// Every transport owns one TCP connection to a single-service endpoint
-// (a stage's control service, or the registrar) — dialed by the
-// transport, or, for the controller's handle on a registered stage, the
-// connection the stage dialed to register — and the exchange in flight
+// Every transport owns one connection to a single-service endpoint (a
+// stage's control service, or the registrar): TCP — dialed by the
+// transport, or the one a stage dialed to register — or an in-memory
+// conn to a stage in this process (transport.go). The exchange in flight
 // is the connection's one writer and its one reader: no goroutine runs
 // per connection. A request frame names a stream — a
 // per-connection sequence number the reply echoes — and a reply frame
 // on any other stream (a duplicate from a flaky wire, a straggler from
 // a timed-out call) is consumed and dropped, never misdelivered.
 //
-// An exchange is two halves (Transport.Start, Transport.Finish). The
+// An exchange is two halves (frameTransport.Start, Finish). The
 // first encodes the frame and writes it with one Write, so fault
 // injectors working at write granularity (the tests' FlakyConn) drop or
 // duplicate whole frames. The second reads the reply and decodes it. A
 // caller driving many stages has every request on the wire before it
 // gathers the first reply, and by then most replies are in their
-// sockets: Finish takes what the socket holds without waiting (rawPeek)
-// and blocks in a read only when the reply is not there yet — under
-// what is left of the deadline, counted from the send on the
+// connections: Finish takes what the connection holds without waiting
+// (its look) and blocks in a read only when the reply is not there yet
+// — under what is left of the deadline, counted from the send on the
 // transport's clock, whose timer releases the read (see wait). A
 // timeout or I/O error kills the connection and the next call redials
-// (an adopted connection is never redialed: the stage dials again);
-// a blocking exchange (Exec) separates its attempts by the fixed retry
-// schedule (retryDelays; a one-shot registrar call has none), and a
-// RemoteError — the peer's application error — is never retried.
+// (an adopted connection is never redialed: the stage dials again); a
+// blocking exchange (Exec) separates its attempts by the fixed retry
+// schedule (retryDelays; a registrar call and an in-process handle have
+// none), and a RemoteError — the peer's application error — is never
+// retried.
 package rpcio
 
 import (
@@ -63,6 +64,7 @@ type frameCall struct {
 type frameConn struct {
 	conn net.Conn
 	in   frameReader
+	mem  *memConn // set for an in-memory conn, which looks itself; else peek
 	peek rawPeek
 	// stream is the last stream ID sent; answered is whether the
 	// connection has answered an exchange, which an idle close needs.
@@ -118,6 +120,15 @@ func (fc *frameConn) isDead() bool {
 	return fc.dead
 }
 
+// look reads what the connection holds without waiting: errWouldBlock
+// when it holds nothing, io.EOF when the peer closed it.
+func (fc *frameConn) look(buf []byte) (int, error) {
+	if fc.mem != nil {
+		return fc.mem.read(buf, false)
+	}
+	return fc.peek.look(buf)
+}
+
 // frameReader is a connection's receive buffer: frames are cut out of
 // it in place, so a payload stays valid until the next read into it.
 type frameReader struct {
@@ -168,13 +179,15 @@ func (fr *frameReader) add(n int, err error) error {
 // errWouldBlock is a look's answer when the socket holds nothing.
 var errWouldBlock = errors.New("rpcio: nothing to read")
 
-// frameTransport implements Transport over its own frameConn, redialed
-// whenever the last one died — unless the transport adopted a
-// connection its peer dialed, whose death is final.
+// frameTransport runs one exchange at a time — Finish follows every Start
+// before the next Start (StageHandle's busy flag) — over its own
+// frameConn, redialed whenever the last one died, unless the transport
+// adopted a connection its peer dialed (dial is nil), whose death is
+// final. Retry, WireStats and Close are safe for concurrent use.
 type frameTransport struct {
 	addr string
 	dialConfig
-	adopted bool
+	dial func() (net.Conn, error)
 
 	calls        atomic.Uint64
 	bytesRead    atomic.Uint64
@@ -189,11 +202,11 @@ type frameTransport struct {
 	call frameCall
 }
 
-func newFrameTransport(addr string, cfg dialConfig) *frameTransport {
-	return &frameTransport{addr: addr, dialConfig: cfg}
+func newFrameTransport(addr string, cfg dialConfig, dial func() (net.Conn, error)) *frameTransport {
+	return &frameTransport{addr: addr, dialConfig: cfg, dial: dial}
 }
 
-// WireStats implements Transport.
+// WireStats reports cumulative traffic accounting.
 func (t *frameTransport) WireStats() WireStats {
 	return WireStats{Calls: t.calls.Load(), BytesRead: t.bytesRead.Load(), BytesWritten: t.bytesWritten.Load()}
 }
@@ -202,13 +215,15 @@ func (t *frameTransport) errClosed() error {
 	return fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
 }
 
-// dial connects to the transport's endpoint.
-func (t *frameTransport) dial() (*frameConn, error) {
-	conn, err := net.DialTimeout("tcp", t.addr, t.dialTO)
-	if err != nil {
-		return nil, fmt.Errorf("rpcio: dial stage %s: %w", t.addr, err)
+// dialTCP is the dialer of a transport to the TCP endpoint addr.
+func dialTCP(addr string, timeout time.Duration) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
+		}
+		return conn, nil
 	}
-	return t.newFrameConn(conn, newFrameReader()), nil
 }
 
 // newFrameConn builds what a connection's exchanges reuse: the receive
@@ -216,7 +231,9 @@ func (t *frameTransport) dial() (*frameConn, error) {
 // timer.
 func (t *frameTransport) newFrameConn(conn net.Conn, in frameReader) *frameConn {
 	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1)}
-	fc.peek.init(conn.(*net.TCPConn))
+	if fc.mem, _ = conn.(*memConn); fc.mem == nil {
+		fc.peek.init(conn.(syscall.Conn)) // TCP
+	}
 	if t.timeout > 0 {
 		fc.deadline = t.clk.NewFuncTimer(fc.expire)
 	}
@@ -231,10 +248,9 @@ func (t *frameTransport) newFrameConn(conn net.Conn, in frameReader) *frameConn 
 func adoptStage(conn net.Conn, in frameReader) *StageHandle {
 	cfg := defaultDialConfig()
 	cfg.delays = nil
-	t := newFrameTransport(conn.RemoteAddr().String(), cfg)
-	t.adopted = true
+	t := newFrameTransport(conn.RemoteAddr().String(), cfg, nil)
 	t.fc = t.newFrameConn(conn, in)
-	return NewStageHandle(t)
+	return newStageHandle(t)
 }
 
 // ensureConn returns the transport's live connection, dialing a fresh
@@ -250,13 +266,14 @@ func (t *frameTransport) ensureConn() (*frameConn, error) {
 		return nil, t.errClosed()
 	case fc != nil && !fc.isDead():
 		return fc, nil
-	case t.adopted:
+	case t.dial == nil:
 		return nil, fmt.Errorf("rpcio: stage %s: connection lost: %w", t.addr, fc.cause())
 	}
-	fc, err := t.dial()
+	conn, err := t.dial()
 	if err != nil {
 		return nil, err
 	}
+	fc = t.newFrameConn(conn, newFrameReader())
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -288,13 +305,16 @@ func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 		stream: fc.stream,
 		length: uint32(len(frame) - frameHeaderLen),
 	})
-	t.calls.Add(1)
 	if t.timeout > 0 {
 		c.sent = t.clk.Now()
 	}
 	if _, err := fc.conn.Write(frame); err != nil {
-		return fc.fail(fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err))
+		if fc.mem == nil { // an in-memory conn's error is an injected fault's, or a close's
+			err = fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err)
+		}
+		return fc.fail(err)
 	}
+	t.calls.Add(1)
 	t.bytesWritten.Add(uint64(len(frame)))
 	c.fc = fc
 	return nil
@@ -324,14 +344,14 @@ func (t *frameTransport) await(c *frameCall) error {
 			return nil
 		}
 		idle := fc.answered && fc.in.r == fc.in.w
-		if err = fc.in.add(fc.peek.look(fc.in.space())); err == errWouldBlock {
+		if err = fc.in.add(fc.look(fc.in.space())); err == errWouldBlock {
 			err = t.wait(fc, c)
 		}
 		switch {
 		case err == nil:
 			continue
 		case err == errWouldBlock:
-			err = fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(c.m), t.timeout)
+			err = fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, c.m, t.timeout)
 		case idle && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)):
 			fc.kill(err)
 			if fc, err = t.ensureConn(); err == nil {
@@ -341,7 +361,7 @@ func (t *frameTransport) await(c *frameCall) error {
 				continue
 			}
 			return err
-		default:
+		case fc.mem == nil:
 			err = fmt.Errorf("rpcio: %s: read frame: %w", t.addr, err)
 		}
 		return fc.fail(err)
@@ -373,17 +393,7 @@ func (t *frameTransport) wait(fc *frameConn, c *frameCall) error {
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		return err
 	}
-	return fc.in.add(fc.peek.look(fc.in.space()))
-}
-
-// methodName renders a methodID for error messages.
-func methodName(m methodID) string {
-	for name, id := range methodIDs {
-		if id == m {
-			return name
-		}
-	}
-	return fmt.Sprintf("method(%d)", m)
+	return fc.in.add(fc.look(fc.in.space()))
 }
 
 // discard is the outcome of an attempt that failed on fc: a transport
@@ -395,15 +405,12 @@ func discard(fc *frameConn, err error) error {
 	return err
 }
 
-// Start implements Transport: dial if the last connection died, encode,
-// write. A failure leaves its error in the call for Finish.
-func (t *frameTransport) Start(method string, args, reply any) {
+// Start is the first half of one attempt at method m: dial if the last
+// connection died, encode args (the pointer form of m's wire type),
+// write. reply belongs to the exchange until Finish; a failure leaves
+// its error in the call for Finish.
+func (t *frameTransport) Start(m methodID, args, reply any) {
 	c := &t.call
-	m, ok := methodIDs[method]
-	if !ok {
-		c.err = fmt.Errorf("rpcio: unknown method %q", method)
-		return
-	}
 	fc, err := t.ensureConn()
 	if err != nil {
 		c.err = err
@@ -416,8 +423,9 @@ func (t *frameTransport) Start(method string, args, reply any) {
 	c.err = discard(fc, err)
 }
 
-// Finish implements Transport: read the reply, decode it into the reply
-// Start was given, and leave the call at rest for the next Start.
+// Finish is the second half: read the reply, decode it into the reply
+// Start was given, and leave the call at rest for the next Start. A
+// transport error discards the connection.
 func (t *frameTransport) Finish() error {
 	c := &t.call
 	err := c.err // Start put nothing on the wire
@@ -439,8 +447,9 @@ func (t *frameTransport) Finish() error {
 	return err
 }
 
-// Retry implements Transport on the retry schedule: every blocking call
-// walks the same delays from the start.
+// Retry separates the attempts of a blocking call: after the attempt-th
+// try (from 0) failed in transport it sleeps the retry schedule's next
+// delay and reports true, or false at once when the schedule is spent.
 func (t *frameTransport) Retry(attempt int) bool {
 	t.mu.Lock()
 	closed := t.closed
@@ -452,8 +461,8 @@ func (t *frameTransport) Retry(attempt int) bool {
 	return true
 }
 
-// Close implements Transport: it kills the connection, releasing an
-// exchange blocked on it.
+// Close kills the connection, releasing an exchange blocked on it;
+// subsequent calls fail.
 func (t *frameTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -2,7 +2,7 @@
 
 package rpcio
 
-import "net"
+import "syscall"
 
 // rawPeek off unix has no read that does not wait: every look finds
 // nothing, so Finish blocks in a read, with the deadline timer armed,
@@ -10,6 +10,6 @@ import "net"
 // deadline's expiry is final.
 type rawPeek struct{}
 
-func (*rawPeek) init(*net.TCPConn) {}
+func (*rawPeek) init(syscall.Conn) {}
 
 func (*rawPeek) look([]byte) (int, error) { return 0, errWouldBlock }

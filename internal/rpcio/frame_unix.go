@@ -4,12 +4,11 @@ package rpcio
 
 import (
 	"io"
-	"net"
 	"syscall"
 )
 
-// rawPeek is a connection's look: one read of the socket that does not
-// wait, on the descriptor the runtime keeps non-blocking. Its callback
+// rawPeek is a TCP connection's look: one read of the socket that does
+// not wait, on the descriptor the runtime keeps non-blocking. Its callback
 // is built once per connection, so a look allocates nothing.
 type rawPeek struct {
 	raw syscall.RawConn
@@ -19,7 +18,7 @@ type rawPeek struct {
 	err error
 }
 
-func (p *rawPeek) init(conn *net.TCPConn) {
+func (p *rawPeek) init(conn syscall.Conn) {
 	p.raw, _ = conn.SyscallConn() // fails only for a nil connection
 	p.fn = p.read
 }

@@ -116,16 +116,7 @@ func (t frameTarget) serve(s *frameSession, onReply func(frameHeader, []byte) er
 			}
 			continue
 		}
-		s.payload = payload
-		reply, kind := t.handleCall(s, h, frameStart(s.wbuf))
-		s.wbuf = reply
-		putFrameHeader(reply[:frameHeaderLen], frameHeader{
-			kind:   kind,
-			method: h.method,
-			stream: h.stream,
-			length: uint32(len(reply) - frameHeaderLen),
-		})
-		_, err = s.conn.Write(reply)
+		_, err = s.conn.Write(t.answer(s, h, payload))
 		switch {
 		case s.handedOff:
 			return errHandedOff // the connection is the controller's now
@@ -133,6 +124,21 @@ func (t frameTarget) serve(s *frameSession, onReply func(frameHeader, []byte) er
 			return err
 		}
 	}
+}
+
+// answer handles one request frame and returns the reply frame, which
+// s reuses for the next.
+func (t frameTarget) answer(s *frameSession, h frameHeader, payload []byte) []byte {
+	s.payload = payload
+	reply, kind := t.handleCall(s, h, frameStart(s.wbuf))
+	s.wbuf = reply
+	putFrameHeader(reply[:frameHeaderLen], frameHeader{
+		kind:   kind,
+		method: h.method,
+		stream: h.stream,
+		length: uint32(len(reply) - frameHeaderLen),
+	})
+	return reply
 }
 
 func appendErrorPayload(reply []byte, msg string) []byte {

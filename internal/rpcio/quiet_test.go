@@ -21,7 +21,7 @@ func TestQuietSkipKeepsClientViewExact(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	h := EncodedLoopbackStage(svc)
+	h := LocalStage(svc, clk, nil)
 
 	var merged stage.Stats
 	check := func(round string) stage.Stats {

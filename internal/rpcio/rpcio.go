@@ -1,8 +1,9 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
-// uses one versioned binary frame protocol over TCP (wirecodec.go) for
-// stage and registrar traffic, written and read on the client side by
-// one transport (frame.go). The structure is the same:
+// uses one versioned binary frame protocol (wirecodec.go) for stage and
+// registrar traffic, written and read on the client side by one
+// transport (frame.go), over TCP or an in-memory conn (transport.go).
+// The structure is the same:
 // every stage exposes a typed control service (install rule, retune
 // rate, collect statistics — all carried by Stage.Batch), and the
 // control plane exposes a registration service stages dial when their
@@ -42,7 +43,7 @@ type StageService struct {
 }
 
 // NewStageService wraps a stage for serving, either over a listener
-// (ServeStageService) or in process (NewEncodedLoopback).
+// (ServeStageService) or in process (LocalStage).
 func NewStageService(stg *stage.Stage) *StageService {
 	return &StageService{stg: stg, epoch: newEpoch()}
 }
@@ -179,15 +180,15 @@ const (
 // one — the property the chaos scenarios assert.
 var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 
-// StageHandle is the control plane's one link to a stage, layered
-// over a Transport: frames over TCP with deadlines — on the connection
-// the stage registered on (ServeRegistrar), or on one DialStage opens,
-// with redial and a fixed retry schedule — or the same codec in
-// process (EncodedLoopbackStage). The handle owns the client half of
-// the batched delta protocol (Start/Finish/Exec/Reattempt in batch.go);
-// a fault to inject goes under it, as a Transport.
+// StageHandle is the control plane's one link to a stage, layered over
+// the frame transport: frames with deadlines over TCP — on the
+// connection the stage registered on (ServeRegistrar), or on one
+// DialStage opens, with redial and a fixed retry schedule — or over an
+// in-memory conn to a stage in this process (LocalStage), where a Fault
+// injects failures. The handle owns the client half of the batched delta
+// protocol (Start/Finish/Exec/Reattempt in batch.go).
 type StageHandle struct {
-	t Transport
+	t *frameTransport
 
 	// bmu guards the delta-collect acknowledgment with the buffer it
 	// acknowledges, and busy: whether an exchange is between its Start
@@ -213,16 +214,14 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	t := newFrameTransport(addr, cfg)
+	t := newFrameTransport(addr, cfg, dialTCP(addr, cfg.dialTO))
 	if _, err := t.ensureConn(); err != nil {
 		return nil, err
 	}
-	return NewStageHandle(t), nil
+	return newStageHandle(t), nil
 }
 
-// NewStageHandle wraps an arbitrary transport (fault injectors wrap an
-// EncodedLoopback).
-func NewStageHandle(t Transport) *StageHandle {
+func newStageHandle(t *frameTransport) *StageHandle {
 	h := &StageHandle{t: t}
 	h.idle.L = &h.bmu
 	return h
@@ -269,13 +268,13 @@ func ServeRegistrar(l net.Listener, onRegister func(stage.Info, *StageHandle) er
 // clock: registrar calls run on real deployments' shutdown and
 // heartbeat paths) are bounded, which keeps those paths from hanging on
 // a dead controller.
-func registrarCall(addr string, dialTO, callTO time.Duration, method string, args, reply any) error {
+func registrarCall(addr string, dialTO, callTO time.Duration, m methodID, args, reply any) error {
 	cfg := defaultDialConfig()
-	cfg.timeout, cfg.dialTO, cfg.delays = callTO, dialTO, nil
-	t := newFrameTransport(addr, cfg)
+	cfg.timeout, cfg.delays = callTO, nil
+	t := newFrameTransport(addr, cfg, dialTCP(addr, dialTO))
 	// Closing a one-shot transport after its exchange reports nothing.
 	defer func() { _ = t.Close() }()
-	t.Start(method, args, reply)
+	t.Start(m, args, reply)
 	err := t.Finish()
 	if Retryable(err) {
 		return fmt.Errorf("rpcio: controller %s: %w", addr, err)
@@ -344,7 +343,7 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 		err = t.serve(sess, func(h frameHeader, payload []byte) error {
 			switch {
 			case h.method != methodRegister || h.stream != registerStream:
-				return fmt.Errorf("rpcio: unexpected %s reply on stream %d", methodName(h.method), h.stream)
+				return fmt.Errorf("rpcio: unexpected %s reply on stream %d", h.method, h.stream)
 			case h.kind == frameError:
 				return RemoteError(string(payload))
 			}
@@ -386,7 +385,7 @@ var errRegistered = errors.New("rpcio: registered")
 
 // DeregisterFromController announces a stage's departure.
 func DeregisterFromController(controllerAddr, stageID string) error {
-	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, "Registrar.Deregister", &stageID, nil)
+	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, methodDeregister, &stageID, nil)
 }
 
 // ProbeController performs one bounded controller liveness check on
@@ -398,7 +397,7 @@ func ProbeController(controllerAddr, stageID string, timeout time.Duration) (reg
 		timeout = DefaultDialTimeout
 	}
 	var echo HealthProbe
-	if err := registrarCall(controllerAddr, timeout, timeout, "Registrar.Ping",
+	if err := registrarCall(controllerAddr, timeout, timeout, methodRegistrarPing,
 		&HealthProbe{Seq: 1, StageID: stageID}, &echo); err != nil {
 		return false, fmt.Errorf("rpcio: probe controller: %w", err)
 	}

@@ -1,57 +1,22 @@
-// Transport abstraction for the control plane's stage-facing wire.
-//
-// The paper's control plane talks gRPC to its stages (§III-C); this
-// reproduction's wire is the versioned binary frame protocol over TCP.
-// Both are request/response transports, and everything above them — the
-// typed StageHandle API, the batched delta protocol, the controller —
-// only needs "issue one named call, get one reply", in two halves so a
-// caller driving many stages can have every request in flight at once.
-// Transport captures that contract so the same control plane can run
-// over a real socket (frameTransport) or through the same codec in
-// process (EncodedLoopback) — the transport of every in-process stage:
-// the simulated cluster's (the chaos scenarios' too), a single-process
-// deployment's and the thousand-stage benchmarks'. They are the only code
-// on the client side that writes a request frame or reads a reply frame,
-// and Transport is the one seam a fault injector wraps.
+// The client transport's configuration, and the in-memory conn that
+// carries it to a stage in this process — the simulated cluster's (the
+// chaos scenarios' too), a single-process deployment's, the
+// thousand-stage benchmarks' — so the frame cutter, the gather and the
+// deadline timer of TCP's transport run in every simulated round, and a
+// Fault on the conn is where the simulator injects its failures.
 package rpcio
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
 )
-
-// Transport carries one exchange at a time with a stage's control
-// service (or the registrar), in two halves, so a caller with many peers
-// can have every request on the wire before it waits for the first
-// reply. The contract is strict alternation: Finish follows every Start
-// before the next Start (StageHandle guarantees it with its busy flag).
-// Retry, WireStats and Close are safe for concurrent use.
-type Transport interface {
-	// Start is the first half of one attempt at the named RPC: args (the
-	// pointer form of the method's wire type) is encoded and the request
-	// is on the wire when it returns. reply belongs to the exchange until
-	// Finish. An exchange that could not be started reports why from
-	// Finish.
-	Start(method string, args, reply any)
-	// Finish is the second half, on the caller's goroutine: it reads the
-	// reply — at once when it is already in, else under the call's
-	// deadline, counted from the send however late Finish is called —
-	// decodes it into the reply value Start was given, and returns the
-	// exchange's outcome. A transport error discards the connection.
-	Finish() error
-	// Retry is what separates the attempts of a blocking call: after the
-	// attempt-th try (counting from 0) failed in transport it sleeps the
-	// retry schedule's next delay and reports true, or reports false at
-	// once when the schedule holds no further attempt.
-	Retry(attempt int) bool
-	// WireStats reports cumulative traffic accounting.
-	WireStats() WireStats
-	// Close tears the transport down; subsequent calls fail.
-	Close() error
-}
 
 // Retryable reports whether err is a failure of the wire (worth another
 // attempt) rather than the peer's answer: a RemoteError means the wire
@@ -62,7 +27,7 @@ func Retryable(err error) bool {
 }
 
 // WireStats is a transport's cumulative traffic accounting. Calls counts
-// round trips issued (including retries); bytes are exact frame bytes.
+// requests written (retries too); bytes are exact frame bytes.
 type WireStats struct {
 	Calls        uint64
 	BytesRead    uint64
@@ -96,122 +61,152 @@ func WithHandleClock(clk clock.Clock) DialOption {
 	return func(c *dialConfig) { c.clk = clk }
 }
 
-// LoopbackAddr names an EncodedLoopback peer in its errors.
-const LoopbackAddr = "loopback"
+// Fault decides the fate of each Stage.Batch request an in-process
+// handle sends, from its decoded ops and collect flag, before the stage
+// sees it: nil delivers it; a ReplyLost lets the stage apply it and
+// loses its whole reply; any other error refuses the whole request, and
+// the write fails at once with that error.
+type Fault func(ops []StageOp, collect bool) error
 
-// EncodedLoopback is the in-process transport that still pays the wire:
-// every call round-trips through the binary frame codec — encode args,
-// decode into the service's reusable session, dispatch, encode the
-// reply, decode into the caller's value — with exact frame-byte
-// accounting but no socket and no goroutine handoff. Deterministic and
-// single-threaded per call, it is what every in-process stage runs on,
-// the simulated clusters behind the paper's figures included: the
-// codec's cost and its bugs are in the loop, the kernel's are not.
-type EncodedLoopback struct {
-	mu     sync.Mutex
-	svc    frameTarget
-	sess   frameSession
-	enc    []byte
-	rep    []byte
-	closed bool
-	// outcome is the started exchange's result, which Finish hands over.
-	outcome error
+// ReplyLost is a Fault's verdict on a request the stage applies and
+// whose reply never arrives: the read awaiting it fails at once with
+// Err, or, with Err nil, waits like a read on a silent socket until the
+// call's deadline releases it.
+type ReplyLost struct{ Err error }
 
-	calls        uint64
-	bytesRead    uint64
-	bytesWritten uint64
+func (e ReplyLost) Error() string { return fmt.Sprint("rpcio: reply lost: ", e.Err) }
+
+// LocalStage returns a handle on svc in process: its frames travel over
+// an in-memory conn, every request passing fault first, and its
+// deadlines run on clk. With no fault nothing can lose a reply, so there
+// is no deadline to keep either. A dead conn is replaced at the next
+// exchange by a fresh one to svc; there is no retry schedule: a failed
+// exchange is the injected fault, not one to paper over.
+func LocalStage(svc *StageService, clk clock.Clock, fault Fault) *StageHandle {
+	cfg := defaultDialConfig()
+	cfg.clk, cfg.delays = clk, nil
+	if fault == nil {
+		cfg.timeout = 0
+	}
+	return newStageHandle(newFrameTransport(svc.stg.Info().StageID, cfg, func() (net.Conn, error) {
+		return newMemConn(svc, fault), nil
+	}))
 }
 
-// NewEncodedLoopback returns a codec-exercising in-process transport
-// bound to svc.
-func NewEncodedLoopback(svc *StageService) *EncodedLoopback {
-	return &EncodedLoopback{svc: frameTarget{stage: svc}}
+// memConn is an in-memory connection to a stage service. A Write of a
+// whole request frame is served at once, on the caller's goroutine, by
+// the server's own frame reader and handleCall, and the reply frame is
+// queued for the next read: no goroutine, so exchanges are
+// deterministic. It has no clock: a read that finds nothing queued waits
+// for a close or a read deadline, and any deadline counts as passed (the
+// transport's timer sets one only to release such a read).
+type memConn struct {
+	target frameTarget
+	fault  Fault
+
+	// srv (the server's half), out and lost belong to the exchange in
+	// flight, the conn's one writer and reader, so the Fault and the stage
+	// run under no lock: out[off:] is the reply bytes queued for it, a view
+	// of srv's reply frame, and lost the error a lost reply's read returns.
+	srv  frameSession
+	out  []byte
+	off  int
+	lost error
+
+	closed  atomic.Bool
+	mu      sync.Mutex
+	ready   sync.Cond // broadcast, under mu, when a waiting read may go on
+	expired bool      // a read deadline is set; under mu
 }
 
-// EncodedLoopbackStage returns a handle driving svc through the binary
-// codec in process; see EncodedLoopback.
-func EncodedLoopbackStage(svc *StageService) *StageHandle {
-	return NewStageHandle(NewEncodedLoopback(svc))
+func newMemConn(svc *StageService, fault Fault) *memConn {
+	c := &memConn{target: frameTarget{stage: svc}, fault: fault}
+	c.ready.L = &c.mu
+	return c
 }
 
-// WireStats implements Transport: bytes are exact frame bytes both
-// directions, as a TCP frame connection would carry.
-func (l *EncodedLoopback) WireStats() WireStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return WireStats{Calls: l.calls, BytesRead: l.bytesRead, BytesWritten: l.bytesWritten}
+// Write serves the request frame b holds, as the conn's Fault decides.
+func (c *memConn) Write(b []byte) (int, error) {
+	in := frameReader{buf: b, w: len(b)}
+	h, payload, ok, err := in.next()
+	switch {
+	case c.closed.Load():
+		return 0, net.ErrClosed
+	case err != nil:
+		return 0, err
+	case !ok || in.r != len(b) || h.kind != frameRequest || c.off < len(c.out):
+		return 0, errors.New("rpcio: an in-memory write must be one whole request frame, after the last reply was read")
+	}
+	var verdict error
+	if c.fault != nil && h.method == methodBatch {
+		// The fault sees the request as the stage will: handleCall
+		// decodes the same payload into the same args again.
+		if err := readCallArgs(h.method, payload, &c.srv.batchArgs); err == nil {
+			verdict = c.fault(c.srv.batchArgs.Ops, c.srv.batchArgs.Collect)
+		}
+	}
+	lost, isLost := verdict.(ReplyLost)
+	if verdict != nil && !isLost {
+		return 0, verdict
+	}
+	if reply := c.target.answer(&c.srv, h, payload); isLost {
+		c.lost = lost.Err // nil: the read waits as on a silent socket
+	} else {
+		c.out, c.off = reply, 0
+	}
+	return len(b), nil
 }
 
-// Close implements Transport.
-func (l *EncodedLoopback) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
+// Read waits until a reply is queued, the conn closes or a deadline is set.
+func (c *memConn) Read(b []byte) (int, error) { return c.read(b, true) }
+
+// read moves queued reply bytes into b; with none queued it reports
+// why, or, with wait set, waits until there is a reason. Without wait
+// it is the conn's look: errWouldBlock when nothing is queued.
+func (c *memConn) read(b []byte, wait bool) (int, error) {
+	if c.off < len(c.out) {
+		n := copy(b, c.out[c.off:])
+		c.off += n
+		return n, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		switch {
+		case c.closed.Load():
+			return 0, net.ErrClosed
+		case c.lost != nil:
+			return 0, c.lost
+		case !wait:
+			return 0, errWouldBlock
+		case c.expired:
+			return 0, os.ErrDeadlineExceeded
+		}
+		c.ready.Wait() //lint:allow lockcheck Cond.Wait releases c.mu for as long as it blocks
+	}
+}
+
+// SetReadDeadline sets (any non-zero t) or clears the read deadline.
+func (c *memConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.expired = !t.IsZero()
+	c.mu.Unlock()
+	c.ready.Broadcast()
 	return nil
 }
 
-// Retry implements Transport: a loopback has no retry schedule.
-func (l *EncodedLoopback) Retry(int) bool { return false }
-
-// Start implements Transport. Nothing is in flight in process, so the
-// whole exchange happens here and Finish only hands over its outcome.
-func (l *EncodedLoopback) Start(method string, args, reply any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.outcome = l.exchange(method, args, reply)
+// Close releases a waiting read; every later call fails.
+func (c *memConn) Close() error {
+	c.mu.Lock()
+	c.closed.Store(true)
+	c.mu.Unlock()
+	c.ready.Broadcast()
+	return nil
 }
 
-// Finish implements Transport.
-func (l *EncodedLoopback) Finish() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.outcome
-	l.outcome = nil
-	return err
-}
-
-// exchange is one full encode→dispatch→decode round trip through the
-// binary codec, under l.mu.
-func (l *EncodedLoopback) exchange(method string, args, reply any) error {
-	m, ok := methodIDs[method]
-	if !ok {
-		return fmt.Errorf("rpcio: loopback: unknown method %q", method)
-	}
-	if l.closed {
-		return fmt.Errorf("rpcio: stage %s: connection closed", LoopbackAddr)
-	}
-	l.calls++
-
-	frame, err := appendCallArgs(frameStart(l.enc), m, args)
-	if err != nil {
-		return err
-	}
-	l.enc = frame
-	putFrameHeader(frame[:frameHeaderLen], frameHeader{
-		kind:   frameRequest,
-		method: m,
-		stream: l.calls,
-		length: uint32(len(frame) - frameHeaderLen),
-	})
-	l.bytesWritten += uint64(len(frame))
-
-	h, err := parseFrameHeader(frame[:frameHeaderLen])
-	if err != nil {
-		return err
-	}
-	l.sess.payload = frame[frameHeaderLen:]
-	rep, kind := l.svc.handleCall(&l.sess, h, frameStart(l.rep))
-	l.rep = rep
-	putFrameHeader(rep[:frameHeaderLen], frameHeader{
-		kind:   kind,
-		method: m,
-		stream: h.stream,
-		length: uint32(len(rep) - frameHeaderLen),
-	})
-	l.bytesRead += uint64(len(rep))
-
-	if kind == frameError {
-		return RemoteError(string(rep[frameHeaderLen:]))
-	}
-	return readCallReply(m, rep[frameHeaderLen:], reply)
+func (c *memConn) SetDeadline(t time.Time) error    { return c.SetReadDeadline(t) }
+func (c *memConn) SetWriteDeadline(time.Time) error { return nil } // writes never wait
+func (c *memConn) LocalAddr() net.Addr              { return c.RemoteAddr() }
+func (c *memConn) RemoteAddr() net.Addr {
+	return &net.UnixAddr{Name: c.target.stage.stg.Info().StageID, Net: "mem"}
 }

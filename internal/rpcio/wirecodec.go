@@ -134,13 +134,15 @@ const (
 	methodRegistrarPing
 )
 
-// methodIDs maps the Transport.Start method strings to wire method
-// numbers.
-var methodIDs = map[string]methodID{
-	"Stage.Batch":          methodBatch,
-	"Registrar.Register":   methodRegister,
-	"Registrar.Deregister": methodDeregister,
-	"Registrar.Ping":       methodRegistrarPing,
+// methodNames names the live methods, as errors show them.
+var methodNames = [...]string{methodBatch: "Stage.Batch", methodRegister: "Registrar.Register",
+	methodDeregister: "Registrar.Deregister", methodRegistrarPing: "Registrar.Ping"}
+
+func (m methodID) String() string {
+	if int(m) < len(methodNames) && methodNames[m] != "" {
+		return methodNames[m]
+	}
+	return fmt.Sprintf("method(%d)", uint8(m))
 }
 
 const (
@@ -626,7 +628,7 @@ func readBatchReply(r *wireReader, v *BatchReply) {
 // ---- method dispatch ----
 
 // appendCallArgs encodes one method's args. The any values are the same
-// pointer forms Transport.Start receives.
+// pointer forms frameTransport.Start receives.
 func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 	switch m {
 	case methodRegistrarPing:

@@ -49,7 +49,7 @@ func fuzzReplyDst(m methodID) any {
 //     and encoder agree on the schema for every reachable value.
 func FuzzWireDecode(f *testing.F) {
 	for _, fx := range callFixtures() {
-		m := methodIDs[fx.method]
+		m := fx.method
 		if fx.args != nil {
 			buf, err := appendCallArgs(nil, m, fx.args)
 			if err != nil {

@@ -50,7 +50,7 @@ func maxStats() stage.Stats {
 // callFixture pairs one method's fully-populated args and reply values
 // with matching zero-value destinations.
 type callFixture struct {
-	method   string
+	method   methodID
 	args     any // pointer to populated args, nil when the method takes none
 	argsDst  any // pointer to zero value of the same type
 	reply    any // pointer to populated reply, nil when the reply is empty
@@ -63,7 +63,7 @@ func callFixtures() []callFixture {
 	deregID := "sX"
 	return []callFixture{
 		{
-			method: "Stage.Batch",
+			method: methodBatch,
 			args: &BatchArgs{
 				Ops: []StageOp{
 					{Kind: OpApplyRule, Rule: maxRule("b1")},
@@ -92,7 +92,7 @@ func callFixtures() []callFixture {
 		{
 			// The steady-state collect: no ops, a matching ack, an empty
 			// incremental delta.
-			method:  "Stage.Batch",
+			method:  methodBatch,
 			args:    &BatchArgs{Collect: true, AckEpoch: 9, AckGen: 41},
 			argsDst: &BatchArgs{},
 			reply: &BatchReply{Delta: StatsDelta{
@@ -102,24 +102,24 @@ func callFixtures() []callFixture {
 		},
 		{
 			// A single operation is a one-op batch with no collect.
-			method:   "Stage.Batch",
+			method:   methodBatch,
 			args:     &BatchArgs{Ops: []StageOp{{Kind: OpSetRate, ID: "q1", Rate: 777.125}}},
 			argsDst:  &BatchArgs{},
 			reply:    &BatchReply{Results: []OpResult{{Found: false}}},
 			replyDst: &BatchReply{},
 		},
 		{
-			method:  "Registrar.Register",
+			method:  methodRegister,
 			args:    &info,
 			argsDst: &stage.Info{},
 		},
 		{
-			method:  "Registrar.Deregister",
+			method:  methodDeregister,
 			args:    &deregID,
 			argsDst: new(string),
 		},
 		{
-			method:   "Registrar.Ping",
+			method:   methodRegistrarPing,
 			args:     &HealthProbe{Seq: 1 << 33, StageID: "s1"},
 			argsDst:  &HealthProbe{},
 			reply:    &HealthProbe{Seq: 1 << 33, StageID: "s1", Registered: true},
@@ -136,10 +136,7 @@ func callFixtures() []callFixture {
 // destination struct across calls.
 func TestBinaryCodecRoundTripsEveryMethod(t *testing.T) {
 	for _, fx := range callFixtures() {
-		m, ok := methodIDs[fx.method]
-		if !ok {
-			t.Fatalf("%s: no methodID", fx.method)
-		}
+		m := fx.method
 		if fx.args != nil {
 			buf, err := appendCallArgs(nil, m, fx.args)
 			if err != nil {
@@ -251,7 +248,7 @@ func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 func TestDecoderRejectsTruncatedPayloads(t *testing.T) {
 	fx := callFixtures()
 	for _, f := range fx {
-		m := methodIDs[f.method]
+		m := f.method
 		if f.args != nil {
 			buf, err := appendCallArgs(nil, m, f.args)
 			if err != nil {

@@ -139,10 +139,12 @@ type job struct {
 type Node struct {
 	ID, Job string
 	Stg     *stage.Stage
-	// Handle is the controller's channel to the stage: the frame codec in
-	// process under the cluster's fault gates (open while none is armed).
+	// Handle is the controller's channel to the stage since its latest
+	// registration: the frame transport in process, under the cluster's
+	// fault gate (open while none is armed).
 	Handle *rpcio.StageHandle
 
+	svc                             *rpcio.StageService
 	job                             *job
 	dropReply, partitioned, crashed atomic.Bool
 	collectBudget                   atomic.Int64 // as pushBudget, for a stage crash
@@ -263,8 +265,8 @@ func (c *Cluster) newJob(spec JobSpec) *job {
 
 func (c *Cluster) newNode(j *job, info stage.Info) *Node {
 	n := &Node{ID: info.StageID, Job: info.JobID, Stg: stage.New(info, c.clk, stage.WithMode(c.cfg.StageMode)), job: j}
+	n.svc = rpcio.NewStageService(n.Stg)
 	n.collectBudget.Store(-1)
-	n.Handle = rpcio.NewStageHandle(&faultTransport{EncodedLoopback: rpcio.NewEncodedLoopback(rpcio.NewStageService(n.Stg)), c: c, n: n})
 	j.nodes = append(j.nodes, n)
 	c.nodes = append(c.nodes, n)
 	sort.SliceStable(c.nodes, func(a, b int) bool { return c.nodes[a].ID < c.nodes[b].ID })
@@ -503,7 +505,7 @@ func (c *Cluster) join(n *Node) {
 	}
 	err := errControllerDown
 	if !c.down {
-		err = c.ctl.Register(n.Stg.Info(), n.Handle)
+		err = c.ctl.Register(n.Stg.Info(), c.handle(n))
 	}
 	if err != nil {
 		n.Stg.SetDegraded(true)
@@ -530,7 +532,7 @@ func (c *Cluster) heartbeat(n *Node) {
 	if !n.Stg.Degraded() && c.ctl.Registered(n.ID) {
 		return
 	}
-	if err := c.ctl.Register(n.Stg.Info(), n.Handle); err != nil {
+	if err := c.ctl.Register(n.Stg.Info(), c.handle(n)); err != nil {
 		n.Stg.SetDegraded(true)
 		c.logf("stage %s re-registration failed: %v", n.ID, err)
 		return
@@ -678,50 +680,28 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 	return rep
 }
 
-// faultTransport is the node's EncodedLoopback under the cluster's
-// failure state, which gates whole round trips in Start (a crash hits
-// between exchanges, as a real controller would observe it); Finish
-// drops an armed lost reply. A round starts its pushes in StageID order
-// on its own goroutine, so the push budget decides deterministically
-// which stages saw the new rates; collects of different nodes may run
-// side by side, each spending only its node's budget. The loopback's
-// Retry never allows another attempt: a gated exchange is the injected
-// fault, not one to paper over.
-type faultTransport struct {
-	*rpcio.EncodedLoopback
-	c     *Cluster
-	n     *Node
-	gated error // why the exchange in flight never reached the loopback
+// handle gives n a fresh handle for a registration: the frame transport
+// in process, over an in-memory conn under the cluster's failure state.
+// The controller closes a handle it replaces or deregisters, so every
+// registration takes a new one.
+func (c *Cluster) handle(n *Node) *rpcio.StageHandle {
+	n.Handle = rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
+		return c.gate(n, len(ops) > 0, collect)
+	})
+	return n.Handle
 }
 
-func (t *faultTransport) Start(method string, args, reply any) {
-	ba := args.(*rpcio.BatchArgs) // a stage handle's only call is Stage.Batch
-	if t.gated = t.gate(len(ba.Ops) > 0, ba.Collect); t.gated == nil {
-		t.EncodedLoopback.Start(method, args, reply)
-	}
-}
-
-func (t *faultTransport) Finish() error {
-	if err := t.gated; err != nil {
-		t.gated = nil
-		return err
-	}
-	err := t.EncodedLoopback.Finish()
-	if t.n.dropReply.CompareAndSwap(true, false) {
-		return errReplyLost
-	}
-	return err
-}
-
-// Close keeps the loopback open for the stage's re-registration.
-func (t *faultTransport) Close() error { return nil }
-
-// gate decides whether an exchange reaches the node.
-func (t *faultTransport) gate(push, collect bool) error {
-	c, n := t.c, t.n
+// gate is a node's fault: it decides, as each exchange is written,
+// whether it reaches the node (a crash hits between exchanges, as a real
+// controller would observe it), and loses the reply of one the node
+// applied while a lost reply is armed. A round writes its pushes in
+// StageID order on its own goroutine, so the push budget decides
+// deterministically which stages saw the new rates; collects of
+// different nodes may run side by side, each spending only its node's
+// budget.
+func (c *Cluster) gate(n *Node, push, collect bool) error {
 	switch {
 	case !push && !collect:
-		return nil
 	case c.down:
 		return errControllerDown
 	case n.crashed.Load() || n.partitioned.Load():
@@ -744,6 +724,9 @@ func (t *faultTransport) gate(push, collect bool) error {
 		case b > 0:
 			n.collectBudget.Store(b - 1)
 		}
+	}
+	if n.dropReply.CompareAndSwap(true, false) {
+		return rpcio.ReplyLost{Err: errReplyLost}
 	}
 	return nil
 }

@@ -154,6 +154,35 @@ func TestArrivalsAndControllerLifecycle(t *testing.T) {
 	}
 }
 
+// TestFaultFreeRoundsArmNoDeadline: the controller reaches every stage
+// through the frame transport, whose deadline timer runs on the
+// cluster's clock. In a fault-free run every reply is in before the
+// round gathers it, so no exchange arms that timer: between two steps
+// nothing waits on the clock.
+func TestFaultFreeRoundsArmNoDeadline(t *testing.T) {
+	c := NewCluster(Config{Controller: []control.Option{
+		control.WithAlgorithm(control.ProportionalShare{}),
+		control.WithClusterLimit(150),
+	}})
+	c.AddJob(JobSpec{ID: "j1", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60, Stages: 2})
+	c.AddJob(JobSpec{ID: "j2", Trace: flatTrace(4*time.Minute, 100, posix.OpOpen), Accel: 60})
+	rounds := 0
+	for at := Interval / 2; at < 4*time.Second; at += Interval {
+		c.Schedule(at, "", func(c *Cluster) {
+			if _, ok := c.Controller().LastRound(); ok {
+				rounds++
+			}
+			if n := c.Clock().PendingWaiters(); n != 0 {
+				t.Errorf("t=+%v: %d timers armed on the cluster's clock after a fault-free round", at, n)
+			}
+		})
+	}
+	c.Run()
+	if rounds == 0 {
+		t.Fatal("no control round ran before the probes")
+	}
+}
+
 func TestControllerEnforcesClusterLimit(t *testing.T) {
 	c := NewCluster(Config{Controller: []control.Option{
 		control.WithAlgorithm(control.StaticEqualShare{}),

@@ -554,11 +554,13 @@ func newControlPlane(clk clock.Clock, opts ...ControlOption) *ControlPlane {
 	return &ControlPlane{ctl: control.New(clk, opts...)}
 }
 
-// AttachLocal registers a data plane of this process (in process,
-// through the frame codec; no socket) — the path tests, simulations,
-// and single-process deployments use.
+// AttachLocal registers a data plane of this process — the path tests,
+// simulations and single-process deployments use. The controller
+// reaches it through the same frame transport as a remote one, over an
+// in-memory conn instead of a socket, with deadlines on the
+// controller's clock.
 func (cp *ControlPlane) AttachLocal(dp *DataPlane) error {
-	h := rpcio.EncodedLoopbackStage(rpcio.NewStageService(dp.stg))
+	h := rpcio.LocalStage(rpcio.NewStageService(dp.stg), cp.ctl.Clock(), nil)
 	return cp.ctl.Register(dp.stg.Info(), h)
 }
 
