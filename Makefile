@@ -57,13 +57,14 @@ test:
 # twice: -count=2 defeats the test cache and shakes out order-dependent
 # state, which is how the chaos determinism tests are meant to be run.
 # The root package's registration tests join them: a data plane's
-# registration, its re-registration loop and its heartbeat share the
-# connection it registered on.
+# registration and its lifecycle loop (re-registration and heartbeat,
+# stopped mid-retry by StoppedLoops) share the connection it registered
+# on.
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/policy/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
 		./internal/chaos/... ./internal/sim/... \
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/... ./internal/leaktest/...
-	$(GO) test -race -count=2 -run 'OverNetwork|Heartbeat|Serve|Regist' .
+	$(GO) test -race -count=2 -run 'OverNetwork|Heartbeat|Serve|Regist|StoppedLoops' .
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane, every layer of the lock-free admit
@@ -199,8 +200,10 @@ ci:
 # ones the control plane is tracked by: wire structs wireRegistry locks,
 # wire call methods (live methodID constants), non-test lines of rpcio + control —
 # the experiment harness's non-test lines, the simulated cluster's with
-# its chaos scenarios, the stage's with the rule classifier it selects
-# through, and the static-analysis
+# its chaos scenarios, the stage lifecycle's (the data plane, the
+# simulated cluster and its scenarios, and the lifecycle machine both
+# drive), the stage's with the rule classifier it selects through, and
+# the static-analysis
 # suite's own weight: //lint: directives in non-test Go files outside
 # internal/lint, and internal/lint's non-test lines.
 SRC_FILES = find internal padll.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
@@ -225,6 +228,8 @@ count:
 		"$$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/sim + internal/chaos non-test lines: %d\n' \
 		"$$(find internal/sim internal/chaos -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'stage lifecycle (padll.go + internal/sim + internal/chaos + internal/rpcio/lifecycle.go) non-test lines: %d\n' \
+		"$$(find padll.go internal/sim internal/chaos internal/rpcio/lifecycle.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/stage + internal/policy non-test lines: %d\n' \
 		"$$(find internal/stage internal/policy -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '//lint: directives outside internal/lint: %d\n' \

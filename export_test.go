@@ -10,4 +10,4 @@ var (
 
 // ControllerConn returns the connection the data plane last registered
 // on (nil when it is not registered).
-func (dp *DataPlane) ControllerConn() *rpcio.ControllerConn { return dp.currentLink() }
+func (dp *DataPlane) ControllerConn() *rpcio.ControllerConn { return dp.link.Load() }

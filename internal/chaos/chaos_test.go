@@ -349,8 +349,8 @@ func TestFrameLossScenarioConverges(t *testing.T) {
 // seed-chosen round after a seed-chosen number of that round's pushes,
 // and a fresh one boots after a seed-chosen outage. Through the outage
 // every live stage's managed rate stays what it was when the controller
-// died, and after the first round that follows the restart it equals the
-// stage's share of the new controller's allocation.
+// died, and after the first round that follows its re-registration it
+// equals the stage's share of the new controller's allocation.
 func TestCrashAndReconcileProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		s, rng := smallCluster(seed, 0, horizon)
@@ -358,12 +358,10 @@ func TestCrashAndReconcileProperty(t *testing.T) {
 		crashAt := time.Duration(2+rng.Intn(10)) * sim.Interval
 		pushes := rng.Intn(4) // of the round's four retunes
 		restartAt := crashAt + time.Duration(2+rng.Intn(8))*sim.Interval + time.Duration(rng.Intn(2))*sim.Interval/2
-		// The restart fires before the round at its instant when it falls
-		// on one, else the next step's round is the first after it.
-		reconciledAt := restartAt.Truncate(sim.Interval)
-		if reconciledAt < restartAt {
-			reconciledAt += sim.Interval
-		}
+		// The crash closes every link when its round returns; each stage
+		// re-registers at its first attempt on the retry schedule after
+		// the restart, and the next round reconciles it.
+		reconciledAt := sim.ReconciledAt(crashAt, restartAt)
 		raise := []float64{float64(31+rng.Intn(20)) * 1000, float64(51+rng.Intn(20)) * 1000}
 		s.Schedule(crashAt-sim.Interval/2, "arm", func(c *sim.Cluster) {
 			c.SetReservation("job1", raise[0])
@@ -371,7 +369,7 @@ func TestCrashAndReconcileProperty(t *testing.T) {
 			c.ArmMidRoundCrash(pushes)
 		})
 		s.Schedule(restartAt, "restart", (*sim.Cluster).RestartController)
-		// Events at one instant run in order, all before its heartbeats.
+		// Events at one instant run in order, all before its wakes.
 		s.Schedule(restartAt, "", func(c *sim.Cluster) {
 			if got := c.Controller().Stages(); len(got) != 0 {
 				t.Errorf("seed %d: restarted controller kept %d registrations", seed, len(got))
@@ -395,7 +393,7 @@ func TestCrashAndReconcileProperty(t *testing.T) {
 			for _, id := range stageIDs {
 				n := c.Node(id)
 				if want := alloc[n.Job] / 2; n.Stg.Degraded() || managedRate(n) != want {
-					t.Errorf("seed %d: stage %s (degraded %v) enforces %v after the first round since the restart, want %v",
+					t.Errorf("seed %d: stage %s (degraded %v) enforces %v after the first round since it re-registered, want %v",
 						seed, id, n.Stg.Degraded(), managedRate(n), want)
 				}
 			}

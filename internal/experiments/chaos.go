@@ -20,8 +20,9 @@ import (
 // fresh one boots ten minutes later. The claim under test is PADLL's
 // fail-secure stance: stages that lose the controller freeze their
 // last-pushed limits (no unlimited burst into the MDS, no collapse to
-// zero), re-register at their first heartbeat after the restart, which
-// replays their rules, and are reconciled by the first round after it.
+// zero), re-register at their first attempt on the retry schedule
+// after the restart, which replays their rules, and are reconciled by
+// the first round after that.
 
 const (
 	chaosLimit     = 300_000
@@ -48,7 +49,7 @@ type ChaosReplayResult struct {
 	OutageMaxDeviation float64
 	// Reconciled reports whether every stage was back under management
 	// (non-degraded, allocated and enforcing its share) after the first
-	// round that followed the restart.
+	// round that followed its re-registration.
 	Reconciled bool
 	// DegradedSeconds is each stage's accounted outage time.
 	DegradedSeconds map[string]float64
@@ -102,11 +103,12 @@ func ChaosReplay(seed int64) ChaosReplayResult {
 		}
 	})
 	c.Schedule(chaosRecoverAt, "restart-controller", (*sim.Cluster).RestartController)
-	// The first round after the restart runs at its instant, after the
-	// heartbeats that re-register every stage. Just after that round
-	// every stage must be reconciled: non-degraded, allocated its
-	// Priority share by the restarted controller and re-tuned to it.
-	c.Schedule(chaosRecoverAt+chaosInterval/2, "", func(c *sim.Cluster) {
+	// The crash closes every stage's link; each re-registers at its first
+	// attempt on the retry schedule after the restart. Just after the
+	// round that follows, every stage must be reconciled: non-degraded,
+	// allocated its Priority share by the restarted controller and
+	// re-tuned to it.
+	c.Schedule(sim.ReconciledAt(chaosCrashAt, chaosRecoverAt)+chaosInterval/2, "", func(c *sim.Cluster) {
 		res.Reconciled = true
 		alloc := c.Controller().LastAllocation()
 		for i, id := range jobs {

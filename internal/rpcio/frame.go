@@ -196,6 +196,7 @@ type frameTransport struct {
 	mu     sync.Mutex
 	fc     *frameConn
 	closed bool
+	done   chan struct{} // closed by Close
 
 	// call is the transport's one exchange: every Start/Finish pair uses
 	// it in turn.
@@ -203,7 +204,7 @@ type frameTransport struct {
 }
 
 func newFrameTransport(addr string, cfg dialConfig, dial func() (net.Conn, error)) *frameTransport {
-	return &frameTransport{addr: addr, dialConfig: cfg, dial: dial}
+	return &frameTransport{addr: addr, dialConfig: cfg, dial: dial, done: make(chan struct{})}
 }
 
 // WireStats reports cumulative traffic accounting.
@@ -466,8 +467,11 @@ func (t *frameTransport) Retry(attempt int) bool {
 func (t *frameTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.closed && t.fc != nil {
-		t.fc.kill(t.errClosed())
+	if !t.closed {
+		if t.fc != nil {
+			t.fc.kill(t.errClosed())
+		}
+		close(t.done)
 	}
 	t.closed, t.fc = true, nil
 	return nil

@@ -59,10 +59,12 @@ func serviceOf(m methodID) string {
 // dispatch path allocates nothing.
 type frameSession struct {
 	// conn and in are the connection and its receive buffer, which a
-	// registration hands to the controller; handedOff says it did.
+	// registration hands to the controller; handedOff says it did, and
+	// keep takes the connection out of its endpoint once it has.
 	conn      net.Conn
 	in        frameReader
 	handedOff bool
+	keep      func()
 
 	payload []byte
 	wbuf    []byte
@@ -73,6 +75,12 @@ type frameSession struct {
 	stageID   string     // Registrar.Deregister args
 
 	batchReply BatchReply
+
+	// fault, on an in-memory conn's session, judges each decoded
+	// Stage.Batch request before the stage sees it: a refused one never
+	// reaches it, one whose reply is lost does. verdict is the last one's.
+	fault   Fault
+	verdict error
 }
 
 // errHandedOff ends a registrar's frame loop once a registration handed
@@ -161,7 +169,10 @@ func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([
 	)
 	switch h.method {
 	case methodBatch:
-		if err = readCallArgs(h.method, s.payload, &s.batchArgs); err == nil {
+		if err = readCallArgs(h.method, s.payload, &s.batchArgs); err == nil && s.fault != nil {
+			s.verdict = s.fault(s.batchArgs.Ops, s.batchArgs.Collect)
+		}
+		if _, lost := s.verdict.(ReplyLost); err == nil && (s.verdict == nil || lost) {
 			err = t.stage.Batch(s.batchArgs, &s.batchReply)
 		}
 		out = appendBatchReply(reply, &s.batchReply)
@@ -172,6 +183,9 @@ func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([
 		if err = readCallArgs(h.method, s.payload, &s.info); err == nil {
 			s.handedOff = true
 			err = t.reg.onRegister(s.info, adoptStage(s.conn, s.in))
+			// The controller owns the connection: before the answer tells
+			// the stage so, a stop of the endpoint may no longer close it.
+			s.keep()
 		}
 	case methodDeregister:
 		if err = readCallArgs(h.method, s.payload, &s.stageID); err == nil && t.reg.onDeregister != nil {

@@ -81,12 +81,15 @@ const maxConns = 128
 // takes a semaphore slot before accepting, so at most limit handler
 // goroutines exist and excess dials queue in the listener backlog. The
 // handler must serve the connection until it dies, or until it hands
-// the connection to a new owner, and report which (kept): a kept
-// connection gives its slot back and leaves the server without being
-// closed. The returned stop function is deterministic: it closes the
-// listener, closes every in-flight connection (unblocking their
-// handlers), and waits for all goroutines to finish.
-func serveBounded(l net.Listener, handler func(net.Conn) (kept bool), limit int) (stop func()) {
+// the connection to a new owner, and report which (kept). Before it
+// lets the new owner's peer learn of the handoff it calls keep, which
+// takes the connection out of the server, so a stop from then on
+// leaves it open; a kept connection gives its slot back and leaves the
+// server without being closed. The returned stop function is
+// deterministic: it closes the listener, closes every in-flight
+// connection (unblocking their handlers), and waits for all goroutines
+// to finish.
+func serveBounded(l net.Listener, handler func(conn net.Conn, keep func()) (kept bool), limit int) (stop func()) {
 	sem := make(chan struct{}, limit)
 	var (
 		mu      sync.Mutex
@@ -119,15 +122,18 @@ func serveBounded(l net.Listener, handler func(net.Conn) (kept bool), limit int)
 			go func(conn net.Conn) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if !handler(conn) {
+				keep := func() {
+					mu.Lock()
+					delete(live, conn)
+					mu.Unlock()
+				}
+				if !handler(conn, keep) {
 					// The handler is done with the peer (it hung up, or sent
 					// unusable framing): release the socket now rather than
 					// leaving the peer to run into its own deadline.
 					_ = conn.Close()
 				}
-				mu.Lock()
-				delete(live, conn)
-				mu.Unlock()
+				keep()
 			}(conn)
 		}
 	}()
@@ -152,7 +158,7 @@ func serveBounded(l net.Listener, handler func(net.Conn) (kept bool), limit int)
 // function closes the listener and every in-flight connection, then
 // waits for all serving goroutines to exit.
 func ServeStageService(l net.Listener, svc *StageService) (stop func()) {
-	return serveBounded(l, func(conn net.Conn) bool {
+	return serveBounded(l, func(conn net.Conn, _ func()) bool {
 		// The loop ends when the connection does; why is nobody's concern.
 		_ = frameTarget{stage: svc}.serveConn(conn)
 		return false
@@ -234,6 +240,10 @@ func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 // redialing.
 func (h *StageHandle) Close() error { return h.t.Close() }
 
+// Done is closed once the handle is: the stage's link as the controller
+// ends it (a deregistration, an eviction, a replacing registration).
+func (h *StageHandle) Done() <-chan struct{} { return h.t.done }
+
 // ---- controller-side registration service ----
 
 // registrar is the control plane's registration service: the target of
@@ -249,15 +259,16 @@ type registrar struct {
 // a handle running over that connection, which it owns from then on,
 // and its error travels back to the stage as the call's error. The
 // connection leaves the endpoint's bound and its stop function with the
-// handle. onDeregister (may be nil) runs on departures, and a health
+// handle, before the answer is sent. onDeregister (may be nil) runs on departures, and a health
 // probe is answered with registered(stageID); a nil registered holds no
 // stage. Connection handling is bounded and stop is deterministic; see
 // ServeStageService.
 func ServeRegistrar(l net.Listener, onRegister func(stage.Info, *StageHandle) error, onDeregister func(string),
 	registered func(string) bool) (stop func()) {
 	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister, registered: registered}
-	return serveBounded(l, func(conn net.Conn) bool {
-		return frameTarget{reg: reg}.serveConn(conn) == errHandedOff
+	return serveBounded(l, func(conn net.Conn, keep func()) bool {
+		s := &frameSession{conn: conn, in: newFrameReader(), keep: keep}
+		return frameTarget{reg: reg}.serve(s, nil) == errHandedOff
 	}, maxConns)
 }
 

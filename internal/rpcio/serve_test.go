@@ -3,6 +3,8 @@ package rpcio
 import (
 	"io"
 	"net"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -57,7 +59,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewStageService(stg)
-	stop := serveBounded(l, func(conn net.Conn) bool {
+	stop := serveBounded(l, func(conn net.Conn, _ func()) bool {
 		_ = frameTarget{stage: svc}.serveConn(conn)
 		return false
 	}, 1)
@@ -161,5 +163,101 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 			t.Errorf("method %d: answered kind %d stream %d %q, want an error frame on stream 7 saying %q",
 				tc.method, h.kind, h.stream, payload, tc.want)
 		}
+	}
+}
+
+// stallingListener hands out connections that report their closing and
+// whose first Write, once its bytes are sent, waits for release: a
+// registrar's handler stalls right after it answers a registration.
+type stallingListener struct {
+	net.Listener
+	conns chan *stallingConn
+}
+
+func (l *stallingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &stallingConn{Conn: conn, wrote: make(chan struct{}), release: make(chan struct{}), closed: make(chan struct{})}
+	l.conns <- c
+	return c, nil
+}
+
+type stallingConn struct {
+	net.Conn
+	writes                 int // the server's own writes, in order
+	wrote, release, closed chan struct{}
+	closeOnce              sync.Once
+}
+
+func (c *stallingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	if c.writes++; c.writes == 1 {
+		close(c.wrote)
+		<-c.release
+	}
+	return n, err
+}
+
+// SyscallConn lets the controller's handle look at the socket, as it
+// does on any TCP connection.
+func (c *stallingConn) SyscallConn() (syscall.RawConn, error) {
+	return c.Conn.(syscall.Conn).SyscallConn()
+}
+
+func (c *stallingConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestRegistrarStopSparesAHandedOffConnection: a registration takes its
+// connection out of the registrar before the answer tells the stage it
+// registered, so a registrar stopped from then on leaves the connection
+// open under the controller, even while the registrar's handler is
+// still in the Write that sent the answer.
+func TestRegistrarStopSparesAHandedOffConnection(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &stallingListener{Listener: inner, conns: make(chan *stallingConn, 2)}
+	handles := make(chan *StageHandle, 1)
+	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) error {
+		handles <- h
+		return nil
+	}, nil, nil)
+	// A client that sends nothing: its connection is in flight at the stop.
+	idle, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	idleConn := <-l.conns
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+	link, err := RegisterWithController(inner.Addr().String(), svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	h := <-handles
+	defer h.Close()
+	reg := <-l.conns
+	<-reg.wrote // the stage has its answer; the handler is still in the Write
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	<-idleConn.closed // the stop is closing the connections in flight
+	close(reg.release)
+	<-stopped
+	select {
+	case <-reg.closed:
+		t.Fatal("the registrar's stop closed a connection it had handed to the controller")
+	default:
+	}
+	if err := h.CollectDeltaInto(&stage.Stats{}); err != nil {
+		t.Errorf("the controller's handle failed once the registrar stopped: %v", err)
 	}
 }

@@ -102,12 +102,12 @@ func LocalStage(svc *StageService, clk clock.Clock, fault Fault) *StageHandle {
 // transport's timer sets one only to release such a read).
 type memConn struct {
 	target frameTarget
-	fault  Fault
 
-	// srv (the server's half), out and lost belong to the exchange in
-	// flight, the conn's one writer and reader, so the Fault and the stage
-	// run under no lock: out[off:] is the reply bytes queued for it, a view
-	// of srv's reply frame, and lost the error a lost reply's read returns.
+	// srv (the server's half, holding the conn's Fault), out and lost
+	// belong to the exchange in flight, the conn's one writer and reader,
+	// so the Fault and the stage run under no lock: out[off:] is the reply
+	// bytes queued for it, a view of srv's reply frame, and lost the error
+	// a lost reply's read returns.
 	srv  frameSession
 	out  []byte
 	off  int
@@ -120,7 +120,8 @@ type memConn struct {
 }
 
 func newMemConn(svc *StageService, fault Fault) *memConn {
-	c := &memConn{target: frameTarget{stage: svc}, fault: fault}
+	c := &memConn{target: frameTarget{stage: svc}}
+	c.srv.fault = fault
 	c.ready.L = &c.mu
 	return c
 }
@@ -137,21 +138,15 @@ func (c *memConn) Write(b []byte) (int, error) {
 	case !ok || in.r != len(b) || h.kind != frameRequest || c.off < len(c.out):
 		return 0, errors.New("rpcio: an in-memory write must be one whole request frame, after the last reply was read")
 	}
-	var verdict error
-	if c.fault != nil && h.method == methodBatch {
-		// The fault sees the request as the stage will: handleCall
-		// decodes the same payload into the same args again.
-		if err := readCallArgs(h.method, payload, &c.srv.batchArgs); err == nil {
-			verdict = c.fault(c.srv.batchArgs.Ops, c.srv.batchArgs.Collect)
-		}
-	}
-	lost, isLost := verdict.(ReplyLost)
-	if verdict != nil && !isLost {
-		return 0, verdict
-	}
-	if reply := c.target.answer(&c.srv, h, payload); isLost {
+	// The fault sees the args handleCall decodes, before the stage does.
+	c.srv.verdict = nil
+	reply := c.target.answer(&c.srv, h, payload)
+	switch lost, isLost := c.srv.verdict.(ReplyLost); {
+	case isLost:
 		c.lost = lost.Err // nil: the read waits as on a silent socket
-	} else {
+	case c.srv.verdict != nil:
+		return 0, c.srv.verdict
+	default:
 		c.out, c.off = reply, 0
 	}
 	return len(b), nil

@@ -7,19 +7,27 @@
 // crashes, stage crashes, partitions, lost reply frames) and logs every
 // observable transition, so two runs of a scenario agree byte for byte.
 //
-// The engine is a fluid simulation with a fixed step of one Interval.
-// The step at instant T runs, in order:
+// The engine is a fluid simulation with a fixed step of one Interval;
+// between two steps, the events and lifecycle wakes (below) due there
+// run in time order. The step at instant T runs, in order:
 //
 //  1. the demand step: each active job integrates its trace over
 //     (T−Interval, T] and offers it, plus its backlog, to its stages'
 //     token buckets (an attached PFS pushes back what the MDS cannot
 //     serve), so backlogs drain as in Fig. 4 and makespans stretch as
 //     in Fig. 5;
-//  2. the events due at T (see Schedule);
-//  3. every live stage's heartbeat;
-//  4. the control round, unless the controller is down;
-//  5. the arrivals due at T, and a round that starts them at their
+//  2. the events due at T (see Schedule), then the lifecycle wakes due
+//     at T in StageID order, every stage's heartbeat among them;
+//  3. the control round, unless the controller is down;
+//  4. the arrivals due at T, and a round that starts them at their
 //     share.
+//
+// Every stage runs the product's lifecycle (rpcio.Lifecycle), fed what
+// a stage process observes: a controller crash closes every link, an
+// eviction or a replacing registration closes that stage's, and a
+// partition closes none but fails every exchange, probe and
+// registration until heal. A stage takes the loss of its link at the
+// instant it happened, before the next event or wake.
 package sim
 
 import (
@@ -46,6 +54,20 @@ import (
 // Interval is the simulation step and the feedback loop's period: the
 // controller runs one round, and every stage one heartbeat, per step.
 const Interval = time.Second
+
+// ReconciledAt is the first round that covers a stage which lost its
+// link at lost, with a controller back at back: the step at or after
+// the stage's first attempt on the retry schedule at or after back.
+func ReconciledAt(lost, back time.Duration) time.Duration {
+	at := lost
+	for i := 0; at < back; i++ {
+		at += rpcio.RetryDelay(i)
+	}
+	if step := at.Truncate(Interval); step < at {
+		return step + Interval
+	}
+	return at
+}
 
 // Injected faults surface to the controller as these errors; a lost
 // reply is an exchange the stage applied but never acknowledged.
@@ -145,6 +167,7 @@ type Node struct {
 	Handle *rpcio.StageHandle
 
 	svc                             *rpcio.StageService
+	life                            *rpcio.Lifecycle // nil until launch
 	job                             *job
 	dropReply, partitioned, crashed atomic.Bool
 	collectBudget                   atomic.Int64 // as pushBudget, for a stage crash
@@ -248,7 +271,7 @@ func (c *Cluster) AddStage(id, job string, reservation float64) *Node {
 	}
 	n := c.newNode(j, stage.Info{StageID: id, JobID: job})
 	c.reserve(job, reservation)
-	c.join(n)
+	c.launch(n)
 	return n
 }
 
@@ -305,10 +328,10 @@ func (c *Cluster) Node(id string) *Node {
 // Schedule registers an event before Run: do runs with the clock at at,
 // and a non-empty name is logged when it fires. An event due at the
 // instant of a step runs after the step's demand integration and before
-// its heartbeats and round, so the round sees what the event changed; a
-// probe that must see what the round at T did is scheduled between
-// steps, at T+Interval/2. Events due at one instant run in the order
-// they were scheduled.
+// its lifecycle wakes and round, so the round sees what the event
+// changed; a probe that must see what the round at T did is scheduled
+// between steps, at T+Interval/2. Events due at one instant run in the
+// order they were scheduled, before the wakes due then.
 func (c *Cluster) Schedule(at time.Duration, name string, do func(c *Cluster)) {
 	c.events = append(c.events, event{at: at, name: name, do: do})
 }
@@ -320,16 +343,18 @@ func (c *Cluster) logf(format string, args ...any) {
 	fmt.Fprintf(&c.log, "t=+%-8v %s\n", c.clk.Now().Sub(c.start), fmt.Sprintf(format, args...))
 }
 
-// CrashController kills the controller: no round runs and every exchange
-// fails until RestartController; stages degrade at their next heartbeat.
+// CrashController kills the controller: no round runs and every
+// exchange, probe and registration fails until RestartController. Its
+// links close once a round in flight has returned.
 func (c *Cluster) CrashController() {
 	c.down = true
 	c.logf("controller crashed")
 }
 
 // RestartController boots a fresh controller: empty registry,
-// reservations restored. Degraded stages re-register at their next
-// heartbeat, which replays their rules.
+// reservations restored. Stages register with it on their retry
+// schedule; after a restart with no crash, whose links stay open (the
+// old host vanished), at their next heartbeat.
 func (c *Cluster) RestartController() {
 	c.ctl = c.newController()
 	c.down = false
@@ -391,21 +416,14 @@ func (c *Cluster) DropNextBatchReply(id string) {
 func (c *Cluster) Run() *Report {
 	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].at < c.events[j].at })
 	var now time.Duration
-	c.fire(now)
+	c.until(now)
 	c.arrive(now)
 	for {
-		c.fire(now + Interval - 1) // the events between two steps
+		c.until(now + Interval - 1) // what is due between two steps
 		now += Interval
 		c.clk.AdvanceTo(c.start.Add(now))
 		c.demand(now)
-		c.fire(now)
-		if c.ctl != nil {
-			for _, n := range c.nodes {
-				if n.job.arrived && !n.job.finished && !n.crashed.Load() {
-					c.heartbeat(n)
-				}
-			}
-		}
+		c.until(now)
 		c.round()
 		if c.done(now) {
 			return c.report(now)
@@ -414,17 +432,29 @@ func (c *Cluster) Run() *Report {
 	}
 }
 
-// fire runs the events due by until, each with the clock at its instant.
-func (c *Cluster) fire(until time.Duration) {
-	for ; c.next < len(c.events) && c.events[c.next].at <= until; c.next++ {
-		ev := c.events[c.next]
-		if at := c.start.Add(ev.at); at.After(c.clk.Now()) {
-			c.clk.AdvanceTo(at)
+// until runs the events and the lifecycle wakes due by until in time
+// order, each with the clock at its instant: at one instant the events
+// first, then the wakes in StageID order.
+func (c *Cluster) until(until time.Duration) {
+	for {
+		n, wake := c.settle()
+		ev := event{at: until + 1} // none due
+		if c.next < len(c.events) {
+			ev = c.events[c.next]
 		}
-		if ev.name != "" {
-			c.logf("event %s", ev.name)
+		if ev.at <= until && (n == nil || ev.at <= wake) {
+			c.next++
+			c.clk.AdvanceTo(c.start.Add(ev.at))
+			if ev.name != "" {
+				c.logf("event %s", ev.name)
+			}
+			ev.do(c)
+		} else if n != nil && wake <= until {
+			c.clk.AdvanceTo(c.start.Add(wake))
+			c.note(n, n.life.Wake(c.clk.Now()))
+		} else {
+			return
 		}
-		ev.do(c)
 	}
 }
 
@@ -460,7 +490,7 @@ func (c *Cluster) arrive(now time.Duration) {
 		j.arrived, arrived = true, true
 		c.reserve(j.spec.ID, j.spec.Reservation)
 		for _, n := range j.nodes {
-			c.join(n)
+			c.launch(n)
 		}
 	}
 	if arrived {
@@ -497,51 +527,79 @@ func (c *Cluster) round() {
 	c.logf("control round: %s", line)
 }
 
-// join registers a new stage. One that cannot reach the controller starts
-// degraded and registers at the first heartbeat that does.
-func (c *Cluster) join(n *Node) {
+// launch starts a stage's lifecycle: it registers now, each time over a
+// fresh in-process handle under the cluster's fault gate, and beats
+// every Interval while it holds a link.
+func (c *Cluster) launch(n *Node) {
 	if c.ctl == nil {
 		return
 	}
-	err := errControllerDown
-	if !c.down {
-		err = c.ctl.Register(n.Stg.Info(), c.handle(n))
+	now := c.clk.Now()
+	n.life = rpcio.NewLifecycle(n.Stg, now, nil, func() (<-chan struct{}, error) {
+		if err := c.reach(n); err != nil {
+			return nil, err
+		}
+		n.Handle = rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
+			return c.gate(n, len(ops) > 0, collect)
+		})
+		return n.Handle.Done(), c.ctl.Register(n.Stg.Info(), n.Handle)
+	})
+	n.life.Heartbeat(now, Interval, func() (bool, error) {
+		err := c.reach(n)
+		return err == nil && c.ctl.Registered(n.ID), err
+	})
+	if ev := n.life.Wake(now); ev.Registered {
+		c.logf("stage %s registered (job %s)", n.ID, n.Job)
+	} else {
+		c.logf("stage %s registration failed, starts degraded: %v", n.ID, ev.Err)
 	}
-	if err != nil {
-		n.Stg.SetDegraded(true)
-		c.logf("stage %s registration failed, starts degraded: %v", n.ID, err)
-		return
-	}
-	c.logf("stage %s registered (job %s)", n.ID, n.Job)
 }
 
-// heartbeat is a stage's probe of its controller: a controller it cannot
-// reach degrades the stage, freezing its limits; one it reaches again,
-// or one that answers that it does not hold the stage (it restarted
-// between two heartbeats, or evicted the stage), takes its
-// re-registration, which replays the job's rules. A failed
-// re-registration leaves the stage degraded.
-func (c *Cluster) heartbeat(n *Node) {
-	if c.down || n.partitioned.Load() {
-		if n.Stg.SetDegraded(true) {
-			c.logf("stage %s degraded: controller unreachable, limits frozen at %.0f",
-				n.ID, RuleRate(n.Stg, control.ControlRuleID))
+// settle closes a dead controller's links and hands each running stage
+// the loss of its link, then returns the stage whose lifecycle is due
+// first, the lowest StageID on a tie, and when (nil: none).
+func (c *Cluster) settle() (first *Node, at time.Duration) {
+	for _, n := range c.nodes {
+		if n.life == nil || n.crashed.Load() {
+			continue
 		}
-		return
+		if c.down && n.Handle != nil {
+			_ = n.Handle.Close() // an in-process close reports nothing
+		}
+		select {
+		case <-n.life.Link():
+			c.note(n, n.life.Lost(c.clk.Now()))
+		default:
+		}
+		if next := n.life.Next(); !next.IsZero() && (first == nil || next.Sub(c.start) < at) {
+			first, at = n, next.Sub(c.start)
+		}
 	}
-	if !n.Stg.Degraded() && c.ctl.Registered(n.ID) {
-		return
+	return first, at
+}
+
+// note logs a lifecycle step's transitions, never a bare retry.
+func (c *Cluster) note(n *Node, ev rpcio.Event) {
+	if ev.Degraded {
+		c.logf("stage %s degraded: controller unreachable, limits frozen at %.0f",
+			n.ID, RuleRate(n.Stg, control.ControlRuleID))
 	}
-	if err := c.ctl.Register(n.Stg.Info(), c.handle(n)); err != nil {
-		n.Stg.SetDegraded(true)
-		c.logf("stage %s re-registration failed: %v", n.ID, err)
-		return
-	}
-	if n.Stg.SetDegraded(false) {
+	if ev.Cleared {
 		c.logf("stage %s re-registered after %v degraded", n.ID, n.Stg.DegradedFor())
-		return
+	} else if ev.Registered {
+		c.logf("stage %s re-registered: the controller did not hold it", n.ID)
 	}
-	c.logf("stage %s re-registered: the controller did not hold it", n.ID)
+}
+
+// reach fails while the controller is down or n crashed or is cut off.
+func (c *Cluster) reach(n *Node) error {
+	switch {
+	case c.down:
+		return errControllerDown
+	case n.crashed.Load() || n.partitioned.Load():
+		return errUnreachable
+	}
+	return nil
 }
 
 // RuleRate returns the rate of a stage's rule by ID (-1 when absent).
@@ -628,6 +686,7 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 			j.finishedAt = now
 			if c.ctl != nil {
 				for _, n := range j.nodes {
+					n.life.Stop() // the job's processes exit
 					c.ctl.Deregister(n.ID)
 				}
 			}
@@ -680,17 +739,6 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 	return rep
 }
 
-// handle gives n a fresh handle for a registration: the frame transport
-// in process, over an in-memory conn under the cluster's failure state.
-// The controller closes a handle it replaces or deregisters, so every
-// registration takes a new one.
-func (c *Cluster) handle(n *Node) *rpcio.StageHandle {
-	n.Handle = rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
-		return c.gate(n, len(ops) > 0, collect)
-	})
-	return n.Handle
-}
-
 // gate is a node's fault: it decides, as each exchange is written,
 // whether it reaches the node (a crash hits between exchanges, as a real
 // controller would observe it), and loses the reply of one the node
@@ -700,12 +748,8 @@ func (c *Cluster) handle(n *Node) *rpcio.StageHandle {
 // different nodes may run side by side, each spending only its node's
 // budget.
 func (c *Cluster) gate(n *Node, push, collect bool) error {
-	switch {
-	case !push && !collect:
-	case c.down:
-		return errControllerDown
-	case n.crashed.Load() || n.partitioned.Load():
-		return errUnreachable
+	if err := c.reach(n); err != nil && (push || collect) {
+		return err
 	}
 	if push {
 		switch b := c.pushBudget.Load(); {

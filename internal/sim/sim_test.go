@@ -363,8 +363,9 @@ func TestSimConservationProperty(t *testing.T) {
 // TestArrivalDuringOutageRegistersAfterRestart: a job that arrives while
 // the controller is down cannot register. Its stage starts degraded, and
 // the job stays out of the registry, the last round and the allocation
-// until the restart. The stage registers at the first heartbeat after
-// the restart and is reconciled by the round that follows it.
+// until the restart. The stage registers at its first attempt on the
+// retry schedule after the restart and is reconciled by the round that
+// follows it.
 func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
 	c := NewCluster(Config{Duration: 15 * time.Second, Controller: []control.Option{
 		control.WithAlgorithm(control.FixedRates{}),
@@ -391,15 +392,18 @@ func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
 			t.Error("late job allocated before the restart")
 		}
 	})
-	// The restart at 10s fires before that step's heartbeats and round.
-	c.Schedule(10*time.Second+Interval/2, "", func(c *Cluster) {
+	// The late stage's first attempt failed at its arrival, 6s; its
+	// attempt at 10.15s, on the retry schedule, is the first after the
+	// restart, so the round at 11s is the first to cover it.
+	reconciled := ReconciledAt(6*time.Second, 10*time.Second)
+	c.Schedule(reconciled+Interval/2, "", func(c *Cluster) {
 		checked++
 		late := c.StagesOf("late")[0]
 		if late.Degraded() {
-			t.Error("late stage still degraded after the first round that follows the restart")
+			t.Error("late stage still degraded after the first round that follows its registration")
 		}
 		if rs, _ := c.Controller().LastRound(); rs.Stages != 2 {
-			t.Errorf("first round after the restart covered %d stages, want 2", rs.Stages)
+			t.Errorf("first round after the registration covered %d stages, want 2", rs.Stages)
 		}
 		if got, want := RuleRate(late, control.ControlRuleID), c.Controller().LastAllocation()["late"]; got != want || want != 200 {
 			t.Errorf("late stage enforces %v, allocation %v, want both 200", got, want)
@@ -412,7 +416,7 @@ func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
 	log := c.Log()
 	for _, want := range []string{
 		"t=+6s       stage late-stage0 registration failed, starts degraded: chaos: controller is down",
-		"t=+10s      stage late-stage0 re-registered after 4s degraded",
+		"t=+10.15s   stage late-stage0 re-registered after 4.15s degraded",
 	} {
 		if !strings.Contains(log, want) {
 			t.Errorf("log missing %q:\n%s", want, log)
@@ -421,10 +425,12 @@ func TestArrivalDuringOutageRegistersAfterRestart(t *testing.T) {
 }
 
 // TestRestartBetweenHeartbeatsReregisters: a controller that crashes and
-// restarts between two heartbeats never leaves a stage a failed probe,
-// so the stage never degrades — but the fresh controller does not hold
-// it, and the next heartbeat registers it again instead of leaving it
-// unmanaged under its stale limit.
+// restarts between two heartbeats closes the stage's link, so the stage
+// degrades at the crash and registers with the fresh controller at its
+// first attempt on the retry schedule after the restart: 4.25s, then
+// 50, 100 and 200 ms later, at 4.6s. It is not left unmanaged under its
+// stale limit: the restarted controller holds it, and the first round
+// after the re-registration covers it.
 func TestRestartBetweenHeartbeatsReregisters(t *testing.T) {
 	c := NewCluster(Config{Duration: 8 * time.Second, Controller: []control.Option{
 		control.WithAlgorithm(control.FixedRates{}),
@@ -432,6 +438,43 @@ func TestRestartBetweenHeartbeatsReregisters(t *testing.T) {
 	}})
 	c.AddJob(JobSpec{ID: "early", Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 300})
 	c.Schedule(4*time.Second+Interval/4, "crash-controller", (*Cluster).CrashController)
+	c.Schedule(4*time.Second+Interval/2, "restart-controller", (*Cluster).RestartController)
+	var checked bool
+	c.Schedule(ReconciledAt(4*time.Second+Interval/4, 4*time.Second+Interval/2)+Interval/2, "", func(c *Cluster) {
+		checked = true
+		stg := c.StagesOf("early")[0]
+		if stg.Degraded() || stg.DegradedFor() != 350*time.Millisecond {
+			t.Errorf("stage degraded (%v, for %v), want registered again after 350ms degraded", stg.Degraded(), stg.DegradedFor())
+		}
+		ctl := c.Controller()
+		if !ctl.Registered(stg.Info().StageID) {
+			t.Error("the restarted controller does not hold the stage")
+		}
+		if rs, _ := ctl.LastRound(); rs.Stages != 1 {
+			t.Errorf("first round after the re-registration covered %d stages, want 1", rs.Stages)
+		}
+	})
+	c.Run()
+	if !checked {
+		t.Fatal("the probe did not run")
+	}
+	if want := "t=+4.6s     stage early-stage0 re-registered after 350ms degraded"; !strings.Contains(c.Log(), want) {
+		t.Errorf("log missing %q:\n%s", want, c.Log())
+	}
+}
+
+// TestRestartBehindAnOpenLinkReregisters: a controller replaced with no
+// crash before it (its host vanished without closing its connections)
+// leaves the stage's link open, so nothing degrades the stage — but the
+// fresh controller does not hold it. The next heartbeat's probe says
+// so, and registers the stage again without degrading it, instead of
+// leaving it unmanaged under its stale limit.
+func TestRestartBehindAnOpenLinkReregisters(t *testing.T) {
+	c := NewCluster(Config{Duration: 8 * time.Second, Controller: []control.Option{
+		control.WithAlgorithm(control.FixedRates{}),
+		control.WithClusterLimit(1000),
+	}})
+	c.AddJob(JobSpec{ID: "early", Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 300})
 	c.Schedule(4*time.Second+Interval/2, "restart-controller", (*Cluster).RestartController)
 	var checked bool
 	c.Schedule(5*time.Second+Interval/2, "", func(c *Cluster) {

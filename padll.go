@@ -40,7 +40,7 @@ package padll
 import (
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
@@ -225,16 +225,15 @@ type DataPlane struct {
 	stop       func()
 	listenAddr string
 	controller string
-	// regMu serializes registrations and guards link, the connection the
-	// stage last registered on, which the controller's rounds run over.
-	regMu sync.Mutex
-	link  *rpcio.ControllerConn
-	// re-registration loop state (while registered)
-	keepStop chan struct{}
-	keepDone chan struct{}
-	// heartbeat state (controller liveness probe)
-	hbStop chan struct{}
-	hbDone chan struct{}
+	// link is the connection the stage last registered on, which the
+	// controller's rounds run over.
+	link atomic.Pointer[rpcio.ControllerConn]
+	// loop hands its work to the goroutine that drives the stage's
+	// lifecycle from Serve to Close (run), and closes to stop it;
+	// loopDone closes once it has. beating says StartHeartbeat ran.
+	loop     chan func(*rpcio.Lifecycle)
+	loopDone chan struct{}
+	beating  bool
 }
 
 // NewDataPlane builds a data plane over the given mounts.
@@ -326,80 +325,59 @@ func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	svc := rpcio.NewStageService(dp.stg)
 	stop := rpcio.ServeStageService(l, svc)
 	if controllerAddr != "" {
-		link, err := rpcio.RegisterWithController(controllerAddr, svc)
+		// Each registration replaces (and closes) the connection the
+		// stage last registered on.
+		register := func() (<-chan struct{}, error) {
+			link, err := rpcio.RegisterWithController(controllerAddr, svc)
+			if err != nil {
+				return nil, err
+			}
+			if old := dp.link.Swap(link); old != nil {
+				old.Close()
+			}
+			return link.Done(), nil
+		}
+		link, err := register()
 		if err != nil {
 			stop()
 			return err
 		}
-		dp.controller, dp.link = controllerAddr, link
+		dp.controller = controllerAddr
+		dp.loop, dp.loopDone = make(chan func(*rpcio.Lifecycle)), make(chan struct{})
+		go dp.run(rpcio.NewLifecycle(dp.stg, dp.clk.Now(), link, register), dp.loop, dp.loopDone)
 	}
 	dp.svc, dp.stop, dp.listenAddr = svc, stop, l.Addr().String()
-	if dp.link != nil {
-		dp.keepStop, dp.keepDone = make(chan struct{}), make(chan struct{})
-		go dp.keepRegistered(dp.keepStop, dp.keepDone)
-	}
 	return nil
 }
 
-// register registers the stage again over a fresh connection, which
-// replaces (and closes) the one it last registered on. A registration
-// made for a lost connection passes it as lost, and gives way to a
-// registration made since.
-func (dp *DataPlane) register(lost *rpcio.ControllerConn) error {
-	dp.regMu.Lock()
-	defer dp.regMu.Unlock()
-	if lost != nil && lost != dp.link {
-		return nil
-	}
-	link, err := rpcio.RegisterWithController(dp.controller, dp.svc)
-	if err != nil {
-		return err
-	}
-	old := dp.link
-	dp.link = link
-	old.Close()
-	return nil
-}
-
-// currentLink returns the connection the stage last registered on; it
-// waits for a registration in progress.
-func (dp *DataPlane) currentLink() *rpcio.ControllerConn {
-	dp.regMu.Lock()
-	defer dp.regMu.Unlock()
-	return dp.link
-}
-
-// keepRegistered re-registers the stage whenever the connection it
-// registered on dies (the controller closed its handle: it deregistered,
-// evicted or replaced the stage, or went away), until stop. A connection
-// a newer registration replaced ends quietly. Until a re-registration
-// succeeds the stage is unmanaged, so Degraded; failed attempts are
-// spaced by the retry schedule on the data plane's clock.
-func (dp *DataPlane) keepRegistered(stop <-chan struct{}, done chan<- struct{}) {
+// run drives the stage's lifecycle until work closes: it hands the
+// machine each death of the link, each instant it asked to be woken at
+// (on one timer on the data plane's clock) and the work sent it.
+func (dp *DataPlane) run(life *rpcio.Lifecycle, work <-chan func(*rpcio.Lifecycle), done chan<- struct{}) {
 	defer close(done)
 	wake := make(chan struct{}, 1)
-	t := dp.clk.NewFuncTimer(func() { wake <- struct{}{} })
+	t := dp.clk.NewFuncTimer(func() {
+		select {
+		case wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	})
 	defer t.Stop()
 	for {
-		lost := dp.currentLink()
+		if next := life.Next(); !next.IsZero() {
+			t.Reset(next.Sub(dp.clk.Now()))
+		}
 		select {
-		case <-stop:
-			return
-		case <-lost.Done():
-		}
-		if dp.currentLink() != lost {
-			continue // replaced by a newer registration
-		}
-		dp.stg.SetDegraded(true)
-		for attempt := 0; dp.register(lost) != nil; attempt++ {
-			t.Reset(rpcio.RetryDelay(attempt))
-			select {
-			case <-stop:
+		case do, ok := <-work:
+			if !ok {
 				return
-			case <-wake:
 			}
+			do(life)
+		case <-life.Link():
+			life.Lost(dp.clk.Now())
+		case <-wake:
+			life.Wake(dp.clk.Now())
 		}
-		dp.stg.SetDegraded(false)
 	}
 }
 
@@ -422,18 +400,20 @@ func (dp *DataPlane) ControlServiceStats() (stats ServiceStats, ok bool) {
 // pushed (fail-secure — an unreachable controller must not mean
 // unlimited I/O), and surfaces the condition through Stats. When the
 // controller answers again, or answers that it does not hold this
-// stage's registration (it restarted between two probes, or evicted the
-// stage), the stage re-registers over a fresh connection, closing the
-// one it registered on before — which replays the controller's
-// last-known rule set for this stage — and leaves Degraded; a failed
-// re-registration leaves it Degraded.
+// stage's registration (it restarted behind a connection that stayed
+// open, or evicted the stage), the stage re-registers over a fresh
+// connection, closing the one it registered on before — which replays
+// the controller's last-known rule set for this stage — and leaves
+// Degraded; a failed re-registration leaves it Degraded. While the
+// stage is re-registering after losing its connection it does not
+// probe.
 //
 // Serve must have been called with a controller address first.
 func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 	if dp.controller == "" {
 		return fmt.Errorf("padll: no controller to monitor; Serve with a controller address first")
 	}
-	if dp.hbStop != nil {
+	if dp.beating {
 		return fmt.Errorf("padll: heartbeat already running")
 	}
 	if interval <= 0 {
@@ -442,39 +422,13 @@ func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = rpcio.DefaultCallTimeout
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	dp.hbStop, dp.hbDone = stop, done
-	controller, info := dp.controller, dp.stg.Info()
-	go func() {
-		defer close(done)
-		tick := make(chan struct{}, 1)
-		t := dp.clk.NewFuncTimer(func() { tick <- struct{}{} })
-		defer t.Stop()
-		for {
-			t.Reset(interval)
-			select {
-			case <-stop:
-				return
-			case <-tick:
-			}
-			registered, err := rpcio.ProbeController(controller, info.StageID, timeout)
-			if err != nil {
-				dp.stg.SetDegraded(true)
-				continue
-			}
-			if registered && !dp.stg.Degraded() {
-				continue
-			}
-			// The controller is back, or it answers but has forgotten this
-			// stage (it restarted between two beats, or evicted the
-			// stage). Re-register so it replays the last-known rules and
-			// folds this stage into the next allocation round; until that
-			// succeeds the stage is unmanaged, so degraded.
-			rerr := dp.register(nil)
-			dp.stg.SetDegraded(rerr != nil)
-		}
-	}()
+	controller, id := dp.controller, dp.stg.Info().StageID
+	dp.loop <- func(life *rpcio.Lifecycle) {
+		life.Heartbeat(dp.clk.Now(), interval, func() (bool, error) {
+			return rpcio.ProbeController(controller, id, timeout)
+		})
+	}
+	dp.beating = true
 	return nil
 }
 
@@ -484,35 +438,21 @@ func (dp *DataPlane) Degraded() bool { return dp.stg.Degraded() }
 // DegradedFor returns the cumulative time spent degraded.
 func (dp *DataPlane) DegradedFor() time.Duration { return dp.stg.DegradedFor() }
 
-func (dp *DataPlane) stopHeartbeat() {
-	if dp.hbStop == nil {
-		return
-	}
-	close(dp.hbStop)
-	<-dp.hbDone
-	dp.hbStop, dp.hbDone = nil, nil
-}
-
-// Close stops re-registering, deregisters from the control plane (if
-// registered), closes the connection it registered on and stops the
-// control service.
+// Close stops re-registering and probing, deregisters from the control
+// plane (if registered), closes the connection it registered on and
+// stops the control service.
 func (dp *DataPlane) Close() error {
 	var err error
-	dp.stopHeartbeat()
-	if dp.keepStop != nil {
-		close(dp.keepStop)
-		<-dp.keepDone
-		dp.keepStop, dp.keepDone = nil, nil
+	if dp.loop != nil {
+		close(dp.loop)
+		<-dp.loopDone
+		dp.loop, dp.beating = nil, false
 	}
 	if dp.controller != "" {
 		err = rpcio.DeregisterFromController(dp.controller, dp.stg.Info().StageID)
 		dp.controller = ""
 	}
-	dp.regMu.Lock()
-	link := dp.link
-	dp.link = nil
-	dp.regMu.Unlock()
-	if link != nil {
+	if link := dp.link.Swap(nil); link != nil {
 		link.Close()
 	}
 	if dp.stop != nil {

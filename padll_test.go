@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -478,12 +479,17 @@ func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
 		t.Errorf("Degraded() = %v, DegradedFor() = %v: a reachable controller never degrades the stage",
 			dp.Degraded(), dp.DegradedFor())
 	}
+	// The stopped controller's end of the stage's connection stays open
+	// only while the controller is reachable: collected, its socket's
+	// finalizer closes it, and the stage would see a lost link instead.
+	runtime.KeepAlive(cp)
 }
 
 // TestStoppedLoopsLeaveNoWaiter: each loop paced by a clock — the
-// controller's feedback loop, the data plane's heartbeat, a replayer's
-// op thread — stops its timer on the way out, so stopping the loop
-// leaves nothing parked on its simulated clock.
+// controller's feedback loop, the data plane's lifecycle loop (waiting
+// to beat, or to retry its registration), a replayer's op thread —
+// stops its timer on the way out, so stopping the loop leaves nothing
+// parked on its simulated clock.
 func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 	// parkedThenStopped starts a loop on clk, waits for it to park its
 	// timer, stops it and checks that the timer left with it.
@@ -501,32 +507,60 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 		cp := padll.NewControlPlaneOn(clk)
 		parkedThenStopped(t, clk, func() { cp.Run(time.Second) }, cp.Stop)
 	})
+	// The data plane's loop is stopped while it waits for its next beat,
+	// and while it waits to retry its registration against a dead
+	// controller after losing its connection.
 	t.Run("heartbeat", func(t *testing.T) {
-		cp := padll.NewControlPlane()
-		addr, err := cp.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		for _, retrying := range []bool{false, true} {
+			t.Run(fmt.Sprintf("retrying=%v", retrying), func(t *testing.T) {
+				cp := padll.NewControlPlane()
+				addr, err := cp.Serve("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cp.Stop()
+				clk := clock.NewSim(epoch)
+				_, local := newBackends(clk)
+				dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
+					padll.MountLocal("/", local))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+					t.Fatal(err)
+				}
+				parkedThenStopped(t, clk, func() {
+					if err := dp.StartHeartbeat(time.Second, time.Second); err != nil {
+						t.Fatal(err)
+					}
+					if !retrying {
+						return
+					}
+					// The registrar goes, then the connection: the stage degrades,
+					// its first attempt is refused, and it parks its retry.
+					clk.BlockUntil(1)
+					cp.Stop()
+					dp.ControllerConn().Close()
+					retry := clk.Now().Add(rpcio.RetryDelay(0))
+					for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+						if at, ok := clk.NextDeadline(); ok && at.Equal(retry) {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatal("the data plane never parked a retry after losing its connection")
+						}
+					}
+					if !dp.Degraded() {
+						t.Error("retrying, yet not degraded")
+					}
+				}, func() {
+					// The controller is gone: the deregistration fails, as it must.
+					if err := dp.Close(); err != nil && !retrying {
+						t.Error(err)
+					}
+				})
+			})
 		}
-		defer cp.Stop()
-		clk := clock.NewSim(epoch)
-		_, local := newBackends(clk)
-		dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
-			padll.MountLocal("/", local))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dp.Serve("127.0.0.1:0", addr); err != nil {
-			t.Fatal(err)
-		}
-		parkedThenStopped(t, clk, func() {
-			if err := dp.StartHeartbeat(time.Second, time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}, func() {
-			if err := dp.Close(); err != nil {
-				t.Error(err)
-			}
-		})
 	})
 	t.Run("replayer", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
