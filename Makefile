@@ -57,14 +57,15 @@ test:
 # twice: -count=2 defeats the test cache and shakes out order-dependent
 # state, which is how the chaos determinism tests are meant to be run.
 # The root package's registration tests join them: a data plane's
-# registration and its lifecycle loop (re-registration and heartbeat,
-# stopped mid-retry by StoppedLoops) share the connection it registered
-# on.
+# registration and its lifecycle loop (re-registration and the silence
+# watch over the controller's rounds, stopped mid-retry by
+# StoppedLoops) share the connection it registered on, whose close is
+# the stage's departure (Depart).
 race:
 	$(GO) test -race -count=2 ./internal/stage/... ./internal/policy/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
 		./internal/chaos/... ./internal/sim/... \
 		./internal/mount/... ./internal/interpose/... ./internal/pfs/... ./internal/localfs/... ./internal/leaktest/...
-	$(GO) test -race -count=2 -run 'OverNetwork|Heartbeat|Serve|Regist|StoppedLoops' .
+	$(GO) test -race -count=2 -run 'OverNetwork|Heartbeat|Serve|Regist|StoppedLoops|Depart' .
 
 # Flake hunt: the packages with wall-clock, socket or goroutine-order
 # exposure — the control plane, every layer of the lock-free admit
@@ -198,7 +199,8 @@ ci:
 # lines outside bench/, exported functions and methods, With* options
 # (under internal/ and padll.go), analyzers padll-lint runs — and the
 # ones the control plane is tracked by: wire structs wireRegistry locks,
-# wire call methods (live methodID constants), non-test lines of rpcio + control —
+# wire call methods (live methodID constants: Stage.Batch and
+# Registrar.Register since wire v9), non-test lines of rpcio + control —
 # the experiment harness's non-test lines, the simulated cluster's with
 # its chaos scenarios, the stage lifecycle's (the data plane, the
 # simulated cluster and its scenarios, and the lifecycle machine both

@@ -83,6 +83,13 @@ func main() {
 		cp.SetReservation(job, rate)
 	}
 
+	// The loop runs before the registrar serves: a stage learns the
+	// loop's period when it registers, and watches its rounds for
+	// silence from then on. With no algorithm no round exchanges with a
+	// stage, so no loop runs and the stages watch none.
+	if alg != nil {
+		cp.Run(*interval)
+	}
 	addr, err := cp.Serve(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "padll-controller:", err)
@@ -97,10 +104,6 @@ func main() {
 		}
 		fmt.Printf("padll-controller: HTTP monitor on http://%s/\n", monAddr)
 	}
-	if alg != nil {
-		cp.Run(*interval)
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if *report > 0 {

@@ -6,7 +6,11 @@
 // The replayed operations run against an in-memory local file system (as
 // the paper's metadata experiments do, to avoid harming a production
 // PFS); the stage's control service can be exposed so padll-ctl or
-// padll-controller can throttle the replay live.
+// padll-controller can throttle the replay live. A stage registered
+// with a controller takes the controller's rounds as its sign of life:
+// when its connection closes, or serves no round for two loop periods
+// plus a call's deadline, it freezes its limits, reports itself
+// degraded and registers again until it succeeds.
 //
 // Usage:
 //
@@ -45,7 +49,6 @@ func main() {
 		jobID      = flag.String("job", "replay-job", "job ID stamped on requests")
 		serve      = flag.String("serve", "", "expose the stage control service on this address")
 		controller = flag.String("controller", "", "register with this control plane")
-		heartbeat  = flag.Duration("heartbeat", 0, "probe the controller at this interval; on loss freeze limits and mark the stage degraded (0 = off)")
 		files      = flag.Int("files", 128, "pre-created file population")
 	)
 	flag.Parse()
@@ -109,15 +112,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println("stage control service on", dp.Addr())
-		if *heartbeat > 0 {
-			if *controller == "" {
-				fatal(fmt.Errorf("-heartbeat needs -controller"))
-			}
-			if err := dp.StartHeartbeat(*heartbeat, *heartbeat); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("heartbeat to %s every %v\n", *controller, *heartbeat)
-		}
 	}
 
 	w := &trace.Workload{

@@ -209,7 +209,8 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 	}()
 	registrar := waitForAddr(t, &ctlOut, "registrar on ", 5*time.Second)
 
-	// Two stages, one per job, each heartbeating the controller.
+	// Two stages, one per job, each registered with the controller, whose
+	// rounds are their heartbeat.
 	type stageProc struct {
 		job, addr, rate string
 		cmd             *exec.Cmd
@@ -224,7 +225,7 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 		s.cmd = exec.Command(filepath.Join(bins, "padll-replayer"),
 			"-synthetic", "-seed", "7", "-duration", "12s",
 			"-job", s.job, "-serve", "127.0.0.1:0",
-			"-controller", registrar, "-heartbeat", "150ms")
+			"-controller", registrar)
 		s.cmd.Stdout = s.out
 		s.cmd.Stderr = s.out
 		if err := s.cmd.Start(); err != nil {
@@ -264,8 +265,9 @@ func TestControllerCrashEndToEnd(t *testing.T) {
 	}
 	controller.Wait()
 
-	// Several heartbeat periods later the stages must still enforce the
-	// exact limits the dead controller last pushed.
+	// The killed controller's sockets closed, so the stages lost their
+	// connections at once; several loop periods later they must still
+	// enforce the exact limits the dead controller last pushed.
 	time.Sleep(1 * time.Second)
 	for _, s := range stages {
 		out := run(t, ctl, "-stage", s.addr, "stats")

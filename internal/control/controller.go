@@ -44,6 +44,9 @@ type Controller struct {
 	lastAlloc    map[string]float64
 	loopStop     chan struct{}
 	loopDone     chan struct{}
+	// period is the running loop's (0: none runs), which a registration
+	// over the network answers with.
+	period time.Duration
 
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
@@ -96,7 +99,8 @@ func WithLimitAdapter(a *AIMDLimit) Option {
 // WithErrorHandler installs a sink for stage-communication errors; the
 // default drops them (a dead stage is simply skipped until it
 // re-registers). It is called from the round's goroutine, one error at
-// a time, in StageID order within a phase.
+// a time, in StageID order within a phase. A stage's departure
+// (rpcio.ErrDeparted) is no error and never reaches it.
 func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
 }
@@ -231,32 +235,40 @@ func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []polic
 	return out
 }
 
-// Deregister removes a stage (job completion, node failure, or
-// eviction). When the stage was its job's last, the job's share is
-// released — residual allocation, reservation, and recorded rules are
-// dropped — so the next RunOnce redistributes the rate to the remaining
-// jobs instead of holding it for a departed one.
+// Deregister removes a stage (job completion, node failure, eviction,
+// or its departure) and closes its handle. When the stage was its job's
+// last, the job's residual allocation is dropped, which releases its
+// share: the next RunOnce redistributes the rate to the remaining jobs
+// instead of holding it for a departed one. The job's reservation and
+// recorded rules stay — they are the operator's intent, set once, and a
+// job with no stage holds no rate by them — so a job whose stages come
+// back gets both again.
 func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
-	m, ok := c.stages[stageID]
-	if ok {
-		job := m.info.JobID
-		delete(c.stages, stageID)
-		c.registryRev++
-		delete(c.misses, stageID)
-		if c.uncountLocked(job) {
-			delete(c.lastAlloc, job)
-			delete(c.reservations, job)
-			delete(c.adminRules, job)
-		}
-	}
+	m := c.stages[stageID]
+	ok := m != nil && c.dropLocked(m)
 	c.mu.Unlock()
 	if ok {
-		// The stage is gone (job completion or node failure); its close
-		// error carries no recovery path.
+		// The stage is gone; its close error carries no recovery path.
 		_ = m.h.Close()
 	}
 	return ok
+}
+
+// dropLocked takes m out of the registry, unless a registration has
+// replaced it, and reports whether it did; the caller closes its handle.
+func (c *Controller) dropLocked(m *member) bool {
+	id, job := m.info.StageID, m.info.JobID
+	if c.stages[id] != m {
+		return false
+	}
+	delete(c.stages, id)
+	c.registryRev++
+	delete(c.misses, id)
+	if c.uncountLocked(job) {
+		delete(c.lastAlloc, job)
+	}
+	return true
 }
 
 // uncountLocked takes one stage off job's count and reports whether it
@@ -273,42 +285,53 @@ func (c *Controller) uncountLocked(job string) (last bool) {
 // mark-sweep eviction.
 var ErrEvicted = errors.New("control: stage evicted after repeated failures")
 
-// evictDead sweeps the registry: every stage whose consecutive-failure
-// mark reached the eviction threshold is deregistered (releasing its
-// job's share, see Deregister) and reported to the error handler with
-// ErrEvicted. RunOnce calls it between collect and allocate.
-func (c *Controller) evictDead() {
+// evictDead sweeps the registry after sh's collect, in StageID order:
+// a member that departed (its collect found the connection it
+// registered on closed) is dropped, and one whose consecutive-failure
+// mark reached the eviction threshold is dropped and reported to the
+// error handler with ErrEvicted; either releases its job's share (see
+// Deregister). RunOnce calls it between collect and allocate. Caller
+// holds roundMu.
+func (c *Controller) evictDead(sh *shard) {
+	var gone, evicted []*member
 	c.mu.Lock()
-	threshold := c.evictAfter
-	var ids []string
-	if threshold > 0 {
-		for id, n := range c.misses {
-			if n >= threshold {
-				ids = append(ids, id)
+	for _, m := range sh.members {
+		switch {
+		case departed(m.err):
+			if c.dropLocked(m) {
+				gone = append(gone, m)
+			}
+		case c.evictAfter > 0 && c.misses[m.info.StageID] >= c.evictAfter:
+			if c.dropLocked(m) {
+				evicted = append(evicted, m)
 			}
 		}
 	}
 	c.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if c.Deregister(id) {
-			c.onError(id, ErrEvicted)
-		}
+	// The stages are gone; their close errors carry no recovery path.
+	for _, m := range gone {
+		_ = m.h.Close()
+	}
+	for _, m := range evicted {
+		_ = m.h.Close()
+		c.onError(m.info.StageID, ErrEvicted)
 	}
 }
 
 // mark moves the eviction marks by the outcome of sh's last pass: a
 // member whose exchange failed gains one, and after a collect a member
 // that answered loses its mark. A member whose record has left the
-// registry is left alone. RunOnce is the only caller, so reading the
-// statistics between rounds (CollectAll) never counts toward eviction.
-// Caller holds roundMu.
+// registry is left alone, and so is one that departed, which is no
+// failure. RunOnce is the only caller, so reading the statistics
+// between rounds (CollectAll) never counts toward eviction. Caller
+// holds roundMu.
 func (c *Controller) mark(sh *shard, collect bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range sh.members {
 		id := m.info.StageID
 		switch {
+		case departed(m.err):
 		case m.err != nil:
 			if c.stages[id] == m {
 				c.misses[id]++
@@ -329,15 +352,6 @@ func (c *Controller) Stages() []stage.Info {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StageID < out[j].StageID })
 	return out
-}
-
-// Registered reports whether the registry holds stage id: the answer to
-// that stage's health probe. A stage the controller evicted, or one that
-// registered with an earlier incarnation of it, is not registered.
-func (c *Controller) Registered(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stages[id] != nil
 }
 
 // Jobs returns the distinct job IDs with at least one registered stage.
@@ -658,11 +672,11 @@ func (c *Controller) RunOnce() map[string]float64 {
 	var rs RoundStats
 	snaps := c.collect(sh, &rs)
 	c.mark(sh, true)
-	// Sweep before allocating: stages past the eviction threshold leave
-	// the registry now, so the split below divides a job's allocation
-	// among its live stages only instead of letting a dead one hold its
-	// share.
-	c.evictDead()
+	// Sweep before allocating: stages that departed or are past the
+	// eviction threshold leave the registry now, so the split below
+	// divides a job's allocation among its live stages only instead of
+	// letting a dead one hold its share.
+	c.evictDead(sh)
 	jobs := make([]JobState, len(snaps))
 	for i := range snaps {
 		jobs[i] = snaps[i].state()
@@ -689,6 +703,8 @@ func (c *Controller) RunOnce() map[string]float64 {
 }
 
 // Run executes the feedback loop every interval until Stop is called.
+// A stage that registers over the network while it runs learns the
+// interval: its rounds are the stage's sign of its controller's life.
 func (c *Controller) Run(interval time.Duration) {
 	c.mu.Lock()
 	if c.loopStop != nil {
@@ -697,7 +713,7 @@ func (c *Controller) Run(interval time.Duration) {
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	c.loopStop, c.loopDone = stop, done
+	c.loopStop, c.loopDone, c.period = stop, done, interval
 	c.mu.Unlock()
 
 	go func() {
@@ -717,15 +733,22 @@ func (c *Controller) Run(interval time.Duration) {
 	}()
 }
 
-// Stop halts the feedback loop started by Run.
+// Stop halts the feedback loop started by Run and closes every stage's
+// handle, as the controller process's exit would: a stage registered
+// over the network sees its connection close. The records stay.
 func (c *Controller) Stop() {
 	c.mu.Lock()
 	stop, done := c.loopStop, c.loopDone
-	c.loopStop, c.loopDone = nil, nil
+	c.loopStop, c.loopDone, c.period = nil, nil, 0
+	members := c.membersLocked()
 	c.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
+	}
+	for _, m := range members {
+		// The controller is going; a close error changes nothing.
+		_ = m.h.Close()
 	}
 }
 
@@ -753,7 +776,8 @@ func (c *Controller) LastAllocation() map[string]float64 {
 // Server exposes a Controller on the network: the registrar endpoint
 // stages dial at job start. A stage registers on a connection it keeps,
 // and the controller's handle on the stage runs over that connection:
-// the controller never dials a stage.
+// the controller never dials a stage, and the stage leaves by closing
+// it.
 type Server struct {
 	stopReg  func()
 	listener net.Listener
@@ -768,12 +792,17 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 	return c.serveOn(l), nil
 }
 
-// serveOn serves the registrar on l.
+// serveOn serves the registrar on l. A registration is answered with
+// the running loop's period.
 func (c *Controller) serveOn(l net.Listener) *Server {
 	return &Server{
 		listener: l,
-		stopReg: rpcio.ServeRegistrar(l, c.Register,
-			func(stageID string) { c.Deregister(stageID) }, c.Registered),
+		stopReg: rpcio.ServeRegistrar(l, func(info stage.Info, h *rpcio.StageHandle) (time.Duration, error) {
+			c.mu.Lock()
+			period := c.period
+			c.mu.Unlock()
+			return period, c.Register(info, h)
+		}),
 	}
 }
 
@@ -781,5 +810,6 @@ func (c *Controller) serveOn(l net.Listener) *Server {
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
 // Close stops the registrar listener. The connections stages registered
-// on belong to the controller's handles, and stay open.
+// on belong to the controller's handles, and stay open (Controller.Stop
+// closes them).
 func (s *Server) Close() { s.stopReg() }

@@ -396,8 +396,16 @@ func TestEndToEndOverNetwork(t *testing.T) {
 	// Full integration: controller serves a registrar; a stage registers
 	// over TCP and serves its control service on that connection; the
 	// feedback loop then drives the stage's rates through it.
+	// The stage leaves by closing that connection, which the next round
+	// takes as its departure, no error.
 	clk := clock.NewReal()
-	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
+	var errs atomic.Int32
+	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000),
+		WithErrorHandler(func(string, error) { errs.Add(1) }))
+	// The loop runs before the registrar serves, and a registration is
+	// answered with its period; its first round is an hour away.
+	ctl.Run(time.Hour)
+	defer ctl.Stop()
 	srv, err := ctl.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -410,6 +418,9 @@ func TestEndToEndOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
+	if got := cc.Link().Period; got != time.Hour {
+		t.Errorf("the registration's answer carried period %v, want the loop's hour", got)
+	}
 	// Registration installs the control queue over the stage's
 	// connection before the registrar answers.
 	if len(stg.Rules()) == 0 {
@@ -427,11 +438,14 @@ func TestEndToEndOverNetwork(t *testing.T) {
 		t.Errorf("stage rate over RPC = %v, want 5000", got)
 	}
 
-	if err := rpcio.DeregisterFromController(srv.Addr(), "net-s1"); err != nil {
-		t.Fatal(err)
-	}
+	cc.Close()
+	ctl.RunOnce()
 	if jobs := ctl.Jobs(); len(jobs) != 0 {
-		t.Fatalf("jobs after deregistration = %v, want none", jobs)
+		t.Fatalf("jobs after the stage hung up and a round ran = %v, want none", jobs)
+	}
+	if rs, _ := ctl.LastRound(); rs.CollectFailures != 0 || errs.Load() != 0 {
+		t.Errorf("the departure counted %d collect failures and reached the error handler %d times, want neither",
+			rs.CollectFailures, errs.Load())
 	}
 }
 
@@ -635,8 +649,7 @@ func listenCounting(t *testing.T) *countingListener {
 // over the frame codec: a registration is one connection, which the
 // stage dials and the controller installs the managed rule plus the
 // replayed administrator rules over, in one batch, without dialing the
-// stage; the liveness probe answers; and deregistration removes the
-// stage.
+// stage; and the stage's hang-up removes it at the next round.
 func TestRegistrarOverFrames(t *testing.T) {
 	clk := clock.NewReal()
 	ctl := New(clk, WithAlgorithm(StaticEqualShare{}), WithClusterLimit(5000))
@@ -675,7 +688,6 @@ func TestRegistrarOverFrames(t *testing.T) {
 	stop()
 	before := registrar.accepted.Load()
 	fresh, svc, admin, stop := serve()
-	defer stop()
 	// The register exchange returns only after the controller installed
 	// the rules over the stage's connection, so there is nothing to wait
 	// for.
@@ -694,13 +706,9 @@ func TestRegistrarOverFrames(t *testing.T) {
 		t.Errorf("the registrar accepted %d connections for one registration, want 1", n)
 	}
 
-	if registered, err := rpcio.ProbeController(srv.Addr(), info.StageID, time.Second); err != nil || !registered {
-		t.Errorf("probe of serving controller holding the stage: registered=%v, %v", registered, err)
-	}
-	if err := rpcio.DeregisterFromController(srv.Addr(), info.StageID); err != nil {
-		t.Fatal(err)
-	}
+	stop()
+	ctl.RunOnce()
 	if stages := ctl.Stages(); len(stages) != 0 {
-		t.Errorf("stages after deregistration = %v", stages)
+		t.Errorf("stages after the stage hung up and a round ran = %v", stages)
 	}
 }

@@ -11,6 +11,7 @@
 package control
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"sort"
@@ -63,6 +64,10 @@ type member struct {
 	push    [1]rpcio.StageOp
 	started bool
 }
+
+// departed reports whether an exchange's error is the stage's departure
+// (rpcio.ErrDeparted): no failure, and the round's sweep drops it.
+func departed(err error) bool { return errors.Is(err, rpcio.ErrDeparted) }
 
 // stageProbe is what a collect learns about one stage beyond the
 // per-job rows: whether it answered, and the managed control queue's
@@ -303,7 +308,7 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 				rs.PushesSkipped++
 			}
 		}
-		if m.err != nil {
+		if m.err != nil && !departed(m.err) {
 			sh.onError(m.info.StageID, m.err)
 		}
 	}
@@ -312,10 +317,12 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 // collect fans every member's statistics in, one pass, and folds them
 // into one row per job (sorted by job), left in sh.rows until the
 // shard's next collect. An unchanged member leaves its slot as it is,
-// and if the whole shard is unchanged the fold is skipped too. A member failure never fails the round: it is
-// reported to the error handler in StageID order, counted as
-// FailedStages, and the loop runs on the partial snapshot. rs
-// accumulates one collect call per member.
+// and if the whole shard is unchanged the fold is skipped too. A member
+// failure never fails the round: it is reported to the error handler in
+// StageID order, counted as FailedStages, and the loop runs on the
+// partial snapshot. A member that departed is neither: it is left out
+// of its job's row, for the round's sweep to drop. rs accumulates one
+// collect call per member.
 func (sh *shard) collect(rs *RoundStats) {
 	members := sh.members
 	sh.pass(true,
@@ -332,7 +339,7 @@ func (sh *shard) collect(rs *RoundStats) {
 	rebuild := !sh.rowsValid
 	failed := 0
 	for _, m := range members {
-		if m.err != nil {
+		if m.err != nil && !departed(m.err) {
 			failed++
 			sh.onError(m.info.StageID, m.err)
 		}
@@ -349,14 +356,17 @@ func (sh *shard) collect(rs *RoundStats) {
 			row := &sh.rows[sh.rowOf[i]]
 			if m.err != nil {
 				m.probe = stageProbe{}
-				row.FailedStages++
+				if !departed(m.err) {
+					row.FailedStages++
+				}
 				continue
 			}
 			m.probe = row.addStage(&m.stats)
 		}
 		// Rows with a failed member must rebuild next round: the member
 		// may recover without its stats changing, and a cached row would
-		// keep counting it failed.
+		// keep counting it failed. (A departure moves the registry, which
+		// rebuilds the shard.)
 		sh.rowsValid = failed == 0
 	}
 	// Not rebuilt: every member answered "unchanged", so last round's

@@ -21,9 +21,10 @@
 // — under what is left of the deadline, counted from the send on the
 // transport's clock, whose timer releases the read (see wait). A
 // timeout or I/O error kills the connection and the next call redials
-// (an adopted connection is never redialed: the stage dials again); a
-// blocking exchange (Exec) separates its attempts by the fixed retry
-// schedule (retryDelays; a registrar call and an in-process handle have
+// (an adopted connection is never redialed: the stage dials again, and
+// its close is the stage's departure, ErrDeparted); a blocking exchange
+// (Exec) separates its attempts by the fixed retry schedule
+// (retryDelays; an adopted connection and an in-process handle have
 // none), and a RemoteError — the peer's application error — is never
 // retried.
 package rpcio
@@ -179,6 +180,13 @@ func (fr *frameReader) add(n int, err error) error {
 // errWouldBlock is a look's answer when the socket holds nothing.
 var errWouldBlock = errors.New("rpcio: nothing to read")
 
+// ErrDeparted is a registered stage's departure as its controller sees
+// it: the stage closed the connection it registered on, as a stage
+// process does when it exits or dies, and a stage in process (an
+// in-memory conn) when its job ends. Every later exchange on the handle
+// fails with it too.
+var ErrDeparted = errors.New("rpcio: the stage hung up")
+
 // frameTransport runs one exchange at a time — Finish follows every Start
 // before the next Start (StageHandle's busy flag) — over its own
 // frameConn, redialed whenever the last one died, unless the transport
@@ -328,7 +336,10 @@ func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 // timeout the connection is killed — a late reply would be discarded as
 // a straggler, but the connection can no longer be trusted to be timely.
 // A peer that closed the connection while it was idle never saw the
-// request, so await sends it once more on a fresh connection.
+// request, so await sends it once more on a fresh connection — unless
+// the transport cannot dial its peer afresh (it adopted the connection
+// the stage registered on, or runs in memory to a stage in process): a
+// stage that hung up such a connection has left (ErrDeparted).
 func (t *frameTransport) await(c *frameCall) error {
 	for fc := c.fc; ; {
 		h, payload, ok, err := fc.in.next()
@@ -353,7 +364,9 @@ func (t *frameTransport) await(c *frameCall) error {
 			continue
 		case err == errWouldBlock:
 			err = fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, c.m, t.timeout)
-		case idle && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)):
+		case hungUp(err) && (t.dial == nil || fc.mem != nil):
+			err = fmt.Errorf("rpcio: stage %s: %w", t.addr, ErrDeparted)
+		case hungUp(err) && idle:
 			fc.kill(err)
 			if fc, err = t.ensureConn(); err == nil {
 				err = t.send(fc, c)
@@ -368,6 +381,10 @@ func (t *frameTransport) await(c *frameCall) error {
 		return fc.fail(err)
 	}
 }
+
+// hungUp reports whether a read's error says the peer closed the
+// connection.
+func hungUp(err error) bool { return err == io.EOF || errors.Is(err, syscall.ECONNRESET) }
 
 // wait is a read that blocks, for what is left of c's deadline; with
 // nothing left the look that found the socket empty was the last.

@@ -17,14 +17,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
+	"time"
 
 	"padll/internal/stage"
 )
 
 // frameTarget is a listener's one service: exactly one field is set.
+// register is the registrar's (see ServeRegistrar).
 type frameTarget struct {
-	stage *StageService
-	reg   *registrar
+	stage    *StageService
+	register func(stage.Info, *StageHandle) (period time.Duration, err error)
 }
 
 // The kinds of service an endpoint can host, as mismatch errors name them.
@@ -47,7 +50,7 @@ func serviceOf(m methodID) string {
 	switch m {
 	case methodBatch:
 		return stageService
-	case methodRegister, methodDeregister, methodRegistrarPing:
+	case methodRegister:
 		return registrarService
 	default:
 		return ""
@@ -69,12 +72,15 @@ type frameSession struct {
 	payload []byte
 	wbuf    []byte
 
-	probe     HealthProbe // Registrar.Ping args and its echo
 	batchArgs BatchArgs
 	info      stage.Info // Registrar.Register args
-	stageID   string     // Registrar.Deregister args
 
 	batchReply BatchReply
+
+	// served counts the requests the loop has answered: on a stage's
+	// connection to its controller, the controller's exchanges, whose
+	// silence the stage's lifecycle watches.
+	served atomic.Uint64
 
 	// fault, on an in-memory conn's session, judges each decoded
 	// Stage.Batch request before the stage sees it: a refused one never
@@ -131,6 +137,7 @@ func (t frameTarget) serve(s *frameSession, onReply func(frameHeader, []byte) er
 		case err != nil:
 			return err
 		}
+		s.served.Add(1)
 	}
 }
 
@@ -179,26 +186,17 @@ func (t frameTarget) handleCall(s *frameSession, h frameHeader, reply []byte) ([
 	case methodRegister:
 		// The controller's handle on the stage runs over the connection
 		// the stage registered on, so the managed and replayed rules are
-		// installed before this call is answered.
+		// installed before this call is answered, which carries the
+		// period of the controller's loop.
 		if err = readCallArgs(h.method, s.payload, &s.info); err == nil {
 			s.handedOff = true
-			err = t.reg.onRegister(s.info, adoptStage(s.conn, s.in))
+			var period time.Duration
+			period, err = t.register(s.info, adoptStage(s.conn, s.in))
 			// The controller owns the connection: before the answer tells
 			// the stage so, a stop of the endpoint may no longer close it.
 			s.keep()
+			out = appendPeriod(reply, period)
 		}
-	case methodDeregister:
-		if err = readCallArgs(h.method, s.payload, &s.stageID); err == nil && t.reg.onDeregister != nil {
-			t.reg.onDeregister(s.stageID)
-		}
-	case methodRegistrarPing:
-		// Echo the probe with the registry's answer: stages use it as the
-		// controller liveness check behind their degraded-mode detection,
-		// and to learn that the controller forgot them.
-		if err = readCallArgs(h.method, s.payload, &s.probe); err == nil {
-			s.probe.Registered = t.reg.registered != nil && t.reg.registered(s.probe.StageID)
-		}
-		out = appendHealthProbe(reply, &s.probe)
 	}
 	if err != nil {
 		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError

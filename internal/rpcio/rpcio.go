@@ -1,13 +1,15 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
-// uses one versioned binary frame protocol (wirecodec.go) for stage and
-// registrar traffic, written and read on the client side by one
-// transport (frame.go), over TCP or an in-memory conn (transport.go).
-// The structure is the same:
-// every stage exposes a typed control service (install rule, retune
-// rate, collect statistics — all carried by Stage.Batch), and the
-// control plane exposes a registration service stages dial when their
-// job starts (§III-B "orchestrating stages from the same job").
+// uses one versioned binary frame protocol (wirecodec.go) with two
+// methods, written and read on the client side by one transport
+// (frame.go), over TCP or an in-memory conn (transport.go). Every stage
+// exposes a typed control service (install rule, retune rate, collect
+// statistics — all carried by Stage.Batch), and the control plane a
+// registration service (Registrar.Register) stages dial when their job
+// starts (§III-B "orchestrating stages from the same job"). The
+// connection a stage registers on is the whole contract between the
+// two: the controller's rounds run over it, and are the stage's sign of
+// life (lifecycle.go); the stage leaves by closing it.
 package rpcio
 
 import (
@@ -56,18 +58,6 @@ func (s *StageService) Served() ServiceStats {
 		DeltaCollects: s.deltaCollects.Load(),
 		FullCollects:  s.fullCollects.Load(),
 	}
-}
-
-// HealthProbe is the controller liveness check a stage sends the
-// registrar (Registrar.Ping). Seq is echoed back so a prober can match
-// replies to probes across retries. StageID names the probing stage, and
-// the reply's Registered says whether the controller holds its
-// registration: one that restarted or evicted the stage answers false,
-// and the stage registers again.
-type HealthProbe struct {
-	Seq        uint64
-	StageID    string
-	Registered bool
 }
 
 // maxConns bounds how many connections one control endpoint serves
@@ -246,64 +236,39 @@ func (h *StageHandle) Done() <-chan struct{} { return h.t.done }
 
 // ---- controller-side registration service ----
 
-// registrar is the control plane's registration service: the target of
-// the three Registrar.* frame methods (dispatched in frameserver.go).
-type registrar struct {
-	onRegister   func(stage.Info, *StageHandle) error
-	onDeregister func(stageID string)
-	registered   func(stageID string) bool
-}
-
 // ServeRegistrar serves a registration endpoint on l. A stage registers
 // on a connection it keeps: onRegister receives the stage's identity and
-// a handle running over that connection, which it owns from then on,
-// and its error travels back to the stage as the call's error. The
-// connection leaves the endpoint's bound and its stop function with the
-// handle, before the answer is sent. onDeregister (may be nil) runs on departures, and a health
-// probe is answered with registered(stageID); a nil registered holds no
-// stage. Connection handling is bounded and stop is deterministic; see
+// a handle running over that connection, which it owns from then on;
+// the period it returns (that of the controller's loop, 0 when none
+// runs) is the registration's answer, and its error travels back to the
+// stage as the call's error instead. The connection leaves the
+// endpoint's bound and its stop function with the handle, before the
+// answer is sent; the stage leaves by closing it (ErrDeparted).
+// Connection handling is bounded and stop is deterministic; see
 // ServeStageService.
-func ServeRegistrar(l net.Listener, onRegister func(stage.Info, *StageHandle) error, onDeregister func(string),
-	registered func(string) bool) (stop func()) {
-	reg := &registrar{onRegister: onRegister, onDeregister: onDeregister, registered: registered}
+func ServeRegistrar(l net.Listener, onRegister func(stage.Info, *StageHandle) (period time.Duration, err error)) (stop func()) {
 	return serveBounded(l, func(conn net.Conn, keep func()) bool {
 		s := &frameSession{conn: conn, in: newFrameReader(), keep: keep}
-		return frameTarget{reg: reg}.serve(s, nil) == errHandedOff
+		return frameTarget{register: onRegister}.serve(s, nil) == errHandedOff
 	}, maxConns)
-}
-
-// registrarCall performs one exchange with the control plane's
-// registrar: a one-shot frame transport on a connection of its own, so
-// concurrent calls are served in parallel, closed once the exchange is
-// over. The dial and the exchange (counted from the send, on the wall
-// clock: registrar calls run on real deployments' shutdown and
-// heartbeat paths) are bounded, which keeps those paths from hanging on
-// a dead controller.
-func registrarCall(addr string, dialTO, callTO time.Duration, m methodID, args, reply any) error {
-	cfg := defaultDialConfig()
-	cfg.timeout, cfg.delays = callTO, nil
-	t := newFrameTransport(addr, cfg, dialTCP(addr, dialTO))
-	// Closing a one-shot transport after its exchange reports nothing.
-	defer func() { _ = t.Close() }()
-	t.Start(m, args, reply)
-	err := t.Finish()
-	if Retryable(err) {
-		return fmt.Errorf("rpcio: controller %s: %w", addr, err)
-	}
-	return err
 }
 
 // ControllerConn is a registered stage's connection to its control
 // plane: the stage dialed it to register, and serves its control
 // service on it, the controller's rounds included, until it dies.
 type ControllerConn struct {
-	conn net.Conn
-	done chan struct{}
+	conn   net.Conn
+	sess   *frameSession
+	period time.Duration // the controller's loop period, from the registration's answer
+	done   chan struct{}
 }
 
-// Done is closed once the connection has died and its serve loop has
-// returned.
-func (c *ControllerConn) Done() <-chan struct{} { return c.done }
+// Link is the connection as the stage's lifecycle watches it: closed
+// once it has died and its serve loop has returned, the controller's
+// loop period, and the exchanges served on it.
+func (c *ControllerConn) Link() Link {
+	return Link{Done: c.done, Period: c.period, Served: c.sess.served.Load}
+}
 
 // Close closes the connection and waits for its serve loop to return.
 func (c *ControllerConn) Close() {
@@ -320,7 +285,9 @@ const registerStream = 1
 // controllerAddr and registers the stage svc serves, serving svc on the
 // same connection: the controller installs the stage's rules over it
 // before the registration is answered, and runs its rounds over it
-// afterwards. An error frame in answer is the registration's error.
+// afterwards. The answer carries the controller's loop period; an error
+// frame in answer is the registration's error. Closing the connection
+// is the stage's departure.
 func RegisterWithController(controllerAddr string, svc *StageService) (*ControllerConn, error) {
 	return register(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, svc)
 }
@@ -348,6 +315,7 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 	}
 	t := frameTarget{stage: svc}
 	sess := &frameSession{conn: conn, in: newFrameReader()}
+	var period time.Duration
 	if err == nil {
 		// The stage serves the connection from the start: the controller
 		// installs the stage's rules over it before it answers.
@@ -358,7 +326,7 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 			case h.kind == frameError:
 				return RemoteError(string(payload))
 			}
-			if err := readCallReply(methodRegister, payload, nil); err != nil {
+			if err := readCallReply(methodRegister, payload, &period); err != nil {
 				return err
 			}
 			return errRegistered
@@ -380,7 +348,7 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 		}
 		return nil, fmt.Errorf("rpcio: controller %s: registration: %w", addr, err)
 	}
-	c := &ControllerConn{conn: conn, done: make(chan struct{})}
+	c := &ControllerConn{conn: conn, sess: sess, period: period, done: make(chan struct{})}
 	go func() {
 		defer close(c.done)
 		// The loop ends when the connection does, which says why.
@@ -393,27 +361,6 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 // errRegistered ends the first stretch of a stage's frame loop on its
 // connection to the controller: the registration was answered.
 var errRegistered = errors.New("rpcio: registered")
-
-// DeregisterFromController announces a stage's departure.
-func DeregisterFromController(controllerAddr, stageID string) error {
-	return registrarCall(controllerAddr, DefaultDialTimeout, DefaultCallTimeout, methodDeregister, &stageID, nil)
-}
-
-// ProbeController performs one bounded controller liveness check on
-// behalf of stage stageID: dial the registrar, exchange a Registrar.Ping,
-// close. A nil error means the control plane is reachable and serving;
-// registered reports whether it holds the stage's registration.
-func ProbeController(controllerAddr, stageID string, timeout time.Duration) (registered bool, err error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	var echo HealthProbe
-	if err := registrarCall(controllerAddr, timeout, timeout, methodRegistrarPing,
-		&HealthProbe{Seq: 1, StageID: stageID}, &echo); err != nil {
-		return false, fmt.Errorf("rpcio: probe controller: %w", err)
-	}
-	return echo.Registered, nil
-}
 
 // RetryDelay is the retry schedule's sleep after the attempt-th failed
 // try (counting from 0), its last delay once the schedule runs out: the

@@ -1,6 +1,7 @@
 package rpcio
 
 import (
+	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -77,7 +78,7 @@ func sameStats(a, b stage.Stats) bool {
 
 // holdHandles is a registrar's onRegister that keeps every handle it is
 // given, answers with err, and closes the handles when the test ends.
-func holdHandles(t *testing.T, err error) func(stage.Info, *StageHandle) error {
+func holdHandles(t *testing.T, err error) func(stage.Info, *StageHandle) (time.Duration, error) {
 	var mu sync.Mutex
 	var held []*StageHandle
 	t.Cleanup(func() {
@@ -87,11 +88,11 @@ func holdHandles(t *testing.T, err error) func(stage.Info, *StageHandle) error {
 			h.Close()
 		}
 	})
-	return func(_ stage.Info, h *StageHandle) error {
+	return func(_ stage.Info, h *StageHandle) (time.Duration, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		held = append(held, h)
-		return err
+		return 0, err
 	}
 }
 
@@ -209,27 +210,23 @@ func TestSetModeOverRPC(t *testing.T) {
 	}
 }
 
+// TestRegistrarFlow: a registration carries the stage's identity and is
+// answered with the controller's loop period, and the stage leaves by
+// closing the connection it registered on: the controller's next
+// exchange on its handle finds it gone (ErrDeparted), and so does every
+// one after it.
 func TestRegistrarFlow(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var regs []stage.Info
-	var deregs []string
-	hold := holdHandles(t, nil)
-	stop := ServeRegistrar(l,
-		func(info stage.Info, h *StageHandle) error {
-			mu.Lock()
-			regs = append(regs, info)
-			mu.Unlock()
-			return hold(info, h)
-		},
-		func(id string) {
-			mu.Lock()
-			deregs = append(deregs, id)
-			mu.Unlock()
-		}, nil)
+	regs := make(chan stage.Info, 1)
+	handles := make(chan *StageHandle, 1)
+	stop := ServeRegistrar(l, func(info stage.Info, h *StageHandle) (time.Duration, error) {
+		regs <- info
+		handles <- h
+		return 1500 * time.Millisecond, nil
+	})
 	defer stop()
 
 	info := stage.Info{StageID: "sX", JobID: "jY", Hostname: "nodeZ", PID: 11, User: "bob"}
@@ -237,17 +234,50 @@ func TestRegistrarFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-	if err := DeregisterFromController(l.Addr().String(), "sX"); err != nil {
+	if got := <-regs; got != info {
+		t.Errorf("registration = %+v, want %+v", got, info)
+	}
+	if got := cc.Link().Period; got != 1500*time.Millisecond {
+		t.Errorf("the registration's answer carried period %v, want 1.5s", got)
+	}
+	h := <-handles
+	defer h.Close()
+	if err := h.CollectDeltaInto(&stage.Stats{}); err != nil {
+		t.Fatalf("collect over the registration connection: %v", err)
+	}
+	cc.Close()
+	for i := 0; i < 2; i++ {
+		if err := h.CollectDeltaInto(&stage.Stats{}); !errors.Is(err, ErrDeparted) {
+			t.Errorf("exchange %d after the stage hung up: %v, want its departure", i, err)
+		}
+	}
+}
+
+// TestInMemoryHangUpIsADeparture: a stage in process hangs up its
+// in-memory conn through its Fault (io.EOF), and the controller's
+// handle takes that as the stage's departure, on the exchange that
+// found it and on a fresh conn after it.
+func TestInMemoryHangUpIsADeparture(t *testing.T) {
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1"}, clock.NewSim(epoch)))
+	var gone atomic.Bool
+	h := LocalStage(svc, clock.NewSim(epoch), func([]StageOp, bool) error {
+		if gone.Load() {
+			return io.EOF
+		}
+		return nil
+	})
+	defer h.Close()
+	if err := h.CollectDeltaInto(&stage.Stats{}); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(regs) != 1 || regs[0] != info {
-		t.Errorf("registrations = %+v", regs)
+	gone.Store(true)
+	for i := 0; i < 2; i++ {
+		if err := h.CollectDeltaInto(&stage.Stats{}); !errors.Is(err, ErrDeparted) {
+			t.Errorf("exchange %d after the hang-up: %v, want the stage's departure", i, err)
+		}
 	}
-	if len(deregs) != 1 || deregs[0] != "sX" {
-		t.Errorf("deregistrations = %v", deregs)
+	if served := svc.Served(); served.Calls != 1 {
+		t.Errorf("the stage served %d calls, want the one before it hung up", served.Calls)
 	}
 }
 
@@ -263,10 +293,10 @@ func TestRegistrationConnectionCarriesTheControllersCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	handles := make(chan *StageHandle, 1)
-	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) error {
+	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) (time.Duration, error) {
 		handles <- h
-		return applyRule(h, policy.Rule{ID: "cap", Rate: 100})
-	}, nil, nil)
+		return 0, applyRule(h, policy.Rule{ID: "cap", Rate: 100})
+	})
 	defer stop()
 
 	stg := stage.New(stage.Info{StageID: "sX", JobID: "jY"}, clock.NewReal())
@@ -290,12 +320,33 @@ func TestRegistrationConnectionCarriesTheControllersCalls(t *testing.T) {
 	if served := svc.Served(); served.Calls != 2 {
 		t.Errorf("stage served %d calls, want the install and the retune", served.Calls)
 	}
+	if served := cc.Link().Served(); served != 2 {
+		t.Errorf("the registration connection served %d exchanges, want the install and the retune", served)
+	}
+	// Another client of the same service moves the service's count, not
+	// the connection's: the silence the stage watches is its controller's.
+	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ServeStageService(sl, svc)()
+	other, err := DialStage(sl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, err := ping(other); err != nil {
+		t.Fatal(err)
+	}
+	if served := cc.Link().Served(); served != 2 || svc.Served().Calls != 3 {
+		t.Errorf("after another client's exchange: connection %d, service %d; want 2 and 3", served, svc.Served().Calls)
+	}
 
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-cc.Done():
+	case <-cc.Link().Done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the stage's serve loop outlived the controller's handle")
 	}
@@ -313,7 +364,7 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 	}
 	var regs atomic.Int32
 	hold := holdHandles(t, nil)
-	stop := ServeRegistrar(l, func(info stage.Info, h *StageHandle) error { regs.Add(1); return hold(info, h) }, nil, nil)
+	stop := ServeRegistrar(l, func(info stage.Info, h *StageHandle) (time.Duration, error) { regs.Add(1); return hold(info, h) })
 	defer stop()
 
 	// exchange writes one raw request frame and reads one reply frame.
@@ -371,9 +422,11 @@ func TestRegistrarRejectsMalformedFrames(t *testing.T) {
 	if got := regs.Load(); got != 0 {
 		t.Errorf("onRegister ran %d times on malformed input, want 0", got)
 	}
-	if _, err := ProbeController(l.Addr().String(), "sX", time.Second); err != nil {
-		t.Errorf("registrar stopped serving after malformed frames: %v", err)
+	cc, err := RegisterWithController(l.Addr().String(), NewStageService(stage.New(stage.Info{StageID: "sX"}, clock.NewReal())))
+	if err != nil {
+		t.Fatalf("registrar stopped serving after malformed frames: %v", err)
 	}
+	cc.Close()
 }
 
 func TestDialStageFailure(t *testing.T) {

@@ -120,12 +120,11 @@ func TestStopRefusesLateConnections(t *testing.T) {
 }
 
 // TestFrameServerRefusesMisaddressedCalls: a call the endpoint cannot
-// take is answered with an error frame, never dispatched. Method 1 was
-// the stage mux's attach handshake, method 8 the stage health probe
-// until wire v5, methods 10 and 11 the aggregator tier's until v4, and
-// all four must now read as unknown; and a method this build knows,
-// sent to an endpoint hosting the other kind of service, names both
-// kinds.
+// take is answered with an error frame, never dispatched. Wire v9
+// numbered the live methods 1 and 2: 9 and 12, theirs before, and 13,
+// the registrar's retired probe, must now read as unknown; and a method
+// this build knows, sent to an endpoint hosting the other kind of
+// service, names both kinds.
 func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 	svc := frameTarget{stage: NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))}
 	client, server := net.Pipe()
@@ -136,10 +135,9 @@ func TestFrameServerRefusesMisaddressedCalls(t *testing.T) {
 		method methodID
 		want   string
 	}{
-		{1, "rpcio: unknown method 1"},
-		{8, "rpcio: unknown method 8"},
-		{10, "rpcio: unknown method 10"},
-		{11, "rpcio: unknown method 11"},
+		{9, "rpcio: unknown method 9"},
+		{12, "rpcio: unknown method 12"},
+		{13, "rpcio: unknown method 13"},
 		{methodRegister, "rpcio: this endpoint hosts a stage, not the registrar"},
 	} {
 		req := make([]byte, frameHeaderLen)
@@ -223,10 +221,10 @@ func TestRegistrarStopSparesAHandedOffConnection(t *testing.T) {
 	}
 	l := &stallingListener{Listener: inner, conns: make(chan *stallingConn, 2)}
 	handles := make(chan *StageHandle, 1)
-	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) error {
+	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) (time.Duration, error) {
 		handles <- h
-		return nil
-	}, nil, nil)
+		return 0, nil
+	})
 	// A client that sends nothing: its connection is in flight at the stop.
 	idle, err := net.Dial("tcp", inner.Addr().String())
 	if err != nil {

@@ -9,6 +9,7 @@ package rpcio
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -64,8 +65,10 @@ func WithHandleClock(clk clock.Clock) DialOption {
 // Fault decides the fate of each Stage.Batch request an in-process
 // handle sends, from its decoded ops and collect flag, before the stage
 // sees it: nil delivers it; a ReplyLost lets the stage apply it and
-// loses its whole reply; any other error refuses the whole request, and
-// the write fails at once with that error.
+// loses its whole reply; io.EOF says the stage hung up (its job ended):
+// the request goes nowhere, and the read finds the conn closed
+// (ErrDeparted); any other error refuses the whole request, and the
+// write fails at once with that error.
 type Fault func(ops []StageOp, collect bool) error
 
 // ReplyLost is a Fault's verdict on a request the stage applies and
@@ -144,6 +147,8 @@ func (c *memConn) Write(b []byte) (int, error) {
 	switch lost, isLost := c.srv.verdict.(ReplyLost); {
 	case isLost:
 		c.lost = lost.Err // nil: the read waits as on a silent socket
+	case c.srv.verdict == io.EOF:
+		c.lost = io.EOF
 	case c.srv.verdict != nil:
 		return 0, c.srv.verdict
 	default:

@@ -22,10 +22,8 @@ import (
 // Only exported fields are registered: the codec never moves unexported
 // ones (wireUnexported lists the few a wire struct may keep).
 var wireRegistry = map[string][]string{
-	// rpcio.go: the registrar's ping (a registration carries a stage.Info).
-	"rpcio.HealthProbe": {"Seq uint64", "StageID string", "Registered bool"},
-
-	// batch.go: batched delta protocol.
+	// batch.go: batched delta protocol. (A registration carries a
+	// stage.Info, and is answered with the controller's loop period.)
 	"rpcio.StageOp": {
 		"Kind rpcio.OpKind", "Rule policy.Rule", "ID string",
 		"Rate float64", "Mode stage.Mode",
@@ -89,7 +87,6 @@ func codecOf[T any](enc func([]byte, *T) []byte, dec func(*wireReader, *T)) wire
 // wireTypes pairs every registered type with its append/read functions,
 // in wireRegistry's order.
 var wireTypes = []wireType{
-	codecOf(appendHealthProbe, readHealthProbe),
 	codecOf(appendStageOp, readStageOp),
 	codecOf(appendOpResult, readOpResult),
 	codecOf(appendBatchArgs, readBatchArgs),

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"time"
 
 	"padll/internal/policy"
 	"padll/internal/posix"
@@ -55,7 +56,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 8
+const WireVersion = 9
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -88,6 +89,11 @@ var wireSchemaFingerprints = map[int]string{
 	// gone), and the controller runs its rounds over the connection the
 	// stage registered on.
 	8: "sha256:9c9023e557db5192c0506cd99e7a82c1c0bf79781f2803153dade9333dff9bd4",
+	// v9: the registrar's probe (its struct) and its deregistration are
+	// gone, a stage leaving by closing the connection it registered on;
+	// a registration's answer carries the controller's loop period; and
+	// the two live methods are numbered 1 and 2.
+	9: "sha256:c90068b10460ba0ed9e6f14f68177035703b3b7bb4728503de641b16251c0006",
 }
 
 // Frame kinds.
@@ -100,43 +106,23 @@ const (
 	frameError uint8 = 3
 )
 
-// methodID numbers the control-service methods on the wire.
+// methodID numbers the call methods on the wire. Wire v9 numbered the
+// two live methods afresh (they were 9 and 12): every other number is
+// one this build does not know, and is answered "unknown method".
 type methodID uint8
 
 const (
-	// 1 was the stage mux's attach handshake, retired within wire v5
-	// (no header or struct schema changed): every listener serves one
-	// service, and a peer still attaching is answered "unknown method 1".
-	_ methodID = iota + 1
-	// 2-7 were the per-call stage methods (ApplyRule, RemoveRule,
-	// SetRate, Collect, SetMode, Ping), retired in wire v3: a single
-	// operation is a one-op Stage.Batch. The numbers stay reserved so
-	// the surviving methods keep their byte values.
-	_
-	_
-	_
-	_
-	_
-	_
-	// 8 was the stage health probe, retired in wire v5: a fresh
-	// handle's first collect is a full snapshot and carries the stage's
-	// identity.
-	_
+	_ methodID = iota
+	// Stage.Batch: the stage's one method, served on its control
+	// endpoint and on the connection it registered on.
 	methodBatch
-	// 10-11 were the aggregator tier's methods (Agg.Attach, Agg.Round),
-	// retired in wire v4 and reserved likewise.
-	_
-	_
-	// Registrar methods, served by the control plane's registration
-	// endpoint (ServeRegistrar).
+	// Registrar.Register: the registrar's one method, the first and only
+	// request a stage sends on the connection it keeps (ServeRegistrar).
 	methodRegister
-	methodDeregister
-	methodRegistrarPing
 )
 
 // methodNames names the live methods, as errors show them.
-var methodNames = [...]string{methodBatch: "Stage.Batch", methodRegister: "Registrar.Register",
-	methodDeregister: "Registrar.Deregister", methodRegistrarPing: "Registrar.Ping"}
+var methodNames = [...]string{methodBatch: "Stage.Batch", methodRegister: "Registrar.Register"}
 
 func (m methodID) String() string {
 	if int(m) < len(methodNames) && methodNames[m] != "" {
@@ -505,18 +491,6 @@ func readRule(r *wireReader, v *policy.Rule) {
 	v.Action = policy.Action(r.varint())
 }
 
-func appendHealthProbe(b []byte, v *HealthProbe) []byte {
-	b = binary.AppendUvarint(b, v.Seq)
-	b = appendString(b, v.StageID)
-	return appendBool(b, v.Registered)
-}
-
-func readHealthProbe(r *wireReader, v *HealthProbe) {
-	v.Seq = r.uvarint()
-	v.StageID = r.strSame(v.StageID)
-	v.Registered = r.boolv()
-}
-
 func appendStageOp(b []byte, v *StageOp) []byte {
 	b = binary.AppendUvarint(b, uint64(v.Kind))
 	b = appendRule(b, &v.Rule)
@@ -627,18 +601,20 @@ func readBatchReply(r *wireReader, v *BatchReply) {
 
 // ---- method dispatch ----
 
+// appendPeriod encodes a registration's answer: the period of the
+// controller's loop, in nanoseconds (0: none runs).
+func appendPeriod(b []byte, period time.Duration) []byte {
+	return binary.AppendVarint(b, int64(period))
+}
+
 // appendCallArgs encodes one method's args. The any values are the same
 // pointer forms frameTransport.Start receives.
 func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 	switch m {
-	case methodRegistrarPing:
-		return appendHealthProbe(b, args.(*HealthProbe)), nil
 	case methodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
 	case methodRegister:
 		return appendInfo(b, args.(*stage.Info)), nil // the registering stage
-	case methodDeregister:
-		return appendString(b, *args.(*string)), nil // the stage ID
 	default:
 		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
 	}
@@ -649,14 +625,10 @@ func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
 func readCallArgs(m methodID, payload []byte, args any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodRegistrarPing:
-		readHealthProbe(&r, args.(*HealthProbe))
 	case methodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
 	case methodRegister:
 		readInfo(&r, args.(*stage.Info))
-	case methodDeregister:
-		*args.(*string) = r.str()
 	default:
 		return fmt.Errorf("rpcio: decode: unknown method %d", m)
 	}
@@ -666,12 +638,10 @@ func readCallArgs(m methodID, payload []byte, args any) error {
 // appendCallReply encodes one method's reply.
 func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 	switch m {
-	case methodRegister, methodDeregister:
-		return b, nil // empty reply
-	case methodRegistrarPing:
-		return appendHealthProbe(b, reply.(*HealthProbe)), nil
 	case methodBatch:
 		return appendBatchReply(b, reply.(*BatchReply)), nil
+	case methodRegister:
+		return appendPeriod(b, *reply.(*time.Duration)), nil
 	default:
 		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
 	}
@@ -682,12 +652,10 @@ func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
 func readCallReply(m methodID, payload []byte, reply any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodRegister, methodDeregister:
-		// empty reply
-	case methodRegistrarPing:
-		readHealthProbe(&r, reply.(*HealthProbe))
 	case methodBatch:
 		readBatchReply(&r, reply.(*BatchReply))
+	case methodRegister:
+		*reply.(*time.Duration) = time.Duration(r.varint())
 	default:
 		return fmt.Errorf("rpcio: decode: unknown method %d", m)
 	}

@@ -3,6 +3,7 @@ package rpcio
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"padll/internal/stage"
 )
@@ -11,12 +12,8 @@ import (
 // (nil when the method takes none).
 func fuzzArgsDst(m methodID) any {
 	switch m {
-	case methodRegistrarPing:
-		return &HealthProbe{}
 	case methodRegister:
 		return &stage.Info{}
-	case methodDeregister:
-		return new(string)
 	case methodBatch:
 		return &BatchArgs{}
 	default:
@@ -24,12 +21,11 @@ func fuzzArgsDst(m methodID) any {
 	}
 }
 
-// fuzzReplyDst returns a fresh decode destination for a method's reply
-// (nil when the reply is empty).
+// fuzzReplyDst returns a fresh decode destination for a method's reply.
 func fuzzReplyDst(m methodID) any {
 	switch m {
-	case methodRegistrarPing:
-		return &HealthProbe{}
+	case methodRegister:
+		return new(time.Duration)
 	case methodBatch:
 		return &BatchReply{}
 	default:
@@ -65,11 +61,11 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(uint8(m), true, buf)
 		}
 	}
-	// Numbers this build retired (8 was the stage health probe until
-	// wire v5, 10 and 11 the aggregator tier's until v4): what an old
-	// peer would still send must be refused by number, whatever the
-	// payload.
-	for _, m := range []uint8{8, 10, 11} {
+	// Numbers this build does not know (8, 10 and 11 were retired before
+	// wire v9, which numbered the live methods 1 and 2; 9 and 12 were
+	// theirs before, 13 the registrar's probe): what an old peer would
+	// still send must be refused by number, whatever the payload.
+	for _, m := range []uint8{8, 10, 11, 9, 12, 13} {
 		f.Add(m, false, []byte{0})
 		f.Add(m, true, []byte{0})
 	}

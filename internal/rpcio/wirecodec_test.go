@@ -60,7 +60,7 @@ type callFixture struct {
 func callFixtures() []callFixture {
 	st := maxStats()
 	info := stage.Info{StageID: "sX", JobID: "jX", Hostname: "hX", PID: -3, User: "uX"}
-	deregID := "sX"
+	period := 7*time.Second + time.Millisecond
 	return []callFixture{
 		{
 			method: methodBatch,
@@ -109,21 +109,12 @@ func callFixtures() []callFixture {
 			replyDst: &BatchReply{},
 		},
 		{
-			method:  methodRegister,
-			args:    &info,
-			argsDst: &stage.Info{},
-		},
-		{
-			method:  methodDeregister,
-			args:    &deregID,
-			argsDst: new(string),
-		},
-		{
-			method:   methodRegistrarPing,
-			args:     &HealthProbe{Seq: 1 << 33, StageID: "s1"},
-			argsDst:  &HealthProbe{},
-			reply:    &HealthProbe{Seq: 1 << 33, StageID: "s1", Registered: true},
-			replyDst: &HealthProbe{},
+			// The answer carries the controller's loop period.
+			method:   methodRegister,
+			args:     &info,
+			argsDst:  &stage.Info{},
+			reply:    &period,
+			replyDst: new(time.Duration),
 		},
 	}
 }

@@ -17,7 +17,7 @@
 //     serve), so backlogs drain as in Fig. 4 and makespans stretch as
 //     in Fig. 5;
 //  2. the events due at T (see Schedule), then the lifecycle wakes due
-//     at T in StageID order, every stage's heartbeat among them;
+//     at T in StageID order (registration retries, silence watches);
 //  3. the control round, unless the controller is down;
 //  4. the arrivals due at T, and a round that starts them at their
 //     share.
@@ -25,15 +25,18 @@
 // Every stage runs the product's lifecycle (rpcio.Lifecycle), fed what
 // a stage process observes: a controller crash closes every link, an
 // eviction or a replacing registration closes that stage's, and a
-// partition closes none but fails every exchange, probe and
-// registration until heal. A stage takes the loss of its link at the
-// instant it happened, before the next event or wake.
+// partition closes none but fails every exchange and registration until
+// heal, so the stage's link goes silent. A stage takes the loss of its
+// link at the instant it happened, before the next event or wake. A job
+// that finishes hangs its stages up, which the next round takes as
+// their departure.
 package sim
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"sort"
@@ -52,7 +55,8 @@ import (
 )
 
 // Interval is the simulation step and the feedback loop's period: the
-// controller runs one round, and every stage one heartbeat, per step.
+// controller runs one round per step, and every stage learns it as its
+// controller's period when it registers.
 const Interval = time.Second
 
 // ReconciledAt is the first round that covers a stage which lost its
@@ -104,7 +108,7 @@ type Config struct {
 	Duration time.Duration
 	// Controller, when non-nil, is what the cluster builds its controller
 	// from, at the start and at every RestartController. It registers job
-	// stages on arrival and deregisters them on completion.
+	// stages on arrival, and they hang up on completion.
 	Controller []control.Option
 	// PFS, when set, receives all admitted metadata load (in weighted
 	// cost units); load the MDS cannot serve is pushed back into job
@@ -127,7 +131,7 @@ type Cluster struct {
 	clk                   *clock.Sim
 	start                 time.Time
 	jobs                  []*job
-	nodes                 []*Node // sorted by ID: the heartbeat order
+	nodes                 []*Node // sorted by ID: the lifecycle wake order
 	events                []event
 	next                  int // the first event not yet fired
 	ticks, saturatedTicks int // PFS saturation accounting
@@ -344,8 +348,8 @@ func (c *Cluster) logf(format string, args ...any) {
 }
 
 // CrashController kills the controller: no round runs and every
-// exchange, probe and registration fails until RestartController. Its
-// links close once a round in flight has returned.
+// exchange and registration fails until RestartController. Its links
+// close once a round in flight has returned.
 func (c *Cluster) CrashController() {
 	c.down = true
 	c.logf("controller crashed")
@@ -354,7 +358,7 @@ func (c *Cluster) CrashController() {
 // RestartController boots a fresh controller: empty registry,
 // reservations restored. Stages register with it on their retry
 // schedule; after a restart with no crash, whose links stay open (the
-// old host vanished), at their next heartbeat.
+// old host vanished), once their links' silence has lost them.
 func (c *Cluster) RestartController() {
 	c.ctl = c.newController()
 	c.down = false
@@ -451,7 +455,7 @@ func (c *Cluster) until(until time.Duration) {
 			ev.do(c)
 		} else if n != nil && wake <= until {
 			c.clk.AdvanceTo(c.start.Add(wake))
-			c.note(n, n.life.Wake(c.clk.Now()))
+			c.note(n, n.life.Wake)
 		} else {
 			return
 		}
@@ -528,25 +532,23 @@ func (c *Cluster) round() {
 }
 
 // launch starts a stage's lifecycle: it registers now, each time over a
-// fresh in-process handle under the cluster's fault gate, and beats
-// every Interval while it holds a link.
+// fresh in-process handle under the cluster's fault gate, whose
+// exchanges are those its link has served.
 func (c *Cluster) launch(n *Node) {
 	if c.ctl == nil {
 		return
 	}
 	now := c.clk.Now()
-	n.life = rpcio.NewLifecycle(n.Stg, now, nil, func() (<-chan struct{}, error) {
+	n.life = rpcio.NewLifecycle(n.Stg, now, rpcio.Link{}, func() (rpcio.Link, error) {
 		if err := c.reach(n); err != nil {
-			return nil, err
+			return rpcio.Link{}, err
 		}
-		n.Handle = rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
+		h := rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
 			return c.gate(n, len(ops) > 0, collect)
 		})
-		return n.Handle.Done(), c.ctl.Register(n.Stg.Info(), n.Handle)
-	})
-	n.life.Heartbeat(now, Interval, func() (bool, error) {
-		err := c.reach(n)
-		return err == nil && c.ctl.Registered(n.ID), err
+		n.Handle = h
+		link := rpcio.Link{Done: h.Done(), Period: Interval, Served: func() uint64 { return h.WireStats().Calls }}
+		return link, c.ctl.Register(n.Stg.Info(), h)
 	})
 	if ev := n.life.Wake(now); ev.Registered {
 		c.logf("stage %s registered (job %s)", n.ID, n.Job)
@@ -567,8 +569,8 @@ func (c *Cluster) settle() (first *Node, at time.Duration) {
 			_ = n.Handle.Close() // an in-process close reports nothing
 		}
 		select {
-		case <-n.life.Link():
-			c.note(n, n.life.Lost(c.clk.Now()))
+		case <-n.life.Dead():
+			c.note(n, n.life.Lost)
 		default:
 		}
 		if next := n.life.Next(); !next.IsZero() && (first == nil || next.Sub(c.start) < at) {
@@ -578,16 +580,17 @@ func (c *Cluster) settle() (first *Node, at time.Duration) {
 	return first, at
 }
 
-// note logs a lifecycle step's transitions, never a bare retry.
-func (c *Cluster) note(n *Node, ev rpcio.Event) {
+// note takes a lifecycle step now and logs its transitions, never a
+// bare retry. A degraded stage's frozen limit is the one before the
+// step, whose registration may already have replaced it.
+func (c *Cluster) note(n *Node, step func(time.Time) rpcio.Event) {
+	frozen := RuleRate(n.Stg, control.ControlRuleID)
+	ev := step(c.clk.Now())
 	if ev.Degraded {
-		c.logf("stage %s degraded: controller unreachable, limits frozen at %.0f",
-			n.ID, RuleRate(n.Stg, control.ControlRuleID))
+		c.logf("stage %s degraded: controller unreachable, limits frozen at %.0f", n.ID, frozen)
 	}
 	if ev.Cleared {
 		c.logf("stage %s re-registered after %v degraded", n.ID, n.Stg.DegradedFor())
-	} else if ev.Registered {
-		c.logf("stage %s re-registered: the controller did not hold it", n.ID)
 	}
 }
 
@@ -686,8 +689,7 @@ func (c *Cluster) stepJob(j *job, now time.Duration) {
 			j.finishedAt = now
 			if c.ctl != nil {
 				for _, n := range j.nodes {
-					n.life.Stop() // the job's processes exit
-					c.ctl.Deregister(n.ID)
+					n.life.Stop() // the job's processes exit, hanging up (see gate)
 				}
 			}
 		}
@@ -742,12 +744,16 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 // gate is a node's fault: it decides, as each exchange is written,
 // whether it reaches the node (a crash hits between exchanges, as a real
 // controller would observe it), and loses the reply of one the node
-// applied while a lost reply is armed. A round writes its pushes in
+// applied while a lost reply is armed. A finished job's stage has hung
+// up: every exchange finds its conn closed. A round writes its pushes in
 // StageID order on its own goroutine, so the push budget decides
 // deterministically which stages saw the new rates; collects of
 // different nodes may run side by side, each spending only its node's
 // budget.
 func (c *Cluster) gate(n *Node, push, collect bool) error {
+	if n.job.finished {
+		return io.EOF
+	}
 	if err := c.reach(n); err != nil && (push || collect) {
 		return err
 	}

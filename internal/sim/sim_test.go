@@ -12,6 +12,7 @@ import (
 	"padll/internal/pfs"
 	"padll/internal/policy"
 	"padll/internal/posix"
+	"padll/internal/rpcio"
 	"padll/internal/stage"
 	"padll/internal/trace"
 )
@@ -447,7 +448,7 @@ func TestRestartBetweenHeartbeatsReregisters(t *testing.T) {
 			t.Errorf("stage degraded (%v, for %v), want registered again after 350ms degraded", stg.Degraded(), stg.DegradedFor())
 		}
 		ctl := c.Controller()
-		if !ctl.Registered(stg.Info().StageID) {
+		if !holds(ctl, stg.Info().StageID) {
 			t.Error("the restarted controller does not hold the stage")
 		}
 		if rs, _ := ctl.LastRound(); rs.Stages != 1 {
@@ -463,39 +464,59 @@ func TestRestartBetweenHeartbeatsReregisters(t *testing.T) {
 	}
 }
 
+// holds reports whether ctl's registry holds stage id.
+func holds(ctl *control.Controller, id string) bool {
+	return slices.ContainsFunc(ctl.Stages(), func(info stage.Info) bool { return info.StageID == id })
+}
+
 // TestRestartBehindAnOpenLinkReregisters: a controller replaced with no
 // crash before it (its host vanished without closing its connections)
-// leaves the stage's link open, so nothing degrades the stage — but the
-// fresh controller does not hold it. The next heartbeat's probe says
-// so, and registers the stage again without degrading it, instead of
-// leaving it unmanaged under its stale limit.
+// leaves the stage's link open, but no round runs over it any more. The
+// last one did at 4s, and the stage's watch, which looks once an
+// Interval before that instant's round, saw it at 5s; a silence bound
+// (2 × Interval + the call deadline) later, at 12s, the link is lost:
+// the stage degrades and registers with the fresh controller at once,
+// instead of staying unmanaged under its stale limit.
 func TestRestartBehindAnOpenLinkReregisters(t *testing.T) {
-	c := NewCluster(Config{Duration: 8 * time.Second, Controller: []control.Option{
+	c := NewCluster(Config{Duration: 14 * time.Second, Controller: []control.Option{
 		control.WithAlgorithm(control.FixedRates{}),
 		control.WithClusterLimit(1000),
 	}})
 	c.AddJob(JobSpec{ID: "early", Trace: flatTrace(time.Hour, 100, posix.OpOpen), Reservation: 300})
 	c.Schedule(4*time.Second+Interval/2, "restart-controller", (*Cluster).RestartController)
-	var checked bool
-	c.Schedule(5*time.Second+Interval/2, "", func(c *Cluster) {
-		checked = true
+	lost := 5*time.Second + 2*Interval + rpcio.DefaultCallTimeout
+	var checked int
+	c.Schedule(lost-Interval/2, "", func(c *Cluster) {
+		checked++
 		stg := c.StagesOf("early")[0]
-		if stg.Degraded() || stg.DegradedFor() != 0 {
-			t.Errorf("stage degraded (%v, for %v) though every probe reached a controller", stg.Degraded(), stg.DegradedFor())
+		if stg.Degraded() || holds(c.Controller(), stg.Info().StageID) {
+			t.Errorf("before the silence bound: degraded %v, held %v; want neither", stg.Degraded(), holds(c.Controller(), stg.Info().StageID))
+		}
+	})
+	c.Schedule(lost+Interval/2, "", func(c *Cluster) {
+		checked++
+		stg := c.StagesOf("early")[0]
+		if stg.Degraded() {
+			t.Error("stage still degraded after registering with the fresh controller")
 		}
 		ctl := c.Controller()
-		if !ctl.Registered(stg.Info().StageID) {
-			t.Error("the restarted controller does not hold the stage after a heartbeat")
+		if !holds(ctl, stg.Info().StageID) {
+			t.Error("the restarted controller does not hold the stage after its link went silent")
 		}
 		if rs, _ := ctl.LastRound(); rs.Stages != 1 {
-			t.Errorf("first round after the restart covered %d stages, want 1", rs.Stages)
+			t.Errorf("the round after the re-registration covered %d stages, want 1", rs.Stages)
 		}
 	})
 	c.Run()
-	if !checked {
-		t.Fatal("the probe did not run")
+	if checked != 2 {
+		t.Fatalf("%d of 2 probes ran", checked)
 	}
-	if want := "t=+5s       stage early-stage0 re-registered: the controller did not hold it"; !strings.Contains(c.Log(), want) {
-		t.Errorf("log missing %q:\n%s", want, c.Log())
+	for _, want := range []string{
+		"t=+12s      stage early-stage0 degraded: controller unreachable, limits frozen at 300",
+		"t=+12s      stage early-stage0 re-registered after 0s degraded",
+	} {
+		if !strings.Contains(c.Log(), want) {
+			t.Errorf("log missing %q:\n%s", want, c.Log())
+		}
 	}
 }

@@ -224,16 +224,13 @@ type DataPlane struct {
 	svc        *rpcio.StageService
 	stop       func()
 	listenAddr string
-	controller string
 	// link is the connection the stage last registered on, which the
 	// controller's rounds run over.
 	link atomic.Pointer[rpcio.ControllerConn]
-	// loop hands its work to the goroutine that drives the stage's
-	// lifecycle from Serve to Close (run), and closes to stop it;
-	// loopDone closes once it has. beating says StartHeartbeat ran.
-	loop     chan func(*rpcio.Lifecycle)
+	// loop closes to stop the goroutine that drives the stage's
+	// lifecycle from Serve to Close (run); loopDone closes once it has.
+	loop     chan struct{}
 	loopDone chan struct{}
-	beating  bool
 }
 
 // NewDataPlane builds a data plane over the given mounts.
@@ -310,10 +307,16 @@ func (dp *DataPlane) InterceptionStats() interpose.Stats { return dp.shim.Stats(
 // registers with that control plane: the stage dials the registrar and
 // serves its control service on that connection too, over which the
 // controller installs the stage's rules before the registration returns
-// and runs its rounds afterwards. Should that connection die, the stage
-// is Degraded until it has registered again over a fresh one; it keeps
-// trying on the retry schedule until it succeeds or Close. A data plane
-// serves once until Close; a Serve that fails leaves it as it was.
+// and runs its rounds afterwards. The rounds are the controller's sign
+// of life: should the connection die, or serve no round for two of the
+// controller's loop periods plus a call's deadline (the registration's
+// answer carries the period), the stage is Degraded — it keeps
+// enforcing the last rates the controller pushed (fail-secure: an
+// unreachable controller must not mean unlimited I/O), and Stats says
+// so — until it has registered again over a fresh connection, which
+// replays the controller's last-known rule set for it. It keeps trying
+// on the retry schedule until it succeeds or Close. A data plane serves
+// once until Close; a Serve that fails leaves it as it was.
 func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	if dp.stop != nil {
 		return fmt.Errorf("padll: control service already running on %s", dp.listenAddr)
@@ -327,33 +330,32 @@ func (dp *DataPlane) Serve(addr, controllerAddr string) error {
 	if controllerAddr != "" {
 		// Each registration replaces (and closes) the connection the
 		// stage last registered on.
-		register := func() (<-chan struct{}, error) {
+		register := func() (rpcio.Link, error) {
 			link, err := rpcio.RegisterWithController(controllerAddr, svc)
 			if err != nil {
-				return nil, err
+				return rpcio.Link{}, err
 			}
 			if old := dp.link.Swap(link); old != nil {
 				old.Close()
 			}
-			return link.Done(), nil
+			return link.Link(), nil
 		}
 		link, err := register()
 		if err != nil {
 			stop()
 			return err
 		}
-		dp.controller = controllerAddr
-		dp.loop, dp.loopDone = make(chan func(*rpcio.Lifecycle)), make(chan struct{})
+		dp.loop, dp.loopDone = make(chan struct{}), make(chan struct{})
 		go dp.run(rpcio.NewLifecycle(dp.stg, dp.clk.Now(), link, register), dp.loop, dp.loopDone)
 	}
 	dp.svc, dp.stop, dp.listenAddr = svc, stop, l.Addr().String()
 	return nil
 }
 
-// run drives the stage's lifecycle until work closes: it hands the
-// machine each death of the link, each instant it asked to be woken at
-// (on one timer on the data plane's clock) and the work sent it.
-func (dp *DataPlane) run(life *rpcio.Lifecycle, work <-chan func(*rpcio.Lifecycle), done chan<- struct{}) {
+// run drives the stage's lifecycle until quit closes: it hands the
+// machine each death of the link and each instant it asked to be woken
+// at, on one timer on the data plane's clock.
+func (dp *DataPlane) run(life *rpcio.Lifecycle, quit <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	wake := make(chan struct{}, 1)
 	t := dp.clk.NewFuncTimer(func() {
@@ -368,12 +370,9 @@ func (dp *DataPlane) run(life *rpcio.Lifecycle, work <-chan func(*rpcio.Lifecycl
 			t.Reset(next.Sub(dp.clk.Now()))
 		}
 		select {
-		case do, ok := <-work:
-			if !ok {
-				return
-			}
-			do(life)
-		case <-life.Link():
+		case <-quit:
+			return
+		case <-life.Dead():
 			life.Lost(dp.clk.Now())
 		case <-wake:
 			life.Wake(dp.clk.Now())
@@ -394,63 +393,20 @@ func (dp *DataPlane) ControlServiceStats() (stats ServiceStats, ok bool) {
 	return dp.svc.Served(), true
 }
 
-// StartHeartbeat begins probing the registered controller every interval
-// (each probe bounded by timeout). When a probe fails the stage enters
-// the Degraded state: it keeps enforcing the last rates the controller
-// pushed (fail-secure — an unreachable controller must not mean
-// unlimited I/O), and surfaces the condition through Stats. When the
-// controller answers again, or answers that it does not hold this
-// stage's registration (it restarted behind a connection that stayed
-// open, or evicted the stage), the stage re-registers over a fresh
-// connection, closing the one it registered on before — which replays
-// the controller's last-known rule set for this stage — and leaves
-// Degraded; a failed re-registration leaves it Degraded. While the
-// stage is re-registering after losing its connection it does not
-// probe.
-//
-// Serve must have been called with a controller address first.
-func (dp *DataPlane) StartHeartbeat(interval, timeout time.Duration) error {
-	if dp.controller == "" {
-		return fmt.Errorf("padll: no controller to monitor; Serve with a controller address first")
-	}
-	if dp.beating {
-		return fmt.Errorf("padll: heartbeat already running")
-	}
-	if interval <= 0 {
-		return fmt.Errorf("padll: heartbeat interval must be positive, got %v", interval)
-	}
-	if timeout <= 0 {
-		timeout = rpcio.DefaultCallTimeout
-	}
-	controller, id := dp.controller, dp.stg.Info().StageID
-	dp.loop <- func(life *rpcio.Lifecycle) {
-		life.Heartbeat(dp.clk.Now(), interval, func() (bool, error) {
-			return rpcio.ProbeController(controller, id, timeout)
-		})
-	}
-	dp.beating = true
-	return nil
-}
-
 // Degraded reports whether the stage has lost its controller.
 func (dp *DataPlane) Degraded() bool { return dp.stg.Degraded() }
 
 // DegradedFor returns the cumulative time spent degraded.
 func (dp *DataPlane) DegradedFor() time.Duration { return dp.stg.DegradedFor() }
 
-// Close stops re-registering and probing, deregisters from the control
-// plane (if registered), closes the connection it registered on and
-// stops the control service.
+// Close stops re-registering, closes the connection the stage
+// registered on — its departure: the controller drops it at its next
+// round — and stops the control service.
 func (dp *DataPlane) Close() error {
-	var err error
 	if dp.loop != nil {
 		close(dp.loop)
 		<-dp.loopDone
-		dp.loop, dp.beating = nil, false
-	}
-	if dp.controller != "" {
-		err = rpcio.DeregisterFromController(dp.controller, dp.stg.Info().StageID)
-		dp.controller = ""
+		dp.loop = nil
 	}
 	if link := dp.link.Swap(nil); link != nil {
 		link.Close()
@@ -460,7 +416,7 @@ func (dp *DataPlane) Close() error {
 		dp.stop = nil
 	}
 	dp.stg.Close()
-	return err
+	return nil
 }
 
 // ControlPlane is the logically centralized coordinator.
@@ -550,6 +506,8 @@ func (cp *ControlPlane) ApplyRuleCluster(r Rule) error {
 func (cp *ControlPlane) RunOnce() map[string]float64 { return cp.ctl.RunOnce() }
 
 // Run starts the feedback loop at the given interval; Stop halts it.
+// Start it before Serve: a stage learns the interval when it registers,
+// and one that registered while no loop ran watches no silence.
 func (cp *ControlPlane) Run(interval time.Duration) { cp.ctl.Run(interval) }
 
 // ServeMonitor starts an HTTP observability endpoint (JSON under /api/*,
@@ -567,13 +525,16 @@ func (cp *ControlPlane) ServeMonitor(addr string) (string, error) {
 	return mon.Addr(), nil
 }
 
-// Stop halts the feedback loop and any served endpoints.
+// Stop halts the feedback loop and any served endpoints, and closes
+// every stage's connection, as the controller process's exit would.
 func (cp *ControlPlane) Stop() {
-	cp.ctl.Stop()
+	// The registrar goes first: a stage that sees its connection close
+	// must not register again with a controller that is stopping.
 	if cp.srv != nil {
 		cp.srv.Close()
 		cp.srv = nil
 	}
+	cp.ctl.Stop()
 	if cp.mon != nil {
 		// Shutdown path: a monitor close error has no recovery.
 		_ = cp.mon.Close()

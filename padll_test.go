@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,7 +199,8 @@ func TestControlPlaneOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Registration is synchronous: the registrar replies once the
-	// controller has registered the stage, and so does deregistration.
+	// controller has registered the stage. Close hangs up, which the
+	// next round takes as the stage's departure.
 	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,9 @@ func TestControlPlaneOverNetwork(t *testing.T) {
 	if err := dp.Close(); err != nil {
 		t.Fatal(err)
 	}
+	cp.RunOnce()
 	if jobs := cp.Jobs(); len(jobs) != 0 {
-		t.Fatalf("jobs after Close = %v, want none", jobs)
+		t.Fatalf("jobs after Close and a round = %v, want none", jobs)
 	}
 }
 
@@ -354,6 +355,27 @@ func TestFailedServeLeavesNothingServed(t *testing.T) {
 	}
 }
 
+// settle waits, on the wall clock, for done to hold, moving clk on by
+// a second whenever the data plane's loop has parked its timer on it: a
+// retry or a silence watch comes due, and the loop acts on it.
+func settle(t *testing.T, clk *clock.Sim, what string, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never settled: %s", what)
+		}
+		if clk.PendingWaiters() > 0 {
+			clk.Advance(time.Second)
+		}
+	}
+}
+
+// TestHeartbeatDegradesAndReconciles: the controller's rounds are the
+// stage's heartbeat, and the connection they run over its link. A
+// controller that stops closes it: the stage freezes its limits and
+// reports degraded at once, its registrations are refused, and it keeps
+// trying on the retry schedule until a controller on the same address
+// takes it again, which clears Degraded.
 func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	cp := padll.NewControlPlane(
 		padll.WithAlgorithm(padll.StaticShare(4000)),
@@ -364,9 +386,8 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The data plane runs on a simulated clock: advancing it one interval
-	// fires one heartbeat, whose probe has finished once the loop parks
-	// its timer again.
+	// The data plane runs on a simulated clock, which paces its
+	// registration retries.
 	clk := clock.NewSim(epoch)
 	backend, local := newBackends(clk)
 	dp, err := padll.NewDataPlaneOn(clk, padll.JobInfo{JobID: "hb-job", Hostname: "n", PID: 1},
@@ -378,30 +399,21 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.StartHeartbeat(time.Second, 100*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	clk.BlockUntil(1)
-	beat := func() {
-		clk.Advance(time.Second)
-		clk.BlockUntil(1)
-	}
 	cp.RunOnce()
-	beat()
 	if dp.Degraded() {
 		t.Fatal("degraded while the controller is healthy")
 	}
 
-	// Controller crash: the probe fails, the stage must freeze its limits
-	// and report degraded.
+	// Controller stop: the stage's connection closes, its first attempt
+	// is refused, and it parks its retry degraded.
 	cp.Stop()
-	beat()
+	clk.BlockUntil(1)
 	if !dp.Degraded() {
-		t.Fatal("not degraded after a heartbeat against a stopped controller")
+		t.Fatal("not degraded after the controller closed the stage's connection")
 	}
 
-	// Controller restart on the same address: the stage must re-register
-	// (fresh registry) and leave degraded mode on its own.
+	// Controller restart on the same address: the stage's next attempt
+	// registers it (fresh registry) and clears Degraded.
 	cp2 := padll.NewControlPlane(
 		padll.WithAlgorithm(padll.StaticShare(4000)),
 		padll.WithClusterLimit(8000),
@@ -410,10 +422,7 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Stop()
-	beat()
-	if dp.Degraded() {
-		t.Error("still degraded after a heartbeat against the restarted controller")
-	}
+	settle(t, clk, "the stage registers with the restarted controller", func() bool { return !dp.Degraded() })
 	if got := cp2.Jobs(); len(got) != 1 {
 		t.Errorf("restarted controller has jobs %v, want the re-registered one", got)
 	}
@@ -423,11 +432,12 @@ func TestHeartbeatDegradesAndReconciles(t *testing.T) {
 }
 
 // TestHeartbeatReregistersWithControllerRestartedBetweenBeats: a
-// controller that crashes and restarts between two heartbeats never
-// fails a probe, so the stage never degrades — but the new controller
-// holds no registration for it. The probe's answer says so, and the
-// same beat re-registers the stage, which comes back under management
-// without ever having been degraded.
+// controller that stops and restarts between two of its rounds closes
+// the stage's connection, which is the stage's sign it lost its
+// controller: the stage registers again at once — with the restarted
+// controller when it already serves, on the retry schedule otherwise —
+// and the restarted controller's next round reaches it, rather than
+// leaving it unmanaged under its stale limit.
 func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
 	newCP := func() *padll.ControlPlane {
 		return padll.NewControlPlane(
@@ -452,15 +462,7 @@ func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
 	if err := dp.Serve("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.StartHeartbeat(time.Second, 100*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	clk.BlockUntil(1)
-	beat := func() {
-		clk.Advance(time.Second)
-		clk.BlockUntil(1)
-	}
-	beat()
+	cp.RunOnce()
 
 	cp.Stop()
 	cp2 := newCP()
@@ -468,26 +470,104 @@ func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Stop()
-	if got := cp2.Jobs(); len(got) != 0 {
-		t.Fatalf("restarted controller starts with jobs %v", got)
+	settle(t, clk, "the restarted controller holds the stage", func() bool {
+		jobs := cp2.Jobs()
+		return len(jobs) == 1 && jobs[0] == "hb-job" && !dp.Degraded()
+	})
+	cp2.RunOnce()
+	if rs, _ := cp2.LastRound(); rs.CollectCalls != 1 || rs.CollectFailures != 0 {
+		t.Errorf("the restarted controller's round: %d collects, %d failed; want 1, none failed", rs.CollectCalls, rs.CollectFailures)
 	}
-	beat()
-	if got := cp2.Jobs(); len(got) != 1 || got[0] != "hb-job" {
-		t.Errorf("restarted controller has jobs %v after a beat, want the re-registered hb-job", got)
+}
+
+// TestCrashedStageDepartsAtTheNextRound: a stage process that dies
+// closes the connection it registered on, with no word to its
+// controller. With eviction off, the controller's next round takes the
+// closed connection as the stage's departure — no error, no failed
+// collect — drops it before allocating, and hands its job's share to
+// the other job in that same round.
+func TestCrashedStageDepartsAtTheNextRound(t *testing.T) {
+	var errs atomic.Int32
+	cp := padll.NewControlPlane(
+		padll.WithAlgorithm(padll.StaticShare(0)),
+		padll.WithClusterLimit(8000),
+		control.WithErrorHandler(func(string, error) { errs.Add(1) }),
+	)
+	defer cp.Stop()
+	addr, err := cp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dp.Degraded() || dp.DegradedFor() != 0 {
-		t.Errorf("Degraded() = %v, DegradedFor() = %v: a reachable controller never degrades the stage",
-			dp.Degraded(), dp.DegradedFor())
+	_, local := newBackends(clock.NewReal())
+	dps := map[string]*padll.DataPlane{}
+	for _, job := range []string{"crashes", "stays"} {
+		dp, err := padll.NewDataPlane(padll.JobInfo{JobID: job, Hostname: "n", PID: 1}, padll.MountLocal("/", local))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Close()
+		if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+			t.Fatal(err)
+		}
+		dps[job] = dp
 	}
-	// The stopped controller's end of the stage's connection stays open
-	// only while the controller is reachable: collected, its socket's
-	// finalizer closes it, and the stage would see a lost link instead.
-	runtime.KeepAlive(cp)
+	if alloc := cp.RunOnce(); alloc["crashes"] != 4000 || alloc["stays"] != 4000 {
+		t.Fatalf("allocation with both jobs = %v, want 4000 each", alloc)
+	}
+
+	dps["crashes"].Crash()
+	alloc := cp.RunOnce()
+	if stages := cp.Stages(); len(stages) != 1 || stages[0].JobID != "stays" {
+		t.Errorf("stages after the crash and a round = %v, want the surviving one", stages)
+	}
+	if _, held := alloc["crashes"]; held || alloc["stays"] != 8000 {
+		t.Errorf("allocation of the round after the crash = %v, want stays:8000 alone", alloc)
+	}
+	if rs, _ := cp.LastRound(); rs.CollectFailures != 0 || errs.Load() != 0 {
+		t.Errorf("the departure counted %d collect failures and reached the error handler %d times, want neither",
+			rs.CollectFailures, errs.Load())
+	}
+}
+
+// TestDepartureKeepsTheReservation: a reservation is the operator's
+// intent, set once (padll-controller -reserve): a job whose only stage
+// process leaves and comes back is held to it again.
+func TestDepartureKeepsTheReservation(t *testing.T) {
+	cp := padll.NewControlPlane(padll.WithAlgorithm(padll.Priority()), padll.WithClusterLimit(8000))
+	defer cp.Stop()
+	addr, err := cp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.SetReservation("reserved", 3000)
+	_, local := newBackends(clock.NewReal())
+	serve := func() *padll.DataPlane {
+		t.Helper()
+		dp, err := padll.NewDataPlane(padll.JobInfo{JobID: "reserved", Hostname: "n", PID: 1}, padll.MountLocal("/", local))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dp.Serve("127.0.0.1:0", addr); err != nil {
+			t.Fatal(err)
+		}
+		return dp
+	}
+	if err := serve().Close(); err != nil {
+		t.Fatal(err)
+	}
+	cp.RunOnce() // the round that takes the departure
+	dp := serve()
+	defer dp.Close()
+	snaps := cp.Collect()
+	if len(snaps) != 1 || snaps[0].Reservation != 3000 {
+		t.Errorf("snapshots after the job's stage came back = %+v, want its reservation of 3000", snaps)
+	}
 }
 
 // TestStoppedLoopsLeaveNoWaiter: each loop paced by a clock — the
-// controller's feedback loop, the data plane's lifecycle loop (waiting
-// to beat, or to retry its registration), a replayer's op thread —
+// controller's feedback loop, the data plane's lifecycle loop (watching
+// its link's silence, or waiting to retry its registration), a
+// replayer's op thread —
 // stops its timer on the way out, so stopping the loop leaves nothing
 // parked on its simulated clock.
 func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
@@ -507,13 +587,15 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 		cp := padll.NewControlPlaneOn(clk)
 		parkedThenStopped(t, clk, func() { cp.Run(time.Second) }, cp.Stop)
 	})
-	// The data plane's loop is stopped while it waits for its next beat,
-	// and while it waits to retry its registration against a dead
-	// controller after losing its connection.
+	// The data plane's loop is stopped while it waits to look at its
+	// link (the controller runs its loop, so the stage watches the
+	// rounds' silence), and while it waits to retry its registration
+	// against a dead controller after losing its connection.
 	t.Run("heartbeat", func(t *testing.T) {
 		for _, retrying := range []bool{false, true} {
 			t.Run(fmt.Sprintf("retrying=%v", retrying), func(t *testing.T) {
 				cp := padll.NewControlPlane()
+				cp.Run(time.Hour)
 				addr, err := cp.Serve("127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
@@ -530,17 +612,14 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 					t.Fatal(err)
 				}
 				parkedThenStopped(t, clk, func() {
-					if err := dp.StartHeartbeat(time.Second, time.Second); err != nil {
-						t.Fatal(err)
-					}
 					if !retrying {
 						return
 					}
-					// The registrar goes, then the connection: the stage degrades,
-					// its first attempt is refused, and it parks its retry.
+					// The controller stops, closing the connection: the stage
+					// degrades, its first attempt is refused, and it parks its
+					// retry.
 					clk.BlockUntil(1)
 					cp.Stop()
-					dp.ControllerConn().Close()
 					retry := clk.Now().Add(rpcio.RetryDelay(0))
 					for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 						if at, ok := clk.NextDeadline(); ok && at.Equal(retry) {
@@ -554,8 +633,7 @@ func TestStoppedLoopsLeaveNoWaiter(t *testing.T) {
 						t.Error("retrying, yet not degraded")
 					}
 				}, func() {
-					// The controller is gone: the deregistration fails, as it must.
-					if err := dp.Close(); err != nil && !retrying {
+					if err := dp.Close(); err != nil {
 						t.Error(err)
 					}
 				})
@@ -606,7 +684,8 @@ func (l *countingListener) Accept() (net.Conn, error) {
 // over the connection a stage registered on, so when the controller
 // closes its handle on the stage, the stage registers again over one
 // fresh connection, and the next round reaches it. The controller holds
-// one record, the stage one live connection; Close leaves neither.
+// one record, the stage one live connection; Close leaves neither once
+// a round has taken its departure.
 func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
 	ctl := control.New(clock.NewReal(), control.WithAlgorithm(control.StaticEqualShare{}), control.WithClusterLimit(8000))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -615,11 +694,11 @@ func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
 	}
 	registrar := &countingListener{Listener: l}
 	handles := make(chan *rpcio.StageHandle, 4)
-	stop := rpcio.ServeRegistrar(registrar, func(info stage.Info, h *rpcio.StageHandle) error {
+	stop := rpcio.ServeRegistrar(registrar, func(info stage.Info, h *rpcio.StageHandle) (time.Duration, error) {
 		err := ctl.Register(info, h)
 		handles <- h
-		return err
-	}, func(id string) { ctl.Deregister(id) }, ctl.Registered)
+		return 0, err
+	})
 	defer stop()
 
 	_, local := newBackends(clock.NewReal())
@@ -653,12 +732,12 @@ func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
 	}
 	second := dp.ControllerConn()
 	select {
-	case <-first.Done():
+	case <-first.Link().Done:
 	default:
 		t.Error("the lost connection's serve loop still runs")
 	}
 	select {
-	case <-second.Done():
+	case <-second.Link().Done:
 		t.Fatal("the fresh connection is dead")
 	default:
 	}
@@ -678,11 +757,12 @@ func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
 	if err := dp.Close(); err != nil {
 		t.Fatal(err)
 	}
+	ctl.RunOnce()
 	if n := len(ctl.Stages()); n != 0 {
-		t.Errorf("controller holds %d records after Close, want none", n)
+		t.Errorf("controller holds %d records after Close and a round, want none", n)
 	}
 	select {
-	case <-second.Done():
+	case <-second.Link().Done:
 	default:
 		t.Error("Close left the stage's connection served")
 	}
@@ -693,7 +773,7 @@ func TestStageRegistersAgainAfterLosingItsConnection(t *testing.T) {
 
 // BenchmarkServeRegister prices a data plane's start and end against a
 // live control plane: Serve with a controller address (listen, register,
-// the managed rule's install) and Close (deregister, stop serving).
+// the managed rule's install) and Close (hang up, stop serving).
 func BenchmarkServeRegister(b *testing.B) {
 	cp := padll.NewControlPlane(
 		padll.WithAlgorithm(padll.ProportionalShare()),
