@@ -234,6 +234,8 @@ count:
 		"$$(find padll.go internal/sim internal/chaos internal/rpcio/lifecycle.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/stage + internal/policy non-test lines: %d\n' \
 		"$$(find internal/stage internal/policy -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'go statements outside tests and bench/: %d\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs grep -hE '^\s*go [A-Za-z_(]' | wc -l)"
 	@printf '//lint: directives outside internal/lint: %d\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/*' | xargs grep -hE '//[[:space:]]*lint:' | wc -l)"
 	@printf 'internal/lint non-test lines: %d\n' \

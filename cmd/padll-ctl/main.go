@@ -2,7 +2,9 @@
 // stage: it inspects queue statistics and installs, retunes, or removes
 // QoS rules over the stage's control RPC service. Every command is one
 // Stage.Batch round trip: a single operation is a one-op batch, and ping
-// and stats are a collect.
+// and stats are a collect. The command dials the stage once and tries
+// once: a transport failure (a refused dial, a lost connection, the
+// 5 s call deadline) is reported at once, with nothing retried.
 //
 // Usage:
 //

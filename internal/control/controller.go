@@ -410,8 +410,8 @@ func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 // installSplit installs r on every stage of members (StageID-sorted) as
 // a one-op batch, its rate split equally among them: every install is
 // started in StageID order before the first is awaited (under roundMu: a
-// round's split collect does not keep that order), and a failed one is
-// retried before the next is finished. It touches only the records'
+// round's split collect does not keep that order), so installs behind
+// hung stages wait one deadline in all. It touches only the records'
 // identities and handles, none of their round memory. Every stage is
 // attempted whatever the others answer — a failure in the middle must
 // not leave an arbitrary remainder of the job without the rule — and the
@@ -428,8 +428,7 @@ func (c *Controller) installSplit(members []*member, r policy.Rule) error {
 	}
 	var first error
 	for _, m := range members {
-		res, changed, err := m.h.Finish()
-		if _, _, err = m.h.Reattempt(ops, nil, res, changed, err); err != nil && first == nil {
+		if _, _, err := m.h.Finish(); err != nil && first == nil {
 			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, m.info.StageID, err)
 		}
 	}

@@ -69,17 +69,15 @@ func remoteStage(t *testing.T, id, job string, mute *atomic.Bool, opts ...rpcio.
 
 // TestHungPeersCostTheRoundOneTimeout: workers of a round's members
 // stop answering — of eight members, s001 onwards; of 96, at four P, two
-// in each of the collect's two scatter chunks — so the pass
-// sets that many aside and starts one retry worker for each. Their
-// deadlines run from the send, so they expire together when the first
-// does, and their retries — sleep, redial, another attempt that hangs
-// too — run side by side: the round takes exactly what one blocking
-// exchange with one hung peer takes on the production schedule (four
-// attempts, each cut at DefaultCallTimeout, and the 50, 100 and 200 ms
-// sleeps between them: 4 × DefaultCallTimeout + 350 ms), not workers
-// times that. The hung members' handles differ from production only in
+// in each of the collect's two scatter chunks. Their deadlines run from
+// the send, so they expire together when the first does: the round
+// takes exactly one DefaultCallTimeout, not workers times that, and
+// nothing sleeps on the clock. A deadline ends its handle, so the hung
+// members fail at once in every later exchange, even with their stages
+// answering again, until those stages register again on new
+// connections. The hung members' handles differ from production only in
 // their clock, which is simulated and only ever advanced by a full step
-// once the expected waiters are parked on it, so the duration is exact.
+// once the expected waiter is parked on it, so the duration is exact.
 func TestHungPeersCostTheRoundOneTimeout(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -148,17 +146,11 @@ func hungPeersRound(t *testing.T, n int, hungAt []int) {
 	go func() { done <- c.RunOnce() }()
 	clk.BlockUntil(1) // the first hung member's gatherer; the others wait behind it, already late
 	clk.Advance(timeout)
-	for _, sleep := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
-		clk.BlockUntil(workers) // the retries, sleeping side by side
-		clk.Advance(sleep)
-		clk.BlockUntil(workers) // their next attempts, sent together
-		clk.Advance(timeout)
-	}
 	alloc := <-done
 
 	rs, _ := c.LastRound()
-	if want := 4*timeout + 350*time.Millisecond; rs.Duration != want {
-		t.Errorf("round took %v, want %v: what one exchange with one hung peer costs", rs.Duration, want)
+	if rs.Duration != timeout {
+		t.Errorf("round took %v, want %v: one deadline, whatever the number of hung peers", rs.Duration, timeout)
 	}
 	if rs.CollectFailures != workers || rs.CollectCalls != n || rs.Stages != n {
 		t.Errorf("round accounting %+v, want %d failures of %d collects over %d stages", rs, workers, n, n)
@@ -173,20 +165,33 @@ func hungPeersRound(t *testing.T, n int, hungAt []int) {
 		t.Errorf("errors reported for %v, want %v in StageID order", reported, hungIDs)
 	}
 	mu.Unlock()
-	mute.Store(false)
-	snaps := c.CollectAll()
-	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != n-workers || snaps[1].Stages != workers {
-		t.Errorf("after the fault cleared: %+v, want %d healthy and %d recovered stages", snaps, n-workers, workers)
-	}
 	if n := clk.PendingWaiters(); n != 0 {
 		t.Errorf("%d waiters left on the clock", n)
+	}
+
+	mute.Store(false)
+	c.RunOnce()
+	if rs, _ := c.LastRound(); rs.Duration != 0 || rs.CollectFailures != workers {
+		t.Errorf("round after the fault cleared: %+v, want the %d dead handles failing at once", rs, workers)
+	}
+	for _, id := range hungIDs { // the stages register again
+		stg, h := remoteStage(t, id, "hung", nil)
+		if err := c.Register(stg.Info(), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps := c.CollectAll()
+	if len(snaps) != 2 || snaps[0].JobID != "healthy" || snaps[0].Stages != n-workers || snaps[1].Stages != workers {
+		t.Errorf("after the stages registered again: %+v, want %d healthy and %d hung stages answering", snaps, n-workers, workers)
 	}
 }
 
 // TestAdministratorInstallsReachEveryStage: an install that fails on a
 // stage in the middle still reaches every other stage, at the split
 // rate, and the error names the first failure in StageID order — at
-// every granularity.
+// every granularity. The refusal is tried once and fails only its own
+// exchange: the refusing stage is collected by the next read with the
+// rest.
 func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 	rule := policy.Rule{ID: "admin", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: 1200}
 	for _, tc := range []struct {
@@ -225,6 +230,13 @@ func TestAdministratorInstallsReachEveryStage(t *testing.T) {
 			if got := ruleRate(stages[id], rule.ID); got != want {
 				t.Errorf("%s: stage %s holds the rule at %v, want %v", tc.name, id, got, want)
 			}
+		}
+		stagesAnswering := 0
+		for _, row := range c.CollectAll() {
+			stagesAnswering += row.Stages
+		}
+		if stagesAnswering != len(stages) {
+			t.Errorf("%s: %d of %d stages answered the read after the install", tc.name, stagesAnswering, len(stages))
 		}
 	}
 }
@@ -271,11 +283,15 @@ func mixedFleet(t *testing.T) (*Controller, *clock.Sim, map[string]*stage.Stage,
 }
 
 // TestRoundOutcomeIsTheSameOnEveryRun: a round is a function of the
-// fleet — allocations, per-job rows, round accounting, the rates the
-// stages end up enforcing and the order errors are reported in are
-// identical on two runs, round after round, over a fleet that mixes
-// every kind of stage handle with members that fail, TCP replies
-// arriving in whatever order they do.
+// fleet — allocations, per-job rows, round accounting down to the wire
+// bytes, the rates the stages end up enforcing and the order errors are
+// reported in are identical on two runs, round after round, over a
+// fleet that mixes every kind of stage handle with members that fail,
+// TCP replies arriving in whatever order they do. Nothing is retried:
+// each round reports each failing member once, in StageID order — the
+// collect s04 never answers, then the retune s07 refuses — and the read
+// after it s04 once more; an injected fault leaves its member's handle
+// in service for the next exchange.
 func TestRoundOutcomeIsTheSameOnEveryRun(t *testing.T) {
 	type outcome struct {
 		Alloc    []map[string]float64
@@ -296,9 +312,6 @@ func TestRoundOutcomeIsTheSameOnEveryRun(t *testing.T) {
 			clk.Advance(time.Second)
 			o.Alloc = append(o.Alloc, c.RunOnce())
 			rs, _ := c.LastRound()
-			// Wire bytes carry the handles' random collector identities,
-			// whose varint width differs from run to run.
-			rs.BytesRead, rs.BytesWritten = 0, 0
 			o.Rounds = append(o.Rounds, rs)
 			o.Rows = append(o.Rows, c.CollectAll())
 		}
@@ -310,8 +323,13 @@ func TestRoundOutcomeIsTheSameOnEveryRun(t *testing.T) {
 		return o
 	}
 	want := run()
-	if len(want.Reported) == 0 || want.Rounds[5].CollectFailures != 1 || want.Rounds[5].Stages != 12 {
+	if want.Rounds[5].CollectFailures != 1 || want.Rounds[5].Stages != 12 {
 		t.Fatalf("the fleet's failing members did not fail: %+v, reported %v", want.Rounds[5], want.Reported)
+	}
+	for i, r := range want.Reported {
+		if prefix := []string{"s04: ", "s07: ", "s04: "}[i%3]; len(want.Reported) != 18 || !strings.HasPrefix(r, prefix) {
+			t.Fatalf("reported %q, want s04, s07 and s04 (the read) once each in each of the 6 rounds", want.Reported)
+		}
 	}
 	if got := run(); !reflect.DeepEqual(got, want) {
 		t.Errorf("second run:\n got %+v\nwant %+v", got, want)

@@ -103,8 +103,8 @@ func sortMembers(ms []*member) {
 // once, by newShard, and never change — a registry change builds a new
 // shard — and everything else is round state, which only reshard,
 // collect, push and mark touch, every one of them with the controller's
-// roundMu held. The goroutines a pass starts own disjoint members (a
-// scatter chunk or a retry) and are joined before pass returns.
+// roundMu held. The helpers a split pass starts own disjoint members (a
+// scatter chunk each) and are joined before pass returns.
 type shard struct {
 	// The controller's error handler, copied at construction.
 	onError func(stageID string, err error)
@@ -190,18 +190,16 @@ func (sh *shard) wireStats() (w rpcio.WireStats) {
 }
 
 // pass is one kind of exchange with every member that has one to make:
-// scatter, gather, retry. args must answer the same each time it is
-// asked; done takes m's final outcome. Every exchange is started before
-// the round's goroutine finishes any, so every request is on the wire
+// scatter, then gather. done takes m's outcome, on the round's
+// goroutine in StageID order. Every exchange is started before the
+// round's goroutine finishes any, so every request is on the wire
 // before the first reply is awaited and — deadlines running from the
-// send — hung members expire together. The scatter runs in StageID
-// order, but a split pass (the collect's) hands the chunks after the
-// first to helpers, joined before the gather. A member whose
-// attempt failed in transport is set aside, and once every member is
-// gathered the set-aside ones run the rest of the blocking exchange
-// (StageHandle.Reattempt: sleep, redial, try again) side by side, one
-// goroutine each, so k dead peers cost the round one retry schedule,
-// not k. Every goroutine is gone when pass returns.
+// send — hung members expire together: k hung members cost the round
+// one DefaultCallTimeout, not k. The scatter runs in StageID order, but
+// a split pass (the collect's) hands the chunks after the first to
+// helpers, joined before the gather. Nothing is retried: a failed
+// exchange is its member's outcome for the round. Every helper is gone
+// when pass returns.
 func (sh *shard) pass(split bool, args passArgs,
 	done func(m *member, res []rpcio.OpResult, changed bool, err error)) {
 	sh.args = args
@@ -215,32 +213,13 @@ func (sh *shard) pass(split bool, args passArgs,
 	}
 	sh.start(first)
 	sh.wg.Wait()
-	var failed []*member
 	for _, m := range sh.members {
-		if !m.started {
-			continue
-		}
-		m.started = false
-		res, changed, err := m.h.Finish()
-		if rpcio.Retryable(err) {
-			m.err = err
-			failed = append(failed, m)
-			continue
-		}
-		done(m, res, changed, err)
-	}
-
-	// The retries wait — sleep, dial, deadline — rather than compute.
-	sh.wg.Add(len(failed))
-	for _, m := range failed {
-		go func() {
-			defer sh.wg.Done()
-			ops, dst, _ := args(m)
-			res, changed, err := m.h.Reattempt(ops, dst, nil, false, m.err)
+		if m.started {
+			m.started = false
+			res, changed, err := m.h.Finish()
 			done(m, res, changed, err)
-		}()
+		}
 	}
-	sh.wg.Wait()
 }
 
 // pushOp is what brings one stage's managed queue to managed.Rate given
@@ -265,7 +244,7 @@ func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
 // with pushOp's operation — none when its latest probe shows the rate
 // enforced, the managed rule reinstalled where it vanished, and a retune
 // that finds the queue gone (a restart raced the probe) chased by a
-// reinstall. It is one pass: scatter, gather, retry. A member failure
+// reinstall. It is one pass: scatter, then gather. A member failure
 // never fails the round: it is reported to the error handler in StageID
 // order and left in the member's err for mark. rs accumulates push round
 // trips and skips per member of an allocated job.
@@ -298,8 +277,7 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 				m.err = err
 			})
 	}
-	// Account in member (StageID-sorted) order: error reports are
-	// deterministic whatever order the retries finished in.
+	// Account in member (StageID-sorted) order, so error reports are too.
 	for i, m := range sh.members {
 		if hasRate[sh.rowOf[i]] {
 			rs.PushCalls += m.calls
@@ -334,8 +312,8 @@ func (sh *shard) collect(rs *RoundStats) {
 			m.changed = changed || err != nil
 		})
 
-	// Fold in member (StageID-sorted) order: rows, error reports and
-	// counts are deterministic whatever order the retries finished in.
+	// Fold in member (StageID-sorted) order, so rows, error reports and
+	// counts are too.
 	rebuild := !sh.rowsValid
 	failed := 0
 	for _, m := range members {

@@ -199,8 +199,7 @@ func TestControlledMatcherReachesEveryShard(t *testing.T) {
 
 // TestReshardingLeaksNoGoroutines: a registry change rebuilds the
 // shard, and the replaced one must leave nothing running behind it —
-// neither retry goroutines nor, at a size whose collect is split, the
-// helpers that scatter it.
+// at a size whose collect is split, not the helpers that scatter it.
 func TestReshardingLeaksNoGoroutines(t *testing.T) {
 	t.Run("stages=8", func(t *testing.T) { reshardingLeaksNothing(t, 8) })
 	t.Run("stages=128,procs=4", func(t *testing.T) {
@@ -232,7 +231,7 @@ func reshardingLeaksNothing(t *testing.T, n int) {
 			t.Fatalf("re-registration %d: round covered %d stages, want %d", i, rs.Stages, n)
 		}
 	}
-	// Helper and retry goroutines exit before RunOnce returns, but a
+	// Helper goroutines exit before RunOnce returns, but a
 	// goroutine that has run its last instruction may still be counted
 	// for a moment.
 	deadline := time.Now().Add(5 * time.Second)

@@ -374,7 +374,7 @@ func resetReply(r *BatchReply) {
 	r.Delta.Removed = removed[:0]
 }
 
-// Start is the first half of one attempt: the request is on the wire
+// Start is the first half of one exchange: the request is on the wire
 // (or, in process, the work is done) when it returns. ops and dst
 // belong to the exchange until Finish, which must follow exactly once,
 // on any goroutine. Exchanges on one handle serialize: a second Start
@@ -423,25 +423,12 @@ func (h *StageHandle) Finish() (results []OpResult, changed bool, err error) {
 	return results, changed, err
 }
 
-// Exec is the blocking exchange: start, finish, and try again while the
-// failure is the wire's and the transport's retry schedule allows.
-// Exchanges on one handle serialize with each other, so interleaved
-// collectors, each into a buffer of its own, each see a whole snapshot.
+// Exec is the blocking exchange: Start, then Finish. Exchanges on one
+// handle serialize with each other, so interleaved collectors, each
+// into a buffer of its own, each see a whole snapshot.
 func (h *StageHandle) Exec(ops []StageOp, dst *stage.Stats) (results []OpResult, changed bool, err error) {
 	h.Start(ops, dst)
-	results, changed, err = h.Finish()
-	return h.Reattempt(ops, dst, results, changed, err)
-}
-
-// Reattempt is the retrying tail of Exec, given a first attempt's
-// outcome: a caller that started many exchanges and finished each once
-// hands the failures here, and has spent exactly what Exec would have.
-func (h *StageHandle) Reattempt(ops []StageOp, dst *stage.Stats, results []OpResult, changed bool, err error) ([]OpResult, bool, error) {
-	for attempt := 0; Retryable(err) && h.t.Retry(attempt); attempt++ {
-		h.Start(ops, dst)
-		results, changed, err = h.Finish()
-	}
-	return results, changed, err
+	return h.Finish()
 }
 
 // CollectDeltaInto fetches the stage's statistics into a caller-owned

@@ -1,7 +1,6 @@
 package rpcio
 
 import (
-	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -145,24 +144,19 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 	}
 }
 
-// TestDeltaFallsBackToFullAfterStageRestart kills the serving stage and
-// replaces it with a fresh one (new StageService, new epoch). The
-// client's acknowledged generation is now meaningless; the stage must
-// answer with a full snapshot, and the merged state must match the new
-// stage exactly — none of the dead stage's queues may survive the merge.
+// TestDeltaFallsBackToFullAfterStageRestart: the stage process dies
+// and a fresh one (new StageService) registers in its place, so the
+// controller collects it over a new handle into the same merge buffer,
+// which still holds the dead stage's snapshot. The new handle has no
+// acknowledgment for that buffer, so the stage answers with a full
+// snapshot, and the merged state must match the new stage exactly —
+// none of the dead stage's queues may survive the merge.
 func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg1 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg1.ApplyRule(policy.Rule{ID: "old-only", Rate: 100})
 	stg1.ApplyRule(policy.Rule{ID: "shared", Rate: 200})
-	// The handle dials whichever service target names: a swapped dial
-	// target is the client-side view of a stage process that died and
-	// was replaced.
-	target := NewStageService(stg1)
-	cfg := defaultDialConfig()
-	cfg.clk, cfg.delays = clk, nil
-	tr := newFrameTransport("s1", cfg, func() (net.Conn, error) { return newMemConn(target, nil), nil })
-	h := newStageHandle(tr)
+	h := LocalStage(NewStageService(stg1), clk, nil)
 
 	var merged stage.Stats
 	for i := 0; i < 3; i++ {
@@ -171,11 +165,11 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 		}
 	}
 
-	// The stage process restarts: fresh state, fresh service epoch.
+	// The stage process restarts: fresh state, fresh service, new handle.
+	_ = h.Close()
 	stg2 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
-	target = NewStageService(stg2)
-	tr.fc.kill(errors.New("stage restarted"))
+	h = LocalStage(NewStageService(stg2), clk, nil)
 
 	if err := h.CollectDeltaInto(&merged); err != nil {
 		t.Fatal(err)
@@ -186,12 +180,11 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	}
 	for _, q := range merged.Queues {
 		if q.RuleID == "old-only" {
-			t.Error("queue from the dead stage survived the epoch change")
+			t.Error("queue from the dead stage survived into the new handle's full snapshot")
 		}
 	}
-	fulls, _ := h.CollectCounts()
-	if fulls != 2 {
-		t.Errorf("%d full snapshots, want 2 (first contact + restart fallback)", fulls)
+	if fulls, deltas := h.CollectCounts(); fulls != 1 || deltas != 0 {
+		t.Errorf("new handle: %d full / %d delta collects, want 1/0 (the restart's full snapshot)", fulls, deltas)
 	}
 }
 

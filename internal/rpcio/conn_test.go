@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,6 @@ import (
 
 	"padll/internal/clock"
 	"padll/internal/policy"
-	"padll/internal/posix"
 	"padll/internal/stage"
 )
 
@@ -32,39 +32,6 @@ func (l *countingListener) Accept() (net.Conn, error) {
 		l.accepted.Add(1)
 	}
 	return c, err
-}
-
-// killSwitchConn kills the connection in the middle of the next frame
-// write once armed: half the frame reaches the peer, then the socket
-// closes. This is the mid-frame drop a crashing server produces.
-type killSwitchConn struct {
-	net.Conn
-	arm *atomic.Bool
-}
-
-func (c *killSwitchConn) Write(p []byte) (int, error) {
-	if c.arm.CompareAndSwap(true, false) {
-		half := len(p) / 2
-		if half > 0 {
-			_, _ = c.Conn.Write(p[:half])
-		}
-		_ = c.Conn.Close()
-		return half, errors.New("rpcio test: connection killed mid-frame")
-	}
-	return c.Conn.Write(p)
-}
-
-type killSwitchListener struct {
-	net.Listener
-	arm *atomic.Bool
-}
-
-func (l *killSwitchListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &killSwitchConn{Conn: c, arm: l.arm}, nil
 }
 
 // servedFleet serves n stages, each behind its own listener (wrapped by
@@ -129,70 +96,55 @@ func TestInterleavedRepliesRouteCorrectly(t *testing.T) {
 	}
 }
 
-// TestMidFrameDropRedialsAndResyncs arms a mid-frame connection kill
-// on a Stage.Batch reply: the stage has applied the exchange (its delta
-// generation advanced) but the controller's handle never saw the reply.
-// The handle must kill its connection, redial, and —
-// because its acknowledgement is now stale — receive a full-snapshot
-// resync that reconverges with the stage's true state.
-func TestMidFrameDropRedialsAndResyncs(t *testing.T) {
-	arm := &atomic.Bool{}
-	stages, handles := servedFleet(t, 1, func(l net.Listener) net.Listener {
-		return &killSwitchListener{Listener: l, arm: arm}
-	}, withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond))
-	stg, h := stages[0], handles[0]
-
-	var got stage.Stats
-	if err := h.CollectDeltaInto(&got); err != nil { // initial full snapshot
-		t.Fatal(err)
-	}
-	stg.ApplyRule(policy.Rule{ID: "r1", Match: policy.Matcher{Ops: []posix.Op{posix.OpOpen}}, Rate: 100})
-	if err := h.CollectDeltaInto(&got); err != nil { // incremental
-		t.Fatal(err)
-	}
-
-	stg.SetRate("r1", 250)
-	arm.Store(true) // next reply frame dies halfway across
-	if err := h.CollectDeltaInto(&got); err != nil {
-		t.Fatalf("collect across a mid-frame drop: %v", err)
-	}
-	if !sameStats(got, stg.Collect()) {
-		t.Errorf("post-drop snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
-	}
-	fulls, deltas := h.CollectCounts()
-	if fulls < 2 {
-		t.Errorf("%d full snapshots, want >= 2: the dropped reply left a stale ack that only a full resync repairs", fulls)
-	}
-	if deltas == 0 {
-		t.Error("no incremental collects at all")
-	}
-
-	// The connection must be healthy again: further mutations flow
-	// incrementally.
-	stg.SetRate("r1", 300)
-	if err := h.CollectDeltaInto(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !sameStats(got, stg.Collect()) {
-		t.Errorf("post-recovery snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
-	}
-}
-
 // TestSurvivesFlakyFrameBoundaries runs a fleet through a wire that
-// drops every Nth frame outright: per-call deadlines catch the holes,
-// the connection redials, and every call still lands on (and returns
-// from) the right stage.
+// drops every fifth reply frame on a connection outright. The dropped
+// exchange fails at its deadline, on the handles' simulated clock; the
+// handle is then dead — its next exchange fails at once with that same
+// cause — and a fresh handle, as the stage's next registration would
+// give its controller, carries on. Every call that is answered lands on
+// (and returns from) the right stage.
 func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
+	const timeout = DefaultCallTimeout
+	clk := clock.NewSim(epoch)
+	var addrs []string
 	stages, handles := servedFleet(t, 2, func(l net.Listener) net.Listener {
+		addrs = append(addrs, l.Addr().String())
 		return &FlakyListener{Listener: l, Flaky: Flakiness{DropEvery: 5}}
-	},
-		withCallTimeout(150*time.Millisecond),
-		withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond))
+	}, WithHandleClock(clk))
+
+	exchanges := make([]int, len(handles)) // on each handle's connection
+	call := func(i int, f func(*StageHandle) error) error {
+		h := handles[i]
+		if exchanges[i]++; exchanges[i] < 5 {
+			return f(h)
+		}
+		done := make(chan error, 1)
+		go func() { done <- f(h) }()
+		clk.BlockUntil(1) // the dropped reply's read waits on its deadline
+		clk.Advance(timeout)
+		err := <-done
+		if err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Fatalf("m%d, reply dropped: err = %v, want its deadline", i, err)
+		}
+		if again := f(h); again != err {
+			t.Fatalf("m%d after its deadline: err = %v, want the first cause %v", i, again, err)
+		}
+		nh, err := DialStage(addrs[i], WithHandleClock(clk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = nh.Close() })
+		handles[i], exchanges[i] = nh, 1
+		return f(nh)
+	}
 
 	for round := 0; round < 8; round++ {
-		for i, h := range handles {
-			info, err := ping(h)
-			if err != nil {
+		for i := range handles {
+			var info stage.Info
+			if err := call(i, func(h *StageHandle) (err error) {
+				info, err = ping(h)
+				return err
+			}); err != nil {
 				t.Fatalf("round %d ping m%d: %v", round, i, err)
 			}
 			if want := fmt.Sprintf("m%d", i); info.StageID != want {
@@ -200,7 +152,7 @@ func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
 			}
 		}
 	}
-	if err := applyRule(handles[1], policy.Rule{ID: "flaky-rule", Rate: 7}); err != nil {
+	if err := call(1, func(h *StageHandle) error { return applyRule(h, policy.Rule{ID: "flaky-rule", Rate: 7}) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(stages[1].Rules()); got != 1 {
@@ -208,6 +160,9 @@ func TestSurvivesFlakyFrameBoundaries(t *testing.T) {
 	}
 	if got := len(stages[0].Rules()); got != 0 {
 		t.Errorf("stage m0 has %d rules, want 0 — mutation crossed stages", got)
+	}
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Errorf("%d waiters left on the clock", n)
 	}
 }
 
@@ -271,15 +226,14 @@ func (l *muteListener) Accept() (net.Conn, error) {
 // before its read or released it; no deadline timer is left armed, no
 // expiry unconsumed and no call failed or still attached for the next
 // Start; every handle is free for its next exchange, and that
-// exchange redials and merges the right snapshot whether the lost
-// exchange had reached the stage (a full resync) or not (the next
-// delta).
+// exchange fails at once with the kill's error: a killed connection
+// ends its handle.
 func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 	const n = 8
 	var mute atomic.Bool
-	stages, handles := servedFleet(t, n, func(l net.Listener) net.Listener {
+	_, handles := servedFleet(t, n, func(l net.Listener) net.Listener {
 		return &muteListener{Listener: l, mute: &mute}
-	}, withCallTimeout(time.Hour), withDelays())
+	}, withCallTimeout(time.Hour))
 	dst := make([]stage.Stats, n)
 	conns := make([]*frameConn, n)
 	for i, h := range handles { // the first (full) collect
@@ -324,13 +278,9 @@ func TestKilledConnectionFinishesEveryStartedExchange(t *testing.T) {
 		}
 	}
 
-	mute.Store(false)
 	for i, h := range handles {
-		if err := h.CollectDeltaInto(&dst[i]); err != nil {
-			t.Fatalf("handle %d after the kill: %v", i, err)
-		}
-		if !sameStats(dst[i], stages[i].Collect()) {
-			t.Errorf("handle %d: merged snapshot diverged after the kill", i)
+		if err := h.CollectDeltaInto(&dst[i]); !errors.Is(err, errKilled) {
+			t.Errorf("handle %d after the kill: err = %v, want the kill's error", i, err)
 		}
 	}
 }

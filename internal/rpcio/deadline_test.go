@@ -12,8 +12,9 @@ import (
 )
 
 // deadlineFixture serves a stage behind wrap(listener) and returns a
-// transport on clk whose calls do not retry.
-func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap func(net.Listener) net.Listener) *frameTransport {
+// dial: each call opens a transport of its own to it, with its
+// deadlines on clk.
+func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap func(net.Listener) net.Listener) func() *frameTransport {
 	t.Helper()
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -21,11 +22,16 @@ func deadlineFixture(t *testing.T, clk clock.Clock, timeout time.Duration, wrap 
 		t.Fatal(err)
 	}
 	t.Cleanup(ServeStage(wrap(l), stg))
-	cfg := defaultDialConfig()
-	cfg.clk, cfg.timeout, cfg.delays = clk, timeout, nil
-	tr := newFrameTransport(l.Addr().String(), cfg, dialTCP(l.Addr().String(), cfg.dialTO))
-	t.Cleanup(func() { _ = tr.Close() })
-	return tr
+	addr := l.Addr().String()
+	return func() *frameTransport {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := newFrameTransport(addr, dialConfig{clk: clk, timeout: timeout}, conn, newFrameReader())
+		t.Cleanup(func() { _ = tr.Close() })
+		return tr
+	}
 }
 
 // collectFrame assembles a Stage.Batch collect in call's write buffer,
@@ -102,8 +108,9 @@ func (c *writeSignalConn) Write(p []byte) (int, error) {
 // from the send, its timer is armed only while a wait is actually
 // blocked — never for a reply that is already in the socket — for what
 // is left of the deadline, expires exactly when the clock reaches it,
-// kills the connection, and each connection makes its timer once and
-// re-arms it for every exchange.
+// kills the connection — the next exchange goes over a fresh transport —
+// and each connection makes its timer once and re-arms it for every
+// exchange.
 func TestCallDeadlineOnSimClock(t *testing.T) {
 	const timeout = 150 * time.Millisecond
 	clk := clock.NewSim(epoch)
@@ -111,18 +118,15 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 	// Every second reply the server writes on a connection is swallowed;
 	// every one it does write is signalled.
 	written := make(chan struct{}, 16)
-	tr := deadlineFixture(t, counted, timeout, func(l net.Listener) net.Listener {
+	dial := deadlineFixture(t, counted, timeout, func(l net.Listener) net.Listener {
 		return &FlakyListener{Listener: &writeSignalListener{Listener: l, written: written}, Flaky: Flakiness{DropEvery: 2}}
 	})
-	call := &tr.call
+	tr := dial()
 	exchange := func() (*frameConn, chan error) {
-		fc, err := tr.ensureConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectFrame(t, call)
+		tr, fc := tr, tr.fc
+		collectFrame(t, &tr.call)
 		done := make(chan error, 1)
-		go func() { done <- roundTrip(tr, fc, call) }()
+		go func() { done <- roundTrip(tr, fc, &tr.call) }()
 		return fc, done
 	}
 	answered := func(step string) {
@@ -132,8 +136,8 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 			t.Fatalf("%s: %v", step, err)
 		}
 		<-written
-		if call.kind != frameReply || fc.isDead() {
-			t.Fatalf("%s: kind %d, connection dead %v", step, call.kind, fc.isDead())
+		if tr.call.kind != frameReply || fc.cause() != nil {
+			t.Fatalf("%s: kind %d, connection killed by %v", step, tr.call.kind, fc.cause())
 		}
 		if n := clk.PendingWaiters(); n != 0 {
 			t.Fatalf("%s: %d waiters left on the clock by a finished call", step, n)
@@ -157,20 +161,18 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "deadline") {
 			t.Fatalf("%s: err = %v, want the deadline error", step, err)
 		}
-		if !fc.isDead() {
+		if fc.cause() == nil {
 			t.Fatalf("%s: a timed-out call left its connection alive", step)
 		}
 		if n := clk.PendingWaiters(); n != 0 {
 			t.Fatalf("%s: %d waiters left on the clock", step, n)
 		}
+		tr = dial()
 	}
 
 	// A reply that is in the socket before the second half asks for it
 	// costs no timer at all.
-	fc, err := tr.ensureConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc, call := tr.fc, &tr.call
 	collectFrame(t, call)
 	call.m = methodBatch
 	if err := tr.send(fc, call); err != nil {
@@ -192,10 +194,11 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 		t.Fatalf("late gather parked its deadline at %v, want send+%v", d, timeout)
 	}
 	clk.Advance(timeout - timeout/3)
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "deadline") || !fc.isDead() {
-		t.Fatalf("late gather: err = %v, connection dead %v", err, fc.isDead())
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "deadline") || fc.cause() == nil {
+		t.Fatalf("late gather: err = %v, connection killed by %v", err, fc.cause())
 	}
 
+	tr = dial()
 	answered("first exchange")
 	timedOut("second exchange (reply dropped)")
 	answered("first exchange after the timeout") // fresh connection, fresh timer
@@ -211,10 +214,7 @@ func TestCallDeadlineOnSimClock(t *testing.T) {
 // on the clock, and only then starts waiting for it.
 func exchangeSentAgo(t *testing.T, tr *frameTransport, call *frameCall, clk *clock.Sim, ago time.Duration) (*frameConn, chan error) {
 	t.Helper()
-	fc, err := tr.ensureConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc := tr.fc
 	collectFrame(t, call)
 	call.m = methodBatch
 	if err := tr.send(fc, call); err != nil {
@@ -290,14 +290,10 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 	clk := &lateClock{Clock: clock.NewReal(), release: release, written: written}
 	tr := deadlineFixture(t, clk, time.Hour, func(l net.Listener) net.Listener {
 		return &heldListener{Listener: l, release: release, written: written}
-	})
-	call := &tr.call
+	})()
+	fc, call := tr.fc, &tr.call
 	const exchanges = 8
 	for i := 0; i < exchanges; i++ {
-		fc, err := tr.ensureConn()
-		if err != nil {
-			t.Fatal(err)
-		}
 		collectFrame(t, call)
 		if err := roundTrip(tr, fc, call); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
@@ -306,7 +302,7 @@ func TestReplyThatRacesTheDeadlineWins(t *testing.T) {
 		if err := readCallReply(methodBatch, call.buf, &reply); err != nil || reply.Delta.Info.StageID != "s1" {
 			t.Fatalf("exchange %d: reply %+v, err %v", i, reply, err)
 		}
-		if fc.isDead() {
+		if fc.cause() != nil {
 			t.Fatalf("exchange %d: a reply that won its deadline killed its connection", i)
 		}
 	}
@@ -360,13 +356,13 @@ func TestDeadlineOnOneHandleSparesAnother(t *testing.T) {
 			written := make(chan struct{}, 1)
 			t.Cleanup(ServeStage(&firstMutedListener{Listener: &writeSignalListener{Listener: l, written: written}}, stg))
 			clk := clock.NewSim(epoch)
-			muted, err := DialStage(l.Addr().String(), WithHandleClock(clk), withCallTimeout(timeout), withDelays())
+			muted, err := DialStage(l.Addr().String(), WithHandleClock(clk), withCallTimeout(timeout))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { _ = muted.Close() }()
 			counted := &armCounter{Clock: clock.NewSim(epoch)}
-			opts := []DialOption{WithHandleClock(counted), withDelays()}
+			opts := []DialOption{WithHandleClock(counted)}
 			if sameClock {
 				counted.Clock = clk
 				opts = append(opts, withCallTimeout(timeout))

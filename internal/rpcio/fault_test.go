@@ -2,10 +2,10 @@ package rpcio
 
 import (
 	"errors"
-	"math/rand"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,87 +17,16 @@ import (
 	"padll/internal/stage"
 )
 
-// withCallTimeout, withDialTimeout and withDelays set what a stage
-// handle's production dial fixes (DefaultCallTimeout, 0 for none;
-// DefaultDialTimeout; retryDelays): tests shorten them.
+// withCallTimeout and withDialTimeout set what a stage handle's
+// production dial fixes (DefaultCallTimeout, 0 for none;
+// DefaultDialTimeout): tests shorten them.
 func withCallTimeout(d time.Duration) DialOption { return func(c *dialConfig) { c.timeout = d } }
 
 func withDialTimeout(d time.Duration) DialOption { return func(c *dialConfig) { c.dialTO = d } }
 
-// withDelays sets the retry sleeps; none means one attempt.
-func withDelays(d ...time.Duration) DialOption { return func(c *dialConfig) { c.delays = d } }
-
-// randomDelays draws a retry schedule of zero to five sleeps.
-func randomDelays(rng *rand.Rand) []time.Duration {
-	delays := make([]time.Duration, rng.Intn(6))
-	for i := range delays {
-		delays[i] = time.Duration(1+rng.Intn(200)) * time.Millisecond
-	}
-	return delays
-}
-
-// sleepRecorder is a clock whose Sleep returns at once and records what
-// it was asked to sleep: a retry loop runs to completion on the calling
-// goroutine, and the test reads the schedule it walked.
-type sleepRecorder struct {
-	clock.Clock
-	mu    sync.Mutex
-	slept []time.Duration
-}
-
-func newSleepRecorder() *sleepRecorder { return &sleepRecorder{Clock: clock.NewSim(epoch)} }
-
-func (c *sleepRecorder) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.slept = append(c.slept, d)
-	c.mu.Unlock()
-}
-
-func (c *sleepRecorder) take() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.slept
-	c.slept = nil
-	return out
-}
-
-// TestRetrySleepsAreTheBackoffSchedule: whatever the schedule, a
-// blocking exchange whose every attempt fails sleeps exactly its
-// delays, in order, and a second one on the same handle starts the
-// schedule over. The production schedule is one of the schedules run.
-func TestRetrySleepsAreTheBackoffSchedule(t *testing.T) {
-	// A port nothing listens on: every attempt fails at the dial.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := l.Addr().String()
-	_ = l.Close()
-
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 40; i++ {
-		cfg := defaultDialConfig() // the production schedule first
-		if i > 0 {
-			cfg.delays = randomDelays(rng)
-		}
-		want := cfg.delays
-		clk := newSleepRecorder()
-		cfg.clk = clk
-		h := newStageHandle(newFrameTransport(dead, cfg, dialTCP(dead, cfg.dialTO)))
-		for exchange := 0; exchange < 2; exchange++ {
-			if _, err := collect(h); err == nil {
-				t.Fatalf("%v: a collect from a dead port succeeded", want)
-			}
-			if got := clk.take(); !slices.Equal(got, want) {
-				t.Fatalf("exchange %d slept %v, want %v", exchange, got, want)
-			}
-		}
-		_ = h.Close()
-	}
-}
-
 // flakyServedStage serves a stage behind a FlakyListener and returns a
-// hardened handle with fast timeouts, plus the listener counting its accepted connections.
+// handle dialed to it with opts, plus the listener counting its
+// accepted connections.
 func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage.Stage, *StageHandle, *countingListener) {
 	t.Helper()
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
@@ -108,12 +37,7 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 	cl := &countingListener{Listener: l}
 	stop := ServeStage(&FlakyListener{Listener: cl, Flaky: flaky}, stg)
 	t.Cleanup(stop)
-	base := []DialOption{
-		withCallTimeout(150 * time.Millisecond),
-		withDialTimeout(time.Second),
-		withDelays(5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 20*time.Millisecond),
-	}
-	h, err := DialStage(l.Addr().String(), append(base, opts...)...)
+	h, err := DialStage(l.Addr().String(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,26 +49,23 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 }
 
 // TestCallDeadlineRecoversFromDroppedResponses: the stage applies every
-// request, and every second reply on a connection is lost without a
-// word — the read awaiting it waits as on a silent socket — so the
-// client must hit its per-call deadline, redial and retry. The handle
-// runs in process on a simulated clock, which the test steps through
-// each deadline and the retry sleep after it.
+// request, and every second reply is lost without a word — the read
+// awaiting it waits as on a silent socket — so that exchange fails at
+// its deadline, and the next one, over the same in-memory conn, is
+// answered: a lost reply costs its own exchange one deadline and
+// nothing more, with no sleep and no second conn. The handle runs on a
+// simulated clock, which the test steps through each deadline.
 func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
-	const timeout = 150 * time.Millisecond
+	const timeout = DefaultCallTimeout
 	clk := clock.NewSim(epoch)
 	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
-	cfg := defaultDialConfig()
-	cfg.clk, cfg.timeout, cfg.delays = clk, timeout, []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}
-	h := newStageHandle(newFrameTransport("s1", cfg, func() (net.Conn, error) {
-		requests := 0
-		return newMemConn(svc, func([]StageOp, bool) error {
-			if requests++; requests%2 == 0 {
-				return ReplyLost{}
-			}
-			return nil
-		}), nil
-	}))
+	requests := 0
+	h := LocalStage(svc, clk, func([]StageOp, bool) error {
+		if requests++; requests%2 == 0 {
+			return ReplyLost{}
+		}
+		return nil
+	})
 	defer func() { _ = h.Close() }()
 	for i := 0; i < 6; i++ {
 		done := make(chan error, 1)
@@ -152,15 +73,26 @@ func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
 			_, err := ping(h)
 			done <- err
 		}()
-		if i > 0 { // the connection's second reply is lost
+		lost := i%2 == 1
+		if lost {
 			clk.BlockUntil(1) // the read waits on its deadline
 			clk.Advance(timeout)
-			clk.BlockUntil(1) // the retry sleep
-			clk.Advance(cfg.delays[0])
 		}
-		if err := <-done; err != nil {
+		switch err := <-done; {
+		case lost && (err == nil || !strings.Contains(err.Error(), "deadline")):
+			t.Fatalf("Ping %d, its reply lost: err = %v, want its deadline", i, err)
+		case !lost && err != nil:
 			t.Fatalf("Ping %d: %v", i, err)
 		}
+		if n := clk.PendingWaiters(); n != 0 {
+			t.Fatalf("Ping %d left %d waiters on the clock: nothing but the deadline may wait", i, n)
+		}
+	}
+	if served := svc.Served().Calls; served != 6 {
+		t.Errorf("stage served %d calls, want every one of the 6, each once", served)
+	}
+	if elapsed := clk.Now().Sub(epoch); elapsed != 3*timeout {
+		t.Errorf("six pings took %v of clock, want three deadlines (%v)", elapsed, 3*timeout)
 	}
 }
 
@@ -189,20 +121,99 @@ func TestCloseReleasesASilentInProcessExchange(t *testing.T) {
 	}
 }
 
-func TestRedialAfterConnectionDeath(t *testing.T) {
-	// The server side kills each connection after 6 chunks; the handle
-	// must keep succeeding by redialing. FlakyConn counts a chunk per
-	// Read and per Write call, and the server reads a whole request
-	// through its receive buffer, so an exchange is two chunks — read,
-	// write — and the script is R W R W R W, then the seventh chunk (the
-	// read for a fourth request) kills the connection: three pings per
-	// connection, four connections for the ten below. (When the server
-	// read header and payload separately an exchange was three chunks,
-	// and the same script allowed two pings per connection.) The server
-	// closes a connection while it is idle, so the next exchange finds
-	// it closed only once its request is written: it redials and sends
-	// again at once, without a retry — the handle's clock may be one
-	// nobody advances, whose retry sleep would never end.
+// TestInjectedFaultFailsOneExchange: on an in-memory conn, each kind of
+// injected fault — a refusal, a reply lost with an error, a reply lost
+// without a word on a simulated clock — fails its own exchange and
+// nothing else: the next exchange on the same handle, over the same
+// conn, is answered. A lost collect reply leaves the handle's
+// acknowledgment stale — the stage applied the collect it never saw
+// answered — so the collect after it is a full resync, and converges
+// with the stage. Only the stage hanging up ends the conn: every later
+// exchange fails with that first cause.
+func TestInjectedFaultFailsOneExchange(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
+	var verdict error
+	h := LocalStage(NewStageService(stg), clk, func([]StageOp, bool) error {
+		v := verdict
+		verdict = nil
+		return v
+	})
+	defer func() { _ = h.Close() }()
+	fc := h.t.fc
+
+	var merged stage.Stats
+	if err := h.CollectDeltaInto(&merged); err != nil { // first contact: full
+		t.Fatal(err)
+	}
+	errRefused, errLost := errors.New("injected refusal"), errors.New("injected reply loss")
+	for i, tc := range []struct {
+		name     string
+		verdict  error
+		silent   bool // the read waits for the deadline
+		wantErr  error
+		wantFull bool // the stage applied the lost collect: the next is a full resync
+	}{
+		{"refusal", errRefused, false, errRefused, false},
+		{"reply lost with an error", ReplyLost{Err: errLost}, false, errLost, true},
+		{"reply lost without a word", ReplyLost{}, true, nil, true},
+	} {
+		stg.ApplyRule(policy.Rule{ID: fmt.Sprintf("r%d", i), Rate: float64(100 * (i + 1))})
+		verdict = tc.verdict
+		done := make(chan error, 1)
+		go func() { done <- h.CollectDeltaInto(&merged) }()
+		if tc.silent {
+			clk.BlockUntil(1) // the read waits on its deadline
+			clk.Advance(DefaultCallTimeout)
+		}
+		err := <-done
+		switch {
+		case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		case tc.wantErr == nil && (err == nil || !strings.Contains(err.Error(), "deadline")):
+			t.Fatalf("%s: err = %v, want the deadline", tc.name, err)
+		case fc.cause() != nil:
+			t.Fatalf("%s: the fault ended the conn: %v", tc.name, fc.cause())
+		}
+
+		fulls, deltas := h.CollectCounts()
+		if err := h.CollectDeltaInto(&merged); err != nil {
+			t.Fatalf("%s: the exchange after the fault: %v", tc.name, err)
+		}
+		if !sameStats(merged, stg.Collect()) {
+			t.Errorf("%s: merged snapshot diverged after the fault:\n got: %+v\nwant: %+v", tc.name, merged, stg.Collect())
+		}
+		f, d := h.CollectCounts()
+		if gotFull := f == fulls+1 && d == deltas; gotFull != tc.wantFull || f+d != fulls+deltas+1 {
+			t.Errorf("%s: the collect after the fault moved fulls %d→%d, deltas %d→%d; want a full resync %v",
+				tc.name, fulls, f, deltas, d, tc.wantFull)
+		}
+	}
+
+	verdict = io.EOF
+	_, first := ping(h)
+	if !errors.Is(first, ErrDeparted) {
+		t.Fatalf("a hang-up: err = %v, want ErrDeparted", first)
+	}
+	if _, err := ping(h); err != first {
+		t.Errorf("after the hang-up: err = %v, want the first cause %v", err, first)
+	}
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Errorf("%d waiters left on the clock", n)
+	}
+}
+
+// TestConnectionDeathEndsTheHandle: the server side kills the
+// connection after 6 chunks. FlakyConn counts a chunk per Read and per
+// Write call, and the server reads a whole request through its receive
+// buffer, so an exchange is two chunks — read, write — and the script
+// is R W R W R W: three pings are answered, then the seventh chunk (the
+// read of the fourth request) closes the connection. The fourth ping
+// finds the stage gone (ErrDeparted), and every later one fails at once
+// with that first cause: the handle never dials again, so the listener
+// accepts one connection in all. On a clock nobody advances a sleep
+// would never end, so the failures cannot have waited on the clock.
+func TestConnectionDeathEndsTheHandle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []DialOption
@@ -212,13 +223,22 @@ func TestRedialAfterConnectionDeath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, h, l := flakyServedStage(t, Flakiness{FailAfter: 6}, tc.opts...)
-			for i := 0; i < 10; i++ {
+			for i := 0; i < 3; i++ {
 				if _, err := ping(h); err != nil {
 					t.Fatalf("Ping %d: %v", i, err)
 				}
 			}
-			if got := l.accepted.Load(); got != 4 {
-				t.Errorf("ten pings used %d connections, want 4 at three exchanges each", got)
+			_, first := ping(h)
+			if !errors.Is(first, ErrDeparted) {
+				t.Fatalf("Ping 3 over the killed connection: err = %v, want ErrDeparted", first)
+			}
+			for i := 4; i < 10; i++ {
+				if _, err := ping(h); err != first {
+					t.Fatalf("Ping %d: err = %v, want the first cause %v", i, err, first)
+				}
+			}
+			if got := l.accepted.Load(); got != 1 {
+				t.Errorf("ten pings used %d connections, want 1: a handle never dials again", got)
 			}
 		})
 	}
@@ -275,9 +295,9 @@ func TestHandleRunsNoGoroutine(t *testing.T) {
 }
 
 func TestDuplicatedResponsesDoNotBreakCalls(t *testing.T) {
-	// A duplicated response either desynchronizes the frame stream or is
-	// discarded as an unknown stream ID; calls must keep succeeding via
-	// redial either way.
+	// Every response arrives twice: the duplicate carries a stream ID
+	// the next exchange does not await, so it is discarded, and calls
+	// keep succeeding over the one connection.
 	stg, h, _ := flakyServedStage(t, Flakiness{DupEvery: 1})
 	if err := applyRule(h, policy.Rule{ID: "cap", Rate: 100}); err != nil {
 		t.Fatal(err)
@@ -292,6 +312,10 @@ func TestDuplicatedResponsesDoNotBreakCalls(t *testing.T) {
 	}
 }
 
+// TestCallsFailFastAfterBudgetAgainstDeadPeer: a peer that dies for
+// good — its connection closed, its listener gone — is a departure the
+// next exchange sees at once, well inside its deadline, with no retry
+// to spend; every later exchange fails with that same cause.
 func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -303,10 +327,7 @@ func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 			accepted <- c
 		}
 	}()
-	h, err := DialStage(l.Addr().String(),
-		withCallTimeout(100*time.Millisecond),
-		withDialTimeout(200*time.Millisecond),
-		withDelays(time.Millisecond, 2*time.Millisecond))
+	h, err := DialStage(l.Addr().String(), withCallTimeout(time.Minute), withDialTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +336,12 @@ func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 	_ = (<-accepted).Close()
 	_ = l.Close()
 
-	start := time.Now()
-	if _, err := ping(h); err == nil {
-		t.Fatal("Ping against a dead stage succeeded")
+	_, first := ping(h)
+	if !errors.Is(first, ErrDeparted) {
+		t.Fatalf("Ping against a dead stage: err = %v, want ErrDeparted before its deadline", first)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("failure took %v; deadline/backoff budget not honored", elapsed)
+	if _, err := ping(h); err != first {
+		t.Errorf("second Ping: err = %v, want the first cause %v", err, first)
 	}
 }
 

@@ -24,9 +24,9 @@ type Flakiness struct {
 	// the peer keeps waiting for a message that never arrives, which is
 	// what per-call deadlines exist to catch.
 	DropEvery int
-	// DupEvery writes every Nth chunk twice (0 = never). The duplicate
-	// desynchronizes the frame stream — the client sees a framing or
-	// decode error and must redial.
+	// DupEvery writes every Nth chunk twice (0 = never). Both peers
+	// write one whole frame per Write, so the duplicate is a whole frame
+	// on a stream the reader no longer awaits, which it drops.
 	DupEvery int
 	// DelayEvery sleeps Delay before every Nth written chunk (0 = never).
 	DelayEvery int

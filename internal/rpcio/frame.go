@@ -1,14 +1,15 @@
 // Client half of the frame transport.
 //
-// Every transport owns one connection to a single-service endpoint (a
-// stage's control service, or the registrar): TCP — dialed by the
-// transport, or the one a stage dialed to register — or an in-memory
-// conn to a stage in this process (transport.go). The exchange in flight
-// is the connection's one writer and its one reader: no goroutine runs
-// per connection. A request frame names a stream — a
-// per-connection sequence number the reply echoes — and a reply frame
-// on any other stream (a duplicate from a flaky wire, a straggler from
-// a timed-out call) is consumed and dropped, never misdelivered.
+// Every transport runs over exactly one connection to a single-service
+// endpoint (a stage's control service, or the registrar), which it gets
+// at construction and never replaces: TCP — the one a stage dialed to
+// register, or the one DialStage opens — or an in-memory conn to a stage
+// in this process (transport.go). The exchange in flight is the
+// connection's one writer and its one reader: no goroutine runs per
+// connection. A request frame names a stream — a per-connection
+// sequence number the reply echoes — and a reply frame on any other
+// stream (a duplicate from a flaky wire, a straggler from a timed-out
+// call) is consumed and dropped, never misdelivered.
 //
 // An exchange is two halves (frameTransport.Start, Finish). The
 // first encodes the frame and writes it with one Write, so fault
@@ -19,14 +20,14 @@
 // connections: Finish takes what the connection holds without waiting
 // (its look) and blocks in a read only when the reply is not there yet
 // — under what is left of the deadline, counted from the send on the
-// transport's clock, whose timer releases the read (see wait). A
-// timeout or I/O error kills the connection and the next call redials
-// (an adopted connection is never redialed: the stage dials again, and
-// its close is the stage's departure, ErrDeparted); a blocking exchange
-// (Exec) separates its attempts by the fixed retry schedule
-// (retryDelays; an adopted connection and an in-process handle have
-// none), and a RemoteError — the peer's application error — is never
-// retried.
+// transport's clock, whose timer releases the read (see wait). Over TCP
+// a timeout or an I/O error kills the connection, and with it the
+// handle: every later exchange fails at once with the first cause, and
+// a peer that hung up has left (ErrDeparted) — a stage that lost its
+// registration dials again, and the controller gets a new handle. An
+// in-memory conn outlives an injected fault (see frameConn.fail). A
+// RemoteError — the peer's application error — leaves the connection
+// as it is.
 package rpcio
 
 import (
@@ -60,25 +61,22 @@ type frameCall struct {
 	reply any
 }
 
-// frameConn is one transport's connection. Everything but dead and err
-// belongs to the exchange in flight; a kill may come from any goroutine.
+// frameConn is one transport's connection. Everything but err belongs
+// to the exchange in flight; a kill may come from any goroutine.
 type frameConn struct {
 	conn net.Conn
 	in   frameReader
 	mem  *memConn // set for an in-memory conn, which looks itself; else peek
 	peek rawPeek
-	// stream is the last stream ID sent; answered is whether the
-	// connection has answered an exchange, which an idle close needs.
-	stream   uint64
-	answered bool
+	// stream is the last stream ID sent.
+	stream uint64
 	// deadline releases a read blocked past the call's deadline; fired
 	// receives once its function has moved the read deadline.
 	deadline clock.FuncTimer
 	fired    chan struct{}
 
-	mu   sync.Mutex
-	dead bool
-	err  error
+	mu  sync.Mutex
+	err error // what killed the connection; nil while it lives
 }
 
 // expire is the deadline timer's function: it releases the blocked read.
@@ -87,25 +85,38 @@ func (fc *frameConn) expire() {
 	fc.fired <- struct{}{}
 }
 
-// kill tears the connection down once: marks it dead and closes the
-// socket, which releases a read blocked on it, so the next call dials
-// fresh.
+// kill tears the connection down once, recording why, and closes the
+// socket, which releases a read blocked on it.
 func (fc *frameConn) kill(err error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if !fc.dead {
-		fc.dead, fc.err = true, err
+	if fc.err == nil {
+		fc.err = err
 		// The connection is being discarded; its close error is subsumed
 		// by the error that killed it.
 		_ = fc.conn.Close()
 	}
 }
 
-// fail kills the connection with err and returns the error that killed
-// it: err, unless a kill from elsewhere got there first.
+// fail is the outcome of an exchange that failed with err. A
+// RemoteError is the peer's answer over a working wire and leaves the
+// connection alone. Over TCP any other failure kills the connection
+// for good. An in-memory conn outlives an injected fault — a refusal, a
+// lost reply, a deadline on a silent one — which fails only its own
+// exchange: only the stage hanging up (ErrDeparted) or a Close ends
+// it. The error returned is the one that killed the connection, if one
+// did (a kill from elsewhere may have got there first), else err.
 func (fc *frameConn) fail(err error) error {
-	fc.kill(err)
-	return fc.cause()
+	if !Retryable(err) {
+		return err
+	}
+	if fc.mem == nil || errors.Is(err, ErrDeparted) {
+		fc.kill(err)
+	}
+	if cause := fc.cause(); cause != nil {
+		return cause
+	}
+	return err
 }
 
 // cause is the error that killed the connection (nil while it lives).
@@ -113,12 +124,6 @@ func (fc *frameConn) cause() error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	return fc.err
-}
-
-func (fc *frameConn) isDead() bool {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.dead
 }
 
 // look reads what the connection holds without waiting: errWouldBlock
@@ -180,39 +185,46 @@ func (fr *frameReader) add(n int, err error) error {
 // errWouldBlock is a look's answer when the socket holds nothing.
 var errWouldBlock = errors.New("rpcio: nothing to read")
 
-// ErrDeparted is a registered stage's departure as its controller sees
-// it: the stage closed the connection it registered on, as a stage
-// process does when it exits or dies, and a stage in process (an
-// in-memory conn) when its job ends. Every later exchange on the handle
-// fails with it too.
+// ErrDeparted is a stage's departure as its handle sees it: the stage
+// closed the handle's connection — the one it registered on, as a stage
+// process does when it exits or dies, or one DialStage opened — or, in
+// process (an in-memory conn), hung up when its job ended. Every later
+// exchange on the handle fails with it too.
 var ErrDeparted = errors.New("rpcio: the stage hung up")
 
 // frameTransport runs one exchange at a time — Finish follows every Start
-// before the next Start (StageHandle's busy flag) — over its own
-// frameConn, redialed whenever the last one died, unless the transport
-// adopted a connection its peer dialed (dial is nil), whose death is
-// final. Retry, WireStats and Close are safe for concurrent use.
+// before the next Start (StageHandle's busy flag) — over the one
+// frameConn it was built with. WireStats and Close are safe for
+// concurrent use.
 type frameTransport struct {
 	addr string
 	dialConfig
-	dial func() (net.Conn, error)
+	fc *frameConn
 
 	calls        atomic.Uint64
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
 
-	mu     sync.Mutex
-	fc     *frameConn
-	closed bool
-	done   chan struct{} // closed by Close
+	closeOnce sync.Once
+	done      chan struct{} // closed by Close
 
 	// call is the transport's one exchange: every Start/Finish pair uses
 	// it in turn.
 	call frameCall
 }
 
-func newFrameTransport(addr string, cfg dialConfig, dial func() (net.Conn, error)) *frameTransport {
-	return &frameTransport{addr: addr, dialConfig: cfg, dial: dial, done: make(chan struct{})}
+// newFrameTransport runs over conn, whose receive buffer in may already
+// hold bytes. Its exchanges reuse the buffer, the look and the deadline
+// timer built here.
+func newFrameTransport(addr string, cfg dialConfig, conn net.Conn, in frameReader) *frameTransport {
+	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1)}
+	if fc.mem, _ = conn.(*memConn); fc.mem == nil {
+		fc.peek.init(conn.(syscall.Conn)) // TCP
+	}
+	if cfg.timeout > 0 {
+		fc.deadline = cfg.clk.NewFuncTimer(fc.expire)
+	}
+	return &frameTransport{addr: addr, dialConfig: cfg, fc: fc, done: make(chan struct{})}
 }
 
 // WireStats reports cumulative traffic accounting.
@@ -220,77 +232,11 @@ func (t *frameTransport) WireStats() WireStats {
 	return WireStats{Calls: t.calls.Load(), BytesRead: t.bytesRead.Load(), BytesWritten: t.bytesWritten.Load()}
 }
 
-func (t *frameTransport) errClosed() error {
-	return fmt.Errorf("rpcio: stage %s: connection closed", t.addr)
-}
-
-// dialTCP is the dialer of a transport to the TCP endpoint addr.
-func dialTCP(addr string, timeout time.Duration) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
-		}
-		return conn, nil
-	}
-}
-
-// newFrameConn builds what a connection's exchanges reuse: the receive
-// buffer in (which may already hold bytes), the look and the deadline
-// timer.
-func (t *frameTransport) newFrameConn(conn net.Conn, in frameReader) *frameConn {
-	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1)}
-	if fc.mem, _ = conn.(*memConn); fc.mem == nil {
-		fc.peek.init(conn.(syscall.Conn)) // TCP
-	}
-	if t.timeout > 0 {
-		fc.deadline = t.clk.NewFuncTimer(fc.expire)
-	}
-	return fc
-}
-
 // adoptStage returns a handle on a connection a stage dialed (the
 // registrar hands over the one a stage registered on) and on what its
-// receive buffer in already holds. The handle never redials: once the
-// connection dies every exchange fails in transport, and a retry would
-// only fail the same way, so it has no retry schedule either.
+// receive buffer in already holds.
 func adoptStage(conn net.Conn, in frameReader) *StageHandle {
-	cfg := defaultDialConfig()
-	cfg.delays = nil
-	t := newFrameTransport(conn.RemoteAddr().String(), cfg, nil)
-	t.fc = t.newFrameConn(conn, in)
-	return newStageHandle(t)
-}
-
-// ensureConn returns the transport's live connection, dialing a fresh
-// one when the previous died (an adopted connection's death is final).
-// Only the goroutine running the exchange calls it, so two dials never
-// race; a Close racing a dial wins, and the fresh connection is closed.
-func (t *frameTransport) ensureConn() (*frameConn, error) {
-	t.mu.Lock()
-	fc, closed := t.fc, t.closed
-	t.mu.Unlock()
-	switch {
-	case closed:
-		return nil, t.errClosed()
-	case fc != nil && !fc.isDead():
-		return fc, nil
-	case t.dial == nil:
-		return nil, fmt.Errorf("rpcio: stage %s: connection lost: %w", t.addr, fc.cause())
-	}
-	conn, err := t.dial()
-	if err != nil {
-		return nil, err
-	}
-	fc = t.newFrameConn(conn, newFrameReader())
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		fc.kill(t.errClosed())
-		return nil, t.errClosed()
-	}
-	t.fc = fc
-	return fc, nil
+	return newStageHandle(newFrameTransport(conn.RemoteAddr().String(), defaultDialConfig(), conn, in))
 }
 
 // frameStart resets b to a frame assembly buffer: empty payload after a
@@ -303,8 +249,7 @@ func frameStart(b []byte) []byte {
 // send is a call's first half on the wire: it writes the frame
 // assembled in c.wbuf (a frameHeaderLen gap followed by the encoded
 // payload of method c.m; see frameStart) on a fresh stream, with one
-// Write. An error means the call is not in flight and the connection is
-// dead.
+// Write. An error means the call is not in flight.
 func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 	fc.stream++
 	frame := c.wbuf
@@ -321,7 +266,7 @@ func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 		if fc.mem == nil { // an in-memory conn's error is an injected fault's, or a close's
 			err = fmt.Errorf("rpcio: %s: write frame: %w", t.addr, err)
 		}
-		return fc.fail(err)
+		return err
 	}
 	t.calls.Add(1)
 	t.bytesWritten.Add(uint64(len(frame)))
@@ -332,14 +277,11 @@ func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 // await is a sent call's second half: it reads frames until the one on
 // the call's stream, which lands in c.kind and c.buf. Frames already
 // received come first, then what the socket holds; only when it holds
-// nothing does await block, under what is left of the deadline. On
-// timeout the connection is killed — a late reply would be discarded as
-// a straggler, but the connection can no longer be trusted to be timely.
-// A peer that closed the connection while it was idle never saw the
-// request, so await sends it once more on a fresh connection — unless
-// the transport cannot dial its peer afresh (it adopted the connection
-// the stage registered on, or runs in memory to a stage in process): a
-// stage that hung up such a connection has left (ErrDeparted).
+// nothing does await block, under what is left of the deadline. A
+// timeout fails the exchange: over TCP it kills the connection — a late
+// reply would be discarded as a straggler, but the connection can no
+// longer be trusted to be timely. A peer that closed the connection has
+// left (ErrDeparted).
 func (t *frameTransport) await(c *frameCall) error {
 	for fc := c.fc; ; {
 		h, payload, ok, err := fc.in.next()
@@ -350,12 +292,10 @@ func (t *frameTransport) await(c *frameCall) error {
 			if h.stream != fc.stream {
 				continue // a duplicate or a straggler
 			}
-			fc.answered = true
 			c.kind, c.buf = h.kind, payload
 			t.bytesRead.Add(uint64(frameHeaderLen + len(payload)))
 			return nil
 		}
-		idle := fc.answered && fc.in.r == fc.in.w
 		if err = fc.in.add(fc.look(fc.in.space())); err == errWouldBlock {
 			err = t.wait(fc, c)
 		}
@@ -364,17 +304,8 @@ func (t *frameTransport) await(c *frameCall) error {
 			continue
 		case err == errWouldBlock:
 			err = fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, c.m, t.timeout)
-		case hungUp(err) && (t.dial == nil || fc.mem != nil):
+		case hungUp(err):
 			err = fmt.Errorf("rpcio: stage %s: %w", t.addr, ErrDeparted)
-		case hungUp(err) && idle:
-			fc.kill(err)
-			if fc, err = t.ensureConn(); err == nil {
-				err = t.send(fc, c)
-			}
-			if err == nil {
-				continue
-			}
-			return err
 		case fc.mem == nil:
 			err = fmt.Errorf("rpcio: %s: read frame: %w", t.addr, err)
 		}
@@ -414,36 +345,27 @@ func (t *frameTransport) wait(fc *frameConn, c *frameCall) error {
 	return fc.in.add(fc.look(fc.in.space()))
 }
 
-// discard is the outcome of an attempt that failed on fc: a transport
-// error invalidates the connection, so the next attempt dials fresh.
-func discard(fc *frameConn, err error) error {
-	if Retryable(err) {
-		fc.kill(err)
-	}
-	return err
-}
-
-// Start is the first half of one attempt at method m: dial if the last
-// connection died, encode args (the pointer form of m's wire type),
-// write. reply belongs to the exchange until Finish; a failure leaves
-// its error in the call for Finish.
+// Start is the first half of one exchange of method m: encode args
+// (the pointer form of m's wire type) and write. reply belongs to the
+// exchange until Finish; a failure, or a connection that already died,
+// leaves its error in the call for Finish.
 func (t *frameTransport) Start(m methodID, args, reply any) {
-	c := &t.call
-	fc, err := t.ensureConn()
-	if err != nil {
+	c, fc := &t.call, t.fc
+	if err := fc.cause(); err != nil {
 		c.err = err
 		return
 	}
 	c.m, c.reply = m, reply
+	var err error
 	if c.wbuf, err = appendCallArgs(frameStart(c.wbuf), m, args); err == nil {
 		err = t.send(fc, c)
 	}
-	c.err = discard(fc, err)
+	c.err = fc.fail(err)
 }
 
 // Finish is the second half: read the reply, decode it into the reply
 // Start was given, and leave the call at rest for the next Start. A
-// transport error discards the connection.
+// failure is the connection's to judge (frameConn.fail).
 func (t *frameTransport) Finish() error {
 	c := &t.call
 	err := c.err // Start put nothing on the wire
@@ -459,37 +381,16 @@ func (t *frameTransport) Finish() error {
 				err = fmt.Errorf("rpcio: %s: unexpected frame kind %d", t.addr, c.kind)
 			}
 		}
-		err = discard(c.fc, err)
+		err = c.fc.fail(err)
 	}
 	c.err, c.fc, c.reply = nil, nil, nil
 	return err
 }
 
-// Retry separates the attempts of a blocking call: after the attempt-th
-// try (from 0) failed in transport it sleeps the retry schedule's next
-// delay and reports true, or false at once when the schedule is spent.
-func (t *frameTransport) Retry(attempt int) bool {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if attempt >= len(t.delays) || closed {
-		return false
-	}
-	t.clk.Sleep(t.delays[attempt])
-	return true
-}
-
 // Close kills the connection, releasing an exchange blocked on it;
-// subsequent calls fail.
+// subsequent calls fail with what killed it.
 func (t *frameTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.closed {
-		if t.fc != nil {
-			t.fc.kill(t.errClosed())
-		}
-		close(t.done)
-	}
-	t.closed, t.fc = true, nil
+	t.fc.kill(fmt.Errorf("rpcio: stage %s: connection closed", t.addr))
+	t.closeOnce.Do(func() { close(t.done) })
 	return nil
 }

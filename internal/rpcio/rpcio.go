@@ -9,7 +9,10 @@
 // starts (§III-B "orchestrating stages from the same job"). The
 // connection a stage registers on is the whole contract between the
 // two: the controller's rounds run over it, and are the stage's sign of
-// life (lifecycle.go); the stage leaves by closing it.
+// life (lifecycle.go); the stage leaves by closing it. A handle on a
+// stage runs over that one connection, or one DialStage opens, and
+// never dials again: when the connection dies the handle is done, and
+// the stage registers anew.
 package rpcio
 
 import (
@@ -168,21 +171,22 @@ const (
 	DefaultCallTimeout = 5 * time.Second
 )
 
-// retryDelays is what a stage handle sleeps between the attempts of a
-// blocking exchange that failed in transport: four attempts at
-// 50/100/200 ms keep transient blips invisible while a dead peer fails
-// in well under a second of sleeping. Every sleep runs on the handle's
-// clock, so a retry sequence is the same on every run under a simulated
-// one — the property the chaos scenarios assert.
+// retryDelays is the pace of a stage that lost its controller and
+// registers again (RetryDelay): 50, 100 and 200 ms, then 200 ms for
+// every later attempt, so a blip costs a stage a fraction of a second
+// while a controller that stays down is asked five times a second.
 var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 
 // StageHandle is the control plane's one link to a stage, layered over
-// the frame transport: frames with deadlines over TCP — on the
-// connection the stage registered on (ServeRegistrar), or on one
-// DialStage opens, with redial and a fixed retry schedule — or over an
-// in-memory conn to a stage in this process (LocalStage), where a Fault
-// injects failures. The handle owns the client half of the batched delta
-// protocol (Start/Finish/Exec/Reattempt in batch.go).
+// the frame transport and running over exactly one connection: frames
+// with deadlines over TCP — the connection the stage registered on
+// (ServeRegistrar), or the one DialStage opens — whose first failure
+// ends the handle for good, or an in-memory conn to a stage in this
+// process (LocalStage), where a Fault injects failures that fail one
+// exchange each. Nothing redials and nothing retries: a stage that
+// lost its handle registers again and the controller gets a new one.
+// The handle owns the client half of the batched delta protocol
+// (Start/Finish/Exec in batch.go).
 type StageHandle struct {
 	t *frameTransport
 
@@ -201,20 +205,22 @@ type StageHandle struct {
 	breply BatchReply
 }
 
-// DialStage connects to a stage's control service over TCP. The wire is
-// the versioned binary frame codec; the handle owns its connection
-// (redialed when it dies) and has at most one Stage.Batch exchange on
-// it at a time.
+// DialStage connects to a stage's control service over TCP, once. The
+// wire is the versioned binary frame codec; the handle owns its
+// connection, has at most one Stage.Batch exchange on it at a time, and
+// never redials: a deadline or an I/O error kills it for good, every
+// later exchange failing at once with that first cause, and a stage
+// that closes the connection has left (ErrDeparted).
 func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	cfg := defaultDialConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	t := newFrameTransport(addr, cfg, dialTCP(addr, cfg.dialTO))
-	if _, err := t.ensureConn(); err != nil {
-		return nil, err
+	conn, err := net.DialTimeout("tcp", addr, cfg.dialTO)
+	if err != nil {
+		return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
 	}
-	return newStageHandle(t), nil
+	return newStageHandle(newFrameTransport(addr, cfg, conn, newFrameReader())), nil
 }
 
 func newStageHandle(t *frameTransport) *StageHandle {
@@ -226,8 +232,7 @@ func newStageHandle(t *frameTransport) *StageHandle {
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 
-// Close tears down the transport; subsequent calls fail without
-// redialing.
+// Close tears down the connection; subsequent calls fail.
 func (h *StageHandle) Close() error { return h.t.Close() }
 
 // Done is closed once the handle is: the stage's link as the controller
@@ -362,8 +367,8 @@ func register(addr string, dialTO, callTO time.Duration, svc *StageService) (*Co
 // connection to the controller: the registration was answered.
 var errRegistered = errors.New("rpcio: registered")
 
-// RetryDelay is the retry schedule's sleep after the attempt-th failed
-// try (counting from 0), its last delay once the schedule runs out: the
+// RetryDelay is the sleep after a registration's attempt-th failed try
+// (counting from 0), the schedule's last delay once it runs out: the
 // pace of a stage that keeps re-registering after losing its
 // controller.
 func RetryDelay(attempt int) time.Duration {

@@ -23,7 +23,7 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := ServeStage(l, stg)
-	h, err := DialStage(l.Addr().String(), withDelays())
+	h, err := DialStage(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 
 	const timeout = 200 * time.Millisecond
 	clk := clock.NewSim(epoch)
-	b, err := DialStage(l.Addr().String(),
-		WithHandleClock(clk),
-		withCallTimeout(timeout),
-		withDelays())
+	b, err := DialStage(l.Addr().String(), WithHandleClock(clk), withCallTimeout(timeout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +91,18 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 		t.Fatal("second client served while the only slot was held")
 	}
 
-	// Releasing the slot lets the accept loop reach the queued client:
-	// its next call redials and is answered.
+	// Releasing the slot lets the accept loop go on: b's handle died at
+	// its deadline, and a client dialing now is answered.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ping(b); err != nil {
-		t.Fatalf("second client not served after the slot freed up: %v", err)
+	c, err := DialStage(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := ping(c); err != nil {
+		t.Fatalf("a client dialing after the slot freed up not served: %v", err)
 	}
 }
 
@@ -114,7 +116,7 @@ func TestStopRefusesLateConnections(t *testing.T) {
 	}
 	stop := ServeStage(l, stg)
 	stop()
-	if _, err := DialStage(l.Addr().String(), withDelays(), withDialTimeout(200*time.Millisecond)); err == nil {
+	if _, err := DialStage(l.Addr().String(), withDialTimeout(200*time.Millisecond)); err == nil {
 		t.Error("dial succeeded against a stopped server")
 	}
 }

@@ -4,6 +4,12 @@
 // thousand-stage benchmarks' — so the frame cutter, the gather and the
 // deadline timer of TCP's transport run in every simulated round, and a
 // Fault on the conn is where the simulator injects its failures.
+//
+// Where the simulation parts from TCP: an injected fault fails one
+// exchange and leaves the in-memory conn in service, so the next round
+// reaches the stage over the same handle. Over TCP a lost reply's
+// deadline kills the registration connection: the stage finds its link
+// dead, degrades, and registers again on a new one.
 package rpcio
 
 import (
@@ -19,16 +25,17 @@ import (
 	"padll/internal/clock"
 )
 
-// Retryable reports whether err is a failure of the wire (worth another
-// attempt) rather than the peer's answer: a RemoteError means the wire
-// worked and the stage itself refused, and retrying that is wrong.
+// Retryable reports whether err is a failure of the wire rather than
+// the peer's answer, a RemoteError: the wire worked and the peer itself
+// refused. A wire failure ends a TCP connection, and a registering
+// stage tries again after one; a refusal does neither.
 func Retryable(err error) bool {
 	_, remote := err.(RemoteError)
 	return err != nil && !remote
 }
 
 // WireStats is a transport's cumulative traffic accounting. Calls counts
-// requests written (retries too); bytes are exact frame bytes.
+// requests written; bytes are exact frame bytes.
 type WireStats struct {
 	Calls        uint64
 	BytesRead    uint64
@@ -36,27 +43,21 @@ type WireStats struct {
 }
 
 // dialConfig is what a frame transport runs on: the clock, the call
-// deadline (0: none), the dial deadline and the retry sleeps.
+// deadline (0: none) and DialStage's dial deadline.
 type dialConfig struct {
 	clk     clock.Clock
 	timeout time.Duration
 	dialTO  time.Duration
-	delays  []time.Duration
 }
 
 func defaultDialConfig() dialConfig {
-	return dialConfig{
-		clk:     clock.NewReal(),
-		timeout: DefaultCallTimeout,
-		dialTO:  DefaultDialTimeout,
-		delays:  retryDelays,
-	}
+	return dialConfig{clk: clock.NewReal(), timeout: DefaultCallTimeout, dialTO: DefaultDialTimeout}
 }
 
 // DialOption configures the transport behind a StageHandle.
 type DialOption func(*dialConfig)
 
-// WithHandleClock sets the clock deadlines and retry sleeps run on
+// WithHandleClock sets the clock the handle's call deadlines run on
 // (default: wall clock).
 func WithHandleClock(clk clock.Clock) DialOption {
 	return func(c *dialConfig) { c.clk = clk }
@@ -80,20 +81,18 @@ type ReplyLost struct{ Err error }
 func (e ReplyLost) Error() string { return fmt.Sprint("rpcio: reply lost: ", e.Err) }
 
 // LocalStage returns a handle on svc in process: its frames travel over
-// an in-memory conn, every request passing fault first, and its
+// one in-memory conn, every request passing fault first, and its
 // deadlines run on clk. With no fault nothing can lose a reply, so there
-// is no deadline to keep either. A dead conn is replaced at the next
-// exchange by a fresh one to svc; there is no retry schedule: a failed
-// exchange is the injected fault, not one to paper over.
+// is no deadline to keep either. A fault fails its own exchange and
+// nothing else: the next exchange goes over the same conn, which only
+// the stage hanging up (io.EOF) or Close ends.
 func LocalStage(svc *StageService, clk clock.Clock, fault Fault) *StageHandle {
 	cfg := defaultDialConfig()
-	cfg.clk, cfg.delays = clk, nil
+	cfg.clk = clk
 	if fault == nil {
 		cfg.timeout = 0
 	}
-	return newStageHandle(newFrameTransport(svc.stg.Info().StageID, cfg, func() (net.Conn, error) {
-		return newMemConn(svc, fault), nil
-	}))
+	return newStageHandle(newFrameTransport(svc.stg.Info().StageID, cfg, newMemConn(svc, fault), newFrameReader()))
 }
 
 // memConn is an in-memory connection to a stage service. A Write of a
@@ -141,8 +140,9 @@ func (c *memConn) Write(b []byte) (int, error) {
 	case !ok || in.r != len(b) || h.kind != frameRequest || c.off < len(c.out):
 		return 0, errors.New("rpcio: an in-memory write must be one whole request frame, after the last reply was read")
 	}
-	// The fault sees the args handleCall decodes, before the stage does.
-	c.srv.verdict = nil
+	// The fault sees the args handleCall decodes, before the stage does;
+	// the last exchange's verdict is spent.
+	c.srv.verdict, c.lost = nil, nil
 	reply := c.target.answer(&c.srv, h, payload)
 	switch lost, isLost := c.srv.verdict.(ReplyLost); {
 	case isLost:

@@ -101,8 +101,8 @@ const (
 	frameRequest uint8 = 1
 	frameReply   uint8 = 2
 	// frameError carries a service-side application error as a string
-	// payload: the wire worked and the peer answered, so transports do
-	// not retry it.
+	// payload: the wire worked and the peer answered, so the connection
+	// stays in service.
 	frameError uint8 = 3
 )
 
@@ -664,7 +664,7 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 
 // RemoteError is a service-side application error carried back over a
 // frame connection: the wire worked, the stage answered, and the answer
-// was "no". Transports return it to the caller and never retry it.
+// was "no". Transports return it to the caller and keep the connection.
 type RemoteError string
 
 // Error implements error.

@@ -1,6 +1,7 @@
 package rpcio
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -300,8 +301,9 @@ func TestEmptyDeltaEncodesSmall(t *testing.T) {
 // the first handle's collects alternate between deltas and full
 // resyncs. Every snapshot must equal the direct one. Halfway through,
 // the server is torn down and rebuilt on the same port with a fresh
-// stage (same ID): both live handles must redial, detect the epoch
-// change, resync with a full snapshot, and converge again.
+// stage (same ID): both handles find the stage gone (ErrDeparted) and
+// are done, and two new handles, collecting into the same buffers,
+// resync from a full snapshot and converge again.
 func TestHandleEquivalenceProperty(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	info := stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7, User: "u"}
@@ -382,6 +384,10 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 		checkConverged("mutation " + string(rune('a'+i)))
 	}
 
+	if _, deltas := hBin.CollectCounts(); deltas == 0 {
+		t.Error("first handle: no incremental collects")
+	}
+
 	// Restart: new stage (fresh service epoch) behind the same address.
 	// The listener may need a few attempts to rebind on slow hosts: the
 	// port is the kernel's to release, on a schedule no clock we inject
@@ -402,6 +408,19 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 	}
 	stop2 := ServeStage(l2, stg)
 	defer stop2()
+	for name, h := range map[string]*StageHandle{"first": hBin, "second": hAlt} {
+		if _, err := ping(h); !errors.Is(err, ErrDeparted) {
+			t.Fatalf("%s handle after the restart: err = %v, want ErrDeparted", name, err)
+		}
+	}
+	if hBin, err = DialStage(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer hBin.Close()
+	if hAlt, err = DialStage(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer hAlt.Close()
 
 	stg.ApplyRule(maxRule("post-restart"))
 	stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: "j1", User: "alice", Path: "/scratch/job-7/g"}, 100, time.Second)
@@ -410,15 +429,12 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 	stg.SetRate("post-restart", 321)
 	checkConverged("post-restart steady")
 
-	// Both handles must have resynced via at least one full snapshot
-	// (initial + post-restart); the first, collecting twice in a row
-	// after each of the second's collects, must still be incremental.
-	for name, h := range map[string]*StageHandle{"first": hBin, "second": hAlt} {
-		if fulls, _ := h.CollectCounts(); fulls < 2 {
-			t.Errorf("%s handle: %d full resyncs across restart, want >= 2", name, fulls)
-		}
+	// Each new handle's first collect is a full snapshot; the first
+	// handle's second, with the baseline still its own, is incremental.
+	if fulls, deltas := hBin.CollectCounts(); fulls != 1 || deltas != 1 {
+		t.Errorf("new first handle: %d full / %d delta collects, want 1/1", fulls, deltas)
 	}
-	if _, deltas := hBin.CollectCounts(); deltas == 0 {
-		t.Error("first handle: no incremental collects")
+	if fulls, deltas := hAlt.CollectCounts(); fulls != 1 || deltas != 0 {
+		t.Errorf("new second handle: %d full / %d delta collects, want 1/0", fulls, deltas)
 	}
 }
