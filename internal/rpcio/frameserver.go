@@ -130,14 +130,18 @@ func (t frameTarget) serve(s *frameSession, onReply func(frameHeader, []byte) er
 			}
 			continue
 		}
-		_, err = s.conn.Write(t.answer(s, h, payload))
+		reply := t.answer(s, h, payload)
+		// Counted once answered, before the write: the peer may read its
+		// reply, and look at the count, before this loop runs again. A
+		// write that fails ends the loop anyway.
+		s.served.Add(1)
+		_, err = s.conn.Write(reply)
 		switch {
 		case s.handedOff:
 			return errHandedOff // the connection is the controller's now
 		case err != nil:
 			return err
 		}
-		s.served.Add(1)
 	}
 }
 

@@ -352,6 +352,38 @@ func TestRegistrationConnectionCarriesTheControllersCalls(t *testing.T) {
 	}
 }
 
+// TestRegistrationConnectionCountsEachExchangeBeforeItsReply: the
+// stage counts an exchange on its registration connection once it has
+// answered it, before the reply is written, so the count has moved by
+// the time the controller reads the reply.
+func TestRegistrationConnectionCountsEachExchangeBeforeItsReply(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make(chan *StageHandle, 1)
+	stop := ServeRegistrar(l, func(_ stage.Info, h *StageHandle) (time.Duration, error) {
+		handles <- h
+		return 0, nil
+	})
+	defer stop()
+	cc, err := RegisterWithController(l.Addr().String(), NewStageService(stage.New(stage.Info{StageID: "sC", JobID: "jC"}, clock.NewReal())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	h := <-handles
+	defer h.Close()
+	for i := uint64(1); i <= 200; i++ {
+		if _, err := ping(h); err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		if served := cc.Link().Served(); served != i {
+			t.Fatalf("after the reply to exchange %d the connection counts %d served", i, served)
+		}
+	}
+}
+
 // TestRegistrarRejectsMalformedFrames sends the registrar what a broken
 // or outdated stage would: a registration payload cut short (answered
 // with an error frame, onRegister never runs) and a frame from a

@@ -117,8 +117,9 @@ func BenchmarkStageEnforceUnmatched(b *testing.B) {
 // shapedStage carries the controller's managed rule — metadata-like
 // classes scoped to the job — at a finite rate that never binds: the
 // common production case, admitted through TakeAt with the token in
-// hand. The bucket's critical section is the one shared write left on
-// this path; the Parallel/Serial quotient of this pair is its price.
+// hand, from the calling stripe's share of the bucket. The bucket's lock
+// is taken once per share, so the pair's Parallel/Serial quotient is
+// gated like the other admit paths' (make bench-diff).
 func shapedStage() *Stage {
 	s := New(Info{StageID: "bench", JobID: "job1"}, clock.NewReal())
 	s.ApplyRule(policy.Rule{ID: "managed", Match: managedMatcher(), Rate: 1e9})

@@ -19,10 +19,11 @@
 // and a retune leaves the snapshot alone. The per-request path
 // (Enforce/Offer — hot, every intercepted syscall) classifies against the
 // current snapshot and bumps sharded/atomic counters without taking any
-// lock. A request under a finite limit whose token is in hand takes it in
-// one short critical section on the bucket — the only shared-written
-// state the admit path touches; only a request that finds the bucket dry
-// blocks, and only inside the token bucket itself.
+// lock. A request under a finite limit whose token is in hand takes it
+// from its stripe's share of the bucket, a CAS on a cell no other stripe
+// writes; the bucket's mutex is taken once per share, and on every
+// request only once the bucket binds. Only a request that finds the
+// bucket dry blocks, and only inside the token bucket itself.
 package stage
 
 import (
@@ -459,11 +460,12 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 
 // Enforce classifies req and blocks until its queue's token bucket admits
 // it. Requests matching no rule, and all requests in Passthrough mode,
-// return immediately. The admit path writes no shared state of the
-// stage's own: classification reads the published snapshot, and counters,
-// the zero-wait record and the amortized clock are per-stripe cells. Under
-// a finite limit the bucket's own critical section is the one shared
-// write, and only a request that finds the bucket dry goes on to block.
+// return immediately. A request that does not wait writes no shared line:
+// classification reads the published snapshot, and counters, the zero-wait
+// record and the amortized clock are per-stripe cells. Under a finite
+// limit that does not bind the token comes from the stripe's share of the
+// bucket, whose critical section is crossed once per share; only a request
+// that finds the bucket dry goes on to block.
 func (s *Stage) Enforce(req *posix.Request) error {
 	sn := s.snap.Load()
 	i := sn.rules.Index(req)

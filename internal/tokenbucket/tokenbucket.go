@@ -20,6 +20,16 @@
 //
 // Rates are retunable at any time; retuning settles accrued tokens at the
 // old rate first, so enforcement is exact across rule changes.
+//
+// Admission writes no line that other cores write while the bucket does
+// not bind. An unlimited bucket admits lock-free. A finite bucket on the
+// real clock hands each stripe (metrics.StripeIndex) a share of its fill,
+// a lot of shareLot tokens, which that stripe's callers spend with a CAS
+// on a padded cell of their own: the mutex is taken once per lot, not
+// once per request. Shares are handed out only while the fill stays at or
+// above half the capacity, and every decision that could refuse or queue
+// a request takes them all back first, so a bucket that binds admits,
+// polices and queues exactly as a mutex-only one would.
 package tokenbucket
 
 import (
@@ -30,6 +40,7 @@ import (
 	"time"
 
 	"padll/internal/clock"
+	"padll/internal/metrics"
 )
 
 // ErrClosed is returned by Wait when the bucket is closed while waiting.
@@ -44,19 +55,42 @@ const Infinite = math.MaxFloat64
 // Unlimited buckets (rate == Infinite, the passthrough configuration)
 // admit on a lock-free fast path: TryTake/Wait check an atomic mirror of
 // the rate and record the grant with an atomic float add, so stages in
-// passthrough mode never serialize on the bucket mutex. Finite-rate
-// admission keeps the mutex — token arithmetic must settle exactly.
+// passthrough mode never serialize on the bucket mutex. A finite bucket
+// settles its token arithmetic under the mutex, but on the real clock a
+// request whose stripe holds a share admits from it lock-free (see
+// shareCell). The bucket's content is its fill plus the shares out.
 type Bucket struct {
-	mu       sync.Mutex
-	clk      clock.Clock
-	rate     float64 // tokens per second; Infinite disables limiting
-	capacity float64 // burst size, tokens
-	// tokens is the current fill, <= capacity. Below zero it is debt:
+	// The lock-free paths read these words on every admission; they are
+	// written under mu, and only when a mode flips. A line of padding
+	// keeps them off the lines the locked path writes.
+	//
+	// unlimitedA/closedA mirror rate == Infinite and closed. sharing
+	// mirrors out > 0: only then does an admission look at its stripe's
+	// cell. stripeOf names the calling goroutine's cell: set at New to
+	// metrics.StripeIndex on clock.Real, nil (no shares) on any other
+	// clock. cells is allocated at the first handout, before sharing is
+	// first set, and never replaced.
+	unlimitedA atomic.Bool
+	closedA    atomic.Bool
+	sharing    atomic.Bool
+	stripeOf   func() int
+	cells      *[metrics.Stripes]shareCell
+	_          [64]byte
+
+	mu sync.Mutex
+	// tokens is the fill, <= capacity - out. Below zero it is debt:
 	// tokens that requests asleep in Wait have taken and refill has yet
 	// to cover, so every other admission queues behind them.
 	tokens float64
-	last   time.Time
-	closed bool
+	// out is what the stripes were handed and not yet taken back: their
+	// shares plus what they have admitted from them since.
+	out  float64
+	last time.Time
+	// grantedBits holds the float64 bits of the lifetime granted-token
+	// count, the shares' admissions excepted until they are taken back;
+	// CAS-add keeps it exact from the locked and lock-free paths.
+	grantedBits atomic.Uint64
+	closed      bool
 	// reserved is the lifetime count of tokens taken as debt; its value as
 	// a sleeper joins is that sleeper's place, and its growth since then
 	// is what queues behind that sleeper.
@@ -64,18 +98,45 @@ type Bucket struct {
 	// retune is closed and replaced when the sleepers' deadlines move
 	// (retune, deposit, Close); with no debt nobody is owed a wake-up.
 	retune chan struct{}
-	// timers holds idle sleep timers on clk; sleeps counts the times one
-	// was armed: once per admitted waiter unless a broadcast intervenes.
-	timers sync.Pool
+	// sleeps counts the times a sleep timer was armed: once per admitted
+	// waiter unless a broadcast intervenes.
 	sleeps uint64
 
-	// unlimitedA/closedA mirror rate == Infinite and closed for the
-	// lock-free admission path; both are updated under mu.
-	unlimitedA atomic.Bool
-	closedA    atomic.Bool
-	// grantedBits holds the float64 bits of the lifetime granted-token
-	// count; CAS-add keeps it exact from the locked and lock-free paths.
-	grantedBits atomic.Uint64
+	rate     float64 // tokens per second; Infinite disables limiting
+	capacity float64 // burst size, tokens
+	clk      clock.Clock
+	// timers holds idle sleep timers on clk.
+	timers sync.Pool
+}
+
+// shareLot is the tokens one handout moves from the fill to a stripe.
+const shareLot = 32
+
+// shareCell is one stripe's share of a finite bucket's fill, padded so
+// neighbouring stripes do not share a cache line. Only the stripe's own
+// callers spend it; a take-back under mu swaps it to zero, so a spend
+// racing one either lands first or fails and takes the locked path.
+type shareCell struct {
+	// bits holds the float64 bits of the share's unspent tokens.
+	bits atomic.Uint64
+	// handed is what the stripe was handed since its last take-back:
+	// handed minus the share is what it has admitted since. Under mu.
+	handed float64
+	_      [48]byte
+}
+
+// spend takes n tokens from the share if it holds them.
+func (c *shareCell) spend(n float64) bool {
+	for {
+		old := c.bits.Load()
+		have := math.Float64frombits(old)
+		if have < n {
+			return false
+		}
+		if c.bits.CompareAndSwap(old, math.Float64bits(have-n)) {
+			return true
+		}
+	}
 }
 
 // addGranted atomically adds n to the lifetime granted count.
@@ -91,7 +152,9 @@ func (b *Bucket) addGranted(n float64) {
 
 // New returns a bucket refilling at rate tokens/second with the given
 // burst capacity, initially full. A non-positive capacity is clamped to 1
-// token, a non-positive rate to a minimal positive one.
+// token, a non-positive rate to a minimal positive one. Only a bucket on
+// clock.Real hands out shares: a simulated clock's admissions all settle
+// under the mutex, in the order the simulation makes them.
 func New(clk clock.Clock, rate, capacity float64) *Bucket {
 	if capacity <= 0 {
 		capacity = 1
@@ -107,6 +170,9 @@ func New(clk clock.Clock, rate, capacity float64) *Bucket {
 		last:     clk.Now(),
 		retune:   make(chan struct{}),
 	}
+	if _, ok := clk.(clock.Real); ok {
+		b.stripeOf = metrics.StripeIndex
+	}
 	b.unlimitedA.Store(rate == Infinite)
 	return b
 }
@@ -118,6 +184,14 @@ func NewUnlimited(clk clock.Clock) *Bucket { return New(clk, Infinite, Infinite)
 // The refill cursor never runs backwards: an instant at or before last
 // accrues nothing and leaves last where it is, so a caller holding a
 // stale instant (TakeAt) can only under-refill.
+//
+// The credit is capped at what the content had room for when mu was
+// last released, the fill plus out (out counts a share in full, spent or
+// not): a share spent after the interval began must not find the
+// interval's refill waiting for it as well. So the content never exceeds
+// what a mutex-only bucket would hold at the same instant, and over any
+// window T admissions stay within capacity + rate × T. With no shares out
+// the cap is the capacity.
 func (b *Bucket) refillLocked(now time.Time) {
 	if b.rate == Infinite {
 		b.tokens = Infinite
@@ -131,10 +205,75 @@ func (b *Bucket) refillLocked(now time.Time) {
 		return
 	}
 	b.tokens += dt * b.rate
-	if b.tokens > b.capacity {
-		b.tokens = b.capacity
+	if top := b.capacity - b.out; b.tokens > top {
+		b.tokens = top
 	}
 	b.last = now
+}
+
+// takeBackLocked returns c's unspent share to the fill and books what
+// its stripe admitted from it.
+func (b *Bucket) takeBackLocked(c *shareCell) {
+	if c.handed == 0 {
+		return
+	}
+	left := math.Float64frombits(c.bits.Swap(0))
+	b.tokens += left
+	b.out -= c.handed
+	b.addGranted(c.handed - left)
+	c.handed = 0
+}
+
+// takeBackAllLocked returns every share to the fill. A decision that
+// could refuse or queue a request, and a retune or a close, is taken on
+// the whole content.
+func (b *Bucket) takeBackAllLocked() {
+	if b.out == 0 {
+		return
+	}
+	for i := range b.cells {
+		b.takeBackLocked(&b.cells[i])
+	}
+	b.publishSharingLocked()
+}
+
+// reclaimLocked readies a locked admission of n tokens with shares out:
+// the caller's own share, which fell short of n, returns to the fill,
+// and if the fill is still short so does every other.
+func (b *Bucket) reclaimLocked(n float64) {
+	b.takeBackLocked(&b.cells[b.stripeOf()])
+	if b.tokens < n {
+		b.takeBackAllLocked()
+	}
+}
+
+// handOutLocked gives the caller's stripe a lot of shareLot tokens from
+// the fill. Callers hand out only on a bucket that shares, and only while
+// the fill stays at or above half the capacity after the lot leaves it
+// (the guard sits at the call sites, where it inlines). Whatever the
+// stripe still holds is taken back first, so the lot replaces it.
+func (b *Bucket) handOutLocked() {
+	if b.rate == Infinite {
+		return // a retune raced the caller past the unlimited fast path
+	}
+	if b.cells == nil {
+		b.cells = new([metrics.Stripes]shareCell)
+	}
+	c := &b.cells[b.stripeOf()]
+	b.takeBackLocked(c)
+	b.tokens -= shareLot
+	b.out += shareLot
+	c.handed = shareLot
+	c.bits.Store(math.Float64bits(shareLot))
+}
+
+// publishSharingLocked mirrors out > 0 into sharing. It stores only when
+// the mirror flips, so a bucket that keeps handing out shares keeps the
+// flag's line shared.
+func (b *Bucket) publishSharingLocked() {
+	if on := b.out > 0; on != b.sharing.Load() {
+		b.sharing.Store(on)
+	}
 }
 
 // Rate returns the current refill rate (tokens/second).
@@ -151,23 +290,43 @@ func (b *Bucket) Capacity() float64 {
 	return b.capacity
 }
 
-// Tokens returns the current fill after accruing elapsed refill.
+// Tokens returns the content after accruing elapsed refill: the fill
+// plus the shares out.
 func (b *Bucket) Tokens() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.refillLocked(b.clk.Now())
-	return b.tokens
+	tokens := b.tokens
+	if b.out > 0 {
+		for i := range b.cells {
+			tokens += math.Float64frombits(b.cells[i].bits.Load())
+		}
+	}
+	return tokens
 }
 
-// Granted returns the total number of tokens granted so far.
+// Granted returns the total number of tokens granted so far. With shares
+// out it adds what the stripes have admitted from them, under mu, where
+// what each was handed holds still.
 func (b *Bucket) Granted() float64 {
-	return math.Float64frombits(b.grantedBits.Load())
+	if !b.sharing.Load() {
+		return math.Float64frombits(b.grantedBits.Load())
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	granted := math.Float64frombits(b.grantedBits.Load())
+	for i := range b.cells {
+		c := &b.cells[i]
+		granted += c.handed - math.Float64frombits(c.bits.Load())
+	}
+	return granted
 }
 
 // Set retunes rate and capacity atomically, settling accrual at the old
-// rate up to the current instant first; sleepers wake to re-time what
-// they are still owed at the new rate. This is the entry point the control
-// plane uses when the feedback loop pushes a new rule (§III-B step 3).
+// rate up to the current instant first and taking every share back;
+// sleepers wake to re-time what they are still owed at the new rate.
+// This is the entry point the control plane uses when the feedback loop
+// pushes a new rule (§III-B step 3).
 func (b *Bucket) Set(rate, capacity float64) {
 	if rate <= 0 {
 		rate = 1e-9
@@ -177,6 +336,7 @@ func (b *Bucket) Set(rate, capacity float64) {
 	}
 	b.mu.Lock()
 	b.refillLocked(b.clk.Now())
+	b.takeBackAllLocked()
 	b.broadcastLocked()
 	b.rate = rate
 	b.capacity = capacity
@@ -225,16 +385,27 @@ func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 		b.addGranted(n)
 		return true
 	}
+	// Share fast path: the stripe's own cell, no lock.
+	if b.sharing.Load() && b.cells[b.stripeOf()].spend(n) {
+		return true
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return false
 	}
 	b.refillLocked(now)
+	if b.out > 0 {
+		b.reclaimLocked(n)
+	}
 	ok := b.tokens >= n
 	if ok {
 		b.tokens -= n
 		b.addGranted(n)
+		if b.stripeOf != nil && b.tokens-shareLot >= b.capacity/2 {
+			b.handOutLocked()
+		}
+		b.publishSharingLocked()
 	}
 	b.mu.Unlock()
 	return ok
@@ -244,18 +415,23 @@ func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 // finds the bucket dry reserves: it takes its tokens at once, driving the
 // fill negative — so every later arrival, by any admission style, queues
 // behind it, and a request larger than the burst is not starved — and
-// sleeps once, until refill has covered the debt up to its place. If the
-// bucket is closed meanwhile it hands them back and returns ErrClosed.
+// sleeps once, until refill has covered the debt up to its place. Every
+// share is taken back before a reservation, so the debt is only what the
+// whole content lacks. If the bucket is closed meanwhile the request
+// hands its tokens back and returns ErrClosed.
 func (b *Bucket) Wait(n float64) error {
 	if n <= 0 {
 		return nil
 	}
-	// Unlimited fast path; see TakeAt.
+	// Unlimited and share fast paths; see TakeAt.
 	if b.unlimitedA.Load() {
 		if b.closedA.Load() {
 			return ErrClosed
 		}
 		b.addGranted(n)
+		return nil
+	}
+	if b.sharing.Load() && b.cells[b.stripeOf()].spend(n) {
 		return nil
 	}
 	b.mu.Lock()
@@ -264,9 +440,16 @@ func (b *Bucket) Wait(n float64) error {
 		return ErrClosed
 	}
 	b.refillLocked(b.clk.Now()) // Wait refills to the exact instant; the stage tries TakeAt on an amortized one first
+	if b.out > 0 {
+		b.reclaimLocked(n)
+	}
 	b.tokens -= n
 	if b.tokens >= 0 {
 		b.addGranted(n)
+		if b.stripeOf != nil && b.tokens-shareLot >= b.capacity/2 {
+			b.handOutLocked()
+		}
+		b.publishSharingLocked()
 		b.mu.Unlock()
 		return nil
 	}
@@ -355,6 +538,7 @@ func (b *Bucket) Grant(n float64, dt time.Duration) float64 {
 	}
 	now := b.clk.Now()
 	b.refillLocked(now)
+	b.takeBackAllLocked()
 	if b.rate == Infinite {
 		b.addGranted(n)
 		b.mu.Unlock()
@@ -382,10 +566,12 @@ func (b *Bucket) Grant(n float64, dt time.Duration) float64 {
 	return admit
 }
 
-// Close releases all waiters with ErrClosed and rejects future admissions.
+// Close releases all waiters with ErrClosed and rejects future
+// admissions; the shares out return to the fill first.
 func (b *Bucket) Close() {
 	b.mu.Lock()
 	if !b.closed {
+		b.takeBackAllLocked()
 		b.closed = true
 		b.closedA.Store(true)
 		b.broadcastLocked()
