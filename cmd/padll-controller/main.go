@@ -50,7 +50,6 @@ func main() {
 		perJob    = flag.Float64("static-per-job", 0, "static setup: fixed per-job rate (0 = divide limit)")
 		interval  = flag.Duration("interval", time.Second, "feedback loop period")
 		report    = flag.Duration("report", 5*time.Second, "allocation report period (0 = quiet)")
-		evict     = flag.Int("evict-after", 3, "deregister a stage after this many consecutive failed control rounds (0 = never)")
 		httpAddr  = flag.String("http", "", "HTTP monitor address (e.g. 127.0.0.1:8080; empty = disabled)")
 	)
 	flag.Var(res, "reserve", "per-job reservation, repeatable: job=rate (rates accept k/m suffixes)")
@@ -74,9 +73,6 @@ func main() {
 	opts := []padll.ControlOption{padll.WithClusterLimit(*limit)}
 	if alg != nil {
 		opts = append(opts, padll.WithAlgorithm(alg))
-	}
-	if *evict > 0 {
-		opts = append(opts, padll.WithEvictAfter(*evict))
 	}
 	cp := padll.NewControlPlane(opts...)
 	for job, rate := range res {

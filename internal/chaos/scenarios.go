@@ -41,11 +41,8 @@ type Scenario struct {
 
 // smallCluster builds the scenarios' cluster, and the seeded source of a
 // scenario's random choices.
-func smallCluster(seed int64, evictAfter int, until time.Duration) (*Scenario, *rand.Rand) {
+func smallCluster(seed int64, until time.Duration) (*Scenario, *rand.Rand) {
 	opts := []control.Option{control.WithClusterLimit(clusterLimit), control.WithAlgorithm(control.FixedRates{})}
-	if evictAfter > 0 {
-		opts = append(opts, control.WithEvictAfter(evictAfter))
-	}
 	s := &Scenario{Cluster: sim.NewCluster(sim.Config{Duration: until, Controller: opts})}
 	for i, id := range stageIDs {
 		s.AddStage(id, []string{"job1", "job2"}[i/2], []float64{30_000, 50_000}[i/2])
@@ -76,7 +73,7 @@ func offerDemand(s *Scenario, until time.Duration) {
 // to push, so the arming event also raises both jobs' reservations: the
 // crashing round carries four real retunes for the budget to cut short.
 func ControllerCrashMidRun(seed int64) *Scenario {
-	s, rng := smallCluster(seed, 0, horizon)
+	s, rng := smallCluster(seed, horizon)
 	offerDemand(s, horizon)
 	// Crash between rounds 5 and 9, after 1..3 of the round's pushes;
 	// recover 6..10 intervals later.
@@ -94,10 +91,10 @@ func ControllerCrashMidRun(seed int64) *Scenario {
 }
 
 // StageCrashMidCollect kills one seed-chosen stage in the middle of a
-// collect fan-out. With eviction enabled the controller must sweep the
+// collect fan-out. The round whose collect finds it dead must drop the
 // corpse and re-grant its share to the job's surviving stage.
 func StageCrashMidCollect(seed int64) *Scenario {
-	s, rng := smallCluster(seed, 2, horizon)
+	s, rng := smallCluster(seed, horizon)
 	offerDemand(s, horizon)
 	victim := stageIDs[rng.Intn(len(stageIDs))]
 	at := time.Duration(4+rng.Intn(4))*sim.Interval - sim.Interval/2
@@ -106,12 +103,13 @@ func StageCrashMidCollect(seed int64) *Scenario {
 	return s
 }
 
-// PartitionHeal cuts one seed-chosen stage off from the controller, lets
-// the controller evict it and the stage freeze its limits, then heals
-// the link. The stage must re-register and be folded back into the
+// PartitionHeal cuts one seed-chosen stage off from the controller:
+// the next round's exchange with it fails, which kills its link, so the
+// controller drops it and the stage freezes its limits. Then it heals
+// the partition. The stage must re-register and be folded back into the
 // allocation within one control interval of the heal.
 func PartitionHeal(seed int64) *Scenario {
-	s, rng := smallCluster(seed, 3, horizon)
+	s, rng := smallCluster(seed, horizon)
 	offerDemand(s, horizon)
 	victim := stageIDs[rng.Intn(len(stageIDs))]
 	s.OutageStart = time.Duration(3+rng.Intn(3))*sim.Interval + sim.Interval/2
@@ -126,7 +124,7 @@ func PartitionHeal(seed int64) *Scenario {
 // not wedge the fleet, and steady-state collects must stay incremental
 // across both recoveries.
 func BatchedOutage(seed int64) *Scenario {
-	s, rng := smallCluster(seed, 3, horizon)
+	s, rng := smallCluster(seed, horizon)
 	offerDemand(s, horizon)
 	victim := stageIDs[rng.Intn(len(stageIDs))]
 	pFrom := time.Duration(3+rng.Intn(3))*sim.Interval + sim.Interval/2
@@ -141,10 +139,12 @@ func BatchedOutage(seed int64) *Scenario {
 }
 
 // FrameLoss drops Stage.Batch reply frames on seed-chosen nodes at
-// seed-chosen rounds: each loss forces a full-snapshot resync on the
-// next exchange while the fleet keeps its allocations.
+// seed-chosen rounds: each loss kills the victim's link, as a lost
+// reply's deadline kills a TCP connection, so the controller drops the
+// victim and the victim degrades and registers again at once, collected
+// in full on its new link, while the fleet keeps its allocations.
 func FrameLoss(seed int64) *Scenario {
-	s, rng := smallCluster(seed, 0, horizon)
+	s, rng := smallCluster(seed, horizon)
 	offerDemand(s, horizon)
 	drops := 2 + rng.Intn(3)
 	for i := 0; i < drops; i++ {

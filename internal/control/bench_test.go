@@ -94,7 +94,7 @@ func benchFleetLoopback(tb testing.TB, n int) *Controller {
 	ctl := benchController()
 	for i := 0; i < n; i++ {
 		stg := benchStage(i)
-		h := rpcio.LocalStage(rpcio.NewStageService(stg), ctl.Clock(), nil)
+		h := rpcio.LocalStage(rpcio.NewStageService(stg), nil)
 		if err := ctl.Register(stg.Info(), h); err != nil {
 			tb.Fatal(err)
 		}

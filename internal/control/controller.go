@@ -1,7 +1,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -51,14 +50,6 @@ type Controller struct {
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
 	haveRound bool
-	// evictAfter is the mark-sweep threshold: a stage whose collect/push
-	// RPCs fail this many consecutive rounds is evicted from the registry
-	// (0 disables eviction — dead stages are skipped but kept).
-	evictAfter int
-	// misses counts consecutive communication failures per stage (the
-	// "mark" half of mark-sweep): only RunOnce moves it, and a collect the
-	// stage answered clears it.
-	misses map[string]int
 	// adminRules and clusterRules remember administrator intent (the
 	// aggregate rule, pre-split) per job and cluster-wide, so an
 	// idempotent re-registration replays the last-known rule set onto a
@@ -97,19 +88,13 @@ func WithLimitAdapter(a *AIMDLimit) Option {
 }
 
 // WithErrorHandler installs a sink for stage-communication errors; the
-// default drops them (a dead stage is simply skipped until it
-// re-registers). It is called from the round's goroutine, one error at
-// a time, in StageID order within a phase. A stage's departure
+// default drops them. It is called from the round's goroutine, one
+// error at a time, in StageID order within a phase, once for each
+// failure: a failure on the wire ends the stage's handle, and the round
+// drops the stage, which registers again. A stage's departure
 // (rpcio.ErrDeparted) is no error and never reaches it.
 func WithErrorHandler(f func(stageID string, err error)) Option {
 	return func(c *Controller) { c.onError = f }
-}
-
-// WithEvictAfter enables mark-sweep eviction: a stage that fails n
-// consecutive control rounds is deregistered and its job's share
-// released for redistribution. n <= 0 disables eviction.
-func WithEvictAfter(n int) Option {
-	return func(c *Controller) { c.evictAfter = n }
 }
 
 // New returns a controller on clk, which times its rounds and paces Run.
@@ -121,7 +106,6 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		reservations: make(map[string]float64),
 		onError:      func(string, error) {},
 		lastAlloc:    make(map[string]float64),
-		misses:       make(map[string]int),
 		adminRules:   make(map[string]map[string]policy.Rule),
 		clusterRules: make(map[string]policy.Rule),
 	}
@@ -141,7 +125,7 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 // Register adds the stage info names, reached through h, to the
 // registry. A stage re-registering under an existing ID (restart or
 // reconnect after a network failure — the dependability case §VI
-// highlights) has its failure marks cleared. Re-registering the same
+// highlights) replaces its record. Re-registering the same
 // handle with the same identity keeps the stage's record, and with it
 // its collect slot and probe; a new handle or identity gets a fresh
 // record (a record's identity never changes, so a round reads it
@@ -165,7 +149,6 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	}
 	c.jobStages[job]++
 	c.registryRev++
-	delete(c.misses, id)
 	alg := c.algorithm
 	// Without a recorded allocation, the managed rule starts at a
 	// conservative equal share of the cluster limit among the registered
@@ -235,8 +218,8 @@ func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []polic
 	return out
 }
 
-// Deregister removes a stage (job completion, node failure, eviction,
-// or its departure) and closes its handle. When the stage was its job's
+// Deregister removes a stage (job completion, node failure, or its
+// departure) and closes its handle. When the stage was its job's
 // last, the job's residual allocation is dropped, which releases its
 // share: the next RunOnce redistributes the rate to the remaining jobs
 // instead of holding it for a departed one. The job's reservation and
@@ -264,7 +247,6 @@ func (c *Controller) dropLocked(m *member) bool {
 	}
 	delete(c.stages, id)
 	c.registryRev++
-	delete(c.misses, id)
 	if c.uncountLocked(job) {
 		delete(c.lastAlloc, job)
 	}
@@ -281,64 +263,29 @@ func (c *Controller) uncountLocked(job string) (last bool) {
 	return true
 }
 
-// ErrEvicted is reported to the error handler for each stage removed by
-// mark-sweep eviction.
-var ErrEvicted = errors.New("control: stage evicted after repeated failures")
-
-// evictDead sweeps the registry after sh's collect, in StageID order:
-// a member that departed (its collect found the connection it
-// registered on closed) is dropped, and one whose consecutive-failure
-// mark reached the eviction threshold is dropped and reported to the
-// error handler with ErrEvicted; either releases its job's share (see
-// Deregister). RunOnce calls it between collect and allocate. Caller
-// holds roundMu.
-func (c *Controller) evictDead(sh *shard) {
-	var gone, evicted []*member
-	c.mu.Lock()
+// sweep drops from the registry, in StageID order, every member of sh
+// whose last exchange failed on the wire, and closes its handle: the
+// handle is dead for good, whether the stage hung up (ErrDeparted) or
+// its link failed, and the stage registers again over a new one. A
+// RemoteError is the stage's answer and leaves the member registered.
+// A drop releases the job's share as Deregister does. Caller holds
+// roundMu.
+func (c *Controller) sweep(sh *shard) {
+	var gone []*member
 	for _, m := range sh.members {
-		switch {
-		case departed(m.err):
-			if c.dropLocked(m) {
-				gone = append(gone, m)
-			}
-		case c.evictAfter > 0 && c.misses[m.info.StageID] >= c.evictAfter:
-			if c.dropLocked(m) {
-				evicted = append(evicted, m)
-			}
+		if rpcio.Retryable(m.err) {
+			gone = append(gone, m)
 		}
 	}
+	if len(gone) == 0 {
+		return
+	}
+	c.mu.Lock()
+	gone = slices.DeleteFunc(gone, func(m *member) bool { return !c.dropLocked(m) })
 	c.mu.Unlock()
-	// The stages are gone; their close errors carry no recovery path.
 	for _, m := range gone {
+		// The stage is gone; its close error carries no recovery path.
 		_ = m.h.Close()
-	}
-	for _, m := range evicted {
-		_ = m.h.Close()
-		c.onError(m.info.StageID, ErrEvicted)
-	}
-}
-
-// mark moves the eviction marks by the outcome of sh's last pass: a
-// member whose exchange failed gains one, and after a collect a member
-// that answered loses its mark. A member whose record has left the
-// registry is left alone, and so is one that departed, which is no
-// failure. RunOnce is the only caller, so reading the statistics
-// between rounds (CollectAll) never counts toward eviction. Caller
-// holds roundMu.
-func (c *Controller) mark(sh *shard, collect bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range sh.members {
-		id := m.info.StageID
-		switch {
-		case departed(m.err):
-		case m.err != nil:
-			if c.stages[id] == m {
-				c.misses[id]++
-			}
-		case collect:
-			delete(c.misses, id)
-		}
 	}
 }
 
@@ -598,12 +545,14 @@ func (c *Controller) reshard() *shard {
 	return c.sh
 }
 
-// collect runs the collect phase over sh and returns its rows, one
+// collect runs the collect phase over sh, sweeps the members whose
+// link failed out of the registry, and returns the collect's rows, one
 // snapshot per job, sorted by job. A job none of whose stages answered
 // has no snapshot: the loop runs on what it can see rather than holding
 // a share for a dead peer. Caller holds roundMu.
 func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 	sh.collect(rs)
+	c.sweep(sh)
 
 	c.mu.Lock()
 	out := make([]JobSnapshot, 0, len(sh.rows))
@@ -623,9 +572,9 @@ func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 // through the same shard and collect slots RunOnce uses. Stages that
 // fail to respond are reported to the error handler, counted as
 // FailedStages and skipped: the loop runs on partial snapshots rather
-// than blocking behind a dead peer. A read moves no eviction mark —
-// only control rounds do — so a monitor polling the controller does
-// not hasten an eviction.
+// than blocking behind a dead peer. A stage whose exchange failed on
+// the wire leaves the registry here as in a round, so its failure is
+// reported once, whoever read first.
 func (c *Controller) CollectAll() []JobSnapshot {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -654,8 +603,8 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // slot left as it is), and a push is skipped outright for a stage whose
 // collect probe shows the target rate already enforced — in-process
 // stages included, so a steady round leaves a stage's rule snapshot
-// untouched. What is the controller's own is here: evict the stages
-// past the failure threshold, run the algorithm, and account.
+// untouched. What is the controller's own is here: drop the stages
+// whose link failed (sweep), run the algorithm, and account.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -669,13 +618,11 @@ func (c *Controller) RunOnce() map[string]float64 {
 	wireBefore := sh.wireStats()
 
 	var rs RoundStats
+	// The collect sweeps before the allocation: a stage whose link
+	// failed leaves the registry now, so the split below divides a job's
+	// allocation among its live stages only instead of letting a dead one
+	// hold its share.
 	snaps := c.collect(sh, &rs)
-	c.mark(sh, true)
-	// Sweep before allocating: stages that departed or are past the
-	// eviction threshold leave the registry now, so the split below
-	// divides a job's allocation among its live stages only instead of
-	// letting a dead one hold its share.
-	c.evictDead(sh)
 	jobs := make([]JobState, len(snaps))
 	for i := range snaps {
 		jobs[i] = snaps[i].state()
@@ -689,7 +636,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	// registry: the push goes to the stages registered now.
 	push := c.reshard()
 	push.push(alloc, &rs)
-	c.mark(push, false)
+	c.sweep(push)
 
 	rs.Duration = c.clk.Now().Sub(start)
 	wireAfter := sh.wireStats()

@@ -31,7 +31,7 @@ func localStage(id, job string, clk clock.Clock) (*stage.Stage, *rpcio.StageHand
 // deadline runs on the wall clock and never arms: an in-process reply is
 // always in before it is awaited.
 func loopbackHandle(stg *stage.Stage) *rpcio.StageHandle {
-	return rpcio.LocalStage(rpcio.NewStageService(stg), clock.NewReal(), nil)
+	return rpcio.LocalStage(rpcio.NewStageService(stg), nil)
 }
 
 // TestJobCountsMatchBruteForce: over seeded register, deregister and

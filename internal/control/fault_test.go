@@ -80,15 +80,17 @@ func TestDeregisterReleasesShare(t *testing.T) {
 	}
 }
 
-// TestEvictionReleasesDeadStageShare is the eviction regression: RunOnce
-// splits a job's grant across all registered stages, so without
-// mark-sweep eviction a crashed stage dilutes its job's share forever —
-// the live stage is pinned at alloc/2.
+// TestEvictionReleasesDeadStageShare is the dead-stage regression:
+// RunOnce splits a job's grant across all registered stages, so a stage
+// whose link died would dilute its job's share for as long as it stayed
+// registered — the live stage pinned at alloc/2. The round whose collect
+// finds the link dead drops the stage before it allocates, so that very
+// round's push divides by the surviving stage count.
 func TestEvictionReleasesDeadStageShare(t *testing.T) {
 	// The controller keeps one shard over its whole registry.
 	t.Run("one-shard", func(t *testing.T) {
 		clk := clock.NewSim(epoch)
-		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2))
+		c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
 		live, liveConn := localStage("s1", "jobA", clk)
 		deadStg, _ := localStage("s2", "jobA", clk)
 		dead := failingConn(deadStg)
@@ -100,106 +102,115 @@ func TestEvictionReleasesDeadStageShare(t *testing.T) {
 		}
 
 		c.RunOnce()
-		if got := ruleRate(live, ControlRuleID); got != 4000 {
-			t.Fatalf("with the dead stage registered, live stage rate = %v, want 4000", got)
-		}
-		// Round 2 reaches the miss threshold and sweeps; the same round's
-		// push already divides by the surviving stage count.
-		c.RunOnce()
 		if got := len(c.Stages()); got != 1 {
-			t.Fatalf("dead stage not evicted: %d stages registered", got)
+			t.Fatalf("dead stage not dropped: %d stages registered", got)
 		}
 		if got := ruleRate(live, ControlRuleID); got != 8000 {
-			t.Errorf("after eviction, live stage rate = %v, want the full 8000", got)
+			t.Errorf("in the round that dropped the dead stage, live stage rate = %v, want the full 8000", got)
+		}
+		select {
+		case <-dead.Done():
+		default:
+			t.Error("the dead stage's handle is still open")
 		}
 	})
 }
 
-func TestEvictionDisabledByDefault(t *testing.T) {
+// TestWireFailureDropsAMemberARemoteErrorKeepsIt: a member whose
+// exchange fails on the wire — its handle is dead for good — is reported
+// once, in the round where it fails, and is gone from the registry
+// before that round allocates, whether the collect or the push failed.
+// A member whose stage refuses (a RemoteError) is reported each round
+// it refuses and stays registered, and its job is allocated again once
+// it answers.
+func TestWireFailureDropsAMemberARemoteErrorKeepsIt(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}))
-	deadStg, _ := localStage("s1", "jobA", clk)
-	if err := c.Register(deadStg.Info(), failingConn(deadStg)); err != nil {
-		t.Fatal(err)
+	reports := map[string]int{}
+	c := New(clk, WithClusterLimit(9000), WithAlgorithm(StaticEqualShare{}),
+		WithErrorHandler(func(id string, err error) { reports[id]++ }))
+	var collectDown, refusing atomic.Bool
+	wireStg, _ := localStage("s1", "jobA", clk)
+	refusedStg, _ := localStage("s2", "jobB", clk)
+	pushStg, _ := localStage("s3", "jobC", clk)
+	for _, r := range []struct {
+		stg *stage.Stage
+		h   *rpcio.StageHandle
+	}{
+		{wireStg, flakyConn(wireStg, &collectDown)},
+		{refusedStg, gatedHandle(refusedStg, func(_ []rpcio.StageOp, collect bool) error {
+			if collect && refusing.Load() {
+				return rpcio.RemoteError("injected refusal")
+			}
+			return nil
+		})},
+		// s3 registers at a third of the limit, not its job's allocation,
+		// so the first round retunes it: the push whose wire fails.
+		{pushStg, gatedHandle(pushStg, func(ops []rpcio.StageOp, _ bool) error {
+			if len(ops) == 1 && ops[0].Kind == rpcio.OpSetRate {
+				return errors.New("injected push failure")
+			}
+			return nil
+		})},
+	} {
+		if err := c.Register(r.stg.Info(), r.h); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < 5; i++ {
+
+	collectDown.Store(true)
+	refusing.Store(true)
+	alloc := c.RunOnce()
+	if _, ok := alloc["jobA"]; ok {
+		t.Errorf("the round allocated to jobA, whose one stage it dropped: %v", alloc)
+	}
+	if _, ok := alloc["jobB"]; ok {
+		t.Errorf("the round allocated to jobB, whose one stage refused its collect: %v", alloc)
+	}
+	if stages := c.Stages(); len(stages) != 1 || stages[0].StageID != "s2" {
+		t.Fatalf("after the failing round: %v registered, want only s2 (its stage refused)", stages)
+	}
+	for i := 0; i < 2; i++ {
 		c.RunOnce()
 	}
-	if got := len(c.Stages()); got != 1 {
-		t.Errorf("stage evicted with eviction disabled: %d stages", got)
+	if want := map[string]int{"s1": 1, "s2": 3, "s3": 1}; !reflect.DeepEqual(reports, want) {
+		t.Errorf("reports per stage after three rounds = %v, want %v", reports, want)
+	}
+	refusing.Store(false)
+	if alloc := c.RunOnce(); alloc["jobB"] != 9000 {
+		t.Errorf("once s2 answers, allocation = %v, want jobB at the whole 9000", alloc)
 	}
 }
 
-func TestEvictionReportsAndRecoversOnSuccess(t *testing.T) {
+// TestMonitorReadsDropADeadMember: CollectAll is how the monitor and
+// the controller's report read the fleet. A read that finds a member's
+// link dead reports it and drops it, as a round would, so the rounds
+// after it neither report it again nor hold a share for it.
+func TestMonitorReadsDropADeadMember(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	var mu sync.Mutex
-	var evicted []string
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(3),
-		WithErrorHandler(func(id string, err error) {
-			if errors.Is(err, ErrEvicted) {
-				mu.Lock()
-				evicted = append(evicted, id)
-				mu.Unlock()
-			}
-		}))
-	stg, _ := localStage("s1", "jobA", clk)
-	var down atomic.Bool
-	if err := c.Register(stg.Info(), flakyConn(stg, &down)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two misses, then a success: the mark must clear.
-	down.Store(true)
-	c.RunOnce()
-	c.RunOnce()
-	down.Store(false)
-	c.RunOnce()
-	down.Store(true)
-	c.RunOnce()
-	c.RunOnce()
-	mu.Lock()
-	n := len(evicted)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatalf("stage evicted after interleaved successes: %v", evicted)
-	}
-	c.RunOnce() // third consecutive miss -> sweep
-	mu.Lock()
-	defer mu.Unlock()
-	if len(evicted) != 1 || evicted[0] != "s1" {
-		t.Errorf("evicted = %v, want [s1]", evicted)
-	}
-}
-
-// TestMonitorReadsDoNotCountTowardEviction: CollectAll is how the
-// monitor and the controller's report read the fleet, and a read is not
-// a control round. With eviction after three failed rounds, a dead
-// stage read twice between two rounds is still registered, and the
-// third round evicts it.
-func TestMonitorReadsDoNotCountTowardEviction(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(3))
+	reports := 0
+	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}),
+		WithErrorHandler(func(string, error) { reports++ }))
 	live, liveConn := localStage("s1", "jobA", clk)
-	deadStg, _ := localStage("s2", "jobB", clk)
+	deadStg, _ := localStage("s2", "jobA", clk)
 	if err := c.Register(live.Info(), liveConn); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Register(deadStg.Info(), failingConn(deadStg)); err != nil {
 		t.Fatal(err)
 	}
-	c.RunOnce()
-	for i := 0; i < 2; i++ {
-		if snaps := c.CollectAll(); len(snaps) != 1 || snaps[0].JobID != "jobA" {
-			t.Fatalf("read %d: snapshots %+v, want only the live jobA", i, snaps)
-		}
+	snaps := c.CollectAll()
+	if len(snaps) != 1 || snaps[0].Stages != 1 || snaps[0].FailedStages != 1 {
+		t.Fatalf("the read: snapshots %+v, want jobA with one live and one failed stage", snaps)
 	}
-	c.RunOnce()
-	if got := len(c.Stages()); got != 2 {
-		t.Fatalf("%d stages registered after two rounds and two reads, want 2: reads counted as failed rounds", got)
-	}
-	c.RunOnce()
 	if stages := c.Stages(); len(stages) != 1 || stages[0].StageID != "s1" {
-		t.Errorf("after the third round: %v registered, want only s1", stages)
+		t.Fatalf("after the read: %v registered, want only s1", stages)
+	}
+	c.RunOnce()
+	if reports != 1 {
+		t.Errorf("the dead stage was reported %d times, want once", reports)
+	}
+	if got := ruleRate(live, ControlRuleID); got != 8000 {
+		t.Errorf("live stage rate = %v, want the job's whole 8000", got)
 	}
 }
 
@@ -207,12 +218,14 @@ func TestMonitorReadsDoNotCountTowardEviction(t *testing.T) {
 // first: the gate runs as the exchange is written, when a round starts
 // it (the push in StageID order, a split collect chunk by chunk side by
 // side), and an error refuses the exchange before it reaches the stage,
-// which Finish then returns, as it would a lost round trip.
+// which Finish then returns. A RemoteError is the stage's refusal and
+// leaves the handle in service; any other error is a wire failure,
+// which ends it.
 func gatedHandle(stg *stage.Stage, gate rpcio.Fault) *rpcio.StageHandle {
-	return rpcio.LocalStage(rpcio.NewStageService(stg), clock.NewReal(), gate)
+	return rpcio.LocalStage(rpcio.NewStageService(stg), gate)
 }
 
-// flakyConn fails every collect on stg while down is set.
+// flakyConn fails the wire under stg's first collect while down is set.
 func flakyConn(stg *stage.Stage, down *atomic.Bool) *rpcio.StageHandle {
 	return gatedHandle(stg, func(_ []rpcio.StageOp, collect bool) error {
 		if collect && down.Load() {
@@ -222,20 +235,21 @@ func flakyConn(stg *stage.Stage, down *atomic.Bool) *rpcio.StageHandle {
 	})
 }
 
-// failingConn simulates a dead stage: it accepts pushes (so it can
-// register) but never answers a collect.
+// failingConn simulates a stage whose link dies: it accepts pushes (so
+// it can register), and its first collect fails on the wire.
 func failingConn(stg *stage.Stage) *rpcio.StageHandle {
 	down := new(atomic.Bool)
 	down.Store(true)
 	return flakyConn(stg, down)
 }
 
-// refusingConn fails every exchange carrying an op refuse matches.
+// refusingConn's stage refuses (a RemoteError) every exchange carrying
+// an op refuse matches.
 func refusingConn(stg *stage.Stage, refuse func(rpcio.StageOp) bool) *rpcio.StageHandle {
 	return gatedHandle(stg, func(ops []rpcio.StageOp, _ bool) error {
 		for _, op := range ops {
 			if refuse(op) {
-				return errors.New("injected op failure")
+				return rpcio.RemoteError("injected op failure")
 			}
 		}
 		return nil
@@ -339,17 +353,16 @@ func TestReRegistrationReplaysLastKnownRules(t *testing.T) {
 }
 
 func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
-	// A stage that answers collects but fails rate pushes must not abort
-	// the round for the others. It also must NOT be evicted: it still
-	// answers Collect, so it is alive — each successful collect clears
-	// the miss its failed push recorded.
+	// A stage that answers collects but refuses rate pushes must not
+	// abort the round for the others. It also must NOT be dropped: its
+	// refusal is the stage's answer over a working link.
 	clk := clock.NewSim(epoch)
 	var mu sync.Mutex
 	var pushErrs int
-	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}), WithEvictAfter(2),
+	c := New(clk, WithClusterLimit(8000), WithAlgorithm(StaticEqualShare{}),
 		WithErrorHandler(func(id string, err error) {
 			mu.Lock()
-			if id == "s2" && !errors.Is(err, ErrEvicted) {
+			if id == "s2" {
 				pushErrs++
 			}
 			mu.Unlock()
@@ -373,7 +386,7 @@ func TestRunOnceSurvivesPartialPushFailures(t *testing.T) {
 		t.Fatalf("live stage rate = %v, want 4000", got)
 	}
 	if got := len(c.Stages()); got != 2 {
-		t.Errorf("collect-alive stage was evicted: %d registered", got)
+		t.Errorf("a stage that refused its pushes was dropped: %d registered", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()

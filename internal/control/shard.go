@@ -102,7 +102,7 @@ func sortMembers(ms []*member) {
 // It carries no lock of its own. Its membership and index are written
 // once, by newShard, and never change — a registry change builds a new
 // shard — and everything else is round state, which only reshard,
-// collect, push and mark touch, every one of them with the controller's
+// collect, push and the sweep touch, every one of them with the controller's
 // roundMu held. The helpers a split pass starts own disjoint members (a
 // scatter chunk each) and are joined before pass returns.
 type shard struct {
@@ -246,7 +246,7 @@ func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
 // that finds the queue gone (a restart raced the probe) chased by a
 // reinstall. It is one pass: scatter, then gather. A member failure
 // never fails the round: it is reported to the error handler in StageID
-// order and left in the member's err for mark. rs accumulates push round
+// order and left in the member's err for the sweep. rs accumulates push round
 // trips and skips per member of an allocated job.
 func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 	rates, hasRate := sh.rates, sh.hasRate
@@ -341,10 +341,11 @@ func (sh *shard) collect(rs *RoundStats) {
 			}
 			m.probe = row.addStage(&m.stats)
 		}
-		// Rows with a failed member must rebuild next round: the member
-		// may recover without its stats changing, and a cached row would
-		// keep counting it failed. (A departure moves the registry, which
-		// rebuilds the shard.)
+		// Rows with a failed member must rebuild next round: a member
+		// whose stage refused (a RemoteError) may answer next round
+		// without its stats changing, and a cached row would keep counting
+		// it failed. (A wire failure or a departure moves the registry,
+		// which rebuilds the shard.)
 		sh.rowsValid = failed == 0
 	}
 	// Not rebuilt: every member answered "unchanged", so last round's

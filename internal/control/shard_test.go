@@ -1,7 +1,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -24,8 +23,8 @@ type roundTrace struct {
 	Matchers map[string]policy.Matcher // stage -> managed rule's matcher
 	Snaps    []JobSnapshot             // CollectAll after the round
 	Stats    RoundStats
-	Stages   int      // registered after the round
-	Evicted  []string // reported with ErrEvicted during the round
+	Stages   int // registered after the round
+	Dropped  int // registered before the round and not after it
 }
 
 // runRandomFleet drives a seeded random fleet for a few rounds and
@@ -38,16 +37,9 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 	clk := clock.NewSim(epoch)
 
 	algs := []Algorithm{ProportionalShare{}, StaticEqualShare{}, FixedRates{}}
-	var evicted []string
 	c := New(clk,
 		WithAlgorithm(algs[rng.Intn(len(algs))]),
-		WithClusterLimit(float64(1000*(1+rng.Intn(50)))),
-		WithEvictAfter(2),
-		WithErrorHandler(func(id string, err error) {
-			if errors.Is(err, ErrEvicted) {
-				evicted = append(evicted, id)
-			}
-		}))
+		WithClusterLimit(float64(1000*(1+rng.Intn(50)))))
 
 	type node struct {
 		id   string
@@ -70,7 +62,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 			}
 		}
 	}
-	victim := nodes[rng.Intn(len(nodes))] // stops answering collects, and is evicted
+	victim := nodes[rng.Intn(len(nodes))] // its link dies under a collect, and it is dropped
 	dieAt := 1 + rng.Intn(3)
 	amnesiac := victim // restarts: loses its managed rule
 	for amnesiac == victim {
@@ -94,17 +86,13 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 		}
 		clk.Advance(time.Second)
 
-		evicted = nil
+		before := len(c.Stages())
 		rt := roundTrace{
 			Alloc:    c.RunOnce(),
 			Rates:    map[string]float64{},
 			Matchers: map[string]policy.Matcher{},
 		}
-		rt.Evicted = evicted
 		rt.Stats, _ = c.LastRound()
-		// Wire bytes carry the handles' random collector identities, whose
-		// varint width differs from run to run.
-		rt.Stats.BytesRead, rt.Stats.BytesWritten = 0, 0
 		for _, nd := range nodes {
 			rt.Rates[nd.id] = ruleRate(nd.stg, ControlRuleID)
 			for _, r := range nd.stg.Rules() {
@@ -115,6 +103,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 		}
 		rt.Snaps = c.CollectAll()
 		rt.Stages = len(c.Stages())
+		rt.Dropped = before - rt.Stages
 		trace = append(trace, rt)
 
 		// Member-level accounting: one collect per registered stage, and a
@@ -129,7 +118,7 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 			t.Errorf("seed %d round %d: %d pushes + %d skips, want one per planned stage (%d)",
 				seed, round, rt.Stats.PushCalls, rt.Stats.PushesSkipped, planned)
 		}
-		if want := rt.Stages + len(rt.Evicted); rt.Stats.Stages != want || rt.Stats.CollectCalls != want {
+		if want := rt.Stages + rt.Dropped; rt.Stats.Stages != want || rt.Stats.CollectCalls != want {
 			t.Errorf("seed %d round %d: Stages %d CollectCalls %d, want %d each",
 				seed, round, rt.Stats.Stages, rt.Stats.CollectCalls, want)
 		}
@@ -139,22 +128,23 @@ func runRandomFleet(t *testing.T, seed int64) []roundTrace {
 
 // TestShardingInvariance: a round is a function of the registry and
 // the seed. Seeded random fleets — jobs × stages per job, demand,
-// reservations, algorithm, one member that stops answering and is
-// evicted mid-run, one that restarts without its managed rule — are
-// each driven twice and
+// reservations, algorithm, one member whose link dies mid-run and is
+// dropped, one that restarts without its managed rule — are each
+// driven twice and
 // must produce the identical allocation, bit-identical managed rate and
 // the same managed matcher on every stage, identical CollectAll
 // snapshots (wait percentiles, degraded and failed counts included), the
-// same eviction in the same round, and the same RoundStats.
+// same drop in the same round, and the same RoundStats, wire bytes
+// included.
 func TestShardingInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		want := runRandomFleet(t, seed)
-		sawEviction := false
+		dropped := 0
 		for _, rt := range want {
-			sawEviction = sawEviction || len(rt.Evicted) > 0
+			dropped += rt.Dropped
 		}
-		if !sawEviction {
-			t.Errorf("seed %d: the failing member was never evicted", seed)
+		if dropped != 1 {
+			t.Errorf("seed %d: %d members dropped, want the one whose link died", seed, dropped)
 		}
 		got := runRandomFleet(t, seed)
 		for round := range want {
@@ -243,14 +233,14 @@ func reshardingLeaksNothing(t *testing.T, n int) {
 	}
 }
 
-// TestMemberRecordsSurviveAReshard: an eviction rebuilds the shard in
-// the middle of a round, between the collect and the push, and the
-// rebuild must not forget what the collect just learned — the stages
-// already at their rate are still skipped, only the evicted stage's
-// sibling is retuned.
+// TestMemberRecordsSurviveAReshard: a dead member's drop rebuilds the
+// shard in the middle of a round, between the collect and the push, and
+// the rebuild must not forget what the collect just learned — the
+// stages already at their rate are still skipped, only the dropped
+// stage's sibling is retuned.
 func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	clk := clock.NewSim(epoch)
-	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000), WithEvictAfter(1))
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(8000))
 	c.SetReservation("jobA", 3000)
 	c.SetReservation("jobB", 1000)
 	var doomed atomic.Bool // s0 stops answering collects
@@ -271,11 +261,11 @@ func TestMemberRecordsSurviveAReshard(t *testing.T) {
 	doomed.Store(true)
 	c.RunOnce()
 	if got := len(c.Stages()); got != 4 {
-		t.Fatalf("%d stages registered after the eviction round, want 4", got)
+		t.Fatalf("%d stages registered after the round that found s0 dead, want 4", got)
 	}
 	rs, _ := c.LastRound()
 	if rs.PushCalls != 1 || rs.PushesSkipped != 3 {
-		t.Errorf("eviction round: %d pushed, %d skipped; want jobB's survivor retuned and jobA's three stages skipped",
+		t.Errorf("the round that dropped s0: %d pushed, %d skipped; want jobB's survivor retuned and jobA's three stages skipped",
 			rs.PushCalls, rs.PushesSkipped)
 	}
 }

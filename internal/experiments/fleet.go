@@ -82,7 +82,7 @@ func fleetPoint(n int) (FleetRow, error) {
 	}
 	for i := 0; i < n; i++ {
 		stg := fleetStage(i, clk)
-		if err := ctl.Register(stg.Info(), rpcio.LocalStage(rpcio.NewStageService(stg), clk, nil)); err != nil {
+		if err := ctl.Register(stg.Info(), rpcio.LocalStage(rpcio.NewStageService(stg), nil)); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)
@@ -119,7 +119,7 @@ func fleetManagementRound() (ops, calls int, err error) {
 			Rule: policy.Rule{ID: fmt.Sprintf("mgmt-%d", i), Rate: float64(1000 * (i + 1))}})
 	}
 	var st stage.Stats
-	if _, _, err = rpcio.LocalStage(svc, clk, nil).Exec(batch, &st); err != nil {
+	if _, _, err = rpcio.LocalStage(svc, nil).Exec(batch, &st); err != nil {
 		return 0, 0, err
 	}
 	return len(batch) + 1, int(svc.Served().Calls), nil // +1: the collect

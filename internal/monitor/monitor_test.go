@@ -21,7 +21,7 @@ var epoch = time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)
 
 // register registers stg with ctl in process, through the frame transport.
 func register(ctl *control.Controller, stg *stage.Stage) error {
-	return ctl.Register(stg.Info(), rpcio.LocalStage(rpcio.NewStageService(stg), ctl.Clock(), nil))
+	return ctl.Register(stg.Info(), rpcio.LocalStage(rpcio.NewStageService(stg), nil))
 }
 
 // rig builds a controller with two jobs and some demand.

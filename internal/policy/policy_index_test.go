@@ -22,16 +22,19 @@ func indexTestRules() []Rule {
 
 // selectReference is selection by its definition, with neither the
 // per-op index nor the sorted order: of the rules whose Matches accepts
-// req, the most specific, ties to the lower ID.
+// req, the most specific, ties to the lower ID. The result points into
+// the copy Rules returns, its one allocation.
 func selectReference(rs *RuleSet, req *posix.Request) *Rule {
 	var best *Rule
-	for _, r := range rs.Rules() {
+	rules := rs.Rules()
+	for i := range rules {
+		r := &rules[i]
 		if !r.Match.Matches(req) {
 			continue
 		}
 		if best == nil || r.Match.Specificity() > best.Match.Specificity() ||
 			r.Match.Specificity() == best.Match.Specificity() && r.ID < best.ID {
-			best = &r
+			best = r
 		}
 	}
 	return best

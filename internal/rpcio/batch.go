@@ -7,22 +7,20 @@
 // worth of operations for one stage in a single RPC (a single operation
 // is a one-op batch), and its collect half is incremental. Each end
 // keeps one baseline: the stage remembers the last snapshot it sent
-// (identified by an epoch+generation pair) and sends only the queues
-// that changed since, and the handle merges each reply in place into
-// the caller's buffer that holds the previous one. An acknowledgment
-// that doesn't match — first contact, another collector's collect in
-// between, a restarted stage (fresh epoch) or a new buffer — gets a
-// full snapshot, so correctness never depends on both sides staying in
-// sync.
+// (identified by its generation) and sends only the queues that changed
+// since, and the handle merges each reply in place into the caller's
+// buffer that holds the previous one. An acknowledgment that doesn't
+// match — first contact, another collector's collect in between, or a
+// new buffer — gets a full snapshot, so correctness never depends on
+// both sides staying in sync. A handle meets one stage service in its
+// life (its connection's), and a restarted stage is a new connection
+// and so a new handle, whose first collect acknowledges nothing.
 package rpcio
 
 import (
-	cryptorand "crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"padll/internal/policy"
 	"padll/internal/stage"
@@ -65,11 +63,10 @@ type BatchArgs struct {
 	// Collect asks for a statistics snapshot in the same round trip,
 	// taken after Ops applied.
 	Collect bool
-	// AckEpoch/AckGen acknowledge the last StatsDelta this client
-	// merged; when they match the stage's current generation — no other
-	// collect came in between — the reply is incremental.
-	AckEpoch uint64
-	AckGen   uint64
+	// AckGen acknowledges the last StatsDelta this client merged; when
+	// it matches the stage's current generation — no other collect came
+	// in between — the reply is incremental.
+	AckGen uint64
 }
 
 // BatchReply answers a batch: one result per op, plus the stats delta
@@ -85,10 +82,6 @@ type BatchReply struct {
 // the acknowledged generation and Removed names the rules deleted since
 // then. The cheap scalar fields are always absolute values.
 type StatsDelta struct {
-	// Epoch identifies the serving StageService instance; it changes
-	// when a stage restarts, so a client can never misapply a delta
-	// from a reborn stage onto stale merged state.
-	Epoch uint64
 	// Gen is the generation this delta advances the client to.
 	Gen  uint64
 	Full bool
@@ -101,26 +94,6 @@ type StatsDelta struct {
 	Degraded        bool
 	DegradedSeconds float64
 }
-
-// newEpoch draws a random nonzero identifier for a service instance.
-// Epochs only need to differ across stage restarts; 32 random bits make
-// an accidental match (which would silently corrupt a client's merged
-// snapshot) a non-event. Bit 31 is always set, so an epoch
-// varint-encodes to exactly 5 bytes: two ride every steady-state batch
-// exchange (AckEpoch, Epoch), and a fixed width keeps wireB/round the
-// same from run to run. The wire field stays uint64: the decoder
-// accepts historic full-width values.
-func newEpoch() uint64 {
-	var b [4]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		// No entropy source: fall back to a process-unique value, which
-		// still separates in-process restarts (the common test case).
-		return epochFallback.Add(1)<<1 | 1<<31
-	}
-	return uint64(binary.LittleEndian.Uint32(b[:]) | 1<<31 | 1)
-}
-
-var epochFallback atomic.Uint64
 
 // ServiceStats counts what a StageService has served, for observability
 // (the replayer prints them at shutdown).
@@ -190,7 +163,7 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
 	s.calls.Add(1)
 	s.batchedOps.Add(uint64(len(args.Ops)))
 	if args.Collect {
-		s.collectDelta(args.AckEpoch, args.AckGen, &reply.Delta)
+		s.collectDelta(args.AckGen, &reply.Delta)
 	}
 	return nil
 }
@@ -201,12 +174,12 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) (err error) {
 // of the tracker's scratch buffer, never aliased, because the reply is
 // encoded after this method returns, when a concurrent call from
 // another connection may already be rewriting the scratch.
-func (s *StageService) collectDelta(ackEpoch, ackGen uint64, d *StatsDelta) {
+func (s *StageService) collectDelta(ackGen uint64, d *StatsDelta) {
 	t := &s.track
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	incremental := ackEpoch == s.epoch && ackGen == t.gen && t.gen > 0
+	incremental := ackGen == t.gen && t.gen > 0
 	if incremental && t.tok != 0 && s.stg.QuietSince(t.tok) {
 		// The stage proves its statistics unchanged since the collect this
 		// client acknowledges: an empty delta, touching no counter. The scratch
@@ -217,7 +190,7 @@ func (s *StageService) collectDelta(ackEpoch, ackGen uint64, d *StatsDelta) {
 		// back to a full snapshot.
 		s.deltaCollects.Add(1)
 		t.gen++
-		d.Epoch, d.Gen = s.epoch, t.gen
+		d.Gen = t.gen
 		d.Full = false
 		d.Info = stage.Info{}
 		d.Queues = d.Queues[:0]
@@ -232,7 +205,7 @@ func (s *StageService) collectDelta(ackEpoch, ackGen uint64, d *StatsDelta) {
 	st := &t.scratch
 
 	t.gen++
-	d.Epoch, d.Gen = s.epoch, t.gen
+	d.Gen = t.gen
 	d.Full = !incremental
 	d.Queues = d.Queues[:0]
 	d.Removed = d.Removed[:0]
@@ -279,9 +252,9 @@ func (s *StageService) collectDelta(ackEpoch, ackGen uint64, d *StatsDelta) {
 // own buffer, buf; the state holds only what acknowledges it. It is not
 // safe for concurrent use; StageHandle guards its own instance.
 type deltaState struct {
-	// epoch and gen acknowledge the last reply merged into buf.
-	epoch, gen uint64
-	buf        *stage.Stats
+	// gen acknowledges the last reply merged into buf.
+	gen uint64
+	buf *stage.Stats
 
 	// fulls/deltas count reply forms, for tests and experiments.
 	fulls, deltas uint64
@@ -330,7 +303,7 @@ func (ds *deltaState) apply(d *StatsDelta) (changed bool) {
 			st.Queues[i] = q
 		}
 	}
-	ds.epoch, ds.gen = d.Epoch, d.Gen
+	ds.gen = d.Gen
 	st.Passthrough = d.Passthrough
 	st.Degraded = d.Degraded
 	st.DegradedSeconds = d.DegradedSeconds
@@ -394,9 +367,9 @@ func (h *StageHandle) Start(ops []StageOp, dst *stage.Stats) {
 		// A buffer other than the one last filled holds nothing a delta
 		// could apply to: drop the acknowledgment, and the stage answers
 		// in full.
-		h.dstate.epoch, h.dstate.gen, h.dstate.buf = 0, 0, dst
+		h.dstate.gen, h.dstate.buf = 0, dst
 	}
-	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.epoch, h.dstate.gen
+	h.bargs.AckGen = h.dstate.gen
 	h.bmu.Unlock()
 	h.bargs.Ops = ops
 	h.bargs.Collect = dst != nil

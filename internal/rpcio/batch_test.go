@@ -81,7 +81,7 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 			clk := clock.NewSim(epoch)
 			stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
 			svc := NewStageService(stg)
-			h, other := LocalStage(svc, clk, nil), LocalStage(svc, clk, nil)
+			h, other := LocalStage(svc, nil), LocalStage(svc, nil)
 			rng := rand.New(rand.NewSource(seed))
 
 			ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
@@ -156,7 +156,7 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	stg1 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg1.ApplyRule(policy.Rule{ID: "old-only", Rate: 100})
 	stg1.ApplyRule(policy.Rule{ID: "shared", Rate: 200})
-	h := LocalStage(NewStageService(stg1), clk, nil)
+	h := LocalStage(NewStageService(stg1), nil)
 
 	var merged stage.Stats
 	for i := 0; i < 3; i++ {
@@ -169,7 +169,7 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	_ = h.Close()
 	stg2 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
-	h = LocalStage(NewStageService(stg2), clk, nil)
+	h = LocalStage(NewStageService(stg2), nil)
 
 	if err := h.CollectDeltaInto(&merged); err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestDeltaTrackerOneBaseline(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	a, b := LocalStage(svc, clk, nil), LocalStage(svc, clk, nil)
+	a, b := LocalStage(svc, nil), LocalStage(svc, nil)
 	merged := map[*StageHandle]*stage.Stats{a: {}, b: {}}
 
 	const rounds = 4
@@ -238,7 +238,7 @@ func TestDeltaTrackerOneBaseline(t *testing.T) {
 
 // TestBatchStaleGenerationGetsFull exercises the service-side ack check
 // directly: an acknowledgment for any generation but the current one —
-// stale, future, or another client's — must produce a full snapshot.
+// stale, or future — must produce a full snapshot.
 func TestBatchStaleGenerationGetsFull(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	svc := NewStageService(stg)
@@ -252,7 +252,7 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 	}
 
 	var second BatchReply
-	if err := svc.Batch(BatchArgs{Collect: true, AckEpoch: first.Delta.Epoch, AckGen: first.Delta.Gen}, &second); err != nil {
+	if err := svc.Batch(BatchArgs{Collect: true, AckGen: first.Delta.Gen}, &second); err != nil {
 		t.Fatal(err)
 	}
 	if second.Delta.Full {
@@ -260,9 +260,8 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 	}
 
 	for name, args := range map[string]BatchArgs{
-		"stale gen":   {Collect: true, AckEpoch: second.Delta.Epoch, AckGen: first.Delta.Gen},
-		"future gen":  {Collect: true, AckEpoch: second.Delta.Epoch, AckGen: second.Delta.Gen + 7},
-		"wrong epoch": {Collect: true, AckEpoch: second.Delta.Epoch + 1, AckGen: second.Delta.Gen},
+		"stale gen":  {Collect: true, AckGen: first.Delta.Gen},
+		"future gen": {Collect: true, AckGen: second.Delta.Gen + 7},
 	} {
 		var reply BatchReply
 		if err := svc.Batch(args, &reply); err != nil {
@@ -273,7 +272,7 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 		}
 		// Resync: the fallback advanced the generation.
 		var resync BatchReply
-		if err := svc.Batch(BatchArgs{Collect: true, AckEpoch: reply.Delta.Epoch, AckGen: reply.Delta.Gen}, &resync); err != nil {
+		if err := svc.Batch(BatchArgs{Collect: true, AckGen: reply.Delta.Gen}, &resync); err != nil {
 			t.Fatal(err)
 		}
 		if resync.Delta.Full {
@@ -379,7 +378,7 @@ func TestServiceStatsCountBatchTraffic(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	svc := NewStageService(stg)
-	h := LocalStage(svc, clk, nil)
+	h := LocalStage(svc, nil)
 
 	var st stage.Stats
 	if _, _, err := h.Exec([]StageOp{
@@ -413,7 +412,7 @@ func BenchmarkCollectDeltaSteadyState(b *testing.B) {
 	for _, id := range []string{"a", "b", "c", "d"} {
 		stg.ApplyRule(policy.Rule{ID: id, Rate: 1000})
 	}
-	h := LocalStage(NewStageService(stg), clk, nil)
+	h := LocalStage(NewStageService(stg), nil)
 	var st stage.Stats
 	if err := h.CollectDeltaInto(&st); err != nil { // first contact: full
 		b.Fatal(err)

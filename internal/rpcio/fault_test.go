@@ -2,7 +2,6 @@ package rpcio
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -48,158 +47,210 @@ func flakyServedStage(t *testing.T, flaky Flakiness, opts ...DialOption) (*stage
 	return stg, h, cl
 }
 
-// TestCallDeadlineRecoversFromDroppedResponses: the stage applies every
-// request, and every second reply is lost without a word — the read
-// awaiting it waits as on a silent socket — so that exchange fails at
-// its deadline, and the next one, over the same in-memory conn, is
-// answered: a lost reply costs its own exchange one deadline and
-// nothing more, with no sleep and no second conn. The handle runs on a
-// simulated clock, which the test steps through each deadline.
+// TestCallDeadlineRecoversFromDroppedResponses: the stage applies
+// every request, and its second reply is lost on the wire, so that
+// exchange fails at its deadline on the handle's simulated clock, which
+// the test steps through it. The lost reply ends the connection: the
+// next exchange fails at once with the same cause, and Done is closed.
+// A fresh handle, as the stage's next registration would give its
+// controller, is answered: a lost reply costs one deadline and one
+// connection, with no sleep.
 func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
-	const timeout = DefaultCallTimeout
 	clk := clock.NewSim(epoch)
-	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
-	requests := 0
-	h := LocalStage(svc, clk, func([]StageOp, bool) error {
-		if requests++; requests%2 == 0 {
-			return ReplyLost{}
-		}
-		return nil
-	})
-	defer func() { _ = h.Close() }()
-	for i := 0; i < 6; i++ {
-		done := make(chan error, 1)
-		go func() {
-			_, err := ping(h)
-			done <- err
-		}()
-		lost := i%2 == 1
-		if lost {
-			clk.BlockUntil(1) // the read waits on its deadline
-			clk.Advance(timeout)
-		}
-		switch err := <-done; {
-		case lost && (err == nil || !strings.Contains(err.Error(), "deadline")):
-			t.Fatalf("Ping %d, its reply lost: err = %v, want its deadline", i, err)
-		case !lost && err != nil:
-			t.Fatalf("Ping %d: %v", i, err)
-		}
-		if n := clk.PendingWaiters(); n != 0 {
-			t.Fatalf("Ping %d left %d waiters on the clock: nothing but the deadline may wait", i, n)
-		}
+	_, h, l := flakyServedStage(t, Flakiness{DropEvery: 2}, WithHandleClock(clk))
+	if _, err := ping(h); err != nil {
+		t.Fatal(err)
 	}
-	if served := svc.Served().Calls; served != 6 {
-		t.Errorf("stage served %d calls, want every one of the 6, each once", served)
-	}
-	if elapsed := clk.Now().Sub(epoch); elapsed != 3*timeout {
-		t.Errorf("six pings took %v of clock, want three deadlines (%v)", elapsed, 3*timeout)
-	}
-}
-
-// TestCloseReleasesASilentInProcessExchange: an in-process exchange
-// whose reply was lost without a word waits on its deadline timer; a
-// Close from another goroutine releases it at once, before the
-// deadline, with the connection's close.
-func TestCloseReleasesASilentInProcessExchange(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
-	h := LocalStage(svc, clk, func([]StageOp, bool) error { return ReplyLost{} })
 	done := make(chan error, 1)
 	go func() {
 		_, err := ping(h)
 		done <- err
 	}()
 	clk.BlockUntil(1) // the read waits on its deadline
-	if err := h.Close(); err != nil {
+	clk.Advance(DefaultCallTimeout)
+	first := <-done
+	if first == nil || !strings.Contains(first.Error(), "deadline") {
+		t.Fatalf("ping whose reply was lost: err = %v, want its deadline", first)
+	}
+	if _, err := ping(h); err != first {
+		t.Errorf("after the lost reply: err = %v, want the first cause %v", err, first)
+	}
+	select {
+	case <-h.Done():
+	default:
+		t.Error("the lost reply left the handle's Done open")
+	}
+	nh, err := DialStage(l.Addr().String(), WithHandleClock(clk))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "connection closed") {
-		t.Fatalf("err = %v, want the handle's close", err)
+	defer func() { _ = nh.Close() }()
+	if _, err := ping(nh); err != nil {
+		t.Errorf("a fresh handle: %v", err)
 	}
-	if served := svc.Served().Calls; served != 1 {
-		t.Errorf("stage served %d calls, want the one whose reply was lost", served)
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Errorf("%d waiters left on the clock: nothing but the deadline may wait", n)
+	}
+	if elapsed := clk.Now().Sub(epoch); elapsed != DefaultCallTimeout {
+		t.Errorf("the exchanges took %v of clock, want one deadline (%v)", elapsed, DefaultCallTimeout)
 	}
 }
 
-// TestInjectedFaultFailsOneExchange: on an in-memory conn, each kind of
-// injected fault — a refusal, a reply lost with an error, a reply lost
-// without a word on a simulated clock — fails its own exchange and
-// nothing else: the next exchange on the same handle, over the same
-// conn, is answered. A lost collect reply leaves the handle's
-// acknowledgment stale — the stage applied the collect it never saw
-// answered — so the collect after it is a full resync, and converges
-// with the stage. Only the stage hanging up ends the conn: every later
-// exchange fails with that first cause.
-func TestInjectedFaultFailsOneExchange(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
-	var verdict error
-	h := LocalStage(NewStageService(stg), clk, func([]StageOp, bool) error {
-		v := verdict
-		verdict = nil
-		return v
-	})
-	defer func() { _ = h.Close() }()
-	fc := h.t.fc
+// refusingConn is a client's TCP connection whose writes fail once
+// refused is set, as a write towards an unreachable peer does.
+type refusingConn struct {
+	*net.TCPConn
+	refused atomic.Bool
+}
 
-	var merged stage.Stats
-	if err := h.CollectDeltaInto(&merged); err != nil { // first contact: full
-		t.Fatal(err)
+func (c *refusingConn) Write(b []byte) (int, error) {
+	if c.refused.Load() {
+		return 0, errRefused
 	}
-	errRefused, errLost := errors.New("injected refusal"), errors.New("injected reply loss")
-	for i, tc := range []struct {
-		name     string
-		verdict  error
-		silent   bool // the read waits for the deadline
-		wantErr  error
-		wantFull bool // the stage applied the lost collect: the next is a full resync
+	return c.TCPConn.Write(b)
+}
+
+var (
+	errRefused = errors.New("injected refusal")
+	errLost    = errors.New("injected reply loss")
+)
+
+// failureOutcome is what a handle makes of one failure: the class of
+// the exchange's error, whether each later exchange failed at once
+// with that same error (nil: answered), and whether Done closed.
+type failureOutcome struct {
+	first string
+	later [2]string
+	done  bool
+}
+
+// failureClass names an exchange's error as the control plane tells
+// errors apart.
+func failureClass(err error) string {
+	var remote RemoteError
+	switch {
+	case err == nil:
+		return "answered"
+	case errors.As(err, &remote):
+		return "the stage's answer: " + string(remote)
+	case errors.Is(err, ErrDeparted):
+		return "departed"
+	case errors.Is(err, errRefused):
+		return "refused"
+	case Retryable(err):
+		return "wire failure"
+	}
+	return "unclassified: " + err.Error()
+}
+
+// TestOneFailureRuleOnEveryConn drives a handle over LocalStage and a
+// TCP handle (the stage behind a FlakyListener, deadlines on clock.Sim)
+// through the same failures — a refusal, a lost reply, a hang-up and a
+// RemoteError — and requires the same outcome from both: the first
+// error's class; every later exchange failing at once with that same
+// error; Done closed, except after a RemoteError, which leaves the
+// connection in service.
+func TestOneFailureRuleOnEveryConn(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		verdict error     // the in-memory conn's Fault
+		flaky   Flakiness // the TCP stage's wire
+		ops     []StageOp // the failing exchange's, besides its collect
+		want    failureOutcome
 	}{
-		{"refusal", errRefused, false, errRefused, false},
-		{"reply lost with an error", ReplyLost{Err: errLost}, false, errLost, true},
-		{"reply lost without a word", ReplyLost{}, true, nil, true},
+		{"refusal", errRefused, Flakiness{}, nil,
+			failureOutcome{"refused", [2]string{"the first cause", "the first cause"}, true}},
+		{"lost reply", ReplyLost{Err: errLost}, Flakiness{DropEvery: 2}, nil,
+			failureOutcome{"wire failure", [2]string{"the first cause", "the first cause"}, true}},
+		{"hang-up", io.EOF, Flakiness{FailAfter: 2}, nil,
+			failureOutcome{"departed", [2]string{"the first cause", "the first cause"}, true}},
+		{"remote error", nil, Flakiness{}, []StageOp{{Kind: 99}},
+			failureOutcome{"the stage's answer: rpcio: batch op 0: unknown kind 99", [2]string{"answered", "answered"}, false}},
 	} {
-		stg.ApplyRule(policy.Rule{ID: fmt.Sprintf("r%d", i), Rate: float64(100 * (i + 1))})
-		verdict = tc.verdict
-		done := make(chan error, 1)
-		go func() { done <- h.CollectDeltaInto(&merged) }()
-		if tc.silent {
-			clk.BlockUntil(1) // the read waits on its deadline
-			clk.Advance(DefaultCallTimeout)
-		}
-		err := <-done
-		switch {
-		case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
-			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
-		case tc.wantErr == nil && (err == nil || !strings.Contains(err.Error(), "deadline")):
-			t.Fatalf("%s: err = %v, want the deadline", tc.name, err)
-		case fc.cause() != nil:
-			t.Fatalf("%s: the fault ended the conn: %v", tc.name, fc.cause())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			// run scripts the failure on h: one exchange answered, the
+			// failing one (arm readies it; wait steps a clock through its
+			// deadline), then two more.
+			run := func(h *StageHandle, arm, wait func()) (o failureOutcome) {
+				defer func() { _ = h.Close() }()
+				if _, err := ping(h); err != nil {
+					t.Fatalf("before the failure: %v", err)
+				}
+				arm()
+				done := make(chan error, 1)
+				go func() {
+					_, _, err := h.Exec(tc.ops, &stage.Stats{})
+					done <- err
+				}()
+				wait()
+				first := <-done
+				o.first = failureClass(first)
+				for i := range o.later {
+					switch _, err := ping(h); {
+					case err == nil:
+						o.later[i] = "answered"
+					case err == first:
+						o.later[i] = "the first cause"
+					default:
+						o.later[i] = err.Error()
+					}
+				}
+				select {
+				case <-h.Done():
+					o.done = true
+				default:
+				}
+				return o
+			}
 
-		fulls, deltas := h.CollectCounts()
-		if err := h.CollectDeltaInto(&merged); err != nil {
-			t.Fatalf("%s: the exchange after the fault: %v", tc.name, err)
-		}
-		if !sameStats(merged, stg.Collect()) {
-			t.Errorf("%s: merged snapshot diverged after the fault:\n got: %+v\nwant: %+v", tc.name, merged, stg.Collect())
-		}
-		f, d := h.CollectCounts()
-		if gotFull := f == fulls+1 && d == deltas; gotFull != tc.wantFull || f+d != fulls+deltas+1 {
-			t.Errorf("%s: the collect after the fault moved fulls %d→%d, deltas %d→%d; want a full resync %v",
-				tc.name, fulls, f, deltas, d, tc.wantFull)
-		}
-	}
+			var verdict atomic.Value
+			svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+			mem := run(LocalStage(svc, func([]StageOp, bool) error {
+				if v, _ := verdict.Load().(error); v != nil {
+					return v
+				}
+				return nil
+			}), func() {
+				if tc.verdict != nil {
+					verdict.Store(tc.verdict)
+				}
+			}, func() {})
 
-	verdict = io.EOF
-	_, first := ping(h)
-	if !errors.Is(first, ErrDeparted) {
-		t.Fatalf("a hang-up: err = %v, want ErrDeparted", first)
-	}
-	if _, err := ping(h); err != first {
-		t.Errorf("after the hang-up: err = %v, want the first cause %v", err, first)
-	}
-	if n := clk.PendingWaiters(); n != 0 {
-		t.Errorf("%d waiters left on the clock", n)
+			clk := clock.NewSim(epoch)
+			tcp := func() failureOutcome {
+				stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop := ServeStage(&FlakyListener{Listener: l, Flaky: tc.flaky}, stg)
+				defer stop()
+				raw, err := net.Dial("tcp", l.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn := &refusingConn{TCPConn: raw.(*net.TCPConn)}
+				cfg := defaultDialConfig()
+				cfg.clk = clk
+				h := newStageHandle(newFrameTransport(l.Addr().String(), cfg, conn, newFrameReader()))
+				return run(h, func() { conn.refused.Store(tc.verdict == errRefused) }, func() {
+					if tc.flaky.DropEvery > 0 {
+						clk.BlockUntil(1) // the read waits on its deadline
+						clk.Advance(DefaultCallTimeout)
+					}
+				})
+			}()
+
+			if mem != tc.want {
+				t.Errorf("in memory: %+v, want %+v", mem, tc.want)
+			}
+			if tcp != tc.want {
+				t.Errorf("over TCP: %+v, want %+v", tcp, tc.want)
+			}
+			if n := clk.PendingWaiters(); n != 0 {
+				t.Errorf("%d waiters left on the TCP handle's clock", n)
+			}
+		})
 	}
 }
 

@@ -20,14 +20,13 @@
 // connections: Finish takes what the connection holds without waiting
 // (its look) and blocks in a read only when the reply is not there yet
 // — under what is left of the deadline, counted from the send on the
-// transport's clock, whose timer releases the read (see wait). Over TCP
-// a timeout or an I/O error kills the connection, and with it the
-// handle: every later exchange fails at once with the first cause, and
-// a peer that hung up has left (ErrDeparted) — a stage that lost its
-// registration dials again, and the controller gets a new handle. An
-// in-memory conn outlives an injected fault (see frameConn.fail). A
-// RemoteError — the peer's application error — leaves the connection
-// as it is.
+// transport's clock, whose timer releases the read (see wait). A
+// timeout, an I/O error or an injected fault kills the connection, and
+// with it the handle: every later exchange fails at once with the first
+// cause, and a peer that hung up has left (ErrDeparted) — a stage that
+// lost its registration dials again, and the controller gets a new
+// handle. A RemoteError — the peer's application error — leaves the
+// connection as it is.
 package rpcio
 
 import (
@@ -61,8 +60,8 @@ type frameCall struct {
 	reply any
 }
 
-// frameConn is one transport's connection. Everything but err belongs
-// to the exchange in flight; a kill may come from any goroutine.
+// frameConn is one transport's connection. Everything but err and done
+// belongs to the exchange in flight; a kill may come from any goroutine.
 type frameConn struct {
 	conn net.Conn
 	in   frameReader
@@ -75,8 +74,9 @@ type frameConn struct {
 	deadline clock.FuncTimer
 	fired    chan struct{}
 
-	mu  sync.Mutex
-	err error // what killed the connection; nil while it lives
+	mu   sync.Mutex
+	err  error         // what killed the connection; nil while it lives
+	done chan struct{} // closed by the kill
 }
 
 // expire is the deadline timer's function: it releases the blocked read.
@@ -85,8 +85,8 @@ func (fc *frameConn) expire() {
 	fc.fired <- struct{}{}
 }
 
-// kill tears the connection down once, recording why, and closes the
-// socket, which releases a read blocked on it.
+// kill tears the connection down once, recording why, closes the
+// socket, which releases a read blocked on it, and closes done.
 func (fc *frameConn) kill(err error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -95,28 +95,21 @@ func (fc *frameConn) kill(err error) {
 		// The connection is being discarded; its close error is subsumed
 		// by the error that killed it.
 		_ = fc.conn.Close()
+		close(fc.done)
 	}
 }
 
 // fail is the outcome of an exchange that failed with err. A
 // RemoteError is the peer's answer over a working wire and leaves the
-// connection alone. Over TCP any other failure kills the connection
-// for good. An in-memory conn outlives an injected fault — a refusal, a
-// lost reply, a deadline on a silent one — which fails only its own
-// exchange: only the stage hanging up (ErrDeparted) or a Close ends
-// it. The error returned is the one that killed the connection, if one
-// did (a kill from elsewhere may have got there first), else err.
+// connection alone; any other failure kills it for good. The error
+// returned is the one that killed the connection (a kill from
+// elsewhere may have got there first).
 func (fc *frameConn) fail(err error) error {
 	if !Retryable(err) {
 		return err
 	}
-	if fc.mem == nil || errors.Is(err, ErrDeparted) {
-		fc.kill(err)
-	}
-	if cause := fc.cause(); cause != nil {
-		return cause
-	}
-	return err
+	fc.kill(err)
+	return fc.cause()
 }
 
 // cause is the error that killed the connection (nil while it lives).
@@ -130,7 +123,7 @@ func (fc *frameConn) cause() error {
 // when it holds nothing, io.EOF when the peer closed it.
 func (fc *frameConn) look(buf []byte) (int, error) {
 	if fc.mem != nil {
-		return fc.mem.read(buf, false)
+		return fc.mem.Read(buf)
 	}
 	return fc.peek.look(buf)
 }
@@ -205,9 +198,6 @@ type frameTransport struct {
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
 
-	closeOnce sync.Once
-	done      chan struct{} // closed by Close
-
 	// call is the transport's one exchange: every Start/Finish pair uses
 	// it in turn.
 	call frameCall
@@ -217,14 +207,14 @@ type frameTransport struct {
 // hold bytes. Its exchanges reuse the buffer, the look and the deadline
 // timer built here.
 func newFrameTransport(addr string, cfg dialConfig, conn net.Conn, in frameReader) *frameTransport {
-	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1)}
+	fc := &frameConn{conn: conn, in: in, fired: make(chan struct{}, 1), done: make(chan struct{})}
 	if fc.mem, _ = conn.(*memConn); fc.mem == nil {
 		fc.peek.init(conn.(syscall.Conn)) // TCP
 	}
 	if cfg.timeout > 0 {
 		fc.deadline = cfg.clk.NewFuncTimer(fc.expire)
 	}
-	return &frameTransport{addr: addr, dialConfig: cfg, fc: fc, done: make(chan struct{})}
+	return &frameTransport{addr: addr, dialConfig: cfg, fc: fc}
 }
 
 // WireStats reports cumulative traffic accounting.
@@ -278,7 +268,7 @@ func (t *frameTransport) send(fc *frameConn, c *frameCall) error {
 // the call's stream, which lands in c.kind and c.buf. Frames already
 // received come first, then what the socket holds; only when it holds
 // nothing does await block, under what is left of the deadline. A
-// timeout fails the exchange: over TCP it kills the connection — a late
+// timeout fails the exchange and kills the connection — a late
 // reply would be discarded as a straggler, but the connection can no
 // longer be trusted to be timely. A peer that closed the connection has
 // left (ErrDeparted).
@@ -391,6 +381,5 @@ func (t *frameTransport) Finish() error {
 // subsequent calls fail with what killed it.
 func (t *frameTransport) Close() error {
 	t.fc.kill(fmt.Errorf("rpcio: stage %s: connection closed", t.addr))
-	t.closeOnce.Do(func() { close(t.done) })
 	return nil
 }

@@ -21,7 +21,7 @@ func TestQuietSkipKeepsClientViewExact(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	h := LocalStage(svc, clk, nil)
+	h := LocalStage(svc, nil)
 
 	var merged stage.Stats
 	check := func(round string) stage.Stats {
@@ -76,7 +76,7 @@ func TestQuietSkipAdvancesGeneration(t *testing.T) {
 	if err := svc.Batch(BatchArgs{Collect: true}, &first); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Batch(BatchArgs{Collect: true, AckEpoch: first.Delta.Epoch, AckGen: first.Delta.Gen}, &second); err != nil {
+	if err := svc.Batch(BatchArgs{Collect: true, AckGen: first.Delta.Gen}, &second); err != nil {
 		t.Fatal(err)
 	}
 	if second.Delta.Full {
@@ -90,7 +90,7 @@ func TestQuietSkipAdvancesGeneration(t *testing.T) {
 	}
 
 	// Acking the pre-skip generation must resync with a full snapshot.
-	if err := svc.Batch(BatchArgs{Collect: true, AckEpoch: first.Delta.Epoch, AckGen: first.Delta.Gen}, &third); err != nil {
+	if err := svc.Batch(BatchArgs{Collect: true, AckGen: first.Delta.Gen}, &third); err != nil {
 		t.Fatal(err)
 	}
 	if !third.Delta.Full {

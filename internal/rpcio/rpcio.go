@@ -34,9 +34,6 @@ import (
 // batched delta protocol (batch.go), Stage.Batch being its one method.
 type StageService struct {
 	stg *stage.Stage
-	// epoch identifies this service instance to delta-collect clients;
-	// see StatsDelta.Epoch.
-	epoch uint64
 	// track is the one delta baseline: the snapshot the last collect
 	// sent, whichever client asked for it. See batch.go.
 	track deltaTracker
@@ -50,7 +47,7 @@ type StageService struct {
 // NewStageService wraps a stage for serving, either over a listener
 // (ServeStageService) or in process (LocalStage).
 func NewStageService(stg *stage.Stage) *StageService {
-	return &StageService{stg: stg, epoch: newEpoch()}
+	return &StageService{stg: stg}
 }
 
 // Served reports cumulative service-side counters.
@@ -180,11 +177,11 @@ var retryDelays = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 // StageHandle is the control plane's one link to a stage, layered over
 // the frame transport and running over exactly one connection: frames
 // with deadlines over TCP — the connection the stage registered on
-// (ServeRegistrar), or the one DialStage opens — whose first failure
-// ends the handle for good, or an in-memory conn to a stage in this
-// process (LocalStage), where a Fault injects failures that fail one
-// exchange each. Nothing redials and nothing retries: a stage that
-// lost its handle registers again and the controller gets a new one.
+// (ServeRegistrar), or the one DialStage opens — or an in-memory conn
+// to a stage in this process (LocalStage), where a Fault injects
+// failures. Its first failure on the wire ends the handle for good.
+// Nothing redials and nothing retries: a stage that lost its handle
+// registers again and the controller gets a new one.
 // The handle owns the client half of the batched delta protocol
 // (Start/Finish/Exec in batch.go).
 type StageHandle struct {
@@ -235,9 +232,11 @@ func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 // Close tears down the connection; subsequent calls fail.
 func (h *StageHandle) Close() error { return h.t.Close() }
 
-// Done is closed once the handle is: the stage's link as the controller
-// ends it (a deregistration, an eviction, a replacing registration).
-func (h *StageHandle) Done() <-chan struct{} { return h.t.done }
+// Done is closed once the handle's connection dies: the stage's link
+// as the controller sees it end — a wire failure, the stage's hang-up,
+// or the controller's Close (a deregistration, a replacing
+// registration).
+func (h *StageHandle) Done() <-chan struct{} { return h.t.fc.done }
 
 // ---- controller-side registration service ----
 

@@ -260,7 +260,7 @@ func TestRegistrarFlow(t *testing.T) {
 func TestInMemoryHangUpIsADeparture(t *testing.T) {
 	svc := NewStageService(stage.New(stage.Info{StageID: "s1"}, clock.NewSim(epoch)))
 	var gone atomic.Bool
-	h := LocalStage(svc, clock.NewSim(epoch), func([]StageOp, bool) error {
+	h := LocalStage(svc, func([]StageOp, bool) error {
 		if gone.Load() {
 			return io.EOF
 		}

@@ -1,15 +1,10 @@
 // The client transport's configuration, and the in-memory conn that
 // carries it to a stage in this process — the simulated cluster's (the
 // chaos scenarios' too), a single-process deployment's, the
-// thousand-stage benchmarks' — so the frame cutter, the gather and the
-// deadline timer of TCP's transport run in every simulated round, and a
-// Fault on the conn is where the simulator injects its failures.
-//
-// Where the simulation parts from TCP: an injected fault fails one
-// exchange and leaves the in-memory conn in service, so the next round
-// reaches the stage over the same handle. Over TCP a lost reply's
-// deadline kills the registration connection: the stage finds its link
-// dead, degrades, and registers again on a new one.
+// thousand-stage benchmarks' — so the frame cutter and the gather of
+// TCP's transport run in every simulated round, a Fault on the conn is
+// where the simulator injects its failures, and a failure ends the conn
+// as it ends a TCP one.
 package rpcio
 
 import (
@@ -17,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,42 +59,40 @@ func WithHandleClock(clk clock.Clock) DialOption {
 // Fault decides the fate of each Stage.Batch request an in-process
 // handle sends, from its decoded ops and collect flag, before the stage
 // sees it: nil delivers it; a ReplyLost lets the stage apply it and
-// loses its whole reply; io.EOF says the stage hung up (its job ended):
-// the request goes nowhere, and the read finds the conn closed
+// loses its whole reply, the read awaiting it failing at once with the
+// verdict's Err; io.EOF says the stage hung up (its job ended): the
+// request goes nowhere, and the read finds the conn closed
 // (ErrDeparted); any other error refuses the whole request, and the
-// write fails at once with that error.
+// write fails at once with that error. A RemoteError verdict is the
+// stage's own refusal and leaves the conn in service, as an error frame
+// does; every other verdict but nil kills the conn, as a wire failure
+// kills a TCP one.
 type Fault func(ops []StageOp, collect bool) error
 
 // ReplyLost is a Fault's verdict on a request the stage applies and
 // whose reply never arrives: the read awaiting it fails at once with
-// Err, or, with Err nil, waits like a read on a silent socket until the
-// call's deadline releases it.
+// Err.
 type ReplyLost struct{ Err error }
 
 func (e ReplyLost) Error() string { return fmt.Sprint("rpcio: reply lost: ", e.Err) }
 
 // LocalStage returns a handle on svc in process: its frames travel over
-// one in-memory conn, every request passing fault first, and its
-// deadlines run on clk. With no fault nothing can lose a reply, so there
-// is no deadline to keep either. A fault fails its own exchange and
-// nothing else: the next exchange goes over the same conn, which only
-// the stage hanging up (io.EOF) or Close ends.
-func LocalStage(svc *StageService, clk clock.Clock, fault Fault) *StageHandle {
+// one in-memory conn, every request passing fault first (nil: none).
+// Nothing on the conn waits, so the handle keeps no deadline. A fault
+// ends the conn as a wire failure ends a TCP one: the exchange fails,
+// every later one fails at once with that first cause, and Done closes.
+func LocalStage(svc *StageService, fault Fault) *StageHandle {
 	cfg := defaultDialConfig()
-	cfg.clk = clk
-	if fault == nil {
-		cfg.timeout = 0
-	}
+	cfg.timeout = 0
 	return newStageHandle(newFrameTransport(svc.stg.Info().StageID, cfg, newMemConn(svc, fault), newFrameReader()))
 }
 
 // memConn is an in-memory connection to a stage service. A Write of a
 // whole request frame is served at once, on the caller's goroutine, by
 // the server's own frame reader and handleCall, and the reply frame is
-// queued for the next read: no goroutine, so exchanges are
-// deterministic. It has no clock: a read that finds nothing queued waits
-// for a close or a read deadline, and any deadline counts as passed (the
-// transport's timer sets one only to release such a read).
+// queued for the next read: no goroutine and no clock, so exchanges are
+// deterministic. Nothing waits on it: a read finds the reply queued, or
+// fails at once with why there is none.
 type memConn struct {
 	target frameTarget
 
@@ -115,16 +106,12 @@ type memConn struct {
 	off  int
 	lost error
 
-	closed  atomic.Bool
-	mu      sync.Mutex
-	ready   sync.Cond // broadcast, under mu, when a waiting read may go on
-	expired bool      // a read deadline is set; under mu
+	closed atomic.Bool
 }
 
 func newMemConn(svc *StageService, fault Fault) *memConn {
 	c := &memConn{target: frameTarget{stage: svc}}
 	c.srv.fault = fault
-	c.ready.L = &c.mu
 	return c
 }
 
@@ -140,13 +127,11 @@ func (c *memConn) Write(b []byte) (int, error) {
 	case !ok || in.r != len(b) || h.kind != frameRequest || c.off < len(c.out):
 		return 0, errors.New("rpcio: an in-memory write must be one whole request frame, after the last reply was read")
 	}
-	// The fault sees the args handleCall decodes, before the stage does;
-	// the last exchange's verdict is spent.
-	c.srv.verdict, c.lost = nil, nil
+	// The fault sees the args handleCall decodes, before the stage does.
 	reply := c.target.answer(&c.srv, h, payload)
 	switch lost, isLost := c.srv.verdict.(ReplyLost); {
 	case isLost:
-		c.lost = lost.Err // nil: the read waits as on a silent socket
+		c.lost = lost.Err
 	case c.srv.verdict == io.EOF:
 		c.lost = io.EOF
 	case c.srv.verdict != nil:
@@ -157,55 +142,32 @@ func (c *memConn) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// Read waits until a reply is queued, the conn closes or a deadline is set.
-func (c *memConn) Read(b []byte) (int, error) { return c.read(b, true) }
-
-// read moves queued reply bytes into b; with none queued it reports
-// why, or, with wait set, waits until there is a reason. Without wait
-// it is the conn's look: errWouldBlock when nothing is queued.
-func (c *memConn) read(b []byte, wait bool) (int, error) {
-	if c.off < len(c.out) {
+// Read moves queued reply bytes into b; with none queued it reports
+// why: the conn closed, the reply was lost, or (errWouldBlock) nothing
+// was asked. It is also the conn's look.
+func (c *memConn) Read(b []byte) (int, error) {
+	switch {
+	case c.off < len(c.out):
 		n := copy(b, c.out[c.off:])
 		c.off += n
 		return n, nil
+	case c.closed.Load():
+		return 0, net.ErrClosed
+	case c.lost != nil:
+		return 0, c.lost
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		switch {
-		case c.closed.Load():
-			return 0, net.ErrClosed
-		case c.lost != nil:
-			return 0, c.lost
-		case !wait:
-			return 0, errWouldBlock
-		case c.expired:
-			return 0, os.ErrDeadlineExceeded
-		}
-		c.ready.Wait() //lint:allow lockcheck Cond.Wait releases c.mu for as long as it blocks
-	}
+	return 0, errWouldBlock
 }
 
-// SetReadDeadline sets (any non-zero t) or clears the read deadline.
-func (c *memConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.expired = !t.IsZero()
-	c.mu.Unlock()
-	c.ready.Broadcast()
-	return nil
-}
-
-// Close releases a waiting read; every later call fails.
+// Close makes every later call fail.
 func (c *memConn) Close() error {
-	c.mu.Lock()
 	c.closed.Store(true)
-	c.mu.Unlock()
-	c.ready.Broadcast()
 	return nil
 }
 
-func (c *memConn) SetDeadline(t time.Time) error    { return c.SetReadDeadline(t) }
-func (c *memConn) SetWriteDeadline(time.Time) error { return nil } // writes never wait
+func (c *memConn) SetDeadline(time.Time) error      { return nil } // nothing waits
+func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *memConn) LocalAddr() net.Addr              { return c.RemoteAddr() }
 func (c *memConn) RemoteAddr() net.Addr {
 	return &net.UnixAddr{Name: c.target.stage.stg.Info().StageID, Net: "mem"}

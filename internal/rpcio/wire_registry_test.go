@@ -30,12 +30,11 @@ var wireRegistry = map[string][]string{
 	},
 	"rpcio.OpResult": {"Found bool"},
 	"rpcio.BatchArgs": {
-		"Ops []rpcio.StageOp", "Collect bool",
-		"AckEpoch uint64", "AckGen uint64",
+		"Ops []rpcio.StageOp", "Collect bool", "AckGen uint64",
 	},
 	"rpcio.BatchReply": {"Results []rpcio.OpResult", "Delta rpcio.StatsDelta"},
 	"rpcio.StatsDelta": {
-		"Epoch uint64", "Gen uint64", "Full bool", "Info stage.Info",
+		"Gen uint64", "Full bool", "Info stage.Info",
 		"Queues []stage.QueueStats", "Removed []string",
 		"Passthrough int64", "Degraded bool", "DegradedSeconds float64",
 	},

@@ -56,7 +56,7 @@ const wireMagic uint32 = 0x4C4C4450
 // WireVersion is the binary codec's schema version. Bump it on any
 // change to the frame header or to a wire struct's field set, together
 // with wireSchemaFingerprints.
-const WireVersion = 9
+const WireVersion = 10
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -94,6 +94,10 @@ var wireSchemaFingerprints = map[int]string{
 	// a registration's answer carries the controller's loop period; and
 	// the two live methods are numbered 1 and 2.
 	9: "sha256:c90068b10460ba0ed9e6f14f68177035703b3b7bb4728503de641b16251c0006",
+	// v10: a batch's acknowledgment and a delta name no service epoch: a
+	// handle meets one stage service in its life, and a new handle starts
+	// with no acknowledgment.
+	10: "sha256:f5ee055f3652971ffc8e65d2daea0b95b66386d83456bd8bb3c09a0176316c1c",
 }
 
 // Frame kinds.
@@ -522,7 +526,6 @@ func appendBatchArgs(b []byte, v *BatchArgs) []byte {
 		b = appendStageOp(b, &v.Ops[i])
 	}
 	b = appendBool(b, v.Collect)
-	b = binary.AppendUvarint(b, v.AckEpoch)
 	b = binary.AppendUvarint(b, v.AckGen)
 	return b
 }
@@ -543,12 +546,10 @@ func readBatchArgs(r *wireReader, v *BatchArgs) {
 	}
 	v.Ops = ops
 	v.Collect = r.boolv()
-	v.AckEpoch = r.uvarint()
 	v.AckGen = r.uvarint()
 }
 
 func appendStatsDelta(b []byte, v *StatsDelta) []byte {
-	b = binary.AppendUvarint(b, v.Epoch)
 	b = binary.AppendUvarint(b, v.Gen)
 	b = appendBool(b, v.Full)
 	b = appendInfo(b, &v.Info)
@@ -564,7 +565,6 @@ func appendStatsDelta(b []byte, v *StatsDelta) []byte {
 }
 
 func readStatsDelta(r *wireReader, v *StatsDelta) {
-	v.Epoch = r.uvarint()
 	v.Gen = r.uvarint()
 	v.Full = r.boolv()
 	readInfo(r, &v.Info)

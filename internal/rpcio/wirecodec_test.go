@@ -72,15 +72,14 @@ func callFixtures() []callFixture {
 					{Kind: OpRemoveRule, ID: "b0"},
 					{Kind: OpSetMode, Mode: stage.Passthrough},
 				},
-				Collect:  true,
-				AckEpoch: 1 << 50,
-				AckGen:   12345,
+				Collect: true,
+				AckGen:  12345,
 			},
 			argsDst: &BatchArgs{},
 			reply: &BatchReply{
 				Results: []OpResult{{Found: true}, {Found: false}, {Found: true}, {Found: true}},
 				Delta: StatsDelta{
-					Epoch: 1 << 50, Gen: 12346, Full: true,
+					Gen: 12346, Full: true,
 					Info:        st.Info,
 					Queues:      st.Queues,
 					Removed:     []string{"gone-1", "gone-2"},
@@ -94,10 +93,10 @@ func callFixtures() []callFixture {
 			// The steady-state collect: no ops, a matching ack, an empty
 			// incremental delta.
 			method:  methodBatch,
-			args:    &BatchArgs{Collect: true, AckEpoch: 9, AckGen: 41},
+			args:    &BatchArgs{Collect: true, AckGen: 41},
 			argsDst: &BatchArgs{},
 			reply: &BatchReply{Delta: StatsDelta{
-				Epoch: 9, Gen: 42, Passthrough: 3,
+				Gen: 42, Passthrough: 3,
 			}},
 			replyDst: &BatchReply{},
 		},
@@ -168,7 +167,7 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 	small := StatsDelta{Gen: 2, Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}}, Removed: []string{"gone"}}
 	st := maxStats()
 	dirty := StatsDelta{ // longer slices, every scalar non-zero
-		Epoch: 9, Gen: 9, Full: true, Info: st.Info, Queues: st.Queues, Removed: []string{"a", "b"},
+		Gen: 9, Full: true, Info: st.Info, Queues: st.Queues, Removed: []string{"a", "b"},
 		Passthrough: st.Passthrough, Degraded: st.Degraded, DegradedSeconds: st.DegradedSeconds,
 	}
 	r := wireReader{buf: appendStatsDelta(nil, &small)}
@@ -190,7 +189,7 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 			{Kind: OpApplyRule, Rule: maxRule("stale-0")},
 			{Kind: OpApplyRule, Rule: maxRule("stale-1")},
 		},
-		Collect: true, AckEpoch: 9, AckGen: 9,
+		Collect: true, AckGen: 9,
 	}
 	if err := readCallArgs(methodBatch, bbuf, &bdirty); err != nil {
 		t.Fatal(err)
@@ -286,7 +285,7 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 // property the fleet-scale collect path is built on. The bound is
 // generous; the point is "tens of bytes, not a serialized Stats blob".
 func TestEmptyDeltaEncodesSmall(t *testing.T) {
-	d := StatsDelta{Epoch: ^uint64(0), Gen: 1 << 62, Passthrough: 1 << 40}
+	d := StatsDelta{Gen: 1 << 62, Passthrough: 1 << 40}
 	if n := len(appendStatsDelta(nil, &d)); n > 64 {
 		t.Errorf("steady-state empty delta encodes to %d bytes, want <= 64", n)
 	}

@@ -23,13 +23,15 @@
 //     share.
 //
 // Every stage runs the product's lifecycle (rpcio.Lifecycle), fed what
-// a stage process observes: a controller crash closes every link, an
-// eviction or a replacing registration closes that stage's, and a
-// partition closes none but fails every exchange and registration until
-// heal, so the stage's link goes silent. A stage takes the loss of its
-// link at the instant it happened, before the next event or wake. A job
-// that finishes hangs its stages up, which the next round takes as
-// their departure.
+// a stage process observes: a controller crash closes every link, a
+// replacing registration closes that stage's, and an exchange that
+// fails on the link — a partition's, a lost reply's, a crashed stage's
+// — kills it, as a wire failure kills a TCP connection, and the round
+// drops the stage. A partition also fails every registration until
+// heal. A stage takes the loss of its link at the instant it happened,
+// before the next event or wake, and registers again. A job that
+// finishes hangs its stages up, which the next round takes as their
+// departure.
 package sim
 
 import (
@@ -218,10 +220,6 @@ func NewCluster(cfg Config) *Cluster {
 
 func (c *Cluster) newController() *control.Controller {
 	ctl := control.New(c.clk, append(slices.Clip(c.cfg.Controller), control.WithErrorHandler(func(id string, err error) {
-		if errors.Is(err, control.ErrEvicted) {
-			c.logf("stage %s evicted by controller", id)
-			return
-		}
 		c.logf("stage %s control error: %v", id, err)
 	}))...)
 	for job, rate := range c.reservations {
@@ -408,8 +406,10 @@ func (c *Cluster) ArmStageCrashAfterCollects(id string, n int) {
 }
 
 // DropNextBatchReply loses a stage's next Stage.Batch reply frame after
-// the stage applied the exchange: its rules and delta generation move on
-// unacknowledged, and the delta protocol must resync.
+// the stage applied the exchange. The loss kills the stage's link, as a
+// lost reply's deadline kills a TCP connection: the round drops the
+// stage, which degrades, registers again over a new link, and is
+// collected in full on it.
 func (c *Cluster) DropNextBatchReply(id string) {
 	c.Node(id).dropReply.Store(true)
 	c.logf("stage %s armed to drop its next batch reply frame", id)
@@ -543,7 +543,7 @@ func (c *Cluster) launch(n *Node) {
 		if err := c.reach(n); err != nil {
 			return rpcio.Link{}, err
 		}
-		h := rpcio.LocalStage(n.svc, c.clk, func(ops []rpcio.StageOp, collect bool) error {
+		h := rpcio.LocalStage(n.svc, func(ops []rpcio.StageOp, collect bool) error {
 			return c.gate(n, len(ops) > 0, collect)
 		})
 		n.Handle = h
@@ -744,8 +744,9 @@ func (c *Cluster) report(elapsed time.Duration) *Report {
 // gate is a node's fault: it decides, as each exchange is written,
 // whether it reaches the node (a crash hits between exchanges, as a real
 // controller would observe it), and loses the reply of one the node
-// applied while a lost reply is armed. A finished job's stage has hung
-// up: every exchange finds its conn closed. A round writes its pushes in
+// applied while a lost reply is armed. Any fault it returns ends the
+// node's link, and the round drops the node. A finished job's stage has
+// hung up: its next exchange finds its conn closed. A round writes its pushes in
 // StageID order on its own goroutine, so the push budget decides
 // deterministically which stages saw the new rates; collects of
 // different nodes may run side by side, each spending only its node's

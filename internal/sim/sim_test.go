@@ -156,10 +156,10 @@ func TestArrivalsAndControllerLifecycle(t *testing.T) {
 }
 
 // TestFaultFreeRoundsArmNoDeadline: the controller reaches every stage
-// through the frame transport, whose deadline timer runs on the
-// cluster's clock. In a fault-free run every reply is in before the
-// round gathers it, so no exchange arms that timer: between two steps
-// nothing waits on the clock.
+// through the frame transport over an in-memory conn, on which nothing
+// waits, so it keeps no deadline; and the lifecycles park no timer of
+// their own. Between two steps of a fault-free run nothing waits on the
+// cluster's clock.
 func TestFaultFreeRoundsArmNoDeadline(t *testing.T) {
 	c := NewCluster(Config{Controller: []control.Option{
 		control.WithAlgorithm(control.ProportionalShare{}),
@@ -518,5 +518,41 @@ func TestRestartBehindAnOpenLinkReregisters(t *testing.T) {
 		if !strings.Contains(c.Log(), want) {
 			t.Errorf("log missing %q:\n%s", want, c.Log())
 		}
+	}
+}
+
+// TestFailedExchangeKillsTheLinkAtOnce: an exchange that fails on a
+// simulated stage's link ends the link at once, whoever issued it —
+// here an administrator install between two rounds, refused by a
+// partition — as a wire failure ends a TCP connection. The stage learns
+// it from its link's Done and degrades at that instant, not at the next
+// round; the round drops it, and it registers again after the heal.
+func TestFailedExchangeKillsTheLinkAtOnce(t *testing.T) {
+	c := NewCluster(Config{Duration: 5 * time.Second, Controller: []control.Option{
+		control.WithAlgorithm(control.FixedRates{}),
+		control.WithClusterLimit(1000),
+	}})
+	n := c.AddStage("s1", "j1", 500)
+	c.AddStage("s2", "j1", 500)
+	c.Schedule(2*Interval+Interval/4, "", func(c *Cluster) { c.Partition("s1") })
+	c.Schedule(2*Interval+Interval/2, "", func(c *Cluster) {
+		if err := c.Controller().ApplyRuleToJob("j1", policy.Rule{ID: "cap", Rate: 100}); err == nil {
+			t.Error("an install on a partitioned stage succeeded")
+		}
+	})
+	c.Schedule(2*Interval+3*Interval/4, "", func(c *Cluster) {
+		if !n.Stg.Degraded() {
+			t.Error("the stage whose link failed an install is not degraded before the next round")
+		}
+	})
+	c.Schedule(3*Interval+Interval/2, "", func(c *Cluster) {
+		if got := len(c.Controller().Stages()); got != 1 {
+			t.Errorf("%d stages registered after the round, want the one whose link lives", got)
+		}
+		c.Heal("s1")
+	})
+	c.Run()
+	if n.Stg.Degraded() || len(c.Controller().Stages()) != 2 {
+		t.Errorf("after the heal: s1 degraded %v, %d stages registered; want it back\n%s", n.Stg.Degraded(), len(c.Controller().Stages()), c.Log())
 	}
 }

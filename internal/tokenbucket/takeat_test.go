@@ -10,9 +10,8 @@ import (
 
 // TestTakeAtStaleInstantNeverRefillsBackwards: an instant older than the
 // bucket's refill cursor accrues nothing and leaves the cursor where it
-// is, so a hot path holding an amortized (stale) clock sample can only
-// under-refill — and the exact path that follows still accrues the whole
-// interval, once.
+// is, and the exact path that follows still accrues the whole interval,
+// once.
 func TestTakeAtStaleInstantNeverRefillsBackwards(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	b := New(clk, 10, 5)
@@ -44,6 +43,39 @@ func TestTakeAtStaleInstantNeverRefillsBackwards(t *testing.T) {
 	}
 	if got := b.Granted(); got != 6 {
 		t.Errorf("Granted = %v, want 6", got)
+	}
+}
+
+// TestStaleTakeOverAdmitsByRateTimesStaleness pins what a stale instant
+// can cost: a full bucket that takes k tokens at an instant s = now −
+// staleness and then drains at now has admitted, at the one instant
+// now, its capacity plus rate × staleness — the refill to now credits
+// [s, now] on top of the take settled at s. That is the bound
+// refillLocked states, and it is reached, never exceeded.
+func TestStaleTakeOverAdmitsByRateTimesStaleness(t *testing.T) {
+	const rate, capacity = 1000, 63
+	for _, k := range []int{1, 5, 20} {
+		staleness := time.Duration(k) * time.Millisecond
+		clk := clock.NewSim(epoch)
+		b := New(clk, rate, capacity)
+		s := clk.Now()
+		clk.Advance(staleness)
+		for i := 0; i < k; i++ {
+			if !b.TakeAt(1, s) {
+				t.Fatalf("staleness %v: take %d at the stale instant refused by a full bucket", staleness, i)
+			}
+		}
+		admitted := k
+		for i := 0; i < 2*capacity && b.TakeAt(1, clk.Now()); i++ {
+			admitted++
+		}
+		if bound := capacity + int(rate*staleness.Seconds()); admitted != bound {
+			t.Errorf("staleness %v: %d admitted at one instant, want the bound capacity + rate × staleness = %d, reached",
+				staleness, admitted, bound)
+		}
+		if got := b.Granted(); got != float64(admitted) {
+			t.Errorf("staleness %v: Granted = %v, want %d", staleness, got, admitted)
+		}
 	}
 }
 

@@ -182,8 +182,11 @@ func NewUnlimited(clk clock.Clock) *Bucket { return New(clk, Infinite, Infinite)
 
 // refillLocked accrues tokens for the time elapsed since the last refill.
 // The refill cursor never runs backwards: an instant at or before last
-// accrues nothing and leaves last where it is, so a caller holding a
-// stale instant (TakeAt) can only under-refill.
+// accrues nothing and leaves last where it is. A stale instant (TakeAt)
+// can still over-admit: a take settled at s spends tokens the refill to
+// a later now credits again for [s, now], so the admissions at one
+// instant now can exceed the capacity by up to rate × (now − s) — within
+// capacity + rate × T over the window T that begins at s.
 //
 // The credit is capped at what the content had room for when mu was
 // last released, the fill plus out (out counts a share in full, spent or
@@ -366,10 +369,11 @@ func (b *Bucket) TryTake(n float64) bool { return b.TakeAt(n, b.clk.Now()) }
 
 // TakeAt is TryTake against a caller-supplied instant: it refills up to
 // now, takes n tokens if the bucket holds them, and otherwise reports
-// false without blocking. now may lag the
-// clock (hot paths amortize clock reads): refill never runs backwards,
-// so a stale instant can only leave tokens unaccrued, and the caller
-// falls back to Wait, which reads the clock. Granted stays exact.
+// false without blocking. now may lag the clock (hot paths amortize
+// clock reads; a refusal falls back to Wait, which reads the clock):
+// refill never runs backwards, but a take at a stale instant s can
+// over-admit, by up to rate × (now − s) at one instant now (see
+// refillLocked). Granted stays exact.
 func (b *Bucket) TakeAt(n float64, now time.Time) bool {
 	if n <= 0 {
 		return true

@@ -435,11 +435,6 @@ func WithClusterLimit(limit float64) ControlOption { return control.WithClusterL
 // WithAlgorithm installs the feedback-loop control algorithm.
 func WithAlgorithm(a Algorithm) ControlOption { return control.WithAlgorithm(a) }
 
-// WithEvictAfter enables mark-sweep eviction: a stage whose collects or
-// pushes fail for n consecutive control rounds is deregistered and its
-// share redistributed (0 disables eviction, the default).
-func WithEvictAfter(n int) ControlOption { return control.WithEvictAfter(n) }
-
 // NewControlPlane builds a control plane.
 func NewControlPlane(opts ...ControlOption) *ControlPlane {
 	return newControlPlane(clock.NewReal(), opts...)
@@ -453,10 +448,10 @@ func newControlPlane(clk clock.Clock, opts ...ControlOption) *ControlPlane {
 // AttachLocal registers a data plane of this process — the path tests,
 // simulations and single-process deployments use. The controller
 // reaches it through the same frame transport as a remote one, over an
-// in-memory conn instead of a socket, with deadlines on the
-// controller's clock.
+// in-memory conn instead of a socket, which nothing can lose a reply on,
+// so it keeps no deadline.
 func (cp *ControlPlane) AttachLocal(dp *DataPlane) error {
-	h := rpcio.LocalStage(rpcio.NewStageService(dp.stg), cp.ctl.Clock(), nil)
+	h := rpcio.LocalStage(rpcio.NewStageService(dp.stg), nil)
 	return cp.ctl.Register(dp.stg.Info(), h)
 }
 

@@ -482,8 +482,8 @@ func TestHeartbeatReregistersWithControllerRestartedBetweenBeats(t *testing.T) {
 
 // TestCrashedStageDepartsAtTheNextRound: a stage process that dies
 // closes the connection it registered on, with no word to its
-// controller. With eviction off, the controller's next round takes the
-// closed connection as the stage's departure — no error, no failed
+// controller. The controller's next round takes the closed connection
+// as the stage's departure — no error, no failed
 // collect — drops it before allocating, and hands its job's share to
 // the other job in that same round.
 func TestCrashedStageDepartsAtTheNextRound(t *testing.T) {
