@@ -337,6 +337,54 @@ func TestDroppedBatchReplyForcesFullResync(t *testing.T) {
 	}
 }
 
+// TestReRegistrationNeverOverGrants drops a reply on s3, one of job2's
+// two stages, and then on s5, job3's only stage. Each loss drops the
+// victim in the round that lost the reply, and that round pushes its
+// share elsewhere: to s4, and to no one (job3's allocation is released).
+// The victim registers again before the next round, and must not be
+// granted that share a second time. Between every two rounds, a job's
+// stages together hold no more than its FixedRates grant, and the
+// fleet no more than the cluster limit.
+func TestReRegistrationNeverOverGrants(t *testing.T) {
+	const horizon = 14 * time.Second
+	h, _ := smallCluster(1, horizon)
+	h.AddStage("s5", "job3", 20_000)
+	offerDemand(h, horizon)
+	h.Schedule(5*time.Second+sim.Interval/2, "drop-reply", func(c *sim.Cluster) { c.DropNextBatchReply("s3") })
+	h.Schedule(9*time.Second+sim.Interval/2, "drop-reply", func(c *sim.Cluster) { c.DropNextBatchReply("s5") })
+	grant := map[string]float64{"job1": 30_000, "job2": 50_000, "job3": 20_000}
+	stagesOf := map[string][]string{"job1": {"s1", "s2"}, "job2": {"s3", "s4"}, "job3": {"s5"}}
+	for at := sim.Interval + sim.Interval/2; at < horizon; at += sim.Interval {
+		h.Schedule(at, "", func(c *sim.Cluster) {
+			total := 0.0
+			for job, ids := range stagesOf {
+				held := 0.0
+				for _, id := range ids {
+					held += managedRate(c.Node(id))
+				}
+				if held > grant[job]+1e-6 {
+					t.Errorf("+%v: job %s's stages hold %.0f, over its grant %.0f", at, job, held, grant[job])
+				}
+				total += held
+			}
+			if total > clusterLimit+1e-6 {
+				t.Errorf("+%v: the fleet holds %.0f, over the cluster limit %d", at, total, clusterLimit)
+			}
+		})
+	}
+	h.Run()
+
+	if n := strings.Count(h.Log(), "re-registered after"); n != 2 {
+		t.Errorf("%d re-registrations, want one per lost reply:\n%s", n, h.Log())
+	}
+	// By the horizon both victims hold their shares again.
+	for id, want := range map[string]float64{"s3": 25_000, "s4": 25_000, "s5": 20_000} {
+		if got := managedRate(h.Node(id)); got != want {
+			t.Errorf("%s holds %.0f at the horizon, want %.0f", id, got, want)
+		}
+	}
+}
+
 // TestFrameLossScenarioConverges runs the seed-randomized frame-loss
 // scenario: every drop must surface as a controller-visible error and a
 // re-registration, never as a wedged or misallocated fleet.

@@ -41,8 +41,15 @@ type Controller struct {
 	limitAdapter *AIMDLimit
 	onError      func(stageID string, err error)
 	lastAlloc    map[string]float64
-	loopStop     chan struct{}
-	loopDone     chan struct{}
+	// split is the shard the latest push divided lastAlloc over (nil
+	// before the first round): a job's member count in it is the number
+	// of shares its allocation was pushed as.
+	split *shard
+	// provisional sums what registrations granted, since the latest
+	// allocation, to jobs it left out.
+	provisional float64
+	loopStop    chan struct{}
+	loopDone    chan struct{}
 	// period is the running loop's (0: none runs), which a registration
 	// over the network answers with.
 	period time.Duration
@@ -130,9 +137,10 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 // its collect slot and probe; a new handle or identity gets a fresh
 // record (a record's identity never changes, so a round reads it
 // without the registry lock), and a handle it replaces is closed. If
-// an algorithm is active, the stage immediately receives the managed control queue — at its job's
-// last-known per-stage allocation when one exists, so a restarted stage
-// resumes the frozen rate rather than resetting to an equal share.
+// an algorithm is active, the stage immediately receives the managed
+// control queue at grantLocked's rate — a restarted stage resumes its
+// share of its job's last allocation rather than resetting to an equal
+// share of the cluster.
 // Administrator rules recorded for the job (and cluster-wide) are
 // replayed onto the handle, making re-registration idempotent: a stage
 // that lost its state comes back with the last-known rule set.
@@ -150,14 +158,9 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	c.jobStages[job]++
 	c.registryRev++
 	alg := c.algorithm
-	// Without a recorded allocation, the managed rule starts at a
-	// conservative equal share of the cluster limit among the registered
-	// jobs; the next loop iteration assigns the real rate.
 	rate := policy.Unlimited
-	if a, ok := c.lastAlloc[job]; ok {
-		rate = a / float64(c.jobStages[job])
-	} else if c.clusterLimit > 0 {
-		rate = c.clusterLimit / float64(len(c.jobStages))
+	if alg != nil {
+		rate = c.grantLocked(job)
 	}
 	replay := c.replayRulesLocked(job)
 	c.mu.Unlock()
@@ -185,6 +188,42 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 		return fmt.Errorf("control: install rules on %s: %w", id, err)
 	}
 	return nil
+}
+
+// grantLocked is the managed rate a stage of job that registers now
+// starts at: what the controller can grant without pushing another
+// stage down, so a job's stages together never hold more than its
+// allocation, nor the fleet more than the cluster limit. A job with an
+// allocation holds it as one share for each of its stages the latest
+// push covered; a stage counted beyond those (one back from a drop
+// whose round pushed its share to its siblings, or a new one) holds
+// none until the next round. A job without one starts at an equal
+// share of the cluster limit among the registered jobs, and while other
+// jobs hold an allocation, at no more than the limit those allocations
+// and the grants since leave free. The next round assigns the real
+// rate. Caller holds mu, with the stage counted.
+func (c *Controller) grantLocked(job string) float64 {
+	if a, ok := c.lastAlloc[job]; ok {
+		n := c.split.count(job)
+		if c.jobStages[job] > n {
+			return 0
+		}
+		return a / float64(n)
+	}
+	if c.clusterLimit <= 0 {
+		return policy.Unlimited
+	}
+	rate := c.clusterLimit / float64(len(c.jobStages))
+	if len(c.lastAlloc) == 0 {
+		return rate
+	}
+	free := c.clusterLimit - c.provisional
+	for _, a := range c.lastAlloc {
+		free -= a
+	}
+	rate = max(0, min(rate, free))
+	c.provisional += rate
+	return rate
 }
 
 // replayRulesLocked materializes the per-stage form of every recorded
@@ -628,13 +667,13 @@ func (c *Controller) RunOnce() map[string]float64 {
 		jobs[i] = snaps[i].state()
 	}
 	alloc := alg.Allocate(limit, jobs)
-	c.mu.Lock()
-	c.lastAlloc = alloc
-	c.mu.Unlock()
 
 	// The sweep, or a registration that raced the collect, moved the
 	// registry: the push goes to the stages registered now.
 	push := c.reshard()
+	c.mu.Lock()
+	c.lastAlloc, c.split, c.provisional = alloc, push, 0
+	c.mu.Unlock()
 	push.push(alloc, &rs)
 	c.sweep(push)
 

@@ -27,9 +27,7 @@ func localStage(id, job string, clk clock.Clock) (*stage.Stage, *rpcio.StageHand
 }
 
 // loopbackHandle reaches stg in process, through the frame transport
-// and the delta protocol: how every in-process stage is registered. Its
-// deadline runs on the wall clock and never arms: an in-process reply is
-// always in before it is awaited.
+// and the delta protocol: how every in-process stage is registered.
 func loopbackHandle(stg *stage.Stage) *rpcio.StageHandle {
 	return rpcio.LocalStage(rpcio.NewStageService(stg), nil)
 }

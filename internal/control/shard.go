@@ -155,6 +155,14 @@ func (c *Controller) newShard(members []*member) *shard {
 	return sh
 }
 
+// count is the number of members serving job.
+func (sh *shard) count(job string) int {
+	if i := sort.SearchStrings(sh.jobs, job); i < len(sh.jobs) && sh.jobs[i] == job {
+		return sh.jobCount[i]
+	}
+	return 0
+}
+
 // split divides the collect's scatter w ways, into contiguous StageID
 // chunks: the round goroutine starts the first, a helper each other one.
 func (sh *shard) split(w int) {

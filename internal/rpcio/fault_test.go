@@ -547,3 +547,15 @@ func TestServerSideErrorsAreNotRetried(t *testing.T) {
 		t.Errorf("onRegister ran %d times, want 1", got)
 	}
 }
+
+// TestCauselessReplyLossNamesTheLoss: a ReplyLost verdict without a
+// cause fails the exchange as a lost reply, a wire failure, and not as
+// a deadline that never ran.
+func TestCauselessReplyLossNamesTheLoss(t *testing.T) {
+	svc := NewStageService(stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch)))
+	h := LocalStage(svc, func([]StageOp, bool) error { return ReplyLost{} })
+	defer func() { _ = h.Close() }()
+	if _, err := ping(h); !errors.Is(err, errReplyLost) || !Retryable(err) {
+		t.Errorf("exchange failed with %v, want the reply-lost wire failure", err)
+	}
+}

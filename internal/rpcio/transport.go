@@ -8,6 +8,7 @@
 package rpcio
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -60,7 +61,7 @@ func WithHandleClock(clk clock.Clock) DialOption {
 // handle sends, from its decoded ops and collect flag, before the stage
 // sees it: nil delivers it; a ReplyLost lets the stage apply it and
 // loses its whole reply, the read awaiting it failing at once with the
-// verdict's Err; io.EOF says the stage hung up (its job ended): the
+// verdict's Err (errReplyLost when nil); io.EOF says the stage hung up (its job ended): the
 // request goes nowhere, and the read finds the conn closed
 // (ErrDeparted); any other error refuses the whole request, and the
 // write fails at once with that error. A RemoteError verdict is the
@@ -71,8 +72,10 @@ type Fault func(ops []StageOp, collect bool) error
 
 // ReplyLost is a Fault's verdict on a request the stage applies and
 // whose reply never arrives: the read awaiting it fails at once with
-// Err.
+// Err, or errReplyLost when Err is nil.
 type ReplyLost struct{ Err error }
+
+var errReplyLost = errors.New("rpcio: reply lost")
 
 func (e ReplyLost) Error() string { return fmt.Sprint("rpcio: reply lost: ", e.Err) }
 
@@ -131,7 +134,7 @@ func (c *memConn) Write(b []byte) (int, error) {
 	reply := c.target.answer(&c.srv, h, payload)
 	switch lost, isLost := c.srv.verdict.(ReplyLost); {
 	case isLost:
-		c.lost = lost.Err
+		c.lost = cmp.Or(lost.Err, errReplyLost)
 	case c.srv.verdict == io.EOF:
 		c.lost = io.EOF
 	case c.srv.verdict != nil:
