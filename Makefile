@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPragmaParse -fuzztime 10s ./internal/lint/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpcio/
 	$(GO) test -run '^$$' -fuzz FuzzBucketShares -fuzztime 10s ./internal/tokenbucket/
+	$(GO) test -run '^$$' -fuzz FuzzRuleShares -fuzztime 10s ./internal/control/
 
 # Hot-path microbenchmarks at 1 and 4 simulated CPUs (no wider: on the
 # two-vCPU baseline box a -cpu=8 column measures time-slicing, not

@@ -41,10 +41,11 @@ type Controller struct {
 	limitAdapter *AIMDLimit
 	onError      func(stageID string, err error)
 	lastAlloc    map[string]float64
-	// split is the shard the latest push divided lastAlloc over (nil
-	// before the first round): a job's member count in it is the number
-	// of shares its allocation was pushed as.
-	split *shard
+	// split is the membership the latest push split the rules over
+	// (empty before the first), and splitRev its registry revision, or -1
+	// once the administrators' intent has changed since.
+	split    census
+	splitRev int
 	// provisional sums what registrations granted, since the latest
 	// allocation, to jobs it left out.
 	provisional float64
@@ -57,12 +58,8 @@ type Controller struct {
 	// lastRound is the most recent RunOnce's accounting.
 	lastRound RoundStats
 	haveRound bool
-	// adminRules and clusterRules remember administrator intent (the
-	// aggregate rule, pre-split) per job and cluster-wide, so an
-	// idempotent re-registration replays the last-known rule set onto a
-	// restarted stage.
-	adminRules   map[string]map[string]policy.Rule
-	clusterRules map[string]policy.Rule
+	// admin is the administrators' intent, in the order recorded.
+	admin []adminRule
 
 	// roundMu serializes rounds (RunOnce and CollectAll alike) and
 	// administrator installs, and owns the shard. It is taken before mu,
@@ -113,8 +110,6 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 		reservations: make(map[string]float64),
 		onError:      func(string, error) {},
 		lastAlloc:    make(map[string]float64),
-		adminRules:   make(map[string]map[string]policy.Rule),
-		clusterRules: make(map[string]policy.Rule),
 	}
 	for _, o := range opts {
 		o(c)
@@ -134,35 +129,33 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 // reconnect after a network failure — the dependability case §VI
 // highlights) replaces its record. Re-registering the same
 // handle with the same identity keeps the stage's record, and with it
-// its collect slot and probe; a new handle or identity gets a fresh
-// record (a record's identity never changes, so a round reads it
-// without the registry lock), and a handle it replaces is closed. If
-// an algorithm is active, the stage immediately receives the managed
-// control queue at grantLocked's rate — a restarted stage resumes its
-// share of its job's last allocation rather than resetting to an equal
-// share of the cluster.
-// Administrator rules recorded for the job (and cluster-wide) are
-// replayed onto the handle, making re-registration idempotent: a stage
-// that lost its state comes back with the last-known rule set.
+// its collect slot; a new handle or identity gets a fresh record (a
+// record's identity never changes, so a round reads it without the
+// registry lock), and a handle it replaces is closed. In one exchange
+// the stage receives the managed control queue, if an algorithm is
+// active, and the administrator rules recorded for its job and the
+// cluster, each at what the rule's holders leave free (rulesLocked): a
+// restarted stage resumes its share, rather than resetting to an equal
+// share of the cluster, with the last-known rule set. A rule's shares
+// follow membership: the next round re-splits every rule over the
+// stages then registered, or, with no algorithm, the registration does.
 func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
-	id := info.StageID
+	id, job := info.StageID, info.JobID
 	c.mu.Lock()
 	old := c.stages[id]
 	if old == nil || old.h != h || old.info != info {
 		c.stages[id] = &member{info: info, h: h}
 	}
-	job := info.JobID
 	if old != nil { // the stage's count moves to its job now
 		c.uncountLocked(old.info.JobID)
 	}
 	c.jobStages[job]++
 	c.registryRev++
-	alg := c.algorithm
-	rate := policy.Unlimited
-	if alg != nil {
-		rate = c.grantLocked(job)
+	var ops []rpcio.StageOp
+	if _, ok := c.lastAlloc[job]; c.algorithm != nil && !ok {
+		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(job, c.startLocked())})
 	}
-	replay := c.replayRulesLocked(job)
+	ops = c.rulesLocked(ops, job, c.lastAlloc, c.split, &census{c.jobStages, len(c.stages)})
 	c.mu.Unlock()
 
 	if old != nil && old.h != h {
@@ -170,46 +163,25 @@ func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 		// handle is already installed.
 		_ = old.h.Close()
 	}
-	// The managed control rule plus the whole replay set travel in one
-	// exchange — what keeps a re-registration storm (every stage
-	// reconnecting after a controller restart) from multiplying into
-	// rules×stages round trips.
-	ops := make([]rpcio.StageOp, 0, 1+len(replay))
-	if alg != nil {
-		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(job, rate)})
+	// The whole rule set travels in one exchange — what keeps a
+	// re-registration storm (every stage reconnecting after a controller
+	// restart) from multiplying into rules×stages round trips.
+	if len(ops) > 0 {
+		if _, _, err := h.Exec(ops, nil); err != nil {
+			return fmt.Errorf("control: install rules on %s: %w", id, err)
+		}
 	}
-	for _, r := range replay {
-		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	if _, _, err := h.Exec(ops, nil); err != nil {
-		return fmt.Errorf("control: install rules on %s: %w", id, err)
-	}
+	c.resplit()
 	return nil
 }
 
-// grantLocked is the managed rate a stage of job that registers now
-// starts at: what the controller can grant without pushing another
-// stage down, so a job's stages together never hold more than its
-// allocation, nor the fleet more than the cluster limit. A job with an
-// allocation holds it as one share for each of its stages the latest
-// push covered; a stage counted beyond those (one back from a drop
-// whose round pushed its share to its siblings, or a new one) holds
-// none until the next round. A job without one starts at an equal
-// share of the cluster limit among the registered jobs, and while other
-// jobs hold an allocation, at no more than the limit those allocations
-// and the grants since leave free. The next round assigns the real
-// rate. Caller holds mu, with the stage counted.
-func (c *Controller) grantLocked(job string) float64 {
-	if a, ok := c.lastAlloc[job]; ok {
-		n := c.split.count(job)
-		if c.jobStages[job] > n {
-			return 0
-		}
-		return a / float64(n)
-	}
+// startLocked is the managed rate a registering stage of a job without
+// an allocation starts at: an equal share of the cluster limit among
+// the registered jobs, and while other jobs hold an allocation, no more
+// than the limit those allocations and the grants since leave free. The
+// next round assigns the real rate. Caller holds mu, with the stage
+// counted.
+func (c *Controller) startLocked() float64 {
 	if c.clusterLimit <= 0 {
 		return policy.Unlimited
 	}
@@ -226,35 +198,76 @@ func (c *Controller) grantLocked(job string) float64 {
 	return rate
 }
 
-// replayRulesLocked materializes the per-stage form of every recorded
-// administrator rule a (re-)registering stage of the job should carry:
-// the job's rules, then the cluster's. Rates are split by the job's
-// (the cluster's) current stage count, matching how the rules were
-// originally pushed.
-func (c *Controller) replayRulesLocked(job string) []policy.Rule {
-	var out []policy.Rule
-	if group := c.adminRules[job]; len(group) > 0 {
-		out = appendSplit(out, group, c.jobStages[job])
-	}
-	return appendSplit(out, c.clusterRules, len(c.stages))
+// census is a membership as a split sees it: the stages serving each
+// job, and all of them.
+type census struct {
+	jobs  map[string]int
+	total int
 }
 
-// appendSplit appends rules to out in deterministic (ID-sorted) order,
-// each finite rate split n ways.
-func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []policy.Rule {
-	ids := make([]string, 0, len(rules))
-	for rid := range rules {
-		ids = append(ids, rid)
+// adminRule is one recorded administrator rule, at its aggregate rate:
+// a job's, or a cluster rule, which every job without a rule of its own
+// of that ID carries.
+type adminRule struct {
+	rule    policy.Rule
+	job     string
+	cluster bool
+}
+
+// rulesLocked is the one place a rate is divided among stages. It maps
+// the intent (alloc and the administrator rules) onto the membership
+// split and appends to out the installs of what a stage of job carries
+// there: the managed rule while alloc holds the job, then every
+// administrator rule covering the job, each at its share, the rule's
+// rate divided among the stages that carry it. A stage that has just registered into now gets a
+// share only while now holds the rule on no more stages than split
+// divided it among, and none otherwise: every holder holds at most its
+// share of the latest split, so no rule's shares ever sum above the
+// rule, and the next split makes them sum to it. Caller holds mu.
+func (c *Controller) rulesLocked(out []rpcio.StageOp, job string, alloc map[string]float64, split census, now *census) []rpcio.StageOp {
+	first := len(out)
+	if a, ok := alloc[job]; ok {
+		out = append(out, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(job, a)})
 	}
-	sort.Strings(ids)
-	for _, rid := range ids {
-		r := rules[rid]
-		if r.Rate != policy.Unlimited && n > 1 {
-			r.Rate /= float64(n)
+	for _, a := range c.admin {
+		if a.cluster && !c.ownsLocked(job, a.rule.ID) || !a.cluster && a.job == job {
+			out = append(out, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: a.rule})
 		}
-		out = append(out, r)
+	}
+	for i := first; i < len(out); i++ {
+		if r := &out[i].Rule; r.Rate != policy.Unlimited {
+			n := c.holdersLocked(r.ID, job, split)
+			if n > 1 {
+				r.Rate /= float64(n)
+			}
+			if now != nil && c.holdersLocked(r.ID, job, *now) > max(n, 1) {
+				r.Rate = 0
+			}
+		}
 	}
 	return out
+}
+
+// holdersLocked is how many stages of n carry rule id as a stage of job
+// does: the job's, for its managed rule and its own rules, and for a
+// cluster rule every stage of a job without its own. Caller holds mu.
+func (c *Controller) holdersLocked(id, job string, n census) int {
+	if id == ControlRuleID || c.ownsLocked(job, id) {
+		return n.jobs[job]
+	}
+	held := n.total
+	for _, a := range c.admin {
+		if !a.cluster && a.rule.ID == id {
+			held -= n.jobs[a.job]
+		}
+	}
+	return held
+}
+
+// ownsLocked reports whether job has a rule of its own of ID id. Caller
+// holds mu.
+func (c *Controller) ownsLocked(job, id string) bool {
+	return slices.ContainsFunc(c.admin, func(a adminRule) bool { return !a.cluster && a.job == job && a.rule.ID == id })
 }
 
 // Deregister removes a stage (job completion, node failure, or its
@@ -264,7 +277,9 @@ func appendSplit(out []policy.Rule, rules map[string]policy.Rule, n int) []polic
 // instead of holding it for a departed one. The job's reservation and
 // recorded rules stay — they are the operator's intent, set once, and a
 // job with no stage holds no rate by them — so a job whose stages come
-// back gets both again.
+// back gets both again. The rules' shares follow membership: the next
+// round re-splits them over the stages left, and with no algorithm
+// installed the drop re-splits them in a pass of its own.
 func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
 	m := c.stages[stageID]
@@ -273,6 +288,7 @@ func (c *Controller) Deregister(stageID string) bool {
 	if ok {
 		// The stage is gone; its close error carries no recovery path.
 		_ = m.h.Close()
+		c.resplit()
 	}
 	return ok
 }
@@ -353,78 +369,24 @@ func (c *Controller) membersLocked() []*member {
 	for _, m := range c.stages {
 		out = append(out, m)
 	}
-	sortMembers(out)
-	return out
-}
-
-// stagesOfJobLocked returns the records of the stages serving a job,
-// sorted by StageID.
-func (c *Controller) stagesOfJobLocked(jobID string) []*member {
-	var out []*member
-	for _, m := range c.stages {
-		if m.info.JobID == jobID {
-			out = append(out, m)
-		}
-	}
-	sortMembers(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].info.StageID < out[j].info.StageID })
 	return out
 }
 
 // ---- administrator operations (simple policies) ----
 
-// ApplyRuleToJob installs a rule on every stage of one job (per-job
-// granularity). The per-stage rate is the job rate divided by the job's
-// stage count, so a distributed job's aggregate stays at the intent.
+// ApplyRuleToJob installs a rule on the stages of one job (per-job
+// granularity). The rate is the job's: each stage holds it divided by
+// the job's stage count, and the shares follow membership, as every
+// rule's do (Register).
 func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
-	c.mu.Lock()
-	members := c.stagesOfJobLocked(jobID)
-	if len(members) > 0 {
-		// Remember the aggregate intent so a restarted stage of this
-		// job gets the rule replayed at re-registration.
-		if c.adminRules[jobID] == nil {
-			c.adminRules[jobID] = make(map[string]policy.Rule)
-		}
-		c.adminRules[jobID][r.ID] = r
-	}
-	c.mu.Unlock()
-	if len(members) == 0 {
-		return fmt.Errorf("control: no stages for job %q", jobID)
-	}
-	return c.installSplit(members, r)
-}
-
-// installSplit installs r on every stage of members (StageID-sorted) as
-// a one-op batch, its rate split equally among them: every install is
-// started in StageID order before the first is awaited (under roundMu: a
-// round's split collect does not keep that order), so installs behind
-// hung stages wait one deadline in all. It touches only the records'
-// identities and handles, none of their round memory. Every stage is
-// attempted whatever the others answer — a failure in the middle must
-// not leave an arbitrary remainder of the job without the rule — and the
-// error returned is the first in StageID order.
-func (c *Controller) installSplit(members []*member, r policy.Rule) error {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	if r.Rate != policy.Unlimited && len(members) > 1 {
-		r.Rate /= float64(len(members))
-	}
-	ops := []rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: r}}
-	for _, m := range members {
-		m.h.Start(ops, nil)
-	}
-	var first error
-	for _, m := range members {
-		if _, _, err := m.h.Finish(); err != nil && first == nil {
-			first = fmt.Errorf("control: install rule %s on %s: %w", r.ID, m.info.StageID, err)
-		}
-	}
-	return first
+	return c.apply(adminRule{rule: r, job: jobID})
 }
 
 // ApplyRuleToJobs installs a rule on a group of jobs (group granularity),
-// splitting the rate equally across the jobs and then across each job's
-// stages. Every job is attempted; the error is the first in argument
-// order.
+// splitting the rate equally across the jobs and then, as
+// ApplyRuleToJob does, across each job's stages. Every job is attempted;
+// the error is the first in argument order.
 func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 	if len(jobIDs) == 0 {
 		return fmt.Errorf("control: empty job group")
@@ -443,18 +405,73 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 }
 
 // ApplyRuleCluster installs a rule on every registered stage
-// (cluster-wide granularity), splitting the rate across all stages.
+// (cluster-wide granularity), its rate split across all of them. It
+// replaces the job rules of its ID, and a job rule of its ID applied
+// later takes that job's stages out of the split. Its shares follow
+// membership (Register).
 func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
+	return c.apply(adminRule{rule: r, cluster: true})
+}
+
+// apply records a, if it covers a registered stage, in place of the
+// job's rule of its ID (for a cluster rule, of every rule of its ID),
+// and installs it.
+func (c *Controller) apply(a adminRule) error {
 	c.mu.Lock()
-	members := c.membersLocked()
-	if len(members) > 0 {
-		c.clusterRules[r.ID] = r
+	n := c.jobStages[a.job]
+	if a.cluster {
+		n = len(c.stages)
+	}
+	if n > 0 {
+		c.admin = append(slices.DeleteFunc(c.admin, func(b adminRule) bool {
+			return b.rule.ID == a.rule.ID && (a.cluster || !b.cluster && b.job == a.job)
+		}), a)
+		c.splitRev = -1 // the next push re-splits
 	}
 	c.mu.Unlock()
-	if len(members) == 0 {
+	switch {
+	case n == 0 && a.cluster:
 		return fmt.Errorf("control: no registered stages")
+	case n == 0:
+		return fmt.Errorf("control: no stages for job %q", a.job)
 	}
-	return c.installSplit(members, r)
+	return c.install()
+}
+
+// install is a round without an allocation, the latest standing: it
+// collects, drops the stages whose link failed, and pushes every stage
+// left to the rules it carries now, each rule the stage's collect shows
+// off its share (shard.push). It returns the first failure in StageID
+// order, the collect's of a stage it dropped, else the push's.
+func (c *Controller) install() error {
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
+	sh := c.reshard()
+	c.collect(sh, &RoundStats{})
+	push := c.reshard()
+	c.mu.Lock()
+	alloc := c.lastAlloc
+	c.mu.Unlock()
+	push.push(alloc, &RoundStats{})
+	c.sweep(push)
+	for _, m := range sh.members {
+		if m.err != nil {
+			return fmt.Errorf("control: install rules on %s: %w", m.info.StageID, m.err)
+		}
+	}
+	return nil
+}
+
+// resplit re-splits the rules after a registration or a drop when no
+// round will, no algorithm being installed: in an install pass of its
+// own. A stage the pass fails on is brought up to date by the next.
+func (c *Controller) resplit() {
+	c.mu.Lock()
+	alone := c.algorithm == nil && len(c.admin) > 0
+	c.mu.Unlock()
+	if alone {
+		_ = c.install()
+	}
 }
 
 // SetReservation records a job's reserved/priority rate used by
@@ -496,10 +513,8 @@ type JobSnapshot struct {
 	FailedStages int
 }
 
-// addStage folds one answering stage's statistics into the row and
-// returns what they say about the stage's managed queue.
-func (s *JobSnapshot) addStage(st *stage.Stats) stageProbe {
-	probe := stageProbe{ok: true}
+// addStage folds one answering stage's statistics into the row.
+func (s *JobSnapshot) addStage(st *stage.Stats) {
 	s.Stages++
 	if st.Degraded {
 		s.Degraded = true
@@ -511,8 +526,6 @@ func (s *JobSnapshot) addStage(st *stage.Stats) stageProbe {
 		if q.RuleID != ControlRuleID {
 			continue
 		}
-		probe.hasCtl = true
-		probe.ctlLimit = q.Limit
 		s.Demand += q.DemandRate
 		s.Throughput += q.ThroughputRate
 		s.Dropped += q.Dropped
@@ -520,7 +533,6 @@ func (s *JobSnapshot) addStage(st *stage.Stats) stageProbe {
 		s.WaitP95 = max(s.WaitP95, q.WaitP95)
 		s.WaitP99 = max(s.WaitP99, q.WaitP99)
 	}
-	return probe
 }
 
 // state projects a collected snapshot onto the algorithm's input.
@@ -548,8 +560,8 @@ type RoundStats struct {
 	PushCalls int
 	PushOps   int
 	// PushesSkipped counts pushes that did not need to happen: a stage
-	// whose collect probe showed the target rate already enforced — the
-	// delta protocol's steady-state win.
+	// whose collect showed the target rate already enforced — the delta
+	// protocol's steady-state win.
 	PushesSkipped int
 	// Duration is the wall (or simulated) time the round took.
 	Duration time.Duration
@@ -574,7 +586,7 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 // returns it: one job index over every registered record in StageID
 // order, a pure function of the registry, so same-seed chaos runs are
 // identical. The records are the registry's own, so a stage that stays
-// registered keeps its collect slot and probe. Caller holds roundMu.
+// registered keeps its collect slot. Caller holds roundMu.
 func (c *Controller) reshard() *shard {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -613,11 +625,14 @@ func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 // FailedStages and skipped: the loop runs on partial snapshots rather
 // than blocking behind a dead peer. A stage whose exchange failed on
 // the wire leaves the registry here as in a round, so its failure is
-// reported once, whoever read first.
+// reported once, whoever read first, and with no algorithm installed
+// the rules' shares are re-split over the stages left (resplit).
 func (c *Controller) CollectAll() []JobSnapshot {
 	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	return c.collect(c.reshard(), &RoundStats{})
+	snaps := c.collect(c.reshard(), &RoundStats{})
+	c.roundMu.Unlock()
+	c.resplit()
+	return snaps
 }
 
 // roundStart begins a feedback iteration: it applies the limit adapter
@@ -637,13 +652,15 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 //
 // The round is collect, sweep, allocate, split, push. Both exchanges
 // with the fleet happen in the shard (shard.collect, shard.push), one
-// pass each: collects are
-// incremental (only changed queues on the wire, an unchanged stage's
-// slot left as it is), and a push is skipped outright for a stage whose
-// collect probe shows the target rate already enforced — in-process
-// stages included, so a steady round leaves a stage's rule snapshot
-// untouched. What is the controller's own is here: drop the stages
-// whose link failed (sweep), run the algorithm, and account.
+// pass each: collects are incremental (only changed queues on the wire,
+// an unchanged stage's slot left as it is), and the push maps the
+// allocation onto the stages registered now (rulesLocked) — every
+// administrator rule too when the registry moved since the latest push
+// — and skips outright a stage whose collect shows its shares already
+// enforced, in-process stages included, so a steady round leaves a
+// stage's rule snapshot untouched. What is the controller's own is
+// here: drop the stages whose link failed (sweep), run the algorithm,
+// and account.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -672,7 +689,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	// registry: the push goes to the stages registered now.
 	push := c.reshard()
 	c.mu.Lock()
-	c.lastAlloc, c.split, c.provisional = alloc, push, 0
+	c.lastAlloc, c.provisional = alloc, 0
 	c.mu.Unlock()
 	push.push(alloc, &rs)
 	c.sweep(push)
@@ -749,11 +766,7 @@ func (c *Controller) ClusterLimit() float64 {
 func (c *Controller) LastAllocation() map[string]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.lastAlloc))
-	for k, v := range c.lastAlloc {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.lastAlloc)
 }
 
 // ---- network server ----

@@ -12,6 +12,7 @@ package control
 
 import (
 	"errors"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -42,7 +43,7 @@ func managedRule(job string, rate float64) policy.Rule {
 // rounds remember about it. info and h never change once the record is
 // registered; the rest is round memory, touched only under roundMu. A
 // record outlives the shards built over it, so a stage keeps its collect
-// slot and its probe for as long as the record stays registered.
+// slot for as long as the record stays registered.
 type member struct {
 	info stage.Info
 	h    *rpcio.StageHandle
@@ -50,35 +51,22 @@ type member struct {
 	// h's exchanges write it, each collect merging its reply in place,
 	// so an unchanged member costs no write at all.
 	stats stage.Stats
-	// probe is what the latest collect learned about the managed queue.
-	probe stageProbe
 	// err, changed and calls are the outcome of the pass in flight:
 	// the exchange's error, whether the collect rewrote stats (or
 	// failed), and the push round trips spent.
 	err     error
 	changed bool
 	calls   int
-	// push is the operation the push in flight sends the member (none:
-	// the zero op), kept here so starting it allocates nothing; started
-	// marks an exchange of the pass in flight begun and not yet finished.
-	push    [1]rpcio.StageOp
+	// ops is what the push in flight sends the member (none: empty),
+	// reused push after push; started marks an exchange of the pass in
+	// flight begun and not yet finished.
+	ops     []rpcio.StageOp
 	started bool
 }
 
 // departed reports whether an exchange's error is the stage's departure
 // (rpcio.ErrDeparted): no failure, and the round's sweep drops it.
 func departed(err error) bool { return errors.Is(err, rpcio.ErrDeparted) }
-
-// stageProbe is what a collect learns about one stage beyond the
-// per-job rows: whether it answered, and the managed control queue's
-// currently enforced limit. The push uses it to skip stages that
-// already enforce the target rate and to spot stages that lost their
-// managed queue.
-type stageProbe struct {
-	ok       bool
-	hasCtl   bool
-	ctlLimit float64
-}
 
 // A collect's scatter is split min(GOMAXPROCS, maxScatter,
 // members/scatterChunk) ways. On fleet_rounds over two vCPUs a two-way
@@ -91,10 +79,6 @@ const scatterChunk, maxScatter = 32, 2
 // passArgs names what member m sends in a pass (ok false: nothing).
 type passArgs func(m *member) (ops []rpcio.StageOp, dst *stage.Stats, ok bool)
 
-func sortMembers(ms []*member) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].info.StageID < ms[j].info.StageID })
-}
-
 // shard is the controller's stage registry as a round sees it: its
 // members in StageID order, the job index derived from them, and the
 // scratch its passes reuse.
@@ -106,19 +90,17 @@ func sortMembers(ms []*member) {
 // roundMu held. The helpers a split pass starts own disjoint members (a
 // scatter chunk each) and are joined before pass returns.
 type shard struct {
-	// The controller's error handler, copied at construction.
-	onError func(stageID string, err error)
+	c *Controller
 
-	members  []*member // StageID-sorted: the deterministic fan-out order
-	rowOf    []int     // member index -> index into jobs
-	jobs     []string  // distinct member jobs, sorted
-	jobCount []int     // member count per jobs[i]
+	members []*member // StageID-sorted: the deterministic fan-out order
+	rowOf   []int     // member index -> index into jobs
+	jobs    []string  // distinct member jobs, sorted
+	census  census    // the members counted by job
 
 	// Per-job scratch, one entry per jobs[i].
-	rates     []float64 // target member rate this round
-	hasRate   []bool
-	rows      []JobSnapshot // the latest collect's fold
-	rowsValid bool          // rows still describe the members' current stats
+	rules     [][]rpcio.StageOp // the installs of what the job's members carry (rulesLocked)
+	rows      []JobSnapshot     // the latest collect's fold
+	rowsValid bool              // rows still describe the members' current stats
 
 	// The collect's scatter (see split); args is the pass in flight's.
 	first   int
@@ -131,36 +113,22 @@ type shard struct {
 // indexing them by job.
 func (c *Controller) newShard(members []*member) *shard {
 	sh := &shard{
-		onError: c.onError,
+		c:       c,
 		members: members,
 		rowOf:   make([]int, len(members)),
+		census:  census{make(map[string]int), len(members)},
 	}
-	keys := make([]string, len(members))
+	for _, m := range members {
+		sh.census.jobs[m.info.JobID]++
+	}
+	sh.jobs = slices.Sorted(maps.Keys(sh.census.jobs))
 	for i, m := range members {
-		keys[i] = m.info.JobID
+		sh.rowOf[i] = sort.SearchStrings(sh.jobs, m.info.JobID)
 	}
-	sh.jobs = slices.Clone(keys)
-	sort.Strings(sh.jobs)
-	sh.jobs = slices.Compact(sh.jobs)
-	n := len(sh.jobs)
-	sh.jobCount = make([]int, n)
-	for i, k := range keys {
-		sh.rowOf[i] = sort.SearchStrings(sh.jobs, k)
-		sh.jobCount[sh.rowOf[i]]++
-	}
-	sh.rates = make([]float64, n)
-	sh.hasRate = make([]bool, n)
-	sh.rows = make([]JobSnapshot, n)
+	sh.rules = make([][]rpcio.StageOp, len(sh.jobs))
+	sh.rows = make([]JobSnapshot, len(sh.jobs))
 	sh.split(max(1, min(runtime.GOMAXPROCS(0), maxScatter, len(members)/scatterChunk)))
 	return sh
-}
-
-// count is the number of members serving job.
-func (sh *shard) count(job string) int {
-	if i := sort.SearchStrings(sh.jobs, job); i < len(sh.jobs) && sh.jobs[i] == job {
-		return sh.jobCount[i]
-	}
-	return 0
 }
 
 // split divides the collect's scatter w ways, into contiguous StageID
@@ -230,56 +198,70 @@ func (sh *shard) pass(split bool, args passArgs,
 	}
 }
 
-// pushOp is what brings one stage's managed queue to managed.Rate given
-// the stage's latest collect probe: nothing (the zero op) when the probe
-// already shows the rate enforced — the collect just proved it, so
-// nothing needs to cross the wire; a reinstall of the managed rule when
-// the stage answered collect without the queue (restarted); a retune
-// otherwise.
-func pushOp(probe stageProbe, managed policy.Rule) rpcio.StageOp {
+// pushOp appends to ops what brings a stage's queue of rule r to
+// r.Rate given the stage's collect slot st (answered false: its latest
+// collect failed): nothing when the slot shows the rate enforced — the
+// collect just proved it, so nothing needs to cross the wire; a retune
+// of the managed queue where the slot shows it, or is stale; the rule,
+// installed whole, otherwise: a stage that answered without the managed
+// queue (restarted), or an administrator rule off its share. It compares
+// before it builds: only an install copies the rule.
+func pushOp(ops []rpcio.StageOp, st *stage.Stats, answered bool, r *policy.Rule) []rpcio.StageOp {
+	var limit float64
+	held := false
+	for i := 0; i < len(st.Queues) && !held; i++ {
+		limit, held = st.Queues[i].Limit, st.Queues[i].RuleID == r.ID
+	}
 	switch {
-	case probe.ok && probe.hasCtl && probe.ctlLimit == managed.Rate:
-		return rpcio.StageOp{}
-	case probe.ok && !probe.hasCtl:
-		return rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managed}
+	case answered && held && limit == r.Rate:
+		return ops
+	case r.ID == ControlRuleID && (held || !answered):
+		return append(ops, rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: r.Rate})
 	default:
-		return rpcio.StageOp{Kind: rpcio.OpSetRate, ID: ControlRuleID, Rate: managed.Rate}
+		return append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: *r})
 	}
 }
 
-// push brings every member of an allocated job to its share of the
-// job's allocation in alloc, divided equally among the job's members,
-// with pushOp's operation — none when its latest probe shows the rate
-// enforced, the managed rule reinstalled where it vanished, and a retune
-// that finds the queue gone (a restart raced the probe) chased by a
-// reinstall. It is one pass: scatter, then gather. A member failure
-// never fails the round: it is reported to the error handler in StageID
-// order and left in the member's err for the sweep. rs accumulates push round
-// trips and skips per member of an allocated job.
+// push brings every member to the rules the controller maps alloc and
+// the recorded intent to over the shard (rulesLocked), its latest split,
+// with pushOp's operations in one batch: the managed rule's, and, when
+// the registry or the intent moved since the latest push, every
+// administrator rule's; a retune that finds the managed queue gone (a
+// restart raced the collect) is chased by a reinstall. It is one pass:
+// scatter, then gather. A member failure never fails the round: it is
+// reported to the error handler in StageID order and left in the
+// member's err for the sweep. rs accumulates push round trips and
+// operations, and a skip per other member of an allocated job.
 func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
-	rates, hasRate := sh.rates, sh.hasRate
+	c := sh.c
+	c.mu.Lock()
+	resplit := c.splitRev != c.shardRev // sh is c.sh, at shardRev
+	c.split, c.splitRev = sh.census, c.shardRev
 	for j, job := range sh.jobs {
-		rate, ok := alloc[job]
-		rates[j], hasRate[j] = rate/float64(sh.jobCount[j]), ok
+		sh.rules[j] = c.rulesLocked(sh.rules[j][:0], job, alloc, sh.census, nil)
 	}
+	c.mu.Unlock()
 	pushes := false
 	for i, m := range sh.members {
-		m.err, m.calls, m.push[0] = nil, 0, rpcio.StageOp{}
-		if j := sh.rowOf[i]; hasRate[j] {
-			m.push[0] = pushOp(m.probe, managedRule(sh.jobs[j], rates[j]))
-			pushes = pushes || m.push[0].Kind != 0
+		answered := m.err == nil // the collect's outcome, until this push's
+		m.err, m.calls, m.ops = nil, 0, m.ops[:0]
+		rules := sh.rules[sh.rowOf[i]]
+		for k := range rules {
+			if r := &rules[k].Rule; resplit || r.ID == ControlRuleID {
+				m.ops = pushOp(m.ops, &m.stats, answered, r)
+			}
 		}
+		pushes = pushes || len(m.ops) > 0
 	}
 	if pushes {
 		sh.pass(false,
 			func(m *member) ([]rpcio.StageOp, *stage.Stats, bool) {
-				return m.push[:], nil, m.push[0].Kind != 0
+				return m.ops, nil, len(m.ops) > 0
 			},
 			func(m *member, res []rpcio.OpResult, _ bool, err error) {
 				m.calls = 1
-				if op := m.push[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) == 1 && !res[0].Found {
-					m.push[0] = rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: managedRule(m.info.JobID, op.Rate)}
-					_, _, err = m.h.Exec(m.push[:], nil)
+				if op := &m.ops[0]; err == nil && op.Kind == rpcio.OpSetRate && len(res) > 0 && !res[0].Found {
+					_, _, err = m.h.Exec([]rpcio.StageOp{{Kind: rpcio.OpApplyRule, Rule: managedRule(m.info.JobID, op.Rate)}}, nil)
 					m.calls = 2
 				}
 				m.err = err
@@ -287,15 +269,14 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 	}
 	// Account in member (StageID-sorted) order, so error reports are too.
 	for i, m := range sh.members {
-		if hasRate[sh.rowOf[i]] {
+		if m.calls > 0 {
 			rs.PushCalls += m.calls
-			rs.PushOps += m.calls // every push round trip is a one-op batch
-			if m.calls == 0 {
-				rs.PushesSkipped++
-			}
+			rs.PushOps += len(m.ops) + m.calls - 1 // the batch, and a chasing reinstall
+		} else if rules := sh.rules[sh.rowOf[i]]; len(rules) > 0 && rules[0].Rule.ID == ControlRuleID {
+			rs.PushesSkipped++
 		}
 		if m.err != nil && !departed(m.err) {
-			sh.onError(m.info.StageID, m.err)
+			c.onError(m.info.StageID, m.err)
 		}
 	}
 }
@@ -327,7 +308,7 @@ func (sh *shard) collect(rs *RoundStats) {
 	for _, m := range members {
 		if m.err != nil && !departed(m.err) {
 			failed++
-			sh.onError(m.info.StageID, m.err)
+			sh.c.onError(m.info.StageID, m.err)
 		}
 		rebuild = rebuild || m.changed
 	}
@@ -341,13 +322,12 @@ func (sh *shard) collect(rs *RoundStats) {
 		for i, m := range members {
 			row := &sh.rows[sh.rowOf[i]]
 			if m.err != nil {
-				m.probe = stageProbe{}
 				if !departed(m.err) {
 					row.FailedStages++
 				}
 				continue
 			}
-			m.probe = row.addStage(&m.stats)
+			row.addStage(&m.stats)
 		}
 		// Rows with a failed member must rebuild next round: a member
 		// whose stage refused (a RemoteError) may answer next round
@@ -357,5 +337,5 @@ func (sh *shard) collect(rs *RoundStats) {
 		sh.rowsValid = failed == 0
 	}
 	// Not rebuilt: every member answered "unchanged", so last round's
-	// rows (and probes) already describe this round exactly.
+	// rows already describe this round exactly.
 }

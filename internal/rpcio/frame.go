@@ -112,11 +112,15 @@ func (fc *frameConn) fail(err error) error {
 	return fc.cause()
 }
 
-// cause is the error that killed the connection (nil while it lives).
+// cause is the error that killed the connection (nil while it lives),
+// read without a lock: kill sets err before it closes done.
 func (fc *frameConn) cause() error {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.err
+	select {
+	case <-fc.done:
+		return fc.err
+	default:
+		return nil
+	}
 }
 
 // look reads what the connection holds without waiting: errWouldBlock

@@ -481,17 +481,23 @@ func (cp *ControlPlane) SetReservation(jobID string, rate float64) {
 }
 
 // ApplyRuleToJob installs a rule on every stage of a job, splitting the
-// rate across the job's stages.
+// rate across the job's stages. The shares follow membership: a stage
+// that joins or leaves the job re-splits the rule at the next round (at
+// once without an algorithm).
 func (cp *ControlPlane) ApplyRuleToJob(jobID string, r Rule) error {
 	return cp.ctl.ApplyRuleToJob(jobID, r)
 }
 
-// ApplyRuleToJobs installs a rule across a group of jobs.
+// ApplyRuleToJobs installs a rule across a group of jobs: each job holds
+// an equal part of the rate, split across its stages, and the shares
+// follow membership as ApplyRuleToJob's do.
 func (cp *ControlPlane) ApplyRuleToJobs(jobIDs []string, r Rule) error {
 	return cp.ctl.ApplyRuleToJobs(jobIDs, r)
 }
 
-// ApplyRuleCluster installs a rule on every registered stage.
+// ApplyRuleCluster installs a rule on every registered stage, splitting
+// the rate across them; the shares follow membership as ApplyRuleToJob's
+// do.
 func (cp *ControlPlane) ApplyRuleCluster(r Rule) error {
 	return cp.ctl.ApplyRuleCluster(r)
 }
