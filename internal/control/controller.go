@@ -219,10 +219,10 @@ type adminRule struct {
 // split and appends to out the installs of what a stage of job carries
 // there: the managed rule while alloc holds the job, then every
 // administrator rule covering the job, each at its share, the rule's
-// rate divided among the stages that carry it. A stage that has just registered into now gets a
-// share only while now holds the rule on no more stages than split
-// divided it among, and none otherwise: every holder holds at most its
-// share of the latest split, so no rule's shares ever sum above the
+// rate divided among the stages that carry it. A stage just registered
+// into now gets a share only while now holds the rule on no more stages
+// than split divided it among, else none: every holder holds at most
+// its share of the latest split, so no rule's shares ever sum above the
 // rule, and the next split makes them sum to it. Caller holds mu.
 func (c *Controller) rulesLocked(out []rpcio.StageOp, job string, alloc map[string]float64, split census, now *census) []rpcio.StageOp {
 	first := len(out)
