@@ -429,10 +429,9 @@ func (c *Controller) apply(a adminRule) error {
 		c.splitRev = -1 // the next push re-splits
 	}
 	c.mu.Unlock()
-	switch {
-	case n == 0 && a.cluster:
+	if n == 0 && a.cluster {
 		return fmt.Errorf("control: no registered stages")
-	case n == 0:
+	} else if n == 0 {
 		return fmt.Errorf("control: no stages for job %q", a.job)
 	}
 	return c.install()
@@ -449,10 +448,7 @@ func (c *Controller) install() error {
 	sh := c.reshard()
 	c.collect(sh, &RoundStats{})
 	push := c.reshard()
-	c.mu.Lock()
-	alloc := c.lastAlloc
-	c.mu.Unlock()
-	push.push(alloc, &RoundStats{})
+	push.push(c.LastAllocation(), &RoundStats{})
 	c.sweep(push)
 	for _, m := range sh.members {
 		if m.err != nil {
@@ -513,8 +509,9 @@ type JobSnapshot struct {
 	FailedStages int
 }
 
-// addStage folds one answering stage's statistics into the row.
-func (s *JobSnapshot) addStage(st *stage.Stats) {
+// addStage folds one answering stage's statistics into the row and
+// returns its managed queue's limit (held false: it has none).
+func (s *JobSnapshot) addStage(st *stage.Stats) (ctl float64, held bool) {
 	s.Stages++
 	if st.Degraded {
 		s.Degraded = true
@@ -526,6 +523,7 @@ func (s *JobSnapshot) addStage(st *stage.Stats) {
 		if q.RuleID != ControlRuleID {
 			continue
 		}
+		ctl, held = q.Limit, true
 		s.Demand += q.DemandRate
 		s.Throughput += q.ThroughputRate
 		s.Dropped += q.Dropped
@@ -533,6 +531,7 @@ func (s *JobSnapshot) addStage(st *stage.Stats) {
 		s.WaitP95 = max(s.WaitP95, q.WaitP95)
 		s.WaitP99 = max(s.WaitP99, q.WaitP99)
 	}
+	return ctl, held
 }
 
 // state projects a collected snapshot onto the algorithm's input.

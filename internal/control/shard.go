@@ -49,8 +49,11 @@ type member struct {
 	h    *rpcio.StageHandle
 	// stats is the member's collect slot and h's merged snapshot: only
 	// h's exchanges write it, each collect merging its reply in place,
-	// so an unchanged member costs no write at all.
-	stats stage.Stats
+	// so an unchanged member costs no write at all. ctl and hasCtl are
+	// its managed queue's limit as the latest fold read it.
+	stats  stage.Stats
+	ctl    float64
+	hasCtl bool
 	// err, changed and calls are the outcome of the pass in flight:
 	// the exchange's error, whether the collect rewrote stats (or
 	// failed), and the push round trips spent.
@@ -199,17 +202,16 @@ func (sh *shard) pass(split bool, args passArgs,
 }
 
 // pushOp appends to ops what brings a stage's queue of rule r to
-// r.Rate given the stage's collect slot st (answered false: its latest
+// r.Rate given the member's collect slot (answered false: its latest
 // collect failed): nothing when the slot shows the rate enforced — the
 // collect just proved it, so nothing needs to cross the wire; a retune
 // of the managed queue where the slot shows it, or is stale; the rule,
 // installed whole, otherwise: a stage that answered without the managed
 // queue (restarted), or an administrator rule off its share. It compares
 // before it builds: only an install copies the rule.
-func pushOp(ops []rpcio.StageOp, st *stage.Stats, answered bool, r *policy.Rule) []rpcio.StageOp {
-	var limit float64
-	held := false
-	for i := 0; i < len(st.Queues) && !held; i++ {
+func pushOp(ops []rpcio.StageOp, m *member, answered bool, r *policy.Rule) []rpcio.StageOp {
+	limit, held := m.ctl, m.hasCtl && r.ID == ControlRuleID
+	for i, st := 0, &m.stats; r.ID != ControlRuleID && i < len(st.Queues) && !held; i++ {
 		limit, held = st.Queues[i].Limit, st.Queues[i].RuleID == r.ID
 	}
 	switch {
@@ -248,7 +250,7 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 		rules := sh.rules[sh.rowOf[i]]
 		for k := range rules {
 			if r := &rules[k].Rule; resplit || r.ID == ControlRuleID {
-				m.ops = pushOp(m.ops, &m.stats, answered, r)
+				m.ops = pushOp(m.ops, m, answered, r)
 			}
 		}
 		pushes = pushes || len(m.ops) > 0
@@ -327,7 +329,7 @@ func (sh *shard) collect(rs *RoundStats) {
 				}
 				continue
 			}
-			row.addStage(&m.stats)
+			m.ctl, m.hasCtl = row.addStage(&m.stats)
 		}
 		// Rows with a failed member must rebuild next round: a member
 		// whose stage refused (a RemoteError) may answer next round
