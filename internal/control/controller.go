@@ -1,6 +1,7 @@
 package control
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"net"
@@ -127,18 +128,17 @@ func (c *Controller) Clock() clock.Clock { return c.clk }
 // Register adds the stage info names, reached through h, to the
 // registry. A stage re-registering under an existing ID (restart or
 // reconnect after a network failure — the dependability case §VI
-// highlights) replaces its record. Re-registering the same
-// handle with the same identity keeps the stage's record, and with it
-// its collect slot; a new handle or identity gets a fresh record (a
-// record's identity never changes, so a round reads it without the
-// registry lock), and a handle it replaces is closed. In one exchange
-// the stage receives the managed control queue, if an algorithm is
-// active, and the administrator rules recorded for its job and the
-// cluster, each at what the rule's holders leave free (rulesLocked): a
-// restarted stage resumes its share, rather than resetting to an equal
-// share of the cluster, with the last-known rule set. A rule's shares
-// follow membership: the next round re-splits every rule over the
-// stages then registered, or, with no algorithm, the registration does.
+// highlights) replaces its record. Re-registering the same handle with
+// the same identity keeps the record, and with it its collect slot; a
+// new handle or identity gets a fresh record (a record's identity never
+// changes, so a round reads it without the registry lock), and a handle
+// it replaces is closed. In one exchange the stage receives the managed
+// control queue, if an algorithm is active, and the administrator rules
+// recorded for its job and the cluster, each at what the rule's holders
+// leave free (rulesLocked): a restarted stage resumes its share with the
+// last-known rule set. A rule's shares follow membership: the next round
+// re-splits every rule over the stages then registered, or, with no
+// algorithm, a registration that changes a job's stage count does.
 func (c *Controller) Register(info stage.Info, h *rpcio.StageHandle) error {
 	id, job := info.StageID, info.JobID
 	c.mu.Lock()
@@ -349,10 +349,9 @@ func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]stage.Info, 0, len(c.stages))
-	for _, m := range c.stages {
+	for _, m := range c.membersLocked() {
 		out = append(out, m.info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StageID < out[j].StageID })
 	return out
 }
 
@@ -378,15 +377,16 @@ func (c *Controller) membersLocked() []*member {
 // ApplyRuleToJob installs a rule on the stages of one job (per-job
 // granularity). The rate is the job's: each stage holds it divided by
 // the job's stage count, and the shares follow membership, as every
-// rule's do (Register).
+// rule's do (Register). The error is the first failure, in StageID
+// order, of a stage of the job.
 func (c *Controller) ApplyRuleToJob(jobID string, r policy.Rule) error {
 	return c.apply(adminRule{rule: r, job: jobID})
 }
 
 // ApplyRuleToJobs installs a rule on a group of jobs (group granularity),
 // splitting the rate equally across the jobs and then, as
-// ApplyRuleToJob does, across each job's stages. Every job is attempted;
-// the error is the first in argument order.
+// ApplyRuleToJob does, across each job's stages, in one install. Every
+// job is attempted; the error is the first in argument order.
 func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 	if len(jobIDs) == 0 {
 		return fmt.Errorf("control: empty job group")
@@ -395,13 +395,11 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 	if r.Rate != policy.Unlimited {
 		perJob.Rate = r.Rate / float64(len(jobIDs))
 	}
-	var first error
-	for _, j := range jobIDs {
-		if err := c.ApplyRuleToJob(j, perJob); err != nil && first == nil {
-			first = err
-		}
+	rules := make([]adminRule, len(jobIDs))
+	for i, j := range jobIDs {
+		rules[i] = adminRule{rule: perJob, job: j}
 	}
-	return first
+	return c.apply(rules...)
 }
 
 // ApplyRuleCluster installs a rule on every registered stage
@@ -413,60 +411,66 @@ func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	return c.apply(adminRule{rule: r, cluster: true})
 }
 
-// apply records a, if it covers a registered stage, in place of the
-// job's rule of its ID (for a cluster rule, of every rule of its ID),
-// and installs it.
-func (c *Controller) apply(a adminRule) error {
+// apply records each of rules that covers a registered stage in place
+// of the rules of its ID it replaces — the job's, or for a cluster rule
+// every one — and installs them in one pass. The error is the first
+// rule's, in order, that covers no stage or failed on a stage.
+func (c *Controller) apply(rules ...adminRule) error {
+	errs := make([]error, len(rules))
 	c.mu.Lock()
-	n := c.jobStages[a.job]
-	if a.cluster {
-		n = len(c.stages)
-	}
-	if n > 0 {
-		c.admin = append(slices.DeleteFunc(c.admin, func(b adminRule) bool {
-			return b.rule.ID == a.rule.ID && (a.cluster || !b.cluster && b.job == a.job)
-		}), a)
-		c.splitRev = -1 // the next push re-splits
+	for i, a := range rules {
+		switch {
+		case a.cluster && len(c.stages) == 0:
+			errs[i] = fmt.Errorf("control: no registered stages")
+		case !a.cluster && c.jobStages[a.job] == 0:
+			errs[i] = fmt.Errorf("control: no stages for job %q", a.job)
+		default:
+			c.admin = append(slices.DeleteFunc(c.admin, func(b adminRule) bool {
+				return b.rule.ID == a.rule.ID && (a.cluster || !b.cluster && b.job == a.job)
+			}), a)
+			c.splitRev = -1 // the next push re-splits
+		}
 	}
 	c.mu.Unlock()
-	if n == 0 && a.cluster {
-		return fmt.Errorf("control: no registered stages")
-	} else if n == 0 {
-		return fmt.Errorf("control: no stages for job %q", a.job)
+	if slices.Contains(errs, nil) {
+		c.install(rules, errs)
 	}
-	return c.install()
+	return cmp.Or(errs...)
 }
 
 // install is a round without an allocation, the latest standing: it
-// collects, drops the stages whose link failed, and pushes every stage
-// left to the rules it carries now, each rule the stage's collect shows
-// off its share (shard.push). It returns the first failure in StageID
-// order, the collect's of a stage it dropped, else the push's.
-func (c *Controller) install() error {
+// collects, sweeps and pushes every stage the rules it carries now, each
+// rule its collect shows off its share and each of fresh whole
+// (shard.push). It leaves in errs[i], if nil, the first failure in
+// StageID order of a stage carrying fresh[i]: the collect's of a stage
+// it dropped, else the push's.
+func (c *Controller) install(fresh []adminRule, errs []error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	sh := c.reshard()
 	c.collect(sh, &RoundStats{})
 	push := c.reshard()
-	push.push(c.LastAllocation(), &RoundStats{})
+	push.push(c.LastAllocation(), fresh, &RoundStats{})
 	c.sweep(push)
 	for _, m := range sh.members {
-		if m.err != nil {
-			return fmt.Errorf("control: install rules on %s: %w", m.info.StageID, m.err)
+		for i, a := range fresh {
+			if m.err != nil && errs[i] == nil && (a.cluster || a.job == m.info.JobID) {
+				errs[i] = fmt.Errorf("control: install rules on %s: %w", m.info.StageID, m.err)
+			}
 		}
 	}
-	return nil
 }
 
-// resplit re-splits the rules after a registration or a drop when no
-// round will, no algorithm being installed: in an install pass of its
-// own. A stage the pass fails on is brought up to date by the next.
+// resplit re-splits the rules in an install pass of its own when no
+// round will, no algorithm being installed, and a registration or a drop
+// left some job's stage count other than the latest split's: a
+// re-registration under the same ID and job costs no pass.
 func (c *Controller) resplit() {
 	c.mu.Lock()
-	alone := c.algorithm == nil && len(c.admin) > 0
+	moved := c.algorithm == nil && len(c.admin) > 0 && !maps.Equal(c.split.jobs, c.jobStages)
 	c.mu.Unlock()
-	if alone {
-		_ = c.install()
+	if moved {
+		c.install(nil, nil)
 	}
 }
 
@@ -618,14 +622,13 @@ func (c *Controller) collect(sh *shard, rs *RoundStats) []JobSnapshot {
 }
 
 // CollectAll gathers statistics from every stage, aggregated per job
-// (feedback-loop step 1): the collect phase of a round on its own,
-// through the same shard and collect slots RunOnce uses. Stages that
-// fail to respond are reported to the error handler, counted as
-// FailedStages and skipped: the loop runs on partial snapshots rather
-// than blocking behind a dead peer. A stage whose exchange failed on
-// the wire leaves the registry here as in a round, so its failure is
-// reported once, whoever read first, and with no algorithm installed
-// the rules' shares are re-split over the stages left (resplit).
+// (feedback-loop step 1): a round's collect on its own, through the same
+// shard and collect slots. Stages that fail to respond are reported to
+// the error handler, counted as FailedStages and skipped: the loop runs
+// on partial snapshots rather than blocking behind a dead peer. A stage
+// whose exchange failed on the wire leaves the registry here as in a
+// round, so its failure is reported once, whoever read first; with no
+// algorithm installed, its leaving re-splits the rules (resplit).
 func (c *Controller) CollectAll() []JobSnapshot {
 	c.roundMu.Lock()
 	snaps := c.collect(c.reshard(), &RoundStats{})
@@ -649,17 +652,13 @@ func (c *Controller) roundStart() (Algorithm, float64) {
 // allocation for reporting. It is a no-op (returning nil) when no
 // algorithm is installed.
 //
-// The round is collect, sweep, allocate, split, push. Both exchanges
-// with the fleet happen in the shard (shard.collect, shard.push), one
-// pass each: collects are incremental (only changed queues on the wire,
-// an unchanged stage's slot left as it is), and the push maps the
-// allocation onto the stages registered now (rulesLocked) — every
-// administrator rule too when the registry moved since the latest push
-// — and skips outright a stage whose collect shows its shares already
-// enforced, in-process stages included, so a steady round leaves a
-// stage's rule snapshot untouched. What is the controller's own is
-// here: drop the stages whose link failed (sweep), run the algorithm,
-// and account.
+// The round is collect, sweep, allocate, split, push, both exchanges in
+// the shard (shard.collect, shard.push), one pass each. Collects are
+// incremental (only changed queues on the wire); the push maps the
+// allocation, and every administrator rule when the registry moved since
+// the latest push, onto the stages registered now (rulesLocked), and
+// skips a stage whose collect shows its shares enforced, so a steady
+// round leaves a stage's rule snapshot untouched.
 func (c *Controller) RunOnce() map[string]float64 {
 	alg, limit := c.roundStart()
 	if alg == nil {
@@ -690,7 +689,7 @@ func (c *Controller) RunOnce() map[string]float64 {
 	c.mu.Lock()
 	c.lastAlloc, c.provisional = alloc, 0
 	c.mu.Unlock()
-	push.push(alloc, &rs)
+	push.push(alloc, nil, &rs)
 	c.sweep(push)
 
 	rs.Duration = c.clk.Now().Sub(start)

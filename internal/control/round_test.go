@@ -66,7 +66,7 @@ func TestAggregatorRoundPushesAndMerges(t *testing.T) {
 	// and the managed rule is installed where it did not exist.
 	alloc := map[string]float64{"job1": 1000, "job2": 2000}
 	var rs RoundStats
-	sh.push(alloc, &rs)
+	sh.push(alloc, nil, &rs)
 	wantRate := map[string]float64{"s1": 500, "s2": 500, "s3": 1000, "s4": 1000}
 	for id, want := range wantRate {
 		rules := stages[id].Rules()
@@ -102,11 +102,11 @@ func TestAggregatorReinstallsLostManagedRule(t *testing.T) {
 	sh, stages := shardFixture(t, clk)
 	alloc := map[string]float64{"job1": 1000, "job2": 2000}
 	var rs RoundStats
-	sh.push(alloc, &rs)
+	sh.push(alloc, nil, &rs)
 	// s2 restarts: its managed queue vanishes. The next push must bring
 	// it back at the fresh rate.
 	stages["s2"].RemoveRule(ControlRuleID)
-	sh.push(alloc, &rs)
+	sh.push(alloc, nil, &rs)
 	rules := stages["s2"].Rules()
 	if len(rules) != 1 || rules[0].ID != ControlRuleID || rules[0].Rate != 500 {
 		t.Fatalf("s2 rules after reinstall = %+v, want managed rule at 500", rules)
@@ -121,7 +121,7 @@ func TestAggregatorReportsFailedStages(t *testing.T) {
 
 	// A member failure never fails the round: it is counted.
 	var rs RoundStats
-	sh.push(map[string]float64{"job1": 2000}, &rs)
+	sh.push(map[string]float64{"job1": 2000}, nil, &rs)
 	sh.collect(&rs)
 	rows := sh.rows
 	if len(rows) != 1 {
@@ -160,8 +160,8 @@ func TestAggregatorQuiescentRoundTouchesNothing(t *testing.T) {
 		return slices.Clone(sh.rows)
 	}
 	var rs RoundStats
-	sh.push(map[string]float64{"job1": 2000}, &rs) // install
-	collect()                                      // first (full) collect
+	sh.push(map[string]float64{"job1": 2000}, nil, &rs) // install
+	collect()                                           // first (full) collect
 	offerTo(clk, stages, map[string]float64{"s1": 100, "s2": 50})
 	collect()
 	clk.Advance(5 * time.Second) // rates decay to zero: the fleet goes quiet
@@ -210,7 +210,7 @@ func TestAggregatorSlotSurvivesForeignCollector(t *testing.T) {
 	sh := shardOver(t, clk, nil, member{info: stg.Info(), h: h})
 	var rs RoundStats
 	collect := func() { sh.collect(&rs) }
-	sh.push(map[string]float64{"job1": 1000}, &rs)
+	sh.push(map[string]float64{"job1": 1000}, nil, &rs)
 	collect()
 	collect() // the slot is now the handle's merged snapshot, and quiet
 

@@ -201,14 +201,13 @@ func (sh *shard) pass(split bool, args passArgs,
 	}
 }
 
-// pushOp appends to ops what brings a stage's queue of rule r to
-// r.Rate given the member's collect slot (answered false: its latest
-// collect failed): nothing when the slot shows the rate enforced — the
-// collect just proved it, so nothing needs to cross the wire; a retune
-// of the managed queue where the slot shows it, or is stale; the rule,
-// installed whole, otherwise: a stage that answered without the managed
-// queue (restarted), or an administrator rule off its share. It compares
-// before it builds: only an install copies the rule.
+// pushOp appends to ops what brings a stage's queue of rule r to r.Rate
+// given the member's collect slot (answered false: its latest collect
+// failed, or r goes whole whatever the slot shows): nothing when the
+// slot shows the rate enforced; a retune of the managed queue where the
+// slot shows it, or is stale; else the rule, installed whole (on a stage
+// that answered without the managed queue, restarted, or an
+// administrator rule off its share). Only an install copies the rule.
 func pushOp(ops []rpcio.StageOp, m *member, answered bool, r *policy.Rule) []rpcio.StageOp {
 	limit, held := m.ctl, m.hasCtl && r.ID == ControlRuleID
 	for i, st := 0, &m.stats; r.ID != ControlRuleID && i < len(st.Queues) && !held; i++ {
@@ -225,16 +224,17 @@ func pushOp(ops []rpcio.StageOp, m *member, answered bool, r *policy.Rule) []rpc
 }
 
 // push brings every member to the rules the controller maps alloc and
-// the recorded intent to over the shard (rulesLocked), its latest split,
-// with pushOp's operations in one batch: the managed rule's, and, when
-// the registry or the intent moved since the latest push, every
-// administrator rule's; a retune that finds the managed queue gone (a
-// restart raced the collect) is chased by a reinstall. It is one pass:
-// scatter, then gather. A member failure never fails the round: it is
-// reported to the error handler in StageID order and left in the
-// member's err for the sweep. rs accumulates push round trips and
-// operations, and a skip per other member of an allocated job.
-func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
+// the recorded intent to over the shard (rulesLocked), with pushOp's
+// operations in one batch, one pass: the managed rule's; every
+// administrator rule's when the registry or the intent moved since the
+// latest push; each rule of fresh, just applied, whole (a slot's limit
+// says nothing of a rule's matcher, burst or action). A retune that
+// finds the managed queue gone (a restart raced the collect) is chased
+// by a reinstall. A member failure never fails the round: it is reported
+// to the error handler in StageID order and left in the member's err
+// for the sweep. rs accumulates push round trips and operations, and a
+// skip per other member of an allocated job.
+func (sh *shard) push(alloc map[string]float64, fresh []adminRule, rs *RoundStats) {
 	c := sh.c
 	c.mu.Lock()
 	resplit := c.splitRev != c.shardRev // sh is c.sh, at shardRev
@@ -247,10 +247,11 @@ func (sh *shard) push(alloc map[string]float64, rs *RoundStats) {
 	for i, m := range sh.members {
 		answered := m.err == nil // the collect's outcome, until this push's
 		m.err, m.calls, m.ops = nil, 0, m.ops[:0]
-		rules := sh.rules[sh.rowOf[i]]
-		for k := range rules {
-			if r := &rules[k].Rule; resplit || r.ID == ControlRuleID {
-				m.ops = pushOp(m.ops, m, answered, r)
+		for k, rules := 0, sh.rules[sh.rowOf[i]]; k < len(rules); k++ {
+			r := &rules[k].Rule
+			whole := slices.ContainsFunc(fresh, func(a adminRule) bool { return a.rule.ID == r.ID && (a.cluster || a.job == m.info.JobID) })
+			if resplit || whole || r.ID == ControlRuleID {
+				m.ops = pushOp(m.ops, m, answered && !whole, r)
 			}
 		}
 		pushes = pushes || len(m.ops) > 0

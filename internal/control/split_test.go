@@ -3,10 +3,14 @@ package control
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"padll/internal/clock"
 	"padll/internal/policy"
+	"padll/internal/posix"
+	"padll/internal/rpcio"
 	"padll/internal/stage"
 )
 
@@ -206,5 +210,108 @@ func runShareProgram(t *testing.T, data []byte) {
 			exact = true
 		}
 		f.check(t, step, exact)
+	}
+}
+
+// TestReappliedRuleReachesItsStagesWhole: applying a rule again under
+// its ID and at its rate, with another matcher, burst and action,
+// installs the new rule on every stage that carries it, at every
+// granularity, with an algorithm and without one. A stage's collect
+// shows a queue's limit only, so a push that skipped every stage whose
+// limit already matched would leave the old rule enforced.
+func TestReappliedRuleReachesItsStagesWhole(t *testing.T) {
+	before := policy.Rule{ID: "admin", Match: policy.Matcher{Classes: []posix.Class{posix.ClassMetadata}}, Rate: 1200}
+	after := policy.Rule{ID: "admin", Match: policy.Matcher{Classes: []posix.Class{posix.ClassData}}, Rate: 1200, Burst: 7, Action: policy.ActionDrop}
+	for _, tc := range []struct {
+		name     string
+		apply    func(c *Controller, r policy.Rule) error
+		carriers []string
+	}{
+		{"job", func(c *Controller, r policy.Rule) error { return c.ApplyRuleToJob("jobA", r) }, []string{"a1", "a2"}},
+		{"jobs", func(c *Controller, r policy.Rule) error { return c.ApplyRuleToJobs([]string{"jobA", "jobB"}, r) }, []string{"a1", "a2", "b1"}},
+		{"cluster", func(c *Controller, r policy.Rule) error { return c.ApplyRuleCluster(r) }, []string{"a1", "a2", "b1"}},
+	} {
+		for _, withAlgorithm := range []bool{true, false} {
+			f := newShareFleet(withAlgorithm)
+			f.join(t, "a1", "jobA")
+			f.join(t, "a2", "jobA")
+			f.join(t, "b1", "jobB")
+			for _, r := range []policy.Rule{before, after} {
+				f.c.RunOnce()
+				if err := tc.apply(f.c, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.c.RunOnce()
+			for _, id := range tc.carriers {
+				for _, r := range f.stages[id].Rules() {
+					if r.ID == after.ID && (r.Burst != after.Burst || r.Action != after.Action || !slices.Equal(r.Match.Classes, after.Match.Classes)) {
+						t.Errorf("%s, algorithm=%v: %s enforces %+v, want the reapplied %+v", tc.name, withAlgorithm, id, r, after)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestApplyFailsOnlyOnItsStages: an install's error is a failure of a
+// stage that carries the applied rule. A stage of another job that
+// refuses its collect is reported to the error handler, and fails no
+// other job's apply. A group rule is installed in one pass, whatever
+// the number of jobs in the group. With no algorithm installed, a read
+// that drops no stage and a re-registration that leaves every job's
+// stage count as it was re-split nothing: neither costs a pass.
+func TestApplyFailsOnlyOnItsStages(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	var reported []string
+	c := New(clk, WithErrorHandler(func(id string, err error) { reported = append(reported, id) }))
+	collects := make(map[string]int)
+	for _, id := range []string{"a1", "b1", "c1", "d1"} {
+		stg := stage.New(stage.Info{StageID: id, JobID: "job" + strings.ToUpper(id[:1])}, clk)
+		h := gatedHandle(stg, func(ops []rpcio.StageOp, collect bool) error {
+			if collect {
+				collects[id]++
+			}
+			if id == "b1" && (collect || len(ops) > 0 && ops[0].Rule.ID == "admin") {
+				return rpcio.RemoteError("injected refusal")
+			}
+			return nil
+		})
+		if err := c.Register(stg.Info(), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rule := policy.Rule{ID: "admin", Rate: 1000}
+	if err := c.ApplyRuleToJob("jobA", rule); err != nil {
+		t.Errorf("jobA's apply failed on another job's stage: %v", err)
+	}
+	if len(reported) != 1 || reported[0] != "b1" {
+		t.Errorf("the error handler saw %v, want b1's refusal", reported)
+	}
+	if err := c.ApplyRuleToJob("jobB", rule); err == nil || !strings.Contains(err.Error(), "on b1") {
+		t.Errorf("jobB's apply: err = %v, want b1's refusal", err)
+	}
+	clear(collects)
+	if err := c.ApplyRuleToJobs([]string{"jobA", "jobC", "jobD"}, rule); err != nil {
+		t.Errorf("group apply: %v", err)
+	}
+	if collects["a1"] != 1 {
+		t.Errorf("a group rule over three jobs collected a1 %d times, want once: one install", collects["a1"])
+	}
+	clear(collects)
+	c.CollectAll()
+	if collects["a1"] != 1 {
+		t.Errorf("a read that dropped nothing collected a1 %d times, want once: no re-split", collects["a1"])
+	}
+	clear(collects)
+	stg := stage.New(stage.Info{StageID: "d1", JobID: "jobD"}, clk)
+	if err := c.Register(stg.Info(), loopbackHandle(stg)); err != nil {
+		t.Fatal(err)
+	}
+	if collects["a1"] != 0 {
+		t.Errorf("d1's re-registration collected a1 %d times, want none: its job's count is unchanged", collects["a1"])
+	}
+	if got := ruleRate(stg, "admin"); got != 1000.0/3 {
+		t.Errorf("d1 re-registered with the group rule at %v, want its share %v", got, 1000.0/3)
 	}
 }
